@@ -330,7 +330,7 @@ if ! cmp -s "$tmp/run1.jsonl" "$tmp/run2.jsonl"; then
     exit 1
 fi
 
-echo "== rtecd gate (daemon drain, resume byte-identity, overload throttling)"
+echo "== rtecd gate (daemon drain, resume byte-identity, strict admission, overload throttling)"
 # Serve the same event description through the rtecd daemon: POST half the
 # NDJSON stream, SIGTERM mid-run (graceful drain into suspend checkpoints),
 # restart with -resume, re-POST the full stream and finish. The final CSV
@@ -412,6 +412,35 @@ for k in 0 1 2 3; do
         exit 1
     fi
 done
+# Strict admission must not livelock: -shard-overflow error answers 429 only
+# while a shard's consumer is really -shard-queue arrivals behind, so a
+# client that re-POSTs a rejected chunk (the applied prefix comes back as
+# duplicates, which the engine drops) gets the whole stream in and lands on
+# the blocking leg's CSV. When 429 meant "64 arrivals retained", the retries
+# below never succeeded. Chunks are half the queue bound, so a chunk fits
+# whole once the consumer has caught up, however its lines hash.
+start_rtecd "$rtecd_flags -shard-overflow error -shard-queue 64
+    -checkpoint $tmp/strict.ckpt -journal $tmp/strict.jsonl"
+split -l 32 "$tmp/shuffled.ndjson" "$tmp/chunk-"
+for chunk in "$tmp"/chunk-*; do
+    code=$(curl -s -o "$tmp/ingest-resp.txt" -w '%{http_code}' --retry 30 --retry-max-time 120 \
+        --data-binary @"$chunk" "http://$rtecd_addr/ingest")
+    if [ "$code" != 200 ]; then
+        echo "rtecd gate: strict-admission POST of $chunk still answered $code after retries:" >&2
+        cat "$tmp/ingest-resp.txt" >&2
+        kill "$rtecd_pid" 2>/dev/null || true
+        wait "$rtecd_pid" 2>/dev/null || true
+        exit 1
+    fi
+done
+curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd-strict.csv"
+kill -TERM "$rtecd_pid"
+wait "$rtecd_pid" || true
+if ! cmp -s "$tmp/rtecd.csv" "$tmp/rtecd-strict.csv"; then
+    echo "rtecd gate: -shard-overflow error CSV diverged from the blocking leg's:" >&2
+    diff "$tmp/rtecd.csv" "$tmp/rtecd-strict.csv" >&2 || true
+    exit 1
+fi
 # Overload: a one-slot ingest queue with a throttled pump must answer 429
 # (with Retry-After) to a burst of concurrent POSTs, visibly in the metrics.
 head -n 5 "$tmp/shuffled.ndjson" > "$tmp/burst.ndjson"

@@ -143,8 +143,8 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 0, "partition the stream across N supervised engine shards (0/1 = unsharded)")
 	flag.StringVar(&o.shardFaults, "shard-faults", "", `inject a deterministic shard fault schedule, e.g. "panic@w3" or "ckpt-truncate@w2,panic@w3:s0"`)
 	flag.DurationVar(&o.shardDeadline, "shard-deadline", 10*time.Second, "kill and restart a shard making no progress for this long")
-	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard ingest queue depth")
-	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "full-queue admission policy: block, drop or error")
+	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard bound on unconsumed arrivals (admitted, not yet taken by the shard)")
+	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "admission policy while a shard has -shard-queue unconsumed arrivals: block, drop or error")
 	flag.IntVar(&o.shardRestarts, "shard-restarts", 5, "restarts per shard before it degrades")
 	flag.Int64Var(&o.shardSeed, "shard-seed", 7, "seed for per-shard restart backoff jitter")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")

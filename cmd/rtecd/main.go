@@ -108,8 +108,8 @@ func main() {
 	flag.BoolVar(&o.resume, "resume", false, "resume a drained run from its suspend checkpoints (re-POST the same stream)")
 	flag.StringVar(&o.outPath, "out", "", "also write the final recognition CSV here on /finish")
 	flag.IntVar(&o.shards, "shards", 1, "partition the stream across N supervised engine shards")
-	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard ingest queue depth")
-	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "full shard-queue admission policy: block, drop or error (error surfaces as HTTP 429, but can livelock retries: the queue drains at checkpoint boundaries, which need fresh admissions)")
+	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard bound on unconsumed arrivals (admitted, not yet taken by the shard)")
+	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "admission policy while a shard has -shard-queue unconsumed arrivals: block, drop or error (error surfaces as HTTP 429)")
 	flag.DurationVar(&o.shardDeadline, "shard-deadline", 10*time.Second, "kill and restart a shard making no progress for this long")
 	flag.IntVar(&o.shardRestarts, "shard-restarts", 5, "restarts per shard before it degrades")
 	flag.Int64Var(&o.shardSeed, "shard-seed", 7, "seed for per-shard restart backoff jitter")
@@ -208,6 +208,7 @@ func run(o options, stderr *os.File) error {
 	// operator's escape hatch from a drain that cannot complete.
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig) // a finished run must not force-exit whoever outlives it
 	s := <-sig
 	fmt.Fprintf(stderr, "rtecd: %s: draining\n", s)
 	go func() {

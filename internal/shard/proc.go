@@ -29,8 +29,8 @@ var (
 )
 
 // ErrQueueFull reports a strict-policy admission rejection: the target
-// shard's ingest queue was full. The arrival was not admitted; callers may
-// surface this as backpressure (HTTP 429) and retry.
+// shard's consumer was QueueDepth arrivals behind. The arrival was not
+// admitted; callers may surface this as backpressure (HTTP 429) and retry.
 var ErrQueueFull = errors.New("ingest queue full")
 
 // ErrDegraded reports an arrival routed to a permanently failed shard under
@@ -56,8 +56,9 @@ type proc struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 	// Queue state (guarded by mu). q holds the retained arrivals; base is
-	// the absolute index of q[0]. The tail past `acked` is retained for
-	// replay even though the consumer (cursor `taken`) is past it.
+	// the absolute index of q[0]. The prefix below the consumer cursor
+	// `taken` is retention, kept for replay until a checkpoint generation
+	// acks it; the rest is backlog, which is what admission bounds.
 	q         []stream.Event
 	base      int
 	taken     int // absolute index of the next arrival the consumer takes
@@ -70,7 +71,7 @@ type proc struct {
 	failErr   error
 	lastMove  time.Time // progress stamp for the deadline watchdog
 	dropped   int64     // lenient overflow drops
-	overflow  int64     // soft admissions past the depth bound (idle consumer)
+	overflow  int64     // admissions made with retention at or past the depth bound
 	// skipBelow is the cross-process resume cursor: arrivals below this
 	// absolute index were consumed by the previous process's checkpoint, so
 	// push advances base past them instead of buffering a replayed prefix
@@ -103,6 +104,10 @@ func (p *proc) touch() {
 	p.mu.Unlock()
 }
 
+// backlog is the number of arrivals admitted but not yet taken by the
+// consumer. Caller holds mu.
+func (p *proc) backlog() int { return p.base + len(p.q) - p.taken }
+
 // stale reports whether the shard has made no progress for the deadline,
 // while having work it should be doing.
 func (p *proc) stale(now time.Time) bool {
@@ -111,24 +116,26 @@ func (p *proc) stale(now time.Time) bool {
 	if p.done || p.killed {
 		return false
 	}
-	busy := p.taken < p.base+len(p.q) || p.closed
+	busy := p.backlog() > 0 || p.closed
 	return busy && now.Sub(p.lastMove) > p.sup.opts.Deadline
 }
 
 // kill asks the watchdog's victim to abandon its current attempt: the
 // consumer observes the flag at its next queue wait or hang point and
-// returns errKilled to the run loop.
-func (p *proc) kill() {
+// returns errKilled to the run loop. It reports whether this call did the
+// killing.
+func (p *proc) kill() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.killed || p.done {
-		return
+		return false
 	}
 	p.killed = true
 	p.kills++
 	p.lastMove = p.sup.clk.Now() // give the restart a fresh deadline
 	p.sup.tel.Counter("rtec.shard.kills").Inc()
 	p.cond.Broadcast()
+	return true
 }
 
 // next blocks until an arrival is available at the consumer cursor, the
@@ -141,9 +148,10 @@ func (p *proc) next() (stream.Event, bool, error) {
 		if p.killed {
 			return stream.Event{}, false, errKilled
 		}
-		if p.taken < p.base+len(p.q) {
+		if p.backlog() > 0 {
 			e := p.q[p.taken-p.base]
 			p.taken++
+			p.cond.Broadcast() // the backlog shrank: a blocked producer may run
 			return e, true, nil
 		}
 		if p.closed {
@@ -179,70 +187,50 @@ func (p *proc) ack(upto int) {
 }
 
 // push admits one arrival under the shard's overflow policy. Only the
-// supervisor's ingest goroutine calls it.
+// supervisor's ingest goroutine calls it. QueueDepth bounds the backlog —
+// what the consumer has still to take — not the arrivals retained behind
+// its cursor for checkpoint replay: those are bounded by the checkpoint
+// interval, and no admission verdict can shrink them.
 func (p *proc) push(e stream.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for {
-		// Replayed prefix of a cross-process resume: the checkpoint already
-		// covers this arrival, so account for its queue position without
-		// buffering it.
-		if p.base+len(p.q) < p.skipBelow {
-			p.base++
-			p.skipped++
-			return nil
-		}
-		if p.degraded {
-			switch p.sup.opts.Overflow {
-			case OverflowDrop:
-				p.dropped++
-				p.sup.tel.Counter("rtec.shard.queue.dropped").Inc()
-				return nil
-			default:
-				// Strict — and blocking on a dead shard would hang forever.
-				return fmt.Errorf("shard %d %w: %v", p.id, ErrDegraded, p.failErr)
-			}
-		}
-		if len(p.q) < p.sup.opts.QueueDepth {
-			p.q = append(p.q, e)
-			p.mDepth.Set(int64(len(p.q)))
-			p.cond.Broadcast()
-			return nil
-		}
-		switch p.sup.opts.Overflow {
-		case OverflowDrop:
+	// Replayed prefix of a cross-process resume: the checkpoint already
+	// covers this arrival, so account for its queue position without
+	// buffering it.
+	if p.base+len(p.q) < p.skipBelow {
+		p.base++
+		p.skipped++
+		return nil
+	}
+	depth := p.sup.opts.QueueDepth
+	for p.sup.opts.Overflow == OverflowBlock && !p.degraded && p.backlog() >= depth {
+		// The consumer is really behind: wait for it to take an arrival
+		// (next) or to die for good (degrade), with the supervisor's
+		// watchdog enforcing the progress deadline meanwhile.
+		p.sup.setWaiting(true)
+		p.cond.Wait()
+		p.sup.setWaiting(false)
+	}
+	if p.degraded || p.backlog() >= depth {
+		if p.sup.opts.Overflow == OverflowDrop {
 			p.dropped++
 			p.sup.tel.Counter("rtec.shard.queue.dropped").Inc()
 			return nil
-		case OverflowError:
-			return fmt.Errorf("shard %d %w (%d arrivals)", p.id, ErrQueueFull, len(p.q))
 		}
-		// OverflowBlock. If the consumer has already taken everything, the
-		// queue is full of retention (arrivals kept for checkpoint replay),
-		// not backlog; no checkpoint ack can arrive without new input, so
-		// blocking would deadlock. Admit softly and count the excursion —
-		// the true retention bound is the checkpoint interval, not
-		// QueueDepth.
-		if p.taken >= p.base+len(p.q) {
-			p.q = append(p.q, e)
-			p.overflow++
-			p.sup.tel.Counter("rtec.shard.queue.overflow").Inc()
-			p.mDepth.Set(int64(len(p.q)))
-			p.cond.Broadcast()
-			return nil
+		if p.degraded {
+			// Strict — and blocking on a dead shard would hang forever.
+			return fmt.Errorf("shard %d %w: %v", p.id, ErrDegraded, p.failErr)
 		}
-		// Consumer is behind: wait for it, watching the deadline.
-		now := p.sup.clk.Now()
-		if !p.killed && now.Sub(p.lastMove) > p.sup.opts.Deadline {
-			p.mu.Unlock()
-			p.kill()
-			p.mu.Lock()
-			continue
-		}
-		p.mu.Unlock()
-		p.sup.clk.Sleep(p.sup.pollQuantum())
-		p.mu.Lock()
+		return fmt.Errorf("shard %d %w (%d arrivals behind)", p.id, ErrQueueFull, p.backlog())
 	}
+	if len(p.q) >= depth {
+		p.overflow++
+		p.sup.tel.Counter("rtec.shard.queue.overflow").Inc()
+	}
+	p.q = append(p.q, e)
+	p.mDepth.Set(int64(len(p.q)))
+	p.cond.Broadcast()
+	return nil
 }
 
 // closeQueue marks end of input and refreshes every progress stamp so the

@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rtecgen/internal/clock"
@@ -34,14 +35,15 @@ import (
 	"rtecgen/internal/telemetry/journal"
 )
 
-// OverflowPolicy decides what happens to an arrival when its shard's ingest
-// queue is full — the same lenient/strict split as the reorder buffer's
-// late-event admission: lenient counts and drops, strict fails the ingest.
+// OverflowPolicy decides what happens to an arrival when its shard's
+// consumer is QueueDepth arrivals behind — the same lenient/strict split as
+// the reorder buffer's late-event admission: lenient counts and drops,
+// strict fails the ingest.
 type OverflowPolicy int
 
 const (
-	// OverflowBlock applies backpressure: Ingest waits for the consumer,
-	// watching the progress deadline. The default.
+	// OverflowBlock applies backpressure: Ingest waits until the consumer
+	// takes an arrival, under the progress deadline. The default.
 	OverflowBlock OverflowPolicy = iota
 	// OverflowDrop counts the arrival in rtec.shard.queue.dropped and
 	// discards it — the lenient degradation verdict.
@@ -111,18 +113,22 @@ type Options struct {
 	// Restart events exist only in faulted runs, so this trail is kept
 	// apart from the byte-deterministic per-shard journals.
 	Events *journal.Writer
-	// QueueDepth bounds each shard's ingest queue. Zero defaults to 256.
-	// Arrivals retained for checkpoint replay may push past the bound when
-	// the consumer is idle (counted in rtec.shard.queue.overflow): the true
-	// retention bound is the checkpoint interval.
+	// QueueDepth bounds each shard's backlog: arrivals admitted but not yet
+	// taken by its consumer. Zero defaults to 256. Arrivals already consumed
+	// stay queued for replay until a checkpoint generation commits; they do
+	// not count, because only the checkpoint interval bounds them (an
+	// admission that finds QueueDepth or more queued in total is counted in
+	// rtec.shard.queue.overflow).
 	QueueDepth int
-	// Overflow is the full-queue admission policy.
+	// Overflow is the admission policy for a backlog at the bound.
 	Overflow OverflowPolicy
 	// Deadline is the per-shard progress deadline: a shard that neither
 	// consumes an arrival nor delivers a window for this long while having
 	// work is killed and restarted. Zero defaults to 10s.
 	Deadline time.Duration
-	// PollQuantum is the supervision poll interval. Zero defaults to 2ms.
+	// PollQuantum is how often the deadline watchdog checks the shards while
+	// Ingest, Close or Suspend is blocked on one. Zero defaults to 2ms. No
+	// wait ends on this tick: progress wakes a blocked caller directly.
 	PollQuantum time.Duration
 	// MaxRestarts caps restarts per shard before it degrades. Zero
 	// defaults to 5.
@@ -228,6 +234,11 @@ type Supervisor struct {
 	procs    []*proc
 	ingested int64
 	closed   bool
+	// waiting is set while the ingest goroutine is blocked on a shard (a
+	// push against a full backlog, or a drain); wake starts the watchdog
+	// ticking and, closed, ends it.
+	waiting atomic.Bool
+	wake    chan struct{}
 }
 
 // NewSupervisor partitions the run across opts.Shards supervised shards and
@@ -257,7 +268,8 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	if opts.Resume && opts.Stream.CheckpointPath == "" {
 		return nil, fmt.Errorf("shard: Resume needs a checkpoint path to restore from")
 	}
-	s := &Supervisor{eng: eng, opts: opts, tel: opts.Telemetry, clk: opts.Clock}
+	s := &Supervisor{eng: eng, opts: opts, tel: opts.Telemetry, clk: opts.Clock,
+		wake: make(chan struct{}, 1)}
 	s.describeMetrics()
 	s.journalEvent("shards_start", shardsStartEvent{
 		Shards: opts.Shards, QueueDepth: opts.QueueDepth,
@@ -314,6 +326,7 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	for _, p := range s.procs {
 		go p.run()
 	}
+	go s.watchdog()
 	return s, nil
 }
 
@@ -360,7 +373,7 @@ func (s *Supervisor) describeMetrics() {
 	reg.Describe("rtec.shard.faults", "Injected faults acted out by shards.")
 	reg.Describe("rtec.shard.ckpt.fallbacks", "Restarts that fell back to the previous checkpoint generation.")
 	reg.Describe("rtec.shard.queue.dropped", "Arrivals dropped by the lenient overflow policy.")
-	reg.Describe("rtec.shard.queue.overflow", "Soft admissions past the queue bound (checkpoint retention).")
+	reg.Describe("rtec.shard.queue.overflow", "Admissions that found the queue bound already met by arrivals retained for checkpoint replay.")
 	reg.Describe("rtec.shard.degraded", "Shards that failed permanently this run.")
 	for k := 0; k < s.opts.Shards; k++ {
 		reg.Describe(shardMetric(k, "queue.depth"), "Retained arrivals in this shard's ingest queue.")
@@ -387,8 +400,6 @@ func (s *Supervisor) checkpointPath(k int) string {
 	}
 	return fmt.Sprintf("%s.s%d", s.opts.Stream.CheckpointPath, k)
 }
-
-func (s *Supervisor) pollQuantum() time.Duration { return s.opts.PollQuantum }
 
 // journalEvent appends one supervisor lifecycle record; failures are logged,
 // not fatal — the supervisor trail is diagnostic, unlike shard journals.
@@ -419,11 +430,39 @@ func (s *Supervisor) Ingest(e stream.Event) error {
 func (s *Supervisor) sweep() {
 	now := s.clk.Now()
 	for _, p := range s.procs {
-		if p.stale(now) {
+		if p.stale(now) && p.kill() {
 			s.journalEvent("shard_kill", shardKillEvent{Shard: p.id})
 			s.tel.Logger().Warn("shard deadline exceeded, killing",
 				"component", "shard", "shard", p.id)
-			p.kill()
+		}
+	}
+}
+
+// setWaiting records that the ingest goroutine is about to block on a
+// shard's cond (or has stopped blocking) and, when it blocks, makes sure
+// the watchdog is ticking.
+func (s *Supervisor) setWaiting(on bool) {
+	s.waiting.Store(on)
+	if on {
+		select {
+		case s.wake <- struct{}{}:
+		default: // already awake
+		}
+	}
+}
+
+// watchdog is the hang detector for a blocked caller: while the ingest
+// goroutine waits it sweeps the shards every PollQuantum, so a wedged
+// consumer is killed (and the kill, or the restarted consumer's progress,
+// wakes the caller) instead of blocking it forever. The tick runs on the
+// injected clock and decides nothing else — a healthy consumer wakes the
+// caller itself. One goroutine serves every wait, since only the ingest
+// goroutine waits; it exits at its first tick after Close or Suspend.
+func (s *Supervisor) watchdog() {
+	for range s.wake {
+		for s.waiting.Load() {
+			s.clk.Sleep(s.opts.PollQuantum)
+			s.sweep()
 		}
 	}
 }
@@ -478,25 +517,21 @@ func (s *Supervisor) Close() (*Result, error) {
 	return res, nil
 }
 
-// waitDrain blocks until every shard's consumer is done, keeping the
-// deadline watchdog running so a shard that wedges during the drain is
-// killed and restarted rather than hanging the caller forever.
+// waitDrain blocks until every shard's consumer is done (each broadcasts
+// its cond when it is), keeping the deadline watchdog running so a shard
+// that wedges during the drain is killed and restarted rather than hanging
+// the caller forever. It ends the watchdog: nothing blocks after a drain.
 func (s *Supervisor) waitDrain() {
+	s.setWaiting(true)
 	for _, p := range s.procs {
-		for {
-			p.mu.Lock()
-			done := p.done
-			p.mu.Unlock()
-			if done {
-				break
-			}
-			if p.stale(s.clk.Now()) {
-				s.journalEvent("shard_kill", shardKillEvent{Shard: p.id})
-				p.kill()
-			}
-			s.clk.Sleep(s.pollQuantum())
+		p.mu.Lock()
+		for !p.done {
+			p.cond.Wait()
 		}
+		p.mu.Unlock()
 	}
+	s.setWaiting(false)
+	close(s.wake)
 }
 
 // Suspend parks the runtime for a graceful cross-process restart: every
