@@ -131,6 +131,17 @@ if ! grep -q '^counter rtec.duplicate_events_total [1-9]' "$tmp/stream-metrics.t
     grep '^counter rtec\.' "$tmp/stream-metrics.txt" >&2 || cat "$tmp/stream-metrics.txt" >&2
     exit 1
 fi
+# Tumbling windows share no events, so every replayed anchor event of this
+# run is a revision's: late arrivals must replay the revised window's own
+# carried state and re-derive one time-point, not the window (a count, so
+# host-independent; from-scratch revisions give reused ≈ 0).
+reused=$(sed -n 's/^counter rtec\.delta\.reused_total //p' "$tmp/stream-metrics.txt")
+dirty=$(sed -n 's/^counter rtec\.delta\.dirty_total //p' "$tmp/stream-metrics.txt")
+if [ "${reused:-0}" -le "${dirty:-0}" ]; then
+    echo "streaming gate: rtec.delta.reused_total (${reused:-0}) is not above rtec.delta.dirty_total (${dirty:-0}): revisions re-derive whole windows" >&2
+    grep '^counter rtec\.delta' "$tmp/stream-metrics.txt" >&2 || cat "$tmp/stream-metrics.txt" >&2
+    exit 1
+fi
 # Kill-and-resume smoke: crash the streaming run mid-way, then resume from
 # the crash-safe checkpoint; the resumed output must be byte-identical to
 # the uninterrupted run, and the restore must show up in the metrics.

@@ -415,12 +415,13 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 	st.stats.Checkpoints = p.Checkpoints
 	st.sinceCkpt = p.SinceCkpt
 
-	// Warm-start the delta layer from the sidecar when one matches this
-	// snapshot exactly; otherwise the first post-resume window evaluates in
-	// full and the carry chain rebuilds — identical output either way.
+	// Warm-start the last emitted slot from the sidecar when one matches this
+	// snapshot exactly. Every other slot — and this one without a sidecar —
+	// restarts cold: its first post-resume evaluation is a full one and
+	// captures, so the chain rebuilds — identical output either way.
 	if st.deltaOn && st.opts.CheckpointPath != "" {
 		if ds, ok := st.loadDeltaSidecar(cp); ok {
-			st.delta = ds
+			st.slots[st.emitted-1].delta = ds
 			st.eng.opts.Telemetry.Counter("rtec.delta.sidecar_restores").Inc()
 		}
 	}

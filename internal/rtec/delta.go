@@ -29,8 +29,13 @@ import (
 //   - a body dependency's intervals changed at t (the per-fluent changed
 //     regions, diffed against the carried lists after each stratum, propagate
 //     dirtiness down the stratified hierarchy), or
-//   - the previous evaluation carries no usable state (first window, cold
-//     resume, geometry mismatch): then everything is dirty.
+//   - there is no carried state (first window, cold resume): then
+//     everything is dirty.
+//
+// A revision forced by a late event at t is the same evaluation with the
+// window as its own predecessor (ws' = ws, q' = q): the streaming run keeps
+// each revisable slot's state, the base dirt is the single time-point
+// [t, t+1), and the dependency diff does the rest (see streamRun.revise).
 //
 // Correctness rests on a static eligibility analysis (deltaEligible in
 // engine.go): a simple fluent's acts may be replayed only when every body
@@ -66,8 +71,8 @@ type fluentDelta struct {
 }
 
 // deltaState is the carry-over of one evaluated window, consumed by the next
-// slide. It is a pure cache: losing it costs one full re-evaluation, never
-// correctness.
+// slide and by revisions of the window itself. It is a pure cache: losing it
+// costs one full re-evaluation, never correctness.
 type deltaState struct {
 	ws, we  int64 // the window this state describes
 	fluents map[string]*fluentDelta
@@ -75,9 +80,9 @@ type deltaState struct {
 
 // deltaCtx threads the delta layer through one window evaluation.
 type deltaCtx struct {
-	prev    *deltaState    // carried state of the previous window; nil → full evaluation
-	capture bool           // build the carry-over for the next slide
-	base    intervals.List // region dirty regardless of dependencies (the slide-admitted tail)
+	prev    *deltaState    // carried state of the previous window, or of this window's previous evaluation; nil → full evaluation
+	capture bool           // build the carry-over for the next slide or revision
+	base    intervals.List // region dirty regardless of dependencies (the slide-admitted tail, or a late event's time-point)
 	next    *deltaState    // the captured state, populated during evaluation
 
 	// Unit counters for the rtec.delta.* instruments: anchor events whose
@@ -356,21 +361,21 @@ type ckptWarn struct {
 	Msg    string `json:"m"`
 }
 
-// deltaSidecarPayload serialises the carried state deterministically:
+// deltaSidecarPayload serialises a carried state deterministically:
 // fluents in engine (stratum) order, rule slots in definition order, anchor
 // times ascending, acts in captured order, lists sorted by canonical key.
-func (st *streamRun) deltaSidecarPayload() deltaPayload {
+func (st *streamRun) deltaSidecarPayload(ds *deltaState) deltaPayload {
 	e := st.eng
 	p := deltaPayload{
 		EDSum:  e.edFingerprint(),
 		Window: st.tl.window, Slide: st.tl.slide,
 		Start: st.tl.start, End: st.tl.end,
 		Consumed: st.consumed,
-		WS:       st.delta.ws, WE: st.delta.we,
+		WS:       ds.ws, WE: ds.we,
 	}
 	in := e.interner
 	for _, ind := range e.order {
-		fd := st.delta.fluents[ind]
+		fd := ds.fluents[ind]
 		if fd == nil {
 			continue
 		}
@@ -412,17 +417,19 @@ func (st *streamRun) deltaSidecarPayload() deltaPayload {
 	return p
 }
 
-// writeDeltaSidecar writes the carried delta state next to the checkpoint,
-// atomically (temp + rename). It is called after the snapshot itself has
-// been installed; a crash between the two leaves a sidecar whose Consumed
-// stamp no longer matches the snapshot, which the loader rejects into a
-// cold start. No-op when no state is carried yet.
+// writeDeltaSidecar writes the last emitted slot's carried delta state next
+// to the checkpoint, atomically (temp + rename); the other revisable slots'
+// states are not persisted and restart cold. It is called after the snapshot
+// itself has been installed; a crash between the two leaves a sidecar whose
+// Consumed stamp no longer matches the snapshot, which the loader rejects
+// into a cold start. No-op when no state is carried yet.
 func (st *streamRun) writeDeltaSidecar() error {
-	if st.delta == nil {
+	if st.emitted == 0 || st.slots[st.emitted-1].delta == nil {
 		return nil
 	}
+	ds := st.slots[st.emitted-1].delta
 	path := st.opts.CheckpointPath + deltaSidecarSuffix
-	payload, err := json.Marshal(st.deltaSidecarPayload())
+	payload, err := json.Marshal(st.deltaSidecarPayload(ds))
 	if err != nil {
 		return fmt.Errorf("rtec: delta sidecar: %w", err)
 	}
@@ -457,11 +464,11 @@ func (st *streamRun) writeDeltaSidecar() error {
 	return nil
 }
 
-// loadDeltaSidecar rehydrates the carried delta state for a resumed run, or
-// reports a cold start (nil, false) when the sidecar is missing, fails any
-// integrity check, or describes a different moment than the checkpoint that
-// actually loaded. Every mismatch is safe: the first emission after a cold
-// start is one full evaluation with capture.
+// loadDeltaSidecar rehydrates the last emitted slot's carried delta state
+// for a resumed run, or reports a cold start (nil, false) when the sidecar is
+// missing, fails any integrity check, or describes a different moment or
+// window than the checkpoint that actually loaded. Every mismatch is safe:
+// the first evaluation after a cold start is a full one with capture.
 func (st *streamRun) loadDeltaSidecar(cp *Checkpoint) (*deltaState, bool) {
 	e := st.eng
 	data, err := os.ReadFile(st.opts.CheckpointPath + deltaSidecarSuffix)

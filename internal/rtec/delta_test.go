@@ -2,9 +2,11 @@ package rtec
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -191,58 +193,6 @@ func TestDeltaReuseCounters(t *testing.T) {
 	}
 }
 
-// TestDeltaStreamByteIdentity: under seeded disorder, revisions and
-// checkpointing, the delta path reproduces the oracle's CSV, journal bytes,
-// statistics and checkpoint envelope bytes — the whole externally visible
-// surface.
-func TestDeltaStreamByteIdentity(t *testing.T) {
-	for _, seed := range []int64{3, 19} {
-		arrivals := chaosArrivals(t, seed, 60)
-		mk := func(j *journal.Writer, ckpt string) StreamOptions {
-			return StreamOptions{
-				RunOptions:      RunOptions{Window: 120, Slide: 30},
-				MaxDelay:        60,
-				Journal:         j,
-				CheckpointPath:  ckpt,
-				CheckpointEvery: 2,
-			}
-		}
-		delta, full := deltaOracle(t, withinAreaED, 4)
-
-		var dJ, fJ bytes.Buffer
-		dCkpt := filepath.Join(t.TempDir(), "delta.ckpt")
-		fCkpt := filepath.Join(t.TempDir(), "full.ckpt")
-		dRes, err := delta.RunStream(arrivals, mk(journal.NewWriter(&dJ, journal.Options{}), dCkpt), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fRes, err := full.RunStream(arrivals, mk(journal.NewWriter(&fJ, journal.Options{}), fCkpt), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, b := recognitionFingerprint(t, dRes.Recognition), recognitionFingerprint(t, fRes.Recognition); a != b {
-			t.Fatalf("seed %d: delta stream output differs from full", seed)
-		}
-		if dRes.Stats != fRes.Stats {
-			t.Fatalf("seed %d: stats differ: %s vs %s", seed, dRes.Stats, fRes.Stats)
-		}
-		if !bytes.Equal(dJ.Bytes(), fJ.Bytes()) {
-			t.Fatalf("seed %d: journal bytes differ:\n%s\nvs\n%s", seed, dJ.String(), fJ.String())
-		}
-		dBytes, err := os.ReadFile(dCkpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		fBytes, err := os.ReadFile(fCkpt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(dBytes, fBytes) {
-			t.Fatalf("seed %d: checkpoint envelope bytes differ between delta and full", seed)
-		}
-	}
-}
-
 // TestDeltaSidecarWarmResume: a run killed mid-stream resumes warm from the
 // delta sidecar — the restore counter fires, the resumed stretch still
 // replays, and the final output is byte-identical to the uninterrupted run.
@@ -304,12 +254,223 @@ func TestDeltaSidecarWarmResume(t *testing.T) {
 	}
 }
 
+// deliveryTrace runs a streaming run to completion and renders everything a
+// consumer can observe of it: every delivery (window, revision, recognised
+// intervals, retraction diff), the final statistics and recognition, the
+// journal bytes and the checkpoint envelope bytes.
+func deliveryTrace(t *testing.T, e *Engine, arrivals stream.Stream, opts StreamOptions) (log string, journalBytes, ckpt []byte) {
+	t.Helper()
+	var jbuf bytes.Buffer
+	opts.Journal = journal.NewWriter(&jbuf, journal.Options{})
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+	log = streamDeliveryLog(t, e, arrivals, opts)
+	ckpt, err := os.ReadFile(opts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log, jbuf.Bytes(), ckpt
+}
+
+// TestDeltaRevisionEquivalence: under seeded disorder, revisions and
+// checkpointing, the delta path reproduces the from-scratch oracle's whole
+// externally visible surface at Workers 1 and 8 — the delivered sequence
+// (window, revision, retractions), the statistics, the recognition CSV, the
+// journal bytes and the checkpoint envelope. With slide < max-delay several
+// emitted windows contain each late time-point, so every one of them is
+// revised as a delta evaluation against its own carried state.
+func TestDeltaRevisionEquivalence(t *testing.T) {
+	shuffled := func(gen func(*rand.Rand, int64) stream.Stream, seed int64) stream.Stream {
+		r := rand.New(rand.NewSource(seed))
+		var events stream.Stream
+		for len(events) < 150 {
+			events = append(events, gen(r, 1000)...)
+		}
+		events.Sort()
+		return boundedShuffle(r, events, 60)
+	}
+	for _, tc := range []struct {
+		name     string
+		src      string
+		arrivals stream.Stream
+	}{
+		{"withinArea", withinAreaED, chaosArrivals(t, 5, 60)},
+		{"crossShard", crossShardED, shuffled(genCrossShardStream, 5)},
+		{"hierarchy", hierarchyED, shuffled(genHierarchyStream, 9)},
+	} {
+		for _, workers := range []int{1, 8} {
+			opts := StreamOptions{
+				RunOptions:      RunOptions{Window: 120, Slide: 20},
+				MaxDelay:        60,
+				CheckpointEvery: 3,
+			}
+			delta, full := deltaOracle(t, tc.src, workers)
+			dLog, dJ, dC := deliveryTrace(t, delta, tc.arrivals, opts)
+			fLog, fJ, fC := deliveryTrace(t, full, tc.arrivals, opts)
+			if !strings.Contains(fLog, "rev=1") {
+				t.Fatalf("%s: the shuffle produced no revisions; nothing is being tested", tc.name)
+			}
+			if dLog != fLog {
+				t.Fatalf("%s workers=%d: deliveries differ:\n--- delta\n%s\n--- full\n%s", tc.name, workers, dLog, fLog)
+			}
+			if !bytes.Equal(dJ, fJ) {
+				t.Fatalf("%s workers=%d: journal bytes differ", tc.name, workers)
+			}
+			if !bytes.Equal(dC, fC) {
+				t.Fatalf("%s workers=%d: checkpoint envelope bytes differ", tc.name, workers)
+			}
+		}
+	}
+}
+
+// TestDeltaRevisionsReuseOnTumbling: tumbling windows share no events, so an
+// emission can replay nothing — every replayed anchor event on a tumbling
+// run comes from a revision. Under disorder the revisions dominate the work,
+// so reuse must outweigh re-derivation (at the parent of this test revisions
+// evaluated from scratch and reuse was ~0).
+func TestDeltaRevisionsReuseOnTumbling(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
+	res, err := e.RunStream(chaosArrivals(t, 5, 60), StreamOptions{RunOptions: RunOptions{Window: 100}, MaxDelay: 60}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Late == 0 {
+		t.Fatal("no late arrivals: nothing is being tested")
+	}
+	reused, dirty := reg.Counter("rtec.delta.reused").Value(), reg.Counter("rtec.delta.dirty").Value()
+	if reused <= dirty {
+		t.Fatalf("rtec.delta.reused = %d, rtec.delta.dirty = %d: revisions are not replaying their slot's carried state", reused, dirty)
+	}
+}
+
+// TestDeltaSlotStateBounded: carried state is held only by the slots that
+// can still use it — the revisable ones (emitted, query time ahead of the
+// watermark) plus the last emitted slot the next emission slides from.
+func TestDeltaSlotStateBounded(t *testing.T) {
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	arrivals := chaosArrivals(t, 5, 60)
+	first, last := arrivals.TimeRange()
+	r, err := e.NewStreamRunner(StreamOptions{
+		RunOptions: RunOptions{Window: 120, Slide: 20, Start: first, End: last + 1},
+		MaxDelay:   60,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.st
+	most := 0
+	for n, a := range arrivals {
+		if err := r.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+		w, _ := st.reorder.Watermark()
+		holding, revisable := 0, 0
+		for i := range st.slots {
+			if st.slots[i].delta != nil {
+				holding++
+			}
+			if i < st.emitted && st.tl.q(i) > w {
+				revisable++
+			}
+		}
+		if holding > revisable+1 {
+			t.Fatalf("after arrival %d: %d slots hold carried state, only %d are revisable", n, holding, revisable)
+		}
+		if holding > most {
+			most = holding
+		}
+	}
+	if most < 3 {
+		t.Fatalf("at most %d slots ever held state; slide < max-delay should keep several revisable", most)
+	}
+	if _, err := r.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDeltaResumeInsideLateBurst: a run suspended between two late arrivals
+// resumes with the last emitted slot warm (sidecar) and every other
+// revisable slot cold; the deliveries before the suspend followed by those
+// after the resume must be exactly the uninterrupted run's, and so must the
+// final recognition and statistics.
+func TestDeltaResumeInsideLateBurst(t *testing.T) {
+	arrivals := chaosArrivals(t, 5, 60)
+	base := StreamOptions{
+		RunOptions:      RunOptions{Window: 120, Slide: 20},
+		MaxDelay:        60,
+		CheckpointEvery: 1,
+	}
+	// Cut inside the longest run of consecutive late admissions that falls
+	// after the first few emissions.
+	ro := stream.NewReorder(base.MaxDelay)
+	cut, run, best := 0, 0, 0
+	for i, a := range arrivals {
+		if ro.Push(a) == stream.AdmittedLate && i > len(arrivals)/3 {
+			if run++; run > best {
+				best, cut = run, i-run/2
+			}
+		} else {
+			run = 0
+		}
+	}
+	if best < 3 {
+		t.Fatalf("longest late burst is %d arrivals; need at least 3 to cut inside one", best)
+	}
+
+	render := func(sb *strings.Builder) func(WindowResult) error {
+		return func(wr WindowResult) error {
+			fmt.Fprintf(sb, "window [%d,%d) rev=%d %v retract %v\n", wr.WindowStart, wr.QueryTime, wr.Revision, wr.Recognised, wr.Retracted)
+			return nil
+		}
+	}
+	var wantLog strings.Builder
+	want, err := mustEngine(t, withinAreaED, Options{Strict: true, DisableDelta: true}).RunStream(arrivals, base, render(&wantLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := telemetry.NewRegistry()
+	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
+	opts := base
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+	opts.Interrupt = interruptAfter(cut)
+	var gotLog strings.Builder
+	if _, err := e.RunStream(arrivals, opts, render(&gotLog)); err != ErrSuspended {
+		t.Fatalf("interrupted run err = %v, want ErrSuspended", err)
+	}
+	opts.Interrupt = nil
+	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, render(&gotLog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := reg.Counter("rtec.delta.sidecar_restores").Value(); v != 1 {
+		t.Fatalf("sidecar restores = %d, want 1 (the last emitted slot resumes warm)", v)
+	}
+	if gotLog.String() != wantLog.String() {
+		t.Fatalf("deliveries across the suspend differ from the uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s", gotLog.String(), wantLog.String())
+	}
+	if a, b := recognitionFingerprint(t, got.Recognition), recognitionFingerprint(t, want.Recognition); a != b {
+		t.Fatal("resumed recognition differs from the uninterrupted run")
+	}
+	if got.Stats.Revisions != want.Stats.Revisions || got.Stats.Late != want.Stats.Late {
+		t.Fatalf("stats differ: %s vs %s", got.Stats, want.Stats)
+	}
+}
+
 // FuzzDeltaEquivalence is the differential fuzz target of the delta layer:
 // random streams over the cross-shard hierarchy, random window geometry,
 // worker count and seeded disorder, requiring the delta path's stream
 // output and journal bytes to match full re-evaluation exactly.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 987654321} {
+		f.Add(seed)
+	}
+	// Seeds whose derived geometry has slide < max-delay (3·slide ≤ delay)
+	// and at least ten revisions, at each worker count: several emitted
+	// windows contain every late time-point, so revisions replay per-slot
+	// carried state. (window/slide/delay: 74/3/86, 40/5/86, 42/9/84,
+	// 263/11/90, 41/1/16, 133/14/78.)
+	for _, seed := range []int64{237, 351, 381, 390, 395, 282} {
 		f.Add(seed)
 	}
 	ed, err := parser.ParseEventDescription(crossShardED)

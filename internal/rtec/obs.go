@@ -75,10 +75,10 @@ func newStreamObs(tel *telemetry.Telemetry, slo SLOOptions, jw *journal.Writer) 
 		"rtec.windows.evaluated":          "window evaluations, including re-evaluations forced by late events",
 		"rtec.events.ingested":            "events admitted into the run (in-order plus late-within-bound)",
 		"rtec.revisions":                  "re-deliveries of already-emitted windows caused by late events",
-		"rtec.delta.reused":               "anchor events replayed from the previous window's cached rule effects",
-		"rtec.delta.dirty":                "anchor events recomputed because the slide admitted or invalidated them",
+		"rtec.delta.reused":               "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
+		"rtec.delta.dirty":                "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
 		"rtec.delta.expired":              "cached anchor times dropped at the expired left edge of the slide",
-		"rtec.delta.reuse_ratio":          "percentage of anchor-event work avoided by delta reuse in the last window",
+		"rtec.delta.reuse_ratio":          "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
 		"rtec.delta.sidecar_restores":     "delta sidecars restored next to a checkpoint (warm incremental resume)",
 	} {
 		reg.Describe(name, help)

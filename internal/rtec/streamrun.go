@@ -86,11 +86,18 @@ type StreamResult struct {
 }
 
 // windowSlot is the per-window book-keeping of a streaming run: the latest
-// delivered evaluation of an emitted window, and its revision counter.
+// delivered evaluation of an emitted window, its revision counter, and the
+// delta state that evaluation captured.
 type windowSlot struct {
 	emitted  bool
 	revision int
 	eval     windowEval
+	// delta is the interval/act state carried out of the slot's latest
+	// evaluation (emission or revision). A revision of the slot replays it
+	// for every time-point but the late event's; the emission of the next
+	// slot replays it for the overlap. Held only while the slot is revisable
+	// or the last one emitted (see advanceFinal); nil means evaluate in full.
+	delta *deltaState
 }
 
 // streamRun is the mutable state of one streaming recognition run.
@@ -103,10 +110,15 @@ type streamRun struct {
 	emitted   int // slots[:emitted] have been delivered at least once
 	consumed  int // arrivals fully processed (for checkpoint resume)
 	sinceCkpt int
-	// delta is the interval/act state carried out of the last full-stream
-	// evaluation of window emitted-1, feeding the incremental evaluation of
-	// window emitted. deltaOn caches the engine-level enablement decision.
-	delta    *deltaState
+	// final is the revision cursor: slots[:final] are emitted and have a
+	// query time at or below the watermark, so no admissible arrival can
+	// touch them again. The watermark never moves back, so neither does the
+	// cursor, and every per-arrival scan starts from it.
+	final int
+	// slotVisits counts the slots the per-arrival scans (revise,
+	// advanceFinal) looked at; the soak test pins it per arrival.
+	slotVisits int64
+	// deltaOn caches the engine-level enablement decision of the delta layer.
 	deltaOn  bool
 	stats    StreamStats
 	warnings []Warning
@@ -291,38 +303,46 @@ func (st *streamRun) prevOpenInto(i int) map[string]*lang.Term {
 	return st.slots[i-1].eval.nextOpen
 }
 
-// evalSlot evaluates window i over the currently admitted events.
-func (st *streamRun) evalSlot(i int, prevOpen map[string]*lang.Term, dctx *deltaCtx) windowEval {
+// evalSlot evaluates window i over the currently admitted events, through
+// the delta layer: prev (when there is one) is replayed for every time-point
+// outside base and outside whatever the dependency diffs dirty, and the state
+// the evaluation captured is kept on the slot. With the delta layer off, or
+// without prev, it is a full evaluation.
+func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) windowEval {
+	var dctx *deltaCtx
+	if st.deltaOn {
+		dctx = &deltaCtx{capture: true}
+		if prev != nil {
+			dctx.prev, dctx.base = prev, base
+		}
+	}
 	ws, we := st.tl.windowStart(i), st.tl.q(i)
 	winEvents := st.reorder.Buffered().Window(ws, we)
-	return st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), prevOpen, st.warnSink(), st.span, dctx)
-}
-
-// slotDeltaCtx builds the delta context for evaluating window i on the
-// emission path: capture the outgoing state for window i+1, and replay the
-// carried state when it describes exactly window i-1.
-func (st *streamRun) slotDeltaCtx(i int) *deltaCtx {
-	if !st.deltaOn {
-		return nil
+	ev := st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), st.prevOpenInto(i), st.warnSink(), st.span, dctx)
+	if dctx != nil {
+		st.slots[i].delta = dctx.next
 	}
-	dctx := &deltaCtx{capture: true}
-	if i > 0 && st.delta != nil && st.delta.ws == st.tl.windowStart(i-1) && st.delta.we == st.tl.q(i-1) {
-		dctx.prev = st.delta
-		dctx.base = intervals.List{{Start: st.delta.we, End: st.tl.q(i)}}
-	}
-	return dctx
+	return ev
 }
 
 // emitNext evaluates and delivers the next unemitted window (revision 0).
+// It slides the previous slot's carried state: the tail the previous window
+// never saw is dirty, the overlap replays.
 func (st *streamRun) emitNext() error {
 	i := st.emitted
 	t0 := time.Now() //rtecvet:allow telemetry timer: real end-to-end window latency
-	dctx := st.slotDeltaCtx(i)
-	ev := st.evalSlot(i, st.prevOpenInto(i), dctx)
-	if dctx != nil {
-		st.delta = dctx.next
+	var prev *deltaState
+	var base intervals.List
+	if i > 0 {
+		if prev = st.slots[i-1].delta; prev != nil {
+			base = intervals.List{{Start: prev.we, End: st.tl.q(i)}}
+		}
 	}
-	st.slots[i] = windowSlot{emitted: true, eval: ev}
+	st.slots[i].eval = st.evalSlot(i, prev, base)
+	st.slots[i].emitted = true
+	if i > 0 && i-1 < st.final {
+		st.slots[i-1].delta = nil // final, and no longer the slide's source
+	}
 	st.emitted++
 	st.sinceCkpt++
 	if err := st.deliver(i, nil); err != nil {
@@ -337,49 +357,40 @@ func (st *streamRun) emitNext() error {
 // emitted windows for as long as the inertia carry-over keeps changing.
 // Windows whose recognition actually changed are re-delivered with an
 // incremented revision and the retraction diff.
+//
+// A revision is a delta evaluation of the slot against its own carried
+// state — the slide with ws' = ws and we' = we: in a window containing t
+// only the time-point [t, t+1) is dirty; a downstream window re-evaluated
+// for its changed carry-over has no dirty base at all, and the dependency
+// diff spreads the dirt from wherever the new inertia changed a fluent's
+// intervals. A slot without carried state (delta off, or cold after a
+// resume) evaluates in full and captures, so the next revision is warm.
 func (st *streamRun) revise(t int64) error {
 	tel := st.eng.opts.Telemetry
-	first := -1
-	for i := 0; i < st.emitted; i++ {
-		if st.tl.q(i) <= t {
-			continue // window ends at or before t; scan on
-		}
-		if st.tl.windowStart(i) > t {
-			break // windows from here on start after t: none contain it
-		}
-		first = i
-		break
-	}
-	if first < 0 {
-		return nil // t only falls in unemitted windows; emission will see it
-	}
 	carryChanged := false
-	for i := first; i < st.emitted; i++ {
-		direct := st.tl.windowStart(i) <= t && t < st.tl.q(i)
+	for i := st.final; i < st.emitted; i++ {
+		st.slotVisits++
+		ws := st.tl.windowStart(i)
+		direct := ws <= t && t < st.tl.q(i)
 		if !direct && !carryChanged {
-			break
+			if ws > t {
+				break // windows from here on start after t: none contain it
+			}
+			continue // window ends at or before t; scan on
 		}
 		prev := st.slots[i].eval
 		t0 := time.Now() //rtecvet:allow telemetry timer: real end-to-end window latency
-		// Revisions re-evaluate from scratch (no replayable prior state for
-		// the revised event set), but the last emitted window recaptures so
-		// the carried state feeding window emitted matches its latest
-		// evaluation.
-		var dctx *deltaCtx
-		if st.deltaOn && i == st.emitted-1 {
-			dctx = &deltaCtx{capture: true}
+		var base intervals.List
+		if direct {
+			base = intervals.List{{Start: t, End: t + 1}}
 		}
-		ev := st.evalSlot(i, st.prevOpenInto(i), dctx)
-		if dctx != nil {
-			st.delta = dctx.next
-		}
+		ev := st.evalSlot(i, st.slots[i].delta, base)
 		carryChanged = !ev.sameOpen(prev)
+		st.slots[i].eval = ev // keep the carry-over current even when the output is unchanged
 		if ev.sameRecognised(prev) {
-			st.slots[i].eval = ev // keep the carry-over current even when the output is unchanged
 			continue
 		}
 		retracted := ev.retractionsAgainst(prev)
-		st.slots[i].eval = ev
 		st.slots[i].revision++
 		st.stats.Revisions++
 		tel.Counter("rtec.revisions").Inc()
@@ -411,35 +422,42 @@ func (st *streamRun) deliver(i int, retracted map[string]intervals.List) error {
 	})
 }
 
-// horizon returns the time-point below which nothing can change any more:
-// the start of the earliest window that is still revisable (its query time
-// is ahead of the watermark) or still unemitted, capped at the watermark.
-// Events before the horizon can be forgotten: arrivals older than the
-// watermark are rejected as too late first, so forgetting them never
-// changes an admission or deduplication decision.
-func (st *streamRun) horizon() (int64, bool) {
+// advanceFinal moves the revision cursor over the emitted slots whose query
+// time the watermark w has reached, and releases their carried delta state:
+// nothing can revise them any more. The last emitted slot keeps its state
+// until the next emission has slid it (emitNext releases it then), so the
+// slots holding state are the revisable ones plus at most one.
+func (st *streamRun) advanceFinal(w int64) {
+	for st.final < st.emitted && st.tl.q(st.final) <= w {
+		st.slotVisits++
+		if st.final < st.emitted-1 {
+			st.slots[st.final].delta = nil
+		}
+		st.final++
+	}
+}
+
+// prune advances the revision cursor to the watermark and forgets the
+// admitted events below the horizon — the time-point below which nothing can
+// change any more: the start of the earliest window that is still revisable
+// (its query time is ahead of the watermark) or still unemitted, capped at
+// the watermark. Arrivals older than the watermark are rejected as too late
+// first, so forgetting those events never changes an admission or
+// deduplication decision.
+func (st *streamRun) prune() {
 	w, ok := st.reorder.Watermark()
 	if !ok {
-		return 0, false
+		return
 	}
+	st.advanceFinal(w)
 	h := st.tl.end
-	for i := range st.slots {
-		if i >= st.emitted || st.tl.q(i) > w {
-			h = st.tl.windowStart(i)
-			break
-		}
+	if st.final < len(st.slots) {
+		h = st.tl.windowStart(st.final)
 	}
 	if h > w {
 		h = w
 	}
-	return h, true
-}
-
-// prune forgets admitted events below the horizon.
-func (st *streamRun) prune() {
-	if h, ok := st.horizon(); ok {
-		st.reorder.Drop(h)
-	}
+	st.reorder.Drop(h)
 }
 
 // warnSink returns the destination for runtime warnings, deduplicated

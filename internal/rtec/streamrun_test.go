@@ -313,3 +313,55 @@ func TestPropBoundedShuffleConverges(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIngestScansDoNotGrowWithWindowIndex: a long soak must not pay for the
+// windows it has already finished with. Over a 20 000-window timeline with a
+// late arrival every few windows, the slots the per-arrival scans look at
+// (revise's search for the windows containing t, prune's search for the
+// first revisable window) stay within a bound set by max-delay / slide,
+// whatever the window index — slot visits are counted, not nanoseconds.
+func TestIngestScansDoNotGrowWithWindowIndex(t *testing.T) {
+	const windows, slide, maxDelay = 20000, 10, 25
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	r, err := e.NewStreamRunner(StreamOptions{
+		RunOptions: RunOptions{Window: slide, Start: 0, End: windows * slide},
+		MaxDelay:   maxDelay,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// One event per window; every seventh (an entersArea, so its window's
+	// recognition changes) arrives after its successor: it is late and lands
+	// in an already-emitted window.
+	arrivals := make(stream.Stream, 0, windows)
+	for i := 0; i < windows; i++ {
+		src := "gap_start(v1)"
+		if i%7 == 0 {
+			src = "entersArea(v1, a1)"
+		}
+		arrivals = append(arrivals, ev(int64(i*slide+3), src))
+	}
+	for i := 7; i+1 < len(arrivals); i += 7 {
+		arrivals[i], arrivals[i+1] = arrivals[i+1], arrivals[i]
+	}
+	// maxDelay/slide+1 slots are revisable; each scan may look at one more to
+	// find its end, and one arrival can move the frontier over two windows.
+	const bound = 2 * (maxDelay/slide + 3)
+	st := r.st
+	for n, a := range arrivals {
+		before := st.slotVisits
+		if err := r.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+		if v := st.slotVisits - before; v > bound {
+			t.Fatalf("arrival %d (window %d of %d) made the scans visit %d slots, want at most %d", n, st.emitted, windows, v, bound)
+		}
+	}
+	res, err := r.Finish()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.Late == 0 || res.Stats.Revisions == 0 {
+		t.Fatalf("stats %s: the timeline exercised no late arrival or no revision", res.Stats)
+	}
+}

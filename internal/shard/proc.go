@@ -14,9 +14,9 @@ import (
 	"rtecgen/internal/telemetry"
 )
 
-// errKilled is the sentinel a shard's consumer loop returns when the
-// watchdog killed it (a hang, or a stall past the deadline); the run loop
-// restarts the shard from its last checkpoint like any other crash.
+// errKilled is the sentinel a shard's consumer returns when it honoured a
+// watchdog kill at a hang point; the run loop restarts the shard from its
+// last checkpoint like any other crash.
 var errKilled = errors.New("shard killed by deadline watchdog")
 
 // errSuspend is the sentinel next returns once a suspend was requested and
@@ -97,11 +97,24 @@ type proc struct {
 	mRestarts                              *telemetry.Counter
 }
 
-// touch stamps the progress clock.
+// touch records consumer progress from outside the queue lock.
 func (p *proc) touch() {
 	p.mu.Lock()
-	p.lastMove = p.sup.clk.Now()
+	p.moved()
 	p.mu.Unlock()
+}
+
+// moved stamps the progress clock and withdraws a pending kill: a consumer
+// that gets here has made progress since the sweep that found it stale, so
+// it is alive whatever the injected clock says. The watchdog's tick advances
+// a virtual clock at CPU speed, so a healthy consumer inside one real fsync
+// can look a whole deadline behind; restarting it would replay work for
+// nothing, and enough such restarts degrade a fault-free run. Only a
+// consumer parked at a hang point, which never gets here, stays killed.
+// Caller holds mu.
+func (p *proc) moved() {
+	p.lastMove = p.sup.clk.Now()
+	p.killed = false
 }
 
 // backlog is the number of arrivals admitted but not yet taken by the
@@ -120,10 +133,10 @@ func (p *proc) stale(now time.Time) bool {
 	return busy && now.Sub(p.lastMove) > p.sup.opts.Deadline
 }
 
-// kill asks the watchdog's victim to abandon its current attempt: the
-// consumer observes the flag at its next queue wait or hang point and
-// returns errKilled to the run loop. It reports whether this call did the
-// killing.
+// kill asks the watchdog's victim to abandon its current attempt. A
+// consumer parked at a hang point honours the request and returns errKilled
+// to the run loop; one that is merely slow withdraws it at its next progress
+// point (see moved). It reports whether this call made the request.
 func (p *proc) kill() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -131,23 +144,19 @@ func (p *proc) kill() bool {
 		return false
 	}
 	p.killed = true
-	p.kills++
 	p.lastMove = p.sup.clk.Now() // give the restart a fresh deadline
-	p.sup.tel.Counter("rtec.shard.kills").Inc()
 	p.cond.Broadcast()
 	return true
 }
 
 // next blocks until an arrival is available at the consumer cursor, the
-// queue is closed and drained (ok=false, nil error), or the shard is
-// killed.
+// queue is closed and drained (ok=false, nil error), or a suspend parks the
+// shard. Reaching the queue at all is progress.
 func (p *proc) next() (stream.Event, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		if p.killed {
-			return stream.Event{}, false, errKilled
-		}
+		p.moved() // taking an arrival is progress; so is idle-waiting for one
 		if p.backlog() > 0 {
 			e := p.q[p.taken-p.base]
 			p.taken++
@@ -163,8 +172,6 @@ func (p *proc) next() (stream.Event, bool, error) {
 		if p.suspend {
 			return stream.Event{}, false, errSuspend
 		}
-		// Idle-waiting for input is progress, not a hang.
-		p.lastMove = p.sup.clk.Now()
 		p.cond.Wait()
 	}
 }
@@ -279,13 +286,18 @@ func (p *proc) deliverHook(wr rtec.WindowResult) error {
 	return nil
 }
 
-// hangUntilKilled blocks like a wedged shard until the watchdog's kill.
+// hangUntilKilled blocks like a wedged shard until the watchdog's kill, and
+// honours it: this is where a kill is counted and journalled, because only
+// here does it end an attempt.
 func (p *proc) hangUntilKilled() error {
 	p.mu.Lock()
-	defer p.mu.Unlock()
 	for !p.killed {
 		p.cond.Wait()
 	}
+	p.kills++
+	p.mu.Unlock()
+	p.sup.tel.Counter("rtec.shard.kills").Inc()
+	p.sup.journalEvent("shard_kill", shardKillEvent{Shard: p.id})
 	return errKilled
 }
 

@@ -538,6 +538,9 @@ func FuzzShardFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fault-free run failed: %v", err)
 		}
+		if want.res.Degraded > 0 {
+			t.Fatalf("fault-free reference run degraded %d shards: %+v", want.res.Degraded, want.res.Shards)
+		}
 		got, err := runSharded(t, 1, arrivals, "", tweak)
 		if err != nil || got.res.Degraded > 0 {
 			return // the schedule exhausted a shard; no identity promised

@@ -426,13 +426,14 @@ func (s *Supervisor) Ingest(e stream.Event) error {
 	return s.procs[k].push(e)
 }
 
-// sweep kills every shard past its progress deadline.
+// sweep asks every shard past its progress deadline to die. The request
+// holds only while the shard stays silent (see proc.moved), so it is logged
+// here and counted where it is honoured.
 func (s *Supervisor) sweep() {
 	now := s.clk.Now()
 	for _, p := range s.procs {
 		if p.stale(now) && p.kill() {
-			s.journalEvent("shard_kill", shardKillEvent{Shard: p.id})
-			s.tel.Logger().Warn("shard deadline exceeded, killing",
+			s.tel.Logger().Warn("shard deadline exceeded, kill requested",
 				"component", "shard", "shard", p.id)
 		}
 	}
