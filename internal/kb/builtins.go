@@ -13,14 +13,22 @@ import (
 // by the maritime 'drifting' definition to compare course-over-ground with
 // heading on the circle.
 
-// comparisonOps maps each comparison functor to its semantics over floats.
-var comparisonOps = map[string]func(a, b float64) bool{
-	"<":    func(a, b float64) bool { return a < b },
-	">":    func(a, b float64) bool { return a > b },
-	"=<":   func(a, b float64) bool { return a <= b },
-	">=":   func(a, b float64) bool { return a >= b },
-	"=:=":  func(a, b float64) bool { return a == b },
-	"=\\=": func(a, b float64) bool { return a != b },
+// compare applies a comparison functor to two numbers.
+func compare(op string, a, b float64) bool {
+	switch op {
+	case "<":
+		return a < b
+	case ">":
+		return a > b
+	case "=<":
+		return a <= b
+	case ">=":
+		return a >= b
+	case "=:=":
+		return a == b
+	default: // =\=
+		return a != b
+	}
 }
 
 // IsBuiltin reports whether the indicator names a builtin predicate.
@@ -47,45 +55,46 @@ func IsBuiltinPred(functor string, arity int) bool {
 	return false
 }
 
-// EvalArith evaluates a ground arithmetic expression: numbers, + - * /, and
-// abs/1.
-func EvalArith(t *lang.Term) (float64, error) {
+// EvalArith evaluates an arithmetic expression that is ground under b (nil
+// for an expression taken as written): numbers, + - * /, and abs/1.
+func EvalArith(t *lang.Term, b *lang.Bindings) (float64, error) {
+	t = b.Walk(t)
 	if v, ok := t.Number(); ok {
 		return v, nil
 	}
 	if t.Kind == lang.Compound {
 		switch {
 		case len(t.Args) == 2:
-			a, err := EvalArith(t.Args[0])
+			x, err := EvalArith(t.Args[0], b)
 			if err != nil {
 				return 0, err
 			}
-			b, err := EvalArith(t.Args[1])
+			y, err := EvalArith(t.Args[1], b)
 			if err != nil {
 				return 0, err
 			}
 			switch t.Functor {
 			case "+":
-				return a + b, nil
+				return x + y, nil
 			case "-":
-				return a - b, nil
+				return x - y, nil
 			case "*":
-				return a * b, nil
+				return x * y, nil
 			case "/":
-				if b == 0 {
-					return 0, fmt.Errorf("kb: division by zero in %s", t)
+				if y == 0 {
+					return 0, fmt.Errorf("kb: division by zero in %s", b.Resolve(t))
 				}
-				return a / b, nil
+				return x / y, nil
 			}
 		case len(t.Args) == 1 && t.Functor == "abs":
-			a, err := EvalArith(t.Args[0])
+			x, err := EvalArith(t.Args[0], b)
 			if err != nil {
 				return 0, err
 			}
-			return math.Abs(a), nil
+			return math.Abs(x), nil
 		}
 	}
-	return 0, fmt.Errorf("kb: %s is not an arithmetic expression", t)
+	return 0, fmt.Errorf("kb: %s is not an arithmetic expression", b.Resolve(t))
 }
 
 // AngleDiff returns the minimal absolute difference between two angles in
@@ -98,57 +107,35 @@ func AngleDiff(a, b float64) float64 {
 	return d
 }
 
-// SolveBuiltin attempts to solve atom as a builtin under substitution s.
-// handled reports whether the atom names a builtin at all; when handled, the
-// returned substitutions are the solutions (empty means failure). Comparison
+// SolveBuiltin attempts to solve atom as a builtin under b. handled reports
+// whether the atom names a builtin at all; when handled, ok reports whether
+// it succeeded — a builtin has at most one solution — and b has been extended
+// to that solution in place (the caller undoes to its own mark). Comparison
 // operands must be ground arithmetic expressions; otherwise an error is
 // returned.
-func SolveBuiltin(atom *lang.Term, s lang.Subst) (substs []lang.Subst, handled bool, err error) {
-	if atom.Kind != lang.Compound {
-		return nil, false, nil
+func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err error) {
+	if atom.Kind != lang.Compound || !IsBuiltinPred(atom.Functor, len(atom.Args)) {
+		return false, false, nil
 	}
-	if !IsBuiltinPred(atom.Functor, len(atom.Args)) {
-		return nil, false, nil
-	}
-	resolved := s.Resolve(atom)
 	switch atom.Functor {
 	case "=":
-		if n, ok := s.UnifyInto(resolved.Args[0], resolved.Args[1]); ok {
-			return []lang.Subst{n}, true, nil
-		}
-		return nil, true, nil
+		return b.Unify(atom.Args[0], atom.Args[1]), true, nil
 	case "\\=":
-		if _, ok := s.UnifyInto(resolved.Args[0], resolved.Args[1]); ok {
-			return nil, true, nil
-		}
-		return []lang.Subst{s}, true, nil
-	case "absAngleDiff":
-		a, err := EvalArith(resolved.Args[0])
-		if err != nil {
-			return nil, true, fmt.Errorf("kb: absAngleDiff: %w", err)
-		}
-		b, err := EvalArith(resolved.Args[1])
-		if err != nil {
-			return nil, true, fmt.Errorf("kb: absAngleDiff: %w", err)
-		}
-		d := AngleDiff(a, b)
-		if n, ok := s.UnifyInto(resolved.Args[2], lang.NewFloat(d)); ok {
-			return []lang.Subst{n}, true, nil
-		}
-		return nil, true, nil
-	default: // comparison
-		cmp := comparisonOps[atom.Functor]
-		a, err := EvalArith(resolved.Args[0])
-		if err != nil {
-			return nil, true, fmt.Errorf("kb: %s: %w", atom.Functor, err)
-		}
-		b, err := EvalArith(resolved.Args[1])
-		if err != nil {
-			return nil, true, fmt.Errorf("kb: %s: %w", atom.Functor, err)
-		}
-		if cmp(a, b) {
-			return []lang.Subst{s}, true, nil
-		}
-		return nil, true, nil
+		mark := b.Mark()
+		unifiable := b.Unify(atom.Args[0], atom.Args[1])
+		b.Undo(mark)
+		return !unifiable, true, nil
 	}
+	x, err := EvalArith(atom.Args[0], b)
+	if err != nil {
+		return false, true, fmt.Errorf("kb: %s: %w", atom.Functor, err)
+	}
+	y, err := EvalArith(atom.Args[1], b)
+	if err != nil {
+		return false, true, fmt.Errorf("kb: %s: %w", atom.Functor, err)
+	}
+	if atom.Functor == "absAngleDiff" {
+		return b.Unify(atom.Args[2], lang.NewFloat(AngleDiff(x, y))), true, nil
+	}
+	return compare(atom.Functor, x, y), true, nil
 }

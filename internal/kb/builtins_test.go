@@ -23,7 +23,7 @@ func TestEvalArith(t *testing.T) {
 		{"-5", -5},
 	}
 	for _, c := range cases {
-		got, err := EvalArith(parser.MustParseTerm(c.src))
+		got, err := EvalArith(parser.MustParseTerm(c.src), nil)
 		if err != nil {
 			t.Errorf("EvalArith(%q): %v", c.src, err)
 			continue
@@ -32,13 +32,13 @@ func TestEvalArith(t *testing.T) {
 			t.Errorf("EvalArith(%q) = %v, want %v", c.src, got, c.want)
 		}
 	}
-	if _, err := EvalArith(parser.MustParseTerm("foo")); err == nil {
+	if _, err := EvalArith(parser.MustParseTerm("foo"), nil); err == nil {
 		t.Fatal("atom evaluated as arithmetic")
 	}
-	if _, err := EvalArith(parser.MustParseTerm("1 / 0")); err == nil {
+	if _, err := EvalArith(parser.MustParseTerm("1 / 0"), nil); err == nil {
 		t.Fatal("division by zero succeeded")
 	}
-	if _, err := EvalArith(parser.MustParseTerm("X + 1")); err == nil {
+	if _, err := EvalArith(parser.MustParseTerm("X + 1"), nil); err == nil {
 		t.Fatal("unbound variable evaluated")
 	}
 }
@@ -60,76 +60,92 @@ func TestAngleDiff(t *testing.T) {
 	}
 }
 
+// solve runs one builtin from an empty store and returns the goal as its
+// solution resolves it ("" when it fails).
+func solve(t *testing.T, src string) (solution string, handled bool, err error) {
+	t.Helper()
+	g, b := goal(src)
+	ok, handled, err := SolveBuiltin(g, b)
+	if !ok {
+		if b.Mark() != 0 {
+			t.Fatalf("%s failed but left %d bindings", src, b.Mark())
+		}
+		return "", handled, err
+	}
+	return b.Resolve(g).String(), handled, err
+}
+
 func TestSolveBuiltinComparisons(t *testing.T) {
-	s := lang.NewSubst()
-	substs, handled, err := SolveBuiltin(parser.MustParseTerm("3 < 5"), s)
-	if !handled || err != nil || len(substs) != 1 {
-		t.Fatalf("3 < 5: handled=%v err=%v n=%d", handled, err, len(substs))
-	}
-	substs, handled, err = SolveBuiltin(parser.MustParseTerm("5 =< 3"), s)
-	if !handled || err != nil || len(substs) != 0 {
-		t.Fatalf("5 =< 3: handled=%v err=%v n=%d", handled, err, len(substs))
-	}
-	substs, _, err = SolveBuiltin(parser.MustParseTerm("2 =:= 2.0"), s)
-	if err != nil || len(substs) != 1 {
-		t.Fatalf("2 =:= 2.0 failed: %v", err)
-	}
-	substs, _, err = SolveBuiltin(parser.MustParseTerm("2 =\\= 3"), s)
-	if err != nil || len(substs) != 1 {
-		t.Fatalf("2 =\\= 3 failed: %v", err)
+	for src, want := range map[string]bool{"3 < 5": true, "5 =< 3": false, "2 =:= 2.0": true, "2 =\\= 3": true, "2 >= 3": false, "3 > 2": true} {
+		got, handled, err := solve(t, src)
+		if !handled || err != nil || (got != "") != want {
+			t.Errorf("%s: handled=%v err=%v solved=%v, want %v", src, handled, err, got != "", want)
+		}
 	}
 }
 
 func TestSolveBuiltinUnification(t *testing.T) {
-	s := lang.NewSubst()
-	substs, handled, err := SolveBuiltin(parser.MustParseTerm("X = f(a)"), s)
-	if !handled || err != nil || len(substs) != 1 {
-		t.Fatalf("X = f(a): %v %v %d", handled, err, len(substs))
+	if got, handled, err := solve(t, "X = f(a)"); !handled || err != nil || got != "f(a)=f(a)" {
+		t.Fatalf("X = f(a): %q %v %v", got, handled, err)
 	}
-	if got := substs[0].Resolve(lang.NewVar("X")); got.String() != "f(a)" {
-		t.Fatalf("X = %s", got)
-	}
-	substs, _, _ = SolveBuiltin(parser.MustParseTerm("a \\= b"), s)
-	if len(substs) != 1 {
+	if got, _, _ := solve(t, "a \\= b"); got == "" {
 		t.Fatal("a \\= b should succeed")
 	}
-	substs, _, _ = SolveBuiltin(parser.MustParseTerm("a \\= a"), s)
-	if len(substs) != 0 {
+	if got, _, _ := solve(t, "a \\= a"); got != "" {
 		t.Fatal("a \\= a should fail")
+	}
+	// \= succeeds or fails without binding anything.
+	if got, _, _ := solve(t, "X \\= a"); got != "" {
+		t.Fatal("X \\= a should fail: they unify")
+	}
+	if got, _, _ := solve(t, "f(X, b) \\= f(a, c)"); got != "f(X, b) \\= f(a, c)" {
+		t.Fatalf("f(X, b) \\= f(a, c) solved to %q: it must succeed leaving X unbound", got)
 	}
 }
 
 func TestSolveBuiltinAbsAngleDiff(t *testing.T) {
-	s := lang.NewSubst()
-	substs, handled, err := SolveBuiltin(parser.MustParseTerm("absAngleDiff(350, 10, D)"), s)
-	if !handled || err != nil || len(substs) != 1 {
-		t.Fatalf("absAngleDiff: %v %v %d", handled, err, len(substs))
-	}
-	if got := substs[0].Resolve(lang.NewVar("D")); got.Float != 20 {
-		t.Fatalf("D = %s, want 20", got)
+	if got, handled, err := solve(t, "absAngleDiff(350, 10, D)"); !handled || err != nil || got != "absAngleDiff(350, 10, 20.0)" {
+		t.Fatalf("absAngleDiff: %q %v %v", got, handled, err)
 	}
 	// Checking mode: third argument bound.
-	substs, _, err = SolveBuiltin(parser.MustParseTerm("absAngleDiff(350, 10, 20.0)"), s)
-	if err != nil || len(substs) != 1 {
+	if got, _, err := solve(t, "absAngleDiff(350, 10, 20.0)"); err != nil || got == "" {
 		t.Fatalf("checking mode failed: %v", err)
 	}
-	substs, _, err = SolveBuiltin(parser.MustParseTerm("absAngleDiff(350, 10, 21)"), s)
-	if err != nil || len(substs) != 0 {
+	if got, _, err := solve(t, "absAngleDiff(350, 10, 21)"); err != nil || got != "" {
 		t.Fatal("wrong diff accepted")
 	}
 	// Unbound angle is an error.
-	if _, _, err = SolveBuiltin(parser.MustParseTerm("absAngleDiff(A, 10, D)"), s); err == nil {
-		t.Fatal("unbound angle accepted")
+	if _, _, err := solve(t, "absAngleDiff(A, 10, D)"); err == nil || err.Error() != "kb: absAngleDiff: kb: A is not an arithmetic expression" {
+		t.Fatalf("unbound angle: err = %v", err)
+	}
+}
+
+// TestSolveBuiltinThroughBindings: operands are read through the store, and
+// an error names the expression as the bindings leave it.
+func TestSolveBuiltinThroughBindings(t *testing.T) {
+	g, b := goal("X / Y < Z")
+	div := g.Args[0]
+	b.Unify(div.Args[0], lang.NewInt(6))
+	b.Unify(div.Args[1], lang.NewInt(0))
+	if _, _, err := SolveBuiltin(g, b); err == nil || err.Error() != "kb: <: kb: division by zero in 6 / 0" {
+		t.Fatalf("err = %v", err)
+	}
+	b.Undo(1)
+	b.Unify(div.Args[1], lang.NewInt(3))
+	if _, _, err := SolveBuiltin(g, b); err == nil || err.Error() != "kb: <: kb: Z is not an arithmetic expression" {
+		t.Fatalf("err = %v", err)
+	}
+	b.Unify(g.Args[1], lang.NewFloat(2.5))
+	if ok, _, err := SolveBuiltin(g, b); err != nil || !ok {
+		t.Fatalf("6 / 3 < 2.5: ok=%v err=%v", ok, err)
 	}
 }
 
 func TestSolveBuiltinNotABuiltin(t *testing.T) {
-	_, handled, _ := SolveBuiltin(parser.MustParseTerm("areaType(a1, fishing)"), lang.NewSubst())
-	if handled {
+	if _, handled, _ := solve(t, "areaType(a1, fishing)"); handled {
 		t.Fatal("areaType treated as builtin")
 	}
-	_, handled, _ = SolveBuiltin(parser.MustParseTerm("foo"), lang.NewSubst())
-	if handled {
+	if _, handled, _ := solve(t, "foo"); handled {
 		t.Fatal("atom treated as builtin")
 	}
 }

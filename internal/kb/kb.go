@@ -45,12 +45,13 @@ type argKey struct {
 }
 
 // firstArgKey builds the first-argument index key for a callable term whose
-// first argument is ground; ok is false when the index does not apply.
-func firstArgKey(t *lang.Term) (argKey, bool) {
+// first argument is ground under b (nil for a term taken as written); ok is
+// false when the index does not apply.
+func firstArgKey(t *lang.Term, b *lang.Bindings) (argKey, bool) {
 	if len(t.Args) == 0 {
 		return argKey{}, false
 	}
-	a := t.Args[0]
+	a := b.Walk(t.Args[0])
 	k := argKey{pred: t.Pred(), kind: a.Kind}
 	switch a.Kind {
 	case lang.Atom:
@@ -60,10 +61,10 @@ func firstArgKey(t *lang.Term) (argKey, bool) {
 	case lang.Int:
 		k.arg = strconv.FormatInt(a.Int, 10)
 	default:
-		if !a.IsGround() {
+		if !b.IsGround(a) {
 			return argKey{}, false
 		}
-		k.arg = a.String()
+		k.arg = b.Resolve(a).String()
 	}
 	return k, true
 }
@@ -84,7 +85,7 @@ func (k *KB) AddFact(t *lang.Term) error {
 	k.present[key] = true
 	pred := t.Pred()
 	k.facts[pred] = append(k.facts[pred], t)
-	if fk, ok := firstArgKey(t); ok {
+	if fk, ok := firstArgKey(t, nil); ok {
 		k.byFirst[fk] = append(k.byFirst[fk], t)
 	}
 	return nil
@@ -130,19 +131,23 @@ func (k *KB) Size() int { return len(k.present) }
 // derivable ground head as a fact. Background rules must not recurse through
 // negation; with such rules the fixpoint may depend on rule order.
 func (k *KB) Materialize() error {
+	var b lang.Bindings
 	for round := 0; ; round++ {
 		if round > 10000 {
 			return fmt.Errorf("kb: materialisation did not converge after %d rounds", round)
 		}
 		added := false
 		for _, r := range k.rules {
-			ren := r.RenameApart(fmt.Sprintf("_m%d", round))
-			substs, err := k.Query(ren.Body, lang.NewSubst())
-			if err != nil {
+			var vt lang.VarTable
+			ren := vt.NumberClause(r.RenameApart(fmt.Sprintf("_m%d", round)))
+			b.Reset(vt.Len())
+			// The heads are collected first and added after the query: a fact
+			// added mid-enumeration would be visible to part of it.
+			var heads []*lang.Term
+			if err := k.Query(ren.Body, &b, func() { heads = append(heads, b.Resolve(ren.Head)) }); err != nil {
 				return fmt.Errorf("kb: rule %s: %w", r.Head, err)
 			}
-			for _, s := range substs {
-				h := s.Resolve(ren.Head)
+			for _, h := range heads {
 				if !h.IsGround() {
 					return fmt.Errorf("kb: rule for %s derived non-ground fact %s", r.Head, h)
 				}
@@ -160,70 +165,68 @@ func (k *KB) Materialize() error {
 	}
 }
 
-// Match returns the extensions of s that unify goal with a stored fact.
-// Goals whose first argument is ground use the first-argument index, so
-// e.g. vesselType(v17, Type) is a constant-time lookup regardless of fleet
-// size.
-func (k *KB) Match(goal *lang.Term, s lang.Subst) []lang.Subst {
-	resolved := s.Resolve(goal)
-	candidates := k.facts[resolved.Pred()]
-	if fk, ok := firstArgKey(resolved); ok {
+// Match enumerates the stored facts that unify with goal under b, in
+// insertion order: for each one b is extended in place, yield is called, and
+// the extension is undone. Goals whose first argument is ground use the
+// first-argument index, so e.g. vesselType(v17, Type) is a constant-time
+// lookup regardless of fleet size.
+func (k *KB) Match(goal *lang.Term, b *lang.Bindings, yield func()) {
+	goal = b.Walk(goal)
+	candidates := k.facts[goal.Pred()]
+	if fk, ok := firstArgKey(goal, b); ok {
 		candidates = k.byFirst[fk]
 	}
-	var out []lang.Subst
 	for _, f := range candidates {
-		if n, ok := s.UnifyInto(resolved, f); ok {
-			out = append(out, n)
+		if mark := b.Mark(); b.Unify(goal, f) {
+			yield()
+			b.Undo(mark)
 		}
 	}
-	return out
 }
 
 // Query evaluates a conjunction of literals over the KB with backtracking,
-// handling builtins and negation-by-failure, and returns all answer
-// substitutions. Negated literals and builtin comparisons must be ground at
-// evaluation time (after resolving earlier bindings); otherwise an error is
-// returned, mirroring the safety requirement of negation-by-failure.
-func (k *KB) Query(body []lang.Literal, s lang.Subst) ([]lang.Subst, error) {
+// handling builtins and negation-by-failure, and calls yield once per answer
+// with b extended to it. Negated literals and builtin comparisons must be
+// ground at evaluation time (under the earlier bindings); otherwise an error
+// is returned, mirroring the safety requirement of negation-by-failure — a
+// caller must then discard the answers it was handed before the error.
+func (k *KB) Query(body []lang.Literal, b *lang.Bindings, yield func()) error {
 	if len(body) == 0 {
-		return []lang.Subst{s}, nil
+		yield()
+		return nil
 	}
-	lit := body[0]
-	rest := body[1:]
-	var out []lang.Subst
-
+	lit, rest := body[0], body[1:]
 	if lit.Neg {
-		matches, handled, err := k.solveOne(lit.Atom, s)
-		if err != nil {
-			return nil, err
+		found := false
+		if err := k.solveOne(lit.Atom, b, func() { found = true }); err != nil || found {
+			return err
 		}
-		_ = handled
-		if len(matches) > 0 {
-			return nil, nil
-		}
-		return k.Query(rest, s)
+		return k.Query(rest, b, yield)
 	}
-
-	matches, _, err := k.solveOne(lit.Atom, s)
+	var inner error
+	err := k.solveOne(lit.Atom, b, func() {
+		if inner == nil {
+			inner = k.Query(rest, b, yield)
+		}
+	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	for _, m := range matches {
-		sub, err := k.Query(rest, m)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, sub...)
-	}
-	return out, nil
+	return inner
 }
 
 // solveOne solves a single positive goal: builtin first, then fact lookup.
-func (k *KB) solveOne(atom *lang.Term, s lang.Subst) ([]lang.Subst, bool, error) {
-	if substs, handled, err := SolveBuiltin(atom, s); handled {
-		return substs, true, err
+func (k *KB) solveOne(atom *lang.Term, b *lang.Bindings, yield func()) error {
+	mark := b.Mark()
+	if ok, handled, err := SolveBuiltin(atom, b); handled {
+		if ok {
+			yield()
+			b.Undo(mark)
+		}
+		return err
 	}
-	return k.Match(atom, s), false, nil
+	k.Match(atom, b, yield)
+	return nil
 }
 
 // IsDeclaration reports whether a fact head is an event-description

@@ -21,6 +21,41 @@ func mustKB(t *testing.T, src string, extra ...*lang.Term) *KB {
 	return k
 }
 
+// goal parses a term, numbers its variables and returns it with a binding
+// store sized for them.
+func goal(src string) (*lang.Term, *lang.Bindings) {
+	var vt lang.VarTable
+	g := vt.Number(parser.MustParseTerm(src))
+	b := &lang.Bindings{}
+	b.Reset(vt.Len())
+	return g, b
+}
+
+// matches returns, in enumeration order, the goal as resolved by every
+// answer Match hands out, and checks each extension is undone afterwards.
+func matches(t *testing.T, k *KB, src string) []string {
+	t.Helper()
+	g, b := goal(src)
+	var out []string
+	k.Match(g, b, func() { out = append(out, b.Resolve(g).String()) })
+	if b.Mark() != 0 {
+		t.Fatalf("Match(%s) left %d bindings behind", src, b.Mark())
+	}
+	return out
+}
+
+// answers runs the body of a parsed clause as a query and returns the
+// clause head as resolved by every answer.
+func answers(k *KB, src string) ([]string, error) {
+	var vt lang.VarTable
+	c := vt.NumberClause(parser.MustParseClause(src))
+	var b lang.Bindings
+	b.Reset(vt.Len())
+	var out []string
+	err := k.Query(c.Body, &b, func() { out = append(out, b.Resolve(c.Head).String()) })
+	return out, err
+}
+
 func TestAddFactValidation(t *testing.T) {
 	k := New()
 	if err := k.AddFact(parser.MustParseTerm("areaType(a1, fishing)")); err != nil {
@@ -49,16 +84,53 @@ areaType(a1, fishing).
 areaType(a2, anchorage).
 areaType(a3, fishing).
 `)
-	got := k.Match(parser.MustParseTerm("areaType(A, fishing)"), lang.NewSubst())
+	got := matches(t, k, "areaType(A, fishing)")
 	if len(got) != 2 {
 		t.Fatalf("matches = %d, want 2", len(got))
 	}
-	got = k.Match(parser.MustParseTerm("areaType(a2, T)"), lang.NewSubst())
-	if len(got) != 1 || !got[0].Resolve(lang.NewVar("T")).Equal(lang.NewAtom("anchorage")) {
+	got = matches(t, k, "areaType(a2, T)")
+	if len(got) != 1 || got[0] != "areaType(a2, anchorage)" {
 		t.Fatalf("bound match wrong: %v", got)
 	}
-	if got := k.Match(parser.MustParseTerm("noSuch(X)"), lang.NewSubst()); len(got) != 0 {
+	if got := matches(t, k, "noSuch(X)"); len(got) != 0 {
 		t.Fatalf("match on unknown predicate = %d", len(got))
+	}
+}
+
+// TestMatchOrder pins the enumeration order, which the engine's act and
+// warning order — and so its output bytes — depend on: facts come in
+// insertion order, whether the goal goes through the first-argument index
+// (ground first argument, also when it is ground only through a binding) or
+// scans the predicate's facts.
+func TestMatchOrder(t *testing.T) {
+	k := mustKB(t, `
+areaType(a2, anchorage).
+areaType(a1, fishing).
+areaType(a2, natura).
+areaType(a3, fishing).
+areaType(a2, fishing).
+speedLimit(5, slow).
+speedLimit(5.0, slower).
+`)
+	for _, c := range []struct{ goal, want string }{
+		{"areaType(A, fishing)", "areaType(a1, fishing) areaType(a3, fishing) areaType(a2, fishing)"},
+		{"areaType(a2, T)", "areaType(a2, anchorage) areaType(a2, natura) areaType(a2, fishing)"},
+		{"areaType(A, T)", "areaType(a2, anchorage) areaType(a1, fishing) areaType(a2, natura) areaType(a3, fishing) areaType(a2, fishing)"},
+		// The index keys an integer first argument by kind: 5 does not find 5.0.
+		{"speedLimit(5, L)", "speedLimit(5, slow)"},
+		{"speedLimit(X, L)", "speedLimit(5, slow) speedLimit(5.0, slower)"},
+	} {
+		if got := strings.Join(matches(t, k, c.goal), " "); got != c.want {
+			t.Errorf("Match(%s) =\n  %s, want\n  %s", c.goal, got, c.want)
+		}
+	}
+	// A first argument bound earlier in the store selects the same index entry.
+	g, b := goal("areaType(A, T)")
+	b.Unify(g.Args[0], lang.NewAtom("a2"))
+	var got []string
+	k.Match(g, b, func() { got = append(got, b.Resolve(g.Args[1]).String()) })
+	if strings.Join(got, " ") != "anchorage natura fishing" || b.Mark() != 1 {
+		t.Fatalf("bound-first-argument match = %v (mark %d)", got, b.Mark())
 	}
 }
 
@@ -69,16 +141,12 @@ vessel(v2).
 vesselType(v1, tug).
 vesselType(v2, fishingVessel).
 `)
-	c := parser.MustParseClause("q(V) :- vessel(V), not vesselType(V, tug).")
-	substs, err := k.Query(c.Body, lang.NewSubst())
+	got, err := answers(k, "q(V) :- vessel(V), not vesselType(V, tug).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(substs) != 1 {
-		t.Fatalf("answers = %d, want 1", len(substs))
-	}
-	if got := substs[0].Resolve(lang.NewVar("V")); !got.Equal(lang.NewAtom("v2")) {
-		t.Fatalf("V = %s, want v2", got)
+	if len(got) != 1 || got[0] != "q(v2)" {
+		t.Fatalf("answers = %v, want [q(v2)]", got)
 	}
 }
 
@@ -87,16 +155,14 @@ func TestQueryComparisons(t *testing.T) {
 thresholds(hcNearCoastMax, 5).
 thresholds(trawlSpeedMin, 1).
 `)
-	c := parser.MustParseClause("q :- thresholds(hcNearCoastMax, Max), 7 > Max.")
-	substs, err := k.Query(c.Body, lang.NewSubst())
+	substs, err := answers(k, "q :- thresholds(hcNearCoastMax, Max), 7 > Max.")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(substs) != 1 {
 		t.Fatal("7 > 5 should succeed")
 	}
-	c = parser.MustParseClause("q :- thresholds(hcNearCoastMax, Max), 3 > Max.")
-	substs, err = k.Query(c.Body, lang.NewSubst())
+	substs, err = answers(k, "q :- thresholds(hcNearCoastMax, Max), 3 > Max.")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,15 +170,19 @@ thresholds(trawlSpeedMin, 1).
 		t.Fatal("3 > 5 should fail")
 	}
 	// Arithmetic inside comparisons.
-	c = parser.MustParseClause("q :- thresholds(hcNearCoastMax, M), thresholds(trawlSpeedMin, L), M + L =:= 6.")
-	substs, err = k.Query(c.Body, lang.NewSubst())
+	substs, err = answers(k, "q :- thresholds(hcNearCoastMax, M), thresholds(trawlSpeedMin, L), M + L =:= 6.")
 	if err != nil || len(substs) != 1 {
 		t.Fatalf("arith comparison: %v, %v", substs, err)
 	}
-	// Unbound comparison operand is an error.
-	c = parser.MustParseClause("q :- X > 3.")
-	if _, err = k.Query(c.Body, lang.NewSubst()); err == nil {
-		t.Fatal("unbound comparison must error")
+	// Unbound comparison operand is an error, whose text names the variable.
+	if _, err = answers(k, "q :- X > 3."); err == nil || err.Error() != "kb: >: kb: X is not an arithmetic expression" {
+		t.Fatalf("unbound comparison: err = %v", err)
+	}
+	// An error on a later branch surfaces after the earlier branches'
+	// answers were handed out: the caller is told to discard them.
+	got, err := answers(k, "q(N) :- thresholds(N, V), 10 / (V - 1) > 0.")
+	if err == nil || len(got) != 1 || got[0] != "q(hcNearCoastMax)" {
+		t.Fatalf("late error: answers %v, err %v", got, err)
 	}
 }
 

@@ -36,7 +36,12 @@ func (t *Term) Pred() PredKey {
 // Hash returns a structural FNV-1a hash of the term: structurally equal
 // terms (in the sense of Equal) hash identically.
 func Hash(t *Term) uint64 {
-	return hashTerm(fnvOffset, t)
+	return hashTerm(fnvOffset, t, nil)
+}
+
+// HashBound is Hash(b.Resolve(t)) without building the resolved term.
+func HashBound(t *Term, b *Bindings) uint64 {
+	return hashTerm(fnvOffset, t, b)
 }
 
 const (
@@ -60,7 +65,8 @@ func hashUint64(h uint64, v uint64) uint64 {
 	return h
 }
 
-func hashTerm(h uint64, t *Term) uint64 {
+func hashTerm(h uint64, t *Term, b *Bindings) uint64 {
+	t = b.Walk(t)
 	h = hashByte(h, byte(t.Kind))
 	switch t.Kind {
 	case Var, Atom:
@@ -77,7 +83,7 @@ func hashTerm(h uint64, t *Term) uint64 {
 	case List:
 		h = hashByte(h, byte(len(t.Args)))
 		for _, a := range t.Args {
-			h = hashTerm(h, a)
+			h = hashTerm(h, a, b)
 		}
 	}
 	return h
@@ -106,12 +112,20 @@ func NewInterner() *Interner {
 
 // Lookup returns the ID of a previously interned term structurally equal to
 // t, without interning it on a miss.
-func (in *Interner) Lookup(t *Term) (InternID, bool) {
-	h := Hash(t)
+func (in *Interner) Lookup(t *Term) (InternID, bool) { return in.LookupBound(t, nil) }
+
+// LookupBound is Lookup(b.Resolve(t)) without building the resolved term.
+func (in *Interner) LookupBound(t *Term, b *Bindings) (InternID, bool) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
+	return in.find(HashBound(t, b), t, b)
+}
+
+// find scans hash bucket h for the term t denotes under b. The caller holds
+// the lock.
+func (in *Interner) find(h uint64, t *Term, b *Bindings) (InternID, bool) {
 	for _, id := range in.buckets[h] {
-		if in.terms[id].Equal(t) {
+		if b.Equal(t, in.terms[id]) {
 			return id, true
 		}
 	}
@@ -120,26 +134,26 @@ func (in *Interner) Lookup(t *Term) (InternID, bool) {
 
 // ID interns t (if new) and returns its stable ID. The canonical rendering
 // is computed once, at first interning.
-func (in *Interner) ID(t *Term) InternID {
-	h := Hash(t)
-	in.mu.RLock()
-	for _, id := range in.buckets[h] {
-		if in.terms[id].Equal(t) {
-			in.mu.RUnlock()
-			return id
-		}
-	}
-	in.mu.RUnlock()
+func (in *Interner) ID(t *Term) InternID { return in.IDBound(t, nil) }
 
+// IDBound is ID(b.Resolve(t)); the resolved term is only built the first
+// time it is interned.
+func (in *Interner) IDBound(t *Term, b *Bindings) InternID {
+	h := HashBound(t, b)
+	in.mu.RLock()
+	id, ok := in.find(h, t, b)
+	in.mu.RUnlock()
+	if ok {
+		return id
+	}
+	t = b.Resolve(t)
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	// Re-check: another goroutine may have interned t between the locks.
-	for _, id := range in.buckets[h] {
-		if in.terms[id].Equal(t) {
-			return id
-		}
+	if id, ok = in.find(h, t, nil); ok {
+		return id
 	}
-	id := InternID(len(in.terms))
+	id = InternID(len(in.terms))
 	in.buckets[h] = append(in.buckets[h], id)
 	in.terms = append(in.terms, t)
 	in.strs = append(in.strs, t.String())

@@ -85,16 +85,16 @@ func TestInternerConcurrent(t *testing.T) {
 }
 
 func TestResolveSharesGroundTerms(t *testing.T) {
-	s := NewSubst()
 	ground := NewCompound("f", NewAtom("a"), NewInt(1))
+	ts, s := numbered(NewCompound("f", NewVar("X"), ground))
+	mixed := ts[0]
 	if got := s.Resolve(ground); got != ground {
-		t.Fatalf("Resolve copied a ground term with an empty substitution")
+		t.Fatalf("Resolve copied a ground term with an empty store")
 	}
-	s["X"] = NewAtom("b")
+	s.Unify(mixed.Args[0], NewAtom("b"))
 	if got := s.Resolve(ground); got != ground {
-		t.Fatalf("Resolve copied a ground term unaffected by the substitution")
+		t.Fatalf("Resolve copied a ground term unaffected by the bindings")
 	}
-	mixed := NewCompound("f", NewVar("X"), ground)
 	got := s.Resolve(mixed)
 	if got == mixed {
 		t.Fatalf("Resolve failed to apply a binding")

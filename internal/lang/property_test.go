@@ -35,7 +35,8 @@ func TestPropUnifySoundness(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		a := genPropTerm(r, 3)
 		b := genPropTerm(r, 3)
-		s := NewSubst()
+		ts, s := numbered(a, b)
+		a, b = ts[0], ts[1]
 		if !s.Unify(a, b) {
 			return true // failure is always sound
 		}
@@ -59,8 +60,9 @@ func TestPropUnifyReflexive(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a := genPropTerm(r, 3)
-		s := NewSubst()
-		return s.Unify(a, a) && s.Resolve(a).Equal(s.Resolve(a))
+		ts, s := numbered(a)
+		a = ts[0]
+		return s.Unify(a, a) && s.Mark() == 0 && s.Resolve(a).Equal(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)

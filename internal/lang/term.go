@@ -6,6 +6,7 @@
 package lang
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -60,7 +61,7 @@ type Term struct {
 	Kind    Kind
 	Functor string  // variable name, atom symbol, or compound functor
 	Args    []*Term // compound arguments or list elements
-	Int     int64
+	Int     int64   // integer payload; for a Var numbered by a VarTable, its slot+1
 	Float   float64
 	Text    string   // string constant payload
 	Pos     Position // source position when the term was parsed; zero otherwise
@@ -313,6 +314,7 @@ func isInfix(t *Term) (prec int, ok bool) {
 // String renders t in the concrete RTEC dialect accepted by internal/parser.
 func (t *Term) String() string {
 	var b strings.Builder
+	b.Grow(48) // most atoms and FVPs fit: one allocation instead of a doubling series
 	t.write(&b)
 	return b.String()
 }
@@ -355,7 +357,7 @@ func (t *Term) write(b *strings.Builder) {
 	case Int:
 		b.WriteString(strconv.FormatInt(t.Int, 10))
 	case Float:
-		b.WriteString(formatFloat(t.Float))
+		writeFloat(b, t.Float)
 	case Str:
 		b.WriteString(strconv.Quote(t.Text))
 	case List:
@@ -415,14 +417,15 @@ func (t *Term) writeInfixArg(b *strings.Builder, a *Term, parentPrec int, right 
 	a.write(b)
 }
 
-// formatFloat renders a float so it parses back as a float: integral values
+// writeFloat renders a float so it parses back as a float: integral values
 // keep a ".0" suffix.
-func formatFloat(v float64) string {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
+func writeFloat(b *strings.Builder, v float64) {
+	var buf [32]byte
+	s := strconv.AppendFloat(buf[:0], v, 'g', -1, 64)
+	b.Write(s)
+	if !bytes.ContainsAny(s, ".eE") {
+		b.WriteString(".0")
 	}
-	return s
 }
 
 // SortTerms sorts a slice of terms in the standard order, in place.

@@ -1,39 +1,78 @@
 package lang
 
-// Subst is a substitution: a binding of variable names to terms. Bound terms
-// may themselves contain variables bound elsewhere in the substitution;
-// Resolve follows such chains.
-type Subst map[string]*Term
-
-// NewSubst returns an empty substitution.
-func NewSubst() Subst { return Subst{} }
-
-// Clone returns a shallow copy of the substitution (terms are immutable and
-// shared).
-func (s Subst) Clone() Subst {
-	n := make(Subst, len(s))
-	for k, v := range s {
-		n[k] = v
-	}
-	return n
+// Bindings is the binding store of slot-numbered variables (see VarTable).
+// Unify binds in place and records every bound slot on a trail, so a caller
+// backtracks by undoing to a saved Mark instead of copying the store. Bound
+// terms may themselves contain variables bound elsewhere in the store; Walk
+// and Resolve follow such chains. The zero value (and a nil *Bindings) is a
+// store with no slots, good for terms without numbered variables; Reset
+// sizes it. A Bindings is not safe for concurrent use.
+type Bindings struct {
+	vals  []*Term // by slot; nil means unbound
+	trail []int32 // bound slots, in binding order
 }
 
-// walk dereferences t while it is a variable bound in s.
-func (s Subst) walk(t *Term) *Term {
-	for t.Kind == Var {
-		b, ok := s[t.Functor]
-		if !ok {
+// Reset empties the store and sizes it for n slots, keeping its memory.
+func (b *Bindings) Reset(n int) {
+	b.Undo(0)
+	if n > cap(b.vals) {
+		b.vals = make([]*Term, n)
+	}
+	b.vals = b.vals[:n]
+}
+
+// Mark returns the current trail position, for Undo.
+func (b *Bindings) Mark() int { return len(b.trail) }
+
+// Undo removes every binding made since the trail was at mark.
+func (b *Bindings) Undo(mark int) {
+	for _, s := range b.trail[mark:] {
+		b.vals[s] = nil
+	}
+	b.trail = b.trail[:mark]
+}
+
+// Snapshot returns a copy of the store's slots, for Load.
+func (b *Bindings) Snapshot() []*Term { return append([]*Term(nil), b.vals...) }
+
+// Load replaces the store's contents with a Snapshot.
+func (b *Bindings) Load(vals []*Term) {
+	b.Reset(len(vals))
+	for s, v := range vals {
+		if v != nil {
+			b.vals[s] = v
+			b.trail = append(b.trail, int32(s))
+		}
+	}
+}
+
+func (b *Bindings) bind(v, t *Term) {
+	if v.Int == 0 {
+		panic("lang: variable " + v.Functor + " has no slot: number the term with a VarTable before unifying it")
+	}
+	b.vals[v.Int-1] = t
+	b.trail = append(b.trail, int32(v.Int-1))
+}
+
+// Walk dereferences t while it is a bound variable.
+func (b *Bindings) Walk(t *Term) *Term {
+	if b == nil {
+		return t
+	}
+	for t.Kind == Var && t.Int != 0 {
+		v := b.vals[t.Int-1]
+		if v == nil {
 			return t
 		}
-		t = b
+		t = v
 	}
 	return t
 }
 
-// Resolve applies the substitution to t, returning a term in which every
-// bound variable has been replaced by its (recursively resolved) binding.
-func (s Subst) Resolve(t *Term) *Term {
-	t = s.walk(t)
+// Resolve applies the bindings to t, returning a term in which every bound
+// variable has been replaced by its (recursively resolved) binding.
+func (b *Bindings) Resolve(t *Term) *Term {
+	t = b.Walk(t)
 	if len(t.Args) == 0 {
 		return t
 	}
@@ -42,7 +81,7 @@ func (s Subst) Resolve(t *Term) *Term {
 	// resolves to something new. Resolving a ground term allocates nothing.
 	var args []*Term
 	for i, a := range t.Args {
-		r := s.Resolve(a)
+		r := b.Resolve(a)
 		if args == nil {
 			if r == a {
 				continue
@@ -60,119 +99,163 @@ func (s Subst) Resolve(t *Term) *Term {
 	return &n
 }
 
-// occurs reports whether variable name occurs in t under substitution s —
-// the occurs check that keeps substitutions acyclic (binding X to f(X)
-// would make Resolve diverge).
-func (s Subst) occurs(name string, t *Term) bool {
-	t = s.walk(t)
+// IsGround reports whether t contains no unbound variable.
+func (b *Bindings) IsGround(t *Term) bool {
+	t = b.Walk(t)
 	if t.Kind == Var {
-		return t.Functor == name
+		return false
 	}
 	for _, a := range t.Args {
-		if s.occurs(name, a) {
-			return true
-		}
-	}
-	return false
-}
-
-// Unify attempts to unify a and b under substitution s, extending s in place.
-// It reports whether unification succeeded; on failure s may contain partial
-// bindings, so callers that need backtracking should Clone first or use
-// UnifyInto. Unification is performed with the occurs check, so the
-// resulting substitution is always acyclic.
-func (s Subst) Unify(a, b *Term) bool {
-	a, b = s.walk(a), s.walk(b)
-	if a.Kind == Var {
-		if b.Kind == Var && a.Functor == b.Functor {
-			return true
-		}
-		if s.occurs(a.Functor, b) {
-			return false
-		}
-		s[a.Functor] = b
-		return true
-	}
-	if b.Kind == Var {
-		if s.occurs(b.Functor, a) {
-			return false
-		}
-		s[b.Functor] = a
-		return true
-	}
-	if a.Kind != b.Kind {
-		// Permit int/float numeric identity (5 unifies with 5.0).
-		na, aok := a.Number()
-		nb, bok := b.Number()
-		return aok && bok && na == nb
-	}
-	switch a.Kind {
-	case Atom:
-		return a.Functor == b.Functor
-	case Int:
-		return a.Int == b.Int
-	case Float:
-		return a.Float == b.Float
-	case Str:
-		return a.Text == b.Text
-	case Compound:
-		if a.Functor != b.Functor || len(a.Args) != len(b.Args) {
-			return false
-		}
-	case List:
-		if len(a.Args) != len(b.Args) {
-			return false
-		}
-	}
-	for i := range a.Args {
-		if !s.Unify(a.Args[i], b.Args[i]) {
+		if !b.IsGround(a) {
 			return false
 		}
 	}
 	return true
 }
 
-// UnifyInto unifies a and b under a copy of s, returning the extended copy
-// and true on success, or nil and false on failure. s itself is unchanged.
-func (s Subst) UnifyInto(a, b *Term) (Subst, bool) {
-	n := s.Clone()
-	if n.Unify(a, b) {
-		return n, true
+// Equal reports whether t, under the bindings, is structurally equal to o
+// (which is taken as written): b.Resolve(t).Equal(o) without building the
+// resolved term.
+func (b *Bindings) Equal(t, o *Term) bool {
+	t = b.Walk(t)
+	if len(t.Args) == 0 || len(t.Args) != len(o.Args) {
+		return t.Equal(o)
 	}
-	return nil, false
+	if t.Kind != o.Kind || t.Functor != o.Functor {
+		return false
+	}
+	for i, a := range t.Args {
+		if !b.Equal(a, o.Args[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameVar reports whether two unbound variables are the same variable.
+func sameVar(x, y *Term) bool { return x.Int == y.Int && x.Functor == y.Functor }
+
+// occurs reports whether variable v occurs in t under the bindings — the
+// occurs check that keeps the store acyclic (binding X to f(X) would make
+// Resolve diverge).
+func (b *Bindings) occurs(v, t *Term) bool {
+	t = b.Walk(t)
+	if t.Kind == Var {
+		return sameVar(v, t)
+	}
+	for _, a := range t.Args {
+		if b.occurs(v, a) {
+			return true
+		}
+	}
+	return false
+}
+
+// Unify attempts to unify x and y, extending the store in place, and reports
+// whether it succeeded; a failed attempt leaves no binding behind.
+// Unification is performed with the occurs check, so the store is always
+// acyclic.
+func (b *Bindings) Unify(x, y *Term) bool {
+	mark := b.Mark()
+	if b.unify(x, y) {
+		return true
+	}
+	b.Undo(mark)
+	return false
+}
+
+func (b *Bindings) unify(x, y *Term) bool {
+	x, y = b.Walk(x), b.Walk(y)
+	if x.Kind == Var {
+		if y.Kind == Var && sameVar(x, y) {
+			return true
+		}
+		if b.occurs(x, y) {
+			return false
+		}
+		b.bind(x, y)
+		return true
+	}
+	if y.Kind == Var {
+		if b.occurs(y, x) {
+			return false
+		}
+		b.bind(y, x)
+		return true
+	}
+	if x.Kind != y.Kind {
+		// Permit int/float numeric identity (5 unifies with 5.0).
+		nx, xok := x.Number()
+		ny, yok := y.Number()
+		return xok && yok && nx == ny
+	}
+	switch x.Kind {
+	case Atom:
+		return x.Functor == y.Functor
+	case Int:
+		return x.Int == y.Int
+	case Float:
+		return x.Float == y.Float
+	case Str:
+		return x.Text == y.Text
+	case Compound:
+		if x.Functor != y.Functor || len(x.Args) != len(y.Args) {
+			return false
+		}
+	case List:
+		if len(x.Args) != len(y.Args) {
+			return false
+		}
+	}
+	for i := range x.Args {
+		if !b.unify(x.Args[i], y.Args[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // RenameApart returns a copy of the clause whose variables have been renamed
-// with the given suffix, so that evaluating the clause cannot capture
-// variables of the caller's query.
+// with the given suffix, so that a rule's variables cannot be mistaken for
+// those of another clause evaluated with it (or of a query). The engine
+// renames each rule once, when it compiles it; the suffixed names are the
+// ones its warnings and non-ground results print.
 func (c *Clause) RenameApart(suffix string) *Clause {
-	ren := func(t *Term) *Term { return renameVars(t, suffix) }
-	n := &Clause{Head: ren(c.Head), Pos: c.Pos}
+	return c.mapVars(func(v *Term) *Term { return NewVar(v.Functor + suffix) })
+}
+
+// mapVars returns a copy of the clause with every variable occurrence
+// replaced by fn's result, head first, then the body in order.
+func (c *Clause) mapVars(fn func(*Term) *Term) *Clause {
+	n := &Clause{Head: mapVars(c.Head, fn), Pos: c.Pos}
 	if len(c.Body) > 0 {
 		n.Body = make([]Literal, len(c.Body))
 		for i, l := range c.Body {
-			n.Body[i] = Literal{Neg: l.Neg, Atom: ren(l.Atom)}
+			n.Body[i] = Literal{Neg: l.Neg, Atom: mapVars(l.Atom, fn)}
 		}
 	}
 	return n
 }
 
-func renameVars(t *Term, suffix string) *Term {
+// mapVars returns t with every variable occurrence replaced by fn's result.
+// Sub-terms without variables are shared, not copied.
+func mapVars(t *Term, fn func(*Term) *Term) *Term {
 	if t.Kind == Var {
-		return NewVar(t.Functor + suffix)
+		return fn(t)
 	}
-	if len(t.Args) == 0 {
-		return t
-	}
-	changed := false
-	args := make([]*Term, len(t.Args))
+	var args []*Term
 	for i, a := range t.Args {
-		args[i] = renameVars(a, suffix)
-		if args[i] != a {
-			changed = true
+		r := mapVars(a, fn)
+		if args == nil {
+			if r == a {
+				continue
+			}
+			args = make([]*Term, len(t.Args))
+			copy(args, t.Args[:i])
 		}
+		args[i] = r
 	}
-	if !changed {
+	if args == nil {
 		return t
 	}
 	n := *t

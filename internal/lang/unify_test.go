@@ -1,11 +1,33 @@
 package lang
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
+
+// numbered numbers the terms through one VarTable and returns them with a
+// binding store sized for their variables.
+func numbered(ts ...*Term) ([]*Term, *Bindings) {
+	var vt VarTable
+	out := make([]*Term, len(ts))
+	for i, t := range ts {
+		out[i] = vt.Number(t)
+	}
+	b := &Bindings{}
+	b.Reset(vt.Len())
+	return out, b
+}
+
+// unifies reports whether a and b unify from an empty store.
+func unifies(a, b *Term) bool {
+	ts, s := numbered(a, b)
+	return s.Unify(ts[0], ts[1])
+}
 
 func TestUnifyBasics(t *testing.T) {
-	s := NewSubst()
-	a := NewCompound("entersArea", NewVar("Vl"), NewVar("Area"))
 	b := NewCompound("entersArea", NewAtom("v42"), NewAtom("a1"))
+	ts, s := numbered(NewCompound("entersArea", NewVar("Vl"), NewVar("Area")))
+	a := ts[0]
 	if !s.Unify(a, b) {
 		t.Fatal("unification failed")
 	}
@@ -15,84 +37,85 @@ func TestUnifyBasics(t *testing.T) {
 }
 
 func TestUnifyOccursSharedVariable(t *testing.T) {
-	s := NewSubst()
 	a := NewCompound("f", NewVar("X"), NewVar("X"))
-	b := NewCompound("f", NewAtom("a"), NewAtom("b"))
-	if s.Unify(a, b) {
+	if unifies(a, NewCompound("f", NewAtom("a"), NewAtom("b"))) {
 		t.Fatal("f(X,X) must not unify with f(a,b)")
 	}
-	s = NewSubst()
-	c := NewCompound("f", NewAtom("a"), NewAtom("a"))
-	if !s.Unify(a, c) {
+	if !unifies(a, NewCompound("f", NewAtom("a"), NewAtom("a"))) {
 		t.Fatal("f(X,X) must unify with f(a,a)")
 	}
 }
 
 func TestUnifyFunctorArityMismatch(t *testing.T) {
-	s := NewSubst()
-	if s.Unify(NewCompound("f", NewInt(1)), NewCompound("g", NewInt(1))) {
+	if unifies(NewCompound("f", NewInt(1)), NewCompound("g", NewInt(1))) {
 		t.Fatal("different functors unified")
 	}
-	s = NewSubst()
-	if s.Unify(NewCompound("f", NewInt(1)), NewCompound("f", NewInt(1), NewInt(2))) {
+	if unifies(NewCompound("f", NewInt(1)), NewCompound("f", NewInt(1), NewInt(2))) {
 		t.Fatal("different arities unified")
 	}
 }
 
 func TestUnifyNumericIdentity(t *testing.T) {
-	s := NewSubst()
-	if !s.Unify(NewInt(5), NewFloat(5)) {
+	if !unifies(NewInt(5), NewFloat(5)) {
 		t.Fatal("5 and 5.0 should unify numerically")
 	}
-	s = NewSubst()
-	if s.Unify(NewInt(5), NewFloat(5.5)) {
+	if unifies(NewInt(5), NewFloat(5.5)) {
 		t.Fatal("5 and 5.5 unified")
 	}
 }
 
 func TestUnifyVariableChains(t *testing.T) {
-	s := NewSubst()
-	if !s.Unify(NewVar("X"), NewVar("Y")) {
+	ts, s := numbered(NewVar("X"), NewVar("Y"))
+	x, y := ts[0], ts[1]
+	if !s.Unify(x, y) {
 		t.Fatal("var-var unification failed")
 	}
-	if !s.Unify(NewVar("Y"), NewAtom("a")) {
+	if !s.Unify(y, NewAtom("a")) {
 		t.Fatal("binding chained var failed")
 	}
-	if got := s.Resolve(NewVar("X")); !got.Equal(NewAtom("a")) {
+	if got := s.Resolve(x); !got.Equal(NewAtom("a")) {
 		t.Fatalf("Resolve(X) = %s, want a", got)
 	}
 }
 
-func TestUnifyIntoPreservesOriginal(t *testing.T) {
-	s := NewSubst()
-	s["Z"] = NewAtom("z")
-	n, ok := s.UnifyInto(NewVar("X"), NewAtom("a"))
-	if !ok {
-		t.Fatal("UnifyInto failed")
+// TestUnifyFailureLeavesNoBinding is what UnifyInto's copy used to
+// guarantee: a failed attempt, however far it got, changes nothing, and
+// earlier bindings survive it.
+func TestUnifyFailureLeavesNoBinding(t *testing.T) {
+	ts, s := numbered(NewVar("Z"), NewCompound("f", NewVar("X"), NewVar("Y"), NewAtom("a")))
+	z, fxy := ts[0], ts[1]
+	if !s.Unify(z, NewAtom("z")) {
+		t.Fatal("binding Z failed")
 	}
-	if _, bound := s["X"]; bound {
-		t.Fatal("UnifyInto mutated the receiver")
+	mark := s.Mark()
+	if s.Unify(fxy, NewCompound("f", NewInt(1), NewInt(2), NewAtom("b"))) {
+		t.Fatal("f(X,Y,a) unified with f(1,2,b)")
 	}
-	if !n["X"].Equal(NewAtom("a")) || !n["Z"].Equal(NewAtom("z")) {
-		t.Fatal("UnifyInto result missing bindings")
+	if s.Mark() != mark || !s.Resolve(fxy).Equal(fxy) {
+		t.Fatalf("failed unification left bindings behind: %s", s.Resolve(fxy))
 	}
-	if _, ok := s.UnifyInto(NewAtom("a"), NewAtom("b")); ok {
-		t.Fatal("UnifyInto of distinct atoms succeeded")
+	if !s.Resolve(z).Equal(NewAtom("z")) {
+		t.Fatal("failed unification lost an earlier binding")
+	}
+	if !s.Unify(fxy, NewCompound("f", NewInt(1), NewInt(2), NewAtom("a"))) {
+		t.Fatal("f(X,Y,a) did not unify with f(1,2,a)")
+	}
+	s.Undo(mark)
+	if !s.Resolve(fxy).Equal(fxy) || !s.Resolve(z).Equal(NewAtom("z")) {
+		t.Fatal("Undo did not restore the marked state")
 	}
 }
 
 func TestUnifyLists(t *testing.T) {
-	s := NewSubst()
-	a := NewList(NewVar("A"), NewVar("B"))
-	b := NewList(NewInt(1), NewInt(2))
-	if !s.Unify(a, b) {
+	ts, s := numbered(NewList(NewVar("A"), NewVar("B")))
+	a := ts[0]
+	if !s.Unify(a, NewList(NewInt(1), NewInt(2))) {
 		t.Fatal("list unification failed")
 	}
-	if !s.Resolve(NewVar("B")).Equal(NewInt(2)) {
+	if !s.Resolve(a.Args[1]).Equal(NewInt(2)) {
 		t.Fatal("list element binding wrong")
 	}
-	s = NewSubst()
-	if s.Unify(NewList(NewInt(1)), NewList(NewInt(1), NewInt(2))) {
+	if unifies(NewList(NewInt(1)), NewList(NewInt(1), NewInt(2))) {
 		t.Fatal("lists of different length unified")
 	}
 }
@@ -115,11 +138,42 @@ func TestRenameApart(t *testing.T) {
 	}
 }
 
-func TestResolveSharesUnchangedSubtrees(t *testing.T) {
-	s := NewSubst()
+// TestNumberClause: numbering keeps names (so a numbered clause prints like
+// its source), gives one slot per name across head and body, and shares
+// ground sub-terms.
+func TestNumberClause(t *testing.T) {
 	ground := NewCompound("g", NewAtom("a"))
-	tm := NewCompound("f", ground, NewVar("X"))
-	s["X"] = NewInt(1)
+	c := &Clause{
+		Head: NewCompound("p", NewVar("X"), ground),
+		Body: []Literal{Pos(NewCompound("q", NewVar("Y"), NewVar("X"))), Neg(NewCompound("r", NewVar("Y")))},
+	}
+	var vt VarTable
+	n := vt.NumberClause(c)
+	if n.String() != c.String() {
+		t.Fatalf("numbered clause prints %q, source %q", n, c)
+	}
+	if vt.Len() != 2 {
+		t.Fatalf("Len = %d, want 2 (X, Y)", vt.Len())
+	}
+	if x1, x2 := n.Head.Args[0], n.Body[0].Atom.Args[1]; x1.Int != 1 || x2.Int != 1 {
+		t.Fatalf("X slots %d, %d, want 1, 1", x1.Int, x2.Int)
+	}
+	if y1, y2 := n.Body[0].Atom.Args[0], n.Body[1].Atom.Args[0]; y1.Int != 2 || y2.Int != 2 || !n.Body[1].Neg {
+		t.Fatalf("Y slots %d, %d, want 2, 2 under a kept negation", y1.Int, y2.Int)
+	}
+	if n.Head.Args[1] != ground {
+		t.Fatal("numbering copied a ground sub-term")
+	}
+	if c.Head.Args[0].Int != 0 {
+		t.Fatal("numbering mutated the source clause")
+	}
+}
+
+func TestResolveSharesUnchangedSubtrees(t *testing.T) {
+	ground := NewCompound("g", NewAtom("a"))
+	ts, s := numbered(NewCompound("f", ground, NewVar("X")))
+	tm := ts[0]
+	s.Unify(tm.Args[1], NewInt(1))
 	r := s.Resolve(tm)
 	if r.Args[0] != ground {
 		t.Fatal("Resolve copied an unchanged ground subtree")
@@ -127,18 +181,113 @@ func TestResolveSharesUnchangedSubtrees(t *testing.T) {
 }
 
 func TestUnifyOccursCheck(t *testing.T) {
-	s := NewSubst()
-	x := NewVar("X")
-	fx := NewCompound("f", NewVar("X"))
-	if s.Unify(x, fx) {
+	if unifies(NewVar("X"), NewCompound("f", NewVar("X"))) {
 		t.Fatal("X must not unify with f(X)")
 	}
 	// Indirect cycle: X = Y, Y = f(X).
-	s = NewSubst()
-	if !s.Unify(NewVar("X"), NewVar("Y")) {
+	ts, s := numbered(NewVar("X"), NewVar("Y"), NewCompound("f", NewVar("X")))
+	if !s.Unify(ts[0], ts[1]) {
 		t.Fatal("var-var unification failed")
 	}
-	if s.Unify(NewVar("Y"), NewCompound("f", NewVar("X"))) {
+	if s.Unify(ts[1], ts[2]) {
 		t.Fatal("indirect cycle accepted")
+	}
+}
+
+// TestUnifyUnnumberedVariablePanics: binding a variable that was never given
+// a slot is a bug in the caller, reported as such rather than as an index
+// error.
+func TestUnifyUnnumberedVariablePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("binding an unnumbered variable did not panic")
+		}
+	}()
+	new(Bindings).Unify(NewVar("X"), NewAtom("a"))
+}
+
+// TestBoundViews: Equal, IsGround, HashBound and the interner's bound
+// lookups see a term through the store exactly as they would see its
+// resolved copy.
+func TestBoundViews(t *testing.T) {
+	ts, s := numbered(FVP(NewCompound("withinArea", NewVar("Vl"), NewVar("Area")), NewAtom("true")))
+	fvp := ts[0]
+	ground := FVP(NewCompound("withinArea", NewAtom("v1"), NewAtom("fishing")), NewAtom("true"))
+	in := NewInterner()
+	id := in.ID(ground)
+	if s.IsGround(fvp) || s.Equal(fvp, ground) {
+		t.Fatal("unbound FVP reported ground or equal")
+	}
+	if _, ok := in.LookupBound(fvp, s); ok {
+		t.Fatal("unbound FVP found in the interner")
+	}
+	if !s.Unify(fvp, ground) {
+		t.Fatal("unification failed")
+	}
+	if !s.IsGround(fvp) || !s.Equal(fvp, ground) || HashBound(fvp, s) != Hash(ground) {
+		t.Fatal("bound FVP does not look like its resolved copy")
+	}
+	if got, ok := in.LookupBound(fvp, s); !ok || got != id || in.IDBound(fvp, s) != id {
+		t.Fatalf("LookupBound = %d, %v, want %d", got, ok, id)
+	}
+	if in.Len() != 1 {
+		t.Fatalf("IDBound interned a second copy: Len = %d", in.Len())
+	}
+	// A non-ground term interns under its variable names, bound or not.
+	s.Undo(0)
+	nid := in.IDBound(fvp, s)
+	if nid == id || in.StringOf(nid) != "withinArea(Vl, Area)=true" || in.ID(s.Resolve(fvp)) != nid {
+		t.Fatalf("non-ground intern: id %d, %q", nid, in.StringOf(nid))
+	}
+}
+
+// TestTrailRoundTrip is the property the evaluator's backtracking rests on:
+// over random sequences of unifications, marks and undos, undoing to a mark
+// restores exactly the binding state the store had when the mark was taken —
+// and a failed unification is such a no-op by itself.
+func TestTrailRoundTrip(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var vt VarTable
+		vars := []*Term{vt.Number(NewVar("X")), vt.Number(NewVar("Y")), vt.Number(NewVar("Z"))}
+		var s Bindings
+		s.Reset(vt.Len())
+		state := func() string {
+			out := ""
+			for _, v := range vars {
+				out += s.Resolve(v).String() + ";"
+			}
+			return out
+		}
+		type saved struct {
+			mark  int
+			state string
+		}
+		var stack []saved
+		for step := 0; step < 40; step++ {
+			switch r.Intn(4) {
+			case 0:
+				stack = append(stack, saved{s.Mark(), state()})
+			case 1:
+				if n := len(stack); n > 0 {
+					top := stack[n-1]
+					stack = stack[:n-1]
+					s.Undo(top.mark)
+					if got := state(); got != top.state {
+						t.Fatalf("seed %d step %d: after Undo state %q, at Mark %q", seed, step, got, top.state)
+					}
+				}
+			default:
+				before, mark := state(), s.Mark()
+				a, b := vt.Number(genPropTerm(r, 2)), vt.Number(genPropTerm(r, 2))
+				if !s.Unify(a, b) && (state() != before || s.Mark() != mark) {
+					t.Fatalf("seed %d step %d: failed Unify(%s, %s) changed the store: %q -> %q", seed, step, a, b, before, state())
+				}
+			}
+		}
+		s.Reset(vt.Len())
+		if got := state(); got != "X;Y;Z;" {
+			t.Fatalf("seed %d: Reset left %q", seed, got)
+		}
 	}
 }

@@ -1,0 +1,48 @@
+package rtec
+
+import (
+	"testing"
+
+	"rtecgen/internal/maritime"
+)
+
+// windowAllocCeiling bounds the heap allocations of one evaluation of the
+// first 3600 s window of the 14-vessel seed-7 scenario under the gold event
+// description at Workers:1. It is a count, so it repeats across hosts; it
+// sits about 15 % above the figure measured when it was committed (see
+// EXPERIMENTS.md "Compiled rules"), so rule evaluation that starts copying
+// bindings or re-deriving per-rule analyses per window again fails here
+// long before it shows in a wall-clock benchmark.
+const windowAllocCeiling = 7600
+
+func TestWindowAllocCeiling(t *testing.T) {
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
+	events.Sort()
+	first, _ := events.TimeRange()
+	window := events.Window(first, first+3600)
+	ed := maritime.FullED(maritime.GoldED(), scen.Map, scen.Fleet, maritime.ObservedPairs(events))
+	e, err := New(ed, Options{Strict: true, ExtraFacts: maritime.DynamicFacts(events, scen.Fleet), Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recognised int
+	allocs := testing.AllocsPerRun(5, func() {
+		rec, err := e.Run(window, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		recognised = len(rec.Keys())
+	})
+	if recognised == 0 {
+		t.Fatal("the window recognised nothing: the ceiling would bound an empty evaluation")
+	}
+	t.Logf("%d events, %d FVPs recognised, %.0f allocs per window (%.1f per event), ceiling %d",
+		len(window), recognised, allocs, allocs/float64(len(window)), windowAllocCeiling)
+	if allocs > windowAllocCeiling {
+		t.Fatalf("one window allocates %.0f objects, ceiling %d", allocs, windowAllocCeiling)
+	}
+}

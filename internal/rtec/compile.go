@@ -1,0 +1,117 @@
+package rtec
+
+import (
+	"fmt"
+
+	"rtecgen/internal/kb"
+	"rtecgen/internal/lang"
+)
+
+// This file compiles temporal rules. Everything about a rule that does not
+// depend on the window — its variables renamed apart and numbered into
+// binding-store slots, each body condition's evaluation strategy, the anchor
+// of an initiatedAt/terminatedAt rule and the conditions left once the anchor
+// is taken out, the grounding declarations of a holdsFor rule brought into
+// the rule's slot space — is computed here, once, when New loads the event
+// description. A compiled rule is immutable and shared by every window,
+// revision and worker.
+//
+// Renaming keeps the variable names the engine has always printed ("_r" for a
+// rule, "_g<i>" for its i-th grounding declaration): warnings, non-ground
+// termination patterns and the delta sidecar render variables by name, and
+// those bytes are part of the output contract. Slots are only how the
+// evaluator finds a variable's binding.
+
+// condKind is how one body condition is evaluated.
+type condKind uint8
+
+const (
+	condBuiltin    condKind = iota // comparison, =, \=, absAngleDiff
+	condHappensAt                  // happensAt(E, T) beyond the anchor
+	condHoldsAt                    // holdsAt(F=V, T)
+	condHoldsFor                   // holdsFor(F=V, I); invalid in a simple-fluent rule
+	condUnion                      // union_all([I...], I)
+	condIntersect                  // intersect_all([I...], I)
+	condRelComp                    // relative_complement_all(I, [I...], I)
+	condBackground                 // atemporal background knowledge
+)
+
+type cond struct {
+	kind condKind
+	neg  bool
+	atom *lang.Term
+}
+
+// rule is a compiled initiatedAt, terminatedAt or holdsFor rule.
+type rule struct {
+	src   *lang.Clause // the clause as written
+	nvars int          // size of the rule's binding store
+	head  *lang.Term   // the head fluent-value pair F=V
+	// body holds the conditions to solve: all of them for a holdsFor rule,
+	// the ones other than the anchor for a simple-fluent rule.
+	body []cond
+	// pattern and timeArg are the anchor happensAt(pattern, timeArg) of a
+	// simple-fluent rule: its first positive happensAt condition.
+	pattern, timeArg *lang.Term
+	// ivar is the head interval variable of a holdsFor rule (nil otherwise),
+	// groundings the fluent's grounding declarations.
+	ivar       *lang.Term
+	groundings []grounding
+}
+
+// grounding is one declaration grounding(fluent) :- body, numbered in the
+// slot space of the rule it grounds.
+type grounding struct {
+	fluent *lang.Term
+	body   []lang.Literal
+}
+
+// compileRule compiles a temporal rule that passed checkSimpleRule or
+// checkSDRule; groundings are the declarations for a holdsFor rule's fluent.
+func compileRule(c *lang.Clause, groundings []*lang.Clause) *rule {
+	var vt lang.VarTable
+	rc := vt.NumberClause(c.RenameApart("_r"))
+	r := &rule{src: c, head: rc.Head.Args[0]}
+	sd := c.Kind() == lang.KindHoldsFor
+	if sd {
+		r.ivar = rc.Head.Args[1]
+	}
+	for _, l := range rc.Body {
+		if !sd && r.pattern == nil && !l.Neg && l.Atom.Functor == "happensAt" && len(l.Atom.Args) == 2 {
+			r.pattern, r.timeArg = l.Atom.Args[0], l.Atom.Args[1]
+			continue
+		}
+		r.body = append(r.body, cond{kind: classify(l.Atom, sd), neg: l.Neg, atom: l.Atom})
+	}
+	for gi, g := range groundings {
+		gc := vt.NumberClause(g.RenameApart(fmt.Sprintf("_g%d", gi)))
+		r.groundings = append(r.groundings, grounding{fluent: gc.Head.Args[0], body: gc.Body})
+	}
+	r.nvars = vt.Len()
+	return r
+}
+
+// classify picks the evaluation strategy of a body condition. The temporal
+// predicates mean something only in the kind of rule that may contain them:
+// an interval construct in a simple-fluent rule is an (unknown) background
+// predicate, and checkSDRule has already rejected happensAt and holdsAt in a
+// holdsFor rule.
+func classify(atom *lang.Term, sd bool) condKind {
+	switch {
+	case atom.Kind == lang.Compound && kb.IsBuiltinPred(atom.Functor, len(atom.Args)):
+		return condBuiltin
+	case atom.Functor == "holdsFor":
+		return condHoldsFor
+	case sd && atom.Functor == "union_all":
+		return condUnion
+	case sd && atom.Functor == "intersect_all":
+		return condIntersect
+	case sd && atom.Functor == "relative_complement_all":
+		return condRelComp
+	case !sd && atom.Functor == "happensAt" && len(atom.Args) == 2:
+		return condHappensAt
+	case !sd && atom.Functor == "holdsAt" && len(atom.Args) == 2:
+		return condHoldsAt
+	}
+	return condBackground
+}

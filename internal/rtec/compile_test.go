@@ -1,0 +1,233 @@
+package rtec
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"rtecgen/internal/fleet"
+	"rtecgen/internal/lang"
+	"rtecgen/internal/llm"
+	"rtecgen/internal/maritime"
+	"rtecgen/internal/parser"
+	"rtecgen/internal/prompt"
+	"rtecgen/internal/stream"
+)
+
+// warningsCase is one event description whose load and runtime warnings
+// testdata/warnings.golden pins.
+type warningsCase struct {
+	name   string
+	ed     *lang.EventDescription
+	facts  []*lang.Term
+	events stream.Stream
+}
+
+// unsafeRulesED has one rule for each way a variable can reach a warning:
+// through a non-ground head, a condition the engine refuses, a builtin error
+// under "_r", and a grounding declaration's under "_g0" — plus one rule the
+// load drops.
+const unsafeRulesED = `
+initiatedAt(withinArea(Vl, AreaType)=true, T) :-
+    happensAt(entersArea(Vl, AreaID), T).
+initiatedAt(inside(Vl)=true, T) :-
+    happensAt(entersArea(Vl, AreaID), T),
+    holdsAt(withinArea(Vl, fishing)=true, T2).
+terminatedAt(inside(Vl)=true, T) :-
+    happensAt(leavesArea(Vl, AreaID), T),
+    Speed / 0 > Limit.
+holdsFor(busy(Vl)=true, I) :-
+    holdsFor(inside(Vl)=true, I1),
+    union_all([I1, I2], I).
+grounding(busy(Vl)) :- vessel(Vl).
+holdsFor(idle(Vl)=true, I) :-
+    holdsFor(inside(Vl)=true, I).
+grounding(idle(Vl)) :- vessel(Vl), Limit > 3.
+initiatedAt(orphan(Vl)=true, T) :-
+    holdsAt(inside(Vl)=true, T).
+vessel(v1).
+`
+
+func warningsCases(t *testing.T) []warningsCase {
+	t.Helper()
+	specimen := func(name string) *lang.EventDescription {
+		src, err := os.ReadFile(filepath.Join("..", "..", "examples", "lint", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ed, err := parser.ParseEventDescription(string(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ed
+	}
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
+	facts := maritime.DynamicFacts(events, scen.Fleet)
+	sea := func(name string, rules *lang.EventDescription) warningsCase {
+		return warningsCase{name, maritime.FullED(rules, scen.Map, scen.Fleet, maritime.ObservedPairs(events)), facts, events}
+	}
+	road := fleet.BuildScenario(fleet.ScenarioConfig{Vehicles: 6, Seed: 7})
+
+	unsafe, err := parser.ParseEventDescription(unsafeRulesED)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []warningsCase{
+		{"hand-written unsafe rules", unsafe, nil, stream.Stream{
+			ev(10, "entersArea(v1, a1)"), ev(40, "leavesArea(v1, a1)"), ev(3700, "entersArea(v2, a1)")}},
+		sea("maritime gold", maritime.GoldED()),
+		sea("maritime corrupted specimen", specimen("corrupted_maritime.prolog")),
+		{"fleet gold", road.FullED(fleet.GoldED()), nil, road.Events},
+		{"fleet corrupted specimen", road.FullED(specimen("corrupted_fleet.prolog")), nil, road.Events},
+	}
+	for _, m := range llm.AllModels() {
+		for _, scheme := range []prompt.Scheme{prompt.FewShot, prompt.ChainOfThought} {
+			gen, err := prompt.RunPipeline(m, scheme, maritime.PromptDomain(), maritime.CurriculumRequests())
+			if err != nil {
+				t.Fatal(err)
+			}
+			cases = append(cases, sea("generated "+m.Name()+scheme.Suffix(), gen.ED()))
+		}
+	}
+	return cases
+}
+
+// renderWarnings loads the case and runs it, and renders every warning in
+// the order the engine reported it: the load's, then the run's.
+func renderWarnings(t *testing.T, c warningsCase, workers int) string {
+	t.Helper()
+	e, err := New(c.ed, Options{ExtraFacts: c.facts, Workers: workers})
+	if err != nil {
+		return fmt.Sprintf("== %s\nload failed: %v\n", c.name, err)
+	}
+	rec, err := e.Run(c.events, RunOptions{Window: 3600})
+	if err != nil {
+		t.Fatalf("%s: %v", c.name, err)
+	}
+	var b strings.Builder
+	fmt.Fprintf(&b, "== %s\n", c.name)
+	for _, w := range e.Warnings() {
+		fmt.Fprintf(&b, "load: %s\n", w)
+	}
+	for _, w := range rec.Warnings {
+		fmt.Fprintf(&b, "run: %s\n", w)
+	}
+	return b.String()
+}
+
+// TestCompiledWarningsGolden: the warnings are where a compiled rule shows
+// its variables, so they pin what compilation must not change — the "_r" and
+// "_g<i>" names, which condition is reached first, what is bound when it is.
+// The golden file was written by the evaluator that renamed and resolved
+// every rule per use; every gold standard, every committed corrupted
+// specimen and every simulated model's generated event description must
+// still produce it line for line, at any worker count.
+func TestCompiledWarningsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs 16 event descriptions over the 14-vessel scenario")
+	}
+	var got strings.Builder
+	for _, c := range warningsCases(t) {
+		seq := renderWarnings(t, c, 1)
+		if par := renderWarnings(t, c, 4); par != seq {
+			t.Errorf("%s: warnings differ between Workers:1 and Workers:4", c.name)
+		}
+		got.WriteString(seq)
+	}
+	golden := filepath.Join("testdata", "warnings.golden")
+	if *update {
+		if err := os.WriteFile(golden, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (run with -update to regenerate)", err)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := range gl {
+			if i >= len(wl) || gl[i] != wl[i] {
+				t.Fatalf("warnings differ from %s at line %d:\n got %q\nwant %q", golden, i+1, gl[i], append(wl, "<end of file>")[i])
+			}
+		}
+		t.Fatalf("warnings differ from %s: %d lines, want %d", golden, len(gl), len(wl))
+	}
+	// Three of them by name, so a regenerated golden file cannot quietly
+	// lose what it is for.
+	for _, pin := range []string{
+		// a comparison against a threshold the rule never looked up
+		"run: movingSpeed/1: condition Speed_r =< MovingMin_r: kb: =<: kb: MovingMin_r is not an arithmetic expression\n",
+		// an initiatedAt head with a variable the body does not bind
+		"run: withinArea/2: initiatedAt rule derives non-ground FVP withinArea(v1, AreaType_r)=true; occurrence dropped\n",
+		// a holdsAt condition at a time-point nothing binds
+		"run: inside/1: holdsAt condition holdsAt(withinArea(Vl_r, fishing)=true, T2_r) has an unbound time-point; rule fails\n",
+	} {
+		if !strings.Contains(got.String(), pin) {
+			t.Errorf("no warning %q", pin)
+		}
+	}
+}
+
+// TestCompileRule checks what a compiled rule holds: the anchor taken out of
+// the body wherever it stood, each remaining condition's strategy (which
+// depends on the kind of rule), the "_r"/"_g<i>" names, and one slot space
+// shared by a holdsFor rule and its grounding declarations.
+func TestCompileRule(t *testing.T) {
+	kinds := func(r *rule) string {
+		var out []string
+		for _, c := range r.body {
+			s := fmt.Sprint(c.kind)
+			if c.neg {
+				s = "not " + s
+			}
+			out = append(out, s)
+		}
+		return strings.Join(out, " ")
+	}
+	simple := compileRule(parser.MustParseClause(`initiatedAt(f(V)=true, T) :-
+		vessel(V), not happensAt(g(V), T), happensAt(e(V, A), T), happensAt(e2(V), T),
+		holdsAt(h(V)=true, T), A = V, union_all([I], J), holdsFor(h(V)=true, I).`), nil)
+	if got := fmt.Sprintf("%s @ %s / %s", simple.pattern, simple.timeArg, simple.head); got != "e(V_r, A_r) @ T_r / f(V_r)=true" {
+		t.Errorf("anchor and head: %s", got)
+	}
+	want := fmt.Sprint(condBackground, " not ", condHappensAt, " ", condHappensAt, " ", condHoldsAt, " ", condBuiltin, " ", condBackground, " ", condHoldsFor)
+	if got := kinds(simple); got != want {
+		t.Errorf("simple rule conditions: %s, want %s", got, want)
+	}
+	if simple.ivar != nil || simple.nvars != 5 {
+		t.Errorf("simple rule: ivar %v, %d slots, want none and 5 (V, T, A, I, J)", simple.ivar, simple.nvars)
+	}
+
+	sd := compileRule(parser.MustParseClause(`holdsFor(busy(V)=true, I) :-
+		holdsFor(a(V)=true, I1), not holdsFor(b(V)=true, I2), vessel(V),
+		union_all([I1, I2], I3), intersect_all([I1, I3], I4), relative_complement_all(I4, [I2], I).`),
+		[]*lang.Clause{
+			parser.MustParseClause("grounding(busy(V)) :- vessel(V)."),
+			parser.MustParseClause("grounding(busy(X)) :- tug(X), not vessel(V)."),
+		})
+	want = fmt.Sprint(condHoldsFor, " not ", condHoldsFor, " ", condBackground, " ", condUnion, " ", condIntersect, " ", condRelComp)
+	if got := kinds(sd); got != want {
+		t.Errorf("holdsFor rule conditions: %s, want %s", got, want)
+	}
+	if sd.pattern != nil || sd.ivar.String() != "I_r" || sd.head.String() != "busy(V_r)=true" {
+		t.Errorf("holdsFor rule: pattern %v, ivar %s, head %s", sd.pattern, sd.ivar, sd.head)
+	}
+	if len(sd.groundings) != 2 || sd.groundings[0].fluent.String() != "busy(V_g0)" ||
+		sd.groundings[1].fluent.String() != "busy(X_g1)" || sd.groundings[1].body[1].String() != "not vessel(V_g1)" {
+		t.Fatalf("groundings: %+v", sd.groundings)
+	}
+	// V, I, I1..I4 of the rule, V_g0, X_g1, V_g1: nine names, nine slots, none shared.
+	if sd.nvars != 9 {
+		t.Errorf("holdsFor rule with groundings has %d slots, want 9", sd.nvars)
+	}
+	if v, g0 := sd.head.Args[0].Args[0], sd.groundings[0].fluent.Args[0]; v.Int == g0.Int {
+		t.Errorf("rule variable %s and grounding variable %s share slot %d", v, g0, v.Int)
+	}
+}

@@ -204,7 +204,7 @@ func symDiff(a, b intervals.List) intervals.List {
 func (w *windowState) replaySimpleRule(events []stream.Event, prevActs map[int64][]act, rec map[int64][]act, unit func(int, *ruleEval), apply func(act)) {
 	d := w.delta
 	dirty := w.curDirty
-	recompute := make([]int, 0, len(events))
+	var recompute []int
 	for i, ev := range events {
 		if dirty.Contains(ev.Time) {
 			recompute = append(recompute, i)

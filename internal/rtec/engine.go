@@ -56,15 +56,14 @@ func (w Warning) String() string {
 // fluentDef aggregates everything the engine knows about one fluent
 // (identified by its indicator, e.g. "withinArea/2").
 type fluentDef struct {
-	ind        string       // indicator string, e.g. "withinArea/2"
-	pred       lang.PredKey // same predicate, as a comparable key (no string building)
-	kind       FluentKind
-	inits      []*lang.Clause // simple: initiatedAt rules
-	terms      []*lang.Clause // simple: terminatedAt rules
-	holdsFor   []*lang.Clause // sd: holdsFor rules (one per value)
-	groundings []*lang.Clause // grounding declarations for this fluent
-	deps       map[string]bool
-	level      int
+	ind      string       // indicator string, e.g. "withinArea/2"
+	pred     lang.PredKey // same predicate, as a comparable key (no string building)
+	kind     FluentKind
+	inits    []*rule // simple: initiatedAt rules, compiled (see compile.go)
+	terms    []*rule // simple: terminatedAt rules
+	holdsFor []*rule // sd: holdsFor rules (one per value), with the fluent's grounding declarations
+	deps     map[string]bool
+	level    int
 	// deltaEligible marks a simple fluent whose every rule is time-local
 	// (see timeLocalRule in delta.go): its per-anchor-time acts may be
 	// replayed across window slides.
@@ -221,7 +220,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				}
 				continue
 			}
-			def.inits = append(def.inits, c)
+			def.inits = append(def.inits, compileRule(c, nil))
 		case lang.KindTerminatedAt:
 			if msg := checkSimpleRule(c); msg != "" {
 				if err := warn(ind, "terminatedAt rule dropped: %s", msg); err != nil {
@@ -229,7 +228,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				}
 				continue
 			}
-			def.terms = append(def.terms, c)
+			def.terms = append(def.terms, compileRule(c, nil))
 		case lang.KindHoldsFor:
 			if msg := checkSDRule(c); msg != "" {
 				if err := warn(ind, "holdsFor rule dropped: %s", msg); err != nil {
@@ -237,7 +236,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				}
 				continue
 			}
-			def.holdsFor = append(def.holdsFor, c)
+			def.holdsFor = append(def.holdsFor, compileRule(c, groundings[ind]))
 		}
 	}
 
@@ -260,7 +259,6 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		default:
 			def.kind = Simple
 		}
-		def.groundings = groundings[ind]
 	}
 
 	// Drop fluents left with no rules at all.
@@ -277,7 +275,8 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 	// Dependency graph: fluent -> fluents referenced in holdsAt/holdsFor
 	// body conditions of its rules.
 	for _, def := range e.fluents {
-		for _, c := range append(append(append([]*lang.Clause{}, def.inits...), def.terms...), def.holdsFor...) {
+		for _, r := range append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...) {
+			c := r.src
 			for _, l := range c.Body {
 				if dep, ok := bodyFluentRef(l.Atom); ok {
 					if _, defined := e.fluents[dep]; defined && dep != def.ind {
@@ -303,8 +302,8 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 	for _, def := range e.fluents {
 		if def.kind == Simple {
 			def.deltaEligible = true
-			for _, c := range append(append([]*lang.Clause{}, def.inits...), def.terms...) {
-				if !timeLocalRule(c) {
+			for _, r := range append(append([]*rule{}, def.inits...), def.terms...) {
+				if !timeLocalRule(r.src) {
 					def.deltaEligible = false
 					break
 				}
@@ -494,9 +493,14 @@ func fluentKeyOf(fvp *lang.Term) string {
 
 // fvpPred returns the predicate key of the fluent inside an FVP term
 // '='(F, V); ok is false for any other term shape.
-func fvpPred(fvp *lang.Term) (lang.PredKey, bool) {
-	if fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 && fvp.Args[0].IsCallable() {
-		return fvp.Args[0].Pred(), true
+func fvpPred(fvp *lang.Term) (lang.PredKey, bool) { return fvpPredBound(fvp, nil) }
+
+// fvpPredBound is fvpPred of the FVP term under the bindings b.
+func fvpPredBound(fvp *lang.Term, b *lang.Bindings) (lang.PredKey, bool) {
+	if fvp = b.Walk(fvp); fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 {
+		if f := b.Walk(fvp.Args[0]); f.IsCallable() {
+			return f.Pred(), true
+		}
 	}
 	return lang.PredKey{}, false
 }

@@ -32,6 +32,7 @@ type windowState struct {
 	ws, we       int64 // window covers [ws, we)
 	byIndTime    map[lang.PredKey]map[int64][]*lang.Term
 	byInd        map[lang.PredKey][]stream.Event
+	timeTerms    map[int64]*lang.Term // the Int term of every time-point that has an event
 	cache        map[lang.InternID]*cacheEntry
 	byFluent     map[lang.PredKey][]*cacheEntry
 	openByFluent map[lang.PredKey][]*lang.Term // simple FVPs holding at window start
@@ -39,6 +40,7 @@ type windowState struct {
 	warnSink     *[]Warning
 	tel          *telemetry.Telemetry // may be nil: all uses degrade to no-ops
 	span         *telemetry.Span      // the window span, parent of per-fluent spans
+	seq          ruleEval             // the unit context of inline (sequential) evaluation, reused across rules
 
 	// Delta-layer state (see delta.go); all nil/false when the window is
 	// evaluated without a delta context.
@@ -57,6 +59,7 @@ func newWindowState(e *Engine, events stream.Stream, ws, we int64, prevOpen map[
 		we:        we,
 		byIndTime: map[lang.PredKey]map[int64][]*lang.Term{},
 		byInd:     map[lang.PredKey][]stream.Event{},
+		timeTerms: map[int64]*lang.Term{},
 		cache:     map[lang.InternID]*cacheEntry{},
 		byFluent:  map[lang.PredKey][]*cacheEntry{},
 		warnings:  map[string]bool{},
@@ -64,7 +67,11 @@ func newWindowState(e *Engine, events stream.Stream, ws, we int64, prevOpen map[
 		tel:       tel,
 		span:      span,
 	}
+	w.seq.w = w
 	for _, ev := range events {
+		if w.timeTerms[ev.Time] == nil {
+			w.timeTerms[ev.Time] = lang.NewInt(ev.Time)
+		}
 		pred := ev.Atom.Pred()
 		w.byInd[pred] = append(w.byInd[pred], ev)
 		byTime := w.byIndTime[pred]
@@ -131,12 +138,13 @@ func (w *windowState) store(fvp *lang.Term, list intervals.List) {
 	w.cache[id] = ent
 }
 
-// listOf returns the cached intervals of a ground FVP (nil when unknown —
-// an undefined or never-holding FVP has no intervals). The lookup goes
-// through the intern table, so it renders no strings and takes only a read
-// lock, making it safe and cheap from parallel workers.
-func (w *windowState) listOf(fvp *lang.Term) intervals.List {
-	id, ok := w.eng.interner.Lookup(fvp)
+// listOf returns the cached intervals of an FVP that is ground under b (nil
+// when unknown — an undefined or never-holding FVP has no intervals). The
+// lookup goes through the intern table, so it builds no term, renders no
+// string and takes only a read lock, making it safe and cheap from parallel
+// workers.
+func (w *windowState) listOf(fvp *lang.Term, b *lang.Bindings) intervals.List {
+	id, ok := w.eng.interner.LookupBound(fvp, b)
 	if !ok {
 		return nil
 	}
@@ -283,10 +291,17 @@ func (w *windowState) evalSimple(def *fluentDef) {
 			p.terms = append(p.terms, t)
 		})
 	}
+	b := &w.seq.b
 	for _, wc := range wildcards {
+		// A pattern replayed from a restored delta sidecar has lost its
+		// slots, so every pattern is numbered afresh.
+		var vt lang.VarTable
+		pattern := vt.Number(wc.pattern)
+		b.Reset(vt.Len())
 		for _, p := range points {
-			if _, ok := lang.NewSubst().UnifyInto(wc.pattern, p.fvp); ok {
+			if b.Unify(pattern, p.fvp) {
 				p.terms = append(p.terms, wc.t)
+				b.Undo(0)
 			}
 		}
 	}
@@ -323,52 +338,28 @@ func (w *windowState) evalSimple(def *fluentDef) {
 }
 
 // evalSimpleRule evaluates one initiatedAt/terminatedAt rule event-driven:
-// it anchors on the rule's first positive happensAt condition, iterates the
-// matching events of the window, and checks the remaining conditions. Each
-// anchor event is one evaluation unit: units run inline with one worker, or
-// entity-sharded onto the pool with slot-ordered merging (see parallel.go),
-// so emit observes the same occurrences in the same order either way. slot
-// identifies the rule within the fluent (inits first, then terms) for the
-// delta layer's per-rule act cache: under an active delta context the units
-// at clean anchor times replay the previous window's cached acts instead of
-// re-deriving (see replaySimpleRule in delta.go).
-func (w *windowState) evalSimpleRule(def *fluentDef, slot int, rule *lang.Clause, emit func(fvp *lang.Term, t int64)) {
-	r := rule.RenameApart("_r")
-	anchorIdx := -1
-	for i, l := range r.Body {
-		if !l.Neg && l.Atom.Functor == "happensAt" && len(l.Atom.Args) == 2 {
-			anchorIdx = i
-			break
-		}
-	}
-	if anchorIdx < 0 {
-		return // validated at load; defensive
-	}
-	anchor := r.Body[anchorIdx].Atom
-	rest := make([]lang.Literal, 0, len(r.Body)-1)
-	rest = append(rest, r.Body[:anchorIdx]...)
-	rest = append(rest, r.Body[anchorIdx+1:]...)
-
-	pattern, timeArg := anchor.Args[0], anchor.Args[1]
-	if !pattern.IsCallable() {
-		w.warnf(def.ind, "happensAt pattern %s is not callable; rule skipped", pattern)
+// it iterates the window events matching the rule's anchor (its first
+// positive happensAt condition, found when the rule was compiled) and solves
+// the remaining conditions. Each anchor event is one evaluation unit: units
+// run inline with one worker, or entity-sharded onto the pool with
+// slot-ordered merging (see parallel.go), so emit observes the same
+// occurrences in the same order either way. slot identifies the rule within
+// the fluent (inits first, then terms) for the delta layer's per-rule act
+// cache: under an active delta context the units at clean anchor times replay
+// the previous window's cached acts instead of re-deriving (see
+// replaySimpleRule in delta.go).
+func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit func(fvp *lang.Term, t int64)) {
+	if !r.pattern.IsCallable() {
+		w.warnf(def.ind, "happensAt pattern %s is not callable; rule skipped", r.pattern)
 		return
 	}
-	events := w.byInd[pattern.Pred()]
-	head := r.Head.Args[0]
+	events := w.byInd[r.pattern.Pred()]
 	unit := func(i int, re *ruleEval) {
 		ev := events[i]
-		re.t = ev.Time
-		s := lang.NewSubst()
-		if !s.Unify(pattern, ev.Atom) {
-			return
+		re.begin(def, r, ev.Time)
+		if re.b.Unify(r.pattern, ev.Atom) && re.b.Unify(r.timeArg, w.timeTerms[ev.Time]) {
+			re.solve(r.body)
 		}
-		if !s.Unify(timeArg, lang.NewInt(ev.Time)) {
-			return
-		}
-		re.solveConditions(def, rest, s, func(final lang.Subst) {
-			re.emit(final.Resolve(head), ev.Time)
-		})
 	}
 	apply := func(a act) {
 		if a.fvp == nil {
@@ -401,145 +392,207 @@ func (w *windowState) evalSimpleRule(def *fluentDef, slot int, rule *lang.Clause
 		unit, apply)
 }
 
-// solveConditions evaluates the remaining body conditions of a simple-fluent
-// rule with backtracking, invoking yield for every solution. It runs inside
-// an evaluation unit: it only reads the shared window state, and routes
-// warnings through the unit context.
-func (re *ruleEval) solveConditions(def *fluentDef, lits []lang.Literal, s lang.Subst, yield func(lang.Subst)) {
-	if len(lits) == 0 {
-		yield(s)
+// solve evaluates the remaining body conditions of the unit's rule with
+// backtracking — binding into the unit's store, undoing to the trail mark on
+// the way back — and calls derived for every solution. It runs inside an
+// evaluation unit: it only reads the shared window state, and routes warnings
+// through the unit context. Conditions are walked through the bindings, never
+// resolved into fresh terms; a unit that derives nothing allocates nothing.
+func (re *ruleEval) solve(conds []cond) {
+	if len(conds) == 0 {
+		re.derived()
 		return
 	}
-	w := re.w
-	lit := lits[0]
-	rest := lits[1:]
-	atom := lit.Atom
-
-	// Builtins (comparisons, =, absAngleDiff).
-	if atom.Kind == lang.Compound && kb.IsBuiltinPred(atom.Functor, len(atom.Args)) {
-		substs, _, err := kb.SolveBuiltin(atom, s)
+	c, rest := &conds[0], conds[1:]
+	w, b, ind, atom := re.w, &re.b, re.def.ind, conds[0].atom
+	switch c.kind {
+	case condBuiltin:
+		mark := b.Mark()
+		ok, _, err := kb.SolveBuiltin(atom, b)
 		if err != nil {
-			re.warnf(def.ind, "condition %s: %v", atom, err)
+			re.warnf(ind, "condition %s: %v", atom, err)
 			return
 		}
-		if lit.Neg {
-			if len(substs) == 0 {
-				re.solveConditions(def, rest, s, yield)
-			}
-			return
+		if ok != c.neg {
+			re.solve(rest)
 		}
-		for _, n := range substs {
-			re.solveConditions(def, rest, n, yield)
-		}
-		return
-	}
+		b.Undo(mark)
 
-	switch {
-	case atom.Functor == "happensAt" && len(atom.Args) == 2:
-		if lit.Neg {
-			if w.anyEventMatch(atom, s) {
-				return
-			}
-			re.solveConditions(def, rest, s, yield)
-			return
-		}
-		w.eachEventMatch(atom, s, func(n lang.Subst) {
-			re.solveConditions(def, rest, n, yield)
-		})
-
-	case atom.Functor == "holdsAt" && len(atom.Args) == 2:
-		if t := s.Resolve(atom.Args[1]); t.Kind == lang.Var {
+	case condHappensAt, condHoldsAt, condBackground:
+		if c.kind == condHoldsAt && b.Walk(atom.Args[1]).Kind == lang.Var {
 			// An unbound time-point makes the condition unsafe: negation
 			// would succeed vacuously. Fail the rule and say why.
-			re.warnf(def.ind, "holdsAt condition %s has an unbound time-point; rule fails", atom)
+			re.warnf(ind, "holdsAt condition %s has an unbound time-point; rule fails", atom)
 			return
 		}
-		if lit.Neg {
-			if w.anyHoldsAt(atom, s) {
-				return
+		found := false
+		if c.neg {
+			re.each(c, func() { found = true })
+			if !found {
+				re.solve(rest)
 			}
-			re.solveConditions(def, rest, s, yield)
 			return
 		}
-		w.eachHoldsAt(atom, s, func(n lang.Subst) {
-			re.solveConditions(def, rest, n, yield)
+		re.each(c, func() {
+			found = true
+			re.solve(rest)
 		})
+		if !found && c.kind == condBackground && len(w.eng.kb.FactsOfPred(atom.Pred())) == 0 {
+			re.warnf(ind, "unknown predicate %s; condition fails", atom.Indicator())
+		}
 
-	case atom.Functor == "holdsFor":
-		re.warnf(def.ind, "holdsFor condition %s is not allowed in a simple-fluent rule; rule fails", atom)
-		return
-
-	default: // atemporal background knowledge
-		matches := w.eng.kb.Match(atom, s)
-		if lit.Neg {
-			if len(matches) > 0 {
-				return
-			}
-			re.solveConditions(def, rest, s, yield)
+	case condHoldsFor:
+		switch {
+		case re.rule.ivar == nil:
+			re.warnf(ind, "holdsFor condition %s is not allowed in a simple-fluent rule; rule fails", atom)
+			return
+		case c.neg:
+			re.warnf(ind, "negated holdsFor is not supported; use relative_complement_all")
+			return
+		case len(atom.Args) != 2 || atom.Args[1].Kind != lang.Var:
+			re.warnf(ind, "holdsFor condition %s must bind a fresh interval variable", atom)
 			return
 		}
-		if len(matches) == 0 && len(w.eng.kb.FactsOfPred(atom.Pred())) == 0 {
-			re.warnf(def.ind, "unknown predicate %s; condition fails", atom.Indicator())
+		fvp, ivar := atom.Args[0], atom.Args[1]
+		if b.IsGround(fvp) {
+			re.withInterval(ivar, w.listOf(fvp, b), rest)
+			return
 		}
-		for _, n := range matches {
-			re.solveConditions(def, rest, n, yield)
+		pred, _ := fvpPredBound(fvp, b)
+		for _, ent := range w.byFluent[pred] {
+			if mark := b.Mark(); b.Unify(fvp, ent.fvp) {
+				re.withInterval(ivar, ent.list, rest)
+				b.Undo(mark)
+			}
 		}
+
+	case condUnion, condIntersect:
+		if len(atom.Args) != 2 || atom.Args[0].Kind != lang.List || atom.Args[1].Kind != lang.Var {
+			re.warnf(ind, "malformed interval construct %s", atom)
+			return
+		}
+		lists, ok := re.intervalLists(atom.Args[0].Args)
+		if !ok {
+			return
+		}
+		var out intervals.List
+		if c.kind == condUnion {
+			out = intervals.Union(lists...)
+		} else {
+			out = intervals.Intersect(lists...)
+		}
+		re.withInterval(atom.Args[1], out, rest)
+
+	case condRelComp:
+		if len(atom.Args) != 3 || atom.Args[0].Kind != lang.Var || atom.Args[1].Kind != lang.List || atom.Args[2].Kind != lang.Var {
+			re.warnf(ind, "malformed interval construct %s", atom)
+			return
+		}
+		base := re.ienv[atom.Args[0].Int-1]
+		if !base.bound {
+			re.warnf(ind, "interval variable %s used before being bound", atom.Args[0])
+			return
+		}
+		subtract, ok := re.intervalLists(atom.Args[1].Args)
+		if !ok {
+			return
+		}
+		re.withInterval(atom.Args[2], intervals.RelativeComplement(base.list, subtract...), rest)
+	}
+}
+
+// each enumerates the solutions of one positive happensAt, holdsAt or
+// background condition: for each, the unit's store is extended in place,
+// yield is called, and the extension is undone.
+func (re *ruleEval) each(c *cond, yield func()) {
+	switch c.kind {
+	case condHappensAt:
+		re.eachEventMatch(c.atom, yield)
+	case condHoldsAt:
+		re.eachHoldsAt(c.atom, yield)
+	default:
+		re.w.eng.kb.Match(c.atom, &re.b, yield)
+	}
+}
+
+// derived turns a solution of the rule body into the unit's effect: the
+// occurrence of the head FVP at the anchor time for a simple-fluent rule, the
+// head interval variable's list for a holdsFor rule. The head is the one term
+// a unit builds, and only the first time: an FVP the engine has interned
+// before is reused.
+func (re *ruleEval) derived() {
+	r, in := re.rule, re.w.eng.interner
+	var fvp *lang.Term
+	if id, ok := in.LookupBound(r.head, &re.b); ok {
+		fvp = in.TermOf(id)
+	} else {
+		fvp = re.b.Resolve(r.head)
+	}
+	if r.ivar == nil {
+		re.emit(fvp, re.t)
+		return
+	}
+	if !fvp.IsGround() {
+		re.warnf(re.def.ind, "holdsFor rule derives non-ground FVP %s; dropped", fvp)
+		return
+	}
+	out := re.ienv[r.ivar.Int-1]
+	if !out.bound {
+		re.warnf(re.def.ind, "head interval variable %s is not produced by the body; dropped", r.ivar)
+		return
+	}
+	if len(out.list) > 0 {
+		re.store(fvp, out.list)
 	}
 }
 
 // eachEventMatch enumerates the window events unifying with a happensAt
 // condition. When the time argument is bound, only that time-point's events
 // are scanned.
-func (w *windowState) eachEventMatch(atom *lang.Term, s lang.Subst, yield func(lang.Subst)) {
-	pattern := s.Resolve(atom.Args[0])
-	timeArg := s.Resolve(atom.Args[1])
+func (re *ruleEval) eachEventMatch(atom *lang.Term, yield func()) {
+	w, b := re.w, &re.b
+	pattern, timeArg := b.Walk(atom.Args[0]), b.Walk(atom.Args[1])
 	if !pattern.IsCallable() {
 		return
 	}
 	pred := pattern.Pred()
 	if t, ok := timeArg.Number(); ok {
 		for _, ev := range w.byIndTime[pred][int64(t)] {
-			if n, ok := s.UnifyInto(pattern, ev); ok {
-				yield(n)
+			if mark := b.Mark(); b.Unify(pattern, ev) {
+				yield()
+				b.Undo(mark)
 			}
 		}
 		return
 	}
 	for _, ev := range w.byInd[pred] {
-		n, ok := s.UnifyInto(pattern, ev.Atom)
-		if !ok {
-			continue
+		mark := b.Mark()
+		if b.Unify(pattern, ev.Atom) && b.Unify(timeArg, w.timeTerms[ev.Time]) {
+			yield()
 		}
-		if n.Unify(timeArg, lang.NewInt(ev.Time)) {
-			yield(n)
-		}
+		b.Undo(mark)
 	}
-}
-
-func (w *windowState) anyEventMatch(atom *lang.Term, s lang.Subst) bool {
-	found := false
-	w.eachEventMatch(atom, s, func(lang.Subst) { found = true })
-	return found
 }
 
 // eachHoldsAt enumerates the solutions of a holdsAt(F=V, T) condition
-// against the window cache. T must be bound (it always is in simple-fluent
-// rules, where every predicate shares the rule's time-point).
-func (w *windowState) eachHoldsAt(atom *lang.Term, s lang.Subst, yield func(lang.Subst)) {
-	fvp := s.Resolve(atom.Args[0])
-	timeArg := s.Resolve(atom.Args[1])
-	tNum, ok := timeArg.Number()
+// against the window cache. T must be bound to a number (it always is in
+// simple-fluent rules, where every predicate shares the rule's time-point);
+// anything else fails.
+func (re *ruleEval) eachHoldsAt(atom *lang.Term, yield func()) {
+	w, b := re.w, &re.b
+	fvp := atom.Args[0]
+	tNum, ok := b.Walk(atom.Args[1]).Number()
 	if !ok {
-		return // unbound time: unsafe, fail
+		return
 	}
 	t := int64(tNum)
-	if fvp.IsGround() {
-		if w.listOf(fvp).Contains(t) {
-			yield(s)
+	if b.IsGround(fvp) {
+		if w.listOf(fvp, b).Contains(t) {
+			yield()
 		}
 		return
 	}
-	pred, ok := fvpPred(fvp)
+	pred, ok := fvpPredBound(fvp, b)
 	if !ok {
 		return
 	}
@@ -547,67 +600,54 @@ func (w *windowState) eachHoldsAt(atom *lang.Term, s lang.Subst, yield func(lang
 		if !ent.list.Contains(t) {
 			continue
 		}
-		if n, ok := s.UnifyInto(fvp, ent.fvp); ok {
-			yield(n)
+		if mark := b.Mark(); b.Unify(fvp, ent.fvp) {
+			yield()
+			b.Undo(mark)
 		}
 	}
 }
 
-func (w *windowState) anyHoldsAt(atom *lang.Term, s lang.Subst) bool {
-	found := false
-	w.eachHoldsAt(atom, s, func(lang.Subst) { found = true })
-	return found
-}
-
 // --- statically determined fluents -----------------------------------------
 
-// intervalEnv binds interval variables (I, I1, ...) to interval lists during
-// the evaluation of a holdsFor rule body. Interval variables live in their
-// own namespace, distinct from the term substitution.
-type intervalEnv map[string]intervals.List
+// intervalBinding is one slot of a unit's interval environment: the list an
+// interval variable (I, I1, ...) is bound to while a holdsFor rule body is
+// evaluated. Interval variables live in their own namespace, distinct from
+// the term bindings: the environment is a second array over the same slots.
+// A variable bound to an empty list is still bound.
+type intervalBinding struct {
+	list  intervals.List
+	bound bool
+}
 
-func (env intervalEnv) clone() intervalEnv {
-	n := make(intervalEnv, len(env))
-	for k, v := range env {
-		n[k] = v
-	}
-	return n
+// withInterval solves rest with the interval variable bound to list, then
+// puts back whatever the variable held before, so sibling branches of the
+// search never see each other's bindings.
+func (re *ruleEval) withInterval(ivar *lang.Term, list intervals.List, rest []cond) {
+	slot := &re.ienv[ivar.Int-1]
+	saved := *slot
+	*slot = intervalBinding{list: list, bound: true}
+	re.solve(rest)
+	*slot = saved
 }
 
 func (w *windowState) evalSD(def *fluentDef) {
-	for _, rule := range def.holdsFor {
-		w.evalSDRule(def, rule)
+	for _, r := range def.holdsFor {
+		w.evalSDRule(def, r)
 	}
 }
 
-// evalSDRule evaluates one holdsFor rule. Each candidate substitution is one
+// evalSDRule evaluates one holdsFor rule. Each candidate binding is one
 // evaluation unit; candidates only read strictly lower strata, so they run
 // entity-sharded on the worker pool with slot-ordered merging, storing in
 // the same order the sequential evaluation would.
-func (w *windowState) evalSDRule(def *fluentDef, rule *lang.Clause) {
-	r := rule.RenameApart("_r")
-	headFVP := r.Head.Args[0]
-	headIvar := r.Head.Args[1]
-	cands := w.sdCandidates(def, r, headFVP)
-
+func (w *windowState) evalSDRule(def *fluentDef, r *rule) {
+	cands := w.sdCandidates(def, r)
 	w.runUnits(len(cands),
-		func(i int) uint64 { return lang.Hash(cands[i].Resolve(headFVP)) },
+		func(i int) uint64 { return cands[i].shard },
 		func(i int, re *ruleEval) {
-			re.solveSDBody(def, r.Body, cands[i], intervalEnv{}, func(final lang.Subst, env intervalEnv) {
-				fvp := final.Resolve(headFVP)
-				if !fvp.IsGround() {
-					re.warnf(def.ind, "holdsFor rule derives non-ground FVP %s; dropped", fvp)
-					return
-				}
-				out, ok := env[headIvar.Functor]
-				if !ok {
-					re.warnf(def.ind, "head interval variable %s is not produced by the body; dropped", headIvar)
-					return
-				}
-				if len(out) > 0 {
-					re.store(fvp, out)
-				}
-			})
+			re.begin(def, r, 0)
+			re.b.Load(cands[i].vals)
+			re.solve(r.body)
 		},
 		func(a act) {
 			if a.fvp == nil {
@@ -618,28 +658,38 @@ func (w *windowState) evalSDRule(def *fluentDef, rule *lang.Clause) {
 		})
 }
 
-// sdCandidates enumerates the candidate substitutions over which a holdsFor
-// rule is evaluated. With grounding declarations, the declared entity
-// domains are used. Otherwise candidates are derived from the cache: every
-// grounding of any positive holdsFor body condition contributes one, so
-// unions over fluent values see every relevant entity even when a
-// particular conjunct has no intervals (its list is then empty).
-func (w *windowState) sdCandidates(def *fluentDef, r *lang.Clause, headFVP *lang.Term) []lang.Subst {
-	if len(def.groundings) > 0 {
-		var out []lang.Subst
-		headFluent := headFVP.Args[0]
-		for gi, g := range def.groundings {
-			gr := g.RenameApart(fmt.Sprintf("_g%d", gi))
-			s0, ok := lang.NewSubst().UnifyInto(gr.Head.Args[0], headFluent)
-			if !ok {
+// sdCandidate is one starting point of a holdsFor rule's evaluation: a
+// snapshot of the rule's binding store, and the hash of the head FVP under
+// it (the unit's worker shard key).
+type sdCandidate struct {
+	vals  []*lang.Term
+	shard uint64
+}
+
+// sdCandidates enumerates the candidate bindings over which a holdsFor rule
+// is evaluated. With grounding declarations, the declared entity domains are
+// used. Otherwise candidates are derived from the cache: every grounding of
+// any positive holdsFor body condition contributes one, so unions over fluent
+// values see every relevant entity even when a particular conjunct has no
+// intervals (its list is then empty).
+func (w *windowState) sdCandidates(def *fluentDef, r *rule) []sdCandidate {
+	var out []sdCandidate
+	b := &w.seq.b
+	b.Reset(r.nvars)
+	add := func() {
+		out = append(out, sdCandidate{vals: b.Snapshot(), shard: lang.HashBound(r.head, b)})
+	}
+	if len(r.groundings) > 0 {
+		for _, g := range r.groundings {
+			if !b.Unify(g.fluent, r.head.Args[0]) {
 				continue
 			}
-			substs, err := w.eng.kb.Query(gr.Body, s0)
-			if err != nil {
+			n := len(out)
+			if err := w.eng.kb.Query(g.body, b, add); err != nil {
 				w.warnf(def.ind, "grounding declaration: %v", err)
-				continue
+				out = out[:n]
 			}
-			out = append(out, substs...)
+			b.Undo(0)
 		}
 		return out
 	}
@@ -649,164 +699,51 @@ func (w *windowState) sdCandidates(def *fluentDef, r *lang.Clause, headFVP *lang
 	// used to test.
 	in := w.eng.interner
 	seen := map[[2]lang.InternID]bool{}
-	var out []lang.Subst
-	for _, l := range r.Body {
-		if l.Neg || l.Atom.Functor != "holdsFor" || len(l.Atom.Args) != 2 {
+	for _, c := range r.body {
+		if c.neg || c.kind != condHoldsFor || len(c.atom.Args) != 2 {
 			continue
 		}
-		condFVP := l.Atom.Args[0]
+		condFVP := c.atom.Args[0]
 		pred, ok := fvpPred(condFVP)
 		if !ok {
 			continue
 		}
 		for _, ent := range w.byFluent[pred] {
-			n, ok := lang.NewSubst().UnifyInto(condFVP, ent.fvp)
-			if !ok {
+			if !b.Unify(condFVP, ent.fvp) {
 				continue
 			}
-			key := [2]lang.InternID{in.ID(n.Resolve(headFVP)), in.ID(n.Resolve(condFVP))}
-			if seen[key] {
-				continue
+			key := [2]lang.InternID{in.IDBound(r.head, b), in.IDBound(condFVP, b)}
+			if !seen[key] {
+				seen[key] = true
+				add()
 			}
-			seen[key] = true
-			out = append(out, n)
+			b.Undo(0)
 		}
 	}
 	if len(out) == 0 {
 		// A rule whose conditions are all interval constructs or atemporal
 		// (unusual) still gets one empty candidate.
-		out = append(out, lang.NewSubst())
+		add()
 	}
 	return out
 }
 
-// solveSDBody evaluates the body of a holdsFor rule under substitution s and
-// interval environment env. Like solveConditions, it runs inside an
-// evaluation unit and only reads the shared window state.
-func (re *ruleEval) solveSDBody(def *fluentDef, lits []lang.Literal, s lang.Subst, env intervalEnv, yield func(lang.Subst, intervalEnv)) {
-	if len(lits) == 0 {
-		yield(s, env)
-		return
-	}
-	w := re.w
-	lit := lits[0]
-	rest := lits[1:]
-	atom := lit.Atom
-
-	if atom.Kind == lang.Compound && kb.IsBuiltinPred(atom.Functor, len(atom.Args)) {
-		substs, _, err := kb.SolveBuiltin(atom, s)
-		if err != nil {
-			re.warnf(def.ind, "condition %s: %v", atom, err)
-			return
-		}
-		if lit.Neg {
-			if len(substs) == 0 {
-				re.solveSDBody(def, rest, s, env, yield)
-			}
-			return
-		}
-		for _, n := range substs {
-			re.solveSDBody(def, rest, n, env, yield)
-		}
-		return
-	}
-
-	switch atom.Functor {
-	case "holdsFor":
-		if lit.Neg {
-			re.warnf(def.ind, "negated holdsFor is not supported; use relative_complement_all")
-			return
-		}
-		if len(atom.Args) != 2 || atom.Args[1].Kind != lang.Var {
-			re.warnf(def.ind, "holdsFor condition %s must bind a fresh interval variable", atom)
-			return
-		}
-		ivar := atom.Args[1].Functor
-		fvp := s.Resolve(atom.Args[0])
-		if fvp.IsGround() {
-			n := env.clone()
-			n[ivar] = w.listOf(fvp)
-			re.solveSDBody(def, rest, s, n, yield)
-			return
-		}
-		pred, _ := fvpPred(fvp)
-		for _, ent := range w.byFluent[pred] {
-			if n, ok := s.UnifyInto(fvp, ent.fvp); ok {
-				ne := env.clone()
-				ne[ivar] = ent.list
-				re.solveSDBody(def, rest, n, ne, yield)
-			}
-		}
-
-	case "union_all", "intersect_all":
-		if len(atom.Args) != 2 || atom.Args[0].Kind != lang.List || atom.Args[1].Kind != lang.Var {
-			re.warnf(def.ind, "malformed interval construct %s", atom)
-			return
-		}
-		lists, ok := re.resolveIntervalLists(def, atom.Args[0].Args, env)
-		if !ok {
-			return
-		}
-		var out intervals.List
-		if atom.Functor == "union_all" {
-			out = intervals.Union(lists...)
-		} else {
-			out = intervals.Intersect(lists...)
-		}
-		n := env.clone()
-		n[atom.Args[1].Functor] = out
-		re.solveSDBody(def, rest, s, n, yield)
-
-	case "relative_complement_all":
-		if len(atom.Args) != 3 || atom.Args[0].Kind != lang.Var || atom.Args[1].Kind != lang.List || atom.Args[2].Kind != lang.Var {
-			re.warnf(def.ind, "malformed interval construct %s", atom)
-			return
-		}
-		base, ok := env[atom.Args[0].Functor]
-		if !ok {
-			re.warnf(def.ind, "interval variable %s used before being bound", atom.Args[0])
-			return
-		}
-		subtract, ok := re.resolveIntervalLists(def, atom.Args[1].Args, env)
-		if !ok {
-			return
-		}
-		n := env.clone()
-		n[atom.Args[2].Functor] = intervals.RelativeComplement(base, subtract...)
-		re.solveSDBody(def, rest, s, n, yield)
-
-	default: // atemporal background knowledge
-		matches := w.eng.kb.Match(atom, s)
-		if lit.Neg {
-			if len(matches) > 0 {
-				return
-			}
-			re.solveSDBody(def, rest, s, env, yield)
-			return
-		}
-		if len(matches) == 0 && len(w.eng.kb.FactsOfPred(atom.Pred())) == 0 {
-			re.warnf(def.ind, "unknown predicate %s; condition fails", atom.Indicator())
-		}
-		for _, n := range matches {
-			re.solveSDBody(def, rest, n, env, yield)
-		}
-	}
-}
-
-// resolveIntervalLists maps interval variables to their bound lists.
-func (re *ruleEval) resolveIntervalLists(def *fluentDef, vars []*lang.Term, env intervalEnv) ([]intervals.List, bool) {
-	out := make([]intervals.List, 0, len(vars))
+// intervalLists maps interval variables to their bound lists. The result is
+// the unit's scratch slice, valid until the next call.
+func (re *ruleEval) intervalLists(vars []*lang.Term) ([]intervals.List, bool) {
+	out := re.lists[:0]
 	for _, v := range vars {
 		if v.Kind != lang.Var {
-			re.warnf(def.ind, "interval construct argument %s is not a variable", v)
+			re.warnf(re.def.ind, "interval construct argument %s is not a variable", v)
 			return nil, false
 		}
-		l, ok := env[v.Functor]
-		if !ok {
-			re.warnf(def.ind, "interval variable %s used before being bound", v)
+		l := re.ienv[v.Int-1]
+		if !l.bound {
+			re.warnf(re.def.ind, "interval variable %s used before being bound", v)
 			return nil, false
 		}
-		out = append(out, l)
+		out = append(out, l.list)
 	}
+	re.lists = out
 	return out, true
 }

@@ -13,7 +13,7 @@ import (
 // This file implements entity-sharded parallel evaluation of one fluent's
 // rules. A "unit" is the smallest independently evaluable piece of work: one
 // (rule, anchor event) pair for a simple fluent, one (rule, candidate
-// substitution) pair for a statically determined one. Units of the same
+// binding) pair for a statically determined one. Units of the same
 // fluent never observe each other's results — simple-fluent rules store
 // nothing until every rule has run, and SD bodies only read strictly lower
 // strata — so they can run on parallel workers.
@@ -48,11 +48,32 @@ type act struct {
 // accumulate in buf for the ordered merge. t is the anchor time of the unit
 // being evaluated (simple-fluent rules only): warning acts carry it so the
 // delta layer can cache them per anchor time alongside emissions.
+//
+// The context also owns the unit's working memory — the binding store the
+// rule's variables are bound in, the interval environment of a holdsFor body
+// and a scratch slice — which begin re-sizes for each unit's rule without
+// releasing, so the units of a batch share one allocation of each.
 type ruleEval struct {
 	w     *windowState
 	apply func(act)
 	buf   []act
 	t     int64
+
+	def   *fluentDef
+	rule  *rule
+	b     lang.Bindings
+	ienv  []intervalBinding // holdsFor rules: interval variables by slot
+	lists []intervals.List  // scratch of intervalLists
+}
+
+// begin points the context at the unit about to run: rule r of fluent def,
+// anchored at time t (0 for a holdsFor rule), with an empty binding store.
+func (re *ruleEval) begin(def *fluentDef, r *rule, t int64) {
+	re.def, re.rule, re.t = def, r, t
+	re.b.Reset(r.nvars)
+	if r.ivar != nil && len(re.ienv) < r.nvars {
+		re.ienv = make([]intervalBinding, r.nvars)
+	}
 }
 
 func (re *ruleEval) put(a act) {
@@ -110,9 +131,10 @@ func (w *windowState) runUnits(n int, shard func(int) uint64, body func(int, *ru
 		workers = n
 	}
 	if workers <= 1 || n < minParallelUnits {
-		re := ruleEval{w: w, apply: apply}
+		re := &w.seq
+		re.apply = apply
 		for i := 0; i < n; i++ {
-			body(i, &re)
+			body(i, re)
 		}
 		return
 	}
@@ -135,11 +157,14 @@ func (w *windowState) runUnitsCollect(n int, shard func(int) uint64, body func(i
 	}
 	if workers <= 1 || n < minParallelUnits {
 		slots := make([][]act, n)
+		re := &w.seq
+		re.apply = nil
 		for i := 0; i < n; i++ {
-			re := ruleEval{w: w}
-			body(i, &re)
+			re.buf = nil
+			body(i, re)
 			slots[i] = re.buf
 		}
+		re.buf = nil
 		return slots
 	}
 	return w.runUnitsParallel(n, workers, shard, body)
@@ -172,8 +197,9 @@ func (w *windowState) runUnitsParallel(n, workers int, shard func(int) uint64, b
 		wg.Add(1)
 		go func(idx []int32) {
 			defer wg.Done()
+			re := ruleEval{w: w}
 			for _, i := range idx {
-				re := ruleEval{w: w}
+				re.buf = nil
 				body(int(i), &re)
 				slots[i] = re.buf
 			}

@@ -89,16 +89,23 @@ func assignmentDistance(na, nb int, dist func(i, j int) float64) (float64, error
 	if m == 0 {
 		return 0, nil
 	}
-	cost := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, m)
-	}
+	cost := squareMatrix(m)
 	fillCost(cost, m, k, dist)
 	_, total, err := hungarian.Solve(cost)
 	if err != nil {
 		return 0, err
 	}
 	return (float64(m-k) + total) / float64(m), nil
+}
+
+// squareMatrix returns a zeroed m×m matrix over one backing array.
+func squareMatrix(m int) [][]float64 {
+	cells := make([]float64, m*m)
+	rows := make([][]float64, m)
+	for i := range rows {
+		rows[i] = cells[i*m : (i+1)*m : (i+1)*m]
+	}
+	return rows
 }
 
 // minParallelCells is the matrix size below which the cost of spawning
@@ -212,11 +219,17 @@ func ExprDistance(u1, u2 *lang.Term, via, vib lang.VarInstances) float64 {
 // 1, and the total is normalised by M+1 where M is the size of the larger
 // body.
 func RuleDistance(r1, r2 *lang.Clause) (float64, error) {
+	return ruleDistance(r1, r2, lang.InstancesOfRule(r1), lang.InstancesOfRule(r2))
+}
+
+// ruleDistance is RuleDistance over precomputed variable-instance lists
+// (via of r1, vib of r2), so a caller comparing many rule pairs derives each
+// rule's lists once.
+func ruleDistance(r1, r2 *lang.Clause, via, vib lang.VarInstances) (float64, error) {
 	if len(r1.Body) < len(r2.Body) {
 		r1, r2 = r2, r1
+		via, vib = vib, via
 	}
-	via := lang.InstancesOfRule(r1)
-	vib := lang.InstancesOfRule(r2)
 	m, k := len(r1.Body), len(r2.Body)
 	headDist := ExprDistance(r1.Head, r2.Head, via, vib)
 	if m == 0 {
@@ -230,9 +243,8 @@ func RuleDistance(r1, r2 *lang.Clause) (float64, error) {
 	for j, l := range r2.Body {
 		b2[j] = l.Term()
 	}
-	cost := make([][]float64, m)
+	cost := squareMatrix(m)
 	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, m)
 		for j := 0; j < k; j++ {
 			cost[i][j] = ExprDistance(b1[i], b2[j], via, vib)
 		}
@@ -255,8 +267,9 @@ func RuleSimilarity(r1, r2 *lang.Clause) (float64, error) {
 // the larger set KB1 (M rules) and the smaller KB2 (K rules), with every
 // unmatched rule penalised by 1, normalised by M.
 func Distance(kb1, kb2 []*lang.Clause) (float64, error) {
+	vi1, vi2 := instancesOfRules(kb1), instancesOfRules(kb2)
 	return assignmentDistance(len(kb1), len(kb2), func(i, j int) float64 {
-		d, err := RuleDistance(kb1[i], kb2[j])
+		d, err := ruleDistance(kb1[i], kb2[j], vi1[i], vi2[j])
 		if err != nil {
 			// RuleDistance only fails on a non-finite cost matrix, which
 			// cannot arise from ExprDistance values in [0,1].
@@ -264,6 +277,14 @@ func Distance(kb1, kb2 []*lang.Clause) (float64, error) {
 		}
 		return d
 	})
+}
+
+func instancesOfRules(rules []*lang.Clause) []lang.VarInstances {
+	out := make([]lang.VarInstances, len(rules))
+	for i, r := range rules {
+		out[i] = lang.InstancesOfRule(r)
+	}
+	return out
 }
 
 // Similarity is 1 - Distance: the headline metric of the paper, in [0,1],

@@ -34,14 +34,42 @@ type Stream []Event
 // Sort orders the stream by time, breaking ties by the rendered source text
 // of the atom so same-timestamp events have one canonical order regardless
 // of arrival order. The sort is stable, so events whose time AND text
-// coincide (exact duplicates) keep their relative arrival order.
+// coincide (exact duplicates) keep their relative arrival order. Each atom
+// is rendered at most once, and only when it ties on time with a neighbour;
+// an already sorted stream returns after one linear pass.
 func (s Stream) Sort() {
-	sort.SliceStable(s, func(i, j int) bool {
+	keys := make([]string, len(s))
+	// before reports whether event i must precede event j.
+	before := func(i, j int) bool {
 		if s[i].Time != s[j].Time {
 			return s[i].Time < s[j].Time
 		}
-		return s[i].Atom.String() < s[j].Atom.String()
-	})
+		if keys[i] == "" {
+			keys[i] = s[i].Atom.String()
+		}
+		if keys[j] == "" {
+			keys[j] = s[j].Atom.String()
+		}
+		return keys[i] < keys[j]
+	}
+	sorted := true
+	for i := 1; i < len(s) && sorted; i++ {
+		sorted = !before(i, i-1)
+	}
+	if sorted {
+		return
+	}
+	// Sort a permutation, so the cached renderings stay addressable by the
+	// events' original positions while elements move.
+	idx := make([]int, len(s))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return before(idx[a], idx[b]) })
+	orig := append(Stream(nil), s...)
+	for i, k := range idx {
+		s[i] = orig[k]
+	}
 }
 
 // Dedup removes exact duplicates — events with the same time-point and the
