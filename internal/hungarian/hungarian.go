@@ -37,14 +37,13 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 	p := make([]int, n+1)
 	way := make([]int, n+1)
 
-	minv := make([]float64, n+1)
-	used := make([]bool, n+1)
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
+		minv := make([]float64, n+1)
+		used := make([]bool, n+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
-			used[j] = false
 		}
 		for {
 			used[j0] = true

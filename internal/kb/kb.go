@@ -169,7 +169,8 @@ func (k *KB) Materialize() error {
 // insertion order: for each one b is extended in place, yield is called, and
 // the extension is undone. Goals whose first argument is ground use the
 // first-argument index, so e.g. vesselType(v17, Type) is a constant-time
-// lookup regardless of fleet size.
+// lookup regardless of fleet size. Only variables numbered into b's slot
+// space bind (see lang.Bindings); any other variable matches nothing.
 func (k *KB) Match(goal *lang.Term, b *lang.Bindings, yield func()) {
 	goal = b.Walk(goal)
 	candidates := k.facts[goal.Pred()]

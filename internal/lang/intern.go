@@ -33,14 +33,10 @@ func (t *Term) Pred() PredKey {
 	return PredKey{Functor: t.Functor, Arity: len(t.Args)}
 }
 
-// Hash returns a structural FNV-1a hash of the term: structurally equal
-// terms (in the sense of Equal) hash identically.
-func Hash(t *Term) uint64 {
-	return hashTerm(fnvOffset, t, nil)
-}
-
-// HashBound is Hash(b.Resolve(t)) without building the resolved term.
-func HashBound(t *Term, b *Bindings) uint64 {
+// Hash returns a structural FNV-1a hash of the term t denotes under b (nil
+// for a term taken as written), without building the resolved term:
+// structurally equal terms (in the sense of Equal) hash identically.
+func Hash(t *Term, b *Bindings) uint64 {
 	return hashTerm(fnvOffset, t, b)
 }
 
@@ -94,10 +90,14 @@ func hashTerm(h uint64, t *Term, b *Bindings) uint64 {
 type InternID int32
 
 // Interner maps structurally-equal terms to stable IDs and caches each
-// term's canonical rendering. It is safe for concurrent use: lookups take a
-// read lock, insertions a write lock. Within the RTEC engine, insertions
-// only happen on the sequential merge path, so parallel rule evaluation
-// contends only on the read lock.
+// term's canonical rendering. Its methods take the term together with the
+// bindings to read it through (nil for a term taken as written) and never
+// build the resolved term except to store it. A stored term carries no
+// variable slots, so a non-ground term handed back by TermOf cannot be
+// mistaken for one numbered into the caller's binding store. It is safe for
+// concurrent use: lookups take a read lock, insertions a write lock. Within
+// the RTEC engine, insertions only happen on the sequential merge path, so
+// parallel rule evaluation contends only on the read lock.
 type Interner struct {
 	mu      sync.RWMutex
 	buckets map[uint64][]InternID
@@ -111,14 +111,11 @@ func NewInterner() *Interner {
 }
 
 // Lookup returns the ID of a previously interned term structurally equal to
-// t, without interning it on a miss.
-func (in *Interner) Lookup(t *Term) (InternID, bool) { return in.LookupBound(t, nil) }
-
-// LookupBound is Lookup(b.Resolve(t)) without building the resolved term.
-func (in *Interner) LookupBound(t *Term, b *Bindings) (InternID, bool) {
+// t under b, without interning it on a miss.
+func (in *Interner) Lookup(t *Term, b *Bindings) (InternID, bool) {
 	in.mu.RLock()
 	defer in.mu.RUnlock()
-	return in.find(HashBound(t, b), t, b)
+	return in.find(Hash(t, b), t, b)
 }
 
 // find scans hash bucket h for the term t denotes under b. The caller holds
@@ -132,21 +129,18 @@ func (in *Interner) find(h uint64, t *Term, b *Bindings) (InternID, bool) {
 	return 0, false
 }
 
-// ID interns t (if new) and returns its stable ID. The canonical rendering
-// is computed once, at first interning.
-func (in *Interner) ID(t *Term) InternID { return in.IDBound(t, nil) }
-
-// IDBound is ID(b.Resolve(t)); the resolved term is only built the first
-// time it is interned.
-func (in *Interner) IDBound(t *Term, b *Bindings) InternID {
-	h := HashBound(t, b)
+// ID interns the term t denotes under b (if new) and returns its stable ID.
+// The resolved term and its canonical rendering are built once, at first
+// interning.
+func (in *Interner) ID(t *Term, b *Bindings) InternID {
+	h := Hash(t, b)
 	in.mu.RLock()
 	id, ok := in.find(h, t, b)
 	in.mu.RUnlock()
 	if ok {
 		return id
 	}
-	t = b.Resolve(t)
+	t = Unnumbered(b.Resolve(t))
 	in.mu.Lock()
 	defer in.mu.Unlock()
 	// Re-check: another goroutine may have interned t between the locks.

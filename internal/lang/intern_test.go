@@ -12,10 +12,10 @@ func TestInternerStructuralIdentity(t *testing.T) {
 	b := NewCompound("=", NewCompound("trawling", NewAtom("v1")), NewAtom("true"))
 	c := NewCompound("=", NewCompound("trawling", NewAtom("v2")), NewAtom("true"))
 
-	if Hash(a) != Hash(b) {
+	if Hash(a, nil) != Hash(b, nil) {
 		t.Fatalf("structurally equal terms hash differently")
 	}
-	ida, idb, idc := in.ID(a), in.ID(b), in.ID(c)
+	ida, idb, idc := in.ID(a, nil), in.ID(b, nil), in.ID(c, nil)
 	if ida != idb {
 		t.Fatalf("equal terms got distinct IDs %d and %d", ida, idb)
 	}
@@ -31,10 +31,10 @@ func TestInternerStructuralIdentity(t *testing.T) {
 	if in.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", in.Len())
 	}
-	if _, ok := in.Lookup(b); !ok {
+	if _, ok := in.Lookup(b, nil); !ok {
 		t.Fatalf("Lookup missed an interned term")
 	}
-	if _, ok := in.Lookup(NewAtom("never")); ok {
+	if _, ok := in.Lookup(NewAtom("never"), nil); ok {
 		t.Fatalf("Lookup found a term that was never interned")
 	}
 }
@@ -47,7 +47,7 @@ func TestInternerKindDiscrimination(t *testing.T) {
 	}
 	seen := map[InternID]int{}
 	for i, c := range cases {
-		id := in.ID(c)
+		id := in.ID(c, nil)
 		if prev, dup := seen[id]; dup {
 			t.Fatalf("terms %v and %v (different kinds) share an ID", cases[prev], c)
 		}
@@ -67,7 +67,7 @@ func TestInternerConcurrent(t *testing.T) {
 			ids[g] = make([]InternID, terms)
 			for i := 0; i < terms; i++ {
 				term := NewCompound("p", NewAtom(fmt.Sprintf("e%d", i)))
-				ids[g][i] = in.ID(term)
+				ids[g][i] = in.ID(term, nil)
 			}
 		}(g)
 	}

@@ -6,7 +6,6 @@
 package lang
 
 import (
-	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -314,7 +313,6 @@ func isInfix(t *Term) (prec int, ok bool) {
 // String renders t in the concrete RTEC dialect accepted by internal/parser.
 func (t *Term) String() string {
 	var b strings.Builder
-	b.Grow(48) // most atoms and FVPs fit: one allocation instead of a doubling series
 	t.write(&b)
 	return b.String()
 }
@@ -357,7 +355,7 @@ func (t *Term) write(b *strings.Builder) {
 	case Int:
 		b.WriteString(strconv.FormatInt(t.Int, 10))
 	case Float:
-		writeFloat(b, t.Float)
+		b.WriteString(formatFloat(t.Float))
 	case Str:
 		b.WriteString(strconv.Quote(t.Text))
 	case List:
@@ -417,15 +415,14 @@ func (t *Term) writeInfixArg(b *strings.Builder, a *Term, parentPrec int, right 
 	a.write(b)
 }
 
-// writeFloat renders a float so it parses back as a float: integral values
+// formatFloat renders a float so it parses back as a float: integral values
 // keep a ".0" suffix.
-func writeFloat(b *strings.Builder, v float64) {
-	var buf [32]byte
-	s := strconv.AppendFloat(buf[:0], v, 'g', -1, 64)
-	b.Write(s)
-	if !bytes.ContainsAny(s, ".eE") {
-		b.WriteString(".0")
+func formatFloat(v float64) string {
+	s := strconv.FormatFloat(v, 'g', -1, 64)
+	if !strings.ContainsAny(s, ".eE") {
+		s += ".0"
 	}
+	return s
 }
 
 // SortTerms sorts a slice of terms in the standard order, in place.

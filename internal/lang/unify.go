@@ -7,6 +7,12 @@ package lang
 // and Resolve follow such chains. The zero value (and a nil *Bindings) is a
 // store with no slots, good for terms without numbered variables; Reset
 // sizes it. A Bindings is not safe for concurrent use.
+//
+// Only the variables numbered into the store's slot space can be bound. A
+// variable without a slot — one in a term that reached the store as data,
+// such as a non-ground input event — is a constant to the store: it is never
+// bound, unifies only with a variable of its own name, and keeps the term it
+// occurs in non-ground.
 type Bindings struct {
 	vals  []*Term // by slot; nil means unbound
 	trail []int32 // bound slots, in binding order
@@ -47,9 +53,6 @@ func (b *Bindings) Load(vals []*Term) {
 }
 
 func (b *Bindings) bind(v, t *Term) {
-	if v.Int == 0 {
-		panic("lang: variable " + v.Functor + " has no slot: number the term with a VarTable before unifying it")
-	}
 	b.vals[v.Int-1] = t
 	b.trail = append(b.trail, int32(v.Int-1))
 }
@@ -132,6 +135,10 @@ func (b *Bindings) Equal(t, o *Term) bool {
 	return true
 }
 
+// bindable reports whether t, already walked, is an unbound variable of the
+// store's slot space.
+func bindable(t *Term) bool { return t.Kind == Var && t.Int != 0 }
+
 // sameVar reports whether two unbound variables are the same variable.
 func sameVar(x, y *Term) bool { return x.Int == y.Int && x.Functor == y.Functor }
 
@@ -166,7 +173,7 @@ func (b *Bindings) Unify(x, y *Term) bool {
 
 func (b *Bindings) unify(x, y *Term) bool {
 	x, y = b.Walk(x), b.Walk(y)
-	if x.Kind == Var {
+	if bindable(x) {
 		if y.Kind == Var && sameVar(x, y) {
 			return true
 		}
@@ -176,7 +183,7 @@ func (b *Bindings) unify(x, y *Term) bool {
 		b.bind(x, y)
 		return true
 	}
-	if y.Kind == Var {
+	if bindable(y) {
 		if b.occurs(y, x) {
 			return false
 		}
@@ -190,7 +197,7 @@ func (b *Bindings) unify(x, y *Term) bool {
 		return xok && yok && nx == ny
 	}
 	switch x.Kind {
-	case Atom:
+	case Var, Atom: // a Var here has no slot: a constant
 		return x.Functor == y.Functor
 	case Int:
 		return x.Int == y.Int

@@ -167,6 +167,14 @@ func TestNumberClause(t *testing.T) {
 	if c.Head.Args[0].Int != 0 {
 		t.Fatal("numbering mutated the source clause")
 	}
+	// Unnumbered undoes it, sharing what holds no variable.
+	u := Unnumbered(n.Head)
+	if u.Args[0].Int != 0 || u.String() != c.Head.String() || u.Args[1] != ground || Unnumbered(ground) != ground {
+		t.Fatalf("Unnumbered(%s) = %s with slot %d", n.Head, u, u.Args[0].Int)
+	}
+	if n.Head.Args[0].Int != 1 {
+		t.Fatal("Unnumbered mutated the numbered term")
+	}
 }
 
 func TestResolveSharesUnchangedSubtrees(t *testing.T) {
@@ -194,50 +202,72 @@ func TestUnifyOccursCheck(t *testing.T) {
 	}
 }
 
-// TestUnifyUnnumberedVariablePanics: binding a variable that was never given
-// a slot is a bug in the caller, reported as such rather than as an index
-// error.
-func TestUnifyUnnumberedVariablePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("binding an unnumbered variable did not panic")
-		}
-	}()
-	new(Bindings).Unify(NewVar("X"), NewAtom("a"))
+// TestUnifySlotlessVariableIsConstant: a variable that was never numbered
+// into the store (one inside a non-ground input event, say) is data. It is
+// never bound, it unifies with a variable of its own name only, a numbered
+// variable can be bound to it, and the term holding it stays non-ground.
+func TestUnifySlotlessVariableIsConstant(t *testing.T) {
+	free := NewVar("Area")
+	ts, s := numbered(NewCompound("enters", NewVar("V"), NewAtom("a1")), NewCompound("enters", NewVar("V"), NewVar("A")))
+	event := NewCompound("enters", NewAtom("v2"), free)
+	if s.Unify(ts[0], event) || s.Mark() != 0 {
+		t.Fatal("a slot-less variable unified with a constant, or the failure left a binding")
+	}
+	if new(Bindings).Unify(free, NewAtom("a1")) || new(Bindings).Unify(NewAtom("a1"), free) || new(Bindings).Unify(free, NewVar("Other")) {
+		t.Fatal("a slot-less variable unified with something other than itself")
+	}
+	if !new(Bindings).Unify(free, NewVar("Area")) {
+		t.Fatal("a slot-less variable does not unify with itself")
+	}
+	if !s.Unify(ts[1], event) {
+		t.Fatal("numbered variables did not bind to the event's arguments")
+	}
+	if got := s.Resolve(ts[1]); got.String() != "enters(v2, Area)" || s.IsGround(ts[1]) {
+		t.Fatalf("resolved %s (ground: %v), want the non-ground enters(v2, Area)", got, s.IsGround(ts[1]))
+	}
 }
 
-// TestBoundViews: Equal, IsGround, HashBound and the interner's bound
-// lookups see a term through the store exactly as they would see its
+// TestBoundViews: Equal, IsGround, Hash and the interner's lookups see a term through the store exactly as they would see its
 // resolved copy.
 func TestBoundViews(t *testing.T) {
 	ts, s := numbered(FVP(NewCompound("withinArea", NewVar("Vl"), NewVar("Area")), NewAtom("true")))
 	fvp := ts[0]
 	ground := FVP(NewCompound("withinArea", NewAtom("v1"), NewAtom("fishing")), NewAtom("true"))
 	in := NewInterner()
-	id := in.ID(ground)
+	id := in.ID(ground, nil)
 	if s.IsGround(fvp) || s.Equal(fvp, ground) {
 		t.Fatal("unbound FVP reported ground or equal")
 	}
-	if _, ok := in.LookupBound(fvp, s); ok {
+	if _, ok := in.Lookup(fvp, s); ok {
 		t.Fatal("unbound FVP found in the interner")
 	}
 	if !s.Unify(fvp, ground) {
 		t.Fatal("unification failed")
 	}
-	if !s.IsGround(fvp) || !s.Equal(fvp, ground) || HashBound(fvp, s) != Hash(ground) {
+	if !s.IsGround(fvp) || !s.Equal(fvp, ground) || Hash(fvp, s) != Hash(ground, nil) {
 		t.Fatal("bound FVP does not look like its resolved copy")
 	}
-	if got, ok := in.LookupBound(fvp, s); !ok || got != id || in.IDBound(fvp, s) != id {
-		t.Fatalf("LookupBound = %d, %v, want %d", got, ok, id)
+	if got, ok := in.Lookup(fvp, s); !ok || got != id || in.ID(fvp, s) != id {
+		t.Fatalf("Lookup = %d, %v, want %d", got, ok, id)
 	}
 	if in.Len() != 1 {
-		t.Fatalf("IDBound interned a second copy: Len = %d", in.Len())
+		t.Fatalf("ID interned a second copy: Len = %d", in.Len())
 	}
 	// A non-ground term interns under its variable names, bound or not.
 	s.Undo(0)
-	nid := in.IDBound(fvp, s)
-	if nid == id || in.StringOf(nid) != "withinArea(Vl, Area)=true" || in.ID(s.Resolve(fvp)) != nid {
+	nid := in.ID(fvp, s)
+	if nid == id || in.StringOf(nid) != "withinArea(Vl, Area)=true" || in.ID(s.Resolve(fvp), nil) != nid {
 		t.Fatalf("non-ground intern: id %d, %q", nid, in.StringOf(nid))
+	}
+	// The stored copy has shed the slots, so reading it through an unrelated
+	// store cannot pick up that store's bindings.
+	var other Bindings
+	other.Reset(2)
+	if !other.Unify((&VarTable{}).Number(NewVar("Q")), NewAtom("wrong")) {
+		t.Fatal("setup: binding slot 1 of the other store failed")
+	}
+	if got := other.Resolve(in.TermOf(nid)).String(); got != "withinArea(Vl, Area)=true" {
+		t.Fatalf("interned non-ground term read through a foreign store as %s", got)
 	}
 }
 

@@ -33,3 +33,16 @@ func (vt *VarTable) numbered(v *Term) *Term {
 	}
 	return &Term{Kind: Var, Functor: v.Functor, Int: slot, Pos: v.Pos}
 }
+
+// Unnumbered returns t with its variables' slots removed: the term as it
+// would parse back from its rendering. A term leaving the slot space it was
+// numbered in (an emitted non-ground FVP, an interned pattern) is unnumbered
+// first; a consumer numbers it afresh. Ground terms are returned as-is.
+func Unnumbered(t *Term) *Term {
+	return mapVars(t, func(v *Term) *Term {
+		if v.Int == 0 {
+			return v
+		}
+		return &Term{Kind: Var, Functor: v.Functor, Pos: v.Pos}
+	})
+}

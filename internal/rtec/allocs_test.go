@@ -13,7 +13,7 @@ import (
 // EXPERIMENTS.md "Compiled rules"), so rule evaluation that starts copying
 // bindings or re-deriving per-rule analyses per window again fails here
 // long before it shows in a wall-clock benchmark.
-const windowAllocCeiling = 7600
+const windowAllocCeiling = 15400
 
 func TestWindowAllocCeiling(t *testing.T) {
 	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})

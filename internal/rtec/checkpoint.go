@@ -373,6 +373,9 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 		if err != nil {
 			return fmt.Errorf("rtec: checkpoint event %q: %w", ce.Atom, err)
 		}
+		if !atom.IsGround() {
+			return fmt.Errorf("rtec: checkpoint event %q is not ground", ce.Atom)
+		}
 		buffered = append(buffered, stream.Event{Time: ce.T, Atom: atom})
 	}
 	st.reorder = stream.NewReorderFromState(st.opts.MaxDelay, stream.ReorderState{

@@ -1,6 +1,7 @@
 package rtec
 
 import (
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,6 +9,7 @@ import (
 	"testing"
 
 	"rtecgen/internal/fleet"
+	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
@@ -229,5 +231,94 @@ func TestCompileRule(t *testing.T) {
 	}
 	if v, g0 := sd.head.Args[0].Args[0], sd.groundings[0].fluent.Args[0]; v.Int == g0.Int {
 		t.Errorf("rule variable %s and grounding variable %s share slot %d", v, g0, v.Int)
+	}
+}
+
+// TestNonGroundEventDoesNotBind: events reach the engine unnumbered, so a
+// variable inside one (which the stream readers reject, but a hand-built
+// stream may carry) is data to the rules — it matches no constant, a rule
+// variable can take it as its value, and the FVP that value lands in is
+// dropped as non-ground. The engine says the same at any worker count, in the
+// batch and the streaming run, and does not crash.
+func TestNonGroundEventDoesNotBind(t *testing.T) {
+	const ed = `
+inputEvent(entersArea(_, _)).
+initiatedAt(inArea(Vl)=true, T) :- happensAt(entersArea(Vl, a1), T).
+initiatedAt(within(Vl, Area)=true, T) :- happensAt(entersArea(Vl, Area), T).
+`
+	events := stream.Stream{
+		ev(1, "entersArea(v1, a1)"),
+		ev(2, "entersArea(v2, Area)"),
+		ev(3, "entersArea(V17, a1)"),
+		ev(9, "entersArea(v3, a2)"),
+	}
+	for i := 0; i < 12; i++ { // enough units for the worker pool to engage
+		events = append(events, ev(9, fmt.Sprintf("entersArea(w%d, a2)", i)))
+	}
+	var want string
+	for _, workers := range []int{1, 4} {
+		e := mustEngine(t, ed, Options{Strict: true, Workers: workers})
+		rec, err := e.Run(events, RunOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIntervals(t, rec, "inArea(v1)=true", intervals.List{ivl(2, 10)})
+		checkIntervals(t, rec, "within(v1, a1)=true", intervals.List{ivl(2, 10)})
+		for _, key := range rec.Keys() {
+			if strings.Contains(key, "v2") || strings.Contains(key, "V17") {
+				t.Errorf("workers %d: non-ground event recognised as %s", workers, key)
+			}
+		}
+		var warned []string
+		for _, w := range rec.Warnings {
+			warned = append(warned, w.Msg)
+		}
+		got := strings.Join(rec.Keys(), "\n") + "\n" + strings.Join(warned, "\n")
+		for _, msg := range []string{
+			"initiatedAt rule derives non-ground FVP within(v2, Area)=true; occurrence dropped",
+			"initiatedAt rule derives non-ground FVP inArea(V17)=true; occurrence dropped",
+		} {
+			if !strings.Contains(got, msg) {
+				t.Errorf("workers %d: missing warning %q in\n%s", workers, msg, got)
+			}
+		}
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("workers %d differs from workers 1:\n%s\nvs\n%s", workers, got, want)
+		}
+
+		sres, err := e.RunStream(events, StreamOptions{RunOptions: RunOptions{Window: 4}, MaxDelay: 2}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkIntervals(t, sres.Recognition, "inArea(v1)=true", intervals.List{ivl(2, 10)})
+	}
+}
+
+// TestResumeRejectsNonGroundCheckpointEvent: a checkpoint whose reorder
+// buffer holds a non-ground event (one written before the readers refused
+// them) is refused with an error naming the event.
+func TestResumeRejectsNonGroundCheckpointEvent(t *testing.T) {
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	arrivals := stream.Stream{
+		ev(2, "entersArea(v1, a1)"),
+		ev(12, "entersArea(v2, a1)"),
+		ev(24, "entersArea(v3, Area)"),
+		ev(25, "gap_start(v9)"),
+		ev(38, "leavesArea(v1, a1)"),
+	}
+	opts := StreamOptions{
+		RunOptions:      RunOptions{Window: 10, Start: 0, End: 40},
+		MaxDelay:        20,
+		CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
+		CheckpointEvery: 1,
+	}
+	if _, err := e.RunStream(arrivals, opts, crashAfter(2)); !errors.Is(err, errCrash) {
+		t.Fatalf("interrupted run err = %v, want crash", err)
+	}
+	_, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
+	if err == nil || !strings.Contains(err.Error(), `checkpoint event "entersArea(v3, Area)" is not ground`) {
+		t.Fatalf("resume err = %v, want the non-ground event named", err)
 	}
 }

@@ -204,7 +204,7 @@ func symDiff(a, b intervals.List) intervals.List {
 func (w *windowState) replaySimpleRule(events []stream.Event, prevActs map[int64][]act, rec map[int64][]act, unit func(int, *ruleEval), apply func(act)) {
 	d := w.delta
 	dirty := w.curDirty
-	var recompute []int
+	recompute := make([]int, 0, len(events))
 	for i, ev := range events {
 		if dirty.Contains(ev.Time) {
 			recompute = append(recompute, i)
@@ -533,7 +533,7 @@ func (st *streamRun) loadDeltaSidecar(cp *Checkpoint) (*deltaState, bool) {
 			if err != nil {
 				return nil, false
 			}
-			fd.lists[in.ID(fvp)] = listEntry{fvp: fvp, list: list}
+			fd.lists[in.ID(fvp, nil)] = listEntry{fvp: fvp, list: list}
 		}
 		ds.fluents[cf.Ind] = fd
 	}

@@ -492,11 +492,9 @@ func fluentKeyOf(fvp *lang.Term) string {
 }
 
 // fvpPred returns the predicate key of the fluent inside an FVP term
-// '='(F, V); ok is false for any other term shape.
-func fvpPred(fvp *lang.Term) (lang.PredKey, bool) { return fvpPredBound(fvp, nil) }
-
-// fvpPredBound is fvpPred of the FVP term under the bindings b.
-func fvpPredBound(fvp *lang.Term, b *lang.Bindings) (lang.PredKey, bool) {
+// '='(F, V), read through the bindings b (nil for a term taken as written);
+// ok is false for any other term shape.
+func fvpPred(fvp *lang.Term, b *lang.Bindings) (lang.PredKey, bool) {
 	if fvp = b.Walk(fvp); fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 {
 		if f := b.Walk(fvp.Args[0]); f.IsCallable() {
 			return f.Pred(), true

@@ -93,7 +93,7 @@ func newWindowState(e *Engine, events stream.Stream, ws, we int64, prevOpen map[
 		w.openByFluent = map[lang.PredKey][]*lang.Term{}
 		for _, k := range keys {
 			fvp := prevOpen[k]
-			if pred, ok := fvpPred(fvp); ok {
+			if pred, ok := fvpPred(fvp, nil); ok {
 				w.openByFluent[pred] = append(w.openByFluent[pred], fvp)
 			}
 		}
@@ -125,13 +125,13 @@ func (w *windowState) warn(wn Warning) {
 
 // store unions list into the cache entry for the ground FVP.
 func (w *windowState) store(fvp *lang.Term, list intervals.List) {
-	id := w.eng.interner.ID(fvp)
+	id := w.eng.interner.ID(fvp, nil)
 	if ent, ok := w.cache[id]; ok {
 		ent.list = intervals.Union(ent.list, list)
 		return
 	}
 	ent := &cacheEntry{fvp: fvp, id: id, list: list}
-	if pred, ok := fvpPred(fvp); ok {
+	if pred, ok := fvpPred(fvp, nil); ok {
 		ent.fluent = pred
 		w.byFluent[pred] = append(w.byFluent[pred], ent)
 	}
@@ -144,7 +144,7 @@ func (w *windowState) store(fvp *lang.Term, list intervals.List) {
 // string and takes only a read lock, making it safe and cheap from parallel
 // workers.
 func (w *windowState) listOf(fvp *lang.Term, b *lang.Bindings) intervals.List {
-	id, ok := w.eng.interner.LookupBound(fvp, b)
+	id, ok := w.eng.interner.Lookup(fvp, b)
 	if !ok {
 		return nil
 	}
@@ -245,10 +245,10 @@ func (w *windowState) evalSimple(def *fluentDef) {
 	in := w.eng.interner
 	points := map[lang.InternID]*fvpPoints{}
 	get := func(fvp *lang.Term) *fvpPoints {
-		id := in.ID(fvp)
+		id := in.ID(fvp, nil)
 		p, ok := points[id]
 		if !ok {
-			p = &fvpPoints{fvp: fvp, id: id, fluentPart: in.ID(fvp.Args[0])}
+			p = &fvpPoints{fvp: fvp, id: id, fluentPart: in.ID(fvp.Args[0], nil)}
 			points[id] = p
 		}
 		return p
@@ -293,8 +293,8 @@ func (w *windowState) evalSimple(def *fluentDef) {
 	}
 	b := &w.seq.b
 	for _, wc := range wildcards {
-		// A pattern replayed from a restored delta sidecar has lost its
-		// slots, so every pattern is numbered afresh.
+		// An emitted pattern carries no slots (see derived), whichever rule,
+		// window or restored delta sidecar it comes from: number it here.
 		var vt lang.VarTable
 		pattern := vt.Number(wc.pattern)
 		b.Reset(vt.Len())
@@ -458,7 +458,7 @@ func (re *ruleEval) solve(conds []cond) {
 			re.withInterval(ivar, w.listOf(fvp, b), rest)
 			return
 		}
-		pred, _ := fvpPredBound(fvp, b)
+		pred, _ := fvpPred(fvp, b)
 		for _, ent := range w.byFluent[pred] {
 			if mark := b.Mark(); b.Unify(fvp, ent.fvp) {
 				re.withInterval(ivar, ent.list, rest)
@@ -519,14 +519,15 @@ func (re *ruleEval) each(c *cond, yield func()) {
 // occurrence of the head FVP at the anchor time for a simple-fluent rule, the
 // head interval variable's list for a holdsFor rule. The head is the one term
 // a unit builds, and only the first time: an FVP the engine has interned
-// before is reused.
+// before is reused. Either way a non-ground head leaves the unit without the
+// rule's slots, so no consumer can read it through another rule's store.
 func (re *ruleEval) derived() {
 	r, in := re.rule, re.w.eng.interner
 	var fvp *lang.Term
-	if id, ok := in.LookupBound(r.head, &re.b); ok {
+	if id, ok := in.Lookup(r.head, &re.b); ok {
 		fvp = in.TermOf(id)
 	} else {
-		fvp = re.b.Resolve(r.head)
+		fvp = lang.Unnumbered(re.b.Resolve(r.head))
 	}
 	if r.ivar == nil {
 		re.emit(fvp, re.t)
@@ -592,7 +593,7 @@ func (re *ruleEval) eachHoldsAt(atom *lang.Term, yield func()) {
 		}
 		return
 	}
-	pred, ok := fvpPredBound(fvp, b)
+	pred, ok := fvpPred(fvp, b)
 	if !ok {
 		return
 	}
@@ -677,7 +678,7 @@ func (w *windowState) sdCandidates(def *fluentDef, r *rule) []sdCandidate {
 	b := &w.seq.b
 	b.Reset(r.nvars)
 	add := func() {
-		out = append(out, sdCandidate{vals: b.Snapshot(), shard: lang.HashBound(r.head, b)})
+		out = append(out, sdCandidate{vals: b.Snapshot(), shard: lang.Hash(r.head, b)})
 	}
 	if len(r.groundings) > 0 {
 		for _, g := range r.groundings {
@@ -704,7 +705,7 @@ func (w *windowState) sdCandidates(def *fluentDef, r *rule) []sdCandidate {
 			continue
 		}
 		condFVP := c.atom.Args[0]
-		pred, ok := fvpPred(condFVP)
+		pred, ok := fvpPred(condFVP, nil)
 		if !ok {
 			continue
 		}
@@ -712,7 +713,7 @@ func (w *windowState) sdCandidates(def *fluentDef, r *rule) []sdCandidate {
 			if !b.Unify(condFVP, ent.fvp) {
 				continue
 			}
-			key := [2]lang.InternID{in.IDBound(r.head, b), in.IDBound(condFVP, b)}
+			key := [2]lang.InternID{in.ID(r.head, b), in.ID(condFVP, b)}
 			if !seen[key] {
 				seen[key] = true
 				add()

@@ -101,9 +101,9 @@ func (re *ruleEval) store(fvp *lang.Term, list intervals.List) { re.put(act{fvp:
 // the same entity land on the same worker.
 func eventEntity(ev stream.Event) uint64 {
 	if len(ev.Atom.Args) > 0 {
-		return lang.Hash(ev.Atom.Args[0])
+		return lang.Hash(ev.Atom.Args[0], nil)
 	}
-	return lang.Hash(ev.Atom)
+	return lang.Hash(ev.Atom, nil)
 }
 
 // recordPoolStats snapshots the interval scratch-pool counters and returns

@@ -264,6 +264,34 @@ func TestIngestRejectsMalformedLine(t *testing.T) {
 	}
 }
 
+// TestIngestRejectsNonGroundEvent: an atom with a variable in it (any
+// capitalised token on the wire) is a malformed line like any other — a
+// line-numbered 400 in strict mode, quarantined in lenient mode — and the
+// daemon goes on to finish the run on the events it accepted.
+func TestIngestRejectsNonGroundEvent(t *testing.T) {
+	_, url, reg := testDaemon(t, t.TempDir(), false, nil)
+	body := `{"time":10,"atom":"entersArea(v1, a1)"}` + "\n" + `{"time":20,"atom":"entersArea(v2, Area)"}` + "\n"
+	code, resp, _ := post(t, url+"/ingest", body)
+	if code != http.StatusBadRequest || !strings.Contains(resp, `"line":2`) || !strings.Contains(resp, "is not ground") {
+		t.Fatalf("non-ground ingest = %d: %s", code, resp)
+	}
+	if n := reg.Snapshot().Counters["serve.ingest.events"]; n != 0 {
+		t.Fatalf("strict reject applied %d events", n)
+	}
+
+	_, url2, reg2 := testDaemon(t, t.TempDir(), false, func(o *Options) { o.Lenient = true })
+	code, resp, _ = post(t, url2+"/ingest", body)
+	if code != http.StatusOK || !strings.Contains(resp, `"accepted":1`) || !strings.Contains(resp, `"quarantined":1`) {
+		t.Fatalf("lenient ingest = %d: %s", code, resp)
+	}
+	if n := reg2.Snapshot().Counters["stream.badrows"]; n != 1 {
+		t.Fatalf("stream.badrows = %d, want 1", n)
+	}
+	if code, resp, _ = post(t, url2+"/finish", ""); code != http.StatusOK {
+		t.Fatalf("finish after a quarantined non-ground event = %d: %s", code, resp)
+	}
+}
+
 // TestIngestUnavailableBeforeReady: a daemon that has not bound yet (or is
 // past ready) answers 503 with a Retry-After hint naming its state.
 func TestIngestUnavailableBeforeReady(t *testing.T) {

@@ -110,6 +110,12 @@ func readNDJSON(r io.Reader, lenient bool) (Stream, []BadRow, error) {
 			}
 			continue
 		}
+		if !atom.IsGround() {
+			if err := reject(raw, errNotGround(line, atom)); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
 		out = append(out, Event{Time: we.Time, Atom: atom})
 	}
 	if err := sc.Err(); err != nil {

@@ -39,6 +39,7 @@ func TestReadNDJSONStrictNamesLine(t *testing.T) {
 		{"unknown field", `{"time":10,"atom":"e(a)","extra":1}` + "\n", "line 1"},
 		{"trailing data", `{"time":10,"atom":"e(a)"} {"time":11,"atom":"e(b)"}` + "\n", "line 1: trailing data"},
 		{"non-callable", `{"time":10,"atom":"7"}` + "\n", "not callable"},
+		{"non-ground", `{"time":10,"atom":"enters(v2, Area)"}` + "\n", "line 1: event enters(v2, Area) is not ground"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -57,6 +58,7 @@ func TestReadNDJSONLenientQuarantines(t *testing.T) {
 		``, // blank lines are skipped but still counted
 		`{"time":20,"atom":"(("}`,
 		`{"time":30,"atom":"leavesArea(v1, a1)"}`,
+		`{"time":40,"atom":"leavesArea(V17, a1)"}`,
 	}, "\n") + "\n"
 	s, bad, err := ReadNDJSONLenient(strings.NewReader(in))
 	if err != nil {
@@ -65,11 +67,11 @@ func TestReadNDJSONLenientQuarantines(t *testing.T) {
 	if len(s) != 2 {
 		t.Fatalf("kept %d events, want 2", len(s))
 	}
-	if len(bad) != 2 {
-		t.Fatalf("quarantined %d lines, want 2: %v", len(bad), bad)
+	if len(bad) != 3 {
+		t.Fatalf("quarantined %d lines, want 3: %v", len(bad), bad)
 	}
-	if bad[0].Line != 2 || bad[1].Line != 4 {
-		t.Errorf("quarantine lines %d, %d; want 2, 4", bad[0].Line, bad[1].Line)
+	if bad[0].Line != 2 || bad[1].Line != 4 || bad[2].Line != 6 {
+		t.Errorf("quarantine lines %d, %d, %d; want 2, 4, 6", bad[0].Line, bad[1].Line, bad[2].Line)
 	}
 	for _, b := range bad {
 		if b.String() == "" {

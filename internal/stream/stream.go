@@ -154,8 +154,8 @@ func (b BadRow) String() string {
 	return fmt.Sprintf("line %d: %v (record %q)", b.Line, b.Err, b.Record)
 }
 
-// ReadCSV parses a stream written by WriteCSV. Malformed rows produce an
-// error naming the offending line.
+// ReadCSV parses a stream written by WriteCSV. Malformed rows — a non-ground
+// event among them — produce an error naming the offending line.
 func ReadCSV(r io.Reader) (Stream, error) {
 	s, _, err := readCSV(r, false)
 	return s, err
@@ -229,8 +229,22 @@ func readCSV(r io.Reader, lenient bool) (Stream, []BadRow, error) {
 		if !ok {
 			continue
 		}
-		out = append(out, Event{Time: t, Atom: lang.NewCompound(strings.TrimSpace(rec[1]), args...)})
+		atom := lang.NewCompound(strings.TrimSpace(rec[1]), args...)
+		if !atom.IsGround() {
+			if err := reject(rec, errNotGround(line, atom)); err != nil {
+				return nil, nil, err
+			}
+			continue
+		}
+		out = append(out, Event{Time: t, Atom: atom})
 	}
+}
+
+// errNotGround rejects an event that contains a variable (in this syntax, a
+// capitalised or underscore-led token): events are ground by contract, and the
+// engine's rules bind their own variables only.
+func errNotGround(line int, atom *lang.Term) error {
+	return fmt.Errorf("stream: line %d: event %s is not ground", line, atom)
 }
 
 // Window returns the sub-stream with Time in [start, end). The receiver must

@@ -105,6 +105,8 @@ func TestReadCSVErrors(t *testing.T) {
 		"notanumber,foo\n",
 		"5\n",
 		"5,foo,((\n",
+		"5,enters,v2,Area\n", // a capitalised token is a variable: not an event
+		"5,enters,v2,_\n",
 	}
 	for _, src := range cases {
 		if _, err := ReadCSV(strings.NewReader(src)); err == nil {
@@ -124,7 +126,8 @@ func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 		"5\n" +
 		"20,gap_start,v42\n" +
 		"30,foo,((\n" +
-		"40,stop_start,v42\n"
+		"40,stop_start,v42\n" +
+		"50,entersArea,v42,Area\n"
 	got, bad, err := ReadCSVLenient(strings.NewReader(src))
 	if err != nil {
 		t.Fatal(err)
@@ -135,10 +138,13 @@ func TestReadCSVLenientQuarantinesBadRows(t *testing.T) {
 	if got[0].Time != 10 || got[1].Time != 20 || got[2].Time != 40 {
 		t.Fatalf("kept the wrong rows: %v", got)
 	}
-	if len(bad) != 3 {
-		t.Fatalf("quarantined %d rows, want 3: %v", len(bad), bad)
+	if len(bad) != 4 {
+		t.Fatalf("quarantined %d rows, want 4: %v", len(bad), bad)
 	}
-	wantLines := []int{2, 3, 5}
+	if !strings.Contains(bad[3].Err.Error(), "line 7: event entersArea(v42, Area) is not ground") {
+		t.Errorf("non-ground row rejected as %v", bad[3].Err)
+	}
+	wantLines := []int{2, 3, 5, 7}
 	for i, b := range bad {
 		if b.Line != wantLines[i] {
 			t.Errorf("bad row %d: line = %d, want %d", i, b.Line, wantLines[i])
