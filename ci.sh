@@ -110,6 +110,21 @@ if ! grep -q '^o1□,1,7,0,0.993,0.947,1.000,$' "$tmp/refine1.csv"; then
     cat "$tmp/refine1.csv" >&2
     exit 1
 fi
+# The whole paper pipeline at one job at a time against eight: -workers fans
+# out whole recognitions (generation pipelines, Figure 2c evaluations, refine
+# chains), so every table must come out byte-identical, the clean row included.
+go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 > "$tmp/all-w1.csv" 2>/dev/null
+go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 8 > "$tmp/all-w8.csv" 2>/dev/null
+if ! cmp -s "$tmp/all-w1.csv" "$tmp/all-w8.csv"; then
+    echo "refine smoke: experiments -fig all differs between -workers 1 and -workers 8:" >&2
+    diff "$tmp/all-w1.csv" "$tmp/all-w8.csv" >&2 || true
+    exit 1
+fi
+if ! grep -q '^o1□,1,7,0,0.993,0.947,1.000,$' "$tmp/all-w8.csv"; then
+    echo "refine smoke: the clean o1 row changed under job fan-out:" >&2
+    cat "$tmp/all-w8.csv" >&2
+    exit 1
+fi
 
 echo "== streaming robustness gate (disorder replay + kill-and-resume)"
 # Shuffle the maritime stream within a delay bound (with injected

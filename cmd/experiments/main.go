@@ -15,6 +15,12 @@
 //	            [-workers N] [-faults profile] [-fault-seed S]
 //	            [-trace out.json] [-metrics] [-v] [-pprof addr]
 //
+// Parallelism: -workers bounds how many whole jobs run at once — the 12
+// generation pipelines, the Figure 2c evaluations, the per-model refine
+// chains. It is the only level of fan-out: every recognition engine inside
+// a job evaluates its windows on one goroutine. Output is byte-identical at
+// any count.
+//
 // Observability: -metrics prints the total wall-clock, the per-phase
 // timings and a per-stage, per-model pipeline timing table (from the
 // telemetry registry) and dumps the registry to stderr; -trace writes a
@@ -89,7 +95,7 @@ func main() {
 	flag.Int64Var(&o.seed, "seed", 7, "scenario seed (Figure 2c)")
 	flag.Int64Var(&o.window, "window", 3600, "RTEC window size in seconds (Figure 2c)")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "run recognitions through the out-of-order streaming engine with this delay bound in seconds (Figure 2c; 0 = batch path)")
-	flag.IntVar(&o.workers, "workers", 0, "concurrent pipelines/evaluations/window workers (0 = GOMAXPROCS, 1 = sequential; forced to 1 under -faults); output is identical at any count")
+	flag.IntVar(&o.workers, "workers", 0, "concurrent jobs: generation pipelines, Figure 2c evaluations, refine chains; each recognition engine inside a job runs sequentially (0 = GOMAXPROCS, 1 = sequential; generation is forced to 1 under -faults); output is identical at any count")
 	flag.StringVar(&o.faults, "faults", "", "inject model-transport faults: "+strings.Join(fault.Names(), ", "))
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (runs are byte-reproducible per seed)")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")

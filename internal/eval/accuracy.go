@@ -27,11 +27,14 @@ type AccuracyConfig struct {
 	// testbed (per-window spans and counters) and records per-model
 	// accuracy-stage timers.
 	Telemetry *telemetry.Telemetry
-	// Workers bounds how many candidate event descriptions Figure2c
-	// evaluates concurrently against the shared read-only testbed, and is
-	// handed to every engine as its window-evaluation worker count: <= 0
-	// means GOMAXPROCS, 1 is strictly sequential. Each evaluation builds
-	// its own engine, so the rows are identical at any worker count.
+	// Workers bounds how many recognition jobs run concurrently against
+	// the shared read-only testbed — Figure2c's candidate event
+	// descriptions, FigureRefine's per-model refine chains: <= 0 means
+	// GOMAXPROCS, 1 is strictly sequential. It is the only level of
+	// fan-out: every job builds its own engine, and that engine evaluates
+	// its windows on one goroutine (rtec.Options.Workers 1), because a
+	// rule-evaluation unit is cheaper than buffering its acts for an
+	// ordered merge (DESIGN.md §13). The rows are identical at any count.
 	Workers int
 }
 
@@ -135,7 +138,7 @@ func (tb *Testbed) GoldRecognition() *rtec.Recognition { return tb.goldRec }
 // run executes an event description over the testbed stream.
 func (tb *Testbed) run(rules *lang.EventDescription, strict bool) (*rtec.Recognition, error) {
 	ed := maritime.FullED(rules, tb.scenario.Map, tb.scenario.Fleet, tb.pairs)
-	eng, err := rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: tb.cfg.Workers, Telemetry: tb.cfg.Telemetry})
+	eng, err := rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: 1, Telemetry: tb.cfg.Telemetry})
 	if err != nil {
 		return nil, err
 	}

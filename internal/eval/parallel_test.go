@@ -3,7 +3,10 @@ package eval
 import (
 	"fmt"
 	"reflect"
+	"sync/atomic"
 	"testing"
+
+	"rtecgen/internal/prompt"
 )
 
 func TestForEachOrdered(t *testing.T) {
@@ -69,6 +72,14 @@ func TestGenerateAllWorkersDeterministic(t *testing.T) {
 	}
 }
 
+// withWorkers returns a view of the shared testbed that fans its jobs out
+// over n workers.
+func withWorkers(tb *Testbed, n int) *Testbed {
+	view := *tb
+	view.cfg.Workers = n
+	return &view
+}
+
 // TestFigure2cWorkersDeterministic: concurrent candidate evaluation against
 // the shared testbed reports the same accuracy rows in the same order.
 func TestFigure2cWorkersDeterministic(t *testing.T) {
@@ -78,17 +89,69 @@ func TestFigure2cWorkersDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := tb.cfg
-	cfg.Workers = 8
-	par := &Testbed{
-		cfg: cfg, scenario: tb.scenario, events: tb.events,
-		pairs: tb.pairs, facts: tb.facts, goldRec: tb.goldRec,
-	}
-	got, err := Figure2c(par, cor)
+	got, err := Figure2c(withWorkers(tb, 8), cor)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, got) {
 		t.Fatalf("Workers=8 Figure2c rows differ:\n%v\nvs\n%v", got, seq)
+	}
+}
+
+// countingModel counts the chat turns a model is asked for.
+type countingModel struct {
+	prompt.Model
+	chats *atomic.Int64
+}
+
+func (m countingModel) Chat(history []prompt.Message, user string) (string, error) {
+	m.chats.Add(1)
+	return m.Model.Chat(history, user)
+}
+
+// TestFigureRefineWorkersDeterministic: the refine chains fanned out over
+// the testbed's workers report the rows of the sequential run, in input
+// order — per-round F1 and critiqued activities included — and a model name
+// nobody registered fails the call before any chain has started.
+func TestFigureRefineWorkersDeterministic(t *testing.T) {
+	best, _, _ := figures(t)
+	tb := testbed(t)
+	var chats atomic.Int64
+	var models []prompt.Model
+	for _, m := range allModels() {
+		models = append(models, countingModel{m, &chats})
+	}
+	seq, err := FigureRefine(nil, models, best, DefaultRefineBudget, withWorkers(tb, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	par, err := FigureRefine(nil, models, best, DefaultRefineBudget, withWorkers(tb, 8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(seq) != len(best) {
+		t.Fatalf("%d refine rows for %d models", len(seq), len(best))
+	}
+	if !reflect.DeepEqual(seq, par) {
+		t.Fatalf("Workers=8 refine rows differ:\n%+v\nvs\n%+v", par, seq)
+	}
+	for i, row := range seq {
+		if row.Model != best[i].Model {
+			t.Fatalf("row %d is %s, want %s: rows out of input order", i, row.Model, best[i].Model)
+		}
+		for _, r := range row.Rounds {
+			if r.F1 < 0 {
+				t.Fatalf("%s round %d has no F1: the testbed was not used", row.Label(), r.Round)
+			}
+		}
+	}
+
+	chats.Store(0)
+	unknown := append(append([]Row(nil), best...), Row{Model: "GPT-17"})
+	if _, err := FigureRefine(nil, models, unknown, DefaultRefineBudget, withWorkers(tb, 8)); err == nil {
+		t.Fatal("a model name nobody registered must fail")
+	}
+	if n := chats.Load(); n != 0 {
+		t.Fatalf("%d chat turns ran before the unknown model name was rejected", n)
 	}
 }

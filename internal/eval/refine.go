@@ -153,23 +153,36 @@ func parseResult(req prompt.ActivityRequest, raw string) prompt.ActivityResult {
 
 // FigureRefine runs the critique–refine loop for every model under its best
 // prompting scheme (per the Figure 2a ranking in best) and returns the
-// refine traces in the same order. A nil tb skips the F1 column.
+// refine traces in the same order. A nil tb skips the F1 column. The chains
+// are independent — each owns its session and builds its own engines — so
+// with a testbed they run concurrently, bounded by its AccuracyConfig.Workers;
+// without one they run one after another.
 func FigureRefine(tel *telemetry.Telemetry, models []prompt.Model, best []Row, budget int, tb *Testbed) ([]RefineRow, error) {
 	byName := map[string]prompt.Model{}
 	for _, m := range models {
 		byName[m.Name()] = m
 	}
-	var out []RefineRow
-	for _, b := range best {
+	chain := make([]prompt.Model, len(best))
+	for i, b := range best {
 		m, ok := byName[b.Model]
 		if !ok {
 			return nil, fmt.Errorf("refine: no model named %q", b.Model)
 		}
-		row, err := RefineWith(tel, m, b.Scheme, budget, tb)
+		chain[i] = m
+	}
+	workers := 1
+	if tb != nil {
+		workers = tb.cfg.Workers
+	}
+	out := make([]RefineRow, len(best))
+	errs := make([]error, len(best))
+	forEachOrdered(workers, len(best), func(i int) {
+		out[i], errs[i] = RefineWith(tel, chain[i], best[i].Scheme, budget, tb)
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, row)
 	}
 	return out, nil
 }

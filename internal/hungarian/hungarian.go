@@ -36,14 +36,16 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 	v := make([]float64, n+1)
 	p := make([]int, n+1)
 	way := make([]int, n+1)
+	// Per-row scratch, reset at the top of every row.
+	minv := make([]float64, n+1)
+	used := make([]bool, n+1)
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, n+1)
-		used := make([]bool, n+1)
 		for j := range minv {
 			minv[j] = math.Inf(1)
+			used[j] = false
 		}
 		for {
 			used[j0] = true

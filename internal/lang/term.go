@@ -6,6 +6,7 @@
 package lang
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strconv"
@@ -311,10 +312,11 @@ func isInfix(t *Term) (prec int, ok bool) {
 }
 
 // String renders t in the concrete RTEC dialect accepted by internal/parser.
+// The text is built in a stack buffer and copied out once: the common term
+// (an event atom, an FVP key) costs one allocation of exactly its length.
 func (t *Term) String() string {
-	var b strings.Builder
-	t.write(&b)
-	return b.String()
+	var buf [128]byte
+	return string(t.appendText(buf[:0]))
 }
 
 // plainAtom reports whether an atom name can be printed without quotes: a
@@ -336,93 +338,97 @@ func plainAtom(name string) bool {
 	return true
 }
 
-func writeAtomName(b *strings.Builder, name string) {
+func appendAtomName(b []byte, name string) []byte {
 	if plainAtom(name) {
-		b.WriteString(name)
-		return
+		return append(b, name...)
 	}
-	b.WriteByte('\'')
-	b.WriteString(name)
-	b.WriteByte('\'')
+	b = append(b, '\'')
+	b = append(b, name...)
+	return append(b, '\'')
 }
 
-func (t *Term) write(b *strings.Builder) {
+// appendText appends the rendering of t to b.
+func (t *Term) appendText(b []byte) []byte {
 	switch t.Kind {
 	case Var:
-		b.WriteString(t.Functor)
+		b = append(b, t.Functor...)
 	case Atom:
-		writeAtomName(b, t.Functor)
+		b = appendAtomName(b, t.Functor)
 	case Int:
-		b.WriteString(strconv.FormatInt(t.Int, 10))
+		b = strconv.AppendInt(b, t.Int, 10)
 	case Float:
-		b.WriteString(formatFloat(t.Float))
+		b = appendFloat(b, t.Float)
 	case Str:
-		b.WriteString(strconv.Quote(t.Text))
+		b = strconv.AppendQuote(b, t.Text)
 	case List:
-		b.WriteByte('[')
+		b = append(b, '[')
 		for i, a := range t.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			a.write(b)
+			b = a.appendText(b)
 		}
-		b.WriteByte(']')
+		b = append(b, ']')
 	case Compound:
 		if prec, ok := isInfix(t); ok {
-			t.writeInfixArg(b, t.Args[0], prec, false)
-			if t.Functor == "=" {
-				b.WriteByte('=')
-			} else {
-				b.WriteByte(' ')
-				b.WriteString(t.Functor)
-				b.WriteByte(' ')
+			for i, a := range t.Args {
+				if i == 1 {
+					if t.Functor == "=" {
+						b = append(b, '=')
+					} else {
+						b = append(b, ' ')
+						b = append(b, t.Functor...)
+						b = append(b, ' ')
+					}
+				}
+				paren := infixArgNeedsParens(a, prec, i == 1)
+				if paren {
+					b = append(b, '(')
+				}
+				b = a.appendText(b)
+				if paren {
+					b = append(b, ')')
+				}
 			}
-			t.writeInfixArg(b, t.Args[1], prec, true)
-			return
+			return b
 		}
 		if t.Functor == "not" && len(t.Args) == 1 {
-			b.WriteString("not ")
-			t.Args[0].write(b)
-			return
+			b = append(b, "not "...)
+			return t.Args[0].appendText(b)
 		}
-		writeAtomName(b, t.Functor)
-		b.WriteByte('(')
+		b = appendAtomName(b, t.Functor)
+		b = append(b, '(')
 		for i, a := range t.Args {
 			if i > 0 {
-				b.WriteString(", ")
+				b = append(b, ", "...)
 			}
-			a.write(b)
+			b = a.appendText(b)
 		}
-		b.WriteByte(')')
+		b = append(b, ')')
 	}
+	return b
 }
 
-// writeInfixArg parenthesises a nested infix operand only when the parse
-// would otherwise regroup it: looser-binding children always, and
-// equal-precedence children on the right of a left-associative operator or
-// anywhere under a non-associative comparison.
-func (t *Term) writeInfixArg(b *strings.Builder, a *Term, parentPrec int, right bool) {
-	if childPrec, ok := isInfix(a); ok {
-		need := childPrec < parentPrec ||
-			(childPrec == parentPrec && (right || parentPrec == 1))
-		if need {
-			b.WriteByte('(')
-			a.write(b)
-			b.WriteByte(')')
-			return
-		}
-	}
-	a.write(b)
+// infixArgNeedsParens reports whether operand a of an infix term must be
+// parenthesised, which is only when the parse would otherwise regroup it:
+// looser-binding children always, and equal-precedence children on the right
+// of a left-associative operator or anywhere under a non-associative
+// comparison.
+func infixArgNeedsParens(a *Term, parentPrec int, right bool) bool {
+	childPrec, ok := isInfix(a)
+	return ok && (childPrec < parentPrec ||
+		(childPrec == parentPrec && (right || parentPrec == 1)))
 }
 
-// formatFloat renders a float so it parses back as a float: integral values
+// appendFloat renders a float so it parses back as a float: integral values
 // keep a ".0" suffix.
-func formatFloat(v float64) string {
-	s := strconv.FormatFloat(v, 'g', -1, 64)
-	if !strings.ContainsAny(s, ".eE") {
-		s += ".0"
+func appendFloat(b []byte, v float64) []byte {
+	n := len(b)
+	b = strconv.AppendFloat(b, v, 'g', -1, 64)
+	if bytes.IndexAny(b[n:], ".eE") < 0 {
+		b = append(b, ".0"...)
 	}
-	return s
+	return b
 }
 
 // SortTerms sorts a slice of terms in the standard order, in place.

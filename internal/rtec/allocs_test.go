@@ -9,11 +9,13 @@ import (
 // windowAllocCeiling bounds the heap allocations of one evaluation of the
 // first 3600 s window of the 14-vessel seed-7 scenario under the gold event
 // description at Workers:1. It is a count, so it repeats across hosts; it
-// sits about 15 % above the figure measured when it was committed (see
-// EXPERIMENTS.md "Compiled rules"), so rule evaluation that starts copying
-// bindings or re-deriving per-rule analyses per window again fails here
-// long before it shows in a wall-clock benchmark.
-const windowAllocCeiling = 15400
+// sits about 15 % above the figure measured when it was committed (4 528;
+// see EXPERIMENTS.md "Job-level fan-out"), so rule evaluation that starts
+// copying bindings or re-deriving per-rule analyses per window again, a
+// lone window that captures delta state nobody replays, or a Term.String
+// that allocates more than its result, fails here long before it shows in
+// a wall-clock benchmark.
+const windowAllocCeiling = 5200
 
 func TestWindowAllocCeiling(t *testing.T) {
 	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})

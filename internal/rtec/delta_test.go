@@ -193,6 +193,63 @@ func TestDeltaReuseCounters(t *testing.T) {
 	}
 }
 
+// TestDeltaBatchGeometries: a batch window pays for the delta layer only
+// when it overlaps a neighbour. Across window geometries the output is
+// byte-identical to the full re-evaluation oracle; a run none of whose
+// windows overlap counts no delta unit at all (nothing attached, nothing
+// captured), and a run with any overlap — even just a short last window
+// reaching back into its predecessor, the shape of the paper pipeline's
+// runs — replays there.
+func TestDeltaBatchGeometries(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	var events stream.Stream
+	for i := 0; i < 8; i++ {
+		events = append(events, genRandomStream(r, 1000)...)
+	}
+	for _, tc := range []struct {
+		name          string
+		window, slide int64
+		overlap       bool
+		wantErr       bool
+	}{
+		{name: "tumbling, aligned end", window: 250},                                  // [0,250) … [750,1000)
+		{name: "tumbling, short overlapping last window", window: 300, overlap: true}, // … [600,900), [700,1000)
+		{name: "slide < window", window: 300, slide: 100, overlap: true},
+		{name: "slide > window", window: 100, slide: 150, wantErr: true}, // would skip events: refused before any window
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			delta := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
+			full := mustEngine(t, withinAreaED, Options{Strict: true, DisableDelta: true})
+			opts := RunOptions{Window: tc.window, Slide: tc.slide, Start: 0, End: 1000}
+			a, errA := delta.Run(events, opts)
+			b, errB := full.Run(events, opts)
+			reused, dirty := reg.Counter("rtec.delta.reused").Value(), reg.Counter("rtec.delta.dirty").Value()
+			if tc.wantErr {
+				if errA == nil || errB == nil || errA.Error() != errB.Error() {
+					t.Fatalf("errors %v / %v, want the same refusal from both", errA, errB)
+				}
+			} else {
+				if errA != nil || errB != nil {
+					t.Fatal(errA, errB)
+				}
+				if fa, fb := recognitionFingerprint(t, a), recognitionFingerprint(t, b); fa != fb {
+					t.Fatalf("delta output differs from full:\n--- delta\n%s\n--- full\n%s", fa, fb)
+				}
+				if len(a.Keys()) == 0 {
+					t.Fatal("nothing recognised: the comparison is vacuous")
+				}
+			}
+			if tc.overlap && reused == 0 {
+				t.Fatalf("rtec.delta.reused = 0 (dirty %d): overlapping windows replayed nothing", dirty)
+			}
+			if !tc.overlap && reused+dirty != 0 {
+				t.Fatalf("rtec.delta.reused = %d, rtec.delta.dirty = %d: a window with no overlapping neighbour attached the delta layer", reused, dirty)
+			}
+		})
+	}
+}
+
 // TestDeltaSidecarWarmResume: a run killed mid-stream resumes warm from the
 // delta sidecar — the restore counter fires, the resumed stretch still
 // replays, and the final output is byte-identical to the uninterrupted run.

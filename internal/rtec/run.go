@@ -214,15 +214,21 @@ func (e *Engine) runWindows(events stream.Stream, opts RunOptions, fn func(*Reco
 	for i := 0; i < tl.n; i++ {
 		q := tl.q(i)
 		ws := tl.windowStart(i)
+		// A window pays for the delta layer only when it overlaps a
+		// neighbour: with a carried state to replay (its predecessor reached
+		// past ws and captured), or a successor starting before q to capture
+		// for. Windows that merely tumble evaluate as under DisableDelta.
+		nws := tl.nextWindowStart(i)
+		capture := deltaOn && nws >= 0 && nws < q
 		var dctx *deltaCtx
-		if deltaOn {
-			dctx = &deltaCtx{capture: true}
-			if carried != nil && carried.ws == tl.windowStart(i-1) && carried.we == tl.q(i-1) {
-				dctx.prev = carried
+		if carried != nil || capture {
+			dctx = &deltaCtx{capture: capture, prev: carried}
+			if carried != nil {
 				dctx.base = intervals.List{{Start: carried.we, End: q}}
 			}
 		}
-		ev := e.evalWindow(s.Window(ws, q), ws, q, tl.nextWindowStart(i), prevOpen, &rec.Warnings, run, dctx)
+		ev := e.evalWindow(s.Window(ws, q), ws, q, nws, prevOpen, &rec.Warnings, run, dctx)
+		carried = nil
 		if dctx != nil {
 			carried = dctx.next
 		}

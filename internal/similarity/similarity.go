@@ -89,16 +89,24 @@ func assignmentDistance(na, nb int, dist func(i, j int) float64) (float64, error
 	if m == 0 {
 		return 0, nil
 	}
-	cost := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, m)
-	}
+	cost := squareMatrix(m)
 	fillCost(cost, m, k, dist)
 	_, total, err := hungarian.Solve(cost)
 	if err != nil {
 		return 0, err
 	}
 	return (float64(m-k) + total) / float64(m), nil
+}
+
+// squareMatrix returns a zeroed m×m cost matrix whose rows share one backing
+// array.
+func squareMatrix(m int) [][]float64 {
+	cells := make([]float64, m*m)
+	cost := make([][]float64, m)
+	for i := range cost {
+		cost[i] = cells[i*m : (i+1)*m : (i+1)*m]
+	}
+	return cost
 }
 
 // minParallelCells is the matrix size below which the cost of spawning
@@ -236,9 +244,8 @@ func ruleDistance(r1, r2 *lang.Clause, via, vib lang.VarInstances) (float64, err
 	for j, l := range r2.Body {
 		b2[j] = l.Term()
 	}
-	cost := make([][]float64, m)
+	cost := squareMatrix(m)
 	for i := 0; i < m; i++ {
-		cost[i] = make([]float64, m)
 		for j := 0; j < k; j++ {
 			cost[i][j] = ExprDistance(b1[i], b2[j], via, vib)
 		}
