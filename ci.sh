@@ -198,8 +198,8 @@ echo "== delta gate (incremental sliding windows must match full re-evaluation b
 # produce the same CSV, the same audit journal bytes and the same final
 # checkpoint envelope as the -no-delta full re-evaluation oracle, while
 # actually reusing carried state (nonzero rtec.delta.reused counter). A kill
-# mid-slide plus -resume must restore the delta sidecar (warm resume) and
-# still converge to the identical CSV.
+# mid-slide plus -resume (every slot restarts cold, then re-warms) must still
+# converge to the identical CSV.
 go build -race -o "$tmp/bin-rtec-race" ./cmd/rtec
 "$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -journal "$tmp/delta.jsonl" -checkpoint "$tmp/delta.ckpt" -metrics \
@@ -234,24 +234,18 @@ if ! cmp -s "$tmp/delta.csv" "$tmp/delta-par.csv"; then
     diff "$tmp/delta.csv" "$tmp/delta-par.csv" >&2 || true
     exit 1
 fi
-# Kill mid-slide, resume warm: the restored delta sidecar must show up in
-# the metrics and the resumed run must still match byte-for-byte.
+# Kill mid-slide, resume: the resumed run must still match byte-for-byte.
 if "$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -checkpoint "$tmp/delta-crash.ckpt" -crash-after 3 > /dev/null 2>&1; then
     echo "delta gate: -crash-after 3 did not abort the slide-heavy run" >&2
     exit 1
 fi
 "$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
-    -max-delay 900 -checkpoint "$tmp/delta-crash.ckpt" -resume -metrics \
-    > "$tmp/delta-resumed.csv" 2> "$tmp/delta-resume-metrics.txt"
+    -max-delay 900 -checkpoint "$tmp/delta-crash.ckpt" -resume \
+    > "$tmp/delta-resumed.csv" 2> /dev/null
 if ! cmp -s "$tmp/delta.csv" "$tmp/delta-resumed.csv"; then
     echo "delta gate: kill-and-resume mid-slide diverged from the uninterrupted run:" >&2
     diff "$tmp/delta.csv" "$tmp/delta-resumed.csv" >&2 || true
-    exit 1
-fi
-if ! grep -q '^counter rtec.delta.sidecar_restores_total 1' "$tmp/delta-resume-metrics.txt"; then
-    echo "delta gate: resume did not restore the delta sidecar (cold resume):" >&2
-    grep '^counter rtec\.delta' "$tmp/delta-resume-metrics.txt" >&2 || cat "$tmp/delta-resume-metrics.txt" >&2
     exit 1
 fi
 
@@ -486,14 +480,10 @@ done
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true
 
-echo "== bench smoke (harness must run and emit a valid trajectory file)"
-# One-iteration run of a single benchmark through cmd/bench, then schema
-# validation of both the smoke output and the committed trajectory file,
-# and the live-observability overhead gate over the committed numbers.
-go run ./cmd/bench -bench 'BenchmarkRTECWindowSweep/window=3600$' -benchtime 1x \
-    -out "$tmp/bench-smoke.json" > /dev/null
-go run ./cmd/bench -validate "$tmp/bench-smoke.json"
-go run ./cmd/bench -validate BENCH_rtec.json
-go run ./cmd/bench -overhead BENCH_rtec.json
+echo "== benchmark smoke (benchmark/ must drive rtecd end to end)"
+# A 2-second run of the repository's one benchmark harness: a real rtecd over
+# loopback, closed-loop replay. Exits non-zero on any failed request or a
+# recognition CSV that differs from the batch oracle.
+sh benchmark/run.sh --workload daemon_replay --seed 7 --seconds 2 --trace 0 > /dev/null
 
 echo "CI OK"

@@ -183,8 +183,11 @@ func run(o options, stdout, stderr *os.File) error {
 	if o.resume && o.checkpoint == "" {
 		return fmt.Errorf("-resume needs -checkpoint to name the snapshot")
 	}
-	if o.journalPath != "" && o.resume && o.journalPath == o.checkpoint {
+	if o.journalPath != "" && o.journalPath == o.checkpoint {
 		return fmt.Errorf("-journal and -checkpoint name the same file")
+	}
+	if o.fluent != "" && o.csvOut {
+		return fmt.Errorf("-fluent does not apply to -csv output: it filters the holdsFor listing only")
 	}
 	if o.shards > 1 {
 		if o.resume {

@@ -49,7 +49,11 @@ func TestRunEndToEnd(t *testing.T) {
 	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		t.Fatal(err)
 	}
-	o.window, o.slide, o.fluent, o.csvOut = 20, 10, "withinArea/2", true
+	o.window, o.slide, o.fluent = 20, 10, "withinArea/2"
+	if err := run(o, os.Stdout, os.Stderr); err != nil {
+		t.Fatal(err)
+	}
+	o.fluent, o.csvOut = "", true
 	if err := run(o, os.Stdout, os.Stderr); err != nil {
 		t.Fatal(err)
 	}
@@ -137,6 +141,24 @@ initiatedAt(broken(X)=true, T) :-
 	}
 	if err := run(opts(lax, st), os.Stdout, os.Stderr); err != nil {
 		t.Fatalf("lenient mode failed: %v", err)
+	}
+	// -fluent filters the holdsFor listing only; with -csv it would be
+	// silently ignored.
+	filterO := opts(ed, st)
+	filterO.fluent, filterO.csvOut = "withinArea/2", true
+	if err := run(filterO, os.Stdout, os.Stderr); err == nil ||
+		!strings.Contains(err.Error(), "-fluent") || !strings.Contains(err.Error(), "-csv") {
+		t.Fatalf("-fluent with -csv: err = %v, want a usage error naming both flags", err)
+	}
+	// The checkpoint's rename would replace the journal, -resume or not.
+	sameO := opts(ed, st)
+	sameO.journalPath = filepath.Join(t.TempDir(), "x")
+	sameO.checkpoint = sameO.journalPath
+	if err := run(sameO, os.Stdout, os.Stderr); err == nil || !strings.Contains(err.Error(), "same file") {
+		t.Fatalf("-journal and -checkpoint on one file: err = %v, want a refusal", err)
+	}
+	if _, err := os.Stat(sameO.journalPath); err == nil {
+		t.Fatal("refused run still created the journal/checkpoint file")
 	}
 	// An unwritable trace path must be reported.
 	traceO := opts(ed, st)

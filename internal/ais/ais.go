@@ -69,15 +69,6 @@ func NewTrack(vessel, vesselType string, start geo.Point, t0, interval int64, se
 // Messages returns the emitted messages so far.
 func (tr *Track) Messages() []Message { return tr.msgs }
 
-// Drain returns the messages emitted since the last Drain (or since the
-// track started) and releases them, so an arbitrarily long trajectory can be
-// consumed leg by leg in bounded memory.
-func (tr *Track) Drain() []Message {
-	m := tr.msgs
-	tr.msgs = nil
-	return m
-}
-
 // Pos returns the current position.
 func (tr *Track) Pos() geo.Point { return tr.pos }
 

@@ -69,9 +69,9 @@ func Preprocess(msgs []ais.Message, m *geo.Map, cfg PreprocessConfig) stream.Str
 
 // Preprocessor is the incremental form of Preprocess: it consumes AIS
 // messages one at a time in (Time, Vessel) order — the order SortMessages
-// and ais.StreamFleet produce — holding only the per-vessel detection state
-// and the current timestamp's message batch, so arbitrarily long streams
-// preprocess in memory bounded by the fleet size.
+// produces — holding only the per-vessel detection state and the current
+// timestamp's message batch, so arbitrarily long streams preprocess in
+// memory bounded by the fleet size.
 //
 // The concatenation of every Feed return value plus the final Flush is the
 // same event multiset, emitted in the same sequence, as Preprocess over the

@@ -247,3 +247,47 @@ func TestPreprocessHeadingWraparound(t *testing.T) {
 		t.Fatalf("change_in_heading at %d, want 180", ch.Time)
 	}
 }
+
+// The incremental preprocessor fed message by message must reproduce the
+// batch pipeline exactly: same events, and once sorted, the same stream.
+func TestPreprocessorIncrementalMatchesBatch(t *testing.T) {
+	scen, err := BuildScenario(ScenarioConfig{Vessels: 20, Seed: 13, IntervalSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcfg := DefaultPreprocessConfig()
+	p := NewPreprocessor(scen.Map, pcfg)
+	var incremental stream.Stream
+	maxBackdate := int64(0)
+	for _, msg := range scen.Messages { // BuildScenario returns them in SortMessages order
+		for _, e := range p.Feed(msg) {
+			if lag := msg.Time - e.Time; lag > maxBackdate {
+				maxBackdate = lag
+			}
+			incremental = append(incremental, e)
+		}
+	}
+	incremental = append(incremental, p.Flush()...)
+	incremental.Sort()
+
+	batch := Preprocess(scen.Messages, scen.Map, pcfg)
+	if len(batch) == 0 {
+		t.Fatal("batch preprocessing produced no events")
+	}
+	if len(incremental) != len(batch) {
+		t.Fatalf("incremental produced %d events, batch %d", len(incremental), len(batch))
+	}
+	for i := range batch {
+		if incremental[i].Time != batch[i].Time ||
+			incremental[i].Atom.String() != batch[i].Atom.String() {
+			t.Fatalf("event %d differs: incremental %d %s, batch %d %s", i,
+				incremental[i].Time, incremental[i].Atom,
+				batch[i].Time, batch[i].Atom)
+		}
+	}
+	// gap_start backdating is the only out-of-order emission; it never
+	// exceeds the longest silence the generator scripts (a Gap leg).
+	if maxBackdate > 4800+scen.Config.IntervalSec {
+		t.Fatalf("event backdated %d s behind the frontier, beyond any scripted gap", maxBackdate)
+	}
+}

@@ -1,6 +1,7 @@
 package rtec
 
 import (
+	"fmt"
 	"testing"
 
 	"rtecgen/internal/parser"
@@ -148,5 +149,68 @@ func TestDepsClosure(t *testing.T) {
 	}
 	if got := e.depsClosure("a/1"); len(got) != 0 {
 		t.Fatalf("leaf deps = %v", got)
+	}
+}
+
+// The three benchmarks below are the E5 ablations DESIGN.md §3 cites for the
+// paper's Section 2 claim that the cost of reasoning depends on the window
+// size ω, not on the stream size. Run with:
+//
+//	go test ./internal/rtec -run '^$' -bench 'RTEC(WindowSweep|StreamSweep|Caching)' -benchmem
+
+// BenchmarkRTECWindowSweep is the ablation for RTEC's windowing: the same
+// stream recognised under different window sizes ω (0 = a single window
+// over the whole stream). Per-window cost shrinks with ω while total work
+// stays near-linear in the stream.
+func BenchmarkRTECWindowSweep(b *testing.B) {
+	engines, events := maritimeEngines(b, 16, Options{})
+	eng := engines[0]
+	for _, window := range []int64{900, 1800, 3600, 7200, 0} {
+		name := fmt.Sprintf("window=%d", window)
+		if window == 0 {
+			name = "window=whole-stream"
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportMetric(float64(len(events)), "events")
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(events, RunOptions{Window: window}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRTECStreamSweep scales the fleet (and with it the stream) at a
+// fixed window: recognition cost should grow near-linearly with the stream.
+func BenchmarkRTECStreamSweep(b *testing.B) {
+	for _, vessels := range []int{14, 30, 60} {
+		engines, events := maritimeEngines(b, vessels, Options{})
+		eng := engines[0]
+		b.Run(fmt.Sprintf("vessels=%d", vessels), func(b *testing.B) {
+			b.ReportMetric(float64(len(events)), "events")
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(events, RunOptions{Window: 3600}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkRTECCaching is the ablation of RTEC's hierarchical caching: the
+// same recognition run with intermediate FVP intervals cached bottom-up
+// (the RTEC optimisation) versus recomputed per dependent fluent.
+func BenchmarkRTECCaching(b *testing.B) {
+	engines, events := maritimeEngines(b, 16, Options{}, Options{DisableCache: true})
+	for k, name := range []string{"cached", "uncached"} {
+		eng := engines[k]
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := eng.Run(events, RunOptions{Window: 3600}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -192,9 +192,6 @@ func (st *streamRun) writeCheckpoint() error {
 	if err != nil {
 		return err
 	}
-	if err := st.writeDeltaSidecar(); err != nil {
-		return err
-	}
 	tel.Counter("rtec.checkpoint.writes").Inc()
 	tel.Counter("rtec.checkpoint.bytes").Add(int64(n))
 	tel.Histogram("rtec.checkpoint.write_micros").ObserveDuration(time.Since(t0))
@@ -216,9 +213,6 @@ func (st *streamRun) writeSuspendCheckpoint() error {
 		return fmt.Errorf("rtec: cannot suspend: no checkpoint path configured")
 	}
 	if _, err := st.writeSnapshotFile(); err != nil {
-		return err
-	}
-	if err := st.writeDeltaSidecar(); err != nil {
 		return err
 	}
 	tel := st.eng.opts.Telemetry
@@ -410,24 +404,13 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 			}
 			ev.nextOpen[fvpKey(fvp)] = fvp
 		}
-		st.slots[i] = windowSlot{emitted: true, revision: cs.Revision, eval: ev}
+		st.slots[i] = windowSlot{revision: cs.Revision, eval: ev}
 	}
 	st.emitted = p.Emitted
 	st.consumed = p.Consumed
 	st.stats.Revisions = p.Revisions
 	st.stats.Checkpoints = p.Checkpoints
 	st.sinceCkpt = p.SinceCkpt
-
-	// Warm-start the last emitted slot from the sidecar when one matches this
-	// snapshot exactly. Every other slot — and this one without a sidecar —
-	// restarts cold: its first post-resume evaluation is a full one and
-	// captures, so the chain rebuilds — identical output either way.
-	if st.deltaOn && st.opts.CheckpointPath != "" {
-		if ds, ok := st.loadDeltaSidecar(cp); ok {
-			st.slots[st.emitted-1].delta = ds
-			st.eng.opts.Telemetry.Counter("rtec.delta.sidecar_restores").Inc()
-		}
-	}
 	return nil
 }
 

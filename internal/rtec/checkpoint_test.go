@@ -244,19 +244,15 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 func TestCheckpointWriteIsAtomic(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	path, _, _ := writeTestCheckpoint(t, e)
-	// Only the current and previous generations plus the delta sidecar
-	// remain next to the checkpoint — no leftover temp files.
+	// Exactly the current and previous generations remain next to the
+	// checkpoint — no leftover temp files, no second format.
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := filepath.Base(path)
-	for _, ent := range entries {
-		switch ent.Name() {
-		case base, base + checkpointPrevSuffix, base + deltaSidecarSuffix:
-		default:
-			t.Fatalf("unexpected file %s next to the checkpoint", ent.Name())
-		}
+	base := filepath.Base(path) // ReadDir sorts by name: base, then base.prev
+	if len(entries) != 2 || entries[0].Name() != base || entries[1].Name() != base+checkpointPrevSuffix {
+		t.Fatalf("files next to the checkpoint = %v, want exactly %s and %s", entries, base, base+checkpointPrevSuffix)
 	}
 	// Both generations must load and verify.
 	if _, err := LoadCheckpoint(path); err != nil {

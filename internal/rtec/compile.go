@@ -17,10 +17,10 @@ import (
 // revision and worker.
 //
 // Renaming keeps the variable names the engine has always printed ("_r" for a
-// rule, "_g<i>" for its i-th grounding declaration): warnings, non-ground
-// termination patterns and the delta sidecar render variables by name, and
-// those bytes are part of the output contract. Slots are only how the
-// evaluator finds a variable's binding.
+// rule, "_g<i>" for its i-th grounding declaration): warnings and non-ground
+// termination patterns render variables by name, and those bytes are part of
+// the output contract. Slots are only how the evaluator finds a variable's
+// binding.
 
 // condKind is how one body condition is evaluated.
 type condKind uint8

@@ -65,9 +65,9 @@ func TestConcurrentRuns(t *testing.T) {
 }
 
 // maritimeEngines builds the gold maritime event description over a shared
-// scenario and returns one engine per requested worker count, plus the
+// scenario and returns one strict engine per requested option set, plus the
 // preprocessed stream.
-func maritimeEngines(t *testing.T, vessels int, workers ...int) ([]*Engine, stream.Stream) {
+func maritimeEngines(t testing.TB, vessels int, opts ...Options) ([]*Engine, stream.Stream) {
 	t.Helper()
 	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: vessels, Seed: 7, IntervalSec: 60})
 	if err != nil {
@@ -76,9 +76,10 @@ func maritimeEngines(t *testing.T, vessels int, workers ...int) ([]*Engine, stre
 	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
 	ed := maritime.FullED(maritime.GoldED(), scen.Map, scen.Fleet, maritime.ObservedPairs(events))
 	facts := maritime.DynamicFacts(events, scen.Fleet)
-	engines := make([]*Engine, 0, len(workers))
-	for _, w := range workers {
-		e, err := New(ed, Options{Strict: true, ExtraFacts: facts, Workers: w})
+	engines := make([]*Engine, 0, len(opts))
+	for _, o := range opts {
+		o.Strict, o.ExtraFacts = true, facts
+		e, err := New(ed, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +105,7 @@ func recognitionFingerprint(t *testing.T, rec *Recognition) string {
 // maritime event description with Workers=8 is byte-identical — CSV rows
 // and warning order included — to the sequential Workers=1 path.
 func TestWorkersRecognitionByteIdenticalMaritime(t *testing.T) {
-	engines, events := maritimeEngines(t, 8, 1, 8)
+	engines, events := maritimeEngines(t, 8, Options{Workers: 1}, Options{Workers: 8})
 	if got := engines[1].Workers(); got != 8 {
 		t.Fatalf("Workers() = %d, want 8", got)
 	}
@@ -231,7 +232,7 @@ func streamDeliveryLog(t *testing.T, e *Engine, arrivals stream.Stream, opts Str
 // intervals, and retraction diffs — is byte-identical between Workers=1 and
 // Workers=8.
 func TestWorkersStreamRevisionsIdenticalMaritime(t *testing.T) {
-	engines, events := maritimeEngines(t, 2, 1, 8)
+	engines, events := maritimeEngines(t, 2, Options{Workers: 1}, Options{Workers: 8})
 	// A prefix of the voyage keeps the test fast while still spanning several
 	// windows' worth of revisable deliveries.
 	cut := 0

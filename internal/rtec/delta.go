@@ -1,13 +1,6 @@
 package rtec
 
 import (
-	"encoding/json"
-	"fmt"
-	"hash/fnv"
-	"os"
-	"path/filepath"
-	"sort"
-
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/stream"
@@ -290,254 +283,4 @@ func timeLocalRule(c *lang.Clause) bool {
 		}
 	}
 	return true
-}
-
-// --- delta sidecar -----------------------------------------------------------
-//
-// Checkpoints serialise the carried delta state into a sidecar file next to
-// the snapshot (<path>.delta) rather than into the snapshot envelope itself:
-// the envelope stays format-stable and byte-identical whether delta
-// evaluation is on or off — which is itself part of the byte-identity
-// contract the CI delta gate verifies — while a resumed run warm-starts from
-// the sidecar instead of paying one full re-evaluation. The sidecar is a
-// pure cache generation: when it is missing, torn, or from a different
-// moment than the snapshot that actually loaded (e.g. the snapshot fell back
-// to the .prev generation), the resume silently starts cold. The Consumed
-// stamp is what detects the mismatch: equal consumed counts imply an
-// identical run state by determinism.
-
-const (
-	deltaMagic         = "rtec-delta"
-	deltaVersion       = 1
-	deltaSidecarSuffix = ".delta"
-)
-
-type deltaFile struct {
-	Magic    string          `json:"magic"`
-	Version  int             `json:"version"`
-	Checksum string          `json:"checksum"`
-	Payload  json.RawMessage `json:"payload"`
-}
-
-type deltaPayload struct {
-	EDSum    string `json:"ed_sum"`
-	Window   int64  `json:"window"`
-	Slide    int64  `json:"slide"`
-	Start    int64  `json:"start"`
-	End      int64  `json:"end"`
-	Consumed int    `json:"consumed"`
-	WS       int64  `json:"ws"`
-	WE       int64  `json:"we"`
-
-	Fluents []ckptDeltaFluent `json:"fluents"`
-}
-
-type ckptDeltaFluent struct {
-	Ind string `json:"ind"`
-	// Rules is present (with one entry per rule slot) only for delta-eligible
-	// simple fluents; eligibility is re-derived from the engine on load, the
-	// EDSum check guarantees it matches.
-	Rules []ckptDeltaRule `json:"rules,omitempty"`
-	Lists []ckptFVP       `json:"lists,omitempty"`
-}
-
-type ckptDeltaRule struct {
-	Times []ckptDeltaTime `json:"times,omitempty"`
-}
-
-type ckptDeltaTime struct {
-	T    int64          `json:"t"`
-	Acts []ckptDeltaAct `json:"acts"`
-}
-
-// ckptDeltaAct is one cached act: an FVP emission (F, V — the FVP may be
-// non-ground, e.g. a wildcard termination pattern) or a runtime warning.
-type ckptDeltaAct struct {
-	F    string    `json:"f,omitempty"`
-	V    string    `json:"v,omitempty"`
-	Warn *ckptWarn `json:"w,omitempty"`
-}
-
-type ckptWarn struct {
-	Fluent string `json:"f,omitempty"`
-	Msg    string `json:"m"`
-}
-
-// deltaSidecarPayload serialises a carried state deterministically:
-// fluents in engine (stratum) order, rule slots in definition order, anchor
-// times ascending, acts in captured order, lists sorted by canonical key.
-func (st *streamRun) deltaSidecarPayload(ds *deltaState) deltaPayload {
-	e := st.eng
-	p := deltaPayload{
-		EDSum:  e.edFingerprint(),
-		Window: st.tl.window, Slide: st.tl.slide,
-		Start: st.tl.start, End: st.tl.end,
-		Consumed: st.consumed,
-		WS:       ds.ws, WE: ds.we,
-	}
-	in := e.interner
-	for _, ind := range e.order {
-		fd := ds.fluents[ind]
-		if fd == nil {
-			continue
-		}
-		cf := ckptDeltaFluent{Ind: ind}
-		for _, byTime := range fd.acts {
-			var cr ckptDeltaRule
-			ts := make([]int64, 0, len(byTime))
-			for t := range byTime {
-				ts = append(ts, t)
-			}
-			sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
-			for _, t := range ts {
-				ct := ckptDeltaTime{T: t}
-				for _, a := range byTime[t] {
-					if a.fvp == nil {
-						ct.Acts = append(ct.Acts, ckptDeltaAct{Warn: &ckptWarn{Fluent: a.warn.Fluent, Msg: a.warn.Msg}})
-					} else {
-						ct.Acts = append(ct.Acts, ckptDeltaAct{F: a.fvp.Args[0].String(), V: a.fvp.Args[1].String()})
-					}
-				}
-				cr.Times = append(cr.Times, ct)
-			}
-			cf.Rules = append(cf.Rules, cr)
-		}
-		if fd.acts != nil && cf.Rules == nil {
-			cf.Rules = []ckptDeltaRule{} // eligible fluent with zero rules: keep the marker
-		}
-		ids := make([]lang.InternID, 0, len(fd.lists))
-		for id := range fd.lists {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return in.StringOf(ids[i]) < in.StringOf(ids[j]) })
-		for _, id := range ids {
-			le := fd.lists[id]
-			cf.Lists = append(cf.Lists, fvpToCkpt(le.fvp, le.list))
-		}
-		p.Fluents = append(p.Fluents, cf)
-	}
-	return p
-}
-
-// writeDeltaSidecar writes the last emitted slot's carried delta state next
-// to the checkpoint, atomically (temp + rename); the other revisable slots'
-// states are not persisted and restart cold. It is called after the snapshot
-// itself has been installed; a crash between the two leaves a sidecar whose
-// Consumed stamp no longer matches the snapshot, which the loader rejects
-// into a cold start. No-op when no state is carried yet.
-func (st *streamRun) writeDeltaSidecar() error {
-	if st.emitted == 0 || st.slots[st.emitted-1].delta == nil {
-		return nil
-	}
-	ds := st.slots[st.emitted-1].delta
-	path := st.opts.CheckpointPath + deltaSidecarSuffix
-	payload, err := json.Marshal(st.deltaSidecarPayload(ds))
-	if err != nil {
-		return fmt.Errorf("rtec: delta sidecar: %w", err)
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	data, err := json.Marshal(deltaFile{
-		Magic:    deltaMagic,
-		Version:  deltaVersion,
-		Checksum: fmt.Sprintf("%016x", h.Sum64()),
-		Payload:  payload,
-	})
-	if err != nil {
-		return fmt.Errorf("rtec: delta sidecar: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".rtec-delta-*")
-	if err != nil {
-		return fmt.Errorf("rtec: delta sidecar: %w", err)
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rtec: delta sidecar: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rtec: delta sidecar: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rtec: delta sidecar: %w", err)
-	}
-	return nil
-}
-
-// loadDeltaSidecar rehydrates the last emitted slot's carried delta state
-// for a resumed run, or reports a cold start (nil, false) when the sidecar is
-// missing, fails any integrity check, or describes a different moment or
-// window than the checkpoint that actually loaded. Every mismatch is safe:
-// the first evaluation after a cold start is a full one with capture.
-func (st *streamRun) loadDeltaSidecar(cp *Checkpoint) (*deltaState, bool) {
-	e := st.eng
-	data, err := os.ReadFile(st.opts.CheckpointPath + deltaSidecarSuffix)
-	if err != nil {
-		return nil, false
-	}
-	var f deltaFile
-	if err := json.Unmarshal(data, &f); err != nil || f.Magic != deltaMagic || f.Version != deltaVersion {
-		return nil, false
-	}
-	h := fnv.New64a()
-	h.Write(f.Payload)
-	if fmt.Sprintf("%016x", h.Sum64()) != f.Checksum {
-		return nil, false
-	}
-	var p deltaPayload
-	if err := json.Unmarshal(f.Payload, &p); err != nil {
-		return nil, false
-	}
-	if p.EDSum != e.edFingerprint() || p.Consumed != cp.Consumed ||
-		p.Window != st.tl.window || p.Slide != st.tl.slide || p.Start != st.tl.start || p.End != st.tl.end {
-		return nil, false
-	}
-	if cp.Windows == 0 || p.WS != st.tl.windowStart(cp.Windows-1) || p.WE != st.tl.q(cp.Windows-1) {
-		return nil, false
-	}
-	ds := &deltaState{ws: p.WS, we: p.WE, fluents: map[string]*fluentDelta{}}
-	in := e.interner
-	for _, cf := range p.Fluents {
-		def := e.fluents[cf.Ind]
-		if def == nil {
-			return nil, false
-		}
-		fd := &fluentDelta{lists: map[lang.InternID]listEntry{}}
-		if def.kind == Simple && def.deltaEligible {
-			if len(cf.Rules) != len(def.inits)+len(def.terms) {
-				return nil, false
-			}
-			fd.acts = make([]map[int64][]act, len(cf.Rules))
-			for ri, cr := range cf.Rules {
-				byTime := map[int64][]act{}
-				for _, ct := range cr.Times {
-					acts := make([]act, 0, len(ct.Acts))
-					for _, ca := range ct.Acts {
-						if ca.Warn != nil {
-							acts = append(acts, act{warn: Warning{Fluent: ca.Warn.Fluent, Msg: ca.Warn.Msg}, t: ct.T})
-							continue
-						}
-						fvp, _, err := fvpFromCkpt(ckptFVP{Fluent: ca.F, Value: ca.V})
-						if err != nil {
-							return nil, false
-						}
-						acts = append(acts, act{fvp: fvp, t: ct.T})
-					}
-					byTime[ct.T] = acts
-				}
-				fd.acts[ri] = byTime
-			}
-		}
-		for _, cl := range cf.Lists {
-			fvp, list, err := fvpFromCkpt(cl)
-			if err != nil {
-				return nil, false
-			}
-			fd.lists[in.ID(fvp, nil)] = listEntry{fvp: fvp, list: list}
-		}
-		ds.fluents[cf.Ind] = fd
-	}
-	return ds, true
 }

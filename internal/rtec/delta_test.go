@@ -250,64 +250,41 @@ func TestDeltaBatchGeometries(t *testing.T) {
 	}
 }
 
-// TestDeltaSidecarWarmResume: a run killed mid-stream resumes warm from the
-// delta sidecar — the restore counter fires, the resumed stretch still
-// replays, and the final output is byte-identical to the uninterrupted run.
-func TestDeltaSidecarWarmResume(t *testing.T) {
+// TestDeltaResumeRewarms: a run suspended mid-stream resumes with every slot
+// cold — the carried delta state is not persisted — so its first evaluation
+// is a full one with capture; from there the resumed stretch replays again,
+// and the final output is byte-identical to the uninterrupted run.
+func TestDeltaResumeRewarms(t *testing.T) {
 	arrivals := chaosArrivals(t, 11, 60)
-	base := StreamOptions{
+	opts := StreamOptions{
 		RunOptions:      RunOptions{Window: 120, Slide: 30},
 		MaxDelay:        60,
 		CheckpointEvery: 1,
 	}
 
-	want, err := mustEngine(t, withinAreaED, Options{Strict: true}).RunStream(arrivals, base, nil)
+	want, err := mustEngine(t, withinAreaED, Options{Strict: true}).RunStream(arrivals, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	run := func(corruptSidecar bool) (string, *telemetry.Registry) {
-		reg := telemetry.NewRegistry()
-		e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
-		opts := base
-		opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-		half := len(arrivals) / 2
-		fail := 0
-		opts.Interrupt = func() bool { fail++; return fail == half }
-		if _, err := e.RunStream(arrivals, opts, nil); err != ErrSuspended {
-			t.Fatalf("interrupted run err = %v, want ErrSuspended", err)
-		}
-		if corruptSidecar {
-			if err := os.WriteFile(opts.CheckpointPath+deltaSidecarSuffix, []byte("garbage"), 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		opts.Interrupt = nil
-		reused0 := reg.Counter("rtec.delta.reused").Value()
-		res, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if reg.Counter("rtec.delta.reused").Value() <= reused0 {
-			t.Fatal("resumed stretch never replayed")
-		}
-		return recognitionFingerprint(t, res.Recognition), reg
+	reg := telemetry.NewRegistry()
+	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+	opts.Interrupt = interruptAfter(len(arrivals) / 2)
+	if _, err := e.RunStream(arrivals, opts, nil); err != ErrSuspended {
+		t.Fatalf("interrupted run err = %v, want ErrSuspended", err)
 	}
-
-	warm, wreg := run(false)
-	if warm != recognitionFingerprint(t, want.Recognition) {
-		t.Fatal("warm resume differs from uninterrupted run")
+	opts.Interrupt = nil
+	reused0 := reg.Counter("rtec.delta.reused").Value()
+	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if v := wreg.Counter("rtec.delta.sidecar_restores").Value(); v != 1 {
-		t.Fatalf("sidecar restores = %d, want 1", v)
+	if reg.Counter("rtec.delta.reused").Value() <= reused0 {
+		t.Fatal("resumed stretch never replayed")
 	}
-
-	cold, creg := run(true)
-	if cold != recognitionFingerprint(t, want.Recognition) {
-		t.Fatal("cold resume (corrupt sidecar) differs from uninterrupted run")
-	}
-	if v := creg.Counter("rtec.delta.sidecar_restores").Value(); v != 0 {
-		t.Fatalf("corrupt sidecar restored anyway (%d restores)", v)
+	if recognitionFingerprint(t, got.Recognition) != recognitionFingerprint(t, want.Recognition) {
+		t.Fatal("resumed run differs from the uninterrupted run")
 	}
 }
 
@@ -446,8 +423,8 @@ func TestDeltaSlotStateBounded(t *testing.T) {
 }
 
 // TestDeltaResumeInsideLateBurst: a run suspended between two late arrivals
-// resumes with the last emitted slot warm (sidecar) and every other
-// revisable slot cold; the deliveries before the suspend followed by those
+// resumes with every revisable slot cold (full evaluation + capture on its
+// first revision); the deliveries before the suspend followed by those
 // after the resume must be exactly the uninterrupted run's, and so must the
 // final recognition and statistics.
 func TestDeltaResumeInsideLateBurst(t *testing.T) {
@@ -486,8 +463,7 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	reg := telemetry.NewRegistry()
-	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	opts := base
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 	opts.Interrupt = interruptAfter(cut)
@@ -499,9 +475,6 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, render(&gotLog))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if v := reg.Counter("rtec.delta.sidecar_restores").Value(); v != 1 {
-		t.Fatalf("sidecar restores = %d, want 1 (the last emitted slot resumes warm)", v)
 	}
 	if gotLog.String() != wantLog.String() {
 		t.Fatalf("deliveries across the suspend differ from the uninterrupted run:\n--- resumed\n%s\n--- uninterrupted\n%s", gotLog.String(), wantLog.String())

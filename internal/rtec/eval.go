@@ -293,8 +293,8 @@ func (w *windowState) evalSimple(def *fluentDef) {
 	}
 	b := &w.seq.b
 	for _, wc := range wildcards {
-		// An emitted pattern carries no slots (see derived), whichever rule,
-		// window or restored delta sidecar it comes from: number it here.
+		// An emitted pattern carries no slots (see derived), whichever rule
+		// or carried delta state it comes from: number it here.
 		var vt lang.VarTable
 		pattern := vt.Number(wc.pattern)
 		b.Reset(vt.Len())

@@ -79,7 +79,6 @@ func newStreamObs(tel *telemetry.Telemetry, slo SLOOptions, jw *journal.Writer) 
 		"rtec.delta.dirty":                "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
 		"rtec.delta.expired":              "cached anchor times dropped at the expired left edge of the slide",
 		"rtec.delta.reuse_ratio":          "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
-		"rtec.delta.sidecar_restores":     "delta sidecars restored next to a checkpoint (warm incremental resume)",
 	} {
 		reg.Describe(name, help)
 	}

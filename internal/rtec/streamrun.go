@@ -89,7 +89,6 @@ type StreamResult struct {
 // delivered evaluation of an emitted window, its revision counter, and the
 // delta state that evaluation captured.
 type windowSlot struct {
-	emitted  bool
 	revision int
 	eval     windowEval
 	// delta is the interval/act state carried out of the slot's latest
@@ -339,7 +338,6 @@ func (st *streamRun) emitNext() error {
 		}
 	}
 	st.slots[i].eval = st.evalSlot(i, prev, base)
-	st.slots[i].emitted = true
 	if i > 0 && i-1 < st.final {
 		st.slots[i-1].delta = nil // final, and no longer the slide's source
 	}
