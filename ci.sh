@@ -289,61 +289,28 @@ fi
 # The supervisor events in the main journal must drive rtectop's shard board.
 go run ./cmd/rtectop -journal "$tmp/chaos.jsonl" -require 'rtec_shard_restarts_total>0' > /dev/null
 
-echo "== live observability gate (serve, scrape, journal, replay)"
-# Run the streaming recognition with the operational endpoints and the audit
-# journal on, scrape /metrics while the server lingers, and validate the
-# exposition with rtectop's assertion mode. The journal must pass
-# tracecheck, replay in rtectop, and be byte-identical across same-seed
-# runs.
+echo "== live observability gate (journal, replay)"
+# Run the streaming recognition with the audit journal on. The recognition
+# must not change; the journal must pass tracecheck, replay in rtectop, and
+# be byte-identical across same-seed runs. (The live /metrics scrape is
+# asserted against rtecd, the one binary that serves it, in the gate below.)
 go build -o "$tmp/bin-rtec" ./cmd/rtec
 go build -o "$tmp/bin-rtectop" ./cmd/rtectop
 go build -o "$tmp/bin-tracecheck" ./cmd/tracecheck
 "$tmp/bin-rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
-    -max-delay 900 -slo-emit-lag 900 -journal "$tmp/run1.jsonl" \
-    -listen 127.0.0.1:0 -linger 30s > "$tmp/live.csv" 2> "$tmp/live-err.txt" &
-live_pid=$!
-# Wait for the run to finish (the final stats line) so the scrape sees the
-# complete counters; the server stays up through -linger.
-ok=""
-i=0
-while [ $i -lt 300 ]; do
-    if grep -q '^rtec: stream:' "$tmp/live-err.txt" 2>/dev/null; then
-        ok=1
-        break
-    fi
-    i=$((i + 1))
-    sleep 0.1
-done
-if [ -z "$ok" ]; then
-    echo "live gate: streaming run under -listen never finished:" >&2
-    cat "$tmp/live-err.txt" >&2
-    kill "$live_pid" 2>/dev/null || true
-    exit 1
-fi
-addr=$(sed -n 's/^rtec: metrics listening on //p' "$tmp/live-err.txt")
-if [ -z "$addr" ]; then
-    echo "live gate: no bound address on stderr:" >&2
-    cat "$tmp/live-err.txt" >&2
-    kill "$live_pid" 2>/dev/null || true
-    exit 1
-fi
-"$tmp/bin-rtectop" -once -metrics "http://$addr/metrics" \
-    -require 'rtec_windows_evaluated_total>0,rtec_events_ingested_total>0,rtec_stream_watermark_age,rtec_window_emit_lag>0,rtec_window_e2e_micros>0' \
-    > "$tmp/rtectop-live.txt"
-kill "$live_pid" 2>/dev/null || true
-wait "$live_pid" 2>/dev/null || true
+    -max-delay 900 -journal "$tmp/run1.jsonl" > "$tmp/live.csv"
 if ! cmp -s "$tmp/baseline.csv" "$tmp/live.csv"; then
-    echo "live gate: recognition output changed under -listen/-journal:" >&2
+    echo "live gate: recognition output changed under -journal:" >&2
     diff "$tmp/baseline.csv" "$tmp/live.csv" >&2 || true
     exit 1
 fi
 "$tmp/bin-tracecheck" -journal -require run_start,window,run_end "$tmp/run1.jsonl"
 "$tmp/bin-rtectop" -journal "$tmp/run1.jsonl" \
     -require 'rtec_windows_evaluated_total>0,rtec_window_emit_lag>0' > "$tmp/rtectop-replay.txt"
-# Same-seed determinism: a second run with identical recognition flags (no
-# server) must journal byte-identically.
+# Same-seed determinism: a second run with identical flags must journal
+# byte-identically.
 "$tmp/bin-rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
-    -max-delay 900 -slo-emit-lag 900 -journal "$tmp/run2.jsonl" > /dev/null 2>&1
+    -max-delay 900 -journal "$tmp/run2.jsonl" > /dev/null 2>&1
 if ! cmp -s "$tmp/run1.jsonl" "$tmp/run2.jsonl"; then
     echo "live gate: same-seed journals differ:" >&2
     diff "$tmp/run1.jsonl" "$tmp/run2.jsonl" >&2 || true
@@ -414,11 +381,14 @@ if ! grep -q '^rtecd: drained (suspended)$' "$tmp/rtecd-err.txt"; then
 fi
 start_rtecd "$rtecd_flags -resume"
 post_ok "$tmp/shuffled.ndjson"
-# The live scrape must drive rtectop's DAEMON board.
+# The live scrape must drive rtectop's DAEMON board and carry the engine's
+# streaming instruments; the admitted-event counter is added at /finish.
 "$tmp/bin-rtectop" -once -metrics "http://$rtecd_addr/metrics" \
-    -require 'serve_state,serve_ingest_requests_total>0,serve_windows_published_total>0' \
+    -require 'serve_state,serve_ingest_requests_total>0,serve_windows_published_total>0,rtec_windows_evaluated_total>0,rtec_stream_watermark_age,rtec_window_emit_lag>0,rtec_window_e2e_micros>0' \
     > "$tmp/rtectop-daemon.txt"
 curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd.csv"
+"$tmp/bin-rtectop" -once -metrics "http://$rtecd_addr/metrics" \
+    -require 'rtec_events_ingested_total>0' > /dev/null
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true
 if ! cmp -s "$tmp/sharded-clean.csv" "$tmp/rtecd.csv"; then

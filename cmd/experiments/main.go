@@ -11,9 +11,9 @@
 //
 // Usage:
 //
-//	experiments [-fig 2a|2b|2c|refine|all] [-errors] [-lint] [-zeroshot] [-csv] [-vessels N] [-seed S] [-window W] [-max-delay D]
+//	experiments [-fig 2a|2b|2c|refine|all] [-errors] [-lint] [-zeroshot] [-csv] [-vessels N] [-seed S] [-window W]
 //	            [-workers N] [-faults profile] [-fault-seed S]
-//	            [-trace out.json] [-metrics] [-v] [-pprof addr]
+//	            [-trace out.json] [-metrics] [-v]
 //
 // Parallelism: -workers bounds how many whole jobs run at once — the 12
 // generation pipelines, the Figure 2c evaluations, the per-model refine
@@ -25,7 +25,7 @@
 // timings and a per-stage, per-model pipeline timing table (from the
 // telemetry registry) and dumps the registry to stderr; -trace writes a
 // Chrome trace_event JSON of the whole run; -v enables structured debug
-// logs; -pprof serves net/http/pprof and expvar for long runs.
+// logs.
 //
 // Resilience: -faults runs the whole study under injected transport chaos
 // (internal/llm/fault) behind the resilient wrapper (internal/llm/
@@ -65,7 +65,6 @@ type options struct {
 	csv                  bool
 	vessels              int
 	seed, window         int64
-	maxDelay             int64
 	workers              int
 	faults               string
 	faultSeed            int64
@@ -94,14 +93,12 @@ func main() {
 	flag.IntVar(&o.vessels, "vessels", 60, "fleet size of the synthetic scenario (Figure 2c)")
 	flag.Int64Var(&o.seed, "seed", 7, "scenario seed (Figure 2c)")
 	flag.Int64Var(&o.window, "window", 3600, "RTEC window size in seconds (Figure 2c)")
-	flag.Int64Var(&o.maxDelay, "max-delay", 0, "run recognitions through the out-of-order streaming engine with this delay bound in seconds (Figure 2c; 0 = batch path)")
 	flag.IntVar(&o.workers, "workers", 0, "concurrent jobs: generation pipelines, Figure 2c evaluations, refine chains; each recognition engine inside a job runs sequentially (0 = GOMAXPROCS, 1 = sequential; generation is forced to 1 under -faults); output is identical at any count")
 	flag.StringVar(&o.faults, "faults", "", "inject model-transport faults: "+strings.Join(fault.Names(), ", "))
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (runs are byte-reproducible per seed)")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "print the timing summary and dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
-	flag.StringVar(&o.tel.PprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -179,7 +176,7 @@ func annotate(label string, gen *prompt.GeneratedED) string {
 }
 
 func run(o options) error {
-	tel, flush := o.tel.Setup(os.Stderr, os.Stderr, "experiments")
+	tel, flush := o.tel.Setup(os.Stderr, os.Stderr)
 	wallStart := time.Now() //rtecvet:allow real wall-clock total for the -metrics summary
 
 	models, err := buildModels(o, tel)
@@ -260,7 +257,6 @@ func run(o options) error {
 			Scenario:   maritime.ScenarioConfig{Vessels: o.vessels, Seed: o.seed},
 			Preprocess: maritime.DefaultPreprocessConfig(),
 			Window:     o.window,
-			MaxDelay:   o.maxDelay,
 			Telemetry:  tel,
 			Workers:    o.workers,
 		}

@@ -1,52 +1,43 @@
 // Command rtec runs the Run-Time Event Calculus over an event stream: given
 // an event-description file (rules, declarations and background knowledge)
 // and a CSV stream of input events, it prints the maximal intervals of
-// every recognised fluent-value pair.
+// every recognised fluent-value pair. It is the one-shot reference: it reads
+// a file, runs to completion and exits. The long-lived service — HTTP
+// ingest, subscriptions, /metrics, /healthz, /debug/pprof/, graceful drain —
+// is cmd/rtecd.
 //
 // Usage:
 //
 //	rtec -ed rules.rtec -stream events.csv [-window W] [-slide S] [-fluent name/arity] [-strict]
 //	     [-lenient] [-workers N] [-no-delta] [-max-delay D] [-checkpoint file [-checkpoint-every N] [-resume]]
+//	     [-journal file [-journal-cap N] [-journal-wall]]
 //	     [-shards N [-shard-faults spec] [-shard-deadline D] [-shard-queue N] [-shard-overflow policy]]
-//	     [-trace out.json] [-metrics] [-v] [-pprof addr]
+//	     [-trace out.json] [-metrics] [-v]
 //
 // Stream rows have the form "time,eventName,arg1,arg2,..."; -format ndjson
 // reads rtecd's wire format instead ({"time":10,"atom":"f(a)"} per line).
 // With -lenient, malformed rows are quarantined and reported on stderr
 // instead of aborting the run.
 //
-// With -checkpoint set, SIGINT/SIGTERM park the run instead of killing it:
-// the engine stops at the next arrival boundary, writes a suspend
-// checkpoint, closes the journal cleanly and exits with code 3; rerunning
-// with -resume continues byte-identically to an uninterrupted run.
-//
 // Streaming robustness: -max-delay D treats the CSV as an arrival-ordered
 // stream that may be out of order by up to D time-points — late events
 // within the bound revise the affected windows, older ones are counted and
 // dropped. -checkpoint writes a crash-safe snapshot every -checkpoint-every
 // windows; -resume restores it and continues, producing output identical to
-// an uninterrupted run. -crash-after kills the run after N windows (for
+// an uninterrupted run — a killed run loses at most the windows since its
+// last snapshot. -crash-after kills the run after N windows (for
 // fault-injection drills). Without any of these flags the classic batch
 // path runs, byte-identical to previous releases.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the run (one
 // span per window and per fluent stratum; open in chrome://tracing or
-// Perfetto), -metrics dumps the telemetry registry to stderr at exit, -v
-// lowers the structured-log level to debug, and -pprof serves
-// net/http/pprof plus expvar (including the live metrics registry) for
-// long-running invocations.
-//
-// Live operation: -listen serves the operational endpoints (/metrics in
-// Prometheus text exposition format, /healthz, /debug/vars, /debug/pprof/)
-// for the lifetime of the run; -linger keeps them up after the run finishes
-// so scrapers and rtectop can read the final state. -journal appends the
+// Perfetto), -metrics dumps the telemetry registry to stderr at exit and -v
+// lowers the structured-log level to debug. -journal appends the
 // structured recognition audit journal (JSONL; see internal/telemetry/
 // journal) with -journal-cap bounding its size and -journal-wall stamping
 // real wall-clock times instead of the deterministic default. On -resume an
 // existing journal is validated, a torn trailing line is truncated, and the
-// run continues it after a journal_recovered marker. -slo-emit-lag and
-// -slo-window-ms set streaming-lag SLOs whose breaches count in
-// rtec.slo.breaches.
+// run continues it after a journal_recovered marker.
 //
 // Sharded operation: -shards N partitions the stream by consistent entity
 // hash across N supervised engine shards (internal/shard), each with its own
@@ -55,22 +46,19 @@
 // recover from crashes on their own: panics restart from the last
 // checkpoint, shards stalled past -shard-deadline are killed and restarted,
 // torn checkpoints fall back to the previous generation, and a shard that
-// exhausts its -shard-restarts budget degrades (visible as a 503 on
-// /healthz) instead of taking the run down. -shard-queue and
-// -shard-overflow bound per-shard ingest admission; -shard-faults injects a
-// deterministic failure schedule (e.g. "panic@w3" or
-// "ckpt-truncate@w2,panic@w3:s0") for chaos drills — the output stays
+// exhausts its -shard-restarts budget degrades (reported on stderr; the run
+// still exits 0 with a partial merge) instead of taking the run down.
+// -shard-queue and -shard-overflow bound per-shard ingest admission;
+// -shard-faults injects a deterministic failure schedule (e.g. "panic@w3"
+// or "ckpt-truncate@w2,panic@w3:s0") for chaos drills — the output stays
 // byte-identical to a fault-free run.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"os/signal"
-	"syscall"
 	"time"
 
 	"rtecgen/internal/clock"
@@ -98,13 +86,9 @@ type options struct {
 	checkpointEvery    int
 	resume             bool
 	crashAfter         int
-	listen             string
-	linger             time.Duration
 	journalPath        string
 	journalCap         int64
 	journalWall        bool
-	sloEmitLag         int64
-	sloWindowMS        int64
 	shards             int
 	shardFaults        string
 	shardDeadline      time.Duration
@@ -133,13 +117,9 @@ func main() {
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
 	flag.BoolVar(&o.resume, "resume", false, "restore the -checkpoint snapshot and continue the run")
 	flag.IntVar(&o.crashAfter, "crash-after", 0, "fault injection: abort after N windows (0 = never)")
-	flag.StringVar(&o.listen, "listen", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof/ on this address (port 0 picks one; the bound address is printed to stderr)")
-	flag.DurationVar(&o.linger, "linger", 0, "keep the -listen endpoints up this long after the run finishes")
 	flag.StringVar(&o.journalPath, "journal", "", "append the recognition audit journal (JSONL) to this file (streaming ingestion)")
 	flag.Int64Var(&o.journalCap, "journal-cap", 0, "cap the journal size in bytes (0 = unbounded); a journal_capped marker ends a capped journal")
 	flag.BoolVar(&o.journalWall, "journal-wall", false, "stamp journal records with real wall-clock times instead of the deterministic default")
-	flag.Int64Var(&o.sloEmitLag, "slo-emit-lag", 0, "SLO: max event-time lag (frontier minus query time) at first window delivery, in time-points (0 = off)")
-	flag.Int64Var(&o.sloWindowMS, "slo-window-ms", 0, "SLO: max wall-clock latency per window delivery, in milliseconds (0 = off)")
 	flag.IntVar(&o.shards, "shards", 0, "partition the stream across N supervised engine shards (0/1 = unsharded)")
 	flag.StringVar(&o.shardFaults, "shard-faults", "", `inject a deterministic shard fault schedule, e.g. "panic@w3" or "ckpt-truncate@w2,panic@w3:s0"`)
 	flag.DurationVar(&o.shardDeadline, "shard-deadline", 10*time.Second, "kill and restart a shard making no progress for this long")
@@ -150,17 +130,9 @@ func main() {
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
-	flag.StringVar(&o.tel.PprofAddr, "pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	flag.Parse()
 
 	if err := run(o, os.Stdout, os.Stderr); err != nil {
-		if errors.Is(err, rtec.ErrSuspended) {
-			// A graceful park, not a failure: the suspend checkpoint is on
-			// disk and -resume continues byte-identically. Exit code 3
-			// distinguishes it for process supervisors.
-			fmt.Fprintln(os.Stderr, "rtec:", err)
-			os.Exit(3)
-		}
 		fmt.Fprintln(os.Stderr, "rtec:", err)
 		os.Exit(1)
 	}
@@ -168,11 +140,10 @@ func main() {
 
 // streaming reports whether any flag asks for the out-of-order streaming
 // path. With none of them set the classic batch path runs, byte-identical
-// to previous releases. The audit journal and the SLOs are features of the
-// streaming engine, so asking for them routes the run through it too.
+// to previous releases. The audit journal is a feature of the streaming
+// engine, so asking for it routes the run through it too.
 func (o options) streaming() bool {
-	return o.maxDelay > 0 || o.checkpoint != "" || o.resume || o.crashAfter > 0 ||
-		o.journalPath != "" || o.sloEmitLag > 0 || o.sloWindowMS > 0
+	return o.maxDelay > 0 || o.checkpoint != "" || o.resume || o.crashAfter > 0 || o.journalPath != ""
 }
 
 func run(o options, stdout, stderr *os.File) error {
@@ -189,6 +160,13 @@ func run(o options, stdout, stderr *os.File) error {
 	if o.fluent != "" && o.csvOut {
 		return fmt.Errorf("-fluent does not apply to -csv output: it filters the holdsFor listing only")
 	}
+	if o.shardFaults != "" && o.shards <= 1 {
+		return fmt.Errorf("-shard-faults needs -shards N>1: an unsharded run has no shard to inject into")
+	}
+	plan, err := fault.Parse(o.shardFaults)
+	if err != nil {
+		return err
+	}
 	if o.shards > 1 {
 		if o.resume {
 			return fmt.Errorf("-resume does not apply to sharded runs: shards recover from their own checkpoints in-process")
@@ -197,7 +175,7 @@ func run(o options, stdout, stderr *os.File) error {
 			return fmt.Errorf("-crash-after does not apply to sharded runs: use -shard-faults")
 		}
 	}
-	tel, flush := o.tel.Setup(stderr, stderr, "rtec")
+	tel, flush := o.tel.Setup(stderr, stderr)
 
 	// The audit journal: one writer for the whole run, wall timestamps only
 	// on request (the deterministic default journals byte-identically across
@@ -210,59 +188,15 @@ func run(o options, stdout, stderr *os.File) error {
 	}
 	var jw *journal.Writer
 	if o.journalPath != "" {
-		if o.resume {
-			if _, statErr := os.Stat(o.journalPath); statErr == nil {
-				info, err := journal.Recover(o.journalPath)
-				if err != nil {
-					return fmt.Errorf("journal: %w", err)
-				}
-				jf, err := os.OpenFile(o.journalPath, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					return fmt.Errorf("journal: %w", err)
-				}
-				defer jf.Close()
-				jw = journal.NewWriterResumed(jf, jopts, info)
-				if err := jw.Append("journal_recovered", map[string]int64{
-					"records":         int64(info.Records),
-					"last_seq":        info.LastSeq,
-					"truncated_bytes": info.Truncated,
-				}); err != nil {
-					return fmt.Errorf("journal: %w", err)
-				}
-				fmt.Fprintf(stderr, "rtec: journal: recovered %d records (%d torn bytes truncated)\n",
-					info.Records, info.Truncated)
-			}
-		}
-		if jw == nil {
-			jf, err := os.Create(o.journalPath)
-			if err != nil {
-				return fmt.Errorf("journal: %w", err)
-			}
-			defer jf.Close()
-			jw = journal.NewWriter(jf, jopts)
-		}
-	}
-
-	// The operational endpoints serve the live registry for the whole run
-	// (and through -linger, beyond it). Port 0 picks a free port; the bound
-	// address goes to stderr for scrapers to discover.
-	var srv *telemetry.Server
-	if o.listen != "" {
-		srv = telemetry.NewServer(tel.Registry)
-		srv.Ready("engine", func() error { return nil })
-		if jw != nil {
-			srv.Ready("journal", jw.Err)
-		}
-		addr, err := srv.Start(o.listen)
+		jf, w, info, err := journal.Open(o.journalPath, jopts, o.resume, true)
 		if err != nil {
 			return err
 		}
-		// Shutdown, not Close: a scraper mid-request at exit gets its
-		// response instead of a reset connection.
-		defer srv.Shutdown(0) //nolint:errcheck // deadline-bounded best effort
-		fmt.Fprintf(stderr, "rtec: metrics listening on %s\n", addr)
-		if o.linger > 0 {
-			defer clock.Real().Sleep(o.linger)
+		defer jf.Close()
+		jw = w
+		if info != nil {
+			fmt.Fprintf(stderr, "rtec: journal: recovered %d records (%d torn bytes truncated)\n",
+				info.Records, info.Truncated)
 		}
 	}
 
@@ -293,7 +227,7 @@ func run(o options, stdout, stderr *os.File) error {
 	var rec *rtec.Recognition
 	switch {
 	case o.shards > 1:
-		rec, err = runSharded(o, eng, events, jw, jopts, srv, tel, stderr)
+		rec, err = runSharded(o, eng, events, plan, jw, jopts, tel, stderr)
 	case o.streaming():
 		rec, err = runStreaming(o, eng, events, jw, stderr)
 	default:
@@ -357,28 +291,6 @@ func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal
 		CheckpointPath:  o.checkpoint,
 		CheckpointEvery: o.checkpointEvery,
 		Journal:         jw,
-		SLO: rtec.SLOOptions{
-			MaxEmitLag:      o.sloEmitLag,
-			MaxWindowMicros: o.sloWindowMS * 1000,
-		},
-	}
-	// SIGINT/SIGTERM park the run instead of killing it: the engine stops
-	// at the next arrival boundary, writes a suspend checkpoint, the
-	// journal closes cleanly and -resume continues byte-identically.
-	// Without a checkpoint path there is nowhere to park, so signals keep
-	// their default fatal behaviour.
-	if o.checkpoint != "" {
-		sigc := make(chan os.Signal, 1)
-		signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
-		defer signal.Stop(sigc)
-		opts.Interrupt = func() bool {
-			select {
-			case <-sigc:
-				return true
-			default:
-				return false
-			}
-		}
 	}
 	var fn func(rtec.WindowResult) error
 	if o.crashAfter > 0 {
@@ -401,9 +313,6 @@ func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal
 		res, err = eng.RunStream(events, opts, fn)
 	}
 	if err != nil {
-		if errors.Is(err, rtec.ErrSuspended) {
-			fmt.Fprintf(stderr, "rtec: suspended: checkpoint written to %s; rerun with -resume to continue\n", o.checkpoint)
-		}
 		return nil, err
 	}
 	fmt.Fprintf(stderr, "rtec: stream: %s\n", res.Stats)
@@ -415,14 +324,10 @@ func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal
 // and the per-shard recognitions are merged. Shard k checkpoints to
 // "<-checkpoint>.s<k>" and journals to "<-journal>.s<k>"; the main journal
 // carries the supervisor's lifecycle events (restarts, kills, degradation).
-func runSharded(o options, eng *rtec.Engine, events stream.Stream, jw *journal.Writer,
-	jopts journal.Options, srv *telemetry.Server, tel *telemetry.Telemetry, stderr *os.File) (*rtec.Recognition, error) {
+func runSharded(o options, eng *rtec.Engine, events stream.Stream, plan *fault.Plan, jw *journal.Writer,
+	jopts journal.Options, tel *telemetry.Telemetry, stderr *os.File) (*rtec.Recognition, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("sharded runs need a non-empty stream to bound the time-line")
-	}
-	plan, err := fault.Parse(o.shardFaults)
-	if err != nil {
-		return nil, err
 	}
 	overflow, err := shard.ParseOverflow(o.shardOverflow)
 	if err != nil {
@@ -452,10 +357,6 @@ func runSharded(o options, eng *rtec.Engine, events stream.Stream, jw *journal.W
 			MaxDelay:        o.maxDelay,
 			CheckpointPath:  o.checkpoint,
 			CheckpointEvery: o.checkpointEvery,
-			SLO: rtec.SLOOptions{
-				MaxEmitLag:      o.sloEmitLag,
-				MaxWindowMicros: o.sloWindowMS * 1000,
-			},
 		},
 		JournalFor:  journalFor,
 		JournalOpts: jopts,
@@ -471,7 +372,6 @@ func runSharded(o options, eng *rtec.Engine, events stream.Stream, jw *journal.W
 	if err != nil {
 		return nil, err
 	}
-	sup.RegisterHealth(srv)
 	var ingestErr error
 	for _, e := range events {
 		if err := sup.Ingest(e); err != nil {

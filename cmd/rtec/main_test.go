@@ -160,6 +160,19 @@ initiatedAt(broken(X)=true, T) :-
 	if _, err := os.Stat(sameO.journalPath); err == nil {
 		t.Fatal("refused run still created the journal/checkpoint file")
 	}
+	// -shard-faults only injects into shards: an unsharded run would ignore
+	// the schedule and "pass" the drill. A malformed schedule is refused
+	// before the run, not after the stream has been read.
+	faultO := opts(ed, st)
+	faultO.shardFaults = "panic@w1"
+	if err := run(faultO, os.Stdout, os.Stderr); err == nil ||
+		!strings.Contains(err.Error(), "-shard-faults") || !strings.Contains(err.Error(), "-shards") {
+		t.Fatalf("-shard-faults without -shards: err = %v, want a usage error naming both flags", err)
+	}
+	faultO.shards, faultO.shardFaults = 2, "bogus"
+	if err := run(faultO, os.Stdout, os.Stderr); err == nil || !strings.Contains(err.Error(), "bogus") {
+		t.Fatalf("unparseable -shard-faults: err = %v, want the parse error", err)
+	}
 	// An unwritable trace path must be reported.
 	traceO := opts(ed, st)
 	traceO.tel.TracePath = filepath.Join(t.TempDir(), "no", "such", "dir", "t.json")

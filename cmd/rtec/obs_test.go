@@ -3,17 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
-	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"regexp"
-	"strings"
 	"testing"
-	"time"
 
-	"rtecgen/internal/clock"
-	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
 )
 
@@ -27,7 +20,6 @@ func journalOpts(ed, st, journalPath string) options {
 	o := opts(ed, st)
 	o.window, o.slide = 20, 20
 	o.maxDelay = 15
-	o.sloEmitLag = 5
 	o.journalPath = journalPath
 	return o
 }
@@ -120,76 +112,5 @@ func TestJournalCapped(t *testing.T) {
 	}
 	if !stats.Capped {
 		t.Fatalf("journal not capped at %d bytes (wrote %d)", o.journalCap, len(data))
-	}
-}
-
-var listenAddrRE = regexp.MustCompile(`rtec: metrics listening on (\S+)`)
-
-// TestListenServesLiveMetrics is the in-process version of the CI live-scrape
-// gate: start a streaming run with -listen and -linger, scrape /metrics while
-// the endpoints are up, and validate the exposition.
-func TestListenServesLiveMetrics(t *testing.T) {
-	ed := write(t, "ed.rtec", testED)
-	st := write(t, "events.csv", disorderStream)
-	stderrPath := filepath.Join(t.TempDir(), "stderr")
-	ef, err := os.Create(stderrPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ef.Close()
-
-	o := journalOpts(ed, st, filepath.Join(t.TempDir(), "j.jsonl"))
-	o.listen = "127.0.0.1:0"
-	// Generous linger: the scrape happens inside this window, and the test
-	// does not wait it out — the goroutine dies with the test process.
-	o.linger = 30 * time.Second
-
-	go run(o, os.Stdout, ef) //nolint:errcheck // failures surface as a missing address below
-
-	// The bound address appears on stderr as soon as the listener is up.
-	var addr string
-	for i := 0; i < 500 && addr == ""; i++ {
-		data, _ := os.ReadFile(stderrPath)
-		if m := listenAddrRE.FindSubmatch(data); m != nil {
-			addr = string(m[1])
-			break
-		}
-		clock.Real().Sleep(10 * time.Millisecond)
-	}
-	if addr == "" {
-		t.Fatal("bound address never appeared on stderr")
-	}
-
-	res, err := http.Get("http://" + addr + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := io.ReadAll(res.Body)
-	res.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	metrics, err := telemetry.ParsePrometheus(bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("scrape is not valid exposition: %v\n%s", err, body)
-	}
-	if m := metrics["rtec_windows_evaluated_total"]; m == nil || m.Value == 0 {
-		t.Errorf("rtec_windows_evaluated_total missing or zero:\n%s", body)
-	}
-	if m := metrics["rtec_stream_watermark_age"]; m == nil {
-		t.Errorf("watermark-age gauge missing:\n%s", body)
-	}
-	if m := metrics["rtec_window_e2e_micros"]; m == nil || m.Type != "histogram" || m.Count == 0 {
-		t.Errorf("window-latency histogram missing:\n%s", body)
-	}
-
-	hres, err := http.Get("http://" + addr + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hbody, _ := io.ReadAll(hres.Body)
-	hres.Body.Close()
-	if hres.StatusCode != http.StatusOK || !strings.Contains(string(hbody), `"journal": "ok"`) {
-		t.Errorf("/healthz = %d: %s", hres.StatusCode, hbody)
 	}
 }

@@ -9,9 +9,7 @@
 //	      [-shards N] [-checkpoint-every N] [-journal file] [-resume] [-out file]
 //	      [-shard-queue N] [-shard-overflow policy] [-shard-deadline D]
 //	      [-shard-restarts N] [-shard-seed S]
-//	      [-ingest-queue N] [-ingest-timeout D] [-retry-after D] [-ingest-delay D]
-//	      [-max-body N] [-sub-buffer N] [-sub-evict N] [-drain-timeout D]
-//	      [-metrics] [-v]
+//	      [-ingest-queue N] [-ingest-delay D] [-metrics] [-v]
 //
 // The HTTP surface (one port for everything):
 //
@@ -26,6 +24,11 @@
 //	GET  /result     the cached CSV after a finish.
 //	GET  /healthz    lifecycle + shard readiness (503 unless ready/finished).
 //	GET  /metrics    Prometheus text exposition; /debug/pprof/, /debug/vars.
+//
+// The request deadline (30 s), the Retry-After hint (1 s), the body cap
+// (8 MiB), the per-subscriber buffer (64 frames, eviction after 256 drops)
+// and the shutdown connection drain (5 s) are constants: the zero-value
+// defaults of serve.Options.
 //
 // SIGTERM or SIGINT drains gracefully: ingest stops, admitted events are
 // processed to completion, every shard parks into a suspend checkpoint
@@ -60,7 +63,6 @@ type options struct {
 	workers       int
 	strict        bool
 	lenient       bool
-	noDelta       bool
 
 	checkpoint      string
 	checkpointEvery int
@@ -76,14 +78,8 @@ type options struct {
 	shardRestarts int
 	shardSeed     int64
 
-	ingestQueue   int
-	ingestTimeout time.Duration
-	retryAfter    time.Duration
-	ingestDelay   time.Duration
-	maxBody       int64
-	subBuffer     int
-	subEvict      int
-	drainTimeout  time.Duration
+	ingestQueue int
+	ingestDelay time.Duration
 
 	tel telemetry.CLIConfig
 }
@@ -100,7 +96,6 @@ func main() {
 	flag.IntVar(&o.workers, "workers", 0, "window-evaluation worker goroutines (0 = GOMAXPROCS)")
 	flag.BoolVar(&o.strict, "strict", false, "fail on any event-description problem instead of warning")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed NDJSON lines instead of rejecting the request")
-	flag.BoolVar(&o.noDelta, "no-delta", false, "disable incremental sliding-window evaluation (full re-evaluation oracle); output is identical, only slower")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint base path (required): shard k parks into \"<base>.s<k>\" on drain")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
 	flag.StringVar(&o.journalPath, "journal", "", "append the lifecycle journal here and shard k's audit journal to \"<file>.s<k>\"")
@@ -114,13 +109,7 @@ func main() {
 	flag.IntVar(&o.shardRestarts, "shard-restarts", 5, "restarts per shard before it degrades")
 	flag.Int64Var(&o.shardSeed, "shard-seed", 7, "seed for per-shard restart backoff jitter")
 	flag.IntVar(&o.ingestQueue, "ingest-queue", 16, "bounded ingest queue: full answers 429 with Retry-After")
-	flag.DurationVar(&o.ingestTimeout, "ingest-timeout", 30*time.Second, "per-request application deadline (503 past it; safe to retry)")
-	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint on 429/503 responses")
 	flag.DurationVar(&o.ingestDelay, "ingest-delay", 0, "overload drill: throttle application to one event per delay")
-	flag.Int64Var(&o.maxBody, "max-body", 8<<20, "ingest request body cap in bytes")
-	flag.IntVar(&o.subBuffer, "sub-buffer", 64, "per-subscriber delivery buffer (full buffers drop, never block the engine)")
-	flag.IntVar(&o.subEvict, "sub-evict", 256, "disconnect a subscriber after this many drops")
-	flag.DurationVar(&o.drainTimeout, "drain-timeout", 5*time.Second, "HTTP connection drain bound on shutdown")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
 	flag.Parse()
@@ -152,7 +141,7 @@ func run(o options, stderr *os.File) error {
 	if err != nil {
 		return err
 	}
-	tel, flush := o.tel.Setup(stderr, stderr, "rtecd")
+	tel, flush := o.tel.Setup(stderr, stderr)
 
 	src, err := os.ReadFile(o.edPath)
 	if err != nil {
@@ -162,7 +151,7 @@ func run(o options, stderr *os.File) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.edPath, err)
 	}
-	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: o.workers, DisableDelta: o.noDelta, Telemetry: tel})
+	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: o.workers, Telemetry: tel})
 	if err != nil {
 		return err
 	}
@@ -175,25 +164,19 @@ func run(o options, stderr *os.File) error {
 			CheckpointPath:  o.checkpoint,
 			CheckpointEvery: o.checkpointEvery,
 		},
-		QueueDepth:    o.shardQueue,
-		Overflow:      overflow,
-		Deadline:      o.shardDeadline,
-		MaxRestarts:   o.shardRestarts,
-		Seed:          o.shardSeed,
-		JournalPath:   o.journalPath,
-		JournalOpts:   journal.Options{MaxBytes: o.journalCap},
-		Resume:        o.resume,
-		OutPath:       o.outPath,
-		Lenient:       o.lenient,
-		IngestQueue:   o.ingestQueue,
-		IngestTimeout: o.ingestTimeout,
-		RetryAfter:    o.retryAfter,
-		IngestDelay:   o.ingestDelay,
-		MaxBody:       o.maxBody,
-		SubBuffer:     o.subBuffer,
-		SubEvict:      o.subEvict,
-		DrainTimeout:  o.drainTimeout,
-		Telemetry:     tel,
+		QueueDepth:  o.shardQueue,
+		Overflow:    overflow,
+		Deadline:    o.shardDeadline,
+		MaxRestarts: o.shardRestarts,
+		Seed:        o.shardSeed,
+		JournalPath: o.journalPath,
+		JournalOpts: journal.Options{MaxBytes: o.journalCap},
+		Resume:      o.resume,
+		OutPath:     o.outPath,
+		Lenient:     o.lenient,
+		IngestQueue: o.ingestQueue,
+		IngestDelay: o.ingestDelay,
+		Telemetry:   tel,
 	})
 	if err != nil {
 		return err

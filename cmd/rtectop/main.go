@@ -1,14 +1,14 @@
 // Command rtectop is the terminal dashboard of a live (or recorded) RTEC
 // run. It reads operational state from one of two sources and renders the
-// same board: throughput, streaming lag, per-window and per-stratum latency,
-// SLO status and checkpoint activity.
+// same board: throughput, streaming lag, per-window and per-stratum latency
+// and checkpoint activity.
 //
-//   - -metrics URL polls the /metrics endpoint served by `rtec -listen` or
-//     the rtecd daemon (Prometheus text exposition) every -interval,
-//     redrawing in place; rates are computed from consecutive scrapes. When
-//     the scrape comes from rtecd, a DAEMON section leads the board with the
-//     lifecycle state, ingest admission counters (throttles, unavailability,
-//     timeouts, rejects) and subscription fan-out health.
+//   - -metrics URL polls the /metrics endpoint served by the rtecd daemon
+//     (Prometheus text exposition) every -interval, redrawing in place;
+//     rates are computed from consecutive scrapes. A DAEMON section leads
+//     the board with the lifecycle state, ingest admission counters
+//     (throttles, unavailability, timeouts, rejects) and subscription
+//     fan-out health.
 //   - -journal file replays a recognition audit journal (JSONL, written by
 //     `rtec -journal`) and renders the run's final board once.
 //
@@ -140,7 +140,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	var windows, revisions, restores, writes float64
 	var ckptBytes float64
 	var emitLags []float64
-	breaches := map[string]float64{}
 	shardRestarts := map[int]float64{}
 	shardDegraded := map[int]float64{}
 	var shards, kills, restarts, degraded float64
@@ -174,14 +173,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 				revisions++
 			}
 			emitLags = append(emitLags, w.EmitLag)
-		case "slo_breach":
-			var b struct {
-				Kind string `json:"kind"`
-			}
-			if err := unmarshalData(rec.Data, &b); err != nil {
-				return nil, "", fmt.Errorf("%s: seq %d: %w", path, rec.Seq, err)
-			}
-			breaches[b.Kind]++
 		case "checkpoint":
 			var c struct {
 				Bytes float64 `json:"bytes"`
@@ -233,17 +224,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 		put("rtec_duplicate_events_total", "counter", end.Duplicates)
 		put("rtec_dropped_events_total", "counter", end.Dropped)
 	}
-	var total float64
-	for kind, n := range breaches {
-		total += n
-		switch kind {
-		case "emit_lag":
-			put("rtec_slo_breaches_emit_lag_total", "counter", n)
-		case "window_micros":
-			put("rtec_slo_breaches_window_micros", "counter", n)
-		}
-	}
-	put("rtec_slo_breaches_total", "counter", total)
 	if writes > 0 || restores > 0 {
 		put("rtec_checkpoint_writes_total", "counter", writes)
 		put("rtec_checkpoint_restores_total", "counter", restores)
@@ -387,15 +367,6 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 	histLine(w, m, "window e2e", "rtec_window_e2e_micros", "µs")
 	for _, name := range stratumNames(m) {
 		histLine(w, m, "stratum "+strings.TrimPrefix(name, "rtec_stratum_micros_"), name, "µs")
-	}
-
-	fmt.Fprintln(w, "\nSLO")
-	if total, ok := val("rtec_slo_breaches_total"); !ok || total == 0 {
-		fmt.Fprintln(w, "  OK — no breaches")
-	} else {
-		el, _ := val("rtec_slo_breaches_emit_lag_total")
-		wµ, _ := val("rtec_slo_breaches_window_micros")
-		fmt.Fprintf(w, "  BREACHED: %.0f total (emit lag %.0f, window µs %.0f)\n", total, el, wµ)
 	}
 
 	if writes, ok := val("rtec_checkpoint_writes_total"); ok && writes > 0 {

@@ -18,8 +18,6 @@ func liveRegistry() *telemetry.Registry {
 	reg.Counter("rtec.events.ingested").Add(100)
 	reg.Counter("rtec.revisions").Add(2)
 	reg.Counter("rtec.late_events").Add(3)
-	reg.Counter("rtec.slo.breaches").Add(1)
-	reg.Counter("rtec.slo.breaches.emit_lag").Add(1)
 	reg.Gauge("rtec.stream.frontier").Set(250)
 	reg.Gauge("rtec.stream.watermark").Set(230)
 	reg.Gauge("rtec.stream.watermark_age").Set(20)
@@ -53,7 +51,6 @@ func TestScrapeModeRendersBoard(t *testing.T) {
 		"emit lag       n=4",
 		"stratum s0",
 		"stratum s1",
-		"BREACHED: 1 total (emit lag 1, window µs 0)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("board missing %q:\n%s", want, out)
@@ -88,12 +85,11 @@ func TestScrapeModeRequires(t *testing.T) {
 }
 
 const replayJournal = `{"seq":1,"wall_us":0,"type":"run_start","data":{"ed_sum":"ab","windows":3,"window":20,"slide":20,"start":0,"end":60,"max_delay":15,"consumed":0}}
-{"seq":2,"wall_us":0,"type":"slo_breach","data":{"kind":"emit_lag","index":0,"lag":30,"limit":5}}
-{"seq":3,"wall_us":0,"type":"window","data":{"index":0,"window_start":0,"query_time":20,"revision":0,"emit_lag":30,"fluents":1,"intervals":1}}
-{"seq":4,"wall_us":0,"type":"window","data":{"index":0,"window_start":0,"query_time":20,"revision":1,"emit_lag":5,"fluents":1,"intervals":1}}
-{"seq":5,"wall_us":0,"type":"checkpoint","data":{"consumed":2,"windows":2,"bytes":512}}
-{"seq":6,"wall_us":0,"type":"window","data":{"index":1,"window_start":20,"query_time":40,"revision":0,"emit_lag":0,"fluents":0,"intervals":0}}
-{"seq":7,"wall_us":0,"type":"run_end","data":{"observed":5,"accepted":5,"late":1,"duplicates":0,"dropped":0,"revisions":1,"checkpoints":1}}
+{"seq":2,"wall_us":0,"type":"window","data":{"index":0,"window_start":0,"query_time":20,"revision":0,"emit_lag":30,"fluents":1,"intervals":1}}
+{"seq":3,"wall_us":0,"type":"window","data":{"index":0,"window_start":0,"query_time":20,"revision":1,"emit_lag":5,"fluents":1,"intervals":1}}
+{"seq":4,"wall_us":0,"type":"checkpoint","data":{"consumed":2,"windows":2,"bytes":512}}
+{"seq":5,"wall_us":0,"type":"window","data":{"index":1,"window_start":20,"query_time":40,"revision":0,"emit_lag":0,"fluents":0,"intervals":0}}
+{"seq":6,"wall_us":0,"type":"run_end","data":{"observed":5,"accepted":5,"late":1,"duplicates":0,"dropped":0,"revisions":1,"checkpoints":1}}
 `
 
 func writeReplay(t *testing.T, content string) string {
@@ -108,7 +104,7 @@ func writeReplay(t *testing.T, content string) string {
 func TestJournalModeRendersBoard(t *testing.T) {
 	var buf bytes.Buffer
 	o := options{journalPath: writeReplay(t, replayJournal)}
-	o.require = "rtec_windows_evaluated_total==3,rtec_revisions_total==1,rtec_slo_breaches_total==1,rtec_checkpoint_writes_total==1,rtec_window_emit_lag==3"
+	o.require = "rtec_windows_evaluated_total==3,rtec_revisions_total==1,rtec_checkpoint_writes_total==1,rtec_window_emit_lag==3"
 	if err := run(o, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +114,6 @@ func TestJournalModeRendersBoard(t *testing.T) {
 		"windows evaluated               3",
 		"late / dup / dropped 1 / 0 / 0",
 		"emit lag       n=3",
-		"BREACHED: 1 total (emit lag 1, window µs 0)",
 		"writes 1  restores 0  bytes 512",
 	} {
 		if !strings.Contains(out, want) {

@@ -17,12 +17,6 @@ type AccuracyConfig struct {
 	Scenario   maritime.ScenarioConfig
 	Preprocess maritime.PreprocessConfig
 	Window     int64 // RTEC window size in seconds
-	// MaxDelay, when positive, runs every recognition through the
-	// out-of-order streaming path with this bounded-delay disorder
-	// tolerance (in seconds). Over the testbed's in-order stream the
-	// results are identical to the batch path; the option exists to
-	// benchmark and soak the streaming engine on realistic workloads.
-	MaxDelay int64
 	// Telemetry, when non-nil, is handed to every engine run of the
 	// testbed (per-window spans and counters) and records per-model
 	// accuracy-stage timers.
@@ -141,16 +135,6 @@ func (tb *Testbed) run(rules *lang.EventDescription, strict bool) (*rtec.Recogni
 	eng, err := rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: 1, Telemetry: tb.cfg.Telemetry})
 	if err != nil {
 		return nil, err
-	}
-	if tb.cfg.MaxDelay > 0 {
-		res, err := eng.RunStream(tb.events, rtec.StreamOptions{
-			RunOptions: rtec.RunOptions{Window: tb.cfg.Window},
-			MaxDelay:   tb.cfg.MaxDelay,
-		}, nil)
-		if err != nil {
-			return nil, err
-		}
-		return res.Recognition, nil
 	}
 	return eng.Run(tb.events, rtec.RunOptions{Window: tb.cfg.Window})
 }

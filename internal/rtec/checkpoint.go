@@ -433,14 +433,15 @@ func (e *Engine) ResumeStream(path string, events stream.Stream, opts StreamOpti
 		tel.Logger().Warn("checkpoint torn; resuming from previous generation",
 			"component", "rtec", "path", path, "fallback", from)
 	}
-	st, empty, err := e.newStreamRun(events, opts, fn)
+	r, empty, err := e.newStreamRunner(events, opts, fn)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return &StreamResult{Recognition: &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}}, nil
 	}
-	defer st.span.End()
+	defer r.Abort() // releases the runner on an error path; a no-op after Finish
+	st := r.st
 	if err := st.restore(cp); err != nil {
 		return nil, err
 	}
@@ -456,5 +457,5 @@ func (e *Engine) ResumeStream(path string, events stream.Stream, opts StreamOpti
 	}); err != nil {
 		return nil, err
 	}
-	return st.consume(events)
+	return r.feed(events)
 }

@@ -270,11 +270,7 @@ func TestDeltaResumeRewarms(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-	opts.Interrupt = interruptAfter(len(arrivals) / 2)
-	if _, err := e.RunStream(arrivals, opts, nil); err != ErrSuspended {
-		t.Fatalf("interrupted run err = %v, want ErrSuspended", err)
-	}
-	opts.Interrupt = nil
+	parkAfter(t, e, arrivals, opts, len(arrivals)/2, nil)
 	reused0 := reg.Counter("rtec.delta.reused").Value()
 	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
 	if err != nil {
@@ -466,12 +462,8 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	opts := base
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-	opts.Interrupt = interruptAfter(cut)
 	var gotLog strings.Builder
-	if _, err := e.RunStream(arrivals, opts, render(&gotLog)); err != ErrSuspended {
-		t.Fatalf("interrupted run err = %v, want ErrSuspended", err)
-	}
-	opts.Interrupt = nil
+	parkAfter(t, e, arrivals, opts, cut, render(&gotLog))
 	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, render(&gotLog))
 	if err != nil {
 		t.Fatal(err)

@@ -8,19 +8,19 @@ import (
 	"rtecgen/internal/stream"
 )
 
-// StreamRunner is the incremental face of the streaming engine — the
-// shard-service seam. Where RunStream consumes a complete arrival-ordered
-// slice in one call, a StreamRunner accepts one arrival at a time (Ingest),
-// admits it through the same bounded-delay reorder buffer, delivers and
-// revises the same windows, checkpoints on the same cadence, and produces
-// the same amalgamated result on Finish. The supervised shard runtime
-// (internal/shard) feeds each shard's entity partition through its own
-// runner; a runner is not safe for concurrent use.
+// StreamRunner is the streaming engine's one loop, and the shard-service
+// seam. It accepts one arrival at a time (Ingest), admits it through the
+// bounded-delay reorder buffer, delivers and revises windows, checkpoints on
+// the configured cadence, and produces the amalgamated result on Finish;
+// RunStream is a runner fed a complete arrival-ordered slice. The supervised
+// shard runtime (internal/shard) feeds each shard's entity partition through
+// its own runner; a runner is not safe for concurrent use.
 //
-// Because the runner never sees the whole stream, the run geometry cannot
-// be derived from it: StreamOptions.Start and End must be set explicitly.
-// Every runner over the same explicit bounds plans the identical window
-// sequence, which is what lets per-shard results merge deterministically.
+// A runner built with NewStreamRunner never sees the whole stream, so the run
+// geometry cannot be derived from it: StreamOptions.Start and End must be
+// set explicitly. Every runner over the same explicit bounds plans the
+// identical window sequence, which is what lets per-shard results merge
+// deterministically.
 type StreamRunner struct {
 	st       *streamRun
 	donePool func()
@@ -33,13 +33,8 @@ func (e *Engine) NewStreamRunner(opts StreamOptions, fn func(WindowResult) error
 	if opts.Start == 0 && opts.End == 0 {
 		return nil, fmt.Errorf("rtec: incremental streaming needs explicit RunOptions.Start/End bounds")
 	}
-	st, _, err := e.newStreamRun(nil, opts, fn)
-	if err != nil {
-		return nil, err
-	}
-	tel := e.opts.Telemetry
-	tel.Gauge("rtec.workers").Set(int64(e.workers))
-	return &StreamRunner{st: st, donePool: recordPoolStats(tel)}, nil
+	r, _, err := e.newStreamRunner(nil, opts, fn)
+	return r, err
 }
 
 // ResumeStreamRunner rebuilds a runner from a loaded checkpoint — the
@@ -55,7 +50,7 @@ func (e *Engine) ResumeStreamRunner(cp *Checkpoint, opts StreamOptions, fn func(
 		return nil, err
 	}
 	if err := r.st.restore(cp); err != nil {
-		r.st.span.End()
+		r.Abort()
 		return nil, err
 	}
 	r.st.ranStart = true

@@ -10,31 +10,14 @@ import (
 	"rtecgen/internal/telemetry/journal"
 )
 
-// SLOOptions set the streaming-lag service-level objectives of a run. A
-// breach increments rtec.slo.breaches (plus a per-objective counter); the
-// run itself is never interrupted — SLOs observe, operators decide.
-type SLOOptions struct {
-	// MaxEmitLag bounds the event-time lag of a window's first delivery:
-	// frontier minus query time at the moment the window is emitted, in
-	// time-points. The lag is computed from event times only, so breaches
-	// are deterministic and are also recorded in the audit journal. Zero
-	// disables the objective.
-	MaxEmitLag int64
-	// MaxWindowMicros bounds the wall-clock latency of evaluating and
-	// delivering one window, in microseconds. Wall readings are
-	// nondeterministic, so breaches increment counters only and never reach
-	// the journal. Zero disables the objective.
-	MaxWindowMicros int64
-}
-
 // lagBounds bucket event-time lags (time-points, not wall time): tight at
 // the in-order end, decade-spaced into the deep-disorder tail.
 var lagBounds = []float64{0, 1, 2, 5, 10, 20, 50, 100, 200, 500, 1000, 2000, 5000, 10000}
 
 // streamObs carries the per-run observability state of a streaming run: the
 // lag instruments (hoisted once — a registry lookup takes the registry
-// mutex, so the ingest hot path must touch only the lock-free instruments),
-// the SLO thresholds and the optional audit journal.
+// mutex, so the ingest hot path must touch only the lock-free instruments)
+// and the optional audit journal.
 type streamObs struct {
 	frontier   *telemetry.Gauge
 	watermark  *telemetry.Gauge
@@ -44,45 +27,37 @@ type streamObs struct {
 	arrivalLag *telemetry.Histogram
 	emitLag    *telemetry.Histogram
 	e2eMicros  *telemetry.Histogram
-	sloEmit    *telemetry.Counter
-	sloWindow  *telemetry.Counter
-	sloTotal   *telemetry.Counter
-
-	slo     SLOOptions
-	journal *journal.Writer
+	journal    *journal.Writer
 }
 
 // newStreamObs resolves the lag instruments and registers their help texts.
 // tel may be nil (observability disabled): every instrument is then nil and
 // every observation degrades to a no-op, but the journal still records.
-func newStreamObs(tel *telemetry.Telemetry, slo SLOOptions, jw *journal.Writer) *streamObs {
+func newStreamObs(tel *telemetry.Telemetry, jw *journal.Writer) *streamObs {
 	var reg *telemetry.Registry
 	if tel != nil {
 		reg = tel.Registry
 	}
 	for name, help := range map[string]string{
-		"rtec.stream.frontier":            "event-time frontier: maximum event time admitted so far",
-		"rtec.stream.watermark":           "watermark (frontier minus the bounded delay): the past is closed below it",
-		"rtec.stream.watermark_age":       "frontier minus watermark, in time-points (the revisable span)",
-		"rtec.reorder.occupancy":          "events currently held in the reorder buffer",
-		"rtec.reorder.high_water":         "maximum reorder-buffer occupancy observed this run",
-		"rtec.stream.arrival_lag":         "event-time lag of each arrival behind the frontier, in time-points",
-		"rtec.window.emit_lag":            "frontier minus query time at each window delivery, in time-points",
-		"rtec.window.e2e_micros":          "wall-clock latency of evaluating and delivering one window",
-		"rtec.slo.breaches":               "SLO breaches of any objective",
-		"rtec.slo.breaches.emit_lag":      "window deliveries whose event-time emit lag exceeded the objective",
-		"rtec.slo.breaches.window_micros": "window deliveries whose wall-clock latency exceeded the objective",
-		"rtec.windows.evaluated":          "window evaluations, including re-evaluations forced by late events",
-		"rtec.events.ingested":            "events admitted into the run (in-order plus late-within-bound)",
-		"rtec.revisions":                  "re-deliveries of already-emitted windows caused by late events",
-		"rtec.delta.reused":               "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
-		"rtec.delta.dirty":                "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
-		"rtec.delta.expired":              "cached anchor times dropped at the expired left edge of the slide",
-		"rtec.delta.reuse_ratio":          "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
+		"rtec.stream.frontier":      "event-time frontier: maximum event time admitted so far",
+		"rtec.stream.watermark":     "watermark (frontier minus the bounded delay): the past is closed below it",
+		"rtec.stream.watermark_age": "frontier minus watermark, in time-points (the revisable span)",
+		"rtec.reorder.occupancy":    "events currently held in the reorder buffer",
+		"rtec.reorder.high_water":   "maximum reorder-buffer occupancy observed this run",
+		"rtec.stream.arrival_lag":   "event-time lag of each arrival behind the frontier, in time-points",
+		"rtec.window.emit_lag":      "frontier minus query time at each window delivery, in time-points",
+		"rtec.window.e2e_micros":    "wall-clock latency of evaluating and delivering one window",
+		"rtec.windows.evaluated":    "window evaluations, including re-evaluations forced by late events",
+		"rtec.events.ingested":      "events admitted into the run (in-order plus late-within-bound)",
+		"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
+		"rtec.delta.reused":         "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
+		"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
+		"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",
+		"rtec.delta.reuse_ratio":    "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
 	} {
 		reg.Describe(name, help)
 	}
-	o := &streamObs{slo: slo, journal: jw}
+	o := &streamObs{journal: jw}
 	if reg != nil {
 		o.frontier = reg.Gauge("rtec.stream.frontier")
 		o.watermark = reg.Gauge("rtec.stream.watermark")
@@ -92,9 +67,6 @@ func newStreamObs(tel *telemetry.Telemetry, slo SLOOptions, jw *journal.Writer) 
 		o.arrivalLag = reg.Histogram("rtec.stream.arrival_lag", lagBounds)
 		o.emitLag = reg.Histogram("rtec.window.emit_lag", lagBounds)
 		o.e2eMicros = reg.Histogram("rtec.window.e2e_micros", nil)
-		o.sloEmit = reg.Counter("rtec.slo.breaches.emit_lag")
-		o.sloWindow = reg.Counter("rtec.slo.breaches.window_micros")
-		o.sloTotal = reg.Counter("rtec.slo.breaches")
 	}
 	return o
 }
@@ -155,13 +127,6 @@ type journalRestore struct {
 	Windows  int `json:"windows"`
 }
 
-type journalSLOBreach struct {
-	Kind  string `json:"kind"`
-	Index int    `json:"index"`
-	Lag   int64  `json:"lag"`
-	Limit int64  `json:"limit"`
-}
-
 type journalRunEnd struct {
 	Observed    int64 `json:"observed"`
 	Accepted    int64 `json:"accepted"`
@@ -191,7 +156,7 @@ func ivalsOf(m map[string]intervals.List) map[string][][2]int64 {
 // --- streamRun observation hooks -------------------------------------------
 
 // journalRunStart records the run plan once: ResumeStream journals it ahead
-// of its checkpoint_restore record, the generic consume path on entry.
+// of its checkpoint_restore record, a runner on its first Ingest or Finish.
 func (st *streamRun) journalRunStart() error {
 	if st.ranStart {
 		return nil
@@ -231,32 +196,19 @@ func (st *streamRun) observeAdmission(e stream.Event, verdict stream.Admission) 
 }
 
 // observeDelivery records one window delivery: the end-to-end wall latency,
-// the event-time emit lag, the SLO verdicts, and the journal window record
-// with the assertion/retraction diff. prev is nil for a first delivery.
+// the event-time emit lag, and the journal window record with the
+// assertion/retraction diff. prev is nil for a first delivery.
 func (st *streamRun) observeDelivery(i int, prev *windowEval, retracted map[string]intervals.List, wall time.Duration) error {
 	o := st.obs
 	o.e2eMicros.ObserveDuration(wall)
-	if o.slo.MaxWindowMicros > 0 && wall.Microseconds() > o.slo.MaxWindowMicros {
-		o.sloWindow.Inc()
-		o.sloTotal.Inc()
-	}
 
 	var emitLag int64
 	if frontier, ok := st.reorder.Frontier(); ok && frontier > st.tl.q(i) {
 		emitLag = frontier - st.tl.q(i)
 	}
 	o.emitLag.Observe(float64(emitLag))
-	slot := &st.slots[i]
-	if o.slo.MaxEmitLag > 0 && slot.revision == 0 && emitLag > o.slo.MaxEmitLag {
-		o.sloEmit.Inc()
-		o.sloTotal.Inc()
-		if err := o.journal.Append("slo_breach", journalSLOBreach{
-			Kind: "emit_lag", Index: i, Lag: emitLag, Limit: o.slo.MaxEmitLag,
-		}); err != nil {
-			return err
-		}
-	}
 
+	slot := &st.slots[i]
 	asserted := slot.eval.recognised
 	if prev != nil {
 		asserted = prev.retractionsAgainst(slot.eval)

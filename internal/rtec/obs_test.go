@@ -28,9 +28,7 @@ var lateOpts = StreamOptions{
 func TestStreamLagMetrics(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
-	opts := lateOpts
-	opts.SLO = SLOOptions{MaxEmitLag: 5}
-	if _, err := e.RunStream(lateArrivals(), opts, nil); err != nil {
+	if _, err := e.RunStream(lateArrivals(), lateOpts, nil); err != nil {
 		t.Fatal(err)
 	}
 	s := reg.Snapshot()
@@ -69,39 +67,9 @@ func TestStreamLagMetrics(t *testing.T) {
 		t.Errorf("e2e_micros count = %d, want 5", e2e.Count)
 	}
 
-	// Only the q=10 first delivery (lag 15) breaches MaxEmitLag 5; the q=20
-	// delivery sits exactly on the objective.
-	if got := s.Counters["rtec.slo.breaches.emit_lag"]; got != 1 {
-		t.Errorf("slo.breaches.emit_lag = %d, want 1", got)
-	}
-	if got := s.Counters["rtec.slo.breaches"]; got != 1 {
-		t.Errorf("slo.breaches = %d, want 1", got)
-	}
-
 	// Per-stratum timing: withinArea is the only fluent, at stratum 0.
 	if h := s.Histograms[stratumHistName(0)]; h.Count == 0 {
 		t.Errorf("%s never observed", stratumHistName(0))
-	}
-}
-
-// TestWindowLatencySLOBreaches drives the wall-clock objective with a
-// threshold no evaluation can beat (1 µs floor via a 0 limit is disabled, so
-// use the smallest enabled value and a real engine evaluation).
-func TestWindowLatencySLOBreaches(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
-	opts := lateOpts
-	opts.SLO = SLOOptions{MaxWindowMicros: 1} // effectively always breached... unless the window evaluates in under a microsecond
-	if _, err := e.RunStream(lateArrivals(), opts, nil); err != nil {
-		t.Fatal(err)
-	}
-	s := reg.Snapshot()
-	breaches := s.Counters["rtec.slo.breaches.window_micros"]
-	if breaches > 5 {
-		t.Errorf("window_micros breaches = %d, more than the 5 deliveries", breaches)
-	}
-	if s.Counters["rtec.slo.breaches"] != breaches {
-		t.Errorf("total breaches %d != window breaches %d", s.Counters["rtec.slo.breaches"], breaches)
 	}
 }
 
@@ -117,10 +85,8 @@ func runJournal(t *testing.T, opts StreamOptions) []byte {
 }
 
 func TestJournalRecordsAndDeterminism(t *testing.T) {
-	opts := lateOpts
-	opts.SLO = SLOOptions{MaxEmitLag: 5}
-	a := runJournal(t, opts)
-	b := runJournal(t, opts)
+	a := runJournal(t, lateOpts)
+	b := runJournal(t, lateOpts)
 	if !bytes.Equal(a, b) {
 		t.Fatalf("same-seed journals differ:\n%s\nvs\n%s", a, b)
 	}
@@ -130,11 +96,10 @@ func TestJournalRecordsAndDeterminism(t *testing.T) {
 		t.Fatalf("journal invalid: %v\n%s", err, a)
 	}
 	for typ, want := range map[string]int{
-		"run_start":  1,
-		"admission":  1, // only the late arrival; in-order admissions are not journalled
-		"window":     5, // q=10, q=20, q=20 rev 1, q=30, q=40
-		"slo_breach": 1, // q=10 emit lag 15 > 5
-		"run_end":    1,
+		"run_start": 1,
+		"admission": 1, // only the late arrival; in-order admissions are not journalled
+		"window":    5, // q=10, q=20, q=20 rev 1, q=30, q=40
+		"run_end":   1,
 	} {
 		if stats.Types[typ] != want {
 			t.Errorf("%s records = %d, want %d\n%s", typ, stats.Types[typ], want, a)

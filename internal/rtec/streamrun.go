@@ -1,7 +1,6 @@
 package rtec
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -11,12 +10,6 @@ import (
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
 )
-
-// ErrSuspended reports that a streaming run stopped early at a clean
-// arrival boundary because StreamOptions.Interrupt asked it to. A suspend
-// checkpoint has been written; ResumeStream (or a resumed StreamRunner)
-// continues the run byte-identically.
-var ErrSuspended = errors.New("rtec: run suspended")
 
 // StreamOptions configure an out-of-order, crash-safe recognition run.
 type StreamOptions struct {
@@ -37,18 +30,10 @@ type StreamOptions struct {
 	CheckpointEvery int
 	// Journal, when non-nil, receives the structured audit records of the
 	// run: the run plan, degradation admission verdicts, every window
-	// delivery with its assertion/retraction diff, checkpoint events, SLO
-	// breaches and the final statistics. A journal write failure fails the
-	// run — an audit trail with a hole is worse than no run.
+	// delivery with its assertion/retraction diff, checkpoint events and the
+	// final statistics. A journal write failure fails the run — an audit
+	// trail with a hole is worse than no run.
 	Journal *journal.Writer
-	// Interrupt, when non-nil, is polled between arrivals: when it returns
-	// true the run writes a suspend checkpoint (CheckpointPath must be set)
-	// and stops with ErrSuspended at a clean arrival boundary. ResumeStream
-	// then continues the run so the final output — recognition, journal
-	// bytes, statistics — is byte-identical to an uninterrupted one.
-	Interrupt func() bool
-	// SLO sets the streaming-lag objectives; see SLOOptions.
-	SLO SLOOptions
 }
 
 // StreamStats counts what happened to the arrivals of a streaming run.
@@ -148,20 +133,20 @@ type streamRun struct {
 // its final output is byte-identical to an uninterrupted one. fn may be
 // nil when only the final result matters.
 func (e *Engine) RunStream(events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamResult, error) {
-	st, empty, err := e.newStreamRun(events, opts, fn)
+	r, empty, err := e.newStreamRunner(events, opts, fn)
 	if err != nil {
 		return nil, err
 	}
 	if empty {
 		return &StreamResult{Recognition: &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}}, nil
 	}
-	defer st.span.End()
-	return st.consume(events)
+	return r.feed(events)
 }
 
-// newStreamRun plans the run. empty is true for the degenerate
-// whole-stream time-line over no events.
-func (e *Engine) newStreamRun(events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*streamRun, bool, error) {
+// newStreamRunner plans the run; events, when the caller has the whole
+// stream, supply the time-line bounds RunOptions leaves open. empty is true
+// for the degenerate whole-stream time-line over no events.
+func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamRunner, bool, error) {
 	if opts.MaxDelay < 0 {
 		return nil, false, fmt.Errorf("rtec: negative max delay %d", opts.MaxDelay)
 	}
@@ -186,43 +171,27 @@ func (e *Engine) newStreamRun(events stream.Stream, opts StreamOptions, fn func(
 			telemetry.Int("start", tl.start), telemetry.Int("end", tl.end),
 			telemetry.Int("max_delay", opts.MaxDelay)),
 	}
-	st.obs = newStreamObs(tel, opts.SLO, opts.Journal)
+	st.obs = newStreamObs(tel, opts.Journal)
 	tel.Logger().Debug("streaming recognition run",
 		"component", "rtec", "events", len(events),
 		"window", tl.window, "slide", tl.slide, "start", tl.start, "end", tl.end,
 		"windows", tl.n, "fluents", len(e.order), "max_delay", opts.MaxDelay)
-	return st, false, nil
+	tel.Gauge("rtec.workers").Set(int64(e.workers))
+	return &StreamRunner{st: st, donePool: recordPoolStats(tel)}, false, nil
 }
 
-// consume ingests the arrivals after the resume point and finalises.
-func (st *streamRun) consume(events stream.Stream) (*StreamResult, error) {
-	tel := st.eng.opts.Telemetry
-	tel.Gauge("rtec.workers").Set(int64(st.eng.workers))
-	defer recordPoolStats(tel)()
-	if st.consumed > len(events) {
-		return nil, fmt.Errorf("rtec: checkpoint consumed %d arrivals but the stream has only %d", st.consumed, len(events))
+// feed ingests the arrivals after the resume point and finishes the run.
+func (r *StreamRunner) feed(events stream.Stream) (*StreamResult, error) {
+	defer r.Abort() // releases the runner on an error path; a no-op after Finish
+	if r.st.consumed > len(events) {
+		return nil, fmt.Errorf("rtec: checkpoint consumed %d arrivals but the stream has only %d", r.st.consumed, len(events))
 	}
-	if err := st.journalRunStart(); err != nil {
-		return nil, err
-	}
-	for _, e := range events[st.consumed:] {
-		if st.opts.Interrupt != nil && st.opts.Interrupt() {
-			return nil, st.suspend()
-		}
-		if err := st.ingest(e); err != nil {
+	for _, e := range events[r.st.consumed:] {
+		if err := r.Ingest(e); err != nil {
 			return nil, err
 		}
 	}
-	return st.finish()
-}
-
-// suspend stops the run at an arrival boundary: it snapshots the state so
-// ResumeStream can continue byte-identically, and reports ErrSuspended.
-func (st *streamRun) suspend() error {
-	if err := st.writeSuspendCheckpoint(); err != nil {
-		return err
-	}
-	return ErrSuspended
+	return r.Finish()
 }
 
 // finish ends the run: it evaluates and delivers the windows the frontier

@@ -1,35 +1,42 @@
 package rtec
 
 import (
-	"errors"
 	"path/filepath"
 	"testing"
+
+	"rtecgen/internal/stream"
 )
 
-// interruptAfter returns a StreamOptions.Interrupt that fires once n
-// arrivals have been consumed — the test double for a SIGTERM landing
-// mid-stream.
-func interruptAfter(n int) func() bool {
-	return func() bool {
-		n--
-		return n < 0
+// parkAfter feeds the first n arrivals through a StreamRunner planned over
+// the bounds RunStream and ResumeStream derive from the whole stream, then
+// parks it with Suspend — the test double for a drain landing mid-stream.
+func parkAfter(t *testing.T, e *Engine, arrivals stream.Stream, opts StreamOptions, n int, fn func(WindowResult) error) {
+	t.Helper()
+	first, last := arrivals.TimeRange()
+	opts.Start, opts.End = first, last+1
+	r, err := e.NewStreamRunner(opts, fn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range arrivals[:n] {
+		if err := r.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := r.Suspend(); err != nil {
+		t.Fatalf("park@%d: %v", n, err)
 	}
 }
 
 func TestInterruptSuspendsWithCheckpoint(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
-	arrivals := chaosArrivals(t, 7, 60)
 	opts := StreamOptions{
 		RunOptions:      RunOptions{Window: 100},
 		MaxDelay:        60,
 		CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
 		CheckpointEvery: 2,
-		Interrupt:       interruptAfter(5),
 	}
-	res, err := e.RunStream(arrivals, opts, nil)
-	if !errors.Is(err, ErrSuspended) {
-		t.Fatalf("interrupted run: res=%v err=%v, want ErrSuspended", res, err)
-	}
+	parkAfter(t, e, chaosArrivals(t, 7, 60), opts, 5, nil)
 	cp, err := LoadCheckpoint(opts.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
@@ -41,20 +48,22 @@ func TestInterruptSuspendsWithCheckpoint(t *testing.T) {
 
 func TestInterruptWithoutCheckpointPathFails(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
-	opts := StreamOptions{
-		RunOptions: RunOptions{Window: 100},
+	r, err := e.NewStreamRunner(StreamOptions{
+		RunOptions: RunOptions{Window: 100, Start: 1, End: 1000},
 		MaxDelay:   60,
-		Interrupt:  interruptAfter(0),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	_, err := e.RunStream(chaosArrivals(t, 7, 60), opts, nil)
-	if err == nil || errors.Is(err, ErrSuspended) {
-		t.Fatalf("suspend without a checkpoint path = %v, want a configuration error", err)
+	defer r.Abort()
+	if err := r.Suspend(); err == nil {
+		t.Fatal("suspend without a checkpoint path succeeded, want a configuration error")
 	}
 }
 
-// TestSuspendResumeByteIdentity: a run parked by Interrupt at any arrival
+// TestSuspendResumeByteIdentity: a run parked by Suspend at any arrival
 // boundary and resumed over the same stream produces output byte-identical
-// to an uninterrupted run — the cmd/rtec SIGTERM contract. CheckpointEvery
+// to an uninterrupted run — the rtecd drain contract. CheckpointEvery
 // is 2 so most park points land mid-cadence, exercising the persisted
 // since-checkpoint counter.
 func TestSuspendResumeByteIdentity(t *testing.T) {
@@ -84,11 +93,7 @@ func TestSuspendResumeByteIdentity(t *testing.T) {
 		opts := base
 		opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 		opts.CheckpointEvery = 2
-		opts.Interrupt = interruptAfter(park)
-		if _, err := e.RunStream(arrivals, opts, nil); !errors.Is(err, ErrSuspended) {
-			t.Fatalf("park@%d: err = %v, want ErrSuspended", park, err)
-		}
-		opts.Interrupt = nil
+		parkAfter(t, e, arrivals, opts, park, nil)
 		got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
 		if err != nil {
 			t.Fatalf("park@%d: resume: %v", park, err)

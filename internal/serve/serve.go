@@ -101,6 +101,11 @@ type Options struct {
 	// IngestQueue bounds the batches queued for application; a full queue
 	// answers 429 + Retry-After. Zero defaults to 16.
 	IngestQueue int
+	// IngestTimeout, RetryAfter, MaxBody, SubBuffer, SubEvict and
+	// DrainTimeout have no rtecd flag: their zero-value defaults are the
+	// daemon's constants, and the fields exist for tests to substitute
+	// small values.
+	//
 	// IngestTimeout is the per-request application deadline; a batch still
 	// queued or mid-apply when it passes gets 503 (safe to retry). Zero
 	// defaults to 30s.
@@ -273,45 +278,12 @@ func (d *Daemon) openJournals() (func(k int) io.Writer, func(k int) *journal.Rec
 	if d.opts.JournalPath == "" {
 		return nil, nil, nil
 	}
-	open := func(path string) (*os.File, *journal.RecoverInfo, error) {
-		if d.opts.Resume {
-			if _, err := os.Stat(path); err == nil {
-				info, err := journal.Recover(path)
-				if err != nil {
-					return nil, nil, fmt.Errorf("journal %s: %w", path, err)
-				}
-				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					return nil, nil, fmt.Errorf("journal: %w", err)
-				}
-				return f, &info, nil
-			}
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, nil, fmt.Errorf("journal: %w", err)
-		}
-		return f, nil, nil
-	}
-
-	lf, linfo, err := open(d.opts.JournalPath)
+	lf, jw, _, err := journal.Open(d.opts.JournalPath, d.opts.JournalOpts, d.opts.Resume, true)
 	if err != nil {
 		return nil, nil, err
 	}
 	d.jFiles = append(d.jFiles, lf)
-	if linfo != nil {
-		d.jw = journal.NewWriterResumed(lf, d.opts.JournalOpts, *linfo)
-		if err := d.jw.Append("journal_recovered", map[string]int64{
-			"records":         int64(linfo.Records),
-			"last_seq":        linfo.LastSeq,
-			"truncated_bytes": linfo.Truncated,
-		}); err != nil {
-			d.closeJournals()
-			return nil, nil, fmt.Errorf("journal: %w", err)
-		}
-	} else {
-		d.jw = journal.NewWriter(lf, d.opts.JournalOpts)
-	}
+	d.jw = jw
 
 	shards := d.opts.Shards
 	if shards <= 0 {
@@ -320,7 +292,7 @@ func (d *Daemon) openJournals() (func(k int) io.Writer, func(k int) *journal.Rec
 	files := make([]*os.File, shards)
 	infos := make([]*journal.RecoverInfo, shards)
 	for k := range files {
-		f, info, err := open(fmt.Sprintf("%s.s%d", d.opts.JournalPath, k))
+		f, _, info, err := journal.Open(fmt.Sprintf("%s.s%d", d.opts.JournalPath, k), d.opts.JournalOpts, d.opts.Resume, false)
 		if err != nil {
 			d.closeJournals()
 			return nil, nil, err

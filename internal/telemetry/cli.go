@@ -4,13 +4,11 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"net/http"
-	_ "net/http/pprof" // registers /debug/pprof/* on the default mux
 	"os"
 )
 
 // CLIConfig carries the observability flags shared by the CLIs
-// (-trace, -metrics, -v, -pprof). Zero value = everything off except the
+// (-trace, -metrics, -v). Zero value = everything off except the
 // warning-level logger.
 type CLIConfig struct {
 	// TracePath, when non-empty, enables the tracer and names the Chrome
@@ -21,10 +19,6 @@ type CLIConfig struct {
 	Metrics bool
 	// Verbose lowers the logger level from Warn to Debug.
 	Verbose bool
-	// PprofAddr, when non-empty, serves net/http/pprof and expvar
-	// (including the published metrics registry) on this address for the
-	// lifetime of the process — the operational interface for long runs.
-	PprofAddr string
 }
 
 // Setup builds the Telemetry a CLI threads through the engine and the
@@ -32,7 +26,7 @@ type CLIConfig struct {
 // trace file and dumps the registry to metricsW (stderr by convention, so
 // stdout stays machine-readable). The registry always exists — counters are
 // near-free and the dump is opt-in; the tracer only when TracePath is set.
-func (c CLIConfig) Setup(logW, metricsW io.Writer, component string) (*Telemetry, func() error) {
+func (c CLIConfig) Setup(logW, metricsW io.Writer) (*Telemetry, func() error) {
 	level := slog.LevelWarn
 	if c.Verbose {
 		level = slog.LevelDebug
@@ -43,19 +37,8 @@ func (c CLIConfig) Setup(logW, metricsW io.Writer, component string) (*Telemetry
 		tr = NewTracer()
 	}
 	// Instrumentation sites attach their own "component" attribute (rtec,
-	// pipeline, ...), so the logger carries none; component here names the
-	// process in Setup's own log lines.
+	// pipeline, ...), so the logger carries none.
 	tel := New(reg, tr, NewLogger(logW, level, ""))
-	if c.PprofAddr != "" {
-		reg.Publish("telemetry")
-		go func() {
-			tel.Logger().Info("debug server listening", "component", component,
-				"addr", c.PprofAddr, "endpoints", "/debug/pprof/ /debug/vars")
-			if err := http.ListenAndServe(c.PprofAddr, nil); err != nil {
-				tel.Logger().Error("debug server failed", "addr", c.PprofAddr, "err", err)
-			}
-		}()
-	}
 	flush := func() error {
 		if c.TracePath != "" {
 			f, err := os.Create(c.TracePath)

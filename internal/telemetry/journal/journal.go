@@ -1,8 +1,8 @@
 // Package journal is the structured recognition audit log: an append-only,
 // size-capped JSONL file in which a streaming run records what it decided
 // and why — window evaluations, interval assertions and retractions from
-// late-event revisions, checkpoint writes and restores, admission verdicts
-// on late or dropped arrivals, and SLO breaches.
+// late-event revisions, checkpoint writes and restores, and admission
+// verdicts on late or dropped arrivals.
 //
 // Every record carries a monotonically increasing sequence number and a
 // timestamp read from an injectable clock. With the default deterministic
@@ -33,7 +33,7 @@ type Record struct {
 	// under the deterministic default clock.
 	WallUS int64 `json:"wall_us"`
 	// Type names the record kind ("run_start", "window", "checkpoint",
-	// "admission", "slo_breach", "run_end", "journal_capped", ...).
+	// "admission", "run_end", "journal_capped", ...).
 	Type string `json:"type"`
 	// Data is the type-specific payload.
 	Data json.RawMessage `json:"data,omitempty"`
@@ -204,8 +204,7 @@ func (w *Writer) Capped() bool {
 	return w.capped
 }
 
-// Err returns the first underlying write error, if any — the readiness
-// verdict of the journal subsystem for /healthz.
+// Err returns the first underlying write error, if any.
 func (w *Writer) Err() error {
 	if w == nil {
 		return nil
@@ -351,6 +350,43 @@ func Recover(path string) (RecoverInfo, error) {
 // the resume boundary.
 func NewWriterResumed(w io.Writer, opts Options, info RecoverInfo) *Writer {
 	return &Writer{w: w, opts: opts, seq: info.LastSeq, written: info.Written, capped: info.Capped}
+}
+
+// Open opens the journal file at path and a Writer over it. With resume set
+// and the file present, the crashed run's journal is continued: Recover
+// validates it and truncates a torn trailing line, the file is reopened for
+// append and the writer carries on its sequence — after a journal_recovered
+// marker when marker is set (shard journals take none: their appended suffix
+// must keep the file byte-identical to an uninterrupted run's). Otherwise
+// the file is created afresh and info is nil. The caller closes the file.
+func Open(path string, opts Options, resume, marker bool) (*os.File, *Writer, *RecoverInfo, error) {
+	if _, err := os.Stat(path); !resume || err != nil {
+		f, err := os.Create(path)
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("journal: %w", err)
+		}
+		return f, NewWriter(f, opts), nil, nil
+	}
+	info, err := Recover(path)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("journal %s: %w", path, err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("journal: %w", err)
+	}
+	w := NewWriterResumed(f, opts, info)
+	if marker {
+		if err := w.Append("journal_recovered", map[string]int64{
+			"records":         int64(info.Records),
+			"last_seq":        info.LastSeq,
+			"truncated_bytes": info.Truncated,
+		}); err != nil {
+			f.Close()
+			return nil, nil, nil, fmt.Errorf("journal: %w", err)
+		}
+	}
+	return f, w, &info, nil
 }
 
 // checkLine applies the structural checks to one raw journal line given the

@@ -309,6 +309,58 @@ func TestRecoverTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestOpenCreatesOrRecovers: without resume (or without a file) Open starts
+// a fresh journal; with resume it continues a torn one, and only a
+// lifecycle journal (marker set) gains the journal_recovered record.
+func TestOpenCreatesOrRecovers(t *testing.T) {
+	for _, marker := range []bool{true, false} {
+		path := t.TempDir() + "/j.jsonl"
+		f, w, info, err := Open(path, Options{}, true, marker)
+		if err != nil || info != nil {
+			t.Fatalf("open of a missing file: info=%v err=%v, want a fresh journal", info, err)
+		}
+		if err := w.Append("run_start", nil); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		writeJournalFile(t, path, `{"seq":4,"wall_us":0,"type":"wind`)
+
+		f, w, info, err = Open(path, Options{}, true, marker)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info == nil || info.Records != 3 || info.Truncated == 0 {
+			t.Fatalf("marker=%v: info = %+v, want 3 records kept and a torn tail cut", marker, info)
+		}
+		if err := w.Append("window", nil); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		raw, _ := os.ReadFile(path)
+		stats, err := Validate(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatalf("marker=%v: resumed journal invalid: %v\n%s", marker, err, raw)
+		}
+		want := 0
+		if marker {
+			want = 1
+		}
+		if stats.Types["journal_recovered"] != want || stats.Records != 4+want {
+			t.Fatalf("marker=%v: %d records, %d markers\n%s", marker, stats.Records, stats.Types["journal_recovered"], raw)
+		}
+
+		// Without resume the file is started over.
+		f, _, info, err = Open(path, Options{}, false, marker)
+		if err != nil || info != nil {
+			t.Fatalf("fresh open: info=%v err=%v", info, err)
+		}
+		f.Close()
+		if raw, _ := os.ReadFile(path); len(raw) != 0 {
+			t.Fatalf("fresh open kept %d bytes", len(raw))
+		}
+	}
+}
+
 func TestRecoverCleanAndEmpty(t *testing.T) {
 	path := t.TempDir() + "/j.jsonl"
 	writeJournalFile(t, path, "")

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"math"
@@ -404,14 +403,4 @@ func sortedKeys(m map[string]int64) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// Publish exposes the registry as an expvar variable, so a -pprof endpoint
-// serves it at /debug/vars alongside the runtime's memstats. Publishing the
-// same name twice is a no-op (expvar panics on duplicates).
-func (r *Registry) Publish(name string) {
-	if r == nil || expvar.Get(name) != nil {
-		return
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
 }

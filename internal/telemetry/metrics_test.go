@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"strings"
 	"sync"
 	"testing"
@@ -227,20 +226,6 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if got := us.Quantile(1.5); got < 990 {
 		t.Errorf("clamped Quantile(1.5) = %g, want >= p99", got)
-	}
-}
-
-func TestPublishExpvar(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("pub.count").Add(3)
-	r.Publish("telemetry_test_registry")
-	r.Publish("telemetry_test_registry") // second publish must not panic
-	v := expvar.Get("telemetry_test_registry")
-	if v == nil {
-		t.Fatal("registry not published")
-	}
-	if !strings.Contains(v.String(), "pub.count") {
-		t.Fatalf("expvar output missing metric: %s", v.String())
 	}
 }
 

@@ -16,9 +16,8 @@ import (
 // Server is the embeddable operational endpoint of a long-lived run: it
 // serves the metrics registry in Prometheus text exposition format at
 // /metrics, per-subsystem readiness at /healthz, the expvar JSON at
-// /debug/vars and the net/http/pprof profiles under /debug/pprof/. A CLI
-// embeds it with -listen; rtecd's shards will expose the same contract so
-// the router can aggregate them.
+// /debug/vars and the net/http/pprof profiles under /debug/pprof/. rtecd
+// mounts its ingest and subscription API on it, so one port carries both.
 //
 // The zero value is not usable; construct with NewServer. All methods are
 // safe for concurrent use; a nil *Server is a no-op (Start returns "",

@@ -78,8 +78,8 @@ func TestServerDebugEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerStartClose exercises the real listener path cmd/rtec -listen
-// uses: bind port 0, scrape over TCP, then shut down.
+// TestServerStartClose exercises the real listener path rtecd uses: bind
+// port 0, scrape over TCP, then shut down.
 func TestServerStartClose(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("rtec.windows.evaluated").Add(3)
