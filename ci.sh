@@ -125,6 +125,18 @@ if ! grep -q '^o1□,1,7,0,0.993,0.947,1.000,$' "$tmp/all-w8.csv"; then
     cat "$tmp/all-w8.csv" >&2
     exit 1
 fi
+# The pipeline's event descriptions are near-copies of each other over one
+# stream: run one job at a time (so no two jobs race to publish a fluent and
+# the counts repeat), most fluent × window results must be installed from the
+# testbed's shared table rather than evaluated (DESIGN.md §13).
+go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > /dev/null 2> "$tmp/all-metrics.txt"
+hits=$(sed -n 's/^counter rtec\.shared\.hits_total //p' "$tmp/all-metrics.txt")
+misses=$(sed -n 's/^counter rtec\.shared\.misses_total //p' "$tmp/all-metrics.txt")
+if [ "${misses:-0}" -le 0 ] || [ "${hits:-0}" -le "$misses" ]; then
+    echo "refine smoke: shared evaluation is not sharing: rtec.shared.hits=${hits:-none} rtec.shared.misses=${misses:-none}, want hits > misses > 0" >&2
+    grep '^counter rtec\.shared' "$tmp/all-metrics.txt" >&2 || true
+    exit 1
+fi
 
 echo "== streaming robustness gate (disorder replay + kill-and-resume)"
 # Shuffle the maritime stream within a delay bound (with injected

@@ -183,6 +183,41 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+
+	// The recognition testbed backs both Figure 2c and the F1 column of the
+	// refine figure. It depends on nothing but the flags, so with more than
+	// one worker it is built while the event descriptions are generated.
+	wantRefine := (o.fig == "refine" || o.fig == "all") && o.faults == ""
+	var testbed func() (*eval.Testbed, error)
+	if o.fig == "2c" || o.fig == "all" || wantRefine {
+		build := func() (*eval.Testbed, error) {
+			defer tel.Time("experiments.micros.testbed+gold")()
+			return eval.NewTestbed(eval.AccuracyConfig{
+				Scenario:   maritime.ScenarioConfig{Vessels: o.vessels, Seed: o.seed},
+				Preprocess: maritime.DefaultPreprocessConfig(),
+				Window:     o.window,
+				Telemetry:  tel,
+				Workers:    o.workers,
+			})
+		}
+		testbed = build
+		if o.resolvedWorkers() > 1 {
+			type built struct {
+				tb  *eval.Testbed
+				err error
+			}
+			done := make(chan built, 1)
+			go func() {
+				tb, err := build()
+				done <- built{tb, err}
+			}()
+			testbed = func() (*eval.Testbed, error) {
+				b := <-done
+				return b.tb, b.err
+			}
+		}
+	}
+
 	stopGen := tel.Time("experiments.micros.generate+score")
 	best, allRows, skipped, err := eval.Figure2aTolerantWorkers(tel, models, o.genWorkers())
 	stopGen()
@@ -190,7 +225,7 @@ func run(o options) error {
 		return err
 	}
 	stopCor := tel.Time("experiments.micros.correct+rescore")
-	corrected, err := eval.Figure2bWith(tel, eval.TopN(best, 3))
+	corrected, err := eval.Figure2bWith(tel, eval.TopN(best, 3), o.workers)
 	stopCor()
 	if err != nil {
 		return err
@@ -248,22 +283,9 @@ func run(o options) error {
 		}
 	}
 
-	// The recognition testbed backs both Figure 2c and the F1 column of the
-	// refine figure.
 	var tb *eval.Testbed
-	wantRefine := (o.fig == "refine" || o.fig == "all") && o.faults == ""
-	if o.fig == "2c" || o.fig == "all" || wantRefine {
-		cfg := eval.AccuracyConfig{
-			Scenario:   maritime.ScenarioConfig{Vessels: o.vessels, Seed: o.seed},
-			Preprocess: maritime.DefaultPreprocessConfig(),
-			Window:     o.window,
-			Telemetry:  tel,
-			Workers:    o.workers,
-		}
-		stopTb := tel.Time("experiments.micros.testbed+gold")
-		tb, err = eval.NewTestbed(cfg)
-		stopTb()
-		if err != nil {
+	if testbed != nil {
+		if tb, err = testbed(); err != nil {
 			return err
 		}
 	}

@@ -78,7 +78,6 @@ func (f F1) Score() float64 {
 type AccuracyRow struct {
 	Label       string
 	PerActivity map[string]F1
-	Warnings    []string
 }
 
 // Average returns the mean f1 across the eight activities.
@@ -90,12 +89,16 @@ func (r AccuracyRow) Average() float64 {
 	return sum / float64(len(ActivityKeys))
 }
 
-// Testbed is the prepared recognition environment: the scenario stream and
-// the gold recognition result, reused across candidate event descriptions.
+// Testbed is the prepared recognition environment: the scenario stream,
+// planned and indexed once, and the gold recognition result, reused across
+// candidate event descriptions. Every recognition goes through the one
+// rtec.Prepared, so a fluent that a candidate defines exactly as an earlier
+// candidate (or the gold standard) did is evaluated once per window.
 type Testbed struct {
 	cfg      AccuracyConfig
 	scenario *maritime.Scenario
 	events   stream.Stream
+	prepared *rtec.Prepared
 	pairs    [][2]string
 	facts    []*lang.Term
 	goldRec  *rtec.Recognition
@@ -116,6 +119,10 @@ func NewTestbed(cfg AccuracyConfig) (*Testbed, error) {
 		pairs:    maritime.ObservedPairs(events),
 		facts:    maritime.DynamicFacts(events, scen.Fleet),
 	}
+	tb.prepared, err = rtec.Prepare(events, rtec.RunOptions{Window: cfg.Window})
+	if err != nil {
+		return nil, err
+	}
 	tb.goldRec, err = tb.run(maritime.GoldED(), true)
 	if err != nil {
 		return nil, fmt.Errorf("eval: gold recognition: %w", err)
@@ -129,14 +136,19 @@ func (tb *Testbed) Events() stream.Stream { return tb.events }
 // GoldRecognition returns the gold recognition result.
 func (tb *Testbed) GoldRecognition() *rtec.Recognition { return tb.goldRec }
 
-// run executes an event description over the testbed stream.
-func (tb *Testbed) run(rules *lang.EventDescription, strict bool) (*rtec.Recognition, error) {
+// engine loads an event description with the testbed's background knowledge.
+func (tb *Testbed) engine(rules *lang.EventDescription, strict bool) (*rtec.Engine, error) {
 	ed := maritime.FullED(rules, tb.scenario.Map, tb.scenario.Fleet, tb.pairs)
-	eng, err := rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: 1, Telemetry: tb.cfg.Telemetry})
+	return rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: 1, Telemetry: tb.cfg.Telemetry})
+}
+
+// run executes an event description over the testbed's prepared stream.
+func (tb *Testbed) run(rules *lang.EventDescription, strict bool) (*rtec.Recognition, error) {
+	eng, err := tb.engine(rules, strict)
 	if err != nil {
 		return nil, err
 	}
-	return eng.Run(tb.events, rtec.RunOptions{Window: tb.cfg.Window})
+	return eng.RunPrepared(tb.prepared, nil)
 }
 
 // Evaluate runs a (corrected) generated event description on the testbed
@@ -155,9 +167,6 @@ func (tb *Testbed) Evaluate(gen *prompt.GeneratedED) (AccuracyRow, error) {
 		return AccuracyRow{}, err
 	}
 	row := AccuracyRow{Label: gen.Label(), PerActivity: map[string]F1{}}
-	for _, w := range genRec.Warnings {
-		row.Warnings = append(row.Warnings, w.String())
-	}
 	for _, act := range maritime.CompositeActivities() {
 		goldName := act.PrimaryName()
 		genName := goldName

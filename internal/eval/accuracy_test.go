@@ -1,11 +1,15 @@
 package eval
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/prompt"
+	"rtecgen/internal/rtec"
+	"rtecgen/internal/telemetry"
 )
 
 // genWith wraps custom rules for one composite activity, with every other
@@ -122,5 +126,69 @@ func TestScale(t *testing.T) {
 		if len(tb.GoldRecognition().FluentIntervals(act.Primary(), nil)) == 0 {
 			t.Errorf("no detections for %s at scale", act.Name)
 		}
+	}
+}
+
+// TestTestbedSharedEqualsFresh: every recognition of the testbed goes
+// through its one rtec.Prepared, so later event descriptions install the
+// fluents earlier ones (the gold standard first) evaluated. Whatever the
+// pipeline ran before — Figure 2c and the six refine chains, eight jobs at a
+// time — each event description it evaluates must come out of the warm
+// testbed exactly as out of a Run of its own: CSV bytes, warnings in order,
+// keys. And the table must have been used.
+func TestTestbedSharedEqualsFresh(t *testing.T) {
+	best, _, cor := figures(t)
+	cfg := DefaultAccuracyConfig()
+	cfg.Scenario = maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60}
+	cfg.Workers = 8
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = telemetry.New(reg, nil, nil)
+	tb, err := NewTestbed(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Figure2c(tb, cor); err != nil {
+		t.Fatal(err)
+	}
+	refined, err := FigureRefine(nil, allModels(), best, DefaultRefineBudget, tb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	candidates := map[string]*prompt.GeneratedED{}
+	for _, r := range cor {
+		candidates[r.Label()] = r.Corrected.Gen
+	}
+	for _, r := range refined {
+		candidates[r.Label()+" refined"] = r.Final
+	}
+	render := func(rec *rtec.Recognition) string {
+		var b bytes.Buffer
+		if err := rec.WriteCSV(&b); err != nil {
+			t.Fatal(err)
+		}
+		return fmt.Sprintf("%s%v\n%v", b.String(), rec.Warnings, rec.Keys())
+	}
+	for label, gen := range candidates {
+		shared, err := tb.run(gen.ED(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := tb.engine(gen.ED(), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh, err := eng.Run(tb.events, rtec.RunOptions{Window: cfg.Window})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if render(shared) != render(fresh) {
+			t.Errorf("%s: the testbed's recognition differs from a fresh Run", label)
+		}
+	}
+	snap := reg.Snapshot()
+	hits, misses := snap.Counters["rtec.shared.hits"], snap.Counters["rtec.shared.misses"]
+	t.Logf("%d hits, %d misses", hits, misses)
+	if hits <= misses || misses == 0 {
+		t.Errorf("%d hits, %d misses: the pipeline's event descriptions are near-copies and must mostly hit", hits, misses)
 	}
 }

@@ -300,20 +300,24 @@ func Figure2aTolerantWith(tel *telemetry.Telemetry, models []prompt.Model) (best
 }
 
 // Figure2aTolerantWorkers is Figure2aTolerantWith with an explicit bound on
-// how many generation pipelines run concurrently (workers <= 0 means
-// GOMAXPROCS, workers == 1 is strictly sequential — required when the
-// transports are stateful, e.g. under fault injection).
+// how many generation pipelines, and then how many scorings, run
+// concurrently (workers <= 0 means GOMAXPROCS, workers == 1 is strictly
+// sequential — required when the transports are stateful, e.g. under fault
+// injection).
 func Figure2aTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model, workers int) (best, all []Row, skipped []Skip, err error) {
 	sp := tel.Span("eval.figure2a", telemetry.Int("models", int64(len(models))))
 	defer sp.End()
 	gold := maritime.GoldED()
 	gens, skipped := GenerateAllTolerantWorkers(tel, models, workers)
-	for _, g := range gens {
-		row, err := ScoreWith(tel, gold, g)
+	all = make([]Row, len(gens))
+	errs := make([]error, len(gens))
+	forEachOrdered(workers, len(gens), func(i int) {
+		all[i], errs[i] = ScoreWith(tel, gold, gens[i])
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, nil, skipped, err
 		}
-		all = append(all, row)
 	}
 	return BestPerModel(all), all, skipped, nil
 }
@@ -336,24 +340,28 @@ func (r CorrectedRow) Label() string {
 // Figure2b applies the minimal syntactic corrector to the given rows
 // (the paper corrects the top three of Figure 2a) and re-scores them.
 func Figure2b(rows []Row) ([]CorrectedRow, error) {
-	return Figure2bWith(nil, rows)
+	return Figure2bWith(nil, rows, 0)
 }
 
 // Figure2bWith is Figure2b with observability threaded through correction
-// and re-scoring.
-func Figure2bWith(tel *telemetry.Telemetry, rows []Row) ([]CorrectedRow, error) {
+// and re-scoring, and a bound on how many rows are corrected and re-scored
+// concurrently (workers <= 0 means GOMAXPROCS).
+func Figure2bWith(tel *telemetry.Telemetry, rows []Row, workers int) ([]CorrectedRow, error) {
 	sp := tel.Span("eval.figure2b", telemetry.Int("rows", int64(len(rows))))
 	defer sp.End()
 	gold := maritime.GoldED()
 	domain := maritime.PromptDomain()
-	var out []CorrectedRow
-	for _, r := range rows {
-		cor := correct.ApplyWith(tel, r.Gen, domain)
+	out := make([]CorrectedRow, len(rows))
+	errs := make([]error, len(rows))
+	forEachOrdered(workers, len(rows), func(i int) {
+		cor := correct.ApplyWith(tel, rows[i].Gen, domain)
 		scored, err := ScoreWith(tel, gold, cor.Gen)
+		out[i], errs[i] = CorrectedRow{Row: scored, Corrected: cor}, err
+	})
+	for _, err := range errs {
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, CorrectedRow{Row: scored, Corrected: cor})
 	}
 	return out, nil
 }

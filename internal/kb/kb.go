@@ -23,6 +23,7 @@ type KB struct {
 	facts   map[lang.PredKey][]*lang.Term // by predicate
 	byFirst map[argKey][]*lang.Term       // by predicate + ground first argument
 	present map[string]bool               // canonical strings, for dedup
+	keys    []string                      // the same strings, in insertion order
 	rules   []*lang.Clause
 }
 
@@ -83,6 +84,7 @@ func (k *KB) AddFact(t *lang.Term) error {
 		return nil
 	}
 	k.present[key] = true
+	k.keys = append(k.keys, key)
 	pred := t.Pred()
 	k.facts[pred] = append(k.facts[pred], t)
 	if fk, ok := firstArgKey(t, nil); ok {
@@ -126,6 +128,20 @@ func (k *KB) Indicators() []string {
 
 // Size returns the total number of stored facts.
 func (k *KB) Size() int { return len(k.present) }
+
+// AppendText appends the canonical text of the KB to dst: every stored fact
+// in insertion order, each preceded by its length so that no fact's text can
+// be mistaken for a boundary. Match enumerates facts in insertion order, so
+// two materialised KBs with equal texts answer every Match, Query and
+// FactsOfPred identically, answer order included.
+func (k *KB) AppendText(dst []byte) []byte {
+	for _, key := range k.keys {
+		dst = strconv.AppendInt(dst, int64(len(key)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, key...)
+	}
+	return dst
+}
 
 // Materialize evaluates the registered rules to a fixpoint, adding every
 // derivable ground head as a fact. Background rules must not recurse through
@@ -173,9 +189,11 @@ func (k *KB) Materialize() error {
 // space bind (see lang.Bindings); any other variable matches nothing.
 func (k *KB) Match(goal *lang.Term, b *lang.Bindings, yield func()) {
 	goal = b.Walk(goal)
-	candidates := k.facts[goal.Pred()]
+	var candidates []*lang.Term
 	if fk, ok := firstArgKey(goal, b); ok {
 		candidates = k.byFirst[fk]
+	} else {
+		candidates = k.facts[goal.Pred()]
 	}
 	for _, f := range candidates {
 		if mark := b.Mark(); b.Unify(goal, f) {

@@ -276,3 +276,24 @@ areaType(a1, fishing).
 		t.Fatalf("Indicators = %v", inds)
 	}
 }
+
+// TestAppendText: the canonical text is the facts in insertion order — the
+// order Match answers in — so it separates two KBs holding the same facts in
+// a different order, ignores re-added duplicates, and cannot be confused by
+// a fact whose text contains what looks like a boundary.
+func TestAppendText(t *testing.T) {
+	text := func(src string) string { return string(mustKB(t, src).AppendText(nil)) }
+	ab := text("areaType(a1, fishing).\nareaType(a2, natura).\n")
+	if want := "21:areaType(a1, fishing)20:areaType(a2, natura)"; ab != want {
+		t.Fatalf("AppendText = %q, want %q", ab, want)
+	}
+	if ba := text("areaType(a2, natura).\nareaType(a1, fishing).\n"); ba == ab {
+		t.Error("the same facts in another order have the same text")
+	}
+	if dup := text("areaType(a1, fishing).\nareaType(a2, natura).\nareaType(a1, fishing).\n"); dup != ab {
+		t.Errorf("a re-added fact changed the text: %q", dup)
+	}
+	if one, two := text(`note("a)4:p(b").`+"\n"), text("note(a).\np(b).\n"); one == two {
+		t.Errorf("a fact containing a boundary reads as two facts: %q", one)
+	}
+}

@@ -321,3 +321,20 @@ func TestTrailRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestSlotNamed: a numbered clause rendered by slot does not show what its
+// variables were called, and still shows which occurrences are one variable.
+func TestSlotNamed(t *testing.T) {
+	render := func(head, cond *Term) string {
+		var vt VarTable
+		return vt.NumberClause(&Clause{Head: head, Body: []Literal{Pos(cond), Neg(cond)}}).SlotNamed().String()
+	}
+	xy := render(NewCompound("p", NewVar("X"), NewVar("Y")), NewCompound("q", NewVar("Y"), NewVar("X")))
+	ab := render(NewCompound("p", NewVar("A"), NewVar("B")), NewCompound("q", NewVar("B"), NewVar("A")))
+	if want := "p(_1, _2) :-\n    q(_2, _1),\n    not q(_2, _1)."; xy != want || ab != want {
+		t.Fatalf("SlotNamed renders %q and %q, want %q", xy, ab, want)
+	}
+	if xx := render(NewCompound("p", NewVar("X"), NewVar("X")), NewCompound("q", NewVar("X"), NewVar("X"))); xx == xy {
+		t.Fatal("p(X, X) and p(X, Y) render alike")
+	}
+}

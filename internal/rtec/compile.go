@@ -57,6 +57,10 @@ type rule struct {
 	// groundings the fluent's grounding declarations.
 	ivar       *lang.Term
 	groundings []grounding
+	// numbered holds the rule's clause and then its grounding declarations as
+	// the evaluator sees them, variables numbered into the rule's slot space:
+	// what the definition fingerprint renders (Engine.fingerprint).
+	numbered []*lang.Clause
 }
 
 // grounding is one declaration grounding(fluent) :- body, numbered in the
@@ -83,9 +87,11 @@ func compileRule(c *lang.Clause, groundings []*lang.Clause) *rule {
 		}
 		r.body = append(r.body, cond{kind: classify(l.Atom, sd), neg: l.Neg, atom: l.Atom})
 	}
+	r.numbered = []*lang.Clause{rc}
 	for gi, g := range groundings {
 		gc := vt.NumberClause(g.RenameApart(fmt.Sprintf("_g%d", gi)))
 		r.groundings = append(r.groundings, grounding{fluent: gc.Head.Args[0], body: gc.Body})
+		r.numbered = append(r.numbered, gc)
 	}
 	r.nvars = vt.Len()
 	return r

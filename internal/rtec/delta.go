@@ -15,7 +15,7 @@ import (
 // by anchor time, plus every fluent's unclipped interval lists — and the
 // next slide replays the cached acts for anchor times that cannot have
 // changed, re-deriving only the dirty ones. The batch loop attaches the layer
-// only to windows a neighbour overlaps (runWindows): a window that merely
+// only to windows a neighbour overlaps (RunPrepared): a window that merely
 // tumbles has no reader for its state and captures nothing.
 //
 // A time-point t of the new window [ws', q') is dirty for a fluent when

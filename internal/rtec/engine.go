@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"sort"
 	"strings"
+	"sync"
 
 	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
@@ -68,12 +69,21 @@ type fluentDef struct {
 	// (see timeLocalRule in delta.go): its per-anchor-time acts may be
 	// replayed across window slides.
 	deltaEligible bool
-	// sortedDeps is deps in deterministic order, for the dirty-region union.
+	// sortedDeps is deps in deterministic order, for the dirty-region union
+	// and the definition fingerprint.
 	sortedDeps []string
+	// text is the fluent's own part of its definition fingerprint: the
+	// indicator and the compiled rules in evaluation order, variables named
+	// by slot. Empty for a fluent that gets no fingerprint. exact is the
+	// same with the "_r"/"_g<i>" names warnings print, which only a result
+	// that carries warnings depends on (see sharedRun.load). Both are set
+	// by Engine.fingerprint, the first time a fluent table asks.
+	text, exact string
 }
 
 // Engine is a loaded RTEC reasoner. Build one with New, then call Run.
-// An Engine is immutable after New and safe for concurrent Runs.
+// An Engine is immutable after New (apart from the definition fingerprints,
+// computed once on first use) and safe for concurrent Runs.
 type Engine struct {
 	ed            *lang.EventDescription
 	kb            *kb.KB
@@ -90,6 +100,12 @@ type Engine struct {
 	// workers is the resolved size of the per-stratum evaluation pool
 	// (Options.Workers, defaulting to GOMAXPROCS).
 	workers int
+	// kbText is the canonical text of the materialised background knowledge
+	// (kb.AppendText): the one part of every fluent's definition fingerprint
+	// that covers what atemporal conditions and grounding declarations read.
+	// fingerprinted guards it and the fluents' texts.
+	kbText        []byte
+	fingerprinted sync.Once
 }
 
 // Workers returns the resolved evaluation worker count.
@@ -317,6 +333,69 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		sort.Strings(def.sortedDeps)
 	}
 	return e, nil
+}
+
+// fingerprint gives every fluent whose evaluation in a window is a function
+// of things a text can name its definition fingerprint, in stratum order.
+// Evaluating a fluent reads its compiled rules in order (and, for a holdsFor
+// rule, the grounding declarations compiled into it), the window's events
+// and bounds, the FVPs of the fluent itself that were open at the window
+// start, the background knowledge, and the cached intervals of the fluents
+// its holdsAt/holdsFor conditions name. The rules are def.text; the
+// background knowledge is e.kbText; the dependencies enter by their own
+// fingerprints when a fluent table resolves the texts to ids
+// (fluentTable.fingerprints), and a reference to an undefined or dropped
+// fluent enters by its absence from sortedDeps; events, bounds and — by
+// induction over the windows — the carried-in FVPs are the same for every
+// engine run over one Prepared. What is left out is a condition whose
+// fluent is not known until run time, holdsAt(F=V, T) with a variable F: it
+// can read any fluent's intervals, so its fluent gets no fingerprint, nor
+// does anything that depends on that fluent.
+//
+// The texts are rendered the first time a fluent table asks for them, not
+// by New: an engine that only ever runs alone (cmd/rtec, rtecd) never pays
+// for them.
+func (e *Engine) fingerprint() {
+	e.fingerprinted.Do(func() {
+		e.kbText = e.kb.AppendText(nil)
+		for _, ind := range e.order {
+			def := e.fluents[ind]
+			rules := append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...)
+			if !e.readsNamedFluents(def, rules) {
+				continue
+			}
+			text, exact := appendPart(nil, ind), []byte(nil)
+			for _, r := range rules {
+				for _, c := range r.numbered {
+					text = appendPart(text, c.SlotNamed().String())
+					exact = appendPart(exact, c.String())
+				}
+			}
+			def.text, def.exact = string(text), string(exact)
+		}
+	})
+}
+
+// readsNamedFluents reports whether every cached interval list the rules
+// can read belongs to a fluent named in the rule text, and every such
+// fluent that is defined has a fingerprint itself.
+func (e *Engine) readsNamedFluents(def *fluentDef, rules []*rule) bool {
+	for _, r := range rules {
+		for _, c := range r.body {
+			if c.kind != condHoldsAt && c.kind != condHoldsFor {
+				continue
+			}
+			if _, ok := bodyFluentRef(c.atom); !ok {
+				return false
+			}
+		}
+	}
+	for _, dep := range def.sortedDeps {
+		if e.fluents[dep].text == "" {
+			return false
+		}
+	}
+	return true
 }
 
 // bodyFluentRef extracts the fluent indicator referenced by a holdsAt or

@@ -8,7 +8,6 @@ import (
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
-	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
 
@@ -24,15 +23,14 @@ type cacheEntry struct {
 }
 
 // windowState is the per-window evaluation context: the indexed events of
-// the window and the bottom-up cache of FVP interval lists. Event and fluent
-// indexes are keyed by predicate (functor/arity pairs), and the FVP cache by
-// interned term ID, so hot-path lookups build no strings.
+// the window (read-only; a batch run's belong to its Prepared) and the
+// bottom-up cache of FVP interval lists. Event and fluent indexes are keyed
+// by predicate (functor/arity pairs), and the FVP cache by interned term ID,
+// so hot-path lookups build no strings.
 type windowState struct {
-	eng          *Engine
+	eng *Engine
+	*windowIndex
 	ws, we       int64 // window covers [ws, we)
-	byIndTime    map[lang.PredKey]map[int64][]*lang.Term
-	byInd        map[lang.PredKey][]stream.Event
-	timeTerms    map[int64]*lang.Term // the Int term of every time-point that has an event
 	cache        map[lang.InternID]*cacheEntry
 	byFluent     map[lang.PredKey][]*cacheEntry
 	openByFluent map[lang.PredKey][]*lang.Term // simple FVPs holding at window start
@@ -41,6 +39,11 @@ type windowState struct {
 	tel          *telemetry.Telemetry // may be nil: all uses degrade to no-ops
 	span         *telemetry.Span      // the window span, parent of per-fluent spans
 	seq          ruleEval             // the unit context of inline (sequential) evaluation, reused across rules
+
+	// shared places the window in its Prepared's fluent table; zero when it
+	// is evaluated under a delta context, with DisableCache, or outside
+	// RunPrepared.
+	shared sharedWindow
 
 	// Delta-layer state (see delta.go); all nil/false when the window is
 	// evaluated without a delta context.
@@ -52,35 +55,20 @@ type windowState struct {
 	curNext  *fluentDelta              // its capture target (nil when not capturing)
 }
 
-func newWindowState(e *Engine, events stream.Stream, ws, we int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, tel *telemetry.Telemetry, span *telemetry.Span) *windowState {
+func newWindowState(e *Engine, events *windowIndex, ws, we int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, tel *telemetry.Telemetry, span *telemetry.Span) *windowState {
 	w := &windowState{
-		eng:       e,
-		ws:        ws,
-		we:        we,
-		byIndTime: map[lang.PredKey]map[int64][]*lang.Term{},
-		byInd:     map[lang.PredKey][]stream.Event{},
-		timeTerms: map[int64]*lang.Term{},
-		cache:     map[lang.InternID]*cacheEntry{},
-		byFluent:  map[lang.PredKey][]*cacheEntry{},
-		warnings:  map[string]bool{},
-		warnSink:  warnSink,
-		tel:       tel,
-		span:      span,
+		eng:         e,
+		windowIndex: events,
+		ws:          ws,
+		we:          we,
+		cache:       map[lang.InternID]*cacheEntry{},
+		byFluent:    map[lang.PredKey][]*cacheEntry{},
+		warnings:    map[string]bool{},
+		warnSink:    warnSink,
+		tel:         tel,
+		span:        span,
 	}
 	w.seq.w = w
-	for _, ev := range events {
-		if w.timeTerms[ev.Time] == nil {
-			w.timeTerms[ev.Time] = lang.NewInt(ev.Time)
-		}
-		pred := ev.Atom.Pred()
-		w.byInd[pred] = append(w.byInd[pred], ev)
-		byTime := w.byIndTime[pred]
-		if byTime == nil {
-			byTime = map[int64][]*lang.Term{}
-			w.byIndTime[pred] = byTime
-		}
-		byTime[ev.Time] = append(byTime[ev.Time], ev.Atom)
-	}
 	// Group the carried-over FVPs by fluent once per window (instead of
 	// filtering the whole set per fluent), in canonical key order so the
 	// inertia seeding order is deterministic.
@@ -194,8 +182,55 @@ func (w *windowState) evaluate() {
 	}
 }
 
+// evalFluent computes one fluent for the window. On a shared window a
+// fingerprinted fluent is looked up in the Prepared's table first. A hit
+// replays what the recorded evaluation did to the window state, in its
+// order: the warnings through warn (so Recognition.Warnings, the warning
+// counter and the log read as if evaluated) and the interval lists through
+// store (so byFluent keeps the order higher strata and the inertia hand-off
+// iterate in). A miss evaluates and publishes; when two runs race on a key
+// the first publication stays, and both computed the same thing.
 func (w *windowState) evalFluent(ind string) {
 	def := w.eng.fluents[ind]
+	sh := w.shared.run
+	if sh == nil {
+		w.derive(def)
+		return
+	}
+	key := sharedKey{fp: sh.fps[ind], window: w.shared.index}
+	if key.fp == 0 {
+		w.derive(def)
+		return
+	}
+	if res := sh.load(key, def); res != nil {
+		for _, wn := range res.warnings {
+			w.warn(wn)
+		}
+		for _, ent := range res.entries {
+			w.store(ent.fvp, ent.list)
+		}
+		sh.hits.Inc()
+		return
+	}
+	sh.misses.Inc()
+	warned := len(*w.warnSink)
+	w.derive(def)
+	// Only this evaluation stores FVPs of this fluent and appends to the
+	// sink meanwhile, so the two tails are exactly what it produced.
+	stored := w.byFluent[def.pred]
+	res := &sharedResult{
+		exact:    def.exact,
+		warnings: append([]Warning(nil), (*w.warnSink)[warned:]...),
+		entries:  make([]listEntry, 0, len(stored)),
+	}
+	for _, ent := range stored {
+		res.entries = append(res.entries, listEntry{fvp: ent.fvp, list: ent.list})
+	}
+	sh.table.results.LoadOrStore(key, res)
+}
+
+// derive evaluates the fluent's rules over the window.
+func (w *windowState) derive(def *fluentDef) {
 	w.beginFluentDelta(def)
 	if def.kind == Simple {
 		w.evalSimple(def)

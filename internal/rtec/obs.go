@@ -30,6 +30,37 @@ type streamObs struct {
 	journal    *journal.Writer
 }
 
+// instrumentHelp holds the help texts of the engine's instruments, by name.
+var instrumentHelp = map[string]string{
+	"rtec.stream.frontier":      "event-time frontier: maximum event time admitted so far",
+	"rtec.stream.watermark":     "watermark (frontier minus the bounded delay): the past is closed below it",
+	"rtec.stream.watermark_age": "frontier minus watermark, in time-points (the revisable span)",
+	"rtec.reorder.occupancy":    "events currently held in the reorder buffer",
+	"rtec.reorder.high_water":   "maximum reorder-buffer occupancy observed this run",
+	"rtec.stream.arrival_lag":   "event-time lag of each arrival behind the frontier, in time-points",
+	"rtec.window.emit_lag":      "frontier minus query time at each window delivery, in time-points",
+	"rtec.window.e2e_micros":    "wall-clock latency of evaluating and delivering one window",
+	"rtec.windows.evaluated":    "window evaluations, including re-evaluations forced by late events",
+	"rtec.events.ingested":      "events admitted into the run (in-order plus late-within-bound)",
+	"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
+	"rtec.delta.reused":         "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
+	"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
+	"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",
+	"rtec.delta.reuse_ratio":    "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
+	"rtec.shared.hits":          "fluent × window results installed from the fluent table of a Prepared shared by several engines",
+	"rtec.shared.misses":        "fluent × window results evaluated and published to the fluent table of a shared Prepared",
+}
+
+// describeInstruments registers the help texts. Nil-safe.
+func describeInstruments(tel *telemetry.Telemetry) {
+	if tel == nil {
+		return
+	}
+	for name, help := range instrumentHelp {
+		tel.Registry.Describe(name, help)
+	}
+}
+
 // newStreamObs resolves the lag instruments and registers their help texts.
 // tel may be nil (observability disabled): every instrument is then nil and
 // every observation degrades to a no-op, but the journal still records.
@@ -38,25 +69,7 @@ func newStreamObs(tel *telemetry.Telemetry, jw *journal.Writer) *streamObs {
 	if tel != nil {
 		reg = tel.Registry
 	}
-	for name, help := range map[string]string{
-		"rtec.stream.frontier":      "event-time frontier: maximum event time admitted so far",
-		"rtec.stream.watermark":     "watermark (frontier minus the bounded delay): the past is closed below it",
-		"rtec.stream.watermark_age": "frontier minus watermark, in time-points (the revisable span)",
-		"rtec.reorder.occupancy":    "events currently held in the reorder buffer",
-		"rtec.reorder.high_water":   "maximum reorder-buffer occupancy observed this run",
-		"rtec.stream.arrival_lag":   "event-time lag of each arrival behind the frontier, in time-points",
-		"rtec.window.emit_lag":      "frontier minus query time at each window delivery, in time-points",
-		"rtec.window.e2e_micros":    "wall-clock latency of evaluating and delivering one window",
-		"rtec.windows.evaluated":    "window evaluations, including re-evaluations forced by late events",
-		"rtec.events.ingested":      "events admitted into the run (in-order plus late-within-bound)",
-		"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
-		"rtec.delta.reused":         "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
-		"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
-		"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",
-		"rtec.delta.reuse_ratio":    "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
-	} {
-		reg.Describe(name, help)
-	}
+	describeInstruments(tel)
 	o := &streamObs{journal: jw}
 	if reg != nil {
 		o.frontier = reg.Gauge("rtec.stream.frontier")

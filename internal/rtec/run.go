@@ -149,15 +149,11 @@ type WindowResult struct {
 // Runtime warnings (conditions that could not be evaluated) are collected on
 // the Recognition.
 func (e *Engine) Run(events stream.Stream, opts RunOptions) (*Recognition, error) {
-	var rec *Recognition
-	err := e.runWindows(events, opts, func(r *Recognition, _ WindowResult) error {
-		rec = r
-		return nil
-	})
+	p, err := prepare(events, opts)
 	if err != nil {
 		return nil, err
 	}
-	return rec, nil
+	return e.RunPrepared(p, nil)
 }
 
 // RunWindows performs windowed recognition and invokes fn after every query
@@ -166,48 +162,54 @@ func (e *Engine) Run(events stream.Stream, opts RunOptions) (*Recognition, error
 // waiting for the whole stream. An empty stream produces no windows.
 // Returning a non-nil error from fn aborts the run.
 func (e *Engine) RunWindows(events stream.Stream, opts RunOptions, fn func(WindowResult) error) error {
-	return e.runWindows(events, opts, func(_ *Recognition, wr WindowResult) error {
-		if wr.QueryTime <= wr.WindowStart {
-			return nil // degenerate empty-stream window: nothing to report
-		}
-		return fn(wr)
-	})
-}
-
-func (e *Engine) runWindows(events stream.Stream, opts RunOptions, fn func(*Recognition, WindowResult) error) error {
-	s := make(stream.Stream, len(events))
-	copy(s, events)
-	s.Sort()
-
-	tl, empty, err := planTimeline(s, opts)
+	p, err := prepare(events, opts)
 	if err != nil {
 		return err
 	}
-	if empty {
-		return fn(&Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}},
-			WindowResult{Recognised: map[string]intervals.List{}, FVPs: map[string]*lang.Term{}})
-	}
+	_, err = e.RunPrepared(p, fn)
+	return err
+}
 
-	rec := &Recognition{
-		Start: tl.start, End: tl.end,
-		byKey: map[string]intervals.List{},
-		fvps:  map[string]*lang.Term{},
+// RunPrepared is batch recognition: it evaluates the windows of p in order,
+// hands each window's results to fn (which may be nil; a non-nil error from
+// it aborts the run) and returns the amalgamated recognition. Engines run
+// over the same Prepared — concurrently or one after another — share its
+// sorted stream and window indexes, and a fluent that two of them define
+// identically (see Engine.fingerprint) is evaluated by the first to reach a
+// window and installed by the other; every run's results, warnings and logs
+// are what a Run of its own would have produced. Windows evaluated through
+// the delta layer (overlapping geometries) and engines with DisableCache do
+// not take part in the sharing.
+func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recognition, error) {
+	rec := &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}
+	tl := p.tl
+	if tl == nil {
+		return rec, nil
 	}
+	rec.Start, rec.End = tl.start, tl.end
 
 	tel := e.opts.Telemetry
 	run := tel.Span("rtec.run",
-		telemetry.Int("events", int64(len(s))),
+		telemetry.Int("events", int64(len(p.events))),
 		telemetry.Int("window", tl.window), telemetry.Int("slide", tl.slide),
 		telemetry.Int("start", tl.start), telemetry.Int("end", tl.end))
 	defer run.End()
-	tel.Counter("rtec.events.ingested").Add(int64(len(s)))
+	tel.Counter("rtec.events.ingested").Add(int64(len(p.events)))
 	tel.Gauge("rtec.workers").Set(int64(e.workers))
 	defer recordPoolStats(tel)()
 	tel.Logger().Debug("recognition run",
-		"component", "rtec", "events", len(s),
+		"component", "rtec", "events", len(p.events),
 		"window", tl.window, "slide", tl.slide, "start", tl.start, "end", tl.end,
 		"windows", tl.n, "fluents", len(e.order))
 
+	var shared *sharedRun
+	if p.table != nil && !e.opts.DisableCache {
+		describeInstruments(tel)
+		shared = &sharedRun{
+			table: p.table, fps: p.table.fingerprints(e),
+			hits: tel.Counter("rtec.shared.hits"), misses: tel.Counter("rtec.shared.misses"),
+		}
+	}
 	deltaOn := !e.opts.DisableDelta && !e.opts.DisableCache
 	var carried *deltaState
 	prevOpen := map[string]*lang.Term{}
@@ -217,17 +219,21 @@ func (e *Engine) runWindows(events stream.Stream, opts RunOptions, fn func(*Reco
 		// A window pays for the delta layer only when it overlaps a
 		// neighbour: with a carried state to replay (its predecessor reached
 		// past ws and captured), or a successor starting before q to capture
-		// for. Windows that merely tumble evaluate as under DisableDelta.
+		// for. Windows that merely tumble evaluate as under DisableDelta —
+		// and only those consult the fluent table: a hit would leave the
+		// delta layer nothing to capture.
 		nws := tl.nextWindowStart(i)
 		capture := deltaOn && nws >= 0 && nws < q
 		var dctx *deltaCtx
+		win := sharedWindow{run: shared, index: int32(i)}
 		if carried != nil || capture {
 			dctx = &deltaCtx{capture: capture, prev: carried}
 			if carried != nil {
 				dctx.base = intervals.List{{Start: carried.we, End: q}}
 			}
+			win.run = nil
 		}
-		ev := e.evalWindow(s.Window(ws, q), ws, q, nws, prevOpen, &rec.Warnings, run, dctx)
+		ev := e.evalWindow(p.windows[i], ws, q, nws, prevOpen, &rec.Warnings, run, dctx, win)
 		carried = nil
 		if dctx != nil {
 			carried = dctx.next
@@ -239,12 +245,15 @@ func (e *Engine) runWindows(events stream.Stream, opts RunOptions, fn func(*Reco
 			}
 		}
 		prevOpen = ev.nextOpen
-		if err := fn(rec, WindowResult{
+		if fn == nil {
+			continue
+		}
+		if err := fn(WindowResult{
 			WindowStart: ws, QueryTime: q,
 			Recognised: ev.recognised, FVPs: ev.fvps,
 		}); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	return nil
+	return rec, nil
 }

@@ -285,8 +285,8 @@ func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) wind
 		}
 	}
 	ws, we := st.tl.windowStart(i), st.tl.q(i)
-	winEvents := st.reorder.Buffered().Window(ws, we)
-	ev := st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), st.prevOpenInto(i), st.warnSink(), st.span, dctx)
+	winEvents := indexWindow(st.reorder.Buffered().Window(ws, we))
+	ev := st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), st.prevOpenInto(i), st.warnSink(), st.span, dctx, sharedWindow{})
 	if dctx != nil {
 		st.slots[i].delta = dctx.next
 	}

@@ -14,7 +14,7 @@ import (
 // stream: the time-line bounds, the window geometry and the query-time
 // count. Query times are computed on demand (q(i)) rather than materialised
 // into a slice, so planning a months-long soak run costs O(1) memory. Both
-// the in-order runner (runWindows) and the out-of-order streaming runner
+// the in-order runner (RunPrepared) and the out-of-order streaming runner
 // (RunStream) plan windows through it, so they agree exactly on which
 // windows exist and where they start.
 type timeline struct {
@@ -162,11 +162,14 @@ func (we windowEval) retractionsAgainst(prev windowEval) map[string]intervals.Li
 // and the state of this evaluation is captured for the next slide (see
 // delta.go). A nil dctx is the full re-evaluation the delta path must stay
 // byte-identical to.
-func (e *Engine) evalWindow(winEvents stream.Stream, ws, we, nws int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, parent *telemetry.Span, dctx *deltaCtx) windowEval {
+//
+// shared, unless zero, places the window in its Prepared's fluent table (see
+// evalFluent); the batch loop passes it only without a dctx.
+func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, parent *telemetry.Span, dctx *deltaCtx, shared sharedWindow) windowEval {
 	tel := e.opts.Telemetry
 	wspan := parent.Span("rtec.window",
 		telemetry.Int("window_start", ws), telemetry.Int("query_time", we),
-		telemetry.Int("events", int64(len(winEvents))))
+		telemetry.Int("events", int64(winEvents.n)))
 	winHist := tel.Histogram("rtec.window.micros")
 	var t0 time.Time
 	if winHist != nil {
@@ -176,6 +179,7 @@ func (e *Engine) evalWindow(winEvents stream.Stream, ws, we, nws int64, prevOpen
 	if dctx != nil && !e.opts.DisableCache {
 		dctx.attach(w)
 	}
+	w.shared = shared
 	w.evaluate()
 	if w.delta != nil {
 		w.delta.flush(tel)
