@@ -16,7 +16,7 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== vet-rtec (determinism vet: no wall clock or unseeded rand outside internal/clock)"
+echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader)"
 go run ./cmd/vet-rtec .
 
 echo "== go build"
@@ -113,7 +113,7 @@ fi
 # The whole paper pipeline at one job at a time against eight: -workers fans
 # out whole recognitions (generation pipelines, Figure 2c evaluations, refine
 # chains), so every table must come out byte-identical, the clean row included.
-go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 > "$tmp/all-w1.csv" 2>/dev/null
+go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > "$tmp/all-w1.csv" 2> "$tmp/all-metrics.txt"
 go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 8 > "$tmp/all-w8.csv" 2>/dev/null
 if ! cmp -s "$tmp/all-w1.csv" "$tmp/all-w8.csv"; then
     echo "refine smoke: experiments -fig all differs between -workers 1 and -workers 8:" >&2
@@ -129,7 +129,6 @@ fi
 # stream: run one job at a time (so no two jobs race to publish a fluent and
 # the counts repeat), most fluent × window results must be installed from the
 # testbed's shared table rather than evaluated (DESIGN.md §13).
-go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > /dev/null 2> "$tmp/all-metrics.txt"
 hits=$(sed -n 's/^counter rtec\.shared\.hits_total //p' "$tmp/all-metrics.txt")
 misses=$(sed -n 's/^counter rtec\.shared\.misses_total //p' "$tmp/all-metrics.txt")
 if [ "${misses:-0}" -le 0 ] || [ "${hits:-0}" -le "$misses" ]; then

@@ -21,11 +21,9 @@
 // a job evaluates its windows on one goroutine. Output is byte-identical at
 // any count.
 //
-// Observability: -metrics prints the total wall-clock, the per-phase
-// timings and a per-stage, per-model pipeline timing table (from the
-// telemetry registry) and dumps the registry to stderr; -trace writes a
-// Chrome trace_event JSON of the whole run; -v enables structured debug
-// logs.
+// Observability: -metrics dumps the telemetry registry to stderr at exit
+// (stdout is untouched); -trace writes a Chrome trace_event JSON of the
+// whole run, per-stage spans included; -v enables structured debug logs.
 //
 // Resilience: -faults runs the whole study under injected transport chaos
 // (internal/llm/fault) behind the resilient wrapper (internal/llm/
@@ -97,7 +95,7 @@ func main() {
 	flag.StringVar(&o.faults, "faults", "", "inject model-transport faults: "+strings.Join(fault.Names(), ", "))
 	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (runs are byte-reproducible per seed)")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
-	flag.BoolVar(&o.tel.Metrics, "metrics", false, "print the timing summary and dump the telemetry registry to stderr at exit")
+	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
 	flag.Parse()
 
@@ -177,7 +175,6 @@ func annotate(label string, gen *prompt.GeneratedED) string {
 
 func run(o options) error {
 	tel, flush := o.tel.Setup(os.Stderr, os.Stderr)
-	wallStart := time.Now() //rtecvet:allow real wall-clock total for the -metrics summary
 
 	models, err := buildModels(o, tel)
 	if err != nil {
@@ -191,7 +188,6 @@ func run(o options) error {
 	var testbed func() (*eval.Testbed, error)
 	if o.fig == "2c" || o.fig == "all" || wantRefine {
 		build := func() (*eval.Testbed, error) {
-			defer tel.Time("experiments.micros.testbed+gold")()
 			return eval.NewTestbed(eval.AccuracyConfig{
 				Scenario:   maritime.ScenarioConfig{Vessels: o.vessels, Seed: o.seed},
 				Preprocess: maritime.DefaultPreprocessConfig(),
@@ -218,15 +214,11 @@ func run(o options) error {
 		}
 	}
 
-	stopGen := tel.Time("experiments.micros.generate+score")
 	best, allRows, skipped, err := eval.Figure2aTolerantWorkers(tel, models, o.genWorkers())
-	stopGen()
 	if err != nil {
 		return err
 	}
-	stopCor := tel.Time("experiments.micros.correct+rescore")
 	corrected, err := eval.Figure2bWith(tel, eval.TopN(best, 3), o.workers)
-	stopCor()
 	if err != nil {
 		return err
 	}
@@ -291,9 +283,7 @@ func run(o options) error {
 	}
 
 	if o.fig == "2c" || o.fig == "all" {
-		stop2c := tel.Time("experiments.micros.figure2c")
 		rows2c, err := eval.Figure2c(tb, corrected)
-		stop2c()
 		if err != nil {
 			return err
 		}
@@ -322,9 +312,7 @@ func run(o options) error {
 	}
 
 	if wantRefine {
-		stopRef := tel.Time("experiments.micros.refine")
 		refined, err := eval.FigureRefine(tel, models, best, eval.DefaultRefineBudget, tb)
-		stopRef()
 		if err != nil {
 			return err
 		}
@@ -353,9 +341,6 @@ func run(o options) error {
 		}
 	}
 
-	if o.tel.Metrics {
-		printTimingSummary(os.Stdout, tel, time.Since(wallStart), o.resolvedWorkers())
-	}
 	return flush()
 }
 
@@ -394,89 +379,6 @@ func (o options) resolvedWorkers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.workers
-}
-
-// printTimingSummary renders the wall-clock total, the per-phase timings
-// and the per-stage, per-model pipeline timing table accumulated in the
-// telemetry registry — the numbers BENCH trajectories record from CLI
-// output.
-func printTimingSummary(w io.Writer, tel *telemetry.Telemetry, wall time.Duration, workers int) {
-	snap := tel.Registry.Snapshot()
-	fmt.Fprintf(w, "Timing summary (telemetry registry, workers=%d):\n", workers)
-	fmt.Fprintf(w, "  total wall-clock: %.1f ms\n", float64(wall.Microseconds())/1e3)
-
-	var phases []string
-	for name := range snap.Counters {
-		if strings.HasPrefix(name, "experiments.micros.") {
-			phases = append(phases, name)
-		}
-	}
-	sort.Strings(phases)
-	for _, name := range phases {
-		fmt.Fprintf(w, "  %s: %.1f ms\n",
-			strings.TrimPrefix(name, "experiments.micros."), float64(snap.Counters[name])/1e3)
-	}
-
-	// Per-stage, per-model table from "pipeline.micros.<stage>.<label>".
-	byLabel := map[string]map[string]int64{}
-	stageSet := map[string]bool{}
-	for name, v := range snap.Counters {
-		rest, ok := strings.CutPrefix(name, "pipeline.micros.")
-		if !ok {
-			continue
-		}
-		stage, label, ok := strings.Cut(rest, ".")
-		if !ok {
-			continue
-		}
-		stageSet[stage] = true
-		if byLabel[label] == nil {
-			byLabel[label] = map[string]int64{}
-		}
-		byLabel[label][stage] += v
-	}
-	if len(byLabel) == 0 {
-		return
-	}
-	// Pipeline order, then any unknown stages alphabetically.
-	stages := []string{"teach", "generate", "parse", "lint", "correct", "score", "accuracy"}
-	known := map[string]bool{}
-	for _, s := range stages {
-		known[s] = true
-	}
-	var extra []string
-	for s := range stageSet {
-		if !known[s] {
-			extra = append(extra, s)
-		}
-	}
-	sort.Strings(extra)
-	stages = append(stages, extra...)
-	var cols []string
-	for _, s := range stages {
-		if stageSet[s] {
-			cols = append(cols, s)
-		}
-	}
-	labels := make([]string, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	rows := [][]string{append([]string{"event description"}, cols...)}
-	for _, l := range labels {
-		cells := []string{l}
-		for _, s := range cols {
-			if v, ok := byLabel[l][s]; ok {
-				cells = append(cells, fmt.Sprintf("%.1fms", float64(v)/1e3))
-			} else {
-				cells = append(cells, "-")
-			}
-		}
-		rows = append(rows, cells)
-	}
-	fmt.Fprintln(w, "\nPer-stage pipeline timings per model:")
-	fmt.Fprint(w, figures.Table(rows))
 }
 
 // printRefine renders the critique–refine traces: one row per model and

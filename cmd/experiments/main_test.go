@@ -50,14 +50,39 @@ func TestRunFigureRefine(t *testing.T) {
 	}
 }
 
+// captureStdout runs the command with os.Stdout redirected to a file and
+// returns what it printed there.
+func captureStdout(t *testing.T, o options) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stdout.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	err = run(o)
+	os.Stdout = old
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
 // TestRunWithTelemetry drives the metrics/trace path of the experiments
-// command: the run must emit a parseable Chrome trace with pipeline spans.
+// command: the run must emit a parseable Chrome trace with pipeline spans,
+// and -metrics (a registry dump on stderr) must leave stdout to the figures.
 func TestRunWithTelemetry(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	o := options{fig: "2a", csv: true, vessels: 14, seed: 7, window: 3600,
-		tel: telemetry.CLIConfig{TracePath: tracePath, Metrics: true}}
-	if err := run(o); err != nil {
-		t.Fatal(err)
+	o := options{fig: "2a", csv: true, vessels: 14, seed: 7, window: 3600}
+	plain := captureStdout(t, o)
+	o.tel = telemetry.CLIConfig{TracePath: tracePath, Metrics: true}
+	if got := captureStdout(t, o); got != plain {
+		t.Errorf("-metrics changed stdout:\n%s\nwithout it:\n%s", got, plain)
 	}
 	raw, err := os.ReadFile(tracePath)
 	if err != nil {
@@ -75,7 +100,7 @@ func TestRunWithTelemetry(t *testing.T) {
 	for _, ev := range trace.TraceEvents {
 		names[ev.Name]++
 	}
-	for _, want := range []string{"pipeline.run", "pipeline.prompt", "llm.chat", "pipeline.correct", "pipeline.score"} {
+	for _, want := range []string{"pipeline.run", "pipeline.prompt", "pipeline.correct", "pipeline.score"} {
 		if names[want] == 0 {
 			t.Fatalf("trace missing %q spans: %v", want, names)
 		}

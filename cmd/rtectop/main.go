@@ -144,7 +144,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	shardDegraded := map[int]float64{}
 	var shards, kills, restarts, degraded float64
 	var end struct {
-		Observed   float64 `json:"observed"`
+		Accepted   float64 `json:"accepted"`
 		Late       float64 `json:"late"`
 		Duplicates float64 `json:"duplicates"`
 		Dropped    float64 `json:"dropped"`
@@ -219,7 +219,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	put("rtec_windows_evaluated_total", "counter", windows)
 	put("rtec_revisions_total", "counter", revisions)
 	if haveEnd {
-		put("rtec_events_ingested_total", "counter", end.Observed)
+		put("rtec_events_ingested_total", "counter", end.Accepted)
 		put("rtec_late_events_total", "counter", end.Late)
 		put("rtec_duplicate_events_total", "counter", end.Duplicates)
 		put("rtec_dropped_events_total", "counter", end.Dropped)
@@ -372,8 +372,9 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 	if writes, ok := val("rtec_checkpoint_writes_total"); ok && writes > 0 {
 		restores, _ := val("rtec_checkpoint_restores_total")
 		bytes, _ := val("rtec_checkpoint_bytes")
+		fallbacks, _ := val("rtec_checkpoint_fallbacks_total")
 		fmt.Fprintln(w, "\nCHECKPOINTS")
-		fmt.Fprintf(w, "  writes %.0f  restores %.0f  bytes %.0f\n", writes, restores, bytes)
+		fmt.Fprintf(w, "  writes %.0f  restores %.0f  bytes %.0f  fallbacks %.0f\n", writes, restores, bytes, fallbacks)
 	}
 
 	if ids := shardIDs(m); len(ids) > 0 {

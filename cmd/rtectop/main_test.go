@@ -89,7 +89,7 @@ const replayJournal = `{"seq":1,"wall_us":0,"type":"run_start","data":{"ed_sum":
 {"seq":3,"wall_us":0,"type":"window","data":{"index":0,"window_start":0,"query_time":20,"revision":1,"emit_lag":5,"fluents":1,"intervals":1}}
 {"seq":4,"wall_us":0,"type":"checkpoint","data":{"consumed":2,"windows":2,"bytes":512}}
 {"seq":5,"wall_us":0,"type":"window","data":{"index":1,"window_start":20,"query_time":40,"revision":0,"emit_lag":0,"fluents":0,"intervals":0}}
-{"seq":6,"wall_us":0,"type":"run_end","data":{"observed":5,"accepted":5,"late":1,"duplicates":0,"dropped":0,"revisions":1,"checkpoints":1}}
+{"seq":6,"wall_us":0,"type":"run_end","data":{"observed":6,"accepted":5,"late":1,"duplicates":1,"dropped":0,"revisions":1,"checkpoints":1}}
 `
 
 func writeReplay(t *testing.T, content string) string {
@@ -104,7 +104,9 @@ func writeReplay(t *testing.T, content string) string {
 func TestJournalModeRendersBoard(t *testing.T) {
 	var buf bytes.Buffer
 	o := options{journalPath: writeReplay(t, replayJournal)}
-	o.require = "rtec_windows_evaluated_total==3,rtec_revisions_total==1,rtec_checkpoint_writes_total==1,rtec_window_emit_lag==3"
+	// The run observed 6 arrivals and accepted 5 (one duplicate): the board
+	// counts what the live rtec.events.ingested counts, the accepted ones.
+	o.require = "rtec_windows_evaluated_total==3,rtec_revisions_total==1,rtec_checkpoint_writes_total==1,rtec_window_emit_lag==3,rtec_events_ingested_total==5"
 	if err := run(o, &buf); err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +114,8 @@ func TestJournalModeRendersBoard(t *testing.T) {
 	for _, want := range []string{
 		"3/3 windows planned",
 		"windows evaluated               3",
-		"late / dup / dropped 1 / 0 / 0",
+		"events ingested                 5",
+		"late / dup / dropped 1 / 1 / 0",
 		"emit lag       n=3",
 		"writes 1  restores 0  bytes 512",
 	} {

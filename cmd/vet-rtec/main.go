@@ -1,6 +1,8 @@
-// Command vet-rtec runs the repository's determinism vet checks
-// (internal/toolvet) over a directory tree: no time.Now/time.Sleep outside
-// internal/clock, no package-level math/rand calls, in non-test code.
+// Command vet-rtec runs the repository's vet checks (internal/toolvet) over
+// a directory tree, in non-test code: no time.Now/time.Sleep outside
+// internal/clock, no package-level math/rand calls, and — when the tree is
+// the repository root — no metric name that ci.sh, cmd/rtectop/main.go and
+// README.md all fail to mention.
 //
 // Usage:
 //

@@ -128,9 +128,6 @@ type Options struct {
 	// fold comparisons over threshold-bound variables. Threshold facts
 	// declared by the description itself take precedence.
 	Constants map[string]float64
-	// Telemetry, when non-nil, records per-pass spans (children of Span)
-	// and counters of emitted diagnostics by code ("analysis.diag.R002").
-	Telemetry *telemetry.Telemetry
 	// Span is the parent span for the per-pass spans; may be nil.
 	Span *telemetry.Span
 }
@@ -144,7 +141,6 @@ type Report struct {
 // deterministically ordered report.
 func Analyze(ed *lang.EventDescription, opts Options) *Report {
 	ctx := newContext(ed, opts)
-	tel := opts.Telemetry
 	var out []Diagnostic
 	for _, p := range passes {
 		sp := opts.Span.Span("analysis.pass",
@@ -152,9 +148,6 @@ func Analyze(ed *lang.EventDescription, opts Options) *Report {
 		ds := p.run(ctx)
 		for i := range ds {
 			ds[i].Code = p.Code
-		}
-		if len(ds) > 0 {
-			tel.Counter("analysis.diag." + p.Code).Add(int64(len(ds)))
 		}
 		sp.SetAttrs(telemetry.Int("diagnostics", int64(len(ds))))
 		sp.End()

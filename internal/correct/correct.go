@@ -298,20 +298,13 @@ func Apply(gen *prompt.GeneratedED, domain *prompt.Domain) *Corrected {
 	return ApplyWith(nil, gen, domain)
 }
 
-// ApplyWith is Apply with observability: a "pipeline.correct" span, a
-// per-model stage timer, and counters for corrections applied (total and
-// by driving diagnostic code) on tel. A nil tel costs only nil checks.
+// ApplyWith is Apply under a "pipeline.correct" span carrying the number of
+// changes, on tel. A nil tel costs only nil checks.
 func ApplyWith(tel *telemetry.Telemetry, gen *prompt.GeneratedED, domain *prompt.Domain) *Corrected {
 	sp := tel.Span("pipeline.correct", telemetry.String("model", gen.Label()))
 	defer sp.End()
-	stop := tel.Time("pipeline.micros.correct." + gen.Label())
-	defer stop()
 	out := apply(gen, domain)
 	sp.SetAttrs(telemetry.Int("changes", int64(len(out.Changes))))
-	tel.Counter("correct.changes.applied").Add(int64(len(out.Changes)))
-	for _, ch := range out.Changes {
-		tel.Counter("correct.changes." + ch.Code).Inc()
-	}
 	if len(out.Changes) > 0 {
 		tel.Logger().Debug("syntactic corrections applied",
 			"component", "pipeline", "model", gen.Label(), "changes", len(out.Changes))

@@ -18,8 +18,8 @@ type AccuracyConfig struct {
 	Preprocess maritime.PreprocessConfig
 	Window     int64 // RTEC window size in seconds
 	// Telemetry, when non-nil, is handed to every engine run of the
-	// testbed (per-window spans and counters) and records per-model
-	// accuracy-stage timers.
+	// testbed (per-window spans and counters) and carries the per-model
+	// pipeline.accuracy spans.
 	Telemetry *telemetry.Telemetry
 	// Workers bounds how many recognition jobs run concurrently against
 	// the shared read-only testbed — Figure2c's candidate event
@@ -159,8 +159,6 @@ func (tb *Testbed) Evaluate(gen *prompt.GeneratedED) (AccuracyRow, error) {
 	tel := tb.cfg.Telemetry
 	sp := tel.Span("pipeline.accuracy", telemetry.String("model", gen.Label()))
 	defer sp.End()
-	stop := tel.Time("pipeline.micros.accuracy." + gen.Label())
-	defer stop()
 	// Generated event descriptions routinely carry defects: load leniently.
 	genRec, err := tb.run(gen.ED(), false)
 	if err != nil {

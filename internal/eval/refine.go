@@ -39,15 +39,10 @@ type RefineRow struct {
 // Label renders the paper's notation (o1□, GPT-4o△, ...).
 func (r RefineRow) Label() string { return r.Model + r.Scheme.Suffix() }
 
-// Refine runs the critique–refine loop for one model and scheme against the
-// maritime curriculum.
-func Refine(model prompt.Model, scheme prompt.Scheme, budget int) (RefineRow, error) {
-	return RefineWith(nil, model, scheme, budget, nil)
-}
-
-// RefineWith is Refine with observability and an optional recognition
-// testbed for per-round F1 scores. One live session spans all rounds, so
-// each critique sees the full conversation so far.
+// RefineWith runs the critique–refine loop for one model and scheme against
+// the maritime curriculum, with observability on tel (may be nil) and an
+// optional recognition testbed for per-round F1 scores. One live session
+// spans all rounds, so each critique sees the full conversation so far.
 //
 // Per round: the per-activity results are combined and autofixed to a
 // fixpoint (machine repairs: renames, deletions of contradictory,

@@ -16,7 +16,7 @@ import (
 func TestRefineMonotoneAcrossProfiles(t *testing.T) {
 	for _, m := range llm.AllModels() {
 		for _, scheme := range []prompt.Scheme{prompt.FewShot, prompt.ChainOfThought} {
-			row, err := Refine(m, scheme, DefaultRefineBudget)
+			row, err := RefineWith(nil, m, scheme, DefaultRefineBudget, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -52,7 +52,7 @@ func TestRefineMonotoneAcrossProfiles(t *testing.T) {
 // just avoid regressing.
 func TestRefineImprovesCorruptedProfiles(t *testing.T) {
 	for _, name := range []string{"Mistral", "Gemma-2", "GPT-4"} {
-		row, err := Refine(llm.MustNew(name), prompt.FewShot, DefaultRefineBudget)
+		row, err := RefineWith(nil, llm.MustNew(name), prompt.FewShot, DefaultRefineBudget, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -72,11 +72,11 @@ func TestRefineImprovesCorruptedProfiles(t *testing.T) {
 }
 
 func TestRefineDeterministic(t *testing.T) {
-	a, err := Refine(llm.MustNew("GPT-4"), prompt.ChainOfThought, DefaultRefineBudget)
+	a, err := RefineWith(nil, llm.MustNew("GPT-4"), prompt.ChainOfThought, DefaultRefineBudget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Refine(llm.MustNew("GPT-4"), prompt.ChainOfThought, DefaultRefineBudget)
+	b, err := RefineWith(nil, llm.MustNew("GPT-4"), prompt.ChainOfThought, DefaultRefineBudget, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

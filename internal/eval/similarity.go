@@ -13,7 +13,6 @@ import (
 
 	"rtecgen/internal/correct"
 	"rtecgen/internal/lang"
-	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/prompt"
 	"rtecgen/internal/similarity"
@@ -50,9 +49,15 @@ func (r Row) Average() float64 {
 	return sum / float64(n)
 }
 
-// GenerateAll runs the prompting pipeline for every model and scheme.
+// GenerateAll runs the prompting pipeline for every model and scheme. Any
+// pipeline failure aborts; use GenerateAllTolerantWorkers to degrade instead.
 func GenerateAll(models []prompt.Model) ([]*prompt.GeneratedED, error) {
-	return GenerateAllWith(nil, models)
+	gens, skipped := GenerateAllTolerantWorkers(nil, models, 0)
+	if len(skipped) > 0 {
+		s := skipped[0]
+		return nil, fmt.Errorf("eval: %s %s: %w", s.Model, s.Scheme, s.Err)
+	}
+	return gens, nil
 }
 
 // Skip records one model/scheme pipeline that could not complete at all —
@@ -67,35 +72,14 @@ type Skip struct {
 // Label renders the paper's notation for the skipped event description.
 func (s Skip) Label() string { return s.Model + s.Scheme.Suffix() }
 
-// GenerateAllWith is GenerateAll with observability: each model is wrapped
-// with llm.Instrument and each pipeline run records its spans, stage timers
-// and counters on tel. Any pipeline failure aborts; use
-// GenerateAllTolerantWith to degrade instead.
-func GenerateAllWith(tel *telemetry.Telemetry, models []prompt.Model) ([]*prompt.GeneratedED, error) {
-	gens, skipped := GenerateAllTolerantWith(tel, models)
-	if len(skipped) > 0 {
-		s := skipped[0]
-		return nil, fmt.Errorf("eval: %s %s: %w", s.Model, s.Scheme, s.Err)
-	}
-	return gens, nil
-}
-
-// GenerateAllTolerantWith is GenerateAllWith with graceful degradation: a
-// model/scheme whose pipeline fails outright is recorded as a Skip — an
-// annotated gap in the figures — instead of aborting the whole run.
-// Individual failed activities already degrade inside RunPipelineWith.
-// The model/scheme pipelines run concurrently up to GOMAXPROCS; use
-// GenerateAllTolerantWorkers to bound the fan-out (workers=1 for stateful
+// GenerateAllTolerantWorkers runs the prompting pipeline for every model
+// and scheme with graceful degradation: a model/scheme whose pipeline fails
+// outright is recorded as a Skip — an annotated gap in the figures — instead
+// of aborting the run (individual failed activities already degrade inside
+// RunPipelineWith). At most workers sessions run concurrently (workers <= 0
+// means GOMAXPROCS; workers == 1 is strictly sequential, for stateful
 // transports such as fault injectors, whose behaviour depends on call
-// order).
-func GenerateAllTolerantWith(tel *telemetry.Telemetry, models []prompt.Model) ([]*prompt.GeneratedED, []Skip) {
-	return GenerateAllTolerantWorkers(tel, models, 0)
-}
-
-// GenerateAllTolerantWorkers is GenerateAllTolerantWith with an explicit
-// fan-out bound: at most workers pipeline sessions run concurrently
-// (workers <= 0 means GOMAXPROCS, workers == 1 is strictly sequential).
-// Every session is independent — its own model/scheme pair, its own
+// order). Every session is independent — its own model/scheme pair, its own
 // conversation — and results are collected in model×scheme order, so the
 // generated event descriptions, the figures derived from them, and the skip
 // list are identical at any worker count.
@@ -112,9 +96,8 @@ func GenerateAllTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model,
 	}
 	units := make([]unit, 0, len(models)*len(schemes))
 	for _, m := range models {
-		im := llm.Instrument(m, tel)
 		for _, scheme := range schemes {
-			units = append(units, unit{model: im, scheme: scheme})
+			units = append(units, unit{model: m, scheme: scheme})
 		}
 	}
 	forEachOrdered(workers, len(units), func(i int) {
@@ -126,7 +109,6 @@ func GenerateAllTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model,
 	var skipped []Skip
 	for _, u := range units {
 		if u.err != nil {
-			tel.Counter("pipeline.models.skipped").Inc()
 			tel.Logger().Warn("model skipped: pipeline failed",
 				"component", "eval", "model", u.model.Name(), "scheme", u.scheme.String(), "err", u.err.Error())
 			skipped = append(skipped, Skip{Model: u.model.Name(), Scheme: u.scheme, Err: u.err})
@@ -145,13 +127,10 @@ func Score(gold *lang.EventDescription, gen *prompt.GeneratedED) (Row, error) {
 	return ScoreWith(nil, gold, gen)
 }
 
-// ScoreWith is Score with observability: a "pipeline.score" span and a
-// per-model stage timer on tel.
+// ScoreWith is Score under a "pipeline.score" span on tel.
 func ScoreWith(tel *telemetry.Telemetry, gold *lang.EventDescription, gen *prompt.GeneratedED) (Row, error) {
 	sp := tel.Span("pipeline.score", telemetry.String("model", gen.Label()))
 	defer sp.End()
-	stop := tel.Time("pipeline.micros.score." + gen.Label())
-	defer stop()
 	row := Row{
 		Model:       gen.ModelName,
 		Scheme:      gen.Scheme,
@@ -274,36 +253,14 @@ func TopN(rows []Row, n int) []Row {
 	return sorted[:n]
 }
 
-// Figure2a generates all event descriptions, scores them, and returns the
-// best row per model (the published figure's contents) plus all rows.
-func Figure2a(models []prompt.Model) (best, all []Row, err error) {
-	return Figure2aWith(nil, models)
-}
-
-// Figure2aWith is Figure2a with observability threaded through generation
-// and scoring.
-func Figure2aWith(tel *telemetry.Telemetry, models []prompt.Model) (best, all []Row, err error) {
-	best, all, skipped, err := Figure2aTolerantWith(tel, models)
-	if err == nil && len(skipped) > 0 {
-		s := skipped[0]
-		return nil, nil, fmt.Errorf("eval: %s %s: %w", s.Model, s.Scheme, s.Err)
-	}
-	return best, all, err
-}
-
-// Figure2aTolerantWith is Figure2aWith with graceful degradation: failed
-// model/scheme pipelines are returned as Skips rather than aborting, and
-// partially degraded event descriptions are scored over the activities
-// they did produce.
-func Figure2aTolerantWith(tel *telemetry.Telemetry, models []prompt.Model) (best, all []Row, skipped []Skip, err error) {
-	return Figure2aTolerantWorkers(tel, models, 0)
-}
-
-// Figure2aTolerantWorkers is Figure2aTolerantWith with an explicit bound on
-// how many generation pipelines, and then how many scorings, run
-// concurrently (workers <= 0 means GOMAXPROCS, workers == 1 is strictly
-// sequential — required when the transports are stateful, e.g. under fault
-// injection).
+// Figure2aTolerantWorkers generates all event descriptions, scores them,
+// and returns the best row per model (the published figure's contents) plus
+// all rows. Failed model/scheme pipelines are returned as Skips rather than
+// aborting, and partially degraded event descriptions are scored over the
+// activities they did produce. workers bounds how many generation
+// pipelines, and then how many scorings, run concurrently (<= 0 means
+// GOMAXPROCS; 1 is strictly sequential — required when the transports are
+// stateful, e.g. under fault injection).
 func Figure2aTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model, workers int) (best, all []Row, skipped []Skip, err error) {
 	sp := tel.Span("eval.figure2a", telemetry.Int("models", int64(len(models))))
 	defer sp.End()

@@ -1,39 +1,28 @@
 package intervals
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Scratch-buffer pools for the interval algebra. Union, RelativeComplement
 // and FromPoints are the hottest allocation sites of the recognition engine:
 // every one of them needs a transient buffer that used to be allocated per
-// call. The pools recycle those buffers across calls (and across windows);
-// the cumulative get/miss counters feed the engine's telemetry so cache
-// effectiveness is observable per run.
+// call. The pools recycle those buffers across calls (and across windows).
 
 // maxPooledCap bounds the capacity of a recycled buffer: pathological runs
 // must not pin arbitrarily large slices in the pool.
 const maxPooledCap = 1 << 14
 
 var (
-	poolGets   atomic.Int64
-	poolMisses atomic.Int64
-
 	ivPool = sync.Pool{New: func() any {
-		poolMisses.Add(1)
 		s := make([]Interval, 0, 64)
 		return &s
 	}}
 	i64Pool = sync.Pool{New: func() any {
-		poolMisses.Add(1)
 		s := make([]int64, 0, 64)
 		return &s
 	}}
 )
 
 func getIvScratch() *[]Interval {
-	poolGets.Add(1)
 	return ivPool.Get().(*[]Interval)
 }
 
@@ -46,7 +35,6 @@ func putIvScratch(p *[]Interval) {
 }
 
 func getI64Scratch() *[]int64 {
-	poolGets.Add(1)
 	return i64Pool.Get().(*[]int64)
 }
 
@@ -56,10 +44,4 @@ func putI64Scratch(p *[]int64) {
 	}
 	*p = (*p)[:0]
 	i64Pool.Put(p)
-}
-
-// PoolStats returns the cumulative scratch-pool gets and misses since
-// process start. Hits are gets minus misses.
-func PoolStats() (gets, misses int64) {
-	return poolGets.Load(), poolMisses.Load()
 }

@@ -39,6 +39,7 @@ type chaosRun struct {
 	retries    int64
 	opens      int64
 	rejected   int64
+	degradedN  int64
 	transition []string
 }
 
@@ -61,6 +62,7 @@ func runChaos(t *testing.T, seed int64) chaosRun {
 	out.retries = snap.Counters["llm.retries"]
 	out.opens = snap.Counters["llm.breaker.opens"]
 	out.rejected = snap.Counters["llm.calls.rejected.o1"]
+	out.degradedN = snap.Counters["pipeline.activities.degraded"]
 	return out
 }
 
@@ -81,6 +83,9 @@ func TestChaosRunPinnedOutcome(t *testing.T) {
 	wantDegraded := []string{"tu", "p", "l", "s", "d"}
 	if !reflect.DeepEqual(got.degraded, wantDegraded) {
 		t.Errorf("degraded = %v, want %v", got.degraded, wantDegraded)
+	}
+	if got.degradedN != int64(len(wantDegraded)) {
+		t.Errorf("pipeline.activities.degraded = %d, want %d", got.degradedN, len(wantDegraded))
 	}
 	if got.covOK != 11 || got.covTotal != 16 {
 		t.Errorf("coverage = %d/%d, want 11/16", got.covOK, got.covTotal)

@@ -29,9 +29,9 @@ func NewSession(model Model, scheme Scheme, domain *Domain) *Session {
 	return &Session{model: model, scheme: scheme, domain: domain}
 }
 
-// NewSessionWith is NewSession with observability: prompt/response sizes,
-// per-prompt spans (children of span, which may be nil) and structured
-// debug logs are recorded on tel.
+// NewSessionWith is NewSession with observability: per-prompt spans
+// (children of span, which may be nil) and structured debug logs carrying
+// the prompt/response sizes are recorded on tel.
 func NewSessionWith(tel *telemetry.Telemetry, span *telemetry.Span, model Model, scheme Scheme, domain *Domain) *Session {
 	return &Session{model: model, scheme: scheme, domain: domain, tel: tel, span: span}
 }
@@ -40,16 +40,13 @@ func NewSessionWith(tel *telemetry.Telemetry, span *telemetry.Span, model Model,
 // prompt of Figure 1 ("R", "F", "E", "T", "G:<activity>") on the span and
 // the logs.
 func (s *Session) send(label, user string) (string, error) {
-	sp := s.pipelineSpan().Span("pipeline.prompt",
+	sp := s.span.Span("pipeline.prompt",
 		telemetry.String("prompt", label), telemetry.String("model", s.model.Name()))
 	defer sp.End()
-	s.tel.Counter("pipeline.prompt.bytes").Add(int64(len(user)))
 	reply, err := s.model.Chat(s.history, user)
 	if err != nil {
-		s.tel.Counter("pipeline.model.errors").Inc()
 		return "", fmt.Errorf("prompt: model %s: %w", s.model.Name(), err)
 	}
-	s.tel.Counter("pipeline.response.bytes").Add(int64(len(reply)))
 	s.tel.Logger().Debug("prompt exchanged",
 		"component", "pipeline", "model", s.model.Name(), "scheme", s.scheme.String(),
 		"prompt", label, "prompt_bytes", len(user), "response_bytes", len(reply))
@@ -57,10 +54,6 @@ func (s *Session) send(label, user string) (string, error) {
 		Message{Role: "assistant", Content: reply})
 	return reply, nil
 }
-
-// pipelineSpan returns the parent span for per-prompt spans (nil when the
-// session is untraced, which collapses the children to no-ops too).
-func (s *Session) pipelineSpan() *telemetry.Span { return s.span }
 
 // Label renders the model/scheme notation of the paper, e.g. "o1□".
 func (s *Session) Label() string { return s.model.Name() + s.scheme.Suffix() }
@@ -71,8 +64,6 @@ func (s *Session) Teach() error {
 	if err := s.domain.Validate(); err != nil {
 		return err
 	}
-	stop := s.tel.Time("pipeline.micros.teach." + s.Label())
-	defer stop()
 	type step struct{ label, text string }
 	steps := []step{{"R", BuildR()}}
 	if s.scheme != ZeroShot {
@@ -93,8 +84,6 @@ func (s *Session) Generate(req ActivityRequest) (string, error) {
 	if !s.taught {
 		return "", fmt.Errorf("prompt: Generate before Teach")
 	}
-	stop := s.tel.Time("pipeline.micros.generate." + s.Label())
-	defer stop()
 	return s.send("G:"+req.Key, BuildG(req))
 }
 
@@ -106,8 +95,6 @@ func (s *Session) Critique(req ActivityRequest, diags []analysis.Diagnostic) (st
 	if !s.taught {
 		return "", fmt.Errorf("prompt: Critique before Teach")
 	}
-	stop := s.tel.Time("pipeline.micros.critique." + s.Label())
-	defer stop()
 	return s.send("C:"+req.Key, BuildC(req, diags))
 }
 
@@ -145,17 +132,14 @@ type GeneratedED struct {
 // activities are not flagged as unused). The report is attached to the
 // GeneratedED and returned.
 func (g *GeneratedED) Lint(domain *Domain) *analysis.Report {
-	return g.LintWith(nil, nil, domain)
+	return g.lint(nil, domain)
 }
 
-// LintWith is Lint with observability: a "pipeline.lint" span (a child of
-// parent, which may be nil), per-pass spans inside the analyzer, stage
-// timing and diagnostic counters by code on tel.
-func (g *GeneratedED) LintWith(tel *telemetry.Telemetry, parent *telemetry.Span, domain *Domain) *analysis.Report {
+// lint is Lint under a "pipeline.lint" span (a child of parent, which may
+// be nil) with per-pass spans inside the analyzer.
+func (g *GeneratedED) lint(parent *telemetry.Span, domain *Domain) *analysis.Report {
 	sp := parent.Span("pipeline.lint", telemetry.String("model", g.Label()))
 	defer sp.End()
-	stop := tel.Time("pipeline.micros.lint." + g.Label())
-	defer stop()
 	roots := map[string]bool{}
 	for _, r := range g.Results {
 		roots[r.Request.Name] = true
@@ -163,7 +147,6 @@ func (g *GeneratedED) LintWith(tel *telemetry.Telemetry, parent *telemetry.Span,
 	g.Report = analysis.Analyze(g.ED(), analysis.Options{
 		Vocabulary: domain.KnownNames(),
 		Roots:      roots,
-		Telemetry:  tel,
 		Span:       sp,
 	})
 	sp.SetAttrs(telemetry.Int("diagnostics", int64(len(g.Report.Diagnostics))))
@@ -242,9 +225,8 @@ func RunPipeline(model Model, scheme Scheme, domain *Domain, curriculum []Activi
 }
 
 // RunPipelineWith is RunPipeline with observability: a "pipeline.run" root
-// span with per-prompt, per-parse and per-lint children, stage timers
-// keyed by the model/scheme label, and counters for prompt/response bytes,
-// rules generated and parse errors. A nil tel costs only nil checks.
+// span with per-prompt, per-parse and per-lint children, and the
+// pipeline.activities.degraded counter. A nil tel costs only nil checks.
 func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domain *Domain, curriculum []ActivityRequest) (*GeneratedED, error) {
 	root := tel.Span("pipeline.run",
 		telemetry.String("model", model.Name()), telemetry.String("scheme", scheme.String()),
@@ -255,8 +237,6 @@ func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domai
 		return nil, err
 	}
 	out := &GeneratedED{ModelName: model.Name(), Scheme: scheme}
-	rules := tel.Counter("pipeline.rules.generated")
-	parseErrs := tel.Counter("pipeline.parse.errors")
 	for _, req := range curriculum {
 		raw, err := s.Generate(req)
 		if err != nil {
@@ -270,13 +250,9 @@ func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domai
 			continue
 		}
 		psp := root.Span("pipeline.parse", telemetry.String("activity", req.Key))
-		stop := tel.Time("pipeline.micros.parse." + out.Label())
 		clauses, errs := ParseResponse(raw)
-		stop()
 		psp.SetAttrs(telemetry.Int("clauses", int64(len(clauses))), telemetry.Int("errors", int64(len(errs))))
 		psp.End()
-		rules.Add(int64(len(clauses)))
-		parseErrs.Add(int64(len(errs)))
 		if len(errs) > 0 {
 			tel.Logger().Debug("unparseable response chunks",
 				"component", "pipeline", "model", model.Name(), "scheme", scheme.String(),
@@ -286,7 +262,7 @@ func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domai
 			Request: req, Raw: raw, Clauses: clauses, Errors: errs,
 		})
 	}
-	out.LintWith(tel, root, domain)
+	out.lint(root, domain)
 	return out, nil
 }
 

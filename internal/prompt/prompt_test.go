@@ -1,7 +1,7 @@
 package prompt
 
 import (
-	"fmt"
+	"errors"
 	"strings"
 	"testing"
 )
@@ -86,11 +86,13 @@ type echoModel struct {
 	failOn  string
 }
 
+var errBoom = errors.New("boom")
+
 func (m *echoModel) Name() string { return "echo" }
 func (m *echoModel) Chat(history []Message, user string) (string, error) {
 	m.prompts = append(m.prompts, user)
 	if m.failOn != "" && strings.Contains(user, m.failOn) {
-		return "", fmt.Errorf("boom")
+		return "", errBoom
 	}
 	return m.reply, nil
 }
@@ -118,8 +120,8 @@ func TestSessionTeachThenGenerate(t *testing.T) {
 func TestSessionPropagatesModelErrors(t *testing.T) {
 	m := &echoModel{reply: "ok", failOn: "thresholds"}
 	s := NewSession(m, FewShot, testDomain())
-	if err := s.Teach(); err == nil {
-		t.Fatal("model error must propagate")
+	if err := s.Teach(); !errors.Is(err, errBoom) {
+		t.Fatalf("Teach() = %v, want the transport error in the chain", err)
 	}
 }
 

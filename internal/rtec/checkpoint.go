@@ -215,9 +215,7 @@ func (st *streamRun) writeSuspendCheckpoint() error {
 	if _, err := st.writeSnapshotFile(); err != nil {
 		return err
 	}
-	tel := st.eng.opts.Telemetry
-	tel.Counter("rtec.checkpoint.suspends").Inc()
-	tel.Logger().Debug("suspend checkpoint written",
+	st.eng.opts.Telemetry.Logger().Debug("suspend checkpoint written",
 		"component", "rtec", "path", st.opts.CheckpointPath,
 		"consumed", st.consumed, "windows", st.emitted)
 	return nil

@@ -208,7 +208,6 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 			return fmt.Errorf("rtec: %s", w)
 		}
 		e.warnings = append(e.warnings, w)
-		opts.Telemetry.Counter("rtec.warnings.load").Inc()
 		opts.Telemetry.Logger().Warn(w.Msg, "component", "rtec", "stage", "load", "fluent", w.Fluent)
 		return nil
 	}

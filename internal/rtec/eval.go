@@ -102,7 +102,6 @@ func (w *windowState) warn(wn Warning) {
 		return
 	}
 	w.warnings[key] = true
-	w.tel.Counter("rtec.warnings.runtime").Inc()
 	w.tel.Logger().Warn(wn.Msg,
 		"component", "rtec", "stage", "recognition", "fluent", wn.Fluent,
 		"window_start", w.ws, "query_time", w.we)
@@ -153,9 +152,8 @@ func (w *windowState) evaluate() {
 		w.evaluateUncached()
 		return
 	}
-	hist := w.tel.Histogram("rtec.stratum.micros")
-	var perLevel map[int]*telemetry.Histogram
-	if hist != nil {
+	var perLevel map[int]*telemetry.Histogram // nil: metrics off, strata untimed
+	if w.tel != nil && w.tel.Registry != nil {
 		perLevel = map[int]*telemetry.Histogram{}
 	}
 	for _, ind := range w.eng.order {
@@ -164,19 +162,17 @@ func (w *windowState) evaluate() {
 			telemetry.String("fluent", ind),
 			telemetry.Int("stratum", int64(level)))
 		var t0 time.Time
-		if hist != nil {
-			t0 = time.Now() //rtecvet:allow telemetry timer: real per-window evaluation duration
+		if perLevel != nil {
+			t0 = time.Now() //rtecvet:allow telemetry timer: real per-stratum evaluation duration
 		}
 		w.evalFluent(ind)
-		if hist != nil {
-			d := time.Since(t0)
-			hist.ObserveDuration(d)
+		if perLevel != nil {
 			lh, ok := perLevel[level]
 			if !ok {
 				lh = w.tel.Histogram(stratumHistName(level))
 				perLevel[level] = lh
 			}
-			lh.ObserveDuration(d)
+			lh.ObserveDuration(time.Since(t0))
 		}
 		sp.End()
 	}
@@ -185,11 +181,11 @@ func (w *windowState) evaluate() {
 // evalFluent computes one fluent for the window. On a shared window a
 // fingerprinted fluent is looked up in the Prepared's table first. A hit
 // replays what the recorded evaluation did to the window state, in its
-// order: the warnings through warn (so Recognition.Warnings, the warning
-// counter and the log read as if evaluated) and the interval lists through
-// store (so byFluent keeps the order higher strata and the inertia hand-off
-// iterate in). A miss evaluates and publishes; when two runs race on a key
-// the first publication stays, and both computed the same thing.
+// order: the warnings through warn (so Recognition.Warnings and the log
+// read as if evaluated) and the interval lists through store (so byFluent
+// keeps the order higher strata and the inertia hand-off iterate in). A
+// miss evaluates and publishes; when two runs race on a key the first
+// publication stays, and both computed the same thing.
 func (w *windowState) evalFluent(ind string) {
 	def := w.eng.fluents[ind]
 	sh := w.shared.run

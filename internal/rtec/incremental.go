@@ -23,7 +23,6 @@ import (
 // deterministically.
 type StreamRunner struct {
 	st       *streamRun
-	donePool func()
 	finished bool
 }
 
@@ -79,7 +78,6 @@ func (r *StreamRunner) Finish() (*StreamResult, error) {
 	}
 	r.finished = true
 	defer r.st.span.End()
-	defer r.donePool()
 	if err := r.st.journalRunStart(); err != nil {
 		return nil, err
 	}
@@ -101,7 +99,6 @@ func (r *StreamRunner) Suspend() error {
 	}
 	r.finished = true
 	r.st.span.End()
-	r.donePool()
 	return nil
 }
 
@@ -113,7 +110,6 @@ func (r *StreamRunner) Abort() {
 	}
 	r.finished = true
 	r.st.span.End()
-	r.donePool()
 }
 
 // Consumed returns how many arrivals have been fully processed — the replay

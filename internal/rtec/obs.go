@@ -27,6 +27,7 @@ type streamObs struct {
 	arrivalLag *telemetry.Histogram
 	emitLag    *telemetry.Histogram
 	e2eMicros  *telemetry.Histogram
+	ingested   *telemetry.Counter
 	journal    *journal.Writer
 }
 
@@ -41,8 +42,9 @@ var instrumentHelp = map[string]string{
 	"rtec.window.emit_lag":      "frontier minus query time at each window delivery, in time-points",
 	"rtec.window.e2e_micros":    "wall-clock latency of evaluating and delivering one window",
 	"rtec.windows.evaluated":    "window evaluations, including re-evaluations forced by late events",
-	"rtec.events.ingested":      "events admitted into the run (in-order plus late-within-bound)",
+	"rtec.events.ingested":      "events admitted (in-order plus late-within-bound): admissions by this process, replays after a shard restart included",
 	"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
+	"rtec.checkpoint.fallbacks": "restores that recovered a torn checkpoint from its previous generation, by the run itself or by a supervised shard",
 	"rtec.delta.reused":         "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
 	"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
 	"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",
@@ -80,6 +82,7 @@ func newStreamObs(tel *telemetry.Telemetry, jw *journal.Writer) *streamObs {
 		o.arrivalLag = reg.Histogram("rtec.stream.arrival_lag", lagBounds)
 		o.emitLag = reg.Histogram("rtec.window.emit_lag", lagBounds)
 		o.e2eMicros = reg.Histogram("rtec.window.e2e_micros", nil)
+		o.ingested = reg.Counter("rtec.events.ingested")
 	}
 	return o
 }

@@ -7,7 +7,6 @@ import (
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/stream"
-	"rtecgen/internal/telemetry"
 )
 
 // This file implements entity-sharded parallel evaluation of one fluent's
@@ -106,19 +105,6 @@ func eventEntity(ev stream.Event) uint64 {
 	return lang.Hash(ev.Atom, nil)
 }
 
-// recordPoolStats snapshots the interval scratch-pool counters and returns
-// a func that records the run's delta as hit/miss counters, making buffer
-// reuse observable per run.
-func recordPoolStats(tel *telemetry.Telemetry) func() {
-	gets0, misses0 := intervals.PoolStats()
-	return func() {
-		gets, misses := intervals.PoolStats()
-		dGets, dMisses := gets-gets0, misses-misses0
-		tel.Counter("rtec.intervals.pool.hits").Add(dGets - dMisses)
-		tel.Counter("rtec.intervals.pool.misses").Add(dMisses)
-	}
-}
-
 // runUnits evaluates n units. With a single worker (or a tiny batch) the
 // units run inline in order with immediate effect application — the classic
 // sequential path. Otherwise units are partitioned by their entity shard key
@@ -178,16 +164,6 @@ func (w *windowState) runUnitsParallel(n, workers int, shard func(int) uint64, b
 		s := int(shard(i) % uint64(workers))
 		shards[s] = append(shards[s], int32(i))
 	}
-	// 100 means perfectly balanced shards; workers*100 means every unit
-	// hashed onto a single shard.
-	maxLoad := 0
-	for _, sh := range shards {
-		if len(sh) > maxLoad {
-			maxLoad = len(sh)
-		}
-	}
-	w.tel.Gauge("rtec.shard.imbalance").Set(int64(maxLoad * workers * 100 / n))
-
 	slots := make([][]act, n)
 	var wg sync.WaitGroup
 	for _, sh := range shards {

@@ -195,8 +195,6 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 		telemetry.Int("start", tl.start), telemetry.Int("end", tl.end))
 	defer run.End()
 	tel.Counter("rtec.events.ingested").Add(int64(len(p.events)))
-	tel.Gauge("rtec.workers").Set(int64(e.workers))
-	defer recordPoolStats(tel)()
 	tel.Logger().Debug("recognition run",
 		"component", "rtec", "events", len(p.events),
 		"window", tl.window, "slide", tl.slide, "start", tl.start, "end", tl.end,

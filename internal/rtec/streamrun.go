@@ -176,8 +176,7 @@ func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn fu
 		"component", "rtec", "events", len(events),
 		"window", tl.window, "slide", tl.slide, "start", tl.start, "end", tl.end,
 		"windows", tl.n, "fluents", len(e.order), "max_delay", opts.MaxDelay)
-	tel.Gauge("rtec.workers").Set(int64(e.workers))
-	return &StreamRunner{st: st, donePool: recordPoolStats(tel)}, false, nil
+	return &StreamRunner{st: st}, false, nil
 }
 
 // feed ingests the arrivals after the resume point and finishes the run.
@@ -204,7 +203,6 @@ func (st *streamRun) finish() (*StreamResult, error) {
 			return nil, err
 		}
 	}
-	st.eng.opts.Telemetry.Counter("rtec.events.ingested").Add(st.reorder.Stats().Accepted)
 	res := st.finalise()
 	if err := st.journalRunEnd(); err != nil {
 		return nil, err
@@ -222,11 +220,14 @@ func (st *streamRun) ingest(e stream.Event) error {
 		return err
 	}
 	switch verdict {
+	case stream.Admitted:
+		st.obs.ingested.Inc()
 	case stream.TooLate:
 		tel.Counter("rtec.dropped_events").Inc()
 	case stream.Duplicate:
 		tel.Counter("rtec.duplicate_events").Inc()
 	case stream.AdmittedLate:
+		st.obs.ingested.Inc()
 		tel.Counter("rtec.late_events").Inc()
 		if err := st.revise(e.Time); err != nil {
 			return err

@@ -66,8 +66,7 @@ func TestGoldenChromeTrace(t *testing.T) {
 }
 
 // TestEngineCounters checks the engine's metric semantics on a two-window
-// run: events ingested once, a window counted per query time, FVP groundings
-// and amalgamated intervals accumulated across windows.
+// run: events ingested once, a window counted per query time.
 func TestEngineCounters(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	tel := telemetry.New(reg, nil, nil)
@@ -78,25 +77,17 @@ func TestEngineCounters(t *testing.T) {
 	}
 	snap := reg.Snapshot()
 	for name, want := range map[string]int64{
-		"rtec.events.ingested":       2,
-		"rtec.windows.evaluated":     2,
-		"rtec.intervals.amalgamated": 2, // one clipped interval per window
+		"rtec.events.ingested":   2,
+		"rtec.windows.evaluated": 2,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
-	if snap.Counters["rtec.fvps.grounded"] == 0 {
-		t.Error("rtec.fvps.grounded not incremented")
-	}
-	if h, ok := snap.Histograms["rtec.window.micros"]; !ok || h.Count != 2 {
-		t.Errorf("rtec.window.micros histogram = %+v, want count 2", h)
-	}
 }
 
 // TestRuntimeWarningsOnLogger checks that runtime warnings surface on the
-// telemetry logger with fluent and window attributes, and feed the runtime
-// warning counter.
+// telemetry logger with fluent and window attributes.
 func TestRuntimeWarningsOnLogger(t *testing.T) {
 	var logBuf bytes.Buffer
 	reg := telemetry.NewRegistry()
@@ -123,9 +114,6 @@ initiatedAt(odd(Vl)=true, T) :-
 		if !strings.Contains(out, want) {
 			t.Errorf("log output missing %q:\n%s", want, out)
 		}
-	}
-	if reg.Snapshot().Counters["rtec.warnings.runtime"] == 0 {
-		t.Error("rtec.warnings.runtime not incremented")
 	}
 }
 

@@ -2,7 +2,6 @@ package rtec
 
 import (
 	"fmt"
-	"time"
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
@@ -170,11 +169,6 @@ func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen 
 	wspan := parent.Span("rtec.window",
 		telemetry.Int("window_start", ws), telemetry.Int("query_time", we),
 		telemetry.Int("events", int64(winEvents.n)))
-	winHist := tel.Histogram("rtec.window.micros")
-	var t0 time.Time
-	if winHist != nil {
-		t0 = time.Now() //rtecvet:allow telemetry timer: real per-window recognition duration
-	}
 	w := newWindowState(e, winEvents, ws, we, prevOpen, warnSink, tel, wspan)
 	if dctx != nil && !e.opts.DisableCache {
 		dctx.attach(w)
@@ -184,11 +178,7 @@ func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen 
 	if w.delta != nil {
 		w.delta.flush(tel)
 	}
-	if winHist != nil {
-		winHist.ObserveDuration(time.Since(t0))
-	}
 	tel.Counter("rtec.windows.evaluated").Inc()
-	tel.Counter("rtec.fvps.grounded").Add(int64(len(w.cache)))
 
 	out := windowEval{
 		recognised: map[string]intervals.List{},
@@ -213,9 +203,7 @@ func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen 
 			out.nextOpen[key] = ent.fvp
 		}
 	}
-	amalgamated := out.intervalCount()
-	tel.Counter("rtec.intervals.amalgamated").Add(amalgamated)
-	wspan.SetAttrs(telemetry.Int("fvps", int64(len(w.cache))), telemetry.Int("intervals", amalgamated))
+	wspan.SetAttrs(telemetry.Int("fvps", int64(len(w.cache))), telemetry.Int("intervals", out.intervalCount()))
 	wspan.End()
 	return out
 }

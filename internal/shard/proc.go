@@ -221,7 +221,6 @@ func (p *proc) push(e stream.Event) error {
 	if p.degraded || p.backlog() >= depth {
 		if p.sup.opts.Overflow == OverflowDrop {
 			p.dropped++
-			p.sup.tel.Counter("rtec.shard.queue.dropped").Inc()
 			return nil
 		}
 		if p.degraded {
@@ -232,7 +231,6 @@ func (p *proc) push(e stream.Event) error {
 	}
 	if len(p.q) >= depth {
 		p.overflow++
-		p.sup.tel.Counter("rtec.shard.queue.overflow").Inc()
 	}
 	p.q = append(p.q, e)
 	p.mDepth.Set(int64(len(p.q)))
@@ -277,10 +275,8 @@ func (p *proc) deliverHook(wr rtec.WindowResult) error {
 	p.delivered++
 	switch p.inj.OnDeliver(p.delivered) {
 	case fault.Panic:
-		p.sup.tel.Counter("rtec.shard.faults").Inc()
 		panic(fmt.Sprintf("injected panic at window %d of shard %d", p.delivered, p.id))
 	case fault.Hang:
-		p.sup.tel.Counter("rtec.shard.faults").Inc()
 		return p.hangUntilKilled()
 	}
 	return nil
@@ -345,7 +341,7 @@ func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
 	case p.prevB.consumed:
 		b = p.prevB
 		p.lastB = p.prevB
-		p.sup.tel.Counter("rtec.shard.ckpt.fallbacks").Inc()
+		p.sup.tel.Counter("rtec.checkpoint.fallbacks").Inc()
 	default:
 		return nil, permanentError{fmt.Errorf("shard %d: checkpoint %s consumed %d matches no staged generation (%d or %d)",
 			p.id, from, cp.Consumed, p.prevB.consumed, p.lastB.consumed)}
@@ -366,7 +362,6 @@ func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
 func (p *proc) attempt() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			p.sup.tel.Counter("rtec.shard.panics").Inc()
 			err = fmt.Errorf("shard %d panicked: %v", p.id, r)
 		}
 	}()
@@ -452,7 +447,6 @@ func (p *proc) syncCursor(at int) {
 // queue below it, and shift the boundaries.
 func (p *proc) onCheckpoint(runner *rtec.StreamRunner) error {
 	if p.inj.OnCheckpoint(runner.Windows()) {
-		p.sup.tel.Counter("rtec.shard.faults").Inc()
 		if err := truncateFile(p.sup.checkpointPath(p.id)); err != nil {
 			return permanentError{fmt.Errorf("shard %d: injected truncate: %w", p.id, err)}
 		}

@@ -2,12 +2,14 @@ package shard
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net/http/httptest"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -17,6 +19,7 @@ import (
 	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
+	"rtecgen/internal/telemetry/journal"
 )
 
 const testED = `
@@ -109,11 +112,12 @@ func csvOf(t testing.TB, r *rtec.Recognition) string {
 }
 
 // shardedRun is one complete supervised run plus everything the tests
-// compare: the merged result, every shard's committed journal, and the
-// metrics registry.
+// compare: the merged result, every shard's committed journal, the
+// supervisor's own event journal, and the metrics registry.
 type shardedRun struct {
 	res      *Result
 	journals []*bytes.Buffer
+	events   *bytes.Buffer
 	reg      *telemetry.Registry
 }
 
@@ -131,8 +135,10 @@ func runSharded(t testing.TB, workers int, arrivals stream.Stream, faults string
 	for i := range journals {
 		journals[i] = &bytes.Buffer{}
 	}
+	events := &bytes.Buffer{}
 	opts := Options{
 		Shards: 4,
+		Events: journal.NewWriter(events, journal.Options{}),
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 			MaxDelay:        60,
@@ -164,7 +170,29 @@ func runSharded(t testing.TB, workers int, arrivals stream.Stream, faults string
 	if err != nil {
 		return nil, err
 	}
-	return &shardedRun{res: res, journals: journals, reg: reg}, nil
+	return &shardedRun{res: res, journals: journals, events: events, reg: reg}, nil
+}
+
+// restartReasons returns the reason of every shard_restart record in the
+// supervisor's event journal, in order.
+func restartReasons(t testing.TB, run *shardedRun) []string {
+	t.Helper()
+	recs, err := journal.Read(bytes.NewReader(run.events.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, rec := range recs {
+		if rec.Type != "shard_restart" {
+			continue
+		}
+		var ev shardRestartEvent
+		if err := json.Unmarshal(rec.Data, &ev); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, ev.Reason)
+	}
+	return out
 }
 
 func counterValue(reg *telemetry.Registry, name string) int64 {
@@ -254,8 +282,14 @@ func TestShardRestartByteIdentity(t *testing.T) {
 			if v := counterValue(got.reg, "rtec.shard.restarts"); v != restarts {
 				t.Fatalf("rtec.shard.restarts = %d, statuses say %d", v, restarts)
 			}
-			if counterValue(got.reg, "rtec.shard.panics") == 0 {
-				t.Fatal("rtec.shard.panics not counted")
+			reasons := restartReasons(t, got)
+			if int64(len(reasons)) != restarts {
+				t.Fatalf("%d shard_restart records, statuses say %d restarts", len(reasons), restarts)
+			}
+			for _, r := range reasons {
+				if !strings.Contains(r, "panicked: injected panic at window 2") {
+					t.Fatalf("shard_restart reason %q does not name the caught panic", r)
+				}
 			}
 			requireIdentical(t, want, got)
 		})
@@ -298,7 +332,7 @@ func TestShardCheckpointGenerationFallback(t *testing.T) {
 	if got.res.Degraded != 0 {
 		t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
 	}
-	if counterValue(got.reg, "rtec.shard.ckpt.fallbacks") == 0 {
+	if counterValue(got.reg, "rtec.checkpoint.fallbacks") == 0 {
 		t.Fatal("no restart used the previous checkpoint generation")
 	}
 	requireIdentical(t, want, got)

@@ -45,8 +45,8 @@ const (
 	// OverflowBlock applies backpressure: Ingest waits until the consumer
 	// takes an arrival, under the progress deadline. The default.
 	OverflowBlock OverflowPolicy = iota
-	// OverflowDrop counts the arrival in rtec.shard.queue.dropped and
-	// discards it — the lenient degradation verdict.
+	// OverflowDrop counts the arrival in ShardStatus.Dropped and discards
+	// it — the lenient degradation verdict.
 	OverflowDrop
 	// OverflowError fails the Ingest call — the strict verdict.
 	OverflowError
@@ -118,7 +118,7 @@ type Options struct {
 	// stay queued for replay until a checkpoint generation commits; they do
 	// not count, because only the checkpoint interval bounds them (an
 	// admission that finds QueueDepth or more queued in total is counted in
-	// rtec.shard.queue.overflow).
+	// ShardStatus.Overflow).
 	QueueDepth int
 	// Overflow is the admission policy for a backlog at the bound.
 	Overflow OverflowPolicy
@@ -368,12 +368,6 @@ func (s *Supervisor) describeMetrics() {
 	reg := s.tel.Registry
 	reg.Describe("rtec.shard.restarts", "Shard restarts after a caught panic or a watchdog kill.")
 	reg.Describe("rtec.shard.kills", "Shards killed by the progress-deadline watchdog.")
-	reg.Describe("rtec.shard.panics", "Panics caught by shard supervision.")
-	reg.Describe("rtec.shard.hangs", "Injected hangs acted out by shards.")
-	reg.Describe("rtec.shard.faults", "Injected faults acted out by shards.")
-	reg.Describe("rtec.shard.ckpt.fallbacks", "Restarts that fell back to the previous checkpoint generation.")
-	reg.Describe("rtec.shard.queue.dropped", "Arrivals dropped by the lenient overflow policy.")
-	reg.Describe("rtec.shard.queue.overflow", "Admissions that found the queue bound already met by arrivals retained for checkpoint replay.")
 	reg.Describe("rtec.shard.degraded", "Shards that failed permanently this run.")
 	for k := 0; k < s.opts.Shards; k++ {
 		reg.Describe(shardMetric(k, "queue.depth"), "Retained arrivals in this shard's ingest queue.")

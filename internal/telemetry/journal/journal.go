@@ -204,16 +204,6 @@ func (w *Writer) Capped() bool {
 	return w.capped
 }
 
-// Err returns the first underlying write error, if any.
-func (w *Writer) Err() error {
-	if w == nil {
-		return nil
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
-}
-
 // Stats summarises a validated journal.
 type Stats struct {
 	// Records is the number of well-formed records read.

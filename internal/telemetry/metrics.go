@@ -317,7 +317,7 @@ func (r *Registry) Reset() {
 // dot-separated segments ("rtec.checkpoint.bytes") or as underscore
 // suffixes of a segment ("llm.backoff_ms", "rtec.checkpoint.write_micros").
 // They may also appear mid-name for families keyed by a trailing label
-// ("pipeline.micros.teach.o1").
+// ("rtec.stratum.micros.s0").
 var unitTokens = []string{"micros", "ms", "bytes", "total", "ratio"}
 
 // hasUnitToken reports whether any dot-separated segment of name is (or
@@ -350,8 +350,8 @@ func CanonicalName(kind, name string) string {
 // sorted by kind then name, with canonical unit suffixes:
 //
 //	counter rtec.windows.evaluated_total 24
-//	gauge experiments.wall.ms 1234
-//	histogram rtec.window.micros count=24 sum=48211 le500=3 le1000=11 ... inf=0
+//	gauge rtec.stream.watermark_age 900
+//	histogram rtec.window.e2e_micros count=24 sum=48211 le500=3 le1000=11 ... inf=0
 //
 // Zero-valued metrics are included: a registered name documents an
 // instrumented code path even when it never fired.

@@ -45,7 +45,6 @@ func TestNilSafety(t *testing.T) {
 	sp.SetAttrs(String("k", "v"))
 	sp.End()
 	tel.Logger().Info("discarded")
-	tel.Time("x")()
 }
 
 // TestHistogramBucketEdges pins the bucket semantics: v lands in the first
@@ -226,16 +225,5 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if got := us.Quantile(1.5); got < 990 {
 		t.Errorf("clamped Quantile(1.5) = %g, want >= p99", got)
-	}
-}
-
-func TestTelemetryTime(t *testing.T) {
-	r := NewRegistry()
-	tel := New(r, nil, nil)
-	stop := tel.Time("stage.micros")
-	time.Sleep(time.Millisecond)
-	stop()
-	if got := r.Counter("stage.micros").Value(); got <= 0 {
-		t.Fatalf("timer recorded %d µs, want > 0", got)
 	}
 }

@@ -11,10 +11,7 @@
 // observability is disabled.
 package telemetry
 
-import (
-	"log/slog"
-	"time"
-)
+import "log/slog"
 
 // Telemetry bundles the three observability channels threaded through the
 // engine and the generation pipeline. Any field may be nil; the accessors
@@ -73,18 +70,4 @@ func (t *Telemetry) Logger() *slog.Logger {
 		return Discard()
 	}
 	return t.Log
-}
-
-// Time starts a stage timer: the returned stop function adds the elapsed
-// microseconds to the named counter. With metrics disabled neither the
-// clock nor the counter is touched. Counters named by stage and label
-// (e.g. "pipeline.micros.teach.o1□") act as per-stage, per-model timers
-// that survive in the registry dump.
-func (t *Telemetry) Time(name string) (stop func()) {
-	c := t.Counter(name)
-	if c == nil {
-		return func() {}
-	}
-	t0 := time.Now() //rtecvet:allow the stage timer exists to measure real wall-clock
-	return func() { c.Add(time.Since(t0).Microseconds()) }
 }

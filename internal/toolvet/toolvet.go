@@ -26,6 +26,16 @@
 // selector calls on the file's "time" and "math/rand" import names, so a
 // local variable shadowing an import name could in principle false-positive;
 // none does in this repository.
+//
+// A third rule holds the registry to DESIGN.md §10 (a signal has a reader or
+// is removed):
+//
+//   - signal: a string literal passed to .Counter(, .Gauge(, .Histogram( or
+//     shardMetric( must occur — dotted, or with underscores as a scrape
+//     exposes it — in ci.sh, cmd/rtectop/main.go or README.md. A literal
+//     ending in "." is a family prefix ("llm.retries." + model); a
+//     "<prefix>.*" mention covers every name below the prefix. A guard, not
+//     an audit: a substring of a consumed name passes.
 package toolvet
 
 import (
@@ -37,7 +47,10 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
+
+	"rtecgen/internal/telemetry"
 )
 
 // Finding is one determinism hazard.
@@ -45,7 +58,7 @@ type Finding struct {
 	File    string
 	Line    int
 	Col     int
-	Rule    string // "wallclock" or "unseededrand"
+	Rule    string // "wallclock", "unseededrand" or "signal"
 	Message string
 }
 
@@ -65,8 +78,9 @@ var allowedRand = map[string]bool{
 	"Rand": true, "Source": true, "Source64": true, "Zipf": true,
 }
 
-// CheckSource analyzes one Go source file.
-func CheckSource(filename string, src []byte) ([]Finding, error) {
+// CheckSource analyzes one Go source file. consumers is the text the signal
+// rule looks metric names up in; empty skips that rule.
+func CheckSource(filename string, src []byte, consumers string) ([]Finding, error) {
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filename, src, parser.ParseComments)
 	if err != nil {
@@ -75,9 +89,6 @@ func CheckSource(filename string, src []byte) ([]Finding, error) {
 
 	timeName := importName(file, "time")
 	randName := importName(file, "math/rand")
-	if timeName == "" && randName == "" {
-		return nil, nil
-	}
 
 	// Lines carrying a justified //rtecvet:allow directive suppress
 	// findings on the same line and the line below.
@@ -104,6 +115,11 @@ func CheckSource(filename string, src []byte) ([]Finding, error) {
 	// Any selector mention counts, not just calls: passing time.Now as a
 	// function value makes the caller just as wall-clock dependent.
 	ast.Inspect(file, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && consumers != "" {
+			if name, pos := signalName(call); name != "" && !signalConsumed(name, consumers) {
+				report(pos, "signal", fmt.Sprintf("%q has no consumer in %s", name, strings.Join(consumerFiles, ", ")))
+			}
+		}
 		sel, ok := n.(*ast.SelectorExpr)
 		if !ok {
 			return true
@@ -123,6 +139,60 @@ func CheckSource(filename string, src []byte) ([]Finding, error) {
 		return true
 	})
 	return out, nil
+}
+
+// consumerFiles are the files, relative to the repository root, whose text
+// counts as reading a signal: the CI gates, the rtectop boards and the
+// README's metric paragraphs.
+var consumerFiles = []string{"ci.sh", "cmd/rtectop/main.go", "README.md"}
+
+// signalNameArg maps each inspected call to its metric-name argument.
+var signalNameArg = map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0, "shardMetric": 1}
+
+// signalName returns the metric-name literal of a registry call (for
+// "family." + label, the leftmost operand), or "" when call is not one or
+// computes its name.
+func signalName(call *ast.CallExpr) (string, token.Pos) {
+	var fn string
+	switch f := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		fn = f.Sel.Name
+	case *ast.Ident:
+		fn = f.Name
+	}
+	i, ok := signalNameArg[fn]
+	if !ok || i >= len(call.Args) {
+		return "", token.NoPos
+	}
+	arg := call.Args[i]
+	for {
+		bin, ok := arg.(*ast.BinaryExpr)
+		if !ok || bin.Op != token.ADD {
+			break
+		}
+		arg = bin.X
+	}
+	lit, ok := arg.(*ast.BasicLit)
+	if !ok || lit.Kind != token.STRING {
+		return "", token.NoPos
+	}
+	name, _ := strconv.Unquote(lit.Value)
+	return name, lit.Pos()
+}
+
+// signalConsumed reports whether consumers mentions name: dotted, in its
+// scrape form, or through a "<prefix>.*" family mention.
+func signalConsumed(name, consumers string) bool {
+	name = strings.TrimSuffix(name, ".")
+	if strings.Contains(consumers, name) || strings.Contains(consumers, telemetry.PromName("gauge", name)) {
+		return true
+	}
+	for i := strings.LastIndex(name, "."); i > 0; i = strings.LastIndex(name[:i], ".") {
+		if strings.Contains(consumers, name[:i]+".*") {
+			return true
+		}
+	}
+	return false
 }
 
 // importName returns the name under which path is imported in file, or ""
@@ -159,9 +229,19 @@ func Exempt(path string) bool {
 	return strings.Contains(norm, "internal/clock/") || strings.HasSuffix(filepath.Dir(norm), "internal/clock")
 }
 
-// CheckDir walks root and checks every non-exempt .go file. Findings are
-// ordered by file, then position.
+// CheckDir walks root and checks every non-exempt .go file; the signal rule
+// applies when root holds any of consumerFiles (backslashes dropped: ci.sh
+// greps for "rtec\.shared\.hits_total"). Findings are ordered by file, then
+// position.
 func CheckDir(root string) ([]Finding, error) {
+	var consumers string
+	for _, rel := range consumerFiles {
+		src, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		consumers += strings.ReplaceAll(string(src), "\\", "")
+	}
 	var out []Finding
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
@@ -180,7 +260,7 @@ func CheckDir(root string) ([]Finding, error) {
 		if err != nil {
 			return err
 		}
-		fs, err := CheckSource(path, src)
+		fs, err := CheckSource(path, src, consumers)
 		if err != nil {
 			return err
 		}

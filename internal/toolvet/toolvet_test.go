@@ -7,7 +7,7 @@ import (
 
 func check(t *testing.T, name, src string) []Finding {
 	t.Helper()
-	fs, err := CheckSource(name, []byte(src))
+	fs, err := CheckSource(name, []byte(src), "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,8 +135,53 @@ func TestExempt(t *testing.T) {
 	}
 }
 
+// TestSignalRule: a literal a consumer names (dotted or in scrape form) and
+// a family a consumer covers pass; a literal nothing reads is a finding.
+func TestSignalRule(t *testing.T) {
+	consumers := "grep -q '^counter rtec.windows.evaluated_total' m.txt\n" +
+		"line(\"restarts\", \"rtec_shard_restarts_total\")\n" +
+		"`llm.breaker.state.<model>` and the `rtec.checkpoint.*` counters\n"
+	fs, err := CheckSource("a.go", []byte(`package a
+func f(tel T, k int, model string) {
+	tel.Counter("rtec.windows.evaluated").Inc()
+	tel.Counter("rtec.shard.restarts").Inc()
+	tel.Gauge("llm.breaker.state." + model).Set(1)
+	tel.Registry.Histogram("rtec.checkpoint.write_micros", nil).Observe(1)
+	tel.Gauge(shardMetric(k, "restarts")).Set(1)
+	tel.Counter("rtec.fvps.grounded").Inc()
+	tel.Counter("llm.calls." + model).Inc()
+	tel.Gauge(shardMetric(k, "queue.ghost")).Set(1)
+	tel.Counter(computed()).Inc()
+}
+`), consumers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range fs {
+		if f.Rule != "signal" {
+			t.Fatalf("unexpected rule: %v", f)
+		}
+		got = append(got, f.String())
+	}
+	want := []string{
+		`a.go:8:14: signal: "rtec.fvps.grounded" has no consumer`,
+		`a.go:9:14: signal: "llm.calls." has no consumer`,
+		`a.go:10:27: signal: "queue.ghost" has no consumer`,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
+		}
+	}
+}
+
 // TestRepositoryIsClean is the gate the ci script relies on: the whole
-// repository must carry no unjustified determinism hazard.
+// repository must carry no unjustified determinism hazard and no signal
+// without a consumer.
 func TestRepositoryIsClean(t *testing.T) {
 	findings, err := CheckDir("../..")
 	if err != nil {
@@ -147,6 +192,6 @@ func TestRepositoryIsClean(t *testing.T) {
 		lines = append(lines, f.String())
 	}
 	if len(findings) != 0 {
-		t.Fatalf("determinism hazards:\n%s", strings.Join(lines, "\n"))
+		t.Fatalf("vet findings:\n%s", strings.Join(lines, "\n"))
 	}
 }
