@@ -146,10 +146,32 @@ echo "== streaming robustness gate (disorder replay + kill-and-resume)"
 go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -csv > "$tmp/baseline.csv"
 go run ./cmd/disorder -in "$tmp/events.csv" -out "$tmp/shuffled.csv" -max-delay 900 -seed 13 -dup-every 50 2>/dev/null
 go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
-    -max-delay 900 -metrics > "$tmp/streamed.csv" 2> "$tmp/stream-metrics.txt"
+    -max-delay 900 -journal "$tmp/streamed.jsonl" -checkpoint "$tmp/streamed.ckpt" \
+    -metrics > "$tmp/streamed.csv" 2> "$tmp/stream-metrics.txt"
 if ! cmp -s "$tmp/baseline.csv" "$tmp/streamed.csv"; then
     echo "streaming gate: delayed+shuffled replay diverged from the in-order baseline:" >&2
     diff "$tmp/baseline.csv" "$tmp/streamed.csv" >&2 || true
+    exit 1
+fi
+# The same command from scratch: on tumbling windows every use of the delta
+# layer is a revision (installed fluents, the inline dirty time-point, windows
+# not rebuilt), and what it journals and checkpoints must be what full
+# re-evaluation does, byte for byte.
+go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+    -max-delay 900 -journal "$tmp/streamed-full.jsonl" -checkpoint "$tmp/streamed-full.ckpt" \
+    -no-delta > "$tmp/streamed-full.csv" 2> /dev/null
+if ! cmp -s "$tmp/streamed.csv" "$tmp/streamed-full.csv"; then
+    echo "streaming gate: revised recognition diverged from full re-evaluation:" >&2
+    diff "$tmp/streamed.csv" "$tmp/streamed-full.csv" >&2 || true
+    exit 1
+fi
+if ! cmp -s "$tmp/streamed.jsonl" "$tmp/streamed-full.jsonl"; then
+    echo "streaming gate: the revisions' audit journal diverged from full re-evaluation:" >&2
+    diff "$tmp/streamed.jsonl" "$tmp/streamed-full.jsonl" >&2 || true
+    exit 1
+fi
+if ! cmp -s "$tmp/streamed.ckpt" "$tmp/streamed-full.ckpt"; then
+    echo "streaming gate: final checkpoint envelope differs between delta and full modes" >&2
     exit 1
 fi
 if ! grep -q '^counter rtec.duplicate_events_total [1-9]' "$tmp/stream-metrics.txt"; then
@@ -165,6 +187,13 @@ reused=$(sed -n 's/^counter rtec\.delta\.reused_total //p' "$tmp/stream-metrics.
 dirty=$(sed -n 's/^counter rtec\.delta\.dirty_total //p' "$tmp/stream-metrics.txt")
 if [ "${reused:-0}" -le "${dirty:-0}" ]; then
     echo "streaming gate: rtec.delta.reused_total (${reused:-0}) is not above rtec.delta.dirty_total (${dirty:-0}): revisions re-derive whole windows" >&2
+    grep '^counter rtec\.delta' "$tmp/stream-metrics.txt" >&2 || cat "$tmp/stream-metrics.txt" >&2
+    exit 1
+fi
+# A revision evaluates only the fluents the late event reached: the others
+# are answered from the window's own carried lists (again a count).
+if ! grep -q '^counter rtec.delta.installed_total [1-9]' "$tmp/stream-metrics.txt"; then
+    echo "streaming gate: rtec.delta.installed_total is not above 0: revisions evaluate every fluent" >&2
     grep '^counter rtec\.delta' "$tmp/stream-metrics.txt" >&2 || cat "$tmp/stream-metrics.txt" >&2
     exit 1
 fi

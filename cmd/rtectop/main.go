@@ -345,9 +345,10 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 		dirty, _ := val("rtec_delta_dirty_total")
 		expired, _ := val("rtec_delta_expired_total")
 		ratio, _ := val("rtec_delta_reuse_ratio")
+		installed, _ := val("rtec_delta_installed_total")
 		fmt.Fprintln(w, "\nDELTA")
-		fmt.Fprintf(w, "  reuse %.1f%%  reused %.0f%s  dirty %.0f  expired %.0f\n",
-			ratio, reused, rate("rtec_delta_reused_total"), dirty, expired)
+		fmt.Fprintf(w, "  reuse %.1f%%  reused %.0f%s  dirty %.0f  expired %.0f  installed %.0f\n",
+			ratio, reused, rate("rtec_delta_reused_total"), dirty, expired, installed)
 	}
 
 	if _, ok := val("rtec_stream_frontier"); ok {

@@ -10,8 +10,11 @@ import (
 	"testing"
 	"testing/quick"
 
+	"rtecgen/internal/lang"
+	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
+	"rtecgen/internal/prompt"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -406,6 +409,15 @@ func TestDeltaSlotStateBounded(t *testing.T) {
 		if holding > revisable+1 {
 			t.Fatalf("after arrival %d: %d slots hold carried state, only %d are revisable", n, holding, revisable)
 		}
+		// Everything a revision installs from — a fluent's stored entries,
+		// its warnings, its inertia input, the act maps — hangs off the
+		// slot's delta state: a final slot, unless it is the last one
+		// emitted (the next emission slides from it), holds none of it.
+		for i := 0; i < st.final && i < st.emitted-1; i++ {
+			if st.slots[i].delta != nil {
+				t.Fatalf("after arrival %d: final slot %d still holds carried state", n, i)
+			}
+		}
 		if holding > most {
 			most = holding
 		}
@@ -485,7 +497,7 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 // output and journal bytes to match full re-evaluation exactly.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 987654321} {
-		f.Add(seed)
+		f.Add(seed, uint8(0))
 	}
 	// Seeds whose derived geometry has slide < max-delay (3·slide ≤ delay)
 	// and at least ten revisions, at each worker count: several emitted
@@ -493,25 +505,34 @@ func FuzzDeltaEquivalence(f *testing.F) {
 	// carried state. (window/slide/delay: 74/3/86, 40/5/86, 42/9/84,
 	// 263/11/90, 41/1/16, 133/14/78.)
 	for _, seed := range []int64{237, 351, 381, 390, 395, 282} {
-		f.Add(seed)
+		f.Add(seed, uint8(0))
 	}
-	ed, err := parser.ParseEventDescription(crossShardED)
-	if err != nil {
-		f.Fatal(err)
+	// Plausible-but-wrong definitions are the paper's input distribution: two
+	// perturbations of the gold maritime description (internal/llm/mutate.go,
+	// through the simulated models that apply them) that warn on every
+	// window, so revisions install and replay fluents that carry warnings.
+	// (window/slide/delay 1320/749/1020 and 585/211/1005: 19 and 73 revisions
+	// under the kind-flip, 7 and 20 under the undefined conditions.)
+	for _, seed := range []int64{14, 16} {
+		f.Add(seed, uint8(1))
+		f.Add(seed, uint8(2))
 	}
-	f.Fuzz(func(t *testing.T, seed int64) {
+	cases := deltaFuzzCases(f)
+	f.Fuzz(func(t *testing.T, seed int64, which uint8) {
 		r := rand.New(rand.NewSource(seed))
+		c := cases[int(which)%len(cases)]
 		workers := []int{1, 4, 8}[r.Intn(3)]
-		delta, err1 := New(ed, Options{Strict: true, Workers: workers})
-		full, err2 := New(ed, Options{Strict: true, Workers: workers, DisableDelta: true})
+		delta, err1 := New(c.ed, Options{Strict: c.strict, ExtraFacts: c.facts, Workers: workers})
+		full, err2 := New(c.ed, Options{Strict: c.strict, ExtraFacts: c.facts, Workers: workers, DisableDelta: true})
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		events := genCrossShardStream(r, 600)
+		events := c.events(r)
 		events.Sort()
-		window := int64(20 + r.Intn(300))
-		slide := int64(1 + r.Intn(int(window)))
-		maxDelay := int64(r.Intn(100))
+		window := c.scale * int64(20+r.Intn(300))
+		minSlide := c.minSlide(window)
+		slide := minSlide + int64(r.Intn(int(window-minSlide+1)))
+		maxDelay := c.scale * int64(r.Intn(100))
 		arrivals := boundedShuffle(r, events, maxDelay)
 		opts := StreamOptions{
 			RunOptions: RunOptions{Window: window, Slide: slide},
@@ -530,11 +551,72 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			return
 		}
 		if fa, fb := recognitionFingerprint(t, a.Recognition), recognitionFingerprint(t, b.Recognition); fa != fb {
-			t.Fatalf("seed %d window %d slide %d workers %d delay %d: delta differs:\n--- delta\n%s\n--- full\n%s",
-				seed, window, slide, workers, maxDelay, fa, fb)
+			t.Fatalf("%s seed %d window %d slide %d workers %d delay %d: delta differs:\n--- delta\n%s\n--- full\n%s",
+				c.name, seed, window, slide, workers, maxDelay, fa, fb)
 		}
 		if !bytes.Equal(dJ.Bytes(), fJ.Bytes()) {
-			t.Fatalf("seed %d: journal bytes differ", seed)
+			t.Fatalf("%s seed %d: journal bytes differ", c.name, seed)
 		}
 	})
+}
+
+// deltaFuzzCase is one event description of FuzzDeltaEquivalence's corpus
+// with the stream it is fuzzed over. Case 0 draws a random stream over the
+// cross-shard hierarchy, in single time-points; the maritime cases shuffle
+// the first hours of a fixed scenario, whose time-points are seconds — scale
+// stretches the drawn window and delay to match, and minSlide keeps the
+// number of windows of one execution bounded.
+type deltaFuzzCase struct {
+	name     string
+	ed       *lang.EventDescription
+	facts    []*lang.Term
+	strict   bool
+	events   func(*rand.Rand) stream.Stream
+	scale    int64
+	minSlide func(window int64) int64
+}
+
+func deltaFuzzCases(f *testing.F) []deltaFuzzCase {
+	ed, err := parser.ParseEventDescription(crossShardED)
+	if err != nil {
+		f.Fatal(err)
+	}
+	cases := []deltaFuzzCase{{
+		name: "crossShard", ed: ed, strict: true, scale: 1,
+		events:   func(r *rand.Rand) stream.Stream { return genCrossShardStream(r, 600) },
+		minSlide: func(int64) int64 { return 1 },
+	}}
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 5, Seed: 7, IntervalSec: 60})
+	if err != nil {
+		f.Fatal(err)
+	}
+	voyage := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
+	voyage.Sort()
+	first, _ := voyage.TimeRange()
+	voyage = voyage.Window(first, first+2*3600)
+	facts := maritime.DynamicFacts(voyage, scen.Fleet)
+	for _, g := range []struct {
+		name, model string
+		scheme      prompt.Scheme
+	}{
+		// GPT-4o defines movingSpeed as a statically determined fluent
+		// (kindflip:movingSpeed); Mistral conditions rules on activities it
+		// never defines (undefineReferences at its highest rate).
+		{"gold, kind-flip", "GPT-4o", prompt.ChainOfThought},
+		{"gold, undefined conditions", "Mistral", prompt.FewShot},
+	} {
+		gen, err := prompt.RunPipeline(llm.MustNew(g.model), g.scheme, maritime.PromptDomain(), maritime.CurriculumRequests())
+		if err != nil {
+			f.Fatal(err)
+		}
+		cases = append(cases, deltaFuzzCase{
+			name:     g.name,
+			ed:       maritime.FullED(gen.ED(), scen.Map, scen.Fleet, maritime.ObservedPairs(voyage)),
+			facts:    facts,
+			scale:    15,
+			events:   func(*rand.Rand) stream.Stream { return append(stream.Stream{}, voyage...) },
+			minSlide: func(window int64) int64 { return (window + 2) / 3 },
+		})
+	}
+	return cases
 }

@@ -8,6 +8,7 @@ import (
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
+	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
 
@@ -47,12 +48,13 @@ type windowState struct {
 
 	// Delta-layer state (see delta.go); all nil/false when the window is
 	// evaluated without a delta context.
-	delta    *deltaCtx
-	changed  map[string]intervals.List // per evaluated fluent: region where its output diverged from the carried state
-	curReuse bool                      // the fluent being evaluated replays cached acts
-	curDirty intervals.List            // its dirty region (valid when curReuse)
-	curPrev  *fluentDelta              // its carried state (nil without one)
-	curNext  *fluentDelta              // its capture target (nil when not capturing)
+	delta     *deltaCtx
+	changed   map[string]intervals.List // per evaluated fluent: region (unclipped) where its output diverged from the carried state
+	curPrev   *fluentDelta              // carried state of the fluent being evaluated (nil without one)
+	curNext   *fluentDelta              // its capture target (nil when not capturing)
+	curWarned int                       // length of the warning sink when its evaluation began
+	curDirty  intervals.List            // its dirty region (valid when curUnits != nil)
+	curUnits  [][]act                   // non-nil: it replays cached acts; per rule slot, the acts re-derived at dirty anchor times
 }
 
 func newWindowState(e *Engine, events *windowIndex, ws, we int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, tel *telemetry.Telemetry, span *telemetry.Span) *windowState {
@@ -112,7 +114,11 @@ func (w *windowState) warn(wn Warning) {
 
 // store unions list into the cache entry for the ground FVP.
 func (w *windowState) store(fvp *lang.Term, list intervals.List) {
-	id := w.eng.interner.ID(fvp, nil)
+	w.storeID(fvp, w.eng.interner.ID(fvp, nil), list)
+}
+
+// storeID is store for an FVP whose intern ID the caller already holds.
+func (w *windowState) storeID(fvp *lang.Term, id lang.InternID, list intervals.List) {
 	if ent, ok := w.cache[id]; ok {
 		ent.list = intervals.Union(ent.list, list)
 		return
@@ -180,11 +186,9 @@ func (w *windowState) evaluate() {
 
 // evalFluent computes one fluent for the window. On a shared window a
 // fingerprinted fluent is looked up in the Prepared's table first. A hit
-// replays what the recorded evaluation did to the window state, in its
-// order: the warnings through warn (so Recognition.Warnings and the log
-// read as if evaluated) and the interval lists through store (so byFluent
-// keeps the order higher strata and the inertia hand-off iterate in). A
-// miss evaluates and publishes; when two runs race on a key the first
+// installs what the recorded evaluation did to the window state (install in
+// delta.go, shared with a revision's carried lists). A miss evaluates and
+// publishes; when two runs race on a key the first
 // publication stays, and both computed the same thing.
 func (w *windowState) evalFluent(ind string) {
 	def := w.eng.fluents[ind]
@@ -199,12 +203,7 @@ func (w *windowState) evalFluent(ind string) {
 		return
 	}
 	if res := sh.load(key, def); res != nil {
-		for _, wn := range res.warnings {
-			w.warn(wn)
-		}
-		for _, ent := range res.entries {
-			w.store(ent.fvp, ent.list)
-		}
+		w.install(res.warnings, res.entries)
 		sh.hits.Inc()
 		return
 	}
@@ -213,21 +212,18 @@ func (w *windowState) evalFluent(ind string) {
 	w.derive(def)
 	// Only this evaluation stores FVPs of this fluent and appends to the
 	// sink meanwhile, so the two tails are exactly what it produced.
-	stored := w.byFluent[def.pred]
-	res := &sharedResult{
+	sh.table.results.LoadOrStore(key, &sharedResult{
 		exact:    def.exact,
 		warnings: append([]Warning(nil), (*w.warnSink)[warned:]...),
-		entries:  make([]listEntry, 0, len(stored)),
-	}
-	for _, ent := range stored {
-		res.entries = append(res.entries, listEntry{fvp: ent.fvp, list: ent.list})
-	}
-	sh.table.results.LoadOrStore(key, res)
+		entries:  entriesOf(w.byFluent[def.pred], false),
+	})
 }
 
 // derive evaluates the fluent's rules over the window.
 func (w *windowState) derive(def *fluentDef) {
-	w.beginFluentDelta(def)
+	if w.beginFluentDelta(def) {
+		return // installed from the window's own carried state
+	}
 	if def.kind == Simple {
 		w.evalSimple(def)
 	} else {
@@ -376,22 +372,15 @@ func (w *windowState) evalSimple(def *fluentDef) {
 // slot-ordered merging (see parallel.go), so emit observes the same
 // occurrences in the same order either way. slot identifies the rule within
 // the fluent (inits first, then terms) for the delta layer's per-rule act
-// cache: under an active delta context the units at clean anchor times replay
-// the previous window's cached acts instead of re-deriving (see
-// replaySimpleRule in delta.go).
+// cache: a replaying fluent's units at clean anchor times replay the carried
+// state's cached acts, and its dirty ones were re-derived before the rules
+// ran (see deriveDirty and replaySimpleRule in delta.go).
 func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit func(fvp *lang.Term, t int64)) {
 	if !r.pattern.IsCallable() {
 		w.warnf(def.ind, "happensAt pattern %s is not callable; rule skipped", r.pattern)
 		return
 	}
 	events := w.byInd[r.pattern.Pred()]
-	unit := func(i int, re *ruleEval) {
-		ev := events[i]
-		re.begin(def, r, ev.Time)
-		if re.b.Unify(r.pattern, ev.Atom) && re.b.Unify(r.timeArg, w.timeTerms[ev.Time]) {
-			re.solve(r.body)
-		}
-	}
 	apply := func(a act) {
 		if a.fvp == nil {
 			w.warn(a.warn)
@@ -404,8 +393,8 @@ func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit fun
 	if w.curNext != nil && w.curNext.acts != nil {
 		rec = w.curNext.acts[slot]
 	}
-	if w.curReuse {
-		w.replaySimpleRule(events, w.curPrev.acts[slot], rec, unit, apply)
+	if w.curUnits != nil {
+		w.replaySimpleRule(events, w.curPrev.acts[slot], rec, w.curUnits[slot], apply)
 		return
 	}
 	if w.delta != nil {
@@ -420,7 +409,17 @@ func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit fun
 	}
 	w.runUnits(len(events),
 		func(i int) uint64 { return eventEntity(events[i]) },
-		unit, apply)
+		func(i int, re *ruleEval) { w.anchorUnit(def, r, events[i], re) },
+		apply)
+}
+
+// anchorUnit is one evaluation unit of a simple-fluent rule: the rule's body
+// solved with its anchor condition unified with the event.
+func (w *windowState) anchorUnit(def *fluentDef, r *rule, ev stream.Event, re *ruleEval) {
+	re.begin(def, r, ev.Time)
+	if re.b.Unify(r.pattern, ev.Atom) && re.b.Unify(r.timeArg, w.timeTerms[ev.Time]) {
+		re.solve(r.body)
+	}
 }
 
 // solve evaluates the remaining body conditions of the unit's rule with

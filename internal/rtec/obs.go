@@ -45,9 +45,10 @@ var instrumentHelp = map[string]string{
 	"rtec.events.ingested":      "events admitted (in-order plus late-within-bound): admissions by this process, replays after a shard restart included",
 	"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
 	"rtec.checkpoint.fallbacks": "restores that recovered a torn checkpoint from its previous generation, by the run itself or by a supervised shard",
-	"rtec.delta.reused":         "anchor events replayed from cached rule effects (the previous window's on a slide, the window's own on a revision)",
+	"rtec.delta.reused":         "anchor events whose cached rule effects stand (the previous window's on a slide, the window's own on a revision), replayed or under an installed fluent",
 	"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
 	"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",
+	"rtec.delta.installed":      "fluent evaluations of a revision answered from the window's own carried lists because the fluent's inputs did not change",
 	"rtec.delta.reuse_ratio":    "percentage of anchor-event work avoided by delta reuse in the last window evaluated",
 	"rtec.shared.hits":          "fluent × window results installed from the fluent table of a Prepared shared by several engines",
 	"rtec.shared.misses":        "fluent × window results evaluated and published to the fluent table of a shared Prepared",

@@ -132,30 +132,6 @@ func (w *windowState) runUnits(n int, shard func(int) uint64, body func(int, *ru
 	}
 }
 
-// runUnitsCollect evaluates n units and returns their buffered acts per unit
-// instead of applying them — the delta replay path needs the per-unit
-// slices to interleave recomputed acts with cached ones in time order. The
-// same inline-below-threshold policy as runUnits applies.
-func (w *windowState) runUnitsCollect(n int, shard func(int) uint64, body func(int, *ruleEval)) [][]act {
-	workers := w.eng.workers
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < minParallelUnits {
-		slots := make([][]act, n)
-		re := &w.seq
-		re.apply = nil
-		for i := 0; i < n; i++ {
-			re.buf = nil
-			body(i, re)
-			slots[i] = re.buf
-		}
-		re.buf = nil
-		return slots
-	}
-	return w.runUnitsParallel(n, workers, shard, body)
-}
-
 // runUnitsParallel partitions the units by entity shard key onto the worker
 // pool and returns the per-unit act buffers in unit order.
 func (w *windowState) runUnitsParallel(n, workers int, shard func(int) uint64, body func(int, *ruleEval)) [][]act {
