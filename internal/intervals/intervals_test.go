@@ -128,6 +128,40 @@ func TestFromPointsUnsortedInput(t *testing.T) {
 	}
 }
 
+func TestPropFromPointsIdleOccurrences(t *testing.T) {
+	// What a revision of a window relies on when a late event adds an
+	// occurrence (rtec's idleAdditions): where the FVP holds at tp+1 one more
+	// initiation at tp is absorbed — a termination at tp would have cancelled
+	// it, but then the FVP would not hold at tp+1 — and where it does not, one
+	// more termination at tp ends nothing.
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		var ini, ter []int64
+		for i := 0; i < r.Intn(8); i++ {
+			ini = append(ini, int64(r.Intn(30)))
+		}
+		for i := 0; i < r.Intn(8); i++ {
+			ter = append(ter, int64(r.Intn(30)))
+		}
+		l := FromPoints(ini, ter)
+		for tp := int64(-1); tp <= 31; tp++ {
+			var with List
+			if l.Contains(tp + 1) {
+				with = FromPoints(append(append([]int64{}, ini...), tp), ter)
+			} else {
+				with = FromPoints(ini, append(append([]int64{}, ter...), tp))
+			}
+			if !with.Equal(l) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestContains(t *testing.T) {
 	l := List{iv(2, 5), iv(9, 12)}
 	for _, c := range []struct {

@@ -32,10 +32,10 @@ import (
 //     everything is dirty.
 //
 // A delta-eligible simple fluent (deltaEligible in engine.go: every body
-// condition of every rule is evaluated at the anchor time itself, so an
-// anchor event's derivation depends only on the events at its time-point and
-// the dependency intervals' membership there — both clean by construction at
-// a clean t) re-derives the anchor events at its dirty time-points, inline,
+// condition of every rule is evaluated at the anchor time itself and names
+// the fluent it reads, so an anchor event's derivation depends only on the
+// events at its time-point and the dependency intervals' membership there —
+// both clean by construction at a clean t) re-derives the anchor events at its dirty time-points, inline,
 // and replays the cached acts everywhere else. Because the replayed acts are
 // exactly the acts the sequential evaluation would produce, in the same order
 // (events are time-sorted and a time-point is either entirely clean or
@@ -51,9 +51,11 @@ import (
 // There the carried state describes this very window, and a fluent's output
 // in a window is a pure function of its inputs, so a fluent whose inputs did
 // not change installs what it stored last time instead of evaluating:
-//   - a statically determined fluent reads only its dependencies' lists (SD
-//     bodies hold no happensAt/holdsAt, checkSDRule), so it installs when none
-//     of them has a changed region;
+//   - a statically determined fluent whose conditions all name their fluent
+//     (namedReads in engine.go; holdsFor(F=V, I) with F bound at run time can
+//     read any fluent's lists) reads only its dependencies' lists (SD bodies
+//     hold no happensAt/holdsAt, checkSDRule), so it installs when none of
+//     them has a changed region;
 //   - a delta-eligible simple fluent reads the acts of its rules per anchor
 //     time and the inertia FVPs entering the window, so it installs when the
 //     acts re-derived at its dirty time-points equal the cached ones and the
@@ -64,9 +66,9 @@ import (
 // its carried lists, the window's previous windowEval is the answer and is
 // not rebuilt (evalWindow).
 
-// noInternID marks a listEntry recorded for engines other than the one that
-// computed it (the Prepared's fluent table): intern IDs are per engine, so the
-// installer interns the FVP itself.
+// noInternID marks a listEntry published for engines other than the one that
+// computed it (the Prepared's fluent table, see evalFluent): intern IDs are
+// per engine, so the installer interns the FVP itself.
 const noInternID lang.InternID = -1
 
 // listEntry is one recorded fluent-value pair: the FVP term, its intern ID
@@ -80,13 +82,10 @@ type listEntry struct {
 
 // entriesOf records what a fluent's evaluation stored, in store order — the
 // order higher strata and the inertia hand-off iterate byFluent in.
-func entriesOf(stored []*cacheEntry, withIDs bool) []listEntry {
+func entriesOf(stored []*cacheEntry) []listEntry {
 	out := make([]listEntry, len(stored))
 	for i, ent := range stored {
-		out[i] = listEntry{fvp: ent.fvp, id: noInternID, list: ent.list}
-		if withIDs {
-			out[i].id = ent.id
-		}
+		out[i] = listEntry{fvp: ent.fvp, id: ent.id, list: ent.list}
 	}
 	return out
 }
@@ -212,7 +211,7 @@ func (w *windowState) beginFluentDelta(def *fluentDef) (installed bool) {
 		var carried *fluentDelta
 		switch {
 		case def.kind == SD:
-			if d.revision && !w.depsChanged(def) {
+			if d.revision && def.namedReads && !w.depsChanged(def) {
 				carried = prev
 			}
 		case def.deltaEligible && len(prev.acts) == len(def.inits)+len(def.terms):
@@ -304,40 +303,6 @@ func sameActs(a, b []act) bool {
 	return true
 }
 
-// idleAdditions reports whether a time-point's re-derived acts are its cached
-// ones plus occurrences that change no list of the fluent: an initiation of a
-// ground FVP that held at the next time-point anyway, or a termination of one
-// that did not. (A simple FVP holds at t+1 iff it held or was initiated at t
-// and was not terminated at t, an initiation terminating every other value of
-// its fluent; so where F=V holds at t+1 nothing terminated it at t, no other
-// value holds, and one more initiation at t is absorbed — and where it does
-// not hold, one more termination at t ends nothing.) entries are the fluent's
-// carried lists, initiating tells an initiatedAt rule from a terminatedAt one.
-func idleAdditions(got, cached []act, entries []listEntry, initiating bool) bool {
-	k := 0
-	for i := range got {
-		a := &got[i]
-		if k < len(cached) && sameAct(a, &cached[k]) {
-			k++
-			continue
-		}
-		if a.fvp == nil || !a.fvp.IsGround() {
-			return false
-		}
-		var list intervals.List
-		for _, ent := range entries {
-			if ent.fvp.Equal(a.fvp) {
-				list = ent.list
-				break
-			}
-		}
-		if list.Contains(a.t+1) != initiating {
-			return false
-		}
-	}
-	return k == len(cached)
-}
-
 // deriveDirty re-derives, for every rule of a replaying simple fluent, the
 // anchor events inside the dirty region — found by binary search per dirty
 // interval in the rule's time-sorted events — inline on the calling
@@ -349,7 +314,7 @@ func idleAdditions(got, cached []act, entries []listEntry, initiating bool) bool
 // On a revision it returns the carried state the fluent's lists stand under,
 // or nil when they may not: prev itself when every dirty time-point derived
 // exactly its cached acts, and a copy of prev with the dirty time-points' acts
-// replaced when they derived idle additions only (see idleAdditions). (A
+// replaced when they derived idle additions only (idleAdditions in eval.go). (A
 // cached time-point can have lost no anchor event: the events of a window
 // that is still evaluated are only ever added to.) On a slide the acts are
 // not compared and it returns nil.
@@ -414,7 +379,7 @@ func (w *windowState) endFluentDelta(def *fluentDef) {
 	if w.curNext == nil && w.curPrev == nil {
 		return // no delta context, or nothing to capture for and nothing to diff against
 	}
-	entries := entriesOf(w.byFluent[def.pred], true)
+	entries := entriesOf(w.byFluent[def.pred])
 	if cur := w.curNext; cur != nil {
 		cur.entries = entries
 		// Only this evaluation appended to the sink meanwhile.

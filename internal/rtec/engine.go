@@ -65,9 +65,16 @@ type fluentDef struct {
 	holdsFor []*rule // sd: holdsFor rules (one per value), with the fluent's grounding declarations
 	deps     map[string]bool
 	level    int
+	// namedReads reports that every holdsAt/holdsFor condition of the fluent's
+	// rules names its fluent in the rule text, so deps lists every fluent
+	// whose cached intervals an evaluation can read. holdsAt(F=V, T) with F
+	// bound at run time can read any fluent's: such a fluent's inputs are not
+	// known statically, so it gets no definition fingerprint and the delta
+	// layer never answers it from carried state.
+	namedReads bool
 	// deltaEligible marks a simple fluent whose every rule is time-local
-	// (see timeLocalRule in delta.go): its per-anchor-time acts may be
-	// replayed across window slides.
+	// (see timeLocalRule in delta.go) and reads named fluents only: its
+	// per-anchor-time acts may be replayed across window slides.
 	deltaEligible bool
 	// sortedDeps is deps in deterministic order, for the dirty-region union
 	// and the definition fingerprint.
@@ -311,12 +318,24 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		return nil, err
 	}
 
-	// Static delta eligibility and the deterministic dependency order the
-	// dirty-region propagation unions over (see delta.go). Eligibility is a
-	// property of the rules alone, so it is decided once per engine.
+	// Whether the rules name every fluent they read, static delta eligibility
+	// and the deterministic dependency order the dirty-region propagation
+	// unions over (see delta.go). All three are properties of the rules
+	// alone, so they are decided once per engine.
 	for _, def := range e.fluents {
+		def.namedReads = true
+		for _, r := range append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...) {
+			for _, c := range r.body {
+				if c.kind != condHoldsAt && c.kind != condHoldsFor {
+					continue
+				}
+				if _, ok := bodyFluentRef(c.atom); !ok {
+					def.namedReads = false
+				}
+			}
+		}
 		if def.kind == Simple {
-			def.deltaEligible = true
+			def.deltaEligible = def.namedReads
 			for _, r := range append(append([]*rule{}, def.inits...), def.terms...) {
 				if !timeLocalRule(r.src) {
 					def.deltaEligible = false
@@ -360,7 +379,7 @@ func (e *Engine) fingerprint() {
 		for _, ind := range e.order {
 			def := e.fluents[ind]
 			rules := append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...)
-			if !e.readsNamedFluents(def, rules) {
+			if !e.readsNamedFluents(def) {
 				continue
 			}
 			text, exact := appendPart(nil, ind), []byte(nil)
@@ -378,16 +397,9 @@ func (e *Engine) fingerprint() {
 // readsNamedFluents reports whether every cached interval list the rules
 // can read belongs to a fluent named in the rule text, and every such
 // fluent that is defined has a fingerprint itself.
-func (e *Engine) readsNamedFluents(def *fluentDef, rules []*rule) bool {
-	for _, r := range rules {
-		for _, c := range r.body {
-			if c.kind != condHoldsAt && c.kind != condHoldsFor {
-				continue
-			}
-			if _, ok := bodyFluentRef(c.atom); !ok {
-				return false
-			}
-		}
+func (e *Engine) readsNamedFluents(def *fluentDef) bool {
+	if !def.namedReads {
+		return false
 	}
 	for _, dep := range def.sortedDeps {
 		if e.fluents[dep].text == "" {

@@ -211,11 +211,16 @@ func (w *windowState) evalFluent(ind string) {
 	warned := len(*w.warnSink)
 	w.derive(def)
 	// Only this evaluation stores FVPs of this fluent and appends to the
-	// sink meanwhile, so the two tails are exactly what it produced.
+	// sink meanwhile, so the two tails are exactly what it produced. The
+	// table is read by other engines, and intern IDs are per engine.
+	entries := entriesOf(w.byFluent[def.pred])
+	for i := range entries {
+		entries[i].id = noInternID
+	}
 	sh.table.results.LoadOrStore(key, &sharedResult{
 		exact:    def.exact,
 		warnings: append([]Warning(nil), (*w.warnSink)[warned:]...),
-		entries:  entriesOf(w.byFluent[def.pred], false),
+		entries:  entries,
 	})
 }
 
@@ -362,6 +367,49 @@ func (w *windowState) evalSimple(def *fluentDef) {
 			w.store(p.fvp, list)
 		}
 	}
+}
+
+// idleAdditions reports whether a time-point's re-derived acts are its cached
+// ones plus occurrences that change no list evalSimple computes for the
+// fluent: an initiation of a ground FVP that held at the next time-point
+// anyway, or a termination of one that did not. It is the delta layer's
+// question (deriveDirty asks it on a revision) but evalSimple's answer, so it
+// lives here, and it stands on exactly two things:
+//   - intervals.FromPoints: where the list holds at t+1 one more initiation at
+//     t is absorbed, and where it does not one more termination at t ends
+//     nothing (TestPropFromPointsIdleOccurrences in internal/intervals);
+//   - the cross-value extraTerms above: an initiation of F=V at t is a
+//     termination at t of every other value of F. Where F=V holds at t+1 no
+//     other value does (it was itself initiated at t, terminating them, or it
+//     held at t and nothing initiated another value at t, which would have
+//     terminated it), so those terminations end nothing either.
+//
+// A non-ground occurrence (a wildcard termination, a dropped initiation) is
+// never idle. entries are the fluent's carried lists, initiating tells an
+// initiatedAt rule from a terminatedAt one.
+func idleAdditions(got, cached []act, entries []listEntry, initiating bool) bool {
+	k := 0
+	for i := range got {
+		a := &got[i]
+		if k < len(cached) && sameAct(a, &cached[k]) {
+			k++
+			continue
+		}
+		if a.fvp == nil || !a.fvp.IsGround() {
+			return false
+		}
+		var list intervals.List
+		for _, ent := range entries {
+			if ent.fvp.Equal(a.fvp) {
+				list = ent.list
+				break
+			}
+		}
+		if list.Contains(a.t+1) != initiating {
+			return false
+		}
+	}
+	return k == len(cached)
 }
 
 // evalSimpleRule evaluates one initiatedAt/terminatedAt rule event-driven:

@@ -379,3 +379,106 @@ func TestIdleAdditions(t *testing.T) {
 		}
 	}
 }
+
+// unnamedReadED has rules whose holdsFor/holdsAt condition names its fluent
+// only at run time (F comes from a background fact): they read lit/1 without
+// a recorded dependency on it, and sort after it in the evaluation order.
+const unnamedReadED = `
+inputEvent(on(_)).
+inputEvent(off(_)).
+inputEvent(ping(_)).
+watched(lit(a)).
+watched(lit(b)).
+
+initiatedAt(lit(X)=true, T) :- happensAt(on(X), T).
+terminatedAt(lit(X)=true, T) :- happensAt(off(X), T).
+
+holdsFor(seen(F)=true, I) :-
+    watched(F),
+    holdsFor(F=true, I1),
+    union_all([I1], I).
+
+initiatedAt(pinged(X)=true, T) :-
+    happensAt(ping(X), T),
+    watched(F),
+    holdsAt(F=true, T).
+terminatedAt(pinged(X)=true, T) :- happensAt(off(X), T).
+`
+
+// TestRevisionUnnamedFluentReads: a fluent whose rules read a fluent that
+// only run time names has inputs the dependency diff cannot see, so a revision
+// must evaluate it — never install its carried lists, never replay its cached
+// acts. A late on(a) changes lit(a)'s list; seen(lit(a)) and pinged(x), which
+// read it through a variable, must follow as the from-scratch engine's do.
+func TestRevisionUnnamedFluentReads(t *testing.T) {
+	e := mustEngine(t, unnamedReadED, Options{Strict: true})
+	for ind, want := range map[string]bool{"lit/1": true, "seen/1": false, "pinged/1": false} {
+		if got := e.fluents[ind].namedReads; got != want {
+			t.Fatalf("%s: namedReads = %v, want %v", ind, got, want)
+		}
+	}
+	if e.fluents["pinged/1"].deltaEligible {
+		t.Fatal("pinged/1 replays cached acts although holdsAt(F=true, T) can read any fluent")
+	}
+	arrivals := stream.Stream{
+		ev(30, "on(b)"),
+		ev(40, "off(b)"),
+		ev(50, "ping(x)"),
+		ev(120, "ping(y)"), // frontier passes 100: [0,100) is emitted
+		ev(20, "on(a)"),    // late: lit(a) now holds from 21 on
+		ev(210, "ping(z)"),
+		ev(290, "off(x)"),
+	}
+	opts := StreamOptions{
+		RunOptions:      RunOptions{Window: 100, Start: 0, End: 300},
+		MaxDelay:        150,
+		CheckpointEvery: 1,
+	}
+	for _, workers := range []int{1, 8} {
+		delta, full := deltaOracle(t, unnamedReadED, workers)
+		dLog, dJ, dC := deliveryTrace(t, delta, arrivals, opts)
+		fLog, fJ, fC := deliveryTrace(t, full, arrivals, opts)
+		for _, want := range []string{
+			"window [0,100) rev=1\n",
+			"  seen(lit(a))=true [(20,99]]\n",
+			"  pinged(x)=true [(50,99]]\n",
+		} {
+			if !strings.Contains(fLog, want) {
+				t.Fatalf("workers=%d: the oracle's deliveries lack %q:\n%s", workers, want, fLog)
+			}
+		}
+		if dLog != fLog {
+			t.Fatalf("workers=%d: deliveries differ:\n--- delta\n%s\n--- full\n%s", workers, dLog, fLog)
+		}
+		if !bytes.Equal(dJ, fJ) || !bytes.Equal(dC, fC) {
+			t.Fatalf("workers=%d: journal or checkpoint bytes differ", workers)
+		}
+	}
+
+	// The same over dense shuffled streams, tumbling and sliding.
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var events stream.Stream
+		for i := 0; i < 120; i++ {
+			kind := []string{"on", "on", "off", "ping", "ping"}[r.Intn(5)]
+			events = append(events, ev(int64(r.Intn(800)), kind+"("+[]string{"a", "b", "x"}[r.Intn(3)]+")"))
+		}
+		events.Sort()
+		shuffled := boundedShuffle(r, events, 80)
+		for _, geo := range []RunOptions{{Window: 150}, {Window: 120, Slide: 40}} {
+			sopts := StreamOptions{RunOptions: geo, MaxDelay: 80, CheckpointEvery: 3}
+			delta, full := deltaOracle(t, unnamedReadED, []int{1, 8}[seed%2])
+			dLog, dJ, dC := deliveryTrace(t, delta, shuffled, sopts)
+			fLog, fJ, fC := deliveryTrace(t, full, shuffled, sopts)
+			if !strings.Contains(fLog, "rev=1") {
+				t.Fatalf("seed %d %+v: no revision; nothing is being tested", seed, geo)
+			}
+			if dLog != fLog {
+				t.Fatalf("seed %d %+v: deliveries differ:\n--- delta\n%s\n--- full\n%s", seed, geo, dLog, fLog)
+			}
+			if !bytes.Equal(dJ, fJ) || !bytes.Equal(dC, fC) {
+				t.Fatalf("seed %d %+v: journal or checkpoint bytes differ", seed, geo)
+			}
+		}
+	}
+}
