@@ -16,11 +16,20 @@ fi
 echo "== go vet"
 go vet ./...
 
-echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader)"
-go run ./cmd/vet-rtec .
-
 echo "== go build"
 go build ./...
+# Every gate below runs these binaries: each command built once, cmd/rtec and
+# cmd/rtecd a second time under the race detector.
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+bin="$tmp/bin"
+mkdir "$bin"
+go build -o "$bin/" ./cmd/...
+go build -race -o "$bin/rtec-race" ./cmd/rtec
+go build -race -o "$bin/rtecd-race" ./cmd/rtecd
+
+echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader)"
+"$bin/vet-rtec" .
 
 echo "== go test"
 go test ./...
@@ -31,27 +40,25 @@ go test -race ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./i
 
 echo "== rteclint"
 # The worked example must produce diagnostics (exit 1 under -fail-on error).
-if go run ./cmd/rteclint -domain maritime examples/lint/withinarea_bad.prolog >/dev/null; then
+if "$bin/rteclint" -domain maritime examples/lint/withinarea_bad.prolog >/dev/null; then
     echo "rteclint: expected diagnostics for examples/lint/withinarea_bad.prolog" >&2
     exit 1
 fi
 # The embedded gold standards must lint diagnostic-free at the strictest
 # threshold.
-go run ./cmd/rteclint -gold -domain maritime -max-severity info > /dev/null
-go run ./cmd/rteclint -gold -domain fleet -max-severity info > /dev/null
+"$bin/rteclint" -gold -domain maritime -max-severity info > /dev/null
+"$bin/rteclint" -gold -domain fleet -max-severity info > /dev/null
 
 echo "== autofix golden gate (rteclint -fix reaches the committed fixpoints)"
 # The corrupted examples must fail as-is, and -fix must repair each one to a
 # lint-clean fixpoint that is byte-identical to the committed golden output.
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
 for domain in maritime fleet; do
     corrupted="examples/lint/corrupted_$domain.prolog"
-    if go run ./cmd/rteclint -domain "$domain" "$corrupted" >/dev/null; then
+    if "$bin/rteclint" -domain "$domain" "$corrupted" >/dev/null; then
         echo "autofix gate: expected diagnostics for $corrupted" >&2
         exit 1
     fi
-    go run ./cmd/rteclint -fix -max-severity info -domain "$domain" "$corrupted" > "$tmp/fixed.prolog" 2>/dev/null
+    "$bin/rteclint" -fix -max-severity info -domain "$domain" "$corrupted" > "$tmp/fixed.prolog" 2>/dev/null
     if ! cmp -s "$corrupted.golden" "$tmp/fixed.prolog"; then
         echo "autofix gate: -fix output deviates from $corrupted.golden:" >&2
         diff "$corrupted.golden" "$tmp/fixed.prolog" >&2 || true
@@ -63,11 +70,11 @@ echo "== telemetry smoke (instrumented engine run on the maritime example)"
 # Compose a runnable maritime event description (gold standard + scenario
 # background knowledge) and stream, run the engine with tracing and metrics
 # enabled, and fail on a malformed trace or an empty registry dump.
-go run ./cmd/aisgen -vessels 14 -seed 7 -background "$tmp/bg.rtec" -gold "$tmp/gold.rtec" > "$tmp/events.csv"
+"$bin/aisgen" -vessels 14 -seed 7 -background "$tmp/bg.rtec" -gold "$tmp/gold.rtec" > "$tmp/events.csv"
 cat "$tmp/gold.rtec" "$tmp/bg.rtec" > "$tmp/ed.rtec"
-go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 \
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 \
     -trace "$tmp/trace.json" -metrics > "$tmp/out.txt" 2> "$tmp/metrics.txt"
-go run ./cmd/tracecheck -require rtec.run,rtec.window,rtec.fluent "$tmp/trace.json"
+"$bin/tracecheck" -require rtec.run,rtec.window,rtec.fluent "$tmp/trace.json"
 if ! grep -q '^counter rtec.windows.evaluated_total' "$tmp/metrics.txt"; then
     echo "telemetry smoke: metrics dump is missing engine counters:" >&2
     cat "$tmp/metrics.txt" >&2
@@ -79,14 +86,14 @@ echo "== chaos smoke (fault-injected experiments must degrade deterministically)
 # the run must survive the injected faults (no panic, exit 0), two runs of
 # the same seed must be byte-identical, and the resilience metrics must
 # show that retries actually happened.
-go run ./cmd/experiments -fig 2a -faults mixed -fault-seed 7 > "$tmp/chaos1.txt" 2>/dev/null
-go run ./cmd/experiments -fig 2a -faults mixed -fault-seed 7 > "$tmp/chaos2.txt" 2>/dev/null
+"$bin/experiments" -fig 2a -faults mixed -fault-seed 7 > "$tmp/chaos1.txt" 2>/dev/null
+"$bin/experiments" -fig 2a -faults mixed -fault-seed 7 > "$tmp/chaos2.txt" 2>/dev/null
 if ! cmp -s "$tmp/chaos1.txt" "$tmp/chaos2.txt"; then
     echo "chaos smoke: two runs with the same fault seed differ:" >&2
     diff "$tmp/chaos1.txt" "$tmp/chaos2.txt" >&2 || true
     exit 1
 fi
-go run ./cmd/experiments -fig 2a -faults mixed -fault-seed 7 -metrics \
+"$bin/experiments" -fig 2a -faults mixed -fault-seed 7 -metrics \
     > /dev/null 2> "$tmp/chaos-metrics.txt"
 if ! grep -q '^counter llm\.retries_total [1-9]' "$tmp/chaos-metrics.txt"; then
     echo "chaos smoke: metrics dump is missing a nonzero llm.retries counter:" >&2
@@ -98,8 +105,8 @@ echo "== refine smoke (critique-refine loop must converge deterministically)"
 # Two same-seed runs of the refine figure must be byte-identical, and the
 # clean profile must converge in a single round with nothing left to
 # critique (autofixed 7, remaining 0, F1 1.000).
-go run ./cmd/experiments -fig refine -csv -vessels 14 -seed 7 -window 3600 > "$tmp/refine1.csv" 2>/dev/null
-go run ./cmd/experiments -fig refine -csv -vessels 14 -seed 7 -window 3600 > "$tmp/refine2.csv" 2>/dev/null
+"$bin/experiments" -fig refine -csv -vessels 14 -seed 7 -window 3600 > "$tmp/refine1.csv" 2>/dev/null
+"$bin/experiments" -fig refine -csv -vessels 14 -seed 7 -window 3600 > "$tmp/refine2.csv" 2>/dev/null
 if ! cmp -s "$tmp/refine1.csv" "$tmp/refine2.csv"; then
     echo "refine smoke: two runs with the same seed differ:" >&2
     diff "$tmp/refine1.csv" "$tmp/refine2.csv" >&2 || true
@@ -113,8 +120,8 @@ fi
 # The whole paper pipeline at one job at a time against eight: -workers fans
 # out whole recognitions (generation pipelines, Figure 2c evaluations, refine
 # chains), so every table must come out byte-identical, the clean row included.
-go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > "$tmp/all-w1.csv" 2> "$tmp/all-metrics.txt"
-go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 8 > "$tmp/all-w8.csv" 2>/dev/null
+"$bin/experiments" -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > "$tmp/all-w1.csv" 2> "$tmp/all-metrics.txt"
+"$bin/experiments" -fig all -csv -vessels 14 -seed 7 -workers 8 > "$tmp/all-w8.csv" 2>/dev/null
 if ! cmp -s "$tmp/all-w1.csv" "$tmp/all-w8.csv"; then
     echo "refine smoke: experiments -fig all differs between -workers 1 and -workers 8:" >&2
     diff "$tmp/all-w1.csv" "$tmp/all-w8.csv" >&2 || true
@@ -143,9 +150,9 @@ echo "== streaming robustness gate (disorder replay + kill-and-resume)"
 # require the final recognition CSV to be byte-identical to the in-order
 # batch run. The streaming run also exposes its disorder counters in the
 # metrics dump.
-go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -csv > "$tmp/baseline.csv"
-go run ./cmd/disorder -in "$tmp/events.csv" -out "$tmp/shuffled.csv" -max-delay 900 -seed 13 -dup-every 50 2>/dev/null
-go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -csv > "$tmp/baseline.csv"
+"$bin/disorder" -in "$tmp/events.csv" -out "$tmp/shuffled.csv" -max-delay 900 -seed 13 -dup-every 50 2>/dev/null
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -journal "$tmp/streamed.jsonl" -checkpoint "$tmp/streamed.ckpt" \
     -metrics > "$tmp/streamed.csv" 2> "$tmp/stream-metrics.txt"
 if ! cmp -s "$tmp/baseline.csv" "$tmp/streamed.csv"; then
@@ -154,10 +161,10 @@ if ! cmp -s "$tmp/baseline.csv" "$tmp/streamed.csv"; then
     exit 1
 fi
 # The same command from scratch: on tumbling windows every use of the delta
-# layer is a revision (installed fluents, the inline dirty time-point, windows
-# not rebuilt), and what it journals and checkpoints must be what full
-# re-evaluation does, byte for byte.
-go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+# layer is a revision (installed fluents, the inline dirty time-point), and
+# what it journals and checkpoints must be what full re-evaluation does, byte
+# for byte.
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -journal "$tmp/streamed-full.jsonl" -checkpoint "$tmp/streamed-full.ckpt" \
     -no-delta > "$tmp/streamed-full.csv" 2> /dev/null
 if ! cmp -s "$tmp/streamed.csv" "$tmp/streamed-full.csv"; then
@@ -200,7 +207,7 @@ fi
 # Kill-and-resume smoke: crash the streaming run mid-way, then resume from
 # the crash-safe checkpoint; the resumed output must be byte-identical to
 # the uninterrupted run, and the restore must show up in the metrics.
-if go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+if "$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -checkpoint "$tmp/run.ckpt" -crash-after 3 > /dev/null 2>&1; then
     echo "streaming gate: -crash-after 3 did not abort the run" >&2
     exit 1
@@ -209,7 +216,7 @@ if [ ! -f "$tmp/run.ckpt" ]; then
     echo "streaming gate: crashed run left no checkpoint" >&2
     exit 1
 fi
-go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -checkpoint "$tmp/run.ckpt" -resume -metrics > "$tmp/resumed.csv" 2> "$tmp/resume-metrics.txt"
 if ! cmp -s "$tmp/baseline.csv" "$tmp/resumed.csv"; then
     echo "streaming gate: kill-and-resume output diverged from the baseline:" >&2
@@ -225,7 +232,7 @@ fi
 echo "== parallel recognition gate (worker sharding must not change output)"
 # Re-run the batch recognition with an explicit worker pool; the CSV must be
 # byte-identical to the sequential baseline produced above.
-go run ./cmd/rtec -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -csv -workers 8 > "$tmp/parallel.csv"
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -csv -workers 8 > "$tmp/parallel.csv"
 if ! cmp -s "$tmp/baseline.csv" "$tmp/parallel.csv"; then
     echo "parallel gate: -workers 8 recognition diverged from the sequential baseline:" >&2
     diff "$tmp/baseline.csv" "$tmp/parallel.csv" >&2 || true
@@ -240,11 +247,10 @@ echo "== delta gate (incremental sliding windows must match full re-evaluation b
 # actually reusing carried state (nonzero rtec.delta.reused counter). A kill
 # mid-slide plus -resume (every slot restarts cold, then re-warms) must still
 # converge to the identical CSV.
-go build -race -o "$tmp/bin-rtec-race" ./cmd/rtec
-"$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+"$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -journal "$tmp/delta.jsonl" -checkpoint "$tmp/delta.ckpt" -metrics \
     > "$tmp/delta.csv" 2> "$tmp/delta-metrics.txt"
-"$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+"$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -journal "$tmp/full.jsonl" -checkpoint "$tmp/full.ckpt" -no-delta \
     > "$tmp/full.csv" 2> /dev/null
 if ! cmp -s "$tmp/delta.csv" "$tmp/full.csv"; then
@@ -267,7 +273,7 @@ if ! grep -q '^counter rtec.delta.reused_total [1-9]' "$tmp/delta-metrics.txt"; 
     exit 1
 fi
 # A worker pool must not change the incremental output either.
-"$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+"$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -workers 8 > "$tmp/delta-par.csv" 2> /dev/null
 if ! cmp -s "$tmp/delta.csv" "$tmp/delta-par.csv"; then
     echo "delta gate: -workers 8 incremental recognition diverged:" >&2
@@ -275,12 +281,12 @@ if ! cmp -s "$tmp/delta.csv" "$tmp/delta-par.csv"; then
     exit 1
 fi
 # Kill mid-slide, resume: the resumed run must still match byte-for-byte.
-if "$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+if "$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -checkpoint "$tmp/delta-crash.ckpt" -crash-after 3 > /dev/null 2>&1; then
     echo "delta gate: -crash-after 3 did not abort the slide-heavy run" >&2
     exit 1
 fi
-"$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+"$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
     -max-delay 900 -checkpoint "$tmp/delta-crash.ckpt" -resume \
     > "$tmp/delta-resumed.csv" 2> /dev/null
 if ! cmp -s "$tmp/delta.csv" "$tmp/delta-resumed.csv"; then
@@ -300,12 +306,11 @@ echo "== shard chaos gate (supervised shards must recover byte-identically)"
 # Note: both sides are sharded — entity-hash partitioning is only exact for
 # entity-local fluents, so the sharded output is compared against itself,
 # not against the unsharded baseline.
-go build -race -o "$tmp/bin-rtec-race" ./cmd/rtec
-"$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+"$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -shards 4 -shard-seed 7 \
     -checkpoint "$tmp/clean.ckpt" -journal "$tmp/clean.jsonl" \
     > "$tmp/sharded-clean.csv" 2> /dev/null
-"$tmp/bin-rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+"$bin/rtec-race" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -shards 4 -shard-seed 7 \
     -checkpoint "$tmp/chaos.ckpt" -journal "$tmp/chaos.jsonl" \
     -shard-faults 'ckpt-truncate@w2,panic@w3' -metrics \
@@ -327,29 +332,26 @@ if ! grep -q '^counter rtec.shard.restarts_total [1-9]' "$tmp/shard-metrics.txt"
     exit 1
 fi
 # The supervisor events in the main journal must drive rtectop's shard board.
-go run ./cmd/rtectop -journal "$tmp/chaos.jsonl" -require 'rtec_shard_restarts_total>0' > /dev/null
+"$bin/rtectop" -journal "$tmp/chaos.jsonl" -require 'rtec_shard_restarts_total>0' > /dev/null
 
 echo "== live observability gate (journal, replay)"
 # Run the streaming recognition with the audit journal on. The recognition
 # must not change; the journal must pass tracecheck, replay in rtectop, and
 # be byte-identical across same-seed runs. (The live /metrics scrape is
 # asserted against rtecd, the one binary that serves it, in the gate below.)
-go build -o "$tmp/bin-rtec" ./cmd/rtec
-go build -o "$tmp/bin-rtectop" ./cmd/rtectop
-go build -o "$tmp/bin-tracecheck" ./cmd/tracecheck
-"$tmp/bin-rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -journal "$tmp/run1.jsonl" > "$tmp/live.csv"
 if ! cmp -s "$tmp/baseline.csv" "$tmp/live.csv"; then
     echo "live gate: recognition output changed under -journal:" >&2
     diff "$tmp/baseline.csv" "$tmp/live.csv" >&2 || true
     exit 1
 fi
-"$tmp/bin-tracecheck" -journal -require run_start,window,run_end "$tmp/run1.jsonl"
-"$tmp/bin-rtectop" -journal "$tmp/run1.jsonl" \
+"$bin/tracecheck" -journal -require run_start,window,run_end "$tmp/run1.jsonl"
+"$bin/rtectop" -journal "$tmp/run1.jsonl" \
     -require 'rtec_windows_evaluated_total>0,rtec_window_emit_lag>0' > "$tmp/rtectop-replay.txt"
 # Same-seed determinism: a second run with identical flags must journal
 # byte-identically.
-"$tmp/bin-rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
     -max-delay 900 -journal "$tmp/run2.jsonl" > /dev/null 2>&1
 if ! cmp -s "$tmp/run1.jsonl" "$tmp/run2.jsonl"; then
     echo "live gate: same-seed journals differ:" >&2
@@ -365,8 +367,7 @@ echo "== rtecd gate (daemon drain, resume byte-identity, strict admission, overl
 # sharded cmd/rtec run above (same geometry, same arrival order: disorder
 # emits the same seeded permutation in either serialisation). The daemon
 # binary is race-instrumented.
-go build -race -o "$tmp/bin-rtecd" ./cmd/rtecd
-go run ./cmd/disorder -in "$tmp/events.csv" -out "$tmp/shuffled.ndjson" -out-format ndjson \
+"$bin/disorder" -in "$tmp/events.csv" -out "$tmp/shuffled.ndjson" -out-format ndjson \
     -max-delay 900 -seed 13 -dup-every 50 2>/dev/null
 first=$(awk -F, 'NR==1{m=$1} $1<m{m=$1} END{print m}' "$tmp/events.csv")
 last=$(awk -F, 'NR==1{M=$1} $1>M{M=$1} END{print M}' "$tmp/events.csv")
@@ -377,7 +378,7 @@ start_rtecd() {
     # $1: extra flags; sets $rtecd_pid and $rtecd_addr.
     : > "$tmp/rtecd-err.txt"
     # shellcheck disable=SC2086
-    "$tmp/bin-rtecd" $1 2> "$tmp/rtecd-err.txt" &
+    "$bin/rtecd-race" $1 2> "$tmp/rtecd-err.txt" &
     rtecd_pid=$!
     rtecd_addr=""
     i=0
@@ -423,11 +424,11 @@ start_rtecd "$rtecd_flags -resume"
 post_ok "$tmp/shuffled.ndjson"
 # The live scrape must drive rtectop's DAEMON board and carry the engine's
 # streaming instruments; the admitted-event counter is added at /finish.
-"$tmp/bin-rtectop" -once -metrics "http://$rtecd_addr/metrics" \
+"$bin/rtectop" -once -metrics "http://$rtecd_addr/metrics" \
     -require 'serve_state,serve_ingest_requests_total>0,serve_windows_published_total>0,rtec_windows_evaluated_total>0,rtec_stream_watermark_age,rtec_window_emit_lag>0,rtec_window_e2e_micros>0' \
     > "$tmp/rtectop-daemon.txt"
 curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd.csv"
-"$tmp/bin-rtectop" -once -metrics "http://$rtecd_addr/metrics" \
+"$bin/rtectop" -once -metrics "http://$rtecd_addr/metrics" \
     -require 'rtec_events_ingested_total>0' > /dev/null
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true
@@ -485,7 +486,7 @@ done
 for p in $burst_pids; do
     wait "$p" || true
 done
-"$tmp/bin-rtectop" -once -metrics "http://$rtecd_addr/metrics" \
+"$bin/rtectop" -once -metrics "http://$rtecd_addr/metrics" \
     -require 'serve_ingest_throttled_total>0' > /dev/null
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true

@@ -145,14 +145,14 @@ func dependencyGraph(ctx *context) map[string][]depEdge {
 			for _, l := range c.Body {
 				a := l.Atom
 				if !l.Neg && a.Functor == "holdsFor" && len(a.Args) == 2 && a.Args[1].Kind == lang.Var {
-					if fl := fluentRefTerm(a); fl != nil {
+					if _, fl := lang.FluentRef(a); fl != nil {
 						varFluent[a.Args[1].Functor] = fl.Functor
 					}
 				}
 			}
 			for _, l := range c.Body {
 				a := l.Atom
-				if fl := fluentRefTerm(a); fl != nil {
+				if _, fl := lang.FluentRef(a); fl != nil {
 					if ctx.defined(fl.Functor) {
 						graph[name] = append(graph[name], depEdge{to: fl.Functor, neg: l.Neg})
 					}
@@ -168,7 +168,7 @@ func dependencyGraph(ctx *context) map[string][]depEdge {
 					}
 					continue
 				}
-				if a.IsCallable() && !rtecBuiltins[a.Functor] && !comparisonOps[a.Functor] && ctx.defined(a.Functor) {
+				if a.IsCallable() && userSymbol(a.Functor) && ctx.defined(a.Functor) {
 					graph[name] = append(graph[name], depEdge{to: a.Functor, neg: l.Neg})
 				}
 			}
@@ -338,7 +338,7 @@ func runUnusedDefinition(ctx *context) []Diagnostic {
 // clauseOwner names the symbol a clause defines: the head fluent for
 // temporal rules, the head functor otherwise.
 func clauseOwner(c *lang.Clause) string {
-	if fl := headFluent(c); fl != nil {
+	if _, fl := c.HeadFVP(); fl != nil {
 		return fl.Functor
 	}
 	return c.Head.Functor
@@ -426,10 +426,10 @@ func runUnsafeVariable(ctx *context) []Diagnostic {
 			if l.Neg {
 				continue
 			}
-			if comparisonOps[a.Functor] && a.Functor != "=" {
+			if nonBindingOp(a.Functor) {
 				continue
 			}
-			if intervalOps[a.Functor] && len(a.Args) > 0 {
+			if intervalOp(a.Functor) && len(a.Args) > 0 {
 				for _, v := range a.Args[len(a.Args)-1].Vars() {
 					bound[v] = true
 				}
@@ -459,11 +459,11 @@ func runUnsafeVariable(ctx *context) []Diagnostic {
 				for _, v := range a.Vars() {
 					report(v, a.Pos, "variable '%s' appears only in a negated condition")
 				}
-			case comparisonOps[a.Functor] && a.Functor != "=":
+			case nonBindingOp(a.Functor):
 				for _, v := range a.Vars() {
 					report(v, a.Pos, "variable '%s' appears only in a comparison and is never bound")
 				}
-			case intervalOps[a.Functor] && len(a.Args) > 1:
+			case intervalOp(a.Functor) && len(a.Args) > 1:
 				for _, in := range a.Args[:len(a.Args)-1] {
 					for _, v := range in.Vars() {
 						report(v, a.Pos, "interval variable '%s' is not bound by any holdsFor condition")
@@ -489,7 +489,7 @@ func runIntervalOperator(ctx *context) []Diagnostic {
 		timePointRule := c.Head.Functor == "initiatedAt" || c.Head.Functor == "terminatedAt"
 		for _, l := range c.Body {
 			a := l.Atom
-			if intervalOps[a.Functor] {
+			if intervalOp(a.Functor) {
 				if l.Neg {
 					add(Error, a.Pos, "interval operator '%s' may not be negated", a.Functor)
 				}
@@ -522,7 +522,7 @@ func runIntervalOperator(ctx *context) []Diagnostic {
 			}
 			// Nested interval operators anywhere below a condition.
 			a.Walk(func(n *lang.Term) bool {
-				if n != a && n.Kind == lang.Compound && intervalOps[n.Functor] {
+				if n != a && n.Kind == lang.Compound && intervalOp(n.Functor) {
 					add(Error, n.Pos, "interval operator '%s' must be a top-level condition of a holdsFor rule, not nested inside another term", n.Functor)
 					return false
 				}
@@ -531,7 +531,7 @@ func runIntervalOperator(ctx *context) []Diagnostic {
 		}
 		// Interval operators never belong in a head.
 		c.Head.Walk(func(n *lang.Term) bool {
-			if n.Kind == lang.Compound && intervalOps[n.Functor] {
+			if n.Kind == lang.Compound && intervalOp(n.Functor) {
 				add(Error, n.Pos, "interval operator '%s' cannot appear in a rule head", n.Functor)
 				return false
 			}
@@ -573,7 +573,7 @@ func runMalformedTemporalHead(ctx *context) []Diagnostic {
 				Message: "holdsAt cannot be defined directly: define the fluent with initiatedAt/terminatedAt or holdsFor rules"})
 			continue
 		}
-		if !isTemporalHead(h.Functor) {
+		if !lang.IsRuleHead(h.Functor) {
 			continue
 		}
 		if h.Kind != lang.Compound || len(h.Args) != 2 {
@@ -581,7 +581,7 @@ func runMalformedTemporalHead(ctx *context) []Diagnostic {
 				Message: fmt.Sprintf("'%s' head expects 2 arguments (fluent=value and a time point or interval variable), got %d", h.Functor, len(h.Args))})
 			continue
 		}
-		if headFluent(c) == nil {
+		if fvp, _ := c.HeadFVP(); fvp == nil {
 			out = append(out, Diagnostic{Severity: Error, Pos: c.Pos,
 				Message: fmt.Sprintf("'%s' head must be over a fluent=value pair, found '%s'", h.Functor, h.Args[0])})
 		}
@@ -617,7 +617,7 @@ func runUnknownName(ctx *context) []Diagnostic {
 					return true
 				}
 				name := n.Functor
-				if seen[name] || rtecBuiltins[name] || comparisonOps[name] ||
+				if seen[name] || !userSymbol(name) ||
 					ctx.known(name) || ctx.defined(name) || referenced[name] {
 					return true
 				}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
 )
 
@@ -28,7 +29,7 @@ func contraKey(c *lang.Clause) string {
 func runContradictoryInitiation(ctx *context) []Diagnostic {
 	initBy := map[string]*lang.Clause{}
 	for _, c := range ctx.ed.Clauses {
-		if c.IsFact() || c.Head.Functor != "initiatedAt" || headFluent(c) == nil {
+		if fvp, _ := c.HeadFVP(); fvp == nil || c.IsFact() || c.Kind() != lang.KindInitiatedAt {
 			continue
 		}
 		key := contraKey(c)
@@ -38,14 +39,14 @@ func runContradictoryInitiation(ctx *context) []Diagnostic {
 	}
 	var out []Diagnostic
 	for _, c := range ctx.ed.Clauses {
-		if c.IsFact() || c.Head.Functor != "terminatedAt" || headFluent(c) == nil {
+		fvp, fl := c.HeadFVP()
+		if fvp == nil || c.IsFact() || c.Kind() != lang.KindTerminatedAt {
 			continue
 		}
 		init, ok := initBy[contraKey(c)]
 		if !ok {
 			continue
 		}
-		fvp, fl := c.HeadFVP()
 		d := Diagnostic{Severity: Error, Pos: c.Pos, Symbol: fl.Functor,
 			Message: fmt.Sprintf("the conditions that initiate '%s' at %s also terminate it here: every interval is empty", fvp, init.Pos)}
 		if fix, ok := ctx.deleteClauseFix(c, "delete the contradictory terminatedAt rule"); ok {
@@ -83,7 +84,7 @@ func runUnreachableFluent(ctx *context) []Diagnostic {
 			if a.Kind == lang.Compound && a.Functor == "happensAt" && len(a.Args) == 2 {
 				return true
 			}
-			if fl := fluentRefTerm(a); fl != nil {
+			if _, fl := lang.FluentRef(a); fl != nil {
 				if !isFluent[fl.Functor] || grounded[fl.Functor] {
 					return true
 				}
@@ -175,17 +176,11 @@ func (ctx *context) deadValues(isFluent map[string]bool) []Diagnostic {
 	for _, c := range ctx.ed.Clauses {
 		for _, l := range c.Body {
 			a := l.Atom
-			if a.Kind != lang.Compound || len(a.Args) != 2 {
+			fvp, fl := lang.FluentRef(a)
+			if fvp == nil {
 				continue
 			}
-			if a.Functor != "holdsAt" && a.Functor != "holdsFor" {
-				continue
-			}
-			fvp := a.Args[0]
-			if fvp.Kind != lang.Compound || fvp.Functor != "=" || len(fvp.Args) != 2 || !fvp.Args[0].IsCallable() {
-				continue
-			}
-			name, v := fvp.Args[0].Functor, fvp.Args[1]
+			name, v := fl.Functor, fvp.Args[1]
 			if !v.IsConst() || !isFluent[name] || anyValue[name] {
 				continue
 			}
@@ -226,8 +221,11 @@ func numericSort(s string) bool {
 	return false
 }
 
-var orderOps = map[string]bool{
-	"<": true, ">": true, "=<": true, ">=": true, "=:=": true, "=\\=": true,
+// numericComparison reports whether a condition compares two arithmetic
+// expressions (< > =< >= =:= =\=).
+func numericComparison(a *lang.Term) bool {
+	op, _ := lang.Operator(a.Functor)
+	return op.Class == lang.OpCompare && len(a.Args) == 2
 }
 
 // sortUse is one sort assignment of a variable within a clause.
@@ -266,16 +264,17 @@ func runSortInference(ctx *context) []Diagnostic {
 			if a.Kind != lang.Compound {
 				return
 			}
+			_, fl := lang.FluentRef(a)
 			switch {
 			case a.Functor == "happensAt" && len(a.Args) == 2 && a.Args[0].IsCallable():
 				record(a.Args[0])
-			case fluentRefTerm(a) != nil:
-				record(fluentRefTerm(a))
+			case fl != nil:
+				record(fl)
 			case a.Functor == "thresholds" && len(a.Args) == 2:
 				if v := a.Args[1]; v.Kind == lang.Var {
 					numericVar[v.Functor] = true
 				}
-			case orderOps[a.Functor] && len(a.Args) == 2:
+			case numericComparison(a):
 				comparisons = append(comparisons, a)
 				for _, side := range a.Args {
 					other := a.Args[0]
@@ -290,7 +289,7 @@ func runSortInference(ctx *context) []Diagnostic {
 				record(a)
 			}
 		}
-		if fl := headFluent(c); fl != nil {
+		if _, fl := c.HeadFVP(); fl != nil {
 			record(fl)
 		} else if c.Head.IsCallable() {
 			record(c.Head)
@@ -361,10 +360,8 @@ func isNumericTerm(t *lang.Term, numericVar map[string]bool) bool {
 	case lang.Var:
 		return numericVar[t.Functor]
 	case lang.Compound:
-		switch t.Functor {
-		case "+", "-", "*", "/", "abs", "absAngleDiff":
-			return true
-		}
+		op, _ := lang.Operator(t.Functor)
+		return op.Class == lang.OpArith || t.Functor == "abs" || t.Functor == "absAngleDiff"
 	}
 	return false
 }
@@ -598,7 +595,7 @@ func runVacuousThreshold(ctx *context) []Diagnostic {
 		if c.IsFact() {
 			continue
 		}
-		env := map[string]float64{}
+		known := map[string]float64{} // by the variable the rule reads the threshold into
 		for _, l := range c.Body {
 			a := l.Atom
 			if l.Neg || a.Kind != lang.Compound || a.Functor != "thresholds" || len(a.Args) != 2 {
@@ -609,15 +606,29 @@ func runVacuousThreshold(ctx *context) []Diagnostic {
 				continue
 			}
 			if val, ok := thresholdValue(name.Functor); ok {
-				env[v.Functor] = val
+				known[v.Functor] = val
 			}
 		}
-		for i, l := range c.Body {
-			a := l.Atom
-			if a.Kind != lang.Compound || len(a.Args) != 2 {
-				continue
+		// The comparisons fold under the engine's own evaluator: as written
+		// or, with thresholds known, numbered into a binding store that
+		// binds them.
+		body, env := c.Body, (*lang.Bindings)(nil)
+		if len(known) > 0 {
+			var vt lang.VarTable
+			body, env = vt.NumberClause(c).Body, new(lang.Bindings)
+			env.Reset(vt.Len())
+			for _, l := range body {
+				l.Atom.Walk(func(n *lang.Term) bool {
+					if val, ok := known[n.Functor]; ok && n.Kind == lang.Var {
+						env.Unify(n, lang.NewFloat(val))
+					}
+					return true
+				})
 			}
-			if !orderOps[a.Functor] && a.Functor != "\\=" {
+		}
+		for i, l := range body {
+			a := l.Atom
+			if !numericComparison(a) && !(a.Functor == "\\=" && len(a.Args) == 2) {
 				continue
 			}
 			verdict, why, ok := foldCompare(a, env)
@@ -640,73 +651,19 @@ func runVacuousThreshold(ctx *context) []Diagnostic {
 	return out
 }
 
-// foldCompare decides a comparison whose operands are both statically known
-// numbers, or whose two sides are the same variable.
-func foldCompare(a *lang.Term, env map[string]float64) (verdict bool, why string, ok bool) {
+// foldCompare decides a comparison whose operands both evaluate, under the
+// known thresholds, as the engine would evaluate them (kb.EvalArith), or
+// whose two sides are the same variable. '\=' over numbers is folded as =\=.
+func foldCompare(a *lang.Term, env *lang.Bindings) (verdict bool, why string, ok bool) {
 	x, y := a.Args[0], a.Args[1]
 	if x.Kind == lang.Var && y.Kind == lang.Var && x.Functor == y.Functor {
-		switch a.Functor {
-		case "<", ">", "=\\=", "\\=":
-			return false, fmt.Sprintf("(both sides are '%s')", x.Functor), true
-		case "=<", ">=", "=:=":
-			return true, fmt.Sprintf("(both sides are '%s')", x.Functor), true
-		}
+		// X op X is what the operator says of any number against itself.
+		return kb.Compare(a.Functor, 0, 0), fmt.Sprintf("(both sides are '%s')", x.Functor), true
+	}
+	lv, lerr := kb.EvalArith(x, env)
+	rv, rerr := kb.EvalArith(y, env)
+	if lerr != nil || rerr != nil {
 		return false, "", false
 	}
-	lv, lok := evalNumber(x, env)
-	rv, rok := evalNumber(y, env)
-	if !lok || !rok {
-		return false, "", false
-	}
-	why = fmt.Sprintf("(%v %s %v)", lv, a.Functor, rv)
-	switch a.Functor {
-	case "<":
-		return lv < rv, why, true
-	case ">":
-		return lv > rv, why, true
-	case "=<":
-		return lv <= rv, why, true
-	case ">=":
-		return lv >= rv, why, true
-	case "=:=":
-		return lv == rv, why, true
-	case "=\\=", "\\=":
-		return lv != rv, why, true
-	}
-	return false, "", false
-}
-
-// evalNumber statically evaluates a term to a number: literals, variables
-// bound by known thresholds, and arithmetic over such terms.
-func evalNumber(t *lang.Term, env map[string]float64) (float64, bool) {
-	switch t.Kind {
-	case lang.Int, lang.Float:
-		return t.Number()
-	case lang.Var:
-		v, ok := env[t.Functor]
-		return v, ok
-	case lang.Compound:
-		if len(t.Args) != 2 {
-			return 0, false
-		}
-		l, lok := evalNumber(t.Args[0], env)
-		r, rok := evalNumber(t.Args[1], env)
-		if !lok || !rok {
-			return 0, false
-		}
-		switch t.Functor {
-		case "+":
-			return l + r, true
-		case "-":
-			return l - r, true
-		case "*":
-			return l * r, true
-		case "/":
-			if r == 0 {
-				return 0, false
-			}
-			return l / r, true
-		}
-	}
-	return 0, false
+	return kb.Compare(a.Functor, lv, rv), fmt.Sprintf("(%v %s %v)", lv, a.Functor, rv), true
 }

@@ -322,3 +322,31 @@ func TestVacuousUnknownThresholdSilent(t *testing.T) {
 `
 	wantNoCode(t, runSrc(t, src, analysis.Options{}), "R016")
 }
+
+// TestVacuousFoldsWhatTheEngineEvaluates: R016 folds with the engine's own
+// arithmetic (kb.EvalArith), abs/1 included, so it cannot be silent on a
+// comparison the engine evaluates.
+func TestVacuousFoldsWhatTheEngineEvaluates(t *testing.T) {
+	cases := []struct {
+		name, src, want string
+		fixable         bool
+	}{
+		{"abs over a declared threshold", `thresholds(a, 3).
+
+initiatedAt(f(V)=true, T) :-
+    happensAt(ping(V), T),
+    thresholds(a, A),
+    abs(A - 5) > 100.
+`, "always false (2 > 100)", false},
+		{"abs over literals", `initiatedAt(f(V)=true, T) :-
+    happensAt(ping(V), T),
+    abs(3 - 5) > 1.
+`, "always true (2 > 1)", true},
+	}
+	for _, c := range cases {
+		d := wantCode(t, runSrc(t, c.src, analysis.Options{}), "R016", c.want)
+		if _, n := analysis.ApplyFixes(c.src, d.SuggestedFixes); (n == 1) != c.fixable {
+			t.Errorf("%s: applied %d deletion fixes, fixable=%v", c.name, n, c.fixable)
+		}
+	}
+}

@@ -6,34 +6,18 @@ import (
 	"rtecgen/internal/lang"
 )
 
-// rtecBuiltins are the temporal predicates, interval operators and
-// declaration functors of the dialect; they are never user symbols.
-var rtecBuiltins = map[string]bool{
-	"initiatedAt": true, "terminatedAt": true, "holdsAt": true, "holdsFor": true,
-	"happensAt": true, "union_all": true, "intersect_all": true,
-	"relative_complement_all": true, "not": true,
-	"inputEvent": true, "grounding": true, "thresholds": true,
-	"abs": true, "absAngleDiff": true, "true": true,
-}
+// userSymbol reports whether a name is the description's to define: anything
+// but a reserved word of the dialect (lang.Reserved). Reserved words are
+// exempt from the symbol passes.
+func userSymbol(name string) bool { return lang.Reserved(name) == lang.NotReserved }
 
-// comparisonOps are the infix comparison and arithmetic operators. They do
-// not bind variables (except '=', handled separately) and are exempt from
-// the symbol passes.
-var comparisonOps = map[string]bool{
-	"=": true, "<": true, ">": true, ">=": true, "=<": true,
-	"=:=": true, "=\\=": true, "\\=": true,
-	"+": true, "-": true, "*": true, "/": true,
-}
+// intervalOp reports whether a name is an interval-manipulation construct of
+// statically determined fluent definitions.
+func intervalOp(name string) bool { return lang.Reserved(name) == lang.IntervalOp }
 
-// intervalOps are the interval-manipulation constructs of statically
-// determined fluent definitions.
-var intervalOps = map[string]bool{
-	"union_all": true, "intersect_all": true, "relative_complement_all": true,
-}
-
-func isTemporalHead(name string) bool {
-	return name == "initiatedAt" || name == "terminatedAt" || name == "holdsFor"
-}
+// nonBindingOp reports whether a name is an infix comparison or arithmetic
+// operator other than '=': such a condition binds no variable.
+func nonBindingOp(name string) bool { return lang.Reserved(name) == lang.InfixOp && name != "=" }
 
 // definition records how one user symbol is defined across the description.
 type definition struct {
@@ -126,37 +110,6 @@ func (ctx *context) def(name string) *definition {
 	return d
 }
 
-// headFluent returns the fluent term of a well-formed temporal head, or nil.
-func headFluent(c *lang.Clause) *lang.Term {
-	h := c.Head
-	if h.Kind != lang.Compound || !isTemporalHead(h.Functor) || len(h.Args) != 2 {
-		return nil
-	}
-	fvp := h.Args[0]
-	if fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 && fvp.Args[0].IsCallable() {
-		return fvp.Args[0]
-	}
-	return nil
-}
-
-// fluentRefTerm extracts the fluent term of a temporal body condition
-// (holdsAt/holdsFor/initiatedAt/terminatedAt over F=V), or nil.
-func fluentRefTerm(atom *lang.Term) *lang.Term {
-	if atom.Kind != lang.Compound || len(atom.Args) != 2 {
-		return nil
-	}
-	switch atom.Functor {
-	case "holdsAt", "holdsFor", "initiatedAt", "terminatedAt":
-	default:
-		return nil
-	}
-	fvp := atom.Args[0]
-	if fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 && fvp.Args[0].IsCallable() {
-		return fvp.Args[0]
-	}
-	return nil
-}
-
 // collectClause files one clause into the definition, reference and arity
 // tables.
 func (ctx *context) collectClause(c *lang.Clause) {
@@ -171,8 +124,8 @@ func (ctx *context) collectClause(c *lang.Clause) {
 		// Grounding declaration: its argument mentions a fluent but neither
 		// defines nor uses it; its body references background predicates.
 		ctx.collectBody(c)
-	case isTemporalHead(h.Functor):
-		if fl := headFluent(c); fl != nil {
+	case lang.IsRuleHead(h.Functor):
+		if _, fl := c.HeadFVP(); fl != nil {
 			d := ctx.def(fl.Functor)
 			if h.Functor == "holdsFor" {
 				d.sd = append(d.sd, c)
@@ -183,13 +136,13 @@ func (ctx *context) collectClause(c *lang.Clause) {
 		}
 		ctx.collectBody(c)
 	case c.IsFact():
-		if !rtecBuiltins[h.Functor] && !comparisonOps[h.Functor] {
+		if userSymbol(h.Functor) {
 			d := ctx.def(h.Functor)
 			d.facts = append(d.facts, c)
 			ctx.addArity(h)
 		}
 	default:
-		if !rtecBuiltins[h.Functor] && !comparisonOps[h.Functor] {
+		if userSymbol(h.Functor) {
 			d := ctx.def(h.Functor)
 			d.aux = append(d.aux, c)
 			ctx.addArity(h)
@@ -203,7 +156,7 @@ func (ctx *context) collectClause(c *lang.Clause) {
 func (ctx *context) collectBody(c *lang.Clause) {
 	for _, l := range c.Body {
 		a := l.Atom
-		if fl := fluentRefTerm(a); fl != nil {
+		if _, fl := lang.FluentRef(a); fl != nil {
 			ctx.refs = append(ctx.refs, reference{name: fl.Functor, kind: refFluent, neg: l.Neg, term: fl, clause: c})
 			ctx.addArity(fl)
 			continue
@@ -214,7 +167,7 @@ func (ctx *context) collectBody(c *lang.Clause) {
 			ctx.addArity(ev)
 			continue
 		}
-		if a.IsCallable() && !rtecBuiltins[a.Functor] && !comparisonOps[a.Functor] {
+		if a.IsCallable() && userSymbol(a.Functor) {
 			ctx.refs = append(ctx.refs, reference{name: a.Functor, kind: refPred, neg: l.Neg, term: a, clause: c})
 			ctx.addArity(a)
 		}
@@ -222,7 +175,7 @@ func (ctx *context) collectBody(c *lang.Clause) {
 }
 
 func (ctx *context) addArity(t *lang.Term) {
-	if rtecBuiltins[t.Functor] || comparisonOps[t.Functor] {
+	if !userSymbol(t.Functor) {
 		return
 	}
 	ctx.arityUses = append(ctx.arityUses, arityUse{name: t.Functor, arity: len(t.Args), pos: t.Pos})

@@ -13,7 +13,6 @@ import (
 
 	"rtecgen/internal/analysis"
 	"rtecgen/internal/lang"
-	"rtecgen/internal/parser"
 	"rtecgen/internal/prompt"
 )
 
@@ -79,13 +78,10 @@ func Analyze(gen *prompt.GeneratedED, gold *lang.EventDescription, domain *promp
 		}
 	}
 
-	vocab := vocabularyNames(domain)
-	aliasOf := map[string]string{}
-	for canonical, alts := range domain.Aliases {
-		for _, a := range alts {
-			aliasOf[a] = canonical
-		}
-	}
+	// What prompts R, E and T taught: the dialect's reserved words and the
+	// domain vocabulary.
+	known := domain.KnownNames()
+	vocab := func(name string) bool { return known[name] || lang.Reserved(name) != lang.NotReserved }
 
 	genED := gen.ED()
 	defined := map[string]bool{}
@@ -112,11 +108,11 @@ func Analyze(gen *prompt.GeneratedED, gold *lang.EventDescription, domain *promp
 		seenUndef := map[string]bool{}
 		for _, c := range r.Clauses {
 			// Category 1: names mapped back by the alias table.
-			for name := range namesInClause(c) {
-				if seenNaming[name] || vocab[name] || defined[name] {
+			for _, name := range namesInClause(c) {
+				if seenNaming[name] || vocab(name) || defined[name] {
 					continue
 				}
-				if canonical, ok := aliasOf[name]; ok {
+				if canonical, ok := domain.Canonical(name); ok {
 					seenNaming[name] = true
 					out = append(out, Finding{Category: Naming, Activity: r.Request.Key,
 						Detail: fmt.Sprintf("%q should be %q", name, canonical)})
@@ -124,11 +120,15 @@ func Analyze(gen *prompt.GeneratedED, gold *lang.EventDescription, domain *promp
 			}
 			// Category 3: fluent references with no definition.
 			for _, l := range c.Body {
-				name, ok := fluentRef(l.Atom)
-				if !ok || defined[name] || vocab[name] || seenUndef[name] {
+				_, fl := lang.FluentRef(l.Atom)
+				if fl == nil {
 					continue
 				}
-				if _, isAlias := aliasOf[name]; isAlias {
+				name := fl.Functor
+				if defined[name] || vocab(name) || seenUndef[name] {
+					continue
+				}
+				if _, isAlias := domain.Canonical(name); isAlias {
 					continue // a naming problem, not an undefined activity
 				}
 				seenUndef[name] = true
@@ -207,8 +207,7 @@ func operatorFindings(r prompt.ActivityResult, gold *lang.EventDescription) []Fi
 func opCounts(c *lang.Clause) map[string]int {
 	out := map[string]int{}
 	for _, l := range c.Body {
-		switch l.Atom.Functor {
-		case "union_all", "intersect_all", "relative_complement_all":
+		if lang.Reserved(l.Atom.Functor) == lang.IntervalOp {
 			out[l.Atom.Functor]++
 		}
 	}
@@ -248,51 +247,14 @@ func fmtOps(m map[string]int) string {
 	return strings.Join(parts, ", ")
 }
 
-func vocabularyNames(d *prompt.Domain) map[string]bool {
-	out := map[string]bool{
-		"initiatedAt": true, "terminatedAt": true, "holdsAt": true, "holdsFor": true,
-		"happensAt": true, "union_all": true, "intersect_all": true,
-		"relative_complement_all": true, "not": true, "=": true, "true": true,
-		"thresholds": true, "absAngleDiff": true, "abs": true,
-		"oneIsTug": true, "oneIsPilot": true, "vessel": true, "vesselPair": true,
-		"<": true, ">": true, ">=": true, "=<": true, "=:=": true, "=\\=": true,
-		"\\=": true, "+": true, "-": true, "*": true, "/": true,
-	}
-	addPattern := func(p string) {
-		if t, err := parser.ParseTerm(p); err == nil {
-			t.Walk(func(n *lang.Term) bool {
-				if n.Kind == lang.Compound || n.Kind == lang.Atom {
-					out[n.Functor] = true
-				}
-				return n.Kind == lang.Compound
-			})
-		}
-	}
-	for _, e := range d.Events {
-		addPattern(e.Pattern)
-	}
-	for _, b := range d.Background {
-		addPattern(b.Pattern)
-	}
-	for _, t := range d.Thresholds {
-		out[t.Name] = true
-	}
-	for _, v := range d.Values {
-		out[v] = true
-	}
-	for _, c := range []string{"fishing", "anchorage", "nearCoast", "nearPorts",
-		"fishingVessel", "cargo", "tanker", "tug", "pilotVessel", "sarVessel", "passenger"} {
-		out[c] = true
-	}
-	return out
-}
-
-func namesInClause(c *lang.Clause) map[string]bool {
-	out := map[string]bool{}
+// namesInClause lists the atom and functor names of a clause in source
+// order (repeats included), so findings come out in the same order every run.
+func namesInClause(c *lang.Clause) []string {
+	var out []string
 	add := func(t *lang.Term) {
 		t.Walk(func(n *lang.Term) bool {
-			if n.Kind == lang.Atom || n.Kind == lang.Compound {
-				out[n.Functor] = true
+			if n.IsCallable() {
+				out = append(out, n.Functor)
 			}
 			return true
 		})
@@ -302,21 +264,6 @@ func namesInClause(c *lang.Clause) map[string]bool {
 		add(l.Atom)
 	}
 	return out
-}
-
-// fluentRef extracts the fluent functor of a holdsAt/holdsFor condition.
-func fluentRef(atom *lang.Term) (string, bool) {
-	if atom.Kind != lang.Compound || (atom.Functor != "holdsAt" && atom.Functor != "holdsFor") {
-		return "", false
-	}
-	if len(atom.Args) != 2 {
-		return "", false
-	}
-	fvp := atom.Args[0]
-	if fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 && fvp.Args[0].IsCallable() {
-		return fvp.Args[0].Functor, true
-	}
-	return "", false
 }
 
 // CategoryForCode maps a static-analyzer diagnostic code (internal/analysis)

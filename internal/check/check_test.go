@@ -226,3 +226,27 @@ func TestFindingsFromDiagnostics(t *testing.T) {
 		t.Fatalf("second finding = %v", fs[1])
 	}
 }
+
+// TestNamingFindingsInSourceOrder: the findings of one clause come out in the
+// order its names occur, every run — the -errors report is part of the
+// byte-identical experiments output.
+func TestNamingFindingsInSourceOrder(t *testing.T) {
+	gen := genFromSrc(t, "x", `
+initiatedAt(x(Vl)=belowNormal, T) :-
+    happensAt(speedSignal(Vl, S, C, H), T),
+    shipType(Vl, Type),
+    thresholds(minMovingSpeed, Min),
+    holdsAt(withinArea(Vl, trawlingArea)=true, T),
+    not happensAt(gapStart(Vl), T).
+`)
+	want := []string{"belowNormal", "speedSignal", "shipType", "minMovingSpeed", "trawlingArea", "gapStart"}
+	var got []string
+	for _, f := range analyze(t, gen) {
+		if f.Category == Naming {
+			got = append(got, strings.SplitN(f.Detail, `"`, 3)[1])
+		}
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Fatalf("naming findings in order %v, want %v", got, want)
+	}
+}

@@ -41,76 +41,12 @@ func (c Change) String() string {
 	return fmt.Sprintf("%s -> %s (%s)", c.From, c.To, c.Reason)
 }
 
-// vocabulary is the corrector's knowledge of valid names, derived from the
-// domain documentation (the same material prompts E and T taught the model).
-type vocabulary struct {
-	predicates map[string]bool // "name/arity"
-	predNames  map[string]bool // name only
-	constants  map[string]bool
-	aliases    map[string]string // wrong spelling -> canonical
-}
-
-func buildVocabulary(d *prompt.Domain) *vocabulary {
-	v := &vocabulary{
-		predicates: map[string]bool{},
-		predNames:  map[string]bool{},
-		constants:  map[string]bool{},
-		aliases:    map[string]string{},
-	}
-	addPred := func(pattern string) {
-		t, err := parser.ParseTerm(pattern)
-		if err != nil || !t.IsCallable() {
-			return
-		}
-		v.predicates[t.Indicator()] = true
-		v.predNames[t.Functor] = true
-	}
-	for _, e := range d.Events {
-		addPred(e.Pattern)
-	}
-	for _, b := range d.Background {
-		addPred(b.Pattern)
-	}
-	v.predicates["thresholds/2"] = true
-	v.predNames["thresholds"] = true
-	for _, t := range d.Thresholds {
-		v.constants[t.Name] = true
-	}
-	for _, val := range d.Values {
-		v.constants[val] = true
-	}
-	for _, c := range d.Constants {
-		v.constants[c] = true
-	}
-	// Area and vessel type constants documented in the background prompts.
-	for _, c := range []string{"fishing", "anchorage", "nearCoast", "nearPorts",
-		"fishingVessel", "cargo", "tanker", "tug", "pilotVessel", "sarVessel", "passenger"} {
-		v.constants[c] = true
-	}
-	for canonical, alts := range d.Aliases {
-		for _, a := range alts {
-			v.aliases[a] = canonical
-		}
-	}
-	return v
-}
-
-// rtecKeywords never need correction.
-var rtecKeywords = map[string]bool{
-	"initiatedAt": true, "terminatedAt": true, "holdsAt": true, "holdsFor": true,
-	"happensAt": true, "union_all": true, "intersect_all": true,
-	"relative_complement_all": true, "not": true, "=": true,
-	"<": true, ">": true, ">=": true, "=<": true, "=:=": true, "=\\=": true,
-	"\\=": true, "+": true, "-": true, "*": true, "/": true,
-	"absAngleDiff": true, "abs": true, "oneIsTug": true, "oneIsPilot": true,
-}
-
 // Renamer builds the analyzer's rename oracle from the domain vocabulary:
 // documented aliases map to their canonical name, and otherwise the closest
 // vocabulary name within edit distance 2 wins. It is handed to
 // analysis.Options.Rename so that R002/R010 diagnostics carry rename fixes.
 func Renamer(d *prompt.Domain) func(name string) (string, string, bool) {
-	return renamer(buildVocabulary(d), nil)
+	return renamer(d, nil)
 }
 
 // occurrence records how a name occurs in the generated clauses, so the
@@ -119,12 +55,15 @@ type occurrence struct {
 	compound bool
 }
 
-func renamer(v *vocabulary, occ map[string]occurrence) func(string) (string, string, bool) {
+// renamer never corrects a reserved word of the dialect, and otherwise
+// consults only the domain's own vocabulary (the material prompts E and T
+// taught the model).
+func renamer(d *prompt.Domain, occ map[string]occurrence) func(string) (string, string, bool) {
 	return func(name string) (string, string, bool) {
-		if rtecKeywords[name] {
+		if lang.Reserved(name) != lang.NotReserved {
 			return "", "", false
 		}
-		if canonical, ok := v.aliases[name]; ok {
+		if canonical, ok := d.Canonical(name); ok {
 			return canonical, "documented alias", true
 		}
 		compound, known := false, false
@@ -133,15 +72,15 @@ func renamer(v *vocabulary, occ map[string]occurrence) func(string) (string, str
 			compound, known = o.compound, ok
 		}
 		if known {
-			if to, ok := closestName(name, v, compound); ok {
+			if to, ok := closestName(name, d, compound); ok {
 				return to, "edit distance", true
 			}
 			return "", "", false
 		}
 		// No occurrence information (e.g. the rteclint CLI): try both pools,
 		// preferring the closer match and predicates on a tie.
-		toP, okP := closestName(name, v, true)
-		toC, okC := closestName(name, v, false)
+		toP, okP := closestName(name, d, true)
+		toC, okC := closestName(name, d, false)
 		switch {
 		case okP && okC:
 			if editDistance(name, toC) < editDistance(name, toP) {
@@ -313,8 +252,7 @@ func ApplyWith(tel *telemetry.Telemetry, gen *prompt.GeneratedED, domain *prompt
 }
 
 func apply(gen *prompt.GeneratedED, domain *prompt.Domain) *Corrected {
-	v := buildVocabulary(domain)
-	rename := renamer(v, occurrences(gen))
+	rename := renamer(domain, occurrences(gen))
 	src := Combined(gen)
 	report := analysis.AnalyzeSource(src, lintOptions(gen, domain, rename))
 
@@ -393,8 +331,7 @@ func (f *Fixed) Fixpoint() bool { return len(f.Report.Fixes()) == 0 }
 // critique–refine loop: what remains in Report is what only the model can
 // repair, and is rendered into the critique turn.
 func AutoFix(gen *prompt.GeneratedED, domain *prompt.Domain) *Fixed {
-	v := buildVocabulary(domain)
-	rename := renamer(v, occurrences(gen))
+	rename := renamer(domain, occurrences(gen))
 	opts := lintOptions(gen, domain, rename)
 	opts.Sorts = domain.ArgSorts()
 	res := analysis.Fix(Combined(gen), opts, analysis.DefaultFixBudget)
@@ -429,10 +366,10 @@ func literalAtoms(body []lang.Literal) []*lang.Term {
 // closestName finds a vocabulary name within edit distance 2 (and at least
 // half the name's length in common), preferring predicates for compound
 // occurrences and constants otherwise.
-func closestName(name string, v *vocabulary, compound bool) (string, bool) {
-	pool := v.constants
+func closestName(name string, d *prompt.Domain, compound bool) (string, bool) {
+	pool := d.ConstantNames()
 	if compound {
-		pool = v.predNames
+		pool = d.Predicates()
 	}
 	best, bestDist := "", 3
 	cands := make([]string, 0, len(pool))

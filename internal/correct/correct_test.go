@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtecgen/internal/fleet"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/prompt"
@@ -255,5 +256,23 @@ func TestRenamerOracle(t *testing.T) {
 	}
 	if _, _, ok := rn("completelyUnrelatedName"); ok {
 		t.Fatal("distant names must not map onto the vocabulary")
+	}
+}
+
+// TestRenamerUsesOnlyItsDomain: the rename oracle knows the vocabulary of the
+// domain it was built from and no other — the maritime area and vessel types
+// are not targets for a fleet name.
+func TestRenamerUsesOnlyItsDomain(t *testing.T) {
+	rn := Renamer(fleet.PromptDomain())
+	for _, name := range []string{"tugs", "cargos", "fishin", "tankr"} {
+		if to, reason, ok := rn(name); ok {
+			t.Errorf("fleet: %s -> %q (%s); none of the fleet's names is that close", name, to, reason)
+		}
+	}
+	rn = Renamer(maritime.PromptDomain())
+	for name, want := range map[string]string{"trawlingArea": "fishing", "tugs": "tug"} {
+		if to, _, ok := rn(name); !ok || to != want {
+			t.Errorf("maritime: %s -> %q, %v; want %q", name, to, ok, want)
+		}
 	}
 }

@@ -185,12 +185,8 @@ func generatedPrimaryName(res prompt.ActivityResult, act maritime.Activity) stri
 			}
 		}
 		for _, l := range c.Body {
-			a := l.Atom
-			if (a.Functor == "holdsAt" || a.Functor == "holdsFor") && len(a.Args) == 2 {
-				fvp := a.Args[0]
-				if fvp.Kind == lang.Compound && fvp.Functor == "=" && fvp.Args[0].IsCallable() {
-					referenced[fvp.Args[0].Functor] = true
-				}
+			if _, fl := lang.FluentRef(l.Atom); fl != nil {
+				referenced[fl.Functor] = true
 			}
 		}
 	}

@@ -13,8 +13,9 @@ import (
 // by the maritime 'drifting' definition to compare course-over-ground with
 // heading on the circle.
 
-// compare applies a comparison functor to two numbers.
-func compare(op string, a, b float64) bool {
+// Compare applies a numeric comparison operator (lang.OpCompare) to two
+// numbers.
+func Compare(op string, a, b float64) bool {
 	switch op {
 	case "<":
 		return a < b
@@ -31,24 +32,14 @@ func compare(op string, a, b float64) bool {
 	}
 }
 
-// IsBuiltin reports whether the indicator names a builtin predicate.
-func IsBuiltin(indicator string) bool {
-	switch indicator {
-	case "</2", ">/2", "=</2", ">=/2", "=:=/2", "=\\=/2", "=/2", "\\=/2", "absAngleDiff/3":
-		return true
-	}
-	return false
-}
-
-// IsBuiltinPred is IsBuiltin without the indicator-string concatenation, for
-// per-condition dispatch on hot paths.
+// IsBuiltinPred reports whether functor/arity names a builtin predicate: a
+// binary unification or comparison operator of lang's table, or
+// absAngleDiff/3.
 func IsBuiltinPred(functor string, arity int) bool {
 	switch arity {
 	case 2:
-		switch functor {
-		case "<", ">", "=<", ">=", "=:=", "=\\=", "=", "\\=":
-			return true
-		}
+		op, ok := lang.Operator(functor)
+		return ok && op.Class != lang.OpArith
 	case 3:
 		return functor == "absAngleDiff"
 	}
@@ -137,5 +128,5 @@ func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err erro
 	if atom.Functor == "absAngleDiff" {
 		return b.Unify(atom.Args[2], lang.NewFloat(AngleDiff(x, y))), true, nil
 	}
-	return compare(atom.Functor, x, y), true, nil
+	return Compare(atom.Functor, x, y), true, nil
 }

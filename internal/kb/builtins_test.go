@@ -151,12 +151,15 @@ func TestSolveBuiltinNotABuiltin(t *testing.T) {
 }
 
 func TestIsBuiltin(t *testing.T) {
-	for _, ind := range []string{"</2", ">/2", "=</2", ">=/2", "=:=/2", "=\\=/2", "=/2", "\\=/2", "absAngleDiff/3"} {
-		if !IsBuiltin(ind) {
-			t.Errorf("IsBuiltin(%q) = false", ind)
+	for _, op := range []string{"<", ">", "=<", ">=", "=:=", "=\\=", "=", "\\="} {
+		if !IsBuiltinPred(op, 2) {
+			t.Errorf("IsBuiltinPred(%q, 2) = false", op)
 		}
 	}
-	if IsBuiltin("happensAt/2") || IsBuiltin("=/3") {
+	if !IsBuiltinPred("absAngleDiff", 3) {
+		t.Error("IsBuiltinPred(absAngleDiff, 3) = false")
+	}
+	if IsBuiltinPred("happensAt", 2) || IsBuiltinPred("=", 3) || IsBuiltinPred("+", 2) {
 		t.Fatal("false positive")
 	}
 }

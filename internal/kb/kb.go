@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"rtecgen/internal/lang"
 )
@@ -99,21 +98,7 @@ func (k *KB) AddRule(c *lang.Clause) { k.rules = append(k.rules, c) }
 // Has reports whether the exact ground fact is present.
 func (k *KB) Has(t *lang.Term) bool { return k.present[t.String()] }
 
-// FactsOf returns the facts with the given indicator ("functor/arity").
-func (k *KB) FactsOf(indicator string) []*lang.Term {
-	slash := strings.LastIndexByte(indicator, '/')
-	if slash < 0 {
-		return nil
-	}
-	arity, err := strconv.Atoi(indicator[slash+1:])
-	if err != nil {
-		return nil
-	}
-	return k.facts[lang.PredKey{Functor: indicator[:slash], Arity: arity}]
-}
-
-// FactsOfPred returns the facts of a predicate without building an
-// indicator string.
+// FactsOfPred returns the facts of a predicate.
 func (k *KB) FactsOfPred(pred lang.PredKey) []*lang.Term { return k.facts[pred] }
 
 // Indicators returns the sorted indicators of all stored facts.

@@ -120,18 +120,13 @@ func (k HeadKind) String() string {
 
 // Kind classifies the clause by inspecting its head functor.
 func (c *Clause) Kind() HeadKind {
-	switch {
-	case c.Head.Kind == Compound && c.Head.Functor == "initiatedAt" && len(c.Head.Args) == 2:
-		return KindInitiatedAt
-	case c.Head.Kind == Compound && c.Head.Functor == "terminatedAt" && len(c.Head.Args) == 2:
-		return KindTerminatedAt
-	case c.Head.Kind == Compound && c.Head.Functor == "holdsFor" && len(c.Head.Args) == 2:
-		return KindHoldsFor
-	case c.IsFact():
-		return KindFact
-	default:
-		return KindBackgroundRule
+	if k := ruleHead(c.Head.Functor); k != KindFact && c.Head.Kind == Compound && len(c.Head.Args) == 2 {
+		return k
 	}
+	if c.IsFact() {
+		return KindFact
+	}
+	return KindBackgroundRule
 }
 
 // HeadFVP extracts the fluent-value pair term (the '='(F,V) compound) from a
@@ -140,14 +135,23 @@ func (c *Clause) Kind() HeadKind {
 func (c *Clause) HeadFVP() (fvp, fluent *Term) {
 	switch c.Kind() {
 	case KindInitiatedAt, KindTerminatedAt, KindHoldsFor:
-	default:
-		return nil, nil
-	}
-	arg := c.Head.Args[0]
-	if arg.Kind == Compound && arg.Functor == "=" && len(arg.Args) == 2 {
-		return arg, arg.Args[0]
+		if fl := fluentOf(c.Head.Args[0]); fl != nil {
+			return c.Head.Args[0], fl
+		}
 	}
 	return nil, nil
+}
+
+// Anchor returns the index of the body condition that anchors the
+// event-driven evaluation of a simple-fluent rule — its first positive
+// happensAt(E, T) condition — or -1 when the body has none.
+func (c *Clause) Anchor() int {
+	for i, l := range c.Body {
+		if !l.Neg && l.Atom.Functor == "happensAt" && len(l.Atom.Args) == 2 {
+			return i
+		}
+	}
+	return -1
 }
 
 // EventDescription is a parsed RTEC event description: the full set of

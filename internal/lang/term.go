@@ -294,19 +294,11 @@ func orderRank(t *Term) int {
 	}
 }
 
-// infixPrec mirrors the operator table of internal/parser: comparisons bind
-// loosest (1), then additive (2), then multiplicative (3). Zero means "not an
-// infix operator".
-var infixPrec = map[string]int{
-	"=": 1, "<": 1, ">": 1, ">=": 1, "=<": 1, "=:=": 1, "=\\=": 1, "\\=": 1,
-	"+": 2, "-": 2,
-	"*": 3, "/": 3,
-}
-
+// isInfix reports whether t prints infix, and its operator's precedence.
 func isInfix(t *Term) (prec int, ok bool) {
 	if t.Kind == Compound && len(t.Args) == 2 {
-		p := infixPrec[t.Functor]
-		return p, p > 0
+		op, ok := Operator(t.Functor)
+		return op.Prec, ok
 	}
 	return 0, false
 }

@@ -94,14 +94,6 @@ func namesIn(clauses []*lang.Clause) map[string]bool {
 	return out
 }
 
-// protectedNames are never renamed: the language keywords and constructs.
-var protectedNames = map[string]bool{
-	"initiatedAt": true, "terminatedAt": true, "holdsAt": true, "holdsFor": true,
-	"happensAt": true, "union_all": true, "intersect_all": true,
-	"relative_complement_all": true, "not": true, "=": true, "true": true,
-	"absAngleDiff": true,
-}
-
 // dropGapTermination removes one terminatedAt rule whose body mentions
 // gap_start (the most commonly forgotten condition), or any surplus
 // terminatedAt rule. Reports whether anything was dropped.
@@ -152,21 +144,11 @@ func undefineReferences(rng *rand.Rand, clauses []*lang.Clause, ownFluents map[s
 	seen := map[string]bool{}
 	for _, c := range clauses {
 		for _, l := range c.Body {
-			a := l.Atom
-			if a.Functor != "holdsAt" && a.Functor != "holdsFor" {
+			_, fl := lang.FluentRef(l.Atom)
+			if fl == nil || ownFluents[fl.Functor] || seen[fl.Functor] {
 				continue
 			}
-			if len(a.Args) != 2 {
-				continue
-			}
-			fvp := a.Args[0]
-			if fvp.Kind != lang.Compound || fvp.Functor != "=" || !fvp.Args[0].IsCallable() {
-				continue
-			}
-			name := fvp.Args[0].Functor
-			if ownFluents[name] || seen[name] {
-				continue
-			}
+			name := fl.Functor
 			seen[name] = true
 			candidates = append(candidates, name)
 		}
@@ -252,8 +234,9 @@ func dropConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 		}
 		// Never drop the anchoring happensAt condition.
 		var droppable []int
-		for i, l := range c.Body {
-			if !(i == firstHappensAt(c) && !l.Neg) {
+		anchor := c.Anchor()
+		for i := range c.Body {
+			if i != anchor {
 				droppable = append(droppable, i)
 			}
 		}
@@ -263,15 +246,6 @@ func dropConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 		i := droppable[rng.Intn(len(droppable))]
 		c.Body = append(c.Body[:i], c.Body[i+1:]...)
 	}
-}
-
-func firstHappensAt(c *lang.Clause) int {
-	for i, l := range c.Body {
-		if !l.Neg && l.Atom.Functor == "happensAt" {
-			return i
-		}
-	}
-	return -1
 }
 
 // addExtraConditions appends, with probability p per rule, a redundant

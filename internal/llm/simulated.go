@@ -353,13 +353,6 @@ func (m *Simulated) applyGeneric(rng *rand.Rand, scheme prompt.Scheme, act Activ
 	for _, f := range act.Fluents {
 		own[f] = true
 	}
-	protected := map[string]bool{}
-	for k := range protectedNames {
-		protected[k] = true
-	}
-	for k := range own {
-		protected[k] = true
-	}
 
 	// Predicate renames: each event/background predicate present in the
 	// rules is independently misremembered with probability Rename.
@@ -374,7 +367,7 @@ func (m *Simulated) applyGeneric(rng *rand.Rand, scheme prompt.Scheme, act Activ
 			predicateNames[t.Functor] = true
 		}
 	}
-	applyRenames(rng, clauses, m.know.Domain.Aliases, predicateNames, protected, rates.Rename)
+	applyRenames(rng, clauses, m.know.Domain.Aliases, predicateNames, own, rates.Rename)
 
 	// Constant renames: values, area/vessel types and threshold names.
 	constantNames := map[string]bool{}
@@ -387,7 +380,7 @@ func (m *Simulated) applyGeneric(rng *rand.Rand, scheme prompt.Scheme, act Activ
 	for _, extra := range []string{"fishing", "anchorage", "nearCoast", "fishingVessel", "pilotVessel", "sarVessel"} {
 		constantNames[extra] = true
 	}
-	applyRenames(rng, clauses, m.know.Domain.Aliases, constantNames, protected, rates.ValueName)
+	applyRenames(rng, clauses, m.know.Domain.Aliases, constantNames, own, rates.ValueName)
 
 	// Drops: surplus termination rules and per-rule body conditions are
 	// independently forgotten.
@@ -407,16 +400,17 @@ func (m *Simulated) applyGeneric(rng *rand.Rand, scheme prompt.Scheme, act Activ
 }
 
 // applyRenames walks the candidate names present in the clauses and renames
-// each to one of its plausible aliases with the given probability.
+// each to one of its plausible aliases with the given probability. The
+// dialect's reserved words and the activity's own fluents are never renamed.
 func applyRenames(rng *rand.Rand, clauses []*lang.Clause, aliases map[string][]string,
-	restrictTo, protected map[string]bool, p float64) {
+	restrictTo, own map[string]bool, p float64) {
 	if p <= 0 {
 		return
 	}
 	present := namesIn(clauses)
 	var candidates []string
 	for name := range present {
-		if protected[name] || !restrictTo[name] || len(aliases[name]) == 0 {
+		if lang.Reserved(name) != lang.NotReserved || own[name] || !restrictTo[name] || len(aliases[name]) == 0 {
 			continue
 		}
 		candidates = append(candidates, name)

@@ -64,23 +64,9 @@ func (p *parser) expectPunct(text string) *Error {
 	return p.advance()
 }
 
-// Operator precedence. Comparisons bind loosest, then additive, then
-// multiplicative; all comparisons are non-associative.
-func binaryPrec(op string) (prec int, ok bool) {
-	switch op {
-	case "=", "<", ">", ">=", "=<", "=:=", "=\\=", "\\=":
-		return 1, true
-	case "+", "-":
-		return 2, true
-	case "*", "/":
-		return 3, true
-	}
-	return 0, false
-}
-
-// parseExpr parses an expression whose operators all have precedence
-// >= minPrec, climbing for tighter operators. The returned term carries the
-// source position of its first token.
+// parseExpr parses an expression whose operators (lang's operator table)
+// all have precedence >= minPrec, climbing for tighter operators. The
+// returned term carries the source position of its first token.
 func (p *parser) parseExpr(minPrec int) (*lang.Term, *Error) {
 	start := lang.Position{Line: p.tok.line, Col: p.tok.col}
 	left, err := p.parsePrimary()
@@ -91,21 +77,21 @@ func (p *parser) parseExpr(minPrec int) (*lang.Term, *Error) {
 		if p.tok.kind != tokPunct {
 			return left, nil
 		}
-		prec, ok := binaryPrec(p.tok.text)
-		if !ok || prec < minPrec {
+		op, ok := lang.Operator(p.tok.text)
+		if !ok || op.Prec < minPrec {
 			return left, nil
 		}
-		op := p.tok.text
+		name := p.tok.text
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
 		// Comparisons are non-associative: the right operand may only
 		// contain tighter operators.
-		right, err := p.parseExpr(prec + 1)
+		right, err := p.parseExpr(op.Prec + 1)
 		if err != nil {
 			return nil, err
 		}
-		left = lang.NewCompound(op, left, right)
+		left = lang.NewCompound(name, left, right)
 		left.Pos = start
 	}
 }

@@ -9,6 +9,7 @@ package prompt
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"rtecgen/internal/lang"
 	"rtecgen/internal/parser"
@@ -113,6 +114,9 @@ type Domain struct {
 	// back to vocabulary, modelling the human that renamed 'trawlingArea'
 	// to 'fishing' in the paper's evaluation.
 	Aliases map[string][]string
+
+	vocabOnce sync.Once
+	vocab     *vocabulary
 }
 
 // ActivityRequest is one generation step of the pipeline: a composite
@@ -131,70 +135,103 @@ func (d *Domain) Validate() error {
 	return nil
 }
 
+// vocabulary is everything derived from the domain documentation, computed
+// on first use: each pattern is parsed once and every accessor below is a
+// view of that parse. The maps are shared; callers must not modify them.
+type vocabulary struct {
+	names      map[string]bool     // KnownNames
+	sorts      map[string][]string // ArgSorts
+	predicates map[string]bool     // Predicates
+	constants  map[string]bool     // ConstantNames
+	canonical  map[string]string   // Canonical
+}
+
+func (d *Domain) vocabulary() *vocabulary {
+	d.vocabOnce.Do(func() {
+		v := &vocabulary{names: map[string]bool{}, sorts: map[string][]string{},
+			predicates: map[string]bool{"thresholds": true}, constants: map[string]bool{}, canonical: map[string]string{}}
+		addPattern := func(p string) {
+			t, err := parser.ParseTerm(p)
+			if err != nil {
+				return
+			}
+			t.Walk(func(n *lang.Term) bool {
+				if n.IsCallable() {
+					v.names[n.Functor] = true
+				}
+				return true
+			})
+			if !t.IsCallable() {
+				return
+			}
+			v.predicates[t.Functor] = true
+			if t.Kind == lang.Compound {
+				sorts := make([]string, len(t.Args))
+				for i, a := range t.Args {
+					if a.Kind == lang.Var {
+						sorts[i] = sortName(a.Functor)
+					}
+				}
+				v.sorts[t.Functor] = sorts
+			}
+		}
+		for _, e := range d.Events {
+			addPattern(e.Pattern)
+		}
+		for _, b := range d.Background {
+			addPattern(b.Pattern)
+		}
+		for _, t := range d.Thresholds {
+			v.constants[t.Name] = true
+		}
+		for _, val := range d.Values {
+			v.constants[val] = true
+		}
+		for _, c := range d.Constants {
+			v.constants[c] = true
+		}
+		for name := range v.predicates {
+			v.names[name] = true
+		}
+		for name := range v.constants {
+			v.names[name] = true
+		}
+		for canonical, alts := range d.Aliases {
+			for _, a := range alts {
+				v.canonical[a] = canonical
+			}
+		}
+		d.vocab = v
+	})
+	return d.vocab
+}
+
 // KnownNames returns the set of vocabulary names the domain documentation
 // teaches: the functors and constants occurring in the event and background
-// patterns, the threshold names, the fluent values and the extra constants.
-// It is the gold-standard-free vocabulary handed to the static analyzer.
-func (d *Domain) KnownNames() map[string]bool {
-	out := map[string]bool{}
-	addPattern := func(p string) {
-		t, err := parser.ParseTerm(p)
-		if err != nil {
-			return
-		}
-		t.Walk(func(n *lang.Term) bool {
-			if n.Kind == lang.Compound || n.Kind == lang.Atom {
-				out[n.Functor] = true
-			}
-			return true
-		})
-	}
-	for _, e := range d.Events {
-		addPattern(e.Pattern)
-	}
-	for _, b := range d.Background {
-		addPattern(b.Pattern)
-	}
-	out["thresholds"] = true
-	for _, t := range d.Thresholds {
-		out[t.Name] = true
-	}
-	for _, v := range d.Values {
-		out[v] = true
-	}
-	for _, c := range d.Constants {
-		out[c] = true
-	}
-	return out
-}
+// patterns, 'thresholds', the threshold names, the fluent values and the
+// extra constants. It is the gold-standard-free vocabulary handed to the
+// static analyzer.
+func (d *Domain) KnownNames() map[string]bool { return d.vocabulary().names }
 
 // ArgSorts infers the argument-sort table of the documented vocabulary for
 // the R013 sort-inference pass: for every event and background pattern, the
 // lower-cased argument variable names with trailing digits stripped
 // ("Vessel1" -> "vessel"), so a vessel identifier and a speed are different
 // sorts wherever they appear.
-func (d *Domain) ArgSorts() map[string][]string {
-	out := map[string][]string{}
-	add := func(p string) {
-		t, err := parser.ParseTerm(p)
-		if err != nil || t.Kind != lang.Compound {
-			return
-		}
-		sorts := make([]string, len(t.Args))
-		for i, a := range t.Args {
-			if a.Kind == lang.Var {
-				sorts[i] = sortName(a.Functor)
-			}
-		}
-		out[t.Functor] = sorts
-	}
-	for _, e := range d.Events {
-		add(e.Pattern)
-	}
-	for _, b := range d.Background {
-		add(b.Pattern)
-	}
-	return out
+func (d *Domain) ArgSorts() map[string][]string { return d.vocabulary().sorts }
+
+// Predicates returns the names a rule may call or observe: the functors of
+// the event and background patterns, and 'thresholds'.
+func (d *Domain) Predicates() map[string]bool { return d.vocabulary().predicates }
+
+// ConstantNames returns the names a rule may use as a constant: the
+// threshold names, the fluent values and the extra constants.
+func (d *Domain) ConstantNames() map[string]bool { return d.vocabulary().constants }
+
+// Canonical maps a documented wrong spelling back to its vocabulary name.
+func (d *Domain) Canonical(alias string) (string, bool) {
+	c, ok := d.vocabulary().canonical[alias]
+	return c, ok
 }
 
 // sortName normalises a pattern variable name into a sort: lower-cased,
@@ -203,22 +240,4 @@ func sortName(v string) string {
 	v = strings.TrimLeft(v, "_")
 	v = strings.TrimRight(v, "0123456789")
 	return strings.ToLower(v)
-}
-
-// KnownEventIndicators returns the "functor/arity" indicators of the
-// documented input events and background predicates.
-func (d *Domain) KnownEventIndicators() map[string]bool {
-	out := map[string]bool{}
-	add := func(p string) {
-		if t, err := parser.ParseTerm(p); err == nil && t.IsCallable() {
-			out[t.Indicator()] = true
-		}
-	}
-	for _, e := range d.Events {
-		add(e.Pattern)
-	}
-	for _, b := range d.Background {
-		add(b.Pattern)
-	}
-	return out
 }

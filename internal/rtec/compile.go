@@ -80,8 +80,9 @@ func compileRule(c *lang.Clause, groundings []*lang.Clause) *rule {
 	if sd {
 		r.ivar = rc.Head.Args[1]
 	}
-	for _, l := range rc.Body {
-		if !sd && r.pattern == nil && !l.Neg && l.Atom.Functor == "happensAt" && len(l.Atom.Args) == 2 {
+	anchor := rc.Anchor() // -1 in a holdsFor rule: checkSDRule admits no happensAt
+	for i, l := range rc.Body {
+		if i == anchor {
 			r.pattern, r.timeArg = l.Atom.Args[0], l.Atom.Args[1]
 			continue
 		}

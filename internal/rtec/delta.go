@@ -139,15 +139,7 @@ type deltaCtx struct {
 	base    intervals.List // region dirty regardless of dependencies (the slide-admitted tail, or a late event's time-point)
 	next    *deltaState    // the captured state, populated during evaluation
 
-	// prevEval is the slot's current windowEval: on a revision, what the
-	// carried state's evaluation produced. unchanged reports that this
-	// evaluation reproduced every carried list, and so returned prevEval
-	// itself.
-	prevEval  *windowEval
-	unchanged bool
-
 	revision bool // prev describes this same window (set by attach)
-	compared int  // fluents installed from, or diffed against, carried state
 
 	// Unit counters for the rtec.delta.* instruments: anchor events whose
 	// cached acts stand (replayed, or their fluent installed), anchor events
@@ -164,15 +156,6 @@ func (d *deltaCtx) attach(w *windowState) {
 	if d.capture {
 		d.next = &deltaState{ws: w.ws, we: w.we, fluents: map[string]*fluentDelta{}}
 	}
-}
-
-// reproduced reports whether the evaluation of w came out exactly as the
-// carried state's did: a revision in which every fluent was checked against
-// its carried lists and none differs anywhere — on the unclipped lists, not
-// inside the window only: a late termination at q-1 changes nothing in
-// [ws, q) but decides whether the FVP is open at the next window's start.
-func (d *deltaCtx) reproduced(w *windowState) bool {
-	return d.revision && d.prevEval != nil && len(w.changed) == 0 && d.compared == len(w.eng.order)
 }
 
 // flush records the window's delta counters and the reuse-ratio gauge.
@@ -205,7 +188,6 @@ func (w *windowState) beginFluentDelta(def *fluentDef) (installed bool) {
 	}
 	if prev != nil {
 		w.curPrev = prev
-		d.compared++
 		// carried is the state the fluent's lists stand under when its
 		// inputs came out as the carried evaluation had them; nil: evaluate.
 		var carried *fluentDelta
@@ -372,7 +354,8 @@ func (w *windowState) deriveDirty(def *fluentDef, prev *fluentDelta) (carried *f
 // changed region that dirties dependent fluents higher up the hierarchy. It
 // is kept unclipped — anchor events exist only inside the window, so the
 // excess dirties nothing, and a difference beyond the window's end still is
-// one (see reproduced). The diff-driven propagation is what makes inter-fluent
+// one: a late termination at q-1 changes nothing in [ws, q) but decides
+// whether the FVP is open at the next window's start. The diff-driven propagation is what makes inter-fluent
 // reuse airtight: any divergence in a dependency's output — whatever caused
 // it — forces dependents to re-derive exactly where it happened.
 func (w *windowState) endFluentDelta(def *fluentDef) {
@@ -477,13 +460,7 @@ func (w *windowState) replaySimpleRule(events []stream.Event, prevActs map[int64
 // condition (invalid in a simple rule, warned at runtime) and any condition
 // at a different or non-variable time-point disqualify the rule.
 func timeLocalRule(c *lang.Clause) bool {
-	anchorIdx := -1
-	for i, l := range c.Body {
-		if !l.Neg && l.Atom.Functor == "happensAt" && len(l.Atom.Args) == 2 {
-			anchorIdx = i
-			break
-		}
-	}
+	anchorIdx := c.Anchor()
 	if anchorIdx < 0 {
 		return false
 	}

@@ -300,7 +300,8 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		for _, r := range append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...) {
 			c := r.src
 			for _, l := range c.Body {
-				if dep, ok := bodyFluentRef(l.Atom); ok {
+				if _, fl := lang.FluentRef(l.Atom); fl != nil {
+					dep := fl.Indicator()
 					if _, defined := e.fluents[dep]; defined && dep != def.ind {
 						def.deps[dep] = true
 					}
@@ -329,7 +330,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				if c.kind != condHoldsAt && c.kind != condHoldsFor {
 					continue
 				}
-				if _, ok := bodyFluentRef(c.atom); !ok {
+				if fvp, _ := lang.FluentRef(c.atom); fvp == nil {
 					def.namedReads = false
 				}
 			}
@@ -409,22 +410,6 @@ func (e *Engine) readsNamedFluents(def *fluentDef) bool {
 	return true
 }
 
-// bodyFluentRef extracts the fluent indicator referenced by a holdsAt or
-// holdsFor body condition.
-func bodyFluentRef(atom *lang.Term) (string, bool) {
-	if atom.Kind != lang.Compound || len(atom.Args) != 2 {
-		return "", false
-	}
-	if atom.Functor != "holdsAt" && atom.Functor != "holdsFor" {
-		return "", false
-	}
-	fvp := atom.Args[0]
-	if fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 && fvp.Args[0].IsCallable() {
-		return fvp.Args[0].Indicator(), true
-	}
-	return "", false
-}
-
 // checkSimpleRule validates the shape of an initiatedAt/terminatedAt rule:
 // it must contain at least one positive happensAt condition to anchor
 // event-driven evaluation (Definition 2.2 requires it to come first; the
@@ -434,12 +419,10 @@ func checkSimpleRule(c *lang.Clause) string {
 	if fvp == nil {
 		return "head has no F=V fluent-value pair"
 	}
-	for _, l := range c.Body {
-		if !l.Neg && l.Atom.Functor == "happensAt" && len(l.Atom.Args) == 2 {
-			return ""
-		}
+	if c.Anchor() < 0 {
+		return "no positive happensAt condition to anchor evaluation"
 	}
-	return "no positive happensAt condition to anchor evaluation"
+	return ""
 }
 
 // checkSDRule validates the shape of a holdsFor rule: the head interval
@@ -575,8 +558,8 @@ func fvpKey(fvp *lang.Term) string { return fvp.String() }
 // fvpKey, it builds a string and is reserved for boundary paths; hot paths
 // use fvpPred, which compares functor/arity pairs without concatenation.
 func fluentKeyOf(fvp *lang.Term) string {
-	if fvp.Kind == lang.Compound && fvp.Functor == "=" && len(fvp.Args) == 2 && fvp.Args[0].IsCallable() {
-		return fvp.Args[0].Indicator()
+	if pred, ok := fvpPred(fvp, nil); ok {
+		return pred.String()
 	}
 	return ""
 }

@@ -277,25 +277,22 @@ func (st *streamRun) prevOpenInto(i int) map[string]*lang.Term {
 // the delta layer: prev (when there is one) is replayed for every time-point
 // outside base and outside whatever the dependency diffs dirty, and the state
 // the evaluation captured is kept on the slot. With the delta layer off, or
-// without prev, it is a full evaluation. unchanged reports a revision (prev is
-// the slot's own state) that reproduced the slot's evaluation: ev is then the
-// slot's current windowEval itself.
-func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) (ev windowEval, unchanged bool) {
+// without prev, it is a full evaluation.
+func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) windowEval {
 	var dctx *deltaCtx
 	if st.deltaOn {
 		dctx = &deltaCtx{capture: true}
 		if prev != nil {
-			dctx.prev, dctx.base, dctx.prevEval = prev, base, &st.slots[i].eval
+			dctx.prev, dctx.base = prev, base
 		}
 	}
 	ws, we := st.tl.windowStart(i), st.tl.q(i)
 	winEvents := indexWindow(st.reorder.Buffered().Window(ws, we))
-	ev = st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), st.prevOpenInto(i), st.warnSink(), st.span, dctx, sharedWindow{})
+	ev := st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), st.prevOpenInto(i), st.warnSink(), st.span, dctx, sharedWindow{})
 	if dctx != nil {
 		st.slots[i].delta = dctx.next
-		unchanged = dctx.unchanged
 	}
-	return ev, unchanged
+	return ev
 }
 
 // emitNext evaluates and delivers the next unemitted window (revision 0).
@@ -311,7 +308,7 @@ func (st *streamRun) emitNext() error {
 			base = intervals.List{{Start: prev.we, End: st.tl.q(i)}}
 		}
 	}
-	st.slots[i].eval, _ = st.evalSlot(i, prev, base)
+	st.slots[i].eval = st.evalSlot(i, prev, base)
 	if i > 0 && i-1 < st.final {
 		st.slots[i-1].delta = nil // final, and no longer the slide's source
 	}
@@ -336,11 +333,8 @@ func (st *streamRun) emitNext() error {
 // for its changed carry-over has no dirty base at all, and the dependency
 // diff spreads the dirt from wherever the new inertia changed a fluent's
 // intervals. Fluents whose inputs did not change install their carried
-// lists, and an evaluation that reproduced every carried list hands back
-// the slot's own windowEval (unchanged): there is then nothing to compare,
-// deliver or cascade. A slot without carried state (delta off, or cold
-// after a resume) evaluates in full and captures, so the next revision is
-// warm.
+// lists. A slot without carried state (delta off, or cold after a resume)
+// evaluates in full and captures, so the next revision is warm.
 func (st *streamRun) revise(t int64) error {
 	tel := st.eng.opts.Telemetry
 	carryChanged := false
@@ -360,11 +354,7 @@ func (st *streamRun) revise(t int64) error {
 		if direct {
 			base = intervals.List{{Start: t, End: t + 1}}
 		}
-		ev, unchanged := st.evalSlot(i, st.slots[i].delta, base)
-		if unchanged {
-			carryChanged = false
-			continue
-		}
+		ev := st.evalSlot(i, st.slots[i].delta, base)
 		carryChanged = !ev.sameOpen(prev)
 		st.slots[i].eval = ev // keep the carry-over current even when the output is unchanged
 		if ev.sameRecognised(prev) {

@@ -159,10 +159,8 @@ func (we windowEval) retractionsAgainst(prev windowEval) map[string]intervals.Li
 // dctx, when non-nil, threads the delta layer through the evaluation: the
 // previous window's carried state seeds act replay for clean anchor times,
 // and the state of this evaluation is captured for the next slide (see
-// delta.go). A revision that reproduces every list of the evaluation it
-// revises returns that evaluation's windowEval (dctx.prevEval) instead of
-// building an equal one, and says so in dctx.unchanged. A nil dctx is the
-// full re-evaluation the delta path must stay byte-identical to.
+// delta.go). A nil dctx is the full re-evaluation the delta path must stay
+// byte-identical to.
 //
 // shared, unless zero, places the window in its Prepared's fluent table (see
 // evalFluent); the batch loop passes it only without a dctx.
@@ -177,26 +175,11 @@ func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen 
 	}
 	w.shared = shared
 	w.evaluate()
+	if w.delta != nil {
+		w.delta.flush(tel)
+	}
 	tel.Counter("rtec.windows.evaluated").Inc()
-	if d := w.delta; d != nil {
-		d.flush(tel)
-		d.unchanged = d.reproduced(w)
-	}
-	var out windowEval
-	if dctx != nil && dctx.unchanged {
-		out = *dctx.prevEval
-	} else {
-		out = w.result(nws)
-	}
-	wspan.SetAttrs(telemetry.Int("fvps", int64(len(w.cache))), telemetry.Int("intervals", out.intervalCount()))
-	wspan.End()
-	return out
-}
 
-// result clips the evaluated window's lists into its windowEval, with the
-// simple FVPs that persist into a window starting at nws (none when nws < 0).
-func (w *windowState) result(nws int64) windowEval {
-	e := w.eng
 	out := windowEval{
 		recognised: map[string]intervals.List{},
 		fvps:       map[string]*lang.Term{},
@@ -206,7 +189,7 @@ func (w *windowState) result(nws int64) windowEval {
 		// The canonical key was rendered once when the FVP was first
 		// interned; this is a cache read, not a re-rendering.
 		key := e.interner.StringOf(ent.id)
-		clipped := intervals.Clip(ent.list, w.ws, w.we)
+		clipped := intervals.Clip(ent.list, ws, we)
 		if len(clipped) > 0 {
 			out.recognised[key] = clipped
 			out.fvps[key] = ent.fvp
@@ -220,5 +203,7 @@ func (w *windowState) result(nws int64) windowEval {
 			out.nextOpen[key] = ent.fvp
 		}
 	}
+	wspan.SetAttrs(telemetry.Int("fvps", int64(len(w.cache))), telemetry.Int("intervals", out.intervalCount()))
+	wspan.End()
 	return out
 }
