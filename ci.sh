@@ -81,6 +81,29 @@ if ! grep -q '^counter rtec.windows.evaluated_total' "$tmp/metrics.txt"; then
     exit 1
 fi
 
+echo "== simeval smoke (the similarity CLI on the gold standard the telemetry smoke wrote)"
+# The gold standard against itself is at distance 0, headline and rule by
+# rule; against a file with no temporal rule, -rules has nothing to match and
+# must say so rather than print a distance outside [0, 1].
+"$bin/simeval" -rules "$tmp/gold.rtec" "$tmp/gold.rtec" > "$tmp/simeval.txt"
+if ! grep -qx 'distance   = 0.0000' "$tmp/simeval.txt" ||
+    ! grep -q 'closest gold rule' "$tmp/simeval.txt" ||
+    grep 'closest gold rule' "$tmp/simeval.txt" | grep -qv '(distance 0\.0000)$'; then
+    echo "simeval smoke: the gold standard is not at distance 0 from itself:" >&2
+    cat "$tmp/simeval.txt" >&2
+    exit 1
+fi
+printf 'areaType(a1, fishing).\n' > "$tmp/facts.rtec"
+printf 'initiatedAt(f(X)=true, T) :- happensAt(e(X), T).\n' > "$tmp/one.rtec"
+"$bin/simeval" -rules "$tmp/one.rtec" "$tmp/facts.rtec" > "$tmp/simeval.txt"
+if ! grep -q '^distance' "$tmp/simeval.txt" ||
+    ! sed -n 's/.*distance[ =]*\(-\{0,1\}[0-9.]*\).*/\1/p' "$tmp/simeval.txt" |
+        awk '$1 < 0 || $1 > 1 { bad = 1 } END { exit bad }'; then
+    echo "simeval smoke: a distance outside [0, 1] against a facts-only file:" >&2
+    cat "$tmp/simeval.txt" >&2
+    exit 1
+fi
+
 echo "== chaos smoke (fault-injected experiments must degrade deterministically)"
 # Run Figure 2a under the mixed fault profile with a fixed seed, twice:
 # the run must survive the injected faults (no panic, exit 0), two runs of

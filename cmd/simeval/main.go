@@ -10,6 +10,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtecgen/internal/lang"
@@ -24,13 +25,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "usage: simeval [-rules] candidate.rtec gold.rtec")
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0), flag.Arg(1), *perRule); err != nil {
+	if err := run(os.Stdout, flag.Arg(0), flag.Arg(1), *perRule); err != nil {
 		fmt.Fprintln(os.Stderr, "simeval:", err)
 		os.Exit(1)
 	}
 }
 
-func run(candPath, goldPath string, perRule bool) error {
+func run(w io.Writer, candPath, goldPath string, perRule bool) error {
 	cand, err := load(candPath)
 	if err != nil {
 		return err
@@ -39,28 +40,34 @@ func run(candPath, goldPath string, perRule bool) error {
 	if err != nil {
 		return err
 	}
-	d, err := similarity.EventDescriptionDistance(cand, gold)
+	ref := similarity.NewReference(gold.Rules())
+	d, err := ref.Distance(ref.Rules(), cand.Rules())
 	if err != nil {
 		return err
 	}
-	fmt.Printf("distance   = %.4f\n", d)
-	fmt.Printf("similarity = %.4f\n", 1-d)
+	fmt.Fprintf(w, "distance   = %.4f\n", d)
+	fmt.Fprintf(w, "similarity = %.4f\n", 1-d)
 	if !perRule {
 		return nil
 	}
+	if len(ref.Rules()) == 0 {
+		fmt.Fprintf(w, "\n%s has no temporal rule to match the candidate's rules against\n", goldPath)
+		return nil
+	}
 	for _, cr := range cand.Rules() {
-		best, bestD := "", 2.0
-		for _, gr := range gold.Rules() {
-			rd, err := similarity.RuleDistance(cr, gr)
-			if err != nil {
-				return err
-			}
-			if rd < bestD {
-				bestD = rd
-				best = gr.Head.String()
+		// The headline distance has already scored this rule against every
+		// gold rule: its row is a table lookup.
+		row, err := ref.Row(cr)
+		if err != nil {
+			return err
+		}
+		best := 0
+		for i, rd := range row {
+			if rd < row[best] {
+				best = i
 			}
 		}
-		fmt.Printf("\n%s\n  closest gold rule: %s (distance %.4f)\n", cr.Head, best, bestD)
+		fmt.Fprintf(w, "\n%s\n  closest gold rule: %s (distance %.4f)\n", cr.Head, ref.Rules()[best].Head, row[best])
 	}
 	return nil
 }

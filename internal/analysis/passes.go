@@ -367,42 +367,11 @@ func runDuplicateClause(ctx *context) []Diagnostic {
 	return out
 }
 
-// canonicalClause renders a clause with variables renamed to V0, V1, ... in
-// first-occurrence order, so variants hash identically.
+// canonicalClause renders a clause with its variables named after the order
+// they first occur in, so variants hash identically.
 func canonicalClause(c *lang.Clause) string {
-	names := c.Vars()
-	cc := c
-	for i, v := range names {
-		cc = renameVarInClause(cc, v, fmt.Sprintf("\x00V%d", i))
-	}
-	return cc.String()
-}
-
-func renameVarInClause(c *lang.Clause, from, to string) *lang.Clause {
-	ren := func(t *lang.Term) *lang.Term { return renameVarInTerm(t, from, to) }
-	n := &lang.Clause{Head: ren(c.Head), Pos: c.Pos}
-	for _, l := range c.Body {
-		n.Body = append(n.Body, lang.Literal{Neg: l.Neg, Atom: ren(l.Atom)})
-	}
-	return n
-}
-
-func renameVarInTerm(t *lang.Term, from, to string) *lang.Term {
-	if t.Kind == lang.Var {
-		if t.Functor == from {
-			return lang.NewVar(to)
-		}
-		return t
-	}
-	if len(t.Args) == 0 {
-		return t
-	}
-	n := *t
-	n.Args = make([]*lang.Term, len(t.Args))
-	for i, a := range t.Args {
-		n.Args[i] = renameVarInTerm(a, from, to)
-	}
-	return &n
+	var vt lang.VarTable
+	return vt.NumberClause(c).SlotNamed().String()
 }
 
 // ---------------------------------------------------------------- R007

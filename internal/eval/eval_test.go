@@ -4,9 +4,11 @@ import (
 	"sync"
 	"testing"
 
+	"rtecgen/internal/lang"
 	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/prompt"
+	"rtecgen/internal/similarity"
 )
 
 func allModels() []prompt.Model {
@@ -248,5 +250,63 @@ func TestGeneratedPrimaryName(t *testing.T) {
 	// Empty result falls back to the gold primary.
 	if got := generatedPrimaryName(prompt.ActivityResult{}, act); got != "trawling" {
 		t.Fatalf("fallback primary = %q", got)
+	}
+}
+
+// TestReferencePerGold: scorings against one gold standard — however many
+// clones of it they are handed — share one prepared reference, a different
+// gold gets its own (so is never answered from another's table), and what
+// the caller does to its event description afterwards does not reach it.
+func TestReferencePerGold(t *testing.T) {
+	gen, err := prompt.RunPipeline(llm.MustNew("Mistral"), prompt.ChainOfThought,
+		maritime.PromptDomain(), maritime.CurriculumRequests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(gold *lang.EventDescription) float64 {
+		t.Helper()
+		s, err := similarity.EventDescriptionSimilarity(gold, gen.ED())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	score := func(gold *lang.EventDescription) float64 {
+		t.Helper()
+		row, err := Score(gold, gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return row.Overall
+	}
+
+	gold, extended := maritime.GoldED(), maritime.ExtensionED()
+	if referenceFor(gold) != referenceFor(maritime.GoldED()) {
+		t.Error("two clones of the gold standard do not share a reference")
+	}
+	if referenceFor(gold) == referenceFor(extended) {
+		t.Fatal("two different gold standards share a reference")
+	}
+	wantGold, wantExtended := fresh(gold), fresh(extended)
+	if wantGold == wantExtended {
+		t.Fatal("the two golds score alike: the test cannot tell their tables apart")
+	}
+	for round := 0; round < 2; round++ { // cold, then from the tables
+		if got := score(gold); got != wantGold {
+			t.Errorf("round %d: gold scores %v, fresh computation %v", round, got, wantGold)
+		}
+		if got := score(extended); got != wantExtended {
+			t.Errorf("round %d: extended gold scores %v, fresh computation %v", round, got, wantExtended)
+		}
+	}
+
+	// Editing the caller's copy makes it a different gold, scored as such.
+	rules := gold.Rules()
+	rules[0].Body = rules[0].Body[:1]
+	if want := fresh(gold); score(gold) != want {
+		t.Errorf("edited gold scores %v, fresh computation %v", score(gold), want)
+	}
+	if got := score(maritime.GoldED()); got != wantGold {
+		t.Errorf("after a caller edited its copy, the gold scores %v, want %v", got, wantGold)
 	}
 }

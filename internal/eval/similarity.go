@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"rtecgen/internal/correct"
 	"rtecgen/internal/lang"
@@ -137,24 +138,60 @@ func ScoreWith(tel *telemetry.Telemetry, gold *lang.EventDescription, gen *promp
 		PerActivity: map[string]float64{},
 		Gen:         gen,
 	}
+	ref := referenceFor(gold)
 	for _, act := range maritime.CompositeActivities() {
-		goldRules := primaryRules(gold.Rules(), act.PrimaryName())
+		goldRules := primaryRules(ref.Rules(), act.PrimaryName())
 		var genRules []*lang.Clause
 		if res, ok := gen.ResultFor(act.Key); ok {
 			genRules = primaryRules(res.Clauses, generatedPrimaryName(res, act))
 		}
-		s, err := similarity.Similarity(goldRules, genRules)
+		d, err := ref.Distance(goldRules, genRules)
 		if err != nil {
 			return Row{}, err
 		}
-		row.PerActivity[act.Key] = s
+		row.PerActivity[act.Key] = 1 - d
 	}
-	all, err := similarity.Similarity(gold.Rules(), gen.ED().Rules())
+	d, err := ref.Distance(ref.Rules(), gen.ED().Rules())
 	if err != nil {
 		return Row{}, err
 	}
-	row.Overall = all
+	row.Overall = 1 - d
 	return row, nil
+}
+
+// references holds one prepared similarity.Reference per distinct gold
+// standard, keyed by the text of its temporal rules, so every scoring of the
+// process — Figure 2a's, Figure 2b's, each refine round's — reads and fills
+// one table of rule-pair distances, and a different gold is never answered
+// from another's. Each Reference owns a copy of its rules: the caller stays
+// free to modify the event description it passed.
+var references struct {
+	sync.Mutex
+	byText map[string]*similarity.Reference
+}
+
+func referenceFor(gold *lang.EventDescription) *similarity.Reference {
+	rules := gold.Rules()
+	var key strings.Builder
+	for _, c := range rules {
+		key.WriteString(c.String())
+		key.WriteByte('\n')
+	}
+	references.Lock()
+	defer references.Unlock()
+	ref, ok := references.byText[key.String()]
+	if !ok {
+		own := make([]*lang.Clause, len(rules))
+		for i, c := range rules {
+			own[i] = c.Clone()
+		}
+		ref = similarity.NewReference(own)
+		if references.byText == nil {
+			references.byText = map[string]*similarity.Reference{}
+		}
+		references.byText[key.String()] = ref
+	}
+	return ref
 }
 
 // primaryRules selects the rules whose head fluent functor matches.

@@ -14,6 +14,49 @@ import (
 // slice mapping each row index to its assigned column, and the total cost.
 // The matrix must be square and its values finite.
 func Solve(cost [][]float64) (assignment []int, total float64, err error) {
+	var s Solver
+	return s.Solve(cost)
+}
+
+// Solver is Solve with its scratch kept between calls: a caller solving
+// many matrices reuses one Solver and allocates only when a matrix is
+// larger than any it has seen. The zero value is ready to use; a Solver is
+// not safe for concurrent use.
+type Solver struct {
+	// Potentials u (rows) and v (columns), and p[j] = the row matched to
+	// column j. Arrays are 1-indexed with index 0 as a virtual slot, per the
+	// classic formulation.
+	u, v []float64
+	p    []int
+	way  []int
+	// Per-row scratch, reset at the top of every row.
+	minv []float64
+	used []bool
+
+	assignment []int
+}
+
+// reset sizes every scratch slice for an n×n matrix and clears what the
+// algorithm reads before it writes: the potentials and the matching (way[j]
+// is written whenever minv[j] becomes finite, and only read after).
+func (s *Solver) reset(n int) {
+	if cap(s.u) < n+1 {
+		s.u, s.v, s.minv = make([]float64, n+1), make([]float64, n+1), make([]float64, n+1)
+		s.p, s.way = make([]int, n+1), make([]int, n+1)
+		s.used = make([]bool, n+1)
+		s.assignment = make([]int, n)
+	}
+	s.u, s.v, s.minv = s.u[:n+1], s.v[:n+1], s.minv[:n+1]
+	s.p, s.way, s.used = s.p[:n+1], s.way[:n+1], s.used[:n+1]
+	s.assignment = s.assignment[:n]
+	for j := 0; j <= n; j++ {
+		s.u[j], s.v[j], s.p[j] = 0, 0, 0
+	}
+}
+
+// Solve is the package-level Solve on the solver's scratch. The returned
+// assignment is the solver's own and is overwritten by its next Solve.
+func (s *Solver) Solve(cost [][]float64) (assignment []int, total float64, err error) {
 	n := len(cost)
 	if n == 0 {
 		return nil, 0, nil
@@ -28,17 +71,8 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 			}
 		}
 	}
-
-	// Potentials u (rows) and v (columns), and p[j] = the row matched to
-	// column j. Arrays are 1-indexed with index 0 as a virtual slot, per the
-	// classic formulation.
-	u := make([]float64, n+1)
-	v := make([]float64, n+1)
-	p := make([]int, n+1)
-	way := make([]int, n+1)
-	// Per-row scratch, reset at the top of every row.
-	minv := make([]float64, n+1)
-	used := make([]bool, n+1)
+	s.reset(n)
+	u, v, p, way, minv, used := s.u, s.v, s.p, s.way, s.minv, s.used
 
 	for i := 1; i <= n; i++ {
 		p[0] = i
@@ -85,11 +119,9 @@ func Solve(cost [][]float64) (assignment []int, total float64, err error) {
 		}
 	}
 
-	assignment = make([]int, n)
+	assignment = s.assignment
 	for j := 1; j <= n; j++ {
-		if p[j] > 0 {
-			assignment[p[j]-1] = j - 1
-		}
+		assignment[p[j]-1] = j - 1
 	}
 	for i := 0; i < n; i++ {
 		total += cost[i][assignment[i]]

@@ -139,6 +139,55 @@ func TestPropMatchesNaive(t *testing.T) {
 	}
 }
 
+func randomMatrix(r *rand.Rand, n int) [][]float64 {
+	cost := make([][]float64, n)
+	for i := range cost {
+		cost[i] = make([]float64, n)
+		for j := range cost[i] {
+			cost[i][j] = float64(r.Intn(64)) / 8
+		}
+	}
+	return cost
+}
+
+// TestSolverReuse: a Solver that has solved a larger matrix gives, on every
+// later one, the assignment and total a fresh Solve gives — nothing of the
+// previous problem (potentials, matching, a longer assignment) shows through
+// — and once it has seen its largest matrix it allocates nothing.
+func TestSolverReuse(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	big, small := randomMatrix(r, 12), randomMatrix(r, 3)
+	var s Solver
+	for step, cost := range [][][]float64{big, small, big, randomMatrix(r, 1), small, big} {
+		wantAssign, wantTotal, err := Solve(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assign, total, err := s.Solve(cost)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(assign) != fmt.Sprint(wantAssign) || total != wantTotal {
+			t.Fatalf("step %d (n=%d): reused solver %v total %v, fresh Solve %v total %v",
+				step, len(cost), assign, total, wantAssign, wantTotal)
+		}
+	}
+	if _, _, err := s.Solve([][]float64{{1, 2}, {3}}); err == nil {
+		t.Fatal("ragged matrix accepted")
+	}
+	_, wantSmall, _ := Solve(small)
+	if _, total, err := s.Solve(small); err != nil || total != wantSmall {
+		t.Fatalf("after a rejected matrix: total %v, err %v, want %v", total, err, wantSmall)
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		s.Solve(big)   //nolint:errcheck // solved above
+		s.Solve(small) //nolint:errcheck
+	})
+	if allocs != 0 {
+		t.Fatalf("a warmed-up Solver allocates %.0f objects per pair of solves, want 0", allocs)
+	}
+}
+
 func BenchmarkSolve(b *testing.B) {
 	r := rand.New(rand.NewSource(1))
 	for _, n := range []int{4, 8, 16, 32, 64, 128} {

@@ -2,16 +2,15 @@ package similarity
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"rtecgen/internal/lang"
 	"rtecgen/internal/parser"
 )
 
-// manyRules builds n structurally varied rules so the whole-description
-// cost matrix exceeds minParallelCells.
+// manyRules builds n structurally varied rules.
 func manyRules(t *testing.T, n int, prefix string) []*lang.Clause {
 	t.Helper()
 	var src strings.Builder
@@ -27,82 +26,49 @@ func manyRules(t *testing.T, n int, prefix string) []*lang.Clause {
 	return ed.Rules()
 }
 
-// withProcs raises GOMAXPROCS for the test so fillCost takes its parallel
-// path even on a single-core runner.
-func withProcs(t *testing.T, n int) {
-	t.Helper()
-	prev := runtime.GOMAXPROCS(n)
-	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
-}
-
-func TestFillCostParallelMatchesSequential(t *testing.T) {
-	const m, k = 40, 33
-	dist := func(i, j int) float64 { return float64(i*31+j) / float64(m*k) }
-	mk := func() [][]float64 {
-		c := make([][]float64, m)
-		for i := range c {
-			c[i] = make([]float64, m)
-		}
-		return c
-	}
-
-	seq := mk()
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			seq[i][j] = dist(i, j)
-		}
-	}
-
-	withProcs(t, 8)
-	par := mk()
-	fillCost(par, m, k, dist)
-	for i := range seq {
-		for j := range seq[i] {
-			if seq[i][j] != par[i][j] {
-				t.Fatalf("cell (%d,%d) = %v, want %v", i, j, par[i][j], seq[i][j])
-			}
-		}
-	}
-}
-
-func TestFillCostPropagatesPanic(t *testing.T) {
-	withProcs(t, 8)
-	const m, k = 32, 32
-	cost := make([][]float64, m)
-	for i := range cost {
-		cost[i] = make([]float64, m)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("panic did not propagate")
-		}
-	}()
-	fillCost(cost, m, k, func(i, j int) float64 {
-		if i == 17 && j == 3 {
-			panic("bad cell")
-		}
-		return 0
-	})
-}
-
-// TestSimilarityParallelDeterministic: the headline metric is unchanged by
-// the parallel cost fill, on rule sets big enough to cross the
-// minParallelCells threshold.
+// TestSimilarityParallelDeterministic: one Reference scored from 8
+// goroutines at once — all of them missing the same rows of a cold table,
+// each also scoring a subset of its own — answers every one of them what a
+// sequential Distance answers. Under -race (ci.sh runs it so) it is also
+// the check that the table is the only state the goroutines share.
 func TestSimilarityParallelDeterministic(t *testing.T) {
+	const goroutines = 8
 	kb1 := manyRules(t, 24, "p")
-	kb2 := manyRules(t, 20, "q")
-	want, err := Similarity(kb1, kb2)
-	if err != nil {
-		t.Fatal(err)
+	cands := [][]*lang.Clause{manyRules(t, 20, "q"), manyRules(t, 30, "p"), kb1[:7]}
+	// want[g][i]: goroutine g scores the first 24-g reference rules.
+	want := make([][]float64, goroutines)
+	for g := range want {
+		for _, kb2 := range cands {
+			d, err := Distance(kb1[:24-g], kb2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want[g] = append(want[g], d)
+		}
 	}
-	withProcs(t, 8)
 	for round := 0; round < 5; round++ {
-		got, err := Similarity(kb1, kb2)
-		if err != nil {
-			t.Fatal(err)
+		ref := NewReference(kb1)
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				for n := range cands {
+					i := (g + n) % len(cands)
+					for _, sub := range []int{0, g} {
+						got, err := ref.Distance(ref.Rules()[:24-sub], cands[i])
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						if got != want[sub][i] {
+							t.Errorf("round %d goroutine %d: %d rules × candidate set %d: concurrent %v, sequential %v",
+								round, g, 24-sub, i, got, want[sub][i])
+						}
+					}
+				}
+			}(g)
 		}
-		if got != want {
-			t.Fatalf("round %d: parallel similarity %v, sequential %v", round, got, want)
-		}
+		wg.Wait()
 	}
 }

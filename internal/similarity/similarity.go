@@ -10,11 +10,6 @@
 package similarity
 
 import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"rtecgen/internal/hungarian"
 	"rtecgen/internal/lang"
 )
@@ -76,102 +71,70 @@ func sameShape(a, b *lang.Term) bool {
 	return false
 }
 
-// assignmentDistance realises Definitions 4.3 and 4.5 generically: given a
-// set of na items and a set of nb items with a pairwise distance function,
-// it builds the square max(na,nb) cost matrix padded with zero columns for
-// unmatched items, solves the optimal mapping with Kuhn-Munkres, and returns
-// (1/M)((M-K) + sum of matched distances) where M >= K.
-func assignmentDistance(na, nb int, dist func(i, j int) float64) (float64, error) {
+// assignment is the reusable workspace of Definitions 4.3 and 4.5: a square
+// cost matrix whose rows share one backing array, and the Kuhn-Munkres
+// solver's scratch. A caller scoring many pairs keeps one and allocates only
+// when a pair is larger than any it has seen.
+type assignment struct {
+	cells  []float64
+	cost   [][]float64
+	solver hungarian.Solver
+}
+
+// match realises the optimal mapping of Definitions 4.3 and 4.5 generically:
+// given a set of na items and a set of nb items with a pairwise distance
+// function, it builds the square M = max(na,nb) cost matrix, padded with
+// zero columns for the M-K unmatched items, solves it with Kuhn-Munkres and
+// returns M, K and the sum of the matched distances. The larger set indexes
+// the rows, whichever argument it is.
+func (a *assignment) match(na, nb int, dist func(i, j int) float64) (m, k int, total float64, err error) {
+	m, k = na, nb
 	if na < nb {
-		return assignmentDistance(nb, na, func(i, j int) float64 { return dist(j, i) })
+		m, k = nb, na
 	}
-	m, k := na, nb
 	if m == 0 {
-		return 0, nil
+		return 0, 0, 0, nil
 	}
-	cost := squareMatrix(m)
-	fillCost(cost, m, k, dist)
-	_, total, err := hungarian.Solve(cost)
-	if err != nil {
+	if len(a.cells) < m*m {
+		a.cells = make([]float64, m*m)
+	}
+	if len(a.cost) < m {
+		a.cost = make([][]float64, m)
+	}
+	cost := a.cost[:m]
+	for i := range cost {
+		row := a.cells[i*m : (i+1)*m : (i+1)*m]
+		for j := 0; j < k; j++ {
+			if na < nb {
+				row[j] = dist(j, i)
+			} else {
+				row[j] = dist(i, j)
+			}
+		}
+		for j := k; j < m; j++ {
+			row[j] = 0
+		}
+		cost[i] = row
+	}
+	_, total, err = a.solver.Solve(cost)
+	return m, k, total, err
+}
+
+// setDistance is (1/M)((M-K) + sum of matched distances), the distance of
+// Definition 4.5 over any pairwise distance.
+func (a *assignment) setDistance(na, nb int, dist func(i, j int) float64) (float64, error) {
+	m, k, total, err := a.match(na, nb, dist)
+	if err != nil || m == 0 {
 		return 0, err
 	}
 	return (float64(m-k) + total) / float64(m), nil
 }
 
-// squareMatrix returns a zeroed m×m cost matrix whose rows share one backing
-// array.
-func squareMatrix(m int) [][]float64 {
-	cells := make([]float64, m*m)
-	cost := make([][]float64, m)
-	for i := range cost {
-		cost[i] = cells[i*m : (i+1)*m : (i+1)*m]
-	}
-	return cost
-}
-
-// minParallelCells is the matrix size below which the cost of spawning
-// workers exceeds the cell computations; smaller matrices fill inline.
-const minParallelCells = 256
-
-// fillCost computes cost[i][j] = dist(i, j) for the m×k populated block,
-// distributing rows over up to GOMAXPROCS workers. Every cell is a pure
-// function of its indices, so the filled matrix — and with it the optimal
-// assignment — is identical at any worker count. Panics raised by dist
-// (Distance deliberately panics on impossible rule-distance failures) are
-// re-raised on the calling goroutine.
-func fillCost(cost [][]float64, m, k int, dist func(i, j int) float64) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > m {
-		workers = m
-	}
-	if workers <= 1 || m*k < minParallelCells {
-		for i := 0; i < m; i++ {
-			for j := 0; j < k; j++ {
-				cost[i][j] = dist(i, j)
-			}
-		}
-		return
-	}
-	var (
-		next    int64
-		wg      sync.WaitGroup
-		panicMu sync.Mutex
-		panicV  any
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					panicMu.Lock()
-					if panicV == nil {
-						panicV = r
-					}
-					panicMu.Unlock()
-				}
-			}()
-			for {
-				i := int(atomic.AddInt64(&next, 1)) - 1
-				if i >= m {
-					return
-				}
-				for j := 0; j < k; j++ {
-					cost[i][j] = dist(i, j)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if panicV != nil {
-		panic(panicV)
-	}
-}
-
 // SetDistance computes the distance between two sets of ground expressions
 // (Definition 4.5).
 func SetDistance(ea, eb []*lang.Term) (float64, error) {
-	return assignmentDistance(len(ea), len(eb), func(i, j int) float64 {
+	var a assignment
+	return a.setDistance(len(ea), len(eb), func(i, j int) float64 {
 		return GroundDistance(ea[i], eb[j])
 	})
 }
@@ -220,37 +183,36 @@ func ExprDistance(u1, u2 *lang.Term, via, vib lang.VarInstances) float64 {
 // 1, and the total is normalised by M+1 where M is the size of the larger
 // body.
 func RuleDistance(r1, r2 *lang.Clause) (float64, error) {
-	return ruleDistance(r1, r2, lang.InstancesOfRule(r1), lang.InstancesOfRule(r2))
+	var a assignment
+	return ruleDistance(prepareRule(r1), prepareRule(r2), &a)
 }
 
-// ruleDistance is RuleDistance over precomputed variable-instance lists
-// (via of r1, vib of r2), so a caller comparing many rule pairs derives each
-// rule's lists once.
-func ruleDistance(r1, r2 *lang.Clause, via, vib lang.VarInstances) (float64, error) {
-	if len(r1.Body) < len(r2.Body) {
+// rule is what Definition 4.12 reads of a rule, derived once however many
+// rules it is compared with: its conditions as expressions (a negated
+// condition wrapped in not/1) and the instance list of each variable.
+type rule struct {
+	head *lang.Term
+	body []*lang.Term
+	vi   lang.VarInstances
+}
+
+func prepareRule(c *lang.Clause) rule {
+	r := rule{head: c.Head, body: make([]*lang.Term, len(c.Body)), vi: lang.InstancesOfRule(c)}
+	for i, l := range c.Body {
+		r.body[i] = l.Term()
+	}
+	return r
+}
+
+// ruleDistance is RuleDistance over prepared rules and a reusable workspace.
+func ruleDistance(r1, r2 rule, a *assignment) (float64, error) {
+	if len(r1.body) < len(r2.body) {
 		r1, r2 = r2, r1
-		via, vib = vib, via
 	}
-	m, k := len(r1.Body), len(r2.Body)
-	headDist := ExprDistance(r1.Head, r2.Head, via, vib)
-	if m == 0 {
-		return headDist, nil
-	}
-	b1 := make([]*lang.Term, m)
-	for i, l := range r1.Body {
-		b1[i] = l.Term()
-	}
-	b2 := make([]*lang.Term, k)
-	for j, l := range r2.Body {
-		b2[j] = l.Term()
-	}
-	cost := squareMatrix(m)
-	for i := 0; i < m; i++ {
-		for j := 0; j < k; j++ {
-			cost[i][j] = ExprDistance(b1[i], b2[j], via, vib)
-		}
-	}
-	_, total, err := hungarian.Solve(cost)
+	headDist := ExprDistance(r1.head, r2.head, r1.vi, r2.vi)
+	m, k, total, err := a.match(len(r1.body), len(r2.body), func(i, j int) float64 {
+		return ExprDistance(r1.body[i], r2.body[j], r1.vi, r2.vi)
+	})
 	if err != nil {
 		return 0, err
 	}
@@ -266,26 +228,10 @@ func RuleSimilarity(r1, r2 *lang.Clause) (float64, error) {
 // Distance computes the distance between two event descriptions given as
 // rule sets (Definition 4.14): the optimal assignment between the rules of
 // the larger set KB1 (M rules) and the smaller KB2 (K rules), with every
-// unmatched rule penalised by 1, normalised by M.
+// unmatched rule penalised by 1, normalised by M. A caller scoring several
+// rule sets against one kb1 prepares it once with NewReference.
 func Distance(kb1, kb2 []*lang.Clause) (float64, error) {
-	vi1, vi2 := instancesOfRules(kb1), instancesOfRules(kb2)
-	return assignmentDistance(len(kb1), len(kb2), func(i, j int) float64 {
-		d, err := ruleDistance(kb1[i], kb2[j], vi1[i], vi2[j])
-		if err != nil {
-			// RuleDistance only fails on a non-finite cost matrix, which
-			// cannot arise from ExprDistance values in [0,1].
-			panic(fmt.Sprintf("similarity: rule distance failed: %v", err))
-		}
-		return d
-	})
-}
-
-func instancesOfRules(rules []*lang.Clause) []lang.VarInstances {
-	out := make([]lang.VarInstances, len(rules))
-	for i, r := range rules {
-		out[i] = lang.InstancesOfRule(r)
-	}
-	return out
+	return NewReference(kb1).Distance(kb1, kb2)
 }
 
 // Similarity is 1 - Distance: the headline metric of the paper, in [0,1],
