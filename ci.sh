@@ -317,6 +317,14 @@ if ! cmp -s "$tmp/delta.csv" "$tmp/delta-resumed.csv"; then
     diff "$tmp/delta.csv" "$tmp/delta-resumed.csv" >&2 || true
     exit 1
 fi
+# The resumed run re-encodes its frozen windows from the restored slots: the
+# last two checkpoint generations must be the uninterrupted run's.
+for gen in "" .prev; do
+    if ! cmp -s "$tmp/delta.ckpt$gen" "$tmp/delta-crash.ckpt$gen"; then
+        echo "delta gate: checkpoint generation '$gen' of the resumed run differs from the uninterrupted run's" >&2
+        exit 1
+    fi
+done
 
 echo "== shard chaos gate (supervised shards must recover byte-identically)"
 # Run the supervised shard runtime over the shuffled stream twice with the

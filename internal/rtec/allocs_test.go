@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"rtecgen/internal/maritime"
+	"rtecgen/internal/stream"
 )
 
 // windowAllocCeiling bounds the heap allocations of one evaluation of the
@@ -17,20 +18,29 @@ import (
 // a wall-clock benchmark.
 const windowAllocCeiling = 5200
 
-func TestWindowAllocCeiling(t *testing.T) {
+// goldScenario loads the gold event description of the 14-vessel seed-7
+// scenario, the input of every allocation-count gate, and returns the engine
+// with the scenario's events in time order.
+func goldScenario(t *testing.T, workers int) (*Engine, stream.Stream) {
+	t.Helper()
 	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
 	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
 	events.Sort()
-	first, _ := events.TimeRange()
-	window := events.Window(first, first+3600)
 	ed := maritime.FullED(maritime.GoldED(), scen.Map, scen.Fleet, maritime.ObservedPairs(events))
-	e, err := New(ed, Options{Strict: true, ExtraFacts: maritime.DynamicFacts(events, scen.Fleet), Workers: 1})
+	e, err := New(ed, Options{Strict: true, ExtraFacts: maritime.DynamicFacts(events, scen.Fleet), Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return e, events
+}
+
+func TestWindowAllocCeiling(t *testing.T) {
+	e, events := goldScenario(t, 1)
+	first, _ := events.TimeRange()
+	window := events.Window(first, first+3600)
 	var recognised int
 	allocs := testing.AllocsPerRun(5, func() {
 		rec, err := e.Run(window, RunOptions{})

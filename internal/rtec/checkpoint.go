@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -44,6 +43,14 @@ type checkpointFile struct {
 // inertia carry-over and the reorder buffer keeps the events that may still
 // be re-evaluated.
 type checkpointPayload struct {
+	checkpointHeader
+	Slots []ckptSlot `json:"slots"`
+}
+
+// checkpointHeader is every field of the payload ahead of the slots: the part
+// a write encodes afresh each time. The slots follow it in the file, encoded
+// one by one (see encodeSnapshot).
+type checkpointHeader struct {
 	EDSum    string `json:"ed_sum"`
 	Window   int64  `json:"window"`
 	Slide    int64  `json:"slide"`
@@ -67,7 +74,6 @@ type checkpointPayload struct {
 	Started  bool         `json:"started"`
 	Disorder ckptDisorder `json:"disorder"`
 	Buffered []ckptEvent  `json:"buffered"`
-	Slots    []ckptSlot   `json:"slots"`
 }
 
 type ckptDisorder struct {
@@ -98,14 +104,6 @@ type ckptSlot struct {
 	NextOpen   []ckptFVP `json:"next_open"`
 }
 
-// edFingerprint identifies the loaded event description: a resumed run must
-// be driven by the same rules that wrote the snapshot.
-func (e *Engine) edFingerprint() string {
-	h := fnv.New64a()
-	io.WriteString(h, e.ed.String())
-	return fmt.Sprintf("%016x", h.Sum64())
-}
-
 func fvpToCkpt(fvp *lang.Term, ivals intervals.List) ckptFVP {
 	out := ckptFVP{Fluent: fvp.Args[0].String(), Value: fvp.Args[1].String()}
 	for _, iv := range ivals {
@@ -130,11 +128,10 @@ func fvpFromCkpt(c ckptFVP) (*lang.Term, intervals.List, error) {
 	return lang.FVP(f, v), list, nil
 }
 
-// snapshot captures the current run state as a payload with deterministic
-// ordering (FVPs sorted by key), so identical states serialise identically.
-func (st *streamRun) snapshot() checkpointPayload {
+// header captures the run state outside the slots.
+func (st *streamRun) header() checkpointHeader {
 	rs := st.reorder.State()
-	p := checkpointPayload{
+	h := checkpointHeader{
 		EDSum:  st.eng.edFingerprint(),
 		Window: st.tl.window, Slide: st.tl.slide,
 		Start: st.tl.start, End: st.tl.end,
@@ -152,30 +149,90 @@ func (st *streamRun) snapshot() checkpointPayload {
 		},
 	}
 	for _, e := range rs.Buffered {
-		p.Buffered = append(p.Buffered, ckptEvent{T: e.Time, Atom: e.Atom.String()})
+		h.Buffered = append(h.Buffered, ckptEvent{T: e.Time, Atom: e.Atom.String()})
 	}
-	for i := 0; i < st.emitted; i++ {
-		slot := st.slots[i]
-		cs := ckptSlot{Revision: slot.revision}
-		keys := make([]string, 0, len(slot.eval.recognised))
-		for k := range slot.eval.recognised {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			cs.Recognised = append(cs.Recognised, fvpToCkpt(slot.eval.fvps[k], slot.eval.recognised[k]))
-		}
-		open := make([]string, 0, len(slot.eval.nextOpen))
-		for k := range slot.eval.nextOpen {
-			open = append(open, k)
-		}
-		sort.Strings(open)
-		for _, k := range open {
-			cs.NextOpen = append(cs.NextOpen, fvpToCkpt(slot.eval.nextOpen[k], nil))
-		}
-		p.Slots = append(p.Slots, cs)
+	return h
+}
+
+// snapshotSlot captures one emitted slot with deterministic ordering (FVPs
+// sorted by key), so identical states serialise identically.
+func snapshotSlot(slot *windowSlot) ckptSlot {
+	cs := ckptSlot{Revision: slot.revision}
+	keys := make([]string, 0, len(slot.eval.recognised))
+	for k := range slot.eval.recognised {
+		keys = append(keys, k)
 	}
-	return p
+	sort.Strings(keys)
+	for _, k := range keys {
+		cs.Recognised = append(cs.Recognised, fvpToCkpt(slot.eval.fvps[k], slot.eval.recognised[k]))
+	}
+	open := make([]string, 0, len(slot.eval.nextOpen))
+	for k := range slot.eval.nextOpen {
+		open = append(open, k)
+	}
+	sort.Strings(open)
+	for _, k := range open {
+		cs.NextOpen = append(cs.NextOpen, fvpToCkpt(slot.eval.nextOpen[k], nil))
+	}
+	return cs
+}
+
+// appendSlot appends slot i as it stands in the payload's "slots" array: the
+// array's opening bracket before the first slot, a comma before every other,
+// then the slot's JSON.
+func (st *streamRun) appendSlot(dst []byte, i int) ([]byte, error) {
+	enc, err := json.Marshal(snapshotSlot(&st.slots[i]))
+	if err != nil {
+		return dst, err
+	}
+	if i == 0 {
+		dst = append(dst, '[')
+	} else {
+		dst = append(dst, ',')
+	}
+	return append(dst, enc...), nil
+}
+
+// encodeSnapshot returns the checkpoint envelope of the current run state as
+// the byte runs that make it up, in file order. The bytes are those
+// json.Marshal gives for a checkpointFile around the whole checkpointPayload,
+// at the cost of what changed since the previous call:
+// slots[:final] can never be touched again (see streamRun.final), so each is
+// encoded once, into st.frozen, when the cursor has passed it; the header, the
+// reorder buffer and the revisable tail slots[final:emitted] are encoded per
+// call. The checksum is taken over the payload's runs in order, so the
+// payload is never assembled in one piece.
+func (st *streamRun) encodeSnapshot() ([][]byte, error) {
+	var err error
+	for ; st.frozenN < st.final; st.frozenN++ {
+		if st.frozen, err = st.appendSlot(st.frozen, st.frozenN); err != nil {
+			return nil, err
+		}
+	}
+	head, err := json.Marshal(st.header())
+	if err != nil {
+		return nil, err
+	}
+	head = append(head[:len(head)-1], `,"slots":`...) // reopen the object
+	var tail []byte
+	for i := st.final; i < st.emitted; i++ {
+		if tail, err = st.appendSlot(tail, i); err != nil {
+			return nil, err
+		}
+	}
+	if st.emitted == 0 {
+		tail = append(tail, "null}"...) // a nil slice, as json.Marshal prints it
+	} else {
+		tail = append(tail, "]}"...)
+	}
+	h := fnv.New64a()
+	h.Write(head)
+	h.Write(st.frozen)
+	h.Write(tail)
+	tail = append(tail, '}') // closes the envelope
+	envelope := fmt.Appendf(nil, `{"magic":"%s","version":%d,"checksum":"%016x","payload":`,
+		checkpointMagic, checkpointVersion, h.Sum64())
+	return [][]byte{envelope, head, st.frozen, tail}, nil
 }
 
 // writeCheckpoint takes a cadence snapshot. The write is counted before
@@ -229,18 +286,7 @@ func (st *streamRun) writeSuspendCheckpoint() error {
 // least one intact, checksum-verified generation. It returns the size of
 // the written envelope in bytes.
 func (st *streamRun) writeSnapshotFile() (int, error) {
-	payload, err := json.Marshal(st.snapshot())
-	if err != nil {
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
-	}
-	h := fnv.New64a()
-	h.Write(payload)
-	data, err := json.Marshal(checkpointFile{
-		Magic:    checkpointMagic,
-		Version:  checkpointVersion,
-		Checksum: fmt.Sprintf("%016x", h.Sum64()),
-		Payload:  payload,
-	})
+	runs, err := st.encodeSnapshot()
 	if err != nil {
 		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
 	}
@@ -249,10 +295,14 @@ func (st *streamRun) writeSnapshotFile() (int, error) {
 	if err != nil {
 		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+	n := 0
+	for _, run := range runs {
+		if _, err := tmp.Write(run); err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+			return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+		}
+		n += len(run)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -282,7 +332,7 @@ func (st *streamRun) writeSnapshotFile() (int, error) {
 		d.Sync()
 		d.Close()
 	}
-	return len(data), nil
+	return n, nil
 }
 
 // Checkpoint is a loaded, checksum-verified snapshot of a streaming run.
@@ -357,6 +407,9 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 	}
 	if p.Emitted > len(st.slots) {
 		return fmt.Errorf("rtec: checkpoint has %d windows, the run plans only %d", p.Emitted, len(st.slots))
+	}
+	if p.Consumed < 0 || p.Emitted < 0 || len(p.Slots) != p.Emitted {
+		return fmt.Errorf("rtec: checkpoint is inconsistent: consumed=%d, %d windows emitted but %d slots recorded", p.Consumed, p.Emitted, len(p.Slots))
 	}
 
 	buffered := make(stream.Stream, 0, len(p.Buffered))

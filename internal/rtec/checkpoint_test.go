@@ -1,12 +1,16 @@
 package rtec
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
+	"sort"
 	"strings"
 	"testing"
 
@@ -95,37 +99,107 @@ func TestCheckpointResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// explicitBounds returns opts with the run bounds RunStream derives from the
+// whole stream, for driving the same run through a StreamRunner.
+func explicitBounds(opts StreamOptions, arrivals stream.Stream) StreamOptions {
+	first, last := arrivals.TimeRange()
+	opts.Start, opts.End = first, last+1
+	return opts
+}
+
+// generation is one checkpoint write as it left the disk: the file and the
+// generation rotated aside under checkpointPrevSuffix (nil before the second).
+type generation struct{ file, prev []byte }
+
+// ingestRecording feeds arrivals[from:] through r and returns what every
+// checkpoint write left on disk, keyed by the run's checkpoint count.
+func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from int) map[int64]generation {
+	t.Helper()
+	gens := map[int64]generation{}
+	path := r.st.opts.CheckpointPath
+	for _, a := range arrivals[from:] {
+		before := r.Checkpoints()
+		if err := r.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+		if r.Checkpoints() == before {
+			continue
+		}
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev, _ := os.ReadFile(path + checkpointPrevSuffix)
+		gens[r.Checkpoints()] = generation{file, prev}
+	}
+	return gens
+}
+
+// TestCheckpointResumeAtEveryCrashPoint kills a checkpointed run after every
+// window count in turn and resumes it. The resumed run starts with no frozen
+// encoding and rebuilds it from the restored slots as the revision cursor
+// passes them, so beyond the final CSV every generation it writes (file and
+// .prev) must equal, byte for byte, the generation of the same count the
+// uninterrupted run wrote.
 func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	arrivals := chaosArrivals(t, 11, 40)
-	base := StreamOptions{
-		RunOptions: RunOptions{Window: 80},
-		MaxDelay:   40,
-	}
-	want, err := e.RunStream(arrivals, base, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantCSV := csvOf(t, want.Recognition)
+	for _, geom := range []struct {
+		name  string
+		slide int64
+	}{{"tumbling", 0}, {"sliding", 20}} {
+		t.Run(geom.name, func(t *testing.T) {
+			base := explicitBounds(StreamOptions{
+				RunOptions:      RunOptions{Window: 80, Slide: geom.slide},
+				MaxDelay:        40,
+				CheckpointEvery: 1,
+			}, arrivals)
 
-	var windows int
-	if _, err := e.RunStream(arrivals, base, func(WindowResult) error { windows++; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	for crash := 1; crash < windows; crash++ {
-		opts := base
-		opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
-		opts.CheckpointEvery = 1
-		if _, err := e.RunStream(arrivals, opts, crashAfter(crash)); !errors.Is(err, errCrash) {
-			t.Fatalf("crash %d: err = %v", crash, err)
-		}
-		got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
-		if err != nil {
-			t.Fatalf("crash %d: resume: %v", crash, err)
-		}
-		if csvOf(t, got.Recognition) != wantCSV {
-			t.Fatalf("crash after %d windows: resumed CSV differs", crash)
-		}
+			opts := base
+			opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+			whole, err := e.NewStreamRunner(opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantGens := ingestRecording(t, whole, arrivals, 0)
+			want, err := whole.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantCSV := csvOf(t, want.Recognition)
+			windows := whole.Windows()
+
+			for crash := 1; crash < windows; crash++ {
+				opts := base
+				opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
+				if _, err := e.RunStream(arrivals, opts, crashAfter(crash)); !errors.Is(err, errCrash) {
+					t.Fatalf("crash %d: err = %v", crash, err)
+				}
+				cp, _, err := LoadCheckpointWithFallback(opts.CheckpointPath)
+				if err != nil {
+					t.Fatalf("crash %d: %v", crash, err)
+				}
+				r, err := e.ResumeStreamRunner(cp, opts, nil)
+				if err != nil {
+					t.Fatalf("crash %d: resume: %v", crash, err)
+				}
+				for n, got := range ingestRecording(t, r, arrivals, cp.Consumed) {
+					if !bytes.Equal(got.file, wantGens[n].file) {
+						t.Fatalf("crash after %d windows: resumed generation %d differs from the uninterrupted run's", crash, n)
+					}
+					if !bytes.Equal(got.prev, wantGens[n].prev) {
+						t.Fatalf("crash after %d windows: resumed generation %d keeps a different .prev", crash, n)
+					}
+				}
+				got, err := r.Finish()
+				if err != nil {
+					t.Fatalf("crash %d: finish: %v", crash, err)
+				}
+				if csvOf(t, got.Recognition) != wantCSV {
+					t.Fatalf("crash after %d windows: resumed CSV differs", crash)
+				}
+			}
+		})
 	}
 }
 
@@ -389,5 +463,272 @@ func TestResumeFromTruncatedCheckpoint(t *testing.T) {
 	if _, _, err := LoadCheckpointWithFallback(opts.CheckpointPath); err == nil ||
 		!strings.Contains(err.Error(), "previous generation") {
 		t.Fatalf("double corruption err = %v", err)
+	}
+}
+
+// referenceSnapshot is the whole-snapshot encoder every checkpoint was
+// written with before the frozen-prefix cache: every emitted slot snapshotted
+// afresh, the payload marshalled in one piece. Kept as the oracle the
+// incremental encoder (streamRun.encodeSnapshot) is compared against.
+func referenceSnapshot(st *streamRun) checkpointPayload {
+	rs := st.reorder.State()
+	p := checkpointPayload{checkpointHeader: checkpointHeader{
+		EDSum:  st.eng.edFingerprint(),
+		Window: st.tl.window, Slide: st.tl.slide,
+		Start: st.tl.start, End: st.tl.end,
+		MaxDelay:    st.opts.MaxDelay,
+		Consumed:    st.consumed,
+		Emitted:     st.emitted,
+		Revisions:   st.stats.Revisions,
+		Checkpoints: st.stats.Checkpoints,
+		SinceCkpt:   st.sinceCkpt,
+		Frontier:    rs.Frontier,
+		Started:     rs.Started,
+		Disorder: ckptDisorder{
+			Observed: rs.Stats.Observed, Accepted: rs.Stats.Accepted,
+			Late: rs.Stats.Late, Duplicates: rs.Stats.Duplicates, Dropped: rs.Stats.Dropped,
+		},
+	}}
+	for _, e := range rs.Buffered {
+		p.Buffered = append(p.Buffered, ckptEvent{T: e.Time, Atom: e.Atom.String()})
+	}
+	for i := 0; i < st.emitted; i++ {
+		slot := st.slots[i]
+		cs := ckptSlot{Revision: slot.revision}
+		keys := make([]string, 0, len(slot.eval.recognised))
+		for k := range slot.eval.recognised {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			cs.Recognised = append(cs.Recognised, fvpToCkpt(slot.eval.fvps[k], slot.eval.recognised[k]))
+		}
+		open := make([]string, 0, len(slot.eval.nextOpen))
+		for k := range slot.eval.nextOpen {
+			open = append(open, k)
+		}
+		sort.Strings(open)
+		for _, k := range open {
+			cs.NextOpen = append(cs.NextOpen, fvpToCkpt(slot.eval.nextOpen[k], nil))
+		}
+		p.Slots = append(p.Slots, cs)
+	}
+	return p
+}
+
+// referenceEnvelope marshals a payload into the checkpoint file the
+// whole-snapshot writer produced: the checksum over the marshalled payload,
+// then json.Marshal of the envelope around it.
+func referenceEnvelope(t *testing.T, p checkpointPayload) []byte {
+	t.Helper()
+	payload, err := json.Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(payload)
+	data, err := json.Marshal(checkpointFile{
+		Magic:    checkpointMagic,
+		Version:  checkpointVersion,
+		Checksum: fmt.Sprintf("%016x", h.Sum64()),
+		Payload:  payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestCheckpointBytesMatchFullEncode: after every generation — cadence
+// checkpoints and suspend checkpoints taken mid-cadence alike — the file on
+// disk is the reference encoding of the run's state and the generation
+// rotated aside is the previous write, whatever the geometry, the arrival
+// order and the evaluation mode.
+func TestCheckpointBytesMatchFullEncode(t *testing.T) {
+	shuffled := chaosArrivals(t, 7, 60)
+	inOrder := append(stream.Stream(nil), shuffled...)
+	inOrder.Sort()
+	for _, geom := range []struct {
+		name  string
+		slide int64
+	}{{"tumbling", 0}, {"slide=w/4", 30}, {"slide=w/12", 10}} {
+		for _, order := range []struct {
+			name     string
+			arrivals stream.Stream
+		}{{"in-order", inOrder}, {"shuffled", shuffled}} {
+			for _, noDelta := range []bool{false, true} {
+				for _, every := range []int{1, 3} {
+					name := fmt.Sprintf("%s/%s/noDelta=%v/every=%d", geom.name, order.name, noDelta, every)
+					t.Run(name, func(t *testing.T) {
+						e := mustEngine(t, withinAreaED, Options{Strict: true, DisableDelta: noDelta})
+						opts := explicitBounds(StreamOptions{
+							RunOptions:      RunOptions{Window: 120, Slide: geom.slide},
+							MaxDelay:        60,
+							CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
+							CheckpointEvery: every,
+						}, order.arrivals)
+						r, err := e.NewStreamRunner(opts, nil)
+						if err != nil {
+							t.Fatal(err)
+						}
+						defer r.Abort()
+						st := r.st
+						var last []byte
+						cadence, suspends := 0, 0
+						check := func(what string, at int) {
+							t.Helper()
+							got, err := os.ReadFile(opts.CheckpointPath)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := referenceEnvelope(t, referenceSnapshot(st)); !bytes.Equal(got, want) {
+								t.Fatalf("%s checkpoint after arrival %d (%d windows, %d final) is not the reference encoding:\n have %s\n want %s",
+									what, at, st.emitted, st.final, got, want)
+							}
+							if prev, _ := os.ReadFile(opts.CheckpointPath + checkpointPrevSuffix); !bytes.Equal(prev, last) {
+								t.Fatalf("%s checkpoint after arrival %d rotated aside something other than the previous generation", what, at)
+							}
+							last = got
+						}
+						for i, a := range order.arrivals {
+							before := r.Checkpoints()
+							if err := r.Ingest(a); err != nil {
+								t.Fatal(err)
+							}
+							switch {
+							case r.Checkpoints() != before:
+								cadence++
+								check("cadence", i)
+							case st.sinceCkpt > 0 && i%5 == 0:
+								if err := st.writeSuspendCheckpoint(); err != nil {
+									t.Fatal(err)
+								}
+								suspends++
+								check("suspend", i)
+							}
+						}
+						if cadence == 0 || st.final < 2 || (every > 1 && suspends == 0) {
+							t.Fatalf("%d cadence and %d mid-cadence suspend checkpoints, %d final windows: the run does not exercise the frozen prefix", cadence, suspends, st.final)
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestRestoreRejectsInconsistentSlotCount: the checksum is fnv, not a MAC —
+// any writer can produce an envelope that verifies — so restore must not
+// trust the payload's slot list to agree with its window count.
+func TestRestoreRejectsInconsistentSlotCount(t *testing.T) {
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	path, opts, arrivals := writeTestCheckpoint(t, e)
+	cp, err := LoadCheckpoint(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(p *checkpointPayload)
+		want   string
+	}{
+		{"more slots than the run plans", func(p *checkpointPayload) {
+			for len(p.Slots) <= 8 {
+				p.Slots = append(p.Slots, p.Slots[0])
+			}
+		}, fmt.Sprintf("%d windows emitted but 9 slots", cp.Windows)},
+		{"fewer slots than windows", func(p *checkpointPayload) {
+			p.Slots = p.Slots[:len(p.Slots)-1]
+		}, fmt.Sprintf("%d windows emitted but %d slots", cp.Windows, cp.Windows-1)},
+		{"negative window count", func(p *checkpointPayload) {
+			p.Emitted, p.Slots = -1, nil
+		}, "-1 windows emitted but 0 slots"},
+		{"negative arrival count", func(p *checkpointPayload) {
+			p.Consumed = -1
+		}, "consumed=-1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := cp.payload
+			p.Slots = append([]ckptSlot(nil), p.Slots...)
+			tc.mutate(&p)
+			forged := filepath.Join(t.TempDir(), "forged.ckpt")
+			if err := os.WriteFile(forged, referenceEnvelope(t, p), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadCheckpoint(forged); err != nil {
+				t.Fatalf("the forged envelope must verify, or restore is never reached: %v", err)
+			}
+			_, err := e.ResumeStream(forged, arrivals, opts, nil)
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one naming %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// Checkpoint cost is gated by allocation count, like windowAllocCeiling: on a
+// sliding run over the gold event description the Ingest that writes
+// checkpoint 100 may allocate at most checkpointFlatMargin objects more than
+// the one that writes checkpoint 10 (both also evaluate one window, which is
+// where the margin goes: measured 5 827 against 2 299, and 7 576 against
+// 30 357 when every write re-encoded every window emitted), and a write with
+// nothing emitted allocates checkpointEmptyAllocs at most, whatever the size
+// of the event description.
+const (
+	checkpointFlatMargin  = 2000
+	checkpointEmptyAllocs = 40
+)
+
+func TestCheckpointCostFlatInWindows(t *testing.T) {
+	e, events := goldScenario(t, 1)
+	opts := explicitBounds(StreamOptions{
+		RunOptions:     RunOptions{Window: 3600, Slide: 300},
+		MaxDelay:       900,
+		CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt"),
+	}, events)
+
+	// A write must not print the event description: on a runner that has
+	// emitted nothing it costs a fixed few dozen objects (the first call pays
+	// for the engine's fingerprint).
+	idle, err := e.NewStreamRunner(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Abort()
+	empty := testing.AllocsPerRun(5, func() {
+		if _, err := idle.st.writeSnapshotFile(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs per write of an empty run (%d clauses in the event description), ceiling %d", empty, len(e.ed.Clauses), checkpointEmptyAllocs)
+	if empty > checkpointEmptyAllocs {
+		t.Fatalf("a checkpoint of an empty run allocates %.0f objects, ceiling %d", empty, checkpointEmptyAllocs)
+	}
+
+	r, err := e.NewStreamRunner(opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Abort()
+	mallocs := map[int64]uint64{}
+	var before, after runtime.MemStats
+	for _, a := range events {
+		n := r.Checkpoints()
+		runtime.ReadMemStats(&before)
+		if err := r.Ingest(a); err != nil {
+			t.Fatal(err)
+		}
+		if r.Checkpoints() != n {
+			runtime.ReadMemStats(&after)
+			mallocs[r.Checkpoints()] = after.Mallocs - before.Mallocs
+		}
+	}
+	at10, at50, at100 := mallocs[10], mallocs[50], mallocs[100]
+	if at10 == 0 || at100 == 0 {
+		t.Fatalf("the run wrote %d checkpoints, want at least 100", r.Checkpoints())
+	}
+	t.Logf("allocs of the Ingest writing checkpoint 10 / 50 / 100: %d / %d / %d (margin %d)", at10, at50, at100, checkpointFlatMargin)
+	if at100 > at10+checkpointFlatMargin {
+		t.Fatalf("the Ingest writing checkpoint 100 allocates %d objects, the one writing checkpoint 10 %d: a checkpoint's cost grows with the windows emitted", at100, at10)
 	}
 }

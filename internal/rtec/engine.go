@@ -8,6 +8,8 @@ package rtec
 
 import (
 	"fmt"
+	"hash/fnv"
+	"io"
 	"runtime"
 	"sort"
 	"strings"
@@ -113,6 +115,10 @@ type Engine struct {
 	// fingerprinted guards it and the fluents' texts.
 	kbText        []byte
 	fingerprinted sync.Once
+	// edFingerprint identifies the loaded event description (fnv-64a of its
+	// text): a resumed run must be driven by the same rules that wrote the
+	// snapshot. Printed and hashed on first use, once per engine.
+	edFingerprint func() string
 }
 
 // Workers returns the resolved evaluation worker count.
@@ -190,6 +196,11 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		inputEvents:   map[string]bool{},
 		interner:      lang.NewInterner(),
 		workers:       opts.Workers,
+		edFingerprint: sync.OnceValue(func() string {
+			h := fnv.New64a()
+			io.WriteString(h, ed.String())
+			return fmt.Sprintf("%016x", h.Sum64())
+		}),
 	}
 	if e.workers <= 0 {
 		e.workers = runtime.GOMAXPROCS(0)

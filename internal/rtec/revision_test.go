@@ -10,7 +10,6 @@ import (
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
-	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
@@ -216,18 +215,8 @@ func TestRevisionInstallReplaysWarnings(t *testing.T) {
 const revisionAllocCeiling = 1000
 
 func TestRevisionAllocCeiling(t *testing.T) {
-	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
-	events.Sort()
+	e, events := goldScenario(t, 2)
 	first, last := events.TimeRange()
-	ed := maritime.FullED(maritime.GoldED(), scen.Map, scen.Fleet, maritime.ObservedPairs(events))
-	e, err := New(ed, Options{Strict: true, ExtraFacts: maritime.DynamicFacts(events, scen.Fleet), Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
 	r, err := e.NewStreamRunner(StreamOptions{
 		RunOptions: RunOptions{Window: 3600, Start: first, End: last + 1},
 		MaxDelay:   1800,

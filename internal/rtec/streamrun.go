@@ -100,6 +100,12 @@ type streamRun struct {
 	// touch them again. The watermark never moves back, so neither does the
 	// cursor, and every per-arrival scan starts from it.
 	final int
+	// frozen is the checkpoint encoding of slots[:frozenN], as it stands in
+	// the payload's "slots" array; frozenN trails final and only a checkpoint
+	// write advances it (see encodeSnapshot). A restored run starts with
+	// neither and re-encodes its restored slots as the cursor passes them.
+	frozen  []byte
+	frozenN int
 	// slotVisits counts the slots the per-arrival scans (revise,
 	// advanceFinal) looked at; the soak test pins it per arrival.
 	slotVisits int64

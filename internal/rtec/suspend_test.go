@@ -12,9 +12,7 @@ import (
 // parks it with Suspend — the test double for a drain landing mid-stream.
 func parkAfter(t *testing.T, e *Engine, arrivals stream.Stream, opts StreamOptions, n int, fn func(WindowResult) error) {
 	t.Helper()
-	first, last := arrivals.TimeRange()
-	opts.Start, opts.End = first, last+1
-	r, err := e.NewStreamRunner(opts, fn)
+	r, err := e.NewStreamRunner(explicitBounds(opts, arrivals), fn)
 	if err != nil {
 		t.Fatal(err)
 	}
