@@ -326,6 +326,63 @@ for gen in "" .prev; do
     fi
 done
 
+echo "== defective-definition gate (runtime warnings must come through streaming, delta replay and revisions unchanged)"
+# Every gate above runs the gold event description, which raises no runtime
+# warning, so none of them exercises the delta layer's cached warn acts or
+# the evaluator's memory of the warnings it rendered. This one runs the
+# paper's "missing condition" error: gold movingSpeed with a threshold lookup
+# dropped, whose comparison then warns at every velocity report. Batch,
+# streaming over the shuffled stream and streaming from scratch (-no-delta),
+# all on sliding windows, must recognise the same intervals and log the same
+# warnings — the two streaming runs line for line (every revision logs
+# again), the batch run the same set — and rteclint must name the unbound
+# operand statically: both diagnoses of one defect.
+cat examples/lint/doomed_threshold.prolog "$tmp/bg.rtec" > "$tmp/doomed.rtec"
+warn_lines() {
+    # The WARN records of a run's stderr without their timestamps, sorted.
+    sed -n 's/^time=[^ ]* \(level=WARN .*\)$/\1/p' "$1" | sort
+}
+"$bin/rtec" -ed "$tmp/doomed.rtec" -stream "$tmp/events.csv" -window 3600 -slide 900 -csv \
+    > "$tmp/doomed-batch.csv" 2> "$tmp/doomed-batch.err"
+"$bin/rtec-race" -ed "$tmp/doomed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+    -max-delay 900 > "$tmp/doomed-stream.csv" 2> "$tmp/doomed-stream.err"
+"$bin/rtec-race" -ed "$tmp/doomed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -slide 900 -csv \
+    -max-delay 900 -no-delta > "$tmp/doomed-full.csv" 2> "$tmp/doomed-full.err"
+for run in stream full; do
+    if ! cmp -s "$tmp/doomed-batch.csv" "$tmp/doomed-$run.csv"; then
+        echo "defective-definition gate: the $run run's recognition diverged from the batch run's:" >&2
+        diff "$tmp/doomed-batch.csv" "$tmp/doomed-$run.csv" >&2 || true
+        exit 1
+    fi
+    warn_lines "$tmp/doomed-$run.err" > "$tmp/doomed-$run.warn"
+done
+warn_lines "$tmp/doomed-batch.err" > "$tmp/doomed-batch.warn"
+if ! grep -q 'msg="condition Speed_r =< MovingMin_r: kb: =<: kb: MovingMin_r is not an arithmetic expression".* fluent=movingSpeed/1 window_start=' "$tmp/doomed-batch.warn"; then
+    echo "defective-definition gate: the batch run did not warn about the doomed comparison:" >&2
+    cat "$tmp/doomed-batch.err" >&2
+    exit 1
+fi
+if ! cmp -s "$tmp/doomed-stream.warn" "$tmp/doomed-full.warn"; then
+    echo "defective-definition gate: incremental and from-scratch streaming log different warnings:" >&2
+    diff "$tmp/doomed-stream.warn" "$tmp/doomed-full.warn" >&2 || true
+    exit 1
+fi
+uniq "$tmp/doomed-stream.warn" > "$tmp/doomed-stream.set"
+if ! cmp -s "$tmp/doomed-batch.warn" "$tmp/doomed-stream.set"; then
+    echo "defective-definition gate: the streaming run warns about other (message, fluent, window) triples than the batch run:" >&2
+    diff "$tmp/doomed-batch.warn" "$tmp/doomed-stream.set" >&2 || true
+    exit 1
+fi
+if "$bin/rteclint" -domain maritime examples/lint/doomed_threshold.prolog > "$tmp/doomed-lint.txt"; then
+    echo "defective-definition gate: rteclint found nothing in examples/lint/doomed_threshold.prolog" >&2
+    exit 1
+fi
+if ! grep -q "R007: variable 'MovingMin' appears only in a comparison and is never bound" "$tmp/doomed-lint.txt"; then
+    echo "defective-definition gate: rteclint did not report the unbound operand (R007):" >&2
+    cat "$tmp/doomed-lint.txt" >&2
+    exit 1
+fi
+
 echo "== shard chaos gate (supervised shards must recover byte-identically)"
 # Run the supervised shard runtime over the shuffled stream twice with the
 # same seed: once fault-free and once with a deterministic fault schedule

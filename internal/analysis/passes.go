@@ -370,8 +370,10 @@ func runDuplicateClause(ctx *context) []Diagnostic {
 // canonicalClause renders a clause with its variables named after the order
 // they first occur in, so variants hash identically.
 func canonicalClause(c *lang.Clause) string {
-	var vt lang.VarTable
-	return vt.NumberClause(c).SlotNamed().String()
+	var buf [512]byte
+	var names [16]string
+	key, _ := c.AppendCanonical(buf[:0], names[:0])
+	return string(key)
 }
 
 // ---------------------------------------------------------------- R007

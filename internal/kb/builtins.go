@@ -1,7 +1,6 @@
 package kb
 
 import (
-	"fmt"
 	"math"
 
 	"rtecgen/internal/lang"
@@ -46,9 +45,43 @@ func IsBuiltinPred(functor string, arity int) bool {
 	return false
 }
 
+// ArithError reports an operand that does not evaluate: Term is the offending
+// sub-term as the bindings left it — the very term that was written or bound
+// when nothing inside it was bound further, so the evaluator can recognise a
+// failure it has reported before by identity — and Op is the builtin whose
+// operand it was (empty from EvalArith on its own). The text is rendered when
+// somebody asks for it.
+type ArithError struct {
+	Op      string
+	Term    *lang.Term
+	DivZero bool // a division whose divisor evaluated to zero; otherwise not an arithmetic expression at all
+}
+
+func (e *ArithError) Error() string {
+	var msg string
+	if e.DivZero {
+		msg = "kb: division by zero in " + e.Term.String()
+	} else {
+		msg = "kb: " + e.Term.String() + " is not an arithmetic expression"
+	}
+	if e.Op == "" {
+		return msg
+	}
+	return "kb: " + e.Op + ": " + msg
+}
+
 // EvalArith evaluates an arithmetic expression that is ground under b (nil
-// for an expression taken as written): numbers, + - * /, and abs/1.
+// for an expression taken as written): numbers, + - * /, and abs/1. Its only
+// error is an *ArithError.
 func EvalArith(t *lang.Term, b *lang.Bindings) (float64, error) {
+	v, bad := evalArith(t, b)
+	if bad != nil {
+		return 0, bad
+	}
+	return v, nil
+}
+
+func evalArith(t *lang.Term, b *lang.Bindings) (float64, *ArithError) {
 	t = b.Walk(t)
 	if v, ok := t.Number(); ok {
 		return v, nil
@@ -56,13 +89,13 @@ func EvalArith(t *lang.Term, b *lang.Bindings) (float64, error) {
 	if t.Kind == lang.Compound {
 		switch {
 		case len(t.Args) == 2:
-			x, err := EvalArith(t.Args[0], b)
-			if err != nil {
-				return 0, err
+			x, bad := evalArith(t.Args[0], b)
+			if bad != nil {
+				return 0, bad
 			}
-			y, err := EvalArith(t.Args[1], b)
-			if err != nil {
-				return 0, err
+			y, bad := evalArith(t.Args[1], b)
+			if bad != nil {
+				return 0, bad
 			}
 			switch t.Functor {
 			case "+":
@@ -73,19 +106,19 @@ func EvalArith(t *lang.Term, b *lang.Bindings) (float64, error) {
 				return x * y, nil
 			case "/":
 				if y == 0 {
-					return 0, fmt.Errorf("kb: division by zero in %s", b.Resolve(t))
+					return 0, &ArithError{Term: b.Resolve(t), DivZero: true}
 				}
 				return x / y, nil
 			}
 		case len(t.Args) == 1 && t.Functor == "abs":
-			x, err := EvalArith(t.Args[0], b)
-			if err != nil {
-				return 0, err
+			x, bad := evalArith(t.Args[0], b)
+			if bad != nil {
+				return 0, bad
 			}
 			return math.Abs(x), nil
 		}
 	}
-	return 0, fmt.Errorf("kb: %s is not an arithmetic expression", b.Resolve(t))
+	return 0, &ArithError{Term: b.Resolve(t)}
 }
 
 // AngleDiff returns the minimal absolute difference between two angles in
@@ -102,8 +135,8 @@ func AngleDiff(a, b float64) float64 {
 // whether the atom names a builtin at all; when handled, ok reports whether
 // it succeeded — a builtin has at most one solution — and b has been extended
 // to that solution in place (the caller undoes to its own mark). Comparison
-// operands must be ground arithmetic expressions; otherwise an error is
-// returned.
+// operands must be ground arithmetic expressions; otherwise an *ArithError
+// naming the builtin is returned, its only error.
 func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err error) {
 	if atom.Kind != lang.Compound || !IsBuiltinPred(atom.Functor, len(atom.Args)) {
 		return false, false, nil
@@ -117,13 +150,14 @@ func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err erro
 		b.Undo(mark)
 		return !unifiable, true, nil
 	}
-	x, err := EvalArith(atom.Args[0], b)
-	if err != nil {
-		return false, true, fmt.Errorf("kb: %s: %w", atom.Functor, err)
+	x, bad := evalArith(atom.Args[0], b)
+	var y float64
+	if bad == nil {
+		y, bad = evalArith(atom.Args[1], b)
 	}
-	y, err := EvalArith(atom.Args[1], b)
-	if err != nil {
-		return false, true, fmt.Errorf("kb: %s: %w", atom.Functor, err)
+	if bad != nil {
+		bad.Op = atom.Functor
+		return false, true, bad
 	}
 	if atom.Functor == "absAngleDiff" {
 		return b.Unify(atom.Args[2], lang.NewFloat(AngleDiff(x, y))), true, nil

@@ -46,21 +46,36 @@ func (c *Clause) IsFact() bool { return len(c.Body) == 0 }
 
 // String renders the clause in concrete syntax, one condition per line for
 // rules, matching the layout used in RTEC event-description files.
-func (c *Clause) String() string {
-	var b strings.Builder
-	b.WriteString(c.Head.String())
+func (c *Clause) String() string { return string(c.appendText(nil, nil)) }
+
+// AppendCanonical appends the clause's rendering with every variable named
+// after its first occurrence, head first ("_1", "_2", ...): two clauses that
+// differ only in what their variables are called append the same bytes, and
+// two that differ in anything else do not. vars is the memory for the names
+// met so far and is returned grown: nil or a reused vars[:0] numbers a clause
+// on its own, the slice a previous call returned continues its numbering
+// into a clause that shares the first one's variables.
+func (c *Clause) AppendCanonical(dst []byte, vars []string) ([]byte, []string) {
+	dst = c.appendText(dst, &vars)
+	return dst, vars
+}
+
+func (c *Clause) appendText(b []byte, vars *[]string) []byte {
+	b = c.Head.appendText(b, vars)
 	if len(c.Body) > 0 {
-		b.WriteString(" :-\n")
+		b = append(b, " :-\n"...)
 		for i, l := range c.Body {
-			b.WriteString("    ")
-			b.WriteString(l.String())
+			b = append(b, "    "...)
+			if l.Neg {
+				b = append(b, "not "...)
+			}
+			b = l.Atom.appendText(b, vars)
 			if i < len(c.Body)-1 {
-				b.WriteString(",\n")
+				b = append(b, ",\n"...)
 			}
 		}
 	}
-	b.WriteString(".")
-	return b.String()
+	return append(b, '.')
 }
 
 // Vars returns the variable names occurring in the clause, head first, in

@@ -308,7 +308,7 @@ func isInfix(t *Term) (prec int, ok bool) {
 // (an event atom, an FVP key) costs one allocation of exactly its length.
 func (t *Term) String() string {
 	var buf [128]byte
-	return string(t.appendText(buf[:0]))
+	return string(t.appendText(buf[:0], nil))
 }
 
 // plainAtom reports whether an atom name can be printed without quotes: a
@@ -339,11 +339,25 @@ func appendAtomName(b []byte, name string) []byte {
 	return append(b, '\'')
 }
 
-// appendText appends the rendering of t to b.
-func (t *Term) appendText(b []byte) []byte {
+// appendText appends the rendering of t to b. With a nil vars a variable
+// prints its name; otherwise it prints "_<n>", n being the 1-based position of
+// its name in *vars, which grows by every name not seen before (see
+// Clause.AppendCanonical).
+func (t *Term) appendText(b []byte, vars *[]string) []byte {
 	switch t.Kind {
 	case Var:
-		b = append(b, t.Functor...)
+		if vars == nil {
+			return append(b, t.Functor...)
+		}
+		n := 0
+		for n < len(*vars) && (*vars)[n] != t.Functor {
+			n++
+		}
+		if n == len(*vars) {
+			*vars = append(*vars, t.Functor)
+		}
+		b = append(b, '_')
+		b = strconv.AppendInt(b, int64(n+1), 10)
 	case Atom:
 		b = appendAtomName(b, t.Functor)
 	case Int:
@@ -358,7 +372,7 @@ func (t *Term) appendText(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = a.appendText(b)
+			b = a.appendText(b, vars)
 		}
 		b = append(b, ']')
 	case Compound:
@@ -377,7 +391,7 @@ func (t *Term) appendText(b []byte) []byte {
 				if paren {
 					b = append(b, '(')
 				}
-				b = a.appendText(b)
+				b = a.appendText(b, vars)
 				if paren {
 					b = append(b, ')')
 				}
@@ -386,7 +400,7 @@ func (t *Term) appendText(b []byte) []byte {
 		}
 		if t.Functor == "not" && len(t.Args) == 1 {
 			b = append(b, "not "...)
-			return t.Args[0].appendText(b)
+			return t.Args[0].appendText(b, vars)
 		}
 		b = appendAtomName(b, t.Functor)
 		b = append(b, '(')
@@ -394,7 +408,7 @@ func (t *Term) appendText(b []byte) []byte {
 			if i > 0 {
 				b = append(b, ", "...)
 			}
-			b = a.appendText(b)
+			b = a.appendText(b, vars)
 		}
 		b = append(b, ')')
 	}

@@ -322,19 +322,32 @@ func TestTrailRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSlotNamed: a numbered clause rendered by slot does not show what its
-// variables were called, and still shows which occurrences are one variable.
-func TestSlotNamed(t *testing.T) {
+// TestAppendCanonical: the canonical rendering does not show what a clause's
+// variables were called, still shows which occurrences are one variable, and
+// carries its numbering into a second clause when handed the names back.
+func TestAppendCanonical(t *testing.T) {
 	render := func(head, cond *Term) string {
-		var vt VarTable
-		return vt.NumberClause(&Clause{Head: head, Body: []Literal{Pos(cond), Neg(cond)}}).SlotNamed().String()
+		key, _ := (&Clause{Head: head, Body: []Literal{Pos(cond), Neg(cond)}}).AppendCanonical(nil, nil)
+		return string(key)
 	}
 	xy := render(NewCompound("p", NewVar("X"), NewVar("Y")), NewCompound("q", NewVar("Y"), NewVar("X")))
 	ab := render(NewCompound("p", NewVar("A"), NewVar("B")), NewCompound("q", NewVar("B"), NewVar("A")))
 	if want := "p(_1, _2) :-\n    q(_2, _1),\n    not q(_2, _1)."; xy != want || ab != want {
-		t.Fatalf("SlotNamed renders %q and %q, want %q", xy, ab, want)
+		t.Fatalf("AppendCanonical renders %q and %q, want %q", xy, ab, want)
 	}
 	if xx := render(NewCompound("p", NewVar("X"), NewVar("X")), NewCompound("q", NewVar("X"), NewVar("X"))); xx == xy {
 		t.Fatal("p(X, X) and p(X, Y) render alike")
+	}
+	// A variable that happens to be called like a canonical name is renamed
+	// like any other.
+	if got := render(NewCompound("p", NewVar("_2"), NewVar("_1")), NewCompound("q", NewVar("_1"), NewVar("_2"))); got != xy {
+		t.Fatalf("variables named _2 and _1 render %q, want %q", got, xy)
+	}
+	first := &Clause{Head: NewCompound("p", NewVar("X"))}
+	second := &Clause{Head: NewCompound("g", NewVar("Y"), NewVar("X"))}
+	key, vars := first.AppendCanonical([]byte("kept "), make([]string, 0, 4))
+	key, vars = second.AppendCanonical(key, vars)
+	if string(key) != "kept p(_1).g(_2, _1)." || len(vars) != 2 || vars[0] != "X" || vars[1] != "Y" {
+		t.Fatalf("continued numbering renders %q with names %v", key, vars)
 	}
 }

@@ -1,7 +1,5 @@
 package lang
 
-import "strconv"
-
 // VarTable numbers variables into slots, by name, in first-occurrence order.
 // Numbered copies of terms are what a Bindings store unifies: a Var term
 // carries its slot in Int (slot+1; 0 means unnumbered), keeps its name, and
@@ -46,14 +44,5 @@ func Unnumbered(t *Term) *Term {
 			return v
 		}
 		return &Term{Kind: Var, Functor: v.Functor, Pos: v.Pos}
-	})
-}
-
-// SlotNamed returns a copy of a numbered clause in which every variable is
-// named after its slot ("_1", "_2", ...): two clauses that differ only in
-// what their variables are called have the same SlotNamed rendering.
-func (c *Clause) SlotNamed() *Clause {
-	return c.mapVars(func(v *Term) *Term {
-		return &Term{Kind: Var, Functor: "_" + strconv.FormatInt(v.Int, 10), Int: v.Int}
 	})
 }

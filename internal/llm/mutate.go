@@ -19,26 +19,131 @@ import (
 	"rtecgen/internal/parser"
 )
 
-// renameName rewrites every functor/atom occurrence of from to to, in heads
-// and bodies alike.
-func renameName(clauses []*lang.Clause, from, to string) {
+// Perturbation is one of the edits by which a plausible definition of an
+// activity goes wrong: the error operators the simulated models' profiles are
+// built from, and the unit in which anything else (a fuzz corpus, a test
+// oracle, a metric-validity study) derives known-defective definitions from a
+// correct one.
+type Perturbation struct {
+	Name string
+	// Apply edits the rules of one activity, whose top-level fluent is
+	// primary: rules are edited in place (hand it copies), a dropped rule
+	// leaves the returned list shorter, and rng decides wherever the operator
+	// has a choice. changed reports whether any edit was made.
+	Apply func(rng *rand.Rand, clauses []*lang.Clause, primary string) (out []*lang.Clause, changed bool)
+}
+
+// Perturbations returns the generic error operators at the rates r (the
+// probability per site — a rule, a reference, a construct — so 1 edits every
+// site and 0 none), in the order a simulated model applies them.
+func Perturbations(r Rates) []Perturbation {
+	return []Perturbation{
+		{"dropGapTermination", func(rng *rand.Rand, cs []*lang.Clause, _ string) ([]*lang.Clause, bool) {
+			changed := false
+			for rng.Float64() < r.Drop {
+				var dropped bool
+				if cs, dropped = dropGapTermination(cs); !dropped {
+					break
+				}
+				changed = true
+			}
+			return cs, changed
+		}},
+		{"dropConditions", func(rng *rand.Rand, cs []*lang.Clause, _ string) ([]*lang.Clause, bool) {
+			return cs, dropConditions(rng, cs, r.Drop)
+		}},
+		{"dropSDConditions", func(rng *rand.Rand, cs []*lang.Clause, _ string) ([]*lang.Clause, bool) {
+			return cs, dropSDConditions(rng, cs, r.Drop)
+		}},
+		{"addExtraConditions", func(rng *rand.Rand, cs []*lang.Clause, primary string) ([]*lang.Clause, bool) {
+			return cs, addExtraConditions(rng, cs, primary, r.Extra)
+		}},
+		{"undefineReferences", func(rng *rand.Rand, cs []*lang.Clause, _ string) ([]*lang.Clause, bool) {
+			return cs, undefineReferences(rng, cs, definedFluents(cs), r.Undefined)
+		}},
+		{"swapOps", func(rng *rand.Rand, cs []*lang.Clause, _ string) ([]*lang.Clause, bool) {
+			return cs, swapOpsAll(rng, cs, r.OpSwap)
+		}},
+	}
+}
+
+// SwapIntervalOp and AddRedundantIntersect are the two operators a profile
+// aims at one activity's top-level definition (Profile.Special): no rate, no
+// draw.
+func SwapIntervalOp() Perturbation {
+	return Perturbation{"swapIntervalOp", func(_ *rand.Rand, cs []*lang.Clause, primary string) ([]*lang.Clause, bool) {
+		return cs, swapIntervalOp(cs, primary)
+	}}
+}
+
+func AddRedundantIntersect() Perturbation {
+	return Perturbation{"addRedundantIntersect", func(_ *rand.Rand, cs []*lang.Clause, primary string) ([]*lang.Clause, bool) {
+		return cs, addRedundantIntersect(cs, primary)
+	}}
+}
+
+// Rename returns the naming error: every functor or atom from becomes to —
+// everywhere, or with bodiesOnly in rule bodies alone, so that a definition
+// keeps its name and the references to it break.
+func Rename(from, to string, bodiesOnly bool) Perturbation {
+	return Perturbation{"rename", func(_ *rand.Rand, cs []*lang.Clause, _ string) ([]*lang.Clause, bool) {
+		if bodiesOnly {
+			return cs, renameInBodies(cs, from, to)
+		}
+		return cs, renameName(cs, from, to)
+	}}
+}
+
+// Perturbed returns the rules of every activity as the knowledge intends
+// them, with p applied to a copy of each activity's rules from its own source
+// seeded by (seed, operator, activity): a known-defective variant of the
+// domain's gold rules.
+func (k *Knowledge) Perturbed(p Perturbation, seed int64) []*lang.Clause {
+	var out []*lang.Clause
+	for _, act := range k.Activities {
+		rng := rand.New(rand.NewSource(seed ^ fnvSeed(p.Name, act.Key)))
+		cs, _ := p.Apply(rng, cloneClauses(act.Clauses), act.Primary)
+		out = append(out, cs...)
+	}
+	return out
+}
+
+// definedFluents returns the functors of the fluents the rules define.
+func definedFluents(clauses []*lang.Clause) map[string]bool {
+	own := map[string]bool{}
 	for _, c := range clauses {
-		c.Head = renameTerm(c.Head, from, to)
-		for i := range c.Body {
-			c.Body[i].Atom = renameTerm(c.Body[i].Atom, from, to)
+		if _, fl := c.HeadFVP(); fl != nil {
+			own[fl.Functor] = true
 		}
 	}
+	return own
+}
+
+// renameName rewrites every functor/atom occurrence of from to to, in heads
+// and bodies alike, and reports whether there was one.
+func renameName(clauses []*lang.Clause, from, to string) bool {
+	changed := renameInBodies(clauses, from, to)
+	for _, c := range clauses {
+		if head := renameTerm(c.Head, from, to); head != c.Head {
+			c.Head, changed = head, true
+		}
+	}
+	return changed
 }
 
 // renameInBodies rewrites occurrences only in rule bodies, leaving heads
 // intact (used for "undefined condition" errors: the reference is broken,
 // not the definition).
-func renameInBodies(clauses []*lang.Clause, from, to string) {
+func renameInBodies(clauses []*lang.Clause, from, to string) bool {
+	changed := false
 	for _, c := range clauses {
 		for i := range c.Body {
-			c.Body[i].Atom = renameTerm(c.Body[i].Atom, from, to)
+			if atom := renameTerm(c.Body[i].Atom, from, to); atom != c.Body[i].Atom {
+				c.Body[i].Atom, changed = atom, true
+			}
 		}
 	}
+	return changed
 }
 
 func renameTerm(t *lang.Term, from, to string) *lang.Term {
@@ -136,9 +241,9 @@ func dropGapTermination(clauses []*lang.Clause) ([]*lang.Clause, bool) {
 // is, with probability p, renamed to a hallucinated name, producing the
 // paper's third error category (conditions with undefined activities).
 // ownFluents holds the functors the activity itself defines.
-func undefineReferences(rng *rand.Rand, clauses []*lang.Clause, ownFluents map[string]bool, p float64) {
+func undefineReferences(rng *rand.Rand, clauses []*lang.Clause, ownFluents map[string]bool, p float64) (changed bool) {
 	if p <= 0 {
-		return
+		return false
 	}
 	var candidates []string
 	seen := map[string]bool{}
@@ -157,8 +262,10 @@ func undefineReferences(rng *rand.Rand, clauses []*lang.Clause, ownFluents map[s
 	for _, from := range candidates {
 		if rng.Float64() < p {
 			renameInBodies(clauses, from, from+"State")
+			changed = true
 		}
 	}
+	return changed
 }
 
 // swapIntervalOp flips one union_all/intersect_all construct in the primary
@@ -220,9 +327,9 @@ func addRedundantIntersect(clauses []*lang.Clause, primary string) bool {
 // dropConditions removes, with probability p per rule, one non-anchor
 // condition from each simple-fluent rule that has at least two conditions —
 // the "missing condition" error that makes a definition overly general.
-func dropConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
+func dropConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) (changed bool) {
 	if p <= 0 {
-		return
+		return false
 	}
 	for _, c := range clauses {
 		k := c.Kind()
@@ -245,7 +352,9 @@ func dropConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 		}
 		i := droppable[rng.Intn(len(droppable))]
 		c.Body = append(c.Body[:i], c.Body[i+1:]...)
+		changed = true
 	}
+	return changed
 }
 
 // addExtraConditions appends, with probability p per rule, a redundant
@@ -253,9 +362,9 @@ func dropConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 // "redundant condition" error of the paper's trawling analysis, applied
 // generically). Fluents that underWay itself builds on are skipped so the
 // hierarchy stays acyclic.
-func addExtraConditions(rng *rand.Rand, clauses []*lang.Clause, primary string, p float64) {
+func addExtraConditions(rng *rand.Rand, clauses []*lang.Clause, primary string, p float64) (changed bool) {
 	if p <= 0 {
-		return
+		return false
 	}
 	for _, c := range clauses {
 		if c.Kind() != lang.KindInitiatedAt || rng.Float64() >= p {
@@ -272,11 +381,13 @@ func addExtraConditions(rng *rand.Rand, clauses []*lang.Clause, primary string, 
 			lang.FVP(lang.NewCompound("underWay", fl.Args[0]), lang.NewAtom("true")),
 			c.Head.Args[1]))
 		c.Body = append(c.Body, extra)
+		changed = true
 	}
 	// Statically determined primaries get the redundant-intersect variant.
-	if rng.Float64() < p {
-		addRedundantIntersect(clauses, primary)
+	if rng.Float64() < p && addRedundantIntersect(clauses, primary) {
+		changed = true
 	}
+	return changed
 }
 
 // dropSDConditions removes, with probability p per holdsFor rule, one
@@ -284,9 +395,9 @@ func addExtraConditions(rng *rand.Rand, clauses []*lang.Clause, primary string, 
 // the construct lists of the rule — a missing conjunct/disjunct in a
 // statically determined definition. Conditions whose removal would leave a
 // construct list empty are not candidates.
-func dropSDConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
+func dropSDConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) (changed bool) {
 	if p <= 0 {
-		return
+		return false
 	}
 	for _, c := range clauses {
 		if c.Kind() != lang.KindHoldsFor || rng.Float64() >= p {
@@ -330,13 +441,14 @@ func dropSDConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 		idx := candidates[rng.Intn(len(candidates))]
 		iv := c.Body[idx].Atom.Args[1].Functor
 		c.Body = append(c.Body[:idx], c.Body[idx+1:]...)
+		changed = true
 		for j, l2 := range c.Body {
 			if len(l2.Atom.Args) == 0 {
 				continue
 			}
 			args := make([]*lang.Term, len(l2.Atom.Args))
 			copy(args, l2.Atom.Args)
-			changed := false
+			shortened := false
 			for k, arg := range args {
 				if arg.Kind == lang.List && listContainsVar(arg, iv) {
 					var kept []*lang.Term
@@ -346,14 +458,15 @@ func dropSDConditions(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 						}
 					}
 					args[k] = lang.NewList(kept...)
-					changed = true
+					shortened = true
 				}
 			}
-			if changed {
+			if shortened {
 				c.Body[j].Atom = lang.NewCompound(l2.Atom.Functor, args...)
 			}
 		}
 	}
+	return changed
 }
 
 func listContainsVar(list *lang.Term, name string) bool {
@@ -367,9 +480,9 @@ func listContainsVar(list *lang.Term, name string) bool {
 
 // swapOpsAll flips, with probability p per construct, every
 // union_all/intersect_all in every holdsFor rule.
-func swapOpsAll(rng *rand.Rand, clauses []*lang.Clause, p float64) {
+func swapOpsAll(rng *rand.Rand, clauses []*lang.Clause, p float64) (changed bool) {
 	if p <= 0 {
-		return
+		return false
 	}
 	for _, c := range clauses {
 		if c.Kind() != lang.KindHoldsFor {
@@ -380,14 +493,17 @@ func swapOpsAll(rng *rand.Rand, clauses []*lang.Clause, p float64) {
 			case "union_all":
 				if rng.Float64() < p {
 					c.Body[i].Atom = lang.NewCompound("intersect_all", l.Atom.Args...)
+					changed = true
 				}
 			case "intersect_all":
 				if rng.Float64() < p {
 					c.Body[i].Atom = lang.NewCompound("union_all", l.Atom.Args...)
+					changed = true
 				}
 			}
 		}
 	}
+	return changed
 }
 
 // replaceFluentRules removes every rule whose head fluent is in names and

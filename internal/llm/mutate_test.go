@@ -224,3 +224,76 @@ initiatedAt(f(X)=true, T) :-
 		t.Fatal("anchor dropped")
 	}
 }
+
+// rulesText renders a rule list.
+func rulesText(cs []*lang.Clause) string {
+	var b strings.Builder
+	for _, c := range cs {
+		b.WriteString(c.String())
+		b.WriteString("\n")
+	}
+	return b.String()
+}
+
+// TestPerturbations: every exported operator, at full rate over the maritime
+// knowledge, turns the gold rules into a different rule set that still prints
+// and parses, says so, does it reproducibly per seed, and leaves the
+// knowledge's own clauses alone; at rate zero the generic ones do nothing and
+// say that.
+func TestPerturbations(t *testing.T) {
+	k := MaritimeKnowledge()
+	intended := func() string {
+		var b strings.Builder
+		for _, act := range k.Activities {
+			b.WriteString(rulesText(act.Clauses))
+		}
+		return b.String()
+	}
+	gold := intended()
+	full := Rates{Rename: 1, ValueName: 1, Drop: 1, Undefined: 1, OpSwap: 1, Extra: 1}
+	ops := append(Perturbations(full), SwapIntervalOp(), AddRedundantIntersect(),
+		Rename("thresholds", "limits", true), Rename("gap", "silence", false))
+	names := map[string]bool{}
+	for _, p := range ops {
+		names[p.Name] = true
+		a, b := rulesText(k.Perturbed(p, 3)), rulesText(k.Perturbed(p, 3))
+		if a != b {
+			t.Errorf("%s: two applications at one seed differ", p.Name)
+		}
+		if a == gold {
+			t.Errorf("%s: at full rate the gold rules came out unchanged", p.Name)
+		}
+		if _, err := parser.ParseEventDescription(a); err != nil {
+			t.Errorf("%s: the perturbed rules do not parse back: %v", p.Name, err)
+		}
+		changed := false
+		for _, act := range k.Activities {
+			before := rulesText(act.Clauses)
+			out, ch := p.Apply(rand.New(rand.NewSource(3)), cloneClauses(act.Clauses), act.Primary)
+			if ch != (rulesText(out) != before) {
+				t.Errorf("%s on %s: changed = %v, but the rules say otherwise", p.Name, act.Key, ch)
+			}
+			changed = changed || ch
+		}
+		if !changed {
+			t.Errorf("%s: reports no change on any activity", p.Name)
+		}
+	}
+	if len(names) != 9 { // six generic, two aimed at the primary definition, one rename
+		t.Errorf("operator names %v, want 9 distinct", names)
+	}
+	if rulesText(k.Perturbed(Perturbations(full)[1], 3)) == rulesText(k.Perturbed(Perturbations(full)[1], 4)) {
+		t.Error("dropConditions drops the same conditions at seeds 3 and 4")
+	}
+	if intended() != gold {
+		t.Error("applying operators edited the knowledge's own clauses")
+	}
+	for _, p := range Perturbations(Rates{}) {
+		for _, act := range k.Activities {
+			before := rulesText(act.Clauses)
+			if out, ch := p.Apply(rand.New(rand.NewSource(3)), cloneClauses(act.Clauses), act.Primary); ch || rulesText(out) != before {
+				t.Errorf("%s at rate 0 edits %s", p.Name, act.Key)
+			}
+		}
+	}
+}

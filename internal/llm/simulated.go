@@ -302,12 +302,12 @@ func (m *Simulated) maskUntaught(clauses []*lang.Clause, events, thresholds map[
 			if a.Functor == "happensAt" && len(a.Args) == 2 && a.Args[0].IsCallable() {
 				ind := a.Args[0].Indicator()
 				if known[ind] && !events[ind] {
-					renameInBodies(clauses, a.Args[0].Functor, a.Args[0].Functor+"Evt")
+					Rename(a.Args[0].Functor, a.Args[0].Functor+"Evt", true).Apply(nil, clauses, "")
 				}
 			}
 			if a.Functor == "thresholds" && len(a.Args) == 2 && a.Args[0].Kind == lang.Atom {
 				if !thresholds[a.Args[0].Functor] {
-					renameInBodies(clauses, a.Args[0].Functor, a.Args[0].Functor+"Thr")
+					Rename(a.Args[0].Functor, a.Args[0].Functor+"Thr", true).Apply(nil, clauses, "")
 				}
 			}
 		}
@@ -320,13 +320,13 @@ func (m *Simulated) applySpecial(special string, act ActivityKnowledge, clauses 
 	primary := act.Primary
 	switch special {
 	case "const:trawlingArea":
-		renameName(clauses, "fishing", "trawlingArea")
+		Rename("fishing", "trawlingArea", false).Apply(nil, clauses, "")
 	case "equivalent:loitering":
 		clauses = replaceFluentRules(clauses, map[string]bool{"loitering": true}, equivalentLoiteringSrc)
 	case "opswap":
-		swapIntervalOp(clauses, primary)
+		SwapIntervalOp().Apply(nil, clauses, primary)
 	case "redundant:underWay":
-		addRedundantIntersect(clauses, primary)
+		AddRedundantIntersect().Apply(nil, clauses, primary)
 	case "kindflip:movingSpeed":
 		clauses = replaceFluentRules(clauses, map[string]bool{"movingSpeed": true}, sdMovingSpeedSrc)
 	case "kindflip:trawling":
@@ -382,20 +382,10 @@ func (m *Simulated) applyGeneric(rng *rand.Rand, scheme prompt.Scheme, act Activ
 	}
 	applyRenames(rng, clauses, m.know.Domain.Aliases, constantNames, own, rates.ValueName)
 
-	// Drops: surplus termination rules and per-rule body conditions are
-	// independently forgotten.
-	for rng.Float64() < rates.Drop {
-		var dropped bool
-		clauses, dropped = dropGapTermination(clauses)
-		if !dropped {
-			break
-		}
+	// The structural errors, each sampled at its class's rate.
+	for _, p := range Perturbations(rates) {
+		clauses, _ = p.Apply(rng, clauses, act.Primary)
 	}
-	dropConditions(rng, clauses, rates.Drop)
-	dropSDConditions(rng, clauses, rates.Drop)
-	addExtraConditions(rng, clauses, act.Primary, rates.Extra)
-	undefineReferences(rng, clauses, own, rates.Undefined)
-	swapOpsAll(rng, clauses, rates.OpSwap)
 	return clauses
 }
 
@@ -419,7 +409,7 @@ func applyRenames(rng *rand.Rand, clauses []*lang.Clause, aliases map[string][]s
 	for _, from := range candidates {
 		if rng.Float64() < p {
 			alts := aliases[from]
-			renameName(clauses, from, alts[rng.Intn(len(alts))])
+			Rename(from, alts[rng.Intn(len(alts))], false).Apply(nil, clauses, "")
 		}
 	}
 }

@@ -1,6 +1,8 @@
 package rtec
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"rtecgen/internal/maritime"
@@ -56,5 +58,48 @@ func TestWindowAllocCeiling(t *testing.T) {
 		len(window), recognised, allocs, allocs/float64(len(window)), windowAllocCeiling)
 	if allocs > windowAllocCeiling {
 		t.Fatalf("one window allocates %.0f objects, ceiling %d", allocs, windowAllocCeiling)
+	}
+}
+
+// TestDoomedComparisonAllocCeiling: a rule that lost the condition binding a
+// comparison's operand warns at every anchor event, and the window keeps the
+// first warning. What the other occurrences cost is a count, so it repeats
+// across hosts: one window of 3 000 velocity reports against one of 1 000,
+// per extra report. Measured 1.0 — the error value kb.SolveBuiltin returns;
+// the evaluator that rendered "condition …: kb: …" for every occurrence and
+// keyed the window's duplicate check by a concatenated string read 11.
+func TestDoomedComparisonAllocCeiling(t *testing.T) {
+	e := mustEngine(t, `
+inputEvent(velocity(_, _)).
+terminatedAt(moving(V)=true, T) :-
+    happensAt(velocity(V, Speed), T),
+    Speed =< MovingMin.
+`, Options{Workers: 1})
+	perRun := func(n int) float64 {
+		events := make(stream.Stream, n)
+		for i := range events {
+			events[i] = ev(int64(i+1), fmt.Sprintf("velocity(v%d, %d.5)", i%10, i%20))
+		}
+		p, err := prepare(events, RunOptions{}) // no fluent table: every run evaluates
+		if err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			rec, err := e.RunPrepared(p, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Warnings) != 1 || !strings.HasSuffix(rec.Warnings[0].Msg, "MovingMin_r is not an arithmetic expression") {
+				t.Fatalf("warnings %v, want the one doomed comparison", rec.Warnings)
+			}
+		})
+	}
+	small, large := perRun(1000), perRun(3000)
+	perEvent := (large - small) / 2000
+	t.Logf("%.0f allocs at 1 000 events, %.0f at 3 000: %.2f per extra anchor event", small, large, perEvent)
+	// One per event, and a handful per window that grow with it (the race
+	// detector's runtime adds two over the 2 000 events).
+	if perEvent > 1.1 {
+		t.Fatalf("a doomed comparison costs %.2f allocations per anchor event, ceiling 1", perEvent)
 	}
 }

@@ -14,7 +14,6 @@ import (
 	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
-	"rtecgen/internal/prompt"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -508,11 +507,11 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		f.Add(seed, uint8(0))
 	}
 	// Plausible-but-wrong definitions are the paper's input distribution: two
-	// perturbations of the gold maritime description (internal/llm/mutate.go,
-	// through the simulated models that apply them) that warn on every
-	// window, so revisions install and replay fluents that carry warnings.
-	// (window/slide/delay 1320/749/1020 and 585/211/1005: 19 and 73 revisions
-	// under the kind-flip, 7 and 20 under the undefined conditions.)
+	// perturbations of the gold maritime description (llm.Perturbations) that
+	// warn on every window, so revisions install and replay fluents that
+	// carry warnings. (window/slide/delay 1320/749/1020 and 585/211/1005: 46
+	// and 187 revisions under the dropped conditions, 33 and 146 under the
+	// renamed threshold lookups.)
 	for _, seed := range []int64{14, 16} {
 		f.Add(seed, uint8(1))
 		f.Add(seed, uint8(2))
@@ -576,7 +575,7 @@ type deltaFuzzCase struct {
 	minSlide func(window int64) int64
 }
 
-func deltaFuzzCases(f *testing.F) []deltaFuzzCase {
+func deltaFuzzCases(f testing.TB) []deltaFuzzCase {
 	ed, err := parser.ParseEventDescription(crossShardED)
 	if err != nil {
 		f.Fatal(err)
@@ -595,23 +594,20 @@ func deltaFuzzCases(f *testing.F) []deltaFuzzCase {
 	first, _ := voyage.TimeRange()
 	voyage = voyage.Window(first, first+2*3600)
 	facts := maritime.DynamicFacts(voyage, scen.Fleet)
-	for _, g := range []struct {
-		name, model string
-		scheme      prompt.Scheme
-	}{
-		// GPT-4o defines movingSpeed as a statically determined fluent
-		// (kindflip:movingSpeed); Mistral conditions rules on activities it
-		// never defines (undefineReferences at its highest rate).
-		{"gold, kind-flip", "GPT-4o", prompt.ChainOfThought},
-		{"gold, undefined conditions", "Mistral", prompt.FewShot},
-	} {
-		gen, err := prompt.RunPipeline(llm.MustNew(g.model), g.scheme, maritime.PromptDomain(), maritime.CurriculumRequests())
-		if err != nil {
-			f.Fatal(err)
+	// Every simple-fluent rule loses a condition — comparisons lose the
+	// threshold lookup that bound their operand and warn at every velocity
+	// report — or every threshold lookup names a predicate nobody defines.
+	ops := []llm.Perturbation{llm.Rename("thresholds", "limits", true)}
+	for _, op := range llm.Perturbations(llm.Rates{Drop: 1}) {
+		if op.Name == "dropConditions" {
+			ops = append([]llm.Perturbation{op}, ops...)
 		}
+	}
+	for _, op := range ops {
+		rules := &lang.EventDescription{Clauses: append(llm.MaritimeKnowledge().Perturbed(op, 7), goldDeclarations()...)}
 		cases = append(cases, deltaFuzzCase{
-			name:     g.name,
-			ed:       maritime.FullED(gen.ED(), scen.Map, scen.Fleet, maritime.ObservedPairs(voyage)),
+			name:     "gold under " + op.Name,
+			ed:       maritime.FullED(rules, scen.Map, scen.Fleet, maritime.ObservedPairs(voyage)),
 			facts:    facts,
 			scale:    15,
 			events:   func(*rand.Rand) stream.Stream { return append(stream.Stream{}, voyage...) },

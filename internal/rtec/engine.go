@@ -56,6 +56,22 @@ func (w Warning) String() string {
 	return w.Fluent + ": " + w.Msg
 }
 
+// uniqueWarnings returns the warnings without repeats, each where it first
+// occurs: what Recognition.Warnings holds however the run was driven — a
+// fluent that warns alike in ten windows, or again in a revision, or in two
+// shards, is listed once. (The log carries one line per window.)
+func uniqueWarnings(ws []Warning) []Warning {
+	var out []Warning
+	seen := make(map[Warning]bool, len(ws))
+	for _, w := range ws {
+		if !seen[w] {
+			seen[w] = true
+			out = append(out, w)
+		}
+	}
+	return out
+}
+
 // fluentDef aggregates everything the engine knows about one fluent
 // (identified by its indicator, e.g. "withinArea/2").
 type fluentDef struct {
@@ -388,6 +404,8 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 func (e *Engine) fingerprint() {
 	e.fingerprinted.Do(func() {
 		e.kbText = e.kb.AppendText(nil)
+		var canon []byte
+		var vars []string
 		for _, ind := range e.order {
 			def := e.fluents[ind]
 			rules := append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...)
@@ -396,8 +414,12 @@ func (e *Engine) fingerprint() {
 			}
 			text, exact := appendPart(nil, ind), []byte(nil)
 			for _, r := range rules {
+				// One numbering across a rule and its grounding declarations:
+				// they share a slot space, and their names are apart.
+				vars = vars[:0]
 				for _, c := range r.numbered {
-					text = appendPart(text, c.SlotNamed().String())
+					canon, vars = c.AppendCanonical(canon[:0], vars)
+					text = appendPart(text, string(canon))
 					exact = appendPart(exact, c.String())
 				}
 			}

@@ -35,7 +35,7 @@ type windowState struct {
 	cache        map[lang.InternID]*cacheEntry
 	byFluent     map[lang.PredKey][]*cacheEntry
 	openByFluent map[lang.PredKey][]*lang.Term // simple FVPs holding at window start
-	warnings     map[string]bool               // dedup of runtime warnings
+	warnings     map[Warning]bool              // dedup of runtime warnings
 	warnSink     *[]Warning
 	tel          *telemetry.Telemetry // may be nil: all uses degrade to no-ops
 	span         *telemetry.Span      // the window span, parent of per-fluent spans
@@ -65,7 +65,7 @@ func newWindowState(e *Engine, events *windowIndex, ws, we int64, prevOpen map[s
 		we:          we,
 		cache:       map[lang.InternID]*cacheEntry{},
 		byFluent:    map[lang.PredKey][]*cacheEntry{},
-		warnings:    map[string]bool{},
+		warnings:    map[Warning]bool{},
 		warnSink:    warnSink,
 		tel:         tel,
 		span:        span,
@@ -99,11 +99,10 @@ func (w *windowState) warnf(fluent, format string, args ...any) {
 }
 
 func (w *windowState) warn(wn Warning) {
-	key := wn.Fluent + "|" + wn.Msg
-	if w.warnings[key] {
+	if w.warnings[wn] {
 		return
 	}
-	w.warnings[key] = true
+	w.warnings[wn] = true
 	w.tel.Logger().Warn(wn.Msg,
 		"component", "rtec", "stage", "recognition", "fluent", wn.Fluent,
 		"window_start", w.ws, "query_time", w.we)
@@ -488,7 +487,7 @@ func (re *ruleEval) solve(conds []cond) {
 		mark := b.Mark()
 		ok, _, err := kb.SolveBuiltin(atom, b)
 		if err != nil {
-			re.warnf(ind, "condition %s: %v", atom, err)
+			re.warnArith(atom, err)
 			return
 		}
 		if ok != c.neg {

@@ -141,7 +141,7 @@ func MergeRecognitions(rs ...*Recognition) *Recognition {
 		byKey: map[string]intervals.List{},
 		fvps:  map[string]*lang.Term{},
 	}
-	warnSeen := map[string]bool{}
+	var warnings []Warning
 	for _, rec := range rs {
 		if rec == nil {
 			continue
@@ -158,14 +158,8 @@ func MergeRecognitions(rs ...*Recognition) *Recognition {
 				out.fvps[key] = rec.fvps[key]
 			}
 		}
-		for _, w := range rec.Warnings {
-			k := w.Fluent + "|" + w.Msg
-			if warnSeen[k] {
-				continue
-			}
-			warnSeen[k] = true
-			out.Warnings = append(out.Warnings, w)
-		}
+		warnings = append(warnings, rec.Warnings...)
 	}
+	out.Warnings = uniqueWarnings(warnings)
 	return out
 }

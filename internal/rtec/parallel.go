@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"rtecgen/internal/intervals"
+	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/stream"
 )
@@ -63,6 +64,16 @@ type ruleEval struct {
 	b     lang.Bindings
 	ienv  []intervalBinding // holdsFor rules: interval variables by slot
 	lists []intervals.List  // scratch of intervalLists
+
+	// doomed remembers, per builtin condition (its atom in the compiled
+	// rule), the operand that last failed to evaluate there and the warning
+	// rendered for it: see warnArith.
+	doomed map[*lang.Term]doomedCond
+}
+
+type doomedCond struct {
+	operand *lang.Term
+	warn    Warning
 }
 
 // begin points the context at the unit about to run: rule r of fluent def,
@@ -87,6 +98,32 @@ func (re *ruleEval) put(a act) {
 // is applied on the merge path, exactly as the sequential code would.
 func (re *ruleEval) warnf(fluent, format string, args ...any) {
 	re.put(act{warn: Warning{Fluent: fluent, Msg: fmt.Sprintf(format, args...)}, t: re.t})
+}
+
+// warnArith buffers the warning for builtin condition atom, whose operand did
+// not evaluate. A rule missing the condition that would have bound the
+// operand fails this way at every anchor event, and windowState.warn keeps
+// the first warning of the window: so the text is rendered once per
+// (condition, offending term) and the remembered Warning put after that. The
+// offending term is compared by identity — an unbound rule variable, or a
+// term nothing was bound inside of, is the same *lang.Term every time and
+// prints the same; a term the bindings had to build is new each time and
+// takes the rendering path.
+func (re *ruleEval) warnArith(atom *lang.Term, err error) {
+	bad, ok := err.(*kb.ArithError)
+	if !ok {
+		re.warnf(re.def.ind, "condition %s: %v", atom, err)
+		return
+	}
+	m, seen := re.doomed[atom]
+	if !seen || m.operand != bad.Term {
+		m = doomedCond{operand: bad.Term, warn: Warning{Fluent: re.def.ind, Msg: fmt.Sprintf("condition %s: %v", atom, err)}}
+		if re.doomed == nil {
+			re.doomed = map[*lang.Term]doomedCond{}
+		}
+		re.doomed[atom] = m
+	}
+	re.put(act{warn: m.warn, t: re.t})
 }
 
 // emit buffers a simple-rule FVP occurrence at time t.

@@ -253,5 +253,8 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 			return nil, err
 		}
 	}
+	// Every window appended what it raised (evalFluent and the delta layer
+	// read their tails of the sink meanwhile); the result lists each once.
+	rec.Warnings = uniqueWarnings(rec.Warnings)
 	return rec, nil
 }

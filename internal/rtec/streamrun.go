@@ -113,7 +113,6 @@ type streamRun struct {
 	deltaOn  bool
 	stats    StreamStats
 	warnings []Warning
-	warnSeen map[string]bool
 	span     *telemetry.Span
 	obs      *streamObs
 	ranStart bool // run_start has been journalled
@@ -163,14 +162,13 @@ func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn fu
 	}
 	tel := e.opts.Telemetry
 	st := &streamRun{
-		eng:      e,
-		opts:     opts,
-		tl:       tl,
-		reorder:  stream.NewReorder(opts.MaxDelay),
-		slots:    make([]windowSlot, tl.n),
-		deltaOn:  !e.opts.DisableDelta && !e.opts.DisableCache,
-		warnSeen: map[string]bool{},
-		fn:       fn,
+		eng:     e,
+		opts:    opts,
+		tl:      tl,
+		reorder: stream.NewReorder(opts.MaxDelay),
+		slots:   make([]windowSlot, tl.n),
+		deltaOn: !e.opts.DisableDelta && !e.opts.DisableCache,
+		fn:      fn,
 		span: tel.Span("rtec.run",
 			telemetry.String("mode", "stream"),
 			telemetry.Int("events", int64(len(events))),
@@ -436,8 +434,8 @@ func (st *streamRun) prune() {
 	st.reorder.Drop(h)
 }
 
-// warnSink returns the destination for runtime warnings, deduplicated
-// across (re-)evaluations so revisions do not repeat them.
+// warnSink returns the destination for runtime warnings: every evaluation
+// and revision appends what it raised, and finalise lists each once.
 func (st *streamRun) warnSink() *[]Warning { return &st.warnings }
 
 // finalise amalgamates the latest evaluation of every window into the
@@ -458,14 +456,7 @@ func (st *streamRun) finalise() *StreamResult {
 			}
 		}
 	}
-	for _, w := range st.warnings {
-		key := w.Fluent + "|" + w.Msg
-		if st.warnSeen[key] {
-			continue
-		}
-		st.warnSeen[key] = true
-		rec.Warnings = append(rec.Warnings, w)
-	}
+	rec.Warnings = uniqueWarnings(st.warnings)
 	rs := st.reorder.Stats()
 	st.stats.Observed = rs.Observed
 	st.stats.Accepted = rs.Accepted

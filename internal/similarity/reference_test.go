@@ -1,6 +1,7 @@
 package similarity
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -75,10 +76,10 @@ func (o naive) assign(m, k int, dist func(i, j int) float64) float64 {
 
 // candidateSets returns the rule sets the paper pipeline scores against the
 // gold standard, and then some: the 12 simulated model × scheme event
-// descriptions, what correct.Apply and correct.AutoFix make of each, and —
-// llm/mutate.go's perturbations being reachable only through the error
-// profiles that drive them — the profiles the figures leave out (OLMo, and
-// zero-shot prompting, whose output shares almost nothing with the gold).
+// descriptions, what correct.Apply and correct.AutoFix make of each, the gold
+// rules under every perturbation operator on its own (llm.Perturbations: the
+// edits the error profiles are mixtures of) at two seeds, and zero-shot
+// prompting, whose output shares almost nothing with the gold.
 func candidateSets(t *testing.T) map[string][]*lang.Clause {
 	t.Helper()
 	domain, curriculum := maritime.PromptDomain(), maritime.CurriculumRequests()
@@ -98,9 +99,14 @@ func candidateSets(t *testing.T) map[string][]*lang.Clause {
 		add(m, prompt.FewShot, true)
 		add(m, prompt.ChainOfThought, true)
 	}
-	add(llm.MustNew("OLMo"), prompt.FewShot, false)
-	add(llm.MustNew("OLMo"), prompt.ChainOfThought, false)
 	add(llm.MustNew("o1"), prompt.ZeroShot, false)
+	know := llm.MaritimeKnowledge()
+	full := llm.Rates{Rename: 1, ValueName: 1, Drop: 1, Undefined: 1, OpSwap: 1, Extra: 1}
+	for _, op := range append(llm.Perturbations(full), llm.SwapIntervalOp(), llm.AddRedundantIntersect(), llm.Rename("thresholds", "limits", true)) {
+		for seed := int64(1); seed <= 2; seed++ {
+			out[fmt.Sprintf("gold under %s, seed %d", op.Name, seed)] = know.Perturbed(op, seed)
+		}
+	}
 	return out
 }
 
