@@ -38,6 +38,9 @@ echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
     ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/...
 
+echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over every fact)"
+go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s
+
 echo "== rteclint"
 # The worked example must produce diagnostics (exit 1 under -fail-on error).
 if "$bin/rteclint" -domain maritime examples/lint/withinarea_bad.prolog >/dev/null; then

@@ -7,7 +7,9 @@
 package kb
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 
@@ -19,54 +21,106 @@ import (
 // not safe for concurrent mutation; queries after materialisation are
 // read-only and may run concurrently.
 type KB struct {
-	facts   map[lang.PredKey][]*lang.Term // by predicate
-	byFirst map[argKey][]*lang.Term       // by predicate + ground first argument
-	present map[string]bool               // canonical strings, for dedup
-	keys    []string                      // the same strings, in insertion order
+	preds   map[lang.PredKey]*predFacts
+	present map[string]bool // canonical strings, for dedup
+	keys    []string        // the same strings, in insertion order
 	rules   []*lang.Clause
 }
 
 // New returns an empty knowledge base.
 func New() *KB {
 	return &KB{
-		facts:   map[lang.PredKey][]*lang.Term{},
-		byFirst: map[argKey][]*lang.Term{},
+		preds:   map[lang.PredKey]*predFacts{},
 		present: map[string]bool{},
 	}
 }
 
-// argKey is the first-argument index key: the predicate plus a canonical
-// encoding of its ground first argument. Atom first arguments (the common
-// case: entity identifiers) index without any string building.
-type argKey struct {
-	pred lang.PredKey
-	kind lang.Kind
-	arg  string
+// predFacts holds the facts of one predicate, in insertion order, and the
+// same facts grouped by first argument.
+type predFacts struct {
+	all     []*lang.Term
+	byFirst map[argKey][]*lang.Term // nil for a predicate of arity 0
 }
 
-// firstArgKey builds the first-argument index key for a callable term whose
-// first argument is ground under b (nil for a term taken as written); ok is
-// false when the index does not apply.
-func firstArgKey(t *lang.Term, b *lang.Bindings) (argKey, bool) {
-	if len(t.Args) == 0 {
-		return argKey{}, false
-	}
-	a := b.Walk(t.Args[0])
-	k := argKey{pred: t.Pred(), kind: a.Kind}
+// argKey is a first argument as the index keys it: an atom by name, a number
+// by value (5 and 5.0 unify, so they share a key), anything else by a
+// canonical text with the same property.
+type argKey struct {
+	kind byte // keyAtom, keyNum or keyText
+	name string
+	num  float64
+}
+
+const (
+	keyAtom byte = iota
+	keyNum
+	keyText
+)
+
+// firstKey returns the index key of a first argument read through b (nil
+// for a term taken as written); ok is false when it is not ground there, and
+// every fact of the predicate is a candidate.
+func firstKey(a *lang.Term, b *lang.Bindings) (k argKey, ok bool) {
+	a = b.Walk(a)
 	switch a.Kind {
 	case lang.Atom:
-		k.arg = a.Functor
-	case lang.Str:
-		k.arg = a.Text
-	case lang.Int:
-		k.arg = strconv.FormatInt(a.Int, 10)
-	default:
-		if !b.IsGround(a) {
-			return argKey{}, false
-		}
-		k.arg = b.Resolve(a).String()
+		return argKey{kind: keyAtom, name: a.Functor}, true
+	case lang.Int, lang.Float:
+		n, _ := a.Number()
+		return argKey{kind: keyNum, num: n}, true
 	}
-	return k, true
+	if !b.IsGround(a) {
+		return argKey{}, false
+	}
+	return argKey{kind: keyText, name: string(appendKey(nil, a, b))}, true
+}
+
+// appendKey appends the canonical encoding of a ground term read through b:
+// terms that unify encode alike. Names are length-prefixed, so no name's
+// content can be read as structure.
+func appendKey(dst []byte, t *lang.Term, b *lang.Bindings) []byte {
+	t = b.Walk(t)
+	switch t.Kind {
+	case lang.Atom:
+		dst = appendName(append(dst, 'a'), t.Functor)
+	case lang.Int, lang.Float:
+		n, _ := t.Number()
+		if n == 0 {
+			n = 0 // -0.0 unifies with 0
+		}
+		dst = binary.LittleEndian.AppendUint64(append(dst, 'n'), math.Float64bits(n))
+	case lang.Str:
+		dst = appendName(append(dst, 's'), t.Text)
+	case lang.Compound, lang.List:
+		if t.Kind == lang.Compound {
+			dst = appendName(append(dst, 'c'), t.Functor)
+		} else {
+			dst = append(dst, 'l')
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(t.Args)))
+		for _, a := range t.Args {
+			dst = appendKey(dst, a, b)
+		}
+	}
+	return dst
+}
+
+func appendName(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// candidates returns the facts that can unify with goal under b, in
+// insertion order: the ones sharing its first argument's key when that is
+// ground, all of them otherwise.
+func (p *predFacts) candidates(goal *lang.Term, b *lang.Bindings) []*lang.Term {
+	if p.byFirst == nil {
+		return p.all
+	}
+	if k, ok := firstKey(goal.Args[0], b); ok {
+		return p.byFirst[k]
+	}
+	return p.all
 }
 
 // AddFact inserts a ground fact; duplicates are ignored. Non-ground or
@@ -84,10 +138,18 @@ func (k *KB) AddFact(t *lang.Term) error {
 	}
 	k.present[key] = true
 	k.keys = append(k.keys, key)
-	pred := t.Pred()
-	k.facts[pred] = append(k.facts[pred], t)
-	if fk, ok := firstArgKey(t, nil); ok {
-		k.byFirst[fk] = append(k.byFirst[fk], t)
+	p := k.preds[t.Pred()]
+	if p == nil {
+		p = &predFacts{}
+		if len(t.Args) > 0 {
+			p.byFirst = map[argKey][]*lang.Term{}
+		}
+		k.preds[t.Pred()] = p
+	}
+	p.all = append(p.all, t)
+	if p.byFirst != nil {
+		fk, _ := firstKey(t.Args[0], nil)
+		p.byFirst[fk] = append(p.byFirst[fk], t)
 	}
 	return nil
 }
@@ -98,13 +160,10 @@ func (k *KB) AddRule(c *lang.Clause) { k.rules = append(k.rules, c) }
 // Has reports whether the exact ground fact is present.
 func (k *KB) Has(t *lang.Term) bool { return k.present[t.String()] }
 
-// FactsOfPred returns the facts of a predicate.
-func (k *KB) FactsOfPred(pred lang.PredKey) []*lang.Term { return k.facts[pred] }
-
 // Indicators returns the sorted indicators of all stored facts.
 func (k *KB) Indicators() []string {
-	out := make([]string, 0, len(k.facts))
-	for pred := range k.facts {
+	out := make([]string, 0, len(k.preds))
+	for pred := range k.preds {
 		out = append(out, pred.String())
 	}
 	sort.Strings(out)
@@ -117,8 +176,8 @@ func (k *KB) Size() int { return len(k.present) }
 // AppendText appends the canonical text of the KB to dst: every stored fact
 // in insertion order, each preceded by its length so that no fact's text can
 // be mistaken for a boundary. Match enumerates facts in insertion order, so
-// two materialised KBs with equal texts answer every Match, Query and
-// FactsOfPred identically, answer order included.
+// two materialised KBs with equal texts answer every Match, Lookup and Query
+// identically, answer order included.
 func (k *KB) AppendText(dst []byte) []byte {
 	for _, key := range k.keys {
 		dst = strconv.AppendInt(dst, int64(len(key)), 10)
@@ -174,17 +233,61 @@ func (k *KB) Materialize() error {
 // space bind (see lang.Bindings); any other variable matches nothing.
 func (k *KB) Match(goal *lang.Term, b *lang.Bindings, yield func()) {
 	goal = b.Walk(goal)
-	var candidates []*lang.Term
-	if fk, ok := firstArgKey(goal, b); ok {
-		candidates = k.byFirst[fk]
-	} else {
-		candidates = k.facts[goal.Pred()]
+	if p := k.preds[goal.Pred()]; p != nil {
+		matchIn(p.candidates(goal, b), goal, b, yield)
 	}
+}
+
+func matchIn(candidates []*lang.Term, goal *lang.Term, b *lang.Bindings, yield func()) {
 	for _, f := range candidates {
 		if mark := b.Mark(); b.Unify(goal, f) {
 			yield()
 			b.Undo(mark)
 		}
+	}
+}
+
+// Lookup is one goal's access path into a KB, resolved once for a goal
+// known in advance (a compiled rule's condition): its predicate's facts and,
+// when its first argument is ground as written, the candidates themselves.
+// Matching through it answers exactly as KB.Match does, without hashing the
+// predicate or, for such a first argument, building a key. The KB must not
+// change after the Lookup is made.
+type Lookup struct {
+	facts *predFacts // nil: no stored fact has the goal's predicate
+	fixed bool       // the first argument is ground as written: cands is every candidate
+	cands []*lang.Term
+	// walk is the KB of a goal that is not callable as written — a variable
+	// condition — which is matched as whatever it is bound to.
+	walk *KB
+}
+
+// Lookup resolves the access path of goal, a term whose variables are
+// numbered into the slot space it will be matched in.
+func (k *KB) Lookup(goal *lang.Term) *Lookup {
+	if !goal.IsCallable() {
+		return &Lookup{walk: k}
+	}
+	l := &Lookup{facts: k.preds[goal.Pred()]}
+	if l.facts != nil && l.facts.byFirst != nil && goal.Args[0].IsGround() {
+		l.fixed, l.cands = true, l.facts.candidates(goal, nil)
+	}
+	return l
+}
+
+// Unknown reports whether no stored fact has the goal's predicate as
+// written.
+func (l *Lookup) Unknown() bool { return l.facts == nil }
+
+// Match is KB.Match for the goal the Lookup was made for.
+func (l *Lookup) Match(goal *lang.Term, b *lang.Bindings, yield func()) {
+	switch {
+	case l.walk != nil:
+		l.walk.Match(goal, b, yield)
+	case l.fixed:
+		matchIn(l.cands, goal, b, yield)
+	case l.facts != nil:
+		matchIn(l.facts.candidates(goal, b), goal, b, yield)
 	}
 }
 

@@ -116,8 +116,8 @@ speedLimit(5.0, slower).
 		{"areaType(A, fishing)", "areaType(a1, fishing) areaType(a3, fishing) areaType(a2, fishing)"},
 		{"areaType(a2, T)", "areaType(a2, anchorage) areaType(a2, natura) areaType(a2, fishing)"},
 		{"areaType(A, T)", "areaType(a2, anchorage) areaType(a1, fishing) areaType(a2, natura) areaType(a3, fishing) areaType(a2, fishing)"},
-		// The index keys an integer first argument by kind: 5 does not find 5.0.
-		{"speedLimit(5, L)", "speedLimit(5, slow)"},
+		// The index keys a number by value: 5 finds 5.0, as Unify has it.
+		{"speedLimit(5, L)", "speedLimit(5, slow) speedLimit(5, slower)"},
 		{"speedLimit(X, L)", "speedLimit(5, slow) speedLimit(5.0, slower)"},
 	} {
 		if got := strings.Join(matches(t, k, c.goal), " "); got != c.want {
@@ -131,6 +131,45 @@ speedLimit(5.0, slower).
 	k.Match(g, b, func() { got = append(got, b.Resolve(g.Args[1]).String()) })
 	if strings.Join(got, " ") != "anchorage natura fishing" || b.Mark() != 1 {
 		t.Fatalf("bound-first-argument match = %v (mark %d)", got, b.Mark())
+	}
+}
+
+// TestMatchNumericFirstArgument: a numeric first argument finds the facts
+// whose first argument unifies with it, whichever of int and float either
+// side is written as — as written in the goal, bound at run time, or through
+// a Lookup made for the goal. (The string-keyed index answered nothing for
+// limit(5, X) and limit(7.0, X).)
+func TestMatchNumericFirstArgument(t *testing.T) {
+	k := mustKB(t, "limit(5.0, slow).\nlimit(7, fast).\n")
+	for _, c := range []struct{ goal, want string }{
+		{"limit(5, X)", "slow"},
+		{"limit(7.0, X)", "fast"},
+		{"limit(5.0, X)", "slow"},
+		{"limit(Y, X)", "slow fast"},
+		{"limit(6, X)", ""},
+	} {
+		g, b := goal(c.goal)
+		var got []string
+		k.Match(g, b, func() { got = append(got, b.Resolve(g.Args[1]).String()) })
+		l := k.Lookup(g)
+		var compiled []string
+		l.Match(g, b, func() { compiled = append(compiled, b.Resolve(g.Args[1]).String()) })
+		if s := strings.Join(got, " "); s != c.want {
+			t.Errorf("Match(%s) = %q, want %q", c.goal, s, c.want)
+		}
+		if s := strings.Join(compiled, " "); s != c.want {
+			t.Errorf("Lookup(%s).Match = %q, want %q", c.goal, s, c.want)
+		}
+	}
+	for _, n := range []*lang.Term{lang.NewInt(5), lang.NewFloat(7)} {
+		g, b := goal("limit(N, X)")
+		l := k.Lookup(g)
+		b.Unify(g.Args[0], n)
+		var got []string
+		l.Match(g, b, func() { got = append(got, b.Resolve(g.Args[1]).String()) })
+		if len(got) != 1 {
+			t.Errorf("limit(N, X) with N = %s bound at run time: %v, want one answer", n, got)
+		}
 	}
 }
 

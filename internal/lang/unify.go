@@ -52,10 +52,16 @@ func (b *Bindings) Load(vals []*Term) {
 	}
 }
 
-func (b *Bindings) bind(v, t *Term) {
-	b.vals[v.Int-1] = t
-	b.trail = append(b.trail, int32(v.Int-1))
+// BindSlot binds slot s to t. It is Unify of the slot's variable with t for
+// a caller that knows, without looking, what Unify would find: the slot is
+// unbound and t holds no variable of the store's slot space (so there is
+// nothing to walk and the occurs check passes).
+func (b *Bindings) BindSlot(s int, t *Term) {
+	b.vals[s] = t
+	b.trail = append(b.trail, int32(s))
 }
+
+func (b *Bindings) bind(v, t *Term) { b.BindSlot(int(v.Int-1), t) }
 
 // Walk dereferences t while it is a bound variable.
 func (b *Bindings) Walk(t *Term) *Term {

@@ -5,11 +5,13 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
 	"rtecgen/internal/fleet"
 	"rtecgen/internal/intervals"
+	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
@@ -195,7 +197,7 @@ func TestCompileRule(t *testing.T) {
 	}
 	simple := compileRule(parser.MustParseClause(`initiatedAt(f(V)=true, T) :-
 		vessel(V), not happensAt(g(V), T), happensAt(e(V, A), T), happensAt(e2(V), T),
-		holdsAt(h(V)=true, T), A = V, union_all([I], J), holdsFor(h(V)=true, I).`), nil)
+		holdsAt(h(V)=true, T), A = V, union_all([I], J), holdsFor(h(V)=true, I).`), nil, kb.New())
 	if got := fmt.Sprintf("%s @ %s / %s", simple.pattern, simple.timeArg, simple.head); got != "e(V_r, A_r) @ T_r / f(V_r)=true" {
 		t.Errorf("anchor and head: %s", got)
 	}
@@ -206,6 +208,20 @@ func TestCompileRule(t *testing.T) {
 	if simple.ivar != nil || simple.nvars != 5 {
 		t.Errorf("simple rule: ivar %v, %d slots, want none and 5 (V, T, A, I, J)", simple.ivar, simple.nvars)
 	}
+	// The anchor is unified first, so what it binds directly is decided by
+	// the anchor alone: here V (slot 0), A (2) and T (1).
+	for src, want := range map[string]string{
+		"happensAt(e(V, A), T), vessel(V)": "[0 2] 1",
+		"happensAt(p(V, V), T)":            "[0 -1] 1",
+		"happensAt(p(V, a1), T)":           "[0 -1] 1",
+		"happensAt(p(V, T), T)":            "[0 1] -1",
+		"happensAt(p(g(V), V), 5)":         "[-1 -1] -1",
+	} {
+		r := compileRule(parser.MustParseClause("initiatedAt(f(V)=true, T) :- "+src+"."), nil, kb.New())
+		if got := fmt.Sprint(r.argSlots, r.timeSlot); got != want {
+			t.Errorf("%s: anchor slots %s, want %s", src, got, want)
+		}
+	}
 
 	sd := compileRule(parser.MustParseClause(`holdsFor(busy(V)=true, I) :-
 		holdsFor(a(V)=true, I1), not holdsFor(b(V)=true, I2), vessel(V),
@@ -213,7 +229,7 @@ func TestCompileRule(t *testing.T) {
 		[]*lang.Clause{
 			parser.MustParseClause("grounding(busy(V)) :- vessel(V)."),
 			parser.MustParseClause("grounding(busy(X)) :- tug(X), not vessel(V)."),
-		})
+		}, kb.New())
 	want = fmt.Sprint(condHoldsFor, " not ", condHoldsFor, " ", condBackground, " ", condUnion, " ", condIntersect, " ", condRelComp)
 	if got := kinds(sd); got != want {
 		t.Errorf("holdsFor rule conditions: %s, want %s", got, want)
@@ -231,6 +247,118 @@ func TestCompileRule(t *testing.T) {
 	}
 	if v, g0 := sd.head.Args[0].Args[0], sd.groundings[0].fluent.Args[0]; v.Int == g0.Int {
 		t.Errorf("rule variable %s and grounding variable %s share slot %d", v, g0, v.Int)
+	}
+}
+
+// TestCompiledRuleShapes runs one rule per shape the load-time compilation
+// treats specially — anchor arguments bound straight into a slot or unified,
+// background conditions answered from a candidate list fixed at load, from
+// the first-argument index at run time or from a full scan — against
+// intervals and warnings written out by hand.
+func TestCompiledRuleShapes(t *testing.T) {
+	const ed = `
+limit(5.0, slow).
+limit(7, fast).
+zone(area(a1), fishing).
+zone(area(a2), natura).
+vesselType(v1, tug).
+vesselType(v2, cargo).
+
+% anchors: a repeated variable, a constant argument, T inside the pattern, a
+% variable first seen nested in an earlier argument
+initiatedAt(self(V)=true, T) :- happensAt(proximity_start(V, V), T).
+initiatedAt(inA1(V)=true, T) :- happensAt(entersArea(V, a1), T).
+initiatedAt(stamped(V)=true, T) :- happensAt(ping(V, T), T).
+initiatedAt(nested(V)=true, T) :- happensAt(tagged(f(V), V), T).
+
+% background conditions: a constant first argument, a numeric one (an int
+% against a float fact), a compound one, and each of the last two bound at
+% run time
+initiatedAt(typeOfV1(V)=Type, T) :- happensAt(velocity(V, S), T), vesselType(v1, Type).
+initiatedAt(label(V)=L, T) :- happensAt(velocity(V, S), T), limit(5, L).
+initiatedAt(kindOfA1(V)=K, T) :- happensAt(entersArea(V, A), T), zone(area(a1), K).
+initiatedAt(speedLabel(V)=L, T) :- happensAt(velocity(V, S), T), limit(S, L).
+initiatedAt(zoneKind(V)=K, T) :- happensAt(entersArea(V, A), T), zone(area(A), K).
+
+% negated conditions, over a known and an unknown predicate; a positive
+% condition over an unknown predicate
+initiatedAt(notTug(V)=true, T) :- happensAt(velocity(V, S), T), not vesselType(V, tug).
+initiatedAt(free(V)=true, T) :- happensAt(ping(V, X), T), not banned(V).
+initiatedAt(ghost(V)=true, T) :- happensAt(velocity(V, S), T), noSuchFact(V, S).
+
+% a condition that is a variable, matched as what the event binds it to
+initiatedAt(called(V)=true, T) :- happensAt(call(V, G), T), G.
+`
+	events := stream.Stream{
+		ev(10, "velocity(v2, 4)"),
+		ev(20, "velocity(v1, 7.0)"),
+		ev(30, "velocity(v2, 5)"),
+		ev(40, "entersArea(v1, a1)"),
+		ev(50, "entersArea(v2, a2)"),
+		ev(60, "entersArea(v3, a3)"),
+		ev(70, "proximity_start(v1, v1)"),
+		ev(72, "proximity_start(v1, v2)"),
+		ev(74, "proximity_start(V9, V9)"), // slotless variables: data, equal only by name
+		ev(75, "proximity_start(V9, V8)"),
+		ev(80, "ping(v1, 80)"),
+		ev(82, "ping(v2, 81)"),
+		ev(84, "ping(v3, 84.0)"),
+		ev(86, "tagged(f(v1), v1)"),
+		ev(87, "tagged(f(v1), v2)"),
+		ev(90, "entersArea(v4, Area)"), // matches no constant, and finds no zone
+		ev(92, "call(v1, vesselType(v1, tug))"),
+		ev(93, "call(v2, vesselType(v2, tug))"),
+	}
+	from := func(s int64) intervals.List { return intervals.List{ivl(s, 100)} }
+	want := map[string]intervals.List{
+		"self(v1)=true":        from(71),
+		"inA1(v1)=true":        from(41),
+		"stamped(v1)=true":     from(81),
+		"stamped(v3)=true":     from(85),
+		"nested(v1)=true":      from(87),
+		"typeOfV1(v1)=tug":     from(21),
+		"typeOfV1(v2)=tug":     from(11),
+		"label(v1)=slow":       from(21),
+		"label(v2)=slow":       from(11),
+		"kindOfA1(v1)=fishing": from(41),
+		"kindOfA1(v2)=fishing": from(51),
+		"kindOfA1(v3)=fishing": from(61),
+		"kindOfA1(v4)=fishing": from(91),
+		"speedLabel(v1)=fast":  from(21),
+		"speedLabel(v2)=slow":  from(31),
+		"zoneKind(v1)=fishing": from(41),
+		"zoneKind(v2)=natura":  from(51),
+		"notTug(v2)=true":      from(11),
+		"free(v1)=true":        from(81),
+		"free(v2)=true":        from(83),
+		"free(v3)=true":        from(85),
+		"called(v1)=true":      from(93),
+	}
+	wantWarnings := []string{
+		// the predicate of a variable condition is not known until run time
+		"called/1: unknown predicate var; condition fails",
+		"ghost/1: unknown predicate noSuchFact/2; condition fails",
+		"self/1: initiatedAt rule derives non-ground FVP self(V9)=true; occurrence dropped",
+	}
+	for _, opts := range []RunOptions{{Start: 0, End: 100}, {Start: 0, End: 100, Window: 40, Slide: 20}} {
+		rec, err := mustEngine(t, ed, Options{Workers: 1}).Run(events, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for key, list := range want {
+			checkIntervals(t, rec, key, list)
+		}
+		if keys := rec.Keys(); len(keys) != len(want) {
+			t.Errorf("window %d: recognised %d FVPs, want %d: %v", opts.Window, len(keys), len(want), keys)
+		}
+		var warned []string
+		for _, w := range rec.Warnings {
+			warned = append(warned, w.String())
+		}
+		sort.Strings(warned) // each where it first occurs, which depends on the windows
+		if got := strings.Join(warned, "\n"); got != strings.Join(wantWarnings, "\n") {
+			t.Errorf("window %d: warnings\n%s\nwant\n%s", opts.Window, got, strings.Join(wantWarnings, "\n"))
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
-	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
 
@@ -66,9 +65,11 @@ import (
 // its carried lists, the window's previous windowEval is the answer and is
 // not rebuilt (evalWindow).
 
-// noInternID marks a listEntry published for engines other than the one that
-// computed it (the Prepared's fluent table, see evalFluent): intern IDs are
-// per engine, so the installer interns the FVP itself.
+// noInternID stands for an intern ID not known where the FVP is handed on: in
+// a listEntry published for engines other than the one that computed it (the
+// Prepared's fluent table, see evalFluent; intern IDs are per engine), or in
+// the act of a unit whose head was new to the interner (derived). The
+// receiver interns the FVP itself.
 const noInternID lang.InternID = -1
 
 // listEntry is one recorded fluent-value pair: the FVP term, its intern ID
@@ -99,11 +100,7 @@ func (w *windowState) install(warnings []Warning, entries []listEntry) {
 		w.warn(wn)
 	}
 	for _, ent := range entries {
-		id := ent.id
-		if id == noInternID {
-			id = w.eng.interner.ID(ent.fvp, nil)
-		}
-		w.storeID(ent.fvp, id, ent.list)
+		w.store(ent.fvp, ent.id, ent.list)
 	}
 }
 
@@ -268,7 +265,8 @@ func sameTerms(a, b []*lang.Term) bool {
 // sameAct reports whether two acts of a simple-fluent rule are the same
 // effect.
 func sameAct(x, y *act) bool {
-	return x.t == y.t && x.warn == y.warn && x.fvp.Equal(y.fvp)
+	return x.t == y.t && x.fvp.Equal(y.fvp) &&
+		(x.warn == y.warn || x.warn != nil && y.warn != nil && *x.warn == *y.warn)
 }
 
 // sameActs reports whether a time-point's re-derived acts equal its cached
@@ -419,7 +417,7 @@ func symDiff(a, b intervals.List) intervals.List {
 // re-derived. Events are time-sorted and a time-point is either entirely
 // clean or entirely dirty, so walking the events in order reproduces the
 // exact act sequence of the sequential evaluation.
-func (w *windowState) replaySimpleRule(events []stream.Event, prevActs map[int64][]act, rec map[int64][]act, derived []act, apply func(act)) {
+func (w *windowState) replaySimpleRule(events []timedEvent, prevActs map[int64][]act, rec map[int64][]act, derived []act, apply func(act)) {
 	d := w.delta
 	dirty := w.curDirty
 	for i := 0; i < len(events); {

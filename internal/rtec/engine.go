@@ -140,9 +140,6 @@ type Engine struct {
 // Workers returns the resolved evaluation worker count.
 func (e *Engine) Workers() int { return e.workers }
 
-// KB returns the engine's background knowledge base.
-func (e *Engine) KB() *kb.KB { return e.kb }
-
 // Warnings returns the problems found while loading the event description.
 func (e *Engine) Warnings() []Warning { return e.warnings }
 
@@ -269,7 +266,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				}
 				continue
 			}
-			def.inits = append(def.inits, compileRule(c, nil))
+			def.inits = append(def.inits, compileRule(c, nil, background))
 		case lang.KindTerminatedAt:
 			if msg := checkSimpleRule(c); msg != "" {
 				if err := warn(ind, "terminatedAt rule dropped: %s", msg); err != nil {
@@ -277,7 +274,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				}
 				continue
 			}
-			def.terms = append(def.terms, compileRule(c, nil))
+			def.terms = append(def.terms, compileRule(c, nil, background))
 		case lang.KindHoldsFor:
 			if msg := checkSDRule(c); msg != "" {
 				if err := warn(ind, "holdsFor rule dropped: %s", msg); err != nil {
@@ -285,7 +282,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 				}
 				continue
 			}
-			def.holdsFor = append(def.holdsFor, compileRule(c, groundings[ind]))
+			def.holdsFor = append(def.holdsFor, compileRule(c, groundings[ind], background))
 		}
 	}
 

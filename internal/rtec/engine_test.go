@@ -597,7 +597,4 @@ func TestEngineIntrospection(t *testing.T) {
 	if !strings.Contains(e.Describe(), "withinArea/2") {
 		t.Fatalf("Describe = %q", e.Describe())
 	}
-	if e.KB() == nil {
-		t.Fatal("KB() is nil")
-	}
 }

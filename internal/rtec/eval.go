@@ -8,7 +8,6 @@ import (
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/kb"
 	"rtecgen/internal/lang"
-	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
 
@@ -111,13 +110,12 @@ func (w *windowState) warn(wn Warning) {
 	}
 }
 
-// store unions list into the cache entry for the ground FVP.
-func (w *windowState) store(fvp *lang.Term, list intervals.List) {
-	w.storeID(fvp, w.eng.interner.ID(fvp, nil), list)
-}
-
-// storeID is store for an FVP whose intern ID the caller already holds.
-func (w *windowState) storeID(fvp *lang.Term, id lang.InternID, list intervals.List) {
+// store unions list into the cache entry for the ground FVP, whose intern ID
+// is id, or noInternID when the caller does not hold it.
+func (w *windowState) store(fvp *lang.Term, id lang.InternID, list intervals.List) {
+	if id == noInternID {
+		id = w.eng.interner.ID(fvp, nil)
+	}
 	if ent, ok := w.cache[id]; ok {
 		ent.list = intervals.Union(ent.list, list)
 		return
@@ -275,8 +273,10 @@ type fvpPoints struct {
 func (w *windowState) evalSimple(def *fluentDef) {
 	in := w.eng.interner
 	points := map[lang.InternID]*fvpPoints{}
-	get := func(fvp *lang.Term) *fvpPoints {
-		id := in.ID(fvp, nil)
+	get := func(fvp *lang.Term, id lang.InternID) *fvpPoints {
+		if id == noInternID {
+			id = in.ID(fvp, nil)
+		}
 		p, ok := points[id]
 		if !ok {
 			p = &fvpPoints{fvp: fvp, id: id, fluentPart: in.ID(fvp.Args[0], nil)}
@@ -288,7 +288,7 @@ func (w *windowState) evalSimple(def *fluentDef) {
 	// Inertia: FVPs open at the window start behave as if initiated just
 	// before it, so their interval resumes at ws.
 	for _, fvp := range w.openByFluent[def.pred] {
-		p := get(fvp)
+		p := get(fvp, noInternID)
 		p.inits = append(p.inits, w.ws-1)
 	}
 
@@ -303,23 +303,23 @@ func (w *windowState) evalSimple(def *fluentDef) {
 	}
 	var wildcards []wildcard
 	for ri, rule := range def.inits {
-		w.evalSimpleRule(def, ri, rule, func(fvp *lang.Term, t int64) {
-			if !fvp.IsGround() {
-				w.warnf(def.ind, "initiatedAt rule derives non-ground FVP %s; occurrence dropped", fvp)
+		w.evalSimpleRule(def, ri, rule, func(a act) {
+			if !a.fvp.IsGround() {
+				w.warnf(def.ind, "initiatedAt rule derives non-ground FVP %s; occurrence dropped", a.fvp)
 				return
 			}
-			p := get(fvp)
-			p.inits = append(p.inits, t)
+			p := get(a.fvp, a.id)
+			p.inits = append(p.inits, a.t)
 		})
 	}
 	for ri, rule := range def.terms {
-		w.evalSimpleRule(def, len(def.inits)+ri, rule, func(fvp *lang.Term, t int64) {
-			if !fvp.IsGround() {
-				wildcards = append(wildcards, wildcard{pattern: fvp, t: t})
+		w.evalSimpleRule(def, len(def.inits)+ri, rule, func(a act) {
+			if !a.fvp.IsGround() {
+				wildcards = append(wildcards, wildcard{pattern: a.fvp, t: a.t})
 				return
 			}
-			p := get(fvp)
-			p.terms = append(p.terms, t)
+			p := get(a.fvp, a.id)
+			p.terms = append(p.terms, a.t)
 		})
 	}
 	b := &w.seq.b
@@ -363,7 +363,7 @@ func (w *windowState) evalSimple(def *fluentDef) {
 		p := points[k]
 		list := intervals.FromPoints(p.inits, append(p.terms, extraTerms[k]...))
 		if len(list) > 0 {
-			w.store(p.fvp, list)
+			w.store(p.fvp, p.id, list)
 		}
 	}
 }
@@ -422,7 +422,7 @@ func idleAdditions(got, cached []act, entries []listEntry, initiating bool) bool
 // cache: a replaying fluent's units at clean anchor times replay the carried
 // state's cached acts, and its dirty ones were re-derived before the rules
 // ran (see deriveDirty and replaySimpleRule in delta.go).
-func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit func(fvp *lang.Term, t int64)) {
+func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit func(act)) {
 	if !r.pattern.IsCallable() {
 		w.warnf(def.ind, "happensAt pattern %s is not callable; rule skipped", r.pattern)
 		return
@@ -430,10 +430,10 @@ func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit fun
 	events := w.byInd[r.pattern.Pred()]
 	apply := func(a act) {
 		if a.fvp == nil {
-			w.warn(a.warn)
+			w.warn(*a.warn)
 			return
 		}
-		emit(a.fvp, a.t)
+		emit(a)
 	}
 
 	var rec map[int64][]act // capture target: acts of this rule by anchor time
@@ -455,16 +455,16 @@ func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit fun
 		}
 	}
 	w.runUnits(len(events),
-		func(i int) uint64 { return eventEntity(events[i]) },
+		func(i int) uint64 { return eventEntity(events[i].Event) },
 		func(i int, re *ruleEval) { w.anchorUnit(def, r, events[i], re) },
 		apply)
 }
 
 // anchorUnit is one evaluation unit of a simple-fluent rule: the rule's body
 // solved with its anchor condition unified with the event.
-func (w *windowState) anchorUnit(def *fluentDef, r *rule, ev stream.Event, re *ruleEval) {
+func (w *windowState) anchorUnit(def *fluentDef, r *rule, ev timedEvent, re *ruleEval) {
 	re.begin(def, r, ev.Time)
-	if re.b.Unify(r.pattern, ev.Atom) && re.b.Unify(r.timeArg, w.timeTerms[ev.Time]) {
+	if r.bindAnchor(&re.b, ev.Atom, ev.at) {
 		re.solve(r.body)
 	}
 }
@@ -514,7 +514,7 @@ func (re *ruleEval) solve(conds []cond) {
 			found = true
 			re.solve(rest)
 		})
-		if !found && c.kind == condBackground && len(w.eng.kb.FactsOfPred(atom.Pred())) == 0 {
+		if !found && c.kind == condBackground && c.facts.Unknown() {
 			re.warnf(ind, "unknown predicate %s; condition fails", atom.Indicator())
 		}
 
@@ -588,7 +588,7 @@ func (re *ruleEval) each(c *cond, yield func()) {
 	case condHoldsAt:
 		re.eachHoldsAt(c.atom, yield)
 	default:
-		re.w.eng.kb.Match(c.atom, &re.b, yield)
+		c.facts.Match(c.atom, &re.b, yield)
 	}
 }
 
@@ -596,18 +596,20 @@ func (re *ruleEval) each(c *cond, yield func()) {
 // occurrence of the head FVP at the anchor time for a simple-fluent rule, the
 // head interval variable's list for a holdsFor rule. The head is the one term
 // a unit builds, and only the first time: an FVP the engine has interned
-// before is reused. Either way a non-ground head leaves the unit without the
+// before is reused, and its intern ID travels with the act, so the head is
+// hashed once. Either way a non-ground head leaves the unit without the
 // rule's slots, so no consumer can read it through another rule's store.
 func (re *ruleEval) derived() {
 	r, in := re.rule, re.w.eng.interner
 	var fvp *lang.Term
-	if id, ok := in.Lookup(r.head, &re.b); ok {
+	id, ok := in.Lookup(r.head, &re.b)
+	if ok {
 		fvp = in.TermOf(id)
 	} else {
-		fvp = lang.Unnumbered(re.b.Resolve(r.head))
+		fvp, id = lang.Unnumbered(re.b.Resolve(r.head)), noInternID
 	}
 	if r.ivar == nil {
-		re.emit(fvp, re.t)
+		re.put(act{fvp: fvp, id: id, t: re.t})
 		return
 	}
 	if !fvp.IsGround() {
@@ -620,7 +622,7 @@ func (re *ruleEval) derived() {
 		return
 	}
 	if len(out.list) > 0 {
-		re.store(fvp, out.list)
+		re.put(act{fvp: fvp, id: id, list: out.list})
 	}
 }
 
@@ -645,7 +647,7 @@ func (re *ruleEval) eachEventMatch(atom *lang.Term, yield func()) {
 	}
 	for _, ev := range w.byInd[pred] {
 		mark := b.Mark()
-		if b.Unify(pattern, ev.Atom) && b.Unify(timeArg, w.timeTerms[ev.Time]) {
+		if b.Unify(pattern, ev.Atom) && b.Unify(timeArg, ev.at) {
 			yield()
 		}
 		b.Undo(mark)
@@ -729,10 +731,10 @@ func (w *windowState) evalSDRule(def *fluentDef, r *rule) {
 		},
 		func(a act) {
 			if a.fvp == nil {
-				w.warn(a.warn)
+				w.warn(*a.warn)
 				return
 			}
-			w.store(a.fvp, a.list)
+			w.store(a.fvp, a.id, a.list)
 		})
 }
 

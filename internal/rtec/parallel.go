@@ -34,10 +34,13 @@ const minParallelUnits = 8
 // act is one buffered effect of an evaluation unit: either a runtime
 // warning (fvp == nil) or an emission/store of fvp with the payload the
 // applying rule expects (occurrence time t for simple rules, interval list
-// for holdsFor rules).
+// for holdsFor rules). id is fvp's intern ID, or noInternID. The warning is
+// held by pointer: acts are carried per anchor event by the delta layer, and
+// nearly none of them warns.
 type act struct {
-	warn Warning
+	warn *Warning
 	fvp  *lang.Term
+	id   lang.InternID
 	t    int64
 	list intervals.List
 }
@@ -73,7 +76,7 @@ type ruleEval struct {
 
 type doomedCond struct {
 	operand *lang.Term
-	warn    Warning
+	warn    *Warning
 }
 
 // begin points the context at the unit about to run: rule r of fluent def,
@@ -97,7 +100,7 @@ func (re *ruleEval) put(a act) {
 // warnf buffers a runtime warning; dedup and telemetry happen when the act
 // is applied on the merge path, exactly as the sequential code would.
 func (re *ruleEval) warnf(fluent, format string, args ...any) {
-	re.put(act{warn: Warning{Fluent: fluent, Msg: fmt.Sprintf(format, args...)}, t: re.t})
+	re.put(act{warn: &Warning{Fluent: fluent, Msg: fmt.Sprintf(format, args...)}, t: re.t})
 }
 
 // warnArith buffers the warning for builtin condition atom, whose operand did
@@ -117,7 +120,7 @@ func (re *ruleEval) warnArith(atom *lang.Term, err error) {
 	}
 	m, seen := re.doomed[atom]
 	if !seen || m.operand != bad.Term {
-		m = doomedCond{operand: bad.Term, warn: Warning{Fluent: re.def.ind, Msg: fmt.Sprintf("condition %s: %v", atom, err)}}
+		m = doomedCond{operand: bad.Term, warn: &Warning{Fluent: re.def.ind, Msg: fmt.Sprintf("condition %s: %v", atom, err)}}
 		if re.doomed == nil {
 			re.doomed = map[*lang.Term]doomedCond{}
 		}
@@ -125,12 +128,6 @@ func (re *ruleEval) warnArith(atom *lang.Term, err error) {
 	}
 	re.put(act{warn: m.warn, t: re.t})
 }
-
-// emit buffers a simple-rule FVP occurrence at time t.
-func (re *ruleEval) emit(fvp *lang.Term, t int64) { re.put(act{fvp: fvp, t: t}) }
-
-// store buffers an SD-rule interval list for fvp.
-func (re *ruleEval) store(fvp *lang.Term, list intervals.List) { re.put(act{fvp: fvp, list: list}) }
 
 // eventEntity is the shard key of an event unit: the event's first argument
 // is its entity (e.g. the vessel of a change_in_speed_start), so events of

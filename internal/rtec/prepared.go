@@ -31,8 +31,15 @@ import (
 type windowIndex struct {
 	n         int // events in the window
 	byIndTime map[lang.PredKey]map[int64][]*lang.Term
-	byInd     map[lang.PredKey][]stream.Event
-	timeTerms map[int64]*lang.Term // the Int term of every time-point that has an event
+	byInd     map[lang.PredKey][]timedEvent
+}
+
+// timedEvent is an event with the Int term of its time-point, which a rule's
+// time variable binds to. The term is built once per time-point of the
+// window and shared by the events there.
+type timedEvent struct {
+	stream.Event
+	at *lang.Term
 }
 
 // indexWindow indexes the (time-sorted) events of one window.
@@ -40,15 +47,15 @@ func indexWindow(events stream.Stream) *windowIndex {
 	x := &windowIndex{
 		n:         len(events),
 		byIndTime: map[lang.PredKey]map[int64][]*lang.Term{},
-		byInd:     map[lang.PredKey][]stream.Event{},
-		timeTerms: map[int64]*lang.Term{},
+		byInd:     map[lang.PredKey][]timedEvent{},
 	}
+	var at *lang.Term
 	for _, ev := range events {
-		if x.timeTerms[ev.Time] == nil {
-			x.timeTerms[ev.Time] = lang.NewInt(ev.Time)
+		if at == nil || at.Int != ev.Time {
+			at = lang.NewInt(ev.Time)
 		}
 		pred := ev.Atom.Pred()
-		x.byInd[pred] = append(x.byInd[pred], ev)
+		x.byInd[pred] = append(x.byInd[pred], timedEvent{ev, at})
 		byTime := x.byIndTime[pred]
 		if byTime == nil {
 			byTime = map[int64][]*lang.Term{}

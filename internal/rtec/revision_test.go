@@ -342,7 +342,7 @@ func TestIdleAdditions(t *testing.T) {
 	low, high := parser.MustParseTerm("speed(x)=low"), parser.MustParseTerm("speed(x)=high")
 	entries := []listEntry{{fvp: low, list: intervals.List{ivl(11, 21)}}} // low holds on [11, 21), high never
 	at := func(t int64, fvp *lang.Term) act { return act{fvp: fvp, t: t} }
-	warned := act{warn: Warning{Fluent: "speed/1", Msg: "m"}, t: 15}
+	warned := act{warn: &Warning{Fluent: "speed/1", Msg: "m"}, t: 15}
 	for _, tc := range []struct {
 		name        string
 		got, cached []act
