@@ -36,7 +36,8 @@ go test ./...
 
 echo "== go test -race (concurrency-sensitive packages)"
 go test -race ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
-    ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/...
+    ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/... \
+    ./internal/llm/... ./internal/prompt/... ./internal/correct/...
 
 echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over every fact)"
 go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s

@@ -6,8 +6,8 @@
 // automated qualitative error assessment. The refine figure reports the
 // critique–refine loop of Section 3.4: per round, the diagnostics the
 // autofixer discharged, those the model was critiqued on, and the resulting
-// similarity and F1 scores. Refinement needs live re-generation, so it is
-// skipped under -faults.
+// similarity and F1 scores. Refinement continues each Figure 2a
+// conversation with live critique turns, so it is skipped under -faults.
 //
 // Usage:
 //
@@ -322,7 +322,7 @@ func run(o options) error {
 	printDegradation(os.Stdout, allRows, skipped)
 
 	if o.lintFlag {
-		printLint(best)
+		printLint(tel, best)
 	}
 
 	if o.errorsFlag {
@@ -410,14 +410,17 @@ func printRefine(w io.Writer, rows []eval.RefineRow, csv bool) {
 	fmt.Fprintln(w)
 }
 
-// printLint renders the static-analyzer diagnostic counts of each model's
-// best event description: one row per model, one column per diagnostic code
-// that fires for any of them, plus severity totals and the count of raw
-// response chunks that did not even parse.
-func printLint(best []eval.Row) {
+// printLint lints each model's best event description and renders the
+// diagnostic counts: one row per model, one column per diagnostic code that
+// fires for any of them, plus severity totals and the count of raw response
+// chunks that did not even parse.
+func printLint(tel *telemetry.Telemetry, best []eval.Row) {
+	domain := maritime.PromptDomain()
+	reports := make([]*analysis.Report, len(best))
 	codeSet := map[string]bool{}
-	for _, r := range best {
-		for _, code := range r.Gen.Report.Codes() {
+	for i, r := range best {
+		reports[i] = r.Gen.LintWith(tel, domain)
+		for _, code := range reports[i].Codes() {
 			codeSet[code] = true
 		}
 	}
@@ -430,8 +433,8 @@ func printLint(best []eval.Row) {
 	header := append([]string{"event description", "parse errs"}, codes...)
 	header = append(header, "errors", "warnings", "infos")
 	rows := [][]string{header}
-	for _, r := range best {
-		rep := r.Gen.Report
+	for i, r := range best {
+		rep := reports[i]
 		byCode := rep.CountByCode()
 		cells := []string{r.Label(), fmt.Sprintf("%d", len(r.Gen.ParseErrors()))}
 		for _, c := range codes {

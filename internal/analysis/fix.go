@@ -374,10 +374,12 @@ type FixRound struct {
 	After   int // diagnostics after re-analysis
 }
 
-// FixResult is the outcome of Fix: the final source, its report, and the
-// per-round trace.
+// FixResult is the outcome of Fix: the final source, the event description
+// parsed from it (nil when it does not parse), its report, and the per-round
+// trace.
 type FixResult struct {
 	Source string
+	ED     *lang.EventDescription
 	Report *Report
 	Rounds []FixRound
 }
@@ -396,8 +398,8 @@ func Fix(src string, opts Options, budget int) *FixResult {
 	if budget <= 0 {
 		budget = DefaultFixBudget
 	}
-	rep := AnalyzeSource(src, opts)
-	res := &FixResult{Source: src, Report: rep}
+	ed, rep := analyzeSource(src, opts)
+	res := &FixResult{Source: src, ED: ed, Report: rep}
 	for round := 0; round < budget; round++ {
 		fixes := rep.Fixes()
 		if len(fixes) == 0 {
@@ -407,14 +409,14 @@ func Fix(src string, opts Options, budget int) *FixResult {
 		if applied == 0 {
 			break
 		}
-		nrep := AnalyzeSource(next, opts)
+		ned, nrep := analyzeSource(next, opts)
 		if len(nrep.Diagnostics) >= len(rep.Diagnostics) {
 			break
 		}
 		res.Rounds = append(res.Rounds, FixRound{
 			Before: len(rep.Diagnostics), Applied: applied, After: len(nrep.Diagnostics)})
 		src, rep = next, nrep
-		res.Source, res.Report = src, rep
+		res.Source, res.ED, res.Report = src, ned, rep
 	}
 	return res
 }

@@ -15,7 +15,7 @@ import (
 var update = flag.Bool("update", false, "rewrite the golden analyzer reports")
 
 // TestGoldenModelReports runs the full prompting pipeline for each of the
-// six simulated models, analyzes the generated event description, and
+// six simulated models, lints the generated event description, and
 // compares the rendered report byte-for-byte against a golden file. The
 // simulated models are deterministic, so these reports pin down both the
 // analyzer's output format and the exact defect set each error profile
@@ -29,7 +29,7 @@ func TestGoldenModelReports(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := gen.Report.Text()
+			got := gen.Lint(domain).Text()
 			path := filepath.Join("testdata", "golden", fileName(name)+".txt")
 			if *update {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -62,7 +62,7 @@ func TestGoldenReportsAreStable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return gen.Report.Text()
+		return gen.Lint(domain).Text()
 	}
 	if a, b := render(), render(); a != b {
 		t.Fatalf("reports differ across runs:\n%s\n---\n%s", a, b)

@@ -29,10 +29,17 @@ func SyntaxError(err error) Diagnostic {
 // text attached (so diagnostics carry suggested fixes). On a parse failure
 // the report holds the single R000 diagnostic.
 func AnalyzeSource(src string, opts Options) *Report {
+	_, rep := analyzeSource(src, opts)
+	return rep
+}
+
+// analyzeSource is AnalyzeSource that also returns the parsed event
+// description, nil when src does not parse.
+func analyzeSource(src string, opts Options) (*lang.EventDescription, *Report) {
 	ed, err := parser.ParseEventDescription(src)
 	if err != nil {
-		return &Report{Diagnostics: []Diagnostic{SyntaxError(err)}}
+		return nil, &Report{Diagnostics: []Diagnostic{SyntaxError(err)}}
 	}
 	opts.Source = src
-	return Analyze(ed, opts)
+	return ed, Analyze(ed, opts)
 }

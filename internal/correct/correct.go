@@ -173,14 +173,20 @@ func activityAt(ranges []markerRange, line int) string {
 }
 
 // resplit parses a fixed combined source and rebuilds the per-activity
-// results of gen from it, assigning clauses to activities by the marker
-// sections their positions fall in. Raw responses, parse errors and
-// degradation flags are carried over unchanged.
+// results of gen from it (see split).
 func resplit(gen *prompt.GeneratedED, src string) (*prompt.GeneratedED, error) {
 	ed, err := parser.ParseEventDescription(src)
 	if err != nil {
 		return nil, err
 	}
+	return split(gen, ed, src), nil
+}
+
+// split rebuilds the per-activity results of gen from ed, the event
+// description parsed from the combined source src, assigning clauses to
+// activities by the marker sections their positions fall in. Raw responses,
+// parse errors and degradation flags are carried over unchanged.
+func split(gen *prompt.GeneratedED, ed *lang.EventDescription, src string) *prompt.GeneratedED {
 	ranges := markerRanges(src)
 	byKey := map[string][]*lang.Clause{}
 	for _, c := range ed.Clauses {
@@ -193,7 +199,7 @@ func resplit(gen *prompt.GeneratedED, src string) (*prompt.GeneratedED, error) {
 		nr.Clauses = byKey[r.Request.Key]
 		out.Results = append(out.Results, nr)
 	}
-	return out, nil
+	return out
 }
 
 // lintOptions are the analyzer options both correctors use on the combined
@@ -212,8 +218,8 @@ func lintOptions(gen *prompt.GeneratedED, domain *prompt.Domain, rename func(str
 }
 
 // Corrected is the outcome: the corrected per-activity results and the
-// change log. Before is the analyzer report that drove the corrections;
-// the corrected Gen carries its own post-correction report.
+// change log. Before is the analyzer report that drove the corrections
+// (Gen.Lint reports on the corrected description).
 type Corrected struct {
 	Gen     *prompt.GeneratedED
 	Changes []Change
@@ -283,7 +289,6 @@ func apply(gen *prompt.GeneratedED, domain *prompt.Domain) *Corrected {
 		ngen, renames = resplit0(gen), nil
 	}
 	out := &Corrected{Gen: ngen, Before: report}
-	out.Gen.Lint(domain)
 	names := make([]string, 0, len(renames))
 	for n := range renames {
 		names = append(names, n)
@@ -346,12 +351,11 @@ func AutoFix(gen *prompt.GeneratedED, domain *prompt.Domain) *Fixed {
 		}
 		out.Remaining[key] = append(out.Remaining[key], d)
 	}
-	ngen, err := resplit(gen, res.Source)
-	if err != nil {
-		ngen = resplit0(gen)
+	if res.ED != nil {
+		out.Gen = split(gen, res.ED, res.Source)
+	} else {
+		out.Gen = resplit0(gen)
 	}
-	out.Gen = ngen
-	out.Gen.Lint(domain)
 	return out
 }
 

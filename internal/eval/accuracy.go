@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"strings"
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
@@ -90,18 +91,22 @@ func (r AccuracyRow) Average() float64 {
 }
 
 // Testbed is the prepared recognition environment: the scenario stream,
-// planned and indexed once, and the gold recognition result, reused across
-// candidate event descriptions. Every recognition goes through the one
-// rtec.Prepared, so a fluent that a candidate defines exactly as an earlier
-// candidate (or the gold standard) did is evaluated once per window.
+// planned and indexed once, its background knowledge, formatted once, and the
+// gold recognition result, reused across candidate event descriptions. Every
+// recognition goes through the one rtec.Prepared, so a fluent that a
+// candidate defines exactly as an earlier candidate (or the gold standard)
+// did is evaluated once per window.
 type Testbed struct {
-	cfg      AccuracyConfig
-	scenario *maritime.Scenario
-	events   stream.Stream
-	prepared *rtec.Prepared
-	pairs    [][2]string
-	facts    []*lang.Term
-	goldRec  *rtec.Recognition
+	cfg        AccuracyConfig
+	events     stream.Stream
+	prepared   *rtec.Prepared
+	background []*lang.Clause
+	facts      []*lang.Term
+	goldRec    *rtec.Recognition
+	// gold holds the intervals of each composite activity's gold fluent, by
+	// entity signature (see entityIntervals): what every candidate is scored
+	// against.
+	gold map[string]map[string]intervals.List
 }
 
 // NewTestbed builds the scenario, preprocesses it, and runs the gold
@@ -113,11 +118,10 @@ func NewTestbed(cfg AccuracyConfig) (*Testbed, error) {
 	}
 	events := maritime.Preprocess(scen.Messages, scen.Map, cfg.Preprocess)
 	tb := &Testbed{
-		cfg:      cfg,
-		scenario: scen,
-		events:   events,
-		pairs:    maritime.ObservedPairs(events),
-		facts:    maritime.DynamicFacts(events, scen.Fleet),
+		cfg:        cfg,
+		events:     events,
+		background: maritime.BackgroundClauses(scen.Map, scen.Fleet, maritime.ObservedPairs(events)),
+		facts:      maritime.DynamicFacts(events, scen.Fleet),
 	}
 	tb.prepared, err = rtec.Prepare(events, rtec.RunOptions{Window: cfg.Window})
 	if err != nil {
@@ -127,6 +131,11 @@ func NewTestbed(cfg AccuracyConfig) (*Testbed, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eval: gold recognition: %w", err)
 	}
+	primaries := map[string]bool{}
+	for _, act := range maritime.CompositeActivities() {
+		primaries[act.PrimaryName()] = true
+	}
+	tb.gold = entityIntervals(tb.goldRec, primaries)
 	return tb, nil
 }
 
@@ -136,9 +145,12 @@ func (tb *Testbed) Events() stream.Stream { return tb.events }
 // GoldRecognition returns the gold recognition result.
 func (tb *Testbed) GoldRecognition() *rtec.Recognition { return tb.goldRec }
 
-// engine loads an event description with the testbed's background knowledge.
+// engine loads an event description with the testbed's background knowledge:
+// the engine reads the rules' clauses and the background clauses in place,
+// and modifies neither, so neither is copied.
 func (tb *Testbed) engine(rules *lang.EventDescription, strict bool) (*rtec.Engine, error) {
-	ed := maritime.FullED(rules, tb.scenario.Map, tb.scenario.Fleet, tb.pairs)
+	clauses := make([]*lang.Clause, 0, len(rules.Clauses)+len(tb.background))
+	ed := &lang.EventDescription{Clauses: append(append(clauses, rules.Clauses...), tb.background...)}
 	return rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: 1, Telemetry: tb.cfg.Telemetry})
 }
 
@@ -164,63 +176,72 @@ func (tb *Testbed) Evaluate(gen *prompt.GeneratedED) (AccuracyRow, error) {
 	if err != nil {
 		return AccuracyRow{}, err
 	}
-	row := AccuracyRow{Label: gen.Label(), PerActivity: map[string]F1{}}
-	for _, act := range maritime.CompositeActivities() {
-		goldName := act.PrimaryName()
-		genName := goldName
+	acts := maritime.CompositeActivities()
+	genNames := make([]string, len(acts))
+	wanted := map[string]bool{}
+	for i, act := range acts {
+		genNames[i] = act.PrimaryName()
 		if res, ok := gen.ResultFor(act.Key); ok {
-			genName = generatedPrimaryName(res, act)
+			genNames[i] = generatedPrimaryName(res, act)
 		}
-		row.PerActivity[act.Key] = scoreActivity(tb.goldRec, genRec, goldName, genName)
+		wanted[genNames[i]] = true
+	}
+	genByName := entityIntervals(genRec, wanted)
+	row := AccuracyRow{Label: gen.Label(), PerActivity: map[string]F1{}}
+	for i, act := range acts {
+		row.PerActivity[act.Key] = scoreActivity(tb.gold[act.PrimaryName()], genByName[genNames[i]],
+			tb.goldRec.Start, tb.goldRec.End)
 	}
 	return row, nil
 }
 
-// scoreActivity compares the recognised intervals of one activity: the gold
-// fluent goldName against the generated fluent genName, matched on entity
-// arguments and value.
-func scoreActivity(goldRec, genRec *rtec.Recognition, goldName, genName string) F1 {
-	start, end := goldRec.Start, goldRec.End
-	goldByEntity := entityIntervals(goldRec, goldName)
-	genByEntity := entityIntervals(genRec, genName)
-
+// scoreActivity compares the recognised intervals of one activity, gold
+// against generated, each keyed by entity signature, over [start, end).
+func scoreActivity(goldByEntity, genByEntity map[string]intervals.List, start, end int64) F1 {
 	var f F1
-	seen := map[string]bool{}
 	for entity, goldList := range goldByEntity {
-		seen[entity] = true
 		genList := genByEntity[entity]
 		f.TP += intervals.OverlapDuration(goldList, genList, start, end)
 		f.FN += intervals.RelativeComplement(intervals.Clip(goldList, start, end), genList).Duration()
 		f.FP += intervals.RelativeComplement(intervals.Clip(genList, start, end), goldList).Duration()
 	}
 	for entity, genList := range genByEntity {
-		if !seen[entity] {
+		if _, ok := goldByEntity[entity]; !ok {
 			f.FP += intervals.Clip(genList, start, end).Duration()
 		}
 	}
 	return f
 }
 
-// entityIntervals collects, for a fluent functor, the recognised intervals
-// keyed by the canonical entity-and-value signature (e.g. "(v1|v2)=true"),
-// which is name-independent so renamed fluents still align.
-func entityIntervals(rec *rtec.Recognition, functor string) map[string]intervals.List {
-	out := map[string]intervals.List{}
+// entityIntervals collects, in one pass over the recognised FVPs, the
+// intervals of each fluent functor in functors, keyed by the canonical
+// entity-and-value signature (e.g. "v1|v2=true"), which is name-independent
+// so renamed fluents still align.
+func entityIntervals(rec *rtec.Recognition, functors map[string]bool) map[string]map[string]intervals.List {
+	out := map[string]map[string]intervals.List{}
+	var sig strings.Builder
 	for _, key := range rec.Keys() {
 		fvp := rec.FVP(key)
 		fl := fvp.Args[0]
-		if !fl.IsCallable() || fl.Functor != functor {
+		if !fl.IsCallable() || !functors[fl.Functor] {
 			continue
 		}
-		sig := ""
+		sig.Reset()
 		for i, a := range fl.Args {
 			if i > 0 {
-				sig += "|"
+				sig.WriteByte('|')
 			}
-			sig += a.String()
+			sig.WriteString(a.String())
 		}
-		sig += "=" + fvp.Args[1].String()
-		out[sig] = intervals.Union(out[sig], rec.IntervalsOfKey(key))
+		sig.WriteByte('=')
+		sig.WriteString(fvp.Args[1].String())
+		bySig := out[fl.Functor]
+		if bySig == nil {
+			bySig = map[string]intervals.List{}
+			out[fl.Functor] = bySig
+		}
+		s := sig.String()
+		bySig[s] = intervals.Union(bySig[s], rec.IntervalsOfKey(key))
 	}
 	return out
 }

@@ -3,12 +3,16 @@ package eval
 import (
 	"bytes"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
+	"rtecgen/internal/intervals"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/prompt"
 	"rtecgen/internal/rtec"
+	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
 
@@ -104,6 +108,87 @@ func TestMissingActivityScoresZero(t *testing.T) {
 	}
 	if f.TP != 0 || f.FP != 0 {
 		t.Fatalf("missing activity TP/FP = %d/%d, want 0/0", f.TP, f.FP)
+	}
+}
+
+// TestScoreActivityHandComputed scores a small candidate recognition against
+// a small gold one, time-point by time-point as worked out by hand. On the
+// time-line [0, 100), an FVP initiated at T and terminated at T' holds at
+// T+1..T'. Gold f(X) starts on a(X) and stops on b(X); the candidate's g(X)
+// (another name: entities align by signature) starts on a(X) or d(X) and
+// stops on c(X). Both define a pair fluent that starts on e(X, Y).
+func TestScoreActivityHandComputed(t *testing.T) {
+	recognise := func(src string, events stream.Stream) *rtec.Recognition {
+		t.Helper()
+		ed, err := parser.ParseEventDescription(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, err := rtec.New(ed, rtec.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := eng.Run(events, rtec.RunOptions{Start: 0, End: 100})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rec
+	}
+	var events stream.Stream
+	for _, e := range []struct {
+		at   int64
+		atom string
+	}{{10, "a(v1)"}, {20, "b(v1)"}, {25, "c(v1)"}, {30, "a(v2)"}, {40, "c(v2)"}, {50, "d(v3)"}, {60, "c(v3)"}, {70, "e(v1, v2)"}} {
+		atom, err := parser.ParseTerm(e.atom)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, stream.Event{Time: e.at, Atom: atom})
+	}
+	gold := recognise(`
+initiatedAt(f(X)=true, T) :- happensAt(a(X), T).
+terminatedAt(f(X)=true, T) :- happensAt(b(X), T).
+initiatedAt(near(X, Y)=true, T) :- happensAt(e(X, Y), T).
+`, events)
+	gen := recognise(`
+initiatedAt(g(X)=true, T) :- happensAt(a(X), T).
+initiatedAt(g(X)=true, T) :- happensAt(d(X), T).
+terminatedAt(g(X)=true, T) :- happensAt(c(X), T).
+initiatedAt(close(X, Y)=true, T) :- happensAt(e(X, Y), T).
+`, events)
+	goldBy := entityIntervals(gold, map[string]bool{"f": true, "near": true})
+	genBy := entityIntervals(gen, map[string]bool{"g": true, "close": true, "f": true})
+	if _, ok := genBy["f"]; ok {
+		t.Error("the candidate recognises no f, yet f has intervals")
+	}
+	wantSigs := map[string][]string{"f": {"v1=true", "v2=true"}, "near": {"v1|v2=true"}}
+	for functor, sigs := range wantSigs {
+		var got []string
+		for sig := range goldBy[functor] {
+			got = append(got, sig)
+		}
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, sigs) {
+			t.Errorf("gold %s signatures %v, want %v", functor, got, sigs)
+		}
+	}
+	if got, want := goldBy["f"]["v2=true"], (intervals.List{{Start: 31, End: 100}}); !reflect.DeepEqual(got, want) {
+		t.Errorf("gold f(v2) holds on %v, want %v (31..99, open at the end)", got, want)
+	}
+
+	// v1: gold 11..20, candidate 11..25 — TP 10, FP 5.
+	// v2: gold 31..99, candidate 31..40 — TP 10, FN 59.
+	// v3: candidate only, 51..60 — FP 10.
+	if got, want := scoreActivity(goldBy["f"], genBy["g"], gold.Start, gold.End), (F1{TP: 20, FP: 15, FN: 59}); got != want {
+		t.Errorf("f against g: %+v, want %+v", got, want)
+	}
+	// The pair: both hold on 71..99.
+	if got, want := scoreActivity(goldBy["near"], genBy["close"], gold.Start, gold.End), (F1{TP: 29}); got != want {
+		t.Errorf("near against close: %+v, want %+v", got, want)
+	}
+	// Nothing recognised: every gold point is a false negative.
+	if got, want := scoreActivity(goldBy["f"], nil, gold.Start, gold.End), (F1{FN: 10 + 69}); got != want {
+		t.Errorf("f against nothing: %+v, want %+v", got, want)
 	}
 }
 

@@ -39,10 +39,13 @@ type RefineRow struct {
 // Label renders the paper's notation (o1□, GPT-4o△, ...).
 func (r RefineRow) Label() string { return r.Model + r.Scheme.Suffix() }
 
-// RefineWith runs the critique–refine loop for one model and scheme against
-// the maritime curriculum, with observability on tel (may be nil) and an
-// optional recognition testbed for per-round F1 scores. One live session
-// spans all rounds, so each critique sees the full conversation so far.
+// RefineWith runs the critique–refine loop on gen, a generation of model
+// over the maritime curriculum, with observability on tel (may be nil) and an
+// optional recognition testbed for per-round F1 scores. The loop continues the
+// conversation gen was generated in (its transcript), so each critique sees
+// the teaching prompts, every prompt G and the critiques so far — and gen
+// itself is left untouched. A generation with a degraded activity or without
+// a transcript is refused: there is no conversation to continue.
 //
 // Per round: the per-activity results are combined and autofixed to a
 // fixpoint (machine repairs: renames, deletions of contradictory,
@@ -52,42 +55,34 @@ func (r RefineRow) Label() string { return r.Model + r.Scheme.Suffix() }
 // answers replace the old ones. The loop stops when no warning- or
 // error-level diagnostic survives autofixing, when no surviving diagnostic
 // can be attributed to an activity, or when the round budget is spent.
-func RefineWith(tel *telemetry.Telemetry, model prompt.Model, scheme prompt.Scheme, budget int, tb *Testbed) (RefineRow, error) {
+func RefineWith(tel *telemetry.Telemetry, model prompt.Model, gen *prompt.GeneratedED, budget int, tb *Testbed) (RefineRow, error) {
 	if budget <= 0 {
 		budget = DefaultRefineBudget
 	}
+	if keys := gen.DegradedKeys(); len(keys) > 0 {
+		return RefineRow{}, fmt.Errorf("refine %s: degraded activities %v", gen.Label(), keys)
+	}
 	domain := maritime.PromptDomain()
-	curriculum := maritime.CurriculumRequests()
 	gold := maritime.GoldED()
 
 	root := tel.Span("pipeline.refine",
-		telemetry.String("model", model.Name()), telemetry.String("scheme", scheme.String()),
+		telemetry.String("model", gen.ModelName), telemetry.String("scheme", gen.Scheme.String()),
 		telemetry.Int("budget", int64(budget)))
 	defer root.End()
 
-	s := prompt.NewSessionWith(tel, root, model, scheme, domain)
-	if err := s.Teach(); err != nil {
-		return RefineRow{}, fmt.Errorf("refine %s: %w", model.Name(), err)
+	s, err := gen.Resume(tel, root, model, domain)
+	if err != nil {
+		return RefineRow{}, fmt.Errorf("refine: %w", err)
 	}
-	results := map[string]prompt.ActivityResult{}
-	for _, req := range curriculum {
-		raw, err := s.Generate(req)
-		if err != nil {
-			return RefineRow{}, fmt.Errorf("refine %s %s: %w", model.Name(), req.Key, err)
-		}
-		results[req.Key] = parseResult(req, raw)
-	}
+	results := append([]prompt.ActivityResult(nil), gen.Results...)
 
-	row := RefineRow{Model: model.Name(), Scheme: scheme}
+	row := RefineRow{Model: gen.ModelName, Scheme: gen.Scheme}
 	for round := 1; round <= budget; round++ {
-		gen := &prompt.GeneratedED{ModelName: model.Name(), Scheme: scheme}
-		for _, req := range curriculum {
-			gen.Results = append(gen.Results, results[req.Key])
-		}
-		fx := correct.AutoFix(gen, domain)
+		cur := &prompt.GeneratedED{ModelName: gen.ModelName, Scheme: gen.Scheme, Results: results}
+		fx := correct.AutoFix(cur, domain)
 		sim, err := ScoreWith(tel, gold, fx.Gen)
 		if err != nil {
-			return RefineRow{}, fmt.Errorf("refine %s round %d: %w", model.Name(), round, err)
+			return RefineRow{}, fmt.Errorf("refine %s round %d: %w", gen.Label(), round, err)
 		}
 		rr := RefineRound{
 			Round: round, FixRounds: len(fx.Rounds),
@@ -114,23 +109,24 @@ func RefineWith(tel *telemetry.Telemetry, model prompt.Model, scheme prompt.Sche
 		if tb != nil {
 			acc, err := tb.Evaluate(fx.Gen)
 			if err != nil {
-				return RefineRow{}, fmt.Errorf("refine %s round %d: %w", model.Name(), round, err)
+				return RefineRow{}, fmt.Errorf("refine %s round %d: %w", gen.Label(), round, err)
 			}
 			rr.F1 = acc.Average()
 		}
 		row.Final = fx.Gen
 		if rr.Remaining > 0 && len(critique) > 0 && round < budget {
-			for _, req := range curriculum {
-				ds, ok := critique[req.Key]
+			for i, res := range results {
+				ds, ok := critique[res.Request.Key]
 				if !ok {
 					continue
 				}
-				raw, err := s.Critique(req, ds)
+				raw, err := s.Critique(res.Request, ds)
 				if err != nil {
-					return RefineRow{}, fmt.Errorf("refine %s critique %s: %w", model.Name(), req.Key, err)
+					return RefineRow{}, fmt.Errorf("refine %s critique %s: %w", gen.Label(), res.Request.Key, err)
 				}
-				results[req.Key] = parseResult(req, raw)
-				rr.Critiqued = append(rr.Critiqued, req.Key)
+				clauses, errs := prompt.ParseResponse(raw)
+				results[i] = prompt.ActivityResult{Request: res.Request, Raw: raw, Clauses: clauses, Errors: errs}
+				rr.Critiqued = append(rr.Critiqued, res.Request.Key)
 			}
 		}
 		row.Rounds = append(row.Rounds, rr)
@@ -141,13 +137,9 @@ func RefineWith(tel *telemetry.Telemetry, model prompt.Model, scheme prompt.Sche
 	return row, nil
 }
 
-func parseResult(req prompt.ActivityRequest, raw string) prompt.ActivityResult {
-	clauses, errs := prompt.ParseResponse(raw)
-	return prompt.ActivityResult{Request: req, Raw: raw, Clauses: clauses, Errors: errs}
-}
-
-// FigureRefine runs the critique–refine loop for every model under its best
-// prompting scheme (per the Figure 2a ranking in best) and returns the
+// FigureRefine runs the critique–refine loop on every row of best — each
+// model's generation under its best prompting scheme, per the Figure 2a
+// ranking — continuing the conversation of the row's Gen, and returns the
 // refine traces in the same order. A nil tb skips the F1 column. The chains
 // are independent — each owns its session and builds its own engines — so
 // with a testbed they run concurrently, bounded by its AccuracyConfig.Workers;
@@ -163,6 +155,9 @@ func FigureRefine(tel *telemetry.Telemetry, models []prompt.Model, best []Row, b
 		if !ok {
 			return nil, fmt.Errorf("refine: no model named %q", b.Model)
 		}
+		if b.Gen == nil {
+			return nil, fmt.Errorf("refine: %s has no generation to refine", b.Label())
+		}
 		chain[i] = m
 	}
 	workers := 1
@@ -172,7 +167,7 @@ func FigureRefine(tel *telemetry.Telemetry, models []prompt.Model, best []Row, b
 	out := make([]RefineRow, len(best))
 	errs := make([]error, len(best))
 	forEachOrdered(workers, len(best), func(i int) {
-		out[i], errs[i] = RefineWith(tel, chain[i], best[i].Scheme, budget, tb)
+		out[i], errs[i] = RefineWith(tel, chain[i], best[i].Gen, budget, tb)
 	})
 	for _, err := range errs {
 		if err != nil {

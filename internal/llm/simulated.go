@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"rtecgen/internal/lang"
 	"rtecgen/internal/maritime"
@@ -28,6 +29,43 @@ type ActivityKnowledge struct {
 type Knowledge struct {
 	Activities []ActivityKnowledge
 	Domain     *prompt.Domain
+
+	// What the simulated models read of Domain on every turn, parsed once
+	// from its patterns on first use (see names): Domain must not change
+	// once a model has answered from this knowledge base.
+	parsed     sync.Once
+	events     map[string]bool // indicators of the documented input events
+	predicates map[string]bool // functors of the input events and background predicates
+	constants  map[string]bool // values, threshold names and the domain's type constants
+}
+
+// names parses the domain's event and background patterns and collects its
+// constant names, once per knowledge base.
+func (k *Knowledge) names() (events, predicates, constants map[string]bool) {
+	k.parsed.Do(func() {
+		k.events, k.predicates, k.constants = map[string]bool{}, map[string]bool{}, map[string]bool{}
+		for _, e := range k.Domain.Events {
+			if t, err := parser.ParseTerm(e.Pattern); err == nil {
+				k.events[t.Indicator()] = true
+				k.predicates[t.Functor] = true
+			}
+		}
+		for _, b := range k.Domain.Background {
+			if t, err := parser.ParseTerm(b.Pattern); err == nil {
+				k.predicates[t.Functor] = true
+			}
+		}
+		for _, v := range k.Domain.Values {
+			k.constants[v] = true
+		}
+		for _, t := range k.Domain.Thresholds {
+			k.constants[t.Name] = true
+		}
+		for _, extra := range []string{"fishing", "anchorage", "nearCoast", "fishingVessel", "pilotVessel", "sarVessel"} {
+			k.constants[extra] = true
+		}
+	})
+	return k.events, k.predicates, k.constants
 }
 
 // byName finds an activity by the name in the prompt G header, falling back
@@ -70,7 +108,9 @@ func MaritimeKnowledge() *Knowledge {
 
 // Simulated is a deterministic stand-in for a pre-trained LLM. It keeps no
 // mutable state: everything it "knows" at each turn is re-derived from the
-// conversation history, like a real chat model.
+// conversation history, like a real chat model. (What each teaching prompt
+// says is remembered by its text, a cache of a pure function; see
+// taughtVocabulary.)
 type Simulated struct {
 	name    string
 	profile Profile
@@ -164,40 +204,123 @@ func critiqueCount(history []prompt.Message, name string) int {
 	return n
 }
 
-// taughtVocabulary extracts the event and threshold names taught by prompts
-// E and T from the conversation.
-func taughtVocabulary(history []prompt.Message, current string) (events map[string]bool, thresholds map[string]bool) {
-	events = map[string]bool{}
-	thresholds = map[string]bool{}
-	scan := func(content string) {
-		for _, line := range strings.Split(content, "\n") {
-			line = strings.TrimSpace(line)
-			if rest, ok := cutPrefixAfter(line, "Input Event ", ": "); ok {
-				if t, err := parser.ParseTerm(rest); err == nil && t.IsCallable() {
-					events[t.Indicator()] = true
-				}
-			}
-			if rest, ok := cutPrefixAfter(line, "Background Predicate ", ": "); ok {
-				if t, err := parser.ParseTerm(rest); err == nil && t.IsCallable() {
-					events[t.Indicator()] = true
-				}
-			}
-			if rest, ok := cutPrefixAfter(line, "Threshold ", ": "); ok {
-				if t, err := parser.ParseTerm(rest); err == nil && t.Functor == "thresholds" && len(t.Args) == 2 {
-					if t.Args[0].Kind == lang.Atom {
-						thresholds[t.Args[0].Functor] = true
-					}
-				}
-			}
+// vocabulary is what one message teaches: the indicators of the input
+// events and background predicates prompt E documents, and the threshold
+// names prompt T declares. It is never modified once built.
+type vocabulary struct {
+	events, thresholds map[string]bool
+}
+
+// taught is the vocabulary of a conversation: one entry per user message
+// that teaches any, in order.
+type taught []*vocabulary
+
+func (t taught) event(ind string) bool {
+	for _, v := range t {
+		if v.events[ind] {
+			return true
 		}
 	}
+	return false
+}
+
+func (t taught) threshold(name string) bool {
+	for _, v := range t {
+		if v.thresholds[name] {
+			return true
+		}
+	}
+	return false
+}
+
+// vocabularies remembers each teaching message's vocabulary by its text: a
+// message is parsed the first time any session sends it, and every later
+// turn — of any session, on any goroutine — reads the result. A message that
+// teaches nothing is not remembered, so the memo holds one entry per distinct
+// prompt E or T and does not grow with the conversation.
+var vocabularies struct {
+	sync.RWMutex
+	byText map[string]*vocabulary
+}
+
+// taughtVocabulary returns the vocabulary the user turns of the conversation
+// taught.
+func taughtVocabulary(history []prompt.Message) taught {
+	var out taught
 	for _, msg := range history {
-		if msg.Role == "user" {
-			scan(msg.Content)
+		if msg.Role != "user" {
+			continue
+		}
+		if v := messageVocabulary(msg.Content); v != nil {
+			out = append(out, v)
 		}
 	}
-	scan(current)
-	return events, thresholds
+	return out
+}
+
+// messageVocabulary returns what one message teaches, or nil when it teaches
+// nothing.
+func messageVocabulary(content string) *vocabulary {
+	vocabularies.RLock()
+	v, ok := vocabularies.byText[content]
+	vocabularies.RUnlock()
+	if ok {
+		return v
+	}
+	if v = scanVocabulary(content); v == nil {
+		return nil
+	}
+	vocabularies.Lock()
+	defer vocabularies.Unlock()
+	if vocabularies.byText == nil {
+		vocabularies.byText = map[string]*vocabulary{}
+	}
+	if prev, ok := vocabularies.byText[content]; ok {
+		return prev
+	}
+	vocabularies.byText[content] = v
+	return v
+}
+
+// scanVocabulary parses the "Input Event N: ...", "Background Predicate N:
+// ..." and "Threshold N: thresholds(name, Value)" lines of a message. A
+// message with none of them yields nil without parsing anything.
+func scanVocabulary(content string) *vocabulary {
+	var events, thresholds map[string]bool
+	for rest := content; rest != ""; {
+		var line string
+		line, rest, _ = strings.Cut(rest, "\n")
+		line = strings.TrimSpace(line)
+		if pattern, ok := cutPrefixAfter(line, "Input Event ", ": "); ok {
+			if t, err := parser.ParseTerm(pattern); err == nil && t.IsCallable() {
+				events = addName(events, t.Indicator())
+			}
+		}
+		if pattern, ok := cutPrefixAfter(line, "Background Predicate ", ": "); ok {
+			if t, err := parser.ParseTerm(pattern); err == nil && t.IsCallable() {
+				events = addName(events, t.Indicator())
+			}
+		}
+		if decl, ok := cutPrefixAfter(line, "Threshold ", ": "); ok {
+			if t, err := parser.ParseTerm(decl); err == nil && t.Functor == "thresholds" && len(t.Args) == 2 {
+				if t.Args[0].Kind == lang.Atom {
+					thresholds = addName(thresholds, t.Args[0].Functor)
+				}
+			}
+		}
+	}
+	if events == nil && thresholds == nil {
+		return nil
+	}
+	return &vocabulary{events: events, thresholds: thresholds}
+}
+
+func addName(set map[string]bool, name string) map[string]bool {
+	if set == nil {
+		set = map[string]bool{}
+	}
+	set[name] = true
+	return set
 }
 
 // cutPrefixAfter matches lines like "<prefix>N<sep><rest>" and returns rest.
@@ -255,14 +378,13 @@ func (m *Simulated) generate(history []prompt.Message, name string, revision int
 		// pipeline (Section 3).
 		return m.generateZeroShot(act), nil
 	}
-	events, thresholds := taughtVocabulary(history, "")
 	rng := rand.New(rand.NewSource(fnvSeed(m.name, scheme.String(), act.Key)))
 
 	clauses := cloneClauses(act.Clauses)
 
 	// Honesty gate: the model cannot use input events or thresholds it was
 	// never taught. Untaught names are hallucinated variants.
-	clauses = m.maskUntaught(clauses, events, thresholds)
+	clauses = m.maskUntaught(clauses, taughtVocabulary(history))
 
 	// Named special errors for this (model, scheme, activity).
 	syntaxErr := false
@@ -289,24 +411,19 @@ func (m *Simulated) generate(history []prompt.Message, name string, revision int
 }
 
 // maskUntaught renames input events and thresholds that were not taught.
-func (m *Simulated) maskUntaught(clauses []*lang.Clause, events, thresholds map[string]bool) []*lang.Clause {
-	known := map[string]bool{}
-	for _, e := range m.know.Domain.Events {
-		if t, err := parser.ParseTerm(e.Pattern); err == nil {
-			known[t.Indicator()] = true
-		}
-	}
+func (m *Simulated) maskUntaught(clauses []*lang.Clause, vocab taught) []*lang.Clause {
+	known, _, _ := m.know.names()
 	for _, c := range clauses {
 		for _, l := range c.Body {
 			a := l.Atom
 			if a.Functor == "happensAt" && len(a.Args) == 2 && a.Args[0].IsCallable() {
 				ind := a.Args[0].Indicator()
-				if known[ind] && !events[ind] {
+				if known[ind] && !vocab.event(ind) {
 					Rename(a.Args[0].Functor, a.Args[0].Functor+"Evt", true).Apply(nil, clauses, "")
 				}
 			}
 			if a.Functor == "thresholds" && len(a.Args) == 2 && a.Args[0].Kind == lang.Atom {
-				if !thresholds[a.Args[0].Functor] {
+				if !vocab.threshold(a.Args[0].Functor) {
 					Rename(a.Args[0].Functor, a.Args[0].Functor+"Thr", true).Apply(nil, clauses, "")
 				}
 			}
@@ -356,31 +473,11 @@ func (m *Simulated) applyGeneric(rng *rand.Rand, scheme prompt.Scheme, act Activ
 
 	// Predicate renames: each event/background predicate present in the
 	// rules is independently misremembered with probability Rename.
-	predicateNames := map[string]bool{}
-	for _, e := range m.know.Domain.Events {
-		if t, err := parser.ParseTerm(e.Pattern); err == nil {
-			predicateNames[t.Functor] = true
-		}
-	}
-	for _, b := range m.know.Domain.Background {
-		if t, err := parser.ParseTerm(b.Pattern); err == nil {
-			predicateNames[t.Functor] = true
-		}
-	}
-	applyRenames(rng, clauses, m.know.Domain.Aliases, predicateNames, own, rates.Rename)
+	_, predicates, constants := m.know.names()
+	applyRenames(rng, clauses, m.know.Domain.Aliases, predicates, own, rates.Rename)
 
 	// Constant renames: values, area/vessel types and threshold names.
-	constantNames := map[string]bool{}
-	for _, v := range m.know.Domain.Values {
-		constantNames[v] = true
-	}
-	for _, t := range m.know.Domain.Thresholds {
-		constantNames[t.Name] = true
-	}
-	for _, extra := range []string{"fishing", "anchorage", "nearCoast", "fishingVessel", "pilotVessel", "sarVessel"} {
-		constantNames[extra] = true
-	}
-	applyRenames(rng, clauses, m.know.Domain.Aliases, constantNames, own, rates.ValueName)
+	applyRenames(rng, clauses, m.know.Domain.Aliases, constants, own, rates.ValueName)
 
 	// The structural errors, each sampled at its class's rate.
 	for _, p := range Perturbations(rates) {

@@ -1,12 +1,17 @@
 package llm
 
 import (
+	"fmt"
+	"reflect"
+	"sort"
 	"strings"
+	"sync"
 	"testing"
 
 	"rtecgen/internal/analysis"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/maritime"
+	"rtecgen/internal/parser"
 	"rtecgen/internal/prompt"
 )
 
@@ -283,5 +288,131 @@ func TestCritiqueRepairsSyntaxSpecial(t *testing.T) {
 	}
 	if clauses, errs := prompt.ParseResponse(got[2]); len(errs) > 0 || len(clauses) == 0 {
 		t.Fatalf("revision 2 still corrupt: %v", errs)
+	}
+}
+
+// scanTaught is the vocabulary of a conversation read the direct way, every
+// E/T line of every user turn parsed on the spot: the reference the memo must
+// agree with.
+func scanTaught(history []prompt.Message) (events, thresholds map[string]bool) {
+	events, thresholds = map[string]bool{}, map[string]bool{}
+	for _, msg := range history {
+		if msg.Role != "user" {
+			continue
+		}
+		for _, line := range strings.Split(msg.Content, "\n") {
+			line = strings.TrimSpace(line)
+			for _, prefix := range []string{"Input Event ", "Background Predicate "} {
+				if rest, ok := cutPrefixAfter(line, prefix, ": "); ok {
+					if t, err := parser.ParseTerm(rest); err == nil && t.IsCallable() {
+						events[t.Indicator()] = true
+					}
+				}
+			}
+			if rest, ok := cutPrefixAfter(line, "Threshold ", ": "); ok {
+				if t, err := parser.ParseTerm(rest); err == nil && t.Functor == "thresholds" &&
+					len(t.Args) == 2 && t.Args[0].Kind == lang.Atom {
+					thresholds[t.Args[0].Functor] = true
+				}
+			}
+		}
+	}
+	return events, thresholds
+}
+
+// flatten merges what each teaching message of a conversation taught.
+func (t taught) flatten() (events, thresholds map[string]bool) {
+	events, thresholds = map[string]bool{}, map[string]bool{}
+	for _, v := range t {
+		for e := range v.events {
+			events[e] = true
+		}
+		for th := range v.thresholds {
+			thresholds[th] = true
+		}
+	}
+	return events, thresholds
+}
+
+func memoSize() int {
+	vocabularies.RLock()
+	defer vocabularies.RUnlock()
+	return len(vocabularies.byText)
+}
+
+// TestVocabularyMemoMatchesScan: for every profile under both schemes —
+// fourteen pipelines at once, on an emptied memo, so its first fills race
+// each other — the vocabulary read through the memo at every turn of the
+// conversation is what a direct scan of that turn's history reads.
+func TestVocabularyMemoMatchesScan(t *testing.T) {
+	vocabularies.Lock()
+	vocabularies.byText = nil
+	vocabularies.Unlock()
+
+	var names []string
+	for name := range Profiles {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	schemes := []prompt.Scheme{prompt.FewShot, prompt.ChainOfThought}
+	gens := make([]*prompt.GeneratedED, len(names)*len(schemes))
+	errs := make([]error, len(gens))
+	var wg sync.WaitGroup
+	for i := range gens {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			gens[i], errs[i] = prompt.RunPipeline(MustNew(names[i/len(schemes)]), schemes[i%len(schemes)],
+				maritime.PromptDomain(), maritime.CurriculumRequests())
+		}(i)
+	}
+	wg.Wait()
+	for i, gen := range gens {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if len(gen.Transcript) == 0 {
+			t.Fatalf("%s: no transcript", gen.Label())
+		}
+		for n := 0; n <= len(gen.Transcript); n++ {
+			wantE, wantT := scanTaught(gen.Transcript[:n])
+			gotE, gotT := taughtVocabulary(gen.Transcript[:n]).flatten()
+			if !reflect.DeepEqual(gotE, wantE) || !reflect.DeepEqual(gotT, wantT) {
+				t.Fatalf("%s after %d messages: memo taught %v / %v, a scan %v / %v",
+					gen.Label(), n, gotE, gotT, wantE, wantT)
+			}
+		}
+	}
+	// Prompts E and T are the same text in every session: two entries.
+	if n := memoSize(); n != 2 {
+		t.Errorf("the memo holds %d messages after %d sessions, want 2 (prompts E and T)", n, len(gens))
+	}
+}
+
+// TestVocabularyMemoBounded: critique turns teach nothing, so a hundred
+// distinct ones leave the memo as large as the teaching prompts made it.
+func TestVocabularyMemoBounded(t *testing.T) {
+	m := MustNew("Mistral")
+	gen, err := prompt.RunPipeline(m, prompt.ChainOfThought, maritime.PromptDomain(), maritime.CurriculumRequests())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := memoSize()
+	if before == 0 {
+		t.Fatal("a taught session left the memo empty")
+	}
+	history := append([]prompt.Message(nil), gen.Transcript...)
+	req := gen.Results[0].Request
+	for i := 0; i < 100; i++ {
+		diags := []analysis.Diagnostic{{Code: "R002", Severity: analysis.Error, Message: fmt.Sprintf("undefined reference #%d", i)}}
+		user := prompt.BuildC(req, diags)
+		reply, err := m.Chat(history, user)
+		if err != nil {
+			t.Fatal(err)
+		}
+		history = append(history, prompt.Message{Role: "user", Content: user}, prompt.Message{Role: "assistant", Content: reply})
+	}
+	if after := memoSize(); after != before {
+		t.Fatalf("100 critique turns grew the memo from %d to %d messages", before, after)
 	}
 }

@@ -117,40 +117,57 @@ type ActivityResult struct {
 
 // GeneratedED is the full result of running the pipeline over a curriculum:
 // the per-activity results in order, and the combined event description.
-// Report holds the static-analyzer findings over the combined description
-// when the ED has been linted (RunPipeline lints automatically).
+// Transcript is the conversation they were generated in, every prompt and
+// reply in order (RunPipeline records it); Resume continues it.
 type GeneratedED struct {
-	ModelName string
-	Scheme    Scheme
-	Results   []ActivityResult
-	Report    *analysis.Report
+	ModelName  string
+	Scheme     Scheme
+	Results    []ActivityResult
+	Transcript []Message
+}
+
+// Resume returns a session that continues the conversation g was generated
+// in, on model: the session is taught and its history is a copy of g's
+// transcript, so the session's turns never reach g. Per-prompt spans are
+// children of span (may be nil) on tel. A generation without a transcript,
+// or one asked to continue under another model, is refused.
+func (g *GeneratedED) Resume(tel *telemetry.Telemetry, span *telemetry.Span, model Model, domain *Domain) (*Session, error) {
+	if len(g.Transcript) == 0 {
+		return nil, fmt.Errorf("prompt: %s has no transcript to resume", g.Label())
+	}
+	if model.Name() != g.ModelName {
+		return nil, fmt.Errorf("prompt: %s cannot be resumed by model %s", g.Label(), model.Name())
+	}
+	s := NewSessionWith(tel, span, model, g.Scheme, domain)
+	s.history = append([]Message(nil), g.Transcript...)
+	s.taught = true
+	return s, nil
 }
 
 // Lint runs the static analyzer of internal/analysis over the combined
 // event description, using the domain documentation as the vocabulary and
 // treating each requested activity as a deliverable root (so top-level
-// activities are not flagged as unused). The report is attached to the
-// GeneratedED and returned.
+// activities are not flagged as unused).
 func (g *GeneratedED) Lint(domain *Domain) *analysis.Report {
-	return g.lint(nil, domain)
+	return g.LintWith(nil, domain)
 }
 
-// lint is Lint under a "pipeline.lint" span (a child of parent, which may
-// be nil) with per-pass spans inside the analyzer.
-func (g *GeneratedED) lint(parent *telemetry.Span, domain *Domain) *analysis.Report {
-	sp := parent.Span("pipeline.lint", telemetry.String("model", g.Label()))
+// LintWith is Lint under a "pipeline.lint" span on tel (may be nil), with
+// per-pass spans inside the analyzer.
+func (g *GeneratedED) LintWith(tel *telemetry.Telemetry, domain *Domain) *analysis.Report {
+	sp := tel.Span("pipeline.lint", telemetry.String("model", g.Label()))
 	defer sp.End()
 	roots := map[string]bool{}
 	for _, r := range g.Results {
 		roots[r.Request.Name] = true
 	}
-	g.Report = analysis.Analyze(g.ED(), analysis.Options{
+	rep := analysis.Analyze(g.ED(), analysis.Options{
 		Vocabulary: domain.KnownNames(),
 		Roots:      roots,
 		Span:       sp,
 	})
-	sp.SetAttrs(telemetry.Int("diagnostics", int64(len(g.Report.Diagnostics))))
-	return g.Report
+	sp.SetAttrs(telemetry.Int("diagnostics", int64(len(rep.Diagnostics))))
+	return rep
 }
 
 // Label renders the paper's notation for this event description, e.g.
@@ -225,7 +242,7 @@ func RunPipeline(model Model, scheme Scheme, domain *Domain, curriculum []Activi
 }
 
 // RunPipelineWith is RunPipeline with observability: a "pipeline.run" root
-// span with per-prompt, per-parse and per-lint children, and the
+// span with per-prompt and per-parse children, and the
 // pipeline.activities.degraded counter. A nil tel costs only nil checks.
 func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domain *Domain, curriculum []ActivityRequest) (*GeneratedED, error) {
 	root := tel.Span("pipeline.run",
@@ -262,7 +279,7 @@ func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domai
 			Request: req, Raw: raw, Clauses: clauses, Errors: errs,
 		})
 	}
-	out.lint(root, domain)
+	out.Transcript = s.history
 	return out, nil
 }
 

@@ -193,6 +193,28 @@ func TestRunPipelineWithCannedModel(t *testing.T) {
 	if len(gen.ParseErrors()) != 0 {
 		t.Fatalf("parse errors: %v", gen.ParseErrors())
 	}
+
+	// The transcript is R, F, E, T and two G turns, each prompt and reply;
+	// a resumed session is taught, so its first turn is a critique, and what
+	// it says is not written back into the transcript.
+	if len(gen.Transcript) != 12 {
+		t.Fatalf("transcript of %d messages, want 12", len(gen.Transcript))
+	}
+	s, err := gen.Resume(nil, nil, m, testDomain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := len(m.prompts)
+	if _, err := s.Critique(gen.Results[0].Request, nil); err != nil {
+		t.Fatal(err)
+	}
+	if len(m.prompts) != sent+1 || len(s.History()) != 14 || len(gen.Transcript) != 12 {
+		t.Fatalf("resumed critique: %d prompts sent, history %d, transcript %d; want 1, 14, 12",
+			len(m.prompts)-sent, len(s.History()), len(gen.Transcript))
+	}
+	if _, err := (&GeneratedED{ModelName: "echo"}).Resume(nil, nil, m, testDomain()); err == nil {
+		t.Fatal("a generation without a transcript was resumed")
+	}
 }
 
 func TestSchemeNotation(t *testing.T) {
