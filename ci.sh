@@ -108,57 +108,8 @@ if ! grep -q '^distance' "$tmp/simeval.txt" ||
     exit 1
 fi
 
-echo "== chaos smoke (fault-injected experiments must degrade deterministically)"
-# Run Figure 2a under the mixed fault profile with a fixed seed, twice:
-# the run must survive the injected faults (no panic, exit 0), two runs of
-# the same seed must be byte-identical, and the resilience metrics must
-# show that retries actually happened.
-"$bin/experiments" -fig 2a -faults mixed -fault-seed 7 > "$tmp/chaos1.txt" 2>/dev/null
-"$bin/experiments" -fig 2a -faults mixed -fault-seed 7 > "$tmp/chaos2.txt" 2>/dev/null
-if ! cmp -s "$tmp/chaos1.txt" "$tmp/chaos2.txt"; then
-    echo "chaos smoke: two runs with the same fault seed differ:" >&2
-    diff "$tmp/chaos1.txt" "$tmp/chaos2.txt" >&2 || true
-    exit 1
-fi
-"$bin/experiments" -fig 2a -faults mixed -fault-seed 7 -metrics \
-    > /dev/null 2> "$tmp/chaos-metrics.txt"
-if ! grep -q '^counter llm\.retries_total [1-9]' "$tmp/chaos-metrics.txt"; then
-    echo "chaos smoke: metrics dump is missing a nonzero llm.retries counter:" >&2
-    grep '^counter llm\.' "$tmp/chaos-metrics.txt" >&2 || cat "$tmp/chaos-metrics.txt" >&2
-    exit 1
-fi
-
-echo "== refine smoke (critique-refine loop must converge deterministically)"
-# Two same-seed runs of the refine figure must be byte-identical, and the
-# clean profile must converge in a single round with nothing left to
-# critique (autofixed 7, remaining 0, F1 1.000).
-"$bin/experiments" -fig refine -csv -vessels 14 -seed 7 -window 3600 > "$tmp/refine1.csv" 2>/dev/null
-"$bin/experiments" -fig refine -csv -vessels 14 -seed 7 -window 3600 > "$tmp/refine2.csv" 2>/dev/null
-if ! cmp -s "$tmp/refine1.csv" "$tmp/refine2.csv"; then
-    echo "refine smoke: two runs with the same seed differ:" >&2
-    diff "$tmp/refine1.csv" "$tmp/refine2.csv" >&2 || true
-    exit 1
-fi
-if ! grep -q '^o1□,1,7,0,0.993,0.947,1.000,$' "$tmp/refine1.csv"; then
-    echo "refine smoke: o1 profile no longer converges in one clean round:" >&2
-    cat "$tmp/refine1.csv" >&2
-    exit 1
-fi
-# The whole paper pipeline at one job at a time against eight: -workers fans
-# out whole recognitions (generation pipelines, Figure 2c evaluations, refine
-# chains), so every table must come out byte-identical, the clean row included.
-"$bin/experiments" -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > "$tmp/all-w1.csv" 2> "$tmp/all-metrics.txt"
-"$bin/experiments" -fig all -csv -vessels 14 -seed 7 -workers 8 > "$tmp/all-w8.csv" 2>/dev/null
-if ! cmp -s "$tmp/all-w1.csv" "$tmp/all-w8.csv"; then
-    echo "refine smoke: experiments -fig all differs between -workers 1 and -workers 8:" >&2
-    diff "$tmp/all-w1.csv" "$tmp/all-w8.csv" >&2 || true
-    exit 1
-fi
-if ! grep -q '^o1□,1,7,0,0.993,0.947,1.000,$' "$tmp/all-w8.csv"; then
-    echo "refine smoke: the clean o1 row changed under job fan-out:" >&2
-    cat "$tmp/all-w8.csv" >&2
-    exit 1
-fi
+echo "== shared evaluation gate (the paper job's recognitions share one evaluation table)"
+"$bin/experiments" -fig all -csv -vessels 14 -seed 7 -workers 1 -metrics > /dev/null 2> "$tmp/all-metrics.txt"
 # The pipeline's event descriptions are near-copies of each other over one
 # stream: run one job at a time (so no two jobs race to publish a fluent and
 # the counts repeat), most fluent × window results must be installed from the
@@ -166,7 +117,7 @@ fi
 hits=$(sed -n 's/^counter rtec\.shared\.hits_total //p' "$tmp/all-metrics.txt")
 misses=$(sed -n 's/^counter rtec\.shared\.misses_total //p' "$tmp/all-metrics.txt")
 if [ "${misses:-0}" -le 0 ] || [ "${hits:-0}" -le "$misses" ]; then
-    echo "refine smoke: shared evaluation is not sharing: rtec.shared.hits=${hits:-none} rtec.shared.misses=${misses:-none}, want hits > misses > 0" >&2
+    echo "shared evaluation gate: not sharing: rtec.shared.hits=${hits:-none} rtec.shared.misses=${misses:-none}, want hits > misses > 0" >&2
     grep '^counter rtec\.shared' "$tmp/all-metrics.txt" >&2 || true
     exit 1
 fi
@@ -515,13 +466,11 @@ fi
 start_rtecd "$rtecd_flags -resume"
 post_ok "$tmp/shuffled.ndjson"
 # The live scrape must drive rtectop's DAEMON board and carry the engine's
-# streaming instruments; the admitted-event counter is added at /finish.
+# streaming instruments.
 "$bin/rtectop" -once -metrics "http://$rtecd_addr/metrics" \
-    -require 'serve_state,serve_ingest_requests_total>0,serve_windows_published_total>0,rtec_windows_evaluated_total>0,rtec_stream_watermark_age,rtec_window_emit_lag>0,rtec_window_e2e_micros>0' \
+    -require 'serve_state,serve_ingest_requests_total>0,serve_windows_published_total>0,rtec_windows_evaluated_total>0,rtec_events_ingested_total>0,rtec_stream_watermark_age,rtec_window_emit_lag>0,rtec_window_e2e_micros>0' \
     > "$tmp/rtectop-daemon.txt"
 curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd.csv"
-"$bin/rtectop" -once -metrics "http://$rtecd_addr/metrics" \
-    -require 'rtec_events_ingested_total>0' > /dev/null
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true
 if ! cmp -s "$tmp/sharded-clean.csv" "$tmp/rtecd.csv"; then

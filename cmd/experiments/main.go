@@ -7,12 +7,12 @@
 // critique–refine loop of Section 3.4: per round, the diagnostics the
 // autofixer discharged, those the model was critiqued on, and the resulting
 // similarity and F1 scores. Refinement continues each Figure 2a
-// conversation with live critique turns, so it is skipped under -faults.
+// conversation with live critique turns.
 //
 // Usage:
 //
 //	experiments [-fig 2a|2b|2c|refine|all] [-errors] [-lint] [-zeroshot] [-csv] [-vessels N] [-seed S] [-window W]
-//	            [-workers N] [-faults profile] [-fault-seed S]
+//	            [-workers N]
 //	            [-trace out.json] [-metrics] [-v]
 //
 // Parallelism: -workers bounds how many whole jobs run at once — the 12
@@ -24,12 +24,6 @@
 // Observability: -metrics dumps the telemetry registry to stderr at exit
 // (stdout is untouched); -trace writes a Chrome trace_event JSON of the
 // whole run, per-stage spans included; -v enables structured debug logs.
-//
-// Resilience: -faults runs the whole study under injected transport chaos
-// (internal/llm/fault) behind the resilient wrapper (internal/llm/
-// resilient); a fixed -fault-seed makes the run byte-reproducible. Failed
-// activities and tripped models degrade to annotated gaps in the tables
-// instead of aborting the run.
 package main
 
 import (
@@ -40,16 +34,12 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"rtecgen/internal/analysis"
 	"rtecgen/internal/check"
-	"rtecgen/internal/clock"
 	"rtecgen/internal/eval"
 	"rtecgen/internal/figures"
 	"rtecgen/internal/llm"
-	"rtecgen/internal/llm/fault"
-	"rtecgen/internal/llm/resilient"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/prompt"
 	"rtecgen/internal/similarity"
@@ -64,21 +54,7 @@ type options struct {
 	vessels              int
 	seed, window         int64
 	workers              int
-	faults               string
-	faultSeed            int64
 	tel                  telemetry.CLIConfig
-}
-
-// genWorkers returns the fan-out bound of the generation pipelines. Fault
-// injection makes the transports stateful — each injector draws from a
-// per-model RNG and all share one virtual clock, so call order matters —
-// and forces the strictly sequential path to keep chaos runs
-// byte-reproducible per seed.
-func (o options) genWorkers() int {
-	if o.faults != "" {
-		return 1
-	}
-	return o.workers
 }
 
 func main() {
@@ -91,9 +67,7 @@ func main() {
 	flag.IntVar(&o.vessels, "vessels", 60, "fleet size of the synthetic scenario (Figure 2c)")
 	flag.Int64Var(&o.seed, "seed", 7, "scenario seed (Figure 2c)")
 	flag.Int64Var(&o.window, "window", 3600, "RTEC window size in seconds (Figure 2c)")
-	flag.IntVar(&o.workers, "workers", 0, "concurrent jobs: generation pipelines, Figure 2c evaluations, refine chains; each recognition engine inside a job runs sequentially (0 = GOMAXPROCS, 1 = sequential; generation is forced to 1 under -faults); output is identical at any count")
-	flag.StringVar(&o.faults, "faults", "", "inject model-transport faults: "+strings.Join(fault.Names(), ", "))
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (runs are byte-reproducible per seed)")
+	flag.IntVar(&o.workers, "workers", 0, "concurrent jobs: generation pipelines, Figure 2c evaluations, refine chains; each recognition engine inside a job runs sequentially (0 = GOMAXPROCS, 1 = sequential); output is identical at any count")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
@@ -139,52 +113,18 @@ func runZeroShot() error {
 	return nil
 }
 
-// buildModels returns the study's model set, hardened with the fault
-// injector and the resilient transport when -faults is active.
-func buildModels(o options, tel *telemetry.Telemetry) ([]prompt.Model, error) {
-	var models []prompt.Model
-	if o.faults == "" {
-		for _, m := range llm.AllModels() {
-			models = append(models, m)
-		}
-		return models, nil
-	}
-	plan, ok := fault.PlanByName(o.faults)
-	if !ok {
-		return nil, fmt.Errorf("unknown fault profile %q (have: %s)", o.faults, strings.Join(fault.Names(), ", "))
-	}
-	// Virtual clock: backoffs, deadlines and breaker cooldowns advance in
-	// virtual time, so chaos runs neither sleep for real nor depend on host
-	// timing — two runs with the same seed are byte-identical.
-	clk := clock.NewVirtual(time.Unix(0, 0))
-	for _, m := range llm.AllModels() {
-		inj := fault.Inject(m, plan.For(m.Name()), o.faultSeed, clk, tel)
-		models = append(models, resilient.Wrap(inj, resilient.Config{
-			Clock: clk, Seed: o.faultSeed, Telemetry: tel,
-		}))
-	}
-	return models, nil
-}
-
-// annotate marks partially degraded event descriptions in labels, e.g.
-// "Gemma-2□ (5/8 activities)". Complete runs pass through unchanged.
-func annotate(label string, gen *prompt.GeneratedED) string {
-	ok, total := gen.Coverage()
-	return figures.PartialLabel(label, ok, total)
-}
-
 func run(o options) error {
 	tel, flush := o.tel.Setup(os.Stderr, os.Stderr)
 
-	models, err := buildModels(o, tel)
-	if err != nil {
-		return err
+	var models []prompt.Model
+	for _, m := range llm.AllModels() {
+		models = append(models, m)
 	}
 
 	// The recognition testbed backs both Figure 2c and the F1 column of the
 	// refine figure. It depends on nothing but the flags, so with more than
 	// one worker it is built while the event descriptions are generated.
-	wantRefine := (o.fig == "refine" || o.fig == "all") && o.faults == ""
+	wantRefine := o.fig == "refine" || o.fig == "all"
 	var testbed func() (*eval.Testbed, error)
 	if o.fig == "2c" || o.fig == "all" || wantRefine {
 		build := func() (*eval.Testbed, error) {
@@ -214,7 +154,7 @@ func run(o options) error {
 		}
 	}
 
-	best, allRows, skipped, err := eval.Figure2aTolerantWorkers(tel, models, o.genWorkers())
+	best, _, err := eval.Figure2aWith(tel, models, o.workers)
 	if err != nil {
 		return err
 	}
@@ -231,14 +171,14 @@ func run(o options) error {
 		rows = append(rows, append([]string{"event description"}, groups...))
 		for _, r := range best {
 			vals := make([]float64, 0, len(groups))
-			cells := []string{annotate(r.Label(), r.Gen)}
+			cells := []string{r.Label()}
 			for _, k := range eval.ActivityKeys {
 				vals = append(vals, r.PerActivity[k])
 				cells = append(cells, fmt.Sprintf("%.3f", r.PerActivity[k]))
 			}
 			vals = append(vals, r.Overall)
 			cells = append(cells, fmt.Sprintf("%.3f", r.Overall))
-			series = append(series, figures.Series{Name: annotate(r.Label(), r.Gen), Values: vals})
+			series = append(series, figures.Series{Name: r.Label(), Values: vals})
 			rows = append(rows, cells)
 		}
 		if o.csv {
@@ -254,14 +194,14 @@ func run(o options) error {
 		rows = append(rows, append([]string{"event description"}, groups...))
 		for _, r := range corrected {
 			vals := make([]float64, 0, len(groups))
-			cells := []string{annotate(r.Label(), r.Gen)}
+			cells := []string{r.Label()}
 			for _, k := range eval.ActivityKeys {
 				vals = append(vals, r.PerActivity[k])
 				cells = append(cells, fmt.Sprintf("%.3f", r.PerActivity[k]))
 			}
 			vals = append(vals, r.Overall)
 			cells = append(cells, fmt.Sprintf("%.3f", r.Overall))
-			series = append(series, figures.Series{Name: annotate(r.Label(), r.Gen), Values: vals})
+			series = append(series, figures.Series{Name: r.Label(), Values: vals})
 			rows = append(rows, cells)
 		}
 		if o.csv {
@@ -290,11 +230,8 @@ func run(o options) error {
 		var series []figures.Series
 		var rows [][]string
 		rows = append(rows, append([]string{"event description"}, eval.ActivityKeys...))
-		for i, r := range rows2c {
+		for _, r := range rows2c {
 			label := r.Label
-			if i < len(corrected) {
-				label = annotate(label, corrected[i].Gen)
-			}
 			vals := make([]float64, 0, len(eval.ActivityKeys))
 			cells := []string{label}
 			for _, k := range eval.ActivityKeys {
@@ -319,8 +256,6 @@ func run(o options) error {
 		printRefine(os.Stdout, refined, o.csv)
 	}
 
-	printDegradation(os.Stdout, allRows, skipped)
-
 	if o.lintFlag {
 		printLint(tel, best)
 	}
@@ -344,37 +279,9 @@ func run(o options) error {
 	return flush()
 }
 
-// printDegradation reports the transport casualties of a fault-injected
-// run: model/scheme pipelines skipped outright (circuit breaker open or
-// retries exhausted during teaching) and activities degraded within the
-// surviving event descriptions. It prints nothing when nothing degraded,
-// so fault-free output stays byte-identical.
-func printDegradation(w io.Writer, rows []eval.Row, skipped []eval.Skip) {
-	var lines []string
-	for _, s := range skipped {
-		lines = append(lines, fmt.Sprintf("  %s skipped: %v", s.Label(), s.Err))
-	}
-	for _, r := range rows {
-		if keys := r.Gen.DegradedKeys(); len(keys) > 0 {
-			lines = append(lines, fmt.Sprintf("  %s degraded activities: %s", r.Label(), strings.Join(keys, ", ")))
-		}
-	}
-	if len(lines) == 0 {
-		return
-	}
-	fmt.Fprintln(w, "Transport degradation (injected faults):")
-	for _, l := range lines {
-		fmt.Fprintln(w, l)
-	}
-	fmt.Fprintln(w)
-}
-
 // resolvedWorkers is the effective fan-out the run used: the -workers flag
-// with 0 resolved to GOMAXPROCS, forced to 1 under -faults.
+// with 0 resolved to GOMAXPROCS.
 func (o options) resolvedWorkers() int {
-	if o.faults != "" {
-		return 1
-	}
 	if o.workers <= 0 {
 		return runtime.GOMAXPROCS(0)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rtecgen/internal/telemetry"
@@ -33,20 +34,39 @@ func TestRunFigure2c(t *testing.T) {
 	}
 }
 
+// cleanO1Row is the refine CSV row of the clean profile: one round, seven
+// mechanical fixes, nothing left to critique, F1 1.000.
+const cleanO1Row = "\no1□,1,7,0,0.993,0.947,1.000,\n"
+
 func TestRunFigureRefine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full recognition run")
 	}
 	o := options{fig: "refine", csv: true, vessels: 14, seed: 7, window: 3600}
-	if err := run(o); err != nil {
-		t.Fatal(err)
+	first := captureStdout(t, o)
+	if again := captureStdout(t, o); again != first {
+		t.Errorf("two same-seed refine runs differ:\n%s\nthen:\n%s", first, again)
 	}
-	// Under injected faults the refine loop is skipped: the run must still
-	// succeed without building a testbed.
-	o = options{fig: "refine", csv: true, vessels: 14, seed: 7, window: 3600,
-		faults: "flaky", faultSeed: 1}
-	if err := run(o); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(first, cleanO1Row) {
+		t.Errorf("o1 no longer converges in one clean round:\n%s", first)
+	}
+}
+
+// TestRunAllWorkersIdentical: -workers fans out whole jobs (generation
+// pipelines, Figure 2c evaluations, refine chains), so every table comes out
+// byte-identical at one job at a time and at eight.
+func TestRunAllWorkersIdentical(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full recognition run")
+	}
+	o := options{fig: "all", csv: true, vessels: 14, seed: 7, window: 3600, workers: 1}
+	seq := captureStdout(t, o)
+	o.workers = 8
+	if par := captureStdout(t, o); par != seq {
+		t.Errorf("-fig all differs between -workers 1 and 8:\n%s\nat 8:\n%s", seq, par)
+	}
+	if !strings.Contains(seq, cleanO1Row) {
+		t.Errorf("the clean o1 row is missing from -fig all:\n%s", seq)
 	}
 }
 

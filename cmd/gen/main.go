@@ -6,26 +6,15 @@
 // Usage:
 //
 //	gen -model o1 [-scheme few-shot|cot] [-correct] [-transcript] [-activity key]
-//	    [-faults profile] [-fault-seed S]
-//
-// With -faults, the model transport is wrapped with the deterministic fault
-// injector (internal/llm/fault) behind the resilient transport
-// (internal/llm/resilient): failed activities degrade to annotated gaps on
-// stderr instead of aborting the run.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
-	"time"
 
-	"rtecgen/internal/clock"
 	"rtecgen/internal/correct"
 	"rtecgen/internal/llm"
-	"rtecgen/internal/llm/fault"
-	"rtecgen/internal/llm/resilient"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/prompt"
 )
@@ -34,8 +23,6 @@ import (
 type options struct {
 	model, scheme, activity      string
 	applyCorrections, transcript bool
-	faults                       string
-	faultSeed                    int64
 }
 
 func main() {
@@ -45,8 +32,6 @@ func main() {
 	flag.BoolVar(&o.applyCorrections, "correct", false, "apply the minimal syntactic corrector to the output")
 	flag.BoolVar(&o.transcript, "transcript", false, "print the full prompt/response transcript instead of the rules")
 	flag.StringVar(&o.activity, "activity", "", "only print the result for this activity key (e.g. tr)")
-	flag.StringVar(&o.faults, "faults", "", "inject model-transport faults: "+strings.Join(fault.Names(), ", "))
-	flag.Int64Var(&o.faultSeed, "fault-seed", 1, "fault-injection seed (runs are byte-reproducible per seed)")
 	flag.Parse()
 
 	if err := run(o); err != nil {
@@ -56,19 +41,9 @@ func main() {
 }
 
 func run(o options) error {
-	sim, err := llm.New(o.model)
+	m, err := llm.New(o.model)
 	if err != nil {
 		return err
-	}
-	var m prompt.Model = sim
-	if o.faults != "" {
-		plan, ok := fault.PlanByName(o.faults)
-		if !ok {
-			return fmt.Errorf("unknown fault profile %q (have: %s)", o.faults, strings.Join(fault.Names(), ", "))
-		}
-		clk := clock.NewVirtual(time.Unix(0, 0))
-		m = resilient.Wrap(fault.Inject(m, plan.For(m.Name()), o.faultSeed, clk, nil),
-			resilient.Config{Clock: clk, Seed: o.faultSeed})
 	}
 	var scheme prompt.Scheme
 	switch o.scheme {
@@ -91,7 +66,7 @@ func run(o options) error {
 				continue
 			}
 			if _, err := s.Generate(req); err != nil {
-				fmt.Fprintf(os.Stderr, "degraded: %s: %v\n", req.Key, err)
+				return err
 			}
 		}
 		for _, msg := range s.History() {
@@ -114,10 +89,6 @@ func run(o options) error {
 	}
 	for _, r := range gen.Results {
 		if o.activity != "" && r.Request.Key != o.activity {
-			continue
-		}
-		if r.Degraded {
-			fmt.Fprintf(os.Stderr, "degraded: %s: %s\n", r.Request.Key, r.Err)
 			continue
 		}
 		fmt.Printf("%% ----- %s (%s) -----\n", r.Request.Name, r.Request.Key)

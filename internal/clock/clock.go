@@ -1,9 +1,8 @@
-// Package clock provides the injectable time source shared by the
-// fault-injection and resilience layers of the model transport. Production
-// code uses the real clock; tests and seeded chaos runs use a virtual clock
-// whose Sleep advances virtual time instantly, making backoff schedules,
-// per-call deadlines and circuit-breaker cooldowns fully deterministic and
-// free of real sleeping.
+// Package clock provides the injectable time source of the shard
+// supervisor and the command-line tools. Production code uses the real
+// clock; tests use a virtual clock whose Sleep advances virtual time
+// instantly, making restart backoffs and watchdog deadlines fully
+// deterministic and free of real sleeping.
 package clock
 
 import (
@@ -11,7 +10,7 @@ import (
 	"time"
 )
 
-// Clock is the minimal time surface the transport layers need: reading the
+// Clock is the minimal time surface the supervisor needs: reading the
 // current instant and blocking for a duration.
 type Clock interface {
 	Now() time.Time

@@ -195,7 +195,7 @@ func split(gen *prompt.GeneratedED, ed *lang.EventDescription, src string) *prom
 	out := &prompt.GeneratedED{ModelName: gen.ModelName, Scheme: gen.Scheme}
 	for _, r := range gen.Results {
 		nr := prompt.ActivityResult{Request: r.Request, Raw: r.Raw,
-			Errors: append([]string(nil), r.Errors...), Degraded: r.Degraded, Err: r.Err}
+			Errors: append([]string(nil), r.Errors...)}
 		nr.Clauses = byKey[r.Request.Key]
 		out.Results = append(out.Results, nr)
 	}
@@ -305,7 +305,7 @@ func resplit0(gen *prompt.GeneratedED) *prompt.GeneratedED {
 	out := &prompt.GeneratedED{ModelName: gen.ModelName, Scheme: gen.Scheme}
 	for _, r := range gen.Results {
 		nr := prompt.ActivityResult{Request: r.Request, Raw: r.Raw,
-			Errors: append([]string(nil), r.Errors...), Degraded: r.Degraded, Err: r.Err}
+			Errors: append([]string(nil), r.Errors...)}
 		for _, c := range r.Clauses {
 			nr.Clauses = append(nr.Clauses, c.Clone())
 		}

@@ -34,7 +34,7 @@ var (
 func figures(t *testing.T) (best, all []Row, cor []CorrectedRow) {
 	t.Helper()
 	figOnce.Do(func() {
-		figBest, figAll, _, figErr = Figure2aTolerantWorkers(nil, allModels(), 0)
+		figBest, figAll, figErr = Figure2aWith(nil, allModels(), 0)
 		if figErr == nil {
 			figCor, figErr = Figure2b(TopN(figBest, 3))
 		}

@@ -59,11 +59,11 @@ func figuresFingerprint(rows []Row) string {
 // session is independent and results are collected in input order.
 func TestGenerateAllWorkersDeterministic(t *testing.T) {
 	models := allModels()
-	_, seqAll, _, err := Figure2aTolerantWorkers(nil, models, 1)
+	_, seqAll, err := Figure2aWith(nil, models, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, parAll, _, err := Figure2aTolerantWorkers(nil, models, 8)
+	_, parAll, err := Figure2aWith(nil, models, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,8 +44,8 @@ func (r RefineRow) Label() string { return r.Model + r.Scheme.Suffix() }
 // optional recognition testbed for per-round F1 scores. The loop continues the
 // conversation gen was generated in (its transcript), so each critique sees
 // the teaching prompts, every prompt G and the critiques so far — and gen
-// itself is left untouched. A generation with a degraded activity or without
-// a transcript is refused: there is no conversation to continue.
+// itself is left untouched. A generation without a transcript is refused:
+// there is no conversation to continue.
 //
 // Per round: the per-activity results are combined and autofixed to a
 // fixpoint (machine repairs: renames, deletions of contradictory,
@@ -58,9 +58,6 @@ func (r RefineRow) Label() string { return r.Model + r.Scheme.Suffix() }
 func RefineWith(tel *telemetry.Telemetry, model prompt.Model, gen *prompt.GeneratedED, budget int, tb *Testbed) (RefineRow, error) {
 	if budget <= 0 {
 		budget = DefaultRefineBudget
-	}
-	if keys := gen.DegradedKeys(); len(keys) > 0 {
-		return RefineRow{}, fmt.Errorf("refine %s: degraded activities %v", gen.Label(), keys)
 	}
 	domain := maritime.PromptDomain()
 	gold := maritime.GoldED()

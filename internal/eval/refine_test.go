@@ -136,22 +136,17 @@ func TestRefineDeterministic(t *testing.T) {
 	}
 }
 
-// TestRefineRefusesWithoutConversation: a generation with a degraded
-// activity, one with no transcript (assembled by hand) and one asked to
-// continue under another model have no conversation to continue.
+// TestRefineRefusesWithoutConversation: a generation with no transcript
+// (assembled by hand) and one asked to continue under another model have no
+// conversation to continue.
 func TestRefineRefusesWithoutConversation(t *testing.T) {
 	m := llm.MustNew("o1")
 	gen := generate(t, m, prompt.FewShot)
 
-	degraded := *gen
-	degraded.Results = append([]prompt.ActivityResult(nil), gen.Results...)
-	degraded.Results[2] = prompt.ActivityResult{Request: gen.Results[2].Request, Degraded: true, Err: "breaker open"}
 	bare := *gen
 	bare.Transcript = nil
-	for label, g := range map[string]*prompt.GeneratedED{"degraded": &degraded, "transcript-less": &bare} {
-		if _, err := RefineWith(nil, m, g, DefaultRefineBudget, nil); err == nil {
-			t.Errorf("a %s generation was refined", label)
-		}
+	if _, err := RefineWith(nil, m, &bare, DefaultRefineBudget, nil); err == nil {
+		t.Error("a transcript-less generation was refined")
 	}
 	if _, err := RefineWith(nil, llm.MustNew("GPT-4"), gen, DefaultRefineBudget, nil); err == nil {
 		t.Error("o1's conversation was continued by GPT-4")

@@ -51,40 +51,19 @@ func (r Row) Average() float64 {
 }
 
 // GenerateAll runs the prompting pipeline for every model and scheme. Any
-// pipeline failure aborts; use GenerateAllTolerantWorkers to degrade instead.
+// pipeline failure aborts.
 func GenerateAll(models []prompt.Model) ([]*prompt.GeneratedED, error) {
-	gens, skipped := GenerateAllTolerantWorkers(nil, models, 0)
-	if len(skipped) > 0 {
-		s := skipped[0]
-		return nil, fmt.Errorf("eval: %s %s: %w", s.Model, s.Scheme, s.Err)
-	}
-	return gens, nil
+	return GenerateAllWith(nil, models, 0)
 }
 
-// Skip records one model/scheme pipeline that could not complete at all —
-// typically a model whose transport failed during teaching (retries
-// exhausted or circuit breaker open). The run carries on without it.
-type Skip struct {
-	Model  string
-	Scheme prompt.Scheme
-	Err    error
-}
-
-// Label renders the paper's notation for the skipped event description.
-func (s Skip) Label() string { return s.Model + s.Scheme.Suffix() }
-
-// GenerateAllTolerantWorkers runs the prompting pipeline for every model
-// and scheme with graceful degradation: a model/scheme whose pipeline fails
-// outright is recorded as a Skip — an annotated gap in the figures — instead
-// of aborting the run (individual failed activities already degrade inside
-// RunPipelineWith). At most workers sessions run concurrently (workers <= 0
-// means GOMAXPROCS; workers == 1 is strictly sequential, for stateful
-// transports such as fault injectors, whose behaviour depends on call
-// order). Every session is independent — its own model/scheme pair, its own
-// conversation — and results are collected in model×scheme order, so the
-// generated event descriptions, the figures derived from them, and the skip
-// list are identical at any worker count.
-func GenerateAllTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model, workers int) ([]*prompt.GeneratedED, []Skip) {
+// GenerateAllWith is GenerateAll with observability on tel and at most
+// workers sessions running concurrently (workers <= 0 means GOMAXPROCS;
+// workers == 1 is strictly sequential). Every session is independent — its
+// own model/scheme pair, its own conversation — and results are collected
+// in model×scheme order, so the generated event descriptions and the
+// figures derived from them are identical at any worker count. The first
+// failed pipeline, in that order, is the error.
+func GenerateAllWith(tel *telemetry.Telemetry, models []prompt.Model, workers int) ([]*prompt.GeneratedED, error) {
 	domain := maritime.PromptDomain()
 	curriculum := maritime.CurriculumRequests()
 	schemes := []prompt.Scheme{prompt.FewShot, prompt.ChainOfThought}
@@ -92,8 +71,6 @@ func GenerateAllTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model,
 	type unit struct {
 		model  prompt.Model
 		scheme prompt.Scheme
-		gen    *prompt.GeneratedED
-		err    error
 	}
 	units := make([]unit, 0, len(models)*len(schemes))
 	for _, m := range models {
@@ -101,23 +78,17 @@ func GenerateAllTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model,
 			units = append(units, unit{model: m, scheme: scheme})
 		}
 	}
+	gens := make([]*prompt.GeneratedED, len(units))
+	errs := make([]error, len(units))
 	forEachOrdered(workers, len(units), func(i int) {
-		u := &units[i]
-		u.gen, u.err = prompt.RunPipelineWith(tel, u.model, u.scheme, domain, curriculum)
+		gens[i], errs[i] = prompt.RunPipelineWith(tel, units[i].model, units[i].scheme, domain, curriculum)
 	})
-
-	var out []*prompt.GeneratedED
-	var skipped []Skip
-	for _, u := range units {
-		if u.err != nil {
-			tel.Logger().Warn("model skipped: pipeline failed",
-				"component", "eval", "model", u.model.Name(), "scheme", u.scheme.String(), "err", u.err.Error())
-			skipped = append(skipped, Skip{Model: u.model.Name(), Scheme: u.scheme, Err: u.err})
-			continue
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("eval: %s %s: %w", units[i].model.Name(), units[i].scheme, err)
 		}
-		out = append(out, u.gen)
 	}
-	return out, skipped
+	return gens, nil
 }
 
 // Score computes the similarity row of one generated event description
@@ -286,19 +257,18 @@ func TopN(rows []Row, n int) []Row {
 	return sorted[:n]
 }
 
-// Figure2aTolerantWorkers generates all event descriptions, scores them,
-// and returns the best row per model (the published figure's contents) plus
-// all rows. Failed model/scheme pipelines are returned as Skips rather than
-// aborting, and partially degraded event descriptions are scored over the
-// activities they did produce. workers bounds how many generation
-// pipelines, and then how many scorings, run concurrently (<= 0 means
-// GOMAXPROCS; 1 is strictly sequential — required when the transports are
-// stateful, e.g. under fault injection).
-func Figure2aTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model, workers int) (best, all []Row, skipped []Skip, err error) {
+// Figure2aWith generates all event descriptions, scores them, and returns
+// the best row per model (the published figure's contents) plus all rows.
+// workers bounds how many generation pipelines, and then how many scorings,
+// run concurrently (<= 0 means GOMAXPROCS; 1 is strictly sequential).
+func Figure2aWith(tel *telemetry.Telemetry, models []prompt.Model, workers int) (best, all []Row, err error) {
 	sp := tel.Span("eval.figure2a", telemetry.Int("models", int64(len(models))))
 	defer sp.End()
 	gold := maritime.GoldED()
-	gens, skipped := GenerateAllTolerantWorkers(tel, models, workers)
+	gens, err := GenerateAllWith(tel, models, workers)
+	if err != nil {
+		return nil, nil, err
+	}
 	all = make([]Row, len(gens))
 	errs := make([]error, len(gens))
 	forEachOrdered(workers, len(gens), func(i int) {
@@ -306,10 +276,10 @@ func Figure2aTolerantWorkers(tel *telemetry.Telemetry, models []prompt.Model, wo
 	})
 	for _, err := range errs {
 		if err != nil {
-			return nil, nil, skipped, err
+			return nil, nil, err
 		}
 	}
-	return BestPerModel(all), all, skipped, nil
+	return BestPerModel(all), all, nil
 }
 
 // CorrectedRow pairs a corrected event description's scores with the

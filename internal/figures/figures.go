@@ -42,18 +42,6 @@ func BarChart(title string, groups []string, series []Series, width int) string 
 	return b.String()
 }
 
-// PartialLabel annotates a row or series label whose event description
-// covers only part of the curriculum — e.g. "Gemma-2□ (5/8 activities)"
-// when transport failures degraded three activities. Full coverage (or a
-// nonsensical total) returns the label unchanged, keeping fault-free
-// outputs byte-identical.
-func PartialLabel(label string, ok, total int) string {
-	if total <= 0 || ok >= total {
-		return label
-	}
-	return fmt.Sprintf("%s (%d/%d activities)", label, ok, total)
-}
-
 func bar(v float64, width int) string {
 	if v < 0 {
 		v = 0

@@ -61,22 +61,3 @@ func TestCSV(t *testing.T) {
 		t.Fatalf("CSV = %q", out)
 	}
 }
-
-func TestPartialLabel(t *testing.T) {
-	cases := []struct {
-		label     string
-		ok, total int
-		want      string
-	}{
-		{"o1□", 16, 16, "o1□"},
-		{"o1□", 11, 16, "o1□ (11/16 activities)"},
-		{"o1□", 0, 16, "o1□ (0/16 activities)"},
-		{"o1□", 0, 0, "o1□"},
-		{"o1□", 5, 0, "o1□"},
-	}
-	for _, c := range cases {
-		if got := PartialLabel(c.label, c.ok, c.total); got != c.want {
-			t.Errorf("PartialLabel(%q, %d, %d) = %q, want %q", c.label, c.ok, c.total, got, c.want)
-		}
-	}
-}

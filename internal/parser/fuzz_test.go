@@ -34,8 +34,8 @@ func FuzzParseEventDescription(f *testing.F) {
 		"initiatedAt(a(X)=true, T) :- not holdsAt(b(X)=true, T), not(c).",
 		"f(a) :- .",
 		":- f(a).",
-		// Garbled-transport corpus: the shapes internal/llm/fault produces
-		// when it corrupts or truncates a model reply in transit.
+		// Garbled-reply corpus: a model reply is input from outside the
+		// program and may arrive corrupted or truncated in these shapes.
 		"initiatedAt(trawling(Vl)=true, T) ;-\n    happensAt(change_in_heading(Vl), T).",
 		"initiatedAt(trawling(Vl)=true, T) := happensAt(change_in_heading(Vl), T).",
 		"initiatedAt(trawling(Vl=true, T :-\n    happensAt(change_in_heading(Vl, T.",

@@ -102,17 +102,12 @@ func (s *Session) Critique(req ActivityRequest, diags []analysis.Diagnostic) (st
 func (s *Session) History() []Message { return append([]Message(nil), s.history...) }
 
 // ActivityResult is the outcome of one generation step: the raw response,
-// the clauses that parsed, and the chunks that failed to parse. When the
-// model transport failed the activity past recovery (retries exhausted,
-// circuit breaker open), Degraded is set and Err records why — the
-// activity contributes no clauses but the session carries on.
+// the clauses that parsed, and the chunks that failed to parse.
 type ActivityResult struct {
-	Request  ActivityRequest
-	Raw      string
-	Clauses  []*lang.Clause
-	Errors   []string
-	Degraded bool
-	Err      string
+	Request ActivityRequest
+	Raw     string
+	Clauses []*lang.Clause
+	Errors  []string
 }
 
 // GeneratedED is the full result of running the pipeline over a curriculum:
@@ -194,31 +189,6 @@ func (g *GeneratedED) ResultFor(key string) (ActivityResult, bool) {
 	return ActivityResult{}, false
 }
 
-// DegradedKeys returns the activity keys whose generation failed past
-// recovery, in curriculum order.
-func (g *GeneratedED) DegradedKeys() []string {
-	var out []string
-	for _, r := range g.Results {
-		if r.Degraded {
-			out = append(out, r.Request.Key)
-		}
-	}
-	return out
-}
-
-// Coverage reports how many requested activities produced a usable result
-// (ok) out of the total requested — the (n/m activities) annotation of
-// partially degraded runs.
-func (g *GeneratedED) Coverage() (ok, total int) {
-	total = len(g.Results)
-	for _, r := range g.Results {
-		if !r.Degraded {
-			ok++
-		}
-	}
-	return ok, total
-}
-
 // ParseErrors returns all parse errors across activities.
 func (g *GeneratedED) ParseErrors() []string {
 	var out []string
@@ -231,10 +201,8 @@ func (g *GeneratedED) ParseErrors() []string {
 }
 
 // RunPipeline teaches the model and generates a definition for every
-// curriculum entry, parsing each response. A model-side error during
-// teaching aborts (nothing useful can follow an untaught model); an error
-// on an individual G prompt marks that activity degraded and continues, so
-// one unrecoverable call does not kill the whole session. Parse errors are
+// curriculum entry, parsing each response. A model-side error aborts and
+// is returned (wrapped; errors.Is sees the model's error). Parse errors are
 // recorded per activity and skipped, since a human would discard unusable
 // output (Section 4 measures exactly this correction effort).
 func RunPipeline(model Model, scheme Scheme, domain *Domain, curriculum []ActivityRequest) (*GeneratedED, error) {
@@ -242,8 +210,8 @@ func RunPipeline(model Model, scheme Scheme, domain *Domain, curriculum []Activi
 }
 
 // RunPipelineWith is RunPipeline with observability: a "pipeline.run" root
-// span with per-prompt and per-parse children, and the
-// pipeline.activities.degraded counter. A nil tel costs only nil checks.
+// span with per-prompt and per-parse children. A nil tel costs only nil
+// checks.
 func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domain *Domain, curriculum []ActivityRequest) (*GeneratedED, error) {
 	root := tel.Span("pipeline.run",
 		telemetry.String("model", model.Name()), telemetry.String("scheme", scheme.String()),
@@ -257,14 +225,7 @@ func RunPipelineWith(tel *telemetry.Telemetry, model Model, scheme Scheme, domai
 	for _, req := range curriculum {
 		raw, err := s.Generate(req)
 		if err != nil {
-			tel.Counter("pipeline.activities.degraded").Inc()
-			tel.Logger().Warn("activity degraded: generation failed",
-				"component", "pipeline", "model", model.Name(), "scheme", scheme.String(),
-				"activity", req.Key, "err", err.Error())
-			out.Results = append(out.Results, ActivityResult{
-				Request: req, Degraded: true, Err: err.Error(),
-			})
-			continue
+			return nil, err
 		}
 		psp := root.Span("pipeline.parse", telemetry.String("activity", req.Key))
 		clauses, errs := ParseResponse(raw)

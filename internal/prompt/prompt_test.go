@@ -121,7 +121,7 @@ func TestSessionPropagatesModelErrors(t *testing.T) {
 	m := &echoModel{reply: "ok", failOn: "thresholds"}
 	s := NewSession(m, FewShot, testDomain())
 	if err := s.Teach(); !errors.Is(err, errBoom) {
-		t.Fatalf("Teach() = %v, want the transport error in the chain", err)
+		t.Fatalf("Teach() = %v, want the model error in the chain", err)
 	}
 }
 
@@ -214,6 +214,23 @@ func TestRunPipelineWithCannedModel(t *testing.T) {
 	}
 	if _, err := (&GeneratedED{ModelName: "echo"}).Resume(nil, nil, m, testDomain()); err == nil {
 		t.Fatal("a generation without a transcript was resumed")
+	}
+}
+
+// TestRunPipelineReturnsGenerateError: a model error on a G turn ends the
+// pipeline with that error; no later activity is requested.
+func TestRunPipelineReturnsGenerateError(t *testing.T) {
+	m := &echoModel{reply: "ok", failOn: "unanswerable"}
+	gen, err := RunPipeline(m, FewShot, testDomain(), []ActivityRequest{
+		{Key: "a", Name: "alpha", Description: "first"},
+		{Key: "b", Name: "beta", Description: "unanswerable"},
+		{Key: "c", Name: "gamma", Description: "third"},
+	})
+	if !errors.Is(err, errBoom) || gen != nil {
+		t.Fatalf("RunPipeline() = %v, %v; want nil and the model's error in the chain", gen, err)
+	}
+	if len(m.prompts) != 6 {
+		t.Fatalf("%d prompts sent, want 6 (R, F*, E, T, G:a, G:b)", len(m.prompts))
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package fault injects deterministic failures into the supervised shard
-// runtime, mirroring internal/llm/fault at the recognition seam: a Plan
-// parsed from a compact spec names which shards fail, how, and at which
-// window, and the supervisor consults per-shard Injectors at its delivery
-// and checkpoint hook points. Trigger state lives in the Injector, outside
-// the shard process it kills, so a restarted shard replays past a fired
-// trigger instead of dying again — which is what makes "same seed + faults
-// produces byte-identical output to a fault-free run" a testable property.
+// runtime: a Plan parsed from a compact spec names which shards fail, how,
+// and at which window, and the supervisor consults per-shard Injectors at
+// its delivery and checkpoint hook points. Trigger state lives in the
+// Injector, outside the shard process it kills, so a restarted shard replays
+// past a fired trigger instead of dying again — which is what makes "same
+// seed + faults produces byte-identical output to a fault-free run" a
+// testable property.
 //
 // Spec grammar (comma-separated triggers):
 //
@@ -215,8 +215,8 @@ func (in *Injector) OnCheckpoint(windows int) bool {
 func (in *Injector) Fired() int64 { return in.count }
 
 // SeedFor derives a per-shard rng seed from the run seed and the shard
-// name, fnv-64a over "seed|name" exactly like internal/llm/fault does per
-// model — so every shard's backoff jitter is deterministic and distinct.
+// name, fnv-64a over "seed|name" — so every shard's backoff jitter is
+// deterministic and distinct.
 func SeedFor(seed int64, name string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s", seed, name)

@@ -149,11 +149,11 @@ func TestSnapshotResetAndText(t *testing.T) {
 func TestCanonicalName(t *testing.T) {
 	for _, tc := range []struct{ kind, name, want string }{
 		{"counter", "rtec.windows.evaluated", "rtec.windows.evaluated_total"},
-		{"counter", "llm.retries", "llm.retries_total"},
+		{"counter", "rtec.shard.restarts", "rtec.shard.restarts_total"},
 		{"counter", "rtec.checkpoint.bytes", "rtec.checkpoint.bytes"},
 		{"counter", "pipeline.micros.teach.o1", "pipeline.micros.teach.o1"},
 		{"counter", "rtec.checkpoint.write_micros", "rtec.checkpoint.write_micros"},
-		{"counter", "llm.backoff_ms", "llm.backoff_ms"},
+		{"counter", "job.wait_ms", "job.wait_ms"},
 		{"counter", "already.total", "already.total"},
 		{"gauge", "rtec.workers", "rtec.workers"},
 		{"histogram", "rtec.window.micros", "rtec.window.micros"},

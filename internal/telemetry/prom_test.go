@@ -118,7 +118,7 @@ func TestPromName(t *testing.T) {
 		{"counter", "rtec.windows.evaluated", "rtec_windows_evaluated_total"},
 		{"counter", "pipeline.micros.teach.o1□", "pipeline_micros_teach_o1_"},
 		{"gauge", "rtec.shard.imbalance", "rtec_shard_imbalance"},
-		{"histogram", "llm.backoff_ms", "llm_backoff_ms"},
+		{"histogram", "job.wait_ms", "job_wait_ms"},
 	} {
 		if got := PromName(tc.kind, tc.in); got != tc.want {
 			t.Errorf("PromName(%s, %s) = %s, want %s", tc.kind, tc.in, got, tc.want)

@@ -33,7 +33,7 @@
 //   - signal: a string literal passed to .Counter(, .Gauge(, .Histogram( or
 //     shardMetric( must occur — dotted, or with underscores as a scrape
 //     exposes it — in ci.sh, cmd/rtectop/main.go or README.md. A literal
-//     ending in "." is a family prefix ("llm.retries." + model); a
+//     ending in "." is a family prefix ("rtec.stratum.micros." + s); a
 //     "<prefix>.*" mention covers every name below the prefix. A guard, not
 //     an audit: a substring of a consumed name passes.
 package toolvet

@@ -140,16 +140,16 @@ func TestExempt(t *testing.T) {
 func TestSignalRule(t *testing.T) {
 	consumers := "grep -q '^counter rtec.windows.evaluated_total' m.txt\n" +
 		"line(\"restarts\", \"rtec_shard_restarts_total\")\n" +
-		"`llm.breaker.state.<model>` and the `rtec.checkpoint.*` counters\n"
+		"`rtec.stratum.micros.<s>` and the `rtec.checkpoint.*` counters\n"
 	fs, err := CheckSource("a.go", []byte(`package a
-func f(tel T, k int, model string) {
+func f(tel T, k int, label string) {
 	tel.Counter("rtec.windows.evaluated").Inc()
 	tel.Counter("rtec.shard.restarts").Inc()
-	tel.Gauge("llm.breaker.state." + model).Set(1)
+	tel.Gauge("rtec.stratum.micros." + label).Set(1)
 	tel.Registry.Histogram("rtec.checkpoint.write_micros", nil).Observe(1)
 	tel.Gauge(shardMetric(k, "restarts")).Set(1)
 	tel.Counter("rtec.fvps.grounded").Inc()
-	tel.Counter("llm.calls." + model).Inc()
+	tel.Counter("llm.calls." + label).Inc()
 	tel.Gauge(shardMetric(k, "queue.ghost")).Set(1)
 	tel.Counter(computed()).Inc()
 }
