@@ -1,8 +1,8 @@
 // Command disorder perturbs an event-stream CSV into a reproducible
 // out-of-order arrival sequence: every event is assigned a seeded random
 // delivery delay in [0, max-delay] and rows are emitted in delivery order,
-// so no event is displaced beyond the bound. It is the adversary of the
-// streaming-robustness CI gate: a stream shuffled by this tool, replayed
+// so no event is displaced beyond the bound (stream.Perturb, which the
+// contract tests call in-process): a stream shuffled by this tool, replayed
 // through `rtec -max-delay`, must converge to the in-order run's output.
 //
 // Usage:
@@ -14,7 +14,7 @@
 // exact duplicate the ingestion layer must count and discard. -out-format
 // ndjson emits rtecd's ingest wire format instead of CSV — the same seed
 // produces the same arrival order in either serialisation, which is what
-// lets the CI gate compare an rtecd run against a cmd/rtec one. A summary
+// lets ci.sh's rtecd gate compare an rtecd run against a cmd/rtec one. A summary
 // of the perturbation is printed to stderr.
 package main
 
@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
-	"sort"
 
 	"rtecgen/internal/stream"
 )
@@ -71,7 +70,7 @@ func run(o options, stderr *os.File) error {
 	}
 	events.Sort()
 
-	perturbed, late, dups := perturb(events, o.maxDelay, o.seed, o.dupEvery)
+	perturbed, late, dups := stream.Perturb(events, rand.New(rand.NewSource(o.seed)), o.maxDelay, o.dupEvery)
 
 	var write func(stream.Stream, *os.File) error
 	switch o.outFormat {
@@ -96,48 +95,4 @@ func run(o options, stderr *os.File) error {
 	fmt.Fprintf(stderr, "disorder: %d events, %d displaced, %d duplicated (max-delay %d, seed %d)\n",
 		len(events), late, dups, o.maxDelay, o.seed)
 	return nil
-}
-
-// perturb assigns each event a delay in [0, maxDelay] and orders arrivals
-// by delivery time (original position as the tie-break, so the permutation
-// is deterministic per seed), then injects duplicates adjacent to their
-// originals. late counts events that ended up behind a later event time.
-func perturb(events stream.Stream, maxDelay, seed int64, dupEvery int) (out stream.Stream, late, dups int) {
-	r := rand.New(rand.NewSource(seed))
-	type delayed struct {
-		e   stream.Event
-		due int64
-		idx int
-	}
-	ds := make([]delayed, len(events))
-	for i, e := range events {
-		var d int64
-		if maxDelay > 0 {
-			d = r.Int63n(maxDelay + 1)
-		}
-		ds[i] = delayed{e: e, due: e.Time + d, idx: i}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].due != ds[j].due {
-			return ds[i].due < ds[j].due
-		}
-		return ds[i].idx < ds[j].idx
-	})
-
-	var frontier int64
-	started := false
-	for i, d := range ds {
-		if started && d.e.Time < frontier {
-			late++
-		}
-		if !started || d.e.Time > frontier {
-			frontier, started = d.e.Time, true
-		}
-		out = append(out, d.e)
-		if dupEvery > 0 && (i+1)%dupEvery == 0 {
-			out = append(out, d.e)
-			dups++
-		}
-	}
-	return out, late, dups
 }

@@ -3,10 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
-
-	"rtecgen/internal/stream"
 )
 
 const testStream = `10,entersArea,v1,a1
@@ -24,104 +21,6 @@ func writeStream(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
-}
-
-func readOut(t *testing.T, path string) stream.Stream {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	s, err := stream.ReadCSV(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return s
-}
-
-func TestPerturbBoundedAndReproducible(t *testing.T) {
-	in := writeStream(t)
-	out1 := filepath.Join(t.TempDir(), "a.csv")
-	out2 := filepath.Join(t.TempDir(), "b.csv")
-	o := options{in: in, out: out1, maxDelay: 25, seed: 3}
-	if err := run(o, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	o.out = out2
-	if err := run(o, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	a, err := os.ReadFile(out1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := os.ReadFile(out2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(a) != string(b) {
-		t.Fatal("same seed produced different perturbations")
-	}
-
-	// Displacement is bounded: replaying through a reorder buffer with the
-	// same bound must drop nothing.
-	r := stream.NewReorder(25)
-	for _, e := range readOut(t, out1) {
-		if verdict := r.Push(e); verdict == stream.TooLate {
-			t.Fatalf("event %s displaced beyond the bound", e)
-		}
-	}
-
-	// A different seed gives a different arrival order (with this stream
-	// and bound the probability of a collision is negligible).
-	o.out = filepath.Join(t.TempDir(), "c.csv")
-	o.seed = 4
-	if err := run(o, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	c, _ := os.ReadFile(o.out)
-	if string(a) == string(c) {
-		t.Fatal("different seeds produced identical perturbations")
-	}
-}
-
-func TestPerturbKeepsEventMultiset(t *testing.T) {
-	in := writeStream(t)
-	out := filepath.Join(t.TempDir(), "out.csv")
-	if err := run(options{in: in, out: out, maxDelay: 100, seed: 9}, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	got := readOut(t, out)
-	if len(got) != 6 {
-		t.Fatalf("perturbed stream has %d events, want 6", len(got))
-	}
-	sorted := make(stream.Stream, len(got))
-	copy(sorted, got)
-	sorted.Sort()
-	var sb strings.Builder
-	if err := sorted.WriteCSV(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if sb.String() != testStream {
-		t.Fatalf("sorted perturbation differs from input:\n%s", sb.String())
-	}
-}
-
-func TestDuplicateInjection(t *testing.T) {
-	in := writeStream(t)
-	out := filepath.Join(t.TempDir(), "out.csv")
-	if err := run(options{in: in, out: out, maxDelay: 0, seed: 1, dupEvery: 2}, os.Stderr); err != nil {
-		t.Fatal(err)
-	}
-	got := readOut(t, out)
-	if len(got) != 9 {
-		t.Fatalf("got %d events, want 6 + 3 duplicates", len(got))
-	}
-	deduped, dropped := got.Dedup()
-	if dropped != 3 || len(deduped) != 6 {
-		t.Fatalf("dedup removed %d of %d, want 3 of 9", dropped, len(got))
-	}
 }
 
 func TestRunErrors(t *testing.T) {

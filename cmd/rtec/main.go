@@ -9,7 +9,7 @@
 // Usage:
 //
 //	rtec -ed rules.rtec -stream events.csv [-window W] [-slide S] [-fluent name/arity] [-strict]
-//	     [-lenient] [-workers N] [-no-delta] [-max-delay D] [-checkpoint file [-checkpoint-every N] [-resume]]
+//	     [-lenient] [-workers N] [-max-delay D] [-checkpoint file [-checkpoint-every N] [-resume]]
 //	     [-journal file [-journal-cap N] [-journal-wall]]
 //	     [-shards N [-shard-faults spec] [-shard-deadline D] [-shard-queue N] [-shard-overflow policy]]
 //	     [-trace out.json] [-metrics] [-v]
@@ -25,9 +25,8 @@
 // dropped. -checkpoint writes a crash-safe snapshot every -checkpoint-every
 // windows; -resume restores it and continues, producing output identical to
 // an uninterrupted run — a killed run loses at most the windows since its
-// last snapshot. -crash-after kills the run after N windows (for
-// fault-injection drills). Without any of these flags the classic batch
-// path runs, byte-identical to previous releases.
+// last snapshot. Without any of these flags the classic batch path runs,
+// byte-identical to previous releases.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the run (one
 // span per window and per fluent stratum; open in chrome://tracing or
@@ -80,12 +79,10 @@ type options struct {
 	strict, csvOut     bool
 	lenient            bool
 	workers            int
-	noDelta            bool
 	maxDelay           int64
 	checkpoint         string
 	checkpointEvery    int
 	resume             bool
-	crashAfter         int
 	journalPath        string
 	journalCap         int64
 	journalWall        bool
@@ -111,12 +108,10 @@ func main() {
 	flag.BoolVar(&o.csvOut, "csv", false, "emit CSV (fluent,fvp,since,until) instead of holdsFor lines")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed stream rows instead of aborting")
 	flag.IntVar(&o.workers, "workers", 0, "window-evaluation worker goroutines (0 = GOMAXPROCS, 1 = sequential); output is identical at any count")
-	flag.BoolVar(&o.noDelta, "no-delta", false, "disable incremental sliding-window evaluation (full re-evaluation oracle); output is identical, only slower")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "bounded-delay disorder tolerance in time-points (streaming ingestion)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "write crash-safe snapshots to this file (streaming ingestion)")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
 	flag.BoolVar(&o.resume, "resume", false, "restore the -checkpoint snapshot and continue the run")
-	flag.IntVar(&o.crashAfter, "crash-after", 0, "fault injection: abort after N windows (0 = never)")
 	flag.StringVar(&o.journalPath, "journal", "", "append the recognition audit journal (JSONL) to this file (streaming ingestion)")
 	flag.Int64Var(&o.journalCap, "journal-cap", 0, "cap the journal size in bytes (0 = unbounded); a journal_capped marker ends a capped journal")
 	flag.BoolVar(&o.journalWall, "journal-wall", false, "stamp journal records with real wall-clock times instead of the deterministic default")
@@ -143,10 +138,10 @@ func main() {
 // to previous releases. The audit journal is a feature of the streaming
 // engine, so asking for it routes the run through it too.
 func (o options) streaming() bool {
-	return o.maxDelay > 0 || o.checkpoint != "" || o.resume || o.crashAfter > 0 || o.journalPath != ""
+	return o.maxDelay > 0 || o.checkpoint != "" || o.resume || o.journalPath != ""
 }
 
-func run(o options, stdout, stderr *os.File) error {
+func run(o options, stdout, stderr io.Writer) error {
 	if o.edPath == "" || o.streamPath == "" {
 		flag.Usage()
 		return fmt.Errorf("-ed and -stream are required")
@@ -167,13 +162,8 @@ func run(o options, stdout, stderr *os.File) error {
 	if err != nil {
 		return err
 	}
-	if o.shards > 1 {
-		if o.resume {
-			return fmt.Errorf("-resume does not apply to sharded runs: shards recover from their own checkpoints in-process")
-		}
-		if o.crashAfter > 0 {
-			return fmt.Errorf("-crash-after does not apply to sharded runs: use -shard-faults")
-		}
+	if o.shards > 1 && o.resume {
+		return fmt.Errorf("-resume does not apply to sharded runs: shards recover from their own checkpoints in-process")
 	}
 	tel, flush := o.tel.Setup(stderr, stderr)
 
@@ -220,7 +210,7 @@ func run(o options, stdout, stderr *os.File) error {
 
 	// Load and runtime warnings surface on the telemetry logger (with
 	// fluent and window attributes) as the engine encounters them.
-	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: o.workers, DisableDelta: o.noDelta, Telemetry: tel})
+	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: o.workers, Telemetry: tel})
 	if err != nil {
 		return err
 	}
@@ -256,7 +246,7 @@ func run(o options, stdout, stderr *os.File) error {
 
 // readStream parses the input stream in the configured serialisation (-format
 // csv or ndjson), quarantining malformed rows under -lenient.
-func readStream(o options, f *os.File, stderr *os.File) (stream.Stream, error) {
+func readStream(o options, f io.Reader, stderr io.Writer) (stream.Stream, error) {
 	readStrict, readLenient := stream.ReadCSV, stream.ReadCSVLenient
 	switch o.format {
 	case "csv", "":
@@ -283,8 +273,8 @@ func readStream(o options, f *os.File, stderr *os.File) (stream.Stream, error) {
 
 // runStreaming drives the out-of-order ingestion path: the CSV rows are an
 // arrival-ordered stream fed through the bounded-delay reorder buffer, with
-// optional checkpointing, resume and fault injection.
-func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal.Writer, stderr *os.File) (*rtec.Recognition, error) {
+// optional checkpointing and resume.
+func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal.Writer, stderr io.Writer) (*rtec.Recognition, error) {
 	opts := rtec.StreamOptions{
 		RunOptions:      rtec.RunOptions{Window: o.window, Slide: o.slide},
 		MaxDelay:        o.maxDelay,
@@ -292,25 +282,12 @@ func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal
 		CheckpointEvery: o.checkpointEvery,
 		Journal:         jw,
 	}
-	var fn func(rtec.WindowResult) error
-	if o.crashAfter > 0 {
-		left := o.crashAfter
-		fn = func(wr rtec.WindowResult) error {
-			if wr.Revision == 0 {
-				left--
-				if left <= 0 {
-					return fmt.Errorf("simulated crash after %d windows (-crash-after)", o.crashAfter)
-				}
-			}
-			return nil
-		}
-	}
 	var res *rtec.StreamResult
 	var err error
 	if o.resume {
-		res, err = eng.ResumeStream(o.checkpoint, events, opts, fn)
+		res, err = eng.ResumeStream(o.checkpoint, events, opts, nil)
 	} else {
-		res, err = eng.RunStream(events, opts, fn)
+		res, err = eng.RunStream(events, opts, nil)
 	}
 	if err != nil {
 		return nil, err
@@ -325,7 +302,7 @@ func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal
 // "<-checkpoint>.s<k>" and journals to "<-journal>.s<k>"; the main journal
 // carries the supervisor's lifecycle events (restarts, kills, degradation).
 func runSharded(o options, eng *rtec.Engine, events stream.Stream, plan *fault.Plan, jw *journal.Writer,
-	jopts journal.Options, tel *telemetry.Telemetry, stderr *os.File) (*rtec.Recognition, error) {
+	jopts journal.Options, tel *telemetry.Telemetry, stderr io.Writer) (*rtec.Recognition, error) {
 	if len(events) == 0 {
 		return nil, fmt.Errorf("sharded runs need a non-empty stream to bound the time-line")
 	}

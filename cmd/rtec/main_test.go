@@ -1,12 +1,18 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rtecgen/internal/parser"
+	"rtecgen/internal/rtec"
+	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
 
@@ -46,15 +52,15 @@ func TestRunEndToEnd(t *testing.T) {
 	st := write(t, "events.csv", testStream)
 	o := opts(ed, st)
 	o.strict = true
-	if err := run(o, os.Stdout, os.Stderr); err != nil {
+	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	o.window, o.slide, o.fluent = 20, 10, "withinArea/2"
-	if err := run(o, os.Stdout, os.Stderr); err != nil {
+	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	o.fluent, o.csvOut = "", true
-	if err := run(o, os.Stdout, os.Stderr); err != nil {
+	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -67,21 +73,30 @@ func TestRunWithTelemetryFlags(t *testing.T) {
 	ed := write(t, "ed.rtec", testED)
 	st := write(t, "events.csv", testStream)
 	tracePath := filepath.Join(dir, "trace.json")
-	metricsPath := filepath.Join(dir, "metrics.txt")
-
-	mf, err := os.Create(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var metrics bytes.Buffer
 	o := opts(ed, st)
 	o.window, o.slide = 20, 10
 	o.tel = telemetry.CLIConfig{TracePath: tracePath, Metrics: true}
-	if err := run(o, os.Stdout, mf); err != nil {
+	if err := run(o, io.Discard, &metrics); err != nil {
 		t.Fatal(err)
 	}
-	mf.Close()
 
-	raw, err := os.ReadFile(tracePath)
+	names := traceSpans(t, tracePath)
+	if names["rtec.run"] != 1 || names["rtec.window"] == 0 || names["rtec.fluent"] == 0 {
+		t.Fatalf("trace missing engine spans: %v", names)
+	}
+
+	for _, want := range []string{"counter rtec.events.ingested_total 2", "counter rtec.windows.evaluated_total"} {
+		if !strings.Contains(metrics.String(), want) {
+			t.Fatalf("metrics dump missing %q:\n%s", want, metrics.String())
+		}
+	}
+}
+
+// traceSpans counts the spans of the Chrome trace at path by name.
+func traceSpans(t *testing.T, path string) map[string]int {
+	t.Helper()
+	raw, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,36 +112,24 @@ func TestRunWithTelemetryFlags(t *testing.T) {
 	for _, ev := range trace.TraceEvents {
 		names[ev.Name]++
 	}
-	if names["rtec.run"] != 1 || names["rtec.window"] == 0 || names["rtec.fluent"] == 0 {
-		t.Fatalf("trace missing engine spans: %v", names)
-	}
-
-	metrics, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"counter rtec.events.ingested_total 2", "counter rtec.windows.evaluated_total"} {
-		if !strings.Contains(string(metrics), want) {
-			t.Fatalf("metrics dump missing %q:\n%s", want, metrics)
-		}
-	}
+	return names
 }
 
 func TestRunErrors(t *testing.T) {
 	ed := write(t, "ed.rtec", testED)
 	st := write(t, "events.csv", testStream)
-	if err := run(opts("", st), os.Stdout, os.Stderr); err == nil {
+	if err := run(opts("", st), io.Discard, io.Discard); err == nil {
 		t.Fatal("missing -ed accepted")
 	}
-	if err := run(opts(ed, "/nonexistent.csv"), os.Stdout, os.Stderr); err == nil {
+	if err := run(opts(ed, "/nonexistent.csv"), io.Discard, io.Discard); err == nil {
 		t.Fatal("missing stream accepted")
 	}
 	bad := write(t, "bad.rtec", "initiatedAt(((.")
-	if err := run(opts(bad, st), os.Stdout, os.Stderr); err == nil {
+	if err := run(opts(bad, st), io.Discard, io.Discard); err == nil {
 		t.Fatal("bad event description accepted")
 	}
 	badStream := write(t, "bad.csv", "notatime,foo\n")
-	if err := run(opts(ed, badStream), os.Stdout, os.Stderr); err == nil {
+	if err := run(opts(ed, badStream), io.Discard, io.Discard); err == nil {
 		t.Fatal("bad stream accepted")
 	}
 	// Strict mode surfaces unusable rules as errors.
@@ -136,17 +139,17 @@ initiatedAt(broken(X)=true, T) :-
 `)
 	strictO := opts(lax, st)
 	strictO.strict = true
-	if err := run(strictO, os.Stdout, os.Stderr); err == nil {
+	if err := run(strictO, io.Discard, io.Discard); err == nil {
 		t.Fatal("strict mode accepted an unusable rule")
 	}
-	if err := run(opts(lax, st), os.Stdout, os.Stderr); err != nil {
+	if err := run(opts(lax, st), io.Discard, io.Discard); err != nil {
 		t.Fatalf("lenient mode failed: %v", err)
 	}
 	// -fluent filters the holdsFor listing only; with -csv it would be
 	// silently ignored.
 	filterO := opts(ed, st)
 	filterO.fluent, filterO.csvOut = "withinArea/2", true
-	if err := run(filterO, os.Stdout, os.Stderr); err == nil ||
+	if err := run(filterO, io.Discard, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-fluent") || !strings.Contains(err.Error(), "-csv") {
 		t.Fatalf("-fluent with -csv: err = %v, want a usage error naming both flags", err)
 	}
@@ -154,7 +157,7 @@ initiatedAt(broken(X)=true, T) :-
 	sameO := opts(ed, st)
 	sameO.journalPath = filepath.Join(t.TempDir(), "x")
 	sameO.checkpoint = sameO.journalPath
-	if err := run(sameO, os.Stdout, os.Stderr); err == nil || !strings.Contains(err.Error(), "same file") {
+	if err := run(sameO, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "same file") {
 		t.Fatalf("-journal and -checkpoint on one file: err = %v, want a refusal", err)
 	}
 	if _, err := os.Stat(sameO.journalPath); err == nil {
@@ -165,54 +168,42 @@ initiatedAt(broken(X)=true, T) :-
 	// before the run, not after the stream has been read.
 	faultO := opts(ed, st)
 	faultO.shardFaults = "panic@w1"
-	if err := run(faultO, os.Stdout, os.Stderr); err == nil ||
+	if err := run(faultO, io.Discard, io.Discard); err == nil ||
 		!strings.Contains(err.Error(), "-shard-faults") || !strings.Contains(err.Error(), "-shards") {
 		t.Fatalf("-shard-faults without -shards: err = %v, want a usage error naming both flags", err)
 	}
 	faultO.shards, faultO.shardFaults = 2, "bogus"
-	if err := run(faultO, os.Stdout, os.Stderr); err == nil || !strings.Contains(err.Error(), "bogus") {
+	if err := run(faultO, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "bogus") {
 		t.Fatalf("unparseable -shard-faults: err = %v, want the parse error", err)
 	}
 	// An unwritable trace path must be reported.
 	traceO := opts(ed, st)
 	traceO.tel.TracePath = filepath.Join(t.TempDir(), "no", "such", "dir", "t.json")
-	if err := run(traceO, os.Stdout, os.Stderr); err == nil {
+	if err := run(traceO, io.Discard, io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")
 	}
 }
 
-// captureOut runs the command with stdout redirected to a file and returns
-// what it printed.
-func captureOut(t *testing.T, o options) (string, error) {
+// mustRun runs the command and returns its stdout and stderr.
+func mustRun(t *testing.T, o options) (string, string) {
 	t.Helper()
-	outPath := filepath.Join(t.TempDir(), "stdout")
-	f, err := os.Create(outPath)
-	if err != nil {
-		t.Fatal(err)
+	var out, errOut bytes.Buffer
+	if err := run(o, &out, &errOut); err != nil {
+		t.Fatalf("%v\n%s", err, errOut.String())
 	}
-	runErr := run(o, f, os.Stderr)
-	f.Close()
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(data), runErr
+	return out.String(), errOut.String()
 }
 
 func TestLenientStreamQuarantinesBadRows(t *testing.T) {
 	ed := write(t, "ed.rtec", testED)
 	st := write(t, "events.csv", "10,entersArea,v1,a1\nnotatime,junk\n50,leavesArea,v1,a1\n")
 
-	if _, err := captureOut(t, opts(ed, st)); err == nil {
+	if err := run(opts(ed, st), io.Discard, io.Discard); err == nil {
 		t.Fatal("strict CSV reading accepted a bad row")
 	}
 	o := opts(ed, st)
 	o.lenient, o.csvOut = true, true
-	got, err := captureOut(t, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(got, "withinArea(v1, fishing)=true") {
+	if got, _ := mustRun(t, o); !strings.Contains(got, "withinArea(v1, fishing)=true") {
 		t.Fatalf("lenient run lost the good rows:\n%s", got)
 	}
 }
@@ -225,57 +216,81 @@ func TestStreamingFlagsMatchBatchOutput(t *testing.T) {
 
 	base := opts(ed, sorted)
 	base.window, base.csvOut = 20, true
-	want, err := captureOut(t, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	want, _ := mustRun(t, base)
 	o := opts(ed, st)
 	o.window, o.csvOut, o.maxDelay = 20, true, 15
-	got, err := captureOut(t, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got, _ := mustRun(t, o); got != want {
 		t.Fatalf("streaming output differs from batch:\n%s\nvs\n%s", got, want)
 	}
 }
 
-func TestCrashAfterAndResume(t *testing.T) {
+// TestResumeFromCrashCheckpoint: a run killed after two windows leaves a
+// checkpoint behind (written here through the engine API, as the killed
+// process would have), and -resume continues from it to the uninterrupted
+// run's output.
+func TestResumeFromCrashCheckpoint(t *testing.T) {
 	ed := write(t, "ed.rtec", testED)
 	st := write(t, "events.csv",
 		"10,entersArea,v1,a1\n30,entersArea,v2,a1\n50,leavesArea,v1,a1\n70,entersArea,v3,a1\n90,leavesArea,v2,a1\n")
-	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
-
 	base := opts(ed, st)
 	base.window, base.slide, base.csvOut = 20, 20, true
-	want, err := captureOut(t, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-
+	want, _ := mustRun(t, base)
 	o := base
-	o.checkpoint, o.checkpointEvery, o.crashAfter = ckpt, 1, 2
-	if _, err := captureOut(t, o); err == nil || !strings.Contains(err.Error(), "simulated crash") {
-		t.Fatalf("crash-after err = %v", err)
-	}
-	if _, err := os.Stat(ckpt); err != nil {
-		t.Fatalf("no checkpoint after crash: %v", err)
-	}
-
-	o.crashAfter, o.resume = 0, true
-	got, err := captureOut(t, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	o.checkpoint, o.resume = filepath.Join(t.TempDir(), "run.ckpt"), true
+	crashRun(t, ed, st, rtec.StreamOptions{
+		RunOptions: rtec.RunOptions{Window: 20, Slide: 20}, CheckpointPath: o.checkpoint, CheckpointEvery: 1,
+	}, 2)
+	if got, _ := mustRun(t, o); got != want {
 		t.Fatalf("resumed output differs from uninterrupted run:\n%s\nvs\n%s", got, want)
 	}
 
 	// -resume without -checkpoint is rejected.
 	bad := base
 	bad.resume = true
-	if _, err := captureOut(t, bad); err == nil {
+	if err := run(bad, io.Discard, io.Discard); err == nil {
 		t.Fatal("-resume without -checkpoint accepted")
+	}
+}
+
+// crashRun streams the CSV at streamPath through the event description at
+// edPath and kills the run from the delivery callback once n windows have
+// been delivered for the first time, leaving opts.CheckpointPath behind.
+func crashRun(t *testing.T, edPath, streamPath string, opts rtec.StreamOptions, n int) {
+	t.Helper()
+	src, err := os.ReadFile(edPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ed, err := parser.ParseEventDescription(string(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := rtec.New(ed, rtec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(streamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	events, err := stream.ReadCSV(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	errCrash := errors.New("simulated crash")
+	_, err = eng.RunStream(events, opts, func(wr rtec.WindowResult) error {
+		if wr.Revision == 0 {
+			if n--; n <= 0 {
+				return errCrash
+			}
+		}
+		return nil
+	})
+	if !errors.Is(err, errCrash) {
+		t.Fatalf("crashing run: err = %v, want the simulated crash", err)
+	}
+	if _, err := os.Stat(opts.CheckpointPath); err != nil {
+		t.Fatalf("no checkpoint after the crash: %v", err)
 	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -33,7 +34,7 @@ func TestJournalGolden(t *testing.T) {
 
 	runOnce := func(name string) []byte {
 		path := filepath.Join(t.TempDir(), name)
-		if err := run(journalOpts(ed, st, path), os.Stdout, os.Stderr); err != nil {
+		if err := run(journalOpts(ed, st, path), io.Discard, io.Discard); err != nil {
 			t.Fatal(err)
 		}
 		data, err := os.ReadFile(path)
@@ -73,7 +74,7 @@ func TestJournalWallClock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "wall.jsonl")
 	o := journalOpts(ed, st, path)
 	o.journalWall = true
-	if err := run(o, os.Stdout, os.Stderr); err != nil {
+	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -99,7 +100,7 @@ func TestJournalCapped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "capped.jsonl")
 	o := journalOpts(ed, st, path)
 	o.journalCap = 300
-	if err := run(o, os.Stdout, os.Stderr); err != nil {
+	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)

@@ -9,7 +9,7 @@
 //	      [-shards N] [-checkpoint-every N] [-journal file] [-resume] [-out file]
 //	      [-shard-queue N] [-shard-overflow policy] [-shard-deadline D]
 //	      [-shard-restarts N] [-shard-seed S]
-//	      [-ingest-queue N] [-ingest-delay D] [-metrics] [-v]
+//	      [-ingest-queue N] [-metrics] [-v]
 //
 // The HTTP surface (one port for everything):
 //
@@ -79,7 +79,6 @@ type options struct {
 	shardSeed     int64
 
 	ingestQueue int
-	ingestDelay time.Duration
 
 	tel telemetry.CLIConfig
 }
@@ -109,7 +108,6 @@ func main() {
 	flag.IntVar(&o.shardRestarts, "shard-restarts", 5, "restarts per shard before it degrades")
 	flag.Int64Var(&o.shardSeed, "shard-seed", 7, "seed for per-shard restart backoff jitter")
 	flag.IntVar(&o.ingestQueue, "ingest-queue", 16, "bounded ingest queue: full answers 429 with Retry-After")
-	flag.DurationVar(&o.ingestDelay, "ingest-delay", 0, "overload drill: throttle application to one event per delay")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
 	flag.Parse()
@@ -175,7 +173,6 @@ func run(o options, stderr *os.File) error {
 		OutPath:     o.outPath,
 		Lenient:     o.lenient,
 		IngestQueue: o.ingestQueue,
-		IngestDelay: o.ingestDelay,
 		Telemetry:   tel,
 	})
 	if err != nil {

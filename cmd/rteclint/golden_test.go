@@ -66,15 +66,23 @@ func TestGoldenAutofix(t *testing.T) {
 }
 
 // TestCorruptedExamplesFailWithoutFix pins the other half of the contract:
-// without -fix the corrupted examples carry error-level diagnostics.
+// without -fix the corrupted examples, the README's worked example and the
+// defective definition carry error-level diagnostics. The last one's
+// comparison operand is the one the engine warns about at run time.
 func TestCorruptedExamplesFailWithoutFix(t *testing.T) {
-	for _, c := range []struct{ domain, path string }{
-		{"maritime", "../../examples/lint/corrupted_maritime.prolog"},
-		{"fleet", "../../examples/lint/corrupted_fleet.prolog"},
+	for _, c := range []struct{ domain, path, want string }{
+		{"maritime", "../../examples/lint/corrupted_maritime.prolog", ""},
+		{"fleet", "../../examples/lint/corrupted_fleet.prolog", ""},
+		{"maritime", "../../examples/lint/withinarea_bad.prolog", ""},
+		{"maritime", "../../examples/lint/doomed_threshold.prolog",
+			"R007: variable 'MovingMin' appears only in a comparison and is never bound"},
 	} {
 		code, out, _ := lint(t, []string{"-domain", c.domain, c.path}, "")
 		if code != 1 {
 			t.Errorf("%s: exit %d without -fix, want 1\n%s", c.path, code, out)
+		}
+		if !strings.Contains(out, c.want) {
+			t.Errorf("%s: no %q in\n%s", c.path, c.want, out)
 		}
 	}
 }

@@ -11,8 +11,8 @@
 //
 // With no files, rteclint reads one event description from standard input.
 // With -gold, rteclint lints the embedded gold standard of the selected
-// domain instead of files — the CI gate that the hand-crafted event
-// descriptions stay diagnostic-free.
+// domain instead of files — how TestRunGold keeps the hand-crafted event
+// descriptions diagnostic-free.
 // The -domain flag supplies the named domain's vocabulary, argument sorts
 // and curriculum activities, enabling the vocabulary-dependent checks
 // (R010, R013, and the event/predicate parts of R002), grading unused

@@ -177,7 +177,7 @@ func TestRunJSON(t *testing.T) {
 	}
 }
 
-// TestRunGold pins the ci gate: the embedded gold standards of both
+// TestRunGold is the gold lint gate: the embedded gold standards of both
 // domains lint diagnostic-free at the strictest threshold, and -gold
 // without a domain is a usage error.
 func TestRunGold(t *testing.T) {

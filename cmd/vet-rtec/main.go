@@ -1,8 +1,9 @@
 // Command vet-rtec runs the repository's vet checks (internal/toolvet) over
 // a directory tree, in non-test code: no time.Now/time.Sleep outside
 // internal/clock, no package-level math/rand calls, and — when the tree is
-// the repository root — no metric name that ci.sh, cmd/rtectop/main.go and
-// README.md all fail to mention.
+// the repository root — no metric name that every file of toolvet's
+// consumerFiles (ci.sh, the contract tests, cmd/rtectop/main.go, README.md,
+// ...) fails to mention.
 //
 // Usage:
 //

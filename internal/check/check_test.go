@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rtecgen/internal/analysis"
+	"rtecgen/internal/fleet"
 	"rtecgen/internal/lang"
 	"rtecgen/internal/llm"
 	"rtecgen/internal/maritime"
@@ -98,6 +99,22 @@ holdsFor(top(Vl)=true, I) :-
 	fs := analyze(t, gen)
 	if hasCategory(fs, Undefined) {
 		t.Fatalf("false undefined finding: %v", fs)
+	}
+}
+
+// TestUndefinedUsesOnlyItsDomain: a fleet condition on a fluent named like a
+// maritime area or vessel type is undefined there; the maritime vocabulary
+// is not the fleet's.
+func TestUndefinedUsesOnlyItsDomain(t *testing.T) {
+	for _, name := range []string{"fishing", "tanker"} {
+		gen := genFromSrc(t, "x", `
+holdsFor(x(V)=true, I) :-
+    holdsFor(`+name+`(V)=true, I1),
+    union_all([I1], I).
+`)
+		if fs := Analyze(gen, fleet.GoldED(), fleet.PromptDomain()); !hasCategory(fs, Undefined) {
+			t.Errorf("fleet: %s is not reported undefined: %v", name, fs)
+		}
 	}
 }
 

@@ -42,7 +42,8 @@ func chaosArrivals(t *testing.T, seed int64, maxDelay int64) stream.Stream {
 		}
 	}
 	events.Sort()
-	return boundedShuffle(r, events, maxDelay)
+	arrivals, _, _ := stream.Perturb(events, r, maxDelay, 0)
+	return arrivals
 }
 
 func TestCheckpointResumeByteIdentical(t *testing.T) {
@@ -350,7 +351,7 @@ func TestChaosShuffleKillResume(t *testing.T) {
 	}
 	events.Sort()
 	const maxDelay = 150
-	shuffled := boundedShuffle(r, events, maxDelay)
+	shuffled, _, _ := stream.Perturb(events, r, maxDelay, 0)
 	// Inject exact duplicates at deterministic positions, adjacent to their
 	// originals so they are still buffered when the copy arrives.
 	var arrivals stream.Stream

@@ -240,7 +240,7 @@ func TestWorkersStreamRevisionsIdenticalMaritime(t *testing.T) {
 		cut++
 	}
 	events = events[:cut]
-	arrivals := boundedShuffle(rand.New(rand.NewSource(99)), events, 120)
+	arrivals, _, _ := stream.Perturb(events, rand.New(rand.NewSource(99)), 120, 0)
 	opts := StreamOptions{RunOptions: RunOptions{Window: 3600}, MaxDelay: 120}
 	logs := make([]string, len(engines))
 	for i, e := range engines {

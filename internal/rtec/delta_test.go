@@ -318,7 +318,8 @@ func TestDeltaRevisionEquivalence(t *testing.T) {
 			events = append(events, gen(r, 1000)...)
 		}
 		events.Sort()
-		return boundedShuffle(r, events, 60)
+		arrivals, _, _ := stream.Perturb(events, r, 60, 0)
+		return arrivals
 	}
 	for _, tc := range []struct {
 		name     string
@@ -532,7 +533,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		minSlide := c.minSlide(window)
 		slide := minSlide + int64(r.Intn(int(window-minSlide+1)))
 		maxDelay := c.scale * int64(r.Intn(100))
-		arrivals := boundedShuffle(r, events, maxDelay)
+		arrivals, _, _ := stream.Perturb(events, r, maxDelay, 0)
 		opts := StreamOptions{
 			RunOptions: RunOptions{Window: window, Slide: slide},
 			MaxDelay:   maxDelay,

@@ -315,7 +315,7 @@ func TestRevisionIdleAdditionsEquivalence(t *testing.T) {
 		r := rand.New(rand.NewSource(seed))
 		events := genMultiValueStream(r, 1000)
 		events.Sort()
-		arrivals := boundedShuffle(r, events, 80)
+		arrivals, _, _ := stream.Perturb(events, r, 80, 0)
 		for _, geo := range []RunOptions{{Window: 150}, {Window: 120, Slide: 40}} {
 			workers := []int{1, 8}[seed%2]
 			opts := StreamOptions{RunOptions: geo, MaxDelay: 80, CheckpointEvery: 3}
@@ -452,7 +452,7 @@ func TestRevisionUnnamedFluentReads(t *testing.T) {
 			events = append(events, ev(int64(r.Intn(800)), kind+"("+[]string{"a", "b", "x"}[r.Intn(3)]+")"))
 		}
 		events.Sort()
-		shuffled := boundedShuffle(r, events, 80)
+		shuffled, _, _ := stream.Perturb(events, r, 80, 0)
 		for _, geo := range []RunOptions{{Window: 150}, {Window: 120, Slide: 40}} {
 			sopts := StreamOptions{RunOptions: geo, MaxDelay: 80, CheckpointEvery: 3}
 			delta, full := deltaOracle(t, unnamedReadED, []int{1, 8}[seed%2])

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -19,39 +18,6 @@ func csvOf(t *testing.T, r *Recognition) string {
 		t.Fatal(err)
 	}
 	return buf.String()
-}
-
-// boundedShuffle permutes a sorted stream into an arrival order in which no
-// event is displaced by more than maxDelay time-points: each event is
-// assigned a random delivery delay in [0, maxDelay] and arrivals are ordered
-// by delivery time. At the moment an event with time t arrives, every
-// earlier arrival e' has t'+d' <= t+d, so the frontier is at most
-// t + maxDelay and the event is never behind the watermark.
-func boundedShuffle(r *rand.Rand, s stream.Stream, maxDelay int64) stream.Stream {
-	type delayed struct {
-		e   stream.Event
-		due int64
-		idx int
-	}
-	ds := make([]delayed, len(s))
-	for i, e := range s {
-		var d int64
-		if maxDelay > 0 {
-			d = r.Int63n(maxDelay + 1)
-		}
-		ds[i] = delayed{e: e, due: e.Time + d, idx: i}
-	}
-	sort.Slice(ds, func(i, j int) bool {
-		if ds[i].due != ds[j].due {
-			return ds[i].due < ds[j].due
-		}
-		return ds[i].idx < ds[j].idx
-	})
-	out := make(stream.Stream, len(s))
-	for i, d := range ds {
-		out[i] = d.e
-	}
-	return out
 }
 
 func TestRunStreamInOrderMatchesRun(t *testing.T) {
@@ -290,7 +256,7 @@ func TestPropBoundedShuffleConverges(t *testing.T) {
 		events.Sort()
 		maxDelay := int64(r.Intn(120))
 		window := int64(20 + r.Intn(300))
-		arrivals := boundedShuffle(r, events, maxDelay)
+		arrivals, _, _ := stream.Perturb(events, r, maxDelay, 0)
 
 		want, err := e.Run(events, RunOptions{Window: window})
 		if err != nil {

@@ -404,7 +404,8 @@ func TestUniqueWarnings(t *testing.T) {
 		t.Errorf("no warnings list as %v, want nil", got)
 	}
 	r := rand.New(rand.NewSource(5))
-	res, err := e.RunStream(boundedShuffle(r, events, 8), StreamOptions{RunOptions: RunOptions{Window: 10}, MaxDelay: 8}, nil)
+	arrivals, _, _ := stream.Perturb(events, r, 8, 0)
+	res, err := e.RunStream(arrivals, StreamOptions{RunOptions: RunOptions{Window: 10}, MaxDelay: 8}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,8 +101,8 @@ type Options struct {
 	// IngestQueue bounds the batches queued for application; a full queue
 	// answers 429 + Retry-After. Zero defaults to 16.
 	IngestQueue int
-	// IngestTimeout, RetryAfter, MaxBody, SubBuffer, SubEvict and
-	// DrainTimeout have no rtecd flag: their zero-value defaults are the
+	// IngestTimeout, RetryAfter, IngestDelay, MaxBody, SubBuffer, SubEvict
+	// and DrainTimeout have no rtecd flag: their zero-value defaults are the
 	// daemon's constants, and the fields exist for tests to substitute
 	// small values.
 	//
@@ -113,8 +113,8 @@ type Options struct {
 	// RetryAfter is the Retry-After hint on 429/503 responses. Zero
 	// defaults to 1s.
 	RetryAfter time.Duration
-	// IngestDelay throttles application to one event per delay — an
-	// overload drill used by tests and the CI burst gate. Zero is off.
+	// IngestDelay throttles application to one event per delay, so tests
+	// can hold the ingest pump mid-apply. Zero is off.
 	IngestDelay time.Duration
 	// MaxBody caps an ingest request body. Zero defaults to 8 MiB.
 	MaxBody int64

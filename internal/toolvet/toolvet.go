@@ -32,7 +32,8 @@
 //
 //   - signal: a string literal passed to .Counter(, .Gauge(, .Histogram( or
 //     shardMetric( must occur — dotted, or with underscores as a scrape
-//     exposes it — in ci.sh, cmd/rtectop/main.go or README.md. A literal
+//     exposes it — in one of consumerFiles: ci.sh, the contract tests, the
+//     shared-evaluation test, cmd/rtectop/main.go or README.md. A literal
 //     ending in "." is a family prefix ("rtec.stratum.micros." + s); a
 //     "<prefix>.*" mention covers every name below the prefix. A guard, not
 //     an audit: a substring of a consumed name passes.
@@ -142,9 +143,16 @@ func CheckSource(filename string, src []byte, consumers string) ([]Finding, erro
 }
 
 // consumerFiles are the files, relative to the repository root, whose text
-// counts as reading a signal: the CI gates, the rtectop boards and the
-// README's metric paragraphs.
-var consumerFiles = []string{"ci.sh", "cmd/rtectop/main.go", "README.md"}
+// counts as reading a signal: the CI gates, the contract tests that assert on
+// counters, the rtectop boards and the README's metric paragraphs.
+var consumerFiles = []string{
+	"ci.sh",
+	"cmd/rtec/contract_test.go",
+	"internal/rtec/contract_test.go",
+	"internal/eval/accuracy_test.go",
+	"cmd/rtectop/main.go",
+	"README.md",
+}
 
 // signalNameArg maps each inspected call to its metric-name argument.
 var signalNameArg = map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0, "shardMetric": 1}
@@ -230,9 +238,8 @@ func Exempt(path string) bool {
 }
 
 // CheckDir walks root and checks every non-exempt .go file; the signal rule
-// applies when root holds any of consumerFiles (backslashes dropped: ci.sh
-// greps for "rtec\.shared\.hits_total"). Findings are ordered by file, then
-// position.
+// applies when root holds any of consumerFiles. Findings are ordered by file,
+// then position.
 func CheckDir(root string) ([]Finding, error) {
 	var consumers string
 	for _, rel := range consumerFiles {
@@ -240,7 +247,7 @@ func CheckDir(root string) ([]Finding, error) {
 		if err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
-		consumers += strings.ReplaceAll(string(src), "\\", "")
+		consumers += string(src)
 	}
 	var out []Finding
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

@@ -136,7 +136,8 @@ func TestExempt(t *testing.T) {
 }
 
 // TestSignalRule: a literal a consumer names (dotted or in scrape form) and
-// a family a consumer covers pass; a literal nothing reads is a finding.
+// a family a consumer covers pass; a literal nothing reads is a finding,
+// which names every consumer file, the contract tests among them.
 func TestSignalRule(t *testing.T) {
 	consumers := "grep -q '^counter rtec.windows.evaluated_total' m.txt\n" +
 		"line(\"restarts\", \"rtec_shard_restarts_total\")\n" +
@@ -165,7 +166,8 @@ func f(tel T, k int, label string) {
 		got = append(got, f.String())
 	}
 	want := []string{
-		`a.go:8:14: signal: "rtec.fvps.grounded" has no consumer`,
+		`a.go:8:14: signal: "rtec.fvps.grounded" has no consumer in ci.sh, cmd/rtec/contract_test.go, ` +
+			`internal/rtec/contract_test.go, internal/eval/accuracy_test.go, cmd/rtectop/main.go, README.md`,
 		`a.go:9:14: signal: "llm.calls." has no consumer`,
 		`a.go:10:27: signal: "queue.ghost" has no consumer`,
 	}
