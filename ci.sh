@@ -39,8 +39,10 @@ echo "== go test -race (concurrency-sensitive packages)"
 # detector has little to watch for their ≈ 100 s (2-core x86-64); the pool's
 # sliding and streaming paths are raced by concurrency_test.go and
 # delta_test.go, and the sharded runs by cmd/rtec's TestContractGates.
+# cmd/experiments' TestRunAllWorkersIdentical drives the one pool that runs
+# Figures 2b, 2c and the refine chains at -workers 8.
 go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
-    ./cmd/rtec ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
+    ./cmd/rtec ./cmd/experiments ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
     ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/... \
     ./internal/llm/... ./internal/prompt/... ./internal/correct/...
 

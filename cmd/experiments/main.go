@@ -15,11 +15,15 @@
 //	            [-workers N]
 //	            [-trace out.json] [-metrics] [-v]
 //
-// Parallelism: -workers bounds how many whole jobs run at once — the 12
-// generation pipelines, the Figure 2c evaluations, the per-model refine
-// chains. It is the only level of fan-out: every recognition engine inside
-// a job evaluates its windows on one goroutine. Output is byte-identical at
-// any count.
+// Parallelism: -workers bounds how many whole jobs run at once — first the
+// 12 generation pipelines and their scorings (Figure 2a), then one job list
+// on one pool: the per-model refine chains, then per top-3 row a chain that
+// corrects and re-scores it (Figure 2b) and evaluates it on the testbed
+// (Figure 2c). There is no barrier between Figures 2b, 2c and the refine
+// figure, and each job runs only when a printed figure needs it. It is the
+// only level of fan-out: every recognition engine inside a job evaluates its
+// windows on one goroutine. Output is byte-identical at any count, and
+// -workers 1 runs every job in order on the calling goroutine.
 //
 // Observability: -metrics dumps the telemetry registry to stderr at exit
 // (stdout is untouched); -trace writes a Chrome trace_event JSON of the
@@ -67,7 +71,7 @@ func main() {
 	flag.IntVar(&o.vessels, "vessels", 60, "fleet size of the synthetic scenario (Figure 2c)")
 	flag.Int64Var(&o.seed, "seed", 7, "scenario seed (Figure 2c)")
 	flag.Int64Var(&o.window, "window", 3600, "RTEC window size in seconds (Figure 2c)")
-	flag.IntVar(&o.workers, "workers", 0, "concurrent jobs: generation pipelines, Figure 2c evaluations, refine chains; each recognition engine inside a job runs sequentially (0 = GOMAXPROCS, 1 = sequential); output is identical at any count")
+	flag.IntVar(&o.workers, "workers", 0, "concurrent jobs: generation pipelines, refine chains, Figure 2b/2c chains; each recognition engine inside a job runs sequentially (0 = GOMAXPROCS, 1 = sequential); output is identical at any count")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
@@ -121,12 +125,14 @@ func run(o options) error {
 		models = append(models, m)
 	}
 
+	want2a, want2b := o.fig == "2a" || o.fig == "all", o.fig == "2b" || o.fig == "all"
+	want2c, wantRefine := o.fig == "2c" || o.fig == "all", o.fig == "refine" || o.fig == "all"
+
 	// The recognition testbed backs both Figure 2c and the F1 column of the
 	// refine figure. It depends on nothing but the flags, so with more than
 	// one worker it is built while the event descriptions are generated.
-	wantRefine := o.fig == "refine" || o.fig == "all"
 	var testbed func() (*eval.Testbed, error)
-	if o.fig == "2c" || o.fig == "all" || wantRefine {
+	if want2c || wantRefine {
 		build := func() (*eval.Testbed, error) {
 			return eval.NewTestbed(eval.AccuracyConfig{
 				Scenario:   maritime.ScenarioConfig{Vessels: o.vessels, Seed: o.seed},
@@ -158,79 +164,54 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
-	corrected, err := eval.Figure2bWith(tel, eval.TopN(best, 3), o.workers)
-	if err != nil {
-		return err
-	}
-
-	groups := append(append([]string{}, eval.ActivityKeys...), "all")
-
-	if o.fig == "2a" || o.fig == "all" {
-		var series []figures.Series
-		var rows [][]string
-		rows = append(rows, append([]string{"event description"}, groups...))
-		for _, r := range best {
-			vals := make([]float64, 0, len(groups))
-			cells := []string{r.Label()}
-			for _, k := range eval.ActivityKeys {
-				vals = append(vals, r.PerActivity[k])
-				cells = append(cells, fmt.Sprintf("%.3f", r.PerActivity[k]))
-			}
-			vals = append(vals, r.Overall)
-			cells = append(cells, fmt.Sprintf("%.3f", r.Overall))
-			series = append(series, figures.Series{Name: r.Label(), Values: vals})
-			rows = append(rows, cells)
-		}
-		if o.csv {
-			fmt.Print(figures.CSV(rows))
-		} else {
-			fmt.Println(figures.BarChart("Figure 2a: similarity of LLM-generated definitions (best scheme per model)", groups, series, 40))
-		}
-	}
-
-	if o.fig == "2b" || o.fig == "all" {
-		var series []figures.Series
-		var rows [][]string
-		rows = append(rows, append([]string{"event description"}, groups...))
-		for _, r := range corrected {
-			vals := make([]float64, 0, len(groups))
-			cells := []string{r.Label()}
-			for _, k := range eval.ActivityKeys {
-				vals = append(vals, r.PerActivity[k])
-				cells = append(cells, fmt.Sprintf("%.3f", r.PerActivity[k]))
-			}
-			vals = append(vals, r.Overall)
-			cells = append(cells, fmt.Sprintf("%.3f", r.Overall))
-			series = append(series, figures.Series{Name: r.Label(), Values: vals})
-			rows = append(rows, cells)
-		}
-		if o.csv {
-			fmt.Print(figures.CSV(rows))
-		} else {
-			fmt.Println(figures.BarChart("Figure 2b: similarities after minimal syntactic changes", groups, series, 40))
-			for _, r := range corrected {
-				fmt.Printf("%s corrections: %s\n", r.Label(), r.Corrected.Summary())
-			}
-			fmt.Println()
-		}
-	}
-
 	var tb *eval.Testbed
 	if testbed != nil {
 		if tb, err = testbed(); err != nil {
 			return err
 		}
 	}
+	// Everything after Figure 2a is one job list on one pool: the refine
+	// chains, then a correct → score → evaluate chain per top-3 row. Figure
+	// 2b is computed only for a figure that prints it or builds on it.
+	var refine, top []eval.Row
+	if wantRefine {
+		refine = best
+	}
+	if want2b || want2c {
+		top = eval.TopN(best, 3)
+	}
+	after, err := eval.RunAfter2a(tel, models, refine, top, eval.DefaultRefineBudget, tb, o.workers)
+	if err != nil {
+		return err
+	}
 
-	if o.fig == "2c" || o.fig == "all" {
-		rows2c, err := eval.Figure2c(tb, corrected)
-		if err != nil {
-			return err
+	if want2a {
+		labels := make([]string, len(best))
+		for i, r := range best {
+			labels[i] = r.Label()
 		}
+		printSimilarity("Figure 2a: similarity of LLM-generated definitions (best scheme per model)", labels, best, o.csv)
+	}
+
+	if want2b {
+		labels, rows := make([]string, len(after.Corrected)), make([]eval.Row, len(after.Corrected))
+		for i, r := range after.Corrected {
+			labels[i], rows[i] = r.Label(), r.Row
+		}
+		printSimilarity("Figure 2b: similarities after minimal syntactic changes", labels, rows, o.csv)
+		if !o.csv {
+			for _, r := range after.Corrected {
+				fmt.Printf("%s corrections: %s\n", r.Label(), r.Corrected.Summary())
+			}
+			fmt.Println()
+		}
+	}
+
+	if want2c {
 		var series []figures.Series
 		var rows [][]string
 		rows = append(rows, append([]string{"event description"}, eval.ActivityKeys...))
-		for _, r := range rows2c {
+		for _, r := range after.Accuracy {
 			label := r.Label
 			vals := make([]float64, 0, len(eval.ActivityKeys))
 			cells := []string{label}
@@ -249,11 +230,7 @@ func run(o options) error {
 	}
 
 	if wantRefine {
-		refined, err := eval.FigureRefine(tel, models, best, eval.DefaultRefineBudget, tb)
-		if err != nil {
-			return err
-		}
-		printRefine(os.Stdout, refined, o.csv)
+		printRefine(os.Stdout, after.Refined, o.csv)
 	}
 
 	if o.lintFlag {
@@ -286,6 +263,31 @@ func (o options) resolvedWorkers() int {
 		return runtime.GOMAXPROCS(0)
 	}
 	return o.workers
+}
+
+// printSimilarity renders a similarity figure (2a or 2b): per row, under its
+// label, the similarity of each activity and of the whole description.
+func printSimilarity(title string, labels []string, rows []eval.Row, csv bool) {
+	groups := append(append([]string{}, eval.ActivityKeys...), "all")
+	var series []figures.Series
+	table := [][]string{append([]string{"event description"}, groups...)}
+	for i, r := range rows {
+		vals := make([]float64, 0, len(groups))
+		cells := []string{labels[i]}
+		for _, k := range eval.ActivityKeys {
+			vals = append(vals, r.PerActivity[k])
+			cells = append(cells, fmt.Sprintf("%.3f", r.PerActivity[k]))
+		}
+		vals = append(vals, r.Overall)
+		cells = append(cells, fmt.Sprintf("%.3f", r.Overall))
+		series = append(series, figures.Series{Name: labels[i], Values: vals})
+		table = append(table, cells)
+	}
+	if csv {
+		fmt.Print(figures.CSV(table))
+	} else {
+		fmt.Println(figures.BarChart(title, groups, series, 40))
+	}
 }
 
 // printRefine renders the critique–refine traces: one row per model and

@@ -96,9 +96,10 @@ func captureStdout(t *testing.T, o options) string {
 // TestRunWithTelemetry drives the metrics/trace path of the experiments
 // command: the run must emit a parseable Chrome trace with pipeline spans,
 // and -metrics (a registry dump on stderr) must leave stdout to the figures.
+// Figure 2b is the smallest figure whose run corrects.
 func TestRunWithTelemetry(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "trace.json")
-	o := options{fig: "2a", csv: true, vessels: 14, seed: 7, window: 3600}
+	o := options{fig: "2b", csv: true, vessels: 14, seed: 7, window: 3600}
 	plain := captureStdout(t, o)
 	o.tel = telemetry.CLIConfig{TracePath: tracePath, Metrics: true}
 	if got := captureStdout(t, o); got != plain {

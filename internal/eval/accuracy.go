@@ -167,18 +167,33 @@ func (tb *Testbed) run(rules *lang.EventDescription, strict bool) (*rtec.Recogni
 // and scores it against the gold recognition, per composite activity.
 // Detections are matched per entity (vessel or vessel pair) and per value;
 // TP/FP/FN count time-points (seconds), computed via interval overlap.
+//
+// Only what the score reads is recognised: the engine loads the rules of the
+// scored fluents and of the fluents they read, transitively (rtec.Demand),
+// with every other clause of the event description. So a fluent nothing
+// scored reads is never evaluated, and its load and runtime warnings are not
+// logged. An event description with a condition that names its fluent only
+// at run time is loaded whole.
 func (tb *Testbed) Evaluate(gen *prompt.GeneratedED) (AccuracyRow, error) {
 	tel := tb.cfg.Telemetry
 	sp := tel.Span("pipeline.accuracy", telemetry.String("model", gen.Label()))
 	defer sp.End()
+	genNames, wanted := scoredFluents(gen)
 	// Generated event descriptions routinely carry defects: load leniently.
-	genRec, err := tb.run(gen.ED(), false)
+	genRec, err := tb.run(demanded(gen.ED(), wanted), false)
 	if err != nil {
 		return AccuracyRow{}, err
 	}
+	return tb.score(gen.Label(), genNames, wanted, genRec), nil
+}
+
+// scoredFluents returns the functor of the primary fluent the generated event
+// description defines for each composite activity, in the order of
+// maritime.CompositeActivities, and the set of them: what Evaluate scores.
+func scoredFluents(gen *prompt.GeneratedED) (genNames []string, wanted map[string]bool) {
 	acts := maritime.CompositeActivities()
-	genNames := make([]string, len(acts))
-	wanted := map[string]bool{}
+	genNames = make([]string, len(acts))
+	wanted = map[string]bool{}
 	for i, act := range acts {
 		genNames[i] = act.PrimaryName()
 		if res, ok := gen.ResultFor(act.Key); ok {
@@ -186,13 +201,27 @@ func (tb *Testbed) Evaluate(gen *prompt.GeneratedED) (AccuracyRow, error) {
 		}
 		wanted[genNames[i]] = true
 	}
+	return genNames, wanted
+}
+
+// score scores a candidate recognition against the gold one, per composite
+// activity, reading the fluents scoredFluents named.
+func (tb *Testbed) score(label string, genNames []string, wanted map[string]bool, genRec *rtec.Recognition) AccuracyRow {
 	genByName := entityIntervals(genRec, wanted)
-	row := AccuracyRow{Label: gen.Label(), PerActivity: map[string]F1{}}
-	for i, act := range acts {
+	row := AccuracyRow{Label: label, PerActivity: map[string]F1{}}
+	for i, act := range maritime.CompositeActivities() {
 		row.PerActivity[act.Key] = scoreActivity(tb.gold[act.PrimaryName()], genByName[genNames[i]],
 			tb.goldRec.Start, tb.goldRec.End)
 	}
-	return row, nil
+	return row
+}
+
+// demanded returns the part of ed that recognising the fluents whose functor
+// is in functors reads (rtec.Demand), or ed itself when that is not known
+// before run time.
+func demanded(ed *lang.EventDescription, functors map[string]bool) *lang.EventDescription {
+	out, _ := rtec.Demand(ed, func(fl *lang.Term) bool { return functors[fl.Functor] })
+	return out
 }
 
 // scoreActivity compares the recognised intervals of one activity, gold
@@ -249,22 +278,20 @@ func entityIntervals(rec *rtec.Recognition, functors map[string]bool) map[string
 // Figure2c runs the corrected event descriptions of Figure 2b on the
 // testbed and reports their predictive accuracy. The candidates are
 // evaluated concurrently (bounded by AccuracyConfig.Workers) against the
-// shared read-only testbed, with rows collected in input order.
+// shared read-only testbed, with rows collected in input order — the job
+// RunAfter2a runs after each Figure 2b correction.
 func Figure2c(tb *Testbed, corrected []CorrectedRow) ([]AccuracyRow, error) {
 	sp := tb.cfg.Telemetry.Span("eval.figure2c", telemetry.Int("rows", int64(len(corrected))))
 	defer sp.End()
 	rows := make([]AccuracyRow, len(corrected))
 	errs := make([]error, len(corrected))
 	forEachOrdered(tb.cfg.Workers, len(corrected), func(i int) {
-		rows[i], errs[i] = tb.Evaluate(corrected[i].Corrected.Gen)
-		rows[i].Label = corrected[i].Label()
+		rows[i], errs[i] = tb.evaluateCorrected(corrected[i])
 	})
-	out := make([]AccuracyRow, 0, len(corrected))
-	for i, cr := range corrected {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("eval: %s: %w", cr.Label(), errs[i])
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
 		}
-		out = append(out, rows[i])
 	}
-	return out, nil
+	return rows, nil
 }

@@ -140,36 +140,13 @@ func RefineWith(tel *telemetry.Telemetry, model prompt.Model, gen *prompt.Genera
 // refine traces in the same order. A nil tb skips the F1 column. The chains
 // are independent — each owns its session and builds its own engines — so
 // with a testbed they run concurrently, bounded by its AccuracyConfig.Workers;
-// without one they run one after another.
+// without one they run one after another. It is RunAfter2a with the refine
+// chains alone.
 func FigureRefine(tel *telemetry.Telemetry, models []prompt.Model, best []Row, budget int, tb *Testbed) ([]RefineRow, error) {
-	byName := map[string]prompt.Model{}
-	for _, m := range models {
-		byName[m.Name()] = m
-	}
-	chain := make([]prompt.Model, len(best))
-	for i, b := range best {
-		m, ok := byName[b.Model]
-		if !ok {
-			return nil, fmt.Errorf("refine: no model named %q", b.Model)
-		}
-		if b.Gen == nil {
-			return nil, fmt.Errorf("refine: %s has no generation to refine", b.Label())
-		}
-		chain[i] = m
-	}
 	workers := 1
 	if tb != nil {
 		workers = tb.cfg.Workers
 	}
-	out := make([]RefineRow, len(best))
-	errs := make([]error, len(best))
-	forEachOrdered(workers, len(best), func(i int) {
-		out[i], errs[i] = RefineWith(tel, chain[i], best[i].Gen, budget, tb)
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	after, err := RunAfter2a(tel, models, best, nil, budget, tb, workers)
+	return after.Refined, err
 }

@@ -305,23 +305,11 @@ func Figure2b(rows []Row) ([]CorrectedRow, error) {
 
 // Figure2bWith is Figure2b with observability threaded through correction
 // and re-scoring, and a bound on how many rows are corrected and re-scored
-// concurrently (workers <= 0 means GOMAXPROCS).
+// concurrently (workers <= 0 means GOMAXPROCS): RunAfter2a with Figure 2b's
+// jobs alone.
 func Figure2bWith(tel *telemetry.Telemetry, rows []Row, workers int) ([]CorrectedRow, error) {
 	sp := tel.Span("eval.figure2b", telemetry.Int("rows", int64(len(rows))))
 	defer sp.End()
-	gold := maritime.GoldED()
-	domain := maritime.PromptDomain()
-	out := make([]CorrectedRow, len(rows))
-	errs := make([]error, len(rows))
-	forEachOrdered(workers, len(rows), func(i int) {
-		cor := correct.ApplyWith(tel, rows[i].Gen, domain)
-		scored, err := ScoreWith(tel, gold, cor.Gen)
-		out[i], errs[i] = CorrectedRow{Row: scored, Corrected: cor}, err
-	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	after, err := RunAfter2a(tel, nil, nil, rows, 0, nil, workers)
+	return after.Corrected, err
 }

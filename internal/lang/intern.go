@@ -70,7 +70,11 @@ func hashTerm(h uint64, t *Term, b *Bindings) uint64 {
 	case Int:
 		h = hashUint64(h, uint64(t.Int))
 	case Float:
-		h = hashUint64(h, math.Float64bits(t.Float))
+		f := t.Float
+		if f == 0 {
+			f = 0 // -0.0 is Equal to 0.0, so it must hash alike
+		}
+		h = hashUint64(h, math.Float64bits(f))
 	case Str:
 		h = hashString(h, t.Text)
 	case Compound:

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -86,6 +87,63 @@ func TestPropCompareConsistentWithEqual(t *testing.T) {
 		return Compare(a, b) == -Compare(b, a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// genHashTerm builds a random ground term over every kind Hash reads, zeros
+// of both signs included, and a twin of it: the same term with each float
+// zero's sign drawn again, so the two are Equal.
+func genHashTerm(r *rand.Rand, depth int) (term, twin *Term) {
+	if depth == 0 || r.Intn(3) == 0 {
+		switch r.Intn(6) {
+		case 0:
+			return NewFloat(0), NewFloat([]float64{0, math.Copysign(0, -1)}[r.Intn(2)])
+		case 1:
+			return NewFloat(math.Copysign(0, -1)), NewFloat([]float64{0, math.Copysign(0, -1)}[r.Intn(2)])
+		case 2:
+			f := NewFloat([]float64{1.5, -2}[r.Intn(2)])
+			return f, f
+		case 3:
+			i := NewInt(int64(r.Intn(2)))
+			return i, i
+		case 4:
+			s := NewStr([]string{"", "0"}[r.Intn(2)])
+			return s, s
+		default:
+			a := NewAtom([]string{"a", "b"}[r.Intn(2)])
+			return a, a
+		}
+	}
+	n := r.Intn(3)
+	args, twins := make([]*Term, n), make([]*Term, n)
+	for i := range args {
+		args[i], twins[i] = genHashTerm(r, depth-1)
+	}
+	if r.Intn(3) == 0 {
+		return NewList(args...), NewList(twins...)
+	}
+	f := []string{"f", "g"}[r.Intn(2)]
+	return NewCompound(f, args...), NewCompound(f, twins...)
+}
+
+// TestPropEqualImpliesHash: Hash's contract — structurally equal terms (in
+// the sense of Equal) hash identically, so one interner gives them one ID —
+// over random terms where 0.0 and -0.0, which are Equal, occur anywhere.
+func TestPropEqualImpliesHash(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		a, twin := genHashTerm(r, 3)
+		b, _ := genHashTerm(r, 2)
+		in := NewInterner()
+		for _, o := range []*Term{twin, b} {
+			if a.Equal(o) && (Hash(a, nil) != Hash(o, nil) || in.ID(a, nil) != in.ID(o, nil)) {
+				return false
+			}
+		}
+		return a.Equal(twin)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -19,7 +19,9 @@ import (
 // every anchor event produced, keyed by anchor time — and the next evaluation
 // re-derives only what may have changed. The batch loop attaches the layer
 // only to windows a neighbour overlaps (RunPrepared): a window that merely
-// tumbles has no reader for its state and captures nothing.
+// tumbles has no reader for its state and captures nothing. A run over a
+// Prepared's fluent table does without the layer altogether, and installs
+// from the table instead.
 //
 // A time-point t of the new window [ws', q') is dirty for a fluent when
 //   - t lies in the slide-admitted tail [q, q') the previous window never

@@ -319,23 +319,23 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 	}
 
 	// Dependency graph: fluent -> fluents referenced in holdsAt/holdsFor
-	// body conditions of its rules.
+	// body conditions of its rules (ruleReads, which Demand walks too), and
+	// whether the rules name every fluent they read.
 	for _, def := range e.fluents {
+		def.namedReads = true
 		for _, r := range append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...) {
-			c := r.src
-			for _, l := range c.Body {
-				if _, fl := lang.FluentRef(l.Atom); fl != nil {
-					dep := fl.Indicator()
-					if _, defined := e.fluents[dep]; defined && dep != def.ind {
-						def.deps[dep] = true
-					}
-					if dep == def.ind && c.Kind() == lang.KindHoldsFor {
-						// Self-reference in a holdsFor body is a cycle by
-						// construction; handled below via the graph.
-						def.deps[dep] = true
-					}
+			sd := r.src.Kind() == lang.KindHoldsFor
+			named := ruleReads(r.src, func(dep string) {
+				if _, defined := e.fluents[dep]; defined && dep != def.ind {
+					def.deps[dep] = true
 				}
-			}
+				if dep == def.ind && sd {
+					// Self-reference in a holdsFor body is a cycle by
+					// construction; handled below via the graph.
+					def.deps[dep] = true
+				}
+			})
+			def.namedReads = def.namedReads && named
 		}
 	}
 
@@ -343,22 +343,10 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		return nil, err
 	}
 
-	// Whether the rules name every fluent they read, static delta eligibility
-	// and the deterministic dependency order the dirty-region propagation
-	// unions over (see delta.go). All three are properties of the rules
-	// alone, so they are decided once per engine.
+	// Static delta eligibility and the deterministic dependency order the
+	// dirty-region propagation unions over (see delta.go). Both are
+	// properties of the rules alone, so they are decided once per engine.
 	for _, def := range e.fluents {
-		def.namedReads = true
-		for _, r := range append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...) {
-			for _, c := range r.body {
-				if c.kind != condHoldsAt && c.kind != condHoldsFor {
-					continue
-				}
-				if fvp, _ := lang.FluentRef(c.atom); fvp == nil {
-					def.namedReads = false
-				}
-			}
-		}
 		if def.kind == Simple {
 			def.deltaEligible = def.namedReads
 			for _, r := range append(append([]*rule{}, def.inits...), def.terms...) {

@@ -40,9 +40,9 @@ type windowState struct {
 	span         *telemetry.Span      // the window span, parent of per-fluent spans
 	seq          ruleEval             // the unit context of inline (sequential) evaluation, reused across rules
 
-	// shared places the window in its Prepared's fluent table; zero when it
-	// is evaluated under a delta context, with DisableCache, or outside
-	// RunPrepared.
+	// shared places the window in its Prepared's fluent table; zero when the
+	// Prepared has no table, with DisableCache, or outside RunPrepared (a
+	// window evaluated under a delta context is never in a shared run).
 	shared sharedWindow
 
 	// Delta-layer state (see delta.go); all nil/false when the window is

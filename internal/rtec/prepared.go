@@ -22,8 +22,11 @@ import (
 // near-copies of each other): a fluent whose definition, dependency closure
 // and background knowledge are the same in two engines has the same
 // intervals and warnings in the same window, so the second engine installs
-// what the first one computed. See the definition fingerprint in engine.go
-// for what "the same" covers, and evalFluent for the two sides of the table.
+// what the first one computed. It does so in every window, whatever the
+// geometry: a run over a table-carrying Prepared evaluates what it misses in
+// full, never through the delta layer. See the definition fingerprint in
+// engine.go for what "the same" covers, and evalFluent for the two sides of
+// the table.
 
 // windowIndex holds the events of one window indexed the ways rule
 // evaluation reads them. It is immutable once built, so a Prepared's indexes

@@ -177,9 +177,10 @@ func (e *Engine) RunWindows(events stream.Stream, opts RunOptions, fn func(Windo
 // sorted stream and window indexes, and a fluent that two of them define
 // identically (see Engine.fingerprint) is evaluated by the first to reach a
 // window and installed by the other; every run's results, warnings and logs
-// are what a Run of its own would have produced. Windows evaluated through
-// the delta layer (overlapping geometries) and engines with DisableCache do
-// not take part in the sharing.
+// are what a Run of its own would have produced. Engines with DisableCache
+// do not take part in the sharing; every other engine consults the table in
+// every window, overlapping ones included, and evaluates the windows it
+// misses in full, not through the delta layer.
 func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recognition, error) {
 	rec := &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}
 	tl := p.tl
@@ -208,7 +209,10 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 			hits: tel.Counter("rtec.shared.hits"), misses: tel.Counter("rtec.shared.misses"),
 		}
 	}
-	deltaOn := !e.opts.DisableDelta && !e.opts.DisableCache
+	// A run over the fluent table never uses the delta layer: a hit would
+	// leave it nothing to capture, and delta evaluation equals full
+	// evaluation, so every window of a shared run consults the table.
+	deltaOn := !e.opts.DisableDelta && !e.opts.DisableCache && shared == nil
 	var carried *deltaState
 	prevOpen := map[string]*lang.Term{}
 	for i := 0; i < tl.n; i++ {
@@ -217,21 +221,17 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 		// A window pays for the delta layer only when it overlaps a
 		// neighbour: with a carried state to replay (its predecessor reached
 		// past ws and captured), or a successor starting before q to capture
-		// for. Windows that merely tumble evaluate as under DisableDelta —
-		// and only those consult the fluent table: a hit would leave the
-		// delta layer nothing to capture.
+		// for. Windows that merely tumble evaluate as under DisableDelta.
 		nws := tl.nextWindowStart(i)
 		capture := deltaOn && nws >= 0 && nws < q
 		var dctx *deltaCtx
-		win := sharedWindow{run: shared, index: int32(i)}
 		if carried != nil || capture {
 			dctx = &deltaCtx{capture: capture, prev: carried}
 			if carried != nil {
 				dctx.base = intervals.List{{Start: carried.we, End: q}}
 			}
-			win.run = nil
 		}
-		ev := e.evalWindow(p.windows[i], ws, q, nws, prevOpen, &rec.Warnings, run, dctx, win)
+		ev := e.evalWindow(p.windows[i], ws, q, nws, prevOpen, &rec.Warnings, run, dctx, sharedWindow{run: shared, index: int32(i)})
 		carried = nil
 		if dctx != nil {
 			carried = dctx.next

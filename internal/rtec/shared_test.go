@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math/rand"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -167,6 +168,63 @@ func TestSharedEqualsFresh(t *testing.T) {
 		t.Logf("%s: %d hits, %d misses", name, hits, misses)
 		if hits == 0 || misses == 0 {
 			t.Errorf("%s: %d hits and %d misses: near-copies of one event description must share some fluents and not all", name, hits, misses)
+		}
+	}
+}
+
+// TestDemandClosureMatchesDeps: Demand and New's dependency graph walk rule
+// bodies through one helper (ruleReads), so over the shared set the closure
+// Demand keeps for any one fluent is, among the fluents New loads, that
+// fluent and its transitive dependencies; an engine loaded from what Demand
+// returns has exactly those fluents; and Demand gives up (ok false) exactly
+// when one of them reads a fluent named only at run time.
+func TestDemandClosureMatchesDeps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the 39-event-description shared set")
+	}
+	cases, facts, _, _ := sharedSetWithOracle(t)
+	for _, c := range cases {
+		e, err := New(c.ed, Options{ExtraFacts: facts, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ind := range e.order {
+			root := func(fl *lang.Term) bool { return fl.Indicator() == ind }
+			want := append(e.depsClosure(ind), ind)
+			named := true
+			for _, d := range want {
+				named = named && e.fluents[d].namedReads
+			}
+			closure, ok := demandClosure(c.ed, root)
+			if ok != named {
+				t.Errorf("%s, %s: Demand ok=%v, but the engine's closure names every read: %v", c.name, ind, ok, named)
+				continue
+			}
+			if !ok {
+				continue
+			}
+			var got []string
+			for _, d := range e.order {
+				if closure[d] {
+					got = append(got, d)
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s, %s: Demand's closure %v, New's %v", c.name, ind, got, want)
+			}
+			// Stratum order may differ: it breaks ties by name among the
+			// fluents loaded.
+			ed, _ := Demand(c.ed, root)
+			de, err := New(ed, Options{ExtraFacts: facts, Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := de.Fluents()
+			sort.Strings(loaded)
+			sort.Strings(want)
+			if !reflect.DeepEqual(loaded, want) {
+				t.Errorf("%s, %s: the demanded event description loads %v, want %v", c.name, ind, loaded, want)
+			}
 		}
 	}
 }
@@ -373,27 +431,35 @@ initiatedAt(withinArea(Vl, AreaType)=true, T) :-
 	}
 }
 
-// TestSharedBypasses: windows evaluated through the delta layer and engines
-// with DisableCache neither read nor feed the table, however warm it is; a
-// Prepared over a stream with a non-ground event has no table; and the
-// private Prepared of Run and RunWindows has none either.
+// TestSharedBypasses: a run over a table-carrying Prepared consults the
+// table in every window, whatever the geometry — tumbling, sliding, or
+// tumbling with an end-aligned final window that overlaps its predecessor
+// (the testbed's) — so a second engine installs every window the first one
+// published. Engines with DisableCache neither read nor feed the table,
+// however warm it is; a Prepared over a stream with a non-ground event has
+// no table; and the private Prepared of Run and RunWindows has none either.
 func TestSharedBypasses(t *testing.T) {
 	events := stream.Stream{
 		ev(10, "entersArea(v1, a1)"), ev(40, "leavesArea(v1, a1)"),
 		ev(60, "entersArea(v1, a2)"), ev(90, "gap_start(v1)"),
 		ev(120, "entersArea(v2, a1)"), ev(150, "leavesArea(v2, a1)"),
 	}
-	counts := func(p *Prepared, opts Options) (hits, misses int64) {
+	// runs runs two engines over p, one after the other, and returns each
+	// run's hits and misses. withinAreaED defines one fluent, so a run that
+	// consults the table in every window counts one per window.
+	runs := func(p *Prepared, opts Options) (first, second [2]int64) {
 		t.Helper()
-		reg := telemetry.NewRegistry()
-		opts.Strict, opts.Telemetry = true, telemetry.New(reg, nil, nil)
-		for run := 0; run < 2; run++ {
+		var out [2][2]int64
+		for run := range out {
+			reg := telemetry.NewRegistry()
+			opts.Strict, opts.Telemetry = true, telemetry.New(reg, nil, nil)
 			if _, err := mustEngine(t, withinAreaED, opts).RunPrepared(p, nil); err != nil {
 				t.Fatal(err)
 			}
+			snap := reg.Snapshot()
+			out[run] = [2]int64{snap.Counters["rtec.shared.hits"], snap.Counters["rtec.shared.misses"]}
 		}
-		snap := reg.Snapshot()
-		return snap.Counters["rtec.shared.hits"], snap.Counters["rtec.shared.misses"]
+		return out[0], out[1]
 	}
 	prepared := func(evs stream.Stream, opts RunOptions) *Prepared {
 		t.Helper()
@@ -404,19 +470,35 @@ func TestSharedBypasses(t *testing.T) {
 		return p
 	}
 
+	// Windows [0, 40), [40, 80), [80, 120) and [110, 150): the last two
+	// overlap, as the testbed's do.
+	endAligned := RunOptions{Window: 40, Start: 0, End: 150}
+	if tl := prepared(events, endAligned).tl; tl.n != 4 || tl.windowStart(3) != 110 {
+		t.Fatalf("end-aligned geometry: %d windows, the last from %d; want 4, from 110", tl.n, tl.windowStart(tl.n-1))
+	}
+	for _, c := range []struct {
+		name string
+		geom RunOptions
+		opts Options
+	}{
+		{"tumbling windows", RunOptions{Window: 40, Start: 0, End: 160}, Options{}},
+		{"sliding windows", RunOptions{Window: 40, Slide: 10, Start: 0, End: 160}, Options{}},
+		{"sliding windows without the delta layer", RunOptions{Window: 40, Slide: 10, Start: 0, End: 160}, Options{DisableDelta: true}},
+		{"tumbling windows, the final one end-aligned", endAligned, Options{}},
+	} {
+		p := prepared(events, c.geom)
+		n := int64(p.tl.n)
+		first, second := runs(p, c.opts)
+		if first != [2]int64{0, n} || second != [2]int64{n, 0} {
+			t.Errorf("%s: first run %d hits/%d misses, second %d/%d; want 0/%d then %d/0: every window publishes, then installs",
+				c.name, first[0], first[1], second[0], second[1], n, n)
+		}
+	}
+
 	tumbling := prepared(events, RunOptions{Window: 40, Start: 0, End: 160})
-	if hits, misses := counts(tumbling, Options{}); hits == 0 || hits != misses {
-		t.Errorf("tumbling windows, two runs: %d hits, %d misses; the second run must install what the first published", hits, misses)
-	}
-	if hits, misses := counts(tumbling, Options{DisableCache: true}); hits != 0 || misses != 0 {
-		t.Errorf("DisableCache on a warm Prepared: %d hits, %d misses, want none", hits, misses)
-	}
-	sliding := prepared(events, RunOptions{Window: 40, Slide: 10, Start: 0, End: 160})
-	if hits, misses := counts(sliding, Options{}); hits != 0 || misses != 0 {
-		t.Errorf("sliding windows: %d hits, %d misses, want none", hits, misses)
-	}
-	if hits, misses := counts(sliding, Options{DisableDelta: true}); hits == 0 || hits != misses {
-		t.Errorf("sliding windows without the delta layer: %d hits, %d misses; every window is a plain evaluation", hits, misses)
+	runs(tumbling, Options{})
+	if first, second := runs(tumbling, Options{DisableCache: true}); first != [2]int64{} || second != [2]int64{} {
+		t.Errorf("DisableCache on a warm Prepared: %v then %v hits/misses, want none", first, second)
 	}
 	nonGround := append(stream.Stream{{Time: 5, Atom: lang.NewCompound("entersArea", lang.NewAtom("v3"), lang.NewVar("Area"))}}, events...)
 	if p := prepared(nonGround, RunOptions{Window: 40}); p.table != nil {

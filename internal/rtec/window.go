@@ -163,7 +163,7 @@ func (we windowEval) retractionsAgainst(prev windowEval) map[string]intervals.Li
 // byte-identical to.
 //
 // shared, unless zero, places the window in its Prepared's fluent table (see
-// evalFluent); the batch loop passes it only without a dctx.
+// evalFluent); the batch loop never passes it with a dctx.
 func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, parent *telemetry.Span, dctx *deltaCtx, shared sharedWindow) windowEval {
 	tel := e.opts.Telemetry
 	wspan := parent.Span("rtec.window",
