@@ -25,10 +25,10 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 bin="$tmp/bin"
 mkdir "$bin"
-go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtec ./cmd/rtectop ./cmd/vet-rtec
+go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtectop ./cmd/vet-rtec
 go build -race -o "$bin/rtecd-race" ./cmd/rtecd
 
-echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader)"
+echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks)"
 "$bin/vet-rtec" .
 
 echo "== go test"
@@ -38,11 +38,13 @@ echo "== go test -race (concurrency-sensitive packages)"
 # internal/rtec's two contract tests run at Workers 1 bar one row, so the
 # detector has little to watch for their ≈ 100 s (2-core x86-64); the pool's
 # sliding and streaming paths are raced by concurrency_test.go and
-# delta_test.go, and the sharded runs by cmd/rtec's TestContractGates.
+# delta_test.go. cmd/rtec runs one goroutine over one engine, so it is not
+# listed: the sharded runs are internal/shard's and internal/serve's tests
+# (the shard-chaos contract on the maritime input included).
 # cmd/experiments' TestRunAllWorkersIdentical drives the one pool that runs
 # Figures 2b, 2c and the refine chains at -workers 8.
 go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
-    ./cmd/rtec ./cmd/experiments ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
+    ./cmd/experiments ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
     ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/... \
     ./internal/llm/... ./internal/prompt/... ./internal/correct/...
 
@@ -50,27 +52,21 @@ echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over
 go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s
 
 echo "== rtecd gate (daemon drain, resume byte-identity, strict admission)"
-# Serve the maritime event description through the rtecd daemon: POST half
-# the NDJSON stream, SIGTERM mid-run (graceful drain into suspend
-# checkpoints), restart with -resume, re-POST the full stream and finish. The
-# final CSV and every per-shard journal must be byte-identical to a one-shot
-# sharded cmd/rtec run (same geometry, same arrival order: disorder emits the
-# same seeded permutation in either serialisation). The daemon binary is
-# race-instrumented.
+# Serve the maritime event description through the rtecd daemon, sharded
+# four ways. The reference is one uninterrupted run: POST the whole NDJSON
+# stream, then /finish. The run under test POSTs half the stream, is
+# SIGTERMed mid-run (graceful drain into suspend checkpoints), restarts with
+# -resume, gets the full stream re-POSTed and finishes. Its CSV and every
+# per-shard journal must be byte-identical to the reference's (same flags,
+# same arrival order). The daemon binary is race-instrumented.
 "$bin/aisgen" -vessels 14 -seed 7 -background "$tmp/bg.rtec" -gold "$tmp/gold.rtec" > "$tmp/events.csv"
 cat "$tmp/gold.rtec" "$tmp/bg.rtec" > "$tmp/ed.rtec"
-for fmt in csv ndjson; do
-    "$bin/disorder" -in "$tmp/events.csv" -out "$tmp/shuffled.$fmt" -out-format $fmt \
-        -max-delay 900 -seed 13 -dup-every 50 2>/dev/null
-done
-"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/shuffled.csv" -window 3600 -csv \
-    -max-delay 900 -shards 4 -shard-seed 7 \
-    -checkpoint "$tmp/clean.ckpt" -journal "$tmp/clean.jsonl" \
-    > "$tmp/sharded-clean.csv" 2> /dev/null
+"$bin/disorder" -in "$tmp/events.csv" -out "$tmp/shuffled.ndjson" -out-format ndjson \
+    -max-delay 900 -seed 13 -dup-every 50 2>/dev/null
 first=$(awk -F, 'NR==1{m=$1} $1<m{m=$1} END{print m}' "$tmp/events.csv")
 last=$(awk -F, 'NR==1{M=$1} $1>M{M=$1} END{print M}' "$tmp/events.csv")
 rtecd_flags="-ed $tmp/ed.rtec -listen 127.0.0.1:0 -window 3600 -max-delay 900
-    -start $first -end $((last + 1)) -shards 4 -shard-seed 7 -shard-overflow block
+    -start $first -end $((last + 1)) -shards 4 -shard-overflow block
     -checkpoint $tmp/d.ckpt -journal $tmp/d.jsonl"
 start_rtecd() {
     # $1: extra flags; sets $rtecd_pid and $rtecd_addr.
@@ -103,6 +99,11 @@ post_ok() {
         exit 1
     fi
 }
+start_rtecd "$rtecd_flags -checkpoint $tmp/clean.ckpt -journal $tmp/clean.jsonl"
+post_ok "$tmp/shuffled.ndjson"
+curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd-clean.csv"
+kill -TERM "$rtecd_pid"
+wait "$rtecd_pid" || true
 half=$(($(wc -l < "$tmp/shuffled.ndjson") / 2))
 head -n "$half" "$tmp/shuffled.ndjson" > "$tmp/firsthalf.ndjson"
 start_rtecd "$rtecd_flags"
@@ -128,9 +129,9 @@ post_ok "$tmp/shuffled.ndjson"
 curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd.csv"
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true
-if ! cmp -s "$tmp/sharded-clean.csv" "$tmp/rtecd.csv"; then
-    echo "rtecd gate: drained-and-resumed daemon CSV diverged from one-shot cmd/rtec:" >&2
-    diff "$tmp/sharded-clean.csv" "$tmp/rtecd.csv" >&2 || true
+if ! cmp -s "$tmp/rtecd-clean.csv" "$tmp/rtecd.csv"; then
+    echo "rtecd gate: drained-and-resumed daemon CSV diverged from the uninterrupted run:" >&2
+    diff "$tmp/rtecd-clean.csv" "$tmp/rtecd.csv" >&2 || true
     exit 1
 fi
 for k in 0 1 2 3; do

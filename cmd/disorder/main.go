@@ -13,9 +13,9 @@
 // -dup-every N re-emits every Nth event immediately after its original, an
 // exact duplicate the ingestion layer must count and discard. -out-format
 // ndjson emits rtecd's ingest wire format instead of CSV — the same seed
-// produces the same arrival order in either serialisation, which is what
-// lets ci.sh's rtecd gate compare an rtecd run against a cmd/rtec one. A summary
-// of the perturbation is printed to stderr.
+// produces the same arrival order in either serialisation, so an rtecd run
+// over the NDJSON and a `rtec -max-delay` run over the CSV see one arrival
+// order. A summary of the perturbation is printed to stderr.
 package main
 
 import (

@@ -70,8 +70,8 @@ func validJournal(t *testing.T, path string) ([]byte, journal.Stats) {
 
 // TestContractGates holds the CLI's byte-identity contracts (DESIGN.md §9) on
 // the maritime scenario: every run's recognition is the in-order batch
-// run's, byte for byte, sharded runs apart (those are compared with each
-// other: entity-hash partitioning is exact only for entity-local fluents).
+// run's, byte for byte. The shard-chaos contract on the same input is
+// internal/shard's TestShardCheckpointGenerationFallback/maritime.
 func TestContractGates(t *testing.T) {
 	ed, events, shuffled := writeShellInput(t)
 	dir := t.TempDir()
@@ -118,35 +118,6 @@ func TestContractGates(t *testing.T) {
 			}, 3)
 			if got, dump := mustRun(t, r); got != want || !counterIs(dump, "rtec.checkpoint.restores_total", "1") {
 				t.Errorf("the resumed run diverged from the baseline (%v) or restored other than once:\n%s", got != want, dump)
-			}
-		}},
-		{"parallel", func(t *testing.T) {
-			o := shell(events)
-			o.workers = 8
-			if got, _ := mustRun(t, o); got != want {
-				t.Error("-workers 8 diverged from the sequential baseline")
-			}
-		}},
-		{"shard chaos", func(t *testing.T) {
-			sharded := func(name, faults string) (string, string) {
-				o := shell(shuffled)
-				o.shards, o.shardSeed, o.shardFaults, o.tel.Metrics = 4, 7, faults, true
-				o.checkpoint, o.journalPath = filepath.Join(dir, name+".ckpt"), filepath.Join(dir, name+".jsonl")
-				return mustRun(t, o)
-			}
-			clean, _ := sharded("clean", "")
-			chaos, dump := sharded("chaos", "ckpt-truncate@w2,panic@w3")
-			if chaos != clean || !counterIs(dump, "rtec.shard.restarts_total", "[1-9][0-9]*") {
-				t.Errorf("the faulted run diverged from the fault-free run (%v) or never restarted:\n%s", chaos != clean, dump)
-			}
-			for k := 0; k < 4; k++ {
-				a, _ := validJournal(t, filepath.Join(dir, fmt.Sprintf("clean.jsonl.s%d", k)))
-				if b, _ := validJournal(t, filepath.Join(dir, fmt.Sprintf("chaos.jsonl.s%d", k))); !bytes.Equal(a, b) {
-					t.Errorf("shard %d's journal diverged under faults", k)
-				}
-			}
-			if _, stats := validJournal(t, filepath.Join(dir, "chaos.jsonl")); stats.Types["shard_restart"] == 0 {
-				t.Errorf("the supervisor journal has no shard_restart record: %v", stats.Types)
 			}
 		}},
 		{"live observability", func(t *testing.T) {

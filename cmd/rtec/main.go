@@ -1,17 +1,18 @@
 // Command rtec runs the Run-Time Event Calculus over an event stream: given
 // an event-description file (rules, declarations and background knowledge)
 // and a CSV stream of input events, it prints the maximal intervals of
-// every recognised fluent-value pair. It is the one-shot reference: it reads
-// a file, runs to completion and exits. The long-lived service — HTTP
-// ingest, subscriptions, /metrics, /healthz, /debug/pprof/, graceful drain —
-// is cmd/rtecd.
+// every recognised fluent-value pair. It is the unsharded, sequential,
+// one-shot reference: it reads a file, evaluates every window in one
+// goroutine on one engine, runs to completion and exits. Everything
+// sharded and long-lived — the supervised shard runtime, HTTP ingest,
+// subscriptions, /metrics, /healthz, /debug/pprof/, graceful drain — is
+// cmd/rtecd.
 //
 // Usage:
 //
 //	rtec -ed rules.rtec -stream events.csv [-window W] [-slide S] [-fluent name/arity] [-strict]
-//	     [-lenient] [-workers N] [-max-delay D] [-checkpoint file [-checkpoint-every N] [-resume]]
+//	     [-lenient] [-max-delay D] [-checkpoint file [-checkpoint-every N] [-resume]]
 //	     [-journal file [-journal-cap N] [-journal-wall]]
-//	     [-shards N [-shard-faults spec] [-shard-deadline D] [-shard-queue N] [-shard-overflow policy]]
 //	     [-trace out.json] [-metrics] [-v]
 //
 // Stream rows have the form "time,eventName,arg1,arg2,..."; -format ndjson
@@ -38,19 +39,9 @@
 // existing journal is validated, a torn trailing line is truncated, and the
 // run continues it after a journal_recovered marker.
 //
-// Sharded operation: -shards N partitions the stream by consistent entity
-// hash across N supervised engine shards (internal/shard), each with its own
-// checkpoint file ("<-checkpoint>.s<k>") and journal ("<-journal>.s<k>");
-// the main -journal file carries the supervisor's lifecycle events. Shards
-// recover from crashes on their own: panics restart from the last
-// checkpoint, shards stalled past -shard-deadline are killed and restarted,
-// torn checkpoints fall back to the previous generation, and a shard that
-// exhausts its -shard-restarts budget degrades (reported on stderr; the run
-// still exits 0 with a partial merge) instead of taking the run down.
-// -shard-queue and -shard-overflow bound per-shard ingest admission;
-// -shard-faults injects a deterministic failure schedule (e.g. "panic@w3"
-// or "ckpt-truncate@w2,panic@w3:s0") for chaos drills — the output stays
-// byte-identical to a fault-free run.
+// The engine refuses a negative -window or -slide, and a negative
+// -checkpoint-every on the streaming path (the only one that reads it);
+// zero keeps its meaning above.
 package main
 
 import (
@@ -58,13 +49,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"rtecgen/internal/clock"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -78,7 +66,6 @@ type options struct {
 	fluent             string
 	strict, csvOut     bool
 	lenient            bool
-	workers            int
 	maxDelay           int64
 	checkpoint         string
 	checkpointEvery    int
@@ -86,13 +73,6 @@ type options struct {
 	journalPath        string
 	journalCap         int64
 	journalWall        bool
-	shards             int
-	shardFaults        string
-	shardDeadline      time.Duration
-	shardQueue         int
-	shardOverflow      string
-	shardRestarts      int
-	shardSeed          int64
 	tel                telemetry.CLIConfig
 }
 
@@ -107,7 +87,6 @@ func main() {
 	flag.BoolVar(&o.strict, "strict", false, "fail on any event-description problem instead of warning")
 	flag.BoolVar(&o.csvOut, "csv", false, "emit CSV (fluent,fvp,since,until) instead of holdsFor lines")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed stream rows instead of aborting")
-	flag.IntVar(&o.workers, "workers", 0, "window-evaluation worker goroutines (0 = GOMAXPROCS, 1 = sequential); output is identical at any count")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "bounded-delay disorder tolerance in time-points (streaming ingestion)")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "write crash-safe snapshots to this file (streaming ingestion)")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
@@ -115,13 +94,6 @@ func main() {
 	flag.StringVar(&o.journalPath, "journal", "", "append the recognition audit journal (JSONL) to this file (streaming ingestion)")
 	flag.Int64Var(&o.journalCap, "journal-cap", 0, "cap the journal size in bytes (0 = unbounded); a journal_capped marker ends a capped journal")
 	flag.BoolVar(&o.journalWall, "journal-wall", false, "stamp journal records with real wall-clock times instead of the deterministic default")
-	flag.IntVar(&o.shards, "shards", 0, "partition the stream across N supervised engine shards (0/1 = unsharded)")
-	flag.StringVar(&o.shardFaults, "shard-faults", "", `inject a deterministic shard fault schedule, e.g. "panic@w3" or "ckpt-truncate@w2,panic@w3:s0"`)
-	flag.DurationVar(&o.shardDeadline, "shard-deadline", 10*time.Second, "kill and restart a shard making no progress for this long")
-	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard bound on unconsumed arrivals (admitted, not yet taken by the shard)")
-	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "admission policy while a shard has -shard-queue unconsumed arrivals: block, drop or error")
-	flag.IntVar(&o.shardRestarts, "shard-restarts", 5, "restarts per shard before it degrades")
-	flag.Int64Var(&o.shardSeed, "shard-seed", 7, "seed for per-shard restart backoff jitter")
 	flag.StringVar(&o.tel.TracePath, "trace", "", "write a Chrome trace_event JSON of the run to this file")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
@@ -154,16 +126,6 @@ func run(o options, stdout, stderr io.Writer) error {
 	}
 	if o.fluent != "" && o.csvOut {
 		return fmt.Errorf("-fluent does not apply to -csv output: it filters the holdsFor listing only")
-	}
-	if o.shardFaults != "" && o.shards <= 1 {
-		return fmt.Errorf("-shard-faults needs -shards N>1: an unsharded run has no shard to inject into")
-	}
-	plan, err := fault.Parse(o.shardFaults)
-	if err != nil {
-		return err
-	}
-	if o.shards > 1 && o.resume {
-		return fmt.Errorf("-resume does not apply to sharded runs: shards recover from their own checkpoints in-process")
 	}
 	tel, flush := o.tel.Setup(stderr, stderr)
 
@@ -210,17 +172,14 @@ func run(o options, stdout, stderr io.Writer) error {
 
 	// Load and runtime warnings surface on the telemetry logger (with
 	// fluent and window attributes) as the engine encounters them.
-	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: o.workers, Telemetry: tel})
+	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: 1, Telemetry: tel})
 	if err != nil {
 		return err
 	}
 	var rec *rtec.Recognition
-	switch {
-	case o.shards > 1:
-		rec, err = runSharded(o, eng, events, plan, jw, jopts, tel, stderr)
-	case o.streaming():
+	if o.streaming() {
 		rec, err = runStreaming(o, eng, events, jw, stderr)
-	default:
+	} else {
 		rec, err = eng.Run(events, rtec.RunOptions{Window: o.window, Slide: o.slide})
 	}
 	if err != nil {
@@ -293,87 +252,5 @@ func runStreaming(o options, eng *rtec.Engine, events stream.Stream, jw *journal
 		return nil, err
 	}
 	fmt.Fprintf(stderr, "rtec: stream: %s\n", res.Stats)
-	return res.Recognition, nil
-}
-
-// runSharded drives the supervised shard runtime: the stream is partitioned
-// by consistent entity hash across -shards crash-recovering engine shards,
-// and the per-shard recognitions are merged. Shard k checkpoints to
-// "<-checkpoint>.s<k>" and journals to "<-journal>.s<k>"; the main journal
-// carries the supervisor's lifecycle events (restarts, kills, degradation).
-func runSharded(o options, eng *rtec.Engine, events stream.Stream, plan *fault.Plan, jw *journal.Writer,
-	jopts journal.Options, tel *telemetry.Telemetry, stderr io.Writer) (*rtec.Recognition, error) {
-	if len(events) == 0 {
-		return nil, fmt.Errorf("sharded runs need a non-empty stream to bound the time-line")
-	}
-	overflow, err := shard.ParseOverflow(o.shardOverflow)
-	if err != nil {
-		return nil, err
-	}
-	// Per-shard journal files. The shard runtime stages records and commits
-	// them one checkpoint generation behind, so every file stays
-	// byte-identical to a fault-free run's even across crashes.
-	var journalFor func(k int) io.Writer
-	if o.journalPath != "" {
-		files := make([]*os.File, o.shards)
-		for k := range files {
-			f, err := os.Create(fmt.Sprintf("%s.s%d", o.journalPath, k))
-			if err != nil {
-				return nil, fmt.Errorf("journal: %w", err)
-			}
-			defer f.Close()
-			files[k] = f
-		}
-		journalFor = func(k int) io.Writer { return files[k] }
-	}
-	first, last := events.TimeRange()
-	sup, err := shard.NewSupervisor(eng, shard.Options{
-		Shards: o.shards,
-		Stream: rtec.StreamOptions{
-			RunOptions:      rtec.RunOptions{Window: o.window, Slide: o.slide, Start: first, End: last + 1},
-			MaxDelay:        o.maxDelay,
-			CheckpointPath:  o.checkpoint,
-			CheckpointEvery: o.checkpointEvery,
-		},
-		JournalFor:  journalFor,
-		JournalOpts: jopts,
-		Events:      jw,
-		QueueDepth:  o.shardQueue,
-		Overflow:    overflow,
-		Deadline:    o.shardDeadline,
-		MaxRestarts: o.shardRestarts,
-		Seed:        o.shardSeed,
-		Faults:      plan,
-		Telemetry:   tel,
-	})
-	if err != nil {
-		return nil, err
-	}
-	var ingestErr error
-	for _, e := range events {
-		if err := sup.Ingest(e); err != nil {
-			// Strict admission failed; stop feeding but still close cleanly
-			// so the healthy shards' work is accounted for.
-			ingestErr = err
-			break
-		}
-	}
-	res, closeErr := sup.Close()
-	if res != nil {
-		fmt.Fprintf(stderr, "rtec: shards: %s\n", res.Stats)
-		for _, st := range res.Shards {
-			fmt.Fprintf(stderr, "rtec: shard %d: consumed=%d windows=%d restarts=%d kills=%d dropped=%d degraded=%v\n",
-				st.Shard, st.Consumed, st.Windows, st.Restarts, st.Kills, st.Dropped, st.Degraded)
-			if st.Degraded {
-				fmt.Fprintf(stderr, "rtec: shard %d degraded: %s\n", st.Shard, st.Err)
-			}
-		}
-	}
-	if ingestErr != nil {
-		return nil, ingestErr
-	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
 	return res.Recognition, nil
 }

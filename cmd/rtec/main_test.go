@@ -163,18 +163,22 @@ initiatedAt(broken(X)=true, T) :-
 	if _, err := os.Stat(sameO.journalPath); err == nil {
 		t.Fatal("refused run still created the journal/checkpoint file")
 	}
-	// -shard-faults only injects into shards: an unsharded run would ignore
-	// the schedule and "pass" the drill. A malformed schedule is refused
-	// before the run, not after the stream has been read.
-	faultO := opts(ed, st)
-	faultO.shardFaults = "panic@w1"
-	if err := run(faultO, io.Discard, io.Discard); err == nil ||
-		!strings.Contains(err.Error(), "-shard-faults") || !strings.Contains(err.Error(), "-shards") {
-		t.Fatalf("-shard-faults without -shards: err = %v, want a usage error naming both flags", err)
-	}
-	faultO.shards, faultO.shardFaults = 2, "bogus"
-	if err := run(faultO, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "bogus") {
-		t.Fatalf("unparseable -shard-faults: err = %v, want the parse error", err)
+	// Zero is the only value that means a default: a negative window, slide
+	// or checkpoint cadence is refused, not read as whole-stream, tumbling or
+	// every window.
+	for _, tc := range []struct {
+		flag string
+		set  func(*options)
+	}{
+		{"-window", func(o *options) { o.window = -3600 }},
+		{"-slide", func(o *options) { o.window, o.slide = 20, -10 }},
+		{"-checkpoint-every", func(o *options) { o.maxDelay, o.checkpointEvery = 15, -1 }},
+	} {
+		neg := opts(ed, st)
+		tc.set(&neg)
+		if err := run(neg, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("negative %s: err = %v, want a refusal", tc.flag, err)
+		}
 	}
 	// An unwritable trace path must be reported.
 	traceO := opts(ed, st)

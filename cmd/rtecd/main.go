@@ -7,9 +7,7 @@
 //	rtecd -ed rules.rtec -listen :8080 -window W -start T0 -end T1 -checkpoint base
 //	      [-slide S] [-max-delay D] [-workers N] [-strict] [-lenient]
 //	      [-shards N] [-checkpoint-every N] [-journal file] [-resume] [-out file]
-//	      [-shard-queue N] [-shard-overflow policy] [-shard-deadline D]
-//	      [-shard-restarts N] [-shard-seed S]
-//	      [-ingest-queue N] [-metrics] [-v]
+//	      [-shard-queue N] [-shard-overflow policy] [-metrics] [-v]
 //
 // The HTTP surface (one port for everything):
 //
@@ -25,10 +23,18 @@
 //	GET  /healthz    lifecycle + shard readiness (503 unless ready/finished).
 //	GET  /metrics    Prometheus text exposition; /debug/pprof/, /debug/vars.
 //
-// The request deadline (30 s), the Retry-After hint (1 s), the body cap
-// (8 MiB), the per-subscriber buffer (64 frames, eviction after 256 drops)
-// and the shutdown connection drain (5 s) are constants: the zero-value
-// defaults of serve.Options.
+// rtecd is the only front end to the shard runtime: a one-shot sharded run
+// is an rtecd run whose client POSTs the whole stream and then /finish.
+// cmd/rtec is the unsharded reference.
+//
+// The shard progress deadline (10 s), the restart budget per shard (5), the
+// ingest queue (16 batches), the request deadline (30 s), the Retry-After
+// hint (1 s), the body cap (8 MiB), the per-subscriber buffer (64 frames,
+// eviction after 256 drops) and the shutdown connection drain (5 s) are
+// constants: the zero-value defaults of serve.Options. So is the backoff
+// jitter seed, backoffSeed. A plan the engine refuses (a -slide above
+// -window, a negative one, -start at or past -end) fails the start, before
+// the port is bound or a journal is created.
 //
 // SIGTERM or SIGINT drains gracefully: ingest stops, admitted events are
 // processed to completion, every shard parks into a suspend checkpoint
@@ -44,7 +50,6 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
@@ -53,6 +58,10 @@ import (
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
 )
+
+// backoffSeed seeds every shard's restart backoff jitter. It is recorded in
+// the lifecycle journal's shards_start record.
+const backoffSeed = 7
 
 type options struct {
 	edPath        string
@@ -74,11 +83,6 @@ type options struct {
 	shards        int
 	shardQueue    int
 	shardOverflow string
-	shardDeadline time.Duration
-	shardRestarts int
-	shardSeed     int64
-
-	ingestQueue int
 
 	tel telemetry.CLIConfig
 }
@@ -104,10 +108,6 @@ func main() {
 	flag.IntVar(&o.shards, "shards", 1, "partition the stream across N supervised engine shards")
 	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard bound on unconsumed arrivals (admitted, not yet taken by the shard)")
 	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "admission policy while a shard has -shard-queue unconsumed arrivals: block, drop or error (error surfaces as HTTP 429)")
-	flag.DurationVar(&o.shardDeadline, "shard-deadline", 10*time.Second, "kill and restart a shard making no progress for this long")
-	flag.IntVar(&o.shardRestarts, "shard-restarts", 5, "restarts per shard before it degrades")
-	flag.Int64Var(&o.shardSeed, "shard-seed", 7, "seed for per-shard restart backoff jitter")
-	flag.IntVar(&o.ingestQueue, "ingest-queue", 16, "bounded ingest queue: full answers 429 with Retry-After")
 	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
 	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
 	flag.Parse()
@@ -164,15 +164,12 @@ func run(o options, stderr *os.File) error {
 		},
 		QueueDepth:  o.shardQueue,
 		Overflow:    overflow,
-		Deadline:    o.shardDeadline,
-		MaxRestarts: o.shardRestarts,
-		Seed:        o.shardSeed,
+		Seed:        backoffSeed,
 		JournalPath: o.journalPath,
 		JournalOpts: journal.Options{MaxBytes: o.journalCap},
 		Resume:      o.resume,
 		OutPath:     o.outPath,
 		Lenient:     o.lenient,
-		IngestQueue: o.ingestQueue,
 		Telemetry:   tel,
 	})
 	if err != nil {

@@ -46,6 +46,50 @@ func testEvents(n int) stream.Stream {
 	return events
 }
 
+// TestRunRefusesBadPlan: a geometry the engine refuses fails the start
+// before the port is bound or a journal file is created, instead of a
+// daemon whose every shard is degraded.
+func TestRunRefusesBadPlan(t *testing.T) {
+	dir := t.TempDir()
+	edPath := filepath.Join(dir, "ed.rtec")
+	if err := os.WriteFile(edPath, []byte(testED), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, set := range map[string]func(*options){
+		"slide > window": func(o *options) { o.slide = 7200 },
+		"negative slide": func(o *options) { o.slide = -900 },
+		"start == end":   func(o *options) { o.start, o.end = 100000, 100000 },
+		"start > end":    func(o *options) { o.start, o.end = 100000, 1 },
+	} {
+		o := options{
+			edPath: edPath, listen: "127.0.0.1:0",
+			window: 3600, start: 1, end: 100000, shards: 2,
+			checkpoint:  filepath.Join(dir, "ck"),
+			journalPath: filepath.Join(dir, "d.jsonl"),
+		}
+		set(&o)
+		stderr, err := os.Create(filepath.Join(dir, "stderr.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runErr := run(o, stderr)
+		stderr.Close()
+		if runErr == nil {
+			t.Fatalf("%s: the daemon started", name)
+		}
+		logged, err := os.ReadFile(stderr.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(logged), "listening") {
+			t.Errorf("%s: refused only after binding:\n%s", name, logged)
+		}
+		if files, _ := filepath.Glob(o.journalPath + "*"); len(files) > 0 {
+			t.Errorf("%s: refused start left journal files %v", name, files)
+		}
+	}
+}
+
 // TestDaemonMatchesBatchEngine runs the daemon in-process behind a small
 // shard queue, POSTs a stream many times the queue's size in 20-line
 // batches, and requires every batch to be acknowledged 200 and the /finish

@@ -8,9 +8,12 @@
 //     rates are computed from consecutive scrapes. A DAEMON section leads
 //     the board with the lifecycle state, ingest admission counters
 //     (throttles, unavailability, timeouts, rejects) and subscription
-//     fan-out health.
-//   - -journal file replays a recognition audit journal (JSONL, written by
-//     `rtec -journal`) and renders the run's final board once.
+//     fan-out health; a SHARDS section follows the shard runtime.
+//   - -journal file replays a recognition audit journal (JSONL) and
+//     renders the run's final board once: `rtec -journal`'s, or the
+//     lifecycle journal of `rtecd -journal` (its shards_start,
+//     shard_restart and shard_degraded records fill the SHARDS section;
+//     the per-shard journals are "<file>.s<k>").
 //
 // With -once the board is printed a single time without clearing the
 // screen — the scripting/CI mode. -require takes comma-separated assertions

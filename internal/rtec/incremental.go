@@ -1,6 +1,7 @@
 package rtec
 
 import (
+	"errors"
 	"fmt"
 
 	"rtecgen/internal/intervals"
@@ -30,10 +31,24 @@ type StreamRunner struct {
 // receives window deliveries and revisions exactly as in RunStream.
 func (e *Engine) NewStreamRunner(opts StreamOptions, fn func(WindowResult) error) (*StreamRunner, error) {
 	if opts.Start == 0 && opts.End == 0 {
-		return nil, fmt.Errorf("rtec: incremental streaming needs explicit RunOptions.Start/End bounds")
+		return nil, errUnbounded
 	}
 	r, _, err := e.newStreamRunner(nil, opts, fn)
 	return r, err
+}
+
+var errUnbounded = errors.New("rtec: incremental streaming needs explicit RunOptions.Start/End bounds")
+
+// CheckStreamOptions reports whether NewStreamRunner accepts opts, without
+// building a runner: explicit Start/End bounds and what planStream checks.
+// A caller that starts several runners on one plan (the shard supervisor)
+// refuses a bad plan with it before any of them starts.
+func CheckStreamOptions(opts StreamOptions) error {
+	if opts.Start == 0 && opts.End == 0 {
+		return errUnbounded
+	}
+	_, _, err := planStream(nil, opts)
+	return err
 }
 
 // ResumeStreamRunner rebuilds a runner from a loaded checkpoint — the

@@ -26,7 +26,8 @@ type StreamOptions struct {
 	// windows.
 	CheckpointPath string
 	// CheckpointEvery is the number of first-time window emissions between
-	// snapshots. Zero defaults to 1 (snapshot after every window).
+	// snapshots. Zero defaults to 1 (snapshot after every window); a
+	// negative cadence is refused.
 	CheckpointEvery int
 	// Journal, when non-nil, receives the structured audit records of the
 	// run: the run plan, degradation admission verdicts, every window
@@ -149,14 +150,24 @@ func (e *Engine) RunStream(events stream.Stream, opts StreamOptions, fn func(Win
 	return r.feed(events)
 }
 
-// newStreamRunner plans the run; events, when the caller has the whole
-// stream, supply the time-line bounds RunOptions leaves open. empty is true
-// for the degenerate whole-stream time-line over no events.
-func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamRunner, bool, error) {
+// planStream is the one check of a streaming run's options: the time-line
+// plan, a non-negative MaxDelay and a non-negative CheckpointEvery. events,
+// when the caller has the whole stream, supply the time-line bounds
+// RunOptions leaves open. empty is true for the degenerate whole-stream
+// time-line over no events.
+func planStream(events stream.Stream, opts StreamOptions) (tl *timeline, empty bool, err error) {
 	if opts.MaxDelay < 0 {
 		return nil, false, fmt.Errorf("rtec: negative max delay %d", opts.MaxDelay)
 	}
-	tl, empty, err := planTimeline(events, opts.RunOptions)
+	if opts.CheckpointEvery < 0 {
+		return nil, false, fmt.Errorf("rtec: negative checkpoint cadence %d", opts.CheckpointEvery)
+	}
+	return planTimeline(events, opts.RunOptions)
+}
+
+// newStreamRunner plans the run (see planStream).
+func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamRunner, bool, error) {
+	tl, empty, err := planStream(events, opts)
 	if err != nil || empty {
 		return nil, empty, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +215,53 @@ func TestRunStreamOptionErrors(t *testing.T) {
 	if _, err := e.RunStream(stream.Stream{ev(1, "gap_start(v1)")},
 		StreamOptions{RunOptions: RunOptions{Window: 5, Slide: 10}}, nil); err == nil {
 		t.Fatal("slide > window accepted")
+	}
+}
+
+// TestNegativeGeometryRefused: zero is the only window, slide or checkpoint
+// cadence that means "the default". A negative one is refused by the batch
+// run, the streaming run and CheckStreamOptions alike, as are the plans a
+// shard supervisor must refuse before its shards start.
+func TestNegativeGeometryRefused(t *testing.T) {
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	events := stream.Stream{ev(1, "gap_start(v1)"), ev(50, "gap_start(v1)")}
+	for _, ro := range []RunOptions{{Window: -10}, {Window: 10, Slide: -5}, {Slide: -1}} {
+		if _, err := e.Run(events, ro); err == nil || !strings.Contains(err.Error(), "negative") {
+			t.Errorf("Run(%+v): err = %v, want a refusal", ro, err)
+		}
+		if _, err := e.RunStream(events, StreamOptions{RunOptions: ro}, nil); err == nil {
+			t.Errorf("RunStream(%+v) accepted", ro)
+		}
+	}
+	if _, err := e.RunStream(events, StreamOptions{CheckpointEvery: -1}, nil); err == nil {
+		t.Error("RunStream accepted a negative checkpoint cadence")
+	}
+
+	bounded := RunOptions{Window: 3600, Start: 1, End: 100000}
+	if err := CheckStreamOptions(StreamOptions{RunOptions: bounded, MaxDelay: 900}); err != nil {
+		t.Fatalf("a valid plan refused: %v", err)
+	}
+	zeros := bounded
+	zeros.Window = 0
+	if err := CheckStreamOptions(StreamOptions{RunOptions: zeros}); err != nil {
+		t.Fatalf("zero window and slide refused: %v", err)
+	}
+	for name, opts := range map[string]StreamOptions{
+		"unbounded":        {RunOptions: RunOptions{Window: 3600}},
+		"slide > window":   {RunOptions: RunOptions{Window: 3600, Slide: 7200, Start: 1, End: 100000}},
+		"negative slide":   {RunOptions: RunOptions{Window: 3600, Slide: -900, Start: 1, End: 100000}},
+		"negative window":  {RunOptions: RunOptions{Window: -3600, Start: 1, End: 100000}},
+		"start == end":     {RunOptions: RunOptions{Window: 3600, Start: 5, End: 5}},
+		"start > end":      {RunOptions: RunOptions{Window: 3600, Start: 9, End: 5}},
+		"negative delay":   {RunOptions: bounded, MaxDelay: -1},
+		"negative cadence": {RunOptions: bounded, CheckpointEvery: -1},
+	} {
+		if err := CheckStreamOptions(opts); err == nil {
+			t.Errorf("%s: CheckStreamOptions accepted %+v", name, opts)
+		}
+		if _, err := e.NewStreamRunner(opts, nil); err == nil {
+			t.Errorf("%s: NewStreamRunner accepted %+v", name, opts)
+		}
 	}
 }
 

@@ -24,8 +24,15 @@ type timeline struct {
 
 // planTimeline resolves opts against the stream. empty is true for the
 // degenerate case of a whole-stream time-line over no events, which
-// produces no windows.
+// produces no windows. A negative window or slide is refused: zero is the
+// only value that means "the default".
 func planTimeline(s stream.Stream, opts RunOptions) (tl *timeline, empty bool, err error) {
+	if opts.Window < 0 {
+		return nil, false, fmt.Errorf("rtec: negative window %d", opts.Window)
+	}
+	if opts.Slide < 0 {
+		return nil, false, fmt.Errorf("rtec: negative slide %d", opts.Slide)
+	}
 	start, end := opts.Start, opts.End
 	if start == 0 && end == 0 {
 		if len(s) == 0 {

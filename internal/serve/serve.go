@@ -63,11 +63,16 @@ var stateNames = [...]string{"starting", "ready", "draining", "suspended", "fini
 
 // Options configure a Daemon.
 type Options struct {
-	// Shards, Stream, JournalOpts, Overflow, Deadline, MaxRestarts, Seed,
+	// Shards, Stream, QueueDepth, Overflow, Deadline, MaxRestarts, Seed,
 	// Faults and Clock configure the underlying shard supervisor (see
 	// shard.Options). Stream.CheckpointPath is required: the daemon parks
 	// into it on drain. Stream.Start/End must bound the time-line (a daemon
-	// cannot inspect the whole stream up front the way cmd/rtec does).
+	// cannot inspect the whole stream up front the way cmd/rtec does), and
+	// a plan rtec.CheckStreamOptions refuses fails New before any file is
+	// opened. rtecd sets Shards, Stream, QueueDepth and Overflow from flags
+	// and Seed to a constant; Deadline, MaxRestarts, Faults and Clock keep
+	// their defaults there (10 s, 5, none, the real clock) and exist for
+	// tests.
 	Shards      int
 	Stream      rtec.StreamOptions
 	QueueDepth  int
@@ -98,14 +103,14 @@ type Options struct {
 	// line-numbered 400.
 	Lenient bool
 
+	// IngestQueue, IngestTimeout, RetryAfter, IngestDelay, MaxBody,
+	// SubBuffer, SubEvict and DrainTimeout have no rtecd flag: their
+	// zero-value defaults are the daemon's constants, and the fields exist
+	// for tests to substitute small values.
+	//
 	// IngestQueue bounds the batches queued for application; a full queue
 	// answers 429 + Retry-After. Zero defaults to 16.
 	IngestQueue int
-	// IngestTimeout, RetryAfter, IngestDelay, MaxBody, SubBuffer, SubEvict
-	// and DrainTimeout have no rtecd flag: their zero-value defaults are the
-	// daemon's constants, and the fields exist for tests to substitute
-	// small values.
-	//
 	// IngestTimeout is the per-request application deadline; a batch still
 	// queued or mid-apply when it passes gets 503 (safe to retry). Zero
 	// defaults to 30s.
@@ -191,6 +196,11 @@ type Daemon struct {
 func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 	if opts.Stream.CheckpointPath == "" {
 		return nil, fmt.Errorf("serve: Stream.CheckpointPath is required (the daemon parks into it on drain)")
+	}
+	// The supervisor refuses such a plan too, but only after the journals
+	// below exist.
+	if err := rtec.CheckStreamOptions(opts.Stream); err != nil {
+		return nil, err
 	}
 	if opts.IngestQueue <= 0 {
 		opts.IngestQueue = 16

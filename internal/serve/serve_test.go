@@ -628,10 +628,11 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 func TestDaemonHealthUnderChaos(t *testing.T) {
 	// Shard 1 exhausts its restart budget and degrades; shard 2 restarts
 	// once and recovers.
-	plan, err := fault.Parse("panic@w1:s1,panic@w2:s1,panic@w1:s2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	plan := &fault.Plan{Triggers: []fault.Trigger{
+		{Kind: fault.Panic, Window: 1, Shard: 1},
+		{Kind: fault.Panic, Window: 2, Shard: 1},
+		{Kind: fault.Panic, Window: 1, Shard: 2},
+	}}
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
 		o.Faults = plan
 		o.MaxRestarts = 1

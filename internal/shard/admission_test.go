@@ -24,7 +24,7 @@ const tightDepth = 8
 // the merged result is the unsharded one byte for byte.
 func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 	arrivals := admissionArrivals()
-	sup := mustSupervisor(t, arrivals, "", func(o *Options) {
+	sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
 		o.QueueDepth = tightDepth
 		o.PollQuantum = time.Second
 	})
@@ -85,7 +85,7 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 func TestOverflowErrorRetryConverges(t *testing.T) {
 	arrivals := admissionArrivals()
 	run := func(policy OverflowPolicy) (*Result, int) {
-		sup := mustSupervisor(t, arrivals, "", func(o *Options) {
+		sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
 			o.QueueDepth = tightDepth
 			o.Overflow = policy
 		})

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"rtecgen/internal/clock"
+	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/shard/fault"
@@ -121,14 +122,18 @@ type shardedRun struct {
 	reg      *telemetry.Registry
 }
 
+// faults builds a fault schedule from its triggers.
+func faults(ts ...fault.Trigger) *fault.Plan { return &fault.Plan{Triggers: ts} }
+
+// everyShard is a fault each shard acts out once, at its window-th delivery.
+func everyShard(kind fault.Kind, window int) fault.Trigger {
+	return fault.Trigger{Kind: kind, Window: window, Shard: fault.AllShards}
+}
+
 // runSharded builds a supervisor over a fresh engine, feeds the arrivals
 // and closes. tweak edits the options before construction.
-func runSharded(t testing.TB, workers int, arrivals stream.Stream, faults string, tweak func(*Options)) (*shardedRun, error) {
+func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, plan *fault.Plan, tweak func(*Options)) (*shardedRun, error) {
 	t.Helper()
-	plan, err := fault.Parse(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
 	first, last := arrivals.TimeRange()
 	reg := telemetry.NewRegistry()
 	journals := make([]*bytes.Buffer, 4)
@@ -157,7 +162,7 @@ func runSharded(t testing.TB, workers int, arrivals stream.Stream, faults string
 	if opts.Shards != len(journals) {
 		journals = journals[:opts.Shards]
 	}
-	sup, err := NewSupervisor(testEngine(t, workers), opts)
+	sup, err := NewSupervisor(eng, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +236,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, 1, arrivals, "", nil)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +266,11 @@ func TestShardRestartByteIdentity(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			want, err := runSharded(t, workers, arrivals, "", nil)
+			want, err := runSharded(t, testEngine(t, workers), arrivals, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runSharded(t, workers, arrivals, "panic@w2", nil)
+			got, err := runSharded(t, testEngine(t, workers), arrivals, faults(everyShard(fault.Panic, 2)), nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -302,11 +307,11 @@ func TestShardRestartByteIdentity(t *testing.T) {
 func TestShardRestartWithoutCheckpoints(t *testing.T) {
 	arrivals := testArrivals(11, 80, 60)
 	noCkpt := func(o *Options) { o.Stream.CheckpointPath = "" }
-	want, err := runSharded(t, 1, arrivals, "", noCkpt)
+	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, 1, arrivals, "panic@w2", noCkpt)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(everyShard(fault.Panic, 2)), noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,24 +323,88 @@ func TestShardRestartWithoutCheckpoints(t *testing.T) {
 
 // TestShardCheckpointGenerationFallback: tearing the freshly written
 // checkpoint before a panic forces the restart onto the previous
-// generation; the longer replay must still land on identical bytes.
+// generation; the longer replay must still land on identical bytes. The
+// maritime input is the gold event description over the 14-vessel seed-7
+// scenario, shuffled at max-delay 900 with a duplicate every 50 events: its
+// relational fluents span shards, and its windows are the ones rtecd serves.
 func TestShardCheckpointGenerationFallback(t *testing.T) {
-	arrivals := testArrivals(7, 120, 60)
-	want, err := runSharded(t, 1, arrivals, "", nil)
+	chaos := faults(everyShard(fault.Truncate, 2), everyShard(fault.Panic, 3))
+	t.Run("synthetic", func(t *testing.T) {
+		arrivals := testArrivals(7, 120, 60)
+		want, err := runSharded(t, testEngine(t, 1), arrivals, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := runSharded(t, testEngine(t, 1), arrivals, chaos, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.res.Degraded != 0 {
+			t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
+		}
+		if counterValue(got.reg, "rtec.checkpoint.fallbacks") == 0 {
+			t.Fatal("no restart used the previous checkpoint generation")
+		}
+		requireIdentical(t, want, got)
+	})
+	t.Run("maritime", func(t *testing.T) {
+		eng, arrivals := maritimeInput(t)
+		first, last := arrivals.TimeRange()
+		geometry := func(o *Options) {
+			o.Stream.RunOptions = rtec.RunOptions{Window: 3600, Start: first, End: last + 1}
+			o.Stream.MaxDelay = 900
+		}
+		want, err := runSharded(t, eng, arrivals, nil, geometry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := runSharded(t, eng, arrivals, chaos, geometry)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.res.Degraded != 0 {
+			t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
+		}
+		if counterValue(got.reg, "rtec.shard.restarts") == 0 {
+			t.Fatal("no shard restarted: the faults never fired")
+		}
+		if len(restartReasons(t, got)) == 0 {
+			t.Fatal("the supervisor journal has no shard_restart record")
+		}
+		requireIdentical(t, want, got)
+	})
+}
+
+// maritimeInput is the engine over the gold maritime event description and
+// background knowledge of the 14-vessel seed-7 scenario (AIS every 60 s),
+// and that scenario's events in the arrival order of a bounded shuffle at
+// max-delay 900, seed 13, with a duplicate every 50 events.
+func maritimeInput(t *testing.T) (*rtec.Engine, stream.Stream) {
+	t.Helper()
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, 1, arrivals, "ckpt-truncate@w2,panic@w3", nil)
+	evs := stream.Stream(maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig()))
+	var src strings.Builder
+	src.WriteString(maritime.GoldSource())
+	for _, c := range maritime.BackgroundClauses(scen.Map, scen.Fleet, maritime.ObservedPairs(evs)) {
+		fmt.Fprintln(&src, c)
+	}
+	for _, fact := range maritime.DynamicFacts(evs, scen.Fleet) {
+		fmt.Fprintf(&src, "%s.\n", fact)
+	}
+	ed, err := parser.ParseEventDescription(src.String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.res.Degraded != 0 {
-		t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
+	eng, err := rtec.New(ed, rtec.Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if counterValue(got.reg, "rtec.checkpoint.fallbacks") == 0 {
-		t.Fatal("no restart used the previous checkpoint generation")
-	}
-	requireIdentical(t, want, got)
+	evs.Sort()
+	arrivals, _, _ := stream.Perturb(evs, rand.New(rand.NewSource(13)), 900, 50)
+	return eng, arrivals
 }
 
 // TestShardHangKilledByWatchdog: a shard wedged at a window delivery is
@@ -349,11 +418,11 @@ func TestShardHangKilledByWatchdog(t *testing.T) {
 		o.PollQuantum = 2 * time.Millisecond
 		o.MaxRestarts = 1000
 	}
-	want, err := runSharded(t, 1, arrivals, "", virtual)
+	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, 1, arrivals, "hang@w2:s0", virtual)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(fault.Trigger{Kind: fault.Hang, Window: 2, Shard: 0}), virtual)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,11 +450,11 @@ func TestShardHangBlocksProducer(t *testing.T) {
 		o.MaxRestarts = 1000
 		o.QueueDepth = 2
 	}
-	want, err := runSharded(t, 1, arrivals, "", tweak)
+	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, 1, arrivals, "hang@w1", tweak)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(everyShard(fault.Hang, 1)), tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +472,7 @@ func TestShardHangBlocksProducer(t *testing.T) {
 // surfaces through /healthz as a 503 with the shards check failing.
 func TestShardDegradationAndHealth(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
-	sup := mustSupervisor(t, arrivals, "panic@w1:s0!", func(o *Options) {
+	sup := mustSupervisor(t, arrivals, faults(fault.Trigger{Kind: fault.Panic, Window: 1, Shard: 0, Every: true}), func(o *Options) {
 		o.MaxRestarts = 2
 		o.Overflow = OverflowDrop
 	})
@@ -454,7 +523,7 @@ func TestShardOverflowOnDegraded(t *testing.T) {
 		{OverflowBlock, true},
 	} {
 		t.Run(tc.policy.String(), func(t *testing.T) {
-			sup := mustSupervisor(t, arrivals, "", func(o *Options) {
+			sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
 				o.Shards = 1
 				o.Overflow = tc.policy
 			})
@@ -481,12 +550,8 @@ func TestShardOverflowOnDegraded(t *testing.T) {
 	}
 }
 
-func mustSupervisor(t *testing.T, arrivals stream.Stream, faults string, tweak func(*Options)) *Supervisor {
+func mustSupervisor(t *testing.T, arrivals stream.Stream, plan *fault.Plan, tweak func(*Options)) *Supervisor {
 	t.Helper()
-	plan, err := fault.Parse(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
 	first, last := arrivals.TimeRange()
 	opts := Options{
 		Shards: 4,
@@ -511,7 +576,7 @@ func mustSupervisor(t *testing.T, arrivals stream.Stream, faults string, tweak f
 
 func TestSupervisorLifecycleErrors(t *testing.T) {
 	arrivals := testArrivals(7, 10, 60)
-	sup := mustSupervisor(t, arrivals, "", nil)
+	sup := mustSupervisor(t, arrivals, nil, nil)
 	if _, err := sup.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -545,17 +610,13 @@ func TestParseOverflow(t *testing.T) {
 // schedules. The invariant: any run that completes without degradation or
 // drops is byte-identical to the fault-free run over the same stream.
 func FuzzShardFaultSchedule(f *testing.F) {
-	f.Add("panic@w2", uint8(4))
-	f.Add("hang@w1:s0", uint8(2))
-	f.Add("ckpt-truncate@w2,panic@w3", uint8(1))
-	f.Add("panic@w1!", uint8(3))
-	f.Add("", uint8(4))
+	f.Add([]byte{0, 1, 0}, uint8(4))          // panic at window 2, every shard
+	f.Add([]byte{1, 0, 1}, uint8(2))          // hang at window 1, shard 0
+	f.Add([]byte{2, 1, 0, 0, 2, 0}, uint8(1)) // truncate at 2, then panic at 3
+	f.Add([]byte{0, 0, 0x80}, uint8(3))       // panic at window 1 on every attempt
+	f.Add([]byte{}, uint8(4))                 // no fault
 	arrivals := testArrivals(7, 40, 60)
-	f.Fuzz(func(t *testing.T, spec string, shards uint8) {
-		plan, err := fault.Parse(spec)
-		if err != nil {
-			t.Skip()
-		}
+	f.Fuzz(func(t *testing.T, schedule []byte, shards uint8) {
 		n := int(shards%4) + 1
 		tweak := func(o *Options) {
 			o.Shards = n
@@ -563,22 +624,35 @@ func FuzzShardFaultSchedule(f *testing.F) {
 			o.Deadline = 10 * time.Second
 			o.PollQuantum = 2 * time.Millisecond
 			o.MaxRestarts = 6
-			o.Faults = plan
 		}
-		want, err := runSharded(t, 1, arrivals, "", func(o *Options) {
-			tweak(o)
-			o.Faults = &fault.Plan{}
-		})
+		want, err := runSharded(t, testEngine(t, 1), arrivals, nil, tweak)
 		if err != nil {
 			t.Fatalf("fault-free run failed: %v", err)
 		}
 		if want.res.Degraded > 0 {
 			t.Fatalf("fault-free reference run degraded %d shards: %+v", want.res.Degraded, want.res.Shards)
 		}
-		got, err := runSharded(t, 1, arrivals, "", tweak)
+		got, err := runSharded(t, testEngine(t, 1), arrivals, decodeSchedule(schedule), tweak)
 		if err != nil || got.res.Degraded > 0 {
 			return // the schedule exhausted a shard; no identity promised
 		}
 		requireIdentical(t, want, got)
 	})
+}
+
+// decodeSchedule reads a fuzzed fault schedule three bytes per trigger: the
+// kind (panic, hang, truncate), the window (1–4), and the scope (low seven
+// bits: every shard or shard 0–3) with the high bit making it fire on every
+// delivery.
+func decodeSchedule(b []byte) *fault.Plan {
+	p := &fault.Plan{}
+	for ; len(b) >= 3; b = b[3:] {
+		p.Triggers = append(p.Triggers, fault.Trigger{
+			Kind:   fault.Kind(b[0]%3) + fault.Panic,
+			Window: int(b[1]%4) + 1,
+			Shard:  int(b[2]&0x7f)%5 + fault.AllShards,
+			Every:  b[2]&0x80 != 0,
+		})
+	}
+	return p
 }

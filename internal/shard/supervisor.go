@@ -176,7 +176,6 @@ type shardsStartEvent struct {
 	QueueDepth int    `json:"queue_depth"`
 	Overflow   string `json:"overflow"`
 	DeadlineMS int64  `json:"deadline_ms"`
-	Faults     string `json:"faults,omitempty"`
 	Seed       int64  `json:"seed"`
 }
 
@@ -242,13 +241,16 @@ type Supervisor struct {
 }
 
 // NewSupervisor partitions the run across opts.Shards supervised shards and
-// starts them. Close finishes the run and merges the results.
+// starts them. Close finishes the run and merges the results. A plan
+// rtec.CheckStreamOptions refuses starts nothing.
 func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	if opts.Shards <= 0 {
 		opts.Shards = 1
 	}
-	if opts.Stream.Start == 0 && opts.Stream.End == 0 {
-		return nil, fmt.Errorf("shard: sharded runs need explicit RunOptions.Start/End bounds")
+	// Refuse a plan the engine would refuse before any shard starts: inside
+	// a shard the refusal would read as a permanent shard failure.
+	if err := rtec.CheckStreamOptions(opts.Stream); err != nil {
+		return nil, err
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
@@ -274,7 +276,7 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	s.journalEvent("shards_start", shardsStartEvent{
 		Shards: opts.Shards, QueueDepth: opts.QueueDepth,
 		Overflow: opts.Overflow.String(), DeadlineMS: opts.Deadline.Milliseconds(),
-		Faults: opts.Faults.String(), Seed: opts.Seed,
+		Seed: opts.Seed,
 	})
 	now := s.clk.Now()
 	for k := 0; k < opts.Shards; k++ {
@@ -590,17 +592,6 @@ func sumWindows(sts []ShardStatus) int {
 	n := 0
 	for _, st := range sts {
 		n += st.Windows
-	}
-	return n
-}
-
-// Restarts returns the total restarts across all shards so far.
-func (s *Supervisor) Restarts() int64 {
-	var n int64
-	for _, p := range s.procs {
-		p.mu.Lock()
-		n += p.restarts
-		p.mu.Unlock()
 	}
 	return n
 }

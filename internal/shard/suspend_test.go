@@ -25,12 +25,8 @@ type fileRun struct {
 	jfs []*os.File
 }
 
-func newFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, faults string) *fileRun {
+func newFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, plan *fault.Plan) *fileRun {
 	t.Helper()
-	plan, err := fault.Parse(faults)
-	if err != nil {
-		t.Fatal(err)
-	}
 	first, last := arrivals.TimeRange()
 	r := &fileRun{t: t, dir: dir}
 	jfs := make([]*os.File, 4)
@@ -108,13 +104,13 @@ func (r *fileRun) journalBytes(k int) []byte {
 
 // suspendResumeIdentity parks a run after `park` arrivals, resumes it in a
 // fresh supervisor over the same directory, and asserts the final CSV,
-// stats and per-shard journal bytes match an uninterrupted run's. faults
-// are injected into the pre-park phase only — a resumed run must also erase
+// stats and per-shard journal bytes match an uninterrupted run's. plan's
+// faults are injected into the pre-park phase only — a resumed run must also erase
 // the scars of crashes that happened before the park.
-func suspendResumeIdentity(t *testing.T, park int, faults string) {
+func suspendResumeIdentity(t *testing.T, park int, plan *fault.Plan) {
 	arrivals := testArrivals(7, 160, 60)
 
-	baseline := newFileRun(t, t.TempDir(), arrivals, false, "")
+	baseline := newFileRun(t, t.TempDir(), arrivals, false, nil)
 	baseline.ingest(arrivals)
 	wantRes, err := baseline.sup.Close()
 	if err != nil {
@@ -124,7 +120,7 @@ func suspendResumeIdentity(t *testing.T, park int, faults string) {
 	wantCSV := csvOf(t, wantRes.Recognition)
 
 	dir := t.TempDir()
-	parked := newFileRun(t, dir, arrivals, false, faults)
+	parked := newFileRun(t, dir, arrivals, false, plan)
 	parked.ingest(arrivals[:park])
 	sts, err := parked.sup.Suspend()
 	if err != nil {
@@ -142,7 +138,7 @@ func suspendResumeIdentity(t *testing.T, park int, faults string) {
 		t.Fatalf("parked %d arrivals, want %d", consumed, park)
 	}
 
-	resumed := newFileRun(t, dir, arrivals, true, "")
+	resumed := newFileRun(t, dir, arrivals, true, nil)
 	resumed.ingest(arrivals) // full stream: the parked prefix is skipped
 	gotRes, err := resumed.sup.Close()
 	if err != nil {
@@ -167,21 +163,21 @@ func suspendResumeIdentity(t *testing.T, park int, faults string) {
 // supervisor parked mid-stream and a fresh one resumed over its checkpoint
 // and journal files reproduce an uninterrupted run byte-for-byte.
 func TestSuspendResumeByteIdentity(t *testing.T) {
-	suspendResumeIdentity(t, 80, "")
+	suspendResumeIdentity(t, 80, nil)
 }
 
 // TestSuspendResumeEarlyPark parks after 3 arrivals: most shards have
 // consumed nothing and hold no checkpoint, so the resume path must handle
 // fresh shards next to restored ones.
 func TestSuspendResumeEarlyPark(t *testing.T) {
-	suspendResumeIdentity(t, 3, "")
+	suspendResumeIdentity(t, 3, nil)
 }
 
 // TestSuspendResumeAfterFaults panics shard 0 before the park: crash
 // recovery and the graceful park must compose without disturbing the
 // byte-identity contract.
 func TestSuspendResumeAfterFaults(t *testing.T) {
-	suspendResumeIdentity(t, 80, "panic@w1:s0")
+	suspendResumeIdentity(t, 80, faults(fault.Trigger{Kind: fault.Panic, Window: 1, Shard: 0}))
 }
 
 func TestSuspendRequiresCheckpointPath(t *testing.T) {

@@ -37,6 +37,13 @@
 //     ending in "." is a family prefix ("rtec.stratum.micros." + s); a
 //     "<prefix>.*" mention covers every name below the prefix. A guard, not
 //     an audit: a substring of a consumed name passes.
+//
+// A fourth holds the documents to the binaries (flagdoc.go):
+//
+//   - flagdoc: on a shell line of a code block, or in an inline code span,
+//     of README.md, DESIGN.md or the verify skill, a command that names a
+//     repository binary may pass only flags that cmd/<binary>/main.go
+//     registers.
 package toolvet
 
 import (
@@ -59,7 +66,7 @@ type Finding struct {
 	File    string
 	Line    int
 	Col     int
-	Rule    string // "wallclock", "unseededrand" or "signal"
+	Rule    string // "wallclock", "unseededrand", "signal" or "flagdoc"
 	Message string
 }
 
@@ -238,8 +245,8 @@ func Exempt(path string) bool {
 }
 
 // CheckDir walks root and checks every non-exempt .go file; the signal rule
-// applies when root holds any of consumerFiles. Findings are ordered by file,
-// then position.
+// applies when root holds any of consumerFiles, and the flagdoc rule when it
+// holds commands under cmd/. Findings are ordered by file, then position.
 func CheckDir(root string) ([]Finding, error) {
 	var consumers string
 	for _, rel := range consumerFiles {
@@ -276,6 +283,17 @@ func CheckDir(root string) ([]Finding, error) {
 	})
 	if err != nil {
 		return nil, err
+	}
+	flags, err := commandFlags(root)
+	if err != nil {
+		return nil, err
+	}
+	for _, rel := range flagDocs {
+		src, err := os.ReadFile(filepath.Join(root, rel))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		out = append(out, CheckDoc(filepath.Join(root, rel), string(src), flags)...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {

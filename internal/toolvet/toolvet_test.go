@@ -1,6 +1,8 @@
 package toolvet
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -195,5 +197,69 @@ func TestRepositoryIsClean(t *testing.T) {
 	}
 	if len(findings) != 0 {
 		t.Fatalf("vet findings:\n%s", strings.Join(lines, "\n"))
+	}
+}
+
+// TestFlagDocRule: flags are read from a command's flag registrations, and
+// a document may name on a command line only flags its command registers:
+// in a fenced block (continuation lines joined), an indented block, or an
+// inline code span, whichever way the command is spelled.
+func TestFlagDocRule(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"cmd/rtec/main.go": `package main
+import "flag"
+func main() {
+	var w int
+	flag.IntVar(&w, "window", 0, "window")
+	csv := flag.Bool("csv", false, "csv")
+	fs := flag.NewFlagSet("x", flag.ContinueOnError)
+	fs.String("max-delay", "", "delay")
+	_ = sb.String()
+	x.Int("resume")
+	_, _ = csv, fs
+}
+`,
+		"cmd/gen/main.go": "package main\nimport \"flag\"\nvar m = flag.String(\"model\", \"o1\", \"model\")\n",
+		"README.md": "# Doc\n" +
+			"```\n" +
+			"go run ./cmd/rtec -window 3600 \\\n" +
+			"    -shards 4 -csv > out.csv   # -comment is not a flag\n" +
+			"\"$bin/rtec\" --window=5 -workers 8 -h | go run ./cmd/gen -model o1 -window 1\n" +
+			"go test ./cmd/rtec -run TestX -v\n" +
+			"```\n" +
+			"\n" +
+			"      $tmp/rtec -max-delay 900 -resume\n" +
+			"Prose: `cmd/rtec -journal` and `rtec -csv`, `-shards` alone, `rtec.Options{Workers: 1}`.\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := CheckDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f.String(), root+string(filepath.Separator)))
+	}
+	want := []string{
+		"README.md:4:5: flagdoc: -shards is not a flag of rtec",
+		"README.md:5:24: flagdoc: -workers is not a flag of rtec",
+		"README.md:5:67: flagdoc: -window is not a flag of gen",
+		"README.md:9:32: flagdoc: -resume is not a flag of rtec",
+		"README.md:10:18: flagdoc: -journal is not a flag of rtec",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
+		}
 	}
 }
