@@ -2,8 +2,8 @@
 # CI gate: formatting, vet, build, the full test suite (which holds the
 # byte-identity contracts: cmd/rtec and internal/rtec contract_test.go,
 # DESIGN.md §9), race-enabled tests for the concurrency-sensitive packages,
-# the kb index fuzz, and the two gates that need real processes: the rtecd
-# daemon's drain and resume, and the benchmark smoke.
+# the kb index and delta fuzzes, and the two gates that need real
+# processes: the rtecd daemon's drain and resume, and the benchmark smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -50,6 +50,9 @@ go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
 
 echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over every fact)"
 go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s
+
+echo "== delta fuzz (delta == full re-evaluation, and a stream's final recognition == the batch Run's)"
+go test ./internal/rtec -run '^$' -fuzz '^FuzzDeltaEquivalence$' -fuzztime 10s
 
 echo "== rtecd gate (daemon drain, resume byte-identity, strict admission)"
 # Serve the maritime event description through the rtecd daemon, sharded

@@ -10,10 +10,14 @@
 //
 // Usage:
 //
-//	rtec -ed rules.rtec -stream events.csv [-window W] [-slide S] [-fluent name/arity] [-strict]
+//	rtec -ed rules.rtec -stream events.csv [-window W] [-slide S] [-fluent name/arity]
 //	     [-lenient] [-max-delay D] [-checkpoint file [-checkpoint-every N] [-resume]]
 //	     [-journal file [-journal-cap N] [-journal-wall]]
 //	     [-trace out.json] [-metrics] [-v]
+//
+// The event description loads strictly: a rule the engine cannot run (a
+// cyclic definition, a malformed condition) fails the command before the
+// stream is read. Runtime warnings stay warnings.
 //
 // Stream rows have the form "time,eventName,arg1,arg2,..."; -format ndjson
 // reads rtecd's wire format instead ({"time":10,"atom":"f(a)"} per line).
@@ -64,8 +68,7 @@ type options struct {
 	format             string
 	window, slide      int64
 	fluent             string
-	strict, csvOut     bool
-	lenient            bool
+	csvOut, lenient    bool
 	maxDelay           int64
 	checkpoint         string
 	checkpointEvery    int
@@ -84,7 +87,6 @@ func main() {
 	flag.Int64Var(&o.window, "window", 0, "window size ω in time-points (0 = whole stream)")
 	flag.Int64Var(&o.slide, "slide", 0, "slide between query times (0 = window)")
 	flag.StringVar(&o.fluent, "fluent", "", "only print FVPs of this fluent indicator, e.g. trawling/1")
-	flag.BoolVar(&o.strict, "strict", false, "fail on any event-description problem instead of warning")
 	flag.BoolVar(&o.csvOut, "csv", false, "emit CSV (fluent,fvp,since,until) instead of holdsFor lines")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed stream rows instead of aborting")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "bounded-delay disorder tolerance in time-points (streaming ingestion)")
@@ -129,6 +131,21 @@ func run(o options, stdout, stderr io.Writer) error {
 	}
 	tel, flush := o.tel.Setup(stderr, stderr)
 
+	src, err := os.ReadFile(o.edPath)
+	if err != nil {
+		return err
+	}
+	ed, err := parser.ParseEventDescription(string(src))
+	if err != nil {
+		return fmt.Errorf("%s: %w", o.edPath, err)
+	}
+	// Strict, before a journal is opened or the stream read. Runtime warnings
+	// surface on the telemetry logger as the engine meets them.
+	eng, err := rtec.New(ed, rtec.Options{Strict: true, Workers: 1, Telemetry: tel})
+	if err != nil {
+		return err
+	}
+
 	// The audit journal: one writer for the whole run, wall timestamps only
 	// on request (the deterministic default journals byte-identically across
 	// same-seed runs). A resumed run continues the crashed run's journal:
@@ -152,14 +169,6 @@ func run(o options, stdout, stderr io.Writer) error {
 		}
 	}
 
-	src, err := os.ReadFile(o.edPath)
-	if err != nil {
-		return err
-	}
-	ed, err := parser.ParseEventDescription(string(src))
-	if err != nil {
-		return fmt.Errorf("%s: %w", o.edPath, err)
-	}
 	f, err := os.Open(o.streamPath)
 	if err != nil {
 		return err
@@ -170,12 +179,6 @@ func run(o options, stdout, stderr io.Writer) error {
 		return err
 	}
 
-	// Load and runtime warnings surface on the telemetry logger (with
-	// fluent and window attributes) as the engine encounters them.
-	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: 1, Telemetry: tel})
-	if err != nil {
-		return err
-	}
 	var rec *rtec.Recognition
 	if o.streaming() {
 		rec, err = runStreaming(o, eng, events, jw, stderr)

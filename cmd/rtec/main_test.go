@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/stream"
@@ -51,7 +53,6 @@ func TestRunEndToEnd(t *testing.T) {
 	ed := write(t, "ed.rtec", testED)
 	st := write(t, "events.csv", testStream)
 	o := opts(ed, st)
-	o.strict = true
 	if err := run(o, io.Discard, io.Discard); err != nil {
 		t.Fatal(err)
 	}
@@ -132,19 +133,6 @@ func TestRunErrors(t *testing.T) {
 	if err := run(opts(ed, badStream), io.Discard, io.Discard); err == nil {
 		t.Fatal("bad stream accepted")
 	}
-	// Strict mode surfaces unusable rules as errors.
-	lax := write(t, "lax.rtec", testED+`
-initiatedAt(broken(X)=true, T) :-
-    holdsAt(withinArea(X, fishing)=true, T).
-`)
-	strictO := opts(lax, st)
-	strictO.strict = true
-	if err := run(strictO, io.Discard, io.Discard); err == nil {
-		t.Fatal("strict mode accepted an unusable rule")
-	}
-	if err := run(opts(lax, st), io.Discard, io.Discard); err != nil {
-		t.Fatalf("lenient mode failed: %v", err)
-	}
 	// -fluent filters the holdsFor listing only; with -csv it would be
 	// silently ignored.
 	filterO := opts(ed, st)
@@ -185,6 +173,90 @@ initiatedAt(broken(X)=true, T) :-
 	traceO.tel.TracePath = filepath.Join(t.TempDir(), "no", "such", "dir", "t.json")
 	if err := run(traceO, io.Discard, io.Discard); err == nil {
 		t.Fatal("unwritable trace path accepted")
+	}
+}
+
+// unrunnable are rules a lenient engine would drop at load, each appended to
+// testED by TestStrictLoad.
+var unrunnable = []struct{ name, rules string }{
+	{"cyclic definition", `
+initiatedAt(p(X)=true, T) :- happensAt(entersArea(X, A), T), holdsAt(q(X)=true, T).
+initiatedAt(q(X)=true, T) :- happensAt(leavesArea(X, A), T), holdsAt(p(X)=true, T).
+`},
+	{"malformed condition", `
+holdsFor(busy(X)=true, I) :- happensAt(entersArea(X, A), I).
+`},
+	{"no anchor", `
+initiatedAt(broken(X)=true, T) :- holdsAt(withinArea(X, fishing)=true, T).
+`},
+}
+
+// TestStrictLoad: the command always loads its event description strictly.
+// A rule the engine cannot run fails the command before a journal is opened
+// or the stream read (the stream here is malformed, so reading it first
+// would fail on the stream instead). An event description whose defect shows
+// only at run time loads, and so does the gold one, and their output is the
+// lenient engine's, byte for byte.
+func TestStrictLoad(t *testing.T) {
+	badStream := write(t, "bad.csv", "notatime,junk\n")
+	for _, tc := range unrunnable {
+		o := opts(write(t, "ed.rtec", testED+tc.rules), badStream)
+		o.journalPath = filepath.Join(t.TempDir(), "run.jsonl")
+		if err := run(o, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "dropped") {
+			t.Errorf("%s: err = %v, want the load refusal", tc.name, err)
+		}
+		if _, err := os.Stat(o.journalPath); err == nil {
+			t.Errorf("%s: the refused load created the journal", tc.name)
+		}
+	}
+
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 4, Seed: 7, IntervalSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := stream.Stream(maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig()))
+	var bg, csv strings.Builder
+	for _, c := range maritime.BackgroundClauses(scen.Map, scen.Fleet, maritime.ObservedPairs(evs)) {
+		fmt.Fprintln(&bg, c)
+	}
+	for _, fact := range maritime.DynamicFacts(evs, scen.Fleet) {
+		fmt.Fprintf(&bg, "%s.\n", fact)
+	}
+	if err := evs.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	events := write(t, "events.csv", csv.String())
+	doomed, err := os.ReadFile(filepath.Join("..", "..", "examples", "lint", "doomed_threshold.prolog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, src := range map[string]string{
+		"doomed threshold": string(doomed) + bg.String(),
+		"gold":             maritime.GoldSource() + bg.String(),
+	} {
+		o := opts(write(t, "ed.rtec", src), events)
+		o.window, o.slide, o.csvOut = 3600, 900, true
+		got, _ := mustRun(t, o)
+
+		ed, err := parser.ParseEventDescription(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lenient, err := rtec.New(ed, rtec.Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := lenient.Run(evs, rtec.RunOptions{Window: 3600, Slide: 900})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := rec.WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		if got != want.String() || strings.Count(got, "\n") < 10 {
+			t.Errorf("%s: strict output differs from the lenient engine's or is nearly empty:\n%s\nvs\n%s", name, got, want.String())
+		}
 	}
 }
 

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rtecd -ed rules.rtec -listen :8080 -window W -start T0 -end T1 -checkpoint base
-//	      [-slide S] [-max-delay D] [-workers N] [-strict] [-lenient]
+//	      [-slide S] [-max-delay D] [-workers N] [-lenient]
 //	      [-shards N] [-checkpoint-every N] [-journal file] [-resume] [-out file]
 //	      [-shard-queue N] [-shard-overflow policy] [-metrics] [-v]
 //
@@ -32,9 +32,11 @@
 // hint (1 s), the body cap (8 MiB), the per-subscriber buffer (64 frames,
 // eviction after 256 drops) and the shutdown connection drain (5 s) are
 // constants: the zero-value defaults of serve.Options. So is the backoff
-// jitter seed, backoffSeed. A plan the engine refuses (a -slide above
-// -window, a negative one, -start at or past -end) fails the start, before
-// the port is bound or a journal is created.
+// jitter seed, backoffSeed. The event description loads strictly. A plan
+// the engine refuses (a -slide above -window, a negative one, -start at or
+// past -end) fails the start, before the port is bound or a journal is
+// created, and so does a rule the engine cannot run (a cyclic definition, a
+// malformed condition).
 //
 // SIGTERM or SIGINT drains gracefully: ingest stops, admitted events are
 // processed to completion, every shard parks into a suspend checkpoint
@@ -70,7 +72,6 @@ type options struct {
 	start, end    int64
 	maxDelay      int64
 	workers       int
-	strict        bool
 	lenient       bool
 
 	checkpoint      string
@@ -97,7 +98,6 @@ func main() {
 	flag.Int64Var(&o.end, "end", 0, "one past the last time-point of the run (required)")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "bounded-delay disorder tolerance in time-points")
 	flag.IntVar(&o.workers, "workers", 0, "window-evaluation worker goroutines (0 = GOMAXPROCS)")
-	flag.BoolVar(&o.strict, "strict", false, "fail on any event-description problem instead of warning")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed NDJSON lines instead of rejecting the request")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint base path (required): shard k parks into \"<base>.s<k>\" on drain")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
@@ -149,7 +149,7 @@ func run(o options, stderr *os.File) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.edPath, err)
 	}
-	eng, err := rtec.New(ed, rtec.Options{Strict: o.strict, Workers: o.workers, Telemetry: tel})
+	eng, err := rtec.New(ed, rtec.Options{Strict: true, Workers: o.workers, Telemetry: tel})
 	if err != nil {
 		return err
 	}

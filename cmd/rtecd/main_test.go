@@ -13,6 +13,7 @@ import (
 	"syscall"
 	"testing"
 
+	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/stream"
@@ -68,26 +69,128 @@ func TestRunRefusesBadPlan(t *testing.T) {
 			journalPath: filepath.Join(dir, "d.jsonl"),
 		}
 		set(&o)
-		stderr, err := os.Create(filepath.Join(dir, "stderr.txt"))
-		if err != nil {
+		refused(t, name, o, "rtec:")
+	}
+}
+
+// unrunnable are rules a lenient engine would drop at load, each appended to
+// testED by TestStrictLoad.
+var unrunnable = []struct{ name, rules string }{
+	{"cyclic definition", `
+initiatedAt(p(X)=true, T) :- happensAt(entersArea(X, A), T), holdsAt(q(X)=true, T).
+initiatedAt(q(X)=true, T) :- happensAt(leavesArea(X, A), T), holdsAt(p(X)=true, T).
+`},
+	{"malformed condition", `
+holdsFor(busy(X)=true, I) :- happensAt(entersArea(X, A), I).
+`},
+	{"no anchor", `
+initiatedAt(broken(X)=true, T) :- holdsAt(withinArea(X, fishing)=true, T).
+`},
+}
+
+// TestStrictLoad: the daemon always loads its event description strictly.
+// A rule the engine cannot run fails the start before the port is bound (no
+// stream is read) or a journal file is created. An event description whose
+// defect shows only at run time loads, and so does the gold one, and the
+// /finish CSV is the lenient engine's, byte for byte.
+func TestStrictLoad(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range unrunnable {
+		o := options{
+			edPath: filepath.Join(dir, "ed.rtec"), listen: "127.0.0.1:0",
+			window: 3600, start: 1, end: 100000, shards: 1,
+			checkpoint:  filepath.Join(dir, "ck"),
+			journalPath: filepath.Join(dir, "d.jsonl"),
+		}
+		if err := os.WriteFile(o.edPath, []byte(testED+tc.rules), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		runErr := run(o, stderr)
-		stderr.Close()
-		if runErr == nil {
-			t.Fatalf("%s: the daemon started", name)
+		refused(t, tc.name, o, "dropped")
+	}
+
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 4, Seed: 7, IntervalSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	events := stream.Stream(maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig()))
+	var bg strings.Builder
+	for _, c := range maritime.BackgroundClauses(scen.Map, scen.Fleet, maritime.ObservedPairs(events)) {
+		fmt.Fprintln(&bg, c)
+	}
+	for _, fact := range maritime.DynamicFacts(events, scen.Fleet) {
+		fmt.Fprintf(&bg, "%s.\n", fact)
+	}
+	doomed, err := os.ReadFile(filepath.Join("..", "..", "examples", "lint", "doomed_threshold.prolog"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, last := events.TimeRange()
+	for name, src := range map[string]string{
+		"doomed threshold": string(doomed) + bg.String(),
+		"gold":             maritime.GoldSource() + bg.String(),
+	} {
+		dir := t.TempDir()
+		o := options{
+			edPath: filepath.Join(dir, "ed.rtec"), listen: "127.0.0.1:0",
+			window: 3600, start: first, end: last + 1,
+			checkpoint: filepath.Join(dir, "d.ckpt"), checkpointEvery: 1,
+			shards: 1, shardQueue: 256, shardOverflow: "block",
 		}
-		logged, err := os.ReadFile(stderr.Name())
-		if err != nil {
+		if err := os.WriteFile(o.edPath, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if strings.Contains(string(logged), "listening") {
-			t.Errorf("%s: refused only after binding:\n%s", name, logged)
-		}
-		if files, _ := filepath.Glob(o.journalPath + "*"); len(files) > 0 {
-			t.Errorf("%s: refused start left journal files %v", name, files)
+		got := serveAndFinish(t, o, events)
+		if want := lenientCSV(t, src, events, rtec.RunOptions{Window: o.window, Start: o.start, End: o.end}); !bytes.Equal(got, want) || bytes.Count(got, []byte("\n")) < 10 {
+			t.Errorf("%s: strict daemon CSV differs from the lenient engine's or is nearly empty:\n%s\nvs\n%s", name, got, want)
 		}
 	}
+}
+
+// refused runs the daemon with o and requires it to fail the start with an
+// error mentioning want, before binding the port or creating a journal file.
+func refused(t *testing.T, name string, o options, want string) {
+	t.Helper()
+	stderr, err := os.Create(filepath.Join(t.TempDir(), "stderr.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runErr := run(o, stderr)
+	stderr.Close()
+	if runErr == nil || !strings.Contains(runErr.Error(), want) {
+		t.Fatalf("%s: err = %v, want a refusal naming %q", name, runErr, want)
+	}
+	logged, err := os.ReadFile(stderr.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(logged), "listening") {
+		t.Errorf("%s: refused only after binding:\n%s", name, logged)
+	}
+	if files, _ := filepath.Glob(o.journalPath + "*"); len(files) > 0 {
+		t.Errorf("%s: refused start left journal files %v", name, files)
+	}
+}
+
+// lenientCSV is the recognition CSV of a lenient batch engine over src.
+func lenientCSV(t *testing.T, src string, events stream.Stream, opts rtec.RunOptions) []byte {
+	t.Helper()
+	ed, err := parser.ParseEventDescription(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := rtec.New(ed, rtec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := eng.Run(events, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if err := rec.WriteCSV(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Bytes()
 }
 
 // TestDaemonMatchesBatchEngine runs the daemon in-process behind a small
@@ -102,12 +205,22 @@ func TestDaemonMatchesBatchEngine(t *testing.T) {
 	}
 	events := testEvents(600)
 	o := options{
-		edPath: edPath, listen: "127.0.0.1:0", strict: true,
+		edPath: edPath, listen: "127.0.0.1:0",
 		window: 100, start: 0, end: 1000,
 		checkpoint: filepath.Join(dir, "d.ckpt"), checkpointEvery: 1,
 		shards: 1, shardQueue: 16, shardOverflow: "block",
 	}
+	got := serveAndFinish(t, o, events)
+	if want := lenientCSV(t, testED, events, rtec.RunOptions{Window: o.window, Start: o.start, End: o.end}); !bytes.Equal(got, want) {
+		t.Fatalf("daemon CSV differs from the batch engine's:\n%s\nvs\n%s", got, want)
+	}
+}
 
+// serveAndFinish runs the daemon in-process with o, POSTs events in 20-line
+// batches, each of which must be acknowledged 200, and returns the /finish
+// CSV once a SIGTERM has drained the daemon.
+func serveAndFinish(t *testing.T, o options, events stream.Stream) []byte {
+	t.Helper()
 	// run reports its address on stderr and returns once a signal drained it.
 	pr, pw, err := os.Pipe()
 	if err != nil {
@@ -162,24 +275,5 @@ func TestDaemonMatchesBatchEngine(t *testing.T) {
 	if err := <-exited; err != nil {
 		t.Fatalf("daemon did not drain cleanly: %v", err)
 	}
-
-	ed, err := parser.ParseEventDescription(testED)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := rtec.New(ed, rtec.Options{Strict: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := eng.Run(events, rtec.RunOptions{Window: o.window, Start: o.start, End: o.end})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want bytes.Buffer
-	if err := rec.WriteCSV(&want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatalf("daemon CSV differs from the batch engine's:\n%s\nvs\n%s", got, want.Bytes())
-	}
+	return got
 }

@@ -489,7 +489,7 @@ func (e *Engine) ResumeStream(path string, events stream.Stream, opts StreamOpti
 		return nil, err
 	}
 	if empty {
-		return &StreamResult{Recognition: &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}}, nil
+		return &StreamResult{Recognition: newRecognition(0, 0)}, nil
 	}
 	defer r.Abort() // releases the runner on an error path; a no-op after Finish
 	st := r.st

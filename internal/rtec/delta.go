@@ -17,11 +17,11 @@ import (
 // fluent, what its evaluation stored and warned and the inertia input it saw;
 // per simple-fluent rule, the acts (FVP occurrences and runtime warnings)
 // every anchor event produced, keyed by anchor time — and the next evaluation
-// re-derives only what may have changed. The batch loop attaches the layer
-// only to windows a neighbour overlaps (RunPrepared): a window that merely
-// tumbles has no reader for its state and captures nothing. A run over a
-// Prepared's fluent table does without the layer altogether, and installs
-// from the table instead.
+// re-derives only what may have changed. A window captures only when its
+// state has a reader — an overlapping successor, or a revision (the capture
+// rule, streamRun.evalSlot): a batch window that merely tumbles captures
+// nothing. A run over a Prepared's fluent table does without the layer
+// altogether, and installs from the table instead.
 //
 // A time-point t of the new window [ws', q') is dirty for a fluent when
 //   - t lies in the slide-admitted tail [q, q') the previous window never
@@ -117,7 +117,7 @@ type fluentDelta struct {
 	// entries holds what the fluent stored, in store order: diffed against
 	// the next evaluation's output, or installed in its place.
 	entries []listEntry
-	// warnings holds what the evaluation appended to the warning sink.
+	// warnings holds what the evaluation raised (its tail of windowState.raised).
 	warnings []Warning
 	// open is the inertia input the evaluation saw (simple fluents).
 	open []*lang.Term
@@ -180,7 +180,7 @@ func (w *windowState) beginFluentDelta(def *fluentDef) (installed bool) {
 	if d == nil {
 		return false
 	}
-	w.curWarned = len(*w.warnSink)
+	w.curWarned = len(w.raised)
 	var prev *fluentDelta
 	if d.prev != nil {
 		prev = d.prev.fluents[def.ind]
@@ -365,8 +365,8 @@ func (w *windowState) endFluentDelta(def *fluentDef) {
 	entries := entriesOf(w.byFluent[def.pred])
 	if cur := w.curNext; cur != nil {
 		cur.entries = entries
-		// Only this evaluation appended to the sink meanwhile.
-		cur.warnings = append([]Warning(nil), (*w.warnSink)[w.curWarned:]...)
+		// Only this evaluation raised warnings meanwhile.
+		cur.warnings = append([]Warning(nil), w.raised[w.curWarned:]...)
 	}
 	if w.curPrev == nil {
 		return

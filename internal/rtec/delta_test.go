@@ -195,6 +195,30 @@ func TestDeltaReuseCounters(t *testing.T) {
 	}
 }
 
+// deltaGeometries are the window geometries of TestDeltaBatchGeometries,
+// each over [0, 1000) of geometryEvents.
+var deltaGeometries = []struct {
+	name          string
+	window, slide int64
+	overlap       bool
+	wantErr       bool
+}{
+	{name: "tumbling, aligned end", window: 250},                                  // [0,250) … [750,1000)
+	{name: "tumbling, short overlapping last window", window: 300, overlap: true}, // … [600,900), [700,1000)
+	{name: "slide < window", window: 300, slide: 100, overlap: true},
+	{name: "slide > window", window: 100, slide: 150, wantErr: true}, // would skip events: refused before any window
+}
+
+// geometryEvents is the random withinAreaED stream the geometries run over.
+func geometryEvents() stream.Stream {
+	r := rand.New(rand.NewSource(5))
+	var events stream.Stream
+	for i := 0; i < 8; i++ {
+		events = append(events, genRandomStream(r, 1000)...)
+	}
+	return events
+}
+
 // TestDeltaBatchGeometries: a batch window pays for the delta layer only
 // when it overlaps a neighbour. Across window geometries the output is
 // byte-identical to the full re-evaluation oracle; a run none of whose
@@ -203,22 +227,8 @@ func TestDeltaReuseCounters(t *testing.T) {
 // reaching back into its predecessor, the shape of the paper pipeline's
 // runs — replays there.
 func TestDeltaBatchGeometries(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	var events stream.Stream
-	for i := 0; i < 8; i++ {
-		events = append(events, genRandomStream(r, 1000)...)
-	}
-	for _, tc := range []struct {
-		name          string
-		window, slide int64
-		overlap       bool
-		wantErr       bool
-	}{
-		{name: "tumbling, aligned end", window: 250},                                  // [0,250) … [750,1000)
-		{name: "tumbling, short overlapping last window", window: 300, overlap: true}, // … [600,900), [700,1000)
-		{name: "slide < window", window: 300, slide: 100, overlap: true},
-		{name: "slide > window", window: 100, slide: 150, wantErr: true}, // would skip events: refused before any window
-	} {
+	events := geometryEvents()
+	for _, tc := range deltaGeometries {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			delta := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
@@ -494,7 +504,8 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 // FuzzDeltaEquivalence is the differential fuzz target of the delta layer:
 // random streams over the cross-shard hierarchy, random window geometry,
 // worker count and seeded disorder, requiring the delta path's stream
-// output and journal bytes to match full re-evaluation exactly.
+// output and journal bytes to match full re-evaluation exactly, and the
+// stream's final recognition to be the batch Run's.
 func FuzzDeltaEquivalence(f *testing.F) {
 	for _, seed := range []int64{1, 7, 42, 1234, 987654321} {
 		f.Add(seed, uint8(0))
@@ -556,6 +567,16 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		}
 		if !bytes.Equal(dJ.Bytes(), fJ.Bytes()) {
 			t.Fatalf("%s seed %d: journal bytes differ", c.name, seed)
+		}
+		// No event is displaced beyond the delay, so the stream's final
+		// recognition is the batch run's over the sorted events.
+		batch, err := delta.Run(events, opts.RunOptions)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fa, fb := recognitionFingerprint(t, a.Recognition), recognitionFingerprint(t, batch); fa != fb {
+			t.Fatalf("%s seed %d window %d slide %d workers %d delay %d: stream differs from batch:\n--- stream\n%s\n--- batch\n%s",
+				c.name, seed, window, slide, workers, maxDelay, fa, fb)
 		}
 	})
 }

@@ -158,7 +158,8 @@ func (e *Engine) FluentKindOf(ind string) (FluentKind, bool) {
 // Options configure engine construction.
 type Options struct {
 	// Strict makes New fail on any problem that would otherwise produce a
-	// warning and a skipped rule (useful for validating the gold standard).
+	// warning and a skipped rule. cmd/rtec and cmd/rtecd always set it; the
+	// evaluation harness loads generated drafts without it.
 	Strict bool
 	// ExtraFacts are added to the background KB before materialisation,
 	// e.g. the dynamic entity registry extracted from a stream.

@@ -35,14 +35,14 @@ type windowState struct {
 	byFluent     map[lang.PredKey][]*cacheEntry
 	openByFluent map[lang.PredKey][]*lang.Term // simple FVPs holding at window start
 	warnings     map[Warning]bool              // dedup of runtime warnings
-	warnSink     *[]Warning
-	tel          *telemetry.Telemetry // may be nil: all uses degrade to no-ops
-	span         *telemetry.Span      // the window span, parent of per-fluent spans
-	seq          ruleEval             // the unit context of inline (sequential) evaluation, reused across rules
+	raised       []Warning                     // the window's warnings, once each, in the order raised
+	tel          *telemetry.Telemetry          // may be nil: all uses degrade to no-ops
+	span         *telemetry.Span               // the window span, parent of per-fluent spans
+	seq          ruleEval                      // the unit context of inline (sequential) evaluation, reused across rules
 
-	// shared places the window in its Prepared's fluent table; zero when the
-	// Prepared has no table, with DisableCache, or outside RunPrepared (a
-	// window evaluated under a delta context is never in a shared run).
+	// shared places the window in its Prepared's fluent table; its run is
+	// nil when the Prepared has no table, with DisableCache, or in a streaming
+	// run (a window evaluated under a delta context is never in a shared run).
 	shared sharedWindow
 
 	// Delta-layer state (see delta.go); all nil/false when the window is
@@ -51,12 +51,12 @@ type windowState struct {
 	changed   map[string]intervals.List // per evaluated fluent: region (unclipped) where its output diverged from the carried state
 	curPrev   *fluentDelta              // carried state of the fluent being evaluated (nil without one)
 	curNext   *fluentDelta              // its capture target (nil when not capturing)
-	curWarned int                       // length of the warning sink when its evaluation began
+	curWarned int                       // length of raised when its evaluation began
 	curDirty  intervals.List            // its dirty region (valid when curUnits != nil)
 	curUnits  [][]act                   // non-nil: it replays cached acts; per rule slot, the acts re-derived at dirty anchor times
 }
 
-func newWindowState(e *Engine, events *windowIndex, ws, we int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, tel *telemetry.Telemetry, span *telemetry.Span) *windowState {
+func newWindowState(e *Engine, events *windowIndex, ws, we int64, prevOpen map[string]*lang.Term, tel *telemetry.Telemetry, span *telemetry.Span) *windowState {
 	w := &windowState{
 		eng:         e,
 		windowIndex: events,
@@ -65,7 +65,6 @@ func newWindowState(e *Engine, events *windowIndex, ws, we int64, prevOpen map[s
 		cache:       map[lang.InternID]*cacheEntry{},
 		byFluent:    map[lang.PredKey][]*cacheEntry{},
 		warnings:    map[Warning]bool{},
-		warnSink:    warnSink,
 		tel:         tel,
 		span:        span,
 	}
@@ -105,9 +104,7 @@ func (w *windowState) warn(wn Warning) {
 	w.tel.Logger().Warn(wn.Msg,
 		"component", "rtec", "stage", "recognition", "fluent", wn.Fluent,
 		"window_start", w.ws, "query_time", w.we)
-	if w.warnSink != nil {
-		*w.warnSink = append(*w.warnSink, wn)
-	}
+	w.raised = append(w.raised, wn)
 }
 
 // store unions list into the cache entry for the ground FVP, whose intern ID
@@ -205,10 +202,10 @@ func (w *windowState) evalFluent(ind string) {
 		return
 	}
 	sh.misses.Inc()
-	warned := len(*w.warnSink)
+	warned := len(w.raised)
 	w.derive(def)
-	// Only this evaluation stores FVPs of this fluent and appends to the
-	// sink meanwhile, so the two tails are exactly what it produced. The
+	// Only this evaluation stores FVPs of this fluent and raises warnings
+	// meanwhile, so the two tails are exactly what it produced. The
 	// table is read by other engines, and intern IDs are per engine.
 	entries := entriesOf(w.byFluent[def.pred])
 	for i := range entries {
@@ -216,7 +213,7 @@ func (w *windowState) evalFluent(ind string) {
 	}
 	sh.table.results.LoadOrStore(key, &sharedResult{
 		exact:    def.exact,
-		warnings: append([]Warning(nil), (*w.warnSink)[warned:]...),
+		warnings: append([]Warning(nil), w.raised[warned:]...),
 		entries:  entries,
 	})
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"rtecgen/internal/intervals"
-	"rtecgen/internal/lang"
 	"rtecgen/internal/stream"
 )
 
@@ -152,10 +151,7 @@ func EventEntity(ev stream.Event) uint64 { return eventEntity(ev) }
 // intervals come from one partition (entity-local rules), the same locality
 // assumption the PR 5 in-window entity sharding relies on.
 func MergeRecognitions(rs ...*Recognition) *Recognition {
-	out := &Recognition{
-		byKey: map[string]intervals.List{},
-		fvps:  map[string]*lang.Term{},
-	}
+	out := newRecognition(0, 0)
 	var warnings []Warning
 	for _, rec := range rs {
 		if rec == nil {

@@ -214,9 +214,13 @@ func (st *streamRun) observeAdmission(e stream.Event, verdict stream.Admission) 
 
 // observeDelivery records one window delivery: the end-to-end wall latency,
 // the event-time emit lag, and the journal window record with the
-// assertion/retraction diff. prev is nil for a first delivery.
+// assertion/retraction diff. prev is nil for a first delivery. A batch run
+// observes nothing.
 func (st *streamRun) observeDelivery(i int, prev *windowEval, retracted map[string]intervals.List, wall time.Duration) error {
 	o := st.obs
+	if o == nil {
+		return nil
+	}
 	o.e2eMicros.ObserveDuration(wall)
 
 	var emitLag int64

@@ -12,8 +12,9 @@ import (
 // This file splits batch recognition into "prepare once" and "run many". A
 // Prepared holds everything about a batch run that depends on the stream and
 // the window geometry but not on the event description: the sorted copy, the
-// time-line and each window's event indexes. Engine.RunPrepared is the batch
-// window loop; Run and RunWindows prepare a private Prepared and call it.
+// time-line and each window's event indexes. Engine.RunPrepared drains the
+// one run loop (streamRun) over those windows; Run and RunWindows prepare a
+// private Prepared and call it.
 //
 // A Prepared built by Prepare also carries the fluent table that lets
 // several event descriptions run over one stream without re-deriving what
@@ -198,7 +199,7 @@ type sharedRun struct {
 }
 
 // sharedWindow places one window evaluation in a shared run: index is the
-// window's position in the Prepared. The zero value shares nothing.
+// window's position in the Prepared. A nil run shares nothing.
 type sharedWindow struct {
 	run   *sharedRun
 	index int32

@@ -35,6 +35,11 @@ type Recognition struct {
 	Warnings   []Warning
 }
 
+// newRecognition returns an empty recognition over [start, end).
+func newRecognition(start, end int64) *Recognition {
+	return &Recognition{Start: start, End: end, byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}
+}
+
 // IntervalsOf returns the recognised maximal intervals of a ground FVP,
 // given as an '='(F, V) term.
 func (r *Recognition) IntervalsOf(fvp *lang.Term) intervals.List {
@@ -170,11 +175,12 @@ func (e *Engine) RunWindows(events stream.Stream, opts RunOptions, fn func(Windo
 	return err
 }
 
-// RunPrepared is batch recognition: it evaluates the windows of p in order,
-// hands each window's results to fn (which may be nil; a non-nil error from
-// it aborts the run) and returns the amalgamated recognition. Engines run
-// over the same Prepared — concurrently or one after another — share its
-// sorted stream and window indexes, and a fluent that two of them define
+// RunPrepared is batch recognition: RunStream's run loop (streamRun) drained
+// over the windows of p, with no reorder buffer and no checkpoint. It hands
+// each window's results to fn (which may be nil; a non-nil error from it
+// aborts the run) and returns the amalgamated recognition. Engines run over
+// the same Prepared — concurrently or one after another — share its sorted
+// stream and window indexes, and a fluent that two of them define
 // identically (see Engine.fingerprint) is evaluated by the first to reach a
 // window and installed by the other; every run's results, warnings and logs
 // are what a Run of its own would have produced. Engines with DisableCache
@@ -182,29 +188,32 @@ func (e *Engine) RunWindows(events stream.Stream, opts RunOptions, fn func(Windo
 // every window, overlapping ones included, and evaluates the windows it
 // misses in full, not through the delta layer.
 func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recognition, error) {
-	rec := &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}
 	tl := p.tl
 	if tl == nil {
-		return rec, nil
+		return newRecognition(0, 0), nil
 	}
-	rec.Start, rec.End = tl.start, tl.end
-
 	tel := e.opts.Telemetry
-	run := tel.Span("rtec.run",
-		telemetry.Int("events", int64(len(p.events))),
-		telemetry.Int("window", tl.window), telemetry.Int("slide", tl.slide),
-		telemetry.Int("start", tl.start), telemetry.Int("end", tl.end))
-	defer run.End()
+	st := &streamRun{
+		eng:      e,
+		tl:       tl,
+		prepared: p,
+		slots:    make([]windowSlot, tl.n),
+		fn:       fn,
+		span: tel.Span("rtec.run",
+			telemetry.Int("events", int64(len(p.events))),
+			telemetry.Int("window", tl.window), telemetry.Int("slide", tl.slide),
+			telemetry.Int("start", tl.start), telemetry.Int("end", tl.end)),
+	}
+	defer st.span.End()
 	tel.Counter("rtec.events.ingested").Add(int64(len(p.events)))
 	tel.Logger().Debug("recognition run",
 		"component", "rtec", "events", len(p.events),
 		"window", tl.window, "slide", tl.slide, "start", tl.start, "end", tl.end,
 		"windows", tl.n, "fluents", len(e.order))
 
-	var shared *sharedRun
 	if p.table != nil && !e.opts.DisableCache {
 		describeInstruments(tel)
-		shared = &sharedRun{
+		st.shared = &sharedRun{
 			table: p.table, fps: p.table.fingerprints(e),
 			hits: tel.Counter("rtec.shared.hits"), misses: tel.Counter("rtec.shared.misses"),
 		}
@@ -212,49 +221,12 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 	// A run over the fluent table never uses the delta layer: a hit would
 	// leave it nothing to capture, and delta evaluation equals full
 	// evaluation, so every window of a shared run consults the table.
-	deltaOn := !e.opts.DisableDelta && !e.opts.DisableCache && shared == nil
-	var carried *deltaState
-	prevOpen := map[string]*lang.Term{}
-	for i := 0; i < tl.n; i++ {
-		q := tl.q(i)
-		ws := tl.windowStart(i)
-		// A window pays for the delta layer only when it overlaps a
-		// neighbour: with a carried state to replay (its predecessor reached
-		// past ws and captured), or a successor starting before q to capture
-		// for. Windows that merely tumble evaluate as under DisableDelta.
-		nws := tl.nextWindowStart(i)
-		capture := deltaOn && nws >= 0 && nws < q
-		var dctx *deltaCtx
-		if carried != nil || capture {
-			dctx = &deltaCtx{capture: capture, prev: carried}
-			if carried != nil {
-				dctx.base = intervals.List{{Start: carried.we, End: q}}
-			}
-		}
-		ev := e.evalWindow(p.windows[i], ws, q, nws, prevOpen, &rec.Warnings, run, dctx, sharedWindow{run: shared, index: int32(i)})
-		carried = nil
-		if dctx != nil {
-			carried = dctx.next
-		}
-		for key, clipped := range ev.recognised {
-			rec.byKey[key] = intervals.Union(rec.byKey[key], clipped)
-			if _, ok := rec.fvps[key]; !ok {
-				rec.fvps[key] = ev.fvps[key]
-			}
-		}
-		prevOpen = ev.nextOpen
-		if fn == nil {
-			continue
-		}
-		if err := fn(WindowResult{
-			WindowStart: ws, QueryTime: q,
-			Recognised: ev.recognised, FVPs: ev.fvps,
-		}); err != nil {
+	st.deltaOn = !e.opts.DisableDelta && !e.opts.DisableCache && st.shared == nil
+	for st.emitted < tl.n {
+		if err := st.emitNext(); err != nil {
 			return nil, err
 		}
+		st.final = st.emitted // nothing revises a batch window once it is emitted
 	}
-	// Every window appended what it raised (evalFluent and the delta layer
-	// read their tails of the sink meanwhile); the result lists each once.
-	rec.Warnings = uniqueWarnings(rec.Warnings)
-	return rec, nil
+	return st.amalgamate(), nil
 }

@@ -71,7 +71,7 @@ type StreamResult struct {
 	Stats StreamStats
 }
 
-// windowSlot is the per-window book-keeping of a streaming run: the latest
+// windowSlot is the per-window book-keeping of a run: the latest
 // delivered evaluation of an emitted window, its revision counter, and the
 // delta state that evaluation captured.
 type windowSlot struct {
@@ -86,12 +86,16 @@ type windowSlot struct {
 	delta *deltaState
 }
 
-// streamRun is the mutable state of one streaming recognition run.
+// streamRun is the mutable state of one recognition run, streamed or batch
+// (RunPrepared: no reorder buffer, windows read from a Prepared) — the one
+// loop that drives evalWindow.
 type streamRun struct {
 	eng       *Engine
 	opts      StreamOptions
 	tl        *timeline
-	reorder   *stream.Reorder
+	reorder   *stream.Reorder // nil in a batch run
+	prepared  *Prepared       // a batch run's window source; nil in a streaming run
+	shared    *sharedRun      // a batch run's view of its Prepared's fluent table; nil: no sharing
 	slots     []windowSlot
 	emitted   int // slots[:emitted] have been delivered at least once
 	consumed  int // arrivals fully processed (for checkpoint resume)
@@ -113,10 +117,9 @@ type streamRun struct {
 	// deltaOn caches the engine-level enablement decision of the delta layer.
 	deltaOn  bool
 	stats    StreamStats
-	warnings []Warning
 	span     *telemetry.Span
-	obs      *streamObs
-	ranStart bool // run_start has been journalled
+	obs      *streamObs // nil in a batch run, which observes no arrivals
+	ranStart bool       // run_start has been journalled
 	fn       func(WindowResult) error
 }
 
@@ -145,7 +148,7 @@ func (e *Engine) RunStream(events stream.Stream, opts StreamOptions, fn func(Win
 		return nil, err
 	}
 	if empty {
-		return &StreamResult{Recognition: &Recognition{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}}}, nil
+		return &StreamResult{Recognition: newRecognition(0, 0)}, nil
 	}
 	return r.feed(events)
 }
@@ -288,22 +291,29 @@ func (st *streamRun) prevOpenInto(i int) map[string]*lang.Term {
 	return st.slots[i-1].eval.nextOpen
 }
 
-// evalSlot evaluates window i over the currently admitted events, through
-// the delta layer: prev (when there is one) is replayed for every time-point
-// outside base and outside whatever the dependency diffs dirty, and the state
-// the evaluation captured is kept on the slot. With the delta layer off, or
-// without prev, it is a full evaluation.
+// evalSlot evaluates window i over the admitted events (a batch run: the
+// Prepared's window) through the delta layer: prev, when set, is replayed
+// outside base and whatever the dependency diffs dirty. The capture rule: with
+// the delta layer on, a slot captures iff something can read its state — an
+// overlapping successor (nws < we), or a revision, which only a reorder buffer
+// makes; a batch window that merely tumbles evaluates as under DisableDelta.
 func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) windowEval {
+	ws, we, nws := st.tl.windowStart(i), st.tl.q(i), st.tl.nextWindowStart(i)
+	capture := st.deltaOn && (st.reorder != nil || nws >= 0 && nws < we)
 	var dctx *deltaCtx
-	if st.deltaOn {
-		dctx = &deltaCtx{capture: true}
+	if prev != nil || capture {
+		dctx = &deltaCtx{capture: capture}
 		if prev != nil {
 			dctx.prev, dctx.base = prev, base
 		}
 	}
-	ws, we := st.tl.windowStart(i), st.tl.q(i)
-	winEvents := indexWindow(st.reorder.Buffered().Window(ws, we))
-	ev := st.eng.evalWindow(winEvents, ws, we, st.tl.nextWindowStart(i), st.prevOpenInto(i), st.warnSink(), st.span, dctx, sharedWindow{})
+	var winEvents *windowIndex
+	if st.prepared != nil {
+		winEvents = st.prepared.windows[i]
+	} else {
+		winEvents = indexWindow(st.reorder.Buffered().Window(ws, we))
+	}
+	ev := st.eng.evalWindow(winEvents, ws, we, nws, st.prevOpenInto(i), st.span, dctx, sharedWindow{run: st.shared, index: int32(i)})
 	if dctx != nil {
 		st.slots[i].delta = dctx.next
 	}
@@ -445,20 +455,14 @@ func (st *streamRun) prune() {
 	st.reorder.Drop(h)
 }
 
-// warnSink returns the destination for runtime warnings: every evaluation
-// and revision appends what it raised, and finalise lists each once.
-func (st *streamRun) warnSink() *[]Warning { return &st.warnings }
-
-// finalise amalgamates the latest evaluation of every window into the
-// final Recognition — identical to what the in-order run produces, because
-// after the last revision every window has been evaluated over exactly the
-// admitted events of its range with a consistent inertia chain.
-func (st *streamRun) finalise() *StreamResult {
-	rec := &Recognition{
-		Start: st.tl.start, End: st.tl.end,
-		byKey: map[string]intervals.List{},
-		fvps:  map[string]*lang.Term{},
-	}
+// amalgamate unions the latest evaluation of every window into the run's
+// Recognition and lists each warning they raised once, in window order. After
+// a streaming run's last revision every window has been evaluated over exactly
+// its admitted events with a consistent inertia chain, so this is the batch
+// run's result, warnings included.
+func (st *streamRun) amalgamate() *Recognition {
+	rec := newRecognition(st.tl.start, st.tl.end)
+	var warnings []Warning
 	for _, slot := range st.slots {
 		for key, clipped := range slot.eval.recognised {
 			rec.byKey[key] = intervals.Union(rec.byKey[key], clipped)
@@ -466,8 +470,15 @@ func (st *streamRun) finalise() *StreamResult {
 				rec.fvps[key] = slot.eval.fvps[key]
 			}
 		}
+		warnings = append(warnings, slot.eval.warnings...)
 	}
-	rec.Warnings = uniqueWarnings(st.warnings)
+	rec.Warnings = uniqueWarnings(warnings)
+	return rec
+}
+
+// finalise amalgamates a streaming run's result and its disorder statistics.
+func (st *streamRun) finalise() *StreamResult {
+	rec := st.amalgamate()
 	rs := st.reorder.Stats()
 	st.stats.Observed = rs.Observed
 	st.stats.Accepted = rs.Accepted

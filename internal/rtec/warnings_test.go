@@ -268,8 +268,7 @@ func checkUnitsAgainstFreshRendering(t *testing.T, c warningCase) (warnActs, rem
 		t.Fatal(err)
 	}
 	for i, index := range p.windows {
-		var sink []Warning
-		w := newWindowState(e, index, p.tl.windowStart(i), p.tl.q(i), nil, &sink, nil, nil)
+		w := newWindowState(e, index, p.tl.windowStart(i), p.tl.q(i), nil, nil, nil)
 		w.evaluate() // holdsAt conditions read the window's cache
 		kept, oracle := &ruleEval{w: w}, &ruleEval{w: w}
 		for _, ind := range e.order {

@@ -12,10 +12,8 @@ import (
 // timeline is the concrete recognition plan resolved from RunOptions and a
 // stream: the time-line bounds, the window geometry and the query-time
 // count. Query times are computed on demand (q(i)) rather than materialised
-// into a slice, so planning a months-long soak run costs O(1) memory. Both
-// the in-order runner (RunPrepared) and the out-of-order streaming runner
-// (RunStream) plan windows through it, so they agree exactly on which
-// windows exist and where they start.
+// into a slice, so planning a months-long soak run costs O(1) memory. Every
+// run — batch or streamed — plans its windows through it.
 type timeline struct {
 	start, end    int64
 	window, slide int64
@@ -96,12 +94,14 @@ func (tl *timeline) nextWindowStart(i int) int64 {
 }
 
 // windowEval is the outcome of evaluating one window: the recognised FVPs
-// with their intervals clipped to the window, and the simple FVPs that
-// persist into the next window by the law of inertia.
+// with their intervals clipped to the window, the simple FVPs that persist
+// into the next window by the law of inertia, and the runtime warnings the
+// evaluation raised.
 type windowEval struct {
 	recognised map[string]intervals.List
 	fvps       map[string]*lang.Term
 	nextOpen   map[string]*lang.Term // fvpKey -> fvp, holding at nws
+	warnings   []Warning             // once each, in the order raised
 }
 
 // intervalCount returns the total number of clipped intervals.
@@ -159,9 +159,7 @@ func (we windowEval) retractionsAgainst(prev windowEval) map[string]intervals.Li
 // evalWindow evaluates one window [ws, we) over its (sorted) events, given
 // the simple FVPs carried in by inertia, and returns the clipped
 // recognition together with the FVPs persisting into a window starting at
-// nws (none when nws < 0). This is the shared evaluation core of the
-// in-order and the out-of-order runners: both produce byte-identical
-// recognition for the same window inputs because both go through here.
+// nws (none when nws < 0). Its one caller is streamRun.evalSlot.
 //
 // dctx, when non-nil, threads the delta layer through the evaluation: the
 // previous window's carried state seeds act replay for clean anchor times,
@@ -169,14 +167,14 @@ func (we windowEval) retractionsAgainst(prev windowEval) map[string]intervals.Li
 // delta.go). A nil dctx is the full re-evaluation the delta path must stay
 // byte-identical to.
 //
-// shared, unless zero, places the window in its Prepared's fluent table (see
-// evalFluent); the batch loop never passes it with a dctx.
-func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen map[string]*lang.Term, warnSink *[]Warning, parent *telemetry.Span, dctx *deltaCtx, shared sharedWindow) windowEval {
+// shared, when its run is set, places the window in its Prepared's fluent
+// table (see evalFluent); a run that shares never passes a dctx.
+func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen map[string]*lang.Term, parent *telemetry.Span, dctx *deltaCtx, shared sharedWindow) windowEval {
 	tel := e.opts.Telemetry
 	wspan := parent.Span("rtec.window",
 		telemetry.Int("window_start", ws), telemetry.Int("query_time", we),
 		telemetry.Int("events", int64(winEvents.n)))
-	w := newWindowState(e, winEvents, ws, we, prevOpen, warnSink, tel, wspan)
+	w := newWindowState(e, winEvents, ws, we, prevOpen, tel, wspan)
 	if dctx != nil && !e.opts.DisableCache {
 		dctx.attach(w)
 	}
@@ -191,6 +189,7 @@ func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen 
 		recognised: map[string]intervals.List{},
 		fvps:       map[string]*lang.Term{},
 		nextOpen:   map[string]*lang.Term{},
+		warnings:   w.raised,
 	}
 	for _, ent := range w.cache {
 		// The canonical key was rendered once when the FVP was first

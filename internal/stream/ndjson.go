@@ -13,9 +13,10 @@ import (
 // ndjsonEvent is the wire form of one event: {"time":10,"atom":"f(a, b)"}.
 // The atom is concrete Prolog-style syntax, exactly as in the CSV format's
 // rendered arguments, so the two serialisations round-trip through the same
-// parser.
+// parser. Time is a pointer so that a line without one (or with null) is
+// told apart from time 0.
 type ndjsonEvent struct {
-	Time int64  `json:"time"`
+	Time *int64 `json:"time"`
 	Atom string `json:"atom"`
 }
 
@@ -28,7 +29,7 @@ func (s Stream) WriteNDJSON(w io.Writer) error {
 		if !e.Atom.IsCallable() {
 			return fmt.Errorf("stream: event %s is not callable", e.Atom)
 		}
-		if err := enc.Encode(ndjsonEvent{Time: e.Time, Atom: e.Atom.String()}); err != nil {
+		if err := enc.Encode(ndjsonEvent{Time: &e.Time, Atom: e.Atom.String()}); err != nil {
 			return err
 		}
 	}
@@ -61,65 +62,53 @@ func readNDJSON(r io.Reader, lenient bool) (Stream, []BadRow, error) {
 	var out Stream
 	var bad []BadRow
 	line := 0
-	reject := func(raw []byte, err error) error {
-		if lenient {
-			bad = append(bad, BadRow{Line: line, Record: []string{string(raw)}, Err: err})
-			return nil
-		}
-		return err
-	}
 	for sc.Scan() {
 		line++
 		raw := bytes.TrimSpace(sc.Bytes())
 		if len(raw) == 0 {
 			continue
 		}
-		var we ndjsonEvent
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&we); err != nil {
-			if err := reject(raw, fmt.Errorf("stream: line %d: bad JSON: %v", line, err)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		// Trailing garbage after the object is a malformed line, not a
-		// second record: NDJSON is one object per line.
-		if dec.More() {
-			if err := reject(raw, fmt.Errorf("stream: line %d: trailing data after event object", line)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if we.Atom == "" {
-			if err := reject(raw, fmt.Errorf("stream: line %d: missing atom", line)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		atom, err := parser.ParseTerm(we.Atom)
+		ev, err := decodeNDJSONLine(line, raw)
 		if err != nil {
-			if err := reject(raw, fmt.Errorf("stream: line %d: bad atom %q: %v", line, we.Atom, err)); err != nil {
+			if !lenient {
 				return nil, nil, err
 			}
+			bad = append(bad, BadRow{Line: line, Record: []string{string(raw)}, Err: err})
 			continue
 		}
-		if !atom.IsCallable() {
-			if err := reject(raw, fmt.Errorf("stream: line %d: atom %q is not callable", line, we.Atom)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		if !atom.IsGround() {
-			if err := reject(raw, errNotGround(line, atom)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		out = append(out, Event{Time: we.Time, Atom: atom})
+		out = append(out, ev)
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, fmt.Errorf("stream: line %d: %w", line+1, err)
 	}
 	return out, bad, nil
+}
+
+// decodeNDJSONLine decodes the non-blank line numbered line into an event.
+func decodeNDJSONLine(line int, raw []byte) (Event, error) {
+	var we ndjsonEvent
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&we); err != nil {
+		return Event{}, fmt.Errorf("stream: line %d: bad JSON: %v", line, err)
+	}
+	// Trailing garbage after the object is a malformed line, not a
+	// second record: NDJSON is one object per line.
+	if dec.More() {
+		return Event{}, fmt.Errorf("stream: line %d: trailing data after event object", line)
+	}
+	if we.Atom == "" {
+		return Event{}, fmt.Errorf("stream: line %d: missing atom", line)
+	}
+	if we.Time == nil {
+		return Event{}, fmt.Errorf("stream: line %d: missing time", line)
+	}
+	atom, err := parser.ParseTerm(we.Atom)
+	if err != nil {
+		return Event{}, fmt.Errorf("stream: line %d: bad atom %q: %v", line, we.Atom, err)
+	}
+	if err := checkEvent(line, atom); err != nil {
+		return Event{}, err
+	}
+	return Event{Time: *we.Time, Atom: atom}, nil
 }

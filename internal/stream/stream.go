@@ -177,74 +177,63 @@ func readCSV(r io.Reader, lenient bool) (Stream, []BadRow, error) {
 	cr.FieldsPerRecord = -1
 	var out Stream
 	var bad []BadRow
-	line := 0
-	// reject quarantines a row (lenient) or aborts the scan (strict).
-	reject := func(rec []string, err error) error {
-		if lenient {
-			bad = append(bad, BadRow{Line: line, Record: rec, Err: err})
-			return nil
-		}
-		return err
-	}
-	for {
+	for line := 1; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
 			return out, bad, nil
 		}
-		if err != nil {
-			line++
-			if _, ok := err.(*csv.ParseError); ok && lenient {
-				bad = append(bad, BadRow{Line: line, Record: rec, Err: err})
-				continue
-			}
+		var ev Event
+		if err == nil {
+			ev, err = decodeCSVRow(line, rec)
+		} else if _, ok := err.(*csv.ParseError); !ok {
 			return nil, nil, err
 		}
-		line++
-		if len(rec) < 2 {
-			if err := reject(rec, fmt.Errorf("stream: line %d: need at least time and event name", line)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		t, err := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
 		if err != nil {
-			if err := reject(rec, fmt.Errorf("stream: line %d: bad time %q", line, rec[0])); err != nil {
+			if !lenient {
 				return nil, nil, err
 			}
+			bad = append(bad, BadRow{Line: line, Record: rec, Err: err})
 			continue
 		}
-		args := make([]*lang.Term, 0, len(rec)-2)
-		ok := true
-		for _, f := range rec[2:] {
-			a, err := parser.ParseTerm(strings.TrimSpace(f))
-			if err != nil {
-				if err := reject(rec, fmt.Errorf("stream: line %d: bad argument %q: %v", line, f, err)); err != nil {
-					return nil, nil, err
-				}
-				ok = false
-				break
-			}
-			args = append(args, a)
-		}
-		if !ok {
-			continue
-		}
-		atom := lang.NewCompound(strings.TrimSpace(rec[1]), args...)
-		if !atom.IsGround() {
-			if err := reject(rec, errNotGround(line, atom)); err != nil {
-				return nil, nil, err
-			}
-			continue
-		}
-		out = append(out, Event{Time: t, Atom: atom})
+		out = append(out, ev)
 	}
 }
 
-// errNotGround rejects an event that contains a variable (in this syntax, a
-// capitalised or underscore-led token): events are ground by contract, and the
+// decodeCSVRow decodes the CSV record numbered line into an event.
+func decodeCSVRow(line int, rec []string) (Event, error) {
+	if len(rec) < 2 {
+		return Event{}, fmt.Errorf("stream: line %d: need at least time and event name", line)
+	}
+	t, err := strconv.ParseInt(strings.TrimSpace(rec[0]), 10, 64)
+	if err != nil {
+		return Event{}, fmt.Errorf("stream: line %d: bad time %q", line, rec[0])
+	}
+	args := make([]*lang.Term, 0, len(rec)-2)
+	for _, f := range rec[2:] {
+		a, err := parser.ParseTerm(strings.TrimSpace(f))
+		if err != nil {
+			return Event{}, fmt.Errorf("stream: line %d: bad argument %q: %v", line, f, err)
+		}
+		args = append(args, a)
+	}
+	atom := lang.NewCompound(strings.TrimSpace(rec[1]), args...)
+	if err := checkEvent(line, atom); err != nil {
+		return Event{}, err
+	}
+	return Event{Time: t, Atom: atom}, nil
+}
+
+// checkEvent is the check both readers make of a decoded event: it must be
+// callable with a name (a CSV row "10,,v1" has none) and ground, since the
 // engine's rules bind their own variables only.
-func errNotGround(line int, atom *lang.Term) error {
-	return fmt.Errorf("stream: line %d: event %s is not ground", line, atom)
+func checkEvent(line int, atom *lang.Term) error {
+	if !atom.IsCallable() || atom.Functor == "" {
+		return fmt.Errorf("stream: line %d: event %s is not callable", line, atom)
+	}
+	if !atom.IsGround() {
+		return fmt.Errorf("stream: line %d: event %s is not ground", line, atom)
+	}
+	return nil
 }
 
 // Window returns the sub-stream with Time in [start, end). The receiver must

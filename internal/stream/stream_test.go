@@ -224,3 +224,45 @@ func TestEventString(t *testing.T) {
 		t.Fatalf("String = %q", got)
 	}
 }
+
+// TestReadersAgreeOnMalformedEvents: each malformed event, written once as a
+// CSV row and once as an NDJSON line, after one good event, is rejected by
+// both strict readers with an error naming line 2, and quarantined at line 2
+// by both lenient readers, which keep the good event.
+func TestReadersAgreeOnMalformedEvents(t *testing.T) {
+	readers := map[string]func(string) (Stream, []BadRow, error){
+		"ReadCSV": func(in string) (Stream, []BadRow, error) {
+			s, err := ReadCSV(strings.NewReader(in))
+			return s, nil, err
+		},
+		"ReadNDJSON": func(in string) (Stream, []BadRow, error) {
+			s, err := ReadNDJSON(strings.NewReader(in))
+			return s, nil, err
+		},
+		"ReadCSVLenient":    func(in string) (Stream, []BadRow, error) { return ReadCSVLenient(strings.NewReader(in)) },
+		"ReadNDJSONLenient": func(in string) (Stream, []BadRow, error) { return ReadNDJSONLenient(strings.NewReader(in)) },
+	}
+	for _, tc := range []struct{ name, csv, ndjson string }{
+		{"missing time", ",gap_start,v1", `{"atom":"gap_start(v1)"}`},
+		{"null time", "null,gap_start,v1", `{"time":null,"atom":"gap_start(v1)"}`},
+		{"no event name", "10,,v1", `{"time":10,"atom":"''(v1)"}`},
+		{"non-ground", "10,entersArea,v2,Area", `{"time":10,"atom":"entersArea(v2, Area)"}`},
+	} {
+		for name, read := range readers {
+			in := `{"time":5,"atom":"gap_start(v2)"}` + "\n" + tc.ndjson + "\n"
+			if strings.Contains(name, "CSV") {
+				in = "5,gap_start,v2\n" + tc.csv + "\n"
+			}
+			s, bad, err := read(in)
+			if strings.HasSuffix(name, "Lenient") {
+				if err != nil || len(s) != 1 || len(bad) != 1 || bad[0].Line != 2 {
+					t.Errorf("%s, %s: kept %v, quarantined %v, err %v; want the good event kept and line 2 quarantined", tc.name, name, s, bad, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), "line 2") {
+				t.Errorf("%s, %s: err = %v (read %v), want an error naming line 2", tc.name, name, err, s)
+			}
+		}
+	}
+}
