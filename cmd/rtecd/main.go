@@ -6,8 +6,8 @@
 //
 //	rtecd -ed rules.rtec -listen :8080 -window W -start T0 -end T1 -checkpoint base
 //	      [-slide S] [-max-delay D] [-workers N] [-lenient]
-//	      [-shards N] [-checkpoint-every N] [-journal file] [-resume] [-out file]
-//	      [-shard-queue N] [-shard-overflow policy] [-metrics] [-v]
+//	      [-shards N] [-checkpoint-every N] [-journal file] [-journal-cap N]
+//	      [-resume] [-v]
 //
 // The HTTP surface (one port for everything):
 //
@@ -15,11 +15,14 @@
 //	                 in order. 400 names the first malformed line; -lenient
 //	                 quarantines instead. 429/503 with Retry-After signal
 //	                 overload — re-POSTing is safe, duplicates are deduplicated.
+//	                 A 429 (full ingest queue) applied nothing; a 503 naming
+//	                 a degraded shard means the run cannot finish.
 //	GET  /subscribe  SSE stream of window deliveries; ?fluent=name/arity and
-//	                 ?entity=e filter, ?once=1 long-polls a single window.
+//	                 ?entity=e filter.
 //	POST /finish     ends the stream: shards close, the merged recognition
-//	                 CSV is the response (and -out, when set).
-//	GET  /result     the cached CSV after a finish.
+//	                 CSV is the response — a 500 naming the shard instead
+//	                 when one degraded.
+//	GET  /result     the cached answer of /finish.
 //	GET  /healthz    lifecycle + shard readiness (503 unless ready/finished).
 //	GET  /metrics    Prometheus text exposition; /debug/pprof/, /debug/vars.
 //
@@ -28,22 +31,24 @@
 // cmd/rtec is the unsharded reference.
 //
 // The shard progress deadline (10 s), the restart budget per shard (5), the
-// ingest queue (16 batches), the request deadline (30 s), the Retry-After
-// hint (1 s), the body cap (8 MiB), the per-subscriber buffer (64 frames,
-// eviction after 256 drops) and the shutdown connection drain (5 s) are
-// constants: the zero-value defaults of serve.Options. So is the backoff
-// jitter seed, backoffSeed. The event description loads strictly. A plan
-// the engine refuses (a -slide above -window, a negative one, -start at or
-// past -end) fails the start, before the port is bound or a journal is
-// created, and so does a rule the engine cannot run (a cyclic definition, a
-// malformed condition).
+// per-shard backlog bound (256 arrivals; a full shard queue blocks the
+// ingest pump), the ingest queue (16 batches), the request deadline (30 s),
+// the Retry-After hint (1 s), the body cap (8 MiB), the per-subscriber
+// buffer (64 frames, eviction after 256 drops) and the shutdown connection
+// drain (5 s) are constants: the zero-value defaults of serve.Options and
+// shard.Options. So is the backoff jitter seed, backoffSeed. The event
+// description loads strictly. A plan the engine refuses (a -slide above
+// -window, a negative one, -start at or past -end) fails the start, before
+// the port is bound or a journal is created, and so does a rule the engine
+// cannot run (a cyclic definition, a malformed condition).
 //
 // SIGTERM or SIGINT drains gracefully: ingest stops, admitted events are
 // processed to completion, every shard parks into a suspend checkpoint
 // ("<-checkpoint>.s<k>") with its journal committed through it, and the
 // process exits 0. Restarting with -resume and re-POSTing the same stream
 // continues the run with output byte-identical to an uninterrupted one. A
-// second signal force-exits.
+// second signal force-exits. After a /finish that a degraded shard failed,
+// the signal ends the process with that error and exit status 1.
 package main
 
 import (
@@ -56,7 +61,6 @@ import (
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/serve"
-	"rtecgen/internal/shard"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
 )
@@ -79,13 +83,8 @@ type options struct {
 	journalPath     string
 	journalCap      int64
 	resume          bool
-	outPath         string
-
-	shards        int
-	shardQueue    int
-	shardOverflow string
-
-	tel telemetry.CLIConfig
+	shards          int
+	verbose         bool
 }
 
 func main() {
@@ -104,12 +103,8 @@ func main() {
 	flag.StringVar(&o.journalPath, "journal", "", "append the lifecycle journal here and shard k's audit journal to \"<file>.s<k>\"")
 	flag.Int64Var(&o.journalCap, "journal-cap", 0, "cap each journal's size in bytes (0 = unbounded)")
 	flag.BoolVar(&o.resume, "resume", false, "resume a drained run from its suspend checkpoints (re-POST the same stream)")
-	flag.StringVar(&o.outPath, "out", "", "also write the final recognition CSV here on /finish")
 	flag.IntVar(&o.shards, "shards", 1, "partition the stream across N supervised engine shards")
-	flag.IntVar(&o.shardQueue, "shard-queue", 256, "per-shard bound on unconsumed arrivals (admitted, not yet taken by the shard)")
-	flag.StringVar(&o.shardOverflow, "shard-overflow", "block", "admission policy while a shard has -shard-queue unconsumed arrivals: block, drop or error (error surfaces as HTTP 429)")
-	flag.BoolVar(&o.tel.Metrics, "metrics", false, "dump the telemetry registry to stderr at exit")
-	flag.BoolVar(&o.tel.Verbose, "v", false, "structured debug logging to stderr")
+	flag.BoolVar(&o.verbose, "v", false, "structured debug logging to stderr")
 	flag.Parse()
 
 	if err := run(o, os.Stderr); err != nil {
@@ -135,11 +130,9 @@ func run(o options, stderr *os.File) error {
 	if o.journalPath != "" && o.journalPath == o.checkpoint {
 		return fmt.Errorf("-journal and -checkpoint name the same file")
 	}
-	overflow, err := shard.ParseOverflow(o.shardOverflow)
-	if err != nil {
-		return err
-	}
-	tel, flush := o.tel.Setup(stderr, stderr)
+	// The registry is read through GET /metrics while the process lives; with
+	// no trace and no exit dump, Setup's flush has nothing to write.
+	tel, _ := telemetry.CLIConfig{Verbose: o.verbose}.Setup(stderr, stderr)
 
 	src, err := os.ReadFile(o.edPath)
 	if err != nil {
@@ -162,13 +155,10 @@ func run(o options, stderr *os.File) error {
 			CheckpointPath:  o.checkpoint,
 			CheckpointEvery: o.checkpointEvery,
 		},
-		QueueDepth:  o.shardQueue,
-		Overflow:    overflow,
 		Seed:        backoffSeed,
 		JournalPath: o.journalPath,
 		JournalOpts: journal.Options{MaxBytes: o.journalCap},
 		Resume:      o.resume,
-		OutPath:     o.outPath,
 		Lenient:     o.lenient,
 		Telemetry:   tel,
 	})
@@ -202,5 +192,5 @@ func run(o options, stderr *os.File) error {
 		return err
 	}
 	fmt.Fprintf(stderr, "rtecd: drained (%s)\n", d.State())
-	return flush()
+	return nil
 }

@@ -134,7 +134,7 @@ func TestStrictLoad(t *testing.T) {
 			edPath: filepath.Join(dir, "ed.rtec"), listen: "127.0.0.1:0",
 			window: 3600, start: first, end: last + 1,
 			checkpoint: filepath.Join(dir, "d.ckpt"), checkpointEvery: 1,
-			shards: 1, shardQueue: 256, shardOverflow: "block",
+			shards: 1,
 		}
 		if err := os.WriteFile(o.edPath, []byte(src), 0o644); err != nil {
 			t.Fatal(err)
@@ -193,10 +193,10 @@ func lenientCSV(t *testing.T, src string, events stream.Stream, opts rtec.RunOpt
 	return out.Bytes()
 }
 
-// TestDaemonMatchesBatchEngine runs the daemon in-process behind a small
-// shard queue, POSTs a stream many times the queue's size in 20-line
-// batches, and requires every batch to be acknowledged 200 and the /finish
-// CSV to be the batch engine's over the same stream.
+// TestDaemonMatchesBatchEngine runs the daemon in-process, POSTs a stream
+// longer than the 256-arrival shard queue in 20-line batches, and requires
+// every batch to be acknowledged 200 and the /finish CSV to be the batch
+// engine's over the same stream.
 func TestDaemonMatchesBatchEngine(t *testing.T) {
 	dir := t.TempDir()
 	edPath := filepath.Join(dir, "ed.rtec")
@@ -208,7 +208,7 @@ func TestDaemonMatchesBatchEngine(t *testing.T) {
 		edPath: edPath, listen: "127.0.0.1:0",
 		window: 100, start: 0, end: 1000,
 		checkpoint: filepath.Join(dir, "d.ckpt"), checkpointEvery: 1,
-		shards: 1, shardQueue: 16, shardOverflow: "block",
+		shards: 1,
 	}
 	got := serveAndFinish(t, o, events)
 	if want := lenientCSV(t, testED, events, rtec.RunOptions{Window: o.window, Start: o.start, End: o.end}); !bytes.Equal(got, want) {

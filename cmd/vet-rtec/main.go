@@ -3,7 +3,8 @@
 // internal/clock, no package-level math/rand calls, and — when the tree is
 // the repository root — no metric name that every file of toolvet's
 // consumerFiles (ci.sh, the contract tests, cmd/rtectop/main.go, README.md,
-// ...) fails to mention.
+// ...) fails to mention, no flag a document passes that its binary does not
+// register, and no CHANGES.md line over 300 characters.
 //
 // Usage:
 //

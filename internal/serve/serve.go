@@ -13,12 +13,16 @@
 //
 // Overload protection is layered: request bodies are size-capped, the
 // ingest queue is bounded (a full queue answers 429 with Retry-After
-// immediately instead of holding the connection), the shard admission
-// verdicts surface as 429 (queue full) and 503 (degraded shard), a request
-// that waits longer than the ingest deadline gets 503 and may safely retry
-// (the reorder buffer deduplicates re-sent events), and subscription
-// buffers drop-with-counter rather than block the engine, evicting
-// consumers that fall hopelessly behind.
+// immediately instead of holding the connection, and the refused batch
+// applied nothing), a full shard queue blocks the ingest pump rather than
+// refusing, a request that waits longer than the ingest deadline gets 503
+// and may safely retry (the reorder buffer deduplicates re-sent events), and
+// subscription buffers drop-with-counter rather than block the engine,
+// evicting consumers that fall hopelessly behind.
+//
+// A shard that degrades fails the run loudly: an arrival routed to it gets
+// 503, and /finish and /result answer 500 naming it instead of a CSV that
+// silently lacks its intervals.
 //
 // Draining is graceful: ingest stops (new requests get 503), the in-flight
 // batch finishes, every shard processes its admitted backlog, writes a
@@ -63,20 +67,18 @@ var stateNames = [...]string{"starting", "ready", "draining", "suspended", "fini
 
 // Options configure a Daemon.
 type Options struct {
-	// Shards, Stream, QueueDepth, Overflow, Deadline, MaxRestarts, Seed,
-	// Faults and Clock configure the underlying shard supervisor (see
-	// shard.Options). Stream.CheckpointPath is required: the daemon parks
-	// into it on drain. Stream.Start/End must bound the time-line (a daemon
-	// cannot inspect the whole stream up front the way cmd/rtec does), and
-	// a plan rtec.CheckStreamOptions refuses fails New before any file is
-	// opened. rtecd sets Shards, Stream, QueueDepth and Overflow from flags
-	// and Seed to a constant; Deadline, MaxRestarts, Faults and Clock keep
-	// their defaults there (10 s, 5, none, the real clock) and exist for
-	// tests.
+	// Shards, Stream, Deadline, MaxRestarts, Seed, Faults and Clock
+	// configure the underlying shard supervisor (see shard.Options).
+	// Stream.CheckpointPath is required: the daemon parks into it on drain.
+	// Stream.Start/End must bound the time-line (a daemon cannot inspect the
+	// whole stream up front the way cmd/rtec does), and a plan
+	// rtec.CheckStreamOptions refuses fails New before any file is opened.
+	// rtecd sets Shards and Stream from flags and Seed to a constant;
+	// Deadline, MaxRestarts, Faults and Clock keep their defaults there
+	// (10 s, 5, none, the real clock) and exist for tests. The per-shard
+	// backlog bound is shard.Options' default of 256 arrivals.
 	Shards      int
 	Stream      rtec.StreamOptions
-	QueueDepth  int
-	Overflow    shard.OverflowPolicy
 	Deadline    time.Duration
 	MaxRestarts int
 	Seed        int64
@@ -93,10 +95,6 @@ type Options struct {
 	// restore from their suspend checkpoints and the client re-POSTs the
 	// same stream — the replayed prefix is skipped at admission.
 	Resume bool
-
-	// OutPath, when non-empty, receives the final recognition CSV on
-	// /finish in addition to the response body.
-	OutPath string
 
 	// Lenient quarantines malformed NDJSON lines (counted in
 	// stream.badrows) instead of rejecting the whole request with a
@@ -145,7 +143,6 @@ type Options struct {
 type batch struct {
 	events    stream.Stream
 	done      chan error
-	applied   int
 	abandoned atomic.Bool
 }
 
@@ -248,8 +245,6 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 		Resume:         opts.Resume,
 		OnWindow:       d.hub.publish,
 		Events:         d.jw,
-		QueueDepth:     opts.QueueDepth,
-		Overflow:       opts.Overflow,
 		Deadline:       opts.Deadline,
 		MaxRestarts:    opts.MaxRestarts,
 		Seed:           opts.Seed,
@@ -386,24 +381,23 @@ func (d *Daemon) pump() {
 }
 
 func (d *Daemon) apply(b *batch) error {
-	for i, e := range b.events {
+	for _, e := range b.events {
 		if d.opts.IngestDelay > 0 {
 			d.clk.Sleep(d.opts.IngestDelay)
 		}
 		if err := d.sup.Ingest(e); err != nil {
-			b.applied = i
 			return err
 		}
 	}
-	b.applied = len(b.events)
 	return nil
 }
 
 // handleIngest serves POST /ingest: an NDJSON body of events, applied in
 // order. Responses: 200 with accepted/quarantined counts; line-numbered 400
 // on malformed lines (strict mode); 413 over MaxBody; 429 + Retry-After
-// when the ingest queue or a shard queue is full; 503 + Retry-After while
-// not ready, when a shard has degraded, or past the ingest deadline.
+// when the ingest queue is full (nothing of the batch applied); 503 +
+// Retry-After while not ready, when a shard has degraded, or past the ingest
+// deadline.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	d.mRequests.Inc()
 	if r.Method != http.MethodPost {
@@ -470,7 +464,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	select {
 	case err := <-b.done:
 		if err != nil {
-			d.writeApplyError(w, b, err)
+			d.writeApplyError(w, err)
 			return
 		}
 		d.mEvents.Add(int64(len(events)))
@@ -486,29 +480,23 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// writeApplyError maps a shard admission verdict to its HTTP status: a full
-// shard queue is the client's backpressure signal (429), a degraded shard
-// is an availability loss (503), anything else is a server fault.
-func (d *Daemon) writeApplyError(w http.ResponseWriter, b *batch, err error) {
-	extra := map[string]any{"applied": b.applied}
-	switch {
-	case errors.Is(err, shard.ErrQueueFull):
-		d.mThrottled.Inc()
-		d.retryAfter(w)
-		writeError(w, http.StatusTooManyRequests, err.Error(), extra)
-	case errors.Is(err, shard.ErrDegraded):
+// writeApplyError maps a failed application to its HTTP status: a degraded
+// shard is an availability loss (503), anything else is a server fault.
+func (d *Daemon) writeApplyError(w http.ResponseWriter, err error) {
+	if errors.Is(err, shard.ErrDegraded) {
 		d.mUnavailable.Inc()
 		d.retryAfter(w)
-		writeError(w, http.StatusServiceUnavailable, err.Error(), extra)
-	default:
-		writeError(w, http.StatusInternalServerError, err.Error(), extra)
+		writeError(w, http.StatusServiceUnavailable, err.Error(), nil)
+		return
 	}
+	writeError(w, http.StatusInternalServerError, err.Error(), nil)
 }
 
 // handleFinish serves POST /finish: the stream is complete — close the
-// supervisor, merge the shards and answer with the recognition CSV. The
-// daemon stays up (state "finished") serving /result and the operational
-// endpoints until it is terminated.
+// supervisor, merge the shards and answer with the recognition CSV, or with
+// a 500 naming the shard when one degraded. The daemon stays up (state
+// "finished") serving /result and the operational endpoints until it is
+// terminated.
 func (d *Daemon) handleFinish(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "finish wants POST", nil)
@@ -527,8 +515,8 @@ func (d *Daemon) handleFinish(w http.ResponseWriter, r *http.Request) {
 	w.Write(csv) //nolint:errcheck // best effort towards a closing client
 }
 
-// handleResult serves GET /result: the cached recognition CSV after a
-// finish, 409 before one.
+// handleResult serves GET /result: the cached answer of /finish — the
+// recognition CSV or its error — after a finish, 409 before one.
 func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "result wants GET", nil)
@@ -551,8 +539,10 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // Finish ends the stream: ingest stops, the queue drains, the supervisor
-// closes and the merged recognition is rendered to CSV (and OutPath, when
-// set). Idempotent once finished; a finish racing a drain loses to it.
+// closes and the merged recognition is rendered to CSV. A degraded shard
+// fails it with the supervisor's error and no CSV: the healthy shards'
+// merge lacks that shard's entities. Idempotent once finished; a finish
+// racing a drain loses to it.
 func (d *Daemon) Finish() ([]byte, error) {
 	if !d.state.CompareAndSwap(stateReady, stateFinishing) {
 		if d.state.Load() == stateFinished {
@@ -569,17 +559,10 @@ func (d *Daemon) Finish() ([]byte, error) {
 	d.hub.close()
 
 	var csv []byte
-	if err == nil && res != nil {
+	if err == nil {
 		var buf writerBuffer
-		if werr := res.Recognition.WriteCSV(&buf); werr != nil {
-			err = werr
-		} else {
+		if err = res.Recognition.WriteCSV(&buf); err == nil {
 			csv = buf.b
-			if d.opts.OutPath != "" {
-				if werr := os.WriteFile(d.opts.OutPath, csv, 0o644); werr != nil {
-					err = werr
-				}
-			}
 		}
 	}
 	if jerr := d.closeJournals(); jerr != nil && err == nil {
@@ -704,7 +687,7 @@ func (d *Daemon) describeMetrics() {
 	reg.Describe("serve.ingest.queue", "Batches waiting in the bounded ingest queue.")
 	reg.Describe("serve.ingest.requests", "Ingest HTTP requests received.")
 	reg.Describe("serve.ingest.events", "Events accepted and applied to the shards.")
-	reg.Describe("serve.ingest.throttled", "Requests answered 429: ingest or shard queue full.")
+	reg.Describe("serve.ingest.throttled", "Requests answered 429: ingest queue full.")
 	reg.Describe("serve.ingest.unavailable", "Requests answered 503: not ready, draining or degraded.")
 	reg.Describe("serve.ingest.timeouts", "Requests that hit the ingest deadline mid-apply.")
 	reg.Describe("serve.ingest.rejected", "Requests answered 400/413: malformed lines or oversized body.")

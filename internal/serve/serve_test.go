@@ -17,7 +17,6 @@ import (
 	"rtecgen/internal/clock"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard"
 	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
@@ -187,11 +186,8 @@ func TestDaemonIngestFinish(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dir := t.TempDir()
-	out := filepath.Join(dir, "out.csv")
-	d, url, _ := testDaemon(t, dir, false, func(o *Options) {
+	d, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
 		o.Stream.Start, o.Stream.End = first, last+1
-		o.OutPath = out
 	})
 	code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals))
 	if code != http.StatusOK {
@@ -218,10 +214,6 @@ func TestDaemonIngestFinish(t *testing.T) {
 	}
 	if code, body := get(t, url+"/result"); code != http.StatusOK || body != wantCSV.String() {
 		t.Fatalf("/result after finish = %d, body match %v", code, body == wantCSV.String())
-	}
-	written, err := os.ReadFile(out)
-	if err != nil || string(written) != wantCSV.String() {
-		t.Fatalf("OutPath file mismatch: %v", err)
 	}
 	if d.State() != "finished" {
 		t.Fatalf("state after finish = %s", d.State())
@@ -365,20 +357,30 @@ var _ clock.Clock = (*gateClock)(nil)
 
 // TestIngestQueueFullThrottles: with the pump wedged and the bounded queue
 // full, the next request gets an immediate 429 with Retry-After instead of
-// a held connection — the overload contract.
+// a held connection — the overload contract. The refused batch applied
+// nothing (its body reports no applied prefix), so re-POSTing it once the
+// pump is released lands the run on an uninterrupted daemon's CSV.
 func TestIngestQueueFullThrottles(t *testing.T) {
+	arrivals := testArrivals(7, 120, 60)
+	chunks := []stream.Stream{arrivals[:40], arrivals[40:80], arrivals[80:]}
+
+	_, urlA, _ := testDaemon(t, t.TempDir(), false, nil)
+	if code, body, _ := post(t, urlA+"/ingest", ndjsonOf(t, arrivals)); code != http.StatusOK {
+		t.Fatalf("uninterrupted ingest = %d: %s", code, body)
+	}
+	_, wantCSV, _ := post(t, urlA+"/finish", "")
+
 	clk := &gateClock{gate: make(chan struct{}), entered: make(chan struct{}, 1)}
 	_, url, reg := testDaemon(t, t.TempDir(), false, func(o *Options) {
 		o.IngestQueue = 1
 		o.IngestDelay = gateMarker
 		o.Clock = clk
 	})
-	line := `{"time":1,"atom":"gap_start(v1)"}` + "\n"
 	results := make(chan int, 2)
-	go func() { code, _, _ := post(t, url+"/ingest", line); results <- code }()
+	go func() { code, _, _ := post(t, url+"/ingest", ndjsonOf(t, chunks[0])); results <- code }()
 	<-clk.entered // the pump holds batch 1 and is wedged mid-apply
 
-	go func() { code, _, _ := post(t, url+"/ingest", line); results <- code }()
+	go func() { code, _, _ := post(t, url+"/ingest", ndjsonOf(t, chunks[1])); results <- code }()
 	// Wait for batch 2 to occupy the queue's single slot.
 	deadline := time.Now().Add(5 * time.Second)
 	for reg.Snapshot().Gauges["serve.ingest.queue"] < 1 {
@@ -388,12 +390,15 @@ func TestIngestQueueFullThrottles(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	code, body, hdr := post(t, url+"/ingest", line)
+	code, body, hdr := post(t, url+"/ingest", ndjsonOf(t, chunks[2]))
 	if code != http.StatusTooManyRequests {
 		t.Fatalf("ingest with full queue = %d: %s", code, body)
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+	if strings.Contains(body, "applied") {
+		t.Fatalf("429 body reports an applied prefix, but a refused batch applies nothing: %s", body)
 	}
 	if n := reg.Snapshot().Counters["serve.ingest.throttled"]; n != 1 {
 		t.Fatalf("serve.ingest.throttled = %d, want 1", n)
@@ -404,6 +409,13 @@ func TestIngestQueueFullThrottles(t *testing.T) {
 		if code := <-results; code != http.StatusOK {
 			t.Fatalf("held request %d = %d, want 200", i, code)
 		}
+	}
+	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, chunks[2])); code != http.StatusOK {
+		t.Fatalf("re-POST of the refused batch = %d: %s", code, body)
+	}
+	code, gotCSV, _ := post(t, url+"/finish", "")
+	if code != http.StatusOK || gotCSV != wantCSV {
+		t.Fatalf("/finish after the retried 429 = %d:\n%s\nwant the uninterrupted daemon's:\n%s", code, gotCSV, wantCSV)
 	}
 }
 
@@ -563,34 +575,6 @@ func TestSubscribeSSEFilters(t *testing.T) {
 	}
 }
 
-// TestSubscribeLongPoll: ?once=1 returns a single window as JSON, and 204
-// when the timeout passes without one.
-func TestSubscribeLongPoll(t *testing.T) {
-	_, url, _ := testDaemon(t, t.TempDir(), false, nil)
-	if code, _ := get(t, url+"/subscribe?once=1&timeout=30ms"); code != http.StatusNoContent {
-		t.Fatalf("idle long-poll = %d, want 204", code)
-	}
-	if code, _ := get(t, url+"/subscribe?once=1&timeout=banana"); code != http.StatusBadRequest {
-		t.Fatal("bad timeout accepted")
-	}
-	got := make(chan string, 1)
-	go func() {
-		_, body := get(t, url+"/subscribe?once=1&timeout=10s")
-		got <- body
-	}()
-	// Give the long-poll a moment to register before the windows fire.
-	time.Sleep(50 * time.Millisecond)
-	events := stream.Stream{ev(10, "entersArea(v1, a1)"), ev(320, "leavesArea(v1, a1)")}
-	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, events)); code != http.StatusOK {
-		t.Fatalf("ingest = %d: %s", code, body)
-	}
-	post(t, url+"/finish", "")
-	body := <-got
-	if !strings.Contains(body, `"window_start"`) || !strings.Contains(body, `"holds"`) {
-		t.Fatalf("long-poll body %q is not a window", body)
-	}
-}
-
 // TestSlowSubscriberDropsNotBlocks: a subscriber that never reads cannot
 // stall the engine — its deliveries drop with a counter and it is evicted
 // once hopelessly behind; ingest latency stays unaffected.
@@ -629,8 +613,9 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 // TestDaemonHealthUnderChaos hammers /healthz and /metrics from many
 // goroutines while injected faults degrade one shard and restart another —
 // the observability surface must stay consistent (and race-free under
-// -race) through supervision churn, and /healthz must end up 503 naming
-// the degraded shard.
+// -race) through supervision churn. Once shard 1 is dead, an arrival routed
+// to it gets a 503 naming it, /finish fails instead of answering a partial
+// CSV, and /healthz stays 503 naming the degraded shard.
 func TestDaemonHealthUnderChaos(t *testing.T) {
 	// Shard 1 exhausts its restart budget and degrades; shard 2 restarts
 	// once and recovers.
@@ -642,7 +627,6 @@ func TestDaemonHealthUnderChaos(t *testing.T) {
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
 		o.Faults = plan
 		o.MaxRestarts = 1
-		o.Overflow = shard.OverflowDrop // keep ingesting past the degraded shard
 	})
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -669,16 +653,38 @@ func TestDaemonHealthUnderChaos(t *testing.T) {
 	}
 	arrivals := testArrivals(7, 160, 60)
 	for i := 0; i < len(arrivals); i += 16 {
-		end := i + 16
-		if end > len(arrivals) {
-			end = len(arrivals)
-		}
-		if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals[i:end])); code != http.StatusOK {
+		end := min(i+16, len(arrivals))
+		code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals[i:end]))
+		if code != http.StatusOK && (code != http.StatusServiceUnavailable || !namesDegraded(body, 1)) {
 			t.Fatalf("ingest = %d: %s", code, body)
 		}
 	}
-	if code, body, _ := post(t, url+"/finish", ""); code != http.StatusOK {
-		t.Fatalf("finish = %d: %s", code, body)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		code, body := get(t, url+"/healthz")
+		if code == http.StatusServiceUnavailable && strings.Contains(body, "degraded shards: [1]") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("/healthz never reported shard 1 degraded: %d %s", code, body)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	var toDead stream.Stream
+	for _, e := range arrivals {
+		if rtec.EventEntity(e)%4 == 1 {
+			toDead = append(toDead, e)
+			break
+		}
+	}
+	if len(toDead) == 0 {
+		t.Fatal("no arrival routes to shard 1")
+	}
+	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, toDead)); code != http.StatusServiceUnavailable || !namesDegraded(body, 1) {
+		t.Fatalf("ingest to the degraded shard = %d: %s", code, body)
+	}
+	if code, body, _ := post(t, url+"/finish", ""); code == http.StatusOK || !namesDegraded(body, 1) {
+		t.Fatalf("/finish with a degraded shard = %d: %s", code, body)
 	}
 	close(stop)
 	for i := 0; i < 4; i++ {
@@ -687,6 +693,31 @@ func TestDaemonHealthUnderChaos(t *testing.T) {
 	code, body := get(t, url+"/healthz")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "degraded shards: [1]") {
 		t.Fatalf("/healthz after degradation = %d: %s", code, body)
+	}
+}
+
+// namesDegraded reports whether an error body names shard k as degraded.
+func namesDegraded(body string, k int) bool {
+	return strings.Contains(body, fmt.Sprintf("shard %d ", k)) && strings.Contains(body, "degraded")
+}
+
+// TestDegradedShardFailsFinish: a shard that degrades while /finish drains
+// the shards — its last window panics on every attempt — fails both /finish
+// and /result with a non-200 naming it, instead of answering the healthy
+// shards' merge as if it were the run's recognition.
+func TestDegradedShardFailsFinish(t *testing.T) {
+	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
+		o.Faults = &fault.Plan{Triggers: []fault.Trigger{{Kind: fault.Panic, Window: 10, Shard: 1, Every: true}}}
+		o.MaxRestarts = 1
+	})
+	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, testArrivals(7, 160, 60))); code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", code, body)
+	}
+	if code, body, _ := post(t, url+"/finish", ""); code == http.StatusOK || !namesDegraded(body, 1) {
+		t.Fatalf("/finish with shard 1 degraded in the drain = %d:\n%s", code, body)
+	}
+	if code, body := get(t, url+"/result"); code == http.StatusOK || !namesDegraded(body, 1) {
+		t.Fatalf("/result with shard 1 degraded in the drain = %d:\n%s", code, body)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sort"
 	"sync"
-	"time"
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
@@ -14,10 +13,9 @@ import (
 )
 
 // The subscription wire format. A window delivery is one JSON object; the
-// SSE stream frames it as "event: window\ndata: <object>\n\n", the
-// long-poll mode returns it as a plain response body. Interval end-points
-// are the engine's half-open [start, end) convention; an open-ended
-// interval carries end = intervals.Inf (math.MaxInt64).
+// SSE stream frames it as "event: window\ndata: <object>\n\n". Interval
+// end-points are the engine's half-open [start, end) convention; an
+// open-ended interval carries end = intervals.Inf (math.MaxInt64).
 type wireSpan struct {
 	Start int64 `json:"start"`
 	End   int64 `json:"end"`
@@ -232,13 +230,12 @@ func (sub *subscriber) matches(e pubEntry) bool {
 	return true
 }
 
-// handleSubscribe serves GET /subscribe: by default a Server-Sent Events
-// stream of window deliveries ("event: window" frames), with ?once=1
-// switching to a single long-poll (one window or 204 after the timeout).
-// ?fluent=name/arity and ?entity=e filter the deliveries. The per-client
-// buffer is bounded: a consumer slower than the engine loses windows
-// (counted in serve.subs.dropped) and is evicted once it falls hopelessly
-// behind — backpressure never reaches the shards.
+// handleSubscribe serves GET /subscribe: a Server-Sent Events stream of
+// window deliveries ("event: window" frames). ?fluent=name/arity and
+// ?entity=e filter the deliveries. The per-client buffer is bounded: a
+// consumer slower than the engine loses windows (counted in
+// serve.subs.dropped) and is evicted once it falls hopelessly behind —
+// backpressure never reaches the shards.
 func (d *Daemon) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "subscribe wants GET", nil)
@@ -253,10 +250,6 @@ func (d *Daemon) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	defer d.hub.remove(sub.id)
 
-	if q.Get("once") != "" {
-		d.longPoll(w, r, sub)
-		return
-	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported", nil)
@@ -276,35 +269,5 @@ func (d *Daemon) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		}
-	}
-}
-
-// longPoll waits for one matching window, or answers 204 when the timeout
-// (?timeout=..., default 30s, capped at 5m) passes without one.
-func (d *Daemon) longPoll(w http.ResponseWriter, r *http.Request, sub *subscriber) {
-	wait := 30 * time.Second
-	if s := r.URL.Query().Get("timeout"); s != "" {
-		parsed, err := time.ParseDuration(s)
-		if err != nil || parsed <= 0 {
-			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad timeout %q", s), nil)
-			return
-		}
-		wait = parsed
-	}
-	if wait > 5*time.Minute {
-		wait = 5 * time.Minute
-	}
-	timer := time.NewTimer(wait)
-	defer timer.Stop()
-	select {
-	case payload := <-sub.ch:
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(payload) //nolint:errcheck // best effort towards a closing client
-	case <-timer.C:
-		w.WriteHeader(http.StatusNoContent)
-	case <-sub.done:
-		d.retryAfter(w)
-		writeError(w, http.StatusServiceUnavailable, "daemon is shutting down", nil)
-	case <-r.Context().Done():
 	}
 }

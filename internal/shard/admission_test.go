@@ -1,8 +1,6 @@
 package shard
 
 import (
-	"errors"
-	"runtime"
 	"testing"
 	"time"
 
@@ -74,49 +72,5 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 	}
 	if a, b := csvOf(t, want.Recognition), csvOf(t, res.Recognition); a != b {
 		t.Fatalf("sharded merge differs from unsharded run:\n%s\nvs\n%s", b, a)
-	}
-}
-
-// TestOverflowErrorRetryConverges is the livelock regression: with
-// QueueDepth below one checkpoint interval, the strict policy used to reject
-// every arrival once QueueDepth were retained, forever. Rejections now mean
-// the consumer is behind, so retrying admits the whole stream, and the
-// result is the blocking policy's.
-func TestOverflowErrorRetryConverges(t *testing.T) {
-	arrivals := admissionArrivals()
-	run := func(policy OverflowPolicy) (*Result, int) {
-		sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
-			o.QueueDepth = tightDepth
-			o.Overflow = policy
-		})
-		rejected := 0
-		for i, e := range arrivals {
-			err := sup.Ingest(e)
-			for tries := 0; errors.Is(err, ErrQueueFull); tries++ {
-				if tries == 1_000_000 {
-					t.Fatalf("arrival %d still rejected after %d retries: %v", i, tries, err)
-				}
-				rejected++
-				runtime.Gosched() // let the consumer take what it is behind on
-				err = sup.Ingest(e)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		res, err := sup.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, rejected
-	}
-	want, _ := run(OverflowBlock)
-	got, rejected := run(OverflowError)
-	t.Logf("%d rejections retried", rejected)
-	if a, b := csvOf(t, want.Recognition), csvOf(t, got.Recognition); a != b {
-		t.Fatalf("retried strict run differs from the blocking run:\n%s\nvs\n%s", b, a)
-	}
-	if want.Stats != got.Stats {
-		t.Fatalf("stats differ: %s vs %s", got.Stats, want.Stats)
 	}
 }

@@ -28,13 +28,8 @@ var (
 	errParked  = errors.New("shard parked")
 )
 
-// ErrQueueFull reports a strict-policy admission rejection: the target
-// shard's consumer was QueueDepth arrivals behind. The arrival was not
-// admitted; callers may surface this as backpressure (HTTP 429) and retry.
-var ErrQueueFull = errors.New("ingest queue full")
-
-// ErrDegraded reports an arrival routed to a permanently failed shard under
-// a strict policy. Retrying cannot succeed within this run.
+// ErrDegraded reports an arrival routed to a permanently failed shard: it
+// was not admitted, and retrying cannot succeed within this run.
 var ErrDegraded = errors.New("shard degraded")
 
 // permanentError marks a failure no restart can fix (journal sink broken,
@@ -70,7 +65,6 @@ type proc struct {
 	suspended bool // parked: state is on disk, no result produced
 	failErr   error
 	lastMove  time.Time // progress stamp for the deadline watchdog
-	dropped   int64     // lenient overflow drops
 	overflow  int64     // admissions made with retention at or past the depth bound
 	// skipBelow is the cross-process resume cursor: arrivals below this
 	// absolute index were consumed by the previous process's checkpoint, so
@@ -193,11 +187,13 @@ func (p *proc) ack(upto int) {
 	p.cond.Broadcast()
 }
 
-// push admits one arrival under the shard's overflow policy. Only the
-// supervisor's ingest goroutine calls it. QueueDepth bounds the backlog —
-// what the consumer has still to take — not the arrivals retained behind
-// its cursor for checkpoint replay: those are bounded by the checkpoint
-// interval, and no admission verdict can shrink them.
+// push admits one arrival, blocking while the backlog is at QueueDepth, or
+// refuses it with ErrDegraded once the shard is dead — blocking on a dead
+// shard would hang forever. Only the supervisor's ingest goroutine calls it.
+// QueueDepth bounds the backlog — what the consumer has still to take — not
+// the arrivals retained behind its cursor for checkpoint replay: those are
+// bounded by the checkpoint interval, and no admission verdict can shrink
+// them.
 func (p *proc) push(e stream.Event) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -210,7 +206,7 @@ func (p *proc) push(e stream.Event) error {
 		return nil
 	}
 	depth := p.sup.opts.QueueDepth
-	for p.sup.opts.Overflow == OverflowBlock && !p.degraded && p.backlog() >= depth {
+	for !p.degraded && p.backlog() >= depth {
 		// The consumer is really behind: wait for it to take an arrival
 		// (next) or to die for good (degrade), with the supervisor's
 		// watchdog enforcing the progress deadline meanwhile.
@@ -218,16 +214,8 @@ func (p *proc) push(e stream.Event) error {
 		p.cond.Wait()
 		p.sup.setWaiting(false)
 	}
-	if p.degraded || p.backlog() >= depth {
-		if p.sup.opts.Overflow == OverflowDrop {
-			p.dropped++
-			return nil
-		}
-		if p.degraded {
-			// Strict — and blocking on a dead shard would hang forever.
-			return fmt.Errorf("shard %d %w: %v", p.id, ErrDegraded, p.failErr)
-		}
-		return fmt.Errorf("shard %d %w (%d arrivals behind)", p.id, ErrQueueFull, p.backlog())
+	if p.degraded {
+		return fmt.Errorf("shard %d %w: %v", p.id, ErrDegraded, p.failErr)
 	}
 	if len(p.q) >= depth {
 		p.overflow++
@@ -517,8 +505,8 @@ func (p *proc) run() {
 	}
 }
 
-// degrade marks the shard permanently failed: the queue stops accepting
-// (per policy), /healthz reports it, and Close returns a partial result.
+// degrade marks the shard permanently failed: the queue refuses further
+// arrivals, /healthz reports it, and Close fails the run.
 func (p *proc) degrade(err error, permanent bool) {
 	p.mu.Lock()
 	p.degraded = true

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -246,9 +247,6 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if got.res.Stats.Observed != int64(len(arrivals)) {
 		t.Fatalf("shards observed %d arrivals, want %d", got.res.Stats.Observed, len(arrivals))
 	}
-	if got.res.Degraded != 0 {
-		t.Fatalf("fault-free run degraded %d shards", got.res.Degraded)
-	}
 	// Every shard saw some of the six entities.
 	for _, st := range got.res.Shards {
 		if st.Consumed == 0 {
@@ -273,9 +271,6 @@ func TestShardRestartByteIdentity(t *testing.T) {
 			got, err := runSharded(t, testEngine(t, workers), arrivals, faults(everyShard(fault.Panic, 2)), nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			if got.res.Degraded != 0 {
-				t.Fatalf("restarts degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
 			}
 			var restarts int64
 			for _, st := range got.res.Shards {
@@ -315,9 +310,6 @@ func TestShardRestartWithoutCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.res.Degraded != 0 {
-		t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
-	}
 	requireIdentical(t, want, got)
 }
 
@@ -339,9 +331,6 @@ func TestShardCheckpointGenerationFallback(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.res.Degraded != 0 {
-			t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
-		}
 		if counterValue(got.reg, "rtec.checkpoint.fallbacks") == 0 {
 			t.Fatal("no restart used the previous checkpoint generation")
 		}
@@ -361,9 +350,6 @@ func TestShardCheckpointGenerationFallback(t *testing.T) {
 		got, err := runSharded(t, eng, arrivals, chaos, geometry)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if got.res.Degraded != 0 {
-			t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
 		}
 		if counterValue(got.reg, "rtec.shard.restarts") == 0 {
 			t.Fatal("no shard restarted: the faults never fired")
@@ -426,9 +412,6 @@ func TestShardHangKilledByWatchdog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.res.Degraded != 0 {
-		t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
-	}
 	if counterValue(got.reg, "rtec.shard.kills") == 0 {
 		t.Fatal("the watchdog never killed the hung shard")
 	}
@@ -458,9 +441,6 @@ func TestShardHangBlocksProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.res.Degraded != 0 {
-		t.Fatalf("degraded %d shards: %+v", got.res.Degraded, got.res.Shards)
-	}
 	if counterValue(got.reg, "rtec.shard.kills") == 0 {
 		t.Fatal("no kill — the producer-side deadline never fired")
 	}
@@ -468,22 +448,23 @@ func TestShardHangBlocksProducer(t *testing.T) {
 }
 
 // TestShardDegradationAndHealth: a shard that panics on every attempt
-// exhausts its restart budget, degrades instead of wedging the run, and
-// surfaces through /healthz as a 503 with the shards check failing.
+// exhausts its restart budget and degrades instead of wedging the run: the
+// arrivals routed to it are refused with ErrDegraded, the other shards run
+// on, Close fails the run while still returning the healthy shards' merge,
+// and /healthz answers 503 with the shards check failing.
 func TestShardDegradationAndHealth(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	sup := mustSupervisor(t, arrivals, faults(fault.Trigger{Kind: fault.Panic, Window: 1, Shard: 0, Every: true}), func(o *Options) {
 		o.MaxRestarts = 2
-		o.Overflow = OverflowDrop
 	})
 	for _, e := range arrivals {
-		if err := sup.Ingest(e); err != nil {
+		if err := sup.Ingest(e); err != nil && !errors.Is(err, ErrDegraded) {
 			t.Fatal(err)
 		}
 	}
 	res, err := sup.Close()
-	if err != nil {
-		t.Fatal(err)
+	if err == nil || !strings.Contains(err.Error(), "shard 0 degraded") {
+		t.Fatalf("Close after a degradation: err = %v, want one naming shard 0", err)
 	}
 	if res.Degraded != 1 {
 		t.Fatalf("degraded = %d, want 1: %+v", res.Degraded, res.Shards)
@@ -492,7 +473,7 @@ func TestShardDegradationAndHealth(t *testing.T) {
 	if !st.Degraded || st.Err == "" || st.Restarts != 2 {
 		t.Fatalf("shard 0 status %+v, want degraded after 2 restarts", st)
 	}
-	// The healthy shards' intervals survive the partial merge.
+	// The healthy shards' intervals survive in the partial merge.
 	if len(res.Recognition.Keys()) == 0 {
 		t.Fatal("partial merge lost the healthy shards' intervals")
 	}
@@ -510,44 +491,26 @@ func TestShardDegradationAndHealth(t *testing.T) {
 	}
 }
 
-// TestShardOverflowOnDegraded pins the admission verdicts against a dead
-// shard: lenient drops and counts, strict errors.
+// TestShardOverflowOnDegraded pins the one admission verdict against a dead
+// shard: Ingest refuses with ErrDegraded instead of blocking forever, and
+// Close fails the run but still returns the partial Result. The subtest is
+// named for the queue's admission policy: a shard queue only blocks.
 func TestShardOverflowOnDegraded(t *testing.T) {
-	arrivals := testArrivals(7, 40, 60)
-	for _, tc := range []struct {
-		policy  OverflowPolicy
-		wantErr bool
-	}{
-		{OverflowDrop, false},
-		{OverflowError, true},
-		{OverflowBlock, true},
-	} {
-		t.Run(tc.policy.String(), func(t *testing.T) {
-			sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
-				o.Shards = 1
-				o.Overflow = tc.policy
-			})
-			sup.procs[0].degrade(fmt.Errorf("forced by test"), true)
-			err := sup.Ingest(ev(5, "entersArea(v1, a1)"))
-			if tc.wantErr && err == nil {
-				t.Fatal("strict policy admitted an arrival to a degraded shard")
-			}
-			if !tc.wantErr {
-				if err != nil {
-					t.Fatal(err)
-				}
-				sup.procs[0].mu.Lock()
-				dropped := sup.procs[0].dropped
-				sup.procs[0].mu.Unlock()
-				if dropped != 1 {
-					t.Fatalf("dropped = %d, want 1", dropped)
-				}
-			}
-			if _, err := sup.Close(); tc.policy == OverflowError && err == nil {
-				t.Fatal("strict Close did not report the degraded shard")
-			}
-		})
-	}
+	t.Run("block", func(t *testing.T) {
+		arrivals := testArrivals(7, 40, 60)
+		sup := mustSupervisor(t, arrivals, nil, func(o *Options) { o.Shards = 1 })
+		sup.procs[0].degrade(fmt.Errorf("forced by test"), true)
+		if err := sup.Ingest(ev(5, "entersArea(v1, a1)")); !errors.Is(err, ErrDegraded) {
+			t.Fatalf("Ingest to a degraded shard: err = %v, want ErrDegraded", err)
+		}
+		res, err := sup.Close()
+		if err == nil {
+			t.Fatal("Close did not report the degraded shard")
+		}
+		if res == nil || res.Degraded != 1 || !res.Shards[0].Degraded {
+			t.Fatalf("Close returned no partial Result reporting the degradation: %+v", res)
+		}
+	})
 }
 
 func mustSupervisor(t *testing.T, arrivals stream.Stream, plan *fault.Plan, tweak func(*Options)) *Supervisor {
@@ -591,24 +554,9 @@ func TestSupervisorLifecycleErrors(t *testing.T) {
 	}
 }
 
-func TestParseOverflow(t *testing.T) {
-	for _, s := range []string{"block", "drop", "error", ""} {
-		p, err := ParseOverflow(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s != "" && p.String() != s {
-			t.Fatalf("ParseOverflow(%q).String() = %q", s, p)
-		}
-	}
-	if _, err := ParseOverflow("panic"); err == nil {
-		t.Fatal("bad policy accepted")
-	}
-}
-
 // FuzzShardFaultSchedule drives the supervisor with arbitrary fault
-// schedules. The invariant: any run that completes without degradation or
-// drops is byte-identical to the fault-free run over the same stream.
+// schedules. The invariant: any run that completes without degradation is
+// byte-identical to the fault-free run over the same stream.
 func FuzzShardFaultSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 0}, uint8(4))          // panic at window 2, every shard
 	f.Add([]byte{1, 0, 1}, uint8(2))          // hang at window 1, shard 0
@@ -629,11 +577,8 @@ func FuzzShardFaultSchedule(f *testing.F) {
 		if err != nil {
 			t.Fatalf("fault-free run failed: %v", err)
 		}
-		if want.res.Degraded > 0 {
-			t.Fatalf("fault-free reference run degraded %d shards: %+v", want.res.Degraded, want.res.Shards)
-		}
 		got, err := runSharded(t, testEngine(t, 1), arrivals, decodeSchedule(schedule), tweak)
-		if err != nil || got.res.Degraded > 0 {
+		if err != nil {
 			return // the schedule exhausted a shard; no identity promised
 		}
 		requireIdentical(t, want, got)

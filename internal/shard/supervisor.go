@@ -5,7 +5,12 @@
 // caught and the shard restarted from its last checkpoint with capped
 // jittered backoff, hung shards are detected by a progress deadline and
 // killed, torn checkpoints fall back to the previous generation, and shards
-// whose restart budget is exhausted degrade instead of taking the run down.
+// whose restart budget is exhausted degrade instead of wedging the run.
+//
+// Admission has one verdict per arrival: it is admitted, waiting while its
+// shard's consumer is QueueDepth arrivals behind, or — when that shard has
+// degraded — refused with ErrDegraded. Nothing is dropped, so the run's
+// answer is never silently partial: Close fails whenever a shard degraded.
 //
 // The runtime's contract is byte-determinism under faults: with the same
 // seed, the same inputs and any schedule of injected faults
@@ -34,47 +39,6 @@ import (
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
 )
-
-// OverflowPolicy decides what happens to an arrival when its shard's
-// consumer is QueueDepth arrivals behind — the same lenient/strict split as
-// the reorder buffer's late-event admission: lenient counts and drops,
-// strict fails the ingest.
-type OverflowPolicy int
-
-const (
-	// OverflowBlock applies backpressure: Ingest waits until the consumer
-	// takes an arrival, under the progress deadline. The default.
-	OverflowBlock OverflowPolicy = iota
-	// OverflowDrop counts the arrival in ShardStatus.Dropped and discards
-	// it — the lenient degradation verdict.
-	OverflowDrop
-	// OverflowError fails the Ingest call — the strict verdict.
-	OverflowError
-)
-
-func (p OverflowPolicy) String() string {
-	switch p {
-	case OverflowDrop:
-		return "drop"
-	case OverflowError:
-		return "error"
-	default:
-		return "block"
-	}
-}
-
-// ParseOverflow reads an OverflowPolicy name: block, drop or error.
-func ParseOverflow(s string) (OverflowPolicy, error) {
-	switch s {
-	case "block", "":
-		return OverflowBlock, nil
-	case "drop":
-		return OverflowDrop, nil
-	case "error":
-		return OverflowError, nil
-	}
-	return 0, fmt.Errorf("shard: overflow policy %q (want block, drop or error)", s)
-}
 
 // Options configure a Supervisor.
 type Options struct {
@@ -118,10 +82,9 @@ type Options struct {
 	// stay queued for replay until a checkpoint generation commits; they do
 	// not count, because only the checkpoint interval bounds them (an
 	// admission that finds QueueDepth or more queued in total is counted in
-	// ShardStatus.Overflow).
+	// ShardStatus.Overflow). An arrival that finds the backlog at the bound
+	// waits for the consumer, under the progress deadline.
 	QueueDepth int
-	// Overflow is the admission policy for a backlog at the bound.
-	Overflow OverflowPolicy
 	// Deadline is the per-shard progress deadline: a shard that neither
 	// consumes an arrival nor delivers a window for this long while having
 	// work is killed and restarted. Zero defaults to 10s.
@@ -163,7 +126,6 @@ type ShardStatus struct {
 	Windows   int    `json:"windows"`
 	Restarts  int64  `json:"restarts"`
 	Kills     int64  `json:"kills"`
-	Dropped   int64  `json:"dropped"`
 	Overflow  int64  `json:"overflow"`
 	Degraded  bool   `json:"degraded"`
 	Suspended bool   `json:"suspended,omitempty"`
@@ -172,11 +134,10 @@ type ShardStatus struct {
 
 // Supervisor journal payloads. Field order fixes the byte layout.
 type shardsStartEvent struct {
-	Shards     int    `json:"shards"`
-	QueueDepth int    `json:"queue_depth"`
-	Overflow   string `json:"overflow"`
-	DeadlineMS int64  `json:"deadline_ms"`
-	Seed       int64  `json:"seed"`
+	Shards     int   `json:"shards"`
+	QueueDepth int   `json:"queue_depth"`
+	DeadlineMS int64 `json:"deadline_ms"`
+	Seed       int64 `json:"seed"`
 }
 
 type shardRestartEvent struct {
@@ -275,8 +236,7 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	s.describeMetrics()
 	s.journalEvent("shards_start", shardsStartEvent{
 		Shards: opts.Shards, QueueDepth: opts.QueueDepth,
-		Overflow: opts.Overflow.String(), DeadlineMS: opts.Deadline.Milliseconds(),
-		Seed: opts.Seed,
+		DeadlineMS: opts.Deadline.Milliseconds(), Seed: opts.Seed,
 	})
 	now := s.clk.Now()
 	for k := 0; k < opts.Shards; k++ {
@@ -406,8 +366,9 @@ func (s *Supervisor) journalEvent(typ string, data any) {
 	}
 }
 
-// Ingest routes one arrival to its entity's shard and admits it under the
-// overflow policy. Every watchdogStride calls it also sweeps all shards for
+// Ingest routes one arrival to its entity's shard and admits it, waiting
+// while that shard's backlog is at QueueDepth; an arrival for a degraded
+// shard fails with ErrDegraded. Every watchdogStride calls it also sweeps all shards for
 // deadline violations, so a wedged shard is caught even while the healthy
 // ones keep the stream flowing.
 func (s *Supervisor) Ingest(e stream.Event) error {
@@ -466,9 +427,9 @@ func (s *Supervisor) watchdog() {
 
 // Close ends the stream: every shard's queue is closed, the drain is
 // supervised under the same deadline watchdog, and the per-shard results
-// are merged. With OverflowError, any degraded shard fails the run; the
-// lenient policies return the partial merge and report degradation in the
-// statuses.
+// are merged. A degraded shard fails the run: Close then returns the first
+// degradation's error together with the Result, whose merge holds only the
+// healthy shards and whose statuses say which shard failed.
 func (s *Supervisor) Close() (*Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("shard: Close called twice")
@@ -485,7 +446,7 @@ func (s *Supervisor) Close() (*Result, error) {
 	for _, p := range s.procs {
 		st := ShardStatus{
 			Shard: p.id, Restarts: p.restarts, Kills: p.kills,
-			Dropped: p.dropped, Overflow: p.overflow, Degraded: p.degraded,
+			Overflow: p.overflow, Degraded: p.degraded,
 		}
 		if p.degraded {
 			st.Err = p.failErr.Error()
@@ -508,10 +469,7 @@ func (s *Supervisor) Close() (*Result, error) {
 	end.Observed = res.Stats.Observed
 	end.Windows = int64(sumWindows(res.Shards))
 	s.journalEvent("shards_end", end)
-	if res.Degraded > 0 && s.opts.Overflow == OverflowError {
-		return res, firstErr
-	}
-	return res, nil
+	return res, firstErr
 }
 
 // waitDrain blocks until every shard's consumer is done (each broadcasts
@@ -557,8 +515,7 @@ func (s *Supervisor) Suspend() ([]ShardStatus, error) {
 	for _, p := range s.procs {
 		st := ShardStatus{
 			Shard: p.id, Restarts: p.restarts, Kills: p.kills,
-			Dropped: p.dropped, Overflow: p.overflow,
-			Degraded: p.degraded, Suspended: p.suspended,
+			Overflow: p.overflow, Degraded: p.degraded, Suspended: p.suspended,
 		}
 		if p.degraded {
 			st.Err = p.failErr.Error()

@@ -44,6 +44,10 @@
 //     of README.md, DESIGN.md or the verify skill, a command that names a
 //     repository binary may pass only flags that cmd/<binary>/main.go
 //     registers.
+//
+// And a fifth holds the change log to summaries (changes.go):
+//
+//   - changesline: no line of CHANGES.md is longer than 300 characters.
 package toolvet
 
 import (
@@ -66,7 +70,7 @@ type Finding struct {
 	File    string
 	Line    int
 	Col     int
-	Rule    string // "wallclock", "unseededrand", "signal" or "flagdoc"
+	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc" or "changesline"
 	Message string
 }
 
@@ -245,8 +249,9 @@ func Exempt(path string) bool {
 }
 
 // CheckDir walks root and checks every non-exempt .go file; the signal rule
-// applies when root holds any of consumerFiles, and the flagdoc rule when it
-// holds commands under cmd/. Findings are ordered by file, then position.
+// applies when root holds any of consumerFiles, the flagdoc rule when it
+// holds commands under cmd/, and the changesline rule when it holds
+// CHANGES.md. Findings are ordered by file, then position.
 func CheckDir(root string) ([]Finding, error) {
 	var consumers string
 	for _, rel := range consumerFiles {
@@ -295,6 +300,11 @@ func CheckDir(root string) ([]Finding, error) {
 		}
 		out = append(out, CheckDoc(filepath.Join(root, rel), string(src), flags)...)
 	}
+	changes, err := os.ReadFile(filepath.Join(root, changesFile))
+	if err != nil && !os.IsNotExist(err) {
+		return nil, err
+	}
+	out = append(out, CheckChanges(filepath.Join(root, changesFile), string(changes))...)
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
 			return out[i].File < out[j].File

@@ -184,8 +184,9 @@ func f(tel T, k int, label string) {
 }
 
 // TestRepositoryIsClean is the gate the ci script relies on: the whole
-// repository must carry no unjustified determinism hazard and no signal
-// without a consumer.
+// repository must carry no unjustified determinism hazard, no signal
+// without a consumer, no documented flag a binary lacks and no overlong
+// change-log line.
 func TestRepositoryIsClean(t *testing.T) {
 	findings, err := CheckDir("../..")
 	if err != nil {
@@ -261,5 +262,18 @@ func main() {
 		if !strings.HasPrefix(got[i], want[i]) {
 			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestChangesLineRule: a change-log line of 300 characters passes, one of
+// 301 is a finding at its line; characters are counted, not bytes.
+func TestChangesLineRule(t *testing.T) {
+	src := strings.Repeat("é", 300) + "\n" + strings.Repeat("x", 301) + "\n\nshort\n"
+	got := CheckChanges("CHANGES.md", src)
+	if len(got) != 1 {
+		t.Fatalf("findings %v, want exactly one", got)
+	}
+	if want := "CHANGES.md:2:301: changesline: line is 301 characters, over 300"; !strings.HasPrefix(got[0].String(), want) {
+		t.Fatalf("finding %q, want prefix %q", got[0], want)
 	}
 }
