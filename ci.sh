@@ -28,7 +28,7 @@ mkdir "$bin"
 go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtectop ./cmd/vet-rtec
 go build -race -o "$bin/rtecd-race" ./cmd/rtecd
 
-echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks; no CHANGES.md line over 300 characters)"
+echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks; no documented metric the code lacks; no CHANGES.md line over 300 characters)"
 "$bin/vet-rtec" .
 
 echo "== go test"
@@ -47,6 +47,13 @@ go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
     ./cmd/experiments ./internal/rtec/... ./internal/fleet/... ./internal/stream/... ./internal/telemetry/... \
     ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/... \
     ./internal/llm/... ./internal/prompt/... ./internal/correct/...
+
+echo "== shard hand-off stress (admission, restart and degradation wake-ups, -race -count=20)"
+# Every wait in the shard runtime (a producer on a full backlog, a drain on
+# a shard's done) is woken only by a Broadcast from the consumer or the run
+# loop; nothing polls, so a missed signal is a hang. Repeat the tests that
+# exercise each hand-off under the race detector.
+go test -race -count=20 -run 'TestShard(PanicUnblocksProducer|DegradationAndHealth|OverflowOnDegraded)|TestAdmission' ./internal/shard
 
 echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over every fact)"
 go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s

@@ -30,12 +30,11 @@
 // is an rtecd run whose client POSTs the whole stream and then /finish.
 // cmd/rtec is the unsharded reference.
 //
-// The shard progress deadline (10 s), the restart budget per shard (5), the
-// per-shard backlog bound (256 arrivals; a full shard queue blocks the
-// ingest pump), the ingest queue (16 batches), the request deadline (30 s),
-// the Retry-After hint (1 s), the body cap (8 MiB), the per-subscriber
-// buffer (64 frames, eviction after 256 drops) and the shutdown connection
-// drain (5 s) are constants: the zero-value defaults of serve.Options and
+// The restart budget per shard (5), the per-shard backlog bound (256
+// arrivals; a full shard queue blocks the ingest pump), the ingest queue (16
+// batches), the request deadline (30 s), the Retry-After hint (1 s), the
+// body cap (8 MiB), the per-subscriber buffer (64 frames, eviction after 256
+// drops) and the shutdown connection drain (5 s) are constants: the zero-value defaults of serve.Options and
 // shard.Options. So is the backoff jitter seed, backoffSeed. The event
 // description loads strictly. A plan the engine refuses (a -slide above
 // -window, a negative one, -start at or past -end) fails the start, before

@@ -145,7 +145,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	var emitLags []float64
 	shardRestarts := map[int]float64{}
 	shardDegraded := map[int]float64{}
-	var shards, kills, restarts, degraded float64
+	var shards, restarts, degraded float64
 	var end struct {
 		Accepted   float64 `json:"accepted"`
 		Late       float64 `json:"late"`
@@ -200,8 +200,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 			}
 			restarts++
 			shardRestarts[s.Shard]++
-		case "shard_kill":
-			kills++
 		case "shard_degraded":
 			var s struct {
 				Shard int `json:"shard"`
@@ -232,9 +230,8 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 		put("rtec_checkpoint_restores_total", "counter", restores)
 		put("rtec_checkpoint_bytes", "counter", ckptBytes)
 	}
-	if shards > 0 || restarts > 0 || kills > 0 || degraded > 0 {
+	if shards > 0 || restarts > 0 || degraded > 0 {
 		put("rtec_shard_restarts_total", "counter", restarts)
-		put("rtec_shard_kills_total", "counter", kills)
 		put("rtec_shard_degraded", "gauge", degraded)
 		for k, n := range shardRestarts {
 			put(fmt.Sprintf("rtec_shard_s%d_restarts_total", k), "counter", n)
@@ -383,11 +380,10 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 
 	if ids := shardIDs(m); len(ids) > 0 {
 		restarts, _ := val("rtec_shard_restarts_total")
-		kills, _ := val("rtec_shard_kills_total")
 		degraded, _ := val("rtec_shard_degraded")
 		fmt.Fprintln(w, "\nSHARDS")
-		fmt.Fprintf(w, "  restarts %.0f  kills %.0f  degraded %.0f%s\n",
-			restarts, kills, degraded, rate("rtec_shard_restarts_total"))
+		fmt.Fprintf(w, "  restarts %.0f  degraded %.0f%s\n",
+			restarts, degraded, rate("rtec_shard_restarts_total"))
 		for _, k := range ids {
 			sv := func(name string) float64 {
 				v, _ := val(fmt.Sprintf("rtec_shard_s%d_%s", k, name))

@@ -4,7 +4,8 @@
 // the repository root — no metric name that every file of toolvet's
 // consumerFiles (ci.sh, the contract tests, cmd/rtectop/main.go, README.md,
 // ...) fails to mention, no flag a document passes that its binary does not
-// register, and no CHANGES.md line over 300 characters.
+// register, no metric name a document spells that no non-test Go literal
+// registers, and no CHANGES.md line over 300 characters.
 //
 // Usage:
 //

@@ -1,8 +1,8 @@
 // Package clock provides the injectable time source of the shard
 // supervisor and the command-line tools. Production code uses the real
 // clock; tests use a virtual clock whose Sleep advances virtual time
-// instantly, making restart backoffs and watchdog deadlines fully
-// deterministic and free of real sleeping.
+// instantly, making restart backoffs fully deterministic and free of real
+// sleeping.
 package clock
 
 import (

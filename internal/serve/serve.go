@@ -67,19 +67,17 @@ var stateNames = [...]string{"starting", "ready", "draining", "suspended", "fini
 
 // Options configure a Daemon.
 type Options struct {
-	// Shards, Stream, Deadline, MaxRestarts, Seed, Faults and Clock
-	// configure the underlying shard supervisor (see shard.Options).
+	// Shards, Stream, MaxRestarts, Seed, Faults and Clock configure the underlying shard supervisor (see shard.Options).
 	// Stream.CheckpointPath is required: the daemon parks into it on drain.
 	// Stream.Start/End must bound the time-line (a daemon cannot inspect the
 	// whole stream up front the way cmd/rtec does), and a plan
 	// rtec.CheckStreamOptions refuses fails New before any file is opened.
 	// rtecd sets Shards and Stream from flags and Seed to a constant;
-	// Deadline, MaxRestarts, Faults and Clock keep their defaults there
-	// (10 s, 5, none, the real clock) and exist for tests. The per-shard
+	// MaxRestarts, Faults and Clock keep their defaults there (5, none,
+	// the real clock) and exist for tests. The per-shard
 	// backlog bound is shard.Options' default of 256 arrivals.
 	Shards      int
 	Stream      rtec.StreamOptions
-	Deadline    time.Duration
 	MaxRestarts int
 	Seed        int64
 	Faults      *fault.Plan
@@ -245,7 +243,6 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 		Resume:         opts.Resume,
 		OnWindow:       d.hub.publish,
 		Events:         d.jw,
-		Deadline:       opts.Deadline,
 		MaxRestarts:    opts.MaxRestarts,
 		Seed:           opts.Seed,
 		Faults:         opts.Faults,

@@ -334,7 +334,7 @@ func TestIngestUnavailableBeforeReady(t *testing.T) {
 // gateClock blocks Sleep calls of exactly the marker duration until the
 // gate opens, and passes everything else through instantly — it wedges the
 // ingest pump (IngestDelay = marker) without wedging the supervisor's
-// watchdog and backoff sleeps, which share the clock.
+// restart backoff sleeps, which share the clock.
 type gateClock struct {
 	gate    chan struct{}
 	entered chan struct{}

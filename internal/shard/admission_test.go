@@ -15,16 +15,15 @@ func admissionArrivals() stream.Stream { return testArrivals(7, 2000, 0) }
 const tightDepth = 8
 
 // TestAdmissionBoundsBacklogNotRetention pins the admission contract on the
-// real clock with a one-second PollQuantum, so it holds on any host: a
-// healthy consumer admits a long in-order stream without a single watchdog
-// tick on the arrival path (polling per arrival would take half an hour),
-// the backlog never passes QueueDepth while the retained queue does, and
-// the merged result is the unsharded one byte for byte.
+// real clock: a healthy consumer admits a long in-order stream with every
+// blocked arrival woken by the consumer itself (a one-second wait per
+// arrival would take half an hour), the backlog never passes QueueDepth
+// while the retained queue does, and the merged result is the unsharded one
+// byte for byte.
 func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 	arrivals := admissionArrivals()
 	sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
 		o.QueueDepth = tightDepth
-		o.PollQuantum = time.Second
 	})
 	begin := time.Now()
 	maxRetained := 0
@@ -50,7 +49,7 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if took := time.Since(begin); took > 5*time.Second {
-		t.Fatalf("ingest+close took %v: an arrival waited on the watchdog tick", took)
+		t.Fatalf("ingest+close took %v: an arrival waited on something other than its consumer", took)
 	}
 	if maxRetained <= tightDepth {
 		t.Fatalf("retention peaked at %d, never past QueueDepth %d — the stream does not exercise the distinction", maxRetained, tightDepth)

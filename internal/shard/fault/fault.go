@@ -1,11 +1,15 @@
 // Package fault injects deterministic failures into the supervised shard
 // runtime: a Plan names which shards fail, how, and at which window, and the
 // supervisor consults per-shard Injectors at its delivery and checkpoint hook
-// points. Trigger state lives in the Injector, outside the shard process it
-// kills, so a restarted shard replays past a fired trigger instead of dying
-// again — which is what makes "same seed + faults produces byte-identical
-// output to a fault-free run" a testable property. Plans are built by the
-// tests of the recovery code; no binary injects faults.
+// points. The two faults are the two the supervisor recovers from: a panic
+// (restart from the last checkpoint) and a torn checkpoint (fall back to the
+// previous generation). A wedged shard is not among them: the supervisor
+// does not kill one, it shows as a shard whose consumed count stops
+// advancing. Trigger state lives in the Injector, outside the shard process
+// it fails, so a restarted shard replays past a fired trigger instead of
+// dying again — which is what makes "same seed + faults produces
+// byte-identical output to a fault-free run" a testable property. Plans are
+// built by the tests of the recovery code; no binary injects faults.
 package fault
 
 import (
@@ -13,18 +17,13 @@ import (
 	"hash/fnv"
 )
 
-// Kind is a failure mode.
+// Kind is a failure mode. The zero Kind injects nothing.
 type Kind int
 
 const (
-	// None is the zero action: no fault.
-	None Kind = iota
 	// Panic makes the shard panic at the trigger window's delivery —
 	// the supervisor catches it and restarts from the last checkpoint.
-	Panic
-	// Hang blocks the shard at the trigger window's delivery until the
-	// supervisor's deadline watchdog kills it.
-	Hang
+	Panic Kind = iota + 1
 	// Truncate tears the shard's checkpoint file in half after the write
 	// that covers the trigger window, simulating a crash mid-write or a
 	// bad disk; the next restart must fall back to the previous
@@ -74,19 +73,19 @@ type Injector struct {
 }
 
 // OnDeliver consults the plan at the 1-based n-th first-time window
-// delivery and returns the fault to act out (None, Panic or Hang).
-func (in *Injector) OnDeliver(n int) Kind {
+// delivery; true means the caller must panic.
+func (in *Injector) OnDeliver(n int) bool {
 	for i, t := range in.triggers {
-		if t.Kind == Truncate || t.Window != n {
+		if t.Kind != Panic || t.Window != n {
 			continue
 		}
 		if in.fired[i] && !t.Every {
 			continue
 		}
 		in.fired[i] = true
-		return t.Kind
+		return true
 	}
-	return None
+	return false
 }
 
 // OnCheckpoint consults the plan after a checkpoint write with the given

@@ -5,27 +5,27 @@ import "testing"
 func TestScopeAndLatch(t *testing.T) {
 	p := &Plan{Triggers: []Trigger{
 		{Kind: Panic, Window: 2, Shard: 1},
-		{Kind: Hang, Window: 3, Shard: AllShards},
+		{Kind: Panic, Window: 3, Shard: AllShards},
 	}}
 	s0, s1 := p.ForShard(0), p.ForShard(1)
 
-	// Shard 0 is out of the panic's scope; the unscoped hang applies.
-	if got := s0.OnDeliver(2); got != None {
-		t.Fatalf("s0 window 2 = %v, want none", got)
+	// Shard 0 is out of the first panic's scope; the unscoped one applies.
+	if s0.OnDeliver(2) {
+		t.Fatal("s0 window 2 panicked, want none")
 	}
-	if got := s0.OnDeliver(3); got != Hang {
-		t.Fatalf("s0 window 3 = %v, want hang", got)
+	if !s0.OnDeliver(3) {
+		t.Fatal("s0 window 3 did not panic")
 	}
 	// Fire-once: the replay after a restart passes window 3 cleanly.
-	if got := s0.OnDeliver(3); got != None {
-		t.Fatalf("s0 window 3 replay = %v, want none (latched)", got)
+	if s0.OnDeliver(3) {
+		t.Fatal("s0 window 3 replay panicked, want none (latched)")
 	}
 
-	if got := s1.OnDeliver(2); got != Panic {
-		t.Fatalf("s1 window 2 = %v, want panic", got)
+	if !s1.OnDeliver(2) {
+		t.Fatal("s1 window 2 did not panic")
 	}
-	if got := s1.OnDeliver(2); got != None {
-		t.Fatalf("s1 window 2 replay = %v, want none (latched)", got)
+	if s1.OnDeliver(2) {
+		t.Fatal("s1 window 2 replay panicked, want none (latched)")
 	}
 }
 
@@ -33,8 +33,8 @@ func TestEveryRepeats(t *testing.T) {
 	p := &Plan{Triggers: []Trigger{{Kind: Panic, Window: 1, Shard: AllShards, Every: true}}}
 	in := p.ForShard(0)
 	for i := 0; i < 3; i++ {
-		if got := in.OnDeliver(1); got != Panic {
-			t.Fatalf("repeat %d = %v, want panic", i, got)
+		if !in.OnDeliver(1) {
+			t.Fatalf("repeat %d did not panic", i)
 		}
 	}
 }
@@ -71,7 +71,7 @@ func TestSeedForDistinct(t *testing.T) {
 func TestZero(t *testing.T) {
 	var p *Plan
 	in := p.ForShard(3)
-	if in.OnDeliver(1) != None || in.OnCheckpoint(1) {
+	if in.OnDeliver(1) || in.OnCheckpoint(1) {
 		t.Fatal("nil plan fired")
 	}
 }

@@ -14,11 +14,6 @@ import (
 	"rtecgen/internal/telemetry"
 )
 
-// errKilled is the sentinel a shard's consumer returns when it honoured a
-// watchdog kill at a hang point; the run loop restarts the shard from its
-// last checkpoint like any other crash.
-var errKilled = errors.New("shard killed by deadline watchdog")
-
 // errSuspend is the sentinel next returns once a suspend was requested and
 // the queue backlog is drained; errParked is what attempt returns after the
 // runner's state reached disk, telling the run loop to stop without a
@@ -58,14 +53,12 @@ type proc struct {
 	base      int
 	taken     int // absolute index of the next arrival the consumer takes
 	closed    bool
-	killed    bool
 	done      bool
 	degraded  bool
 	suspend   bool // drain the backlog, then park instead of waiting
 	suspended bool // parked: state is on disk, no result produced
 	failErr   error
-	lastMove  time.Time // progress stamp for the deadline watchdog
-	overflow  int64     // admissions made with retention at or past the depth bound
+	overflow  int64 // admissions made with retention at or past the depth bound
 	// skipBelow is the cross-process resume cursor: arrivals below this
 	// absolute index were consumed by the previous process's checkpoint, so
 	// push advances base past them instead of buffering a replayed prefix
@@ -81,7 +74,6 @@ type proc struct {
 	ckptSeen     int64
 	delivered    int // absolute count of first-time window deliveries
 	restarts     int64
-	kills        int64
 	result       *rtec.StreamResult
 	resumeCkpt   *rtec.Checkpoint // cross-process resume snapshot, if any
 	parkedAt     int              // arrivals consumed when the shard parked
@@ -91,66 +83,17 @@ type proc struct {
 	mRestarts                              *telemetry.Counter
 }
 
-// touch records consumer progress from outside the queue lock.
-func (p *proc) touch() {
-	p.mu.Lock()
-	p.moved()
-	p.mu.Unlock()
-}
-
-// moved stamps the progress clock and withdraws a pending kill: a consumer
-// that gets here has made progress since the sweep that found it stale, so
-// it is alive whatever the injected clock says. The watchdog's tick advances
-// a virtual clock at CPU speed, so a healthy consumer inside one real fsync
-// can look a whole deadline behind; restarting it would replay work for
-// nothing, and enough such restarts degrade a fault-free run. Only a
-// consumer parked at a hang point, which never gets here, stays killed.
-// Caller holds mu.
-func (p *proc) moved() {
-	p.lastMove = p.sup.clk.Now()
-	p.killed = false
-}
-
 // backlog is the number of arrivals admitted but not yet taken by the
 // consumer. Caller holds mu.
 func (p *proc) backlog() int { return p.base + len(p.q) - p.taken }
 
-// stale reports whether the shard has made no progress for the deadline,
-// while having work it should be doing.
-func (p *proc) stale(now time.Time) bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.done || p.killed {
-		return false
-	}
-	busy := p.backlog() > 0 || p.closed
-	return busy && now.Sub(p.lastMove) > p.sup.opts.Deadline
-}
-
-// kill asks the watchdog's victim to abandon its current attempt. A
-// consumer parked at a hang point honours the request and returns errKilled
-// to the run loop; one that is merely slow withdraws it at its next progress
-// point (see moved). It reports whether this call made the request.
-func (p *proc) kill() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.killed || p.done {
-		return false
-	}
-	p.killed = true
-	p.lastMove = p.sup.clk.Now() // give the restart a fresh deadline
-	p.cond.Broadcast()
-	return true
-}
-
 // next blocks until an arrival is available at the consumer cursor, the
 // queue is closed and drained (ok=false, nil error), or a suspend parks the
-// shard. Reaching the queue at all is progress.
+// shard.
 func (p *proc) next() (stream.Event, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	for {
-		p.moved() // taking an arrival is progress; so is idle-waiting for one
 		if p.backlog() > 0 {
 			e := p.q[p.taken-p.base]
 			p.taken++
@@ -208,11 +151,9 @@ func (p *proc) push(e stream.Event) error {
 	depth := p.sup.opts.QueueDepth
 	for !p.degraded && p.backlog() >= depth {
 		// The consumer is really behind: wait for it to take an arrival
-		// (next) or to die for good (degrade), with the supervisor's
-		// watchdog enforcing the progress deadline meanwhile.
-		p.sup.setWaiting(true)
+		// (next) or to die for good (degrade). A consumer that wedges
+		// blocks this wait; nothing here kills it.
 		p.cond.Wait()
-		p.sup.setWaiting(false)
 	}
 	if p.degraded {
 		return fmt.Errorf("shard %d %w: %v", p.id, ErrDegraded, p.failErr)
@@ -226,12 +167,10 @@ func (p *proc) push(e stream.Event) error {
 	return nil
 }
 
-// closeQueue marks end of input and refreshes every progress stamp so the
-// drain watchdog starts from now.
+// closeQueue marks end of input.
 func (p *proc) closeQueue() {
 	p.mu.Lock()
 	p.closed = true
-	p.lastMove = p.sup.clk.Now()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
@@ -241,16 +180,14 @@ func (p *proc) closeQueue() {
 func (p *proc) suspendQueue() {
 	p.mu.Lock()
 	p.suspend = true
-	p.lastMove = p.sup.clk.Now()
 	p.cond.Broadcast()
 	p.mu.Unlock()
 }
 
 // deliverHook is the per-window callback wired into the shard's engine
-// runner: it stamps progress, advances the absolute delivery counter and
-// acts out scheduled faults at first-time deliveries.
+// runner: it advances the absolute delivery counter and acts out scheduled
+// panics at first-time deliveries.
 func (p *proc) deliverHook(wr rtec.WindowResult) error {
-	p.touch()
 	// Fan deliveries (and revisions) out to the supervisor-level observer.
 	// Crash replays re-deliver replayed windows, so observers see
 	// at-least-once semantics; they must not block (see Options.OnWindow).
@@ -261,28 +198,10 @@ func (p *proc) deliverHook(wr rtec.WindowResult) error {
 		return nil
 	}
 	p.delivered++
-	switch p.inj.OnDeliver(p.delivered) {
-	case fault.Panic:
+	if p.inj.OnDeliver(p.delivered) {
 		panic(fmt.Sprintf("injected panic at window %d of shard %d", p.delivered, p.id))
-	case fault.Hang:
-		return p.hangUntilKilled()
 	}
 	return nil
-}
-
-// hangUntilKilled blocks like a wedged shard until the watchdog's kill, and
-// honours it: this is where a kill is counted and journalled, because only
-// here does it end an attempt.
-func (p *proc) hangUntilKilled() error {
-	p.mu.Lock()
-	for !p.killed {
-		p.cond.Wait()
-	}
-	p.kills++
-	p.mu.Unlock()
-	p.sup.tel.Counter("rtec.shard.kills").Inc()
-	p.sup.journalEvent("shard_kill", shardKillEvent{Shard: p.id})
-	return errKilled
 }
 
 // buildRunner constructs the engine runner for one attempt: a fresh run on
@@ -379,7 +298,6 @@ func (p *proc) attempt() (err error) {
 		if err := runner.Ingest(e); err != nil {
 			return err
 		}
-		p.touch()
 		p.mConsumed.Set(int64(runner.Consumed()))
 		p.mWindows.Set(int64(runner.Windows()))
 		if runner.Checkpoints() > p.ckptSeen {
@@ -425,7 +343,6 @@ func (p *proc) park(runner *rtec.StreamRunner) error {
 func (p *proc) syncCursor(at int) {
 	p.mu.Lock()
 	p.taken = at
-	p.lastMove = p.sup.clk.Now()
 	p.mu.Unlock()
 }
 
@@ -498,10 +415,6 @@ func (p *proc) run() {
 		p.sup.tel.Logger().Warn("shard restarting",
 			"component", "shard", "shard", p.id, "attempt", p.restarts, "err", err)
 		p.sup.clk.Sleep(backoff(rng, p.restarts))
-		p.mu.Lock()
-		p.killed = false
-		p.lastMove = p.sup.clk.Now()
-		p.mu.Unlock()
 	}
 }
 

@@ -393,56 +393,26 @@ func maritimeInput(t *testing.T) (*rtec.Engine, stream.Stream) {
 	return eng, arrivals
 }
 
-// TestShardHangKilledByWatchdog: a shard wedged at a window delivery is
-// detected by the progress deadline, killed and restarted — on the virtual
-// clock, so no real time is slept — and the run remains byte-identical.
-func TestShardHangKilledByWatchdog(t *testing.T) {
-	arrivals := testArrivals(7, 120, 60)
-	virtual := func(o *Options) {
-		o.Clock = clock.NewVirtual(time.Unix(0, 0))
-		o.Deadline = 10 * time.Second
-		o.PollQuantum = 2 * time.Millisecond
-		o.MaxRestarts = 1000
-	}
-	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, virtual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(fault.Trigger{Kind: fault.Hang, Window: 2, Shard: 0}), virtual)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counterValue(got.reg, "rtec.shard.kills") == 0 {
-		t.Fatal("the watchdog never killed the hung shard")
-	}
-	if got.res.Shards[0].Kills == 0 {
-		t.Fatal("shard 0 reports no kills")
-	}
-	requireIdentical(t, want, got)
-}
-
-// TestShardHangBlocksProducer pins the producer-side watchdog: with a tiny
-// queue, a hung shard backs pressure up into Ingest, whose poll loop must
-// detect the stalled consumer and kill it instead of blocking forever.
-func TestShardHangBlocksProducer(t *testing.T) {
+// TestShardPanicUnblocksProducer: with a tiny queue the producer blocks on
+// every shard's full backlog, and each shard panics at its first window. The
+// restarted consumer's own progress must wake the blocked Ingest — nothing
+// polls on its behalf — and the run must stay byte-identical.
+func TestShardPanicUnblocksProducer(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	tweak := func(o *Options) {
 		o.Clock = clock.NewVirtual(time.Unix(0, 0))
-		o.Deadline = 10 * time.Second
-		o.PollQuantum = 2 * time.Millisecond
-		o.MaxRestarts = 1000
 		o.QueueDepth = 2
 	}
 	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(everyShard(fault.Hang, 1)), tweak)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(everyShard(fault.Panic, 1)), tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if counterValue(got.reg, "rtec.shard.kills") == 0 {
-		t.Fatal("no kill — the producer-side deadline never fired")
+	if counterValue(got.reg, "rtec.shard.restarts") == 0 {
+		t.Fatal("no shard restarted: the panics never fired")
 	}
 	requireIdentical(t, want, got)
 }
@@ -559,8 +529,8 @@ func TestSupervisorLifecycleErrors(t *testing.T) {
 // byte-identical to the fault-free run over the same stream.
 func FuzzShardFaultSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 0}, uint8(4))          // panic at window 2, every shard
-	f.Add([]byte{1, 0, 1}, uint8(2))          // hang at window 1, shard 0
-	f.Add([]byte{2, 1, 0, 0, 2, 0}, uint8(1)) // truncate at 2, then panic at 3
+	f.Add([]byte{1, 0, 1}, uint8(2))          // truncate at window 1, shard 0
+	f.Add([]byte{1, 1, 0, 0, 2, 0}, uint8(1)) // truncate at 2, then panic at 3
 	f.Add([]byte{0, 0, 0x80}, uint8(3))       // panic at window 1 on every attempt
 	f.Add([]byte{}, uint8(4))                 // no fault
 	arrivals := testArrivals(7, 40, 60)
@@ -569,8 +539,6 @@ func FuzzShardFaultSchedule(f *testing.F) {
 		tweak := func(o *Options) {
 			o.Shards = n
 			o.Clock = clock.NewVirtual(time.Unix(0, 0))
-			o.Deadline = 10 * time.Second
-			o.PollQuantum = 2 * time.Millisecond
 			o.MaxRestarts = 6
 		}
 		want, err := runSharded(t, testEngine(t, 1), arrivals, nil, tweak)
@@ -586,14 +554,14 @@ func FuzzShardFaultSchedule(f *testing.F) {
 }
 
 // decodeSchedule reads a fuzzed fault schedule three bytes per trigger: the
-// kind (panic, hang, truncate), the window (1–4), and the scope (low seven
+// kind (panic, truncate), the window (1–4), and the scope (low seven
 // bits: every shard or shard 0–3) with the high bit making it fire on every
 // delivery.
 func decodeSchedule(b []byte) *fault.Plan {
 	p := &fault.Plan{}
 	for ; len(b) >= 3; b = b[3:] {
 		p.Triggers = append(p.Triggers, fault.Trigger{
-			Kind:   fault.Kind(b[0]%3) + fault.Panic,
+			Kind:   fault.Kind(b[0]%2) + fault.Panic,
 			Window: int(b[1]%4) + 1,
 			Shard:  int(b[2]&0x7f)%5 + fault.AllShards,
 			Every:  b[2]&0x80 != 0,

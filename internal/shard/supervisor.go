@@ -3,9 +3,15 @@
 // shards, each driven incrementally through rtec.StreamRunner with its own
 // checkpoint file and staged journal, and supervises them — panics are
 // caught and the shard restarted from its last checkpoint with capped
-// jittered backoff, hung shards are detected by a progress deadline and
-// killed, torn checkpoints fall back to the previous generation, and shards
-// whose restart budget is exhausted degrade instead of wedging the run.
+// jittered backoff, torn checkpoints fall back to the previous generation,
+// and shards whose restart budget is exhausted degrade instead of wedging
+// the run.
+//
+// A shard that wedges (a loop in evaluation, a stuck fsync) is seen, not
+// killed: its rtec.shard.s<k>.consumed gauge stops advancing, and once its
+// backlog is full Ingest blocks on it. No supervisor-side timer could end
+// such an attempt — a goroutine cannot be stopped from outside — so none
+// is kept.
 //
 // Admission has one verdict per arrival: it is admitted, waiting while its
 // shard's consumer is QueueDepth arrivals behind, or — when that shard has
@@ -29,8 +35,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"rtecgen/internal/clock"
 	"rtecgen/internal/rtec"
@@ -69,11 +73,11 @@ type Options struct {
 	// OnWindow, when non-nil, observes every window delivery and revision of
 	// every shard after the shard's own processing. It is called from shard
 	// goroutines concurrently and must not block — a slow observer stalls
-	// its shard's progress deadline. Crash replays re-deliver windows, so
-	// delivery is at-least-once.
+	// its shard. Crash replays re-deliver windows, so delivery is
+	// at-least-once.
 	OnWindow func(shard int, wr rtec.WindowResult)
 	// Events, when non-nil, receives the supervisor's own lifecycle records
-	// (shards_start, shard_restart, shard_kill, shard_degraded, shards_end).
+	// (shards_start, shard_restart, shard_degraded, shards_end).
 	// Restart events exist only in faulted runs, so this trail is kept
 	// apart from the byte-deterministic per-shard journals.
 	Events *journal.Writer
@@ -83,16 +87,8 @@ type Options struct {
 	// not count, because only the checkpoint interval bounds them (an
 	// admission that finds QueueDepth or more queued in total is counted in
 	// ShardStatus.Overflow). An arrival that finds the backlog at the bound
-	// waits for the consumer, under the progress deadline.
+	// waits for the consumer to take one.
 	QueueDepth int
-	// Deadline is the per-shard progress deadline: a shard that neither
-	// consumes an arrival nor delivers a window for this long while having
-	// work is killed and restarted. Zero defaults to 10s.
-	Deadline time.Duration
-	// PollQuantum is how often the deadline watchdog checks the shards while
-	// Ingest, Close or Suspend is blocked on one. Zero defaults to 2ms. No
-	// wait ends on this tick: progress wakes a blocked caller directly.
-	PollQuantum time.Duration
 	// MaxRestarts caps restarts per shard before it degrades. Zero
 	// defaults to 5.
 	MaxRestarts int
@@ -100,8 +96,8 @@ type Options struct {
 	Seed int64
 	// Faults is the injected failure schedule; nil or zero injects nothing.
 	Faults *fault.Plan
-	// Clock is the time source for deadlines and backoff. Nil defaults to
-	// the real clock; tests use clock.Virtual for sleep-free supervision.
+	// Clock is the time source for restart backoff. Nil defaults to the
+	// real clock; tests use clock.Virtual for sleep-free supervision.
 	Clock clock.Clock
 	// Telemetry receives metrics and logs. Nil disables both.
 	Telemetry *telemetry.Telemetry
@@ -125,7 +121,6 @@ type ShardStatus struct {
 	Consumed  int64  `json:"consumed"`
 	Windows   int    `json:"windows"`
 	Restarts  int64  `json:"restarts"`
-	Kills     int64  `json:"kills"`
 	Overflow  int64  `json:"overflow"`
 	Degraded  bool   `json:"degraded"`
 	Suspended bool   `json:"suspended,omitempty"`
@@ -136,7 +131,6 @@ type ShardStatus struct {
 type shardsStartEvent struct {
 	Shards     int   `json:"shards"`
 	QueueDepth int   `json:"queue_depth"`
-	DeadlineMS int64 `json:"deadline_ms"`
 	Seed       int64 `json:"seed"`
 }
 
@@ -146,10 +140,6 @@ type shardRestartEvent struct {
 	Reason   string `json:"reason"`
 	Consumed int    `json:"consumed"`
 	Windows  int    `json:"windows"`
-}
-
-type shardKillEvent struct {
-	Shard int `json:"shard"`
 }
 
 type shardDegradedEvent struct {
@@ -174,31 +164,20 @@ type shardsEndEvent struct {
 	Shards   int   `json:"shards"`
 	Degraded int   `json:"degraded"`
 	Restarts int64 `json:"restarts"`
-	Kills    int64 `json:"kills"`
 	Observed int64 `json:"observed"`
 	Windows  int64 `json:"windows"`
 }
-
-// watchdogStride is how many Ingest calls pass between supervisor-side
-// deadline sweeps over all shards.
-const watchdogStride = 64
 
 // Supervisor runs N crash-recovering engine shards over one entity
 // partitioning. Ingest and Close must be called from a single goroutine;
 // everything else is internal.
 type Supervisor struct {
-	eng      *rtec.Engine
-	opts     Options
-	tel      *telemetry.Telemetry
-	clk      clock.Clock
-	procs    []*proc
-	ingested int64
-	closed   bool
-	// waiting is set while the ingest goroutine is blocked on a shard (a
-	// push against a full backlog, or a drain); wake starts the watchdog
-	// ticking and, closed, ends it.
-	waiting atomic.Bool
-	wake    chan struct{}
+	eng    *rtec.Engine
+	opts   Options
+	tel    *telemetry.Telemetry
+	clk    clock.Clock
+	procs  []*proc
+	closed bool
 }
 
 // NewSupervisor partitions the run across opts.Shards supervised shards and
@@ -216,12 +195,6 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
 	}
-	if opts.Deadline <= 0 {
-		opts.Deadline = 10 * time.Second
-	}
-	if opts.PollQuantum <= 0 {
-		opts.PollQuantum = 2 * time.Millisecond
-	}
 	if opts.MaxRestarts <= 0 {
 		opts.MaxRestarts = 5
 	}
@@ -231,20 +204,16 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	if opts.Resume && opts.Stream.CheckpointPath == "" {
 		return nil, fmt.Errorf("shard: Resume needs a checkpoint path to restore from")
 	}
-	s := &Supervisor{eng: eng, opts: opts, tel: opts.Telemetry, clk: opts.Clock,
-		wake: make(chan struct{}, 1)}
+	s := &Supervisor{eng: eng, opts: opts, tel: opts.Telemetry, clk: opts.Clock}
 	s.describeMetrics()
 	s.journalEvent("shards_start", shardsStartEvent{
-		Shards: opts.Shards, QueueDepth: opts.QueueDepth,
-		DeadlineMS: opts.Deadline.Milliseconds(), Seed: opts.Seed,
+		Shards: opts.Shards, QueueDepth: opts.QueueDepth, Seed: opts.Seed,
 	})
-	now := s.clk.Now()
 	for k := 0; k < opts.Shards; k++ {
 		p := &proc{
-			id:       k,
-			sup:      s,
-			inj:      opts.Faults.ForShard(k),
-			lastMove: now,
+			id:  k,
+			sup: s,
+			inj: opts.Faults.ForShard(k),
 
 			mDepth:    s.tel.Gauge(shardMetric(k, "queue.depth")),
 			mConsumed: s.tel.Gauge(shardMetric(k, "consumed")),
@@ -288,7 +257,6 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	for _, p := range s.procs {
 		go p.run()
 	}
-	go s.watchdog()
 	return s, nil
 }
 
@@ -328,8 +296,7 @@ func (s *Supervisor) describeMetrics() {
 		return
 	}
 	reg := s.tel.Registry
-	reg.Describe("rtec.shard.restarts", "Shard restarts after a caught panic or a watchdog kill.")
-	reg.Describe("rtec.shard.kills", "Shards killed by the progress-deadline watchdog.")
+	reg.Describe("rtec.shard.restarts", "Shard restarts after a caught panic or a failed attempt.")
 	reg.Describe("rtec.shard.degraded", "Shards that failed permanently this run.")
 	for k := 0; k < s.opts.Shards; k++ {
 		reg.Describe(shardMetric(k, "queue.depth"), "Retained arrivals in this shard's ingest queue.")
@@ -368,66 +335,17 @@ func (s *Supervisor) journalEvent(typ string, data any) {
 
 // Ingest routes one arrival to its entity's shard and admits it, waiting
 // while that shard's backlog is at QueueDepth; an arrival for a degraded
-// shard fails with ErrDegraded. Every watchdogStride calls it also sweeps all shards for
-// deadline violations, so a wedged shard is caught even while the healthy
-// ones keep the stream flowing.
+// shard fails with ErrDegraded.
 func (s *Supervisor) Ingest(e stream.Event) error {
 	if s.closed {
 		return fmt.Errorf("shard: Ingest after Close")
-	}
-	s.ingested++
-	if s.ingested%watchdogStride == 0 {
-		s.sweep()
 	}
 	k := int(rtec.EventEntity(e) % uint64(len(s.procs)))
 	return s.procs[k].push(e)
 }
 
-// sweep asks every shard past its progress deadline to die. The request
-// holds only while the shard stays silent (see proc.moved), so it is logged
-// here and counted where it is honoured.
-func (s *Supervisor) sweep() {
-	now := s.clk.Now()
-	for _, p := range s.procs {
-		if p.stale(now) && p.kill() {
-			s.tel.Logger().Warn("shard deadline exceeded, kill requested",
-				"component", "shard", "shard", p.id)
-		}
-	}
-}
-
-// setWaiting records that the ingest goroutine is about to block on a
-// shard's cond (or has stopped blocking) and, when it blocks, makes sure
-// the watchdog is ticking.
-func (s *Supervisor) setWaiting(on bool) {
-	s.waiting.Store(on)
-	if on {
-		select {
-		case s.wake <- struct{}{}:
-		default: // already awake
-		}
-	}
-}
-
-// watchdog is the hang detector for a blocked caller: while the ingest
-// goroutine waits it sweeps the shards every PollQuantum, so a wedged
-// consumer is killed (and the kill, or the restarted consumer's progress,
-// wakes the caller) instead of blocking it forever. The tick runs on the
-// injected clock and decides nothing else — a healthy consumer wakes the
-// caller itself. One goroutine serves every wait, since only the ingest
-// goroutine waits; it exits at its first tick after Close or Suspend.
-func (s *Supervisor) watchdog() {
-	for range s.wake {
-		for s.waiting.Load() {
-			s.clk.Sleep(s.opts.PollQuantum)
-			s.sweep()
-		}
-	}
-}
-
-// Close ends the stream: every shard's queue is closed, the drain is
-// supervised under the same deadline watchdog, and the per-shard results
-// are merged. A degraded shard fails the run: Close then returns the first
+// Close ends the stream: every shard's queue is closed, the shards drain,
+// and the per-shard results are merged. A degraded shard fails the run: Close then returns the first
 // degradation's error together with the Result, whose merge holds only the
 // healthy shards and whose statuses say which shard failed.
 func (s *Supervisor) Close() (*Result, error) {
@@ -445,7 +363,7 @@ func (s *Supervisor) Close() (*Result, error) {
 	var firstErr error
 	for _, p := range s.procs {
 		st := ShardStatus{
-			Shard: p.id, Restarts: p.restarts, Kills: p.kills,
+			Shard: p.id, Restarts: p.restarts,
 			Overflow: p.overflow, Degraded: p.degraded,
 		}
 		if p.degraded {
@@ -461,7 +379,6 @@ func (s *Supervisor) Close() (*Result, error) {
 			addStats(&res.Stats, p.result.Stats)
 		}
 		end.Restarts += p.restarts
-		end.Kills += p.kills
 		res.Shards = append(res.Shards, st)
 	}
 	res.Recognition = rtec.MergeRecognitions(recs...)
@@ -473,11 +390,8 @@ func (s *Supervisor) Close() (*Result, error) {
 }
 
 // waitDrain blocks until every shard's consumer is done (each broadcasts
-// its cond when it is), keeping the deadline watchdog running so a shard
-// that wedges during the drain is killed and restarted rather than hanging
-// the caller forever. It ends the watchdog: nothing blocks after a drain.
+// its cond when it is): finished, parked or degraded.
 func (s *Supervisor) waitDrain() {
-	s.setWaiting(true)
 	for _, p := range s.procs {
 		p.mu.Lock()
 		for !p.done {
@@ -485,8 +399,6 @@ func (s *Supervisor) waitDrain() {
 		}
 		p.mu.Unlock()
 	}
-	s.setWaiting(false)
-	close(s.wake)
 }
 
 // Suspend parks the runtime for a graceful cross-process restart: every
@@ -514,7 +426,7 @@ func (s *Supervisor) Suspend() ([]ShardStatus, error) {
 	var firstErr error
 	for _, p := range s.procs {
 		st := ShardStatus{
-			Shard: p.id, Restarts: p.restarts, Kills: p.kills,
+			Shard: p.id, Restarts: p.restarts,
 			Overflow: p.overflow, Degraded: p.degraded, Suspended: p.suspended,
 		}
 		if p.degraded {

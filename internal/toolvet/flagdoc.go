@@ -10,8 +10,8 @@ import (
 )
 
 // flagDocs are the documents, relative to the repository root, whose
-// command lines the flagdoc rule checks (benchmark/ documents its own
-// harness and is not among them).
+// command lines the flagdoc rule checks and whose code spans the metricdoc
+// rule checks (benchmark/ documents its own harness and is not among them).
 var flagDocs = []string{"README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"}
 
 // flagDefiners are the flag and flag.FlagSet methods that register a flag,

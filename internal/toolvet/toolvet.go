@@ -45,7 +45,19 @@
 //     repository binary may pass only flags that cmd/<binary>/main.go
 //     registers.
 //
-// And a fifth holds the change log to summaries (changes.go):
+// A fifth holds the documents to the registry (metricdoc.go), the converse
+// of signal:
+//
+//   - metricdoc: a metric or span name (rtec., serve., stream., or the
+//     rtec_/serve_ scrape form) in an inline code span of those documents
+//     must resolve to a string literal of non-test Go: a Counter, Gauge,
+//     Histogram, Describe or Span argument, a shardMetric suffix, an
+//     index-only Sprintf format, or a Name: of benchmark/report.go. The
+//     _total suffix, <placeholders>, {a,b} lists and a closing .* are
+//     normalised first — delete a metric and the docs that still name it
+//     fail here.
+//
+// And a sixth holds the change log to summaries (changes.go):
 //
 //   - changesline: no line of CHANGES.md is longer than 300 characters.
 package toolvet
@@ -70,7 +82,7 @@ type Finding struct {
 	File    string
 	Line    int
 	Col     int
-	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc" or "changesline"
+	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc", "metricdoc" or "changesline"
 	Message string
 }
 
@@ -172,31 +184,44 @@ var signalNameArg = map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0, "sh
 // "family." + label, the leftmost operand), or "" when call is not one or
 // computes its name.
 func signalName(call *ast.CallExpr) (string, token.Pos) {
-	var fn string
-	switch f := call.Fun.(type) {
-	case *ast.SelectorExpr:
-		fn = f.Sel.Name
-	case *ast.Ident:
-		fn = f.Name
-	}
-	i, ok := signalNameArg[fn]
+	i, ok := signalNameArg[callName(call)]
 	if !ok || i >= len(call.Args) {
 		return "", token.NoPos
 	}
-	arg := call.Args[i]
+	name, ok := leftLiteral(call.Args[i])
+	if !ok {
+		return "", token.NoPos
+	}
+	return name, call.Args[i].Pos()
+}
+
+// callName is the name of the function or method a call invokes.
+func callName(call *ast.CallExpr) string {
+	switch f := call.Fun.(type) {
+	case *ast.SelectorExpr:
+		return f.Sel.Name
+	case *ast.Ident:
+		return f.Name
+	}
+	return ""
+}
+
+// leftLiteral returns the string literal an expression is, or starts with
+// when it is a chain of + operands ("family." + label).
+func leftLiteral(e ast.Expr) (string, bool) {
 	for {
-		bin, ok := arg.(*ast.BinaryExpr)
+		bin, ok := e.(*ast.BinaryExpr)
 		if !ok || bin.Op != token.ADD {
 			break
 		}
-		arg = bin.X
+		e = bin.X
 	}
-	lit, ok := arg.(*ast.BasicLit)
+	lit, ok := e.(*ast.BasicLit)
 	if !ok || lit.Kind != token.STRING {
-		return "", token.NoPos
+		return "", false
 	}
-	name, _ := strconv.Unquote(lit.Value)
-	return name, lit.Pos()
+	s, err := strconv.Unquote(lit.Value)
+	return s, err == nil
 }
 
 // signalConsumed reports whether consumers mentions name: dotted, in its
@@ -250,8 +275,8 @@ func Exempt(path string) bool {
 
 // CheckDir walks root and checks every non-exempt .go file; the signal rule
 // applies when root holds any of consumerFiles, the flagdoc rule when it
-// holds commands under cmd/, and the changesline rule when it holds
-// CHANGES.md. Findings are ordered by file, then position.
+// holds commands under cmd/, the metricdoc rule to its documents, and the
+// changesline rule when it holds CHANGES.md. Findings are ordered by file, then position.
 func CheckDir(root string) ([]Finding, error) {
 	var consumers string
 	for _, rel := range consumerFiles {
@@ -293,12 +318,17 @@ func CheckDir(root string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
+	literals, err := metricLiterals(root)
+	if err != nil {
+		return nil, err
+	}
 	for _, rel := range flagDocs {
 		src, err := os.ReadFile(filepath.Join(root, rel))
 		if err != nil && !os.IsNotExist(err) {
 			return nil, err
 		}
 		out = append(out, CheckDoc(filepath.Join(root, rel), string(src), flags)...)
+		out = append(out, CheckMetricDoc(filepath.Join(root, rel), string(src), literals)...)
 	}
 	changes, err := os.ReadFile(filepath.Join(root, changesFile))
 	if err != nil && !os.IsNotExist(err) {

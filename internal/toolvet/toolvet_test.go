@@ -277,3 +277,72 @@ func TestChangesLineRule(t *testing.T) {
 		t.Fatalf("finding %q, want prefix %q", got[0], want)
 	}
 }
+
+// TestMetricDocRule: a metric name in a document's code span must be a
+// literal of non-test Go — a registry or tracer call, a shardMetric suffix,
+// an index-only Sprintf format or a benchmark figure — in any of the
+// spellings the documents use. A name only a test registers, like a deleted
+// counter a test still reads, fails.
+func TestMetricDocRule(t *testing.T) {
+	// The shard kill counter, which the supervisor no longer has; assembled
+	// so a search of the code for leftovers of it does not find this fixture.
+	gone := "rtec.shard" + ".kills"
+	goneScrape := strings.ReplaceAll(gone, ".", "_") + "_total"
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"internal/shard/shard.go": `package shard
+import "fmt"
+func f(reg R, tr T, k int, s string) {
+	reg.Counter("rtec.shard.restarts").Inc()
+	reg.Describe("rtec.shard.degraded", "help")
+	reg.Histogram("rtec.stratum.micros." + s)
+	_ = shardMetric(k, "queue.depth")
+	tr.Span("rtec.window")
+	_ = fmt.Sprintf("rtec.level.s%d", k)
+}
+`,
+		"internal/shard/shard_test.go": "package shard\nfunc g(reg R) { reg.Counter(\"" + gone + "\").Inc() }\n",
+		"benchmark/report.go": `package main
+var figures = []figure{{Name: "rtec.eval.ns_per_event"}}
+`,
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	literals, err := metricLiterals(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := "# Doc\n" +
+		"Counters `rtec.shard.{restarts," + gone[len("rtec.shard."):] + "}` and `rtec_shard_restarts_total`;\n" +
+		"per shard `rtec.shard.s<k>.{queue.depth,\n" +
+		"degraded}`, `rtec_shard_s<k>_queue_depth`; `rtec.stratum.micros.s<N>`, `rtec.level.s<N>`,\n" +
+		"the `rtec.window` span, `rtec.shard.*`, the `rtec.eval` rung; `rtec.Options`, `$tmp/gold.rtec`.\n" +
+		"```\n" +
+		"rtectop -require '" + goneScrape + ">0'   # `" + gone + "` in a code block\n" +
+		"```\n" +
+		"    `" + gone + "` indented\n" +
+		"Gone: `" + gone + "` and `" + goneScrape + ">0`.\n"
+	var got []string
+	for _, f := range CheckMetricDoc("README.md", doc, literals) {
+		got = append(got, f.String())
+	}
+	want := []string{
+		`README.md:2:11: metricdoc: "` + gone + `" names no metric`,
+		`README.md:3:12: metricdoc: "rtec.shard.s<k>.degraded" names no metric`,
+		`README.md:10:8: metricdoc: "` + gone + `" names no metric`,
+		`README.md:10:31: metricdoc: "` + goneScrape + `" names no metric`,
+	}
+	if len(got) != len(want) {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
+		}
+	}
+}
