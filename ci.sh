@@ -2,8 +2,9 @@
 # CI gate: formatting, vet, build, the full test suite (which holds the
 # byte-identity contracts: cmd/rtec and internal/rtec contract_test.go,
 # DESIGN.md §9), race-enabled tests for the concurrency-sensitive packages,
-# the kb index and delta fuzzes, and the two gates that need real
-# processes: the rtecd daemon's drain and resume, and the benchmark smoke.
+# the kb index, delta, NDJSON recogniser and reorder fuzzes, and the two
+# gates that need real processes: the rtecd daemon's drain and resume, and
+# the benchmark smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -60,6 +61,12 @@ go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s
 
 echo "== delta fuzz (delta == full re-evaluation, and a stream's final recognition == the batch Run's)"
 go test ./internal/rtec -run '^$' -fuzz '^FuzzDeltaEquivalence$' -fuzztime 10s
+
+echo "== NDJSON recogniser fuzz (every canonical line it accepts, encoding/json decodes to the same event)"
+go test ./internal/stream -run '^$' -fuzz '^FuzzNDJSONCanonicalLine$' -fuzztime 10s
+
+echo "== reorder fuzz (what the buffer releases == Stream.Sort + Dedup over the admitted arrivals)"
+go test ./internal/stream -run '^$' -fuzz '^FuzzReorderMatchesSort$' -fuzztime 10s
 
 echo "== rtecd gate (daemon drain, resume byte-identity)"
 # Serve the maritime event description through the rtecd daemon, sharded

@@ -10,10 +10,13 @@ import (
 // parser is a recursive-descent parser with precedence climbing for the
 // infix operators of the dialect.
 type parser struct {
-	lx     *lexer
-	tok    token
-	peeked *token
-	anon   int // counter for fresh names of anonymous variables
+	lx  *lexer
+	tok token
+	// peeked is the one-token lookahead, valid while hasPeek is set. It is
+	// held by value so that a peek does not move the token to the heap.
+	peeked  token
+	hasPeek bool
+	anon    int // counter for fresh names of anonymous variables
 }
 
 func newParser(src string) (*parser, *Error) {
@@ -25,9 +28,8 @@ func newParser(src string) (*parser, *Error) {
 }
 
 func (p *parser) advance() *Error {
-	if p.peeked != nil {
-		p.tok = *p.peeked
-		p.peeked = nil
+	if p.hasPeek {
+		p.tok, p.hasPeek = p.peeked, false
 		return nil
 	}
 	t, err := p.lx.next()
@@ -39,14 +41,14 @@ func (p *parser) advance() *Error {
 }
 
 func (p *parser) peek() (token, *Error) {
-	if p.peeked == nil {
+	if !p.hasPeek {
 		t, err := p.lx.next()
 		if err != nil {
 			return token{}, err
 		}
-		p.peeked = &t
+		p.peeked, p.hasPeek = t, true
 	}
-	return *p.peeked, nil
+	return p.peeked, nil
 }
 
 func (p *parser) errorf(format string, args ...any) *Error {

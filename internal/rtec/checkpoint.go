@@ -130,7 +130,8 @@ func fvpFromCkpt(c ckptFVP) (*lang.Term, intervals.List, error) {
 
 // header captures the run state outside the slots.
 func (st *streamRun) header() checkpointHeader {
-	rs := st.reorder.State()
+	frontier, started := st.reorder.Frontier()
+	ds := st.reorder.Stats()
 	h := checkpointHeader{
 		EDSum:  st.eng.edFingerprint(),
 		Window: st.tl.window, Slide: st.tl.slide,
@@ -141,15 +142,16 @@ func (st *streamRun) header() checkpointHeader {
 		Revisions:   st.stats.Revisions,
 		Checkpoints: st.stats.Checkpoints,
 		SinceCkpt:   st.sinceCkpt,
-		Frontier:    rs.Frontier,
-		Started:     rs.Started,
+		Frontier:    frontier,
+		Started:     started,
 		Disorder: ckptDisorder{
-			Observed: rs.Stats.Observed, Accepted: rs.Stats.Accepted,
-			Late: rs.Stats.Late, Duplicates: rs.Stats.Duplicates, Dropped: rs.Stats.Dropped,
+			Observed: ds.Observed, Accepted: ds.Accepted,
+			Late: ds.Late, Duplicates: ds.Duplicates, Dropped: ds.Dropped,
 		},
 	}
-	for _, e := range rs.Buffered {
-		h.Buffered = append(h.Buffered, ckptEvent{T: e.Time, Atom: e.Atom.String()})
+	// The atoms were rendered when the reorder buffer admitted them.
+	for i, e := range st.reorder.Buffered() {
+		h.Buffered = append(h.Buffered, ckptEvent{T: e.Time, Atom: st.reorder.Text(i)})
 	}
 	return h
 }

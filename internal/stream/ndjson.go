@@ -52,13 +52,17 @@ func ReadNDJSONLenient(r io.Reader) (Stream, []BadRow, error) {
 	return readNDJSON(r, true)
 }
 
+// maxNDJSONLine is the longest line the NDJSON readers accept.
+const maxNDJSONLine = 4 * 1024 * 1024
+
 // readNDJSON is the shared scanner behind ReadNDJSON (strict: first bad
 // line aborts) and ReadNDJSONLenient (bad lines are quarantined). Blank
 // lines are skipped but still counted, so reported line numbers match the
-// input as a client sees it.
+// input as a client sees it. The scanner grows its buffer from the
+// default only as far as the longest line needs.
 func readNDJSON(r io.Reader, lenient bool) (Stream, []BadRow, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 4*1024*1024)
+	sc.Buffer(nil, maxNDJSONLine)
 	var out Stream
 	var bad []BadRow
 	line := 0
@@ -85,30 +89,95 @@ func readNDJSON(r io.Reader, lenient bool) (Stream, []BadRow, error) {
 }
 
 // decodeNDJSONLine decodes the non-blank line numbered line into an event.
+// A line in the canonical form WriteNDJSON writes is read by
+// canonicalNDJSON; any other line goes through decodeJSONLine.
 func decodeNDJSONLine(line int, raw []byte) (Event, error) {
-	var we ndjsonEvent
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&we); err != nil {
-		return Event{}, fmt.Errorf("stream: line %d: bad JSON: %v", line, err)
+	t, text, ok := canonicalNDJSON(raw)
+	if !ok {
+		var err error
+		if t, text, err = decodeJSONLine(line, raw); err != nil {
+			return Event{}, err
+		}
 	}
-	// Trailing garbage after the object is a malformed line, not a
-	// second record: NDJSON is one object per line.
-	if dec.More() {
-		return Event{}, fmt.Errorf("stream: line %d: trailing data after event object", line)
-	}
-	if we.Atom == "" {
+	if text == "" {
 		return Event{}, fmt.Errorf("stream: line %d: missing atom", line)
 	}
-	if we.Time == nil {
-		return Event{}, fmt.Errorf("stream: line %d: missing time", line)
-	}
-	atom, err := parser.ParseTerm(we.Atom)
+	atom, err := parser.ParseTerm(text)
 	if err != nil {
-		return Event{}, fmt.Errorf("stream: line %d: bad atom %q: %v", line, we.Atom, err)
+		return Event{}, fmt.Errorf("stream: line %d: bad atom %q: %v", line, text, err)
 	}
 	if err := checkEvent(line, atom); err != nil {
 		return Event{}, err
 	}
-	return Event{Time: *we.Time, Atom: atom}, nil
+	return Event{Time: t, Atom: atom}, nil
+}
+
+// decodeJSONLine decodes the trimmed line numbered line with
+// encoding/json, which defines the wire format and words every error. An
+// empty atom is returned for the caller to refuse; a line with an atom but
+// no time is refused here.
+func decodeJSONLine(line int, raw []byte) (t int64, atom string, err error) {
+	var we ndjsonEvent
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&we); err != nil {
+		return 0, "", fmt.Errorf("stream: line %d: bad JSON: %v", line, err)
+	}
+	// Trailing bytes after the object make a malformed line, not a second
+	// record: NDJSON is one object per line. raw is trimmed, so the object
+	// must end it.
+	if dec.InputOffset() != int64(len(raw)) {
+		return 0, "", fmt.Errorf("stream: line %d: trailing data after event object", line)
+	}
+	if we.Time == nil {
+		if we.Atom != "" {
+			return 0, "", fmt.Errorf("stream: line %d: missing time", line)
+		}
+		return 0, "", nil
+	}
+	return *we.Time, we.Atom, nil
+}
+
+// canonicalNDJSON recognises the one line shape WriteNDJSON writes for an
+// atom that needs no JSON escape, {"time":N,"atom":"..."}: N an integer of
+// at most 18 digits (so it cannot overflow) without a leading zero, the
+// atom non-empty printable ASCII without '"' or a backslash, no whitespace
+// outside the atom and nothing after the closing brace. Every line it
+// accepts encoding/json decodes to the same time and atom
+// (FuzzNDJSONCanonicalLine); ok is false for anything else, which the
+// caller then decodes in full.
+func canonicalNDJSON(raw []byte) (t int64, atom string, ok bool) {
+	const head, mid = `{"time":`, `,"atom":"`
+	if !bytes.HasPrefix(raw, []byte(head)) {
+		return 0, "", false
+	}
+	i := len(head)
+	neg := i < len(raw) && raw[i] == '-'
+	if neg {
+		i++
+	}
+	digits := i
+	for ; i < len(raw) && raw[i] >= '0' && raw[i] <= '9'; i++ {
+		t = t*10 + int64(raw[i]-'0')
+	}
+	if n := i - digits; n == 0 || n > 18 || n > 1 && raw[digits] == '0' {
+		return 0, "", false
+	}
+	if neg {
+		t = -t
+	}
+	if !bytes.HasPrefix(raw[i:], []byte(mid)) {
+		return 0, "", false
+	}
+	i += len(mid)
+	start := i
+	for ; i < len(raw) && raw[i] != '"'; i++ {
+		if c := raw[i]; c < 0x20 || c > 0x7e || c == '\\' {
+			return 0, "", false
+		}
+	}
+	if i == start || len(raw) != i+2 || raw[i+1] != '}' {
+		return 0, "", false
+	}
+	return t, string(raw[start:i]), true
 }

@@ -2,6 +2,7 @@ package stream
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -75,8 +76,9 @@ type Reorder struct {
 	maxDelay int64
 	frontier int64
 	started  bool
-	buf      Stream          // admitted events, sorted by (time, atom text)
-	seen     map[string]bool // dedup keys of buffered (not yet dropped) events
+	buf      Stream            // admitted events, sorted by (time, atom text)
+	text     []string          // text[i] is buf[i].Atom.String(), rendered once at admission
+	seen     map[eventKey]bool // keys of buffered (not yet dropped) events
 	stats    DisorderStats
 	// highWater is the maximum buffer occupancy observed over the lifetime
 	// of this Reorder. It is observability state, not recognition state, so
@@ -92,7 +94,7 @@ func NewReorder(maxDelay int64) *Reorder {
 	if maxDelay < 0 {
 		maxDelay = 0
 	}
-	return &Reorder{maxDelay: maxDelay, seen: map[string]bool{}}
+	return &Reorder{maxDelay: maxDelay, seen: map[eventKey]bool{}}
 }
 
 // MaxDelay returns the delay bound.
@@ -122,14 +124,15 @@ func (r *Reorder) Occupancy() int { return len(r.buf) }
 func (r *Reorder) HighWater() int { return r.highWater }
 
 // Push classifies one arriving event and, when admitted, inserts it into
-// the sorted buffer.
+// the sorted buffer. The atom is rendered once, unless the event is too
+// late; the text orders, deduplicates and checkpoints it from then on.
 func (r *Reorder) Push(e Event) Admission {
 	r.stats.Observed++
 	if r.started && e.Time < r.frontier-r.maxDelay {
 		r.stats.Dropped++
 		return TooLate
 	}
-	key := dedupKey(e)
+	key := eventKey{e.Time, e.Atom.String()}
 	if r.seen[key] {
 		r.stats.Duplicates++
 		return Duplicate
@@ -144,25 +147,23 @@ func (r *Reorder) Push(e Event) Admission {
 		r.started = true
 	}
 	r.seen[key] = true
-	r.insert(e)
+	r.insert(e, key.text)
 	r.stats.Accepted++
 	return verdict
 }
 
-// insert places e into the buffer, keeping it sorted by (time, atom text)
-// with arrival order as the final tie-break — the same canonical order
-// Stream.Sort produces.
-func (r *Reorder) insert(e Event) {
-	text := e.Atom.String()
+// insert places e, whose atom renders as text, into the buffer, keeping it
+// sorted by (time, atom text) with arrival order as the final tie-break —
+// the same canonical order Stream.Sort produces.
+func (r *Reorder) insert(e Event, text string) {
 	i := sort.Search(len(r.buf), func(i int) bool {
 		if r.buf[i].Time != e.Time {
 			return r.buf[i].Time > e.Time
 		}
-		return r.buf[i].Atom.String() > text
+		return r.text[i] > text
 	})
-	r.buf = append(r.buf, Event{})
-	copy(r.buf[i+1:], r.buf[i:])
-	r.buf[i] = e
+	r.buf = slices.Insert(r.buf, i, e)
+	r.text = slices.Insert(r.text, i, text)
 	if len(r.buf) > r.highWater {
 		r.highWater = len(r.buf)
 	}
@@ -173,21 +174,36 @@ func (r *Reorder) insert(e Event) {
 // must treat it as invalidated by the next Push, Release or Drop.
 func (r *Reorder) Buffered() Stream { return r.buf }
 
+// Text returns the rendered atom of Buffered()[i], as rendered when the
+// event was admitted.
+func (r *Reorder) Text(i int) string { return r.text[i] }
+
 // Release pops and returns the buffered prefix with Time < upto, in
 // canonical order — the settled part of the stream for an in-order
 // consumer that releases up to the watermark.
 func (r *Reorder) Release(upto int64) Stream {
-	n := sort.Search(len(r.buf), func(i int) bool { return r.buf[i].Time >= upto })
+	n := r.before(upto)
 	if n == 0 {
 		return nil
 	}
-	out := make(Stream, n)
-	copy(out, r.buf[:n])
-	r.buf = append(r.buf[:0], r.buf[n:]...)
-	for _, e := range out {
-		delete(r.seen, dedupKey(e))
-	}
+	out := slices.Clone(r.buf[:n])
+	r.forget(n)
 	return out
+}
+
+// before returns how many buffered events have Time < t.
+func (r *Reorder) before(t int64) int {
+	return sort.Search(len(r.buf), func(i int) bool { return r.buf[i].Time >= t })
+}
+
+// forget removes the first n buffered events and their duplicate keys,
+// shifting the rest down in place.
+func (r *Reorder) forget(n int) {
+	for i, e := range r.buf[:n] {
+		delete(r.seen, eventKey{e.Time, r.text[i]})
+	}
+	r.buf = slices.Delete(r.buf, 0, n)
+	r.text = slices.Delete(r.text, 0, n)
 }
 
 // Drop forgets buffered events with Time < below, returning how many were
@@ -196,7 +212,9 @@ func (r *Reorder) Release(upto int64) Stream {
 // land at or above the horizon are deduplicated, which is exact because
 // anything older is rejected as TooLate first.
 func (r *Reorder) Drop(below int64) int {
-	return len(r.Release(below))
+	n := r.before(below)
+	r.forget(n)
+	return n
 }
 
 // Close drains the buffer at end of stream: it pops and returns every
@@ -209,10 +227,7 @@ func (r *Reorder) Drop(below int64) int {
 func (r *Reorder) Close() Stream {
 	out := make(Stream, len(r.buf))
 	copy(out, r.buf)
-	r.buf = r.buf[:0]
-	for _, e := range out {
-		delete(r.seen, dedupKey(e))
-	}
+	r.forget(len(r.buf))
 	return out
 }
 
@@ -238,8 +253,10 @@ func NewReorderFromState(maxDelay int64, st ReorderState) *Reorder {
 	r.frontier, r.started, r.stats = st.Frontier, st.Started, st.Stats
 	r.buf = make(Stream, len(st.Buffered))
 	copy(r.buf, st.Buffered)
-	for _, e := range r.buf {
-		r.seen[dedupKey(e)] = true
+	r.text = make([]string, len(r.buf))
+	for i, e := range r.buf {
+		r.text[i] = e.Atom.String()
+		r.seen[eventKey{e.Time, r.text[i]}] = true
 	}
 	return r
 }

@@ -77,10 +77,10 @@ func (s Stream) Sort() {
 // returns the deduplicated stream and the number of events dropped. The
 // receiver is not modified and need not be sorted.
 func (s Stream) Dedup() (Stream, int) {
-	seen := make(map[string]bool, len(s))
+	seen := make(map[eventKey]bool, len(s))
 	out := make(Stream, 0, len(s))
 	for _, e := range s {
-		key := dedupKey(e)
+		key := eventKey{e.Time, e.Atom.String()}
 		if seen[key] {
 			continue
 		}
@@ -90,10 +90,11 @@ func (s Stream) Dedup() (Stream, int) {
 	return out, len(s) - len(out)
 }
 
-// dedupKey is the identity of an event for duplicate detection: its
+// eventKey is the identity of an event for duplicate detection: its
 // time-point and the canonical text of its atom.
-func dedupKey(e Event) string {
-	return strconv.FormatInt(e.Time, 10) + "|" + e.Atom.String()
+type eventKey struct {
+	t    int64
+	text string
 }
 
 // IsSorted reports whether the stream is in time order.
