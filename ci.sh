@@ -56,17 +56,42 @@ echo "== shard hand-off stress (admission, restart and degradation wake-ups, -ra
 # exercise each hand-off under the race detector.
 go test -race -count=20 -run 'TestShard(PanicUnblocksProducer|DegradationAndHealth|OverflowOnDegraded)|TestAdmission' ./internal/shard
 
-echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over every fact)"
-go test ./internal/kb -run '^$' -fuzz '^FuzzMatchEqualsScan$' -fuzztime 10s
+# fuzz runs one fuzz target for $3 and fails unless the engine reported
+# executions. Before the first mutated input the engine runs the seed corpus
+# once as its coverage baseline; an input that runs longer than its 10 s hang
+# limit, or a baseline longer than the budget, ends the run there, and go
+# test still prints PASS. Only the "execs:" status line shows that fuzzing
+# started.
+fuzz() {
+    # $1: package, $2: fuzz target, $3: -fuzztime.
+    if ! go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime "$3" > "$tmp/fuzz.txt" 2>&1; then
+        cat "$tmp/fuzz.txt" >&2
+        exit 1
+    fi
+    cat "$tmp/fuzz.txt"
+    if ! grep -q 'execs: ' "$tmp/fuzz.txt"; then
+        echo "$2: no execs: line, so no mutated input ran" >&2
+        exit 1
+    fi
+}
+# The engine adds every input it finds interesting to a cache it replays as
+# part of the baseline on the next run, so the baseline grows with each run
+# on one machine. Each run starts from the committed seeds.
+go clean -fuzzcache
 
-echo "== delta fuzz (delta == full re-evaluation, and a stream's final recognition == the batch Run's)"
-go test ./internal/rtec -run '^$' -fuzz '^FuzzDeltaEquivalence$' -fuzztime 10s
+echo "== kb index fuzz (Match and a compiled Lookup answer exactly as Unify over every fact)"
+fuzz ./internal/kb FuzzMatchEqualsScan 10s
+
+# The delta target's seed baseline alone takes about 6 s instrumented on two
+# cores (its four maritime seeds about a second each), hence the longer budget.
+echo "== delta fuzz (delta == full re-evaluation, retained event indexes == a rebuild, and a stream's final recognition == the batch Run's)"
+fuzz ./internal/rtec FuzzDeltaEquivalence 30s
 
 echo "== NDJSON recogniser fuzz (every canonical line it accepts, encoding/json decodes to the same event)"
-go test ./internal/stream -run '^$' -fuzz '^FuzzNDJSONCanonicalLine$' -fuzztime 10s
+fuzz ./internal/stream FuzzNDJSONCanonicalLine 10s
 
 echo "== reorder fuzz (what the buffer releases == Stream.Sort + Dedup over the admitted arrivals)"
-go test ./internal/stream -run '^$' -fuzz '^FuzzReorderMatchesSort$' -fuzztime 10s
+fuzz ./internal/stream FuzzReorderMatchesSort 10s
 
 echo "== rtecd gate (daemon drain, resume byte-identity)"
 # Serve the maritime event description through the rtecd daemon, sharded

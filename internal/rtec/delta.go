@@ -63,9 +63,10 @@ import (
 //     inertia input is the one it saw.
 // Everything else (a slide, changed inputs, an ineligible simple fluent, a
 // fluent with no carried state) evaluates, by replay where it can, and is
-// diffed. When every fluent of a revision was installed or came out equal to
-// its carried lists, the window's previous windowEval is the answer and is
-// not rebuilt (evalWindow).
+// diffed. Every revision, however many of its fluents installed, clips its
+// lists into a fresh windowEval (evalWindow), which streamRun.revise compares
+// with the slot's previous one to decide whether to re-deliver the window and
+// whether its inertia carry-over changed.
 
 // noInternID stands for an intern ID not known where the FVP is handed on: in
 // a listEntry published for engines other than the one that computed it (the

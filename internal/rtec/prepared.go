@@ -1,6 +1,8 @@
 package rtec
 
 import (
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 
@@ -30,8 +32,10 @@ import (
 // the table.
 
 // windowIndex holds the events of one window indexed the ways rule
-// evaluation reads them. It is immutable once built, so a Prepared's indexes
-// are shared by every engine run over it.
+// evaluation reads them. A Prepared's indexes are immutable once built, so
+// they are shared by every engine run over it; the only index that changes is
+// the one a streaming run keeps for a revisable window, which takes each late
+// event through insert between two evaluations.
 type windowIndex struct {
 	n         int // events in the window
 	byIndTime map[lang.PredKey]map[int64][]*lang.Term
@@ -68,6 +72,50 @@ func indexWindow(events stream.Stream) *windowIndex {
 		byTime[ev.Time] = append(byTime[ev.Time], ev.Atom)
 	}
 	return x
+}
+
+// insert adds e to the index of a streaming window that still takes late
+// events: x holds what indexWindow gave over the window's buffered events
+// before e was admitted, and buf is the reorder buffer with e in it. The
+// buffer keeps its events in canonical (time, rendered atom) order, so its
+// events of e's predicate at e's time-point, in turn, are the entries
+// indexWindow would give x there now: x's entries at that time-point grow by
+// one slot and are rewritten from them, and nothing else moves. The entries
+// share the time-point's at term when x has one.
+func (x *windowIndex) insert(buf stream.Stream, e stream.Event) {
+	t, pred := e.Time, e.Atom.Pred()
+	byTime := x.byIndTime[pred]
+	if byTime == nil {
+		byTime = map[int64][]*lang.Term{}
+		x.byIndTime[pred] = byTime
+	}
+	evs := x.byInd[pred]
+	lo := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t })
+	at := x.atTerm(t)
+	evs = slices.Insert(evs, lo+len(byTime[t]), timedEvent{})
+	atoms := append(byTime[t], nil)
+	k := 0
+	for _, ev := range buf.Window(t, t+1) {
+		if ev.Atom.Pred() == pred {
+			evs[lo+k] = timedEvent{ev, at}
+			atoms[k] = ev.Atom
+			k++
+		}
+	}
+	x.byInd[pred], byTime[t] = evs, atoms
+	x.n++
+}
+
+// atTerm returns the Int term the events of x at time-point t share, or a
+// new one when x has none there.
+func (x *windowIndex) atTerm(t int64) *lang.Term {
+	for _, evs := range x.byInd {
+		i := sort.Search(len(evs), func(i int) bool { return evs[i].Time >= t })
+		if i < len(evs) && evs[i].Time == t {
+			return evs[i].at
+		}
+	}
+	return lang.NewInt(t)
 }
 
 // Prepared is a stream planned and indexed for batch recognition under one

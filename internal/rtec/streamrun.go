@@ -72,11 +72,19 @@ type StreamResult struct {
 }
 
 // windowSlot is the per-window book-keeping of a run: the latest
-// delivered evaluation of an emitted window, its revision counter, and the
-// delta state that evaluation captured.
+// delivered evaluation of an emitted window, its revision counter, the
+// delta state that evaluation captured, and the event index of a window
+// that has been revised.
 type windowSlot struct {
 	revision int
 	eval     windowEval
+	// events is the slot's event index once a revision has built it from the
+	// reorder buffer; each later late event in the window is inserted into it
+	// in place (windowIndex.insert), so it stays what indexWindow would give
+	// over the buffer's window. Held only while the slot is revisable (see
+	// advanceFinal); an emission keeps no index, and a checkpoint stores none,
+	// so a resumed slot rebuilds it on its first revision.
+	events *windowIndex
 	// delta is the interval/act state carried out of the slot's latest
 	// evaluation (emission or revision). A revision of the slot installs
 	// from it or replays it for every time-point but the late event's; the
@@ -248,7 +256,7 @@ func (st *streamRun) ingest(e stream.Event) error {
 	case stream.AdmittedLate:
 		st.obs.ingested.Inc()
 		tel.Counter("rtec.late_events").Inc()
-		if err := st.revise(e.Time); err != nil {
+		if err := st.revise(e); err != nil {
 			return err
 		}
 	}
@@ -291,8 +299,10 @@ func (st *streamRun) prevOpenInto(i int) map[string]*lang.Term {
 	return st.slots[i-1].eval.nextOpen
 }
 
-// evalSlot evaluates window i over the admitted events (a batch run: the
-// Prepared's window) through the delta layer: prev, when set, is replayed
+// evalSlot evaluates window i over the admitted events through the delta
+// layer. The events come indexed from the Prepared's window in a batch run,
+// from the slot's retained index in a revision (see revise), or else from the
+// reorder buffer, indexed for this one evaluation. prev, when set, is replayed
 // outside base and whatever the dependency diffs dirty. The capture rule: with
 // the delta layer on, a slot captures iff something can read its state — an
 // overlapping successor (nws < we), or a revision, which only a reorder buffer
@@ -307,10 +317,11 @@ func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) wind
 			dctx.prev, dctx.base = prev, base
 		}
 	}
-	var winEvents *windowIndex
-	if st.prepared != nil {
+	winEvents := st.slots[i].events
+	switch {
+	case st.prepared != nil:
 		winEvents = st.prepared.windows[i]
-	} else {
+	case winEvents == nil:
 		winEvents = indexWindow(st.reorder.Buffered().Window(ws, we))
 	}
 	ev := st.eng.evalWindow(winEvents, ws, we, nws, st.prevOpenInto(i), st.span, dctx, sharedWindow{run: st.shared, index: int32(i)})
@@ -360,7 +371,14 @@ func (st *streamRun) emitNext() error {
 // intervals. Fluents whose inputs did not change install their carried
 // lists. A slot without carried state (delta off, or cold after a resume)
 // evaluates in full and captures, so the next revision is warm.
-func (st *streamRun) revise(t int64) error {
+//
+// Each re-evaluated slot reads its own retained event index. The slot's
+// first revision builds it from the reorder buffer, which already holds the
+// late event e, and keeps it; a later late event in the window is inserted
+// into it where indexWindow would put it, so no revision re-indexes the
+// window. The index is kept whether or not the delta layer is on.
+func (st *streamRun) revise(e stream.Event) error {
+	t := e.Time
 	tel := st.eng.opts.Telemetry
 	carryChanged := false
 	for i := st.final; i < st.emitted; i++ {
@@ -375,6 +393,12 @@ func (st *streamRun) revise(t int64) error {
 		}
 		prev := st.slots[i].eval
 		t0 := time.Now() //rtecvet:allow telemetry timer: real end-to-end window latency
+		switch slot := &st.slots[i]; {
+		case slot.events == nil:
+			slot.events = indexWindow(st.reorder.Buffered().Window(ws, st.tl.q(i)))
+		case direct:
+			slot.events.insert(st.reorder.Buffered(), e)
+		}
 		var base intervals.List
 		if direct {
 			base = intervals.List{{Start: t, End: t + 1}}
@@ -418,13 +442,15 @@ func (st *streamRun) deliver(i int, retracted map[string]intervals.List) error {
 }
 
 // advanceFinal moves the revision cursor over the emitted slots whose query
-// time the watermark w has reached, and releases their carried delta state:
-// nothing can revise them any more. The last emitted slot keeps its state
-// until the next emission has slid it (emitNext releases it then), so the
-// slots holding state are the revisable ones plus at most one.
+// time the watermark w has reached, and releases their event index and
+// carried delta state: nothing can revise them any more. The last emitted
+// slot keeps its delta state until the next emission has slid it (emitNext
+// releases it then), so the slots holding delta state are the revisable ones
+// plus at most one, and those holding an index are revisable ones.
 func (st *streamRun) advanceFinal(w int64) {
 	for st.final < st.emitted && st.tl.q(st.final) <= w {
 		st.slotVisits++
+		st.slots[st.final].events = nil
 		if st.final < st.emitted-1 {
 			st.slots[st.final].delta = nil
 		}
