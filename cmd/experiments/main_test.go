@@ -52,15 +52,29 @@ func TestRunFigureRefine(t *testing.T) {
 	}
 }
 
+// allGolden holds the -fig all tables (Figures 2a, 2b, 2c and refine) that
+// EXPERIMENTS.md reports. Regenerate it only when a figure is meant to change:
+//
+//	go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 > cmd/experiments/testdata/all.csv.golden
+const allGolden = "testdata/all.csv.golden"
+
 // TestRunAllWorkersIdentical: -workers fans out whole jobs (generation
 // pipelines, Figure 2c evaluations, refine chains), so every table comes out
-// byte-identical at one job at a time and at eight.
+// byte-identical at one job at a time and at eight, and the sequential run
+// prints the committed figures.
 func TestRunAllWorkersIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full recognition run")
 	}
 	o := options{fig: "all", csv: true, vessels: 14, seed: 7, window: 3600, workers: 1}
 	seq := captureStdout(t, o)
+	want, err := os.ReadFile(allGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq != string(want) {
+		t.Errorf("-fig all differs from %s:\n%s\nwant:\n%s", allGolden, seq, want)
+	}
 	o.workers = 8
 	if par := captureStdout(t, o); par != seq {
 		t.Errorf("-fig all differs between -workers 1 and 8:\n%s\nat 8:\n%s", seq, par)
