@@ -2,9 +2,9 @@
 # CI gate: formatting, vet, build, the full test suite (which holds the
 # byte-identity contracts: cmd/rtec and internal/rtec contract_test.go,
 # DESIGN.md §9), race-enabled tests for the concurrency-sensitive packages,
-# the kb index, delta, NDJSON recogniser and reorder fuzzes, and the two
-# gates that need real processes: the rtecd daemon's drain and resume, and
-# the benchmark smoke.
+# the kb index, delta, NDJSON recogniser, reorder and shard fault-schedule
+# fuzzes, and the two gates that need real processes: the rtecd daemon's
+# drain and resume, and the benchmark smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -92,6 +92,9 @@ fuzz ./internal/stream FuzzNDJSONCanonicalLine 10s
 
 echo "== reorder fuzz (what the buffer releases == Stream.Sort + Dedup over the admitted arrivals)"
 fuzz ./internal/stream FuzzReorderMatchesSort 10s
+
+echo "== shard fault-schedule fuzz (a run that survives any schedule of observer panics and torn checkpoints == the fault-free run, byte for byte)"
+fuzz ./internal/shard FuzzShardFaultSchedule 10s
 
 echo "== rtecd gate (daemon drain, resume byte-identity)"
 # Serve the maritime event description through the rtecd daemon, sharded

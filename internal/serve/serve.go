@@ -47,7 +47,6 @@ import (
 	"rtecgen/internal/clock"
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/shard"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -67,20 +66,23 @@ var stateNames = [...]string{"starting", "ready", "draining", "suspended", "fini
 
 // Options configure a Daemon.
 type Options struct {
-	// Shards, Stream, MaxRestarts, Seed, Faults and Clock configure the underlying shard supervisor (see shard.Options).
-	// Stream.CheckpointPath is required: the daemon parks into it on drain.
-	// Stream.Start/End must bound the time-line (a daemon cannot inspect the
-	// whole stream up front the way cmd/rtec does), and a plan
-	// rtec.CheckStreamOptions refuses fails New before any file is opened.
-	// rtecd sets Shards and Stream from flags and Seed to a constant;
-	// MaxRestarts, Faults and Clock keep their defaults there (5, none,
-	// the real clock) and exist for tests. The per-shard
+	// Shards, Stream, MaxRestarts, Seed and Clock configure the underlying
+	// shard supervisor (see shard.Options). Stream.CheckpointPath is
+	// required: the daemon parks into it on drain. Stream.Start/End must
+	// bound the time-line (a daemon cannot inspect the whole stream up front
+	// the way cmd/rtec does), and a plan rtec.CheckStreamOptions refuses
+	// fails New before any file is opened. rtecd sets Shards and Stream from
+	// flags and Seed to a constant; MaxRestarts and Clock keep their
+	// defaults there (5, the real clock) and exist for tests. The per-shard
 	// backlog bound is shard.Options' default of 256 arrivals.
 	Shards      int
 	Stream      rtec.StreamOptions
 	MaxRestarts int
 	Seed        int64
-	Faults      *fault.Plan
+	// onWindow, when non-nil, observes every window delivery after the
+	// subscription hub has published it: the tests fail shards by panicking
+	// in it (see shard.Options.OnWindow).
+	onWindow func(shard int, wr rtec.WindowResult)
 
 	// JournalPath, when non-empty, appends the supervisor lifecycle journal
 	// there and shard k's byte-deterministic journal to "<path>.s<k>". With
@@ -234,6 +236,13 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
+	onWindow := d.hub.publish
+	if observe := opts.onWindow; observe != nil {
+		onWindow = func(k int, wr rtec.WindowResult) {
+			d.hub.publish(k, wr)
+			observe(k, wr)
+		}
+	}
 	sup, err := shard.NewSupervisor(eng, shard.Options{
 		Shards:         opts.Shards,
 		Stream:         opts.Stream,
@@ -241,11 +250,10 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 		JournalOpts:    opts.JournalOpts,
 		JournalInfoFor: journalInfoFor,
 		Resume:         opts.Resume,
-		OnWindow:       d.hub.publish,
+		OnWindow:       onWindow,
 		Events:         d.jw,
 		MaxRestarts:    opts.MaxRestarts,
 		Seed:           opts.Seed,
-		Faults:         opts.Faults,
 		Clock:          opts.Clock,
 		Telemetry:      opts.Telemetry,
 	})

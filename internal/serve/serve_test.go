@@ -9,15 +9,16 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rtecgen/internal/clock"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
@@ -610,22 +611,40 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	}
 }
 
+// panicsAt is a window observer that fails shards: shard k panics at the
+// first-time delivery of each window whose query time at[k] lists — once,
+// or on every attempt when every is set. The latches live in the closure,
+// outside the shards, so a restarted shard replays past a panic that fired.
+func panicsAt(every bool, at map[int][]int64) func(int, rtec.WindowResult) {
+	var mu sync.Mutex
+	fired := map[[2]int64]bool{} // {shard, query time}
+	return func(k int, wr rtec.WindowResult) {
+		if wr.Revision != 0 || !slices.Contains(at[k], wr.QueryTime) {
+			return
+		}
+		key := [2]int64{int64(k), wr.QueryTime}
+		mu.Lock()
+		again := fired[key]
+		fired[key] = true
+		mu.Unlock()
+		if again && !every {
+			return
+		}
+		panic(fmt.Sprintf("injected panic at query time %d of shard %d", wr.QueryTime, k))
+	}
+}
+
 // TestDaemonHealthUnderChaos hammers /healthz and /metrics from many
-// goroutines while injected faults degrade one shard and restart another —
+// goroutines while observer panics degrade one shard and restart another —
 // the observability surface must stay consistent (and race-free under
 // -race) through supervision churn. Once shard 1 is dead, an arrival routed
 // to it gets a 503 naming it, /finish fails instead of answering a partial
 // CSV, and /healthz stays 503 naming the degraded shard.
 func TestDaemonHealthUnderChaos(t *testing.T) {
-	// Shard 1 exhausts its restart budget and degrades; shard 2 restarts
-	// once and recovers.
-	plan := &fault.Plan{Triggers: []fault.Trigger{
-		{Kind: fault.Panic, Window: 1, Shard: 1},
-		{Kind: fault.Panic, Window: 2, Shard: 1},
-		{Kind: fault.Panic, Window: 1, Shard: 2},
-	}}
+	// Shard 1 exhausts its restart budget and degrades at its first two
+	// windows (query times 100 and 200); shard 2 restarts once and recovers.
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
-		o.Faults = plan
+		o.onWindow = panicsAt(false, map[int][]int64{1: {100, 200}, 2: {100}})
 		o.MaxRestarts = 1
 	})
 	stop := make(chan struct{})
@@ -702,12 +721,13 @@ func namesDegraded(body string, k int) bool {
 }
 
 // TestDegradedShardFailsFinish: a shard that degrades while /finish drains
-// the shards — its last window panics on every attempt — fails both /finish
+// the shards — its last window, ending at 991, panics on every attempt —
+// fails both /finish
 // and /result with a non-200 naming it, instead of answering the healthy
 // shards' merge as if it were the run's recognition.
 func TestDegradedShardFailsFinish(t *testing.T) {
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
-		o.Faults = &fault.Plan{Triggers: []fault.Trigger{{Kind: fault.Panic, Window: 10, Shard: 1, Every: true}}}
+		o.onWindow = panicsAt(true, map[int][]int64{1: {991}})
 		o.MaxRestarts = 1
 	})
 	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, testArrivals(7, 160, 60))); code != http.StatusOK {

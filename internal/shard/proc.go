@@ -3,13 +3,12 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
-	"os"
 	"sync"
 	"time"
 
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 )
@@ -68,7 +67,6 @@ type proc struct {
 
 	// Consumer-side state (owned by the consumer goroutine and, between
 	// attempts, the run loop; never touched by the producer).
-	inj          *fault.Injector
 	stage        *stagedJournal
 	prevB, lastB stageBoundary
 	ckptSeen     int64
@@ -185,8 +183,8 @@ func (p *proc) suspendQueue() {
 }
 
 // deliverHook is the per-window callback wired into the shard's engine
-// runner: it advances the absolute delivery counter and acts out scheduled
-// panics at first-time deliveries.
+// runner: it fans the delivery out to the observer and advances the
+// absolute delivery counter.
 func (p *proc) deliverHook(wr rtec.WindowResult) error {
 	// Fan deliveries (and revisions) out to the supervisor-level observer.
 	// Crash replays re-deliver replayed windows, so observers see
@@ -194,12 +192,8 @@ func (p *proc) deliverHook(wr rtec.WindowResult) error {
 	if h := p.sup.opts.OnWindow; h != nil {
 		h(p.id, wr)
 	}
-	if wr.Revision != 0 {
-		return nil
-	}
-	p.delivered++
-	if p.inj.OnDeliver(p.delivered) {
-		panic(fmt.Sprintf("injected panic at window %d of shard %d", p.delivered, p.id))
+	if wr.Revision == 0 {
+		p.delivered++
 	}
 	return nil
 }
@@ -265,7 +259,8 @@ func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
 }
 
 // attempt runs the shard until the queue drains or something goes wrong.
-// Panics (injected or real) surface as errors for the run loop to restart.
+// Panics (the engine's or the observer's) surface as errors for the run
+// loop to restart.
 func (p *proc) attempt() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -347,15 +342,9 @@ func (p *proc) syncCursor(at int) {
 }
 
 // onCheckpoint runs the generation-lagged commit protocol after the engine
-// wrote a checkpoint: act out a scheduled checkpoint-truncate fault, flush
-// the staged journal through the PREVIOUS checkpoint's boundary, ack the
-// queue below it, and shift the boundaries.
+// wrote a checkpoint: flush the staged journal through the PREVIOUS
+// checkpoint's boundary, ack the queue below it, and shift the boundaries.
 func (p *proc) onCheckpoint(runner *rtec.StreamRunner) error {
-	if p.inj.OnCheckpoint(runner.Windows()) {
-		if err := truncateFile(p.sup.checkpointPath(p.id)); err != nil {
-			return permanentError{fmt.Errorf("shard %d: injected truncate: %w", p.id, err)}
-		}
-	}
 	if err := p.stage.commitThrough(p.lastB); err != nil {
 		return permanentError{err}
 	}
@@ -365,20 +354,11 @@ func (p *proc) onCheckpoint(runner *rtec.StreamRunner) error {
 	return nil
 }
 
-// truncateFile tears a file in half — the deterministic torn-write fault.
-func truncateFile(path string) error {
-	fi, err := os.Stat(path)
-	if err != nil {
-		return err
-	}
-	return os.Truncate(path, fi.Size()/2)
-}
-
 // run is the shard's supervision loop: attempts, restarts with capped
 // jittered backoff, and degradation once restarts are exhausted or the
 // failure is permanent.
 func (p *proc) run() {
-	rng := rand.New(rand.NewSource(fault.SeedFor(p.sup.opts.Seed, fmt.Sprintf("shard-%d", p.id))))
+	rng := rand.New(rand.NewSource(seedFor(p.sup.opts.Seed, fmt.Sprintf("shard-%d", p.id))))
 	for {
 		err := p.attempt()
 		if err == nil {
@@ -438,6 +418,15 @@ func (p *proc) degrade(err error, permanent bool) {
 	})
 	p.sup.tel.Logger().Error("shard degraded",
 		"component", "shard", "shard", p.id, "restarts", p.restarts, "err", err)
+}
+
+// seedFor derives a per-shard rng seed from the run seed and the shard
+// name, fnv-64a over "seed|name" — so every shard's backoff jitter is
+// deterministic and distinct.
+func seedFor(seed int64, name string) int64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d|%s", seed, name)
+	return int64(h.Sum64())
 }
 
 // backoff is the capped full-jitter restart delay: base 10ms doubling per

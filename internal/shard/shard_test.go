@@ -8,9 +8,11 @@ import (
 	"io"
 	"math/rand"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -18,7 +20,6 @@ import (
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -123,17 +124,72 @@ type shardedRun struct {
 	reg      *telemetry.Registry
 }
 
-// faults builds a fault schedule from its triggers.
-func faults(ts ...fault.Trigger) *fault.Plan { return &fault.Plan{Triggers: ts} }
+// crash is one shard failure raised from the OnWindow observer: at the
+// first-time delivery of its window-th window (1-based, identified by the
+// window's query time), the shard — shard, or every shard for allShards —
+// panics, and the supervisor restarts it from its checkpoint. tear first
+// cuts the shard's checkpoint file "<base>.s<k>" to half its size, so the
+// restart must fall back to the previous generation. A crash fires once per
+// shard, or on every attempt when every is set.
+type crash struct {
+	window int
+	shard  int
+	every  bool
+	tear   bool
+}
 
-// everyShard is a fault each shard acts out once, at its window-th delivery.
-func everyShard(kind fault.Kind, window int) fault.Trigger {
-	return fault.Trigger{Kind: kind, Window: window, Shard: fault.AllShards}
+// allShards is the crash scope every shard acts out.
+const allShards = -1
+
+// panicAt is a crash every shard acts out once, at its window-th delivery.
+func panicAt(window int) crash { return crash{window: window, shard: allShards} }
+
+// crashObserver is the OnWindow observer that acts out crashes on the
+// tumbling time-line of opts. The fire-once latches live in the closure,
+// outside the shards, so a restarted shard replays past a crash that has
+// fired instead of dying again.
+func crashObserver(opts Options, crashes []crash) func(int, rtec.WindowResult) {
+	ro := opts.Stream.RunOptions
+	var mu sync.Mutex
+	fired := map[[2]int]bool{} // {crash index, shard}
+	return func(k int, wr rtec.WindowResult) {
+		if wr.Revision != 0 {
+			return
+		}
+		for i, c := range crashes {
+			if (c.shard != allShards && c.shard != k) || wr.QueryTime != min(ro.Start+int64(c.window)*ro.Window, ro.End) {
+				continue
+			}
+			mu.Lock()
+			again := fired[[2]int{i, k}]
+			fired[[2]int{i, k}] = true
+			mu.Unlock()
+			if again && !c.every {
+				continue
+			}
+			if c.tear && opts.Stream.CheckpointPath != "" {
+				tearFile(fmt.Sprintf("%s.s%d", opts.Stream.CheckpointPath, k))
+			}
+			panic(fmt.Sprintf("injected panic at window %d of shard %d", c.window, k))
+		}
+	}
+}
+
+// tearFile cuts an existing file to half its size: a torn checkpoint write.
+func tearFile(path string) {
+	fi, err := os.Stat(path)
+	if err != nil {
+		return // nothing checkpointed yet
+	}
+	if err := os.Truncate(path, fi.Size()/2); err != nil {
+		panic(err)
+	}
 }
 
 // runSharded builds a supervisor over a fresh engine, feeds the arrivals
-// and closes. tweak edits the options before construction.
-func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, plan *fault.Plan, tweak func(*Options)) (*shardedRun, error) {
+// and closes. tweak edits the options before construction; the crashes
+// then act out through the observer.
+func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes []crash, tweak func(*Options)) (*shardedRun, error) {
 	t.Helper()
 	first, last := arrivals.TimeRange()
 	reg := telemetry.NewRegistry()
@@ -153,12 +209,14 @@ func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, plan *fa
 		},
 		JournalFor:  func(k int) io.Writer { return journals[k] },
 		Seed:        7,
-		Faults:      plan,
 		MaxRestarts: 8,
 		Telemetry:   telemetry.New(reg, nil, nil),
 	}
 	if tweak != nil {
 		tweak(&opts)
+	}
+	if crashes != nil {
+		opts.OnWindow = crashObserver(opts, crashes)
 	}
 	if opts.Shards != len(journals) {
 		journals = journals[:opts.Shards]
@@ -268,7 +326,7 @@ func TestShardRestartByteIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runSharded(t, testEngine(t, workers), arrivals, faults(everyShard(fault.Panic, 2)), nil)
+			got, err := runSharded(t, testEngine(t, workers), arrivals, []crash{panicAt(2)}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -306,21 +364,21 @@ func TestShardRestartWithoutCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(everyShard(fault.Panic, 2)), noCkpt)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, []crash{panicAt(2)}, noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, want, got)
 }
 
-// TestShardCheckpointGenerationFallback: tearing the freshly written
-// checkpoint before a panic forces the restart onto the previous
-// generation; the longer replay must still land on identical bytes. The
+// TestShardCheckpointGenerationFallback: tearing the checkpoint at window
+// 3's delivery, which covers window 2, and then panicking forces the
+// restart onto the previous generation; the longer replay must still land on identical bytes. The
 // maritime input is the gold event description over the 14-vessel seed-7
 // scenario, shuffled at max-delay 900 with a duplicate every 50 events: its
 // relational fluents span shards, and its windows are the ones rtecd serves.
 func TestShardCheckpointGenerationFallback(t *testing.T) {
-	chaos := faults(everyShard(fault.Truncate, 2), everyShard(fault.Panic, 3))
+	chaos := []crash{{window: 3, shard: allShards, tear: true}}
 	t.Run("synthetic", func(t *testing.T) {
 		arrivals := testArrivals(7, 120, 60)
 		want, err := runSharded(t, testEngine(t, 1), arrivals, nil, nil)
@@ -407,7 +465,7 @@ func TestShardPanicUnblocksProducer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, faults(everyShard(fault.Panic, 1)), tweak)
+	got, err := runSharded(t, testEngine(t, 1), arrivals, []crash{panicAt(1)}, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +482,7 @@ func TestShardPanicUnblocksProducer(t *testing.T) {
 // and /healthz answers 503 with the shards check failing.
 func TestShardDegradationAndHealth(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
-	sup := mustSupervisor(t, arrivals, faults(fault.Trigger{Kind: fault.Panic, Window: 1, Shard: 0, Every: true}), func(o *Options) {
+	sup := mustSupervisor(t, arrivals, []crash{{window: 1, shard: 0, every: true}}, func(o *Options) {
 		o.MaxRestarts = 2
 	})
 	for _, e := range arrivals {
@@ -483,7 +541,7 @@ func TestShardOverflowOnDegraded(t *testing.T) {
 	})
 }
 
-func mustSupervisor(t *testing.T, arrivals stream.Stream, plan *fault.Plan, tweak func(*Options)) *Supervisor {
+func mustSupervisor(t *testing.T, arrivals stream.Stream, crashes []crash, tweak func(*Options)) *Supervisor {
 	t.Helper()
 	first, last := arrivals.TimeRange()
 	opts := Options{
@@ -494,11 +552,13 @@ func mustSupervisor(t *testing.T, arrivals stream.Stream, plan *fault.Plan, twea
 			CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
 			CheckpointEvery: 1,
 		},
-		Seed:   7,
-		Faults: plan,
+		Seed: 7,
 	}
 	if tweak != nil {
 		tweak(&opts)
+	}
+	if crashes != nil {
+		opts.OnWindow = crashObserver(opts, crashes)
 	}
 	sup, err := NewSupervisor(testEngine(t, 1), opts)
 	if err != nil {
@@ -524,13 +584,25 @@ func TestSupervisorLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestSeedForDistinct: every shard's backoff jitter has its own seed, and
+// the same run seed gives it the same one.
+func TestSeedForDistinct(t *testing.T) {
+	a, b := seedFor(7, "shard-0"), seedFor(7, "shard-1")
+	if a == b {
+		t.Fatal("per-shard seeds collide")
+	}
+	if a != seedFor(7, "shard-0") {
+		t.Fatal("seed not deterministic")
+	}
+}
+
 // FuzzShardFaultSchedule drives the supervisor with arbitrary fault
 // schedules. The invariant: any run that completes without degradation is
 // byte-identical to the fault-free run over the same stream.
 func FuzzShardFaultSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 0}, uint8(4))          // panic at window 2, every shard
-	f.Add([]byte{1, 0, 1}, uint8(2))          // truncate at window 1, shard 0
-	f.Add([]byte{1, 1, 0, 0, 2, 0}, uint8(1)) // truncate at 2, then panic at 3
+	f.Add([]byte{1, 0, 1}, uint8(2))          // tear and panic at window 1, shard 0
+	f.Add([]byte{1, 1, 0, 0, 2, 0}, uint8(1)) // tear and panic at 2, then panic at 3
 	f.Add([]byte{0, 0, 0x80}, uint8(3))       // panic at window 1 on every attempt
 	f.Add([]byte{}, uint8(4))                 // no fault
 	arrivals := testArrivals(7, 40, 60)
@@ -553,19 +625,19 @@ func FuzzShardFaultSchedule(f *testing.F) {
 	})
 }
 
-// decodeSchedule reads a fuzzed fault schedule three bytes per trigger: the
-// kind (panic, truncate), the window (1–4), and the scope (low seven
-// bits: every shard or shard 0–3) with the high bit making it fire on every
-// delivery.
-func decodeSchedule(b []byte) *fault.Plan {
-	p := &fault.Plan{}
+// decodeSchedule reads a fuzzed fault schedule three bytes per crash: the
+// kind (panic, or tear the checkpoint and panic), the window (1–4), and the
+// scope (low seven bits: every shard or shard 0–3) with the high bit making
+// it fire on every attempt.
+func decodeSchedule(b []byte) []crash {
+	cs := []crash{}
 	for ; len(b) >= 3; b = b[3:] {
-		p.Triggers = append(p.Triggers, fault.Trigger{
-			Kind:   fault.Kind(b[0]%2) + fault.Panic,
-			Window: int(b[1]%4) + 1,
-			Shard:  int(b[2]&0x7f)%5 + fault.AllShards,
-			Every:  b[2]&0x80 != 0,
+		cs = append(cs, crash{
+			tear:   b[0]%2 == 1,
+			window: int(b[1]%4) + 1,
+			shard:  int(b[2]&0x7f)%5 + allShards,
+			every:  b[2]&0x80 != 0,
 		})
 	}
-	return p
+	return cs
 }

@@ -19,15 +19,15 @@
 // answer is never silently partial: Close fails whenever a shard degraded.
 //
 // The runtime's contract is byte-determinism under faults: with the same
-// seed, the same inputs and any schedule of injected faults
-// (internal/shard/fault), every shard's recognised intervals and journal
-// are byte-identical to a fault-free run's. Three mechanisms combine to
-// make that hold: checkpoints restore the exact engine state, the ingest
-// queue retains arrivals until a checkpoint generation commits (so a
-// restarted shard can replay them in the original order), and journal
-// records are staged in memory one checkpoint generation behind (so a crash
-// discards and regenerates the uncommitted suffix instead of leaving a torn
-// audit trail).
+// seed, the same inputs and any schedule of shard panics and torn
+// checkpoints (the tests raise them from the OnWindow observer), every
+// shard's recognised intervals and journal are byte-identical to a
+// fault-free run's. Three mechanisms combine to make that hold: checkpoints
+// restore the exact engine state, the ingest queue retains arrivals until a
+// checkpoint generation commits (so a restarted shard can replay them in the
+// original order), and journal records are staged in memory one checkpoint
+// generation behind (so a crash discards and regenerates the uncommitted
+// suffix instead of leaving a torn audit trail).
 package shard
 
 import (
@@ -38,7 +38,6 @@ import (
 
 	"rtecgen/internal/clock"
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -74,7 +73,8 @@ type Options struct {
 	// every shard after the shard's own processing. It is called from shard
 	// goroutines concurrently and must not block — a slow observer stalls
 	// its shard. Crash replays re-deliver windows, so delivery is
-	// at-least-once.
+	// at-least-once. A panic in the observer is a shard panic: the shard
+	// restarts from its checkpoint.
 	OnWindow func(shard int, wr rtec.WindowResult)
 	// Events, when non-nil, receives the supervisor's own lifecycle records
 	// (shards_start, shard_restart, shard_degraded, shards_end).
@@ -94,8 +94,6 @@ type Options struct {
 	MaxRestarts int
 	// Seed derives each shard's deterministic backoff jitter.
 	Seed int64
-	// Faults is the injected failure schedule; nil or zero injects nothing.
-	Faults *fault.Plan
 	// Clock is the time source for restart backoff. Nil defaults to the
 	// real clock; tests use clock.Virtual for sleep-free supervision.
 	Clock clock.Clock
@@ -213,7 +211,6 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 		p := &proc{
 			id:  k,
 			sup: s,
-			inj: opts.Faults.ForShard(k),
 
 			mDepth:    s.tel.Gauge(shardMetric(k, "queue.depth")),
 			mConsumed: s.tel.Gauge(shardMetric(k, "consumed")),
@@ -260,18 +257,21 @@ func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
 	return s, nil
 }
 
-// loadResume loads shard k's cross-process resume snapshot. A shard with no
-// checkpoint file (neither generation) starts fresh — legal when the
-// previous process suspended before this shard ever checkpointed; an empty
-// snapshot (nothing consumed, nothing delivered) also starts fresh, so the
-// run_start record is journalled on the first ingest exactly as an
-// uninterrupted run would.
+// loadResume loads shard k's cross-process resume snapshot from the current
+// checkpoint generation only. A shard with no checkpoint file (neither
+// generation) starts fresh — legal when the previous process suspended
+// before this shard ever checkpointed; an empty snapshot (nothing consumed,
+// nothing delivered) also starts fresh, so the run_start record is
+// journalled on the first ingest exactly as an uninterrupted run would. The
+// journal was committed through the suspend point, so resuming from the
+// previous generation would journal the replayed windows twice: a current
+// file that is unusable, or missing beside a ".prev", fails the resume.
 func (s *Supervisor) loadResume(k int) (*rtec.Checkpoint, error) {
 	path := s.checkpointPath(k)
 	if !fileExists(path) && !fileExists(path+".prev") {
 		return nil, nil
 	}
-	cp, _, err := rtec.LoadCheckpointWithFallback(path)
+	cp, err := rtec.LoadCheckpoint(path)
 	if err != nil {
 		return nil, fmt.Errorf("shard %d resume: %w", k, err)
 	}

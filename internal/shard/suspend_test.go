@@ -6,10 +6,10 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rtecgen/internal/rtec"
-	"rtecgen/internal/shard/fault"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -25,7 +25,20 @@ type fileRun struct {
 	jfs []*os.File
 }
 
-func newFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, plan *fault.Plan) *fileRun {
+// newFileRun starts a supervisor over dir checkpointing every `every`
+// windows; crashes act out through its observer.
+func newFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, every int, crashes []crash) *fileRun {
+	t.Helper()
+	r, err := openFileRun(t, dir, arrivals, resume, every, crashes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// openFileRun is newFileRun returning NewSupervisor's error, with the
+// journal files closed again.
+func openFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, every int, crashes []crash) (*fileRun, error) {
 	t.Helper()
 	first, last := arrivals.TimeRange()
 	r := &fileRun{t: t, dir: dir}
@@ -55,27 +68,31 @@ func newFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, p
 		jfs[k] = f
 	}
 	r.jfs = jfs
-	sup, err := NewSupervisor(testEngine(t, 1), Options{
+	opts := Options{
 		Shards: 4,
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 			MaxDelay:        60,
 			CheckpointPath:  filepath.Join(dir, "run.ckpt"),
-			CheckpointEvery: 1,
+			CheckpointEvery: every,
 		},
 		JournalFor:     func(k int) io.Writer { return jfs[k] },
 		JournalInfoFor: func(k int) *journal.RecoverInfo { return infos[k] },
 		Resume:         resume,
 		Seed:           7,
-		Faults:         plan,
 		MaxRestarts:    8,
 		Telemetry:      telemetry.New(telemetry.NewRegistry(), nil, nil),
-	})
+	}
+	if crashes != nil {
+		opts.OnWindow = crashObserver(opts, crashes)
+	}
+	sup, err := NewSupervisor(testEngine(t, 1), opts)
 	if err != nil {
-		t.Fatal(err)
+		r.closeFiles()
+		return nil, err
 	}
 	r.sup = sup
-	return r
+	return r, nil
 }
 
 func (r *fileRun) ingest(arrivals stream.Stream) {
@@ -102,15 +119,16 @@ func (r *fileRun) journalBytes(k int) []byte {
 	return b
 }
 
-// suspendResumeIdentity parks a run after `park` arrivals, resumes it in a
-// fresh supervisor over the same directory, and asserts the final CSV,
-// stats and per-shard journal bytes match an uninterrupted run's. plan's
-// faults are injected into the pre-park phase only — a resumed run must also erase
-// the scars of crashes that happened before the park.
-func suspendResumeIdentity(t *testing.T, park int, plan *fault.Plan) {
+// suspendResumeIdentity parks a run checkpointing every `every` windows
+// after `park` arrivals, resumes it in a fresh supervisor over the same
+// directory, and asserts the final CSV, stats and per-shard journal bytes
+// match an uninterrupted run's. The crashes act out in the pre-park phase
+// only — a resumed run must also erase the scars of crashes that happened
+// before the park.
+func suspendResumeIdentity(t *testing.T, park, every int, crashes []crash) {
 	arrivals := testArrivals(7, 160, 60)
 
-	baseline := newFileRun(t, t.TempDir(), arrivals, false, nil)
+	baseline := newFileRun(t, t.TempDir(), arrivals, false, every, nil)
 	baseline.ingest(arrivals)
 	wantRes, err := baseline.sup.Close()
 	if err != nil {
@@ -120,7 +138,7 @@ func suspendResumeIdentity(t *testing.T, park int, plan *fault.Plan) {
 	wantCSV := csvOf(t, wantRes.Recognition)
 
 	dir := t.TempDir()
-	parked := newFileRun(t, dir, arrivals, false, plan)
+	parked := newFileRun(t, dir, arrivals, false, every, crashes)
 	parked.ingest(arrivals[:park])
 	sts, err := parked.sup.Suspend()
 	if err != nil {
@@ -138,7 +156,7 @@ func suspendResumeIdentity(t *testing.T, park int, plan *fault.Plan) {
 		t.Fatalf("parked %d arrivals, want %d", consumed, park)
 	}
 
-	resumed := newFileRun(t, dir, arrivals, true, nil)
+	resumed := newFileRun(t, dir, arrivals, true, every, nil)
 	resumed.ingest(arrivals) // full stream: the parked prefix is skipped
 	gotRes, err := resumed.sup.Close()
 	if err != nil {
@@ -159,25 +177,74 @@ func suspendResumeIdentity(t *testing.T, park int, plan *fault.Plan) {
 	}
 }
 
+// everyCadence runs a suspend-resume case at the checkpoint cadences 1 and
+// 3: rtecd -checkpoint-every accepts any positive value.
+func everyCadence(t *testing.T, park int, crashes []crash) {
+	for _, every := range []int{1, 3} {
+		t.Run(fmt.Sprintf("every=%d", every), func(t *testing.T) {
+			suspendResumeIdentity(t, park, every, crashes)
+		})
+	}
+}
+
 // TestSuspendResumeByteIdentity is the cross-process drain contract: a
 // supervisor parked mid-stream and a fresh one resumed over its checkpoint
 // and journal files reproduce an uninterrupted run byte-for-byte.
 func TestSuspendResumeByteIdentity(t *testing.T) {
-	suspendResumeIdentity(t, 80, nil)
+	everyCadence(t, 80, nil)
 }
 
 // TestSuspendResumeEarlyPark parks after 3 arrivals: most shards have
 // consumed nothing and hold no checkpoint, so the resume path must handle
 // fresh shards next to restored ones.
 func TestSuspendResumeEarlyPark(t *testing.T) {
-	suspendResumeIdentity(t, 3, nil)
+	everyCadence(t, 3, nil)
 }
 
 // TestSuspendResumeAfterFaults panics shard 0 before the park: crash
 // recovery and the graceful park must compose without disturbing the
 // byte-identity contract.
 func TestSuspendResumeAfterFaults(t *testing.T) {
-	suspendResumeIdentity(t, 80, faults(fault.Trigger{Kind: fault.Panic, Window: 1, Shard: 0}))
+	everyCadence(t, 80, []crash{{window: 1, shard: 0}})
+}
+
+// TestResumeRefusesTornSuspendCheckpoint: the journal was committed through
+// the suspend point, so a resume from the previous checkpoint generation
+// would journal the replayed windows twice. A suspend checkpoint that is
+// torn, or missing beside its ".prev", fails the resume naming the file.
+func TestResumeRefusesTornSuspendCheckpoint(t *testing.T) {
+	arrivals := testArrivals(7, 160, 60)
+	for _, tc := range []struct {
+		name   string
+		damage func(path string)
+	}{
+		{"torn", tearFile},
+		{"missing", func(path string) { os.Remove(path) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			parked := newFileRun(t, dir, arrivals, false, 3, nil)
+			parked.ingest(arrivals[:80])
+			if _, err := parked.sup.Suspend(); err != nil {
+				t.Fatalf("suspend: %v", err)
+			}
+			parked.closeFiles()
+			path := filepath.Join(dir, "run.ckpt.s0")
+			if _, err := os.Stat(path + ".prev"); err != nil {
+				t.Fatalf("shard 0 kept no previous generation to fall back to: %v", err)
+			}
+			tc.damage(path)
+			r, err := openFileRun(t, dir, arrivals, true, 3, nil)
+			if err == nil {
+				r.sup.Close()
+				r.closeFiles()
+				t.Fatal("resume from an unusable suspend checkpoint succeeded")
+			}
+			if !strings.Contains(err.Error(), path) {
+				t.Fatalf("resume error does not name %s: %v", path, err)
+			}
+		})
+	}
 }
 
 func TestSuspendRequiresCheckpointPath(t *testing.T) {
