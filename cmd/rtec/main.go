@@ -26,8 +26,8 @@
 //
 // Streaming robustness: -max-delay D treats the CSV as an arrival-ordered
 // stream that may be out of order by up to D time-points — late events
-// within the bound revise the affected windows, older ones are counted and
-// dropped. -checkpoint writes a crash-safe snapshot every -checkpoint-every
+// within the bound mark the affected windows, which are revised before the
+// next window is delivered, older ones are counted and dropped. -checkpoint writes a crash-safe snapshot every -checkpoint-every
 // windows; -resume restores it and continues, producing output identical to
 // an uninterrupted run — a killed run loses at most the windows since its
 // last snapshot. Without any of these flags the classic batch path runs,

@@ -102,6 +102,10 @@ type ckptSlot struct {
 	Revision   int       `json:"rev"`
 	Recognised []ckptFVP `json:"recognised"`
 	NextOpen   []ckptFVP `json:"next_open"`
+	// Marks are the slot's pending marks (see streamRun.mark). A cadence
+	// checkpoint always follows an emission, which flushes them, so only a
+	// suspend checkpoint can carry any.
+	Marks []int64 `json:"marks,omitempty"`
 }
 
 func fvpToCkpt(fvp *lang.Term, ivals intervals.List) ckptFVP {
@@ -159,7 +163,7 @@ func (st *streamRun) header() checkpointHeader {
 // snapshotSlot captures one emitted slot with deterministic ordering (FVPs
 // sorted by key), so identical states serialise identically.
 func snapshotSlot(slot *windowSlot) ckptSlot {
-	cs := ckptSlot{Revision: slot.revision}
+	cs := ckptSlot{Revision: slot.revision, Marks: slot.marks}
 	keys := make([]string, 0, len(slot.eval.recognised))
 	for k := range slot.eval.recognised {
 		keys = append(keys, k)
@@ -457,7 +461,7 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 			}
 			ev.nextOpen[fvpKey(fvp)] = fvp
 		}
-		st.slots[i] = windowSlot{revision: cs.Revision, eval: ev}
+		st.slots[i] = windowSlot{revision: cs.Revision, eval: ev, marks: cs.Marks}
 	}
 	st.emitted = p.Emitted
 	st.consumed = p.Consumed

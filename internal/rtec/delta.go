@@ -12,7 +12,7 @@ import (
 // This file implements incremental window evaluation: the delta layer.
 // Adjacent sliding windows share most of their events (window=3600/slide=900
 // re-derives ~75% of each window's intervals from scratch), and a revision
-// forced by a late event re-evaluates a window in which one time-point
+// forced by late events re-evaluates a window in which a few time-points
 // changed. Each window evaluation therefore captures a carry-over state — per
 // fluent, what its evaluation stored and warned and the inertia input it saw;
 // per simple-fluent rule, the acts (FVP occurrences and runtime warnings)
@@ -45,10 +45,12 @@ import (
 // Options.DisableDelta retains the from-scratch path as the differential
 // oracle.
 //
-// A revision forced by a late event at t is the same evaluation with the
-// window as its own predecessor (ws' = ws, q' = q): the streaming run keeps
-// each revisable slot's state, the base dirt is the single time-point
-// [t, t+1), and the dependency diff does the rest (see streamRun.revise).
+// A revision forced by late events is the same evaluation with the window as
+// its own predecessor (ws' = ws, q' = q): the streaming run keeps each
+// revisable slot's state, a late event at t marks the time-point [t, t+1) in
+// the slots containing it, the base dirt of a slot's next revision is the
+// union of its marks, and the dependency diff does the rest (see
+// streamRun.mark and streamRun.flush).
 // There the carried state describes this very window, and a fluent's output
 // in a window is a pure function of its inputs, so a fluent whose inputs did
 // not change installs what it stored last time instead of evaluating:
@@ -64,7 +66,7 @@ import (
 // Everything else (a slide, changed inputs, an ineligible simple fluent, a
 // fluent with no carried state) evaluates, by replay where it can, and is
 // diffed. Every revision, however many of its fluents installed, clips its
-// lists into a fresh windowEval (evalWindow), which streamRun.revise compares
+// lists into a fresh windowEval (evalWindow), which streamRun.flush compares
 // with the slot's previous one to decide whether to re-deliver the window and
 // whether its inertia carry-over changed.
 

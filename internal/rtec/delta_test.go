@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -367,9 +368,8 @@ func TestDeltaRevisionEquivalence(t *testing.T) {
 
 // TestDeltaRevisionsReuseOnTumbling: tumbling windows share no events, so an
 // emission can replay nothing — every replayed anchor event on a tumbling
-// run comes from a revision. Under disorder the revisions dominate the work,
-// so reuse must outweigh re-derivation (at the parent of this test revisions
-// evaluated from scratch and reuse was ~0).
+// run comes from a revision, and a run whose revisions all evaluated from
+// scratch reuses nothing.
 func TestDeltaRevisionsReuseOnTumbling(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	e := mustEngine(t, withinAreaED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
@@ -380,9 +380,10 @@ func TestDeltaRevisionsReuseOnTumbling(t *testing.T) {
 	if res.Stats.Late == 0 {
 		t.Fatal("no late arrivals: nothing is being tested")
 	}
-	reused, dirty := reg.Counter("rtec.delta.reused").Value(), reg.Counter("rtec.delta.dirty").Value()
-	if reused <= dirty {
-		t.Fatalf("rtec.delta.reused = %d, rtec.delta.dirty = %d: revisions are not replaying their slot's carried state", reused, dirty)
+	// A tumbling emission re-derives its whole window, so only a revision
+	// can reuse an anchor event.
+	if reused := reg.Counter("rtec.delta.reused").Value(); reused == 0 {
+		t.Fatal("rtec.delta.reused = 0: revisions are not replaying their slot's carried state")
 	}
 }
 
@@ -457,7 +458,7 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 	ro := stream.NewReorder(base.MaxDelay)
 	cut, run, best := 0, 0, 0
 	for i, a := range arrivals {
-		if ro.Push(a) == stream.AdmittedLate && i > len(arrivals)/3 {
+		if verdict, _ := ro.Push(a); verdict == stream.AdmittedLate && i > len(arrivals)/3 {
 			if run++; run > best {
 				best, cut = run, i-run/2
 			}
@@ -486,6 +487,16 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 	var gotLog strings.Builder
 	parkAfter(t, e, arrivals, opts, cut, render(&gotLog))
+	// Cut inside the burst, the run holds late time-points not yet
+	// evaluated: the suspend checkpoint carries them, and the resumed run
+	// must revise exactly as the uninterrupted one does.
+	cp, err := LoadCheckpoint(opts.CheckpointPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.ContainsFunc(cp.payload.Slots, func(cs ckptSlot) bool { return len(cs.Marks) > 0 }) {
+		t.Fatalf("the suspend checkpoint after arrival %d carries no marks: the cut is not inside a late burst", cut)
+	}
 	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, render(&gotLog))
 	if err != nil {
 		t.Fatal(err)
@@ -558,7 +569,11 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		// slot's retained event index is checked against a rebuild after
 		// each: the comparison with the full run below cannot see an index
 		// bug, because both runs read the same indexes.
-		runner, err1 := delta.NewStreamRunner(dOpts, nil)
+		latest := map[int64]int{} // query time → latest delivered revision
+		runner, err1 := delta.NewStreamRunner(dOpts, func(wr WindowResult) error {
+			latest[wr.QueryTime] = wr.Revision
+			return nil
+		})
 		for _, ev := range arrivals {
 			if err1 != nil {
 				break
@@ -584,6 +599,12 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		}
 		if !bytes.Equal(dJ.Bytes(), fJ.Bytes()) {
 			t.Fatalf("%s seed %d: journal bytes differ", c.name, seed)
+		}
+		for q, rev := range latest {
+			if bound := revisionBound(maxDelay, slide); rev > bound {
+				t.Fatalf("%s seed %d window %d slide %d delay %d: window with query time %d re-delivered %d times, bound %d",
+					c.name, seed, window, slide, maxDelay, q, rev, bound)
+			}
 		}
 		// No event is displaced beyond the delay, so the stream's final
 		// recognition is the batch run's over the sorted events.

@@ -10,8 +10,9 @@ import (
 
 // StreamRunner is the streaming engine's one loop, and the shard-service
 // seam. It accepts one arrival at a time (Ingest), admits it through the
-// bounded-delay reorder buffer, delivers and revises windows, checkpoints on
-// the configured cadence, and produces the amalgamated result on Finish;
+// bounded-delay reorder buffer, delivers windows and revises the ones late
+// arrivals marked, checkpoints on the configured cadence, and produces the
+// amalgamated result on Finish;
 // RunStream is a runner fed a complete arrival-ordered slice. The supervised
 // shard runtime (internal/shard) feeds each shard's entity partition through
 // its own runner; a runner is not safe for concurrent use.
@@ -71,8 +72,8 @@ func (e *Engine) ResumeStreamRunner(cp *Checkpoint, opts StreamOptions, fn func(
 	return r, nil
 }
 
-// Ingest feeds one arrival through admission, revision, window emission and
-// checkpointing. The first call journals the run_start record.
+// Ingest feeds one arrival through admission, marking, revision, window
+// emission and checkpointing. The first call journals the run_start record.
 func (r *StreamRunner) Ingest(e stream.Event) error {
 	if r.finished {
 		return fmt.Errorf("rtec: Ingest after Finish")

@@ -190,8 +190,10 @@ func (st *streamRun) journalRunStart() error {
 }
 
 // observeAdmission updates the lag gauges after one Push and journals
-// degradation verdicts (late, duplicate, too-late).
-func (st *streamRun) observeAdmission(e stream.Event, verdict stream.Admission) error {
+// degradation verdicts (late, duplicate, too-late). text is the atom as Push
+// rendered it; a too-late arrival, which Push does not render, is rendered
+// here.
+func (st *streamRun) observeAdmission(e stream.Event, verdict stream.Admission, text string) error {
 	o := st.obs
 	if frontier, ok := st.reorder.Frontier(); ok {
 		wm, _ := st.reorder.Watermark()
@@ -207,8 +209,11 @@ func (st *streamRun) observeAdmission(e stream.Event, verdict stream.Admission) 
 	if verdict == stream.Admitted {
 		return nil
 	}
+	if verdict == stream.TooLate {
+		text = e.Atom.String()
+	}
 	return o.journal.Append("admission", journalAdmission{
-		T: e.Time, Atom: e.Atom.String(), Verdict: verdict.String(),
+		T: e.Time, Atom: text, Verdict: verdict.String(),
 	})
 }
 

@@ -2,6 +2,8 @@ package rtec
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"path/filepath"
 	"testing"
 
@@ -203,5 +205,57 @@ func TestReorderOccupancyHighWater(t *testing.T) {
 	}
 	if r.HighWater() != 3 {
 		t.Fatalf("high water after drop = %d, want 3 (monotone)", r.HighWater())
+	}
+}
+
+// lateAdmissionAllocCeiling bounds the heap allocations of one journalled
+// late admission into a window not yet emitted: the reorder buffer's
+// insertion, the gauges and the journal's admission record. Push renders the
+// atom once, for its buffer key, and hands that text to the record: 5
+// objects (amortised over the buffer's growth), 6 when the record renders
+// the atom again. The ceiling is the count itself: one rendering is the
+// only thing a second one would add.
+const lateAdmissionAllocCeiling = 5
+
+// raceDetector is set when the tests run under the race detector
+// (race_test.go).
+var raceDetector bool
+
+func TestLateAdmissionAllocCeiling(t *testing.T) {
+	if raceDetector {
+		t.Skip("allocation counts are not exact under the race detector")
+	}
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	const runs = 200
+	r, err := e.NewStreamRunner(StreamOptions{
+		RunOptions: RunOptions{Window: 10000, Start: 0, End: 10000},
+		MaxDelay:   5000,
+		Journal:    journal.NewWriter(io.Discard, journal.Options{}),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Abort()
+	if err := r.Ingest(ev(5000, "gap_start(v0)")); err != nil {
+		t.Fatal(err)
+	}
+	// AllocsPerRun calls the function once more than runs, to warm up.
+	arrivals := make(stream.Stream, runs+1)
+	for i := range arrivals {
+		arrivals[i] = ev(int64(i+1), fmt.Sprintf("velocity(vessel%d, %d.5, 187.25, 187.25)", i, i%30))
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := r.Ingest(arrivals[next]); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if late := r.st.reorder.Stats().Late; late != runs+1 {
+		t.Fatalf("%d late admissions, want %d", late, runs+1)
+	}
+	t.Logf("%.2f allocs per journalled late admission, ceiling %d", allocs, lateAdmissionAllocCeiling)
+	if allocs > lateAdmissionAllocCeiling {
+		t.Fatalf("a journalled late admission allocates %.2f objects, ceiling %d", allocs, lateAdmissionAllocCeiling)
 	}
 }

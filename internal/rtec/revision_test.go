@@ -12,6 +12,7 @@ import (
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
+	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
@@ -62,8 +63,10 @@ func TestRevisionBoundaryCarryOver(t *testing.T) {
 				CheckpointEvery: 1,
 			}
 
-			// White box: the late arrival leaves window 0's delivery alone and
-			// flips its hand-off.
+			// White box: the late arrival marks window 0; the arrival at 290,
+			// whose watermark 140 passes window 0's query time, flushes the
+			// mark, which leaves window 0's delivery alone and flips its
+			// hand-off.
 			delta, full := deltaOracle(t, withinAreaED, 1)
 			r, err := delta.NewStreamRunner(opts, nil)
 			if err != nil {
@@ -81,9 +84,15 @@ func TestRevisionBoundaryCarryOver(t *testing.T) {
 				if err := r.Ingest(a); err != nil {
 					t.Fatal(err)
 				}
-				if a.Time == tc.late.Time {
+				switch a.Time {
+				case tc.late.Time:
+					if len(r.st.slots[0].marks) == 0 || r.st.slots[1].revision != 0 {
+						t.Fatalf("after the late arrival: window 0 marks %v, window 1 revision %d; want the late point marked and nothing revised yet",
+							r.st.slots[0].marks, r.st.slots[1].revision)
+					}
+				case 290:
 					if _, open := r.st.slots[0].eval.nextOpen[fvp]; open == tc.openWas {
-						t.Fatalf("after the late arrival: %s open at 100 is still %v", fvp, open)
+						t.Fatalf("after the flush: %s open at 100 is still %v", fvp, open)
 					}
 					if r.st.slots[0].revision != 0 || r.st.slots[1].revision != 1 {
 						t.Fatalf("revisions = %d, %d; want window [0,100) left at 0 (its clipped recognition is unchanged) and [100,200) revised to 1",
@@ -125,6 +134,100 @@ func TestRevisionBoundaryCarryOver(t *testing.T) {
 			}
 		})
 	}
+}
+
+// revisionBound is the most re-deliveries a window can see at a delay bound
+// and slide: one per flush while it is revisable. Let k = ⌈maxDelay/slide⌉.
+// When the delay is k whole slides, the watermark reaches a window's query
+// time at an emission, so a window lives through the k emissions after its
+// own and at most two more flushes — the end of the stream, or a watermark
+// step over a last window the time-line clips: k + 2. Otherwise the
+// watermark also reaches the query times of the k windows up to and
+// including it between emissions, and each such step flushes every marked
+// window: up to 2k − 1 flushes (TestRevisionsBounded's worst case), 2k + 1
+// with the same allowance.
+func revisionBound(maxDelay, slide int64) int {
+	k := int((maxDelay + slide - 1) / slide)
+	if maxDelay%slide != 0 {
+		return 2*k + 1
+	}
+	return k + 2
+}
+
+// TestRevisionsBounded: a late arrival only marks the windows it lands in,
+// and the marks are applied at points the arrival sequence sets (the next
+// emission, the watermark reaching a marked window, the end of the stream),
+// not once per late arrival. Over the shuffled maritime stream, on tumbling
+// windows and at slide 900, no window is re-delivered more than
+// revisionBound times, and the run evaluates no more than one more window
+// than that per window. A delay of 3.5 slides, with a late arrival before
+// every flush point, reaches the 2k − 1 re-deliveries of revisionBound's
+// unaligned case.
+func TestRevisionsBounded(t *testing.T) {
+	bg, _, arrivals := shellInput(t)
+	gold := maritime.GoldSource() + bg
+	const window, maxDelay = 3600, 900
+	for _, slide := range []int64{window, 900} {
+		t.Run(fmt.Sprintf("slide=%d", slide), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			e := mustEngine(t, gold, Options{Workers: 1, Telemetry: telemetry.New(reg, nil, nil)})
+			opts := StreamOptions{RunOptions: RunOptions{Window: window, Slide: slide}, MaxDelay: maxDelay}
+			latest, res := latestRevisions(t, e, arrivals, opts)
+			if res.Stats.Revisions == 0 {
+				t.Fatal("the shuffle produced no revisions; nothing is being tested")
+			}
+			bound := revisionBound(maxDelay, slide)
+			for q, rev := range latest {
+				if rev > bound {
+					t.Errorf("window with query time %d re-delivered %d times, bound %d", q, rev, bound)
+				}
+			}
+			windows := int64(len(latest))
+			if n := reg.Counter("rtec.windows.evaluated").Value(); n > windows*int64(bound+1) {
+				t.Errorf("%d window evaluations for %d windows (%d revisions, %d late arrivals), bound %d",
+					n, windows, res.Stats.Revisions, res.Stats.Late, windows*int64(bound+1))
+			}
+		})
+	}
+	t.Run("unaligned worst case", func(t *testing.T) {
+		// Window [50,60) is emitted at frontier 60 and final at 95. Before
+		// each flush point it lives through — the watermark passing windows
+		// 2, 3 and 4 (marked by the v2 arrivals) and window 5 itself, and the
+		// emissions at 70, 80 and 90 — a late v1 arrival changes it.
+		var arrivals stream.Stream
+		for _, at := range []int64{5, 15, 25, 35, 45, 55, 60, 64} {
+			arrivals = append(arrivals, ev(at, "gap_start(v9)"))
+		}
+		arrivals = append(arrivals,
+			ev(52, "entersArea(v1, a1)"), ev(29, "entersArea(v2, a1)"), ev(65, "gap_start(v9)"),
+			ev(53, "leavesArea(v1, a1)"), ev(70, "gap_start(v9)"),
+			ev(74, "gap_start(v9)"), ev(54, "entersArea(v1, a1)"), ev(39, "entersArea(v2, a1)"), ev(75, "gap_start(v9)"),
+			ev(55, "leavesArea(v1, a1)"), ev(80, "gap_start(v9)"),
+			ev(84, "gap_start(v9)"), ev(56, "entersArea(v1, a1)"), ev(49, "entersArea(v2, a1)"), ev(85, "gap_start(v9)"),
+			ev(57, "leavesArea(v1, a1)"), ev(90, "gap_start(v9)"),
+			ev(93, "gap_start(v9)"), ev(58, "entersArea(v1, a1)"), ev(95, "gap_start(v9)"))
+		const slide, maxDelay = 10, 35
+		opts := StreamOptions{RunOptions: RunOptions{Window: slide, Start: 0, End: 200}, MaxDelay: maxDelay}
+		latest, _ := latestRevisions(t, mustEngine(t, withinAreaED, Options{Strict: true}), arrivals, opts)
+		if got, bound := latest[60], revisionBound(maxDelay, slide); got != 7 || got > bound {
+			t.Fatalf("window [50,60) re-delivered %d times, want 7 (2k − 1 flushes, k = 4), bound %d", got, bound)
+		}
+	})
+}
+
+// latestRevisions streams arrivals through e and returns each window's
+// latest delivered revision, by query time.
+func latestRevisions(t *testing.T, e *Engine, arrivals stream.Stream, opts StreamOptions) (map[int64]int, *StreamResult) {
+	t.Helper()
+	latest := map[int64]int{}
+	res, err := e.RunStream(arrivals, opts, func(wr WindowResult) error {
+		latest[wr.QueryTime] = wr.Revision
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return latest, res
 }
 
 // warningED is withinAreaED plus definitions that warn while they are
@@ -206,18 +309,20 @@ func TestRevisionInstallReplaysWarnings(t *testing.T) {
 }
 
 // revisionAllocCeiling bounds the heap allocations of ingesting one late
-// arrival that revises an emitted window without changing any interval: the
-// first 3600 s window of the 14-vessel seed-7 scenario under the gold event
-// description at Workers:2, and a late velocity report of a vessel that is
-// under way anyway. Like windowAllocCeiling it is a count: 870 when it was
-// committed at 1 000 (EXPERIMENTS.md "PR 24"; evaluating every fluent of the
-// window costs 2 627), 856 while every revision re-indexed the whole window
-// from the reorder buffer, and 361 since the window keeps the index its first
-// revision built and a late event is inserted into it (EXPERIMENTS.md
-// "PR 40"). The ceiling is about 25 % above that: a revision that re-indexes
-// the window, or walks it again — replaying every anchor event, recomputing
-// every statically determined fluent — fails here before a stopwatch
-// notices.
+// arrival and flushing the mark it leaves, which revises an emitted window
+// without changing any interval: the first 3600 s window of the 14-vessel
+// seed-7 scenario under the gold event description at Workers:2, and a late
+// velocity report of a vessel that is under way anyway. Like
+// windowAllocCeiling it is a count: 870 when it was committed at 1 000
+// (EXPERIMENTS.md "PR 24"; evaluating every fluent of the window costs
+// 2 627), 856 while every revision re-indexed the whole window from the
+// reorder buffer, 361 since the window keeps the index its first revision
+// built and a late event is inserted into it (EXPERIMENTS.md "PR 40"), and
+// 364 with the revision deferred to a flush of the window's marks
+// (EXPERIMENTS.md "PR 43"). The ceiling is about 25 % above that: a revision
+// that re-indexes the window, or walks it again — replaying every anchor
+// event, recomputing every statically determined fluent — fails here before
+// a stopwatch notices.
 const revisionAllocCeiling = 450
 
 func TestRevisionAllocCeiling(t *testing.T) {
@@ -256,6 +361,9 @@ func TestRevisionAllocCeiling(t *testing.T) {
 		next++
 		before := st.slots[0].delta
 		if err := r.Ingest(stream.Event{Time: template.Time + int64(next), Atom: template.Atom}); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.flush(); err != nil {
 			t.Fatal(err)
 		}
 		if st.slots[0].delta == before {

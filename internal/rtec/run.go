@@ -130,10 +130,11 @@ func (r *Recognition) WriteCSV(w io.Writer) error {
 // [WindowStart, QueryTime) and their intervals clipped to the window.
 //
 // Under out-of-order ingestion (Engine.RunStream), the same window may be
-// delivered more than once: a late event within the delay bound re-evaluates
-// the affected windows, and each re-delivery carries an incremented Revision
-// and the retraction diff against the previous delivery. In-order runs
-// always deliver Revision 0 with a nil Retracted.
+// delivered more than once: late events within the delay bound mark the
+// affected windows, a later flush re-evaluates them (see RunStream), and each
+// re-delivery carries an incremented Revision and the retraction diff against
+// the previous delivery. In-order runs always deliver Revision 0 with a nil
+// Retracted.
 type WindowResult struct {
 	WindowStart, QueryTime int64
 	// Recognised maps canonical FVP keys to their clipped interval lists.
@@ -141,7 +142,7 @@ type WindowResult struct {
 	// FVPs maps the same keys to the parsed FVP terms.
 	FVPs map[string]*lang.Term
 	// Revision counts re-deliveries of this window: 0 for the first
-	// evaluation, incremented every time a late event revises it.
+	// evaluation, incremented by every flush of late events that changes it.
 	Revision int
 	// Retracted maps FVP keys to the intervals that were reported by the
 	// previous revision of this window but no longer hold. Nil on the first

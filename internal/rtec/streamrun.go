@@ -16,9 +16,10 @@ type StreamOptions struct {
 	RunOptions
 	// MaxDelay is the bounded-delay disorder tolerance in time-points:
 	// events arriving behind the event-time frontier by at most MaxDelay
-	// are admitted and revise the affected windows; older events are
-	// counted and dropped. Zero tolerates no disorder (out-of-order events
-	// are dropped), which over an in-order stream reproduces Run exactly.
+	// are admitted and mark the affected windows for revision (see
+	// RunStream); older events are counted and dropped. Zero tolerates no
+	// disorder (out-of-order events are dropped), which over an in-order
+	// stream reproduces Run exactly.
 	MaxDelay int64
 	// CheckpointPath, when non-empty, enables crash-safe checkpointing: a
 	// versioned, checksummed snapshot of the run state is written
@@ -73,21 +74,24 @@ type StreamResult struct {
 
 // windowSlot is the per-window book-keeping of a run: the latest
 // delivered evaluation of an emitted window, its revision counter, the
-// delta state that evaluation captured, and the event index of a window
-// that has been revised.
+// delta state that evaluation captured, the event index of a window that
+// has been revised, and its pending marks.
 type windowSlot struct {
 	revision int
 	eval     windowEval
-	// events is the slot's event index once a revision has built it from the
-	// reorder buffer; each later late event in the window is inserted into it
-	// in place (windowIndex.insert), so it stays what indexWindow would give
-	// over the buffer's window. Held only while the slot is revisable (see
-	// advanceFinal); an emission keeps no index, and a checkpoint stores none,
-	// so a resumed slot rebuilds it on its first revision.
+	// events is the slot's event index once a late event or a revision has
+	// built it from the reorder buffer; each later late event in the window is
+	// inserted into it in place (windowIndex.insert), so it stays what
+	// indexWindow would give over the buffer's window. Held only while the
+	// slot is revisable (see advanceFinal); an emission keeps no index, and a
+	// checkpoint stores none, so a resumed slot rebuilds it.
 	events *windowIndex
+	// marks are the times of the late events admitted into the window since
+	// its latest evaluation: the dirty base of its next revision (see flush).
+	marks []int64
 	// delta is the interval/act state carried out of the slot's latest
 	// evaluation (emission or revision). A revision of the slot installs
-	// from it or replays it for every time-point but the late event's; the
+	// from it or replays it for every time-point but its marked ones; the
 	// emission of the next slot replays it for the overlap. Held only while
 	// the slot is revisable or the last one emitted (see advanceFinal); nil
 	// means evaluate in full.
@@ -119,7 +123,7 @@ type streamRun struct {
 	// neither and re-encodes its restored slots as the cursor passes them.
 	frozen  []byte
 	frozenN int
-	// slotVisits counts the slots the per-arrival scans (revise,
+	// slotVisits counts the slots the per-arrival scans (mark, flush,
 	// advanceFinal) looked at; the soak test pins it per arrival.
 	slotVisits int64
 	// deltaOn caches the engine-level enablement decision of the delta layer.
@@ -138,9 +142,11 @@ type streamRun struct {
 // Events are admitted through a bounded-delay reorder buffer (StreamOptions
 // .MaxDelay). A window is first evaluated and delivered to fn as soon as
 // the event-time frontier passes its query time; a late event within the
-// bound re-evaluates the windows it affects (and any downstream windows
-// whose inertia carry-over changes) and re-delivers each changed window
-// with an incremented WindowResult.Revision and the retraction diff.
+// bound marks the windows it affects, and before the next window is
+// delivered (or once the watermark reaches a marked window, or at the end of
+// the stream) the marked windows and any downstream windows whose inertia
+// carry-over changes are re-evaluated, each changed window re-delivered with
+// an incremented WindowResult.Revision and the retraction diff.
 // Events older than the bound are counted and dropped. For any
 // arrival-order permutation of a stream in which no event is displaced
 // beyond MaxDelay, the final Recognition is identical to Run over the
@@ -223,12 +229,16 @@ func (r *StreamRunner) feed(events stream.Stream) (*StreamResult, error) {
 // finish ends the run: it evaluates and delivers the windows the frontier
 // never reached (the events still buffered in the reorder buffer are part of
 // those evaluations — a stream ending before the watermark passes them must
-// not lose them), amalgamates the result and journals the end of the run.
+// not lose them), applies the marks still pending, amalgamates the result
+// and journals the end of the run.
 func (st *streamRun) finish() (*StreamResult, error) {
 	for st.emitted < len(st.slots) {
 		if err := st.emitNext(); err != nil {
 			return nil, err
 		}
+	}
+	if err := st.flush(); err != nil {
+		return nil, err
 	}
 	res := st.finalise()
 	if err := st.journalRunEnd(); err != nil {
@@ -237,13 +247,13 @@ func (st *streamRun) finish() (*StreamResult, error) {
 	return res, nil
 }
 
-// ingest processes one arrival: admission, revision of emitted windows a
+// ingest processes one arrival: admission, marking the emitted windows a
 // late event invalidates, emission of windows the frontier passed, pruning,
 // and checkpointing.
 func (st *streamRun) ingest(e stream.Event) error {
 	tel := st.eng.opts.Telemetry
-	verdict := st.reorder.Push(e)
-	if err := st.observeAdmission(e, verdict); err != nil {
+	verdict, text := st.reorder.Push(e)
+	if err := st.observeAdmission(e, verdict, text); err != nil {
 		return err
 	}
 	switch verdict {
@@ -256,9 +266,7 @@ func (st *streamRun) ingest(e stream.Event) error {
 	case stream.AdmittedLate:
 		st.obs.ingested.Inc()
 		tel.Counter("rtec.late_events").Inc()
-		if err := st.revise(e); err != nil {
-			return err
-		}
+		st.mark(e)
 	}
 
 	// Deliver every window whose query time the frontier has now passed.
@@ -271,7 +279,9 @@ func (st *streamRun) ingest(e stream.Event) error {
 			return err
 		}
 	}
-	st.prune()
+	if err := st.prune(); err != nil {
+		return err
+	}
 	st.consumed++
 	if st.opts.CheckpointPath != "" {
 		every := st.opts.CheckpointEvery
@@ -301,7 +311,7 @@ func (st *streamRun) prevOpenInto(i int) map[string]*lang.Term {
 
 // evalSlot evaluates window i over the admitted events through the delta
 // layer. The events come indexed from the Prepared's window in a batch run,
-// from the slot's retained index in a revision (see revise), or else from the
+// from the slot's retained index in a revision (see mark), or else from the
 // reorder buffer, indexed for this one evaluation. prev, when set, is replayed
 // outside base and whatever the dependency diffs dirty. The capture rule: with
 // the delta layer on, a slot captures iff something can read its state — an
@@ -331,10 +341,14 @@ func (st *streamRun) evalSlot(i int, prev *deltaState, base intervals.List) wind
 	return ev
 }
 
-// emitNext evaluates and delivers the next unemitted window (revision 0).
-// It slides the previous slot's carried state: the tail the previous window
-// never saw is dirty, the overlap replays.
+// emitNext evaluates and delivers the next unemitted window (revision 0),
+// after applying the pending marks: the emission slides the previous slot's
+// carried state and reads its inertia carry-over, so both must be current.
+// The tail the previous window never saw is dirty, the overlap replays.
 func (st *streamRun) emitNext() error {
+	if err := st.flush(); err != nil {
+		return err
+	}
 	i := st.emitted
 	t0 := time.Now() //rtecvet:allow telemetry timer: real end-to-end window latency
 	var prev *deltaState
@@ -356,61 +370,79 @@ func (st *streamRun) emitNext() error {
 	return st.observeDelivery(i, nil, nil, time.Since(t0))
 }
 
-// revise re-evaluates the emitted windows a late event at time t
-// invalidates: every emitted window containing t (a contiguous run, since
-// window starts and query times are both non-decreasing), then downstream
-// emitted windows for as long as the inertia carry-over keeps changing.
-// Windows whose recognition actually changed are re-delivered with an
-// incremented revision and the retraction diff.
+// mark records a late event e at time t in every emitted, revisable window
+// containing it (a contiguous run, since window starts and query times are
+// both non-decreasing): t joins the slot's marks, and e its retained event
+// index — built from the reorder buffer, which already holds e, if the slot
+// has none, inserted where indexWindow would put it otherwise. Nothing is
+// evaluated until the next flush.
+func (st *streamRun) mark(e stream.Event) {
+	t := e.Time
+	for i := st.final; i < st.emitted; i++ {
+		st.slotVisits++
+		ws, q := st.tl.windowStart(i), st.tl.q(i)
+		if ws > t {
+			break // windows from here on start after t: none contain it
+		}
+		if t >= q {
+			continue // window ends at or before t; scan on
+		}
+		slot := &st.slots[i]
+		if slot.events == nil {
+			slot.events = indexWindow(st.reorder.Buffered().Window(ws, q))
+		} else {
+			slot.events.insert(st.reorder.Buffered(), e)
+		}
+		slot.marks = append(slot.marks, t)
+	}
+}
+
+// flush applies the pending marks in one walk over the emitted windows: it
+// re-evaluates every marked window once, then downstream windows for as
+// long as the inertia carry-over keeps changing, and re-delivers the windows
+// whose recognition actually changed with an incremented revision and the
+// retraction diff. It runs before every emission, when the watermark reaches
+// a marked window (advanceFinal), and at the end of the stream: points the
+// arrival sequence sets, however the arrivals are batched (DESIGN.md §12
+// bounds the re-deliveries of a window).
 //
 // A revision is a delta evaluation of the slot against its own carried
-// state — the slide with ws' = ws and we' = we: in a window containing t
-// only the time-point [t, t+1) is dirty; a downstream window re-evaluated
-// for its changed carry-over has no dirty base at all, and the dependency
-// diff spreads the dirt from wherever the new inertia changed a fluent's
-// intervals. Fluents whose inputs did not change install their carried
-// lists. A slot without carried state (delta off, or cold after a resume)
-// evaluates in full and captures, so the next revision is warm.
-//
-// Each re-evaluated slot reads its own retained event index. The slot's
-// first revision builds it from the reorder buffer, which already holds the
-// late event e, and keeps it; a later late event in the window is inserted
-// into it where indexWindow would put it, so no revision re-indexes the
-// window. The index is kept whether or not the delta layer is on.
-func (st *streamRun) revise(e stream.Event) error {
-	t := e.Time
+// state — the slide with ws' = ws and we' = we: the dirty base is the
+// window's marks; a downstream window re-evaluated for its changed carry-over
+// has no dirty base at all, and the dependency diff spreads the dirt from
+// wherever the new inertia changed a fluent's intervals. Fluents whose inputs
+// did not change install their carried lists. A slot without carried state
+// (delta off, or cold after a resume) evaluates in full and captures, so the
+// next revision is warm. Each re-evaluated slot reads its own retained event
+// index (see mark), built here for a slot only the cascade reaches, and kept
+// whether or not the delta layer is on.
+func (st *streamRun) flush() error {
 	tel := st.eng.opts.Telemetry
 	carryChanged := false
 	for i := st.final; i < st.emitted; i++ {
 		st.slotVisits++
-		ws := st.tl.windowStart(i)
-		direct := ws <= t && t < st.tl.q(i)
-		if !direct && !carryChanged {
-			if ws > t {
-				break // windows from here on start after t: none contain it
-			}
-			continue // window ends at or before t; scan on
+		slot := &st.slots[i]
+		if slot.marks == nil && !carryChanged {
+			continue
 		}
-		prev := st.slots[i].eval
+		prev := slot.eval
 		t0 := time.Now() //rtecvet:allow telemetry timer: real end-to-end window latency
-		switch slot := &st.slots[i]; {
-		case slot.events == nil:
-			slot.events = indexWindow(st.reorder.Buffered().Window(ws, st.tl.q(i)))
-		case direct:
-			slot.events.insert(st.reorder.Buffered(), e)
+		if slot.events == nil {
+			slot.events = indexWindow(st.reorder.Buffered().Window(st.tl.windowStart(i), st.tl.q(i)))
 		}
-		var base intervals.List
-		if direct {
-			base = intervals.List{{Start: t, End: t + 1}}
+		base := make(intervals.List, len(slot.marks))
+		for k, t := range slot.marks {
+			base[k] = intervals.Interval{Start: t, End: t + 1}
 		}
-		ev := st.evalSlot(i, st.slots[i].delta, base)
+		slot.marks = nil
+		ev := st.evalSlot(i, slot.delta, intervals.Normalize(base))
 		carryChanged = !ev.sameOpen(prev)
-		st.slots[i].eval = ev // keep the carry-over current even when the output is unchanged
+		slot.eval = ev // keep the carry-over current even when the output is unchanged
 		if ev.sameRecognised(prev) {
 			continue
 		}
 		retracted := ev.retractionsAgainst(prev)
-		st.slots[i].revision++
+		slot.revision++
 		st.stats.Revisions++
 		tel.Counter("rtec.revisions").Inc()
 		if err := st.deliver(i, retracted); err != nil {
@@ -443,19 +475,28 @@ func (st *streamRun) deliver(i int, retracted map[string]intervals.List) error {
 
 // advanceFinal moves the revision cursor over the emitted slots whose query
 // time the watermark w has reached, and releases their event index and
-// carried delta state: nothing can revise them any more. The last emitted
-// slot keeps its delta state until the next emission has slid it (emitNext
-// releases it then), so the slots holding delta state are the revisable ones
-// plus at most one, and those holding an index are revisable ones.
-func (st *streamRun) advanceFinal(w int64) {
+// carried delta state: nothing can revise them any more. A slot holding
+// marks is flushed before the cursor passes it — a test on the slot itself,
+// so a resumed run, whose cursor restarts at 0, flushes where an
+// uninterrupted one does. The last emitted slot keeps its delta state until
+// the next emission has slid it (emitNext releases it then), so the slots
+// holding delta state are the revisable ones plus at most one, and those
+// holding an index are revisable ones.
+func (st *streamRun) advanceFinal(w int64) error {
 	for st.final < st.emitted && st.tl.q(st.final) <= w {
 		st.slotVisits++
+		if st.slots[st.final].marks != nil {
+			if err := st.flush(); err != nil {
+				return err
+			}
+		}
 		st.slots[st.final].events = nil
 		if st.final < st.emitted-1 {
 			st.slots[st.final].delta = nil
 		}
 		st.final++
 	}
+	return nil
 }
 
 // prune advances the revision cursor to the watermark and forgets the
@@ -465,12 +506,14 @@ func (st *streamRun) advanceFinal(w int64) {
 // the watermark. Arrivals older than the watermark are rejected as too late
 // first, so forgetting those events never changes an admission or
 // deduplication decision.
-func (st *streamRun) prune() {
+func (st *streamRun) prune() error {
 	w, ok := st.reorder.Watermark()
 	if !ok {
-		return
+		return nil
 	}
-	st.advanceFinal(w)
+	if err := st.advanceFinal(w); err != nil {
+		return err
+	}
 	h := st.tl.end
 	if st.final < len(st.slots) {
 		h = st.tl.windowStart(st.final)
@@ -479,6 +522,7 @@ func (st *streamRun) prune() {
 		h = w
 	}
 	st.reorder.Drop(h)
+	return nil
 }
 
 // amalgamate unions the latest evaluation of every window into the run's

@@ -331,9 +331,10 @@ func TestPropBoundedShuffleConverges(t *testing.T) {
 // TestIngestScansDoNotGrowWithWindowIndex: a long soak must not pay for the
 // windows it has already finished with. Over a 20 000-window timeline with a
 // late arrival every few windows, the slots the per-arrival scans look at
-// (revise's search for the windows containing t, prune's search for the
-// first revisable window) stay within a bound set by max-delay / slide,
-// whatever the window index — slot visits are counted, not nanoseconds.
+// (mark's search for the windows containing t, flush's walk over the marked
+// ones, prune's search for the first revisable window) stay within a bound
+// set by max-delay / slide, whatever the window index — slot visits are
+// counted, not nanoseconds.
 func TestIngestScansDoNotGrowWithWindowIndex(t *testing.T) {
 	const windows, slide, maxDelay = 20000, 10, 25
 	e := mustEngine(t, withinAreaED, Options{Strict: true})

@@ -32,7 +32,7 @@ func TestPerturbBoundedAndReproducible(t *testing.T) {
 	// same bound must drop nothing, and it sees the late arrivals counted.
 	r := NewReorder(25)
 	for _, e := range a {
-		if verdict := r.Push(e); verdict == TooLate {
+		if verdict, _ := r.Push(e); verdict == TooLate {
 			t.Fatalf("event %s displaced beyond the bound", e)
 		}
 	}

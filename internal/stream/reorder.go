@@ -125,17 +125,19 @@ func (r *Reorder) HighWater() int { return r.highWater }
 
 // Push classifies one arriving event and, when admitted, inserts it into
 // the sorted buffer. The atom is rendered once, unless the event is too
-// late; the text orders, deduplicates and checkpoints it from then on.
-func (r *Reorder) Push(e Event) Admission {
+// late; the text orders, deduplicates and checkpoints it from then on, and
+// Push returns it with the verdict (empty for TooLate), so a caller that
+// reports the arrival need not render it again.
+func (r *Reorder) Push(e Event) (Admission, string) {
 	r.stats.Observed++
 	if r.started && e.Time < r.frontier-r.maxDelay {
 		r.stats.Dropped++
-		return TooLate
+		return TooLate, ""
 	}
 	key := eventKey{e.Time, e.Atom.String()}
 	if r.seen[key] {
 		r.stats.Duplicates++
-		return Duplicate
+		return Duplicate, key.text
 	}
 	verdict := Admitted
 	if r.started && e.Time < r.frontier {
@@ -149,7 +151,7 @@ func (r *Reorder) Push(e Event) Admission {
 	r.seen[key] = true
 	r.insert(e, key.text)
 	r.stats.Accepted++
-	return verdict
+	return verdict, key.text
 }
 
 // insert places e, whose atom renders as text, into the buffer, keeping it

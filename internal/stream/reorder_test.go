@@ -13,7 +13,7 @@ func pushAll(t *testing.T, r *Reorder, events []Event, want []Admission) {
 		t.Fatalf("bad test: %d events, %d verdicts", len(events), len(want))
 	}
 	for i, e := range events {
-		if got := r.Push(e); got != want[i] {
+		if got, _ := r.Push(e); got != want[i] {
 			t.Fatalf("Push(%s) = %s, want %s", e, got, want[i])
 		}
 	}
@@ -77,7 +77,7 @@ func TestReorderReleaseAndDrop(t *testing.T) {
 	}
 	// Released events leave the dedup set: a fresh arrival at their key is
 	// admitted again (admission-time lateness check still applies).
-	if got := r.Push(ev(20, "b")); got != AdmittedLate {
+	if got, _ := r.Push(ev(20, "b")); got != AdmittedLate {
 		t.Fatalf("re-push after release = %s, want admitted-late", got)
 	}
 	if n := r.Drop(50); n != 3 {
@@ -123,7 +123,7 @@ func TestReorderStateRoundTrip(t *testing.T) {
 		t.Fatalf("restored buffer = %v, want 3 events", r2.Buffered())
 	}
 	// Dedup keys were rebuilt from the buffer.
-	if got := r2.Push(ev(120, "c")); got != Duplicate {
+	if got, _ := r2.Push(ev(120, "c")); got != Duplicate {
 		t.Fatalf("duplicate after restore = %s, want duplicate", got)
 	}
 }
@@ -177,10 +177,10 @@ func TestReorderCloseDrainsTail(t *testing.T) {
 
 	// The buffer stays usable: admission state survives the drain, so a
 	// late-beyond-bound arrival is still rejected, and new events flow.
-	if got := r.Push(ev(90, "z")); got != TooLate {
+	if got, _ := r.Push(ev(90, "z")); got != TooLate {
 		t.Fatalf("post-Close stale push = %s, want too-late", got)
 	}
-	if got := r.Push(ev(130, "f")); got != Admitted {
+	if got, _ := r.Push(ev(130, "f")); got != Admitted {
 		t.Fatalf("post-Close push = %s, want admitted", got)
 	}
 	if got := len(r.Close()); got != 1 {
@@ -223,7 +223,7 @@ func TestReorderPushAllocCeiling(t *testing.T) {
 	allocs := testing.AllocsPerRun(5, func() {
 		r := NewReorder(maxDelay)
 		for i, e := range arrivals {
-			if r.Push(e) != Admitted {
+			if verdict, _ := r.Push(e); verdict != Admitted {
 				t.Fatalf("in-order arrival %d not admitted", i)
 			}
 			if i%20 == 19 {
@@ -293,7 +293,11 @@ func FuzzReorderMatchesSort(f *testing.F) {
 			default:
 				e := Event{Time: int64(b0 % 64), Atom: atoms[int(b1)%len(atoms)]}
 				want.Observed++
-				switch r.Push(e) {
+				verdict, text := r.Push(e)
+				if verdict != TooLate && text != e.Atom.String() {
+					t.Fatalf("step %d: Push(%s) returned text %q", step, e, text)
+				}
+				switch verdict {
 				case Admitted:
 					want.Accepted++
 					admitted = append(admitted, e)
