@@ -2,8 +2,8 @@
 // out-of-order arrival sequence: every event is assigned a seeded random
 // delivery delay in [0, max-delay] and rows are emitted in delivery order,
 // so no event is displaced beyond the bound (stream.Perturb, which the
-// contract tests call in-process): a stream shuffled by this tool, replayed
-// through `rtec -max-delay`, must converge to the in-order run's output.
+// contract tests call in-process): a stream shuffled by this tool, ingested
+// by `rtecd -max-delay`, must converge to the in-order run's output.
 //
 // Usage:
 //
@@ -12,10 +12,9 @@
 //
 // -dup-every N re-emits every Nth event immediately after its original, an
 // exact duplicate the ingestion layer must count and discard. -out-format
-// ndjson emits rtecd's ingest wire format instead of CSV — the same seed
-// produces the same arrival order in either serialisation, so an rtecd run
-// over the NDJSON and a `rtec -max-delay` run over the CSV see one arrival
-// order. A summary of the perturbation is printed to stderr.
+// ndjson emits rtecd's ingest wire format instead of CSV; the same seed
+// produces the same arrival order in either serialisation. A summary of the
+// perturbation is printed to stderr.
 package main
 
 import (

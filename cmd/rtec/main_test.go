@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -141,26 +140,14 @@ func TestRunErrors(t *testing.T) {
 		!strings.Contains(err.Error(), "-fluent") || !strings.Contains(err.Error(), "-csv") {
 		t.Fatalf("-fluent with -csv: err = %v, want a usage error naming both flags", err)
 	}
-	// The checkpoint's rename would replace the journal, -resume or not.
-	sameO := opts(ed, st)
-	sameO.journalPath = filepath.Join(t.TempDir(), "x")
-	sameO.checkpoint = sameO.journalPath
-	if err := run(sameO, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "same file") {
-		t.Fatalf("-journal and -checkpoint on one file: err = %v, want a refusal", err)
-	}
-	if _, err := os.Stat(sameO.journalPath); err == nil {
-		t.Fatal("refused run still created the journal/checkpoint file")
-	}
-	// Zero is the only value that means a default: a negative window, slide
-	// or checkpoint cadence is refused, not read as whole-stream, tumbling or
-	// every window.
+	// Zero is the only value that means a default: a negative window or
+	// slide is refused, not read as whole-stream or tumbling.
 	for _, tc := range []struct {
 		flag string
 		set  func(*options)
 	}{
 		{"-window", func(o *options) { o.window = -3600 }},
 		{"-slide", func(o *options) { o.window, o.slide = 20, -10 }},
-		{"-checkpoint-every", func(o *options) { o.maxDelay, o.checkpointEvery = 15, -1 }},
 	} {
 		neg := opts(ed, st)
 		tc.set(&neg)
@@ -192,21 +179,17 @@ initiatedAt(broken(X)=true, T) :- holdsAt(withinArea(X, fishing)=true, T).
 }
 
 // TestStrictLoad: the command always loads its event description strictly.
-// A rule the engine cannot run fails the command before a journal is opened
-// or the stream read (the stream here is malformed, so reading it first
-// would fail on the stream instead). An event description whose defect shows
+// A rule the engine cannot run fails the command before the stream is read
+// (the stream here is malformed, so reading it first would fail on the
+// stream instead). An event description whose defect shows
 // only at run time loads, and so does the gold one, and their output is the
 // lenient engine's, byte for byte.
 func TestStrictLoad(t *testing.T) {
 	badStream := write(t, "bad.csv", "notatime,junk\n")
 	for _, tc := range unrunnable {
 		o := opts(write(t, "ed.rtec", testED+tc.rules), badStream)
-		o.journalPath = filepath.Join(t.TempDir(), "run.jsonl")
 		if err := run(o, io.Discard, io.Discard); err == nil || !strings.Contains(err.Error(), "dropped") {
 			t.Errorf("%s: err = %v, want the load refusal", tc.name, err)
-		}
-		if _, err := os.Stat(o.journalPath); err == nil {
-			t.Errorf("%s: the refused load created the journal", tc.name)
 		}
 	}
 
@@ -281,92 +264,5 @@ func TestLenientStreamQuarantinesBadRows(t *testing.T) {
 	o.lenient, o.csvOut = true, true
 	if got, _ := mustRun(t, o); !strings.Contains(got, "withinArea(v1, fishing)=true") {
 		t.Fatalf("lenient run lost the good rows:\n%s", got)
-	}
-}
-
-func TestStreamingFlagsMatchBatchOutput(t *testing.T) {
-	ed := write(t, "ed.rtec", testED)
-	// Arrival order is perturbed but within the delay bound.
-	st := write(t, "events.csv", "10,entersArea,v1,a1\n60,entersArea,v2,a1\n50,leavesArea,v1,a1\n")
-	sorted := write(t, "sorted.csv", "10,entersArea,v1,a1\n50,leavesArea,v1,a1\n60,entersArea,v2,a1\n")
-
-	base := opts(ed, sorted)
-	base.window, base.csvOut = 20, true
-	want, _ := mustRun(t, base)
-	o := opts(ed, st)
-	o.window, o.csvOut, o.maxDelay = 20, true, 15
-	if got, _ := mustRun(t, o); got != want {
-		t.Fatalf("streaming output differs from batch:\n%s\nvs\n%s", got, want)
-	}
-}
-
-// TestResumeFromCrashCheckpoint: a run killed after two windows leaves a
-// checkpoint behind (written here through the engine API, as the killed
-// process would have), and -resume continues from it to the uninterrupted
-// run's output.
-func TestResumeFromCrashCheckpoint(t *testing.T) {
-	ed := write(t, "ed.rtec", testED)
-	st := write(t, "events.csv",
-		"10,entersArea,v1,a1\n30,entersArea,v2,a1\n50,leavesArea,v1,a1\n70,entersArea,v3,a1\n90,leavesArea,v2,a1\n")
-	base := opts(ed, st)
-	base.window, base.slide, base.csvOut = 20, 20, true
-	want, _ := mustRun(t, base)
-	o := base
-	o.checkpoint, o.resume = filepath.Join(t.TempDir(), "run.ckpt"), true
-	crashRun(t, ed, st, rtec.StreamOptions{
-		RunOptions: rtec.RunOptions{Window: 20, Slide: 20}, CheckpointPath: o.checkpoint, CheckpointEvery: 1,
-	}, 2)
-	if got, _ := mustRun(t, o); got != want {
-		t.Fatalf("resumed output differs from uninterrupted run:\n%s\nvs\n%s", got, want)
-	}
-
-	// -resume without -checkpoint is rejected.
-	bad := base
-	bad.resume = true
-	if err := run(bad, io.Discard, io.Discard); err == nil {
-		t.Fatal("-resume without -checkpoint accepted")
-	}
-}
-
-// crashRun streams the CSV at streamPath through the event description at
-// edPath and kills the run from the delivery callback once n windows have
-// been delivered for the first time, leaving opts.CheckpointPath behind.
-func crashRun(t *testing.T, edPath, streamPath string, opts rtec.StreamOptions, n int) {
-	t.Helper()
-	src, err := os.ReadFile(edPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ed, err := parser.ParseEventDescription(string(src))
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := rtec.New(ed, rtec.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Open(streamPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	events, err := stream.ReadCSV(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	errCrash := errors.New("simulated crash")
-	_, err = eng.RunStream(events, opts, func(wr rtec.WindowResult) error {
-		if wr.Revision == 0 {
-			if n--; n <= 0 {
-				return errCrash
-			}
-		}
-		return nil
-	})
-	if !errors.Is(err, errCrash) {
-		t.Fatalf("crashing run: err = %v, want the simulated crash", err)
-	}
-	if _, err := os.Stat(opts.CheckpointPath); err != nil {
-		t.Fatalf("no checkpoint after the crash: %v", err)
 	}
 }

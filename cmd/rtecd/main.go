@@ -28,7 +28,9 @@
 //
 // rtecd is the only front end to the shard runtime: a one-shot sharded run
 // is an rtecd run whose client POSTs the whole stream and then /finish.
-// cmd/rtec is the unsharded reference.
+// It is also the only streaming front end: out-of-order ingestion,
+// checkpoints, resume and the audit journal. cmd/rtec is the unsharded batch
+// reference.
 //
 // The restart budget per shard (5), the per-shard backlog bound (256
 // arrivals; a full shard queue blocks the ingest pump), the ingest queue (16

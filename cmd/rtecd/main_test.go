@@ -49,7 +49,8 @@ func testEvents(n int) stream.Stream {
 
 // TestRunRefusesBadPlan: a geometry the engine refuses fails the start
 // before the port is bound or a journal file is created, instead of a
-// daemon whose every shard is degraded.
+// daemon whose every shard is degraded; so does a journal on the
+// checkpoint's path, which a checkpoint rename would replace.
 func TestRunRefusesBadPlan(t *testing.T) {
 	dir := t.TempDir()
 	edPath := filepath.Join(dir, "ed.rtec")
@@ -71,6 +72,12 @@ func TestRunRefusesBadPlan(t *testing.T) {
 		set(&o)
 		refused(t, name, o, "rtec:")
 	}
+	same := filepath.Join(dir, "run")
+	refused(t, "journal is checkpoint", options{
+		edPath: edPath, listen: "127.0.0.1:0",
+		window: 3600, start: 1, end: 100000, shards: 1,
+		checkpoint: same, journalPath: same,
+	}, "same file")
 }
 
 // unrunnable are rules a lenient engine would drop at load, each appended to

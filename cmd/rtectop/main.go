@@ -10,10 +10,11 @@
 //     (throttles, unavailability, timeouts, rejects) and subscription
 //     fan-out health; a SHARDS section follows the shard runtime.
 //   - -journal file replays a recognition audit journal (JSONL) and
-//     renders the run's final board once: `rtec -journal`'s, or the
-//     lifecycle journal of `rtecd -journal` (its shards_start,
-//     shard_restart and shard_degraded records fill the SHARDS section;
-//     the per-shard journals are "<file>.s<k>").
+//     renders the run's final board once: a shard journal of
+//     `rtecd -journal file` ("<file>.s<k>", whose window, checkpoint and
+//     run_end records fill the board), or its lifecycle journal (whose
+//     shards_start, shard_restart and shard_degraded records fill the
+//     SHARDS section).
 //
 // With -once the board is printed a single time without clearing the
 // screen — the scripting/CI mode. -require takes comma-separated assertions
@@ -140,7 +141,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
 
-	var windows, revisions, restores, writes float64
+	var windows, revisions, writes float64
 	var ckptBytes float64
 	var emitLags []float64
 	shardRestarts := map[int]float64{}
@@ -183,8 +184,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 			_ = unmarshalData(rec.Data, &c)
 			writes++
 			ckptBytes += c.Bytes
-		case "checkpoint_restore":
-			restores++
 		case "shards_start":
 			var s struct {
 				Shards float64 `json:"shards"`
@@ -225,9 +224,8 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 		put("rtec_duplicate_events_total", "counter", end.Duplicates)
 		put("rtec_dropped_events_total", "counter", end.Dropped)
 	}
-	if writes > 0 || restores > 0 {
+	if writes > 0 {
 		put("rtec_checkpoint_writes_total", "counter", writes)
-		put("rtec_checkpoint_restores_total", "counter", restores)
 		put("rtec_checkpoint_bytes", "counter", ckptBytes)
 	}
 	if shards > 0 || restarts > 0 || degraded > 0 {

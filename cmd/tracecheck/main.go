@@ -6,8 +6,8 @@
 // name matches each required substring.
 //
 // With -journal the argument is a recognition audit journal (JSONL, as
-// written by cmd/rtec -journal): every line must be a well-formed record,
-// the sequence numbers must be gapless and start at 1, wall-clock stamps
+// written by rtecd -journal): every line must be a well-formed record,
+// the sequence numbers must be gapless and start at 1, wall_us stamps
 // must be non-decreasing, and nothing may follow a journal_capped marker.
 // -require then names record types (exact match) that must each appear.
 //

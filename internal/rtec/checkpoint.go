@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"time"
 
 	"rtecgen/internal/intervals"
 	"rtecgen/internal/lang"
@@ -249,7 +248,6 @@ func (st *streamRun) encodeSnapshot() ([][]byte, error) {
 // fault-free ones.
 func (st *streamRun) writeCheckpoint() error {
 	tel := st.eng.opts.Telemetry
-	t0 := time.Now() //rtecvet:allow telemetry timer: real duration of checkpoint encoding
 	st.stats.Checkpoints++
 	n, err := st.writeSnapshotFile()
 	if err != nil {
@@ -257,7 +255,6 @@ func (st *streamRun) writeCheckpoint() error {
 	}
 	tel.Counter("rtec.checkpoint.writes").Inc()
 	tel.Counter("rtec.checkpoint.bytes").Add(int64(n))
-	tel.Histogram("rtec.checkpoint.write_micros").ObserveDuration(time.Since(t0))
 	tel.Logger().Debug("checkpoint written",
 		"component", "rtec", "path", st.opts.CheckpointPath,
 		"consumed", st.consumed, "windows", st.emitted, "bytes", n)
@@ -469,50 +466,4 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 	st.stats.Checkpoints = p.Checkpoints
 	st.sinceCkpt = p.SinceCkpt
 	return nil
-}
-
-// ResumeStream continues a streaming run from a checkpoint written by
-// RunStream: the snapshot is verified (version, checksum, event-description
-// fingerprint, run geometry), the run state is restored, and ingestion
-// resumes at the first arrival the snapshot had not consumed. events must
-// be the same arrival-ordered stream the interrupted run was given; the
-// final result is byte-identical to the uninterrupted run. Windows
-// delivered before the snapshot are not re-delivered to fn.
-func (e *Engine) ResumeStream(path string, events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamResult, error) {
-	tel := e.opts.Telemetry
-	t0 := time.Now() //rtecvet:allow telemetry timer: real duration of checkpoint restore
-	cp, from, err := LoadCheckpointWithFallback(path)
-	if err != nil {
-		return nil, err
-	}
-	if from != path {
-		tel.Counter("rtec.checkpoint.fallbacks").Inc()
-		tel.Logger().Warn("checkpoint torn; resuming from previous generation",
-			"component", "rtec", "path", path, "fallback", from)
-	}
-	r, empty, err := e.newStreamRunner(events, opts, fn)
-	if err != nil {
-		return nil, err
-	}
-	if empty {
-		return &StreamResult{Recognition: newRecognition(0, 0)}, nil
-	}
-	defer r.Abort() // releases the runner on an error path; a no-op after Finish
-	st := r.st
-	if err := st.restore(cp); err != nil {
-		return nil, err
-	}
-	tel.Counter("rtec.checkpoint.restores").Inc()
-	tel.Histogram("rtec.checkpoint.restore_micros").ObserveDuration(time.Since(t0))
-	tel.Logger().Debug("checkpoint restored",
-		"component", "rtec", "path", path, "consumed", st.consumed, "windows", st.emitted)
-	if err := st.journalRunStart(); err != nil {
-		return nil, err
-	}
-	if err := st.obs.journal.Append("checkpoint_restore", journalRestore{
-		Consumed: st.consumed, Windows: st.emitted,
-	}); err != nil {
-		return nil, err
-	}
-	return r.feed(events)
 }

@@ -445,7 +445,7 @@ func TestResumeRejectsNonGroundCheckpointEvent(t *testing.T) {
 	if _, err := e.RunStream(arrivals, opts, crashAfter(2)); !errors.Is(err, errCrash) {
 		t.Fatalf("interrupted run err = %v, want crash", err)
 	}
-	_, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
+	_, err := resumeStream(e, opts.CheckpointPath, arrivals, opts, nil)
 	if err == nil || !strings.Contains(err.Error(), `checkpoint event "entersArea(v3, Area)" is not ground`) {
 		t.Fatalf("resume err = %v, want the non-ground event named", err)
 	}

@@ -221,7 +221,7 @@ func streamDeliveryLog(t *testing.T, e *Engine, arrivals stream.Stream, opts Str
 	if err != nil {
 		t.Fatal(err)
 	}
-	fmt.Fprintf(&sb, "stats %s\n", res.Stats)
+	fmt.Fprintf(&sb, "stats %+v\n", res.Stats)
 	sb.WriteString(csvOf(t, res.Recognition))
 	return sb.String()
 }

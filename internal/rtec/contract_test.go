@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -52,8 +53,8 @@ type contractRun struct {
 
 // contractOut runs src over events: when sopts is nil in batch at window
 // 3600 and slide 900, as `rtec -window 3600 -slide 900` does, and otherwise
-// streamed with a journal and a checkpoint every window, as `rtec -journal
-// -checkpoint` does.
+// streamed with a journal and a checkpoint every window, as an rtecd shard
+// with `-journal -checkpoint` does.
 func contractOut(t *testing.T, src string, opts Options, sopts *StreamOptions, events stream.Stream) contractRun {
 	t.Helper()
 	var logBuf, jbuf bytes.Buffer
@@ -139,7 +140,7 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 			if _, err := mustEngine(t, gold, Options{Workers: 1}).RunStream(arrivals, sopts, crashAfter(3)); !errors.Is(err, errCrash) {
 				t.Fatalf("interrupted run err = %v, want the crash", err)
 			}
-			res, err := mustEngine(t, gold, Options{Workers: 1}).ResumeStream(sopts.CheckpointPath, arrivals, sopts, nil)
+			res, err := resumeStream(mustEngine(t, gold, Options{Workers: 1}), sopts.CheckpointPath, arrivals, sopts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,6 +156,46 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 			sameOutput(t, "DisableDelta", contractOut(t, gold, Options{Workers: 1, DisableDelta: true}, &sopts, arrivals), delta)
 			c.check(t, sopts, delta)
 		})
+	}
+}
+
+// TestContractStreamedJournal: over the shuffled maritime stream at window
+// 3600 and max-delay 900, the journalled streamed run recognises what the
+// batch run over the in-order stream does, counts the duplicates, and
+// journals the run plan, the windows and the final statistics, with an
+// emit lag on some window; two runs journal byte-identically.
+func TestContractStreamedJournal(t *testing.T) {
+	bg, events, arrivals := shellInput(t)
+	gold := maritime.GoldSource() + bg
+	rec, err := mustEngine(t, gold, Options{Workers: 1}).Run(events, RunOptions{Window: 3600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := csvOf(t, rec)
+	sopts := StreamOptions{RunOptions: RunOptions{Window: 3600}, MaxDelay: 900}
+	var journals [2]string
+	for i := range journals {
+		run := contractOut(t, gold, Options{Workers: 1}, &sopts, arrivals)
+		if run.out[0] != batch {
+			t.Fatal("the shuffled streamed run diverged from the in-order batch run")
+		}
+		if run.counters["rtec.duplicate_events"] == 0 {
+			t.Error("rtec.duplicate_events_total is 0 on a stream with a duplicate every 50 events")
+		}
+		stats, err := journal.Validate(strings.NewReader(run.out[1]))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stats.Types["run_start"] != 1 || stats.Types["window"] == 0 || stats.Types["run_end"] != 1 {
+			t.Errorf("the journal lacks the run plan, a window or the final statistics: %v", stats.Types)
+		}
+		journals[i] = run.out[1]
+	}
+	if journals[0] != journals[1] {
+		t.Error("same-seed journals differ")
+	}
+	if !regexp.MustCompile(`"type":"window".*"emit_lag":[1-9]`).MatchString(journals[0]) {
+		t.Error("no window record has emit_lag > 0 on a disordered stream")
 	}
 }
 

@@ -285,7 +285,7 @@ func TestDeltaResumeRewarms(t *testing.T) {
 	opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 	parkAfter(t, e, arrivals, opts, len(arrivals)/2, nil)
 	reused0 := reg.Counter("rtec.delta.reused").Value()
-	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
+	got, err := resumeStream(e, opts.CheckpointPath, arrivals, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,7 +497,7 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 	if !slices.ContainsFunc(cp.payload.Slots, func(cs ckptSlot) bool { return len(cs.Marks) > 0 }) {
 		t.Fatalf("the suspend checkpoint after arrival %d carries no marks: the cut is not inside a late burst", cut)
 	}
-	got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, render(&gotLog))
+	got, err := resumeStream(e, opts.CheckpointPath, arrivals, opts, render(&gotLog))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +508,7 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 		t.Fatal("resumed recognition differs from the uninterrupted run")
 	}
 	if got.Stats.Revisions != want.Stats.Revisions || got.Stats.Late != want.Stats.Late {
-		t.Fatalf("stats differ: %s vs %s", got.Stats, want.Stats)
+		t.Fatalf("stats differ: %+v vs %+v", got.Stats, want.Stats)
 	}
 }
 

@@ -51,9 +51,9 @@ func CheckStreamOptions(opts StreamOptions) error {
 	return err
 }
 
-// ResumeStreamRunner rebuilds a runner from a loaded checkpoint — the
-// restart path of a supervised shard. Unlike ResumeStream it journals no
-// run_start or checkpoint_restore records: the shard runtime stages journal
+// ResumeStreamRunner rebuilds a runner from a loaded checkpoint — the one
+// resume path, taken by a restarted or resumed shard. It journals nothing
+// of the restore, not even run_start: the shard runtime stages journal
 // records and rolls the uncommitted suffix back before replaying, so a
 // crash-and-restart is invisible in the audit trail and the journal stays
 // byte-identical to a fault-free run. The caller must re-Ingest the

@@ -67,7 +67,7 @@ func TestStreamRunnerMatchesRunStream(t *testing.T) {
 		t.Fatalf("incremental CSV differs:\n%s\nvs\n%s", b, a)
 	}
 	if want.Stats != got.Stats {
-		t.Fatalf("stats differ: %s vs %s", want.Stats, got.Stats)
+		t.Fatalf("stats differ: %+v vs %+v", want.Stats, got.Stats)
 	}
 	if !bytes.Equal(wantJ.Bytes(), gotJ.Bytes()) {
 		t.Fatalf("journals differ:\n%s\nvs\n%s", wantJ.String(), gotJ.String())

@@ -44,7 +44,7 @@ var instrumentHelp = map[string]string{
 	"rtec.windows.evaluated":    "window evaluations, including re-evaluations forced by late events",
 	"rtec.events.ingested":      "events admitted (in-order plus late-within-bound): admissions by this process, replays after a shard restart included",
 	"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
-	"rtec.checkpoint.fallbacks": "restores that recovered a torn checkpoint from its previous generation, by the run itself or by a supervised shard",
+	"rtec.checkpoint.fallbacks": "supervised shard restarts that recovered a torn checkpoint from its previous generation",
 	"rtec.delta.reused":         "anchor events whose cached rule effects stand (the previous window's on a slide, the window's own on a revision), replayed or under an installed fluent",
 	"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
 	"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",
@@ -102,8 +102,8 @@ type journalRunStart struct {
 	Start    int64  `json:"start"`
 	End      int64  `json:"end"`
 	MaxDelay int64  `json:"max_delay"`
-	// Consumed is the resume point: 0 for a fresh run, the checkpoint's
-	// arrival count for a resumed one.
+	// Consumed is always 0: a resumed runner journals no run_start. The
+	// field keeps the record's layout.
 	Consumed int `json:"consumed"`
 }
 
@@ -139,11 +139,6 @@ type journalCheckpoint struct {
 	Bytes    int `json:"bytes"`
 }
 
-type journalRestore struct {
-	Consumed int `json:"consumed"`
-	Windows  int `json:"windows"`
-}
-
 type journalRunEnd struct {
 	Observed    int64 `json:"observed"`
 	Accepted    int64 `json:"accepted"`
@@ -172,8 +167,8 @@ func ivalsOf(m map[string]intervals.List) map[string][][2]int64 {
 
 // --- streamRun observation hooks -------------------------------------------
 
-// journalRunStart records the run plan once: ResumeStream journals it ahead
-// of its checkpoint_restore record, a runner on its first Ingest or Finish.
+// journalRunStart records the run plan once, on a fresh runner's first
+// Ingest or Finish.
 func (st *streamRun) journalRunStart() error {
 	if st.ranStart {
 		return nil
@@ -185,7 +180,6 @@ func (st *streamRun) journalRunStart() error {
 		Window:  st.tl.window, Slide: st.tl.slide,
 		Start: st.tl.start, End: st.tl.end,
 		MaxDelay: st.opts.MaxDelay,
-		Consumed: st.consumed,
 	})
 }
 

@@ -2,9 +2,12 @@ package rtec
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rtecgen/internal/stream"
@@ -143,48 +146,115 @@ func TestJournalRecordsAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestJournalCheckpointAndResume(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "ckpt.json")
-	opts := lateOpts
-	opts.CheckpointPath = path
-	opts.CheckpointEvery = 1
+// journalGoldenED and journalGoldenArrivals are the input of the golden
+// journal: one fluent over two vessels, the last arrival late by 10 within
+// a delay bound of 15.
+const (
+	journalGoldenED = `
+inputEvent(entersArea(_, _)).
+inputEvent(leavesArea(_, _)).
+areaType(a1, fishing).
 
-	var first bytes.Buffer
+initiatedAt(withinArea(Vl, AreaType)=true, T) :-
+    happensAt(entersArea(Vl, AreaID), T),
+    areaType(AreaID, AreaType).
+
+terminatedAt(withinArea(Vl, AreaType)=true, T) :-
+    happensAt(leavesArea(Vl, AreaID), T),
+    areaType(AreaID, AreaType).
+`
+	journalGoldenArrivals = "10,entersArea,v1,a1\n60,entersArea,v2,a1\n50,leavesArea,v1,a1\n"
+)
+
+// TestJournalGolden pins the audit journal byte for byte: same-seed runs
+// journal identically, and the layout matches the committed golden (refresh
+// with `go test ./internal/rtec -run TestJournalGolden -update`).
+func TestJournalGolden(t *testing.T) {
+	arrivals, err := stream.ReadCSV(strings.NewReader(journalGoldenArrivals))
+	if err != nil {
+		t.Fatal(err)
+	}
+	runOnce := func() []byte {
+		var buf bytes.Buffer
+		e := mustEngine(t, journalGoldenED, Options{Strict: true, Workers: 1})
+		if _, err := e.RunStream(arrivals, StreamOptions{
+			RunOptions: RunOptions{Window: 20, Slide: 20},
+			MaxDelay:   15,
+			Journal:    journal.NewWriter(&buf, journal.Options{}),
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	a, b := runOnce(), runOnce()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("same-seed journals differ:\n%s\nvs\n%s", a, b)
+	}
+	if _, err := journal.Validate(bytes.NewReader(a)); err != nil {
+		t.Fatalf("journal invalid: %v\n%s", err, a)
+	}
+	golden := filepath.Join("testdata", "journal.golden.jsonl")
+	if *update {
+		if err := os.WriteFile(golden, a, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if want := readFile(t, golden); string(a) != want {
+		t.Fatalf("journal deviates from the golden (refresh with -update if intended):\n%s\nwant:\n%s", a, want)
+	}
+}
+
+// TestJournalCheckpointAndResume: a run killed after a checkpoint and
+// resumed from it through ResumeStreamRunner, its journal cut back to that
+// checkpoint's record and continued, journals byte for byte what the
+// uninterrupted run does — no record marks the crash or the restore.
+func TestJournalCheckpointAndResume(t *testing.T) {
+	opts := lateOpts
+	opts.CheckpointPath = filepath.Join(t.TempDir(), "ckpt.json")
+	opts.CheckpointEvery = 1
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
+
+	var want bytes.Buffer
+	wantOpts := opts
+	wantOpts.CheckpointPath = filepath.Join(t.TempDir(), "clean.json")
+	wantOpts.Journal = journal.NewWriter(&want, journal.Options{})
+	if _, err := e.RunStream(lateArrivals(), wantOpts, nil); err != nil {
+		t.Fatal(err)
+	}
+
+	var crashed bytes.Buffer
 	runOpts := opts
-	runOpts.Journal = journal.NewWriter(&first, journal.Options{})
+	runOpts.Journal = journal.NewWriter(&crashed, journal.Options{})
 	// Deliveries q=10 and q=20 ride arrival 2 (then its checkpoint lands);
 	// the revision on arrival 3 is delivery 3, where the crash hits.
-	if _, err := e.RunStream(lateArrivals(), runOpts, crashAfter(3)); err == nil {
-		t.Fatal("crash callback did not abort the run")
+	if _, err := e.RunStream(lateArrivals(), runOpts, crashAfter(3)); !errors.Is(err, errCrash) {
+		t.Fatalf("crashing run err = %v, want the crash", err)
 	}
-	stats, err := journal.Validate(bytes.NewReader(first.Bytes()))
+	recs, err := journal.Read(bytes.NewReader(crashed.Bytes()))
 	if err != nil {
-		t.Fatalf("crashed run journal invalid: %v\n%s", err, first.Bytes())
+		t.Fatalf("crashed run journal invalid: %v\n%s", err, crashed.Bytes())
 	}
-	if stats.Types["checkpoint"] == 0 {
-		t.Fatalf("no checkpoint records before the crash:\n%s", first.Bytes())
+	// Keep the records through the last checkpoint, as a shard's staged
+	// journal is committed at its checkpoints.
+	lines := bytes.SplitAfter(crashed.Bytes(), []byte("\n"))
+	keep := -1
+	for i, rec := range recs {
+		if rec.Type == "checkpoint" {
+			keep = i
+		}
 	}
-
-	var resumed bytes.Buffer
-	resOpts := opts
-	resOpts.Journal = journal.NewWriter(&resumed, journal.Options{})
-	if _, err := e.ResumeStream(path, lateArrivals(), resOpts, nil); err != nil {
+	if keep < 0 || keep == len(recs)-1 {
+		t.Fatalf("want a checkpoint record followed by records the crash discards:\n%s", crashed.Bytes())
+	}
+	var got bytes.Buffer
+	got.Write(bytes.Join(lines[:keep+1], nil))
+	runOpts.Journal = journal.NewWriterResumed(&got, journal.Options{},
+		journal.RecoverInfo{Records: keep + 1, LastSeq: recs[keep].Seq, Written: int64(got.Len())})
+	if _, err := resumeStream(e, runOpts.CheckpointPath, lateArrivals(), runOpts, nil); err != nil {
 		t.Fatal(err)
 	}
-	stats, err = journal.Validate(bytes.NewReader(resumed.Bytes()))
-	if err != nil {
-		t.Fatalf("resumed journal invalid: %v\n%s", err, resumed.Bytes())
-	}
-	if stats.Types["checkpoint_restore"] != 1 || stats.Types["run_start"] != 1 || stats.Types["run_end"] != 1 {
-		t.Fatalf("resumed journal types = %v\n%s", stats.Types, resumed.Bytes())
-	}
-	recs, err := journal.Read(bytes.NewReader(resumed.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].Type != "run_start" || recs[1].Type != "checkpoint_restore" {
-		t.Fatalf("resumed journal starts %s, %s; want run_start, checkpoint_restore", recs[0].Type, recs[1].Type)
+	if !bytes.Equal(got.Bytes(), want.Bytes()) {
+		t.Fatalf("resumed journal differs from the uninterrupted run's:\n%s\nwant:\n%s", got.Bytes(), want.Bytes())
 	}
 }
 

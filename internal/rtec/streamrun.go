@@ -58,12 +58,6 @@ type StreamStats struct {
 	Checkpoints int64
 }
 
-// String renders the stats as a one-line report.
-func (s StreamStats) String() string {
-	return fmt.Sprintf("observed=%d accepted=%d late=%d duplicates=%d dropped=%d revisions=%d checkpoints=%d",
-		s.Observed, s.Accepted, s.Late, s.Duplicates, s.Dropped, s.Revisions, s.Checkpoints)
-}
-
 // StreamResult is the outcome of a streaming run: the amalgamated
 // recognition (identical to what Run over the in-order, deduplicated,
 // within-bound stream would produce) plus the disorder statistics.
@@ -153,9 +147,9 @@ type streamRun struct {
 // in-order stream.
 //
 // With CheckpointPath set, a crash-safe snapshot is written atomically
-// every CheckpointEvery windows; ResumeStream continues such a run so that
-// its final output is byte-identical to an uninterrupted one. fn may be
-// nil when only the final result matters.
+// every CheckpointEvery windows; ResumeStreamRunner continues such a run
+// so that its final output is byte-identical to an uninterrupted one. fn
+// may be nil when only the final result matters.
 func (e *Engine) RunStream(events stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamResult, error) {
 	r, empty, err := e.newStreamRunner(events, opts, fn)
 	if err != nil {
@@ -164,7 +158,13 @@ func (e *Engine) RunStream(events stream.Stream, opts StreamOptions, fn func(Win
 	if empty {
 		return &StreamResult{Recognition: newRecognition(0, 0)}, nil
 	}
-	return r.feed(events)
+	defer r.Abort() // releases the runner on an error path; a no-op after Finish
+	for _, ev := range events {
+		if err := r.Ingest(ev); err != nil {
+			return nil, err
+		}
+	}
+	return r.Finish()
 }
 
 // planStream is the one check of a streaming run's options: the time-line
@@ -210,20 +210,6 @@ func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn fu
 		"window", tl.window, "slide", tl.slide, "start", tl.start, "end", tl.end,
 		"windows", tl.n, "fluents", len(e.order), "max_delay", opts.MaxDelay)
 	return &StreamRunner{st: st}, false, nil
-}
-
-// feed ingests the arrivals after the resume point and finishes the run.
-func (r *StreamRunner) feed(events stream.Stream) (*StreamResult, error) {
-	defer r.Abort() // releases the runner on an error path; a no-op after Finish
-	if r.st.consumed > len(events) {
-		return nil, fmt.Errorf("rtec: checkpoint consumed %d arrivals but the stream has only %d", r.st.consumed, len(events))
-	}
-	for _, e := range events[r.st.consumed:] {
-		if err := r.Ingest(e); err != nil {
-			return nil, err
-		}
-	}
-	return r.Finish()
 }
 
 // finish ends the run: it evaluates and delivers the windows the frontier

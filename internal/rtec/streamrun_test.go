@@ -55,10 +55,10 @@ func TestRunStreamInOrderMatchesRun(t *testing.T) {
 		}
 		s := got.Stats
 		if s.Late != 0 || s.Dropped != 0 || s.Duplicates != 0 || s.Revisions != 0 {
-			t.Fatalf("in-order stats = %s", s)
+			t.Fatalf("in-order stats = %+v", s)
 		}
 		if s.Observed != int64(len(events)) || s.Accepted != int64(len(events)) {
-			t.Fatalf("stats = %s, want %d observed/accepted", s, len(events))
+			t.Fatalf("stats = %+v, want %d observed/accepted", s, len(events))
 		}
 	}
 }
@@ -110,7 +110,7 @@ func TestRunStreamLateEventRevisesWindow(t *testing.T) {
 	}
 
 	if got.Stats.Late != 1 || got.Stats.Revisions != 1 || got.Stats.Dropped != 0 {
-		t.Fatalf("stats = %s", got.Stats)
+		t.Fatalf("stats = %+v", got.Stats)
 	}
 	checkIntervals(t, got.Recognition, key, intervals.List{ivl(3, 16)})
 
@@ -155,7 +155,7 @@ func TestRunStreamRevisionCascadesAcrossWindows(t *testing.T) {
 		t.Fatalf("revised query times = %v, want [10 20 30]", revisedQs)
 	}
 	if got.Stats.Revisions != 3 {
-		t.Fatalf("stats = %s, want 3 revisions", got.Stats)
+		t.Fatalf("stats = %+v, want 3 revisions", got.Stats)
 	}
 	checkIntervals(t, got.Recognition, "withinArea(v1, fishing)=true", intervals.List{ivl(6, 40)})
 }
@@ -176,7 +176,7 @@ func TestRunStreamDropsTooLateEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Stats.Dropped != 1 || got.Stats.Late != 0 || got.Stats.Revisions != 0 {
-		t.Fatalf("stats = %s", got.Stats)
+		t.Fatalf("stats = %+v", got.Stats)
 	}
 	// The dropped termination never happened: the in-order equivalent is
 	// the stream without it.
@@ -202,7 +202,7 @@ func TestRunStreamCountsDuplicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got.Stats.Duplicates != 2 || got.Stats.Accepted != 2 {
-		t.Fatalf("stats = %s", got.Stats)
+		t.Fatalf("stats = %+v", got.Stats)
 	}
 	checkIntervals(t, got.Recognition, "withinArea(v1, fishing)=true", intervals.List{ivl(11, 21)})
 }
@@ -275,7 +275,7 @@ func TestRunStreamEmptyStream(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got.Keys()) != 0 || got.Stats != (StreamStats{}) {
-		t.Fatalf("empty stream result = %v, %s", got.Keys(), got.Stats)
+		t.Fatalf("empty stream result = %v, %+v", got.Keys(), got.Stats)
 	}
 }
 
@@ -377,6 +377,6 @@ func TestIngestScansDoNotGrowWithWindowIndex(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Stats.Late == 0 || res.Stats.Revisions == 0 {
-		t.Fatalf("stats %s: the timeline exercised no late arrival or no revision", res.Stats)
+		t.Fatalf("stats %+v: the timeline exercised no late arrival or no revision", res.Stats)
 	}
 }

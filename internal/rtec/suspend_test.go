@@ -8,7 +8,7 @@ import (
 )
 
 // parkAfter feeds the first n arrivals through a StreamRunner planned over
-// the bounds RunStream and ResumeStream derive from the whole stream, then
+// the bounds RunStream derives from the whole stream, then
 // parks it with Suspend — the test double for a drain landing mid-stream.
 func parkAfter(t *testing.T, e *Engine, arrivals stream.Stream, opts StreamOptions, n int, fn func(WindowResult) error) {
 	t.Helper()
@@ -92,7 +92,7 @@ func TestSuspendResumeByteIdentity(t *testing.T) {
 		opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 		opts.CheckpointEvery = 2
 		parkAfter(t, e, arrivals, opts, park, nil)
-		got, err := e.ResumeStream(opts.CheckpointPath, arrivals, opts, nil)
+		got, err := resumeStream(e, opts.CheckpointPath, arrivals, opts, nil)
 		if err != nil {
 			t.Fatalf("park@%d: resume: %v", park, err)
 		}
@@ -103,7 +103,7 @@ func TestSuspendResumeByteIdentity(t *testing.T) {
 			got.Stats.Accepted != want.Stats.Accepted ||
 			got.Stats.Revisions != want.Stats.Revisions ||
 			got.Stats.Dropped != want.Stats.Dropped {
-			t.Fatalf("park@%d: resumed stats = %s, uninterrupted = %s", park, got.Stats, want.Stats)
+			t.Fatalf("park@%d: resumed stats = %+v, uninterrupted = %+v", park, got.Stats, want.Stats)
 		}
 		if got.Stats.Checkpoints != cadence.Stats.Checkpoints {
 			t.Fatalf("park@%d: suspend disturbed the checkpoint cadence: %d snapshots, want %d",

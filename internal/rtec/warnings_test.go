@@ -211,7 +211,7 @@ func checkWarningPaths(t *testing.T, c warningCase) *Recognition {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if res.Stats.Late != 1 || res.Stats.Dropped != 0 {
-			t.Fatalf("%s: the streaming run: %s, want one late arrival admitted", c.name, res.Stats)
+			t.Fatalf("%s: the streaming run: %+v, want one late arrival admitted", c.name, res.Stats)
 		}
 		streamed[i] = res.Recognition
 	}

@@ -21,6 +21,7 @@ import (
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
+	"rtecgen/internal/telemetry/journal"
 )
 
 const testED = `
@@ -760,6 +761,96 @@ func TestFinishDrainRace(t *testing.T) {
 		}
 		if s := d.State(); s != "suspended" && s != "finished" {
 			t.Fatalf("state after race = %s", s)
+		}
+	}
+}
+
+// cappedRun serves arrivals through a daemon in a fresh directory, with the
+// journal cap maxBytes (0: none) and, when it is non-nil, the window
+// observer onWindow on a virtual clock and a restart budget of 20 per shard.
+// It returns the /finish CSV and, once the daemon is drained, the lifecycle
+// journal followed by each shard's.
+func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow func(int, rtec.WindowResult)) (string, [][]byte) {
+	t.Helper()
+	dir := t.TempDir()
+	d, url, _ := testDaemon(t, dir, false, func(o *Options) {
+		o.JournalOpts.MaxBytes = maxBytes
+		if onWindow != nil {
+			o.onWindow, o.MaxRestarts, o.Clock = onWindow, 20, clock.NewVirtual(time.Unix(0, 0))
+		}
+	})
+	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals)); code != http.StatusOK {
+		t.Fatalf("ingest = %d: %s", code, body)
+	}
+	code, csv, _ := post(t, url+"/finish", "")
+	if code != http.StatusOK {
+		t.Fatalf("finish = %d: %s", code, csv)
+	}
+	if _, err := d.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	var journals [][]byte
+	for _, name := range []string{"run.journal", "run.journal.s0", "run.journal.s1", "run.journal.s2", "run.journal.s3"} {
+		data, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		journals = append(journals, data)
+	}
+	return csv, journals
+}
+
+// TestJournalCapped: under a journal cap below the lifecycle journal's size,
+// every journal the daemon writes — the lifecycle journal and each shard's —
+// validates and ends in the journal_capped marker, and the recognition is
+// the uncapped run's. Under a cap shard journals reach mid-run, shards that
+// panic at every window's first delivery, and so restart on both sides of
+// the cap, roll their staged journals back and replay to the bytes of the
+// run without restarts.
+func TestJournalCapped(t *testing.T) {
+	arrivals := testArrivals(7, 160, 60)
+	wantCSV, full := cappedRun(t, arrivals, 0, nil)
+	capped := func(what string, journals [][]byte) {
+		t.Helper()
+		for i, j := range journals {
+			stats, err := journal.Validate(bytes.NewReader(j))
+			if err != nil {
+				t.Fatalf("%s: journal %d: %v", what, i, err)
+			}
+			if !stats.Capped {
+				t.Errorf("%s: journal %d (%d bytes) is not capped", what, i, len(j))
+			}
+		}
+	}
+	small := int64(len(full[0]) - 1)
+	csv, journals := cappedRun(t, arrivals, small, nil)
+	if csv != wantCSV {
+		t.Fatalf("cap %d: the CSV differs from the uncapped run's", small)
+	}
+	capped(fmt.Sprintf("cap %d", small), journals)
+
+	const mid = 1500
+	for k, j := range full[1:] {
+		if len(j) <= 2*mid {
+			t.Fatalf("shard %d journals %d bytes uncapped: the cap of %d would not fall mid-run", k, len(j), mid)
+		}
+	}
+	csv, clean := cappedRun(t, arrivals, mid, nil)
+	if csv != wantCSV {
+		t.Fatalf("cap %d: the CSV differs from the uncapped run's", mid)
+	}
+	capped(fmt.Sprintf("cap %d", mid), clean[1:])
+	every := []int64{100, 200, 300, 400, 500, 600, 700, 800, 900, 991}
+	csv, faulty := cappedRun(t, arrivals, mid, panicsAt(false, map[int][]int64{0: every, 1: every, 2: every, 3: every}))
+	if csv != wantCSV {
+		t.Fatalf("cap %d with restarts: the CSV differs from the uncapped run's", mid)
+	}
+	if !bytes.Contains(faulty[0], []byte(`"type":"shard_restart"`)) {
+		t.Fatalf("no shard restarted:\n%s", faulty[0])
+	}
+	for k := 1; k < len(clean); k++ {
+		if !bytes.Equal(faulty[k], clean[k]) {
+			t.Errorf("cap %d: shard %d's journal differs after restarts:\n%s\nvs\n%s", mid, k-1, faulty[k], clean[k])
 		}
 	}
 }

@@ -271,7 +271,7 @@ func requireIdentical(t *testing.T, want, got *shardedRun) {
 		t.Fatalf("recognised intervals differ under faults:\n%s\nvs fault-free\n%s", b, a)
 	}
 	if want.res.Stats != got.res.Stats {
-		t.Fatalf("stats differ under faults: %s vs %s", got.res.Stats, want.res.Stats)
+		t.Fatalf("stats differ under faults: %+v vs %+v", got.res.Stats, want.res.Stats)
 	}
 	for k := range want.journals {
 		if !bytes.Equal(want.journals[k].Bytes(), got.journals[k].Bytes()) {

@@ -167,7 +167,7 @@ func suspendResumeIdentity(t *testing.T, park, every int, crashes []crash) {
 		t.Fatalf("park@%d: resumed CSV differs from uninterrupted run:\n%s\nvs\n%s", park, gotCSV, wantCSV)
 	}
 	if wantRes.Stats != gotRes.Stats {
-		t.Fatalf("park@%d: resumed stats = %s, uninterrupted = %s", park, gotRes.Stats, wantRes.Stats)
+		t.Fatalf("park@%d: resumed stats = %+v, uninterrupted = %+v", park, gotRes.Stats, wantRes.Stats)
 	}
 	for k := 0; k < 4; k++ {
 		if !bytes.Equal(baseline.journalBytes(k), resumed.journalBytes(k)) {

@@ -5,11 +5,9 @@
 // verdicts on late or dropped arrivals.
 //
 // Every record carries a monotonically increasing sequence number and a
-// timestamp read from an injectable clock. With the default deterministic
-// clock (a fixed epoch), two same-seed runs produce byte-identical
-// journals, so a journal can be golden-pinned and diffed like any other
-// engine output; a real clock is opt-in for production runs where wall
-// times matter more than reproducibility.
+// wall_us field the writer always sets to 0, so two same-seed runs produce
+// byte-identical journals and a journal can be golden-pinned and diffed like
+// any other engine output.
 package journal
 
 import (
@@ -20,7 +18,6 @@ import (
 	"io"
 	"os"
 	"sync"
-	"time"
 )
 
 // Record is one journal line. Data holds the type-specific payload as it
@@ -29,8 +26,8 @@ import (
 type Record struct {
 	// Seq is the 1-based monotonic sequence number of the record.
 	Seq int64 `json:"seq"`
-	// WallUS is the clock reading in microseconds since the Unix epoch; 0
-	// under the deterministic default clock.
+	// WallUS is 0 in every record a Writer appends; Validate still requires
+	// it to be non-decreasing.
 	WallUS int64 `json:"wall_us"`
 	// Type names the record kind ("run_start", "window", "checkpoint",
 	// "admission", "run_end", "journal_capped", ...).
@@ -45,10 +42,6 @@ type Options struct {
 	// the file past the cap, one final "journal_capped" marker is written
 	// and every later record is counted and dropped. Zero means no cap.
 	MaxBytes int64
-	// Now is the injectable clock stamping WallUS. Nil uses the
-	// deterministic default: a fixed reading of the Unix epoch, so
-	// same-seed runs journal byte-identically.
-	Now func() time.Time
 }
 
 // cappedData is the payload of the final marker record of a capped journal.
@@ -129,11 +122,7 @@ func (w *Writer) Append(typ string, data any) error {
 // Callers hold w.mu.
 func (w *Writer) encode(typ string, payload json.RawMessage) ([]byte, error) {
 	w.seq++
-	var wall int64
-	if w.opts.Now != nil {
-		wall = w.opts.Now().UnixMicro()
-	}
-	line, err := json.Marshal(Record{Seq: w.seq, WallUS: wall, Type: typ, Data: payload})
+	line, err := json.Marshal(Record{Seq: w.seq, Type: typ, Data: payload})
 	if err != nil {
 		return nil, fmt.Errorf("journal: %s record: %w", typ, err)
 	}
@@ -227,9 +216,8 @@ func Read(r io.Reader) ([]Record, error) {
 
 // Validate checks a journal stream: every line must be a well-formed
 // record, sequence numbers must increase by exactly one from 1 (append-only
-// with no holes or duplicates), timestamps must be non-decreasing (clock
-// sanity — the injectable clock never runs backwards), and no record may
-// follow the journal_capped marker.
+// with no holes or duplicates), wall_us must be non-decreasing, and no
+// record may follow the journal_capped marker.
 func Validate(r io.Reader) (Stats, error) {
 	stats := Stats{Types: map[string]int{}}
 	err := scan(r, func(rec Record) error {
@@ -335,9 +323,7 @@ func Recover(path string) (RecoverInfo, error) {
 // NewWriterResumed wraps w like NewWriter but continues a recovered
 // journal: the next record takes sequence info.LastSeq+1, the size cap
 // accounts for the bytes already on disk, and a journal recovered past its
-// cap marker stays capped. Runs that stamped wall-clock times must resume
-// with a wall clock too, or validation's monotonicity check will fail at
-// the resume boundary.
+// cap marker stays capped.
 func NewWriterResumed(w io.Writer, opts Options, info RecoverInfo) *Writer {
 	return &Writer{w: w, opts: opts, seq: info.LastSeq, written: info.Written, capped: info.Capped}
 }

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestAppendSequenceAndDeterminism(t *testing.T) {
@@ -41,29 +40,11 @@ func TestAppendSequenceAndDeterminism(t *testing.T) {
 			t.Errorf("record %d seq = %d", i, rec.Seq)
 		}
 		if rec.WallUS != 0 {
-			t.Errorf("record %d wall_us = %d, want 0 under the deterministic clock", i, rec.WallUS)
+			t.Errorf("record %d wall_us = %d, want 0", i, rec.WallUS)
 		}
 	}
 	if recs[0].Type != "run_start" || recs[2].Type != "run_end" {
 		t.Fatalf("types = %s..%s", recs[0].Type, recs[2].Type)
-	}
-}
-
-func TestInjectedClock(t *testing.T) {
-	var buf bytes.Buffer
-	now := time.UnixMicro(1700000000000000)
-	w := NewWriter(&buf, Options{Now: func() time.Time {
-		now = now.Add(time.Millisecond)
-		return now
-	}})
-	w.Append("a", nil)
-	w.Append("b", nil)
-	recs, err := Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recs[0].WallUS != 1700000000001000 || recs[1].WallUS != 1700000000002000 {
-		t.Fatalf("wall_us = %d, %d", recs[0].WallUS, recs[1].WallUS)
 	}
 }
 

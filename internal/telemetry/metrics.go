@@ -315,7 +315,7 @@ func (r *Registry) Reset() {
 
 // unitTokens are the unit suffixes recognised in metric names, as whole
 // dot-separated segments ("rtec.checkpoint.bytes") or as underscore
-// suffixes of a segment ("rtec.checkpoint.write_micros").
+// suffixes of a segment ("rtec.window.e2e_micros").
 // They may also appear mid-name for families keyed by a trailing label
 // ("rtec.stratum.micros.s0").
 var unitTokens = []string{"micros", "ms", "bytes", "total", "ratio"}

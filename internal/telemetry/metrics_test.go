@@ -152,7 +152,7 @@ func TestCanonicalName(t *testing.T) {
 		{"counter", "rtec.shard.restarts", "rtec.shard.restarts_total"},
 		{"counter", "rtec.checkpoint.bytes", "rtec.checkpoint.bytes"},
 		{"counter", "pipeline.micros.teach.o1", "pipeline.micros.teach.o1"},
-		{"counter", "rtec.checkpoint.write_micros", "rtec.checkpoint.write_micros"},
+		{"counter", "rtec.window.e2e_micros", "rtec.window.e2e_micros"},
 		{"counter", "job.wait_ms", "job.wait_ms"},
 		{"counter", "already.total", "already.total"},
 		{"gauge", "rtec.workers", "rtec.workers"},

@@ -108,6 +108,50 @@ func CheckDoc(name string, src string, flags map[string]map[string]bool) []Findi
 	return out
 }
 
+// checkCommandDocs applies the flagdoc rule to the package doc comment of
+// every cmd/<name>/main.go under root, read as CheckDoc reads a document.
+// gofmt indents a doc comment's code block with one tab and its lists with
+// spaces, so a line whose text starts with a tab is code and any other is
+// prose, its backquoted spans inline code.
+func checkCommandDocs(root string, flags map[string]map[string]bool) ([]Finding, error) {
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
+	if err != nil {
+		return nil, err
+	}
+	var out []Finding
+	for _, path := range mains {
+		fset := token.NewFileSet()
+		file, err := parser.ParseFile(fset, path, nil, parser.PackageClauseOnly|parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		if file.Doc == nil {
+			continue
+		}
+		first := fset.Position(file.Doc.Pos()).Line
+		var lines []string
+		var shift []int // what turns a CheckDoc column of each line into main.go's
+		for _, c := range file.Doc.List {
+			text, ok := strings.CutPrefix(c.Text, "//")
+			if !ok {
+				break // a /* */ comment: not read
+			}
+			n := fset.Position(c.Pos()).Column + 1
+			if !strings.HasPrefix(text, "\t") {
+				t := strings.TrimLeft(text, " ")
+				text, n = t, n+len(text)-len(t)
+			}
+			lines, shift = append(lines, text), append(shift, n)
+		}
+		for _, f := range CheckDoc(path, strings.Join(lines, "\n"), flags) {
+			f.Col += shift[f.Line-1]
+			f.Line += first - 1
+			out = append(out, f)
+		}
+	}
+	return out, nil
+}
+
 // docWord is one shell word of a document line, at its 1-based column.
 type docWord struct {
 	text      string

@@ -34,16 +34,16 @@
 //     shardMetric( must occur — dotted, or with underscores as a scrape
 //     exposes it — in one of consumerFiles: ci.sh, the contract tests, the
 //     shared-evaluation test, cmd/rtectop/main.go or README.md. A literal
-//     ending in "." is a family prefix ("rtec.stratum.micros." + s); a
-//     "<prefix>.*" mention covers every name below the prefix. A guard, not
-//     an audit: a substring of a consumed name passes.
+//     ending in "." is a family prefix ("rtec.stratum.micros." + s). A
+//     "<prefix>.*" mention covers no name: each must be read by name. A
+//     guard, not an audit: a substring of a consumed name passes.
 //
 // A fourth holds the documents to the binaries (flagdoc.go):
 //
 //   - flagdoc: on a shell line of a code block, or in an inline code span,
-//     of README.md, DESIGN.md or the verify skill, a command that names a
-//     repository binary may pass only flags that cmd/<binary>/main.go
-//     registers.
+//     of README.md, DESIGN.md, the verify skill or a command's package doc
+//     comment, a command that names a repository binary may pass only
+//     flags that cmd/<binary>/main.go registers.
 //
 // A fifth holds the documents to the registry (metricdoc.go), the converse
 // of signal:
@@ -224,19 +224,11 @@ func leftLiteral(e ast.Expr) (string, bool) {
 	return s, err == nil
 }
 
-// signalConsumed reports whether consumers mentions name: dotted, in its
-// scrape form, or through a "<prefix>.*" family mention.
+// signalConsumed reports whether consumers mentions name, dotted or in its
+// scrape form.
 func signalConsumed(name, consumers string) bool {
 	name = strings.TrimSuffix(name, ".")
-	if strings.Contains(consumers, name) || strings.Contains(consumers, telemetry.PromName("gauge", name)) {
-		return true
-	}
-	for i := strings.LastIndex(name, "."); i > 0; i = strings.LastIndex(name[:i], ".") {
-		if strings.Contains(consumers, name[:i]+".*") {
-			return true
-		}
-	}
-	return false
+	return strings.Contains(consumers, name) || strings.Contains(consumers, telemetry.PromName("gauge", name))
 }
 
 // importName returns the name under which path is imported in file, or ""
@@ -322,6 +314,11 @@ func CheckDir(root string) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
+	docs, err := checkCommandDocs(root, flags)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, docs...)
 	for _, rel := range flagDocs {
 		src, err := os.ReadFile(filepath.Join(root, rel))
 		if err != nil && !os.IsNotExist(err) {

@@ -137,9 +137,10 @@ func TestExempt(t *testing.T) {
 	}
 }
 
-// TestSignalRule: a literal a consumer names (dotted or in scrape form) and
-// a family a consumer covers pass; a literal nothing reads is a finding,
-// which names every consumer file, the contract tests among them.
+// TestSignalRule: a literal a consumer names (dotted or in scrape form)
+// passes; a literal nothing reads is a finding, which names every consumer
+// file, the contract tests among them. A "<prefix>.*" family mention reads
+// no name below the prefix.
 func TestSignalRule(t *testing.T) {
 	consumers := "grep -q '^counter rtec.windows.evaluated_total' m.txt\n" +
 		"line(\"restarts\", \"rtec_shard_restarts_total\")\n" +
@@ -168,6 +169,7 @@ func f(tel T, k int, label string) {
 		got = append(got, f.String())
 	}
 	want := []string{
+		`a.go:6:25: signal: "rtec.checkpoint.write_micros" has no consumer`,
 		`a.go:8:14: signal: "rtec.fvps.grounded" has no consumer in ci.sh, cmd/rtec/contract_test.go, ` +
 			`internal/rtec/contract_test.go, internal/eval/accuracy_test.go, cmd/rtectop/main.go, README.md`,
 		`a.go:9:14: signal: "llm.calls." has no consumer`,
@@ -254,6 +256,54 @@ func main() {
 		"README.md:5:67: flagdoc: -window is not a flag of gen",
 		"README.md:9:32: flagdoc: -resume is not a flag of rtec",
 		"README.md:10:18: flagdoc: -journal is not a flag of rtec",
+	}
+	if len(got) != len(want) {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	for i := range want {
+		if !strings.HasPrefix(got[i], want[i]) {
+			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
+		}
+	}
+}
+
+// TestFlagDocRuleReadsCommandDocs: a command's package doc comment is held
+// to the flags as a document is — its tab-indented lines as a code block,
+// its backquoted spans as inline code — at the finding's place in main.go.
+func TestFlagDocRuleReadsCommandDocs(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"cmd/rtec/main.go": "// Command rtec runs `rtec -window W`.\n" +
+			"//\n" +
+			"//\trtec -ed rules.rtec -window W -resume\n" +
+			"package main\n" +
+			"import \"flag\"\n" +
+			"var ed = flag.String(\"ed\", \"\", \"ed\")\n" +
+			"var w = flag.Int(\"window\", 0, \"window\")\n",
+		"cmd/disorder/main.go": "// Command disorder shuffles a stream; replayed through\n" +
+			"// `rtec -max-delay`, it converges.\n" +
+			"package main\n" +
+			"import \"flag\"\n" +
+			"var d = flag.Int(\"max-delay\", 0, \"delay\")\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := CheckDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f.String(), root+string(filepath.Separator)))
+	}
+	want := []string{
+		"cmd/disorder/main.go:2:10: flagdoc: -max-delay is not a flag of rtec",
+		"cmd/rtec/main.go:3:34: flagdoc: -resume is not a flag of rtec",
 	}
 	if len(got) != len(want) {
 		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
