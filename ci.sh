@@ -36,10 +36,11 @@ echo "== go test"
 go test ./...
 
 echo "== go test -race (concurrency-sensitive packages)"
-# internal/rtec's two contract tests run at Workers 1 bar one row, so the
-# detector has little to watch for their ≈ 100 s (2-core x86-64); the pool's
-# sliding and streaming paths are raced by concurrency_test.go and
-# delta_test.go. cmd/rtec runs one goroutine over one engine, so it is not
+# internal/rtec's two contract tests evaluate every window on one goroutine,
+# so the detector has little to watch for their ≈ 100 s (2-core x86-64); runs
+# sharing one engine on concurrent goroutines, and the checkpoint writes
+# behind them, are raced by concurrency_test.go and checkpoint_test.go.
+# cmd/rtec runs one goroutine over one engine, so it is not
 # listed: the sharded runs are internal/shard's and internal/serve's tests
 # (the shard-chaos contract on the maritime input included).
 # cmd/experiments' TestRunAllWorkersIdentical drives the one pool that runs

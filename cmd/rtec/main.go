@@ -96,7 +96,7 @@ func run(o options, stdout, stderr io.Writer) error {
 	}
 	// Strict, before the stream is read. Runtime warnings surface on the
 	// telemetry logger as the engine meets them.
-	eng, err := rtec.New(ed, rtec.Options{Strict: true, Workers: 1, Telemetry: tel})
+	eng, err := rtec.New(ed, rtec.Options{Strict: true, Telemetry: tel})
 	if err != nil {
 		return err
 	}

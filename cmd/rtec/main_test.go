@@ -225,7 +225,7 @@ func TestStrictLoad(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lenient, err := rtec.New(ed, rtec.Options{Workers: 1})
+		lenient, err := rtec.New(ed, rtec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

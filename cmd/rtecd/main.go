@@ -5,7 +5,7 @@
 // Usage:
 //
 //	rtecd -ed rules.rtec -listen :8080 -window W -start T0 -end T1 -checkpoint base
-//	      [-slide S] [-max-delay D] [-workers N] [-lenient]
+//	      [-slide S] [-max-delay D] [-lenient]
 //	      [-shards N] [-checkpoint-every N] [-journal file] [-journal-cap N]
 //	      [-resume] [-v]
 //
@@ -37,7 +37,10 @@
 // batches), the request deadline (30 s), the Retry-After hint (1 s), the
 // body cap (8 MiB), the per-subscriber buffer (64 frames, eviction after 256
 // drops) and the shutdown connection drain (5 s) are constants: the zero-value defaults of serve.Options and
-// shard.Options. So is the backoff jitter seed, backoffSeed. The event
+// shard.Options. So is the backoff jitter seed, backoffSeed. Each shard
+// evaluates its windows on its own goroutine, so -shards is the one
+// parallelism; -workers is kept only for the benchmark, which passes 0, and
+// any other value fails the start. The event
 // description loads strictly. A plan the engine refuses (a -slide above
 // -window, a negative one, -start at or past -end) fails the start, before
 // the port is bound or a journal is created, and so does a rule the engine
@@ -97,7 +100,8 @@ func main() {
 	flag.Int64Var(&o.start, "start", 0, "first time-point of the run (required: a daemon cannot inspect the whole stream up front)")
 	flag.Int64Var(&o.end, "end", 0, "one past the last time-point of the run (required)")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "bounded-delay disorder tolerance in time-points")
-	flag.IntVar(&o.workers, "workers", 0, "window-evaluation worker goroutines (0 = GOMAXPROCS)")
+	// frozen: read only by benchmark/ (ROADMAP 21)
+	flag.IntVar(&o.workers, "workers", 0, "kept for the benchmark: only 0 is accepted (each shard evaluates its windows on its own goroutine; -shards is the parallelism)")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed NDJSON lines instead of rejecting the request")
 	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint base path (required): shard k parks into \"<base>.s<k>\" on drain")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
@@ -128,6 +132,9 @@ func run(o options, stderr *os.File) error {
 	if o.start == 0 && o.end == 0 {
 		return fmt.Errorf("-start and -end are required: a daemon cannot inspect the whole stream up front")
 	}
+	if o.workers != 0 {
+		return fmt.Errorf("-workers %d: only 0 is accepted; each shard evaluates its windows on its own goroutine", o.workers)
+	}
 	if o.journalPath != "" && o.journalPath == o.checkpoint {
 		return fmt.Errorf("-journal and -checkpoint name the same file")
 	}
@@ -143,7 +150,7 @@ func run(o options, stderr *os.File) error {
 	if err != nil {
 		return fmt.Errorf("%s: %w", o.edPath, err)
 	}
-	eng, err := rtec.New(ed, rtec.Options{Strict: true, Workers: o.workers, Telemetry: tel})
+	eng, err := rtec.New(ed, rtec.Options{Strict: true, Telemetry: tel})
 	if err != nil {
 		return err
 	}

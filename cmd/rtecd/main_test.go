@@ -50,7 +50,8 @@ func testEvents(n int) stream.Stream {
 // TestRunRefusesBadPlan: a geometry the engine refuses fails the start
 // before the port is bound or a journal file is created, instead of a
 // daemon whose every shard is degraded; so does a journal on the
-// checkpoint's path, which a checkpoint rename would replace.
+// checkpoint's path, which a checkpoint rename would replace, and a -workers
+// other than 0 (a stub the benchmark passes 0 to).
 func TestRunRefusesBadPlan(t *testing.T) {
 	dir := t.TempDir()
 	edPath := filepath.Join(dir, "ed.rtec")
@@ -78,6 +79,11 @@ func TestRunRefusesBadPlan(t *testing.T) {
 		window: 3600, start: 1, end: 100000, shards: 1,
 		checkpoint: same, journalPath: same,
 	}, "same file")
+	refused(t, "workers stub", options{
+		edPath: edPath, listen: "127.0.0.1:0",
+		window: 3600, start: 1, end: 100000, shards: 1, workers: 2,
+		checkpoint: filepath.Join(dir, "ck"), journalPath: filepath.Join(dir, "w.jsonl"),
+	}, "-workers 2")
 }
 
 // unrunnable are rules a lenient engine would drop at load, each appended to

@@ -141,7 +141,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 		return nil, "", fmt.Errorf("%s: %w", path, err)
 	}
 
-	var windows, revisions, writes float64
+	var windows, revisions, firsts, writes float64
 	var ckptBytes float64
 	var emitLags []float64
 	shardRestarts := map[int]float64{}
@@ -175,6 +175,8 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 			windows++
 			if w.Revision > 0 {
 				revisions++
+			} else {
+				firsts++
 			}
 			emitLags = append(emitLags, w.EmitLag)
 		case "checkpoint":
@@ -241,7 +243,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	m["rtec_window_emit_lag"] = histMetric("rtec_window_emit_lag", lagBuckets, emitLags)
 
 	header := fmt.Sprintf("journal %s — %d records, %d/%d windows planned, ω=%g slide=%g delay≤%g",
-		path, len(recs), int(windows), start.Windows, start.Window, start.Slide, start.MaxDelay)
+		path, len(recs), int(firsts), start.Windows, start.Window, start.Slide, start.MaxDelay)
 	return m, header, nil
 }
 

@@ -111,8 +111,10 @@ func TestJournalModeRendersBoard(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
+	// The header counts windows delivered at least once: two of the three
+	// planned, the revision of window 0 not among them.
 	for _, want := range []string{
-		"3/3 windows planned",
+		"2/3 windows planned",
 		"windows evaluated               3",
 		"events ingested                 5",
 		"late / dup / dropped 1 / 1 / 0",
@@ -122,6 +124,22 @@ func TestJournalModeRendersBoard(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("board missing %q:\n%s", want, out)
 		}
+	}
+
+	// Every planned window delivered, window 0 revised twice: the header
+	// reads 3/3, never more windows than planned.
+	revised := replayJournal[:strings.Index(replayJournal, `{"seq":6,`)] +
+		`{"seq":6,"wall_us":0,"type":"window","data":{"index":0,"window_start":0,"query_time":20,"revision":2,"emit_lag":4,"fluents":1,"intervals":1}}
+{"seq":7,"wall_us":0,"type":"window","data":{"index":2,"window_start":40,"query_time":60,"revision":0,"emit_lag":0,"fluents":0,"intervals":0}}
+{"seq":8,"wall_us":0,"type":"run_end","data":{"observed":6,"accepted":5,"late":1,"duplicates":1,"dropped":0,"revisions":2,"checkpoints":1}}
+`
+	buf.Reset()
+	o = options{journalPath: writeReplay(t, revised), require: "rtec_windows_evaluated_total==5,rtec_revisions_total==2"}
+	if err := run(o, &buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "3/3 windows planned") {
+		t.Errorf("header of a fully delivered, twice revised run is not 3/3:\n%s", buf.String())
 	}
 }
 

@@ -5,14 +5,17 @@
 // consumerFiles (ci.sh, the contract tests, cmd/rtectop/main.go, README.md,
 // ...) fails to mention, no flag a document passes that its binary does not
 // register, no metric name a document spells that no non-test Go literal
-// registers, and no CHANGES.md line over 300 characters.
+// registers, no CHANGES.md line over 300 characters, and no frozen stub that
+// benchmark/ no longer references.
 //
 // Usage:
 //
 //	vet-rtec [dir ...]
 //
 // With no arguments the current directory is checked. Findings print one
-// per line as file:line:col: rule: message.
+// per line as file:line:col: rule: message. The frozen ledger — every stub
+// kept only for benchmark/ — prints to standard error, one line per stub, as
+// vet-rtec: frozen: file:line: name.
 //
 // Exit status:
 //
@@ -53,6 +56,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		for _, f := range findings {
 			fmt.Fprintln(stdout, f)
+		}
+		ledger, err := toolvet.FrozenLedger(root)
+		if err != nil {
+			fmt.Fprintln(stderr, "vet-rtec:", err)
+			return 2
+		}
+		for _, s := range ledger {
+			fmt.Fprintf(stderr, "vet-rtec: frozen: %s:%d: %s\n", s.File, s.Line, s.Name)
 		}
 		total += len(findings)
 	}

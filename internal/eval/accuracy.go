@@ -26,10 +26,8 @@ type AccuracyConfig struct {
 	// the shared read-only testbed — Figure2c's candidate event
 	// descriptions, FigureRefine's per-model refine chains: <= 0 means
 	// GOMAXPROCS, 1 is strictly sequential. It is the only level of
-	// fan-out: every job builds its own engine, and that engine evaluates
-	// its windows on one goroutine (rtec.Options.Workers 1), because a
-	// rule-evaluation unit is cheaper than buffering its acts for an
-	// ordered merge (DESIGN.md §13). The rows are identical at any count.
+	// fan-out: every job builds its own engine, and an engine evaluates its
+	// windows on one goroutine. The rows are identical at any count.
 	Workers int
 }
 
@@ -151,7 +149,7 @@ func (tb *Testbed) GoldRecognition() *rtec.Recognition { return tb.goldRec }
 func (tb *Testbed) engine(rules *lang.EventDescription, strict bool) (*rtec.Engine, error) {
 	clauses := make([]*lang.Clause, 0, len(rules.Clauses)+len(tb.background))
 	ed := &lang.EventDescription{Clauses: append(append(clauses, rules.Clauses...), tb.background...)}
-	return rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Workers: 1, Telemetry: tb.cfg.Telemetry})
+	return rtec.New(ed, rtec.Options{Strict: strict, ExtraFacts: tb.facts, Telemetry: tb.cfg.Telemetry})
 }
 
 // run executes an event description over the testbed's prepared stream.

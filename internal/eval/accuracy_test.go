@@ -124,7 +124,7 @@ func TestScoreActivityHandComputed(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng, err := rtec.New(ed, rtec.Options{Workers: 1})
+		eng, err := rtec.New(ed, rtec.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,7 +11,7 @@ import (
 
 // windowAllocCeiling bounds the heap allocations of one evaluation of the
 // first 3600 s window of the 14-vessel seed-7 scenario under the gold event
-// description at Workers:1. It is a count, so it repeats across hosts; it
+// description. It is a count, so it repeats across hosts; it
 // sits about 15 % above the figure measured when it was committed (4 528;
 // see EXPERIMENTS.md "Job-level fan-out"), so rule evaluation that starts
 // copying bindings or re-deriving per-rule analyses per window again, a
@@ -23,7 +23,7 @@ const windowAllocCeiling = 5200
 // goldScenario loads the gold event description of the 14-vessel seed-7
 // scenario, the input of every allocation-count gate, and returns the engine
 // with the scenario's events in time order.
-func goldScenario(t *testing.T, workers int) (*Engine, stream.Stream) {
+func goldScenario(t *testing.T) (*Engine, stream.Stream) {
 	t.Helper()
 	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
 	if err != nil {
@@ -32,7 +32,7 @@ func goldScenario(t *testing.T, workers int) (*Engine, stream.Stream) {
 	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
 	events.Sort()
 	ed := maritime.FullED(maritime.GoldED(), scen.Map, scen.Fleet, maritime.ObservedPairs(events))
-	e, err := New(ed, Options{Strict: true, ExtraFacts: maritime.DynamicFacts(events, scen.Fleet), Workers: workers})
+	e, err := New(ed, Options{Strict: true, ExtraFacts: maritime.DynamicFacts(events, scen.Fleet)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func goldScenario(t *testing.T, workers int) (*Engine, stream.Stream) {
 }
 
 func TestWindowAllocCeiling(t *testing.T) {
-	e, events := goldScenario(t, 1)
+	e, events := goldScenario(t)
 	first, _ := events.TimeRange()
 	window := events.Window(first, first+3600)
 	var recognised int
@@ -74,7 +74,7 @@ inputEvent(velocity(_, _)).
 terminatedAt(moving(V)=true, T) :-
     happensAt(velocity(V, Speed), T),
     Speed =< MovingMin.
-`, Options{Workers: 1})
+`, Options{})
 	perRun := func(n int) float64 {
 		events := make(stream.Stream, n)
 		for i := range events {

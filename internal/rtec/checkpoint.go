@@ -199,7 +199,7 @@ func (st *streamRun) appendSlot(dst []byte, i int) ([]byte, error) {
 }
 
 // encodeSnapshot returns the checkpoint envelope of the current run state as
-// the byte runs that make it up, in file order. The bytes are those
+// the byte runs that make it up, in file order, and their total size. The bytes are those
 // json.Marshal gives for a checkpointFile around the whole checkpointPayload,
 // at the cost of what changed since the previous call:
 // slots[:final] can never be touched again (see streamRun.final), so each is
@@ -207,22 +207,22 @@ func (st *streamRun) appendSlot(dst []byte, i int) ([]byte, error) {
 // reorder buffer and the revisable tail slots[final:emitted] are encoded per
 // call. The checksum is taken over the payload's runs in order, so the
 // payload is never assembled in one piece.
-func (st *streamRun) encodeSnapshot() ([][]byte, error) {
+func (st *streamRun) encodeSnapshot() ([][]byte, int, error) {
 	var err error
 	for ; st.frozenN < st.final; st.frozenN++ {
 		if st.frozen, err = st.appendSlot(st.frozen, st.frozenN); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	head, err := json.Marshal(st.header())
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	head = append(head[:len(head)-1], `,"slots":`...) // reopen the object
 	var tail []byte
 	for i := st.final; i < st.emitted; i++ {
 		if tail, err = st.appendSlot(tail, i); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 	}
 	if st.emitted == 0 {
@@ -237,7 +237,7 @@ func (st *streamRun) encodeSnapshot() ([][]byte, error) {
 	tail = append(tail, '}') // closes the envelope
 	envelope := fmt.Appendf(nil, `{"magic":"%s","version":%d,"checksum":"%016x","payload":`,
 		checkpointMagic, checkpointVersion, h.Sum64())
-	return [][]byte{envelope, head, st.frozen, tail}, nil
+	return [][]byte{envelope, head, st.frozen, tail}, len(envelope) + len(head) + len(st.frozen) + len(tail), nil
 }
 
 // writeCheckpoint takes a cadence snapshot. The write is counted before
@@ -246,13 +246,22 @@ func (st *streamRun) encodeSnapshot() ([][]byte, error) {
 // uninterrupted run at the same point — which keeps recovered journals
 // (whose checkpoint records embed the payload size) byte-identical to
 // fault-free ones.
+//
+// The snapshot is encoded here, and its file steps run behind the consumer
+// (see ckptWriter): the previous generation's write is waited for first, and
+// its error returned, so at most one write is in flight and a generation is
+// on disk before the next one is encoded.
 func (st *streamRun) writeCheckpoint() error {
-	tel := st.eng.opts.Telemetry
-	st.stats.Checkpoints++
-	n, err := st.writeSnapshotFile()
-	if err != nil {
+	if err := st.writer.wait(); err != nil {
 		return err
 	}
+	tel := st.eng.opts.Telemetry
+	st.stats.Checkpoints++
+	runs, n, err := st.encodeSnapshot()
+	if err != nil {
+		return fmt.Errorf("rtec: checkpoint: %w", err)
+	}
+	st.writer.start(st.opts.CheckpointPath, runs)
 	tel.Counter("rtec.checkpoint.writes").Inc()
 	tel.Counter("rtec.checkpoint.bytes").Add(int64(n))
 	tel.Logger().Debug("checkpoint written",
@@ -267,10 +276,15 @@ func (st *streamRun) writeCheckpoint() error {
 // (signal-triggered drain). Unlike a cadence checkpoint it does NOT bump
 // the checkpoint counter and does NOT journal a record: a suspend may land
 // between any two arrivals, and the resumed run must report the same
-// checkpoint count and journal bytes as an uninterrupted one.
+// checkpoint count and journal bytes as an uninterrupted one. It waits for
+// the cadence write in flight, then writes on the calling goroutine, so the
+// suspend generation is on disk when it returns.
 func (st *streamRun) writeSuspendCheckpoint() error {
 	if st.opts.CheckpointPath == "" {
 		return fmt.Errorf("rtec: cannot suspend: no checkpoint path configured")
+	}
+	if err := st.writer.wait(); err != nil {
+		return err
 	}
 	if _, err := st.writeSnapshotFile(); err != nil {
 		return err
@@ -281,53 +295,91 @@ func (st *streamRun) writeSuspendCheckpoint() error {
 	return nil
 }
 
-// writeSnapshotFile serialises the snapshot and writes it torn-proof: the
-// bytes go to a temporary file in the checkpoint's directory and are fsynced
-// before the file is renamed over the target, the previous generation is
-// kept aside under checkpointPrevSuffix, and the directory is synced so the
-// renames themselves survive a power cut. A crash at any point leaves at
-// least one intact, checksum-verified generation. It returns the size of
-// the written envelope in bytes.
+// writeSnapshotFile encodes the snapshot and writes it on the calling
+// goroutine (see writeGeneration). It returns the size of the written
+// envelope in bytes.
 func (st *streamRun) writeSnapshotFile() (int, error) {
-	runs, err := st.encodeSnapshot()
+	runs, n, err := st.encodeSnapshot()
 	if err != nil {
 		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	dir := filepath.Dir(st.opts.CheckpointPath)
+	return n, writeGeneration(st.opts.CheckpointPath, runs)
+}
+
+// ckptWriter runs the file steps of a runner's cadence checkpoints behind
+// the consumer: each generation is written on a goroutine of its own, at
+// most one at a time, while the consumer evaluates the next windows. The
+// runner waits for the write in flight before the next cadence write,
+// before a suspend checkpoint, at Finish and at Abort; a write error is
+// returned at the first of these. The bytes handed to a write are not
+// touched until it has been waited for (encodeSnapshot appends to the frozen
+// prefix only after the wait).
+type ckptWriter struct {
+	done     chan error // the result of the write in flight; reused
+	inFlight bool
+}
+
+// start writes runs to path behind the caller. A write must not be in
+// flight.
+func (w *ckptWriter) start(path string, runs [][]byte) {
+	if w.done == nil {
+		w.done = make(chan error, 1)
+	}
+	w.inFlight = true
+	done := w.done
+	go func() { done <- writeGeneration(path, runs) }()
+}
+
+// wait returns once no write is in flight, with the error of the write it
+// waited for, if any.
+func (w *ckptWriter) wait() error {
+	if !w.inFlight {
+		return nil
+	}
+	w.inFlight = false
+	return <-w.done
+}
+
+// writeGeneration writes one checkpoint generation, the byte runs in order,
+// torn-proof: the bytes go to a temporary file in the checkpoint's directory
+// and are fsynced before the file is renamed over the target, the previous
+// generation is kept aside under checkpointPrevSuffix, and the directory is
+// synced so the renames themselves survive a power cut. A crash at any point
+// leaves at least one intact, checksum-verified generation.
+func writeGeneration(path string, runs [][]byte) error {
+	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".rtec-checkpoint-*")
 	if err != nil {
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	n := 0
 	for _, run := range runs {
 		if _, err := tmp.Write(run); err != nil {
 			tmp.Close()
 			os.Remove(tmp.Name())
-			return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+			return fmt.Errorf("rtec: checkpoint: %w", err)
 		}
-		n += len(run)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
 		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
 	if err := tmp.Close(); err != nil {
 		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
 	// Rotate the current generation aside before installing the new one:
 	// if the new file turns out torn (crash between the renames, bad disk),
 	// resume falls back to the previous generation.
-	if _, err := os.Stat(st.opts.CheckpointPath); err == nil {
-		if err := os.Rename(st.opts.CheckpointPath, st.opts.CheckpointPath+checkpointPrevSuffix); err != nil {
+	if _, err := os.Stat(path); err == nil {
+		if err := os.Rename(path, path+checkpointPrevSuffix); err != nil {
 			os.Remove(tmp.Name())
-			return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+			return fmt.Errorf("rtec: checkpoint: %w", err)
 		}
 	}
-	if err := os.Rename(tmp.Name(), st.opts.CheckpointPath); err != nil {
+	if err := os.Rename(tmp.Name(), path); err != nil {
 		os.Remove(tmp.Name())
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
+		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
 	// Best-effort directory sync so the renames are durable; some
 	// filesystems refuse fsync on directories, which is fine.
@@ -335,7 +387,7 @@ func (st *streamRun) writeSnapshotFile() (int, error) {
 		d.Sync()
 		d.Close()
 	}
-	return n, nil
+	return nil
 }
 
 // Checkpoint is a loaded, checksum-verified snapshot of a streaming run.

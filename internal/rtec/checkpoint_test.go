@@ -16,6 +16,7 @@ import (
 
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
+	"rtecgen/internal/telemetry/journal"
 )
 
 // errCrash simulates a process kill from inside the delivery callback.
@@ -139,6 +140,16 @@ func resumeStream(e *Engine, path string, arrivals stream.Stream, opts StreamOpt
 	return r.Finish()
 }
 
+// settle waits for r's checkpoint write in flight, as the runner's next
+// cadence write, a suspend, Finish or Abort would, so that the generation
+// can be read from disk.
+func settle(t *testing.T, r *StreamRunner) {
+	t.Helper()
+	if err := r.st.writer.wait(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // generation is one checkpoint write as it left the disk: the file and the
 // generation rotated aside under checkpointPrevSuffix (nil before the second).
 type generation struct{ file, prev []byte }
@@ -157,6 +168,7 @@ func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from
 		if r.Checkpoints() == before {
 			continue
 		}
+		settle(t, r)
 		file, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -172,7 +184,10 @@ func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from
 // encoding and rebuilds it from the restored slots as the revision cursor
 // passes them, so beyond the final CSV every generation it writes (file and
 // .prev) must equal, byte for byte, the generation of the same count the
-// uninterrupted run wrote.
+// uninterrupted run wrote. A kill can also lose the write in flight, at any
+// of its steps: before the rotation (the previous generation is the file), or
+// between the renames (it is only the .prev). Either way the run resumes from
+// the previous generation, replays longer, and must give the same bytes.
 func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	arrivals := chaosArrivals(t, 11, 40)
@@ -201,37 +216,157 @@ func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 			wantCSV := csvOf(t, want.Recognition)
 			windows := whole.Windows()
 
+			lost := 0 // crash points that also lost a write in flight
 			for crash := 1; crash < windows; crash++ {
 				opts := base
 				opts.CheckpointPath = filepath.Join(t.TempDir(), "run.ckpt")
 				if _, err := e.RunStream(arrivals, opts, crashAfter(crash)); !errors.Is(err, errCrash) {
 					t.Fatalf("crash %d: err = %v", crash, err)
 				}
-				cp, _, err := LoadCheckpointWithFallback(opts.CheckpointPath)
+				resume := func(what, path string) {
+					t.Helper()
+					cp, _, err := LoadCheckpointWithFallback(path)
+					if err != nil {
+						t.Fatalf("crash %d%s: %v", crash, what, err)
+					}
+					ropts := opts
+					ropts.CheckpointPath = path
+					r, err := e.ResumeStreamRunner(cp, ropts, nil)
+					if err != nil {
+						t.Fatalf("crash %d%s: resume: %v", crash, what, err)
+					}
+					for n, got := range ingestRecording(t, r, arrivals, cp.Consumed) {
+						if !bytes.Equal(got.file, wantGens[n].file) {
+							t.Fatalf("crash after %d windows%s: resumed generation %d differs from the uninterrupted run's", crash, what, n)
+						}
+						if !bytes.Equal(got.prev, wantGens[n].prev) {
+							t.Fatalf("crash after %d windows%s: resumed generation %d keeps a different .prev", crash, what, n)
+						}
+					}
+					got, err := r.Finish()
+					if err != nil {
+						t.Fatalf("crash %d%s: finish: %v", crash, what, err)
+					}
+					if csvOf(t, got.Recognition) != wantCSV {
+						t.Fatalf("crash after %d windows%s: resumed CSV differs", crash, what)
+					}
+				}
+				resume("", opts.CheckpointPath)
+
+				// The same kill, losing the write in flight: the last
+				// generation never landed.
+				cp, err := LoadCheckpoint(opts.CheckpointPath)
 				if err != nil {
 					t.Fatalf("crash %d: %v", crash, err)
 				}
-				r, err := e.ResumeStreamRunner(cp, opts, nil)
-				if err != nil {
-					t.Fatalf("crash %d: resume: %v", crash, err)
+				last := cp.payload.Checkpoints
+				if readFile(t, opts.CheckpointPath) != string(wantGens[last].file) {
+					t.Fatalf("crash after %d windows: generation %d differs from the uninterrupted run's", crash, last)
 				}
-				for n, got := range ingestRecording(t, r, arrivals, cp.Consumed) {
-					if !bytes.Equal(got.file, wantGens[n].file) {
-						t.Fatalf("crash after %d windows: resumed generation %d differs from the uninterrupted run's", crash, n)
-					}
-					if !bytes.Equal(got.prev, wantGens[n].prev) {
-						t.Fatalf("crash after %d windows: resumed generation %d keeps a different .prev", crash, n)
-					}
+				if last < 2 {
+					continue // no earlier generation to fall back to
 				}
-				got, err := r.Finish()
-				if err != nil {
-					t.Fatalf("crash %d: finish: %v", crash, err)
+				prev := wantGens[last-1]
+				beforeRotation := filepath.Join(t.TempDir(), "run.ckpt")
+				writeFile(t, beforeRotation, prev.file)
+				if prev.prev != nil {
+					writeFile(t, beforeRotation+checkpointPrevSuffix, prev.prev)
 				}
-				if csvOf(t, got.Recognition) != wantCSV {
-					t.Fatalf("crash after %d windows: resumed CSV differs", crash)
-				}
+				resume(", losing the write in flight before its rotation", beforeRotation)
+				betweenRenames := filepath.Join(t.TempDir(), "run.ckpt")
+				writeFile(t, betweenRenames+checkpointPrevSuffix, prev.file)
+				resume(", losing the write in flight between its renames", betweenRenames)
+				lost++
+			}
+			if lost == 0 {
+				t.Fatal("no crash point had a generation to fall back to: the lost write is not exercised")
 			}
 		})
+	}
+}
+
+// TestCheckpointWriteErrorSurfaces: a cadence write that fails behind the
+// consumer — its directory is gone — is reported by the next cadence point,
+// before that generation is counted or journalled, or else by Finish, before
+// run_end is journalled.
+func TestCheckpointWriteErrorSurfaces(t *testing.T) {
+	e := mustEngine(t, withinAreaED, Options{Strict: true})
+	arrivals := chaosArrivals(t, 7, 60)
+	start := func(t *testing.T, j *bytes.Buffer) (*StreamRunner, string) {
+		dir := filepath.Join(t.TempDir(), "ck")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.NewStreamRunner(explicitBounds(StreamOptions{
+			RunOptions:      RunOptions{Window: 100},
+			MaxDelay:        60,
+			CheckpointPath:  filepath.Join(dir, "run.ckpt"),
+			CheckpointEvery: 1,
+			Journal:         journal.NewWriter(j, journal.Options{}),
+		}, arrivals), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(r.Abort)
+		return r, dir
+	}
+	// ingestUntil feeds arrivals from i on until r has counted n checkpoints,
+	// and returns the next arrival's index.
+	ingestUntil := func(t *testing.T, r *StreamRunner, i int, n int64) int {
+		for ; r.Checkpoints() < n; i++ {
+			if err := r.Ingest(arrivals[i]); err != nil {
+				t.Fatalf("arrival %d: %v", i, err)
+			}
+		}
+		return i
+	}
+	const want = "rtec: checkpoint: "
+
+	t.Run("next cadence point", func(t *testing.T) {
+		var j bytes.Buffer
+		r, dir := start(t, &j)
+		i := ingestUntil(t, r, 0, 1)
+		settle(t, r)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		i = ingestUntil(t, r, i, 2) // the second generation fails behind the consumer
+		records := bytes.Count(j.Bytes(), []byte(`"type":"checkpoint"`))
+		var err error
+		for ; err == nil && i < len(arrivals); i++ {
+			err = r.Ingest(arrivals[i])
+		}
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Ingest err = %v, want the failed write (%q)", err, want)
+		}
+		if n := r.Checkpoints(); n != 2 {
+			t.Fatalf("%d checkpoints counted, want 2: the cadence point that reported the failure must not count its own", n)
+		}
+		if n := bytes.Count(j.Bytes(), []byte(`"type":"checkpoint"`)); n != records {
+			t.Fatalf("%d checkpoint records, want %d: the cadence point that reported the failure journalled its own", n, records)
+		}
+	})
+
+	t.Run("finish", func(t *testing.T) {
+		var j bytes.Buffer
+		r, dir := start(t, &j)
+		if err := os.RemoveAll(dir); err != nil {
+			t.Fatal(err)
+		}
+		ingestUntil(t, r, 0, 1) // the only generation fails behind the consumer
+		if _, err := r.Finish(); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Finish err = %v, want the failed write (%q)", err, want)
+		}
+		if bytes.Contains(j.Bytes(), []byte(`"type":"run_end"`)) {
+			t.Fatalf("run_end journalled after a failed write:\n%s", j.Bytes())
+		}
+	})
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -603,6 +738,7 @@ func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 						cadence, suspends := 0, 0
 						check := func(what string, at int) {
 							t.Helper()
+							settle(t, r)
 							got, err := os.ReadFile(opts.CheckpointPath)
 							if err != nil {
 								t.Fatal(err)
@@ -706,7 +842,7 @@ const (
 )
 
 func TestCheckpointCostFlatInWindows(t *testing.T) {
-	e, events := goldScenario(t, 1)
+	e, events := goldScenario(t)
 	opts := explicitBounds(StreamOptions{
 		RunOptions:     RunOptions{Window: 3600, Slide: 300},
 		MaxDelay:       900,

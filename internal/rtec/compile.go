@@ -15,7 +15,7 @@ import (
 // condition's access path into the knowledge base, the grounding
 // declarations of a holdsFor rule brought into the rule's slot space — is
 // computed here, once, when New loads the event description. A compiled rule
-// is immutable and shared by every window, revision and worker.
+// is immutable and shared by every window, revision and concurrent run.
 //
 // Renaming keeps the variable names the engine has always printed ("_r" for a
 // rule, "_g<i>" for its i-th grounding declaration): warnings and non-ground

@@ -104,9 +104,9 @@ func warningsCases(t *testing.T) []warningsCase {
 
 // renderWarnings loads the case and runs it, and renders every warning in
 // the order the engine reported it: the load's, then the run's.
-func renderWarnings(t *testing.T, c warningsCase, workers int) string {
+func renderWarnings(t *testing.T, c warningsCase) string {
 	t.Helper()
-	e, err := New(c.ed, Options{ExtraFacts: c.facts, Workers: workers})
+	e, err := New(c.ed, Options{ExtraFacts: c.facts})
 	if err != nil {
 		return fmt.Sprintf("== %s\nload failed: %v\n", c.name, err)
 	}
@@ -131,18 +131,14 @@ func renderWarnings(t *testing.T, c warningsCase, workers int) string {
 // The golden file was written by the evaluator that renamed and resolved
 // every rule per use; every gold standard, every committed corrupted
 // specimen and every simulated model's generated event description must
-// still produce it line for line, at any worker count.
+// still produce it line for line.
 func TestCompiledWarningsGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs 16 event descriptions over the 14-vessel scenario")
 	}
 	var got strings.Builder
 	for _, c := range warningsCases(t) {
-		seq := renderWarnings(t, c, 1)
-		if par := renderWarnings(t, c, 4); par != seq {
-			t.Errorf("%s: warnings differ between Workers:1 and Workers:4", c.name)
-		}
-		got.WriteString(seq)
+		got.WriteString(renderWarnings(t, c))
 	}
 	golden := filepath.Join("testdata", "warnings.golden")
 	if *update {
@@ -341,7 +337,7 @@ initiatedAt(called(V)=true, T) :- happensAt(call(V, G), T), G.
 		"self/1: initiatedAt rule derives non-ground FVP self(V9)=true; occurrence dropped",
 	}
 	for _, opts := range []RunOptions{{Start: 0, End: 100}, {Start: 0, End: 100, Window: 40, Slide: 20}} {
-		rec, err := mustEngine(t, ed, Options{Workers: 1}).Run(events, opts)
+		rec, err := mustEngine(t, ed, Options{}).Run(events, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,8 +362,8 @@ initiatedAt(called(V)=true, T) :- happensAt(call(V, G), T), G.
 // variable inside one (which the stream readers reject, but a hand-built
 // stream may carry) is data to the rules — it matches no constant, a rule
 // variable can take it as its value, and the FVP that value lands in is
-// dropped as non-ground. The engine says the same at any worker count, in the
-// batch and the streaming run, and does not crash.
+// dropped as non-ground. The engine says so in the batch and the streaming
+// run, and does not crash.
 func TestNonGroundEventDoesNotBind(t *testing.T) {
 	const ed = `
 inputEvent(entersArea(_, _)).
@@ -380,48 +376,40 @@ initiatedAt(within(Vl, Area)=true, T) :- happensAt(entersArea(Vl, Area), T).
 		ev(3, "entersArea(V17, a1)"),
 		ev(9, "entersArea(v3, a2)"),
 	}
-	for i := 0; i < 12; i++ { // enough units for the worker pool to engage
+	for i := 0; i < 12; i++ { // a dozen more units in one window
 		events = append(events, ev(9, fmt.Sprintf("entersArea(w%d, a2)", i)))
 	}
-	var want string
-	for _, workers := range []int{1, 4} {
-		e := mustEngine(t, ed, Options{Strict: true, Workers: workers})
-		rec, err := e.Run(events, RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIntervals(t, rec, "inArea(v1)=true", intervals.List{ivl(2, 10)})
-		checkIntervals(t, rec, "within(v1, a1)=true", intervals.List{ivl(2, 10)})
-		for _, key := range rec.Keys() {
-			if strings.Contains(key, "v2") || strings.Contains(key, "V17") {
-				t.Errorf("workers %d: non-ground event recognised as %s", workers, key)
-			}
-		}
-		var warned []string
-		for _, w := range rec.Warnings {
-			warned = append(warned, w.Msg)
-		}
-		got := strings.Join(rec.Keys(), "\n") + "\n" + strings.Join(warned, "\n")
-		for _, msg := range []string{
-			"initiatedAt rule derives non-ground FVP within(v2, Area)=true; occurrence dropped",
-			"initiatedAt rule derives non-ground FVP inArea(V17)=true; occurrence dropped",
-		} {
-			if !strings.Contains(got, msg) {
-				t.Errorf("workers %d: missing warning %q in\n%s", workers, msg, got)
-			}
-		}
-		if want == "" {
-			want = got
-		} else if got != want {
-			t.Errorf("workers %d differs from workers 1:\n%s\nvs\n%s", workers, got, want)
-		}
-
-		sres, err := e.RunStream(events, StreamOptions{RunOptions: RunOptions{Window: 4}, MaxDelay: 2}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		checkIntervals(t, sres.Recognition, "inArea(v1)=true", intervals.List{ivl(2, 10)})
+	e := mustEngine(t, ed, Options{Strict: true})
+	rec, err := e.Run(events, RunOptions{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	checkIntervals(t, rec, "inArea(v1)=true", intervals.List{ivl(2, 10)})
+	checkIntervals(t, rec, "within(v1, a1)=true", intervals.List{ivl(2, 10)})
+	for _, key := range rec.Keys() {
+		if strings.Contains(key, "v2") || strings.Contains(key, "V17") {
+			t.Errorf("non-ground event recognised as %s", key)
+		}
+	}
+	var warned []string
+	for _, w := range rec.Warnings {
+		warned = append(warned, w.Msg)
+	}
+	got := strings.Join(rec.Keys(), "\n") + "\n" + strings.Join(warned, "\n")
+	for _, msg := range []string{
+		"initiatedAt rule derives non-ground FVP within(v2, Area)=true; occurrence dropped",
+		"initiatedAt rule derives non-ground FVP inArea(V17)=true; occurrence dropped",
+	} {
+		if !strings.Contains(got, msg) {
+			t.Errorf("missing warning %q in\n%s", msg, got)
+		}
+	}
+
+	sres, err := e.RunStream(events, StreamOptions{RunOptions: RunOptions{Window: 4}, MaxDelay: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIntervals(t, sres.Recognition, "inArea(v1)=true", intervals.List{ivl(2, 10)})
 }
 
 // TestResumeRejectsNonGroundCheckpointEvent: a checkpoint whose reorder

@@ -111,7 +111,7 @@ func sameOutput(t *testing.T, what string, got, want contractRun) {
 // layer's CSV, audit journal and checkpoints are those of its DisableDelta
 // twin, on tumbling windows, where every use of it is a revision, and at
 // slide 900, where every window reuses its predecessor's state; and it is
-// used. At slide 900 a worker pool and a kill-and-resume change nothing.
+// used. At slide 900 a kill-and-resume changes nothing.
 func TestContractDeltaEqualsFull(t *testing.T) {
 	bg, _, arrivals := shellInput(t)
 	gold := maritime.GoldSource() + bg
@@ -133,14 +133,13 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 			if delta.counters["rtec.delta.reused"] == 0 {
 				t.Error("rtec.delta.reused is 0: sliding windows reuse nothing")
 			}
-			sameOutput(t, "Workers 8", contractOut(t, gold, Options{Workers: 8}, &sopts, arrivals), delta)
 			// Killed mid-slide, a resumed run restarts every slot cold and
 			// re-encodes its frozen windows from the restored slots.
 			sopts.CheckpointPath = filepath.Join(t.TempDir(), "crash.ckpt")
-			if _, err := mustEngine(t, gold, Options{Workers: 1}).RunStream(arrivals, sopts, crashAfter(3)); !errors.Is(err, errCrash) {
+			if _, err := mustEngine(t, gold, Options{}).RunStream(arrivals, sopts, crashAfter(3)); !errors.Is(err, errCrash) {
 				t.Fatalf("interrupted run err = %v, want the crash", err)
 			}
-			res, err := resumeStream(mustEngine(t, gold, Options{Workers: 1}), sopts.CheckpointPath, arrivals, sopts, nil)
+			res, err := resumeStream(mustEngine(t, gold, Options{}), sopts.CheckpointPath, arrivals, sopts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,8 +151,8 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			sopts := StreamOptions{RunOptions: RunOptions{Window: 3600, Slide: c.slide}, MaxDelay: 900}
-			delta := contractOut(t, gold, Options{Workers: 1}, &sopts, arrivals)
-			sameOutput(t, "DisableDelta", contractOut(t, gold, Options{Workers: 1, DisableDelta: true}, &sopts, arrivals), delta)
+			delta := contractOut(t, gold, Options{}, &sopts, arrivals)
+			sameOutput(t, "DisableDelta", contractOut(t, gold, Options{DisableDelta: true}, &sopts, arrivals), delta)
 			c.check(t, sopts, delta)
 		})
 	}
@@ -167,7 +166,7 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 func TestContractStreamedJournal(t *testing.T) {
 	bg, events, arrivals := shellInput(t)
 	gold := maritime.GoldSource() + bg
-	rec, err := mustEngine(t, gold, Options{Workers: 1}).Run(events, RunOptions{Window: 3600})
+	rec, err := mustEngine(t, gold, Options{}).Run(events, RunOptions{Window: 3600})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +174,7 @@ func TestContractStreamedJournal(t *testing.T) {
 	sopts := StreamOptions{RunOptions: RunOptions{Window: 3600}, MaxDelay: 900}
 	var journals [2]string
 	for i := range journals {
-		run := contractOut(t, gold, Options{Workers: 1}, &sopts, arrivals)
+		run := contractOut(t, gold, Options{}, &sopts, arrivals)
 		if run.out[0] != batch {
 			t.Fatal("the shuffled streamed run diverged from the in-order batch run")
 		}
@@ -209,9 +208,9 @@ func TestContractDefectiveDefinition(t *testing.T) {
 	bg, events, arrivals := shellInput(t)
 	src := readFile(t, filepath.Join("..", "..", "examples", "lint", "doomed_threshold.prolog")) + bg
 	sopts := StreamOptions{RunOptions: RunOptions{Window: 3600, Slide: 900}, MaxDelay: 900}
-	batch := contractOut(t, src, Options{Workers: 1}, nil, events)
-	delta := contractOut(t, src, Options{Workers: 1}, &sopts, arrivals)
-	full := contractOut(t, src, Options{Workers: 1, DisableDelta: true}, &sopts, arrivals)
+	batch := contractOut(t, src, Options{}, nil, events)
+	delta := contractOut(t, src, Options{}, &sopts, arrivals)
+	full := contractOut(t, src, Options{DisableDelta: true}, &sopts, arrivals)
 	if delta.out[0] != batch.out[0] {
 		t.Error("the streaming run's recognition diverged from the batch run's")
 	}

@@ -23,10 +23,10 @@ import (
 // deltaOracle builds a pair of engines over the same event description: one
 // with delta evaluation on (the default) and one with the full re-evaluation
 // oracle, differing in nothing else.
-func deltaOracle(t *testing.T, src string, workers int) (*Engine, *Engine) {
+func deltaOracle(t *testing.T, src string) (*Engine, *Engine) {
 	t.Helper()
-	delta := mustEngine(t, src, Options{Strict: true, Workers: workers})
-	full := mustEngine(t, src, Options{Strict: true, Workers: workers, DisableDelta: true})
+	delta := mustEngine(t, src, Options{Strict: true})
+	full := mustEngine(t, src, Options{Strict: true, DisableDelta: true})
 	return delta, full
 }
 
@@ -71,8 +71,8 @@ terminatedAt(f(X)=true, T) :- happensAt(a_end(X), T).
 	}
 }
 
-// TestDeltaBatchEquivalence: for random streams, window geometries and
-// worker counts, delta evaluation is byte-identical — CSV rows and warning
+// TestDeltaBatchEquivalence: for random streams and window geometries,
+// delta evaluation is byte-identical — CSV rows and warning
 // order included — to full re-evaluation.
 func TestDeltaBatchEquivalence(t *testing.T) {
 	for _, tc := range []struct {
@@ -85,12 +85,8 @@ func TestDeltaBatchEquivalence(t *testing.T) {
 		{"crossShard", crossShardED, genCrossShardStream},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			f := func(seed int64, parallel bool) bool {
-				workers := 1
-				if parallel {
-					workers = 8
-				}
-				delta, full := deltaOracle(t, tc.src, workers)
+			f := func(seed int64) bool {
+				delta, full := deltaOracle(t, tc.src)
 				r := rand.New(rand.NewSource(seed))
 				events := tc.gen(r, 500)
 				window := int64(20 + r.Intn(300))
@@ -104,8 +100,8 @@ func TestDeltaBatchEquivalence(t *testing.T) {
 				}
 				fa, fb := recognitionFingerprint(t, a), recognitionFingerprint(t, b)
 				if fa != fb {
-					t.Logf("seed %d window %d slide %d workers %d:\n--- delta\n%s\n--- full\n%s",
-						seed, window, slide, workers, fa, fb)
+					t.Logf("seed %d window %d slide %d:\n--- delta\n%s\n--- full\n%s",
+						seed, window, slide, fa, fb)
 					return false
 				}
 				return true
@@ -133,7 +129,7 @@ func genHierarchyStream(r *rand.Rand, horizon int64) stream.Stream {
 
 // TestDeltaMaritimeByteIdentical drives the realistic workload: sliding
 // windows over the gold maritime event description, delta vs full, at
-// several overlap ratios and worker counts.
+// several overlap ratios.
 func TestDeltaMaritimeByteIdentical(t *testing.T) {
 	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 6, Seed: 7, IntervalSec: 60})
 	if err != nil {
@@ -142,25 +138,23 @@ func TestDeltaMaritimeByteIdentical(t *testing.T) {
 	events := maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig())
 	ed := maritime.FullED(maritime.GoldED(), scen.Map, scen.Fleet, maritime.ObservedPairs(events))
 	facts := maritime.DynamicFacts(events, scen.Fleet)
-	for _, workers := range []int{1, 8} {
-		delta, err := New(ed, Options{Strict: true, ExtraFacts: facts, Workers: workers})
-		if err != nil {
-			t.Fatal(err)
+	delta, err := New(ed, Options{Strict: true, ExtraFacts: facts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := New(ed, Options{Strict: true, ExtraFacts: facts, DisableDelta: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, slideDiv := range []int64{2, 4} {
+		opts := RunOptions{Window: 3600, Slide: 3600 / slideDiv}
+		a, err1 := delta.Run(events, opts)
+		b, err2 := full.Run(events, opts)
+		if err1 != nil || err2 != nil {
+			t.Fatal(err1, err2)
 		}
-		full, err := New(ed, Options{Strict: true, ExtraFacts: facts, Workers: workers, DisableDelta: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, slideDiv := range []int64{2, 4} {
-			opts := RunOptions{Window: 3600, Slide: 3600 / slideDiv}
-			a, err1 := delta.Run(events, opts)
-			b, err2 := full.Run(events, opts)
-			if err1 != nil || err2 != nil {
-				t.Fatal(err1, err2)
-			}
-			if fa, fb := recognitionFingerprint(t, a), recognitionFingerprint(t, b); fa != fb {
-				t.Fatalf("workers=%d slide=%d: delta output differs from full", workers, opts.Slide)
-			}
+		if fa, fb := recognitionFingerprint(t, a), recognitionFingerprint(t, b); fa != fb {
+			t.Fatalf("slide=%d: delta output differs from full", opts.Slide)
 		}
 	}
 }
@@ -316,7 +310,7 @@ func deliveryTrace(t *testing.T, e *Engine, arrivals stream.Stream, opts StreamO
 
 // TestDeltaRevisionEquivalence: under seeded disorder, revisions and
 // checkpointing, the delta path reproduces the from-scratch oracle's whole
-// externally visible surface at Workers 1 and 8 — the delivered sequence
+// externally visible surface — the delivered sequence
 // (window, revision, retractions), the statistics, the recognition CSV, the
 // journal bytes and the checkpoint envelope. With slide < max-delay several
 // emitted windows contain each late time-point, so every one of them is
@@ -341,27 +335,25 @@ func TestDeltaRevisionEquivalence(t *testing.T) {
 		{"crossShard", crossShardED, shuffled(genCrossShardStream, 5)},
 		{"hierarchy", hierarchyED, shuffled(genHierarchyStream, 9)},
 	} {
-		for _, workers := range []int{1, 8} {
-			opts := StreamOptions{
-				RunOptions:      RunOptions{Window: 120, Slide: 20},
-				MaxDelay:        60,
-				CheckpointEvery: 3,
-			}
-			delta, full := deltaOracle(t, tc.src, workers)
-			dLog, dJ, dC := deliveryTrace(t, delta, tc.arrivals, opts)
-			fLog, fJ, fC := deliveryTrace(t, full, tc.arrivals, opts)
-			if !strings.Contains(fLog, "rev=1") {
-				t.Fatalf("%s: the shuffle produced no revisions; nothing is being tested", tc.name)
-			}
-			if dLog != fLog {
-				t.Fatalf("%s workers=%d: deliveries differ:\n--- delta\n%s\n--- full\n%s", tc.name, workers, dLog, fLog)
-			}
-			if !bytes.Equal(dJ, fJ) {
-				t.Fatalf("%s workers=%d: journal bytes differ", tc.name, workers)
-			}
-			if !bytes.Equal(dC, fC) {
-				t.Fatalf("%s workers=%d: checkpoint envelope bytes differ", tc.name, workers)
-			}
+		opts := StreamOptions{
+			RunOptions:      RunOptions{Window: 120, Slide: 20},
+			MaxDelay:        60,
+			CheckpointEvery: 3,
+		}
+		delta, full := deltaOracle(t, tc.src)
+		dLog, dJ, dC := deliveryTrace(t, delta, tc.arrivals, opts)
+		fLog, fJ, fC := deliveryTrace(t, full, tc.arrivals, opts)
+		if !strings.Contains(fLog, "rev=1") {
+			t.Fatalf("%s: the shuffle produced no revisions; nothing is being tested", tc.name)
+		}
+		if dLog != fLog {
+			t.Fatalf("%s: deliveries differ:\n--- delta\n%s\n--- full\n%s", tc.name, dLog, fLog)
+		}
+		if !bytes.Equal(dJ, fJ) {
+			t.Fatalf("%s: journal bytes differ", tc.name)
+		}
+		if !bytes.Equal(dC, fC) {
+			t.Fatalf("%s: checkpoint envelope bytes differ", tc.name)
 		}
 	}
 }
@@ -513,8 +505,8 @@ func TestDeltaResumeInsideLateBurst(t *testing.T) {
 }
 
 // FuzzDeltaEquivalence is the differential fuzz target of the delta layer:
-// random streams over the cross-shard hierarchy, random window geometry,
-// worker count and seeded disorder, requiring the delta path's stream
+// random streams over the cross-shard hierarchy, random window geometry and
+// seeded disorder, requiring the delta path's stream
 // output and journal bytes to match full re-evaluation exactly, and the
 // stream's final recognition to be the batch Run's.
 func FuzzDeltaEquivalence(f *testing.F) {
@@ -522,7 +514,7 @@ func FuzzDeltaEquivalence(f *testing.F) {
 		f.Add(seed, uint8(0))
 	}
 	// Seeds whose derived geometry has slide < max-delay (3·slide ≤ delay)
-	// and at least ten revisions, at each worker count: several emitted
+	// and at least ten revisions: several emitted
 	// windows contain every late time-point, so revisions replay per-slot
 	// carried state. (window/slide/delay: 74/3/86, 40/5/86, 42/9/84,
 	// 263/11/90, 41/1/16, 133/14/78.)
@@ -544,9 +536,9 @@ func FuzzDeltaEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, which uint8) {
 		r := rand.New(rand.NewSource(seed))
 		c := cases[int(which)%len(cases)]
-		workers := []int{1, 4, 8}[r.Intn(3)]
-		delta, err1 := New(c.ed, Options{Strict: c.strict, ExtraFacts: c.facts, Workers: workers})
-		full, err2 := New(c.ed, Options{Strict: c.strict, ExtraFacts: c.facts, Workers: workers, DisableDelta: true})
+		r.Intn(3) // once the worker count: still drawn, so every seed keeps its stream and geometry
+		delta, err1 := New(c.ed, Options{Strict: c.strict, ExtraFacts: c.facts})
+		full, err2 := New(c.ed, Options{Strict: c.strict, ExtraFacts: c.facts, DisableDelta: true})
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -594,8 +586,8 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			return
 		}
 		if fa, fb := recognitionFingerprint(t, a.Recognition), recognitionFingerprint(t, b.Recognition); fa != fb {
-			t.Fatalf("%s seed %d window %d slide %d workers %d delay %d: delta differs:\n--- delta\n%s\n--- full\n%s",
-				c.name, seed, window, slide, workers, maxDelay, fa, fb)
+			t.Fatalf("%s seed %d window %d slide %d delay %d: delta differs:\n--- delta\n%s\n--- full\n%s",
+				c.name, seed, window, slide, maxDelay, fa, fb)
 		}
 		if !bytes.Equal(dJ.Bytes(), fJ.Bytes()) {
 			t.Fatalf("%s seed %d: journal bytes differ", c.name, seed)
@@ -613,8 +605,8 @@ func FuzzDeltaEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		if fa, fb := recognitionFingerprint(t, a.Recognition), recognitionFingerprint(t, batch); fa != fb {
-			t.Fatalf("%s seed %d window %d slide %d workers %d delay %d: stream differs from batch:\n--- stream\n%s\n--- batch\n%s",
-				c.name, seed, window, slide, workers, maxDelay, fa, fb)
+			t.Fatalf("%s seed %d window %d slide %d delay %d: stream differs from batch:\n--- stream\n%s\n--- batch\n%s",
+				c.name, seed, window, slide, maxDelay, fa, fb)
 		}
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -122,9 +121,6 @@ type Engine struct {
 	// renderings: the per-window caches key by ID, so an FVP's string is
 	// built once per engine lifetime instead of once per cache access.
 	interner *lang.Interner
-	// workers is the resolved size of the per-stratum evaluation pool
-	// (Options.Workers, defaulting to GOMAXPROCS).
-	workers int
 	// kbText is the canonical text of the materialised background knowledge
 	// (kb.AppendText): the one part of every fluent's definition fingerprint
 	// that covers what atemporal conditions and grounding declarations read.
@@ -136,9 +132,6 @@ type Engine struct {
 	// snapshot. Printed and hashed on first use, once per engine.
 	edFingerprint func() string
 }
-
-// Workers returns the resolved evaluation worker count.
-func (e *Engine) Workers() int { return e.workers }
 
 // Warnings returns the problems found while loading the event description.
 func (e *Engine) Warnings() []Warning { return e.warnings }
@@ -177,12 +170,10 @@ type Options struct {
 	// Results are identical, only slower — the full re-evaluation path is
 	// the differential-testing oracle for the delta layer.
 	DisableDelta bool
-	// Workers bounds the per-stratum evaluation pool: groundings of the
-	// same stratum are partitioned by entity key onto this many workers,
-	// with results merged in deterministic order, so recognition output is
-	// byte-identical for every value. 0 (the default) resolves to
-	// GOMAXPROCS; 1 evaluates inline on the calling goroutine, reproducing
-	// the classic sequential code path exactly.
+	// Workers does nothing: every window is evaluated on the calling
+	// goroutine, whatever its value.
+	//
+	// frozen: read only by benchmark/ (ROADMAP 21)
 	Workers int
 	// Telemetry, when non-nil, receives the engine's observability signals:
 	// per-run and per-window spans, counters (events ingested, windows
@@ -209,15 +200,11 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 		fluentsByPred: map[lang.PredKey]*fluentDef{},
 		inputEvents:   map[string]bool{},
 		interner:      lang.NewInterner(),
-		workers:       opts.Workers,
 		edFingerprint: sync.OnceValue(func() string {
 			h := fnv.New64a()
 			io.WriteString(h, ed.String())
 			return fmt.Sprintf("%016x", h.Sum64())
 		}),
-	}
-	if e.workers <= 0 {
-		e.workers = runtime.GOMAXPROCS(0)
 	}
 
 	for _, c := range ed.Facts() {

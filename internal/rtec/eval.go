@@ -128,8 +128,8 @@ func (w *windowState) store(fvp *lang.Term, id lang.InternID, list intervals.Lis
 // listOf returns the cached intervals of an FVP that is ground under b (nil
 // when unknown — an undefined or never-holding FVP has no intervals). The
 // lookup goes through the intern table, so it builds no term, renders no
-// string and takes only a read lock, making it safe and cheap from parallel
-// workers.
+// string and takes only a read lock, making it safe and cheap from runs on
+// concurrent goroutines sharing the engine (rtecd's shards).
 func (w *windowState) listOf(fvp *lang.Term, b *lang.Bindings) intervals.List {
 	id, ok := w.eng.interner.Lookup(fvp, b)
 	if !ok {
@@ -145,8 +145,7 @@ func (w *windowState) listOf(fvp *lang.Term, b *lang.Bindings) intervals.List {
 // fluent's intervals for the window so higher-level definitions reuse them.
 // Each stratum is wrapped in a child span of the window span, and its
 // evaluation time feeds the per-stratum histogram. Strata run in dependency
-// order; within a stratum, rule groundings may fan out onto the engine's
-// worker pool (see parallel.go).
+// order, and so do the rule groundings within a stratum (see unit.go).
 func (w *windowState) evaluate() {
 	if w.eng.opts.DisableCache {
 		w.evaluateUncached()
@@ -411,10 +410,8 @@ func idleAdditions(got, cached []act, entries []listEntry, initiating bool) bool
 // evalSimpleRule evaluates one initiatedAt/terminatedAt rule event-driven:
 // it iterates the window events matching the rule's anchor (its first
 // positive happensAt condition, found when the rule was compiled) and solves
-// the remaining conditions. Each anchor event is one evaluation unit: units
-// run inline with one worker, or entity-sharded onto the pool with
-// slot-ordered merging (see parallel.go), so emit observes the same
-// occurrences in the same order either way. slot identifies the rule within
+// the remaining conditions. Each anchor event is one evaluation unit (see
+// unit.go), run in event order. slot identifies the rule within
 // the fluent (inits first, then terms) for the delta layer's per-rule act
 // cache: a replaying fluent's units at clean anchor times replay the carried
 // state's cached acts, and its dirty ones were re-derived before the rules
@@ -452,7 +449,6 @@ func (w *windowState) evalSimpleRule(def *fluentDef, slot int, r *rule, emit fun
 		}
 	}
 	w.runUnits(len(events),
-		func(i int) uint64 { return eventEntity(events[i].Event) },
 		func(i int, re *ruleEval) { w.anchorUnit(def, r, events[i], re) },
 		apply)
 }
@@ -714,16 +710,14 @@ func (w *windowState) evalSD(def *fluentDef) {
 }
 
 // evalSDRule evaluates one holdsFor rule. Each candidate binding is one
-// evaluation unit; candidates only read strictly lower strata, so they run
-// entity-sharded on the worker pool with slot-ordered merging, storing in
-// the same order the sequential evaluation would.
+// evaluation unit, run in candidate order; candidates only read strictly
+// lower strata.
 func (w *windowState) evalSDRule(def *fluentDef, r *rule) {
 	cands := w.sdCandidates(def, r)
 	w.runUnits(len(cands),
-		func(i int) uint64 { return cands[i].shard },
 		func(i int, re *ruleEval) {
 			re.begin(def, r, 0)
-			re.b.Load(cands[i].vals)
+			re.b.Load(cands[i])
 			re.solve(r.body)
 		},
 		func(a act) {
@@ -735,26 +729,18 @@ func (w *windowState) evalSDRule(def *fluentDef, r *rule) {
 		})
 }
 
-// sdCandidate is one starting point of a holdsFor rule's evaluation: a
-// snapshot of the rule's binding store, and the hash of the head FVP under
-// it (the unit's worker shard key).
-type sdCandidate struct {
-	vals  []*lang.Term
-	shard uint64
-}
-
 // sdCandidates enumerates the candidate bindings over which a holdsFor rule
-// is evaluated. With grounding declarations, the declared entity domains are
-// used. Otherwise candidates are derived from the cache: every grounding of
+// is evaluated, each a snapshot of the rule's binding store. With grounding
+// declarations, the declared entity domains are used. Otherwise candidates are derived from the cache: every grounding of
 // any positive holdsFor body condition contributes one, so unions over fluent
 // values see every relevant entity even when a particular conjunct has no
 // intervals (its list is then empty).
-func (w *windowState) sdCandidates(def *fluentDef, r *rule) []sdCandidate {
-	var out []sdCandidate
+func (w *windowState) sdCandidates(def *fluentDef, r *rule) [][]*lang.Term {
+	var out [][]*lang.Term
 	b := &w.seq.b
 	b.Reset(r.nvars)
 	add := func() {
-		out = append(out, sdCandidate{vals: b.Snapshot(), shard: lang.Hash(r.head, b)})
+		out = append(out, b.Snapshot())
 	}
 	if len(r.groundings) > 0 {
 		for _, g := range r.groundings {

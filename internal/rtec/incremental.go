@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"rtecgen/internal/intervals"
+	"rtecgen/internal/lang"
 	"rtecgen/internal/stream"
 )
 
@@ -118,8 +119,11 @@ func (r *StreamRunner) Suspend() error {
 }
 
 // Abort releases the runner's telemetry span without finishing the run,
-// after a crash or kill; the runner is dead afterwards.
+// after a crash or kill; the runner is dead afterwards. It waits for the
+// checkpoint write in flight, and drops its error: a caller that resumes
+// from the checkpoint after Abort reads whatever that write left.
 func (r *StreamRunner) Abort() {
+	r.st.writer.wait()
 	if r.finished {
 		return
 	}
@@ -138,11 +142,16 @@ func (r *StreamRunner) Windows() int { return r.st.emitted }
 // those counted by the checkpoint it was resumed from).
 func (r *StreamRunner) Checkpoints() int64 { return r.st.stats.Checkpoints }
 
-// EventEntity is the consistent entity key of an arrival — the same hash
-// the in-window worker sharding partitions by (the event's first argument,
-// or the whole atom for zero-arity events). The shard supervisor routes
-// arrivals with it, so an entity's events always land in one partition.
-func EventEntity(ev stream.Event) uint64 { return eventEntity(ev) }
+// EventEntity is the consistent entity key of an arrival: the hash of the
+// event's first argument (e.g. the vessel of a change_in_speed_start), or of
+// the whole atom for a zero-arity event. The shard supervisor routes arrivals
+// with it, so an entity's events always land in one partition.
+func EventEntity(ev stream.Event) uint64 {
+	if len(ev.Atom.Args) > 0 {
+		return lang.Hash(ev.Atom.Args[0], nil)
+	}
+	return lang.Hash(ev.Atom, nil)
+}
 
 // MergeRecognitions unions per-partition recognitions into one result, as
 // if a single engine had recognised the concatenated streams: intervals of

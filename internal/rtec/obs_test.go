@@ -176,7 +176,7 @@ func TestJournalGolden(t *testing.T) {
 	}
 	runOnce := func() []byte {
 		var buf bytes.Buffer
-		e := mustEngine(t, journalGoldenED, Options{Strict: true, Workers: 1})
+		e := mustEngine(t, journalGoldenED, Options{Strict: true})
 		if _, err := e.RunStream(arrivals, StreamOptions{
 			RunOptions: RunOptions{Window: 20, Slide: 20},
 			MaxDelay:   15,

@@ -67,7 +67,7 @@ func TestRevisionBoundaryCarryOver(t *testing.T) {
 			// whose watermark 140 passes window 0's query time, flushes the
 			// mark, which leaves window 0's delivery alone and flips its
 			// hand-off.
-			delta, full := deltaOracle(t, withinAreaED, 1)
+			delta, full := deltaOracle(t, withinAreaED)
 			r, err := delta.NewStreamRunner(opts, nil)
 			if err != nil {
 				t.Fatal(err)
@@ -170,7 +170,7 @@ func TestRevisionsBounded(t *testing.T) {
 	for _, slide := range []int64{window, 900} {
 		t.Run(fmt.Sprintf("slide=%d", slide), func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			e := mustEngine(t, gold, Options{Workers: 1, Telemetry: telemetry.New(reg, nil, nil)})
+			e := mustEngine(t, gold, Options{Telemetry: telemetry.New(reg, nil, nil)})
 			opts := StreamOptions{RunOptions: RunOptions{Window: window, Slide: slide}, MaxDelay: maxDelay}
 			latest, res := latestRevisions(t, e, arrivals, opts)
 			if res.Stats.Revisions == 0 {
@@ -253,8 +253,7 @@ holdsFor(inAnyArea(Vl)=true, I) :-
 // TestRevisionInstallReplaysWarnings: a fluent a revision installs from its
 // carried lists must warn as if it had been evaluated. Over a shuffled stream
 // whose late arrivals land in emitted windows, the warnings (order included),
-// the journal and the checkpoint envelope equal the from-scratch engine's at
-// Workers 1 and 8.
+// the journal and the checkpoint envelope equal the from-scratch engine's.
 func TestRevisionInstallReplaysWarnings(t *testing.T) {
 	arrivals := chaosArrivals(t, 5, 60)
 	run := func(e *Engine) (warnings string, journalBytes, ckpt []byte) {
@@ -279,39 +278,37 @@ func TestRevisionInstallReplaysWarnings(t *testing.T) {
 		}
 		return recognitionFingerprint(t, res.Recognition), jbuf.Bytes(), ckpt
 	}
-	for _, workers := range []int{1, 8} {
-		reg := telemetry.NewRegistry()
-		delta := mustEngine(t, warningED, Options{Workers: workers, Telemetry: telemetry.New(reg, nil, nil)})
-		full := mustEngine(t, warningED, Options{Workers: workers, DisableDelta: true})
-		dW, dJ, dC := run(delta)
-		fW, fJ, fC := run(full)
-		for _, want := range []string{
-			"warn flagged/1: unknown predicate blacklisted/1; condition fails",
-			"warn loose/1: head interval variable I_r is not produced by the body; dropped",
-		} {
-			if !strings.Contains(fW, want) {
-				t.Fatalf("workers=%d: the oracle run lacks the warning %q:\n%s", workers, want, fW)
-			}
+	reg := telemetry.NewRegistry()
+	delta := mustEngine(t, warningED, Options{Telemetry: telemetry.New(reg, nil, nil)})
+	full := mustEngine(t, warningED, Options{DisableDelta: true})
+	dW, dJ, dC := run(delta)
+	fW, fJ, fC := run(full)
+	for _, want := range []string{
+		"warn flagged/1: unknown predicate blacklisted/1; condition fails",
+		"warn loose/1: head interval variable I_r is not produced by the body; dropped",
+	} {
+		if !strings.Contains(fW, want) {
+			t.Fatalf("the oracle run lacks the warning %q:\n%s", want, fW)
 		}
-		if reg.Counter("rtec.delta.installed").Value() == 0 {
-			t.Fatalf("workers=%d: rtec.delta.installed = 0: no revision installed a fluent; nothing is being tested", workers)
-		}
-		if dW != fW {
-			t.Fatalf("workers=%d: recognition or warnings differ:\n--- delta\n%s\n--- full\n%s", workers, dW, fW)
-		}
-		if !bytes.Equal(dJ, fJ) {
-			t.Fatalf("workers=%d: journal bytes differ", workers)
-		}
-		if !bytes.Equal(dC, fC) {
-			t.Fatalf("workers=%d: checkpoint envelope bytes differ", workers)
-		}
+	}
+	if reg.Counter("rtec.delta.installed").Value() == 0 {
+		t.Fatalf("rtec.delta.installed = 0: no revision installed a fluent; nothing is being tested")
+	}
+	if dW != fW {
+		t.Fatalf("recognition or warnings differ:\n--- delta\n%s\n--- full\n%s", dW, fW)
+	}
+	if !bytes.Equal(dJ, fJ) {
+		t.Fatalf("journal bytes differ")
+	}
+	if !bytes.Equal(dC, fC) {
+		t.Fatalf("checkpoint envelope bytes differ")
 	}
 }
 
 // revisionAllocCeiling bounds the heap allocations of ingesting one late
 // arrival and flushing the mark it leaves, which revises an emitted window
 // without changing any interval: the first 3600 s window of the 14-vessel
-// seed-7 scenario under the gold event description at Workers:2, and a late
+// seed-7 scenario under the gold event description, and a late
 // velocity report of a vessel that is under way anyway. Like
 // windowAllocCeiling it is a count: 870 when it was committed at 1 000
 // (EXPERIMENTS.md "PR 24"; evaluating every fluent of the window costs
@@ -326,7 +323,7 @@ func TestRevisionInstallReplaysWarnings(t *testing.T) {
 const revisionAllocCeiling = 450
 
 func TestRevisionAllocCeiling(t *testing.T) {
-	e, events := goldScenario(t, 2)
+	e, events := goldScenario(t)
 	first, last := events.TimeRange()
 	r, err := e.NewStreamRunner(StreamOptions{
 		RunOptions: RunOptions{Window: 3600, Start: first, End: last + 1},
@@ -423,7 +420,7 @@ func genMultiValueStream(r *rand.Rand, horizon int64) stream.Stream {
 // value holds anyway, or the terminated one did not), which a revision
 // answers from the carried lists; the rest change one. Either way the whole
 // observable surface equals the from-scratch engine's, for tumbling and
-// overlapping windows, at Workers 1 and 8.
+// overlapping windows.
 func TestRevisionIdleAdditionsEquivalence(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -431,21 +428,20 @@ func TestRevisionIdleAdditionsEquivalence(t *testing.T) {
 		events.Sort()
 		arrivals, _, _ := stream.Perturb(events, r, 80, 0)
 		for _, geo := range []RunOptions{{Window: 150}, {Window: 120, Slide: 40}} {
-			workers := []int{1, 8}[seed%2]
 			opts := StreamOptions{RunOptions: geo, MaxDelay: 80, CheckpointEvery: 3}
 			reg := telemetry.NewRegistry()
-			delta := mustEngine(t, multiValueED, Options{Strict: true, Workers: workers, Telemetry: telemetry.New(reg, nil, nil)})
-			full := mustEngine(t, multiValueED, Options{Strict: true, Workers: workers, DisableDelta: true})
+			delta := mustEngine(t, multiValueED, Options{Strict: true, Telemetry: telemetry.New(reg, nil, nil)})
+			full := mustEngine(t, multiValueED, Options{Strict: true, DisableDelta: true})
 			dLog, dJ, dC := deliveryTrace(t, delta, arrivals, opts)
 			fLog, fJ, fC := deliveryTrace(t, full, arrivals, opts)
 			if !strings.Contains(fLog, "rev=1") || reg.Counter("rtec.delta.installed").Value() == 0 {
 				t.Fatalf("seed %d %+v: no revision, or none that installed a fluent; nothing is being tested", seed, geo)
 			}
 			if dLog != fLog {
-				t.Fatalf("seed %d %+v workers=%d: deliveries differ:\n--- delta\n%s\n--- full\n%s", seed, geo, workers, dLog, fLog)
+				t.Fatalf("seed %d %+v: deliveries differ:\n--- delta\n%s\n--- full\n%s", seed, geo, dLog, fLog)
 			}
 			if !bytes.Equal(dJ, fJ) || !bytes.Equal(dC, fC) {
-				t.Fatalf("seed %d %+v workers=%d: journal or checkpoint bytes differ", seed, geo, workers)
+				t.Fatalf("seed %d %+v: journal or checkpoint bytes differ", seed, geo)
 			}
 		}
 	}
@@ -536,25 +532,23 @@ func TestRevisionUnnamedFluentReads(t *testing.T) {
 		MaxDelay:        150,
 		CheckpointEvery: 1,
 	}
-	for _, workers := range []int{1, 8} {
-		delta, full := deltaOracle(t, unnamedReadED, workers)
-		dLog, dJ, dC := deliveryTrace(t, delta, arrivals, opts)
-		fLog, fJ, fC := deliveryTrace(t, full, arrivals, opts)
-		for _, want := range []string{
-			"window [0,100) rev=1\n",
-			"  seen(lit(a))=true [(20,99]]\n",
-			"  pinged(x)=true [(50,99]]\n",
-		} {
-			if !strings.Contains(fLog, want) {
-				t.Fatalf("workers=%d: the oracle's deliveries lack %q:\n%s", workers, want, fLog)
-			}
+	delta, full := deltaOracle(t, unnamedReadED)
+	dLog, dJ, dC := deliveryTrace(t, delta, arrivals, opts)
+	fLog, fJ, fC := deliveryTrace(t, full, arrivals, opts)
+	for _, want := range []string{
+		"window [0,100) rev=1\n",
+		"  seen(lit(a))=true [(20,99]]\n",
+		"  pinged(x)=true [(50,99]]\n",
+	} {
+		if !strings.Contains(fLog, want) {
+			t.Fatalf("the oracle's deliveries lack %q:\n%s", want, fLog)
 		}
-		if dLog != fLog {
-			t.Fatalf("workers=%d: deliveries differ:\n--- delta\n%s\n--- full\n%s", workers, dLog, fLog)
-		}
-		if !bytes.Equal(dJ, fJ) || !bytes.Equal(dC, fC) {
-			t.Fatalf("workers=%d: journal or checkpoint bytes differ", workers)
-		}
+	}
+	if dLog != fLog {
+		t.Fatalf("deliveries differ:\n--- delta\n%s\n--- full\n%s", dLog, fLog)
+	}
+	if !bytes.Equal(dJ, fJ) || !bytes.Equal(dC, fC) {
+		t.Fatalf("journal or checkpoint bytes differ")
 	}
 
 	// The same over dense shuffled streams, tumbling and sliding.
@@ -569,7 +563,7 @@ func TestRevisionUnnamedFluentReads(t *testing.T) {
 		shuffled, _, _ := stream.Perturb(events, r, 80, 0)
 		for _, geo := range []RunOptions{{Window: 150}, {Window: 120, Slide: 40}} {
 			sopts := StreamOptions{RunOptions: geo, MaxDelay: 80, CheckpointEvery: 3}
-			delta, full := deltaOracle(t, unnamedReadED, []int{1, 8}[seed%2])
+			delta, full := deltaOracle(t, unnamedReadED)
 			dLog, dJ, dC := deliveryTrace(t, delta, shuffled, sopts)
 			fLog, fJ, fC := deliveryTrace(t, full, shuffled, sopts)
 			if !strings.Contains(fLog, "rev=1") {
@@ -797,7 +791,7 @@ func TestRevisionIndexInPlace(t *testing.T) {
 				}
 				return csvOf(t, res.Recognition), jbuf.Bytes()
 			}
-			delta, full := deltaOracle(t, withinAreaED, 1)
+			delta, full := deltaOracle(t, withinAreaED)
 			dCSV, dJ := run(delta)
 			fCSV, fJ := run(full)
 			if dCSV != fCSV {

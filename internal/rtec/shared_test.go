@@ -110,7 +110,7 @@ func sharedSetWithOracle(t *testing.T) ([]sharedCase, []*lang.Term, stream.Strea
 		s.cases, s.facts, s.events = sharedCases(t)
 		s.fresh = make([]string, len(s.cases))
 		for i, c := range s.cases {
-			e, err := New(c.ed, Options{ExtraFacts: s.facts, Workers: 1})
+			e, err := New(c.ed, Options{ExtraFacts: s.facts})
 			if err != nil {
 				t.Fatalf("%s: %v", c.name, err)
 			}
@@ -151,7 +151,7 @@ func TestSharedEqualsFresh(t *testing.T) {
 		reg := telemetry.NewRegistry()
 		tel := telemetry.New(reg, nil, nil)
 		for _, i := range order {
-			e, err := New(cases[i].ed, Options{ExtraFacts: facts, Workers: 1, Telemetry: tel})
+			e, err := New(cases[i].ed, Options{ExtraFacts: facts, Telemetry: tel})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -184,7 +184,7 @@ func TestDemandClosureMatchesDeps(t *testing.T) {
 	}
 	cases, facts, _, _ := sharedSetWithOracle(t)
 	for _, c := range cases {
-		e, err := New(c.ed, Options{ExtraFacts: facts, Workers: 1})
+		e, err := New(c.ed, Options{ExtraFacts: facts})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,7 +215,7 @@ func TestDemandClosureMatchesDeps(t *testing.T) {
 			// Stratum order may differ: it breaks ties by name among the
 			// fluents loaded.
 			ed, _ := Demand(c.ed, root)
-			de, err := New(ed, Options{ExtraFacts: facts, Workers: 1})
+			de, err := New(ed, Options{ExtraFacts: facts})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,7 +262,7 @@ func TestSharedConcurrent(t *testing.T) {
 			// own offset and wrapping into its neighbours' strides.
 			for k := 0; k < 2*len(cases)/goroutines; k++ {
 				i := (g*len(cases)/goroutines + k) % len(cases)
-				e, err := New(cases[i].ed, Options{ExtraFacts: facts, Workers: 1})
+				e, err := New(cases[i].ed, Options{ExtraFacts: facts})
 				if err != nil {
 					t.Error(err)
 					return

@@ -117,6 +117,8 @@ type streamRun struct {
 	// neither and re-encodes its restored slots as the cursor passes them.
 	frozen  []byte
 	frozenN int
+	// writer puts cadence checkpoints on disk behind the consumer.
+	writer ckptWriter
 	// slotVisits counts the slots the per-arrival scans (mark, flush,
 	// advanceFinal) looked at; the soak test pins it per arrival.
 	slotVisits int64
@@ -215,15 +217,16 @@ func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn fu
 // finish ends the run: it evaluates and delivers the windows the frontier
 // never reached (the events still buffered in the reorder buffer are part of
 // those evaluations — a stream ending before the watermark passes them must
-// not lose them), applies the marks still pending, amalgamates the result
-// and journals the end of the run.
+// not lose them), applies the marks still pending, waits for the checkpoint
+// write in flight, amalgamates the result and journals the end of the run.
 func (st *streamRun) finish() (*StreamResult, error) {
-	for st.emitted < len(st.slots) {
-		if err := st.emitNext(); err != nil {
-			return nil, err
-		}
+	err := st.emitRest()
+	// The last cadence write ran behind the evaluation above; run_end is
+	// journalled only once it is on disk.
+	if werr := st.writer.wait(); err == nil {
+		err = werr
 	}
-	if err := st.flush(); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	res := st.finalise()
@@ -231,6 +234,17 @@ func (st *streamRun) finish() (*StreamResult, error) {
 		return nil, err
 	}
 	return res, nil
+}
+
+// emitRest delivers every window not yet emitted and applies the pending
+// marks.
+func (st *streamRun) emitRest() error {
+	for st.emitted < len(st.slots) {
+		if err := st.emitNext(); err != nil {
+			return err
+		}
+	}
+	return st.flush()
 }
 
 // ingest processes one arrival: admission, marking the emitted windows a

@@ -104,7 +104,7 @@ func doomedRulesEvents() stream.Stream {
 		ev(12, "velocity(v2, 11)"), ev(13, "gear(v3, 4)"), ev(14, "velocity(v1, unknown)"),
 		ev(18, "velocity(v3, 15)"), ev(21, "gear(v1, 0)"), ev(23, "velocity(v2, 9)"), ev(27, "velocity(v5, n_a)"),
 	}
-	for i := 0; i < 12; i++ { // enough units in one window for the worker pool to engage
+	for i := 0; i < 12; i++ { // a dozen more units in one window
 		events = append(events, ev(9, fmt.Sprintf("velocity(w%d, %d)", i, 5+i)), ev(9, fmt.Sprintf("gear(w%d, 3)", i)))
 	}
 	events.Sort()
@@ -169,21 +169,14 @@ func checkWarningPaths(t *testing.T, c warningCase) *Recognition {
 		return rec
 	}
 
-	// The in-window pool buffers a unit's acts and applies them in unit
-	// order: same values, same order.
 	tumbling := RunOptions{Window: c.window}
-	ref := batch(Options{Workers: 1}, tumbling)
-	if got, want := recognitionFingerprint(t, batch(Options{Workers: 4}, tumbling)), recognitionFingerprint(t, ref); got != want {
-		t.Errorf("%s: tumbling batch at Workers:4 differs from Workers:1:\n%s", c.name, firstDiff(got, want))
-	}
+	ref := batch(Options{}, tumbling)
 
 	// Sliding windows replay the carried warn acts of clean time-points.
 	sliding := RunOptions{Window: c.window, Slide: c.slide}
-	slideRef := batch(Options{Workers: 1, DisableDelta: true}, sliding)
-	for _, workers := range []int{1, 4} {
-		if a, b := recognitionFingerprint(t, batch(Options{Workers: workers}, sliding)), recognitionFingerprint(t, slideRef); a != b {
-			t.Errorf("%s: sliding batch at Workers:%d differs from the DisableDelta run:\n%s", c.name, workers, firstDiff(a, b))
-		}
+	slideRef := batch(Options{DisableDelta: true}, sliding)
+	if a, b := recognitionFingerprint(t, batch(Options{}, sliding)), recognitionFingerprint(t, slideRef); a != b {
+		t.Errorf("%s: sliding batch differs from the DisableDelta run:\n%s", c.name, firstDiff(a, b))
 	}
 
 	// A late arrival revises a window that warned: the revision installs or
@@ -196,7 +189,7 @@ func checkWarningPaths(t *testing.T, c warningCase) *Recognition {
 	first, last := c.events.TimeRange() // the bounds the batch runs derive
 	var streamed [2]*Recognition
 	for i, noDelta := range []bool{false, true} {
-		r, err := engine(c.ed, Options{Workers: 1, DisableDelta: noDelta}).NewStreamRunner(
+		r, err := engine(c.ed, Options{DisableDelta: noDelta}).NewStreamRunner(
 			StreamOptions{RunOptions: RunOptions{Window: c.window, Slide: c.slide, Start: first, End: last + 1}, MaxDelay: c.maxDelay}, nil)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
@@ -234,13 +227,13 @@ func checkWarningPaths(t *testing.T, c warningCase) *Recognition {
 	}
 	renamed := renameVars(c.ed, c.renameFrom, c.to)
 	alone := map[*lang.EventDescription]string{c.ed: recognitionFingerprint(t, ref)}
-	if rec, err := engine(renamed, Options{Workers: 1}).Run(c.events, tumbling); err != nil {
+	if rec, err := engine(renamed, Options{}).Run(c.events, tumbling); err != nil {
 		t.Fatal(err)
 	} else {
 		alone[renamed] = recognitionFingerprint(t, rec)
 	}
 	for _, ed := range []*lang.EventDescription{c.ed, renamed, c.ed} {
-		shared, err := engine(ed, Options{Workers: 1}).RunPrepared(p, nil)
+		shared, err := engine(ed, Options{}).RunPrepared(p, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -259,7 +252,7 @@ func checkWarningPaths(t *testing.T, c warningCase) *Recognition {
 // renderings the kept context remembered.
 func checkUnitsAgainstFreshRendering(t *testing.T, c warningCase) (warnActs, remembered int) {
 	t.Helper()
-	e, err := New(c.ed, Options{ExtraFacts: c.facts, Workers: 1})
+	e, err := New(c.ed, Options{ExtraFacts: c.facts})
 	if err != nil {
 		t.Fatalf("%s: %v", c.name, err)
 	}

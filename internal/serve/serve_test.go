@@ -50,7 +50,7 @@ func testEngine(t testing.TB) *rtec.Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := rtec.New(ed, rtec.Options{Strict: true, Workers: 1})
+	e, err := rtec.New(ed, rtec.Options{Strict: true})
 	if err != nil {
 		t.Fatal(err)
 	}

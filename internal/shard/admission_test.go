@@ -62,7 +62,7 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 		t.Fatal("no admission was counted as overflow although retention passed QueueDepth")
 	}
 	first, last := arrivals.TimeRange()
-	want, err := testEngine(t, 1).RunStream(arrivals, rtec.StreamOptions{
+	want, err := testEngine(t).RunStream(arrivals, rtec.StreamOptions{
 		RunOptions: rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 		MaxDelay:   60,
 	}, nil)

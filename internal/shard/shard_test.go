@@ -45,13 +45,18 @@ terminatedAt(withinArea(Vl, AreaType)=true, T) :-
     happensAt(gap_start(Vl), T).
 `
 
-func testEngine(t testing.TB, workers int) *rtec.Engine {
+func testEngine(t testing.TB) *rtec.Engine {
+	t.Helper()
+	return testEngineOpts(t, rtec.Options{Strict: true})
+}
+
+func testEngineOpts(t testing.TB, opts rtec.Options) *rtec.Engine {
 	t.Helper()
 	ed, err := parser.ParseEventDescription(testED)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := rtec.New(ed, rtec.Options{Strict: true, Workers: workers})
+	e, err := rtec.New(ed, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -287,7 +292,7 @@ func requireIdentical(t *testing.T, want, got *shardedRun) {
 func TestShardedMatchesUnsharded(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	first, last := arrivals.TimeRange()
-	e := testEngine(t, 1)
+	e := testEngine(t)
 	want, err := e.RunStream(arrivals, rtec.StreamOptions{
 		RunOptions: rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 		MaxDelay:   60,
@@ -295,7 +300,7 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, nil, nil)
+	got, err := runSharded(t, testEngine(t), arrivals, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,17 +321,19 @@ func TestShardedMatchesUnsharded(t *testing.T) {
 // TestShardRestartByteIdentity is the tentpole acceptance gate: a seeded
 // panic at every shard's 2nd window forces restarts mid-stream, and the
 // recovered run must be byte-identical to the fault-free one — intervals,
-// stats and journals. Exercised at engine Workers=1 and 8 (the latter makes
-// the in-window evaluation concurrent under -race).
+// stats and journals. It runs at both values of the engine's Workers option
+// that callers still set; the option is accepted and ignored, so neither may
+// change a byte.
 func TestShardRestartByteIdentity(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			want, err := runSharded(t, testEngine(t, workers), arrivals, nil, nil)
+			opts := rtec.Options{Strict: true, Workers: workers}
+			want, err := runSharded(t, testEngineOpts(t, opts), arrivals, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runSharded(t, testEngine(t, workers), arrivals, []crash{panicAt(2)}, nil)
+			got, err := runSharded(t, testEngineOpts(t, opts), arrivals, []crash{panicAt(2)}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -360,32 +367,36 @@ func TestShardRestartByteIdentity(t *testing.T) {
 func TestShardRestartWithoutCheckpoints(t *testing.T) {
 	arrivals := testArrivals(11, 80, 60)
 	noCkpt := func(o *Options) { o.Stream.CheckpointPath = "" }
-	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, noCkpt)
+	want, err := runSharded(t, testEngine(t), arrivals, nil, noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, []crash{panicAt(2)}, noCkpt)
+	got, err := runSharded(t, testEngine(t), arrivals, []crash{panicAt(2)}, noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireIdentical(t, want, got)
 }
 
-// TestShardCheckpointGenerationFallback: tearing the checkpoint at window
-// 3's delivery, which covers window 2, and then panicking forces the
-// restart onto the previous generation; the longer replay must still land on identical bytes. The
-// maritime input is the gold event description over the 14-vessel seed-7
-// scenario, shuffled at max-delay 900 with a duplicate every 50 events: its
-// relational fluents span shards, and its windows are the ones rtecd serves.
+// TestShardCheckpointGenerationFallback: a panic at window 3's delivery
+// restarts every shard from the checkpoint that covers window 2. That
+// generation may still have been in flight when window 3 was delivered; the
+// aborted attempt waited for it, so the restart loaded it from disk. Tearing
+// it at window 3's re-delivery and panicking again forces the next restart
+// onto the previous generation; the longer replay must still land on
+// identical bytes. The maritime input is the gold event description over the
+// 14-vessel seed-7 scenario, shuffled at max-delay 900 with a duplicate every
+// 50 events: its relational fluents span shards, and its windows are the
+// ones rtecd serves.
 func TestShardCheckpointGenerationFallback(t *testing.T) {
-	chaos := []crash{{window: 3, shard: allShards, tear: true}}
+	chaos := []crash{{window: 3, shard: allShards}, {window: 3, shard: allShards, tear: true}}
 	t.Run("synthetic", func(t *testing.T) {
 		arrivals := testArrivals(7, 120, 60)
-		want, err := runSharded(t, testEngine(t, 1), arrivals, nil, nil)
+		want, err := runSharded(t, testEngine(t), arrivals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runSharded(t, testEngine(t, 1), arrivals, chaos, nil)
+		got, err := runSharded(t, testEngine(t), arrivals, chaos, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -419,6 +430,115 @@ func TestShardCheckpointGenerationFallback(t *testing.T) {
 	})
 }
 
+// TestShardCheckpointWriteFailureCommitsOnlyDurable: a checkpoint write that
+// fails behind the consumer — here because the checkpoint directory is gone —
+// fails the attempt at the next cadence point, before that cadence's
+// generation-lagged commit, so the shard's journal is committed through the
+// last generation that reached the disk and no further. A panic at window
+// 3's delivery restarts the shard from the generation covering window 2;
+// the aborted attempt waited for it, so no write is in flight when the
+// directory is removed at the re-delivery. The restart's first generation
+// then fails, the next cadence point reports it, and the shard, unable to
+// load any checkpoint, degrades.
+func TestShardCheckpointWriteFailureCommitsOnlyDurable(t *testing.T) {
+	arrivals := testArrivals(7, 120, 60)
+	first, last := arrivals.TimeRange()
+	q3 := min(first+3*100, last+1)
+	run := func(dir string, observer func(int, rtec.WindowResult)) (*bytes.Buffer, *bytes.Buffer, error) {
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		var shardJournal, events bytes.Buffer
+		sup, err := NewSupervisor(testEngine(t), Options{
+			Shards: 1,
+			Events: journal.NewWriter(&events, journal.Options{}),
+			Stream: rtec.StreamOptions{
+				RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
+				MaxDelay:        60,
+				CheckpointPath:  filepath.Join(dir, "run.ckpt"),
+				CheckpointEvery: 1,
+			},
+			JournalFor:  func(int) io.Writer { return &shardJournal },
+			OnWindow:    observer,
+			Seed:        7,
+			MaxRestarts: 8,
+			Clock:       clock.NewVirtual(time.Unix(0, 0)),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range arrivals {
+			if sup.Ingest(e) != nil {
+				break // the shard degraded
+			}
+		}
+		_, err = sup.Close()
+		return &shardJournal, &events, err
+	}
+
+	clean, _, err := run(filepath.Join(t.TempDir(), "ck"), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The generation covering window 2 is the last checkpoint the clean run
+	// journalled before window 3's delivery; the commit may reach it, since it
+	// is on disk, and nothing after it.
+	recs, err := journal.Read(bytes.NewReader(clean.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(clean.Bytes(), []byte("\n"))
+	durable := -1
+	for i, rec := range recs {
+		var w struct {
+			QueryTime int64 `json:"query_time"`
+		}
+		if rec.Type == "window" && json.Unmarshal(rec.Data, &w) == nil && w.QueryTime == q3 {
+			break
+		}
+		if rec.Type == "checkpoint" {
+			durable = i
+		}
+	}
+	if durable < 0 {
+		t.Fatal("the clean run wrote no checkpoint before window 3")
+	}
+	want := bytes.Join(lines[:durable+1], nil)
+
+	dir := filepath.Join(t.TempDir(), "ck")
+	delivered := 0
+	got, events, err := run(dir, func(_ int, wr rtec.WindowResult) {
+		if wr.Revision != 0 || wr.QueryTime != q3 {
+			return
+		}
+		delivered++
+		switch delivered {
+		case 1:
+			panic("injected panic at window 3")
+		case 2:
+			if err := os.RemoveAll(dir); err != nil {
+				panic(err)
+			}
+		}
+	})
+	if err == nil || !strings.Contains(err.Error(), "degraded") {
+		t.Fatalf("Close err = %v, want the degraded shard", err)
+	}
+	if delivered < 2 {
+		t.Fatalf("window 3 delivered %d times: the checkpoint directory was never removed", delivered)
+	}
+	var writeFailed bool
+	for _, r := range restartReasons(t, &shardedRun{events: events}) {
+		writeFailed = writeFailed || strings.Contains(r, "rtec: checkpoint: ")
+	}
+	if !writeFailed {
+		t.Fatalf("no restart names the failed checkpoint write:\n%s", events.Bytes())
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Fatalf("the shard committed past its last durable generation:\n have %s\n want %s", got.Bytes(), want)
+	}
+}
+
 // maritimeInput is the engine over the gold maritime event description and
 // background knowledge of the 14-vessel seed-7 scenario (AIS every 60 s),
 // and that scenario's events in the arrival order of a bounded shuffle at
@@ -442,7 +562,7 @@ func maritimeInput(t *testing.T) (*rtec.Engine, stream.Stream) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := rtec.New(ed, rtec.Options{Workers: 1})
+	eng, err := rtec.New(ed, rtec.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,11 +581,11 @@ func TestShardPanicUnblocksProducer(t *testing.T) {
 		o.Clock = clock.NewVirtual(time.Unix(0, 0))
 		o.QueueDepth = 2
 	}
-	want, err := runSharded(t, testEngine(t, 1), arrivals, nil, tweak)
+	want, err := runSharded(t, testEngine(t), arrivals, nil, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t, 1), arrivals, []crash{panicAt(1)}, tweak)
+	got, err := runSharded(t, testEngine(t), arrivals, []crash{panicAt(1)}, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,7 +680,7 @@ func mustSupervisor(t *testing.T, arrivals stream.Stream, crashes []crash, tweak
 	if crashes != nil {
 		opts.OnWindow = crashObserver(opts, crashes)
 	}
-	sup, err := NewSupervisor(testEngine(t, 1), opts)
+	sup, err := NewSupervisor(testEngine(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +699,7 @@ func TestSupervisorLifecycleErrors(t *testing.T) {
 	if _, err := sup.Close(); err == nil {
 		t.Fatal("second Close accepted")
 	}
-	if _, err := NewSupervisor(testEngine(t, 1), Options{Shards: 2}); err == nil {
+	if _, err := NewSupervisor(testEngine(t), Options{Shards: 2}); err == nil {
 		t.Fatal("supervisor planned without explicit bounds")
 	}
 }
@@ -613,11 +733,11 @@ func FuzzShardFaultSchedule(f *testing.F) {
 			o.Clock = clock.NewVirtual(time.Unix(0, 0))
 			o.MaxRestarts = 6
 		}
-		want, err := runSharded(t, testEngine(t, 1), arrivals, nil, tweak)
+		want, err := runSharded(t, testEngine(t), arrivals, nil, tweak)
 		if err != nil {
 			t.Fatalf("fault-free run failed: %v", err)
 		}
-		got, err := runSharded(t, testEngine(t, 1), arrivals, decodeSchedule(schedule), tweak)
+		got, err := runSharded(t, testEngine(t), arrivals, decodeSchedule(schedule), tweak)
 		if err != nil {
 			return // the schedule exhausted a shard; no identity promised
 		}

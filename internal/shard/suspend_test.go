@@ -86,7 +86,7 @@ func openFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, 
 	if crashes != nil {
 		opts.OnWindow = crashObserver(opts, crashes)
 	}
-	sup, err := NewSupervisor(testEngine(t, 1), opts)
+	sup, err := NewSupervisor(testEngine(t), opts)
 	if err != nil {
 		r.closeFiles()
 		return nil, err
@@ -250,7 +250,7 @@ func TestResumeRefusesTornSuspendCheckpoint(t *testing.T) {
 func TestSuspendRequiresCheckpointPath(t *testing.T) {
 	arrivals := testArrivals(7, 40, 60)
 	first, last := arrivals.TimeRange()
-	sup, err := NewSupervisor(testEngine(t, 1), Options{
+	sup, err := NewSupervisor(testEngine(t), Options{
 		Shards: 2,
 		Stream: rtec.StreamOptions{
 			RunOptions: rtec.RunOptions{Window: 100, Start: first, End: last + 1},
@@ -270,7 +270,7 @@ func TestSuspendRequiresCheckpointPath(t *testing.T) {
 }
 
 func TestResumeRequiresCheckpointPath(t *testing.T) {
-	_, err := NewSupervisor(testEngine(t, 1), Options{
+	_, err := NewSupervisor(testEngine(t), Options{
 		Shards: 2,
 		Stream: rtec.StreamOptions{RunOptions: rtec.RunOptions{Window: 100, Start: 0, End: 100}},
 		Resume: true,

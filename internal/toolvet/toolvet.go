@@ -57,9 +57,19 @@
 //     normalised first — delete a metric and the docs that still name it
 //     fail here.
 //
-// And a sixth holds the change log to summaries (changes.go):
+// A sixth holds the change log to summaries (changes.go):
 //
 //   - changesline: no line of CHANGES.md is longer than 300 characters.
+//
+// And a seventh keeps the frozen ledger (frozen.go): the identifiers kept as
+// inert stubs only because benchmark/, which only a change to the benchmark
+// may edit, still uses them.
+//
+//   - frozen: a doc comment line starting "frozen:" marks the field,
+//     declaration or flag registration after it. FrozenLedger lists the
+//     marks; each must still be referenced from benchmark/ (an identifier, a
+//     string literal, or a shell word such as "-workers"). One that is not
+//     has no reader left and is a finding: delete the stub.
 package toolvet
 
 import (
@@ -82,7 +92,7 @@ type Finding struct {
 	File    string
 	Line    int
 	Col     int
-	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc", "metricdoc" or "changesline"
+	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc", "metricdoc", "changesline" or "frozen"
 	Message string
 }
 
@@ -267,8 +277,9 @@ func Exempt(path string) bool {
 
 // CheckDir walks root and checks every non-exempt .go file; the signal rule
 // applies when root holds any of consumerFiles, the flagdoc rule when it
-// holds commands under cmd/, the metricdoc rule to its documents, and the
-// changesline rule when it holds CHANGES.md. Findings are ordered by file, then position.
+// holds commands under cmd/, the metricdoc rule to its documents, the
+// changesline rule when it holds CHANGES.md, and the frozen rule when it
+// holds benchmark/. Findings are ordered by file, then position.
 func CheckDir(root string) ([]Finding, error) {
 	var consumers string
 	for _, rel := range consumerFiles {
@@ -332,6 +343,17 @@ func CheckDir(root string) ([]Finding, error) {
 		return nil, err
 	}
 	out = append(out, CheckChanges(filepath.Join(root, changesFile), string(changes))...)
+	if fi, err := os.Stat(filepath.Join(root, frozenReader)); err == nil && fi.IsDir() {
+		ledger, err := FrozenLedger(root)
+		if err != nil {
+			return nil, err
+		}
+		frozen, err := CheckFrozen(root, ledger)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, frozen...)
+	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].File != out[j].File {
 			return out[i].File < out[j].File

@@ -1,6 +1,7 @@
 package toolvet
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -233,7 +234,7 @@ func main() {
 			"```\n" +
 			"\n" +
 			"      $tmp/rtec -max-delay 900 -resume\n" +
-			"Prose: `cmd/rtec -journal` and `rtec -csv`, `-shards` alone, `rtec.Options{Workers: 1}`.\n",
+			"Prose: `cmd/rtec -journal` and `rtec -csv`, `-shards` alone, `rtec.Options{}`.\n",
 	} {
 		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
 			t.Fatal(err)
@@ -394,5 +395,71 @@ var figures = []figure{{Name: "rtec.eval.ns_per_event"}}
 		if !strings.HasPrefix(got[i], want[i]) {
 			t.Errorf("finding %d = %q, want prefix %q", i, got[i], want[i])
 		}
+	}
+}
+
+// TestFrozenRule: the ledger lists every frozen marker — on a struct field
+// and on a flag registration — and the rule finds exactly the ones
+// benchmark/ no longer references: an identifier it uses and a flag it
+// passes are no finding, an identifier and a flag it dropped are one each.
+func TestFrozenRule(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"internal/x/x.go": "package x\n" +
+			"type Options struct {\n" +
+			"\t// Workers does nothing.\n" +
+			"\t//\n" +
+			"\t// frozen: read only by benchmark/ (ROADMAP 21)\n" +
+			"\tWorkers int\n" +
+			"\t// frozen: read only by benchmark/ (ROADMAP 21)\n" +
+			"\tShards int\n" +
+			"}\n",
+		"cmd/y/main.go": "package main\n" +
+			"import \"flag\"\n" +
+			"func main() {\n" +
+			"\tvar n int\n" +
+			"\t// frozen: read only by benchmark/ (ROADMAP 21)\n" +
+			"\tflag.IntVar(&n, \"workers\", 0, \"ignored\")\n" +
+			"\t// frozen: read only by benchmark/ (ROADMAP 21)\n" +
+			"\tflag.IntVar(&n, \"shards\", 1, \"ignored\")\n" +
+			"\tflag.Parse()\n" +
+			"}\n",
+		"benchmark/b.go": "package main\n" +
+			"import \"x\"\n" +
+			"var opts = x.Options{Workers: 1}\n" +
+			"var args = []string{\"-workers\", \"0\"}\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ledger, err := FrozenLedger(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, s := range ledger {
+		names = append(names, fmt.Sprintf("%s:%d %s", strings.TrimPrefix(s.File, root+string(filepath.Separator)), s.Line, s.Name))
+	}
+	if got, want := strings.Join(names, ", "), "cmd/y/main.go:5 -workers, cmd/y/main.go:7 -shards, internal/x/x.go:5 Workers, internal/x/x.go:7 Shards"; got != want {
+		t.Fatalf("ledger = %s\nwant     %s", got, want)
+	}
+	findings, err := CheckDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f.String(), root+string(filepath.Separator)))
+	}
+	want := []string{
+		"cmd/y/main.go:7:1: frozen: -shards is frozen for benchmark/, which no longer references it: delete the stub",
+		"internal/x/x.go:7:1: frozen: Shards is frozen for benchmark/, which no longer references it: delete the stub",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
