@@ -4,7 +4,8 @@
 # DESIGN.md §9), race-enabled tests for the concurrency-sensitive packages,
 # the kb index, delta, NDJSON recogniser, reorder and shard fault-schedule
 # fuzzes, and the two gates that need real processes: the rtecd daemon's
-# drain and resume, and the benchmark smoke.
+# answer against the batch oracle, its drain and resume, and the benchmark
+# smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -26,7 +27,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 bin="$tmp/bin"
 mkdir "$bin"
-go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtectop ./cmd/vet-rtec
+go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtec ./cmd/rtectop ./cmd/vet-rtec
 go build -race -o "$bin/rtecd-race" ./cmd/rtecd
 
 echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks; no documented metric the code lacks; no CHANGES.md line over 300 characters)"
@@ -41,8 +42,8 @@ echo "== go test -race (concurrency-sensitive packages)"
 # sharing one engine on concurrent goroutines, and the checkpoint writes
 # behind them, are raced by concurrency_test.go and checkpoint_test.go.
 # cmd/rtec runs one goroutine over one engine, so it is not
-# listed: the sharded runs are internal/shard's and internal/serve's tests
-# (the shard-chaos contract on the maritime input included).
+# listed: the supervised runs are internal/shard's and internal/serve's tests
+# (the chaos contract on the maritime input included).
 # cmd/experiments' TestRunAllWorkersIdentical drives the one pool that runs
 # Figures 2b, 2c and the refine chains at -workers 8.
 go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
@@ -51,9 +52,9 @@ go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
     ./internal/llm/... ./internal/prompt/... ./internal/correct/...
 
 echo "== shard hand-off stress (admission, restart and degradation wake-ups, -race -count=20)"
-# Every wait in the shard runtime (a producer on a full backlog, a drain on
-# a shard's done) is woken only by a Broadcast from the consumer or the run
-# loop; nothing polls, so a missed signal is a hang. Repeat the tests that
+# Every wait in the supervised runtime (a producer on a full backlog, a drain
+# on the engine's done) is woken only by a Broadcast from the consumer or the
+# run loop; nothing polls, so a missed signal is a hang. Repeat the tests that
 # exercise each hand-off under the race detector.
 go test -race -count=20 -run 'TestShard(PanicUnblocksProducer|DegradationAndHealth|OverflowOnDegraded)|TestAdmission' ./internal/shard
 
@@ -97,14 +98,16 @@ fuzz ./internal/stream FuzzReorderMatchesSort 10s
 echo "== shard fault-schedule fuzz (a run that survives any schedule of observer panics and torn checkpoints == the fault-free run, byte for byte)"
 fuzz ./internal/shard FuzzShardFaultSchedule 10s
 
-echo "== rtecd gate (daemon drain, resume byte-identity)"
-# Serve the maritime event description through the rtecd daemon, sharded
-# four ways. The reference is one uninterrupted run: POST the whole NDJSON
-# stream, then /finish. The run under test POSTs half the stream, is
-# SIGTERMed mid-run (graceful drain into suspend checkpoints), restarts with
-# -resume, gets the full stream re-POSTed and finishes. Its CSV and every
-# per-shard journal must be byte-identical to the reference's (same flags,
-# same arrival order). The daemon binary is race-instrumented.
+echo "== rtecd gate (exact against the batch oracle, daemon drain, resume byte-identity, -shards refusal)"
+# Serve the maritime event description through the rtecd daemon. The
+# uninterrupted run POSTs the whole shuffled NDJSON stream, then /finish; its
+# CSV must be the batch rtec's over the in-order CSV stream, byte for byte
+# (the relational fluents tugging and pilotBoarding included). The run under
+# test POSTs half the stream, is SIGTERMed mid-run (graceful drain into a
+# suspend checkpoint), restarts with -resume, gets the full stream
+# re-POSTed and finishes. Its CSV and engine journal must be byte-identical
+# to the uninterrupted run's (same flags, same arrival order). The daemon
+# binary is race-instrumented.
 "$bin/aisgen" -vessels 14 -seed 7 -background "$tmp/bg.rtec" -gold "$tmp/gold.rtec" > "$tmp/events.csv"
 cat "$tmp/gold.rtec" "$tmp/bg.rtec" > "$tmp/ed.rtec"
 "$bin/disorder" -in "$tmp/events.csv" -out "$tmp/shuffled.ndjson" -out-format ndjson \
@@ -112,7 +115,7 @@ cat "$tmp/gold.rtec" "$tmp/bg.rtec" > "$tmp/ed.rtec"
 first=$(awk -F, 'NR==1{m=$1} $1<m{m=$1} END{print m}' "$tmp/events.csv")
 last=$(awk -F, 'NR==1{M=$1} $1>M{M=$1} END{print M}' "$tmp/events.csv")
 rtecd_flags="-ed $tmp/ed.rtec -listen 127.0.0.1:0 -window 3600 -max-delay 900
-    -start $first -end $((last + 1)) -shards 4
+    -start $first -end $((last + 1)) -shards 1
     -checkpoint $tmp/d.ckpt -journal $tmp/d.jsonl"
 start_rtecd() {
     # $1: extra flags; sets $rtecd_pid and $rtecd_addr.
@@ -150,6 +153,12 @@ post_ok "$tmp/shuffled.ndjson"
 curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd-clean.csv"
 kill -TERM "$rtecd_pid"
 wait "$rtecd_pid" || true
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -csv > "$tmp/batch.csv"
+if ! cmp -s "$tmp/batch.csv" "$tmp/rtecd-clean.csv"; then
+    echo "rtecd gate: daemon CSV differs from the batch rtec oracle:" >&2
+    diff "$tmp/batch.csv" "$tmp/rtecd-clean.csv" >&2 || true
+    exit 1
+fi
 half=$(($(wc -l < "$tmp/shuffled.ndjson") / 2))
 head -n "$half" "$tmp/shuffled.ndjson" > "$tmp/firsthalf.ndjson"
 start_rtecd "$rtecd_flags"
@@ -180,12 +189,25 @@ if ! cmp -s "$tmp/rtecd-clean.csv" "$tmp/rtecd.csv"; then
     diff "$tmp/rtecd-clean.csv" "$tmp/rtecd.csv" >&2 || true
     exit 1
 fi
-for k in 0 1 2 3; do
-    if ! cmp -s "$tmp/clean.jsonl.s$k" "$tmp/d.jsonl.s$k"; then
-        echo "rtecd gate: shard $k journal diverged across drain-and-resume" >&2
-        exit 1
-    fi
-done
+if ! cmp -s "$tmp/clean.jsonl.s0" "$tmp/d.jsonl.s0"; then
+    echo "rtecd gate: engine journal diverged across drain-and-resume" >&2
+    exit 1
+fi
+# -shards is kept only for the benchmark, which passes 1: any other value
+# must fail the start before the port is bound or a journal is created. A
+# daemon that started would wait for a signal; timeout ends it, and the
+# listening line fails the leg.
+if timeout 30 "$bin/rtecd-race" -ed "$tmp/ed.rtec" -listen 127.0.0.1:0 -window 3600 \
+    -start "$first" -end $((last + 1)) -shards 4 \
+    -checkpoint "$tmp/refused.ckpt" -journal "$tmp/refused.jsonl" 2> "$tmp/rtecd-err.txt"; then
+    echo "rtecd gate: -shards 4 started" >&2
+    exit 1
+fi
+if grep -q 'listening on' "$tmp/rtecd-err.txt" || [ -e "$tmp/refused.jsonl" ]; then
+    echo "rtecd gate: -shards 4 was refused only after binding or opening its journal:" >&2
+    cat "$tmp/rtecd-err.txt" >&2
+    exit 1
+fi
 
 echo "== benchmark smoke (benchmark/ must drive rtecd end to end)"
 # A 2-second run of the repository's one benchmark harness: a real rtecd over

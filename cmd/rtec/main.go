@@ -1,13 +1,13 @@
 // Command rtec runs the Run-Time Event Calculus over an event stream: given
 // an event-description file (rules, declarations and background knowledge)
 // and a CSV stream of input events, it prints the maximal intervals of
-// every recognised fluent-value pair. It is the unsharded, sequential,
-// batch reference: it reads a file, evaluates every window in one
-// goroutine on one engine, runs to completion and exits. Streaming
-// ingestion — out-of-order arrivals within a delay bound, checkpoints and
-// resume, the audit journal — and everything sharded and long-lived
-// (HTTP ingest, subscriptions, /metrics, /healthz, /debug/pprof/, graceful
-// drain) is cmd/rtecd.
+// every recognised fluent-value pair. It is the sequential batch
+// reference: it reads a file, evaluates every window in one goroutine on
+// one engine, runs to completion and exits. Streaming ingestion —
+// out-of-order arrivals within a delay bound, checkpoints and resume, the
+// audit journal — and everything long-lived (HTTP ingest, subscriptions,
+// /metrics, /healthz, /debug/pprof/, graceful drain) is cmd/rtecd, whose
+// /finish CSV is this command's over the same events.
 //
 // Usage:
 //

@@ -1,12 +1,14 @@
 // Command rtecd is the long-lived recognition daemon: it serves the RTEC
-// engine over HTTP, ingesting NDJSON event streams into the supervised
-// shard runtime and publishing window deliveries to subscribers.
+// engine over HTTP, ingesting NDJSON event streams into one supervised,
+// crash-recovering engine and publishing window deliveries to subscribers.
+// The engine sees the whole stream, so the /finish CSV is cmd/rtec's over
+// the same events.
 //
 // Usage:
 //
 //	rtecd -ed rules.rtec -listen :8080 -window W -start T0 -end T1 -checkpoint base
 //	      [-slide S] [-max-delay D] [-lenient]
-//	      [-shards N] [-checkpoint-every N] [-journal file] [-journal-cap N]
+//	      [-checkpoint-every N] [-journal file] [-journal-cap N]
 //	      [-resume] [-v]
 //
 // The HTTP surface (one port for everything):
@@ -16,42 +18,40 @@
 //	                 quarantines instead. 429/503 with Retry-After signal
 //	                 overload — re-POSTing is safe, duplicates are deduplicated.
 //	                 A 429 (full ingest queue) applied nothing; a 503 naming
-//	                 a degraded shard means the run cannot finish.
+//	                 the degraded engine means the run cannot finish.
 //	GET  /subscribe  SSE stream of window deliveries; ?fluent=name/arity and
 //	                 ?entity=e filter.
-//	POST /finish     ends the stream: shards close, the merged recognition
-//	                 CSV is the response — a 500 naming the shard instead
-//	                 when one degraded.
+//	POST /finish     ends the stream: the engine closes, the recognition
+//	                 CSV is the response — a 500 naming the engine instead
+//	                 when it degraded.
 //	GET  /result     the cached answer of /finish.
-//	GET  /healthz    lifecycle + shard readiness (503 unless ready/finished).
+//	GET  /healthz    lifecycle + engine readiness (503 unless ready/finished).
 //	GET  /metrics    Prometheus text exposition; /debug/pprof/, /debug/vars.
 //
-// rtecd is the only front end to the shard runtime: a one-shot sharded run
-// is an rtecd run whose client POSTs the whole stream and then /finish.
-// It is also the only streaming front end: out-of-order ingestion,
-// checkpoints, resume and the audit journal. cmd/rtec is the unsharded batch
+// rtecd is the only streaming front end: out-of-order ingestion,
+// checkpoints, resume and the audit journal. cmd/rtec is the batch
 // reference.
 //
-// The restart budget per shard (5), the per-shard backlog bound (256
-// arrivals; a full shard queue blocks the ingest pump), the ingest queue (16
-// batches), the request deadline (30 s), the Retry-After hint (1 s), the
-// body cap (8 MiB), the per-subscriber buffer (64 frames, eviction after 256
-// drops) and the shutdown connection drain (5 s) are constants: the zero-value defaults of serve.Options and
-// shard.Options. So is the backoff jitter seed, backoffSeed. Each shard
-// evaluates its windows on its own goroutine, so -shards is the one
-// parallelism; -workers is kept only for the benchmark, which passes 0, and
-// any other value fails the start. The event
+// The restart budget (5), the backlog bound (256 arrivals; a full engine
+// queue blocks the ingest pump), the ingest queue (16 batches), the request
+// deadline (30 s), the Retry-After hint (1 s), the body cap (8 MiB), the
+// per-subscriber buffer (64 frames, eviction after 256 drops) and the
+// shutdown connection drain (5 s) are constants: the zero-value defaults
+// of serve.Options and shard.Options. So is the backoff jitter seed,
+// backoffSeed. The engine evaluates its windows on its own goroutine.
+// -shards and -workers are kept only for the benchmark, which passes 1 and
+// 0; any other value fails the start. The event
 // description loads strictly. A plan the engine refuses (a -slide above
 // -window, a negative one, -start at or past -end) fails the start, before
 // the port is bound or a journal is created, and so does a rule the engine
 // cannot run (a cyclic definition, a malformed condition).
 //
 // SIGTERM or SIGINT drains gracefully: ingest stops, admitted events are
-// processed to completion, every shard parks into a suspend checkpoint
-// ("<-checkpoint>.s<k>") with its journal committed through it, and the
+// processed to completion, the engine parks into a suspend checkpoint
+// ("<-checkpoint>.s0") with its journal committed through it, and the
 // process exits 0. Restarting with -resume and re-POSTing the same stream
 // continues the run with output byte-identical to an uninterrupted one. A
-// second signal force-exits. After a /finish that a degraded shard failed,
+// second signal force-exits. After a /finish that a degraded engine failed,
 // the signal ends the process with that error and exit status 1.
 package main
 
@@ -69,7 +69,7 @@ import (
 	"rtecgen/internal/telemetry/journal"
 )
 
-// backoffSeed seeds every shard's restart backoff jitter. It is recorded in
+// backoffSeed seeds the engine's restart backoff jitter. It is recorded in
 // the lifecycle journal's shards_start record.
 const backoffSeed = 7
 
@@ -101,14 +101,15 @@ func main() {
 	flag.Int64Var(&o.end, "end", 0, "one past the last time-point of the run (required)")
 	flag.Int64Var(&o.maxDelay, "max-delay", 0, "bounded-delay disorder tolerance in time-points")
 	// frozen: read only by benchmark/ (ROADMAP 21)
-	flag.IntVar(&o.workers, "workers", 0, "kept for the benchmark: only 0 is accepted (each shard evaluates its windows on its own goroutine; -shards is the parallelism)")
+	flag.IntVar(&o.workers, "workers", 0, "kept for the benchmark: only 0 is accepted (the engine evaluates its windows on its own goroutine)")
 	flag.BoolVar(&o.lenient, "lenient", false, "quarantine malformed NDJSON lines instead of rejecting the request")
-	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint base path (required): shard k parks into \"<base>.s<k>\" on drain")
+	flag.StringVar(&o.checkpoint, "checkpoint", "", "checkpoint base path (required): the engine parks into \"<base>.s0\" on drain")
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
-	flag.StringVar(&o.journalPath, "journal", "", "append the lifecycle journal here and shard k's audit journal to \"<file>.s<k>\"")
+	flag.StringVar(&o.journalPath, "journal", "", "append the lifecycle journal here and the engine's audit journal to \"<file>.s0\"")
 	flag.Int64Var(&o.journalCap, "journal-cap", 0, "cap each journal's size in bytes (0 = unbounded)")
-	flag.BoolVar(&o.resume, "resume", false, "resume a drained run from its suspend checkpoints (re-POST the same stream)")
-	flag.IntVar(&o.shards, "shards", 1, "partition the stream across N supervised engine shards")
+	flag.BoolVar(&o.resume, "resume", false, "resume a drained run from its suspend checkpoint (re-POST the same stream)")
+	// frozen: read only by benchmark/ (ROADMAP 21)
+	flag.IntVar(&o.shards, "shards", 1, "kept for the benchmark: only 1 is accepted (one engine serves the whole stream)")
 	flag.BoolVar(&o.verbose, "v", false, "structured debug logging to stderr")
 	flag.Parse()
 
@@ -133,7 +134,10 @@ func run(o options, stderr *os.File) error {
 		return fmt.Errorf("-start and -end are required: a daemon cannot inspect the whole stream up front")
 	}
 	if o.workers != 0 {
-		return fmt.Errorf("-workers %d: only 0 is accepted; each shard evaluates its windows on its own goroutine", o.workers)
+		return fmt.Errorf("-workers %d: only 0 is accepted; the engine evaluates its windows on its own goroutine", o.workers)
+	}
+	if o.shards != 1 {
+		return fmt.Errorf("-shards %d: only 1 is accepted; one engine serves the whole stream", o.shards)
 	}
 	if o.journalPath != "" && o.journalPath == o.checkpoint {
 		return fmt.Errorf("-journal and -checkpoint name the same file")
@@ -156,7 +160,6 @@ func run(o options, stderr *os.File) error {
 	}
 
 	d, err := serve.New(eng, serve.Options{
-		Shards: o.shards,
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: o.window, Slide: o.slide, Start: o.start, End: o.end},
 			MaxDelay:        o.maxDelay,

@@ -49,9 +49,9 @@ func testEvents(n int) stream.Stream {
 
 // TestRunRefusesBadPlan: a geometry the engine refuses fails the start
 // before the port is bound or a journal file is created, instead of a
-// daemon whose every shard is degraded; so does a journal on the
-// checkpoint's path, which a checkpoint rename would replace, and a -workers
-// other than 0 (a stub the benchmark passes 0 to).
+// daemon whose engine is degraded; so does a journal on the checkpoint's
+// path, which a checkpoint rename would replace, a -workers other than 0
+// and a -shards other than 1 (stubs the benchmark passes 0 and 1 to).
 func TestRunRefusesBadPlan(t *testing.T) {
 	dir := t.TempDir()
 	edPath := filepath.Join(dir, "ed.rtec")
@@ -66,7 +66,7 @@ func TestRunRefusesBadPlan(t *testing.T) {
 	} {
 		o := options{
 			edPath: edPath, listen: "127.0.0.1:0",
-			window: 3600, start: 1, end: 100000, shards: 2,
+			window: 3600, start: 1, end: 100000, shards: 1,
 			checkpoint:  filepath.Join(dir, "ck"),
 			journalPath: filepath.Join(dir, "d.jsonl"),
 		}
@@ -84,6 +84,13 @@ func TestRunRefusesBadPlan(t *testing.T) {
 		window: 3600, start: 1, end: 100000, shards: 1, workers: 2,
 		checkpoint: filepath.Join(dir, "ck"), journalPath: filepath.Join(dir, "w.jsonl"),
 	}, "-workers 2")
+	for _, shards := range []int{0, 2, 4} {
+		refused(t, "shards stub", options{
+			edPath: edPath, listen: "127.0.0.1:0",
+			window: 3600, start: 1, end: 100000, shards: shards,
+			checkpoint: filepath.Join(dir, "ck"), journalPath: filepath.Join(dir, "s.jsonl"),
+		}, fmt.Sprintf("-shards %d", shards))
+	}
 }
 
 // unrunnable are rules a lenient engine would drop at load, each appended to

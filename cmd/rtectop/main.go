@@ -8,10 +8,10 @@
 //     rates are computed from consecutive scrapes. A DAEMON section leads
 //     the board with the lifecycle state, ingest admission counters
 //     (throttles, unavailability, timeouts, rejects) and subscription
-//     fan-out health; a SHARDS section follows the shard runtime.
+//     fan-out health; a SHARDS section follows the supervised engine.
 //   - -journal file replays a recognition audit journal (JSONL) and
-//     renders the run's final board once: a shard journal of
-//     `rtecd -journal file` ("<file>.s<k>", whose window, checkpoint and
+//     renders the run's final board once: the engine journal of
+//     `rtecd -journal file` ("<file>.s0", whose window, checkpoint and
 //     run_end records fill the board), or its lifecycle journal (whose
 //     shards_start, shard_restart and shard_degraded records fill the
 //     SHARDS section).
@@ -144,8 +144,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	var windows, revisions, firsts, writes float64
 	var ckptBytes float64
 	var emitLags []float64
-	shardRestarts := map[int]float64{}
-	shardDegraded := map[int]float64{}
 	var shards, restarts, degraded float64
 	var end struct {
 		Accepted   float64 `json:"accepted"`
@@ -193,21 +191,9 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 			_ = unmarshalData(rec.Data, &s)
 			shards = s.Shards
 		case "shard_restart":
-			var s struct {
-				Shard int `json:"shard"`
-			}
-			if err := unmarshalData(rec.Data, &s); err != nil {
-				return nil, "", fmt.Errorf("%s: seq %d: %w", path, rec.Seq, err)
-			}
 			restarts++
-			shardRestarts[s.Shard]++
 		case "shard_degraded":
-			var s struct {
-				Shard int `json:"shard"`
-			}
-			_ = unmarshalData(rec.Data, &s)
 			degraded++
-			shardDegraded[s.Shard] = 1
 		case "run_end":
 			haveEnd = true
 			_ = unmarshalData(rec.Data, &end)
@@ -233,12 +219,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	if shards > 0 || restarts > 0 || degraded > 0 {
 		put("rtec_shard_restarts_total", "counter", restarts)
 		put("rtec_shard_degraded", "gauge", degraded)
-		for k, n := range shardRestarts {
-			put(fmt.Sprintf("rtec_shard_s%d_restarts_total", k), "counter", n)
-		}
-		for k, v := range shardDegraded {
-			put(fmt.Sprintf("rtec_shard_s%d_degraded", k), "gauge", v)
-		}
 	}
 	m["rtec_window_emit_lag"] = histMetric("rtec_window_emit_lag", lagBuckets, emitLags)
 
@@ -378,23 +358,17 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 		fmt.Fprintf(w, "  writes %.0f  restores %.0f  bytes %.0f  fallbacks %.0f\n", writes, restores, bytes, fallbacks)
 	}
 
-	if ids := shardIDs(m); len(ids) > 0 {
-		restarts, _ := val("rtec_shard_restarts_total")
+	restarts, haveRestarts := val("rtec_shard_restarts_total")
+	consumed, haveConsumed := val("rtec_shard_consumed")
+	if haveRestarts || haveConsumed {
 		degraded, _ := val("rtec_shard_degraded")
 		fmt.Fprintln(w, "\nSHARDS")
 		fmt.Fprintf(w, "  restarts %.0f  degraded %.0f%s\n",
 			restarts, degraded, rate("rtec_shard_restarts_total"))
-		for _, k := range ids {
-			sv := func(name string) float64 {
-				v, _ := val(fmt.Sprintf("rtec_shard_s%d_%s", k, name))
-				return v
-			}
-			state := "ok"
-			if sv("degraded") > 0 {
-				state = "DEGRADED"
-			}
-			fmt.Fprintf(w, "  s%-3d consumed %-8.0f windows %-6.0f queue %-5.0f restarts %-4.0f %s\n",
-				k, sv("consumed"), sv("windows"), sv("queue_depth"), sv("restarts_total"), state)
+		if haveConsumed {
+			windows, _ := val("rtec_shard_windows")
+			queue, _ := val("rtec_shard_queue_depth")
+			fmt.Fprintf(w, "  consumed %.0f  windows %.0f  queue %.0f\n", consumed, windows, queue)
 		}
 	}
 }
@@ -402,25 +376,6 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 // daemonStates mirrors the rtecd lifecycle encoding behind the serve_state
 // gauge (see internal/serve).
 var daemonStates = [...]string{"starting", "ready", "draining", "suspended", "finishing", "finished"}
-
-var shardMetricRE = regexp.MustCompile(`^rtec_shard_s(\d+)_(restarts_total|queue_depth|consumed|windows|degraded)$`)
-
-// shardIDs returns the shard indices present in the metric families, sorted.
-func shardIDs(m map[string]*telemetry.PromMetric) []int {
-	seen := map[int]bool{}
-	for name := range m {
-		if sub := shardMetricRE.FindStringSubmatch(name); sub != nil {
-			k, _ := strconv.Atoi(sub[1])
-			seen[k] = true
-		}
-	}
-	ids := make([]int, 0, len(seen))
-	for k := range seen {
-		ids = append(ids, k)
-	}
-	sort.Ints(ids)
-	return ids
-}
 
 // histLine prints one latency row: count, mean, p50, p95.
 func histLine(w io.Writer, m map[string]*telemetry.PromMetric, label, name, unit string) {

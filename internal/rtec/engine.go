@@ -57,8 +57,8 @@ func (w Warning) String() string {
 
 // uniqueWarnings returns the warnings without repeats, each where it first
 // occurs: what Recognition.Warnings holds however the run was driven — a
-// fluent that warns alike in ten windows, or again in a revision, or in two
-// shards, is listed once. (The log carries one line per window.)
+// fluent that warns alike in ten windows, or again in a revision, is listed
+// once. (The log carries one line per window.)
 func uniqueWarnings(ws []Warning) []Warning {
 	var out []Warning
 	seen := make(map[Warning]bool, len(ws))

@@ -129,7 +129,7 @@ func (w *windowState) store(fvp *lang.Term, id lang.InternID, list intervals.Lis
 // when unknown — an undefined or never-holding FVP has no intervals). The
 // lookup goes through the intern table, so it builds no term, renders no
 // string and takes only a read lock, making it safe and cheap from runs on
-// concurrent goroutines sharing the engine (rtecd's shards).
+// concurrent goroutines sharing the engine.
 func (w *windowState) listOf(fvp *lang.Term, b *lang.Bindings) intervals.List {
 	id, ok := w.eng.interner.Lookup(fvp, b)
 	if !ok {

@@ -4,25 +4,23 @@ import (
 	"errors"
 	"fmt"
 
-	"rtecgen/internal/intervals"
-	"rtecgen/internal/lang"
 	"rtecgen/internal/stream"
 )
 
-// StreamRunner is the streaming engine's one loop, and the shard-service
+// StreamRunner is the streaming engine's one loop, and the supervisor's
 // seam. It accepts one arrival at a time (Ingest), admits it through the
 // bounded-delay reorder buffer, delivers windows and revises the ones late
 // arrivals marked, checkpoints on the configured cadence, and produces the
 // amalgamated result on Finish;
 // RunStream is a runner fed a complete arrival-ordered slice. The supervised
-// shard runtime (internal/shard) feeds each shard's entity partition through
-// its own runner; a runner is not safe for concurrent use.
+// runtime (internal/shard) feeds the daemon's stream through one runner per
+// attempt; a runner is not safe for concurrent use.
 //
 // A runner built with NewStreamRunner never sees the whole stream, so the run
 // geometry cannot be derived from it: StreamOptions.Start and End must be
 // set explicitly. Every runner over the same explicit bounds plans the
-// identical window sequence, which is what lets per-shard results merge
-// deterministically.
+// identical window sequence, which is what lets a restarted or resumed
+// runner continue a checkpoint.
 type StreamRunner struct {
 	st       *streamRun
 	finished bool
@@ -42,8 +40,8 @@ var errUnbounded = errors.New("rtec: incremental streaming needs explicit RunOpt
 
 // CheckStreamOptions reports whether NewStreamRunner accepts opts, without
 // building a runner: explicit Start/End bounds and what planStream checks.
-// A caller that starts several runners on one plan (the shard supervisor)
-// refuses a bad plan with it before any of them starts.
+// A caller that starts runners later, on its own goroutine (the shard
+// supervisor), refuses a bad plan with it before any of them starts.
 func CheckStreamOptions(opts StreamOptions) error {
 	if opts.Start == 0 && opts.End == 0 {
 		return errUnbounded
@@ -53,7 +51,7 @@ func CheckStreamOptions(opts StreamOptions) error {
 }
 
 // ResumeStreamRunner rebuilds a runner from a loaded checkpoint — the one
-// resume path, taken by a restarted or resumed shard. It journals nothing
+// resume path, taken by a restarted or resumed supervised engine. It journals nothing
 // of the restore, not even run_start: the shard runtime stages journal
 // records and rolls the uncommitted suffix back before replaying, so a
 // crash-and-restart is invisible in the audit trail and the journal stays
@@ -141,46 +139,3 @@ func (r *StreamRunner) Windows() int { return r.st.emitted }
 // Checkpoints returns how many snapshots this run has written (including
 // those counted by the checkpoint it was resumed from).
 func (r *StreamRunner) Checkpoints() int64 { return r.st.stats.Checkpoints }
-
-// EventEntity is the consistent entity key of an arrival: the hash of the
-// event's first argument (e.g. the vessel of a change_in_speed_start), or of
-// the whole atom for a zero-arity event. The shard supervisor routes arrivals
-// with it, so an entity's events always land in one partition.
-func EventEntity(ev stream.Event) uint64 {
-	if len(ev.Atom.Args) > 0 {
-		return lang.Hash(ev.Atom.Args[0], nil)
-	}
-	return lang.Hash(ev.Atom, nil)
-}
-
-// MergeRecognitions unions per-partition recognitions into one result, as
-// if a single engine had recognised the concatenated streams: intervals of
-// the same fluent-value pair are unioned, warnings are deduplicated in
-// order, and the bounds are the widest seen. The shard supervisor merges
-// its entity partitions through this; it is exact when every fluent's
-// intervals come from one partition (entity-local rules), the same locality
-// assumption the PR 5 in-window entity sharding relies on.
-func MergeRecognitions(rs ...*Recognition) *Recognition {
-	out := newRecognition(0, 0)
-	var warnings []Warning
-	for _, rec := range rs {
-		if rec == nil {
-			continue
-		}
-		if out.Start == 0 && out.End == 0 || rec.Start < out.Start {
-			out.Start = rec.Start
-		}
-		if rec.End > out.End {
-			out.End = rec.End
-		}
-		for key, ivals := range rec.byKey {
-			out.byKey[key] = intervals.Union(out.byKey[key], ivals)
-			if _, ok := out.fvps[key]; !ok {
-				out.fvps[key] = rec.fvps[key]
-			}
-		}
-		warnings = append(warnings, rec.Warnings...)
-	}
-	out.Warnings = uniqueWarnings(warnings)
-	return out
-}

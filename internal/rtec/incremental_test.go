@@ -241,42 +241,3 @@ func TestStreamRunnerLifecycleErrors(t *testing.T) {
 	}
 	_ = errors.Is(errTwice, nil)
 }
-
-func TestMergeRecognitions(t *testing.T) {
-	e := mustEngine(t, withinAreaED, Options{Strict: true})
-	full := stream.Stream{
-		ev(2, "entersArea(v1, a1)"),
-		ev(5, "entersArea(v2, a2)"),
-		ev(30, "leavesArea(v1, a1)"),
-		ev(35, "leavesArea(v2, a2)"),
-	}
-	want, err := e.Run(full, RunOptions{Window: 10, Start: 0, End: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Partition by entity, recognise separately, merge.
-	var parts []*Recognition
-	for _, vessel := range []string{"v1", "v2"} {
-		var sub stream.Stream
-		for _, e := range full {
-			if e.Atom.Args[0].String() == vessel {
-				sub = append(sub, e)
-			}
-		}
-		rec, err := e.Run(sub, RunOptions{Window: 10, Start: 0, End: 40})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, rec)
-	}
-	got := MergeRecognitions(parts...)
-	if a, b := csvOf(t, want), csvOf(t, got); a != b {
-		t.Fatalf("merged partitions differ from global run:\n%s\nvs\n%s", b, a)
-	}
-	if got.Start != 0 || got.End != 40 {
-		t.Fatalf("merged bounds [%d,%d), want [0,40)", got.Start, got.End)
-	}
-	if m := MergeRecognitions(nil, nil); len(m.byKey) != 0 {
-		t.Fatal("merging nils produced intervals")
-	}
-}

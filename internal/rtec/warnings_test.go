@@ -369,8 +369,8 @@ func TestRuntimeWarningsMatchOracle(t *testing.T) {
 	t.Logf("%d operators; dropConditions left %d doomed (condition, window) pairs", len(ops), doomed)
 }
 
-// TestUniqueWarnings: batch, streaming and merged results list a warning
-// once, where it first occurred.
+// TestUniqueWarnings: batch and streaming results list a warning once, where
+// it first occurred.
 func TestUniqueWarnings(t *testing.T) {
 	e := mustEngine(t, doomedRulesED, Options{})
 	events := doomedRulesEvents()
@@ -387,10 +387,6 @@ func TestUniqueWarnings(t *testing.T) {
 	}
 	if n := len(rec.Warnings); n != len(doomedRulesWarnings) {
 		t.Errorf("%d warnings over three windows, want %d", n, len(doomedRulesWarnings))
-	}
-	merged := MergeRecognitions(rec, nil, rec)
-	if !reflect.DeepEqual(merged.Warnings, rec.Warnings) {
-		t.Errorf("merging a result with itself lists %v, want %v", merged.Warnings, rec.Warnings)
 	}
 	if got := uniqueWarnings(nil); got != nil {
 		t.Errorf("no warnings list as %v, want nil", got)

@@ -1,5 +1,5 @@
 // Package serve is the long-lived recognition daemon behind cmd/rtecd: an
-// HTTP front-end over the supervised shard runtime (internal/shard) that
+// HTTP front-end over the supervised engine runtime (internal/shard) that
 // ingests NDJSON event streams, publishes window deliveries to subscribers,
 // and survives both overload and termination.
 //
@@ -14,18 +14,18 @@
 // Overload protection is layered: request bodies are size-capped, the
 // ingest queue is bounded (a full queue answers 429 with Retry-After
 // immediately instead of holding the connection, and the refused batch
-// applied nothing), a full shard queue blocks the ingest pump rather than
+// applied nothing), a full engine queue blocks the ingest pump rather than
 // refusing, a request that waits longer than the ingest deadline gets 503
 // and may safely retry (the reorder buffer deduplicates re-sent events), and
 // subscription buffers drop-with-counter rather than block the engine,
 // evicting consumers that fall hopelessly behind.
 //
-// A shard that degrades fails the run loudly: an arrival routed to it gets
+// An engine that degrades fails the run loudly: every later arrival gets
 // 503, and /finish and /result answer 500 naming it instead of a CSV that
-// silently lacks its intervals.
+// silently lacks intervals.
 //
 // Draining is graceful: ingest stops (new requests get 503), the in-flight
-// batch finishes, every shard processes its admitted backlog, writes a
+// batch finishes, the engine processes its admitted backlog, writes a
 // suspend checkpoint and commits its staged journal through it, subscribers
 // are disconnected and the HTTP server drains under a deadline. A new
 // process started with Resume and re-fed the same stream continues the run
@@ -66,33 +66,37 @@ var stateNames = [...]string{"starting", "ready", "draining", "suspended", "fini
 
 // Options configure a Daemon.
 type Options struct {
-	// Shards, Stream, MaxRestarts, Seed and Clock configure the underlying
-	// shard supervisor (see shard.Options). Stream.CheckpointPath is
-	// required: the daemon parks into it on drain. Stream.Start/End must
-	// bound the time-line (a daemon cannot inspect the whole stream up front
-	// the way cmd/rtec does), and a plan rtec.CheckStreamOptions refuses
-	// fails New before any file is opened. rtecd sets Shards and Stream from
-	// flags and Seed to a constant; MaxRestarts and Clock keep their
-	// defaults there (5, the real clock) and exist for tests. The per-shard
-	// backlog bound is shard.Options' default of 256 arrivals.
-	Shards      int
+	// Shards does nothing: the daemon runs one supervised engine, whatever
+	// its value.
+	//
+	// frozen: read only by benchmark/ (ROADMAP 21)
+	Shards int
+	// Stream, MaxRestarts, Seed and Clock configure the underlying
+	// supervisor (see shard.Options). Stream.CheckpointPath is required:
+	// the daemon parks into it on drain. Stream.Start/End must bound the
+	// time-line (a daemon cannot inspect the whole stream up front the way
+	// cmd/rtec does), and a plan rtec.CheckStreamOptions refuses fails New
+	// before any file is opened. rtecd sets Stream from flags and Seed to a
+	// constant; MaxRestarts and Clock keep their defaults there (5, the
+	// real clock) and exist for tests. The backlog bound is shard.Options'
+	// default of 256 arrivals.
 	Stream      rtec.StreamOptions
 	MaxRestarts int
 	Seed        int64
 	// onWindow, when non-nil, observes every window delivery after the
-	// subscription hub has published it: the tests fail shards by panicking
-	// in it (see shard.Options.OnWindow).
+	// subscription hub has published it: the tests fail the engine by
+	// panicking in it (see shard.Options.OnWindow).
 	onWindow func(shard int, wr rtec.WindowResult)
 
 	// JournalPath, when non-empty, appends the supervisor lifecycle journal
-	// there and shard k's byte-deterministic journal to "<path>.s<k>". With
+	// there and the engine's byte-deterministic journal to "<path>.s0". With
 	// Resume, existing files are validated, torn tails truncated, and the
 	// writers continue them.
 	JournalPath string
 	JournalOpts journal.Options
 
-	// Resume continues a run a previous process parked with Drain: shards
-	// restore from their suspend checkpoints and the client re-POSTs the
+	// Resume continues a run a previous process parked with Drain: the
+	// engine restores from its suspend checkpoint and the client re-POSTs the
 	// same stream — the replayed prefix is skipped at admission.
 	Resume bool
 
@@ -186,7 +190,7 @@ type Daemon struct {
 }
 
 // New builds the daemon: journals are opened (and, under Resume, recovered),
-// the shard supervisor is started, and the HTTP surface is mounted on an
+// the supervisor is started, and the HTTP surface is mounted on an
 // embedded telemetry server — /metrics, /healthz and the pprof endpoints
 // share the port with /ingest, /subscribe, /finish and /result. Call Start
 // to bind; until then /ingest answers 503 ("starting").
@@ -232,7 +236,7 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 	d.describeMetrics()
 	d.hub = newHub(d, opts.SubBuffer, opts.SubEvict)
 
-	journalFor, journalInfoFor, err := d.openJournals()
+	journalFor, journalInfo, err := d.openJournals()
 	if err != nil {
 		return nil, err
 	}
@@ -244,18 +248,17 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 		}
 	}
 	sup, err := shard.NewSupervisor(eng, shard.Options{
-		Shards:         opts.Shards,
-		Stream:         opts.Stream,
-		JournalFor:     journalFor,
-		JournalOpts:    opts.JournalOpts,
-		JournalInfoFor: journalInfoFor,
-		Resume:         opts.Resume,
-		OnWindow:       onWindow,
-		Events:         d.jw,
-		MaxRestarts:    opts.MaxRestarts,
-		Seed:           opts.Seed,
-		Clock:          opts.Clock,
-		Telemetry:      opts.Telemetry,
+		Stream:      opts.Stream,
+		JournalFor:  journalFor,
+		JournalOpts: opts.JournalOpts,
+		JournalInfo: journalInfo,
+		Resume:      opts.Resume,
+		OnWindow:    onWindow,
+		Events:      d.jw,
+		MaxRestarts: opts.MaxRestarts,
+		Seed:        opts.Seed,
+		Clock:       opts.Clock,
+		Telemetry:   opts.Telemetry,
 	})
 	if err != nil {
 		d.closeJournals()
@@ -278,13 +281,13 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 	return d, nil
 }
 
-// openJournals opens the lifecycle journal and the per-shard journal files,
-// recovering existing ones under Resume: the lifecycle journal gets a
-// journal_recovered marker (it is diagnostic, not byte-deterministic), the
-// shard journals get none — their writers silently continue the committed
-// sequence so the appended suffix keeps the files byte-identical to an
-// uninterrupted run's.
-func (d *Daemon) openJournals() (func(k int) io.Writer, func(k int) *journal.RecoverInfo, error) {
+// openJournals opens the lifecycle journal and the engine's journal file
+// "<path>.s0", recovering existing ones under Resume: the lifecycle journal
+// gets a journal_recovered marker (it is diagnostic, not
+// byte-deterministic), the engine journal gets none — its writer silently
+// continues the committed sequence so the appended suffix keeps the file
+// byte-identical to an uninterrupted run's.
+func (d *Daemon) openJournals() (func(k int) io.Writer, *journal.RecoverInfo, error) {
 	if d.opts.JournalPath == "" {
 		return nil, nil, nil
 	}
@@ -295,24 +298,13 @@ func (d *Daemon) openJournals() (func(k int) io.Writer, func(k int) *journal.Rec
 	d.jFiles = append(d.jFiles, lf)
 	d.jw = jw
 
-	shards := d.opts.Shards
-	if shards <= 0 {
-		shards = 1
+	f, _, info, err := journal.Open(d.opts.JournalPath+".s0", d.opts.JournalOpts, d.opts.Resume, false)
+	if err != nil {
+		d.closeJournals()
+		return nil, nil, err
 	}
-	files := make([]*os.File, shards)
-	infos := make([]*journal.RecoverInfo, shards)
-	for k := range files {
-		f, _, info, err := journal.Open(fmt.Sprintf("%s.s%d", d.opts.JournalPath, k), d.opts.JournalOpts, d.opts.Resume, false)
-		if err != nil {
-			d.closeJournals()
-			return nil, nil, err
-		}
-		d.jFiles = append(d.jFiles, f)
-		files[k], infos[k] = f, info
-	}
-	journalFor := func(k int) io.Writer { return files[k] }
-	journalInfoFor := func(k int) *journal.RecoverInfo { return infos[k] }
-	return journalFor, journalInfoFor, nil
+	d.jFiles = append(d.jFiles, f)
+	return func(int) io.Writer { return f }, info, nil
 }
 
 func (d *Daemon) closeJournals() error {
@@ -401,8 +393,8 @@ func (d *Daemon) apply(b *batch) error {
 // order. Responses: 200 with accepted/quarantined counts; line-numbered 400
 // on malformed lines (strict mode); 413 over MaxBody; 429 + Retry-After
 // when the ingest queue is full (nothing of the batch applied); 503 +
-// Retry-After while not ready, when a shard has degraded, or past the ingest
-// deadline.
+// Retry-After while not ready, once the engine has degraded, or past the
+// ingest deadline.
 func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 	d.mRequests.Inc()
 	if r.Method != http.MethodPost {
@@ -486,7 +478,7 @@ func (d *Daemon) handleIngest(w http.ResponseWriter, r *http.Request) {
 }
 
 // writeApplyError maps a failed application to its HTTP status: a degraded
-// shard is an availability loss (503), anything else is a server fault.
+// engine is an availability loss (503), anything else is a server fault.
 func (d *Daemon) writeApplyError(w http.ResponseWriter, err error) {
 	if errors.Is(err, shard.ErrDegraded) {
 		d.mUnavailable.Inc()
@@ -498,8 +490,8 @@ func (d *Daemon) writeApplyError(w http.ResponseWriter, err error) {
 }
 
 // handleFinish serves POST /finish: the stream is complete — close the
-// supervisor, merge the shards and answer with the recognition CSV, or with
-// a 500 naming the shard when one degraded. The daemon stays up (state
+// supervisor and answer with the recognition CSV, or with a 500 naming the
+// engine when it degraded. The daemon stays up (state
 // "finished") serving /result and the operational endpoints until it is
 // terminated.
 func (d *Daemon) handleFinish(w http.ResponseWriter, r *http.Request) {
@@ -544,10 +536,9 @@ func (d *Daemon) handleResult(w http.ResponseWriter, r *http.Request) {
 }
 
 // Finish ends the stream: ingest stops, the queue drains, the supervisor
-// closes and the merged recognition is rendered to CSV. A degraded shard
-// fails it with the supervisor's error and no CSV: the healthy shards'
-// merge lacks that shard's entities. Idempotent once finished; a finish
-// racing a drain loses to it.
+// closes and the recognition is rendered to CSV. A degraded engine fails it
+// with the supervisor's error and no CSV. Idempotent once finished; a
+// finish racing a drain loses to it.
 func (d *Daemon) Finish() ([]byte, error) {
 	if !d.state.CompareAndSwap(stateReady, stateFinishing) {
 		if d.state.Load() == stateFinished {
@@ -588,10 +579,10 @@ type writerBuffer struct{ b []byte }
 func (w *writerBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 
 // Drain parks the daemon gracefully: stop accepting ingest, finish the
-// queued batches, suspend every shard (backlog processed, suspend
-// checkpoint written, staged journal committed through it), disconnect the
+// queued batches, suspend the engine (backlog processed, suspend checkpoint
+// written, staged journal committed through it), disconnect the
 // subscribers and drain the HTTP server under DrainTimeout. The returned
-// statuses report where each shard parked. Safe to call from any goroutine
+// status reports where the engine parked. Safe to call from any goroutine
 // and idempotent; a drain after a finish just shuts the HTTP server down.
 func (d *Daemon) Drain() ([]shard.ShardStatus, error) {
 	d.drainOnce.Do(func() {
@@ -691,7 +682,7 @@ func (d *Daemon) describeMetrics() {
 	reg.Describe("serve.state", "Daemon lifecycle state: 0 starting, 1 ready, 2 draining, 3 suspended, 4 finishing, 5 finished.")
 	reg.Describe("serve.ingest.queue", "Batches waiting in the bounded ingest queue.")
 	reg.Describe("serve.ingest.requests", "Ingest HTTP requests received.")
-	reg.Describe("serve.ingest.events", "Events accepted and applied to the shards.")
+	reg.Describe("serve.ingest.events", "Events accepted and applied to the engine.")
 	reg.Describe("serve.ingest.throttled", "Requests answered 429: ingest queue full.")
 	reg.Describe("serve.ingest.unavailable", "Requests answered 503: not ready, draining or degraded.")
 	reg.Describe("serve.ingest.timeouts", "Requests that hit the ingest deadline mid-apply.")

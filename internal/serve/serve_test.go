@@ -17,8 +17,10 @@ import (
 	"time"
 
 	"rtecgen/internal/clock"
+	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
+	"rtecgen/internal/shard"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -116,7 +118,6 @@ func testDaemon(t testing.TB, dir string, resume bool, tweak func(*Options)) (*D
 	t.Helper()
 	reg := telemetry.NewRegistry()
 	opts := Options{
-		Shards: 4,
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: 0, End: 991},
 			MaxDelay:        60,
@@ -170,9 +171,9 @@ func get(t testing.TB, url string) (int, string) {
 	return res.StatusCode, string(b)
 }
 
-// TestDaemonIngestFinish: the daemon's end-to-end answer equals the
-// unsharded engine's over the same stream — HTTP framing, NDJSON parsing,
-// shard routing and the merge change nothing.
+// TestDaemonIngestFinish: the daemon's end-to-end answer equals a lone
+// streaming engine's over the same stream — HTTP framing, NDJSON parsing
+// and supervision change nothing.
 func TestDaemonIngestFinish(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	first, last := arrivals.TimeRange()
@@ -212,7 +213,7 @@ func TestDaemonIngestFinish(t *testing.T) {
 		t.Fatalf("/finish content type %q", ct)
 	}
 	if body != wantCSV.String() {
-		t.Fatalf("daemon CSV differs from unsharded run:\n%s\nvs\n%s", body, wantCSV.String())
+		t.Fatalf("daemon CSV differs from a lone engine's:\n%s\nvs\n%s", body, wantCSV.String())
 	}
 	if code, body := get(t, url+"/result"); code != http.StatusOK || body != wantCSV.String() {
 		t.Fatalf("/result after finish = %d, body match %v", code, body == wantCSV.String())
@@ -443,10 +444,10 @@ func TestIngestTimeoutSafeRetry(t *testing.T) {
 	close(clk.gate)
 }
 
-// TestDrainResumeByteIdentity is the tentpole acceptance gate in-process: a
-// daemon drained mid-stream and a fresh one resumed from its suspend
-// checkpoints produce the same CSV and the same per-shard journal bytes as
-// a daemon that was never interrupted.
+// TestDrainResumeByteIdentity is the drain contract in-process: a daemon
+// drained mid-stream and a fresh one resumed from its suspend checkpoint
+// produce the same CSV and the same engine journal bytes as a daemon that
+// was never interrupted.
 func TestDrainResumeByteIdentity(t *testing.T) {
 	arrivals := testArrivals(7, 160, 60)
 	first, last := arrivals.TimeRange()
@@ -471,15 +472,8 @@ func TestDrainResumeByteIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	var parked int64
-	for _, st := range sts {
-		if !st.Suspended {
-			t.Fatalf("shard %d did not park: %+v", st.Shard, st)
-		}
-		parked += st.Consumed
-	}
-	if parked != int64(half) {
-		t.Fatalf("parked %d arrivals, want %d", parked, half)
+	if st := sts[0]; !st.Suspended || st.Consumed != int64(half) {
+		t.Fatalf("the engine did not park after %d arrivals: %+v", half, st)
 	}
 	if d1.State() != "suspended" {
 		t.Fatalf("state after drain = %s", d1.State())
@@ -500,20 +494,126 @@ func TestDrainResumeByteIdentity(t *testing.T) {
 	if _, err := d2.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	// Per-shard journals are byte-identical; the lifecycle journal is
+	// The engine journals are byte-identical; the lifecycle journal is
 	// diagnostic (it records the suspend) and deliberately excluded.
-	for k := 0; k < 4; k++ {
-		a, err := os.ReadFile(filepath.Join(dirA, fmt.Sprintf("run.journal.s%d", k)))
-		if err != nil {
+	a, err := os.ReadFile(filepath.Join(dirA, "run.journal.s0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(filepath.Join(dirB, "run.journal.s0"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) {
+		t.Fatalf("engine journal differs after drain-resume:\n%s\nvs\n%s", b, a)
+	}
+}
+
+// maritimeInput is the engine over the gold maritime event description and
+// background knowledge of the 14-vessel seed-7 scenario (AIS every 60 s),
+// that scenario's events in time order, and the same events in the arrival
+// order of a bounded shuffle at max-delay 900, seed 13, with a duplicate
+// every 50 events: the input of ci.sh's rtecd gate.
+func maritimeInput(t *testing.T) (*rtec.Engine, stream.Stream, stream.Stream) {
+	t.Helper()
+	scen, err := maritime.BuildScenario(maritime.ScenarioConfig{Vessels: 14, Seed: 7, IntervalSec: 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs := stream.Stream(maritime.Preprocess(scen.Messages, scen.Map, maritime.DefaultPreprocessConfig()))
+	var src strings.Builder
+	src.WriteString(maritime.GoldSource())
+	for _, c := range maritime.BackgroundClauses(scen.Map, scen.Fleet, maritime.ObservedPairs(evs)) {
+		fmt.Fprintln(&src, c)
+	}
+	for _, fact := range maritime.DynamicFacts(evs, scen.Fleet) {
+		fmt.Fprintf(&src, "%s.\n", fact)
+	}
+	ed, err := parser.ParseEventDescription(src.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := rtec.New(ed, rtec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	evs.Sort()
+	arrivals, _, _ := stream.Perturb(evs, rand.New(rand.NewSource(13)), 900, 50)
+	return eng, evs, arrivals
+}
+
+// TestExactOnRelationalFluents: tugging(V1,V2) and pilotBoarding(V1,V2) join
+// two vessels through proximity, so a daemon that split the stream by
+// vessel would lose them. Over the maritime input the supervisor's Close
+// CSV, with its inert Shards option at 4, and a daemon's /finish CSV are the
+// batch engine's, byte for byte, and that reference has both relational
+// fluents.
+func TestExactOnRelationalFluents(t *testing.T) {
+	eng, events, arrivals := maritimeInput(t)
+	first, last := events.TimeRange()
+	geometry := rtec.StreamOptions{
+		RunOptions: rtec.RunOptions{Window: 3600, Start: first, End: last + 1},
+		MaxDelay:   900,
+	}
+	ref, err := eng.Run(events, geometry.RunOptions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	if err := ref.WriteCSV(&want); err != nil {
+		t.Fatal(err)
+	}
+	for _, fluent := range []string{"tugging/2", "pilotBoarding/2"} {
+		if !strings.Contains(want.String(), "\n"+fluent+",") {
+			t.Fatalf("the batch reference has no %s row: the input tests no relational fluent", fluent)
+		}
+	}
+
+	dir := t.TempDir()
+	opts := geometry
+	opts.CheckpointPath, opts.CheckpointEvery = filepath.Join(dir, "sup.ckpt"), 1
+	sup, err := shard.NewSupervisor(eng, shard.Options{Shards: 4, Stream: opts, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range arrivals {
+		if err := sup.Ingest(e); err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dirB, fmt.Sprintf("run.journal.s%d", k)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("shard %d journal differs after drain-resume:\n%s\nvs\n%s", k, b, a)
-		}
+	}
+	res, err := sup.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got bytes.Buffer
+	if err := res.WriteCSV(&got); err != nil {
+		t.Fatal(err)
+	}
+	if got.String() != want.String() {
+		t.Errorf("supervisor CSV (Shards: 4) differs from the batch engine's:\n%s\nvs\n%s", got.String(), want.String())
+	}
+
+	opts.CheckpointPath = filepath.Join(dir, "d.ckpt")
+	d, err := New(eng, Options{Shards: 4, Stream: opts, Seed: 7, JournalPath: filepath.Join(dir, "d.jsonl")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr, err := d.Start("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if code, body, _ := post(t, "http://"+addr+"/ingest", ndjsonOf(t, arrivals)); code != http.StatusOK {
+		t.Fatalf("/ingest = %d: %s", code, body)
+	}
+	code, body, _ := post(t, "http://"+addr+"/finish", "")
+	if code != http.StatusOK {
+		t.Fatalf("/finish = %d: %s", code, body)
+	}
+	if body != want.String() {
+		t.Errorf("daemon /finish CSV differs from the batch engine's:\n%s\nvs\n%s", body, want.String())
+	}
+	if _, err := d.Drain(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -612,40 +712,39 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 	}
 }
 
-// panicsAt is a window observer that fails shards: shard k panics at the
-// first-time delivery of each window whose query time at[k] lists — once,
-// or on every attempt when every is set. The latches live in the closure,
-// outside the shards, so a restarted shard replays past a panic that fired.
-func panicsAt(every bool, at map[int][]int64) func(int, rtec.WindowResult) {
+// panicsAt is a window observer that fails the engine: it panics at the
+// first-time delivery of each window whose query time at lists — once, or
+// on every attempt when every is set. The latches live in the closure,
+// outside the engine, so a restarted engine replays past a panic that fired.
+func panicsAt(every bool, at ...int64) func(int, rtec.WindowResult) {
 	var mu sync.Mutex
-	fired := map[[2]int64]bool{} // {shard, query time}
-	return func(k int, wr rtec.WindowResult) {
-		if wr.Revision != 0 || !slices.Contains(at[k], wr.QueryTime) {
+	fired := map[int64]bool{} // by query time
+	return func(_ int, wr rtec.WindowResult) {
+		if wr.Revision != 0 || !slices.Contains(at, wr.QueryTime) {
 			return
 		}
-		key := [2]int64{int64(k), wr.QueryTime}
 		mu.Lock()
-		again := fired[key]
-		fired[key] = true
+		again := fired[wr.QueryTime]
+		fired[wr.QueryTime] = true
 		mu.Unlock()
 		if again && !every {
 			return
 		}
-		panic(fmt.Sprintf("injected panic at query time %d of shard %d", wr.QueryTime, k))
+		panic(fmt.Sprintf("injected panic at query time %d", wr.QueryTime))
 	}
 }
 
 // TestDaemonHealthUnderChaos hammers /healthz and /metrics from many
-// goroutines while observer panics degrade one shard and restart another —
+// goroutines while observer panics restart the engine and then degrade it —
 // the observability surface must stay consistent (and race-free under
-// -race) through supervision churn. Once shard 1 is dead, an arrival routed
-// to it gets a 503 naming it, /finish fails instead of answering a partial
-// CSV, and /healthz stays 503 naming the degraded shard.
+// -race) through supervision churn. Once the engine is dead, an arrival gets
+// a 503 naming it, /finish fails instead of answering a partial CSV, and
+// /healthz stays 503 naming the degraded engine.
 func TestDaemonHealthUnderChaos(t *testing.T) {
-	// Shard 1 exhausts its restart budget and degrades at its first two
-	// windows (query times 100 and 200); shard 2 restarts once and recovers.
+	// The engine restarts once at its first window (query time 100), then
+	// exhausts its restart budget and degrades at its second (200).
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
-		o.onWindow = panicsAt(false, map[int][]int64{1: {100, 200}, 2: {100}})
+		o.onWindow = panicsAt(false, 100, 200)
 		o.MaxRestarts = 1
 	})
 	stop := make(chan struct{})
@@ -675,70 +774,60 @@ func TestDaemonHealthUnderChaos(t *testing.T) {
 	for i := 0; i < len(arrivals); i += 16 {
 		end := min(i+16, len(arrivals))
 		code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals[i:end]))
-		if code != http.StatusOK && (code != http.StatusServiceUnavailable || !namesDegraded(body, 1)) {
+		if code != http.StatusOK && (code != http.StatusServiceUnavailable || !namesDegraded(body)) {
 			t.Fatalf("ingest = %d: %s", code, body)
 		}
 	}
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		code, body := get(t, url+"/healthz")
-		if code == http.StatusServiceUnavailable && strings.Contains(body, "degraded shards: [1]") {
+		if code == http.StatusServiceUnavailable && strings.Contains(body, "degraded shards: [0]") {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("/healthz never reported shard 1 degraded: %d %s", code, body)
+			t.Fatalf("/healthz never reported the engine degraded: %d %s", code, body)
 		}
 		time.Sleep(time.Millisecond)
 	}
-	var toDead stream.Stream
-	for _, e := range arrivals {
-		if rtec.EventEntity(e)%4 == 1 {
-			toDead = append(toDead, e)
-			break
-		}
+	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals[:1])); code != http.StatusServiceUnavailable || !namesDegraded(body) {
+		t.Fatalf("ingest to the degraded engine = %d: %s", code, body)
 	}
-	if len(toDead) == 0 {
-		t.Fatal("no arrival routes to shard 1")
-	}
-	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, toDead)); code != http.StatusServiceUnavailable || !namesDegraded(body, 1) {
-		t.Fatalf("ingest to the degraded shard = %d: %s", code, body)
-	}
-	if code, body, _ := post(t, url+"/finish", ""); code == http.StatusOK || !namesDegraded(body, 1) {
-		t.Fatalf("/finish with a degraded shard = %d: %s", code, body)
+	if code, body, _ := post(t, url+"/finish", ""); code == http.StatusOK || !namesDegraded(body) {
+		t.Fatalf("/finish with a degraded engine = %d: %s", code, body)
 	}
 	close(stop)
 	for i := 0; i < 4; i++ {
 		<-done
 	}
 	code, body := get(t, url+"/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "degraded shards: [1]") {
+	if code != http.StatusServiceUnavailable || !strings.Contains(body, "degraded shards: [0]") {
 		t.Fatalf("/healthz after degradation = %d: %s", code, body)
 	}
 }
 
-// namesDegraded reports whether an error body names shard k as degraded.
-func namesDegraded(body string, k int) bool {
-	return strings.Contains(body, fmt.Sprintf("shard %d ", k)) && strings.Contains(body, "degraded")
+// namesDegraded reports whether an error body names the engine, shard 0, as
+// degraded.
+func namesDegraded(body string) bool {
+	return strings.Contains(body, "shard 0 ") && strings.Contains(body, "degraded")
 }
 
-// TestDegradedShardFailsFinish: a shard that degrades while /finish drains
-// the shards — its last window, ending at 991, panics on every attempt —
-// fails both /finish
-// and /result with a non-200 naming it, instead of answering the healthy
-// shards' merge as if it were the run's recognition.
+// TestDegradedShardFailsFinish: an engine that degrades while /finish drains
+// it — its last window, ending at 991, panics on every attempt — fails both
+// /finish and /result with a non-200 naming it, instead of answering a CSV
+// that lacks what the engine never delivered.
 func TestDegradedShardFailsFinish(t *testing.T) {
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
-		o.onWindow = panicsAt(true, map[int][]int64{1: {991}})
+		o.onWindow = panicsAt(true, 991)
 		o.MaxRestarts = 1
 	})
 	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, testArrivals(7, 160, 60))); code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", code, body)
 	}
-	if code, body, _ := post(t, url+"/finish", ""); code == http.StatusOK || !namesDegraded(body, 1) {
-		t.Fatalf("/finish with shard 1 degraded in the drain = %d:\n%s", code, body)
+	if code, body, _ := post(t, url+"/finish", ""); code == http.StatusOK || !namesDegraded(body) {
+		t.Fatalf("/finish with the engine degraded in the drain = %d:\n%s", code, body)
 	}
-	if code, body := get(t, url+"/result"); code == http.StatusOK || !namesDegraded(body, 1) {
-		t.Fatalf("/result with shard 1 degraded in the drain = %d:\n%s", code, body)
+	if code, body := get(t, url+"/result"); code == http.StatusOK || !namesDegraded(body) {
+		t.Fatalf("/result with the engine degraded in the drain = %d:\n%s", code, body)
 	}
 }
 
@@ -767,9 +856,9 @@ func TestFinishDrainRace(t *testing.T) {
 
 // cappedRun serves arrivals through a daemon in a fresh directory, with the
 // journal cap maxBytes (0: none) and, when it is non-nil, the window
-// observer onWindow on a virtual clock and a restart budget of 20 per shard.
-// It returns the /finish CSV and, once the daemon is drained, the lifecycle
-// journal followed by each shard's.
+// observer onWindow on a virtual clock and a restart budget of 20. It
+// returns the /finish CSV and, once the daemon is drained, the lifecycle
+// journal followed by the engine's.
 func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow func(int, rtec.WindowResult)) (string, [][]byte) {
 	t.Helper()
 	dir := t.TempDir()
@@ -790,7 +879,7 @@ func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow fu
 		t.Fatal(err)
 	}
 	var journals [][]byte
-	for _, name := range []string{"run.journal", "run.journal.s0", "run.journal.s1", "run.journal.s2", "run.journal.s3"} {
+	for _, name := range []string{"run.journal", "run.journal.s0"} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			t.Fatal(err)
@@ -801,12 +890,12 @@ func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow fu
 }
 
 // TestJournalCapped: under a journal cap below the lifecycle journal's size,
-// every journal the daemon writes — the lifecycle journal and each shard's —
-// validates and ends in the journal_capped marker, and the recognition is
-// the uncapped run's. Under a cap shard journals reach mid-run, shards that
-// panic at every window's first delivery, and so restart on both sides of
-// the cap, roll their staged journals back and replay to the bytes of the
-// run without restarts.
+// both journals the daemon writes — the lifecycle journal and the engine's —
+// validate and end in the journal_capped marker, and the recognition is the
+// uncapped run's. Under a cap the engine journal reaches mid-run, an engine
+// that panics at every window's first delivery, and so restarts on both
+// sides of the cap, rolls its staged journal back and replays to the bytes
+// of the run without restarts.
 func TestJournalCapped(t *testing.T) {
 	arrivals := testArrivals(7, 160, 60)
 	wantCSV, full := cappedRun(t, arrivals, 0, nil)
@@ -830,10 +919,8 @@ func TestJournalCapped(t *testing.T) {
 	capped(fmt.Sprintf("cap %d", small), journals)
 
 	const mid = 1500
-	for k, j := range full[1:] {
-		if len(j) <= 2*mid {
-			t.Fatalf("shard %d journals %d bytes uncapped: the cap of %d would not fall mid-run", k, len(j), mid)
-		}
+	if len(full[1]) <= 2*mid {
+		t.Fatalf("the engine journals %d bytes uncapped: the cap of %d would not fall mid-run", len(full[1]), mid)
 	}
 	csv, clean := cappedRun(t, arrivals, mid, nil)
 	if csv != wantCSV {
@@ -841,16 +928,14 @@ func TestJournalCapped(t *testing.T) {
 	}
 	capped(fmt.Sprintf("cap %d", mid), clean[1:])
 	every := []int64{100, 200, 300, 400, 500, 600, 700, 800, 900, 991}
-	csv, faulty := cappedRun(t, arrivals, mid, panicsAt(false, map[int][]int64{0: every, 1: every, 2: every, 3: every}))
+	csv, faulty := cappedRun(t, arrivals, mid, panicsAt(false, every...))
 	if csv != wantCSV {
 		t.Fatalf("cap %d with restarts: the CSV differs from the uncapped run's", mid)
 	}
 	if !bytes.Contains(faulty[0], []byte(`"type":"shard_restart"`)) {
-		t.Fatalf("no shard restarted:\n%s", faulty[0])
+		t.Fatalf("the engine never restarted:\n%s", faulty[0])
 	}
-	for k := 1; k < len(clean); k++ {
-		if !bytes.Equal(faulty[k], clean[k]) {
-			t.Errorf("cap %d: shard %d's journal differs after restarts:\n%s\nvs\n%s", mid, k-1, faulty[k], clean[k])
-		}
+	if !bytes.Equal(faulty[1], clean[1]) {
+		t.Errorf("cap %d: the engine journal differs after restarts:\n%s\nvs\n%s", mid, faulty[1], clean[1])
 	}
 }

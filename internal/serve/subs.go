@@ -44,7 +44,7 @@ type pubEntry struct {
 }
 
 // subscriber is one /subscribe client: a bounded delivery buffer that drops
-// (and counts) when full rather than blocking the shard that publishes —
+// (and counts) when full rather than blocking the engine that publishes —
 // the engine never waits for a slow consumer. A subscriber whose drop count
 // passes the eviction threshold is disconnected: it is too far behind for
 // the stream to still mean anything.
@@ -58,7 +58,7 @@ type subscriber struct {
 }
 
 // hub fans window deliveries out to the subscribers. publish is called from
-// shard goroutines concurrently and never blocks on a subscriber.
+// the engine's consumer goroutine and never blocks on a subscriber.
 type hub struct {
 	d *Daemon
 
@@ -115,9 +115,9 @@ func (h *hub) close() {
 }
 
 // publish fans one window delivery out to the matching subscribers. Called
-// from shard goroutines under the supervisor's OnWindow contract: it must
-// not block, so sends are non-blocking — a full buffer counts a drop, and a
-// subscriber whose drops pass the eviction threshold is cut off.
+// from the consumer goroutine under the supervisor's OnWindow contract: it
+// must not block, so sends are non-blocking — a full buffer counts a drop,
+// and a subscriber whose drops pass the eviction threshold is cut off.
 func (h *hub) publish(shard int, wr rtec.WindowResult) {
 	h.d.mPublished.Inc()
 	holds := entriesOf(wr.Recognised, wr.FVPs)
@@ -235,7 +235,7 @@ func (sub *subscriber) matches(e pubEntry) bool {
 // ?entity=e filter the deliveries. The per-client buffer is bounded: a
 // consumer slower than the engine loses windows (counted in
 // serve.subs.dropped) and is evicted once it falls hopelessly behind —
-// backpressure never reaches the shards.
+// backpressure never reaches the engine.
 func (d *Daemon) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "subscribe wants GET", nil)

@@ -8,7 +8,7 @@ import (
 	"rtecgen/internal/stream"
 )
 
-// admissionArrivals is a stream dense enough that every shard retains far
+// admissionArrivals is a stream dense enough that the engine retains far
 // more than tightDepth arrivals between per-window checkpoints.
 func admissionArrivals() stream.Stream { return testArrivals(7, 2000, 0) }
 
@@ -18,8 +18,8 @@ const tightDepth = 8
 // real clock: a healthy consumer admits a long in-order stream with every
 // blocked arrival woken by the consumer itself (a one-second wait per
 // arrival would take half an hour), the backlog never passes QueueDepth
-// while the retained queue does, and the merged result is the unsharded one
-// byte for byte.
+// while the retained queue does, and the result is the one a lone
+// StreamRunner gives, byte for byte.
 func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 	arrivals := admissionArrivals()
 	sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
@@ -32,17 +32,14 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 			t.Fatal(err)
 		}
 		// Only push grows the backlog, so its peak is visible right after.
-		for _, p := range sup.procs {
-			p.mu.Lock()
-			backlog, retained := p.backlog(), len(p.q)
-			p.mu.Unlock()
-			if backlog > tightDepth {
-				t.Fatalf("arrival %d: shard %d backlog %d exceeds QueueDepth %d", i, p.id, backlog, tightDepth)
-			}
-			if retained > maxRetained {
-				maxRetained = retained
-			}
+		p := sup.p
+		p.mu.Lock()
+		backlog, retained := p.backlog(), len(p.q)
+		p.mu.Unlock()
+		if backlog > tightDepth {
+			t.Fatalf("arrival %d: backlog %d exceeds QueueDepth %d", i, backlog, tightDepth)
 		}
+		maxRetained = max(maxRetained, retained)
 	}
 	res, err := sup.Close()
 	if err != nil {
@@ -54,11 +51,7 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 	if maxRetained <= tightDepth {
 		t.Fatalf("retention peaked at %d, never past QueueDepth %d — the stream does not exercise the distinction", maxRetained, tightDepth)
 	}
-	var overflow int64
-	for _, st := range res.Shards {
-		overflow += st.Overflow
-	}
-	if overflow == 0 {
+	if res.Shards[0].Overflow == 0 {
 		t.Fatal("no admission was counted as overflow although retention passed QueueDepth")
 	}
 	first, last := arrivals.TimeRange()
@@ -70,6 +63,6 @@ func TestAdmissionBoundsBacklogNotRetention(t *testing.T) {
 		t.Fatal(err)
 	}
 	if a, b := csvOf(t, want.Recognition), csvOf(t, res.Recognition); a != b {
-		t.Fatalf("sharded merge differs from unsharded run:\n%s\nvs\n%s", b, a)
+		t.Fatalf("supervised run differs from a lone runner's:\n%s\nvs\n%s", b, a)
 	}
 }

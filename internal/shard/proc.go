@@ -22,7 +22,7 @@ var (
 	errParked  = errors.New("shard parked")
 )
 
-// ErrDegraded reports an arrival routed to a permanently failed shard: it
+// ErrDegraded reports an arrival offered to a permanently failed engine: it
 // was not admitted, and retrying cannot succeed within this run.
 var ErrDegraded = errors.New("shard degraded")
 
@@ -33,13 +33,12 @@ type permanentError struct{ err error }
 func (p permanentError) Error() string { return p.err.Error() }
 func (p permanentError) Unwrap() error { return p.err }
 
-// proc is one supervised shard: a bounded ingest queue with
+// proc is the supervised engine: a bounded ingest queue with
 // checkpoint-acked retention, a consumer goroutine driving an incremental
 // engine runner over the queue, a staged journal committing one checkpoint
 // generation behind, and the crash-recovery state that makes restarts
 // byte-invisible.
 type proc struct {
-	id  int
 	sup *Supervisor
 
 	mu   sync.Mutex
@@ -76,9 +75,8 @@ type proc struct {
 	resumeCkpt   *rtec.Checkpoint // cross-process resume snapshot, if any
 	parkedAt     int              // arrivals consumed when the shard parked
 
-	// Hoisted per-shard instruments.
-	mDepth, mConsumed, mWindows, mDegraded *telemetry.Gauge
-	mRestarts                              *telemetry.Counter
+	// Hoisted instruments.
+	mDepth, mConsumed, mWindows *telemetry.Gauge
 }
 
 // backlog is the number of arrivals admitted but not yet taken by the
@@ -87,7 +85,7 @@ func (p *proc) backlog() int { return p.base + len(p.q) - p.taken }
 
 // next blocks until an arrival is available at the consumer cursor, the
 // queue is closed and drained (ok=false, nil error), or a suspend parks the
-// shard.
+// engine.
 func (p *proc) next() (stream.Event, bool, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -129,8 +127,8 @@ func (p *proc) ack(upto int) {
 }
 
 // push admits one arrival, blocking while the backlog is at QueueDepth, or
-// refuses it with ErrDegraded once the shard is dead — blocking on a dead
-// shard would hang forever. Only the supervisor's ingest goroutine calls it.
+// refuses it with ErrDegraded once the engine is dead — blocking on a dead
+// engine would hang forever. Only the supervisor's ingest goroutine calls it.
 // QueueDepth bounds the backlog — what the consumer has still to take — not
 // the arrivals retained behind its cursor for checkpoint replay: those are
 // bounded by the checkpoint interval, and no admission verdict can shrink
@@ -154,7 +152,7 @@ func (p *proc) push(e stream.Event) error {
 		p.cond.Wait()
 	}
 	if p.degraded {
-		return fmt.Errorf("shard %d %w: %v", p.id, ErrDegraded, p.failErr)
+		return fmt.Errorf("shard 0 %w: %v", ErrDegraded, p.failErr)
 	}
 	if len(p.q) >= depth {
 		p.overflow++
@@ -173,7 +171,7 @@ func (p *proc) closeQueue() {
 	p.mu.Unlock()
 }
 
-// suspendQueue asks the shard to drain its admitted backlog and then park
+// suspendQueue asks the engine to drain its admitted backlog and then park
 // at a clean arrival boundary instead of waiting for more input.
 func (p *proc) suspendQueue() {
 	p.mu.Lock()
@@ -182,15 +180,25 @@ func (p *proc) suspendQueue() {
 	p.mu.Unlock()
 }
 
-// deliverHook is the per-window callback wired into the shard's engine
-// runner: it fans the delivery out to the observer and advances the
-// absolute delivery counter.
+// waitDone blocks until the consumer is done (it broadcasts the cond when
+// it is): finished, parked or degraded.
+func (p *proc) waitDone() {
+	p.mu.Lock()
+	for !p.done {
+		p.cond.Wait()
+	}
+	p.mu.Unlock()
+}
+
+// deliverHook is the per-window callback wired into the engine runner: it
+// hands the delivery to the observer and advances the absolute delivery
+// counter.
 func (p *proc) deliverHook(wr rtec.WindowResult) error {
-	// Fan deliveries (and revisions) out to the supervisor-level observer.
+	// Hand deliveries (and revisions) to the supervisor-level observer.
 	// Crash replays re-deliver replayed windows, so observers see
 	// at-least-once semantics; they must not block (see Options.OnWindow).
 	if h := p.sup.opts.OnWindow; h != nil {
-		h(p.id, wr)
+		h(0, wr)
 	}
 	if wr.Revision == 0 {
 		p.delivered++
@@ -204,7 +212,7 @@ func (p *proc) deliverHook(wr rtec.WindowResult) error {
 // journal rolled back to the matching boundary so the replay regenerates
 // byte-identical records.
 func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
-	opts := p.sup.runnerOpts(p.id, p.stage.writer())
+	opts := p.sup.runnerOpts(p.stage.writer())
 	if p.ckptSeen == 0 {
 		// Cross-process resume: continue from the previous process's suspend
 		// (or last cadence) checkpoint. Both staged generations were pinned
@@ -233,7 +241,7 @@ func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
 	}
 	cp, from, err := rtec.LoadCheckpointWithFallback(opts.CheckpointPath)
 	if err != nil {
-		return nil, permanentError{fmt.Errorf("shard %d: %w", p.id, err)}
+		return nil, permanentError{fmt.Errorf("shard 0: %w", err)}
 	}
 	var b stageBoundary
 	switch cp.Consumed {
@@ -244,8 +252,8 @@ func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
 		p.lastB = p.prevB
 		p.sup.tel.Counter("rtec.checkpoint.fallbacks").Inc()
 	default:
-		return nil, permanentError{fmt.Errorf("shard %d: checkpoint %s consumed %d matches no staged generation (%d or %d)",
-			p.id, from, cp.Consumed, p.prevB.consumed, p.lastB.consumed)}
+		return nil, permanentError{fmt.Errorf("shard 0: checkpoint %s consumed %d matches no staged generation (%d or %d)",
+			from, cp.Consumed, p.prevB.consumed, p.lastB.consumed)}
 	}
 	if err := p.stage.rollbackTo(b); err != nil {
 		return nil, permanentError{err}
@@ -258,13 +266,13 @@ func (p *proc) buildRunner() (*rtec.StreamRunner, error) {
 	return r, nil
 }
 
-// attempt runs the shard until the queue drains or something goes wrong.
+// attempt runs the engine until the queue drains or something goes wrong.
 // Panics (the engine's or the observer's) surface as errors for the run
 // loop to restart.
 func (p *proc) attempt() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			err = fmt.Errorf("shard %d panicked: %v", p.id, r)
+			err = fmt.Errorf("shard 0 panicked: %v", r)
 		}
 	}()
 	runner, err := p.buildRunner()
@@ -323,7 +331,7 @@ func (p *proc) attempt() (err error) {
 func (p *proc) park(runner *rtec.StreamRunner) error {
 	consumed, windows := runner.Consumed(), runner.Windows()
 	if err := runner.Suspend(); err != nil {
-		return permanentError{fmt.Errorf("shard %d suspend: %w", p.id, err)}
+		return permanentError{fmt.Errorf("shard 0 suspend: %w", err)}
 	}
 	if err := p.stage.commitAll(); err != nil {
 		return permanentError{err}
@@ -354,11 +362,11 @@ func (p *proc) onCheckpoint(runner *rtec.StreamRunner) error {
 	return nil
 }
 
-// run is the shard's supervision loop: attempts, restarts with capped
+// run is the engine's supervision loop: attempts, restarts with capped
 // jittered backoff, and degradation once restarts are exhausted or the
 // failure is permanent.
 func (p *proc) run() {
-	rng := rand.New(rand.NewSource(seedFor(p.sup.opts.Seed, fmt.Sprintf("shard-%d", p.id))))
+	rng := rand.New(rand.NewSource(seedFor(p.sup.opts.Seed, "shard-0")))
 	for {
 		err := p.attempt()
 		if err == nil {
@@ -386,43 +394,43 @@ func (p *proc) run() {
 		p.mu.Lock()
 		p.restarts++
 		p.mu.Unlock()
-		p.mRestarts.Inc()
 		p.sup.tel.Counter("rtec.shard.restarts").Inc()
 		p.sup.journalEvent("shard_restart", shardRestartEvent{
-			Shard: p.id, Attempt: p.restarts, Reason: err.Error(),
+			Attempt: p.restarts, Reason: err.Error(),
 			Consumed: p.lastB.consumed, Windows: p.delivered,
 		})
 		p.sup.tel.Logger().Warn("shard restarting",
-			"component", "shard", "shard", p.id, "attempt", p.restarts, "err", err)
+			"component", "shard", "attempt", p.restarts, "err", err)
 		p.sup.clk.Sleep(backoff(rng, p.restarts))
 	}
 }
 
-// degrade marks the shard permanently failed: the queue refuses further
-// arrivals, /healthz reports it, and Close fails the run.
+// degrade marks the engine permanently failed: the queue refuses further
+// arrivals, /healthz reports it, and Close fails the run. The record and the
+// gauge come first: once done is set, Close may append shards_end and its
+// caller read the lifecycle journal.
 func (p *proc) degrade(err error, permanent bool) {
+	p.sup.tel.Gauge("rtec.shard.degraded").Set(1)
+	reason := "restarts exhausted"
+	if permanent {
+		reason = "permanent failure"
+	}
+	p.sup.journalEvent("shard_degraded", shardDegradedEvent{
+		Restarts: p.restarts, Reason: reason, Err: err.Error(),
+	})
+	p.sup.tel.Logger().Error("shard degraded",
+		"component", "shard", "restarts", p.restarts, "err", err)
 	p.mu.Lock()
 	p.degraded = true
 	p.done = true
 	p.failErr = err
 	p.cond.Broadcast()
 	p.mu.Unlock()
-	p.mDegraded.Set(1)
-	p.sup.tel.Gauge("rtec.shard.degraded").Add(1)
-	reason := "restarts exhausted"
-	if permanent {
-		reason = "permanent failure"
-	}
-	p.sup.journalEvent("shard_degraded", shardDegradedEvent{
-		Shard: p.id, Restarts: p.restarts, Reason: reason, Err: err.Error(),
-	})
-	p.sup.tel.Logger().Error("shard degraded",
-		"component", "shard", "shard", p.id, "restarts", p.restarts, "err", err)
 }
 
-// seedFor derives a per-shard rng seed from the run seed and the shard
-// name, fnv-64a over "seed|name" — so every shard's backoff jitter is
-// deterministic and distinct.
+// seedFor derives the backoff rng seed from the run seed and a name,
+// fnv-64a over "seed|name" (the engine's is "shard-0") — so the backoff
+// jitter is deterministic per run seed.
 func seedFor(seed int64, name string) int64 {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%d|%s", seed, name)

@@ -119,63 +119,58 @@ func csvOf(t testing.TB, r *rtec.Recognition) string {
 	return buf.String()
 }
 
-// shardedRun is one complete supervised run plus everything the tests
-// compare: the merged result, every shard's committed journal, the
-// supervisor's own event journal, and the metrics registry.
-type shardedRun struct {
-	res      *Result
-	journals []*bytes.Buffer
-	events   *bytes.Buffer
-	reg      *telemetry.Registry
+// supervisedRun is one complete supervised run plus everything the tests
+// compare: the result, the engine's committed journal, the supervisor's own
+// event journal, and the metrics registry.
+type supervisedRun struct {
+	res     *Result
+	journal *bytes.Buffer
+	events  *bytes.Buffer
+	reg     *telemetry.Registry
 }
 
-// crash is one shard failure raised from the OnWindow observer: at the
+// crash is one engine failure raised from the OnWindow observer: at the
 // first-time delivery of its window-th window (1-based, identified by the
-// window's query time), the shard — shard, or every shard for allShards —
-// panics, and the supervisor restarts it from its checkpoint. tear first
-// cuts the shard's checkpoint file "<base>.s<k>" to half its size, so the
-// restart must fall back to the previous generation. A crash fires once per
-// shard, or on every attempt when every is set.
+// window's query time) the engine panics, and the supervisor restarts it
+// from its checkpoint. tear first cuts the checkpoint file "<base>.s0" to
+// half its size, so the restart must fall back to the previous generation.
+// A crash fires once, or on every attempt when every is set.
 type crash struct {
 	window int
-	shard  int
 	every  bool
 	tear   bool
 }
 
-// allShards is the crash scope every shard acts out.
-const allShards = -1
-
-// panicAt is a crash every shard acts out once, at its window-th delivery.
-func panicAt(window int) crash { return crash{window: window, shard: allShards} }
+// panicAt is a crash that fires once, at the window-th delivery.
+func panicAt(window int) crash { return crash{window: window} }
 
 // crashObserver is the OnWindow observer that acts out crashes on the
 // tumbling time-line of opts. The fire-once latches live in the closure,
-// outside the shards, so a restarted shard replays past a crash that has
+// outside the engine, so a restarted engine replays past a crash that has
 // fired instead of dying again.
 func crashObserver(opts Options, crashes []crash) func(int, rtec.WindowResult) {
 	ro := opts.Stream.RunOptions
 	var mu sync.Mutex
-	fired := map[[2]int]bool{} // {crash index, shard}
-	return func(k int, wr rtec.WindowResult) {
+	fired := map[int]bool{} // by crash index
+	return func(_ int, wr rtec.WindowResult) {
 		if wr.Revision != 0 {
 			return
 		}
 		for i, c := range crashes {
-			if (c.shard != allShards && c.shard != k) || wr.QueryTime != min(ro.Start+int64(c.window)*ro.Window, ro.End) {
+			if wr.QueryTime != min(ro.Start+int64(c.window)*ro.Window, ro.End) {
 				continue
 			}
 			mu.Lock()
-			again := fired[[2]int{i, k}]
-			fired[[2]int{i, k}] = true
+			again := fired[i]
+			fired[i] = true
 			mu.Unlock()
 			if again && !c.every {
 				continue
 			}
 			if c.tear && opts.Stream.CheckpointPath != "" {
-				tearFile(fmt.Sprintf("%s.s%d", opts.Stream.CheckpointPath, k))
+				tearFile(opts.Stream.CheckpointPath + ".s0")
 			}
-			panic(fmt.Sprintf("injected panic at window %d of shard %d", c.window, k))
+			panic(fmt.Sprintf("injected panic at window %d", c.window))
 		}
 	}
 }
@@ -191,20 +186,15 @@ func tearFile(path string) {
 	}
 }
 
-// runSharded builds a supervisor over a fresh engine, feeds the arrivals
+// runSupervised builds a supervisor over a fresh engine, feeds the arrivals
 // and closes. tweak edits the options before construction; the crashes
 // then act out through the observer.
-func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes []crash, tweak func(*Options)) (*shardedRun, error) {
+func runSupervised(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes []crash, tweak func(*Options)) (*supervisedRun, error) {
 	t.Helper()
 	first, last := arrivals.TimeRange()
 	reg := telemetry.NewRegistry()
-	journals := make([]*bytes.Buffer, 4)
-	for i := range journals {
-		journals[i] = &bytes.Buffer{}
-	}
-	events := &bytes.Buffer{}
+	jour, events := &bytes.Buffer{}, &bytes.Buffer{}
 	opts := Options{
-		Shards: 4,
 		Events: journal.NewWriter(events, journal.Options{}),
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
@@ -212,7 +202,7 @@ func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes 
 			CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
 			CheckpointEvery: 1,
 		},
-		JournalFor:  func(k int) io.Writer { return journals[k] },
+		JournalFor:  func(int) io.Writer { return jour },
 		Seed:        7,
 		MaxRestarts: 8,
 		Telemetry:   telemetry.New(reg, nil, nil),
@@ -222,9 +212,6 @@ func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes 
 	}
 	if crashes != nil {
 		opts.OnWindow = crashObserver(opts, crashes)
-	}
-	if opts.Shards != len(journals) {
-		journals = journals[:opts.Shards]
 	}
 	sup, err := NewSupervisor(eng, opts)
 	if err != nil {
@@ -239,12 +226,12 @@ func runSharded(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes 
 	if err != nil {
 		return nil, err
 	}
-	return &shardedRun{res: res, journals: journals, events: events, reg: reg}, nil
+	return &supervisedRun{res: res, journal: jour, events: events, reg: reg}, nil
 }
 
 // restartReasons returns the reason of every shard_restart record in the
 // supervisor's event journal, in order.
-func restartReasons(t testing.TB, run *shardedRun) []string {
+func restartReasons(t testing.TB, run *supervisedRun) []string {
 	t.Helper()
 	recs, err := journal.Read(bytes.NewReader(run.events.Bytes()))
 	if err != nil {
@@ -269,8 +256,8 @@ func counterValue(reg *telemetry.Registry, name string) int64 {
 }
 
 // requireIdentical asserts the chaos contract: same recognised intervals,
-// same per-shard journal bytes, same aggregate statistics.
-func requireIdentical(t *testing.T, want, got *shardedRun) {
+// same journal bytes, same statistics.
+func requireIdentical(t *testing.T, want, got *supervisedRun) {
 	t.Helper()
 	if a, b := csvOf(t, want.res.Recognition), csvOf(t, got.res.Recognition); a != b {
 		t.Fatalf("recognised intervals differ under faults:\n%s\nvs fault-free\n%s", b, a)
@@ -278,48 +265,13 @@ func requireIdentical(t *testing.T, want, got *shardedRun) {
 	if want.res.Stats != got.res.Stats {
 		t.Fatalf("stats differ under faults: %+v vs %+v", got.res.Stats, want.res.Stats)
 	}
-	for k := range want.journals {
-		if !bytes.Equal(want.journals[k].Bytes(), got.journals[k].Bytes()) {
-			t.Fatalf("shard %d journal differs under faults:\n%s\nvs fault-free\n%s",
-				k, got.journals[k].String(), want.journals[k].String())
-		}
+	if !bytes.Equal(want.journal.Bytes(), got.journal.Bytes()) {
+		t.Fatalf("journal differs under faults:\n%s\nvs fault-free\n%s", got.journal, want.journal)
 	}
 }
 
-// TestShardedMatchesUnsharded: partitioning a stream across supervised
-// shards and merging recognises exactly what one engine over the whole
-// stream does.
-func TestShardedMatchesUnsharded(t *testing.T) {
-	arrivals := testArrivals(7, 120, 60)
-	first, last := arrivals.TimeRange()
-	e := testEngine(t)
-	want, err := e.RunStream(arrivals, rtec.StreamOptions{
-		RunOptions: rtec.RunOptions{Window: 100, Start: first, End: last + 1},
-		MaxDelay:   60,
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := runSharded(t, testEngine(t), arrivals, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a, b := csvOf(t, want.Recognition), csvOf(t, got.res.Recognition); a != b {
-		t.Fatalf("sharded merge differs from unsharded run:\n%s\nvs\n%s", b, a)
-	}
-	if got.res.Stats.Observed != int64(len(arrivals)) {
-		t.Fatalf("shards observed %d arrivals, want %d", got.res.Stats.Observed, len(arrivals))
-	}
-	// Every shard saw some of the six entities.
-	for _, st := range got.res.Shards {
-		if st.Consumed == 0 {
-			t.Fatalf("shard %d consumed nothing — entity routing premise broken", st.Shard)
-		}
-	}
-}
-
-// TestShardRestartByteIdentity is the tentpole acceptance gate: a seeded
-// panic at every shard's 2nd window forces restarts mid-stream, and the
+// TestShardRestartByteIdentity is the supervisor's acceptance gate: a seeded
+// panic at the 2nd window forces a restart mid-stream, and the
 // recovered run must be byte-identical to the fault-free one — intervals,
 // stats and journals. It runs at both values of the engine's Workers option
 // that callers still set; the option is accepted and ignored, so neither may
@@ -329,11 +281,11 @@ func TestShardRestartByteIdentity(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			opts := rtec.Options{Strict: true, Workers: workers}
-			want, err := runSharded(t, testEngineOpts(t, opts), arrivals, nil, nil)
+			want, err := runSupervised(t, testEngineOpts(t, opts), arrivals, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := runSharded(t, testEngineOpts(t, opts), arrivals, []crash{panicAt(2)}, nil)
+			got, err := runSupervised(t, testEngineOpts(t, opts), arrivals, []crash{panicAt(2)}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -342,7 +294,7 @@ func TestShardRestartByteIdentity(t *testing.T) {
 				restarts += st.Restarts
 			}
 			if restarts == 0 {
-				t.Fatal("no shard restarted — the fault never fired")
+				t.Fatal("the engine never restarted — the fault never fired")
 			}
 			if v := counterValue(got.reg, "rtec.shard.restarts"); v != restarts {
 				t.Fatalf("rtec.shard.restarts = %d, statuses say %d", v, restarts)
@@ -362,16 +314,16 @@ func TestShardRestartByteIdentity(t *testing.T) {
 }
 
 // TestShardRestartWithoutCheckpoints: with checkpointing off, a restarted
-// shard replays the whole retained queue from scratch — and the output is
+// engine replays the whole retained queue from scratch — and the output is
 // still byte-identical.
 func TestShardRestartWithoutCheckpoints(t *testing.T) {
 	arrivals := testArrivals(11, 80, 60)
 	noCkpt := func(o *Options) { o.Stream.CheckpointPath = "" }
-	want, err := runSharded(t, testEngine(t), arrivals, nil, noCkpt)
+	want, err := runSupervised(t, testEngine(t), arrivals, nil, noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t), arrivals, []crash{panicAt(2)}, noCkpt)
+	got, err := runSupervised(t, testEngine(t), arrivals, []crash{panicAt(2)}, noCkpt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,24 +331,23 @@ func TestShardRestartWithoutCheckpoints(t *testing.T) {
 }
 
 // TestShardCheckpointGenerationFallback: a panic at window 3's delivery
-// restarts every shard from the checkpoint that covers window 2. That
+// restarts the engine from the checkpoint that covers window 2. That
 // generation may still have been in flight when window 3 was delivered; the
 // aborted attempt waited for it, so the restart loaded it from disk. Tearing
 // it at window 3's re-delivery and panicking again forces the next restart
 // onto the previous generation; the longer replay must still land on
 // identical bytes. The maritime input is the gold event description over the
 // 14-vessel seed-7 scenario, shuffled at max-delay 900 with a duplicate every
-// 50 events: its relational fluents span shards, and its windows are the
-// ones rtecd serves.
+// 50 events: its windows are the ones rtecd serves.
 func TestShardCheckpointGenerationFallback(t *testing.T) {
-	chaos := []crash{{window: 3, shard: allShards}, {window: 3, shard: allShards, tear: true}}
+	chaos := []crash{{window: 3}, {window: 3, tear: true}}
 	t.Run("synthetic", func(t *testing.T) {
 		arrivals := testArrivals(7, 120, 60)
-		want, err := runSharded(t, testEngine(t), arrivals, nil, nil)
+		want, err := runSupervised(t, testEngine(t), arrivals, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runSharded(t, testEngine(t), arrivals, chaos, nil)
+		got, err := runSupervised(t, testEngine(t), arrivals, chaos, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -412,16 +363,16 @@ func TestShardCheckpointGenerationFallback(t *testing.T) {
 			o.Stream.RunOptions = rtec.RunOptions{Window: 3600, Start: first, End: last + 1}
 			o.Stream.MaxDelay = 900
 		}
-		want, err := runSharded(t, eng, arrivals, nil, geometry)
+		want, err := runSupervised(t, eng, arrivals, nil, geometry)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := runSharded(t, eng, arrivals, chaos, geometry)
+		got, err := runSupervised(t, eng, arrivals, chaos, geometry)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if counterValue(got.reg, "rtec.shard.restarts") == 0 {
-			t.Fatal("no shard restarted: the faults never fired")
+			t.Fatal("the engine never restarted: the faults never fired")
 		}
 		if len(restartReasons(t, got)) == 0 {
 			t.Fatal("the supervisor journal has no shard_restart record")
@@ -433,12 +384,12 @@ func TestShardCheckpointGenerationFallback(t *testing.T) {
 // TestShardCheckpointWriteFailureCommitsOnlyDurable: a checkpoint write that
 // fails behind the consumer — here because the checkpoint directory is gone —
 // fails the attempt at the next cadence point, before that cadence's
-// generation-lagged commit, so the shard's journal is committed through the
-// last generation that reached the disk and no further. A panic at window
-// 3's delivery restarts the shard from the generation covering window 2;
-// the aborted attempt waited for it, so no write is in flight when the
+// generation-lagged commit, so the journal is committed through the last
+// generation that reached the disk and no further. A panic at window 3's
+// delivery restarts the engine from the generation covering window 2; the
+// aborted attempt waited for it, so no write is in flight when the
 // directory is removed at the re-delivery. The restart's first generation
-// then fails, the next cadence point reports it, and the shard, unable to
+// then fails, the next cadence point reports it, and the engine, unable to
 // load any checkpoint, degrades.
 func TestShardCheckpointWriteFailureCommitsOnlyDurable(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
@@ -450,7 +401,6 @@ func TestShardCheckpointWriteFailureCommitsOnlyDurable(t *testing.T) {
 		}
 		var shardJournal, events bytes.Buffer
 		sup, err := NewSupervisor(testEngine(t), Options{
-			Shards: 1,
 			Events: journal.NewWriter(&events, journal.Options{}),
 			Stream: rtec.StreamOptions{
 				RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
@@ -469,7 +419,7 @@ func TestShardCheckpointWriteFailureCommitsOnlyDurable(t *testing.T) {
 		}
 		for _, e := range arrivals {
 			if sup.Ingest(e) != nil {
-				break // the shard degraded
+				break // the engine degraded
 			}
 		}
 		_, err = sup.Close()
@@ -522,20 +472,20 @@ func TestShardCheckpointWriteFailureCommitsOnlyDurable(t *testing.T) {
 		}
 	})
 	if err == nil || !strings.Contains(err.Error(), "degraded") {
-		t.Fatalf("Close err = %v, want the degraded shard", err)
+		t.Fatalf("Close err = %v, want the degraded engine", err)
 	}
 	if delivered < 2 {
 		t.Fatalf("window 3 delivered %d times: the checkpoint directory was never removed", delivered)
 	}
 	var writeFailed bool
-	for _, r := range restartReasons(t, &shardedRun{events: events}) {
+	for _, r := range restartReasons(t, &supervisedRun{events: events}) {
 		writeFailed = writeFailed || strings.Contains(r, "rtec: checkpoint: ")
 	}
 	if !writeFailed {
 		t.Fatalf("no restart names the failed checkpoint write:\n%s", events.Bytes())
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("the shard committed past its last durable generation:\n have %s\n want %s", got.Bytes(), want)
+		t.Fatalf("the engine committed past its last durable generation:\n have %s\n want %s", got.Bytes(), want)
 	}
 }
 
@@ -572,7 +522,7 @@ func maritimeInput(t *testing.T) (*rtec.Engine, stream.Stream) {
 }
 
 // TestShardPanicUnblocksProducer: with a tiny queue the producer blocks on
-// every shard's full backlog, and each shard panics at its first window. The
+// the full backlog, and the engine panics at its first window. The
 // restarted consumer's own progress must wake the blocked Ingest — nothing
 // polls on its behalf — and the run must stay byte-identical.
 func TestShardPanicUnblocksProducer(t *testing.T) {
@@ -581,28 +531,28 @@ func TestShardPanicUnblocksProducer(t *testing.T) {
 		o.Clock = clock.NewVirtual(time.Unix(0, 0))
 		o.QueueDepth = 2
 	}
-	want, err := runSharded(t, testEngine(t), arrivals, nil, tweak)
+	want, err := runSupervised(t, testEngine(t), arrivals, nil, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSharded(t, testEngine(t), arrivals, []crash{panicAt(1)}, tweak)
+	got, err := runSupervised(t, testEngine(t), arrivals, []crash{panicAt(1)}, tweak)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if counterValue(got.reg, "rtec.shard.restarts") == 0 {
-		t.Fatal("no shard restarted: the panics never fired")
+		t.Fatal("the engine never restarted: the panic never fired")
 	}
 	requireIdentical(t, want, got)
 }
 
-// TestShardDegradationAndHealth: a shard that panics on every attempt
+// TestShardDegradationAndHealth: an engine that panics on every attempt
 // exhausts its restart budget and degrades instead of wedging the run: the
-// arrivals routed to it are refused with ErrDegraded, the other shards run
-// on, Close fails the run while still returning the healthy shards' merge,
-// and /healthz answers 503 with the shards check failing.
+// arrivals after it are refused with ErrDegraded, Close fails the run while
+// still returning the Result that says why, and /healthz answers 503 with
+// the shards check failing.
 func TestShardDegradationAndHealth(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
-	sup := mustSupervisor(t, arrivals, []crash{{window: 1, shard: 0, every: true}}, func(o *Options) {
+	sup := mustSupervisor(t, arrivals, []crash{{window: 1, every: true}}, func(o *Options) {
 		o.MaxRestarts = 2
 	})
 	for _, e := range arrivals {
@@ -621,9 +571,10 @@ func TestShardDegradationAndHealth(t *testing.T) {
 	if !st.Degraded || st.Err == "" || st.Restarts != 2 {
 		t.Fatalf("shard 0 status %+v, want degraded after 2 restarts", st)
 	}
-	// The healthy shards' intervals survive in the partial merge.
-	if len(res.Recognition.Keys()) == 0 {
-		t.Fatal("partial merge lost the healthy shards' intervals")
+	// A degraded run has no recognition to return: there is no healthy
+	// part of it.
+	if res.Recognition != nil {
+		t.Fatal("a degraded run returned a recognition")
 	}
 
 	reg := telemetry.NewRegistry()
@@ -632,28 +583,28 @@ func TestShardDegradationAndHealth(t *testing.T) {
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 503 {
-		t.Fatalf("/healthz = %d with a degraded shard, want 503", rec.Code)
+		t.Fatalf("/healthz = %d with a degraded engine, want 503", rec.Code)
 	}
 	if body := rec.Body.String(); !bytes.Contains([]byte(body), []byte("degraded shards: [0]")) {
-		t.Fatalf("/healthz body does not name the degraded shard: %s", body)
+		t.Fatalf("/healthz body does not name the degraded engine: %s", body)
 	}
 }
 
 // TestShardOverflowOnDegraded pins the one admission verdict against a dead
-// shard: Ingest refuses with ErrDegraded instead of blocking forever, and
+// engine: Ingest refuses with ErrDegraded instead of blocking forever, and
 // Close fails the run but still returns the partial Result. The subtest is
-// named for the queue's admission policy: a shard queue only blocks.
+// named for the queue's admission policy: the queue only blocks.
 func TestShardOverflowOnDegraded(t *testing.T) {
 	t.Run("block", func(t *testing.T) {
 		arrivals := testArrivals(7, 40, 60)
-		sup := mustSupervisor(t, arrivals, nil, func(o *Options) { o.Shards = 1 })
-		sup.procs[0].degrade(fmt.Errorf("forced by test"), true)
+		sup := mustSupervisor(t, arrivals, nil, nil)
+		sup.p.degrade(fmt.Errorf("forced by test"), true)
 		if err := sup.Ingest(ev(5, "entersArea(v1, a1)")); !errors.Is(err, ErrDegraded) {
-			t.Fatalf("Ingest to a degraded shard: err = %v, want ErrDegraded", err)
+			t.Fatalf("Ingest to a degraded engine: err = %v, want ErrDegraded", err)
 		}
 		res, err := sup.Close()
 		if err == nil {
-			t.Fatal("Close did not report the degraded shard")
+			t.Fatal("Close did not report the degraded engine")
 		}
 		if res == nil || res.Degraded != 1 || !res.Shards[0].Degraded {
 			t.Fatalf("Close returned no partial Result reporting the degradation: %+v", res)
@@ -665,7 +616,6 @@ func mustSupervisor(t *testing.T, arrivals stream.Stream, crashes []crash, tweak
 	t.Helper()
 	first, last := arrivals.TimeRange()
 	opts := Options{
-		Shards: 4,
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 			MaxDelay:        60,
@@ -699,17 +649,17 @@ func TestSupervisorLifecycleErrors(t *testing.T) {
 	if _, err := sup.Close(); err == nil {
 		t.Fatal("second Close accepted")
 	}
-	if _, err := NewSupervisor(testEngine(t), Options{Shards: 2}); err == nil {
+	if _, err := NewSupervisor(testEngine(t), Options{}); err == nil {
 		t.Fatal("supervisor planned without explicit bounds")
 	}
 }
 
-// TestSeedForDistinct: every shard's backoff jitter has its own seed, and
-// the same run seed gives it the same one.
+// TestSeedForDistinct: distinct names get distinct backoff seeds, and the
+// same run seed gives a name the same one.
 func TestSeedForDistinct(t *testing.T) {
 	a, b := seedFor(7, "shard-0"), seedFor(7, "shard-1")
 	if a == b {
-		t.Fatal("per-shard seeds collide")
+		t.Fatal("seeds of distinct names collide")
 	}
 	if a != seedFor(7, "shard-0") {
 		t.Fatal("seed not deterministic")
@@ -720,26 +670,24 @@ func TestSeedForDistinct(t *testing.T) {
 // schedules. The invariant: any run that completes without degradation is
 // byte-identical to the fault-free run over the same stream.
 func FuzzShardFaultSchedule(f *testing.F) {
-	f.Add([]byte{0, 1, 0}, uint8(4))          // panic at window 2, every shard
-	f.Add([]byte{1, 0, 1}, uint8(2))          // tear and panic at window 1, shard 0
-	f.Add([]byte{1, 1, 0, 0, 2, 0}, uint8(1)) // tear and panic at 2, then panic at 3
-	f.Add([]byte{0, 0, 0x80}, uint8(3))       // panic at window 1 on every attempt
-	f.Add([]byte{}, uint8(4))                 // no fault
+	f.Add([]byte{0, 1, 0})          // panic at window 2
+	f.Add([]byte{1, 0, 1})          // tear and panic at window 1
+	f.Add([]byte{1, 1, 0, 0, 2, 0}) // tear and panic at 2, then panic at 3
+	f.Add([]byte{0, 0, 0x80})       // panic at window 1 on every attempt
+	f.Add([]byte{})                 // no fault
 	arrivals := testArrivals(7, 40, 60)
-	f.Fuzz(func(t *testing.T, schedule []byte, shards uint8) {
-		n := int(shards%4) + 1
-		tweak := func(o *Options) {
-			o.Shards = n
-			o.Clock = clock.NewVirtual(time.Unix(0, 0))
-			o.MaxRestarts = 6
-		}
-		want, err := runSharded(t, testEngine(t), arrivals, nil, tweak)
+	tweak := func(o *Options) {
+		o.Clock = clock.NewVirtual(time.Unix(0, 0))
+		o.MaxRestarts = 6
+	}
+	f.Fuzz(func(t *testing.T, schedule []byte) {
+		want, err := runSupervised(t, testEngine(t), arrivals, nil, tweak)
 		if err != nil {
 			t.Fatalf("fault-free run failed: %v", err)
 		}
-		got, err := runSharded(t, testEngine(t), arrivals, decodeSchedule(schedule), tweak)
+		got, err := runSupervised(t, testEngine(t), arrivals, decodeSchedule(schedule), tweak)
 		if err != nil {
-			return // the schedule exhausted a shard; no identity promised
+			return // the schedule exhausted the restart budget; no identity promised
 		}
 		requireIdentical(t, want, got)
 	})
@@ -747,15 +695,14 @@ func FuzzShardFaultSchedule(f *testing.F) {
 
 // decodeSchedule reads a fuzzed fault schedule three bytes per crash: the
 // kind (panic, or tear the checkpoint and panic), the window (1–4), and the
-// scope (low seven bits: every shard or shard 0–3) with the high bit making
-// it fire on every attempt.
+// scope, whose high bit makes the crash fire on every attempt; its low seven
+// bits are ignored.
 func decodeSchedule(b []byte) []crash {
 	cs := []crash{}
 	for ; len(b) >= 3; b = b[3:] {
 		cs = append(cs, crash{
 			tear:   b[0]%2 == 1,
 			window: int(b[1]%4) + 1,
-			shard:  int(b[2]&0x7f)%5 + allShards,
 			every:  b[2]&0x80 != 0,
 		})
 	}

@@ -22,7 +22,7 @@ type fileRun struct {
 	t   *testing.T
 	dir string
 	sup *Supervisor
-	jfs []*os.File
+	jf  *os.File
 }
 
 // newFileRun starts a supervisor over dir checkpointing every `every`
@@ -42,46 +42,36 @@ func openFileRun(t *testing.T, dir string, arrivals stream.Stream, resume bool, 
 	t.Helper()
 	first, last := arrivals.TimeRange()
 	r := &fileRun{t: t, dir: dir}
-	jfs := make([]*os.File, 4)
-	infos := make([]*journal.RecoverInfo, 4)
-	for k := range jfs {
-		path := filepath.Join(dir, fmt.Sprintf("run.journal.s%d", k))
-		if resume {
-			if _, statErr := os.Stat(path); statErr == nil {
-				info, err := journal.Recover(path)
-				if err != nil {
-					t.Fatal(err)
-				}
-				infos[k] = &info
-				f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-				if err != nil {
-					t.Fatal(err)
-				}
-				jfs[k] = f
-				continue
-			}
-		}
-		f, err := os.Create(path)
+	path := filepath.Join(dir, "run.journal.s0")
+	var info *journal.RecoverInfo
+	if _, statErr := os.Stat(path); resume && statErr == nil {
+		rec, err := journal.Recover(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jfs[k] = f
+		info = &rec
+		if r.jf, err = os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	} else {
+		var err error
+		if r.jf, err = os.Create(path); err != nil {
+			t.Fatal(err)
+		}
 	}
-	r.jfs = jfs
 	opts := Options{
-		Shards: 4,
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 			MaxDelay:        60,
 			CheckpointPath:  filepath.Join(dir, "run.ckpt"),
 			CheckpointEvery: every,
 		},
-		JournalFor:     func(k int) io.Writer { return jfs[k] },
-		JournalInfoFor: func(k int) *journal.RecoverInfo { return infos[k] },
-		Resume:         resume,
-		Seed:           7,
-		MaxRestarts:    8,
-		Telemetry:      telemetry.New(telemetry.NewRegistry(), nil, nil),
+		JournalFor:  func(int) io.Writer { return r.jf },
+		JournalInfo: info,
+		Resume:      resume,
+		Seed:        7,
+		MaxRestarts: 8,
+		Telemetry:   telemetry.New(telemetry.NewRegistry(), nil, nil),
 	}
 	if crashes != nil {
 		opts.OnWindow = crashObserver(opts, crashes)
@@ -104,15 +94,11 @@ func (r *fileRun) ingest(arrivals stream.Stream) {
 	}
 }
 
-func (r *fileRun) closeFiles() {
-	for _, f := range r.jfs {
-		f.Close()
-	}
-}
+func (r *fileRun) closeFiles() { r.jf.Close() }
 
-func (r *fileRun) journalBytes(k int) []byte {
+func (r *fileRun) journalBytes() []byte {
 	r.t.Helper()
-	b, err := os.ReadFile(filepath.Join(r.dir, fmt.Sprintf("run.journal.s%d", k)))
+	b, err := os.ReadFile(filepath.Join(r.dir, "run.journal.s0"))
 	if err != nil {
 		r.t.Fatal(err)
 	}
@@ -145,15 +131,8 @@ func suspendResumeIdentity(t *testing.T, park, every int, crashes []crash) {
 		t.Fatalf("suspend: %v", err)
 	}
 	parked.closeFiles()
-	var consumed int64
-	for _, st := range sts {
-		if !st.Suspended || st.Degraded {
-			t.Fatalf("shard %d did not park cleanly: %+v", st.Shard, st)
-		}
-		consumed += st.Consumed
-	}
-	if consumed != int64(park) {
-		t.Fatalf("parked %d arrivals, want %d", consumed, park)
+	if st := sts[0]; !st.Suspended || st.Degraded || st.Consumed != int64(park) {
+		t.Fatalf("the engine did not park cleanly after %d arrivals: %+v", park, st)
 	}
 
 	resumed := newFileRun(t, dir, arrivals, true, every, nil)
@@ -169,11 +148,9 @@ func suspendResumeIdentity(t *testing.T, park, every int, crashes []crash) {
 	if wantRes.Stats != gotRes.Stats {
 		t.Fatalf("park@%d: resumed stats = %+v, uninterrupted = %+v", park, gotRes.Stats, wantRes.Stats)
 	}
-	for k := 0; k < 4; k++ {
-		if !bytes.Equal(baseline.journalBytes(k), resumed.journalBytes(k)) {
-			t.Fatalf("park@%d: shard %d journal differs after suspend-resume:\n%s\nvs\n%s",
-				park, k, resumed.journalBytes(k), baseline.journalBytes(k))
-		}
+	if !bytes.Equal(baseline.journalBytes(), resumed.journalBytes()) {
+		t.Fatalf("park@%d: journal differs after suspend-resume:\n%s\nvs\n%s",
+			park, resumed.journalBytes(), baseline.journalBytes())
 	}
 }
 
@@ -194,18 +171,25 @@ func TestSuspendResumeByteIdentity(t *testing.T) {
 	everyCadence(t, 80, nil)
 }
 
-// TestSuspendResumeEarlyPark parks after 3 arrivals: most shards have
-// consumed nothing and hold no checkpoint, so the resume path must handle
-// fresh shards next to restored ones.
+// TestSuspendResumeEarlyPark parks after 3 arrivals: the suspend checkpoint
+// holds little more than the reorder buffer, and the resume must continue
+// from it.
 func TestSuspendResumeEarlyPark(t *testing.T) {
 	everyCadence(t, 3, nil)
 }
 
-// TestSuspendResumeAfterFaults panics shard 0 before the park: crash
+// TestSuspendResumeBeforeFirstArrival parks before any arrival: the suspend
+// checkpoint is empty, so the resumed engine starts fresh and journals
+// run_start on its first ingest, as the uninterrupted run does.
+func TestSuspendResumeBeforeFirstArrival(t *testing.T) {
+	everyCadence(t, 0, nil)
+}
+
+// TestSuspendResumeAfterFaults panics the engine before the park: crash
 // recovery and the graceful park must compose without disturbing the
 // byte-identity contract.
 func TestSuspendResumeAfterFaults(t *testing.T) {
-	everyCadence(t, 80, []crash{{window: 1, shard: 0}})
+	everyCadence(t, 80, []crash{panicAt(1)})
 }
 
 // TestResumeRefusesTornSuspendCheckpoint: the journal was committed through
@@ -231,7 +215,7 @@ func TestResumeRefusesTornSuspendCheckpoint(t *testing.T) {
 			parked.closeFiles()
 			path := filepath.Join(dir, "run.ckpt.s0")
 			if _, err := os.Stat(path + ".prev"); err != nil {
-				t.Fatalf("shard 0 kept no previous generation to fall back to: %v", err)
+				t.Fatalf("the engine kept no previous generation to fall back to: %v", err)
 			}
 			tc.damage(path)
 			r, err := openFileRun(t, dir, arrivals, true, 3, nil)
@@ -251,7 +235,6 @@ func TestSuspendRequiresCheckpointPath(t *testing.T) {
 	arrivals := testArrivals(7, 40, 60)
 	first, last := arrivals.TimeRange()
 	sup, err := NewSupervisor(testEngine(t), Options{
-		Shards: 2,
 		Stream: rtec.StreamOptions{
 			RunOptions: rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 			MaxDelay:   60,
@@ -271,7 +254,6 @@ func TestSuspendRequiresCheckpointPath(t *testing.T) {
 
 func TestResumeRequiresCheckpointPath(t *testing.T) {
 	_, err := NewSupervisor(testEngine(t), Options{
-		Shards: 2,
 		Stream: rtec.StreamOptions{RunOptions: rtec.RunOptions{Window: 100, Start: 0, End: 100}},
 		Resume: true,
 	})

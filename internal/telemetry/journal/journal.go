@@ -131,7 +131,7 @@ func (w *Writer) encode(typ string, payload json.RawMessage) ([]byte, error) {
 
 // Mark is a point in a writer's sequencing state, captured by (*Writer).Mark
 // and restored by Rollback. The shard runtime journals speculatively into an
-// in-memory stage and, when a crashed shard replays from its checkpoint,
+// in-memory stage and, when a crashed engine replays from its checkpoint,
 // rolls the writer back to the mark taken at that checkpoint so the replayed
 // records reuse the same sequence numbers — keeping the recovered journal
 // byte-identical to a fault-free run. Mark/Rollback only restore the

@@ -15,20 +15,15 @@ import (
 // span: the registry's instruments, its help text and the tracer.
 var metricNamers = map[string]bool{"Counter": true, "Gauge": true, "Histogram": true, "Describe": true, "Span": true}
 
-// shardFamily is what shardMetric(k, suffix) prefixes its suffix with, with
-// the shard index as the placeholder docs spell rtec.shard.s<k>.
-const shardFamily = "rtec.shard.s<>."
-
 // reportFile holds the benchmark's figure table; its Name: literals are
 // names too. It is read, never written.
 const reportFile = "benchmark/report.go"
 
 // metricLiterals collects, from the non-test Go under root, every literal
 // name the metricdoc rule resolves against: the first argument of a
-// metricNamers call (the leftmost operand of "family." + label), each
-// shardMetric suffix under shardFamily, the format of a fmt.Sprintf that
-// builds a name from an index alone ("rtec.stratum.micros.s%d"), and every
-// Name: of reportFile.
+// metricNamers call (the leftmost operand of "family." + label), the format
+// of a fmt.Sprintf that builds a name from an index alone
+// ("rtec.stratum.micros.s%d"), and every Name: of reportFile.
 func metricLiterals(root string) (map[string]bool, error) {
 	out := map[string]bool{}
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
@@ -56,10 +51,6 @@ func metricLiterals(root string) (map[string]bool, error) {
 				case metricNamers[fn] && len(n.Args) > 0:
 					if name, ok := leftLiteral(n.Args[0]); ok {
 						out[normMetric(name)] = true
-					}
-				case fn == "shardMetric" && len(n.Args) > 1:
-					if name, ok := leftLiteral(n.Args[1]); ok {
-						out[shardFamily+normMetric(name)] = true
 					}
 				case fn == "Sprintf" && len(n.Args) > 0:
 					format, ok := leftLiteral(n.Args[0])

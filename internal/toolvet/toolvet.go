@@ -30,9 +30,9 @@
 // A third rule holds the registry to DESIGN.md §10 (a signal has a reader or
 // is removed):
 //
-//   - signal: a string literal passed to .Counter(, .Gauge(, .Histogram( or
-//     shardMetric( must occur — dotted, or with underscores as a scrape
-//     exposes it — in one of consumerFiles: ci.sh, the contract tests, the
+//   - signal: a string literal passed to .Counter(, .Gauge( or .Histogram(
+//     must occur — dotted, or with underscores as a scrape exposes it — in
+//     one of consumerFiles: ci.sh, the contract tests, the
 //     shared-evaluation test, cmd/rtectop/main.go or README.md. A literal
 //     ending in "." is a family prefix ("rtec.stratum.micros." + s). A
 //     "<prefix>.*" mention covers no name: each must be read by name. A
@@ -51,11 +51,10 @@
 //   - metricdoc: a metric or span name (rtec., serve., stream., or the
 //     rtec_/serve_ scrape form) in an inline code span of those documents
 //     must resolve to a string literal of non-test Go: a Counter, Gauge,
-//     Histogram, Describe or Span argument, a shardMetric suffix, an
-//     index-only Sprintf format, or a Name: of benchmark/report.go. The
-//     _total suffix, <placeholders>, {a,b} lists and a closing .* are
-//     normalised first — delete a metric and the docs that still name it
-//     fail here.
+//     Histogram, Describe or Span argument, an index-only Sprintf format,
+//     or a Name: of benchmark/report.go. The _total suffix,
+//     <placeholders>, {a,b} lists and a closing .* are normalised first —
+//     delete a metric and the docs that still name it fail here.
 //
 // A sixth holds the change log to summaries (changes.go):
 //
@@ -188,7 +187,7 @@ var consumerFiles = []string{
 }
 
 // signalNameArg maps each inspected call to its metric-name argument.
-var signalNameArg = map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0, "shardMetric": 1}
+var signalNameArg = map[string]int{"Counter": 0, "Gauge": 0, "Histogram": 0}
 
 // signalName returns the metric-name literal of a registry call (for
 // "family." + label, the leftmost operand), or "" when call is not one or

@@ -147,15 +147,13 @@ func TestSignalRule(t *testing.T) {
 		"line(\"restarts\", \"rtec_shard_restarts_total\")\n" +
 		"`rtec.stratum.micros.<s>` and the `rtec.checkpoint.*` counters\n"
 	fs, err := CheckSource("a.go", []byte(`package a
-func f(tel T, k int, label string) {
+func f(tel T, label string) {
 	tel.Counter("rtec.windows.evaluated").Inc()
 	tel.Counter("rtec.shard.restarts").Inc()
 	tel.Gauge("rtec.stratum.micros." + label).Set(1)
 	tel.Registry.Histogram("rtec.checkpoint.write_micros", nil).Observe(1)
-	tel.Gauge(shardMetric(k, "restarts")).Set(1)
 	tel.Counter("rtec.fvps.grounded").Inc()
 	tel.Counter("llm.calls." + label).Inc()
-	tel.Gauge(shardMetric(k, "queue.ghost")).Set(1)
 	tel.Counter(computed()).Inc()
 }
 `), consumers)
@@ -171,10 +169,9 @@ func f(tel T, k int, label string) {
 	}
 	want := []string{
 		`a.go:6:25: signal: "rtec.checkpoint.write_micros" has no consumer`,
-		`a.go:8:14: signal: "rtec.fvps.grounded" has no consumer in ci.sh, cmd/rtec/contract_test.go, ` +
+		`a.go:7:14: signal: "rtec.fvps.grounded" has no consumer in ci.sh, cmd/rtec/contract_test.go, ` +
 			`internal/rtec/contract_test.go, internal/eval/accuracy_test.go, cmd/rtectop/main.go, README.md`,
-		`a.go:9:14: signal: "llm.calls." has no consumer`,
-		`a.go:10:27: signal: "queue.ghost" has no consumer`,
+		`a.go:8:14: signal: "llm.calls." has no consumer`,
 	}
 	if len(got) != len(want) {
 		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
@@ -330,8 +327,8 @@ func TestChangesLineRule(t *testing.T) {
 }
 
 // TestMetricDocRule: a metric name in a document's code span must be a
-// literal of non-test Go — a registry or tracer call, a shardMetric suffix,
-// an index-only Sprintf format or a benchmark figure — in any of the
+// literal of non-test Go — a registry or tracer call, an index-only Sprintf
+// format or a benchmark figure — in any of the
 // spellings the documents use. A name only a test registers, like a deleted
 // counter a test still reads, fails.
 func TestMetricDocRule(t *testing.T) {
@@ -347,7 +344,7 @@ func f(reg R, tr T, k int, s string) {
 	reg.Counter("rtec.shard.restarts").Inc()
 	reg.Describe("rtec.shard.degraded", "help")
 	reg.Histogram("rtec.stratum.micros." + s)
-	_ = shardMetric(k, "queue.depth")
+	reg.Gauge("rtec.shard.queue.depth")
 	tr.Span("rtec.window")
 	_ = fmt.Sprintf("rtec.level.s%d", k)
 }
@@ -370,8 +367,8 @@ var figures = []figure{{Name: "rtec.eval.ns_per_event"}}
 	}
 	doc := "# Doc\n" +
 		"Counters `rtec.shard.{restarts," + gone[len("rtec.shard."):] + "}` and `rtec_shard_restarts_total`;\n" +
-		"per shard `rtec.shard.s<k>.{queue.depth,\n" +
-		"degraded}`, `rtec_shard_s<k>_queue_depth`; `rtec.stratum.micros.s<N>`, `rtec.level.s<N>`,\n" +
+		"Engine `rtec.shard.{queue.depth,\n" +
+		"windows}`, `rtec_shard_queue_depth`; `rtec.stratum.micros.s<N>`, `rtec.level.s<N>`,\n" +
 		"the `rtec.window` span, `rtec.shard.*`, the `rtec.eval` rung; `rtec.Options`, `$tmp/gold.rtec`.\n" +
 		"```\n" +
 		"rtectop -require '" + goneScrape + ">0'   # `" + gone + "` in a code block\n" +
@@ -384,7 +381,7 @@ var figures = []figure{{Name: "rtec.eval.ns_per_event"}}
 	}
 	want := []string{
 		`README.md:2:11: metricdoc: "` + gone + `" names no metric`,
-		`README.md:3:12: metricdoc: "rtec.shard.s<k>.degraded" names no metric`,
+		`README.md:3:9: metricdoc: "rtec.shard.windows" names no metric`,
 		`README.md:10:8: metricdoc: "` + gone + `" names no metric`,
 		`README.md:10:31: metricdoc: "` + goneScrape + `" names no metric`,
 	}
