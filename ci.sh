@@ -4,8 +4,8 @@
 # DESIGN.md §9), race-enabled tests for the concurrency-sensitive packages,
 # the kb index, delta, NDJSON recogniser, reorder and shard fault-schedule
 # fuzzes, and the two gates that need real processes: the rtecd daemon's
-# answer against the batch oracle, its drain and resume, and the benchmark
-# smoke.
+# answer against the batch oracle, its drain and resume (tumbling and at
+# slide 300), and the benchmark smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -98,7 +98,7 @@ fuzz ./internal/stream FuzzReorderMatchesSort 10s
 echo "== shard fault-schedule fuzz (a run that survives any schedule of observer panics and torn checkpoints == the fault-free run, byte for byte)"
 fuzz ./internal/shard FuzzShardFaultSchedule 10s
 
-echo "== rtecd gate (exact against the batch oracle, daemon drain, resume byte-identity, -shards refusal)"
+echo "== rtecd gate (exact against the batch oracle, daemon drain, resume byte-identity, tumbling and -slide 300, -shards refusal)"
 # Serve the maritime event description through the rtecd daemon. The
 # uninterrupted run POSTs the whole shuffled NDJSON stream, then /finish; its
 # CSV must be the batch rtec's over the in-order CSV stream, byte for byte
@@ -193,6 +193,42 @@ if ! cmp -s "$tmp/clean.jsonl.s0" "$tmp/d.jsonl.s0"; then
     echo "rtecd gate: engine journal diverged across drain-and-resume" >&2
     exit 1
 fi
+# The sliding leg: the same drill at -slide 300, where the revision cursor
+# folds twelve windows per window length into the run's amalgamation. The
+# uninterrupted CSV must be the batch rtec's at -slide 300; across the drain
+# and -resume, the CSV, the engine journal and the last checkpoint generation
+# must be the uninterrupted run's, byte for byte.
+slide_flags="$rtecd_flags -slide 300"
+start_rtecd "$slide_flags -checkpoint $tmp/sclean.ckpt -journal $tmp/sclean.jsonl"
+post_ok "$tmp/shuffled.ndjson"
+curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd-sclean.csv"
+kill -TERM "$rtecd_pid"
+wait "$rtecd_pid" || true
+"$bin/rtec" -ed "$tmp/ed.rtec" -stream "$tmp/events.csv" -window 3600 -slide 300 -csv > "$tmp/sbatch.csv"
+if ! cmp -s "$tmp/sbatch.csv" "$tmp/rtecd-sclean.csv"; then
+    echo "rtecd gate: daemon CSV at -slide 300 differs from the batch rtec oracle:" >&2
+    diff "$tmp/sbatch.csv" "$tmp/rtecd-sclean.csv" >&2 || true
+    exit 1
+fi
+start_rtecd "$slide_flags -checkpoint $tmp/s.ckpt -journal $tmp/s.jsonl"
+post_ok "$tmp/firsthalf.ndjson"
+kill -TERM "$rtecd_pid"
+if ! wait "$rtecd_pid" || ! grep -q '^rtecd: drained (suspended)$' "$tmp/rtecd-err.txt"; then
+    echo "rtecd gate: SIGTERM drain at -slide 300 did not park into the suspended state:" >&2
+    cat "$tmp/rtecd-err.txt" >&2
+    exit 1
+fi
+start_rtecd "$slide_flags -checkpoint $tmp/s.ckpt -journal $tmp/s.jsonl -resume"
+post_ok "$tmp/shuffled.ndjson"
+curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/rtecd-s.csv"
+kill -TERM "$rtecd_pid"
+wait "$rtecd_pid" || true
+for f in rtecd-s.csv:rtecd-sclean.csv s.jsonl.s0:sclean.jsonl.s0 s.ckpt.s0:sclean.ckpt.s0; do
+    if ! cmp -s "$tmp/${f%%:*}" "$tmp/${f#*:}"; then
+        echo "rtecd gate: ${f%%:*} diverged from the uninterrupted run's ${f#*:} across drain-and-resume at -slide 300" >&2
+        exit 1
+    fi
+done
 # -shards is kept only for the benchmark, which passes 1: any other value
 # must fail the start before the port is bound or a journal is created. A
 # daemon that started would wait for a signal; timeout ends it, and the

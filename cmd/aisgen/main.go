@@ -4,12 +4,18 @@
 //
 // Usage:
 //
-//	aisgen [-vessels N] [-seed S] [-interval SEC] [-raw] [-background out.rtec] [-gold out.rtec]
+//	aisgen [-vessels N] [-seed S] [-interval SEC] [-repeat K] [-raw] [-background out.rtec] [-gold out.rtec]
+//
+// -repeat K writes K copies of the scenario's stream one after another in
+// time, copy c shifted by c times the scenario's span (its first to last AIS
+// report, plus one reporting interval): a stream K times as long over the
+// same fleet and background knowledge. -repeat 1 is the scenario itself.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"rtecgen/internal/maritime"
@@ -20,18 +26,22 @@ func main() {
 	vessels := flag.Int("vessels", 60, "fleet size")
 	seed := flag.Int64("seed", 7, "scenario seed")
 	interval := flag.Int64("interval", 60, "AIS reporting cadence in seconds")
+	repeat := flag.Int("repeat", 1, "write this many time-shifted copies of the stream")
 	raw := flag.Bool("raw", false, "emit raw AIS messages instead of derived input events")
 	background := flag.String("background", "", "also write the scenario background knowledge to this file")
 	gold := flag.String("gold", "", "also write the gold-standard maritime event description to this file")
 	flag.Parse()
 
-	if err := run(*vessels, *seed, *interval, *raw, *background, *gold); err != nil {
+	if err := run(os.Stdout, *vessels, *seed, *interval, *repeat, *raw, *background, *gold); err != nil {
 		fmt.Fprintln(os.Stderr, "aisgen:", err)
 		os.Exit(1)
 	}
 }
 
-func run(vessels int, seed, interval int64, raw bool, background, gold string) error {
+func run(w io.Writer, vessels int, seed, interval int64, repeat int, raw bool, background, gold string) error {
+	if repeat < 1 {
+		return fmt.Errorf("-repeat %d: want at least 1 copy", repeat)
+	}
 	if gold != "" {
 		if err := os.WriteFile(gold, []byte(maritime.GoldSource()), 0o644); err != nil {
 			return err
@@ -44,10 +54,23 @@ func run(vessels int, seed, interval int64, raw bool, background, gold string) e
 		return err
 	}
 
-	if raw {
+	var span int64
+	if n := len(scen.Messages); n > 0 {
+		first, last := scen.Messages[0].Time, scen.Messages[0].Time
 		for _, m := range scen.Messages {
-			fmt.Printf("%d,%s,%.4f,%.4f,%.2f,%.2f,%.2f\n",
-				m.Time, m.Vessel, m.Pos.X, m.Pos.Y, m.SpeedKn, m.COG, m.Heading)
+			first, last = min(first, m.Time), max(last, m.Time)
+		}
+		span = last - first + interval
+	}
+
+	if raw {
+		for c := int64(0); c < int64(repeat); c++ {
+			for _, m := range scen.Messages {
+				if _, err := fmt.Fprintf(w, "%d,%s,%.4f,%.4f,%.2f,%.2f,%.2f\n",
+					m.Time+c*span, m.Vessel, m.Pos.X, m.Pos.Y, m.SpeedKn, m.COG, m.Heading); err != nil {
+					return err
+				}
+			}
 		}
 		return nil
 	}
@@ -67,5 +90,14 @@ func run(vessels int, seed, interval int64, raw bool, background, gold string) e
 			fmt.Fprintf(f, "%s.\n", fact)
 		}
 	}
-	return stream.Stream(events).WriteCSV(os.Stdout)
+	shifted := make(stream.Stream, len(events))
+	for c := int64(0); c < int64(repeat); c++ {
+		for i, e := range events {
+			shifted[i] = stream.Event{Time: e.Time + c*span, Atom: e.Atom}
+		}
+		if err := shifted.WriteCSV(w); err != nil {
+			return err
+		}
+	}
+	return nil
 }

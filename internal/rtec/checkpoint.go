@@ -18,8 +18,11 @@ import (
 // format version and an fnv-64a checksum of the raw payload bytes, so a
 // truncated or corrupted snapshot is rejected before any state is restored.
 const (
-	checkpointMagic   = "rtec-checkpoint"
-	checkpointVersion = 1
+	checkpointMagic = "rtec-checkpoint"
+	// checkpointVersion 2 carries the amalgamation of the windows past the
+	// revision cursor in one section; version 1 listed every emitted window
+	// and is refused, not converted.
+	checkpointVersion = 2
 
 	// checkpointPrevSuffix names the previous snapshot generation: every
 	// successful checkpoint write first rotates the current file aside, so
@@ -37,19 +40,12 @@ type checkpointFile struct {
 
 // checkpointPayload is the snapshot of a streaming run: enough to continue
 // ingestion at arrival Consumed and reproduce the uninterrupted run's final
-// recognition byte for byte. Frozen windows (those the watermark has passed)
-// contribute only their delivered recognition; the revisable tail keeps its
-// inertia carry-over and the reorder buffer keeps the events that may still
-// be re-evaluated.
+// recognition byte for byte. The windows the watermark has passed
+// (slots[:Final]) are there only as their amalgamation — the fold section:
+// Fold, Warnings and the inertia carry-over leaving window Final-1; the
+// revisable tail slots[Final:Emitted] is kept window by window, and the
+// reorder buffer keeps the events that may still be re-evaluated.
 type checkpointPayload struct {
-	checkpointHeader
-	Slots []ckptSlot `json:"slots"`
-}
-
-// checkpointHeader is every field of the payload ahead of the slots: the part
-// a write encodes afresh each time. The slots follow it in the file, encoded
-// one by one (see encodeSnapshot).
-type checkpointHeader struct {
 	EDSum    string `json:"ed_sum"`
 	Window   int64  `json:"window"`
 	Slide    int64  `json:"slide"`
@@ -63,16 +59,27 @@ type checkpointHeader struct {
 	Checkpoints int64 `json:"checkpoints"`
 	// SinceCkpt is the number of windows emitted since the last cadence
 	// checkpoint. Cadence snapshots always record 0 (the counter is reset
-	// before the write), so the field is omitted there and the on-disk bytes
-	// are unchanged; suspend checkpoints taken mid-cadence record the true
-	// count so the resumed run fires its next cadence checkpoint at the same
-	// absolute window as an uninterrupted one.
+	// before the write), so the field is omitted there; suspend checkpoints
+	// taken mid-cadence record the true count so the resumed run fires its
+	// next cadence checkpoint at the same absolute window as an
+	// uninterrupted one.
 	SinceCkpt int `json:"since_ckpt,omitempty"`
 
 	Frontier int64        `json:"frontier"`
 	Started  bool         `json:"started"`
 	Disorder ckptDisorder `json:"disorder"`
 	Buffered []ckptEvent  `json:"buffered"`
+
+	// Final is the revision cursor; Fold, Warnings and Carry are the fold
+	// section (see streamRun.fold): the amalgamated FVPs sorted by key, the
+	// warnings in first-occurrence order, and the open FVPs window Final-1
+	// carries into window Final.
+	Final    int       `json:"final"`
+	Fold     []ckptFVP `json:"fold"`
+	Warnings []Warning `json:"warnings,omitempty"`
+	Carry    []ckptFVP `json:"carry"`
+	// Slots are the revisable windows, slots[Final:Emitted].
+	Slots []ckptSlot `json:"slots"`
 }
 
 type ckptDisorder struct {
@@ -101,6 +108,7 @@ type ckptSlot struct {
 	Revision   int       `json:"rev"`
 	Recognised []ckptFVP `json:"recognised"`
 	NextOpen   []ckptFVP `json:"next_open"`
+	Warnings   []Warning `json:"warnings,omitempty"`
 	// Marks are the slot's pending marks (see streamRun.mark). A cadence
 	// checkpoint always follows an emission, which flushes them, so only a
 	// suspend checkpoint can carry any.
@@ -109,8 +117,11 @@ type ckptSlot struct {
 
 func fvpToCkpt(fvp *lang.Term, ivals intervals.List) ckptFVP {
 	out := ckptFVP{Fluent: fvp.Args[0].String(), Value: fvp.Args[1].String()}
-	for _, iv := range ivals {
-		out.Ivals = append(out.Ivals, [2]int64{iv.Start, iv.End})
+	if len(ivals) > 0 {
+		out.Ivals = make([][2]int64, len(ivals))
+		for i, iv := range ivals {
+			out.Ivals[i] = [2]int64{iv.Start, iv.End}
+		}
 	}
 	return out
 }
@@ -131,11 +142,45 @@ func fvpFromCkpt(c ckptFVP) (*lang.Term, intervals.List, error) {
 	return lang.FVP(f, v), list, nil
 }
 
-// header captures the run state outside the slots.
-func (st *streamRun) header() checkpointHeader {
+// fvpsToCkpt captures an FVP map sorted by key, so identical states
+// serialise identically; lists may be nil (an inertia carry-over).
+func fvpsToCkpt(fvps map[string]*lang.Term, lists map[string]intervals.List) []ckptFVP {
+	keys := make([]string, 0, len(fvps))
+	for k := range fvps {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	out := make([]ckptFVP, len(keys))
+	for i, k := range keys {
+		out[i] = fvpToCkpt(fvps[k], lists[k])
+	}
+	return out
+}
+
+// fvpsFromCkpt restores what fvpsToCkpt captured: the FVP terms by key and,
+// when lists is non-nil, their intervals into it.
+func fvpsFromCkpt(cs []ckptFVP, lists map[string]intervals.List) (map[string]*lang.Term, error) {
+	fvps := make(map[string]*lang.Term, len(cs))
+	for _, cf := range cs {
+		fvp, list, err := fvpFromCkpt(cf)
+		if err != nil {
+			return nil, err
+		}
+		key := fvpKey(fvp)
+		fvps[key] = fvp
+		if lists != nil {
+			lists[key] = list
+		}
+	}
+	return fvps, nil
+}
+
+// snapshot captures the run state: the header, the reorder buffer, the fold
+// section and the revisable tail.
+func (st *streamRun) snapshot() checkpointPayload {
 	frontier, started := st.reorder.Frontier()
 	ds := st.reorder.Stats()
-	h := checkpointHeader{
+	p := checkpointPayload{
 		EDSum:  st.eng.edFingerprint(),
 		Window: st.tl.window, Slide: st.tl.slide,
 		Start: st.tl.start, End: st.tl.end,
@@ -151,93 +196,48 @@ func (st *streamRun) header() checkpointHeader {
 			Observed: ds.Observed, Accepted: ds.Accepted,
 			Late: ds.Late, Duplicates: ds.Duplicates, Dropped: ds.Dropped,
 		},
+		Final:    st.final,
+		Fold:     fvpsToCkpt(st.fold.fvps, st.fold.byKey),
+		Warnings: st.fold.warnings,
 	}
 	// The atoms were rendered when the reorder buffer admitted them.
-	for i, e := range st.reorder.Buffered() {
-		h.Buffered = append(h.Buffered, ckptEvent{T: e.Time, Atom: st.reorder.Text(i)})
-	}
-	return h
-}
-
-// snapshotSlot captures one emitted slot with deterministic ordering (FVPs
-// sorted by key), so identical states serialise identically.
-func snapshotSlot(slot *windowSlot) ckptSlot {
-	cs := ckptSlot{Revision: slot.revision, Marks: slot.marks}
-	keys := make([]string, 0, len(slot.eval.recognised))
-	for k := range slot.eval.recognised {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		cs.Recognised = append(cs.Recognised, fvpToCkpt(slot.eval.fvps[k], slot.eval.recognised[k]))
-	}
-	open := make([]string, 0, len(slot.eval.nextOpen))
-	for k := range slot.eval.nextOpen {
-		open = append(open, k)
-	}
-	sort.Strings(open)
-	for _, k := range open {
-		cs.NextOpen = append(cs.NextOpen, fvpToCkpt(slot.eval.nextOpen[k], nil))
-	}
-	return cs
-}
-
-// appendSlot appends slot i as it stands in the payload's "slots" array: the
-// array's opening bracket before the first slot, a comma before every other,
-// then the slot's JSON.
-func (st *streamRun) appendSlot(dst []byte, i int) ([]byte, error) {
-	enc, err := json.Marshal(snapshotSlot(&st.slots[i]))
-	if err != nil {
-		return dst, err
-	}
-	if i == 0 {
-		dst = append(dst, '[')
-	} else {
-		dst = append(dst, ',')
-	}
-	return append(dst, enc...), nil
-}
-
-// encodeSnapshot returns the checkpoint envelope of the current run state as
-// the byte runs that make it up, in file order, and their total size. The bytes are those
-// json.Marshal gives for a checkpointFile around the whole checkpointPayload,
-// at the cost of what changed since the previous call:
-// slots[:final] can never be touched again (see streamRun.final), so each is
-// encoded once, into st.frozen, when the cursor has passed it; the header, the
-// reorder buffer and the revisable tail slots[final:emitted] are encoded per
-// call. The checksum is taken over the payload's runs in order, so the
-// payload is never assembled in one piece.
-func (st *streamRun) encodeSnapshot() ([][]byte, int, error) {
-	var err error
-	for ; st.frozenN < st.final; st.frozenN++ {
-		if st.frozen, err = st.appendSlot(st.frozen, st.frozenN); err != nil {
-			return nil, 0, err
+	if buffered := st.reorder.Buffered(); len(buffered) > 0 {
+		p.Buffered = make([]ckptEvent, len(buffered))
+		for i, e := range buffered {
+			p.Buffered[i] = ckptEvent{T: e.Time, Atom: st.reorder.Text(i)}
 		}
 	}
-	head, err := json.Marshal(st.header())
-	if err != nil {
-		return nil, 0, err
+	if st.final > 0 {
+		p.Carry = fvpsToCkpt(st.slots[st.final-1].eval.nextOpen, nil)
 	}
-	head = append(head[:len(head)-1], `,"slots":`...) // reopen the object
-	var tail []byte
 	for i := st.final; i < st.emitted; i++ {
-		if tail, err = st.appendSlot(tail, i); err != nil {
-			return nil, 0, err
-		}
+		slot := &st.slots[i]
+		p.Slots = append(p.Slots, ckptSlot{
+			Revision:   slot.revision,
+			Recognised: fvpsToCkpt(slot.eval.fvps, slot.eval.recognised),
+			NextOpen:   fvpsToCkpt(slot.eval.nextOpen, nil),
+			Warnings:   slot.eval.warnings,
+			Marks:      slot.marks,
+		})
 	}
-	if st.emitted == 0 {
-		tail = append(tail, "null}"...) // a nil slice, as json.Marshal prints it
-	} else {
-		tail = append(tail, "]}"...)
+	return p
+}
+
+// encodeSnapshot returns the checkpoint file of the current run state: the
+// bytes json.Marshal gives for a checkpointFile around the marshalled
+// payload, with the envelope written around the payload rather than
+// marshalled, which would scan the payload again.
+func (st *streamRun) encodeSnapshot() ([]byte, error) {
+	payload, err := json.Marshal(st.snapshot())
+	if err != nil {
+		return nil, err
 	}
 	h := fnv.New64a()
-	h.Write(head)
-	h.Write(st.frozen)
-	h.Write(tail)
-	tail = append(tail, '}') // closes the envelope
-	envelope := fmt.Appendf(nil, `{"magic":"%s","version":%d,"checksum":"%016x","payload":`,
+	h.Write(payload)
+	out := fmt.Appendf(make([]byte, 0, len(payload)+96), `{"magic":%q,"version":%d,"checksum":"%016x","payload":`,
 		checkpointMagic, checkpointVersion, h.Sum64())
-	return [][]byte{envelope, head, st.frozen, tail}, len(envelope) + len(head) + len(st.frozen) + len(tail), nil
+	out = append(out, payload...)
+	return append(out, '}'), nil
 }
 
 // writeCheckpoint takes a cadence snapshot. The write is counted before
@@ -257,11 +257,12 @@ func (st *streamRun) writeCheckpoint() error {
 	}
 	tel := st.eng.opts.Telemetry
 	st.stats.Checkpoints++
-	runs, n, err := st.encodeSnapshot()
+	data, err := st.encodeSnapshot()
 	if err != nil {
 		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	st.writer.start(st.opts.CheckpointPath, runs)
+	n := len(data)
+	st.writer.start(st.opts.CheckpointPath, data)
 	tel.Counter("rtec.checkpoint.writes").Inc()
 	tel.Counter("rtec.checkpoint.bytes").Add(int64(n))
 	tel.Logger().Debug("checkpoint written",
@@ -299,11 +300,11 @@ func (st *streamRun) writeSuspendCheckpoint() error {
 // goroutine (see writeGeneration). It returns the size of the written
 // envelope in bytes.
 func (st *streamRun) writeSnapshotFile() (int, error) {
-	runs, n, err := st.encodeSnapshot()
+	data, err := st.encodeSnapshot()
 	if err != nil {
 		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	return n, writeGeneration(st.opts.CheckpointPath, runs)
+	return len(data), writeGeneration(st.opts.CheckpointPath, data)
 }
 
 // ckptWriter runs the file steps of a runner's cadence checkpoints behind
@@ -311,23 +312,21 @@ func (st *streamRun) writeSnapshotFile() (int, error) {
 // most one at a time, while the consumer evaluates the next windows. The
 // runner waits for the write in flight before the next cadence write,
 // before a suspend checkpoint, at Finish and at Abort; a write error is
-// returned at the first of these. The bytes handed to a write are not
-// touched until it has been waited for (encodeSnapshot appends to the frozen
-// prefix only after the wait).
+// returned at the first of these. Each write owns the bytes handed to it.
 type ckptWriter struct {
 	done     chan error // the result of the write in flight; reused
 	inFlight bool
 }
 
-// start writes runs to path behind the caller. A write must not be in
+// start writes data to path behind the caller. A write must not be in
 // flight.
-func (w *ckptWriter) start(path string, runs [][]byte) {
+func (w *ckptWriter) start(path string, data []byte) {
 	if w.done == nil {
 		w.done = make(chan error, 1)
 	}
 	w.inFlight = true
 	done := w.done
-	go func() { done <- writeGeneration(path, runs) }()
+	go func() { done <- writeGeneration(path, data) }()
 }
 
 // wait returns once no write is in flight, with the error of the write it
@@ -340,24 +339,22 @@ func (w *ckptWriter) wait() error {
 	return <-w.done
 }
 
-// writeGeneration writes one checkpoint generation, the byte runs in order,
-// torn-proof: the bytes go to a temporary file in the checkpoint's directory
-// and are fsynced before the file is renamed over the target, the previous
-// generation is kept aside under checkpointPrevSuffix, and the directory is
-// synced so the renames themselves survive a power cut. A crash at any point
-// leaves at least one intact, checksum-verified generation.
-func writeGeneration(path string, runs [][]byte) error {
+// writeGeneration writes one checkpoint generation torn-proof: the bytes go
+// to a temporary file in the checkpoint's directory and are fsynced before
+// the file is renamed over the target, the previous generation is kept aside
+// under checkpointPrevSuffix, and the directory is synced so the renames
+// themselves survive a power cut. A crash at any point leaves at least one
+// intact, checksum-verified generation.
+func writeGeneration(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, ".rtec-checkpoint-*")
 	if err != nil {
 		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	for _, run := range runs {
-		if _, err := tmp.Write(run); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
-			return fmt.Errorf("rtec: checkpoint: %w", err)
-		}
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
+		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -415,7 +412,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 		return nil, fmt.Errorf("rtec: checkpoint %s: not an RTEC checkpoint", path)
 	}
 	if f.Version != checkpointVersion {
-		return nil, fmt.Errorf("rtec: checkpoint %s: format version %d, want %d", path, f.Version, checkpointVersion)
+		return nil, fmt.Errorf("rtec: checkpoint %s: format version %d, this build reads only version %d: start the run afresh", path, f.Version, checkpointVersion)
 	}
 	h := fnv.New64a()
 	h.Write(f.Payload)
@@ -463,8 +460,8 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 	if p.Emitted > len(st.slots) {
 		return fmt.Errorf("rtec: checkpoint has %d windows, the run plans only %d", p.Emitted, len(st.slots))
 	}
-	if p.Consumed < 0 || p.Emitted < 0 || len(p.Slots) != p.Emitted {
-		return fmt.Errorf("rtec: checkpoint is inconsistent: consumed=%d, %d windows emitted but %d slots recorded", p.Consumed, p.Emitted, len(p.Slots))
+	if p.Consumed < 0 || p.Final < 0 || p.Final > p.Emitted || len(p.Slots) != p.Emitted-p.Final {
+		return fmt.Errorf("rtec: checkpoint is inconsistent: consumed=%d, %d windows emitted, %d final, but %d slots recorded", p.Consumed, p.Emitted, p.Final, len(p.Slots))
 	}
 
 	buffered := make(stream.Stream, 0, len(p.Buffered))
@@ -488,30 +485,30 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 		},
 	})
 
-	for i, cs := range p.Slots {
-		ev := windowEval{
-			recognised: map[string]intervals.List{},
-			fvps:       map[string]*lang.Term{},
-			nextOpen:   map[string]*lang.Term{},
-		}
-		for _, cf := range cs.Recognised {
-			fvp, list, err := fvpFromCkpt(cf)
-			if err != nil {
-				return err
-			}
-			key := fvpKey(fvp)
-			ev.recognised[key] = list
-			ev.fvps[key] = fvp
-		}
-		for _, cf := range cs.NextOpen {
-			fvp, _, err := fvpFromCkpt(cf)
-			if err != nil {
-				return err
-			}
-			ev.nextOpen[fvpKey(fvp)] = fvp
-		}
-		st.slots[i] = windowSlot{revision: cs.Revision, eval: ev, marks: cs.Marks}
+	fvps, err := fvpsFromCkpt(p.Fold, st.fold.byKey)
+	if err != nil {
+		return err
 	}
+	st.fold.fvps = fvps
+	st.fold.addWarnings(p.Warnings)
+	if p.Final > 0 {
+		carry, err := fvpsFromCkpt(p.Carry, nil)
+		if err != nil {
+			return err
+		}
+		st.slots[p.Final-1].eval.nextOpen = carry
+	}
+	for j, cs := range p.Slots {
+		ev := windowEval{recognised: map[string]intervals.List{}, warnings: cs.Warnings}
+		if ev.fvps, err = fvpsFromCkpt(cs.Recognised, ev.recognised); err != nil {
+			return err
+		}
+		if ev.nextOpen, err = fvpsFromCkpt(cs.NextOpen, nil); err != nil {
+			return err
+		}
+		st.slots[p.Final+j] = windowSlot{revision: cs.Revision, eval: ev, marks: cs.Marks}
+	}
+	st.final = p.Final
 	st.emitted = p.Emitted
 	st.consumed = p.Consumed
 	st.stats.Revisions = p.Revisions

@@ -9,11 +9,12 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
-	"sort"
 	"strings"
 	"testing"
 
+	"rtecgen/internal/intervals"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
@@ -180,11 +181,10 @@ func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from
 }
 
 // TestCheckpointResumeAtEveryCrashPoint kills a checkpointed run after every
-// window count in turn and resumes it. The resumed run starts with no frozen
-// encoding and rebuilds it from the restored slots as the revision cursor
-// passes them, so beyond the final CSV every generation it writes (file and
-// .prev) must equal, byte for byte, the generation of the same count the
-// uninterrupted run wrote. A kill can also lose the write in flight, at any
+// window count in turn and resumes it. The resumed run restores the fold
+// and the revisable slots, with no delta state, so beyond the final CSV
+// every generation it writes (file and .prev) must equal, byte for byte,
+// the generation of the same count the uninterrupted run wrote. A kill can also lose the write in flight, at any
 // of its steps: before the rotation (the previous generation is the file), or
 // between the renames (it is only the .prev). Either way the run resumes from
 // the previous generation, replays longer, and must give the same bytes.
@@ -428,10 +428,17 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 		cf.Version = checkpointVersion + 1
 		return cf
 	}, "format version")
+	// Version 1 listed every emitted window; there is no reader for it.
+	corrupt("version 1", func(cf checkpointFile) checkpointFile {
+		cf.Version = 1
+		return cf
+	}, "format version 1, this build reads only version 2")
 	corrupt("payload", func(cf checkpointFile) checkpointFile {
-		// Flip one byte of the payload without touching the checksum.
-		p := append(json.RawMessage(nil), cf.Payload...)
-		p[len(p)/2] ^= 0x01
+		// Change one field of the payload without touching the checksum.
+		p := bytes.Replace(cf.Payload, []byte(`"started":true`), []byte(`"started":false`), 1)
+		if bytes.Equal(p, cf.Payload) {
+			t.Fatal("the test checkpoint has no started frontier to corrupt")
+		}
 		cf.Payload = p
 		return cf
 	}, "checksum mismatch")
@@ -627,59 +634,9 @@ func TestResumeFromTruncatedCheckpoint(t *testing.T) {
 	}
 }
 
-// referenceSnapshot is the whole-snapshot encoder every checkpoint was
-// written with before the frozen-prefix cache: every emitted slot snapshotted
-// afresh, the payload marshalled in one piece. Kept as the oracle the
-// incremental encoder (streamRun.encodeSnapshot) is compared against.
-func referenceSnapshot(st *streamRun) checkpointPayload {
-	rs := st.reorder.State()
-	p := checkpointPayload{checkpointHeader: checkpointHeader{
-		EDSum:  st.eng.edFingerprint(),
-		Window: st.tl.window, Slide: st.tl.slide,
-		Start: st.tl.start, End: st.tl.end,
-		MaxDelay:    st.opts.MaxDelay,
-		Consumed:    st.consumed,
-		Emitted:     st.emitted,
-		Revisions:   st.stats.Revisions,
-		Checkpoints: st.stats.Checkpoints,
-		SinceCkpt:   st.sinceCkpt,
-		Frontier:    rs.Frontier,
-		Started:     rs.Started,
-		Disorder: ckptDisorder{
-			Observed: rs.Stats.Observed, Accepted: rs.Stats.Accepted,
-			Late: rs.Stats.Late, Duplicates: rs.Stats.Duplicates, Dropped: rs.Stats.Dropped,
-		},
-	}}
-	for _, e := range rs.Buffered {
-		p.Buffered = append(p.Buffered, ckptEvent{T: e.Time, Atom: e.Atom.String()})
-	}
-	for i := 0; i < st.emitted; i++ {
-		slot := st.slots[i]
-		cs := ckptSlot{Revision: slot.revision, Marks: slot.marks}
-		keys := make([]string, 0, len(slot.eval.recognised))
-		for k := range slot.eval.recognised {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			cs.Recognised = append(cs.Recognised, fvpToCkpt(slot.eval.fvps[k], slot.eval.recognised[k]))
-		}
-		open := make([]string, 0, len(slot.eval.nextOpen))
-		for k := range slot.eval.nextOpen {
-			open = append(open, k)
-		}
-		sort.Strings(open)
-		for _, k := range open {
-			cs.NextOpen = append(cs.NextOpen, fvpToCkpt(slot.eval.nextOpen[k], nil))
-		}
-		p.Slots = append(p.Slots, cs)
-	}
-	return p
-}
-
-// referenceEnvelope marshals a payload into the checkpoint file the
-// whole-snapshot writer produced: the checksum over the marshalled payload,
-// then json.Marshal of the envelope around it.
+// referenceEnvelope marshals a payload into the checkpoint file the writer
+// produces: the checksum over the marshalled payload, then json.Marshal of
+// the envelope around it.
 func referenceEnvelope(t *testing.T, p checkpointPayload) []byte {
 	t.Helper()
 	payload, err := json.Marshal(p)
@@ -700,11 +657,26 @@ func referenceEnvelope(t *testing.T, p checkpointPayload) []byte {
 	return data
 }
 
+// foldOracle amalgamates the latest delivery of each of st's windows in
+// [from, to), keyed by query time in latest, as the whole-run amalgamation
+// did before the fold: every window's lists unioned by key.
+func foldOracle(st *streamRun, latest map[int64]WindowResult, from, to int) map[string]intervals.List {
+	out := map[string]intervals.List{}
+	for i := from; i < to; i++ {
+		for k, l := range latest[st.tl.q(i)].Recognised {
+			out[k] = intervals.Union(out[k], l)
+		}
+	}
+	return out
+}
+
 // TestCheckpointBytesMatchFullEncode: after every generation — cadence
-// checkpoints and suspend checkpoints taken mid-cadence alike — the file on
-// disk is the reference encoding of the run's state and the generation
-// rotated aside is the previous write, whatever the geometry, the arrival
-// order and the evaluation mode.
+// checkpoints and suspend checkpoints taken mid-cadence alike, whatever the
+// geometry, the arrival order and the evaluation mode — the file on disk is
+// json.Marshal of the payload it loads to, and a runner restored from it
+// encodes the same bytes again; its fold section is the union of the latest
+// deliveries of the windows the cursor has passed, its slots those of the
+// revisable tail; and the generation rotated aside is the previous write.
 func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 	shuffled := chaosArrivals(t, 7, 60)
 	inOrder := append(stream.Stream(nil), shuffled...)
@@ -728,7 +700,11 @@ func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 							CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
 							CheckpointEvery: every,
 						}, order.arrivals)
-						r, err := e.NewStreamRunner(opts, nil)
+						latest := map[int64]WindowResult{}
+						r, err := e.NewStreamRunner(opts, func(w WindowResult) error {
+							latest[w.QueryTime] = w
+							return nil
+						})
 						if err != nil {
 							t.Fatal(err)
 						}
@@ -743,9 +719,42 @@ func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 							if err != nil {
 								t.Fatal(err)
 							}
-							if want := referenceEnvelope(t, referenceSnapshot(st)); !bytes.Equal(got, want) {
-								t.Fatalf("%s checkpoint after arrival %d (%d windows, %d final) is not the reference encoding:\n have %s\n want %s",
+							cp, err := LoadCheckpoint(opts.CheckpointPath)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if want := referenceEnvelope(t, cp.payload); !bytes.Equal(got, want) {
+								t.Fatalf("%s checkpoint after arrival %d (%d windows, %d final) is not json.Marshal of its payload:\n have %s\n want %s",
 									what, at, st.emitted, st.final, got, want)
+							}
+							restored, err := e.ResumeStreamRunner(cp, opts, nil)
+							if err != nil {
+								t.Fatal(err)
+							}
+							again, err := restored.st.encodeSnapshot()
+							restored.Abort()
+							if err != nil {
+								t.Fatal(err)
+							}
+							if !bytes.Equal(again, got) {
+								t.Fatalf("%s checkpoint after arrival %d: a runner restored from it encodes other bytes:\n have %s\n want %s", what, at, again, got)
+							}
+							p := cp.payload
+							fold := map[string]intervals.List{}
+							if _, err := fvpsFromCkpt(p.Fold, fold); err != nil {
+								t.Fatal(err)
+							}
+							if want := foldOracle(st, latest, 0, p.Final); !reflect.DeepEqual(fold, want) {
+								t.Fatalf("%s checkpoint after arrival %d: the fold of %d windows is\n %v\nthe union of their latest deliveries\n %v", what, at, p.Final, fold, want)
+							}
+							for j, cs := range p.Slots {
+								got := map[string]intervals.List{}
+								if _, err := fvpsFromCkpt(cs.Recognised, got); err != nil {
+									t.Fatal(err)
+								}
+								if want := foldOracle(st, latest, p.Final+j, p.Final+j+1); !reflect.DeepEqual(got, want) {
+									t.Fatalf("%s checkpoint after arrival %d: slot %d is not the window's latest delivery", what, at, p.Final+j)
+								}
 							}
 							if prev, _ := os.ReadFile(opts.CheckpointPath + checkpointPrevSuffix); !bytes.Equal(prev, last) {
 								t.Fatalf("%s checkpoint after arrival %d rotated aside something other than the previous generation", what, at)
@@ -770,7 +779,7 @@ func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 							}
 						}
 						if cadence == 0 || st.final < 2 || (every > 1 && suspends == 0) {
-							t.Fatalf("%d cadence and %d mid-cadence suspend checkpoints, %d final windows: the run does not exercise the frozen prefix", cadence, suspends, st.final)
+							t.Fatalf("%d cadence and %d mid-cadence suspend checkpoints, %d final windows: the run does not exercise the fold", cadence, suspends, st.final)
 						}
 					})
 				}
@@ -798,13 +807,19 @@ func TestRestoreRejectsInconsistentSlotCount(t *testing.T) {
 			for len(p.Slots) <= 8 {
 				p.Slots = append(p.Slots, p.Slots[0])
 			}
-		}, fmt.Sprintf("%d windows emitted but 9 slots", cp.Windows)},
+		}, fmt.Sprintf("%d windows emitted, %d final, but 9 slots", cp.Windows, cp.payload.Final)},
 		{"fewer slots than windows", func(p *checkpointPayload) {
 			p.Slots = p.Slots[:len(p.Slots)-1]
-		}, fmt.Sprintf("%d windows emitted but %d slots", cp.Windows, cp.Windows-1)},
+		}, fmt.Sprintf("%d windows emitted, %d final, but %d slots", cp.Windows, cp.payload.Final, len(cp.payload.Slots)-1)},
+		{"cursor past the windows emitted", func(p *checkpointPayload) {
+			p.Final, p.Slots = p.Emitted+1, nil
+		}, fmt.Sprintf("%d windows emitted, %d final", cp.Windows, cp.Windows+1)},
+		{"negative cursor", func(p *checkpointPayload) {
+			p.Final = -1
+		}, fmt.Sprintf("%d windows emitted, -1 final", cp.Windows)},
 		{"negative window count", func(p *checkpointPayload) {
-			p.Emitted, p.Slots = -1, nil
-		}, "-1 windows emitted but 0 slots"},
+			p.Emitted, p.Final, p.Slots = -1, 0, nil
+		}, "-1 windows emitted, 0 final, but 0 slots"},
 		{"negative arrival count", func(p *checkpointPayload) {
 			p.Consumed = -1
 		}, "consumed=-1"},
@@ -832,10 +847,10 @@ func TestRestoreRejectsInconsistentSlotCount(t *testing.T) {
 // sliding run over the gold event description the Ingest that writes
 // checkpoint 100 may allocate at most checkpointFlatMargin objects more than
 // the one that writes checkpoint 10 (both also evaluate one window, which is
-// where the margin goes: measured 5 827 against 2 299, and 7 576 against
-// 30 357 when every write re-encoded every window emitted), and a write with
-// nothing emitted allocates checkpointEmptyAllocs at most, whatever the size
-// of the event description.
+// where the margin goes: measured 4 812 against 2 553 with the fold section,
+// and 7 576 against 30 357 when every write re-encoded every window
+// emitted), and a write with nothing emitted allocates checkpointEmptyAllocs
+// at most, whatever the size of the event description.
 const (
 	checkpointFlatMargin  = 2000
 	checkpointEmptyAllocs = 40

@@ -133,8 +133,8 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 			if delta.counters["rtec.delta.reused"] == 0 {
 				t.Error("rtec.delta.reused is 0: sliding windows reuse nothing")
 			}
-			// Killed mid-slide, a resumed run restarts every slot cold and
-			// re-encodes its frozen windows from the restored slots.
+			// Killed mid-slide, a resumed run restores the fold and
+			// restarts every revisable slot cold.
 			sopts.CheckpointPath = filepath.Join(t.TempDir(), "crash.ckpt")
 			if _, err := mustEngine(t, gold, Options{}).RunStream(arrivals, sopts, crashAfter(3)); !errors.Is(err, errCrash) {
 				t.Fatalf("interrupted run err = %v, want the crash", err)

@@ -44,8 +44,8 @@ func (k FluentKind) String() string {
 // warnings; the engine keeps going with the usable subset, mirroring how a
 // human would salvage a partially correct specification.
 type Warning struct {
-	Fluent string
-	Msg    string
+	Fluent string `json:"f,omitempty"`
+	Msg    string `json:"m"`
 }
 
 func (w Warning) String() string {
@@ -53,22 +53,6 @@ func (w Warning) String() string {
 		return w.Msg
 	}
 	return w.Fluent + ": " + w.Msg
-}
-
-// uniqueWarnings returns the warnings without repeats, each where it first
-// occurs: what Recognition.Warnings holds however the run was driven — a
-// fluent that warns alike in ten windows, or again in a revision, is listed
-// once. (The log carries one line per window.)
-func uniqueWarnings(ws []Warning) []Warning {
-	var out []Warning
-	seen := make(map[Warning]bool, len(ws))
-	for _, w := range ws {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	return out
 }
 
 // fluentDef aggregates everything the engine knows about one fluent

@@ -199,6 +199,7 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 		tl:       tl,
 		prepared: p,
 		slots:    make([]windowSlot, tl.n),
+		fold:     newAmalgam(),
 		fn:       fn,
 		span: tel.Span("rtec.run",
 			telemetry.Int("events", int64(len(p.events))),
@@ -227,7 +228,7 @@ func (e *Engine) RunPrepared(p *Prepared, fn func(WindowResult) error) (*Recogni
 		if err := st.emitNext(); err != nil {
 			return nil, err
 		}
-		st.final = st.emitted // nothing revises a batch window once it is emitted
+		st.passFinal() // nothing revises a batch window once it is emitted
 	}
 	return st.amalgamate(), nil
 }

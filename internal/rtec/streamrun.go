@@ -67,9 +67,10 @@ type StreamResult struct {
 }
 
 // windowSlot is the per-window book-keeping of a run: the latest
-// delivered evaluation of an emitted window, its revision counter, the
-// delta state that evaluation captured, the event index of a window that
-// has been revised, and its pending marks.
+// delivered evaluation of an emitted window (until the revision cursor
+// passes it, see passFinal), its revision counter, the delta state that
+// evaluation captured, the event index of a window that has been revised,
+// and its pending marks.
 type windowSlot struct {
 	revision int
 	eval     windowEval
@@ -111,12 +112,9 @@ type streamRun struct {
 	// touch them again. The watermark never moves back, so neither does the
 	// cursor, and every per-arrival scan starts from it.
 	final int
-	// frozen is the checkpoint encoding of slots[:frozenN], as it stands in
-	// the payload's "slots" array; frozenN trails final and only a checkpoint
-	// write advances it (see encodeSnapshot). A restored run starts with
-	// neither and re-encodes its restored slots as the cursor passes them.
-	frozen  []byte
-	frozenN int
+	// fold is the amalgamation of slots[:final]: each slot is folded into it
+	// as the cursor passes, and its evaluation released (see passFinal).
+	fold amalgam
 	// writer puts cadence checkpoints on disk behind the consumer.
 	writer ckptWriter
 	// slotVisits counts the slots the per-arrival scans (mark, flush,
@@ -197,6 +195,7 @@ func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn fu
 		tl:      tl,
 		reorder: stream.NewReorder(opts.MaxDelay),
 		slots:   make([]windowSlot, tl.n),
+		fold:    newAmalgam(),
 		deltaOn: !e.opts.DisableDelta && !e.opts.DisableCache,
 		fn:      fn,
 		span: tel.Span("rtec.run",
@@ -474,14 +473,11 @@ func (st *streamRun) deliver(i int, retracted map[string]intervals.List) error {
 }
 
 // advanceFinal moves the revision cursor over the emitted slots whose query
-// time the watermark w has reached, and releases their event index and
-// carried delta state: nothing can revise them any more. A slot holding
+// time the watermark w has reached, folding each into the run's
+// amalgamation (passFinal): nothing can revise them any more. A slot holding
 // marks is flushed before the cursor passes it — a test on the slot itself,
-// so a resumed run, whose cursor restarts at 0, flushes where an
-// uninterrupted one does. The last emitted slot keeps its delta state until
-// the next emission has slid it (emitNext releases it then), so the slots
-// holding delta state are the revisable ones plus at most one, and those
-// holding an index are revisable ones.
+// so a run resumed from a suspend checkpoint, whose restored slots carry
+// their pending marks, flushes where an uninterrupted one does.
 func (st *streamRun) advanceFinal(w int64) error {
 	for st.final < st.emitted && st.tl.q(st.final) <= w {
 		st.slotVisits++
@@ -490,11 +486,7 @@ func (st *streamRun) advanceFinal(w int64) error {
 				return err
 			}
 		}
-		st.slots[st.final].events = nil
-		if st.final < st.emitted-1 {
-			st.slots[st.final].delta = nil
-		}
-		st.final++
+		st.passFinal()
 	}
 	return nil
 }
@@ -525,25 +517,75 @@ func (st *streamRun) prune() error {
 	return nil
 }
 
-// amalgamate unions the latest evaluation of every window into the run's
-// Recognition and lists each warning they raised once, in window order. After
-// a streaming run's last revision every window has been evaluated over exactly
-// its admitted events with a consistent inertia chain, so this is the batch
-// run's result, warnings included.
-func (st *streamRun) amalgamate() *Recognition {
-	rec := newRecognition(st.tl.start, st.tl.end)
-	var warnings []Warning
-	for _, slot := range st.slots {
-		for key, clipped := range slot.eval.recognised {
-			rec.byKey[key] = intervals.Union(rec.byKey[key], clipped)
-			if _, ok := rec.fvps[key]; !ok {
-				rec.fvps[key] = slot.eval.fvps[key]
-			}
+// amalgam is a running amalgamation of window evaluations, folded in window
+// order: the union of every FVP's clipped intervals, the FVP term as first
+// seen, and each warning once, where it first occurs.
+type amalgam struct {
+	byKey    map[string]intervals.List
+	fvps     map[string]*lang.Term
+	warnings []Warning
+	seen     map[Warning]bool
+}
+
+func newAmalgam() amalgam {
+	return amalgam{byKey: map[string]intervals.List{}, fvps: map[string]*lang.Term{}, seen: map[Warning]bool{}}
+}
+
+// add folds one window's evaluation in.
+func (a *amalgam) add(ev windowEval) {
+	for key, clipped := range ev.recognised {
+		a.byKey[key] = intervals.Union(a.byKey[key], clipped)
+		if _, ok := a.fvps[key]; !ok {
+			a.fvps[key] = ev.fvps[key]
 		}
-		warnings = append(warnings, slot.eval.warnings...)
 	}
-	rec.Warnings = uniqueWarnings(warnings)
-	return rec
+	a.addWarnings(ev.warnings)
+}
+
+// addWarnings appends the warnings not yet listed, in order.
+func (a *amalgam) addWarnings(ws []Warning) {
+	for _, w := range ws {
+		if !a.seen[w] {
+			a.seen[w] = true
+			a.warnings = append(a.warnings, w)
+		}
+	}
+}
+
+// passFinal moves the revision cursor past slot final: the slot's
+// evaluation is folded into the run's amalgamation and released, bar the
+// inertia carry-over the next window reads (prevOpenInto), which the slot
+// keeps until the cursor passes its successor. Its event index goes too, and
+// its delta state unless it is the last slot emitted, whose state the next
+// emission slides (emitNext releases it then). So the slots holding an
+// evaluation are the revisable ones, those holding an index are revisable
+// ones, and those holding delta state are the revisable ones plus at most
+// one.
+func (st *streamRun) passFinal() {
+	i := st.final
+	slot := &st.slots[i]
+	st.fold.add(slot.eval)
+	slot.eval = windowEval{nextOpen: slot.eval.nextOpen}
+	if i > 0 {
+		st.slots[i-1].eval.nextOpen = nil
+	}
+	slot.events = nil
+	if i < st.emitted-1 {
+		slot.delta = nil
+	}
+	st.final++
+}
+
+// amalgamate ends the run: the cursor passes the windows still revisable
+// (nothing can revise them any more), and the fold is the run's Recognition.
+// After a streaming run's last revision every window has been evaluated over
+// exactly its admitted events with a consistent inertia chain, so this is the
+// batch run's result, warnings included.
+func (st *streamRun) amalgamate() *Recognition {
+	for st.final < st.emitted {
+		st.passFinal()
+	}
+	return &Recognition{Start: st.tl.start, End: st.tl.end, byKey: st.fold.byKey, fvps: st.fold.fvps, Warnings: st.fold.warnings}
 }
 
 // finalise amalgamates a streaming run's result and its disorder statistics.

@@ -388,8 +388,8 @@ func TestUniqueWarnings(t *testing.T) {
 	if n := len(rec.Warnings); n != len(doomedRulesWarnings) {
 		t.Errorf("%d warnings over three windows, want %d", n, len(doomedRulesWarnings))
 	}
-	if got := uniqueWarnings(nil); got != nil {
-		t.Errorf("no warnings list as %v, want nil", got)
+	if clean, err := mustEngine(t, withinAreaED, Options{}).Run(events, RunOptions{Window: 10}); err != nil || clean.Warnings != nil {
+		t.Errorf("a run that raises no warning lists %v (err %v), want nil", clean.Warnings, err)
 	}
 	r := rand.New(rand.NewSource(5))
 	arrivals, _, _ := stream.Perturb(events, r, 8, 0)
