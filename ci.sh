@@ -64,6 +64,12 @@ go test -race -count=20 -run 'TestShard(PanicUnblocksProducer|DegradationAndHeal
 # limit, or a baseline longer than the budget, ends the run there, and go
 # test still prints PASS. Only the "execs:" status line shows that fuzzing
 # started.
+# A status line reading "(0/sec)" with execs frozen for several seconds is
+# not a hang. The engine sends each input that widens coverage back to a
+# worker to minimise, and counts that worker's execs only when the call
+# returns (GODEBUG=fuzzdebug=1 logs "minimizing took: 6.26s" for one reorder
+# input); with both workers minimising, the count stands still, and a call
+# cut off by -fuzztime is never counted.
 fuzz() {
     # $1: package, $2: fuzz target, $3: -fuzztime.
     if ! go test "$1" -run '^$' -fuzz "^$2\$" -fuzztime "$3" > "$tmp/fuzz.txt" 2>&1; then

@@ -40,10 +40,33 @@ func wantNoCode(t *testing.T, r *analysis.Report, code string) {
 	}
 }
 
-func wantPos(t *testing.T, d analysis.Diagnostic, line, col int) {
+func wantPos(t *testing.T, d analysis.Diagnostic, line, col int32) {
 	t.Helper()
 	if d.Pos != (lang.Position{Line: line, Col: col}) {
 		t.Fatalf("diagnostic at %s, want %d:%d (%s)", d.Pos, line, col, d)
+	}
+}
+
+// TestStringConditionIsNoKeyword: a string constant keeps its text where a
+// callable term keeps its functor, so a condition written as a string must
+// not read as the operator or temporal predicate its text spells. Each
+// keyword string is linted against a plain string of the same length (so
+// every later position is the same): the diagnostics must be too.
+func TestStringConditionIsNoKeyword(t *testing.T) {
+	lint := func(lit string) []string {
+		r := run(t, `initiatedAt(f(X)=true, T) :- happensAt(e(X), T), `+lit+`.
+holdsFor(g(X)=true, I) :- holdsFor(f(X)=true, I1), `+lit+`, union_all([I1], I).`, analysis.Options{})
+		var out []string
+		for _, d := range r.Diagnostics {
+			out = append(out, d.Code+" "+d.Pos.String())
+		}
+		return out
+	}
+	for _, kw := range []string{"union_all", "relative_complement_all", "<", "holdsFor", "happensAt"} {
+		got, want := lint(`"`+kw+`"`), lint(`"`+strings.Repeat("x", len(kw))+`"`)
+		if strings.Join(got, ", ") != strings.Join(want, ", ") {
+			t.Errorf("string %q: %v, want %v", kw, got, want)
+		}
 	}
 }
 

@@ -55,10 +55,11 @@ func (ctx *context) hasSource() bool { return ctx.opts.Source != "" }
 // analyzed source. The lexer counts columns in bytes, so the mapping is
 // exact.
 func (ctx *context) offsetOf(pos lang.Position) (int, bool) {
-	if !ctx.hasSource() || !pos.IsValid() || pos.Line > len(ctx.lineOff) {
+	line, col := int(pos.Line), int(pos.Col)
+	if !ctx.hasSource() || !pos.IsValid() || line > len(ctx.lineOff) {
 		return 0, false
 	}
-	off := ctx.lineOff[pos.Line-1] + pos.Col - 1
+	off := ctx.lineOff[line-1] + col - 1
 	if off < 0 || off > len(ctx.opts.Source) {
 		return 0, false
 	}

@@ -393,14 +393,11 @@ func runUnsafeVariable(ctx *context) []Diagnostic {
 		}
 		bound := map[string]bool{}
 		for _, l := range c.Body {
-			a := l.Atom
-			if l.Neg {
+			a, op := l.Atom, l.Atom.Pred().Functor
+			if l.Neg || nonBindingOp(op) {
 				continue
 			}
-			if nonBindingOp(a.Functor) {
-				continue
-			}
-			if intervalOp(a.Functor) && len(a.Args) > 0 {
+			if intervalOp(op) && len(a.Args) > 0 {
 				for _, v := range a.Args[len(a.Args)-1].Vars() {
 					bound[v] = true
 				}
@@ -424,17 +421,17 @@ func runUnsafeVariable(ctx *context) []Diagnostic {
 			}
 		}
 		for _, l := range c.Body {
-			a := l.Atom
+			a, op := l.Atom, l.Atom.Pred().Functor
 			switch {
 			case l.Neg:
 				for _, v := range a.Vars() {
 					report(v, a.Pos, "variable '%s' appears only in a negated condition")
 				}
-			case nonBindingOp(a.Functor):
+			case nonBindingOp(op):
 				for _, v := range a.Vars() {
 					report(v, a.Pos, "variable '%s' appears only in a comparison and is never bound")
 				}
-			case intervalOp(a.Functor) && len(a.Args) > 1:
+			case intervalOp(op) && len(a.Args) > 1:
 				for _, in := range a.Args[:len(a.Args)-1] {
 					for _, v := range in.Vars() {
 						report(v, a.Pos, "interval variable '%s' is not bound by any holdsFor condition")
@@ -460,7 +457,7 @@ func runIntervalOperator(ctx *context) []Diagnostic {
 		timePointRule := c.Head.Functor == "initiatedAt" || c.Head.Functor == "terminatedAt"
 		for _, l := range c.Body {
 			a := l.Atom
-			if intervalOp(a.Functor) {
+			if intervalOp(a.Pred().Functor) {
 				if l.Neg {
 					add(Error, a.Pos, "interval operator '%s' may not be negated", a.Functor)
 				}

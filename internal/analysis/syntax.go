@@ -19,7 +19,7 @@ func SyntaxError(err error) Diagnostic {
 	d := Diagnostic{Code: SyntaxCode, Severity: Error, Message: err.Error()}
 	var pe *parser.Error
 	if errors.As(err, &pe) {
-		d.Pos = lang.Position{Line: pe.Line, Col: pe.Col}
+		d.Pos = lang.Position{Line: int32(pe.Line), Col: int32(pe.Col)}
 		d.Message = pe.Msg
 	}
 	return d

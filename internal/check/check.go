@@ -207,7 +207,7 @@ func operatorFindings(r prompt.ActivityResult, gold *lang.EventDescription) []Fi
 func opCounts(c *lang.Clause) map[string]int {
 	out := map[string]int{}
 	for _, l := range c.Body {
-		if lang.Reserved(l.Atom.Functor) == lang.IntervalOp {
+		if lang.Reserved(l.Atom.Pred().Functor) == lang.IntervalOp {
 			out[l.Atom.Functor]++
 		}
 	}

@@ -190,7 +190,7 @@ func split(gen *prompt.GeneratedED, ed *lang.EventDescription, src string) *prom
 	ranges := markerRanges(src)
 	byKey := map[string][]*lang.Clause{}
 	for _, c := range ed.Clauses {
-		byKey[activityAt(ranges, c.Pos.Line)] = append(byKey[activityAt(ranges, c.Pos.Line)], c)
+		byKey[activityAt(ranges, int(c.Pos.Line))] = append(byKey[activityAt(ranges, int(c.Pos.Line))], c)
 	}
 	out := &prompt.GeneratedED{ModelName: gen.ModelName, Scheme: gen.Scheme}
 	for _, r := range gen.Results {
@@ -347,7 +347,7 @@ func AutoFix(gen *prompt.GeneratedED, domain *prompt.Domain) *Fixed {
 	for _, d := range res.Report.Diagnostics {
 		key := ""
 		if d.Pos.IsValid() {
-			key = activityAt(ranges, d.Pos.Line)
+			key = activityAt(ranges, int(d.Pos.Line))
 		}
 		out.Remaining[key] = append(out.Remaining[key], d)
 	}

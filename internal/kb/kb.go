@@ -90,7 +90,7 @@ func appendKey(dst []byte, t *lang.Term, b *lang.Bindings) []byte {
 		}
 		dst = binary.LittleEndian.AppendUint64(append(dst, 'n'), math.Float64bits(n))
 	case lang.Str:
-		dst = appendName(append(dst, 's'), t.Text)
+		dst = appendName(append(dst, 's'), t.Functor)
 	case lang.Compound, lang.List:
 		if t.Kind == lang.Compound {
 			dst = appendName(append(dst, 'c'), t.Functor)

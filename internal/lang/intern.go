@@ -65,18 +65,16 @@ func hashTerm(h uint64, t *Term, b *Bindings) uint64 {
 	t = b.Walk(t)
 	h = hashByte(h, byte(t.Kind))
 	switch t.Kind {
-	case Var, Atom:
+	case Var, Atom, Str:
 		h = hashString(h, t.Functor)
 	case Int:
 		h = hashUint64(h, uint64(t.Int))
 	case Float:
-		f := t.Float
+		f := t.float()
 		if f == 0 {
 			f = 0 // -0.0 is Equal to 0.0, so it must hash alike
 		}
 		h = hashUint64(h, math.Float64bits(f))
-	case Str:
-		h = hashString(h, t.Text)
 	case Compound:
 		h = hashString(h, t.Functor)
 		fallthrough

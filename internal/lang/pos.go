@@ -6,8 +6,8 @@ import "strconv"
 // and column of the first character of a construct. The zero Position means
 // "position unknown", which is what programmatically constructed terms carry.
 type Position struct {
-	Line int `json:"line"`
-	Col  int `json:"col"`
+	Line int32 `json:"line"`
+	Col  int32 `json:"col"`
 }
 
 // IsValid reports whether p points at a real source location.
@@ -18,7 +18,7 @@ func (p Position) String() string {
 	if !p.IsValid() {
 		return "-"
 	}
-	return strconv.Itoa(p.Line) + ":" + strconv.Itoa(p.Col)
+	return strconv.Itoa(int(p.Line)) + ":" + strconv.Itoa(int(p.Col))
 }
 
 // Before imposes a total order on positions: by line, then column. Unknown

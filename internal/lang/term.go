@@ -8,6 +8,7 @@ package lang
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -15,7 +16,7 @@ import (
 )
 
 // Kind discriminates the variants of Term.
-type Kind int
+type Kind uint8
 
 const (
 	// Var is a logic variable (name starts with an upper-case letter or '_').
@@ -57,13 +58,17 @@ func (k Kind) String() string {
 // Term is a node of the RTEC term language. A Term is immutable by
 // convention: code in this repository never mutates a Term after
 // construction, so Terms may be shared freely.
+//
+// A Term is 64 bytes: every kind shares the same two payload words. Functor
+// holds a name (variable, atom, compound functor) or a string constant's
+// text; Int holds an integer, a numbered variable's slot, or a float's IEEE
+// bits. Code that reads either word for an arbitrary term switches on Kind
+// first: a Str has a Functor and a Float a non-zero Int.
 type Term struct {
 	Kind    Kind
-	Functor string  // variable name, atom symbol, or compound functor
-	Args    []*Term // compound arguments or list elements
-	Int     int64   // integer payload; for a Var numbered by a VarTable, its slot+1
-	Float   float64
-	Text    string   // string constant payload
+	Functor string   // variable name, atom symbol, compound functor, or string constant text
+	Args    []*Term  // compound arguments or list elements
+	Int     int64    // integer payload; a Float's IEEE bits; for a Var numbered by a VarTable, its slot+1
 	Pos     Position // source position when the term was parsed; zero otherwise
 }
 
@@ -77,10 +82,13 @@ func NewAtom(sym string) *Term { return &Term{Kind: Atom, Functor: sym} }
 func NewInt(v int64) *Term { return &Term{Kind: Int, Int: v} }
 
 // NewFloat returns a floating-point constant term.
-func NewFloat(v float64) *Term { return &Term{Kind: Float, Float: v} }
+func NewFloat(v float64) *Term { return &Term{Kind: Float, Int: int64(math.Float64bits(v))} }
 
 // NewStr returns a string constant term.
-func NewStr(s string) *Term { return &Term{Kind: Str, Text: s} }
+func NewStr(s string) *Term { return &Term{Kind: Str, Functor: s} }
+
+// float returns the value of a Float term, whose IEEE bits Int holds.
+func (t *Term) float() float64 { return math.Float64frombits(uint64(t.Int)) }
 
 // NewCompound returns a compound term functor(args...). With no arguments it
 // degenerates to an Atom, matching Prolog convention.
@@ -132,14 +140,12 @@ func (t *Term) Equal(o *Term) bool {
 		return false
 	}
 	switch t.Kind {
-	case Var, Atom:
+	case Var, Atom, Str:
 		return t.Functor == o.Functor
 	case Int:
 		return t.Int == o.Int
 	case Float:
-		return t.Float == o.Float
-	case Str:
-		return t.Text == o.Text
+		return t.float() == o.float() // not the bits: -0.0 equals 0.0, NaN nothing
 	case Compound:
 		if t.Functor != o.Functor || len(t.Args) != len(o.Args) {
 			return false
@@ -223,7 +229,7 @@ func (t *Term) Number() (float64, bool) {
 	case Int:
 		return float64(t.Int), true
 	case Float:
-		return t.Float, true
+		return t.float(), true
 	}
 	return 0, false
 }
@@ -252,10 +258,8 @@ func Compare(a, b *Term) int {
 			return 1
 		}
 		return 0
-	case Atom:
+	case Atom, Str:
 		return strings.Compare(a.Functor, b.Functor)
-	case Str:
-		return strings.Compare(a.Text, b.Text)
 	default: // Compound, List
 		if d := len(a.Args) - len(b.Args); d != 0 {
 			if d < 0 {
@@ -363,9 +367,9 @@ func (t *Term) appendText(b []byte, vars *[]string) []byte {
 	case Int:
 		b = strconv.AppendInt(b, t.Int, 10)
 	case Float:
-		b = appendFloat(b, t.Float)
+		b = appendFloat(b, t.float())
 	case Str:
-		b = strconv.AppendQuote(b, t.Text)
+		b = strconv.AppendQuote(b, t.Functor)
 	case List:
 		b = append(b, '[')
 		for i, a := range t.Args {

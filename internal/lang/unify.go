@@ -203,14 +203,12 @@ func (b *Bindings) unify(x, y *Term) bool {
 		return xok && yok && nx == ny
 	}
 	switch x.Kind {
-	case Var, Atom: // a Var here has no slot: a constant
+	case Var, Atom, Str: // a Var here has no slot: a constant
 		return x.Functor == y.Functor
 	case Int:
 		return x.Int == y.Int
 	case Float:
-		return x.Float == y.Float
-	case Str:
-		return x.Text == y.Text
+		return x.float() == y.float()
 	case Compound:
 		if x.Functor != y.Functor || len(x.Args) != len(y.Args) {
 			return false

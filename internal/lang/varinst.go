@@ -74,9 +74,9 @@ func nodeLabel(t *Term) string {
 	case Int:
 		return strconv.FormatInt(t.Int, 10)
 	case Float:
-		return strconv.FormatFloat(t.Float, 'g', -1, 64)
+		return strconv.FormatFloat(t.float(), 'g', -1, 64)
 	case Str:
-		return strconv.Quote(t.Text)
+		return strconv.Quote(t.Functor)
 	case Compound:
 		return t.Functor
 	case List:

@@ -278,7 +278,7 @@ func swapIntervalOp(clauses []*lang.Clause, primary string) bool {
 			continue
 		}
 		for i, l := range c.Body {
-			switch l.Atom.Functor {
+			switch l.Atom.Pred().Functor {
 			case "union_all":
 				c.Body[i].Atom = lang.NewCompound("intersect_all", l.Atom.Args...)
 				return true
@@ -489,7 +489,7 @@ func swapOpsAll(rng *rand.Rand, clauses []*lang.Clause, p float64) (changed bool
 			continue
 		}
 		for i, l := range c.Body {
-			switch l.Atom.Functor {
+			switch l.Atom.Pred().Functor {
 			case "union_all":
 				if rng.Float64() < p {
 					c.Body[i].Atom = lang.NewCompound("intersect_all", l.Atom.Args...)

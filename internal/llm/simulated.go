@@ -144,11 +144,19 @@ func MustNew(name string) *Simulated {
 	return m
 }
 
-// AllModels returns the six simulated models in presentation order.
+// AllModels returns the six simulated models in presentation order. They
+// share one maritime knowledge base, and so one copy of the gold rules: a
+// model reads its Knowledge and never writes to it (every answer edits a
+// clone of the activity's clauses).
 func AllModels() []*Simulated {
+	know := MaritimeKnowledge()
 	out := make([]*Simulated, 0, len(ModelNames()))
 	for _, n := range ModelNames() {
-		out = append(out, MustNew(n))
+		m, err := NewWithKnowledge(n, know)
+		if err != nil {
+			panic(err)
+		}
+		out = append(out, m)
 	}
 	return out
 }

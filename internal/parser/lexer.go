@@ -8,6 +8,8 @@ import (
 	"strconv"
 	"strings"
 	"unicode"
+
+	"rtecgen/internal/lang"
 )
 
 type tokenKind int
@@ -28,6 +30,9 @@ type token struct {
 	line int
 	col  int
 }
+
+// pos returns the source position of the token's first character.
+func (t token) pos() lang.Position { return lang.Position{Line: int32(t.line), Col: int32(t.col)} }
 
 func (t token) String() string {
 	if t.kind == tokEOF {

@@ -70,7 +70,7 @@ func (p *parser) expectPunct(text string) *Error {
 // all have precedence >= minPrec, climbing for tighter operators. The
 // returned term carries the source position of its first token.
 func (p *parser) parseExpr(minPrec int) (*lang.Term, *Error) {
-	start := lang.Position{Line: p.tok.line, Col: p.tok.col}
+	start := p.tok.pos()
 	left, err := p.parsePrimary()
 	if err != nil {
 		return nil, err
@@ -101,7 +101,7 @@ func (p *parser) parseExpr(minPrec int) (*lang.Term, *Error) {
 // parsePrimary parses one primary term and stamps it with the position of
 // its first token.
 func (p *parser) parsePrimary() (*lang.Term, *Error) {
-	pos := lang.Position{Line: p.tok.line, Col: p.tok.col}
+	pos := p.tok.pos()
 	t, err := p.parsePrimary0()
 	if err != nil {
 		return nil, err
@@ -212,7 +212,8 @@ func (p *parser) parsePrimary0() (*lang.Term, *Error) {
 			case lang.Int:
 				return lang.NewInt(-operand.Int), nil
 			case lang.Float:
-				return lang.NewFloat(-operand.Float), nil
+				v, _ := operand.Number()
+				return lang.NewFloat(-v), nil
 			default:
 				return lang.NewCompound("-", lang.NewInt(0), operand), nil
 			}

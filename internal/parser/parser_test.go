@@ -236,6 +236,38 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStringRoundTrip: a string constant keeps its text in the term's
+// Functor; quotes, backslashes, escapes and non-ASCII text parse to the
+// decoded text, print through strconv.Quote and parse back Equal, and never
+// read as the atom of the same name.
+func TestStringRoundTrip(t *testing.T) {
+	for _, c := range []struct{ src, text string }{
+		{`""`, ""},
+		{`"v1"`, "v1"},
+		{`"say \"hi\""`, `say "hi"`},
+		{`"back\\slash"`, `back\slash`},
+		{`"tab\there\nnewline"`, "tab\there\nnewline"},
+		{`"caf\u00e9 ☃"`, "café ☃"},
+		{`"it's"`, "it's"},
+	} {
+		term, err := ParseTerm(c.src)
+		if err != nil {
+			t.Fatalf("parse %s: %v", c.src, err)
+		}
+		if term.Kind != lang.Str || term.Functor != c.text {
+			t.Fatalf("parse %s = %v %q, want string %q", c.src, term.Kind, term.Functor, c.text)
+		}
+		again := MustParseTerm(term.String())
+		if !again.Equal(term) || again.String() != term.String() {
+			t.Errorf("round trip of %s: %s then %s", c.src, term, again)
+		}
+		fact := MustParseClause("name(v1, " + term.String() + ").")
+		if got := fact.Head.Args[1]; !got.Equal(term) || got.Equal(lang.NewAtom(c.text)) {
+			t.Errorf("%s as an argument parses to %v", c.src, got)
+		}
+	}
+}
+
 func TestMustHelpersPanicOnBadInput(t *testing.T) {
 	defer func() {
 		if recover() == nil {

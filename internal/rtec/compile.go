@@ -170,20 +170,21 @@ func (r *rule) bindAnchor(b *lang.Bindings, event, at *lang.Term) bool {
 // predicate, and checkSDRule has already rejected happensAt and holdsAt in a
 // holdsFor rule.
 func classify(atom *lang.Term, sd bool) condKind {
+	f := atom.Pred().Functor
 	switch {
-	case atom.Kind == lang.Compound && kb.IsBuiltinPred(atom.Functor, len(atom.Args)):
+	case atom.Kind == lang.Compound && kb.IsBuiltinPred(f, len(atom.Args)):
 		return condBuiltin
-	case atom.Functor == "holdsFor":
+	case f == "holdsFor":
 		return condHoldsFor
-	case sd && atom.Functor == "union_all":
+	case sd && f == "union_all":
 		return condUnion
-	case sd && atom.Functor == "intersect_all":
+	case sd && f == "intersect_all":
 		return condIntersect
-	case sd && atom.Functor == "relative_complement_all":
+	case sd && f == "relative_complement_all":
 		return condRelComp
-	case !sd && atom.Functor == "happensAt" && len(atom.Args) == 2:
+	case !sd && f == "happensAt" && len(atom.Args) == 2:
 		return condHappensAt
-	case !sd && atom.Functor == "holdsAt" && len(atom.Args) == 2:
+	case !sd && f == "holdsAt" && len(atom.Args) == 2:
 		return condHoldsAt
 	}
 	return condBackground

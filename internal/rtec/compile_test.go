@@ -193,11 +193,13 @@ func TestCompileRule(t *testing.T) {
 	}
 	simple := compileRule(parser.MustParseClause(`initiatedAt(f(V)=true, T) :-
 		vessel(V), not happensAt(g(V), T), happensAt(e(V, A), T), happensAt(e2(V), T),
-		holdsAt(h(V)=true, T), A = V, union_all([I], J), holdsFor(h(V)=true, I).`), nil, kb.New())
+		holdsAt(h(V)=true, T), A = V, union_all([I], J), holdsFor(h(V)=true, I), "holdsFor".`), nil, kb.New())
 	if got := fmt.Sprintf("%s @ %s / %s", simple.pattern, simple.timeArg, simple.head); got != "e(V_r, A_r) @ T_r / f(V_r)=true" {
 		t.Errorf("anchor and head: %s", got)
 	}
-	want := fmt.Sprint(condBackground, " not ", condHappensAt, " ", condHappensAt, " ", condHoldsAt, " ", condBuiltin, " ", condBackground, " ", condHoldsFor)
+	// A string condition is no keyword, whatever its text: "holdsFor" is a
+	// background condition, not the temporal predicate.
+	want := fmt.Sprint(condBackground, " not ", condHappensAt, " ", condHappensAt, " ", condHoldsAt, " ", condBuiltin, " ", condBackground, " ", condHoldsFor, " ", condBackground)
 	if got := kinds(simple); got != want {
 		t.Errorf("simple rule conditions: %s, want %s", got, want)
 	}
@@ -221,12 +223,12 @@ func TestCompileRule(t *testing.T) {
 
 	sd := compileRule(parser.MustParseClause(`holdsFor(busy(V)=true, I) :-
 		holdsFor(a(V)=true, I1), not holdsFor(b(V)=true, I2), vessel(V),
-		union_all([I1, I2], I3), intersect_all([I1, I3], I4), relative_complement_all(I4, [I2], I).`),
+		union_all([I1, I2], I3), intersect_all([I1, I3], I4), relative_complement_all(I4, [I2], I), "union_all".`),
 		[]*lang.Clause{
 			parser.MustParseClause("grounding(busy(V)) :- vessel(V)."),
 			parser.MustParseClause("grounding(busy(X)) :- tug(X), not vessel(V)."),
 		}, kb.New())
-	want = fmt.Sprint(condHoldsFor, " not ", condHoldsFor, " ", condBackground, " ", condUnion, " ", condIntersect, " ", condRelComp)
+	want = fmt.Sprint(condHoldsFor, " not ", condHoldsFor, " ", condBackground, " ", condUnion, " ", condIntersect, " ", condRelComp, " ", condBackground)
 	if got := kinds(sd); got != want {
 		t.Errorf("holdsFor rule conditions: %s, want %s", got, want)
 	}

@@ -472,7 +472,7 @@ func timeLocalRule(c *lang.Clause) bool {
 		return false
 	}
 	for _, l := range c.Body {
-		switch l.Atom.Functor {
+		switch l.Atom.Pred().Functor {
 		case "happensAt", "holdsAt":
 			if len(l.Atom.Args) != 2 {
 				return false

@@ -429,7 +429,7 @@ func checkSDRule(c *lang.Clause) string {
 		return "empty body"
 	}
 	for _, l := range c.Body {
-		if l.Atom.Functor == "happensAt" || l.Atom.Functor == "holdsAt" {
+		if f := l.Atom.Pred().Functor; f == "happensAt" || f == "holdsAt" {
 			return fmt.Sprintf("condition %s is not allowed in a statically determined definition", l.Atom)
 		}
 	}

@@ -50,10 +50,8 @@ func constEqual(a, b *lang.Term) bool {
 		return false
 	}
 	switch a.Kind {
-	case lang.Atom:
+	case lang.Atom, lang.Str:
 		return a.Functor == b.Functor
-	case lang.Str:
-		return a.Text == b.Text
 	}
 	return false
 }

@@ -25,7 +25,7 @@ var (
 )
 
 // TestDocCitationsResolve: every DESIGN.md §N citation in the Go sources,
-// ci.sh, the top-level documents and the verify skill names a section
+// ci.sh, the kept top-level documents and the verify skill names a section
 // DESIGN.md still has, a quoted name after it a heading or a bold paragraph
 // lead of that section, and every EXPERIMENTS.md "<name>" citation a heading
 // of EXPERIMENTS.md. Merging or renaming a section is how citations dangle.
@@ -94,8 +94,16 @@ func designSections(doc string) map[int][]string {
 	return out
 }
 
+// keptDocs are the top-level documents the project maintains. A task
+// description for a change in progress is not one of them: it may cite the
+// EXPERIMENTS.md record that the same change is about to write.
+var keptDocs = map[string]bool{
+	"README.md": true, "DESIGN.md": true, "EXPERIMENTS.md": true, "ROADMAP.md": true,
+	"CHANGES.md": true, "PAPER.md": true, "PAPERS.md": true, "SNIPPETS.md": true,
+}
+
 // citingFiles lists the files whose citations are checked: every Go source
-// outside testdata and hidden directories, ci.sh, the top-level Markdown
+// outside testdata and hidden directories, ci.sh, the kept top-level
 // documents and the verify skill.
 func citingFiles(t *testing.T, root string) []string {
 	t.Helper()
@@ -111,7 +119,7 @@ func citingFiles(t *testing.T, root string) []string {
 			}
 			return nil
 		}
-		if strings.HasSuffix(name, ".go") || (filepath.Dir(path) == root && (name == "ci.sh" || strings.HasSuffix(name, ".md"))) {
+		if strings.HasSuffix(name, ".go") || (filepath.Dir(path) == root && (name == "ci.sh" || keptDocs[name])) {
 			files = append(files, path)
 		}
 		return nil
