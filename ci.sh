@@ -30,7 +30,7 @@ mkdir "$bin"
 go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtec ./cmd/rtectop ./cmd/vet-rtec
 go build -race -o "$bin/rtecd-race" ./cmd/rtecd
 
-echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks; no documented metric the code lacks; no CHANGES.md line over 300 characters)"
+echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks; no documented metric the code lacks; no CHANGES.md line over 300 characters; only rtecd links net/http, expvar or pprof, and rtectop net/http)"
 "$bin/vet-rtec" .
 
 echo "== go test"

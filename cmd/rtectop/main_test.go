@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"rtecgen/internal/serve"
 	"rtecgen/internal/telemetry"
 )
 
@@ -39,7 +40,7 @@ func liveRegistry() *telemetry.Registry {
 }
 
 func TestScrapeModeRendersBoard(t *testing.T) {
-	srv := httptest.NewServer(telemetry.NewServer(liveRegistry()).Handler())
+	srv := httptest.NewServer(serve.NewServer(liveRegistry()).Handler())
 	defer srv.Close()
 
 	var buf bytes.Buffer
@@ -69,7 +70,7 @@ func TestScrapeModeRendersBoard(t *testing.T) {
 }
 
 func TestScrapeModeRequires(t *testing.T) {
-	srv := httptest.NewServer(telemetry.NewServer(liveRegistry()).Handler())
+	srv := httptest.NewServer(serve.NewServer(liveRegistry()).Handler())
 	defer srv.Close()
 
 	o := options{metricsURL: srv.URL + "/metrics", once: true}

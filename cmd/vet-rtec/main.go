@@ -5,8 +5,9 @@
 // consumerFiles (ci.sh, the contract tests, cmd/rtectop/main.go, README.md,
 // ...) fails to mention, no flag a document passes that its binary does not
 // register, no metric name a document spells that no non-test Go literal
-// registers, no CHANGES.md line over 300 characters, and no frozen stub that
-// benchmark/ no longer references.
+// registers, no CHANGES.md line over 300 characters, no frozen stub that
+// benchmark/ no longer references, and no command but rtecd (and rtectop,
+// net/http alone) whose imports reach net/http, expvar or a profiler.
 //
 // Usage:
 //

@@ -49,19 +49,27 @@ func IsBuiltinPred(functor string, arity int) bool {
 // sub-term as the bindings left it — the very term that was written or bound
 // when nothing inside it was bound further, so the evaluator can recognise a
 // failure it has reported before by identity — and Op is the builtin whose
-// operand it was (empty from EvalArith on its own). The text is rendered when
-// somebody asks for it.
+// operand it was (empty from EvalArith on its own). A builtin whose operands
+// evaluate but whose result is not a finite number reports itself, resolved,
+// as Term with NonFinite set: a NaN or infinite float term would render to
+// text the parser refuses and would not be Equal to itself. The text is
+// rendered when somebody asks for it.
 type ArithError struct {
-	Op      string
-	Term    *lang.Term
-	DivZero bool // a division whose divisor evaluated to zero; otherwise not an arithmetic expression at all
+	Op        string
+	Term      *lang.Term
+	DivZero   bool // a division whose divisor evaluated to zero
+	NonFinite bool // the builtin's result is NaN or infinite
+	// Neither: Term is not an arithmetic expression at all.
 }
 
 func (e *ArithError) Error() string {
 	var msg string
-	if e.DivZero {
+	switch {
+	case e.DivZero:
 		msg = "kb: division by zero in " + e.Term.String()
-	} else {
+	case e.NonFinite:
+		msg = "kb: " + e.Term.String() + " has no finite result"
+	default:
 		msg = "kb: " + e.Term.String() + " is not an arithmetic expression"
 	}
 	if e.Op == "" {
@@ -135,8 +143,9 @@ func AngleDiff(a, b float64) float64 {
 // whether the atom names a builtin at all; when handled, ok reports whether
 // it succeeded — a builtin has at most one solution — and b has been extended
 // to that solution in place (the caller undoes to its own mark). Comparison
-// operands must be ground arithmetic expressions; otherwise an *ArithError
-// naming the builtin is returned, its only error.
+// operands must be ground arithmetic expressions, and absAngleDiff's result
+// finite; otherwise an *ArithError naming the builtin is returned, its only
+// error.
 func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err error) {
 	if atom.Kind != lang.Compound || !IsBuiltinPred(atom.Functor, len(atom.Args)) {
 		return false, false, nil
@@ -160,7 +169,11 @@ func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err erro
 		return false, true, bad
 	}
 	if atom.Functor == "absAngleDiff" {
-		return b.Unify(atom.Args[2], lang.NewFloat(AngleDiff(x, y))), true, nil
+		d := AngleDiff(x, y)
+		if math.IsNaN(d) || math.IsInf(d, 0) { // an infinite operand, such as 1e308 - -1e308
+			return false, true, &ArithError{Op: atom.Functor, Term: b.Resolve(atom), NonFinite: true}
+		}
+		return b.Unify(atom.Args[2], lang.NewFloat(d)), true, nil
 	}
 	return Compare(atom.Functor, x, y), true, nil
 }

@@ -1,6 +1,7 @@
 package kb
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -117,6 +118,15 @@ func TestSolveBuiltinAbsAngleDiff(t *testing.T) {
 	// Unbound angle is an error.
 	if _, _, err := solve(t, "absAngleDiff(A, 10, D)"); err == nil || err.Error() != "kb: absAngleDiff: kb: A is not an arithmetic expression" {
 		t.Fatalf("unbound angle: err = %v", err)
+	}
+	// Finite angles whose difference overflows have no finite result: the
+	// builtin refuses, as division by zero is refused, rather than bind D to
+	// a NaN that renders as "NaN.0", which the parser refuses.
+	got, handled, err := solve(t, "absAngleDiff(1e308, -1e308, D)")
+	var bad *ArithError
+	if !handled || got != "" || !errors.As(err, &bad) || !bad.NonFinite ||
+		err.Error() != "kb: absAngleDiff: kb: absAngleDiff(1e+308, -1e+308, D) has no finite result" {
+		t.Fatalf("overflowing difference: %q %v %v", got, handled, err)
 	}
 }
 

@@ -64,7 +64,12 @@ func TestFloatSemantics(t *testing.T) {
 }
 
 // TestFloatRendering: a Float renders from its value, as strconv's shortest
-// 'g' form with ".0" kept on integral values, exponents included.
+// 'g' form with ".0" kept on integral values, exponents included. The cases
+// are finite because every Float the system builds is: the parser refuses an
+// out-of-range literal, and kb's absAngleDiff, the one builtin that binds a
+// computed float, refuses a NaN or infinite result (kb's
+// TestSolveBuiltinAbsAngleDiff, rtec's TestNonFiniteAngleWarns). A non-finite
+// Float would render as "NaN.0" or "+Inf.0", which ParseTerm refuses.
 func TestFloatRendering(t *testing.T) {
 	for _, c := range []struct {
 		v    float64

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -399,5 +400,35 @@ func TestUniqueWarnings(t *testing.T) {
 	}
 	if a, b := warningSet(res.Recognition), warningSet(rec); !reflect.DeepEqual(a, b) {
 		t.Errorf("the streaming run lists %v, the batch run %v", a, b)
+	}
+}
+
+// TestNonFiniteAngleWarns: course and heading that parse, 1e308 and -1e308,
+// but whose difference overflows give absAngleDiff no finite result. The
+// rule warns instead of deriving skew(v1)=NaN.0, whose key the parser
+// refuses and which is not Equal to itself; every key the run recognises
+// reads back as its own term.
+func TestNonFiniteAngleWarns(t *testing.T) {
+	src := `
+initiatedAt(skew(Vl)=D, T) :-
+    happensAt(velocity(Vl, S, C, H), T),
+    absAngleDiff(C, H, D).
+`
+	_, rec := runED(t, src, stream.Stream{
+		ev(10, "velocity(v2, 1.0, 350.0, 10.0)"),
+		ev(20, "velocity(v1, 1.0, 1e308, -1e308)"),
+		ev(30, "velocity(v2, 1.0, 350.0, 10.0)"),
+	}, false)
+	if got := rec.Keys(); !slices.Equal(got, []string{"skew(v2)=20.0"}) {
+		t.Errorf("recognised %v, want only skew(v2)=20.0", got)
+	}
+	for _, key := range rec.Keys() {
+		if back, err := parser.ParseTerm(key); err != nil || !back.Equal(rec.FVP(key)) {
+			t.Errorf("key %q does not read back as its term: %v", key, err)
+		}
+	}
+	want := Warning{Fluent: "skew/1", Msg: "condition absAngleDiff(C_r, H_r, D_r): kb: absAngleDiff: kb: absAngleDiff(1e+308, -1e+308, D_r) has no finite result"}
+	if !slices.Contains(rec.Warnings, want) {
+		t.Errorf("warnings %v, want %v", rec.Warnings, want)
 	}
 }

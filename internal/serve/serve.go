@@ -158,7 +158,7 @@ type Daemon struct {
 	tel  *telemetry.Telemetry
 	clk  clock.Clock
 	sup  *shard.Supervisor
-	srv  *telemetry.Server
+	srv  *Server
 	hub  *hub
 
 	state atomic.Int32
@@ -191,7 +191,7 @@ type Daemon struct {
 
 // New builds the daemon: journals are opened (and, under Resume, recovered),
 // the supervisor is started, and the HTTP surface is mounted on an
-// embedded telemetry server — /metrics, /healthz and the pprof endpoints
+// embedded Server — /metrics, /healthz and the pprof endpoints
 // share the port with /ingest, /subscribe, /finish and /result. Call Start
 // to bind; until then /ingest answers 503 ("starting").
 func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
@@ -270,9 +270,9 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 	if d.tel != nil {
 		reg = d.tel.Registry
 	}
-	d.srv = telemetry.NewServer(reg)
+	d.srv = NewServer(reg)
 	d.srv.Ready("lifecycle", d.readyCheck)
-	sup.RegisterHealth(d.srv)
+	d.srv.Ready("shards", sup.Health)
 	d.srv.Handle("/ingest", http.HandlerFunc(d.handleIngest))
 	d.srv.Handle("/subscribe", http.HandlerFunc(d.handleSubscribe))
 	d.srv.Handle("/finish", http.HandlerFunc(d.handleFinish))

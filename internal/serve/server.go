@@ -1,4 +1,4 @@
-package telemetry
+package serve
 
 import (
 	"context"
@@ -11,20 +11,25 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"rtecgen/internal/telemetry"
 )
 
-// Server is the embeddable operational endpoint of a long-lived run: it
-// serves the metrics registry in Prometheus text exposition format at
-// /metrics, per-subsystem readiness at /healthz, the expvar JSON at
-// /debug/vars and the net/http/pprof profiles under /debug/pprof/. rtecd
-// mounts its ingest and subscription API on it, so one port carries both.
+// Server is the daemon's operational endpoint: it serves the metrics
+// registry in Prometheus text exposition format at /metrics, per-subsystem
+// readiness at /healthz, the expvar JSON at /debug/vars and the
+// net/http/pprof profiles under /debug/pprof/. The Daemon mounts its ingest
+// and subscription API on it, so one port carries both. It lives here and
+// not in internal/telemetry, which every batch command imports, so that
+// only rtecd links net/http, expvar and the profiler (vet-rtec's linkdeps
+// rule holds the other commands to that).
 //
 // The zero value is not usable; construct with NewServer. All methods are
 // safe for concurrent use; a nil *Server is a no-op (Start returns "",
 // Close returns nil), so callers can thread an optional server without
 // branching.
 type Server struct {
-	reg *Registry
+	reg *telemetry.Registry
 	mux *http.ServeMux
 
 	mu     sync.Mutex
@@ -35,7 +40,7 @@ type Server struct {
 
 // NewServer builds a server over a metrics registry (which may be shared
 // with the instrumented engine — the scrape always sees live values).
-func NewServer(reg *Registry) *Server {
+func NewServer(reg *telemetry.Registry) *Server {
 	s := &Server{reg: reg, mux: http.NewServeMux(), checks: map[string]func() error{}}
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -88,7 +93,7 @@ func (s *Server) Start(addr string) (string, error) {
 	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		return "", fmt.Errorf("telemetry: server: %w", err)
+		return "", fmt.Errorf("serve: server: %w", err)
 	}
 	srv := &http.Server{Handler: s.mux}
 	s.mu.Lock()
@@ -155,7 +160,7 @@ func (s *Server) Shutdown(timeout time.Duration) error {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", PromContentType)
+	w.Header().Set("Content-Type", telemetry.PromContentType)
 	if err := s.reg.WritePrometheus(w); err != nil {
 		// Headers are gone; all we can do is drop the connection.
 		return

@@ -1,4 +1,4 @@
-package telemetry
+package serve
 
 import (
 	"encoding/json"
@@ -6,14 +6,18 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"rtecgen/internal/rtec"
+	"rtecgen/internal/telemetry"
 )
 
 func TestServerHealthz(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	s := NewServer(reg)
 	s.Ready("engine", func() error { return nil })
 	s.Ready("journal", func() error { return nil })
@@ -64,7 +68,7 @@ func TestServerHealthz(t *testing.T) {
 }
 
 func TestServerDebugEndpoints(t *testing.T) {
-	ts := httptest.NewServer(NewServer(NewRegistry()).Handler())
+	ts := httptest.NewServer(NewServer(telemetry.NewRegistry()).Handler())
 	defer ts.Close()
 	for _, path := range []string{"/debug/vars", "/debug/pprof/"} {
 		res, err := ts.Client().Get(ts.URL + path)
@@ -81,7 +85,7 @@ func TestServerDebugEndpoints(t *testing.T) {
 // TestServerStartClose exercises the real listener path rtecd uses: bind
 // port 0, scrape over TCP, then shut down.
 func TestServerStartClose(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	reg.Counter("rtec.windows.evaluated").Add(3)
 	s := NewServer(reg)
 	addr, err := s.Start("127.0.0.1:0")
@@ -129,7 +133,7 @@ func TestServerNilSafety(t *testing.T) {
 // blocks mid-request, calls Shutdown concurrently, and asserts the scrape
 // still completes with a full response — where Close would reset it.
 func TestServerShutdownDrainsInFlight(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	s := NewServer(reg)
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -180,7 +184,7 @@ func TestServerShutdownDrainsInFlight(t *testing.T) {
 }
 
 func TestServerShutdownTimeoutAborts(t *testing.T) {
-	reg := NewRegistry()
+	reg := telemetry.NewRegistry()
 	s := NewServer(reg)
 	entered := make(chan struct{})
 	var once sync.Once
@@ -200,7 +204,7 @@ func TestServerShutdownTimeoutAborts(t *testing.T) {
 }
 
 func TestServerHandleMountsApplicationRoutes(t *testing.T) {
-	s := NewServer(NewRegistry())
+	s := NewServer(telemetry.NewRegistry())
 	s.Handle("/ingest", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 	}))
@@ -212,6 +216,76 @@ func TestServerHandleMountsApplicationRoutes(t *testing.T) {
 		t.Fatalf("mounted handler not served: %d", rec.Code)
 	}
 	if err := s.Shutdown(0); err != nil { // nil srv: no-op
+		t.Fatal(err)
+	}
+}
+
+// TestDaemonOperationalEndpoints drives the daemon's own handler, not a bare
+// Server: the operational endpoints share the port with /ingest, /healthz
+// carries exactly the "lifecycle" and "shards" checks with their texts, and
+// /metrics, /debug/vars and /debug/pprof/ answer as a scraper expects.
+func TestDaemonOperationalEndpoints(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	d, err := New(testEngine(t), Options{
+		Stream: rtec.StreamOptions{
+			RunOptions:     rtec.RunOptions{Window: 100, Start: 0, End: 991},
+			CheckpointPath: filepath.Join(t.TempDir(), "run.ckpt"),
+		},
+		Telemetry: telemetry.New(reg, nil, nil),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serveGet := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		d.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+		return rec
+	}
+	const starting = `{
+  "status": "degraded",
+  "checks": {
+    "lifecycle": "daemon is starting",
+    "shards": "ok"
+  }
+}
+`
+	const ready = `{
+  "status": "ok",
+  "checks": {
+    "lifecycle": "ok",
+    "shards": "ok"
+  }
+}
+`
+	if rec := serveGet("/healthz"); rec.Code != http.StatusServiceUnavailable || rec.Body.String() != starting {
+		t.Fatalf("/healthz while starting = %d:\n%s", rec.Code, rec.Body)
+	}
+	d.Ready()
+	if rec := serveGet("/healthz"); rec.Code != http.StatusOK || rec.Body.String() != ready {
+		t.Fatalf("/healthz when ready = %d:\n%s", rec.Code, rec.Body)
+	}
+
+	rec := serveGet("/metrics")
+	if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != telemetry.PromContentType {
+		t.Fatalf("/metrics = %d, Content-Type %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	metrics, err := telemetry.ParsePrometheus(rec.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m := metrics["serve_state"]; m == nil || m.Value != float64(stateReady) {
+		t.Fatalf("serve_state = %+v, want %d", m, stateReady)
+	}
+
+	for path, want := range map[string]string{
+		"/debug/vars":   `"memstats":`,
+		"/debug/pprof/": "goroutine",
+	} {
+		if rec := serveGet(path); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("%s = %d, body without %q", path, rec.Code, want)
+		}
+	}
+	if _, err := d.Drain(); err != nil {
 		t.Fatal(err)
 	}
 }

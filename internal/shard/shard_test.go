@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"sort"
@@ -548,13 +547,16 @@ func TestShardPanicUnblocksProducer(t *testing.T) {
 // TestShardDegradationAndHealth: an engine that panics on every attempt
 // exhausts its restart budget and degrades instead of wedging the run: the
 // arrivals after it are refused with ErrDegraded, Close fails the run while
-// still returning the Result that says why, and /healthz answers 503 with
-// the shards check failing.
+// still returning the Result that says why, and Health — rtecd's "shards"
+// readiness check — fails naming the engine.
 func TestShardDegradationAndHealth(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
 	sup := mustSupervisor(t, arrivals, []crash{{window: 1, every: true}}, func(o *Options) {
 		o.MaxRestarts = 2
 	})
+	if err := sup.Health(); err != nil {
+		t.Fatalf("Health() = %v before any fault", err)
+	}
 	for _, e := range arrivals {
 		if err := sup.Ingest(e); err != nil && !errors.Is(err, ErrDegraded) {
 			t.Fatal(err)
@@ -577,16 +579,9 @@ func TestShardDegradationAndHealth(t *testing.T) {
 		t.Fatal("a degraded run returned a recognition")
 	}
 
-	reg := telemetry.NewRegistry()
-	srv := telemetry.NewServer(reg)
-	sup.RegisterHealth(srv)
-	rec := httptest.NewRecorder()
-	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
-	if rec.Code != 503 {
-		t.Fatalf("/healthz = %d with a degraded engine, want 503", rec.Code)
-	}
-	if body := rec.Body.String(); !bytes.Contains([]byte(body), []byte("degraded shards: [0]")) {
-		t.Fatalf("/healthz body does not name the degraded engine: %s", body)
+	// rtecd's /healthz reports this error as its "shards" check.
+	if err := sup.Health(); err == nil || err.Error() != "degraded shards: [0]" {
+		t.Fatalf("Health() = %v with a degraded engine, want \"degraded shards: [0]\"", err)
 	}
 }
 

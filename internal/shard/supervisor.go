@@ -399,16 +399,14 @@ func (s *Supervisor) Suspend() ([]ShardStatus, error) {
 	return []ShardStatus{st}, err
 }
 
-// RegisterHealth adds the engine's readiness check to a telemetry server:
-// /healthz reports 503 with a "shards" failure once the engine degraded.
-func (s *Supervisor) RegisterHealth(srv *telemetry.Server) {
-	srv.Ready("shards", func() error {
-		p := s.p
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if p.degraded {
-			return fmt.Errorf("degraded shards: [0]")
-		}
-		return nil
-	})
+// Health is the engine's readiness check: an error naming the engine once
+// it degraded, nil before. rtecd's /healthz reports it as "shards".
+func (s *Supervisor) Health() error {
+	p := s.p
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if p.degraded {
+		return fmt.Errorf("degraded shards: [0]")
+	}
+	return nil
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"math"
-	"net/http/httptest"
 	"strings"
 	"testing"
 )
@@ -52,22 +51,15 @@ func TestWritePrometheusGolden(t *testing.T) {
 	}
 }
 
-// TestPrometheusRoundTrip scrapes a live server handler and parses the
-// exposition back, checking values and the reconstructed histogram.
+// TestPrometheusRoundTrip parses the exposition WritePrometheus renders
+// back, checking values and the reconstructed histogram. (rtecd serves the
+// same bytes at /metrics: serve's TestDaemonOperationalEndpoints.)
 func TestPrometheusRoundTrip(t *testing.T) {
-	reg := promRegistry()
-	srv := httptest.NewServer(NewServer(reg).Handler())
-	defer srv.Close()
-
-	res, err := srv.Client().Get(srv.URL + "/metrics")
-	if err != nil {
+	var sb strings.Builder
+	if err := promRegistry().WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
 	}
-	defer res.Body.Close()
-	if ct := res.Header.Get("Content-Type"); ct != PromContentType {
-		t.Errorf("Content-Type = %q, want %q", ct, PromContentType)
-	}
-	metrics, err := ParsePrometheus(res.Body)
+	metrics, err := ParsePrometheus(strings.NewReader(sb.String()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,13 @@
 //     marks; each must still be referenced from benchmark/ (an identifier, a
 //     string literal, or a shell word such as "-workers"). One that is not
 //     has no reader left and is a finding: delete the stub.
+//
+// An eighth keeps the batch commands free of an HTTP server (linkdeps.go):
+//
+//   - linkdeps: the import closure of a cmd/<name> main package, read with
+//     go/build, reaches none of net/http, expvar, net/http/pprof and
+//     runtime/pprof, except that rtecd may reach all four and rtectop, which
+//     scrapes /metrics, net/http. A finding names the import chain.
 package toolvet
 
 import (
@@ -91,7 +98,7 @@ type Finding struct {
 	File    string
 	Line    int
 	Col     int
-	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc", "metricdoc", "changesline" or "frozen"
+	Rule    string // "wallclock", "unseededrand", "signal", "flagdoc", "metricdoc", "changesline", "frozen" or "linkdeps"
 	Message string
 }
 
@@ -277,8 +284,8 @@ func Exempt(path string) bool {
 // CheckDir walks root and checks every non-exempt .go file; the signal rule
 // applies when root holds any of consumerFiles, the flagdoc rule when it
 // holds commands under cmd/, the metricdoc rule to its documents, the
-// changesline rule when it holds CHANGES.md, and the frozen rule when it
-// holds benchmark/. Findings are ordered by file, then position.
+// changesline rule when it holds CHANGES.md, the frozen rule when it holds
+// benchmark/, and the linkdeps rule when it holds a go.mod. Findings are ordered by file, then position.
 func CheckDir(root string) ([]Finding, error) {
 	var consumers string
 	for _, rel := range consumerFiles {
@@ -342,6 +349,11 @@ func CheckDir(root string) ([]Finding, error) {
 		return nil, err
 	}
 	out = append(out, CheckChanges(filepath.Join(root, changesFile), string(changes))...)
+	links, err := CheckLinkDeps(root)
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, links...)
 	if fi, err := os.Stat(filepath.Join(root, frozenReader)); err == nil && fi.IsDir() {
 		ledger, err := FrozenLedger(root)
 		if err != nil {

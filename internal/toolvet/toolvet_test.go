@@ -460,3 +460,53 @@ func TestFrozenRule(t *testing.T) {
 		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }
+
+// TestLinkDepsRule: over a module's commands, rtecd may reach every server
+// package, rtectop net/http alone, and any other command none. A batch
+// command that reaches expvar through an internal package is one finding on
+// its import of that package, with the chain; rtectop reaching the profiler
+// is one finding listing what it may not link; a clean command, rtecd, and
+// rtectop's own net/http are none.
+func TestLinkDepsRule(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"go.mod":                 "module m\n\ngo 1.24\n",
+		"internal/tel/tel.go":    "package tel\nimport _ \"expvar\"\n",
+		"internal/srv/srv.go":    "package srv\nimport _ \"net/http/pprof\"\n",
+		"cmd/batch/main.go":      "package main\n\nimport (\n\t\"fmt\"\n\n\t\"m/internal/tel\"\n)\n\nfunc main() { fmt.Println(tel.X) }\n",
+		"cmd/clean/main.go":      "package main\nimport \"fmt\"\nfunc main() { fmt.Println() }\n",
+		"cmd/rtecd/main.go":      "package main\nimport _ \"m/internal/srv\"\nfunc main() {}\n",
+		"cmd/rtectop/main.go":    "package main\nimport (\n\t_ \"net/http\"\n\t_ \"m/internal/srv\"\n)\nfunc main() {}\n",
+		"cmd/clean/main_test.go": "package main\nimport _ \"net/http\"\n",
+	} {
+		if err := os.MkdirAll(filepath.Join(root, filepath.Dir(path)), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, path), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	findings, err := CheckDir(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, f := range findings {
+		got = append(got, strings.TrimPrefix(f.String(), root+string(filepath.Separator)))
+	}
+	want := []string{
+		"cmd/batch/main.go:6:2: linkdeps: batch links expvar, net/http, which only rtecd may (m/cmd/batch -> m/internal/tel -> expvar)",
+		"cmd/rtectop/main.go:4:2: linkdeps: rtectop links net/http/pprof, runtime/pprof, which only rtecd may (m/cmd/rtectop -> m/internal/srv -> net/http/pprof)",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("findings:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+
+	// A root without a go.mod is not checked.
+	if err := os.Remove(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatal(err)
+	}
+	if findings, err := CheckLinkDeps(root); err != nil || len(findings) != 0 {
+		t.Fatalf("without go.mod: %v, %v", findings, err)
+	}
+}
