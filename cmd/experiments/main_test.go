@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 
@@ -88,23 +89,83 @@ func TestRunAllWorkersIdentical(t *testing.T) {
 // returns what it printed there.
 func captureStdout(t *testing.T, o options) string {
 	t.Helper()
-	f, err := os.Create(filepath.Join(t.TempDir(), "stdout.txt"))
+	out, _ := captureRun(t, o)
+	return out
+}
+
+// captureRun runs the command with os.Stdout and os.Stderr redirected to
+// files and returns what it printed to each.
+func captureRun(t *testing.T, o options) (stdout, stderr string) {
+	t.Helper()
+	dir := t.TempDir()
+	outF, err := os.Create(filepath.Join(dir, "stdout.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	old := os.Stdout
-	os.Stdout = f
+	defer outF.Close()
+	errF, err := os.Create(filepath.Join(dir, "stderr.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer errF.Close()
+	oldOut, oldErr := os.Stdout, os.Stderr
+	os.Stdout, os.Stderr = outF, errF
 	err = run(o)
-	os.Stdout = old
+	os.Stdout, os.Stderr = oldOut, oldErr
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := os.ReadFile(f.Name())
+	out, err := os.ReadFile(outF.Name())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return string(out)
+	log, err := os.ReadFile(errF.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out), string(log)
+}
+
+// warningsGolden holds the runtime-warning log of the -fig all run that
+// allGolden pins: every WARN line with its time= attribute cut, sorted. A
+// defective draft shows here, not in the tables. Regenerate it only when a
+// warning is meant to change:
+//
+//	go run ./cmd/experiments -fig all -csv -vessels 14 -seed 7 -workers 1 2>&1 >/dev/null \
+//	    | sed 's/^time=[^ ]* //' | sort > cmd/experiments/testdata/warnings.golden
+const warningsGolden = "testdata/warnings.golden"
+
+// TestRunAllWarningsGolden: the runtime warnings of the paper job are part
+// of its output, as the tables are.
+func TestRunAllWarningsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full recognition run")
+	}
+	_, log := captureRun(t, options{fig: "all", csv: true, vessels: 14, seed: 7, window: 3600, workers: 1})
+	want, err := os.ReadFile(warningsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sortedWarnings(log); got != string(want) {
+		t.Errorf("the runtime warnings differ from %s:\n%s\nwant:\n%s", warningsGolden, got, want)
+	}
+}
+
+// sortedWarnings returns the WARN lines of a log, each without its leading
+// time= attribute, sorted, one per line.
+func sortedWarnings(log string) string {
+	var lines []string
+	for _, l := range strings.Split(log, "\n") {
+		if !strings.Contains(l, " level=WARN ") {
+			continue
+		}
+		if strings.HasPrefix(l, "time=") {
+			l = l[strings.IndexByte(l, ' ')+1:]
+		}
+		lines = append(lines, l+"\n")
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "")
 }
 
 // TestRunWithTelemetry drives the metrics/trace path of the experiments

@@ -129,10 +129,12 @@ const activityMarker = "% --- activity:"
 // activity that produced each clause.
 func Combined(gen *prompt.GeneratedED) string {
 	var b strings.Builder
+	var text []byte
 	for _, r := range gen.Results {
 		fmt.Fprintf(&b, "%s%s ---\n", activityMarker, r.Request.Key)
 		for _, c := range r.Clauses {
-			b.WriteString(c.String())
+			text = c.AppendText(text[:0])
+			b.Write(text)
 			b.WriteString("\n\n")
 		}
 	}

@@ -125,7 +125,7 @@ func NewTestbed(cfg AccuracyConfig) (*Testbed, error) {
 	if err != nil {
 		return nil, err
 	}
-	tb.goldRec, err = tb.run(maritime.GoldED(), true)
+	tb.goldRec, err = tb.run(goldED(), true)
 	if err != nil {
 		return nil, fmt.Errorf("eval: gold recognition: %w", err)
 	}

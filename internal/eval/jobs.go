@@ -38,7 +38,7 @@ func RunAfter2a(tel *telemetry.Telemetry, models []prompt.Model, refine, top []R
 	if err != nil {
 		return After2a{}, err
 	}
-	gold, domain := maritime.GoldED(), maritime.PromptDomain()
+	gold, domain := goldED(), maritime.PromptDomain()
 	out := After2a{Refined: make([]RefineRow, len(refine)), Corrected: make([]CorrectedRow, len(top))}
 	if tb != nil {
 		out.Accuracy = make([]AccuracyRow, len(top))

@@ -60,7 +60,7 @@ func RefineWith(tel *telemetry.Telemetry, model prompt.Model, gen *prompt.Genera
 		budget = DefaultRefineBudget
 	}
 	domain := maritime.PromptDomain()
-	gold := maritime.GoldED()
+	gold := goldED()
 
 	root := tel.Span("pipeline.refine",
 		telemetry.String("model", gen.ModelName), telemetry.String("scheme", gen.Scheme.String()),

@@ -8,6 +8,7 @@ package eval
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -130,39 +131,51 @@ func ScoreWith(tel *telemetry.Telemetry, gold *lang.EventDescription, gen *promp
 	return row, nil
 }
 
+// goldED returns the maritime gold standard, parsed and copied once per
+// process: every job reads it in place (the scorer, through referenceFor, and
+// the testbed's engine) and none modifies it.
+var goldED = sync.OnceValue(maritime.GoldED)
+
 // references holds one prepared similarity.Reference per distinct gold
-// standard, keyed by the text of its temporal rules, so every scoring of the
-// process — Figure 2a's, Figure 2b's, each refine round's — reads and fills
-// one table of rule-pair distances, and a different gold is never answered
-// from another's. Each Reference owns a copy of its rules: the caller stays
+// standard, so every scoring of the process — Figure 2a's, Figure 2b's,
+// each refine round's — reads and fills one table of rule-pair distances,
+// and a different gold is never answered from another's. A gold is found by
+// comparing its temporal rules term for term with each reference's, which
+// renders nothing. Each Reference owns a copy of its rules: the caller stays
 // free to modify the event description it passed.
 var references struct {
 	sync.Mutex
-	byText map[string]*similarity.Reference
+	all []*similarity.Reference
 }
 
 func referenceFor(gold *lang.EventDescription) *similarity.Reference {
 	rules := gold.Rules()
-	var key strings.Builder
-	for _, c := range rules {
-		key.WriteString(c.String())
-		key.WriteByte('\n')
-	}
 	references.Lock()
 	defer references.Unlock()
-	ref, ok := references.byText[key.String()]
-	if !ok {
-		own := make([]*lang.Clause, len(rules))
-		for i, c := range rules {
-			own[i] = c.Clone()
+	for _, ref := range references.all {
+		if slices.EqualFunc(ref.Rules(), rules, sameClause) {
+			return ref
 		}
-		ref = similarity.NewReference(own)
-		if references.byText == nil {
-			references.byText = map[string]*similarity.Reference{}
-		}
-		references.byText[key.String()] = ref
 	}
+	own := make([]*lang.Clause, len(rules))
+	for i, c := range rules {
+		own[i] = c.Clone()
+	}
+	ref := similarity.NewReference(own)
+	references.all = append(references.all, ref)
 	return ref
+}
+
+// sameClause reports whether two clauses are the same term for term: kinds,
+// names and numbers (a float's bits) alike, so they render alike.
+func sameClause(a, b *lang.Clause) bool {
+	return sameTerm(a.Head, b.Head) && slices.EqualFunc(a.Body, b.Body, func(x, y lang.Literal) bool {
+		return x.Neg == y.Neg && sameTerm(x.Atom, y.Atom)
+	})
+}
+
+func sameTerm(a, b *lang.Term) bool {
+	return a.Kind == b.Kind && a.Functor == b.Functor && a.Int == b.Int && slices.EqualFunc(a.Args, b.Args, sameTerm)
 }
 
 // primaryRules selects the rules whose head fluent functor matches.
@@ -264,7 +277,7 @@ func TopN(rows []Row, n int) []Row {
 func Figure2aWith(tel *telemetry.Telemetry, models []prompt.Model, workers int) (best, all []Row, err error) {
 	sp := tel.Span("eval.figure2a", telemetry.Int("models", int64(len(models))))
 	defer sp.End()
-	gold := maritime.GoldED()
+	gold := goldED()
 	gens, err := GenerateAllWith(tel, models, workers)
 	if err != nil {
 		return nil, nil, err

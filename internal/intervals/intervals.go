@@ -12,8 +12,10 @@
 package intervals
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -72,12 +74,7 @@ func Normalize(ivs []Interval) List {
 			work = append(work, iv)
 		}
 	}
-	sort.Slice(work, func(i, j int) bool {
-		if work[i].Start != work[j].Start {
-			return work[i].Start < work[j].Start
-		}
-		return work[i].End < work[j].End
-	})
+	slices.SortFunc(work, compareIntervals)
 	var out List
 	for _, iv := range work {
 		if n := len(out); n > 0 && iv.Start <= out[n-1].End {
@@ -144,16 +141,19 @@ func (l List) Equal(o List) bool {
 	return true
 }
 
+// compareIntervals orders intervals by start, then end.
+func compareIntervals(a, b Interval) int {
+	if c := cmp.Compare(a.Start, b.Start); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.End, b.End)
+}
+
 // normalizeInPlace sorts all, drops empty intervals and merges overlapping
 // or adjacent ones in place, returning the shortened slice. It is the
 // allocation-free core of Normalize for callers that own the buffer.
 func normalizeInPlace(all []Interval) []Interval {
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].Start != all[j].Start {
-			return all[i].Start < all[j].Start
-		}
-		return all[i].End < all[j].End
-	})
+	slices.SortFunc(all, compareIntervals)
 	w := 0
 	for _, iv := range all {
 		if iv.Empty() {
@@ -308,8 +308,8 @@ func FromPoints(initiations, terminations []int64) List {
 	ip, tp := getI64Scratch(), getI64Scratch()
 	ini := append((*ip)[:0], initiations...)
 	ter := append((*tp)[:0], terminations...)
-	sort.Slice(ini, func(i, j int) bool { return ini[i] < ini[j] })
-	sort.Slice(ter, func(i, j int) bool { return ter[i] < ter[j] })
+	slices.Sort(ini)
+	slices.Sort(ter)
 	sp := getIvScratch()
 	work := (*sp)[:0]
 	j := 0

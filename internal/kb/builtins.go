@@ -78,55 +78,73 @@ func (e *ArithError) Error() string {
 	return "kb: " + e.Op + ": " + msg
 }
 
+// Fault is an operand that does not evaluate, as Solve reports it: an
+// ArithError before its term is resolved and its builtin named. Term is the
+// offending sub-term as walked under the bindings (the builtin's own atom,
+// for a result that is not finite); nil means no fault. It is a value, so a
+// condition that fails the same way at every anchor event costs its caller
+// nothing until the caller asks for the error.
+type Fault struct {
+	Term      *lang.Term
+	DivZero   bool
+	NonFinite bool
+}
+
+// Error returns the ArithError of builtin op for the fault, its term
+// resolved under b.
+func (f Fault) Error(op string, b *lang.Bindings) *ArithError {
+	return &ArithError{Op: op, Term: b.Resolve(f.Term), DivZero: f.DivZero, NonFinite: f.NonFinite}
+}
+
 // EvalArith evaluates an arithmetic expression that is ground under b (nil
 // for an expression taken as written): numbers, + - * /, and abs/1. Its only
 // error is an *ArithError.
 func EvalArith(t *lang.Term, b *lang.Bindings) (float64, error) {
-	v, bad := evalArith(t, b)
-	if bad != nil {
-		return 0, bad
+	v, f := evalArith(t, b)
+	if f.Term != nil {
+		return 0, f.Error("", b)
 	}
 	return v, nil
 }
 
-func evalArith(t *lang.Term, b *lang.Bindings) (float64, *ArithError) {
+func evalArith(t *lang.Term, b *lang.Bindings) (float64, Fault) {
 	t = b.Walk(t)
 	if v, ok := t.Number(); ok {
-		return v, nil
+		return v, Fault{}
 	}
 	if t.Kind == lang.Compound {
 		switch {
 		case len(t.Args) == 2:
-			x, bad := evalArith(t.Args[0], b)
-			if bad != nil {
-				return 0, bad
+			x, f := evalArith(t.Args[0], b)
+			if f.Term != nil {
+				return 0, f
 			}
-			y, bad := evalArith(t.Args[1], b)
-			if bad != nil {
-				return 0, bad
+			y, f := evalArith(t.Args[1], b)
+			if f.Term != nil {
+				return 0, f
 			}
 			switch t.Functor {
 			case "+":
-				return x + y, nil
+				return x + y, Fault{}
 			case "-":
-				return x - y, nil
+				return x - y, Fault{}
 			case "*":
-				return x * y, nil
+				return x * y, Fault{}
 			case "/":
 				if y == 0 {
-					return 0, &ArithError{Term: b.Resolve(t), DivZero: true}
+					return 0, Fault{Term: t, DivZero: true}
 				}
-				return x / y, nil
+				return x / y, Fault{}
 			}
 		case len(t.Args) == 1 && t.Functor == "abs":
-			x, bad := evalArith(t.Args[0], b)
-			if bad != nil {
-				return 0, bad
+			x, f := evalArith(t.Args[0], b)
+			if f.Term != nil {
+				return 0, f
 			}
-			return math.Abs(x), nil
+			return math.Abs(x), Fault{}
 		}
 	}
-	return 0, &ArithError{Term: b.Resolve(t)}
+	return 0, Fault{Term: t}
 }
 
 // AngleDiff returns the minimal absolute difference between two angles in
@@ -150,30 +168,52 @@ func SolveBuiltin(atom *lang.Term, b *lang.Bindings) (ok, handled bool, err erro
 	if atom.Kind != lang.Compound || !IsBuiltinPred(atom.Functor, len(atom.Args)) {
 		return false, false, nil
 	}
+	ok, f := Solve(atom, b, nil)
+	if f.Term != nil {
+		return false, true, f.Error(atom.Functor, b)
+	}
+	return ok, true, nil
+}
+
+// Solve is SolveBuiltin for an atom known to name a builtin (a compiled
+// rule's condition), for an evaluator that solves it at every anchor event:
+// it allocates nothing. An operand that does not evaluate is reported as a
+// Fault. result, when not nil, is memory of the caller's that absAngleDiff's
+// result is written into when it binds a variable, instead of a new term: b
+// then holds a pointer to it, so the caller must not let it outlive the
+// binding — nothing the bindings build may keep it (see rtec's compiled
+// rules, which pass it only for a result that feeds comparisons alone).
+func Solve(atom *lang.Term, b *lang.Bindings, result *lang.Term) (ok bool, f Fault) {
 	switch atom.Functor {
 	case "=":
-		return b.Unify(atom.Args[0], atom.Args[1]), true, nil
+		return b.Unify(atom.Args[0], atom.Args[1]), Fault{}
 	case "\\=":
 		mark := b.Mark()
 		unifiable := b.Unify(atom.Args[0], atom.Args[1])
 		b.Undo(mark)
-		return !unifiable, true, nil
+		return !unifiable, Fault{}
 	}
-	x, bad := evalArith(atom.Args[0], b)
+	x, f := evalArith(atom.Args[0], b)
 	var y float64
-	if bad == nil {
-		y, bad = evalArith(atom.Args[1], b)
+	if f.Term == nil {
+		y, f = evalArith(atom.Args[1], b)
 	}
-	if bad != nil {
-		bad.Op = atom.Functor
-		return false, true, bad
+	if f.Term != nil {
+		return false, f
 	}
-	if atom.Functor == "absAngleDiff" {
-		d := AngleDiff(x, y)
-		if math.IsNaN(d) || math.IsInf(d, 0) { // an infinite operand, such as 1e308 - -1e308
-			return false, true, &ArithError{Op: atom.Functor, Term: b.Resolve(atom), NonFinite: true}
-		}
-		return b.Unify(atom.Args[2], lang.NewFloat(d)), true, nil
+	if atom.Functor != "absAngleDiff" {
+		return Compare(atom.Functor, x, y), Fault{}
 	}
-	return Compare(atom.Functor, x, y), true, nil
+	d := AngleDiff(x, y)
+	if math.IsNaN(d) || math.IsInf(d, 0) { // an infinite operand, such as 1e308 - -1e308
+		return false, Fault{Term: atom, NonFinite: true}
+	}
+	if want, ok := b.Walk(atom.Args[2]).Number(); ok {
+		return want == d, Fault{} // checking mode: nothing to bind
+	}
+	if result == nil {
+		return b.Unify(atom.Args[2], lang.NewFloat(d)), Fault{}
+	}
+	*result = lang.FloatTerm(d)
+	return b.Unify(atom.Args[2], result), Fault{}
 }

@@ -199,7 +199,7 @@ func (k *KB) Materialize() error {
 		added := false
 		for _, r := range k.rules {
 			var vt lang.VarTable
-			ren := vt.NumberClause(r.RenameApart(fmt.Sprintf("_m%d", round)))
+			ren := vt.NumberApart(r, fmt.Sprintf("_m%d", round))
 			b.Reset(vt.Len())
 			// The heads are collected first and added after the query: a fact
 			// added mid-enumeration would be visible to part of it.

@@ -48,6 +48,9 @@ func (c *Clause) IsFact() bool { return len(c.Body) == 0 }
 // rules, matching the layout used in RTEC event-description files.
 func (c *Clause) String() string { return string(c.appendText(nil, nil)) }
 
+// AppendText appends the rendering String returns to dst.
+func (c *Clause) AppendText(dst []byte) []byte { return c.appendText(dst, nil) }
+
 // AppendCanonical appends the clause's rendering with every variable named
 // after its first occurrence, head first ("_1", "_2", ...): two clauses that
 // differ only in what their variables are called append the same bytes, and

@@ -82,7 +82,14 @@ func NewAtom(sym string) *Term { return &Term{Kind: Atom, Functor: sym} }
 func NewInt(v int64) *Term { return &Term{Kind: Int, Int: v} }
 
 // NewFloat returns a floating-point constant term.
-func NewFloat(v float64) *Term { return &Term{Kind: Float, Int: int64(math.Float64bits(v))} }
+func NewFloat(v float64) *Term {
+	t := FloatTerm(v)
+	return &t
+}
+
+// FloatTerm returns a floating-point constant term as a value, for a caller
+// that stores it in memory of its own.
+func FloatTerm(v float64) Term { return Term{Kind: Float, Int: int64(math.Float64bits(v))} }
 
 // NewStr returns a string constant term.
 func NewStr(s string) *Term { return &Term{Kind: Str, Functor: s} }
@@ -314,6 +321,9 @@ func (t *Term) String() string {
 	var buf [128]byte
 	return string(t.appendText(buf[:0], nil))
 }
+
+// AppendText appends the rendering String returns to b.
+func (t *Term) AppendText(b []byte) []byte { return t.appendText(b, nil) }
 
 // plainAtom reports whether an atom name can be printed without quotes: a
 // lower-case letter followed by identifier characters. Operator names used

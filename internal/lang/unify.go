@@ -226,15 +226,6 @@ func (b *Bindings) unify(x, y *Term) bool {
 	return true
 }
 
-// RenameApart returns a copy of the clause whose variables have been renamed
-// with the given suffix, so that a rule's variables cannot be mistaken for
-// those of another clause evaluated with it (or of a query). The engine
-// renames each rule once, when it compiles it; the suffixed names are the
-// ones its warnings and non-ground results print.
-func (c *Clause) RenameApart(suffix string) *Clause {
-	return c.mapVars(func(v *Term) *Term { return NewVar(v.Functor + suffix) })
-}
-
 // mapVars returns a copy of the clause with every variable occurrence
 // replaced by fn's result, head first, then the body in order.
 func (c *Clause) mapVars(fn func(*Term) *Term) *Clause {

@@ -120,21 +120,27 @@ func TestUnifyLists(t *testing.T) {
 	}
 }
 
+// TestRenameApart: NumberApart renames every variable with the suffix,
+// numbers it through the table, and shares one term per variable.
 func TestRenameApart(t *testing.T) {
 	c := &Clause{
 		Head: NewCompound("p", NewVar("X")),
 		Body: []Literal{Pos(NewCompound("q", NewVar("X"), NewVar("Y")))},
 	}
-	r := c.RenameApart("_1")
-	if r.Head.Args[0].Functor != "X_1" {
-		t.Fatalf("head var = %q", r.Head.Args[0].Functor)
+	var vt VarTable
+	r := vt.NumberApart(c, "_1")
+	if r.Head.Args[0].Functor != "X_1" || r.Head.Args[0].Int != 1 {
+		t.Fatalf("head var = %q, slot %d", r.Head.Args[0].Functor, r.Head.Args[0].Int)
 	}
-	if r.Body[0].Atom.Args[1].Functor != "Y_1" {
-		t.Fatalf("body var = %q", r.Body[0].Atom.Args[1].Functor)
+	if r.Body[0].Atom.Args[1].Functor != "Y_1" || r.Body[0].Atom.Args[1].Int != 2 || vt.Len() != 2 {
+		t.Fatalf("body var = %q, slot %d, %d slots", r.Body[0].Atom.Args[1].Functor, r.Body[0].Atom.Args[1].Int, vt.Len())
+	}
+	if r.Head.Args[0] != r.Body[0].Atom.Args[0] {
+		t.Fatal("the two occurrences of X_1 are different terms")
 	}
 	// Original untouched.
-	if c.Head.Args[0].Functor != "X" {
-		t.Fatal("RenameApart mutated original")
+	if c.Head.Args[0].Functor != "X" || c.Head.Args[0].Int != 0 {
+		t.Fatal("NumberApart mutated original")
 	}
 }
 

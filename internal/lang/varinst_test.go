@@ -67,9 +67,8 @@ func checkInstances(t *testing.T, vi VarInstances, v string, want []string) {
 // same concept across the two rules.
 func TestSameConceptRenamingInvariance(t *testing.T) {
 	r1 := rule1()
-	r6 := r1.RenameApart("")
 	// Rename AreaID -> Area in r6 by rebuilding.
-	r6 = renameClauseVar(r1, "AreaID", "Area")
+	r6 := renameClauseVar(r1, "AreaID", "Area")
 	vi1 := InstancesOfRule(r1)
 	vi6 := InstancesOfRule(r6)
 	if !SameConcept(vi1, "AreaID", vi6, "Area") {

@@ -20,6 +20,25 @@ func (vt *VarTable) Number(t *Term) *Term { return mapVars(t, vt.numbered) }
 // head first.
 func (vt *VarTable) NumberClause(c *Clause) *Clause { return c.mapVars(vt.numbered) }
 
+// NumberApart returns a copy of the clause whose variables are renamed with
+// the given suffix and numbered through the table, head first, so that a
+// rule's variables cannot be mistaken for those of another clause evaluated
+// with it (or of a query). The engine renames each rule once, when it
+// compiles it; the suffixed names are the ones its warnings and non-ground
+// results print. A renamed variable has no position, so its occurrences in
+// the copy are one shared term.
+func (vt *VarTable) NumberApart(c *Clause, suffix string) *Clause {
+	renamed := map[string]*Term{}
+	return c.mapVars(func(v *Term) *Term {
+		r, ok := renamed[v.Functor]
+		if !ok {
+			r = vt.numbered(&Term{Kind: Var, Functor: v.Functor + suffix})
+			renamed[v.Functor] = r
+		}
+		return r
+	})
+}
+
 // numbered returns variable v with its slot, assigning the next one to a
 // name the table has not seen.
 func (vt *VarTable) numbered(v *Term) *Term {

@@ -367,6 +367,11 @@ func schemeOf(history []prompt.Message) prompt.Scheme {
 	return prompt.ZeroShot
 }
 
+// rngs pools generate's random sources: a source reseeded with a seed
+// yields the sequence a new source of that seed would, and a new one is
+// about 5 KB of state.
+var rngs = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
 // generate produces the formalisation of the named activity. revision 0 is
 // the first attempt; each critique turn raises it by one. At revision 1 the
 // model fixes its careless (rate-sampled) mistakes; from revision 2 on it
@@ -386,8 +391,6 @@ func (m *Simulated) generate(history []prompt.Message, name string, revision int
 		// pipeline (Section 3).
 		return m.generateZeroShot(act), nil
 	}
-	rng := rand.New(rand.NewSource(fnvSeed(m.name, scheme.String(), act.Key)))
-
 	clauses := cloneClauses(act.Clauses)
 
 	// Honesty gate: the model cannot use input events or thresholds it was
@@ -408,7 +411,10 @@ func (m *Simulated) generate(history []prompt.Message, name string, revision int
 
 	// Generic rate-based errors.
 	if revision < 1 {
+		rng := rngs.Get().(*rand.Rand)
+		rng.Seed(fnvSeed(m.name, scheme.String(), act.Key))
 		clauses = m.applyGeneric(rng, scheme, act, clauses)
+		rngs.Put(rng)
 	}
 
 	text := renderResponse(scheme, act, clauses)
@@ -571,11 +577,13 @@ func renderResponse(scheme prompt.Scheme, act ActivityKnowledge, clauses []*lang
 	} else {
 		b.WriteString("Answer:\n\n")
 	}
+	var text []byte
 	for i, c := range clauses {
 		if i > 0 {
 			b.WriteString("\n\n")
 		}
-		b.WriteString(c.String())
+		text = c.AppendText(text[:0])
+		b.Write(text)
 	}
 	return b.String()
 }

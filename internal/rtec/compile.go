@@ -45,6 +45,11 @@ type cond struct {
 	// knowledge base, which does not change after New; nil for any other
 	// condition.
 	facts *kb.Lookup
+	// result is, for an absAngleDiff condition whose result variable feeds
+	// comparisons alone, the index of the unit's scratch term the result is
+	// written into (ruleEval.results); -1 for any other condition, whose
+	// builtin result is a new term.
+	result int
 }
 
 // rule is a compiled initiatedAt, terminatedAt or holdsFor rule.
@@ -53,8 +58,10 @@ type rule struct {
 	nvars int          // size of the rule's binding store
 	head  *lang.Term   // the head fluent-value pair F=V
 	// body holds the conditions to solve: all of them for a holdsFor rule,
-	// the ones other than the anchor for a simple-fluent rule.
-	body []cond
+	// the ones other than the anchor for a simple-fluent rule. nresults is
+	// how many of them write a result into a scratch term.
+	body     []cond
+	nresults int
 	// pattern and timeArg are the anchor happensAt(pattern, timeArg) of a
 	// simple-fluent rule: its first positive happensAt condition.
 	pattern, timeArg *lang.Term
@@ -87,7 +94,7 @@ type grounding struct {
 // background the knowledge base its background conditions read.
 func compileRule(c *lang.Clause, groundings []*lang.Clause, background *kb.KB) *rule {
 	var vt lang.VarTable
-	rc := vt.NumberClause(c.RenameApart("_r"))
+	rc := vt.NumberApart(c, "_r")
 	r := &rule{src: c, head: rc.Head.Args[0]}
 	sd := c.Kind() == lang.KindHoldsFor
 	if sd {
@@ -100,20 +107,62 @@ func compileRule(c *lang.Clause, groundings []*lang.Clause, background *kb.KB) *
 			r.argSlots, r.timeSlot = anchorSlots(r.pattern, r.timeArg)
 			continue
 		}
-		cd := cond{kind: classify(l.Atom, sd), neg: l.Neg, atom: l.Atom}
+		cd := cond{kind: classify(l.Atom, sd), neg: l.Neg, atom: l.Atom, result: -1}
 		if cd.kind == condBackground {
 			cd.facts = background.Lookup(l.Atom)
+		}
+		if cd.kind == condBuiltin && resultFeedsComparisons(rc, anchor, i) {
+			cd.result = r.nresults
+			r.nresults++
 		}
 		r.body = append(r.body, cd)
 	}
 	r.numbered = []*lang.Clause{rc}
 	for gi, g := range groundings {
-		gc := vt.NumberClause(g.RenameApart(fmt.Sprintf("_g%d", gi)))
+		gc := vt.NumberApart(g, fmt.Sprintf("_g%d", gi))
 		r.groundings = append(r.groundings, grounding{fluent: gc.Head.Args[0], body: gc.Body})
 		r.numbered = append(r.numbered, gc)
 	}
 	r.nvars = vt.Len()
 	return r
+}
+
+// resultFeedsComparisons reports whether body condition i of the numbered
+// rule rc is an absAngleDiff whose result argument is a variable read by
+// nothing but later comparisons: one that occurs neither in the head, nor in
+// the anchor (bound first), nor in an earlier condition, so no other
+// variable can be bound to it, and whose later occurrences are all operands
+// of comparisons, which only evaluate it. Such a result reaches no term the
+// evaluator keeps, so it may live in the unit's scratch memory (kb.Solve).
+func resultFeedsComparisons(rc *lang.Clause, anchor, i int) bool {
+	atom := rc.Body[i].Atom
+	if atom.Functor != "absAngleDiff" || len(atom.Args) != 3 || atom.Args[2].Kind != lang.Var {
+		return false
+	}
+	v := atom.Args[2]
+	mentions := func(t *lang.Term) bool {
+		found := false
+		t.Walk(func(s *lang.Term) bool {
+			found = found || (s.Kind == lang.Var && s.Int == v.Int)
+			return !found
+		})
+		return found
+	}
+	if mentions(rc.Head) || (anchor >= 0 && mentions(rc.Body[anchor].Atom)) {
+		return false
+	}
+	for j, l := range rc.Body {
+		switch {
+		case j == i || j == anchor || !mentions(l.Atom):
+		case j < i:
+			return false
+		default:
+			if op, ok := lang.Operator(l.Atom.Functor); !ok || op.Class != lang.OpCompare || len(l.Atom.Args) != 2 {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // anchorSlots computes rule.argSlots and rule.timeSlot for the anchor

@@ -2,6 +2,7 @@ package rtec
 
 import (
 	"maps"
+	"slices"
 	"sort"
 
 	"rtecgen/internal/intervals"
@@ -99,13 +100,21 @@ func entriesOf(stored []*cacheEntry) []listEntry {
 // install replays a recorded evaluation of fluent def into the window state,
 // in its order: the warnings through warn (so Recognition.Warnings and the log
 // read as if evaluated) and the interval lists through the store (so byFluent
-// keeps the recorded order).
+// keeps the recorded order). The entries are one fluent's, so its cache
+// entries take one block and its byFluent list grows once.
 func (w *windowState) install(warnings []Warning, entries []listEntry) {
 	for _, wn := range warnings {
 		w.warn(wn)
 	}
-	for _, ent := range entries {
-		w.store(ent.fvp, ent.id, ent.list)
+	if len(entries) == 0 {
+		return
+	}
+	if pred, ok := fvpPred(entries[0].fvp, nil); ok {
+		w.byFluent[pred] = slices.Grow(w.byFluent[pred], len(entries))
+	}
+	block := make([]cacheEntry, len(entries))
+	for i, ent := range entries {
+		w.storeIn(&block[i], ent.fvp, ent.id, ent.list)
 	}
 }
 

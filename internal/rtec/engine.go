@@ -82,11 +82,34 @@ type fluentDef struct {
 	sortedDeps []string
 	// text is the fluent's own part of its definition fingerprint: the
 	// indicator and the compiled rules in evaluation order, variables named
-	// by slot. Empty for a fluent that gets no fingerprint. exact is the
-	// same with the "_r"/"_g<i>" names warnings print, which only a result
-	// that carries warnings depends on (see sharedRun.load). Both are set
-	// by Engine.fingerprint, the first time a fluent table asks.
-	text, exact string
+	// by slot. Empty for a fluent that gets no fingerprint. It is set by
+	// Engine.fingerprint, the first time a fluent table asks.
+	text string
+	// exact is the same with the "_r"/"_g<i>" names warnings print, which
+	// only a result that carries warnings depends on (see sharedRun.load):
+	// exactText renders it the first time such a result asks.
+	exact     string
+	exactOnce sync.Once
+}
+
+// exactText returns the fluent's rules as the evaluator sees them, with
+// the variable names its warnings print, in evaluation order.
+func (def *fluentDef) exactText() string {
+	def.exactOnce.Do(func() {
+		var exact []byte
+		for _, r := range def.rules() {
+			for _, c := range r.numbered {
+				exact = appendPart(exact, c.String())
+			}
+		}
+		def.exact = string(exact)
+	})
+	return def.exact
+}
+
+// rules returns the fluent's compiled rules in evaluation order.
+func (def *fluentDef) rules() []*rule {
+	return append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...)
 }
 
 // Engine is a loaded RTEC reasoner. Build one with New, then call Run.
@@ -295,7 +318,7 @@ func New(ed *lang.EventDescription, opts Options) (*Engine, error) {
 	// whether the rules name every fluent they read.
 	for _, def := range e.fluents {
 		def.namedReads = true
-		for _, r := range append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...) {
+		for _, r := range def.rules() {
 			sd := r.src.Kind() == lang.KindHoldsFor
 			named := ruleReads(r.src, func(dep string) {
 				if _, defined := e.fluents[dep]; defined && dep != def.ind {
@@ -365,22 +388,20 @@ func (e *Engine) fingerprint() {
 		var vars []string
 		for _, ind := range e.order {
 			def := e.fluents[ind]
-			rules := append(append(append([]*rule{}, def.inits...), def.terms...), def.holdsFor...)
 			if !e.readsNamedFluents(def) {
 				continue
 			}
-			text, exact := appendPart(nil, ind), []byte(nil)
-			for _, r := range rules {
+			text := appendPart(nil, ind)
+			for _, r := range def.rules() {
 				// One numbering across a rule and its grounding declarations:
 				// they share a slot space, and their names are apart.
 				vars = vars[:0]
 				for _, c := range r.numbered {
 					canon, vars = c.AppendCanonical(canon[:0], vars)
 					text = appendPart(text, string(canon))
-					exact = appendPart(exact, c.String())
 				}
 			}
-			def.text, def.exact = string(text), string(exact)
+			def.text = string(text)
 		}
 	})
 }

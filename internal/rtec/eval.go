@@ -2,7 +2,9 @@ package rtec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"rtecgen/internal/intervals"
@@ -39,6 +41,7 @@ type windowState struct {
 	tel          *telemetry.Telemetry          // may be nil: all uses degrade to no-ops
 	span         *telemetry.Span               // the window span, parent of per-fluent spans
 	seq          ruleEval                      // the unit context of inline (sequential) evaluation, reused across rules
+	simple       simpleScratch                 // evalSimple's working memory, reused across simple fluents
 
 	// shared places the window in its Prepared's fluent table; its run is
 	// nil when the Prepared has no table, with DisableCache, or in a streaming
@@ -110,14 +113,23 @@ func (w *windowState) warn(wn Warning) {
 // store unions list into the cache entry for the ground FVP, whose intern ID
 // is id, or noInternID when the caller does not hold it.
 func (w *windowState) store(fvp *lang.Term, id lang.InternID, list intervals.List) {
+	w.storeIn(nil, fvp, id, list)
+}
+
+// storeIn is store with ent, when not nil, the unused memory a new cache
+// entry takes.
+func (w *windowState) storeIn(ent *cacheEntry, fvp *lang.Term, id lang.InternID, list intervals.List) {
 	if id == noInternID {
 		id = w.eng.interner.ID(fvp, nil)
 	}
-	if ent, ok := w.cache[id]; ok {
-		ent.list = intervals.Union(ent.list, list)
+	if old, ok := w.cache[id]; ok {
+		old.list = intervals.Union(old.list, list)
 		return
 	}
-	ent := &cacheEntry{fvp: fvp, id: id, list: list}
+	if ent == nil {
+		ent = new(cacheEntry)
+	}
+	*ent = cacheEntry{fvp: fvp, id: id, list: list}
 	if pred, ok := fvpPred(fvp, nil); ok {
 		ent.fluent = pred
 		w.byFluent[pred] = append(w.byFluent[pred], ent)
@@ -210,11 +222,12 @@ func (w *windowState) evalFluent(ind string) {
 	for i := range entries {
 		entries[i].id = noInternID
 	}
-	sh.table.results.LoadOrStore(key, &sharedResult{
-		exact:    def.exact,
-		warnings: append([]Warning(nil), w.raised[warned:]...),
-		entries:  entries,
-	})
+	res := &sharedResult{entries: entries}
+	if len(w.raised) > warned {
+		res.exact = def.exactText()
+		res.warnings = append([]Warning(nil), w.raised[warned:]...)
+	}
+	sh.table.results.LoadOrStore(key, res)
 }
 
 // derive evaluates the fluent's rules over the window.
@@ -266,16 +279,35 @@ type fvpPoints struct {
 	terms      []int64
 }
 
+// simpleScratch is evalSimple's working memory, kept by the window and
+// emptied after each simple fluent: the next one reuses the map, the point
+// records and their time-point buffers instead of growing its own.
+type simpleScratch struct {
+	points map[lang.InternID]*fvpPoints
+	free   []*fvpPoints // emptied records, buffers kept
+	keys   []lang.InternID
+	terms  []int64
+}
+
 func (w *windowState) evalSimple(def *fluentDef) {
 	in := w.eng.interner
-	points := map[lang.InternID]*fvpPoints{}
+	sc := &w.simple
+	if sc.points == nil {
+		sc.points = map[lang.InternID]*fvpPoints{}
+	}
+	points := sc.points
 	get := func(fvp *lang.Term, id lang.InternID) *fvpPoints {
 		if id == noInternID {
 			id = in.ID(fvp, nil)
 		}
 		p, ok := points[id]
 		if !ok {
-			p = &fvpPoints{fvp: fvp, id: id, fluentPart: in.ID(fvp.Args[0], nil)}
+			if n := len(sc.free); n > 0 {
+				p, sc.free = sc.free[n-1], sc.free[:n-1]
+			} else {
+				p = new(fvpPoints)
+			}
+			*p = fvpPoints{fvp: fvp, id: id, fluentPart: in.ID(fvp.Args[0], nil), inits: p.inits[:0], terms: p.terms[:0]}
 			points[id] = p
 		}
 		return p
@@ -337,31 +369,29 @@ func (w *windowState) evalSimple(def *fluentDef) {
 	// breaks any current interval of F=V (V != V'). Keys are ordered by the
 	// FVPs' canonical renderings (cached in the intern table), matching the
 	// historical store order exactly.
-	keys := make([]lang.InternID, 0, len(points))
+	keys := sc.keys[:0]
 	for k := range points {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool { return in.StringOf(keys[i]) < in.StringOf(keys[j]) })
-	extraTerms := map[lang.InternID][]int64{}
+	slices.SortFunc(keys, func(a, b lang.InternID) int { return strings.Compare(in.StringOf(a), in.StringOf(b)) })
 	for _, k := range keys {
 		p := points[k]
+		terms := append(sc.terms[:0], p.terms...)
 		for _, k2 := range keys {
-			if k2 == k {
-				continue
-			}
-			q := points[k2]
-			if q.fluentPart == p.fluentPart {
-				extraTerms[k] = append(extraTerms[k], q.inits...)
+			if q := points[k2]; k2 != k && q.fluentPart == p.fluentPart {
+				terms = append(terms, q.inits...)
 			}
 		}
-	}
-	for _, k := range keys {
-		p := points[k]
-		list := intervals.FromPoints(p.inits, append(p.terms, extraTerms[k]...))
-		if len(list) > 0 {
+		sc.terms = terms
+		if list := intervals.FromPoints(p.inits, terms); len(list) > 0 {
 			w.store(p.fvp, p.id, list)
 		}
 	}
+	for _, k := range keys {
+		sc.free = append(sc.free, points[k])
+	}
+	clear(points)
+	sc.keys = keys
 }
 
 // idleAdditions reports whether a time-point's re-derived acts are its cached
@@ -477,10 +507,14 @@ func (re *ruleEval) solve(conds []cond) {
 	w, b, ind, atom := re.w, &re.b, re.def.ind, conds[0].atom
 	switch c.kind {
 	case condBuiltin:
+		var result *lang.Term
+		if c.result >= 0 {
+			result = &re.results[c.result]
+		}
 		mark := b.Mark()
-		ok, _, err := kb.SolveBuiltin(atom, b)
-		if err != nil {
-			re.warnArith(atom, err)
+		ok, fault := kb.Solve(atom, b, result)
+		if fault.Term != nil {
+			re.warnArith(atom, fault)
 			return
 		}
 		if ok != c.neg {

@@ -188,7 +188,7 @@ type sharedKey struct {
 // them. Both hold only immutable values (ground terms, interval lists), so
 // a result is read by any number of runs without copying.
 type sharedResult struct {
-	exact    string // the publisher's definition with its variable names (fluentDef.exact)
+	exact    string // with warnings: the publisher's definition with its variable names (fluentDef.exactText)
 	warnings []Warning
 	entries  []listEntry
 }
@@ -263,7 +263,7 @@ func (s *sharedRun) load(key sharedKey, def *fluentDef) *sharedResult {
 		return nil
 	}
 	res := v.(*sharedResult)
-	if len(res.warnings) > 0 && res.exact != def.exact {
+	if len(res.warnings) > 0 && res.exact != def.exactText() {
 		return nil
 	}
 	return res

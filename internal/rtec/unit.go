@@ -52,6 +52,11 @@ type ruleEval struct {
 	b     lang.Bindings
 	ienv  []intervalBinding // holdsFor rules: interval variables by slot
 	lists []intervals.List  // scratch of intervalLists
+	// results holds the builtin results of the rule's conditions that have
+	// a scratch term (cond.result): a condition is on the search path at
+	// most once at a time, and its binding is undone before it is solved
+	// again.
+	results []lang.Term
 
 	// doomed remembers, per builtin condition (its atom in the compiled
 	// rule), the operand that last failed to evaluate there and the warning
@@ -72,6 +77,9 @@ func (re *ruleEval) begin(def *fluentDef, r *rule, t int64) {
 	if r.ivar != nil && len(re.ienv) < r.nvars {
 		re.ienv = make([]intervalBinding, r.nvars)
 	}
+	if len(re.results) < r.nresults {
+		re.results = make([]lang.Term, r.nresults)
+	}
 }
 
 func (re *ruleEval) put(a act) {
@@ -91,21 +99,18 @@ func (re *ruleEval) warnf(fluent, format string, args ...any) {
 // warnArith buffers the warning for builtin condition atom, whose operand did
 // not evaluate. A rule missing the condition that would have bound the
 // operand fails this way at every anchor event, and windowState.warn keeps
-// the first warning of the window: so the text is rendered once per
-// (condition, offending term) and the remembered Warning put after that. The
-// offending term is compared by identity — an unbound rule variable, or a
-// term nothing was bound inside of, is the same *lang.Term every time and
-// prints the same; a term the bindings had to build is new each time and
-// takes the rendering path.
-func (re *ruleEval) warnArith(atom *lang.Term, err error) {
-	bad, ok := err.(*kb.ArithError)
-	if !ok {
-		re.warnf(re.def.ind, "condition %s: %v", atom, err)
-		return
-	}
+// the first warning of the window: so the error is built and its text
+// rendered once per (condition, offending term) and the remembered Warning
+// put after that. The offending term is compared by identity, resolved — an
+// unbound rule variable, or a term nothing was bound inside of, resolves to
+// the same *lang.Term every time and prints the same; a term the bindings
+// had to build is new each time and takes the rendering path.
+func (re *ruleEval) warnArith(atom *lang.Term, fault kb.Fault) {
+	operand := re.b.Resolve(fault.Term)
 	m, seen := re.doomed[atom]
-	if !seen || m.operand != bad.Term {
-		m = doomedCond{operand: bad.Term, warn: &Warning{Fluent: re.def.ind, Msg: fmt.Sprintf("condition %s: %v", atom, err)}}
+	if !seen || m.operand != operand {
+		err := fault.Error(atom.Functor, &re.b)
+		m = doomedCond{operand: operand, warn: &Warning{Fluent: re.def.ind, Msg: fmt.Sprintf("condition %s: %v", atom, err)}}
 		if re.doomed == nil {
 			re.doomed = map[*lang.Term]doomedCond{}
 		}

@@ -185,9 +185,11 @@ func (e *Engine) evalWindow(winEvents *windowIndex, ws, we, nws int64, prevOpen 
 	}
 	tel.Counter("rtec.windows.evaluated").Inc()
 
+	// Sized for every cached FVP, the most each map can hold, so none grows
+	// through a chain of discarded tables.
 	out := windowEval{
-		recognised: map[string]intervals.List{},
-		fvps:       map[string]*lang.Term{},
+		recognised: make(map[string]intervals.List, len(w.cache)),
+		fvps:       make(map[string]*lang.Term, len(w.cache)),
 		nextOpen:   map[string]*lang.Term{},
 		warnings:   w.raised,
 	}

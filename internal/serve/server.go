@@ -25,9 +25,7 @@ import (
 // rule holds the other commands to that).
 //
 // The zero value is not usable; construct with NewServer. All methods are
-// safe for concurrent use; a nil *Server is a no-op (Start returns "",
-// Close returns nil), so callers can thread an optional server without
-// branching.
+// safe for concurrent use.
 type Server struct {
 	reg *telemetry.Registry
 	mux *http.ServeMux
@@ -57,9 +55,6 @@ func NewServer(reg *telemetry.Registry) *Server {
 // name; any check returning an error turns the response into 503 with the
 // failing reasons. Re-registering a name replaces the check.
 func (s *Server) Ready(name string, check func() error) {
-	if s == nil {
-		return
-	}
 	s.mu.Lock()
 	s.checks[name] = check
 	s.mu.Unlock()
@@ -70,27 +65,18 @@ func (s *Server) Ready(name string, check func() error) {
 // through this, so one port carries both. Mount before Start; the mux
 // panics on duplicate patterns, same as http.Handle.
 func (s *Server) Handle(pattern string, h http.Handler) {
-	if s == nil {
-		return
-	}
 	s.mux.Handle(pattern, h)
 }
 
 // Handler returns the server's mux, for embedding under an existing
 // http.Server (tests use this with httptest).
 func (s *Server) Handler() http.Handler {
-	if s == nil {
-		return http.NotFoundHandler()
-	}
 	return s.mux
 }
 
 // Start binds addr (port 0 picks a free port) and serves in a background
-// goroutine, returning the bound address for scrapers. Call Close to stop.
+// goroutine, returning the bound address for scrapers. Call Shutdown to stop.
 func (s *Server) Start(addr string) (string, error) {
-	if s == nil {
-		return "", nil
-	}
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("serve: server: %w", err)
@@ -99,15 +85,12 @@ func (s *Server) Start(addr string) (string, error) {
 	s.mu.Lock()
 	s.srv, s.ln = srv, ln
 	s.mu.Unlock()
-	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
+	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Shutdown
 	return ln.Addr().String(), nil
 }
 
 // Addr returns the bound address after Start, or "".
 func (s *Server) Addr() string {
-	if s == nil {
-		return ""
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.ln == nil {
@@ -116,29 +99,11 @@ func (s *Server) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Close stops the listener immediately. In-flight scrapes are aborted;
-// prefer Shutdown on any exit path that is not already a failure.
-func (s *Server) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	srv := s.srv
-	s.mu.Unlock()
-	if srv == nil {
-		return nil
-	}
-	return srv.Close()
-}
-
 // Shutdown stops accepting connections and drains in-flight requests,
 // waiting at most timeout (zero defaults to 5s) before aborting whatever
 // is left. A scraper that hit /metrics just as the run ended gets its
 // response instead of a reset connection.
 func (s *Server) Shutdown(timeout time.Duration) error {
-	if s == nil {
-		return nil
-	}
 	s.mu.Lock()
 	srv := s.srv
 	s.mu.Unlock()

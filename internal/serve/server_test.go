@@ -82,9 +82,9 @@ func TestServerDebugEndpoints(t *testing.T) {
 	}
 }
 
-// TestServerStartClose exercises the real listener path rtecd uses: bind
-// port 0, scrape over TCP, then shut down.
-func TestServerStartClose(t *testing.T) {
+// TestServerStartShutdown exercises the real listener path rtecd uses: bind
+// port 0, scrape over TCP, then shut down and refuse new connections.
+func TestServerStartShutdown(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	reg.Counter("rtec.windows.evaluated").Add(3)
 	s := NewServer(reg)
@@ -107,31 +107,17 @@ func TestServerStartClose(t *testing.T) {
 	if !strings.Contains(string(body), "rtec_windows_evaluated_total 3") {
 		t.Fatalf("scrape missing counter:\n%s", body)
 	}
-	if err := s.Close(); err != nil {
+	if err := s.Shutdown(time.Second); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestServerNilSafety(t *testing.T) {
-	var s *Server
-	s.Ready("x", func() error { return nil })
-	if addr, err := s.Start("127.0.0.1:0"); addr != "" || err != nil {
-		t.Fatalf("nil Start = %q, %v", addr, err)
-	}
-	if s.Addr() != "" {
-		t.Fatal("nil Addr not empty")
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if s.Handler() == nil {
-		t.Fatal("nil Handler returned nil")
+	if _, err := http.Get("http://" + addr + "/metrics"); err == nil {
+		t.Fatal("server still accepting after Shutdown")
 	}
 }
 
 // TestServerShutdownDrainsInFlight starts a scrape whose readiness check
 // blocks mid-request, calls Shutdown concurrently, and asserts the scrape
-// still completes with a full response — where Close would reset it.
+// still completes with a full response instead of a reset connection.
 func TestServerShutdownDrainsInFlight(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	s := NewServer(reg)
@@ -208,8 +194,6 @@ func TestServerHandleMountsApplicationRoutes(t *testing.T) {
 	s.Handle("/ingest", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusAccepted)
 	}))
-	var nilServer *Server
-	nilServer.Handle("/x", http.NotFoundHandler()) // no-op, must not panic
 	rec := httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("POST", "/ingest", nil))
 	if rec.Code != http.StatusAccepted {

@@ -78,13 +78,14 @@ func (r *Reference) Row(c *lang.Clause) ([]float64, error) {
 // outside the lock: two goroutines that miss the same text both compute it,
 // the rows are equal, and the first one stored is the one everybody reads.
 func (r *Reference) row(c *lang.Clause, a *assignment) ([]float64, error) {
-	key := c.String()
+	a.key = c.AppendText(a.key[:0])
 	r.mu.Lock()
-	row, ok := r.rows[key]
+	row, ok := r.rows[string(a.key)]
 	r.mu.Unlock()
 	if ok {
 		return row, nil
 	}
+	key := string(a.key)
 	cand := prepareRule(c)
 	row = make([]float64, len(r.rules))
 	for i, ref := range r.rules {

@@ -77,6 +77,7 @@ type assignment struct {
 	cells  []float64
 	cost   [][]float64
 	solver hungarian.Solver
+	key    []byte // Reference.row's lookup key: a candidate rule's text
 }
 
 // match realises the optimal mapping of Definitions 4.3 and 4.5 generically:

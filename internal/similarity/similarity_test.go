@@ -345,7 +345,8 @@ func TestPropRuleRenamingInvariance(t *testing.T) {
 		    union_all([I1, I2], I).`),
 	}
 	for _, r := range rules {
-		renamed := r.RenameApart("Renamed")
+		var vt lang.VarTable
+		renamed := vt.NumberApart(r, "Renamed")
 		d, err := RuleDistance(r, renamed)
 		if err != nil {
 			t.Fatal(err)

@@ -4,6 +4,7 @@
 package stream
 
 import (
+	"bytes"
 	"encoding/csv"
 	"fmt"
 	"io"
@@ -34,10 +35,14 @@ type Stream []Event
 // Sort orders the stream by time, breaking ties by the rendered source text
 // of the atom so same-timestamp events have one canonical order regardless
 // of arrival order. The sort is stable, so events whose time AND text
-// coincide (exact duplicates) keep their relative arrival order. Each atom
-// is rendered at most once, and only when it ties on time with a neighbour;
-// an already sorted stream returns after one linear pass.
+// coincide (exact duplicates) keep their relative arrival order. An already
+// sorted stream returns after one linear pass that renders only the atoms
+// tying on time with a neighbour, into two reused buffers; otherwise each
+// such atom's rendering is kept as its sort key.
 func (s Stream) Sort() {
+	if s.sorted() {
+		return
+	}
 	keys := make([]string, len(s))
 	// before reports whether event i must precede event j.
 	before := func(i, j int) bool {
@@ -52,13 +57,6 @@ func (s Stream) Sort() {
 		}
 		return keys[i] < keys[j]
 	}
-	sorted := true
-	for i := 1; i < len(s) && sorted; i++ {
-		sorted = !before(i, i-1)
-	}
-	if sorted {
-		return
-	}
 	// Sort a permutation, so the cached renderings stay addressable by the
 	// events' original positions while elements move.
 	idx := make([]int, len(s))
@@ -70,6 +68,31 @@ func (s Stream) Sort() {
 	for i, k := range idx {
 		s[i] = orig[k]
 	}
+}
+
+// sorted reports whether s is in Sort's order. Two neighbours that tie on
+// time are compared by their renderings, made into two buffers that take
+// turns, so each atom is rendered once.
+func (s Stream) sorted() bool {
+	var prev, cur []byte
+	prevAt := -1 // the event whose rendering prev holds
+	for i := 1; i < len(s); i++ {
+		if s[i].Time != s[i-1].Time {
+			if s[i].Time < s[i-1].Time {
+				return false
+			}
+			continue
+		}
+		if prevAt != i-1 {
+			prev = s[i-1].Atom.AppendText(prev[:0])
+		}
+		cur = s[i].Atom.AppendText(cur[:0])
+		if bytes.Compare(cur, prev) < 0 {
+			return false
+		}
+		prev, cur, prevAt = cur, prev, i
+	}
+	return true
 }
 
 // Dedup removes exact duplicates — events with the same time-point and the
