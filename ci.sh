@@ -2,10 +2,10 @@
 # CI gate: formatting, vet, build, the full test suite (which holds the
 # byte-identity contracts: cmd/rtec and internal/rtec contract_test.go,
 # DESIGN.md §9), race-enabled tests for the concurrency-sensitive packages,
-# the kb index, delta, NDJSON recogniser, reorder and shard fault-schedule
-# fuzzes, and the two gates that need real processes: the rtecd daemon's
-# answer against the batch oracle, its drain and resume (tumbling and at
-# slide 300), and the benchmark smoke.
+# the kb index, delta, NDJSON recogniser and reorder fuzzes, and the two
+# gates that need real processes: the rtecd daemon's answer against the
+# batch oracle, its drain and resume and its resume after kill -9 (tumbling
+# and at slide 300), and the benchmark smoke.
 set -eu
 cd "$(dirname "$0")"
 
@@ -27,7 +27,7 @@ tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 bin="$tmp/bin"
 mkdir "$bin"
-go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtec ./cmd/rtectop ./cmd/vet-rtec
+go build -o "$bin/" ./cmd/aisgen ./cmd/disorder ./cmd/rtec ./cmd/rtectop ./cmd/tracecheck ./cmd/vet-rtec
 go build -race -o "$bin/rtecd-race" ./cmd/rtecd
 
 echo "== vet-rtec (no wall clock or unseeded rand outside internal/clock; no metric name without a reader; no documented flag a binary lacks; no documented metric the code lacks; no CHANGES.md line over 300 characters; only rtecd links net/http, expvar or pprof, and rtectop net/http)"
@@ -51,11 +51,11 @@ go test -race -skip '^TestContract(DeltaEqualsFull|DefectiveDefinition)$' \
     ./internal/eval/... ./internal/similarity/... ./internal/shard/... ./internal/serve/... \
     ./internal/llm/... ./internal/prompt/... ./internal/correct/...
 
-echo "== shard hand-off stress (admission, restart and degradation wake-ups, -race -count=20)"
+echo "== shard hand-off stress (admission and degradation wake-ups, -race -count=20)"
 # Every wait in the supervised runtime (a producer on a full backlog, a drain
-# on the engine's done) is woken only by a Broadcast from the consumer or the
-# run loop; nothing polls, so a missed signal is a hang. Repeat the tests that
-# exercise each hand-off under the race detector.
+# on the engine's done) is woken only by a Broadcast from the consumer; nothing
+# polls, so a missed signal is a hang. Repeat the tests that exercise each
+# hand-off under the race detector.
 go test -race -count=20 -run 'TestShard(PanicUnblocksProducer|DegradationAndHealth|OverflowOnDegraded)|TestAdmission' ./internal/shard
 
 # fuzz runs one fuzz target for $3 and fails unless the engine reported
@@ -101,10 +101,7 @@ fuzz ./internal/stream FuzzNDJSONCanonicalLine 10s
 echo "== reorder fuzz (what the buffer releases == Stream.Sort + Dedup over the admitted arrivals)"
 fuzz ./internal/stream FuzzReorderMatchesSort 10s
 
-echo "== shard fault-schedule fuzz (a run that survives any schedule of observer panics and torn checkpoints == the fault-free run, byte for byte)"
-fuzz ./internal/shard FuzzShardFaultSchedule 10s
-
-echo "== rtecd gate (exact against the batch oracle, daemon drain, resume byte-identity, tumbling and -slide 300, -shards refusal)"
+echo "== rtecd gate (exact against the batch oracle, daemon drain, resume byte-identity after a drain and after kill -9, tumbling and -slide 300, -shards refusal)"
 # Serve the maritime event description through the rtecd daemon. The
 # uninterrupted run POSTs the whole shuffled NDJSON stream, then /finish; its
 # CSV must be the batch rtec's over the in-order CSV stream, byte for byte
@@ -234,6 +231,45 @@ for f in rtecd-s.csv:rtecd-sclean.csv s.jsonl.s0:sclean.jsonl.s0 s.ckpt.s0:sclea
         echo "rtecd gate: ${f%%:*} diverged from the uninterrupted run's ${f#*:} across drain-and-resume at -slide 300" >&2
         exit 1
     fi
+done
+# The hard-kill leg: at ten cut points spread over the shuffled stream, at
+# tumbling windows and at -slide 300, POST the prefix, kill -9 the daemon,
+# restart it with -resume, re-POST the whole stream and /finish. The CSV, the
+# engine journal and the last checkpoint generation must be the uninterrupted
+# run's, byte for byte, and tracecheck must reconcile the journal with its
+# run_end. A 200 means the prefix was admitted, not consumed, so the kill
+# lands wherever the engine happens to be. (The counter is n: start_rtecd
+# counts its polls in i.)
+lines=$(wc -l < "$tmp/shuffled.ndjson")
+for ref in clean sclean; do
+    flags=$rtecd_flags
+    [ "$ref" = sclean ] && flags=$slide_flags
+    n=1
+    while [ $n -le 10 ]; do
+        cut=$((lines * (2 * n - 1) / 20))
+        head -n "$cut" "$tmp/shuffled.ndjson" > "$tmp/prefix.ndjson"
+        rm -f "$tmp"/k.*
+        start_rtecd "$flags -checkpoint $tmp/k.ckpt -journal $tmp/k.jsonl"
+        post_ok "$tmp/prefix.ndjson"
+        kill -KILL "$rtecd_pid"
+        wait "$rtecd_pid" 2>/dev/null || true
+        start_rtecd "$flags -checkpoint $tmp/k.ckpt -journal $tmp/k.jsonl -resume"
+        post_ok "$tmp/shuffled.ndjson"
+        curl -s -X POST "http://$rtecd_addr/finish" > "$tmp/k.csv"
+        kill -TERM "$rtecd_pid"
+        wait "$rtecd_pid" || true
+        for f in k.csv:rtecd-$ref.csv k.jsonl.s0:$ref.jsonl.s0 k.ckpt.s0:$ref.ckpt.s0; do
+            if ! cmp -s "$tmp/${f%%:*}" "$tmp/${f#*:}"; then
+                echo "rtecd gate: after kill -9 at line $cut of $lines and -resume ($ref), ${f%%:*} diverged from the uninterrupted run's ${f#*:}" >&2
+                exit 1
+            fi
+        done
+        if ! "$bin/tracecheck" -journal "$tmp/k.jsonl.s0" > /dev/null; then
+            echo "rtecd gate: the engine journal resumed after kill -9 at line $cut ($ref) does not reconcile" >&2
+            exit 1
+        fi
+        n=$((n + 1))
+    done
 done
 # -shards is kept only for the benchmark, which passes 1: any other value
 # must fail the start before the port is bound or a journal is created. A

@@ -46,7 +46,7 @@ func counterIs(dump, name, value string) bool {
 // TestContractGates holds the CLI's contracts (DESIGN.md §9) on the
 // maritime scenario. The streaming contracts on the same input are
 // internal/rtec's contract tests and internal/shard's
-// TestShardCheckpointGenerationFallback/maritime.
+// TestShardRestartByteIdentity/maritime.
 func TestContractGates(t *testing.T) {
 	ed, events := writeShellInput(t)
 	t.Run("telemetry smoke", func(t *testing.T) {

@@ -1,6 +1,6 @@
 // Command rtecd is the long-lived recognition daemon: it serves the RTEC
 // engine over HTTP, ingesting NDJSON event streams into one supervised,
-// crash-recovering engine and publishing window deliveries to subscribers.
+// checkpointing engine and publishing window deliveries to subscribers.
 // The engine sees the whole stream, so the /finish CSV is cmd/rtec's over
 // the same events.
 //
@@ -32,13 +32,12 @@
 // checkpoints, resume and the audit journal. cmd/rtec is the batch
 // reference.
 //
-// The restart budget (5), the backlog bound (256 arrivals; a full engine
-// queue blocks the ingest pump), the ingest queue (16 batches), the request
-// deadline (30 s), the Retry-After hint (1 s), the body cap (8 MiB), the
-// per-subscriber buffer (64 frames, eviction after 256 drops) and the
-// shutdown connection drain (5 s) are constants: the zero-value defaults
-// of serve.Options and shard.Options. So is the backoff jitter seed,
-// backoffSeed. The engine evaluates its windows on its own goroutine.
+// The backlog bound (256 arrivals; a full engine queue blocks the ingest
+// pump), the ingest queue (16 batches), the request deadline (30 s), the
+// Retry-After hint (1 s), the body cap (8 MiB), the per-subscriber buffer
+// (64 frames, eviction after 256 drops) and the shutdown connection drain
+// (5 s) are constants: the zero-value defaults of serve.Options and
+// shard.Options. The engine evaluates its windows on its own goroutine.
 // -shards and -workers are kept only for the benchmark, which passes 1 and
 // 0; any other value fails the start. The event
 // description loads strictly. A plan the engine refuses (a -slide above
@@ -46,13 +45,20 @@
 // the port is bound or a journal is created, and so does a rule the engine
 // cannot run (a cyclic definition, a malformed condition).
 //
+// An engine that fails (a panic, a checkpoint write error) degrades at once:
+// /healthz answers 503, later arrivals 503, /finish and /result 500 naming
+// the error. Recovery is a new process started with -resume.
+//
 // SIGTERM or SIGINT drains gracefully: ingest stops, admitted events are
-// processed to completion, the engine parks into a suspend checkpoint
-// ("<-checkpoint>.s0") with its journal committed through it, and the
-// process exits 0. Restarting with -resume and re-POSTing the same stream
-// continues the run with output byte-identical to an uninterrupted one. A
-// second signal force-exits. After a /finish that a degraded engine failed,
-// the signal ends the process with that error and exit status 1.
+// processed to completion, the engine flushes its journal and parks into a
+// suspend checkpoint ("<-checkpoint>.s0"), and the process exits 0.
+// Restarting with -resume and re-POSTing the same stream continues the run
+// with output byte-identical to an uninterrupted one — after a drain, and
+// after a hard kill or a degraded engine too: the resume restores the last
+// checkpoint generation on disk and cuts the engine journal back to the
+// record it covers. A second signal force-exits. After a /finish that a
+// degraded engine failed, the signal ends the process with that error and
+// exit status 1.
 package main
 
 import (
@@ -68,10 +74,6 @@ import (
 	"rtecgen/internal/telemetry"
 	"rtecgen/internal/telemetry/journal"
 )
-
-// backoffSeed seeds the engine's restart backoff jitter. It is recorded in
-// the lifecycle journal's shards_start record.
-const backoffSeed = 7
 
 type options struct {
 	edPath        string
@@ -107,7 +109,7 @@ func main() {
 	flag.IntVar(&o.checkpointEvery, "checkpoint-every", 1, "windows between snapshots")
 	flag.StringVar(&o.journalPath, "journal", "", "append the lifecycle journal here and the engine's audit journal to \"<file>.s0\"")
 	flag.Int64Var(&o.journalCap, "journal-cap", 0, "cap each journal's size in bytes (0 = unbounded)")
-	flag.BoolVar(&o.resume, "resume", false, "resume a drained run from its suspend checkpoint (re-POST the same stream)")
+	flag.BoolVar(&o.resume, "resume", false, "resume a drained or killed run from its last checkpoint (re-POST the same stream)")
 	// frozen: read only by benchmark/ (ROADMAP 21)
 	flag.IntVar(&o.shards, "shards", 1, "kept for the benchmark: only 1 is accepted (one engine serves the whole stream)")
 	flag.BoolVar(&o.verbose, "v", false, "structured debug logging to stderr")
@@ -166,7 +168,6 @@ func run(o options, stderr *os.File) error {
 			CheckpointPath:  o.checkpoint,
 			CheckpointEvery: o.checkpointEvery,
 		},
-		Seed:        backoffSeed,
 		JournalPath: o.journalPath,
 		JournalOpts: journal.Options{MaxBytes: o.journalCap},
 		Resume:      o.resume,
@@ -196,8 +197,8 @@ func run(o options, stderr *os.File) error {
 	}()
 	sts, err := d.Drain()
 	for _, st := range sts {
-		fmt.Fprintf(stderr, "rtecd: shard %d: parked consumed=%d windows=%d restarts=%d degraded=%v\n",
-			st.Shard, st.Consumed, st.Windows, st.Restarts, st.Degraded)
+		fmt.Fprintf(stderr, "rtecd: shard %d: parked consumed=%d windows=%d degraded=%v\n",
+			st.Shard, st.Consumed, st.Windows, st.Degraded)
 	}
 	if err != nil {
 		return err

@@ -13,8 +13,7 @@
 //     renders the run's final board once: the engine journal of
 //     `rtecd -journal file` ("<file>.s0", whose window, checkpoint and
 //     run_end records fill the board), or its lifecycle journal (whose
-//     shards_start, shard_restart and shard_degraded records fill the
-//     SHARDS section).
+//     shards_start and shard_degraded records fill the SHARDS section).
 //
 // With -once the board is printed a single time without clearing the
 // screen — the scripting/CI mode. -require takes comma-separated assertions
@@ -144,7 +143,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 	var windows, revisions, firsts, writes float64
 	var ckptBytes float64
 	var emitLags []float64
-	var shards, restarts, degraded float64
+	var shards, degraded float64
 	var end struct {
 		Accepted   float64 `json:"accepted"`
 		Late       float64 `json:"late"`
@@ -190,8 +189,6 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 			}
 			_ = unmarshalData(rec.Data, &s)
 			shards = s.Shards
-		case "shard_restart":
-			restarts++
 		case "shard_degraded":
 			degraded++
 		case "run_end":
@@ -216,8 +213,7 @@ func journalBoard(path string) (map[string]*telemetry.PromMetric, string, error)
 		put("rtec_checkpoint_writes_total", "counter", writes)
 		put("rtec_checkpoint_bytes", "counter", ckptBytes)
 	}
-	if shards > 0 || restarts > 0 || degraded > 0 {
-		put("rtec_shard_restarts_total", "counter", restarts)
+	if shards > 0 || degraded > 0 {
 		put("rtec_shard_degraded", "gauge", degraded)
 	}
 	m["rtec_window_emit_lag"] = histMetric("rtec_window_emit_lag", lagBuckets, emitLags)
@@ -353,18 +349,15 @@ func render(w io.Writer, header string, m, prev map[string]*telemetry.PromMetric
 	if writes, ok := val("rtec_checkpoint_writes_total"); ok && writes > 0 {
 		restores, _ := val("rtec_checkpoint_restores_total")
 		bytes, _ := val("rtec_checkpoint_bytes")
-		fallbacks, _ := val("rtec_checkpoint_fallbacks_total")
 		fmt.Fprintln(w, "\nCHECKPOINTS")
-		fmt.Fprintf(w, "  writes %.0f  restores %.0f  bytes %.0f  fallbacks %.0f\n", writes, restores, bytes, fallbacks)
+		fmt.Fprintf(w, "  writes %.0f  restores %.0f  bytes %.0f\n", writes, restores, bytes)
 	}
 
-	restarts, haveRestarts := val("rtec_shard_restarts_total")
+	degraded, haveDegraded := val("rtec_shard_degraded")
 	consumed, haveConsumed := val("rtec_shard_consumed")
-	if haveRestarts || haveConsumed {
-		degraded, _ := val("rtec_shard_degraded")
+	if haveDegraded || haveConsumed {
 		fmt.Fprintln(w, "\nSHARDS")
-		fmt.Fprintf(w, "  restarts %.0f  degraded %.0f%s\n",
-			restarts, degraded, rate("rtec_shard_restarts_total"))
+		fmt.Fprintf(w, "  degraded %.0f\n", degraded)
 		if haveConsumed {
 			windows, _ := val("rtec_shard_windows")
 			queue, _ := val("rtec_shard_queue_depth")

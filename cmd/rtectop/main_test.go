@@ -32,7 +32,6 @@ func liveRegistry() *telemetry.Registry {
 	s0.Observe(40)
 	s1 := reg.Histogram("rtec.stratum.micros.s1", []float64{100, 1000})
 	s1.Observe(400)
-	reg.Counter("rtec.shard.restarts").Add(1)
 	reg.Gauge("rtec.shard.consumed").Set(100)
 	reg.Gauge("rtec.shard.windows").Set(24)
 	reg.Gauge("rtec.shard.queue.depth").Set(3)
@@ -56,7 +55,7 @@ func TestScrapeModeRendersBoard(t *testing.T) {
 		"emit lag       n=4",
 		"stratum s0",
 		"stratum s1",
-		"SHARDS\n  restarts 1  degraded 0",
+		"SHARDS\n  degraded 0",
 		"consumed 100  windows 24  queue 3",
 	} {
 		if !strings.Contains(out, want) {

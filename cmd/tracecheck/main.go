@@ -9,6 +9,11 @@
 // written by rtecd -journal): every line must be a well-formed record,
 // the sequence numbers must be gapless and start at 1, wall_us stamps
 // must be non-decreasing, and nothing may follow a journal_capped marker.
+// An engine journal that ends in run_end, uncapped, must also reconcile
+// with it: as many admitted-late, duplicate and too-late admission records
+// as run_end counts late, duplicate and dropped arrivals, as many revised
+// window records as revisions and checkpoint records as checkpoints, and
+// first deliveries indexed 0, 1, ... without a gap.
 // -require then names record types (exact match) that must each appear.
 //
 // Usage:
@@ -61,29 +66,87 @@ func main() {
 }
 
 // checkJournal validates an audit journal: well-formed JSONL records with a
-// gapless sequence, sane clocks, and (with -require) the demanded record
-// types present. The structural rules live in journal.Validate; this adds
-// the -require layer and the human-readable summary.
+// gapless sequence, sane clocks, an engine journal's records reconciled with
+// its run_end, and (with -require) the demanded record types present. The
+// structural rules live in journal.Read; this adds the rest and the
+// human-readable summary.
 func checkJournal(path, require string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	stats, err := journal.Validate(f)
+	recs, err := journal.Read(f)
+	if err == nil {
+		err = reconcile(recs)
+	}
 	if err != nil {
 		return fmt.Errorf("%s: %w", path, err)
 	}
+	types := map[string]int{}
+	for _, rec := range recs {
+		types[rec.Type]++
+	}
 	for _, want := range splitRequire(require) {
-		if stats.Types[want] == 0 {
-			return fmt.Errorf("%s: no %q records among %d", path, want, stats.Records)
+		if types[want] == 0 {
+			return fmt.Errorf("%s: no %q records among %d", path, want, len(recs))
 		}
 	}
 	capped := ""
-	if stats.Capped {
+	if types["journal_capped"] > 0 {
 		capped = ", capped"
 	}
-	fmt.Printf("%s: ok (%d records, %d types%s)\n", path, stats.Records, len(stats.Types), capped)
+	fmt.Printf("%s: ok (%d records, %d types%s)\n", path, len(recs), len(types), capped)
+	return nil
+}
+
+// reconcile holds an engine journal that ends in run_end, and is not
+// capped, to the totals run_end reports. A journal that lost records still
+// validates structurally — its sequence numbers are its own — but not
+// against the counts of the run that wrote it.
+func reconcile(recs []journal.Record) error {
+	if len(recs) == 0 || recs[len(recs)-1].Type != "run_end" {
+		return nil
+	}
+	type data struct {
+		Verdict                                           string
+		Index, Revision                                   int
+		Late, Duplicates, Dropped, Revisions, Checkpoints int64
+	}
+	var end data
+	have := map[string]int64{} // by admission verdict, "revised window" and "checkpoint"
+	firsts := 0                // the next first delivery's index
+	for _, rec := range recs {
+		var d data
+		if err := json.Unmarshal(rec.Data, &d); rec.Data != nil && err != nil {
+			return fmt.Errorf("seq %d: %w", rec.Seq, err)
+		}
+		switch {
+		case rec.Type == "run_end":
+			end = d
+		case rec.Type == "admission":
+			have[d.Verdict]++
+		case rec.Type == "checkpoint":
+			have["checkpoint"]++
+		case rec.Type == "window" && d.Revision > 0:
+			have["revised window"]++
+		case rec.Type == "window" && d.Index != firsts:
+			return fmt.Errorf("seq %d: first delivery of window %d, want window %d", rec.Seq, d.Index, firsts)
+		case rec.Type == "window":
+			firsts++
+		}
+	}
+	for _, c := range []struct {
+		what string
+		want int64
+	}{
+		{"admitted-late", end.Late}, {"duplicate", end.Duplicates}, {"too-late", end.Dropped},
+		{"revised window", end.Revisions}, {"checkpoint", end.Checkpoints},
+	} {
+		if have[c.what] != c.want {
+			return fmt.Errorf("%d %s records, but the run reports %d", have[c.what], c.what, c.want)
+		}
+	}
 	return nil
 }
 

@@ -1,7 +1,6 @@
-// Package clock provides the injectable time source of the shard
-// supervisor and the command-line tools. Production code uses the real
-// clock; tests use a virtual clock whose Sleep advances virtual time
-// instantly, making restart backoffs fully deterministic and free of real
+// Package clock provides the injectable time source of the daemon and the
+// command-line tools. Production code uses the real clock; tests may use a
+// virtual clock whose Sleep advances virtual time instantly, free of real
 // sleeping.
 package clock
 
@@ -10,7 +9,7 @@ import (
 	"time"
 )
 
-// Clock is the minimal time surface the supervisor needs: reading the
+// Clock is the minimal time surface the daemon needs: reading the
 // current instant and blocking for a duration.
 type Clock interface {
 	Now() time.Time

@@ -19,16 +19,11 @@ import (
 // truncated or corrupted snapshot is rejected before any state is restored.
 const (
 	checkpointMagic = "rtec-checkpoint"
-	// checkpointVersion 2 carries the amalgamation of the windows past the
-	// revision cursor in one section; version 1 listed every emitted window
-	// and is refused, not converted.
-	checkpointVersion = 2
-
-	// checkpointPrevSuffix names the previous snapshot generation: every
-	// successful checkpoint write first rotates the current file aside, so
-	// a snapshot torn by a crash or a bad disk still leaves one verified
-	// generation to resume from.
-	checkpointPrevSuffix = ".prev"
+	// checkpointVersion 3 records the engine journal position its
+	// generation covers (journal_seq); version 2 did not, and version 1
+	// listed every emitted window. Older versions are refused, not
+	// converted.
+	checkpointVersion = 3
 )
 
 type checkpointFile struct {
@@ -64,6 +59,11 @@ type checkpointPayload struct {
 	// next cadence checkpoint at the same absolute window as an
 	// uninterrupted one.
 	SinceCkpt int `json:"since_ckpt,omitempty"`
+	// JournalSeq is the sequence number of the last engine journal record
+	// the generation covers: a cadence checkpoint's own checkpoint record,
+	// the last record before a suspend checkpoint. A resume cuts the
+	// journal back to it.
+	JournalSeq int64 `json:"journal_seq"`
 
 	Frontier int64        `json:"frontier"`
 	Started  bool         `json:"started"`
@@ -190,6 +190,7 @@ func (st *streamRun) snapshot() checkpointPayload {
 		Revisions:   st.stats.Revisions,
 		Checkpoints: st.stats.Checkpoints,
 		SinceCkpt:   st.sinceCkpt,
+		JournalSeq:  st.journalSeq,
 		Frontier:    frontier,
 		Started:     started,
 		Disorder: ckptDisorder{
@@ -243,34 +244,46 @@ func (st *streamRun) encodeSnapshot() ([]byte, error) {
 // writeCheckpoint takes a cadence snapshot. The write is counted before
 // snapshotting, so the payload's own checkpoint counter includes it: a run
 // restored from the snapshot then reports the same count as the
-// uninterrupted run at the same point — which keeps recovered journals
+// uninterrupted run at the same point — which keeps resumed journals
 // (whose checkpoint records embed the payload size) byte-identical to
-// fault-free ones.
+// uninterrupted ones.
 //
-// The snapshot is encoded here, and its file steps run behind the consumer
-// (see ckptWriter): the previous generation's write is waited for first, and
-// its error returned, so at most one write is in flight and a generation is
-// on disk before the next one is encoded.
+// The snapshot is encoded here, its checkpoint record appended and the
+// journal flushed through that record before the file steps start behind
+// the consumer (see ckptWriter): a generation never reaches the disk ahead
+// of the records it covers. The previous generation's write is waited for
+// first, and its error returned, so at most one write is in flight and a
+// generation is on disk before the next one is encoded.
 func (st *streamRun) writeCheckpoint() error {
 	if err := st.writer.wait(); err != nil {
 		return err
 	}
 	tel := st.eng.opts.Telemetry
+	jw := st.obs.journal
 	st.stats.Checkpoints++
+	if jw != nil {
+		st.journalSeq = jw.Seq() + 1 // the checkpoint record's own number
+	}
 	data, err := st.encodeSnapshot()
 	if err != nil {
 		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
 	n := len(data)
+	if err := jw.Append("checkpoint", journalCheckpoint{
+		Consumed: st.consumed, Windows: st.emitted, Bytes: n,
+	}); err != nil {
+		return err
+	}
+	if err := jw.Flush(); err != nil {
+		return err
+	}
 	st.writer.start(st.opts.CheckpointPath, data)
 	tel.Counter("rtec.checkpoint.writes").Inc()
 	tel.Counter("rtec.checkpoint.bytes").Add(int64(n))
 	tel.Logger().Debug("checkpoint written",
 		"component", "rtec", "path", st.opts.CheckpointPath,
 		"consumed", st.consumed, "windows", st.emitted, "bytes", n)
-	return st.obs.journal.Append("checkpoint", journalCheckpoint{
-		Consumed: st.consumed, Windows: st.emitted, Bytes: n,
-	})
+	return nil
 }
 
 // writeSuspendCheckpoint snapshots the run for a graceful suspension
@@ -278,8 +291,8 @@ func (st *streamRun) writeCheckpoint() error {
 // the checkpoint counter and does NOT journal a record: a suspend may land
 // between any two arrivals, and the resumed run must report the same
 // checkpoint count and journal bytes as an uninterrupted one. It waits for
-// the cadence write in flight, then writes on the calling goroutine, so the
-// suspend generation is on disk when it returns.
+// the cadence write in flight and flushes the journal, then writes on the
+// calling goroutine, so the suspend generation is on disk when it returns.
 func (st *streamRun) writeSuspendCheckpoint() error {
 	if st.opts.CheckpointPath == "" {
 		return fmt.Errorf("rtec: cannot suspend: no checkpoint path configured")
@@ -287,24 +300,22 @@ func (st *streamRun) writeSuspendCheckpoint() error {
 	if err := st.writer.wait(); err != nil {
 		return err
 	}
-	if _, err := st.writeSnapshotFile(); err != nil {
+	jw := st.obs.journal
+	if err := jw.Flush(); err != nil {
+		return err
+	}
+	st.journalSeq = jw.Seq()
+	data, err := st.encodeSnapshot()
+	if err != nil {
+		return fmt.Errorf("rtec: checkpoint: %w", err)
+	}
+	if err := writeGeneration(st.opts.CheckpointPath, data); err != nil {
 		return err
 	}
 	st.eng.opts.Telemetry.Logger().Debug("suspend checkpoint written",
 		"component", "rtec", "path", st.opts.CheckpointPath,
 		"consumed", st.consumed, "windows", st.emitted)
 	return nil
-}
-
-// writeSnapshotFile encodes the snapshot and writes it on the calling
-// goroutine (see writeGeneration). It returns the size of the written
-// envelope in bytes.
-func (st *streamRun) writeSnapshotFile() (int, error) {
-	data, err := st.encodeSnapshot()
-	if err != nil {
-		return 0, fmt.Errorf("rtec: checkpoint: %w", err)
-	}
-	return len(data), writeGeneration(st.opts.CheckpointPath, data)
 }
 
 // ckptWriter runs the file steps of a runner's cadence checkpoints behind
@@ -339,48 +350,35 @@ func (w *ckptWriter) wait() error {
 	return <-w.done
 }
 
-// writeGeneration writes one checkpoint generation torn-proof: the bytes go
-// to a temporary file in the checkpoint's directory and are fsynced before
-// the file is renamed over the target, the previous generation is kept aside
-// under checkpointPrevSuffix, and the directory is synced so the renames
-// themselves survive a power cut. A crash at any point leaves at least one
-// intact, checksum-verified generation.
+// writeGeneration replaces the checkpoint at path torn-proof: the bytes go
+// to "<path>.tmp" and are fsynced, the file is renamed over path — which
+// rename(2) does atomically — and the directory is synced so the rename
+// survives a power cut. A kill at any point leaves path holding the old
+// generation or the new one, and at most a stale temporary file that the
+// next write truncates: at most one write per path is in flight.
 func writeGeneration(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".rtec-checkpoint-*")
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
 	if err != nil {
 		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("rtec: checkpoint: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rtec: checkpoint: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rtec: checkpoint: %w", err)
-	}
-	// Rotate the current generation aside before installing the new one:
-	// if the new file turns out torn (crash between the renames, bad disk),
-	// resume falls back to the previous generation.
-	if _, err := os.Stat(path); err == nil {
-		if err := os.Rename(path, path+checkpointPrevSuffix); err != nil {
-			os.Remove(tmp.Name())
-			return fmt.Errorf("rtec: checkpoint: %w", err)
-		}
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("rtec: checkpoint: %w", err)
-	}
-	// Best-effort directory sync so the renames are durable; some
+	// Best-effort directory sync so the rename is durable; some
 	// filesystems refuse fsync on directories, which is fine.
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync()
 		d.Close()
 	}
@@ -393,7 +391,10 @@ type Checkpoint struct {
 	Consumed int
 	// Windows is the number of windows delivered at least once.
 	Windows int
-	payload checkpointPayload
+	// JournalSeq is the sequence number of the last engine journal record
+	// the snapshot covers (0 for a run without a journal).
+	JournalSeq int64
+	payload    checkpointPayload
 }
 
 // LoadCheckpoint reads and verifies a snapshot written by a streaming run
@@ -423,24 +424,7 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err := json.Unmarshal(f.Payload, &p); err != nil {
 		return nil, fmt.Errorf("rtec: checkpoint %s: payload: %w", path, err)
 	}
-	return &Checkpoint{Consumed: p.Consumed, Windows: p.Emitted, payload: p}, nil
-}
-
-// LoadCheckpointWithFallback loads the snapshot at path; if that file is
-// missing, torn or corrupt, it falls back to the previous generation kept
-// under checkpointPrevSuffix. It returns the checkpoint and the file it
-// actually came from. The error names both generations when neither loads.
-func LoadCheckpointWithFallback(path string) (*Checkpoint, string, error) {
-	cp, err := LoadCheckpoint(path)
-	if err == nil {
-		return cp, path, nil
-	}
-	prev := path + checkpointPrevSuffix
-	cpp, perr := LoadCheckpoint(prev)
-	if perr == nil {
-		return cpp, prev, nil
-	}
-	return nil, "", fmt.Errorf("rtec: checkpoint %s unusable (%v); previous generation unusable too (%v)", path, err, perr)
+	return &Checkpoint{Consumed: p.Consumed, Windows: p.Emitted, JournalSeq: p.JournalSeq, payload: p}, nil
 }
 
 // restore rebuilds the run state from a verified checkpoint, after
@@ -514,5 +498,6 @@ func (st *streamRun) restore(cp *Checkpoint) error {
 	st.stats.Revisions = p.Revisions
 	st.stats.Checkpoints = p.Checkpoints
 	st.sinceCkpt = p.SinceCkpt
+	st.journalSeq = p.JournalSeq
 	return nil
 }

@@ -115,13 +115,13 @@ func explicitBounds(opts StreamOptions, arrivals stream.Stream) StreamOptions {
 	return opts
 }
 
-// resumeStream continues the run checkpointed at path as a restarted shard
-// does: it loads the snapshot (the previous generation if the current one is
-// torn), rebuilds a runner with ResumeStreamRunner over opts' bounds, or
-// those RunStream derives from arrivals when opts leaves them open, re-ingests the arrivals from the snapshot's cursor
-// on and finishes.
+// resumeStream continues the run checkpointed at path as a resumed shard
+// does: it loads the snapshot, rebuilds a runner with ResumeStreamRunner
+// over opts' bounds, or those RunStream derives from arrivals when opts
+// leaves them open, re-ingests the arrivals from the snapshot's cursor on
+// and finishes.
 func resumeStream(e *Engine, path string, arrivals stream.Stream, opts StreamOptions, fn func(WindowResult) error) (*StreamResult, error) {
-	cp, _, err := LoadCheckpointWithFallback(path)
+	cp, err := LoadCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
@@ -141,6 +141,16 @@ func resumeStream(e *Engine, path string, arrivals stream.Stream, opts StreamOpt
 	return r.Finish()
 }
 
+// continueJournal is what a resumed process does to the journal a killed run
+// left in crashed: it keeps the records through sequence number seq (a
+// journal numbers its records 1, 2, ... from its first line) and returns
+// them with a writer continuing them.
+func continueJournal(crashed []byte, seq int64) (*bytes.Buffer, *journal.Writer) {
+	kept := bytes.Join(bytes.SplitAfter(crashed, []byte("\n"))[:seq], nil)
+	buf := bytes.NewBuffer(kept)
+	return buf, journal.NewWriterResumed(buf, journal.Options{}, journal.RecoverInfo{LastSeq: seq, Written: int64(len(kept))})
+}
+
 // settle waits for r's checkpoint write in flight, as the runner's next
 // cadence write, a suspend, Finish or Abort would, so that the generation
 // can be read from disk.
@@ -151,22 +161,18 @@ func settle(t *testing.T, r *StreamRunner) {
 	}
 }
 
-// generation is one checkpoint write as it left the disk: the file and the
-// generation rotated aside under checkpointPrevSuffix (nil before the second).
-type generation struct{ file, prev []byte }
-
 // ingestRecording feeds arrivals[from:] through r and returns what every
 // checkpoint write left on disk, keyed by the run's checkpoint count.
-func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from int) map[int64]generation {
+func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from int) map[int64][]byte {
 	t.Helper()
-	gens := map[int64]generation{}
+	gens := map[int64][]byte{}
 	path := r.st.opts.CheckpointPath
 	for _, a := range arrivals[from:] {
-		before := r.Checkpoints()
+		before := r.st.stats.Checkpoints
 		if err := r.Ingest(a); err != nil {
 			t.Fatal(err)
 		}
-		if r.Checkpoints() == before {
+		if r.st.stats.Checkpoints == before {
 			continue
 		}
 		settle(t, r)
@@ -174,8 +180,7 @@ func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from
 		if err != nil {
 			t.Fatal(err)
 		}
-		prev, _ := os.ReadFile(path + checkpointPrevSuffix)
-		gens[r.Checkpoints()] = generation{file, prev}
+		gens[r.st.stats.Checkpoints] = file
 	}
 	return gens
 }
@@ -183,11 +188,11 @@ func ingestRecording(t *testing.T, r *StreamRunner, arrivals stream.Stream, from
 // TestCheckpointResumeAtEveryCrashPoint kills a checkpointed run after every
 // window count in turn and resumes it. The resumed run restores the fold
 // and the revisable slots, with no delta state, so beyond the final CSV
-// every generation it writes (file and .prev) must equal, byte for byte,
-// the generation of the same count the uninterrupted run wrote. A kill can also lose the write in flight, at any
-// of its steps: before the rotation (the previous generation is the file), or
-// between the renames (it is only the .prev). Either way the run resumes from
-// the previous generation, replays longer, and must give the same bytes.
+// every generation it writes must equal, byte for byte, the generation of
+// the same count the uninterrupted run wrote. A kill can also lose the
+// write in flight, before its rename: the file is then the previous
+// generation, and the run resumes from it, replays longer, and must give
+// the same bytes.
 func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	arrivals := chaosArrivals(t, 11, 40)
@@ -225,7 +230,7 @@ func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 				}
 				resume := func(what, path string) {
 					t.Helper()
-					cp, _, err := LoadCheckpointWithFallback(path)
+					cp, err := LoadCheckpoint(path)
 					if err != nil {
 						t.Fatalf("crash %d%s: %v", crash, what, err)
 					}
@@ -236,11 +241,8 @@ func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 						t.Fatalf("crash %d%s: resume: %v", crash, what, err)
 					}
 					for n, got := range ingestRecording(t, r, arrivals, cp.Consumed) {
-						if !bytes.Equal(got.file, wantGens[n].file) {
+						if !bytes.Equal(got, wantGens[n]) {
 							t.Fatalf("crash after %d windows%s: resumed generation %d differs from the uninterrupted run's", crash, what, n)
-						}
-						if !bytes.Equal(got.prev, wantGens[n].prev) {
-							t.Fatalf("crash after %d windows%s: resumed generation %d keeps a different .prev", crash, what, n)
 						}
 					}
 					got, err := r.Finish()
@@ -260,22 +262,15 @@ func TestCheckpointResumeAtEveryCrashPoint(t *testing.T) {
 					t.Fatalf("crash %d: %v", crash, err)
 				}
 				last := cp.payload.Checkpoints
-				if readFile(t, opts.CheckpointPath) != string(wantGens[last].file) {
+				if readFile(t, opts.CheckpointPath) != string(wantGens[last]) {
 					t.Fatalf("crash after %d windows: generation %d differs from the uninterrupted run's", crash, last)
 				}
 				if last < 2 {
 					continue // no earlier generation to fall back to
 				}
-				prev := wantGens[last-1]
-				beforeRotation := filepath.Join(t.TempDir(), "run.ckpt")
-				writeFile(t, beforeRotation, prev.file)
-				if prev.prev != nil {
-					writeFile(t, beforeRotation+checkpointPrevSuffix, prev.prev)
-				}
-				resume(", losing the write in flight before its rotation", beforeRotation)
-				betweenRenames := filepath.Join(t.TempDir(), "run.ckpt")
-				writeFile(t, betweenRenames+checkpointPrevSuffix, prev.file)
-				resume(", losing the write in flight between its renames", betweenRenames)
+				beforeRename := filepath.Join(t.TempDir(), "run.ckpt")
+				writeFile(t, beforeRename, wantGens[last-1])
+				resume(", losing the write in flight before its rename", beforeRename)
 				lost++
 			}
 			if lost == 0 {
@@ -313,7 +308,7 @@ func TestCheckpointWriteErrorSurfaces(t *testing.T) {
 	// ingestUntil feeds arrivals from i on until r has counted n checkpoints,
 	// and returns the next arrival's index.
 	ingestUntil := func(t *testing.T, r *StreamRunner, i int, n int64) int {
-		for ; r.Checkpoints() < n; i++ {
+		for ; r.st.stats.Checkpoints < n; i++ {
 			if err := r.Ingest(arrivals[i]); err != nil {
 				t.Fatalf("arrival %d: %v", i, err)
 			}
@@ -339,7 +334,7 @@ func TestCheckpointWriteErrorSurfaces(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Ingest err = %v, want the failed write (%q)", err, want)
 		}
-		if n := r.Checkpoints(); n != 2 {
+		if n := r.st.stats.Checkpoints; n != 2 {
 			t.Fatalf("%d checkpoints counted, want 2: the cadence point that reported the failure must not count its own", n)
 		}
 		if n := bytes.Count(j.Bytes(), []byte(`"type":"checkpoint"`)); n != records {
@@ -428,11 +423,14 @@ func TestLoadCheckpointRejectsCorruption(t *testing.T) {
 		cf.Version = checkpointVersion + 1
 		return cf
 	}, "format version")
-	// Version 1 listed every emitted window; there is no reader for it.
-	corrupt("version 1", func(cf checkpointFile) checkpointFile {
-		cf.Version = 1
-		return cf
-	}, "format version 1, this build reads only version 2")
+	// Version 1 listed every emitted window and version 2 recorded no
+	// journal position; there is no reader for either.
+	for _, v := range []int{1, 2} {
+		corrupt(fmt.Sprintf("version %d", v), func(cf checkpointFile) checkpointFile {
+			cf.Version = v
+			return cf
+		}, fmt.Sprintf("format version %d, this build reads only version 3", v))
+	}
 	corrupt("payload", func(cf checkpointFile) checkpointFile {
 		// Change one field of the payload without touching the checksum.
 		p := bytes.Replace(cf.Payload, []byte(`"started":true`), []byte(`"started":false`), 1)
@@ -483,24 +481,29 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	}
 }
 
+// TestCheckpointWriteIsAtomic: a generation is written to "<path>.tmp" and
+// renamed over the checkpoint, so a stale temporary file a killed write
+// left behind — junk here — is overwritten, and after the run the
+// directory holds only the checkpoint, which loads.
 func TestCheckpointWriteIsAtomic(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
-	path, _, _ := writeTestCheckpoint(t, e)
-	// Exactly the current and previous generations remain next to the
-	// checkpoint — no leftover temp files, no second format.
+	path := filepath.Join(t.TempDir(), "run.ckpt")
+	writeFile(t, path+".tmp", []byte("junk a killed write left behind"))
+	if _, err := e.RunStream(stream.Stream{ev(2, "entersArea(v1, a1)"), ev(35, "leavesArea(v1, a1)")}, StreamOptions{
+		RunOptions:     RunOptions{Window: 10, Start: 0, End: 40},
+		MaxDelay:       20,
+		CheckpointPath: path,
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
 	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := filepath.Base(path) // ReadDir sorts by name: base, then base.prev
-	if len(entries) != 2 || entries[0].Name() != base || entries[1].Name() != base+checkpointPrevSuffix {
-		t.Fatalf("files next to the checkpoint = %v, want exactly %s and %s", entries, base, base+checkpointPrevSuffix)
+	if len(entries) != 1 || entries[0].Name() != filepath.Base(path) {
+		t.Fatalf("files next to the checkpoint = %v, want exactly %s", entries, filepath.Base(path))
 	}
-	// Both generations must load and verify.
 	if _, err := LoadCheckpoint(path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(path + checkpointPrevSuffix); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -567,10 +570,11 @@ func TestChaosShuffleKillResume(t *testing.T) {
 }
 
 // TestResumeFromTruncatedCheckpoint is the torn-write regression test: the
-// current checkpoint generation is truncated mid-file (as a crash during the
-// write would leave it without the atomic rename, or a bad disk after it),
-// and resume must fall back to the previous generation and still reproduce
-// the uninterrupted run byte for byte.
+// checkpoint is truncated mid-file (as a crash during the write would leave
+// it without the atomic rename, or a bad disk after it), and the resume
+// must fail naming the file — there is no older generation to fall back
+// to — while the intact file still reproduces the uninterrupted run byte
+// for byte.
 func TestResumeFromTruncatedCheckpoint(t *testing.T) {
 	e := mustEngine(t, withinAreaED, Options{Strict: true})
 	arrivals := chaosArrivals(t, 7, 60)
@@ -590,47 +594,25 @@ func TestResumeFromTruncatedCheckpoint(t *testing.T) {
 		t.Fatalf("interrupted run err = %v, want crash", err)
 	}
 
-	// Tear the current generation in half.
 	raw, err := os.ReadFile(opts.CheckpointPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(opts.CheckpointPath, raw[:len(raw)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadCheckpoint(opts.CheckpointPath); err == nil {
-		t.Fatal("truncated checkpoint loaded")
-	}
-	cp, from, err := LoadCheckpointWithFallback(opts.CheckpointPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if from != opts.CheckpointPath+checkpointPrevSuffix {
-		t.Fatalf("fallback loaded %s", from)
-	}
-	if cp.Windows == 0 {
-		t.Fatal("previous generation made no progress")
-	}
-
 	got, err := resumeStream(e, opts.CheckpointPath, arrivals, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a, b := csvOf(t, want.Recognition), csvOf(t, got.Recognition); a != b {
-		t.Fatalf("resume from previous generation differs:\n%s\nvs\n%s", b, a)
+		t.Fatalf("resume from the checkpoint differs:\n%s\nvs\n%s", b, a)
 	}
 
-	// With both generations torn (the resumed run above rewrote fresh
-	// snapshots, so tear both again), resume reports both.
+	// Tear the generation in half.
 	if err := os.WriteFile(opts.CheckpointPath, raw[:len(raw)/2], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(opts.CheckpointPath+checkpointPrevSuffix, raw[:3], 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadCheckpointWithFallback(opts.CheckpointPath); err == nil ||
-		!strings.Contains(err.Error(), "previous generation") {
-		t.Fatalf("double corruption err = %v", err)
+	if _, err := resumeStream(e, opts.CheckpointPath, arrivals, opts, nil); err == nil ||
+		!strings.Contains(err.Error(), opts.CheckpointPath) {
+		t.Fatalf("resume from a torn checkpoint: err = %v, want one naming %s", err, opts.CheckpointPath)
 	}
 }
 
@@ -675,8 +657,8 @@ func foldOracle(st *streamRun, latest map[int64]WindowResult, from, to int) map[
 // geometry, the arrival order and the evaluation mode — the file on disk is
 // json.Marshal of the payload it loads to, and a runner restored from it
 // encodes the same bytes again; its fold section is the union of the latest
-// deliveries of the windows the cursor has passed, its slots those of the
-// revisable tail; and the generation rotated aside is the previous write.
+// deliveries of the windows the cursor has passed, and its slots those of
+// the revisable tail.
 func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 	shuffled := chaosArrivals(t, 7, 60)
 	inOrder := append(stream.Stream(nil), shuffled...)
@@ -710,7 +692,6 @@ func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 						}
 						defer r.Abort()
 						st := r.st
-						var last []byte
 						cadence, suspends := 0, 0
 						check := func(what string, at int) {
 							t.Helper()
@@ -756,18 +737,14 @@ func TestCheckpointBytesMatchFullEncode(t *testing.T) {
 									t.Fatalf("%s checkpoint after arrival %d: slot %d is not the window's latest delivery", what, at, p.Final+j)
 								}
 							}
-							if prev, _ := os.ReadFile(opts.CheckpointPath + checkpointPrevSuffix); !bytes.Equal(prev, last) {
-								t.Fatalf("%s checkpoint after arrival %d rotated aside something other than the previous generation", what, at)
-							}
-							last = got
 						}
 						for i, a := range order.arrivals {
-							before := r.Checkpoints()
+							before := r.st.stats.Checkpoints
 							if err := r.Ingest(a); err != nil {
 								t.Fatal(err)
 							}
 							switch {
-							case r.Checkpoints() != before:
+							case r.st.stats.Checkpoints != before:
 								cadence++
 								check("cadence", i)
 							case st.sinceCkpt > 0 && i%5 == 0:
@@ -873,7 +850,11 @@ func TestCheckpointCostFlatInWindows(t *testing.T) {
 	}
 	defer idle.Abort()
 	empty := testing.AllocsPerRun(5, func() {
-		if _, err := idle.st.writeSnapshotFile(); err != nil {
+		data, err := idle.st.encodeSnapshot()
+		if err == nil {
+			err = writeGeneration(opts.CheckpointPath, data)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -890,19 +871,19 @@ func TestCheckpointCostFlatInWindows(t *testing.T) {
 	mallocs := map[int64]uint64{}
 	var before, after runtime.MemStats
 	for _, a := range events {
-		n := r.Checkpoints()
+		n := r.st.stats.Checkpoints
 		runtime.ReadMemStats(&before)
 		if err := r.Ingest(a); err != nil {
 			t.Fatal(err)
 		}
-		if r.Checkpoints() != n {
+		if r.st.stats.Checkpoints != n {
 			runtime.ReadMemStats(&after)
-			mallocs[r.Checkpoints()] = after.Mallocs - before.Mallocs
+			mallocs[r.st.stats.Checkpoints] = after.Mallocs - before.Mallocs
 		}
 	}
 	at10, at50, at100 := mallocs[10], mallocs[50], mallocs[100]
 	if at10 == 0 || at100 == 0 {
-		t.Fatalf("the run wrote %d checkpoints, want at least 100", r.Checkpoints())
+		t.Fatalf("the run wrote %d checkpoints, want at least 100", r.st.stats.Checkpoints)
 	}
 	t.Logf("allocs of the Ingest writing checkpoint 10 / 50 / 100: %d / %d / %d (margin %d)", at10, at50, at100, checkpointFlatMargin)
 	if at100 > at10+checkpointFlatMargin {

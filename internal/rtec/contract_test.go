@@ -46,7 +46,7 @@ func shellInput(t *testing.T) (bg string, events, arrivals stream.Stream) {
 // the last two checkpoint generations (streamed runs only), the counters,
 // and the logger's WARN lines in order.
 type contractRun struct {
-	out      [4]string
+	out      [3]string
 	counters map[string]int64
 	warns    []string
 }
@@ -76,7 +76,7 @@ func contractOut(t *testing.T, src string, opts Options, sopts *StreamOptions, e
 		if err != nil {
 			t.Fatal(err)
 		}
-		run.out = [4]string{csvOf(t, res.Recognition), jbuf.String(), readFile(t, so.CheckpointPath), readFile(t, so.CheckpointPath+checkpointPrevSuffix)}
+		run.out = [3]string{csvOf(t, res.Recognition), jbuf.String(), readFile(t, so.CheckpointPath)}
 	}
 	run.counters = reg.Snapshot().Counters
 	for _, line := range strings.Split(logBuf.String(), "\n") {
@@ -100,7 +100,7 @@ func readFile(t *testing.T, path string) string {
 // sameOutput requires got to have want's CSV, journal and checkpoint bytes.
 func sameOutput(t *testing.T, what string, got, want contractRun) {
 	t.Helper()
-	for i, name := range []string{"CSV", "journal", "checkpoint", "previous checkpoint"} {
+	for i, name := range []string{"CSV", "journal", "checkpoint"} {
 		if got.out[i] != want.out[i] {
 			t.Errorf("%s: the %s differs", what, name)
 		}
@@ -135,17 +135,25 @@ func TestContractDeltaEqualsFull(t *testing.T) {
 			}
 			// Killed mid-slide, a resumed run restores the fold and
 			// restarts every revisable slot cold.
+			// Its journal continues the crashed run's, cut back to the
+			// checkpoint.
+			var crashed bytes.Buffer
 			sopts.CheckpointPath = filepath.Join(t.TempDir(), "crash.ckpt")
+			sopts.Journal = journal.NewWriter(&crashed, journal.Options{})
 			if _, err := mustEngine(t, gold, Options{}).RunStream(arrivals, sopts, crashAfter(3)); !errors.Is(err, errCrash) {
 				t.Fatalf("interrupted run err = %v, want the crash", err)
 			}
+			cp, err := LoadCheckpoint(sopts.CheckpointPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jbuf, jw := continueJournal(crashed.Bytes(), cp.JournalSeq)
+			sopts.Journal = jw
 			res, err := resumeStream(mustEngine(t, gold, Options{}), sopts.CheckpointPath, arrivals, sopts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			// It keeps no journal: the CSV and checkpoints are compared.
-			resumed := contractRun{out: [4]string{csvOf(t, res.Recognition), delta.out[1],
-				readFile(t, sopts.CheckpointPath), readFile(t, sopts.CheckpointPath+checkpointPrevSuffix)}}
+			resumed := contractRun{out: [3]string{csvOf(t, res.Recognition), jbuf.String(), readFile(t, sopts.CheckpointPath)}}
 			sameOutput(t, "resumed", resumed, delta)
 		}},
 	} {

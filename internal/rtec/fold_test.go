@@ -52,7 +52,7 @@ terminatedAt(g(X, Y)=true, T) :- happensAt(stop(X), T).
 			}
 		}
 		r.Abort() // killed after cut arrivals
-		if r.Checkpoints() == 0 {
+		if r.st.stats.Checkpoints == 0 {
 			continue
 		}
 		cp, err := LoadCheckpoint(opts.CheckpointPath)
@@ -112,7 +112,7 @@ func TestRetentionBoundedByWindow(t *testing.T) {
 		}
 		st := r.st
 		for n, a := range events {
-			before := r.Checkpoints()
+			before := r.st.stats.Checkpoints
 			if err := r.Ingest(a); err != nil {
 				t.Fatal(err)
 			}
@@ -129,7 +129,7 @@ func TestRetentionBoundedByWindow(t *testing.T) {
 			if holding > revisable+1 {
 				t.Fatalf("%d copies, after arrival %d: %d slots hold an evaluation, %d are revisable", k, n, holding, revisable)
 			}
-			if r.Checkpoints() == before {
+			if r.st.stats.Checkpoints == before {
 				continue
 			}
 			settle(t, r)

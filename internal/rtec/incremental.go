@@ -13,14 +13,14 @@ import (
 // arrivals marked, checkpoints on the configured cadence, and produces the
 // amalgamated result on Finish;
 // RunStream is a runner fed a complete arrival-ordered slice. The supervised
-// runtime (internal/shard) feeds the daemon's stream through one runner per
-// attempt; a runner is not safe for concurrent use.
+// runtime (internal/shard) feeds the daemon's stream through one runner; a
+// runner is not safe for concurrent use.
 //
 // A runner built with NewStreamRunner never sees the whole stream, so the run
 // geometry cannot be derived from it: StreamOptions.Start and End must be
 // set explicitly. Every runner over the same explicit bounds plans the
-// identical window sequence, which is what lets a restarted or resumed
-// runner continue a checkpoint.
+// identical window sequence, which is what lets a resumed runner continue a
+// checkpoint.
 type StreamRunner struct {
 	st       *streamRun
 	finished bool
@@ -51,12 +51,11 @@ func CheckStreamOptions(opts StreamOptions) error {
 }
 
 // ResumeStreamRunner rebuilds a runner from a loaded checkpoint — the one
-// resume path, taken by a restarted or resumed supervised engine. It journals nothing
-// of the restore, not even run_start: the shard runtime stages journal
-// records and rolls the uncommitted suffix back before replaying, so a
-// crash-and-restart is invisible in the audit trail and the journal stays
-// byte-identical to a fault-free run. The caller must re-Ingest the
-// arrivals from cp.Consumed onward in the original order.
+// resume path, taken by a resumed supervised engine. It journals nothing of
+// the restore, not even run_start: the caller continues the journal cut back
+// to cp.JournalSeq, so a resumed run is invisible in the audit trail and the
+// journal stays byte-identical to an uninterrupted run's. The caller must
+// re-Ingest the arrivals from cp.Consumed onward in the original order.
 func (e *Engine) ResumeStreamRunner(cp *Checkpoint, opts StreamOptions, fn func(WindowResult) error) (*StreamRunner, error) {
 	r, err := e.NewStreamRunner(opts, fn)
 	if err != nil {
@@ -135,7 +134,3 @@ func (r *StreamRunner) Consumed() int { return r.st.consumed }
 
 // Windows returns how many windows have been delivered at least once.
 func (r *StreamRunner) Windows() int { return r.st.emitted }
-
-// Checkpoints returns how many snapshots this run has written (including
-// those counted by the checkpoint it was resumed from).
-func (r *StreamRunner) Checkpoints() int64 { return r.st.stats.Checkpoints }

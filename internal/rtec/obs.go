@@ -42,9 +42,8 @@ var instrumentHelp = map[string]string{
 	"rtec.window.emit_lag":      "frontier minus query time at each window delivery, in time-points",
 	"rtec.window.e2e_micros":    "wall-clock latency of evaluating and delivering one window",
 	"rtec.windows.evaluated":    "window evaluations, including re-evaluations forced by late events",
-	"rtec.events.ingested":      "events admitted (in-order plus late-within-bound): admissions by this process, replays after a shard restart included",
+	"rtec.events.ingested":      "events admitted (in-order plus late-within-bound): admissions by this process",
 	"rtec.revisions":            "re-deliveries of already-emitted windows caused by late events",
-	"rtec.checkpoint.fallbacks": "supervised shard restarts that recovered a torn checkpoint from its previous generation",
 	"rtec.delta.reused":         "anchor events whose cached rule effects stand (the previous window's on a slide, the window's own on a revision), replayed or under an installed fluent",
 	"rtec.delta.dirty":          "anchor events recomputed because a slide or a late arrival admitted or invalidated them",
 	"rtec.delta.expired":        "cached anchor times dropped at the expired left edge of the slide",

@@ -34,7 +34,9 @@ type StreamOptions struct {
 	// run: the run plan, degradation admission verdicts, every window
 	// delivery with its assertion/retraction diff, checkpoint events and the
 	// final statistics. A journal write failure fails the run — an audit
-	// trail with a hole is worse than no run.
+	// trail with a hole is worse than no run. The runner flushes it (see
+	// journal.Writer.Flush) before each checkpoint write starts, before a
+	// suspend checkpoint and at the end of the run.
 	Journal *journal.Writer
 }
 
@@ -107,6 +109,8 @@ type streamRun struct {
 	emitted   int // slots[:emitted] have been delivered at least once
 	consumed  int // arrivals fully processed (for checkpoint resume)
 	sinceCkpt int
+	// journalSeq is the journal position the last checkpoint recorded.
+	journalSeq int64
 	// final is the revision cursor: slots[:final] are emitted and have a
 	// query time at or below the watermark, so no admissible arrival can
 	// touch them again. The watermark never moves back, so neither does the
@@ -217,7 +221,8 @@ func (e *Engine) newStreamRunner(events stream.Stream, opts StreamOptions, fn fu
 // never reached (the events still buffered in the reorder buffer are part of
 // those evaluations — a stream ending before the watermark passes them must
 // not lose them), applies the marks still pending, waits for the checkpoint
-// write in flight, amalgamates the result and journals the end of the run.
+// write in flight, amalgamates the result, journals the end of the run and
+// flushes the journal.
 func (st *streamRun) finish() (*StreamResult, error) {
 	err := st.emitRest()
 	// The last cadence write ran behind the evaluation above; run_end is
@@ -230,6 +235,9 @@ func (st *streamRun) finish() (*StreamResult, error) {
 	}
 	res := st.finalise()
 	if err := st.journalRunEnd(); err != nil {
+		return nil, err
+	}
+	if err := st.obs.journal.Flush(); err != nil {
 		return nil, err
 	}
 	return res, nil

@@ -20,16 +20,18 @@
 // subscription buffers drop-with-counter rather than block the engine,
 // evicting consumers that fall hopelessly behind.
 //
-// An engine that degrades fails the run loudly: every later arrival gets
-// 503, and /finish and /result answer 500 naming it instead of a CSV that
-// silently lacks intervals.
+// An engine that fails — a panic, a checkpoint write error — degrades at
+// once and fails the run loudly: /healthz answers 503, every later arrival
+// gets 503, and /finish and /result answer 500 naming it instead of a CSV
+// that silently lacks intervals.
 //
 // Draining is graceful: ingest stops (new requests get 503), the in-flight
-// batch finishes, the engine processes its admitted backlog, writes a
-// suspend checkpoint and commits its staged journal through it, subscribers
-// are disconnected and the HTTP server drains under a deadline. A new
-// process started with Resume and re-fed the same stream continues the run
-// with output byte-identical to an uninterrupted one.
+// batch finishes, the engine processes its admitted backlog, flushes its
+// journal and writes a suspend checkpoint, subscribers are disconnected and
+// the HTTP server drains under a deadline. A new process started with
+// Resume and re-fed the same stream continues the run with output
+// byte-identical to an uninterrupted one — after a drain, a degraded engine
+// or a hard kill alike, from the last checkpoint on disk.
 package serve
 
 import (
@@ -71,33 +73,33 @@ type Options struct {
 	//
 	// frozen: read only by benchmark/ (ROADMAP 21)
 	Shards int
-	// Stream, MaxRestarts, Seed and Clock configure the underlying
-	// supervisor (see shard.Options). Stream.CheckpointPath is required:
-	// the daemon parks into it on drain. Stream.Start/End must bound the
-	// time-line (a daemon cannot inspect the whole stream up front the way
-	// cmd/rtec does), and a plan rtec.CheckStreamOptions refuses fails New
-	// before any file is opened. rtecd sets Stream from flags and Seed to a
-	// constant; MaxRestarts and Clock keep their defaults there (5, the
-	// real clock) and exist for tests. The backlog bound is shard.Options'
-	// default of 256 arrivals.
-	Stream      rtec.StreamOptions
-	MaxRestarts int
-	Seed        int64
+	// Stream configures the underlying supervisor (see shard.Options).
+	// Stream.CheckpointPath is required: the daemon parks into it on drain.
+	// Stream.Start/End must bound the time-line (a daemon cannot inspect
+	// the whole stream up front the way cmd/rtec does), and a plan
+	// rtec.CheckStreamOptions refuses fails New before any file is opened.
+	// The backlog bound is shard.Options' default of 256 arrivals.
+	Stream rtec.StreamOptions
+	// Seed does nothing.
+	//
+	// frozen: read only by benchmark/ (ROADMAP 21)
+	Seed int64
 	// onWindow, when non-nil, observes every window delivery after the
 	// subscription hub has published it: the tests fail the engine by
-	// panicking in it (see shard.Options.OnWindow).
+	// panicking in it (see shard.Options.OnWindow), and snapshot its files.
 	onWindow func(shard int, wr rtec.WindowResult)
 
 	// JournalPath, when non-empty, appends the supervisor lifecycle journal
 	// there and the engine's byte-deterministic journal to "<path>.s0". With
-	// Resume, existing files are validated, torn tails truncated, and the
-	// writers continue them.
+	// Resume, existing files are validated, torn tails truncated, the engine
+	// journal is cut back to the checkpoint, and the writers continue them.
 	JournalPath string
 	JournalOpts journal.Options
 
-	// Resume continues a run a previous process parked with Drain: the
-	// engine restores from its suspend checkpoint and the client re-POSTs the
-	// same stream — the replayed prefix is skipped at admission.
+	// Resume continues a run a previous process left behind, drained or
+	// killed: the engine restores from its last checkpoint and the client
+	// re-POSTs the same stream — the prefix it covers is skipped at
+	// admission.
 	Resume bool
 
 	// Lenient quarantines malformed NDJSON lines (counted in
@@ -106,7 +108,7 @@ type Options struct {
 	Lenient bool
 
 	// IngestQueue, IngestTimeout, RetryAfter, IngestDelay, MaxBody,
-	// SubBuffer, SubEvict and DrainTimeout have no rtecd flag: their
+	// SubBuffer, SubEvict, DrainTimeout and Clock have no rtecd flag: their
 	// zero-value defaults are the daemon's constants, and the fields exist
 	// for tests to substitute small values.
 	//
@@ -236,7 +238,7 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 	d.describeMetrics()
 	d.hub = newHub(d, opts.SubBuffer, opts.SubEvict)
 
-	journalFor, journalInfo, err := d.openJournals()
+	journalFor, err := d.openJournals()
 	if err != nil {
 		return nil, err
 	}
@@ -251,13 +253,9 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 		Stream:      opts.Stream,
 		JournalFor:  journalFor,
 		JournalOpts: opts.JournalOpts,
-		JournalInfo: journalInfo,
 		Resume:      opts.Resume,
 		OnWindow:    onWindow,
 		Events:      d.jw,
-		MaxRestarts: opts.MaxRestarts,
-		Seed:        opts.Seed,
-		Clock:       opts.Clock,
 		Telemetry:   opts.Telemetry,
 	})
 	if err != nil {
@@ -284,27 +282,27 @@ func New(eng *rtec.Engine, opts Options) (*Daemon, error) {
 // openJournals opens the lifecycle journal and the engine's journal file
 // "<path>.s0", recovering existing ones under Resume: the lifecycle journal
 // gets a journal_recovered marker (it is diagnostic, not
-// byte-deterministic), the engine journal gets none — its writer silently
-// continues the committed sequence so the appended suffix keeps the file
-// byte-identical to an uninterrupted run's.
-func (d *Daemon) openJournals() (func(k int) io.Writer, *journal.RecoverInfo, error) {
+// byte-deterministic), the engine journal gets none — the supervisor cuts
+// it back to its checkpoint and continues its sequence, so the appended
+// suffix keeps the file byte-identical to an uninterrupted run's.
+func (d *Daemon) openJournals() (func(k int) io.Writer, error) {
 	if d.opts.JournalPath == "" {
-		return nil, nil, nil
+		return nil, nil
 	}
 	lf, jw, _, err := journal.Open(d.opts.JournalPath, d.opts.JournalOpts, d.opts.Resume, true)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	d.jFiles = append(d.jFiles, lf)
 	d.jw = jw
 
-	f, _, info, err := journal.Open(d.opts.JournalPath+".s0", d.opts.JournalOpts, d.opts.Resume, false)
+	f, _, _, err := journal.Open(d.opts.JournalPath+".s0", d.opts.JournalOpts, d.opts.Resume, false)
 	if err != nil {
 		d.closeJournals()
-		return nil, nil, err
+		return nil, err
 	}
 	d.jFiles = append(d.jFiles, f)
-	return func(int) io.Writer { return f }, info, nil
+	return func(int) io.Writer { return f }, nil
 }
 
 func (d *Daemon) closeJournals() error {
@@ -579,8 +577,8 @@ type writerBuffer struct{ b []byte }
 func (w *writerBuffer) Write(p []byte) (int, error) { w.b = append(w.b, p...); return len(p), nil }
 
 // Drain parks the daemon gracefully: stop accepting ingest, finish the
-// queued batches, suspend the engine (backlog processed, suspend checkpoint
-// written, staged journal committed through it), disconnect the
+// queued batches, suspend the engine (backlog processed, journal flushed,
+// suspend checkpoint written), disconnect the
 // subscribers and drain the HTTP server under DrainTimeout. The returned
 // status reports where the engine parked. Safe to call from any goroutine
 // and idempotent; a drain after a finish just shuts the HTTP server down.

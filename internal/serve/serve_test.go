@@ -336,8 +336,7 @@ func TestIngestUnavailableBeforeReady(t *testing.T) {
 
 // gateClock blocks Sleep calls of exactly the marker duration until the
 // gate opens, and passes everything else through instantly — it wedges the
-// ingest pump (IngestDelay = marker) without wedging the supervisor's
-// restart backoff sleeps, which share the clock.
+// ingest pump (IngestDelay = marker).
 type gateClock struct {
 	gate    chan struct{}
 	entered chan struct{}
@@ -506,6 +505,85 @@ func TestDrainResumeByteIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Fatalf("engine journal differs after drain-resume:\n%s\nvs\n%s", b, a)
+	}
+}
+
+// TestResumeAfterKillAtEveryWindow is the hard-kill contract: the files a
+// daemon leaves when it is killed at any window — snapshotted by the window
+// observer at each first delivery, which is what a kill there leaves, since
+// the journal records past the last checkpoint generation are still in
+// memory — resume in a new daemon that, re-fed the whole stream, finishes
+// with the uninterrupted run's CSV, engine journal and last checkpoint, byte
+// for byte. A checkpoint write in flight at the snapshot is caught before
+// or after its rename: both are states a kill can leave.
+func TestResumeAfterKillAtEveryWindow(t *testing.T) {
+	arrivals := testArrivals(7, 160, 60)
+	first, last := arrivals.TimeRange()
+	for _, slide := range []int64{0, 50} {
+		t.Run(fmt.Sprintf("slide=%d", slide), func(t *testing.T) {
+			type snapshot struct{ ckpt, journal []byte }
+			var (
+				mu    sync.Mutex
+				snaps []snapshot
+			)
+			dir := t.TempDir()
+			read := func(dir, name string) []byte {
+				b, _ := os.ReadFile(filepath.Join(dir, name)) // nil when absent
+				return b
+			}
+			d, url, _ := testDaemon(t, dir, false, func(o *Options) {
+				o.Stream.Start, o.Stream.End, o.Stream.Slide = first, last+1, slide
+				o.onWindow = func(_ int, wr rtec.WindowResult) {
+					if wr.Revision == 0 {
+						mu.Lock()
+						snaps = append(snaps, snapshot{read(dir, "run.ckpt.s0"), read(dir, "run.journal.s0")})
+						mu.Unlock()
+					}
+				}
+			})
+			if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals)); code != http.StatusOK {
+				t.Fatalf("ingest = %d: %s", code, body)
+			}
+			_, wantCSV, _ := post(t, url+"/finish", "")
+			if _, err := d.Drain(); err != nil {
+				t.Fatal(err)
+			}
+			wantJournal, wantCkpt := read(dir, "run.journal.s0"), read(dir, "run.ckpt.s0")
+			mu.Lock()
+			defer mu.Unlock()
+			if len(snaps) < 8 {
+				t.Fatalf("%d windows delivered: too few kill points", len(snaps))
+			}
+			for k, snap := range snaps {
+				kdir := t.TempDir()
+				for name, data := range map[string][]byte{"run.ckpt.s0": snap.ckpt, "run.journal.s0": snap.journal} {
+					if data != nil {
+						if err := os.WriteFile(filepath.Join(kdir, name), data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				d, url, _ := testDaemon(t, kdir, true, func(o *Options) {
+					o.Stream.Start, o.Stream.End, o.Stream.Slide = first, last+1, slide
+				})
+				if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals)); code != http.StatusOK {
+					t.Fatalf("kill at window %d: resumed ingest = %d: %s", k, code, body)
+				}
+				code, gotCSV, _ := post(t, url+"/finish", "")
+				if _, err := d.Drain(); err != nil {
+					t.Fatal(err)
+				}
+				if code != http.StatusOK || gotCSV != wantCSV {
+					t.Fatalf("kill at window %d: resumed /finish = %d:\n%s\nvs uninterrupted\n%s", k, code, gotCSV, wantCSV)
+				}
+				if got := read(kdir, "run.journal.s0"); !bytes.Equal(got, wantJournal) {
+					t.Fatalf("kill at window %d: the engine journal differs after resuming:\n%s\nvs uninterrupted\n%s", k, got, wantJournal)
+				}
+				if !bytes.Equal(read(kdir, "run.ckpt.s0"), wantCkpt) {
+					t.Fatalf("kill at window %d: the last checkpoint differs after resuming", k)
+				}
+			}
+		})
 	}
 }
 
@@ -713,10 +791,10 @@ func TestSlowSubscriberDropsNotBlocks(t *testing.T) {
 }
 
 // panicsAt is a window observer that fails the engine: it panics at the
-// first-time delivery of each window whose query time at lists — once, or
-// on every attempt when every is set. The latches live in the closure,
-// outside the engine, so a restarted engine replays past a panic that fired.
-func panicsAt(every bool, at ...int64) func(int, rtec.WindowResult) {
+// first-time delivery of each window whose query time at lists, once. The
+// latches live in the closure, outside every engine, so a daemon resumed
+// with the same observer replays past a panic that fired.
+func panicsAt(at ...int64) func(int, rtec.WindowResult) {
 	var mu sync.Mutex
 	fired := map[int64]bool{} // by query time
 	return func(_ int, wr rtec.WindowResult) {
@@ -727,25 +805,22 @@ func panicsAt(every bool, at ...int64) func(int, rtec.WindowResult) {
 		again := fired[wr.QueryTime]
 		fired[wr.QueryTime] = true
 		mu.Unlock()
-		if again && !every {
-			return
+		if !again {
+			panic(fmt.Sprintf("injected panic at query time %d", wr.QueryTime))
 		}
-		panic(fmt.Sprintf("injected panic at query time %d", wr.QueryTime))
 	}
 }
 
 // TestDaemonHealthUnderChaos hammers /healthz and /metrics from many
-// goroutines while observer panics restart the engine and then degrade it —
-// the observability surface must stay consistent (and race-free under
-// -race) through supervision churn. Once the engine is dead, an arrival gets
-// a 503 naming it, /finish fails instead of answering a partial CSV, and
-// /healthz stays 503 naming the degraded engine.
+// goroutines while an observer panic degrades the engine — the
+// observability surface must stay consistent (and race-free under -race)
+// through the failure. Once the engine is dead, an arrival gets a 503
+// naming it, /finish fails instead of answering a partial CSV, and /healthz
+// stays 503 naming the degraded engine.
 func TestDaemonHealthUnderChaos(t *testing.T) {
-	// The engine restarts once at its first window (query time 100), then
-	// exhausts its restart budget and degrades at its second (200).
+	// The engine degrades at its second window (query time 200).
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
-		o.onWindow = panicsAt(false, 100, 200)
-		o.MaxRestarts = 1
+		o.onWindow = panicsAt(200)
 	})
 	stop := make(chan struct{})
 	done := make(chan struct{})
@@ -812,13 +887,12 @@ func namesDegraded(body string) bool {
 }
 
 // TestDegradedShardFailsFinish: an engine that degrades while /finish drains
-// it — its last window, ending at 991, panics on every attempt — fails both
-// /finish and /result with a non-200 naming it, instead of answering a CSV
-// that lacks what the engine never delivered.
+// it — its last window, ending at 991, panics — fails both /finish and
+// /result with a non-200 naming it, instead of answering a CSV that lacks
+// what the engine never delivered.
 func TestDegradedShardFailsFinish(t *testing.T) {
 	_, url, _ := testDaemon(t, t.TempDir(), false, func(o *Options) {
-		o.onWindow = panicsAt(true, 991)
-		o.MaxRestarts = 1
+		o.onWindow = panicsAt(991)
 	})
 	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, testArrivals(7, 160, 60))); code != http.StatusOK {
 		t.Fatalf("ingest = %d: %s", code, body)
@@ -855,30 +929,38 @@ func TestFinishDrainRace(t *testing.T) {
 }
 
 // cappedRun serves arrivals through a daemon in a fresh directory, with the
-// journal cap maxBytes (0: none) and, when it is non-nil, the window
-// observer onWindow on a virtual clock and a restart budget of 20. It
-// returns the /finish CSV and, once the daemon is drained, the lifecycle
-// journal followed by the engine's.
-func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow func(int, rtec.WindowResult)) (string, [][]byte) {
+// journal cap maxBytes (0: none). With a window observer onWindow that
+// fails the engine, each daemon it degrades is followed by one resumed over
+// the same files and re-fed the whole stream, until a daemon finishes; the
+// engine journal's state after each degraded daemon is in degraded. It
+// returns the /finish CSV and, once the last daemon is drained, the
+// lifecycle journal followed by the engine's.
+func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow func(int, rtec.WindowResult)) (csv string, journals, degraded [][]byte) {
 	t.Helper()
 	dir := t.TempDir()
-	d, url, _ := testDaemon(t, dir, false, func(o *Options) {
-		o.JournalOpts.MaxBytes = maxBytes
-		if onWindow != nil {
-			o.onWindow, o.MaxRestarts, o.Clock = onWindow, 20, clock.NewVirtual(time.Unix(0, 0))
+	for resume := false; ; resume = true {
+		d, url, _ := testDaemon(t, dir, resume, func(o *Options) {
+			o.JournalOpts.MaxBytes = maxBytes
+			o.onWindow = onWindow
+		})
+		post(t, url+"/ingest", ndjsonOf(t, arrivals))
+		code, body, _ := post(t, url+"/finish", "")
+		if _, err := d.Drain(); err != nil && code == http.StatusOK {
+			t.Fatal(err)
 		}
-	})
-	if code, body, _ := post(t, url+"/ingest", ndjsonOf(t, arrivals)); code != http.StatusOK {
-		t.Fatalf("ingest = %d: %s", code, body)
+		if code == http.StatusOK {
+			csv = body
+			break
+		}
+		if onWindow == nil || !namesDegraded(body) {
+			t.Fatalf("finish = %d: %s", code, body)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, "run.journal.s0"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		degraded = append(degraded, data)
 	}
-	code, csv, _ := post(t, url+"/finish", "")
-	if code != http.StatusOK {
-		t.Fatalf("finish = %d: %s", code, csv)
-	}
-	if _, err := d.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	var journals [][]byte
 	for _, name := range []string{"run.journal", "run.journal.s0"} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
@@ -886,19 +968,19 @@ func cappedRun(t *testing.T, arrivals stream.Stream, maxBytes int64, onWindow fu
 		}
 		journals = append(journals, data)
 	}
-	return csv, journals
+	return csv, journals, degraded
 }
 
 // TestJournalCapped: under a journal cap below the lifecycle journal's size,
 // both journals the daemon writes — the lifecycle journal and the engine's —
 // validate and end in the journal_capped marker, and the recognition is the
 // uncapped run's. Under a cap the engine journal reaches mid-run, an engine
-// that panics at every window's first delivery, and so restarts on both
-// sides of the cap, rolls its staged journal back and replays to the bytes
-// of the run without restarts.
+// that panics once before the cap and once after it is resumed across both
+// by new daemons, which cut the journal back to their checkpoints and end
+// on the bytes of the run without faults.
 func TestJournalCapped(t *testing.T) {
 	arrivals := testArrivals(7, 160, 60)
-	wantCSV, full := cappedRun(t, arrivals, 0, nil)
+	wantCSV, full, _ := cappedRun(t, arrivals, 0, nil)
 	capped := func(what string, journals [][]byte) {
 		t.Helper()
 		for i, j := range journals {
@@ -912,7 +994,7 @@ func TestJournalCapped(t *testing.T) {
 		}
 	}
 	small := int64(len(full[0]) - 1)
-	csv, journals := cappedRun(t, arrivals, small, nil)
+	csv, journals, _ := cappedRun(t, arrivals, small, nil)
 	if csv != wantCSV {
 		t.Fatalf("cap %d: the CSV differs from the uncapped run's", small)
 	}
@@ -922,20 +1004,19 @@ func TestJournalCapped(t *testing.T) {
 	if len(full[1]) <= 2*mid {
 		t.Fatalf("the engine journals %d bytes uncapped: the cap of %d would not fall mid-run", len(full[1]), mid)
 	}
-	csv, clean := cappedRun(t, arrivals, mid, nil)
+	csv, clean, _ := cappedRun(t, arrivals, mid, nil)
 	if csv != wantCSV {
 		t.Fatalf("cap %d: the CSV differs from the uncapped run's", mid)
 	}
 	capped(fmt.Sprintf("cap %d", mid), clean[1:])
-	every := []int64{100, 200, 300, 400, 500, 600, 700, 800, 900, 991}
-	csv, faulty := cappedRun(t, arrivals, mid, panicsAt(false, every...))
+	csv, resumed, degraded := cappedRun(t, arrivals, mid, panicsAt(200, 900))
 	if csv != wantCSV {
-		t.Fatalf("cap %d with restarts: the CSV differs from the uncapped run's", mid)
+		t.Fatalf("cap %d across resumes: the CSV differs from the uncapped run's", mid)
 	}
-	if !bytes.Contains(faulty[0], []byte(`"type":"shard_restart"`)) {
-		t.Fatalf("the engine never restarted:\n%s", faulty[0])
+	if len(degraded) != 2 || bytes.Contains(degraded[0], []byte("journal_capped")) || !bytes.Contains(degraded[1], []byte("journal_capped")) {
+		t.Fatalf("cap %d: %d daemons degraded; the panics do not fall on both sides of the cap", mid, len(degraded))
 	}
-	if !bytes.Equal(faulty[1], clean[1]) {
-		t.Errorf("cap %d: the engine journal differs after restarts:\n%s\nvs\n%s", mid, faulty[1], clean[1])
+	if !bytes.Equal(resumed[1], clean[1]) {
+		t.Errorf("cap %d: the engine journal differs across resumes:\n%s\nvs\n%s", mid, resumed[1], clean[1])
 	}
 }

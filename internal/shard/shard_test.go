@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"rtecgen/internal/clock"
 	"rtecgen/internal/maritime"
 	"rtecgen/internal/parser"
 	"rtecgen/internal/rtec"
@@ -118,22 +117,12 @@ func csvOf(t testing.TB, r *rtec.Recognition) string {
 	return buf.String()
 }
 
-// supervisedRun is one complete supervised run plus everything the tests
-// compare: the result, the engine's committed journal, the supervisor's own
-// event journal, and the metrics registry.
-type supervisedRun struct {
-	res     *Result
-	journal *bytes.Buffer
-	events  *bytes.Buffer
-	reg     *telemetry.Registry
-}
-
 // crash is one engine failure raised from the OnWindow observer: at the
 // first-time delivery of its window-th window (1-based, identified by the
-// window's query time) the engine panics, and the supervisor restarts it
-// from its checkpoint. tear first cuts the checkpoint file "<base>.s0" to
-// half its size, so the restart must fall back to the previous generation.
-// A crash fires once, or on every attempt when every is set.
+// window's query time) the engine panics, and it degrades. tear first cuts
+// the checkpoint file "<base>.s0" to half its size. A crash fires once in a
+// run, or in every process when every is set — a fault the arrivals raise
+// again whenever they are replayed.
 type crash struct {
 	window int
 	every  bool
@@ -143,26 +132,35 @@ type crash struct {
 // panicAt is a crash that fires once, at the window-th delivery.
 func panicAt(window int) crash { return crash{window: window} }
 
-// crashObserver is the OnWindow observer that acts out crashes on the
-// tumbling time-line of opts. The fire-once latches live in the closure,
-// outside the engine, so a restarted engine replays past a crash that has
-// fired instead of dying again.
-func crashObserver(opts Options, crashes []crash) func(int, rtec.WindowResult) {
+// schedule acts out crashes across the processes of one run: its latches
+// live outside every engine, so a resumed process replays past a crash
+// that fired, as it would past a fault outside the engine.
+type schedule struct {
+	mu      sync.Mutex
+	crashes []crash
+	fired   map[int]bool // by crash index
+}
+
+func newSchedule(crashes ...crash) *schedule {
+	return &schedule{crashes: crashes, fired: map[int]bool{}}
+}
+
+// observer is the OnWindow observer that acts out the crashes on the
+// tumbling time-line of opts.
+func (s *schedule) observer(opts Options) func(int, rtec.WindowResult) {
 	ro := opts.Stream.RunOptions
-	var mu sync.Mutex
-	fired := map[int]bool{} // by crash index
 	return func(_ int, wr rtec.WindowResult) {
 		if wr.Revision != 0 {
 			return
 		}
-		for i, c := range crashes {
+		for i, c := range s.crashes {
 			if wr.QueryTime != min(ro.Start+int64(c.window)*ro.Window, ro.End) {
 				continue
 			}
-			mu.Lock()
-			again := fired[i]
-			fired[i] = true
-			mu.Unlock()
+			s.mu.Lock()
+			again := s.fired[i]
+			s.fired[i] = true
+			s.mu.Unlock()
 			if again && !c.every {
 				continue
 			}
@@ -185,307 +183,301 @@ func tearFile(path string) {
 	}
 }
 
-// runSupervised builds a supervisor over a fresh engine, feeds the arrivals
-// and closes. tweak edits the options before construction; the crashes
-// then act out through the observer.
-func runSupervised(t testing.TB, eng *rtec.Engine, arrivals stream.Stream, crashes []crash, tweak func(*Options)) (*supervisedRun, error) {
+// fileConfig is what every process of a file-backed run shares: its
+// checkpoint and journal files live in dir, so a later process can resume
+// from them the way a restarted rtecd does.
+type fileConfig struct {
+	dir      string
+	arrivals stream.Stream
+	every    int                           // checkpoint cadence
+	eng      func(testing.TB) *rtec.Engine // nil: testEngine
+	sched    *schedule                     // nil: no faults
+	tweak    func(*Options)
+}
+
+// fileRun is one process of a file-backed run.
+type fileRun struct {
+	sup    *Supervisor
+	jf     *os.File
+	path   string       // the engine journal
+	events bytes.Buffer // the lifecycle journal
+}
+
+// open starts a process, resuming the files in c.dir when resume is set,
+// and returns NewSupervisor's error with the journal file closed again.
+func (c *fileConfig) open(t testing.TB, resume bool) (*fileRun, error) {
 	t.Helper()
-	first, last := arrivals.TimeRange()
-	reg := telemetry.NewRegistry()
-	jour, events := &bytes.Buffer{}, &bytes.Buffer{}
+	first, last := c.arrivals.TimeRange()
+	r := &fileRun{path: filepath.Join(c.dir, "run.journal.s0")}
+	var err error
+	if r.jf, _, _, err = journal.Open(r.path, journal.Options{}, resume, false); err != nil {
+		t.Fatal(err)
+	}
 	opts := Options{
-		Events: journal.NewWriter(events, journal.Options{}),
 		Stream: rtec.StreamOptions{
 			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
 			MaxDelay:        60,
-			CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
-			CheckpointEvery: 1,
+			CheckpointPath:  filepath.Join(c.dir, "run.ckpt"),
+			CheckpointEvery: c.every,
 		},
-		JournalFor:  func(int) io.Writer { return jour },
-		Seed:        7,
-		MaxRestarts: 8,
-		Telemetry:   telemetry.New(reg, nil, nil),
+		JournalFor: func(int) io.Writer { return r.jf },
+		Resume:     resume,
+		Telemetry:  telemetry.New(telemetry.NewRegistry(), nil, nil),
 	}
-	if tweak != nil {
-		tweak(&opts)
+	opts.Events = journal.NewWriter(&r.events, journal.Options{})
+	if c.tweak != nil {
+		c.tweak(&opts)
 	}
-	if crashes != nil {
-		opts.OnWindow = crashObserver(opts, crashes)
+	if c.sched != nil {
+		opts.OnWindow = c.sched.observer(opts)
 	}
-	sup, err := NewSupervisor(eng, opts)
-	if err != nil {
-		t.Fatal(err)
+	eng := testEngine
+	if c.eng != nil {
+		eng = c.eng
 	}
-	for _, e := range arrivals {
-		if err := sup.Ingest(e); err != nil {
-			return nil, err
-		}
-	}
-	res, err := sup.Close()
-	if err != nil {
+	if r.sup, err = NewSupervisor(eng(t), opts); err != nil {
+		r.jf.Close()
 		return nil, err
 	}
-	return &supervisedRun{res: res, journal: jour, events: events, reg: reg}, nil
+	return r, nil
 }
 
-// restartReasons returns the reason of every shard_restart record in the
-// supervisor's event journal, in order.
-func restartReasons(t testing.TB, run *supervisedRun) []string {
+// start is open failing the test on NewSupervisor's error.
+func (c *fileConfig) start(t testing.TB, resume bool) *fileRun {
 	t.Helper()
-	recs, err := journal.Read(bytes.NewReader(run.events.Bytes()))
+	r, err := c.open(t, resume)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
-	for _, rec := range recs {
-		if rec.Type != "shard_restart" {
-			continue
+	return r
+}
+
+// ingest feeds arrivals until the engine refuses one; it reports whether
+// all were admitted.
+func (r *fileRun) ingest(arrivals stream.Stream) bool {
+	for _, e := range arrivals {
+		if r.sup.Ingest(e) != nil {
+			return false
 		}
-		var ev shardRestartEvent
-		if err := json.Unmarshal(rec.Data, &ev); err != nil {
-			t.Fatal(err)
+	}
+	return true
+}
+
+func (r *fileRun) journalBytes(t testing.TB) []byte {
+	t.Helper()
+	b, err := os.ReadFile(r.path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// outcome is what a finished run leaves: its result, its engine journal
+// and the number of processes it took.
+type outcome struct {
+	res       *Result
+	journal   []byte
+	processes int
+	first     *fileRun // the first process
+}
+
+// untilFinished runs processes over the files of c until one finishes the
+// run: the first starts fresh (or resumes, with resume set), and each later
+// one resumes what its predecessor's degraded engine left; each is fed the
+// whole stream. The error is a resume that failed, or a run still degraded
+// after max processes.
+func (c *fileConfig) untilFinished(t testing.TB, resume bool, max int) (outcome, error) {
+	t.Helper()
+	var out outcome
+	for out.processes < max {
+		out.processes++
+		r, err := c.open(t, resume || out.processes > 1)
+		if err != nil {
+			return out, err
 		}
-		out = append(out, ev.Reason)
+		if out.first == nil {
+			out.first = r
+		}
+		r.ingest(c.arrivals)
+		res, err := r.sup.Close()
+		r.jf.Close()
+		if err == nil {
+			out.res, out.journal = res, r.journalBytes(t)
+			return out, nil
+		}
+		if !strings.Contains(err.Error(), "shard 0 degraded") {
+			t.Fatalf("process %d: Close: %v", out.processes, err)
+		}
+	}
+	return out, fmt.Errorf("still degraded after %d processes", max)
+}
+
+// requireIdentical asserts the resume contract: same recognised intervals,
+// same engine journal bytes, same statistics.
+func requireIdentical(t testing.TB, want, got outcome) {
+	t.Helper()
+	if a, b := csvOf(t, want.res.Recognition), csvOf(t, got.res.Recognition); a != b {
+		t.Fatalf("recognised intervals differ after resuming:\n%s\nvs uninterrupted\n%s", b, a)
+	}
+	if want.res.Stats != got.res.Stats {
+		t.Fatalf("stats differ after resuming: %+v vs %+v", got.res.Stats, want.res.Stats)
+	}
+	if !bytes.Equal(want.journal, got.journal) {
+		t.Fatalf("journal differs after resuming:\n%s\nvs uninterrupted\n%s", got.journal, want.journal)
+	}
+}
+
+// faultFree runs c without faults, in a directory of its own.
+func faultFree(t testing.TB, c fileConfig) outcome {
+	t.Helper()
+	c.dir, c.sched = t.TempDir(), nil
+	out, err := c.untilFinished(t, false, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
 
-func counterValue(reg *telemetry.Registry, name string) int64 {
-	return reg.Snapshot().Counters[name]
-}
-
-// requireIdentical asserts the chaos contract: same recognised intervals,
-// same journal bytes, same statistics.
-func requireIdentical(t *testing.T, want, got *supervisedRun) {
-	t.Helper()
-	if a, b := csvOf(t, want.res.Recognition), csvOf(t, got.res.Recognition); a != b {
-		t.Fatalf("recognised intervals differ under faults:\n%s\nvs fault-free\n%s", b, a)
-	}
-	if want.res.Stats != got.res.Stats {
-		t.Fatalf("stats differ under faults: %+v vs %+v", got.res.Stats, want.res.Stats)
-	}
-	if !bytes.Equal(want.journal.Bytes(), got.journal.Bytes()) {
-		t.Fatalf("journal differs under faults:\n%s\nvs fault-free\n%s", got.journal, want.journal)
-	}
-}
-
-// TestShardRestartByteIdentity is the supervisor's acceptance gate: a seeded
-// panic at the 2nd window forces a restart mid-stream, and the
-// recovered run must be byte-identical to the fault-free one — intervals,
-// stats and journals. It runs at both values of the engine's Workers option
-// that callers still set; the option is accepted and ignored, so neither may
-// change a byte.
+// TestShardRestartByteIdentity is the process-level restart contract: a
+// panic at the 2nd window degrades the engine, and a new process resumed
+// over its files and re-fed the whole stream is byte-identical to an
+// uninterrupted run — intervals, stats and journal. The degraded process's
+// lifecycle journal names the panic. It runs at both values of the engine's
+// Workers option that callers still set (the option is accepted and
+// ignored), and on the maritime input: the gold event description over the
+// 14-vessel seed-7 scenario, shuffled at max-delay 900 with a duplicate
+// every 50 events, the windows rtecd serves.
 func TestShardRestartByteIdentity(t *testing.T) {
-	arrivals := testArrivals(7, 120, 60)
+	check := func(t *testing.T, c fileConfig, window int) {
+		want := faultFree(t, c)
+		c.dir, c.sched = t.TempDir(), newSchedule(panicAt(window))
+		got, err := c.untilFinished(t, false, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.processes != 2 {
+			t.Fatalf("%d processes: the fault never fired", got.processes)
+		}
+		recs, err := journal.Read(&got.first.events)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var degraded shardDegradedEvent
+		for _, rec := range recs {
+			if rec.Type == "shard_degraded" {
+				json.Unmarshal(rec.Data, &degraded) //nolint:errcheck // checked below
+			}
+		}
+		if want := fmt.Sprintf("shard 0 panicked: injected panic at window %d", window); degraded.Err != want {
+			t.Fatalf("shard_degraded record %+v, want one naming %q", degraded, want)
+		}
+		if st := got.res.Shards[0]; st.Restarts != 0 || st.Overflow != 0 {
+			t.Fatalf("status %+v: restarts and overflow are frozen at 0", st)
+		}
+		requireIdentical(t, want, got)
+	}
 	for _, workers := range []int{1, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			opts := rtec.Options{Strict: true, Workers: workers}
-			want, err := runSupervised(t, testEngineOpts(t, opts), arrivals, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := runSupervised(t, testEngineOpts(t, opts), arrivals, []crash{panicAt(2)}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var restarts int64
-			for _, st := range got.res.Shards {
-				restarts += st.Restarts
-			}
-			if restarts == 0 {
-				t.Fatal("the engine never restarted — the fault never fired")
-			}
-			if v := counterValue(got.reg, "rtec.shard.restarts"); v != restarts {
-				t.Fatalf("rtec.shard.restarts = %d, statuses say %d", v, restarts)
-			}
-			reasons := restartReasons(t, got)
-			if int64(len(reasons)) != restarts {
-				t.Fatalf("%d shard_restart records, statuses say %d restarts", len(reasons), restarts)
-			}
-			for _, r := range reasons {
-				if !strings.Contains(r, "panicked: injected panic at window 2") {
-					t.Fatalf("shard_restart reason %q does not name the caught panic", r)
-				}
-			}
-			requireIdentical(t, want, got)
+			check(t, fileConfig{arrivals: testArrivals(7, 120, 60), every: 1,
+				eng: func(t testing.TB) *rtec.Engine {
+					return testEngineOpts(t, rtec.Options{Strict: true, Workers: workers})
+				}}, 2)
 		})
 	}
+	t.Run("maritime", func(t *testing.T) {
+		eng, arrivals := maritimeInput(t)
+		first, last := arrivals.TimeRange()
+		check(t, fileConfig{arrivals: arrivals, every: 1,
+			eng: func(testing.TB) *rtec.Engine { return eng },
+			tweak: func(o *Options) {
+				o.Stream.RunOptions = rtec.RunOptions{Window: 3600, Start: first, End: last + 1}
+				o.Stream.MaxDelay = 900
+			}}, 3)
+	})
 }
 
-// TestShardRestartWithoutCheckpoints: with checkpointing off, a restarted
-// engine replays the whole retained queue from scratch — and the output is
-// still byte-identical.
+// TestShardRestartWithoutCheckpoints: a panic before the engine ever
+// checkpointed leaves no checkpoint to resume from, so the new process
+// empties the journal and starts fresh — and the output is still
+// byte-identical.
 func TestShardRestartWithoutCheckpoints(t *testing.T) {
-	arrivals := testArrivals(11, 80, 60)
-	noCkpt := func(o *Options) { o.Stream.CheckpointPath = "" }
-	want, err := runSupervised(t, testEngine(t), arrivals, nil, noCkpt)
+	c := fileConfig{arrivals: testArrivals(11, 80, 60), every: 1000}
+	want := faultFree(t, c)
+	c.dir, c.sched = t.TempDir(), newSchedule(panicAt(2))
+	got, err := c.untilFinished(t, false, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSupervised(t, testEngine(t), arrivals, []crash{panicAt(2)}, noCkpt)
-	if err != nil {
-		t.Fatal(err)
+	if got.processes != 2 {
+		t.Fatalf("%d processes: the fault never fired", got.processes)
 	}
 	requireIdentical(t, want, got)
 }
 
-// TestShardCheckpointGenerationFallback: a panic at window 3's delivery
-// restarts the engine from the checkpoint that covers window 2. That
-// generation may still have been in flight when window 3 was delivered; the
-// aborted attempt waited for it, so the restart loaded it from disk. Tearing
-// it at window 3's re-delivery and panicking again forces the next restart
-// onto the previous generation; the longer replay must still land on
-// identical bytes. The maritime input is the gold event description over the
-// 14-vessel seed-7 scenario, shuffled at max-delay 900 with a duplicate every
-// 50 events: its windows are the ones rtecd serves.
-func TestShardCheckpointGenerationFallback(t *testing.T) {
-	chaos := []crash{{window: 3}, {window: 3, tear: true}}
-	t.Run("synthetic", func(t *testing.T) {
-		arrivals := testArrivals(7, 120, 60)
-		want, err := runSupervised(t, testEngine(t), arrivals, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runSupervised(t, testEngine(t), arrivals, chaos, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if counterValue(got.reg, "rtec.checkpoint.fallbacks") == 0 {
-			t.Fatal("no restart used the previous checkpoint generation")
-		}
-		requireIdentical(t, want, got)
-	})
-	t.Run("maritime", func(t *testing.T) {
-		eng, arrivals := maritimeInput(t)
-		first, last := arrivals.TimeRange()
-		geometry := func(o *Options) {
-			o.Stream.RunOptions = rtec.RunOptions{Window: 3600, Start: first, End: last + 1}
-			o.Stream.MaxDelay = 900
-		}
-		want, err := runSupervised(t, eng, arrivals, nil, geometry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := runSupervised(t, eng, arrivals, chaos, geometry)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if counterValue(got.reg, "rtec.shard.restarts") == 0 {
-			t.Fatal("the engine never restarted: the faults never fired")
-		}
-		if len(restartReasons(t, got)) == 0 {
-			t.Fatal("the supervisor journal has no shard_restart record")
-		}
-		requireIdentical(t, want, got)
-	})
-}
-
-// TestShardCheckpointWriteFailureCommitsOnlyDurable: a checkpoint write that
-// fails behind the consumer — here because the checkpoint directory is gone —
-// fails the attempt at the next cadence point, before that cadence's
-// generation-lagged commit, so the journal is committed through the last
-// generation that reached the disk and no further. A panic at window 3's
-// delivery restarts the engine from the generation covering window 2; the
-// aborted attempt waited for it, so no write is in flight when the
-// directory is removed at the re-delivery. The restart's first generation
-// then fails, the next cadence point reports it, and the engine, unable to
-// load any checkpoint, degrades.
+// TestShardCheckpointWriteFailureCommitsOnlyDurable: a checkpoint write
+// that fails behind the consumer — its temporary file's name is taken by a
+// directory — degrades the engine at the next cadence point, naming the
+// write. The journal then holds the clean run's records through the failed
+// generation's checkpoint record, flushed before its write started, and
+// nothing after it; the checkpoint file holds an older generation. A new
+// process cuts the journal back to that generation's record and finishes
+// byte-identically.
 func TestShardCheckpointWriteFailureCommitsOnlyDurable(t *testing.T) {
-	arrivals := testArrivals(7, 120, 60)
-	first, last := arrivals.TimeRange()
-	q3 := min(first+3*100, last+1)
-	run := func(dir string, observer func(int, rtec.WindowResult)) (*bytes.Buffer, *bytes.Buffer, error) {
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		var shardJournal, events bytes.Buffer
-		sup, err := NewSupervisor(testEngine(t), Options{
-			Events: journal.NewWriter(&events, journal.Options{}),
-			Stream: rtec.StreamOptions{
-				RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
-				MaxDelay:        60,
-				CheckpointPath:  filepath.Join(dir, "run.ckpt"),
-				CheckpointEvery: 1,
-			},
-			JournalFor:  func(int) io.Writer { return &shardJournal },
-			OnWindow:    observer,
-			Seed:        7,
-			MaxRestarts: 8,
-			Clock:       clock.NewVirtual(time.Unix(0, 0)),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range arrivals {
-			if sup.Ingest(e) != nil {
-				break // the engine degraded
+	c := fileConfig{arrivals: testArrivals(7, 120, 60), every: 1}
+	want := faultFree(t, c)
+	first, _ := c.arrivals.TimeRange()
+	c.dir = t.TempDir()
+	tmp := filepath.Join(c.dir, "run.ckpt.s0.tmp")
+	var once sync.Once
+	c.tweak = func(o *Options) {
+		o.OnWindow = func(_ int, wr rtec.WindowResult) {
+			if wr.Revision != 0 || wr.QueryTime != first+3*100 {
+				return
 			}
+			once.Do(func() {
+				// The write of the previous generation may still hold the
+				// name; it renames it away.
+				for i := 0; os.Mkdir(tmp, 0o755) != nil; i++ {
+					if i == 1000 {
+						panic("the checkpoint's temporary name never freed")
+					}
+					time.Sleep(time.Millisecond)
+				}
+			})
 		}
-		_, err = sup.Close()
-		return &shardJournal, &events, err
 	}
-
-	clean, _, err := run(filepath.Join(t.TempDir(), "ck"), nil)
+	r := c.start(t, false)
+	r.ingest(c.arrivals)
+	_, err := r.sup.Close()
+	r.jf.Close()
+	if err == nil || !strings.Contains(err.Error(), "degraded") || !strings.Contains(err.Error(), "rtec: checkpoint: ") {
+		t.Fatalf("Close err = %v, want the engine degraded by the failed checkpoint write", err)
+	}
+	got := r.journalBytes(t)
+	recs, err := journal.Read(bytes.NewReader(got))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The generation covering window 2 is the last checkpoint the clean run
-	// journalled before window 3's delivery; the commit may reach it, since it
-	// is on disk, and nothing after it.
-	recs, err := journal.Read(bytes.NewReader(clean.Bytes()))
+	if !bytes.HasPrefix(want.journal, got) || recs[len(recs)-1].Type != "checkpoint" {
+		t.Fatalf("the degraded journal is not the clean run's prefix through a checkpoint record:\n%s", got)
+	}
+	cp, err := rtec.LoadCheckpoint(filepath.Join(c.dir, "run.ckpt.s0"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := bytes.SplitAfter(clean.Bytes(), []byte("\n"))
-	durable := -1
-	for i, rec := range recs {
-		var w struct {
-			QueryTime int64 `json:"query_time"`
-		}
-		if rec.Type == "window" && json.Unmarshal(rec.Data, &w) == nil && w.QueryTime == q3 {
-			break
-		}
-		if rec.Type == "checkpoint" {
-			durable = i
-		}
+	if cp.JournalSeq >= recs[len(recs)-1].Seq {
+		t.Fatalf("the checkpoint on disk covers record %d, the failed generation's is %d", cp.JournalSeq, recs[len(recs)-1].Seq)
 	}
-	if durable < 0 {
-		t.Fatal("the clean run wrote no checkpoint before window 3")
-	}
-	want := bytes.Join(lines[:durable+1], nil)
 
-	dir := filepath.Join(t.TempDir(), "ck")
-	delivered := 0
-	got, events, err := run(dir, func(_ int, wr rtec.WindowResult) {
-		if wr.Revision != 0 || wr.QueryTime != q3 {
-			return
-		}
-		delivered++
-		switch delivered {
-		case 1:
-			panic("injected panic at window 3")
-		case 2:
-			if err := os.RemoveAll(dir); err != nil {
-				panic(err)
-			}
-		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "degraded") {
-		t.Fatalf("Close err = %v, want the degraded engine", err)
+	if err := os.Remove(tmp); err != nil {
+		t.Fatal(err)
 	}
-	if delivered < 2 {
-		t.Fatalf("window 3 delivered %d times: the checkpoint directory was never removed", delivered)
+	c.tweak = nil
+	resumed, err := c.untilFinished(t, true, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var writeFailed bool
-	for _, r := range restartReasons(t, &supervisedRun{events: events}) {
-		writeFailed = writeFailed || strings.Contains(r, "rtec: checkpoint: ")
-	}
-	if !writeFailed {
-		t.Fatalf("no restart names the failed checkpoint write:\n%s", events.Bytes())
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("the engine committed past its last durable generation:\n have %s\n want %s", got.Bytes(), want)
-	}
+	requireIdentical(t, want, resumed)
 }
 
 // maritimeInput is the engine over the gold maritime event description and
@@ -520,40 +512,62 @@ func maritimeInput(t *testing.T) (*rtec.Engine, stream.Stream) {
 	return eng, arrivals
 }
 
-// TestShardPanicUnblocksProducer: with a tiny queue the producer blocks on
-// the full backlog, and the engine panics at its first window. The
-// restarted consumer's own progress must wake the blocked Ingest — nothing
-// polls on its behalf — and the run must stay byte-identical.
-func TestShardPanicUnblocksProducer(t *testing.T) {
-	arrivals := testArrivals(7, 120, 60)
-	tweak := func(o *Options) {
-		o.Clock = clock.NewVirtual(time.Unix(0, 0))
-		o.QueueDepth = 2
+// mustSupervisor starts a supervisor over arrivals with no journal, its
+// checkpoints in a temporary directory; the crashes act out through its
+// observer.
+func mustSupervisor(t *testing.T, arrivals stream.Stream, crashes []crash, tweak func(*Options)) *Supervisor {
+	t.Helper()
+	first, last := arrivals.TimeRange()
+	opts := Options{
+		Stream: rtec.StreamOptions{
+			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
+			MaxDelay:        60,
+			CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
+			CheckpointEvery: 1,
+		},
 	}
-	want, err := runSupervised(t, testEngine(t), arrivals, nil, tweak)
+	if tweak != nil {
+		tweak(&opts)
+	}
+	if crashes != nil {
+		opts.OnWindow = newSchedule(crashes...).observer(opts)
+	}
+	sup, err := NewSupervisor(testEngine(t), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := runSupervised(t, testEngine(t), arrivals, []crash{panicAt(1)}, tweak)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counterValue(got.reg, "rtec.shard.restarts") == 0 {
-		t.Fatal("the engine never restarted: the panic never fired")
-	}
-	requireIdentical(t, want, got)
+	return sup
 }
 
-// TestShardDegradationAndHealth: an engine that panics on every attempt
-// exhausts its restart budget and degrades instead of wedging the run: the
-// arrivals after it are refused with ErrDegraded, Close fails the run while
-// still returning the Result that says why, and Health — rtecd's "shards"
-// readiness check — fails naming the engine.
+// TestShardPanicUnblocksProducer: with a tiny queue the producer blocks on
+// the full backlog, and the engine panics at its first window. The
+// degradation alone must wake the blocked Ingest — nothing polls on its
+// behalf — which then refuses the arrival with ErrDegraded.
+func TestShardPanicUnblocksProducer(t *testing.T) {
+	arrivals := testArrivals(7, 120, 60)
+	sup := mustSupervisor(t, arrivals, []crash{panicAt(1)}, func(o *Options) { o.QueueDepth = 2 })
+	var err error
+	for _, e := range arrivals {
+		if err = sup.Ingest(e); err != nil {
+			break
+		}
+	}
+	if !errors.Is(err, ErrDegraded) || !strings.Contains(err.Error(), "injected panic at window 1") {
+		t.Fatalf("Ingest to the panicked engine: err = %v, want ErrDegraded naming the panic", err)
+	}
+	if _, err := sup.Close(); err == nil {
+		t.Fatal("Close did not report the degraded engine")
+	}
+}
+
+// TestShardDegradationAndHealth: an engine that panics degrades at once
+// instead of wedging the run: the arrivals after it are refused with
+// ErrDegraded, Close fails the run while still returning the Result that
+// says why, and Health — rtecd's "shards" readiness check — fails naming
+// the engine.
 func TestShardDegradationAndHealth(t *testing.T) {
 	arrivals := testArrivals(7, 120, 60)
-	sup := mustSupervisor(t, arrivals, []crash{{window: 1, every: true}}, func(o *Options) {
-		o.MaxRestarts = 2
-	})
+	sup := mustSupervisor(t, arrivals, []crash{{window: 1, every: true}}, nil)
 	if err := sup.Health(); err != nil {
 		t.Fatalf("Health() = %v before any fault", err)
 	}
@@ -570,8 +584,8 @@ func TestShardDegradationAndHealth(t *testing.T) {
 		t.Fatalf("degraded = %d, want 1: %+v", res.Degraded, res.Shards)
 	}
 	st := res.Shards[0]
-	if !st.Degraded || st.Err == "" || st.Restarts != 2 {
-		t.Fatalf("shard 0 status %+v, want degraded after 2 restarts", st)
+	if !st.Degraded || !strings.Contains(st.Err, "injected panic at window 1") || st.Restarts != 0 {
+		t.Fatalf("shard 0 status %+v, want degraded by the panic, without a restart", st)
 	}
 	// A degraded run has no recognition to return: there is no healthy
 	// part of it.
@@ -593,7 +607,7 @@ func TestShardOverflowOnDegraded(t *testing.T) {
 	t.Run("block", func(t *testing.T) {
 		arrivals := testArrivals(7, 40, 60)
 		sup := mustSupervisor(t, arrivals, nil, nil)
-		sup.p.degrade(fmt.Errorf("forced by test"), true)
+		sup.p.degrade(fmt.Errorf("forced by test"))
 		if err := sup.Ingest(ev(5, "entersArea(v1, a1)")); !errors.Is(err, ErrDegraded) {
 			t.Fatalf("Ingest to a degraded engine: err = %v, want ErrDegraded", err)
 		}
@@ -605,31 +619,6 @@ func TestShardOverflowOnDegraded(t *testing.T) {
 			t.Fatalf("Close returned no partial Result reporting the degradation: %+v", res)
 		}
 	})
-}
-
-func mustSupervisor(t *testing.T, arrivals stream.Stream, crashes []crash, tweak func(*Options)) *Supervisor {
-	t.Helper()
-	first, last := arrivals.TimeRange()
-	opts := Options{
-		Stream: rtec.StreamOptions{
-			RunOptions:      rtec.RunOptions{Window: 100, Start: first, End: last + 1},
-			MaxDelay:        60,
-			CheckpointPath:  filepath.Join(t.TempDir(), "run.ckpt"),
-			CheckpointEvery: 1,
-		},
-		Seed: 7,
-	}
-	if tweak != nil {
-		tweak(&opts)
-	}
-	if crashes != nil {
-		opts.OnWindow = crashObserver(opts, crashes)
-	}
-	sup, err := NewSupervisor(testEngine(t), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sup
 }
 
 func TestSupervisorLifecycleErrors(t *testing.T) {
@@ -649,49 +638,88 @@ func TestSupervisorLifecycleErrors(t *testing.T) {
 	}
 }
 
-// TestSeedForDistinct: distinct names get distinct backoff seeds, and the
-// same run seed gives a name the same one.
-func TestSeedForDistinct(t *testing.T) {
-	a, b := seedFor(7, "shard-0"), seedFor(7, "shard-1")
-	if a == b {
-		t.Fatal("seeds of distinct names collide")
+// writeCounter counts the writes that reach it.
+type writeCounter struct {
+	bytes.Buffer
+	writes int
+}
+
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
+}
+
+// TestJournalOneWritePerGeneration: the engine journal reaches its sink in
+// at most one write per checkpoint generation and one at the end of the
+// run, not one per record, and what reaches it validates.
+func TestJournalOneWritePerGeneration(t *testing.T) {
+	arrivals := testArrivals(7, 160, 60)
+	var sink writeCounter
+	sup := mustSupervisor(t, arrivals, nil, func(o *Options) {
+		o.JournalFor = func(int) io.Writer { return &sink }
+	})
+	for _, e := range arrivals {
+		if err := sup.Ingest(e); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if a != seedFor(7, "shard-0") {
-		t.Fatal("seed not deterministic")
+	res, err := sup.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := journal.Validate(bytes.NewReader(sink.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(sink.writes) > res.Stats.Checkpoints+1 || stats.Records <= sink.writes {
+		t.Fatalf("%d records in %d writes for %d checkpoints", stats.Records, sink.writes, res.Stats.Checkpoints)
 	}
 }
 
-// FuzzShardFaultSchedule drives the supervisor with arbitrary fault
-// schedules. The invariant: any run that completes without degradation is
-// byte-identical to the fault-free run over the same stream.
+// FuzzShardFaultSchedule drives process-level recovery with arbitrary fault
+// schedules: each crash degrades a process, and the next resumes over its
+// files. The invariant: every resume either refuses naming the checkpoint a
+// tear damaged, or the run it finishes is byte-identical to the fault-free
+// run over the same stream. A crash set to fire in every process keeps the
+// run degraded: replaying the same arrivals raises the same fault.
 func FuzzShardFaultSchedule(f *testing.F) {
 	f.Add([]byte{0, 1, 0})          // panic at window 2
 	f.Add([]byte{1, 0, 1})          // tear and panic at window 1
 	f.Add([]byte{1, 1, 0, 0, 2, 0}) // tear and panic at 2, then panic at 3
-	f.Add([]byte{0, 0, 0x80})       // panic at window 1 on every attempt
+	f.Add([]byte{0, 0, 0x80})       // panic at window 1 in every process
 	f.Add([]byte{})                 // no fault
-	arrivals := testArrivals(7, 40, 60)
-	tweak := func(o *Options) {
-		o.Clock = clock.NewVirtual(time.Unix(0, 0))
-		o.MaxRestarts = 6
-	}
+	c := fileConfig{arrivals: testArrivals(7, 40, 60), every: 1}
+	var want outcome
 	f.Fuzz(func(t *testing.T, schedule []byte) {
-		want, err := runSupervised(t, testEngine(t), arrivals, nil, tweak)
-		if err != nil {
-			t.Fatalf("fault-free run failed: %v", err)
+		if want.res == nil {
+			want = faultFree(t, c)
 		}
-		got, err := runSupervised(t, testEngine(t), arrivals, decodeSchedule(schedule), tweak)
-		if err != nil {
-			return // the schedule exhausted the restart budget; no identity promised
+		crashes := decodeSchedule(schedule)
+		c := c
+		c.dir, c.sched = t.TempDir(), newSchedule(crashes...)
+		got, err := c.untilFinished(t, false, len(crashes)+1)
+		switch {
+		case err != nil && strings.Contains(err.Error(), "still degraded"):
+			for _, cr := range crashes {
+				if cr.every {
+					return // the deterministic fault: no process gets past it
+				}
+			}
+			t.Fatalf("%v with no fault firing in every process", err)
+		case err != nil:
+			if !strings.Contains(err.Error(), filepath.Join(c.dir, "run.ckpt.s0")) {
+				t.Fatalf("resume refused without naming the damaged checkpoint: %v", err)
+			}
+		default:
+			requireIdentical(t, want, got)
 		}
-		requireIdentical(t, want, got)
 	})
 }
 
 // decodeSchedule reads a fuzzed fault schedule three bytes per crash: the
 // kind (panic, or tear the checkpoint and panic), the window (1–4), and the
-// scope, whose high bit makes the crash fire on every attempt; its low seven
-// bits are ignored.
+// scope, whose high bit makes the crash fire in every process; its low
+// seven bits are ignored.
 func decodeSchedule(b []byte) []crash {
 	cs := []crash{}
 	for ; len(b) >= 3; b = b[3:] {

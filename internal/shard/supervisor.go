@@ -1,39 +1,32 @@
 // Package shard is the supervised engine runtime: one engine, driven
 // incrementally through rtec.StreamRunner with its own checkpoint file and
-// staged journal, supervised so that a failure does not end the run —
-// panics are caught and the engine restarted from its last checkpoint with
-// capped jittered backoff, torn checkpoints fall back to the previous
-// generation, and an engine whose restart budget is exhausted degrades
-// instead of wedging the run. The engine sees the whole stream, so its
-// answer is the batch engine's over the same arrivals.
+// journal, behind a bounded ingest queue. The engine sees the whole stream,
+// so its answer is the batch engine's over the same arrivals.
 //
 // The engine keeps the name it had when the runtime partitioned streams
 // across several: shard 0. Its files are "<checkpoint>.s0" and
 // "<journal>.s0", and its records, errors, statuses and observer calls say
 // shard 0.
 //
+// A panic is a crash. The engine is deterministic, so a failed attempt — a
+// panic in the engine or the observer, a checkpoint write error — is not
+// retried in process, where the same arrivals would raise the same fault:
+// the engine degrades at once. The queue then refuses arrivals with
+// ErrDegraded, Health fails and Close fails the run, whose answer is never
+// silently partial. Recovery is a new process: Options.Resume restores the
+// last durable checkpoint, cuts the engine journal back to the record that
+// checkpoint covers, and skips the arrivals it consumed when the caller
+// re-feeds the stream. Its output is byte-identical to an uninterrupted
+// run's, after a graceful Suspend or a hard kill alike.
+//
 // An engine that wedges (a loop in evaluation, a stuck fsync) is seen, not
 // killed: its rtec.shard.consumed gauge stops advancing, and once its
 // backlog is full Ingest blocks on it. No supervisor-side timer could end
-// such an attempt — a goroutine cannot be stopped from outside — so none
-// is kept.
+// it — a goroutine cannot be stopped from outside — so none is kept.
 //
 // Admission has one verdict per arrival: it is admitted, waiting while the
 // consumer is QueueDepth arrivals behind, or — once the engine has
-// degraded — refused with ErrDegraded. Nothing is dropped, so the run's
-// answer is never silently partial: Close fails whenever the engine
-// degraded.
-//
-// The runtime's contract is byte-determinism under faults: with the same
-// seed, the same inputs and any schedule of panics and torn checkpoints
-// (the tests raise them from the OnWindow observer), the recognised
-// intervals and the journal are byte-identical to a fault-free run's. Three
-// mechanisms combine to make that hold: checkpoints restore the exact
-// engine state, the ingest queue retains arrivals until a checkpoint
-// generation commits (so a restarted engine can replay them in the original
-// order), and journal records are staged in memory one checkpoint
-// generation behind (so a crash discards and regenerates the uncommitted
-// suffix instead of leaving a torn audit trail).
+// degraded — refused with ErrDegraded. Nothing is dropped.
 package shard
 
 import (
@@ -42,7 +35,6 @@ import (
 	"os"
 	"sync"
 
-	"rtecgen/internal/clock"
 	"rtecgen/internal/rtec"
 	"rtecgen/internal/stream"
 	"rtecgen/internal/telemetry"
@@ -63,51 +55,39 @@ type Options struct {
 	// JournalFor.
 	Stream rtec.StreamOptions
 	// JournalFor, when non-nil, returns the engine's journal sink when
-	// called with 0 (nil for none). Records are staged in memory and
-	// committed one checkpoint generation behind, so the sink never sees
-	// bytes a crash could retract.
+	// called with 0 (nil for none). Records are buffered and reach the sink
+	// in one write per checkpoint generation, suspend and finish, each
+	// before the checkpoint that covers them. Under Resume the sink must be
+	// the *os.File of the journal being continued, opened for appending.
 	JournalFor func(k int) io.Writer
 	// JournalOpts configure the engine's journal writer.
 	JournalOpts journal.Options
-	// Resume continues a run a previous process parked with Suspend: when
-	// the checkpoint file exists the engine restores from it, and the
-	// replayed arrival prefix below the checkpoint is skipped at admission
-	// instead of buffered. The caller must re-Ingest the same stream in the
-	// same order. Requires Stream.CheckpointPath.
+	// Resume continues a run an earlier process left behind, parked by
+	// Suspend or killed: the engine restores from the checkpoint file when
+	// it exists (and starts fresh when it does not), the engine journal is
+	// cut back to the record the checkpoint covers, and the arrival prefix
+	// the checkpoint consumed is skipped at admission. The caller must
+	// re-Ingest the same stream in the same order. Requires
+	// Stream.CheckpointPath.
 	Resume bool
-	// JournalInfo, when non-nil under Resume, is the recovered journal
-	// state (nil when the journal is fresh): the staged writer then
-	// continues the committed sequence instead of restarting at 1, so the
-	// appended suffix validates against the prefix already on disk.
-	JournalInfo *journal.RecoverInfo
 	// OnWindow, when non-nil, observes every window delivery and revision
 	// after the engine's own processing, with shard 0. It is called from
 	// the consumer goroutine and must not block — a slow observer stalls
-	// the run. Crash replays re-deliver windows, so delivery is
-	// at-least-once. A panic in the observer is an engine panic: the engine
-	// restarts from its checkpoint.
+	// the run. A panic in the observer is an engine panic: the engine
+	// degrades.
 	OnWindow func(shard int, wr rtec.WindowResult)
 	// Events, when non-nil, receives the supervisor's own lifecycle records
-	// (shards_start, shard_restart, shard_degraded, shards_end).
-	// Restart events exist only in faulted runs, so this trail is kept
-	// apart from the byte-deterministic engine journal.
+	// (shards_start, shard_degraded, shards_suspend, shards_suspended,
+	// shards_end), kept apart from the byte-deterministic engine journal.
 	Events *journal.Writer
 	// QueueDepth bounds the backlog: arrivals admitted but not yet taken by
-	// the consumer. Zero defaults to 256. Arrivals already consumed stay
-	// queued for replay until a checkpoint generation commits; they do not
-	// count, because only the checkpoint interval bounds them (an admission
-	// that finds QueueDepth or more queued in total is counted in
-	// ShardStatus.Overflow). An arrival that finds the backlog at the bound
-	// waits for the consumer to take one.
+	// the consumer. Zero defaults to 256. An arrival that finds the backlog
+	// at the bound waits for the consumer to take one.
 	QueueDepth int
-	// MaxRestarts caps restarts before the engine degrades. Zero defaults
-	// to 5.
-	MaxRestarts int
-	// Seed derives the deterministic backoff jitter.
+	// Seed does nothing.
+	//
+	// frozen: read only by benchmark/ (ROADMAP 21)
 	Seed int64
-	// Clock is the time source for restart backoff. Nil defaults to the
-	// real clock; tests use clock.Virtual for sleep-free supervision.
-	Clock clock.Clock
 	// Telemetry receives metrics and logs. Nil disables both.
 	Telemetry *telemetry.Telemetry
 }
@@ -120,16 +100,22 @@ type Result struct {
 	Stats rtec.StreamStats
 	// Shards holds the engine's final status, its one entry.
 	Shards []ShardStatus
-	// Degraded is 1 when the engine failed permanently, else 0.
+	// Degraded is 1 when the engine failed, else 0.
 	Degraded int
 }
 
 // ShardStatus is the engine's final report.
 type ShardStatus struct {
-	Shard     int    `json:"shard"`
-	Consumed  int64  `json:"consumed"`
-	Windows   int    `json:"windows"`
-	Restarts  int64  `json:"restarts"`
+	Shard    int   `json:"shard"`
+	Consumed int64 `json:"consumed"`
+	Windows  int   `json:"windows"`
+	// Restarts is always 0: a failed engine degrades.
+	//
+	// frozen: read only by benchmark/ (ROADMAP 21)
+	Restarts int64 `json:"restarts"`
+	// Overflow is always 0: the queue holds no more than the backlog bound.
+	//
+	// frozen: read only by benchmark/ (ROADMAP 21)
 	Overflow  int64  `json:"overflow"`
 	Degraded  bool   `json:"degraded"`
 	Suspended bool   `json:"suspended,omitempty"`
@@ -138,24 +124,13 @@ type ShardStatus struct {
 
 // Supervisor journal payloads. Field order fixes the byte layout.
 type shardsStartEvent struct {
-	Shards     int   `json:"shards"`
-	QueueDepth int   `json:"queue_depth"`
-	Seed       int64 `json:"seed"`
-}
-
-type shardRestartEvent struct {
-	Shard    int    `json:"shard"`
-	Attempt  int64  `json:"attempt"`
-	Reason   string `json:"reason"`
-	Consumed int    `json:"consumed"`
-	Windows  int    `json:"windows"`
+	Shards     int `json:"shards"`
+	QueueDepth int `json:"queue_depth"`
 }
 
 type shardDegradedEvent struct {
-	Shard    int    `json:"shard"`
-	Restarts int64  `json:"restarts"`
-	Reason   string `json:"reason"`
-	Err      string `json:"err"`
+	Shard int    `json:"shard"`
+	Err   string `json:"err"`
 }
 
 type shardsSuspendEvent struct {
@@ -172,18 +147,15 @@ type shardsSuspendedEvent struct {
 type shardsEndEvent struct {
 	Shards   int   `json:"shards"`
 	Degraded int   `json:"degraded"`
-	Restarts int64 `json:"restarts"`
 	Observed int64 `json:"observed"`
 	Windows  int64 `json:"windows"`
 }
 
-// Supervisor runs one crash-recovering engine. Ingest and Close must be
-// called from a single goroutine; everything else is internal.
+// Supervisor runs one engine. Ingest and Close must be called from a single
+// goroutine; everything else is internal.
 type Supervisor struct {
-	eng    *rtec.Engine
 	opts   Options
 	tel    *telemetry.Telemetry
-	clk    clock.Clock
 	p      *proc
 	closed bool
 }
@@ -191,79 +163,72 @@ type Supervisor struct {
 // NewSupervisor starts the supervised engine. Close finishes the run. A
 // plan rtec.CheckStreamOptions refuses starts nothing.
 func NewSupervisor(eng *rtec.Engine, opts Options) (*Supervisor, error) {
-	// Refuse a plan the engine would refuse before the engine starts:
-	// inside it the refusal would read as a permanent failure.
+	// Refuse a plan the engine would refuse before a resume touches the
+	// journal file.
 	if err := rtec.CheckStreamOptions(opts.Stream); err != nil {
 		return nil, err
 	}
 	if opts.QueueDepth <= 0 {
 		opts.QueueDepth = 256
 	}
-	if opts.MaxRestarts <= 0 {
-		opts.MaxRestarts = 5
-	}
-	if opts.Clock == nil {
-		opts.Clock = clock.Real()
-	}
 	if opts.Resume && opts.Stream.CheckpointPath == "" {
 		return nil, fmt.Errorf("shard: Resume needs a checkpoint path to restore from")
 	}
-	s := &Supervisor{eng: eng, opts: opts, tel: opts.Telemetry, clk: opts.Clock}
+	s := &Supervisor{opts: opts, tel: opts.Telemetry}
 	s.describeMetrics()
-	s.journalEvent("shards_start", shardsStartEvent{
-		Shards: 1, QueueDepth: opts.QueueDepth, Seed: opts.Seed,
-	})
 	p := &proc{
-		sup: s,
-
+		sup:       s,
 		mDepth:    s.tel.Gauge("rtec.shard.queue.depth"),
 		mConsumed: s.tel.Gauge("rtec.shard.consumed"),
 		mWindows:  s.tel.Gauge("rtec.shard.windows"),
 	}
 	p.cond = sync.NewCond(&p.mu)
+	var (
+		cp   *rtec.Checkpoint
+		info journal.RecoverInfo
+		out  io.Writer
+		err  error
+	)
 	if opts.JournalFor != nil {
-		if out := opts.JournalFor(0); out != nil {
-			if opts.Resume && opts.JournalInfo != nil {
-				p.stage = newStagedJournalResumed(out, opts.JournalOpts, *opts.JournalInfo)
-			} else {
-				p.stage = newStagedJournal(out, opts.JournalOpts)
-			}
-		}
+		out = opts.JournalFor(0)
 	}
 	if opts.Resume {
-		cp, err := s.loadResume()
+		if cp, err = s.loadResume(); err == nil && out != nil {
+			info, err = s.cutJournal(out, cp)
+		}
 		if err != nil {
 			return nil, err
 		}
-		if cp != nil {
-			// Pin both staged generations and the consumer cursor to the
-			// snapshot's position before any push or attempt can race.
-			// base stays 0: the replayed prefix advances it one skipped
-			// arrival at a time until it catches up with the cursor.
-			p.resumeCkpt = cp
-			p.skipBelow = cp.Consumed
-			p.taken = cp.Consumed
-			b := p.stage.boundary(cp.Consumed)
-			p.prevB, p.lastB = b, b
-		}
 	}
+	ro := opts.Stream
+	ro.CheckpointPath = s.checkpointPath()
+	if out != nil {
+		ro.Journal = journal.NewWriterResumed(&journalBuffer{out: out}, opts.JournalOpts, info)
+	}
+	if cp != nil {
+		p.runner, err = eng.ResumeStreamRunner(cp, ro, p.deliverHook)
+		p.delivered, p.skip = cp.Windows, cp.Consumed
+	} else {
+		p.runner, err = eng.NewStreamRunner(ro, p.deliverHook)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("shard 0: %w", err)
+	}
+	s.journalEvent("shards_start", shardsStartEvent{Shards: 1, QueueDepth: opts.QueueDepth})
 	s.p = p
 	go p.run()
 	return s, nil
 }
 
-// loadResume loads the cross-process resume snapshot from the current
-// checkpoint generation only. No checkpoint file (neither generation)
-// starts fresh — legal when the previous process suspended before the
-// engine ever checkpointed; an empty snapshot (nothing consumed, nothing
-// delivered) also starts fresh, so the run_start record is journalled on
-// the first ingest exactly as an uninterrupted run would. The journal was
-// committed through the suspend point, so resuming from the previous
-// generation would journal the replayed windows twice: a current file that
-// is unusable, or missing beside a ".prev", fails the resume.
+// loadResume loads the checkpoint a resumed engine continues from. No
+// checkpoint file starts fresh — legal when the previous process ended
+// before the engine ever checkpointed; an empty snapshot (nothing consumed,
+// nothing delivered) also starts fresh, so the run_start record is
+// journalled on the first ingest exactly as an uninterrupted run would. A
+// file that does not load fails the resume naming it.
 func (s *Supervisor) loadResume() (*rtec.Checkpoint, error) {
 	path := s.checkpointPath()
-	if !fileExists(path) && !fileExists(path+".prev") {
+	if _, err := os.Stat(path); err != nil {
 		return nil, nil
 	}
 	cp, err := rtec.LoadCheckpoint(path)
@@ -276,9 +241,34 @@ func (s *Supervisor) loadResume() (*rtec.Checkpoint, error) {
 	return cp, nil
 }
 
-func fileExists(path string) bool {
-	_, err := os.Stat(path)
-	return err == nil
+// cutJournal cuts the engine journal back to the record the resume
+// checkpoint covers — all of it without one: every record past it was
+// journalled by arrivals the resumed engine processes again. A journal that
+// ends before that record lost records the checkpoint covers; one whose cut
+// suffix holds two checkpoint records lost a generation that had reached the
+// disk (a generation's record reaches the file only after the previous
+// generation's write completed). Either fails the resume.
+func (s *Supervisor) cutJournal(out io.Writer, cp *rtec.Checkpoint) (journal.RecoverInfo, error) {
+	f, ok := out.(*os.File)
+	if !ok {
+		return journal.RecoverInfo{}, fmt.Errorf("shard 0 resume: the engine journal is not a file to continue")
+	}
+	var through int64
+	if cp != nil {
+		through = cp.JournalSeq
+	}
+	info, err := journal.Cut(f.Name(), through)
+	switch {
+	case err != nil:
+		return info, fmt.Errorf("shard 0 resume: journal %s: %w", f.Name(), err)
+	case info.LastSeq < through && !info.Capped:
+		return info, fmt.Errorf("shard 0 resume: journal %s ends at record %d, but checkpoint %s covers records through %d",
+			f.Name(), info.LastSeq, s.checkpointPath(), through)
+	case info.Cut["checkpoint"] > 1:
+		return info, fmt.Errorf("shard 0 resume: journal %s records %d checkpoint generations past checkpoint %s: a generation that reached the disk is missing",
+			f.Name(), info.Cut["checkpoint"], s.checkpointPath())
+	}
+	return info, nil
 }
 
 func (s *Supervisor) describeMetrics() {
@@ -286,19 +276,10 @@ func (s *Supervisor) describeMetrics() {
 		return
 	}
 	reg := s.tel.Registry
-	reg.Describe("rtec.shard.restarts", "Engine restarts after a caught panic or a failed attempt.")
-	reg.Describe("rtec.shard.degraded", "1 once the engine has failed permanently.")
-	reg.Describe("rtec.shard.queue.depth", "Retained arrivals in the ingest queue.")
+	reg.Describe("rtec.shard.degraded", "1 once the engine has failed.")
+	reg.Describe("rtec.shard.queue.depth", "Backlog of the ingest queue: arrivals admitted, not yet taken by the engine.")
 	reg.Describe("rtec.shard.consumed", "Arrivals the engine has fully processed.")
 	reg.Describe("rtec.shard.windows", "Windows the engine has delivered at least once.")
-}
-
-// runnerOpts builds the engine configuration from the template.
-func (s *Supervisor) runnerOpts(jw *journal.Writer) rtec.StreamOptions {
-	opts := s.opts.Stream
-	opts.CheckpointPath = s.checkpointPath()
-	opts.Journal = jw
-	return opts
 }
 
 // checkpointPath is the engine's checkpoint file: "<base>.s0", or empty
@@ -337,9 +318,8 @@ func (s *Supervisor) Close() (*Result, error) {
 	}
 	s.closed = true
 	p := s.p
-	p.closeQueue()
-	p.waitDone()
-	st := ShardStatus{Restarts: p.restarts, Overflow: p.overflow, Degraded: p.degraded}
+	p.end(false)
+	st := ShardStatus{Degraded: p.degraded}
 	res := &Result{}
 	var err error
 	if p.degraded {
@@ -354,15 +334,15 @@ func (s *Supervisor) Close() (*Result, error) {
 	}
 	res.Shards = []ShardStatus{st}
 	s.journalEvent("shards_end", shardsEndEvent{
-		Shards: 1, Degraded: res.Degraded, Restarts: p.restarts,
+		Shards: 1, Degraded: res.Degraded,
 		Observed: res.Stats.Observed, Windows: int64(st.Windows),
 	})
 	return res, err
 }
 
 // Suspend parks the runtime for a graceful cross-process restart: the
-// engine finishes the arrivals it has already admitted, writes a suspend
-// checkpoint at that boundary and commits its staged journal through it.
+// engine finishes the arrivals it has already admitted, flushes its journal
+// and writes a suspend checkpoint at that boundary.
 // No result is produced — a new process constructed with Options.Resume
 // and re-fed the same stream continues the run with output byte-identical
 // to an uninterrupted one. Requires Stream.CheckpointPath. Like Close,
@@ -377,12 +357,8 @@ func (s *Supervisor) Suspend() ([]ShardStatus, error) {
 	s.closed = true
 	s.journalEvent("shards_suspend", shardsSuspendEvent{Shards: 1})
 	p := s.p
-	p.suspendQueue()
-	p.waitDone()
-	st := ShardStatus{
-		Restarts: p.restarts, Overflow: p.overflow,
-		Degraded: p.degraded, Suspended: p.suspended,
-	}
+	p.end(true)
+	st := ShardStatus{Degraded: p.degraded, Suspended: p.suspended}
 	end := shardsSuspendedEvent{Shards: 1}
 	var err error
 	if p.degraded {

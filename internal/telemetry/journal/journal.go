@@ -16,6 +16,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sync"
 )
@@ -129,38 +130,29 @@ func (w *Writer) encode(typ string, payload json.RawMessage) ([]byte, error) {
 	return append(line, '\n'), nil
 }
 
-// Mark is a point in a writer's sequencing state, captured by (*Writer).Mark
-// and restored by Rollback. The shard runtime journals speculatively into an
-// in-memory stage and, when a crashed engine replays from its checkpoint,
-// rolls the writer back to the mark taken at that checkpoint so the replayed
-// records reuse the same sequence numbers — keeping the recovered journal
-// byte-identical to a fault-free run. Mark/Rollback only restore the
-// writer's own counters; rewinding the underlying byte sink (truncating the
-// staged buffer) is the caller's job.
-type Mark struct {
-	seq, written, dropped int64
-	capped                bool
-}
-
-// Mark captures the writer's current sequencing state.
-func (w *Writer) Mark() Mark {
+// Flush hands the records appended since the last Flush to the underlying
+// writer's own Flush, when it has one: a journal over a buffer reaches its
+// file only where the caller flushes it (the engine does at each checkpoint
+// generation, a suspend and the end of the run). Over any other writer the
+// records were written as they were appended, and Flush does nothing. A
+// failed flush is sticky, like a failed append.
+func (w *Writer) Flush() error {
 	if w == nil {
-		return Mark{}
+		return nil
+	}
+	f, ok := w.w.(interface{ Flush() error })
+	if !ok {
+		return nil
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return Mark{seq: w.seq, written: w.written, dropped: w.dropped, capped: w.capped}
-}
-
-// Rollback restores the state captured by a Mark. A sticky write error is
-// not cleared: a journal with a hole stays failed.
-func (w *Writer) Rollback(m Mark) {
-	if w == nil {
-		return
+	if w.err != nil {
+		return w.err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.seq, w.written, w.dropped, w.capped = m.seq, m.written, m.dropped, m.capped
+	if err := f.Flush(); err != nil {
+		w.err = fmt.Errorf("journal: %w", err)
+	}
+	return w.err
 }
 
 // Seq returns the sequence number of the last record issued (0 initially).
@@ -271,6 +263,9 @@ type RecoverInfo struct {
 	// Capped reports whether the kept journal ends in a journal_capped
 	// marker, so a resumed writer keeps dropping instead of re-appending.
 	Capped bool
+	// Cut counts by type the complete records Cut removed past its
+	// sequence number.
+	Cut map[string]int
 }
 
 // Recover makes a journal file left behind by a crashed run appendable
@@ -279,7 +274,13 @@ type RecoverInfo struct {
 // partial line (one that is unterminated, or whose bytes fail validation
 // with nothing after it), and refuses anything worse: a bad record followed
 // by complete ones is mid-file corruption, not a torn tail.
-func Recover(path string) (RecoverInfo, error) {
+func Recover(path string) (RecoverInfo, error) { return Cut(path, math.MaxInt64) }
+
+// Cut is Recover followed by a cut: every record numbered past through goes
+// too, so the journal ends where it stood when record through was appended.
+// A resumed engine cuts its journal back to its checkpoint's record; an
+// open file descriptor for appending writes at the new end.
+func Cut(path string, through int64) (RecoverInfo, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
 		return RecoverInfo{}, err
@@ -303,20 +304,27 @@ func Recover(path string) (RecoverInfo, error) {
 			// A complete-looking record without its newline is still partial
 			// by JSONL discipline — cut it with the rest of the tail.
 			info.Truncated = int64(len(raw) - off)
-			if err := os.Truncate(path, int64(off)); err != nil {
-				return RecoverInfo{}, fmt.Errorf("journal: truncate: %w", err)
-			}
 			break
-		}
-		info.Records++
-		info.LastSeq = rec.Seq
-		if rec.Type == "journal_capped" {
-			info.Capped = true
 		}
 		prev = rec
 		off += nl + 1
+		if rec.Seq > through {
+			if info.Cut == nil {
+				info.Cut = map[string]int{}
+			}
+			info.Cut[rec.Type]++
+			continue
+		}
+		info.Records++
+		info.LastSeq = rec.Seq
+		info.Capped = rec.Type == "journal_capped"
+		info.Written = int64(off)
 	}
-	info.Written = int64(off)
+	if info.Written < int64(len(raw)) {
+		if err := os.Truncate(path, info.Written); err != nil {
+			return RecoverInfo{}, fmt.Errorf("journal: truncate: %w", err)
+		}
+	}
 	return info, nil
 }
 

@@ -171,56 +171,103 @@ func TestStickyError(t *testing.T) {
 	}
 }
 
-// TestMarkRollback replays a writer past a mark and checks the rolled-back
-// writer regenerates byte-identical records — the invariant the shard
-// runtime's staged journal depends on for crash-identical recovery.
-func TestMarkRollback(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, Options{})
+// flushSink counts the writes that reach it; a journal over a buffer
+// in front of it hands records on only at Flush.
+type flushSink struct {
+	bytes.Buffer
+	pending []byte
+	writes  int
+	err     error
+}
+
+func (f *flushSink) Write(p []byte) (int, error) {
+	f.pending = append(f.pending, p...)
+	return len(p), nil
+}
+
+func (f *flushSink) Flush() error {
+	if f.err != nil {
+		return f.err
+	}
+	f.writes++
+	f.Buffer.Write(f.pending)
+	f.pending = f.pending[:0]
+	return nil
+}
+
+// TestFlush: over a writer with a Flush method, records reach it only at
+// Flush, and a failed flush is sticky; over a plain writer, and on a nil
+// Writer, Flush does nothing.
+func TestFlush(t *testing.T) {
+	sink := &flushSink{}
+	w := NewWriter(sink, Options{})
 	w.Append("run_start", nil)
 	w.Append("window", map[string]int{"t": 1})
-	m := w.Mark()
-	keep := buf.Len()
-	w.Append("window", map[string]int{"t": 2})
-	w.Append("window", map[string]int{"t": 3})
-	suffix := string(buf.Bytes()[keep:])
+	if sink.Len() != 0 {
+		t.Fatal("records reached the sink before Flush")
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if sink.writes != 1 {
+		t.Fatalf("%d writes for one flush", sink.writes)
+	}
+	if stats, err := Validate(bytes.NewReader(sink.Bytes())); err != nil || stats.Records != 2 {
+		t.Fatalf("flushed journal: %+v, %v", stats, err)
+	}
+	sink.err = errSink
+	if err := w.Flush(); err == nil {
+		t.Fatal("failed flush reported no error")
+	}
+	if err := w.Append("window", nil); err == nil {
+		t.Fatal("append after a failed flush succeeded")
+	}
 
-	// Roll back and replay: the same appends must produce the same bytes.
-	buf.Truncate(keep)
-	w.Rollback(m)
-	if w.Seq() != 2 {
-		t.Fatalf("seq after rollback = %d, want 2", w.Seq())
+	var plain bytes.Buffer
+	pw := NewWriter(&plain, Options{})
+	pw.Append("run_start", nil)
+	if err := pw.Flush(); err != nil || plain.Len() == 0 {
+		t.Fatalf("plain writer: flush err %v, %d bytes", err, plain.Len())
 	}
-	w.Append("window", map[string]int{"t": 2})
-	w.Append("window", map[string]int{"t": 3})
-	if got := string(buf.Bytes()[keep:]); got != suffix {
-		t.Fatalf("replayed suffix differs:\n%q\nvs\n%q", got, suffix)
-	}
-	if _, err := Validate(bytes.NewReader(buf.Bytes())); err != nil {
+	var nw *Writer
+	if err := nw.Flush(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestMarkRollbackRestoresCap(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf, Options{MaxBytes: 120})
-	w.Append("run_start", nil)
-	m := w.Mark()
-	for i := 0; i < 10; i++ {
-		w.Append("window", map[string]int{"i": i})
+// TestCutAtSequence: Cut keeps the records through its sequence number,
+// counts the complete ones it removes by type, truncates a torn tail, and a
+// resumed writer continues the kept prefix.
+func TestCutAtSequence(t *testing.T) {
+	path := t.TempDir() + "/j.jsonl"
+	writeJournalFile(t, path, `{"seq":4,"wall_us":0,"type":"wind`)
+	info, err := Cut(path, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !w.Capped() {
-		t.Fatal("writer not capped")
+	if info.Records != 1 || info.LastSeq != 1 || info.Cut["window"] != 2 || info.Truncated == 0 {
+		t.Fatalf("info = %+v, want record 1 kept, two windows cut and a torn tail", info)
 	}
-	w.Rollback(m)
-	if w.Capped() || w.Dropped() != 0 {
-		t.Fatal("rollback kept the cap state")
+	raw, _ := os.ReadFile(path)
+	if int64(len(raw)) != info.Written {
+		t.Fatalf("file size %d != Written %d", len(raw), info.Written)
 	}
-}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := NewWriterResumed(f, Options{}, info).Append("window", nil); err != nil {
+		t.Fatal(err)
+	}
+	raw, _ = os.ReadFile(path)
+	if stats, err := Validate(bytes.NewReader(raw)); err != nil || stats.Records != 2 {
+		t.Fatalf("continued journal: %+v, %v\n%s", stats, err, raw)
+	}
 
-func TestNilWriterMark(t *testing.T) {
-	var w *Writer
-	w.Rollback(w.Mark()) // must not panic
+	if info, err := Cut(path, 0); err != nil || info.Written != 0 || info.Cut["run_start"] != 1 {
+		t.Fatalf("cut to nothing: %+v, %v", info, err)
+	}
 }
 
 func writeJournalFile(t *testing.T, path string, tail string) {
